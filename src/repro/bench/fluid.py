@@ -144,6 +144,7 @@ class FluidSim:
         keyspace = config.spec.keyspace
 
         mode = self._single_mode()
+        rated_mode = None  # the mode op_cost/potential/epsilon are for
         follower = False
         follower_ready_at: Optional[int] = None
         occupancy = 0.0
@@ -177,57 +178,57 @@ class FluidSim:
         t = 0
         while t < duration:
             # -- lifecycle transitions at bin boundaries ------------------
-            if plan is not None and result.t1_forked is None \
-                    and t >= plan.request_at:
-                xform_ns = int(store_entries) * (profile.xform_entry_ns or 0)
-                if kitsune_in_place:
-                    pause = QUIESCE_NS + xform_ns
-                    service_blocked_until = t + pause
-                    result.t1_forked = t
-                    result.t2_updated = t + pause
-                    finalized = True  # no MVE stages follow
-                else:
-                    result.t1_forked = t
-                    service_blocked_until = t + FORK_PAUSE_NS
-                    follower = True
-                    follower_ready_at = t + FORK_PAUSE_NS + int(
-                        xform_ns * FOLLOWER_XFORM_FACTOR)
-                    result.t2_updated = follower_ready_at
-                    mode = self._leader_mode()
-                mark("t1_forked", result.t1_forked)
-                mark("t2_updated", result.t2_updated)
+            if plan is not None:
+                if result.t1_forked is None and t >= plan.request_at:
+                    xform_ns = int(store_entries) * (
+                        profile.xform_entry_ns or 0)
+                    if kitsune_in_place:
+                        pause = QUIESCE_NS + xform_ns
+                        service_blocked_until = t + pause
+                        result.t1_forked = t
+                        result.t2_updated = t + pause
+                        finalized = True  # no MVE stages follow
+                    else:
+                        result.t1_forked = t
+                        service_blocked_until = t + FORK_PAUSE_NS
+                        follower = True
+                        follower_ready_at = t + FORK_PAUSE_NS + int(
+                            xform_ns * FOLLOWER_XFORM_FACTOR)
+                        result.t2_updated = follower_ready_at
+                        mode = self._leader_mode()
+                    mark("t1_forked", result.t1_forked)
+                    mark("t2_updated", result.t2_updated)
 
-            if (follower and plan is not None
-                    and plan.rollback_at is not None
-                    and t >= plan.rollback_at and not promoted):
-                # Divergence discovered: terminate the follower, drop
-                # the ring, and fall back to single-leader service.
-                follower = False
-                occupancy = 0.0
-                draining_for_promotion = False
-                finalized = True
-                result.rolled_back_at = t
-                mark("rolled_back", t)
-                mode = self._single_mode()
+                if (follower and plan.rollback_at is not None
+                        and t >= plan.rollback_at and not promoted):
+                    # Divergence discovered: terminate the follower, drop
+                    # the ring, and fall back to single-leader service.
+                    follower = False
+                    occupancy = 0.0
+                    draining_for_promotion = False
+                    finalized = True
+                    result.rolled_back_at = t
+                    mark("rolled_back", t)
+                    mode = self._single_mode()
 
-            if (follower and plan is not None and plan.immediate_promotion
-                    and result.t2_updated is not None
-                    and t >= result.t2_updated and not promoted):
-                draining_for_promotion = True
+                if (follower and plan.immediate_promotion
+                        and result.t2_updated is not None
+                        and t >= result.t2_updated and not promoted):
+                    draining_for_promotion = True
 
-            if (follower and plan is not None and not promoted
-                    and plan.promote_at is not None
-                    and t >= plan.promote_at):
-                draining_for_promotion = True
+                if (follower and not promoted
+                        and plan.promote_at is not None
+                        and t >= plan.promote_at):
+                    draining_for_promotion = True
 
-            if (follower and plan is not None and promoted
-                    and plan.finalize_at is not None and not finalized
-                    and t >= plan.finalize_at):
-                follower = False
-                finalized = True
-                result.t6_finalized = t
-                mark("t6_finalized", t)
-                mode = self._single_mode()
+                if (follower and promoted
+                        and plan.finalize_at is not None and not finalized
+                        and t >= plan.finalize_at):
+                    follower = False
+                    finalized = True
+                    result.t6_finalized = t
+                    mark("t6_finalized", t)
+                    mode = self._single_mode()
 
             # -- follower consumption --------------------------------------
             # The follower first works off the backlog, and any leftover
@@ -259,10 +260,14 @@ class FluidSim:
                     mode = self._single_mode()
 
             # -- leader service ---------------------------------------------
-            served = 0.0
-            if t >= service_blocked_until and not draining_for_promotion:
+            if mode is not rated_mode:
+                # Per-mode constants, re-derived on lifecycle transitions.
+                rated_mode = mode
                 op_cost = self._op_cost(mode)
                 potential = dt * config.threads / op_cost
+                epsilon = potential_epsilon(dt, op_cost, config.threads)
+            served = 0.0
+            if t >= service_blocked_until and not draining_for_promotion:
                 if follower:
                     headroom = (config.ring_capacity - occupancy
                                 + flow_capacity)
@@ -274,8 +279,7 @@ class FluidSim:
                     served = potential
 
             # -- bookkeeping ---------------------------------------------------
-            if served <= potential_epsilon(dt, self._op_cost(mode),
-                                           config.threads):
+            if served <= epsilon:
                 stall_ns += dt
             else:
                 longest_stall = max(longest_stall, stall_ns)

@@ -14,7 +14,6 @@ abort callback for the leader side.
 
 from __future__ import annotations
 
-import copy
 import enum
 from dataclasses import dataclass
 from typing import Any, Dict, Optional
@@ -22,7 +21,7 @@ from typing import Any, Dict, Optional
 from repro.chaos.injector import current_chaos
 from repro.errors import QuiescenceTimeout, StateTransformError
 from repro.dsu.program import ThreadState, UpdatableProgram
-from repro.dsu.transform import TransformRegistry
+from repro.dsu.transform import TransformRegistry, clone_heap
 from repro.dsu.version import ServerVersion
 from repro.obs.trace import current_tracer
 
@@ -51,7 +50,7 @@ def _corrupt_heap(heap: Dict[str, Any], param) -> Dict[str, Any]:
     replies later disagree with the leader's — a latent transformer bug
     the divergence check must catch."""
     marker = str(param.get("marker", "\x00chaos"))
-    corrupted = copy.deepcopy(heap)
+    corrupted = clone_heap(heap)
     _scramble(corrupted, marker)
     return corrupted
 

@@ -12,6 +12,7 @@ version code.
 from __future__ import annotations
 
 import copy
+import operator
 from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.errors import NoUpdatePath, StateTransformError
@@ -20,9 +21,55 @@ from repro.errors import NoUpdatePath, StateTransformError
 StateTransformer = Callable[[Dict[str, Any]], Dict[str, Any]]
 
 
+#: Immutable leaf types a heap copy may share with the original.
+_ATOMS = frozenset({str, bytes, int, float, bool, type(None)})
+
+
+def clone_heap(value: Any, memo: Optional[Dict[int, Any]] = None) -> Any:
+    """Deep-copy a process image made of plain data.
+
+    Heaps are atom-keyed dicts, lists, tuples and sets over atoms; these
+    are copied without ``copy.deepcopy``'s per-object dispatch, anything
+    else is handed to it.  Both share ``memo`` (``id`` -> copy, deepcopy's
+    own format), so a sub-container reachable twice — from ``value`` or
+    from what else the caller copies with that memo — stays one object.
+    """
+    kind = type(value)
+    if kind in _ATOMS:
+        return value
+    if memo is None:
+        memo = {}
+    clone = memo.get(id(value))
+    if clone is not None:
+        return clone
+    if kind is dict and _ATOMS.issuperset(map(type, value)):
+        # Atom keys are shared, so start from a shallow copy (keeps
+        # order) and replace only the values that need copying.
+        clone = memo[id(value)] = value.copy()
+        for key, item in value.items():
+            if type(item) not in _ATOMS:
+                clone[key] = clone_heap(item, memo)
+    elif kind is list:
+        clone = memo[id(value)] = []
+        clone.extend([clone_heap(item, memo) for item in value])
+    elif kind is set:
+        clone = memo[id(value)] = {clone_heap(item, memo) for item in value}
+    elif kind is tuple:
+        items = [clone_heap(item, memo) for item in value]
+        if all(map(operator.is_, items, value)):
+            return value  # immutable all the way down: shared, like atoms
+        # A cycle through this tuple has memoised it while copying items.
+        clone = memo.get(id(value))
+        if clone is None:
+            clone = memo[id(value)] = tuple(items)
+    else:
+        clone = copy.deepcopy(value, memo)
+    return clone
+
+
 def identity_transform(heap: Dict[str, Any]) -> Dict[str, Any]:
     """Transformer for updates that do not change state layout."""
-    return copy.deepcopy(heap)
+    return clone_heap(heap)
 
 
 class TransformRegistry:
@@ -83,7 +130,7 @@ class TransformRegistry:
         """
         transformer = self.get(app, old, new)
         try:
-            new_heap = transformer(copy.deepcopy(heap))
+            new_heap = transformer(clone_heap(heap))
         except StateTransformError:
             raise
         except Exception as exc:

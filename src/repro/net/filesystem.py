@@ -11,7 +11,7 @@ per process — which is exactly why Vsftpd's STOU divergence is tolerable
 from __future__ import annotations
 
 import posixpath
-from typing import Dict, List
+from typing import Dict, List, Union
 
 from repro.errors import FileNotFound, KernelError
 
@@ -31,7 +31,9 @@ class VirtualFilesystem:
     """Flat file store with directory bookkeeping."""
 
     def __init__(self) -> None:
-        self._files: Dict[str, bytes] = {}
+        #: ``bytes``; a ``bytearray`` between an append and the next read,
+        #: so a run of appends costs amortised O(len(data)) each.
+        self._files: Dict[str, Union[bytes, bytearray]] = {}
         self._dirs: Dict[str, None] = {"/": None}
 
     # -- directories ------------------------------------------------------
@@ -76,17 +78,23 @@ class VirtualFilesystem:
     def append_file(self, path: str, data: bytes) -> None:
         """Append to a file, creating it if absent."""
         path = _normalise(path)
-        if path in self._files:
-            self._files[path] += bytes(data)
-        else:
+        stored = self._files.get(path)
+        if stored is None:
             self.write_file(path, data)
+            return
+        if type(stored) is bytes:
+            stored = self._files[path] = bytearray(stored)
+        stored += data
 
     def read_file(self, path: str) -> bytes:
         """Full contents of a file."""
         path = _normalise(path)
-        if path not in self._files:
+        stored = self._files.get(path)
+        if stored is None:
             raise FileNotFound(f"no such file: {path}")
-        return self._files[path]
+        if type(stored) is not bytes:
+            stored = self._files[path] = bytes(stored)
+        return stored
 
     def exists(self, path: str) -> bool:
         """True if ``path`` names a file."""

@@ -144,9 +144,8 @@ def effective_phase(request: Span, collector: SpanCollector) -> str:
     """
     if request.end_ns is None:
         return request.phase
-    for span in collector.spans:
-        if span.kind in ("dsu.quiesce", "dsu.fork") \
-                and span.overlap_ns(request.start_ns, request.end_ns) > 0:
+    for span in collector.pause_spans():
+        if span.overlap_ns(request.start_ns, request.end_ns) > 0:
             return "quiesce-pause"
     return request.phase
 

@@ -45,7 +45,7 @@ cycles.
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 #: JSONL span schema identifier (bump on shape changes).
 SPAN_SCHEMA = "repro-span/1"
@@ -53,6 +53,9 @@ SPAN_SCHEMA = "repro-span/1"
 #: Upgrade phases a request can be served in, in lifecycle order.
 PHASES = ("normal", "mve-active", "quiesce-pause", "promoted",
           "rolled-back")
+
+#: Span kinds during which the update pauses request service.
+PAUSE_KINDS = ("dsu.quiesce", "dsu.fork")
 
 
 class Span:
@@ -128,6 +131,8 @@ class SpanCollector:
         #: Current upgrade phase, stamped onto spans at creation.  The
         #: DSU orchestrator advances it through :data:`PHASES`.
         self.phase = PHASES[0]
+        #: ``(len(spans) it was built at, the PAUSE_KINDS spans)``.
+        self._pause_index: Tuple[int, List[Span]] = (0, [])
 
     # -- creation -----------------------------------------------------------
 
@@ -187,6 +192,17 @@ class SpanCollector:
     def request_spans(self) -> List[Span]:
         """All ``request`` spans, in creation order."""
         return [span for span in self.spans if span.kind == "request"]
+
+    def pause_spans(self) -> List[Span]:
+        """The :data:`PAUSE_KINDS` spans, in creation order.
+
+        Indexed once and rebuilt only when spans have been added since;
+        it holds the spans themselves, so one closed later is seen.
+        """
+        if self._pause_index[0] != len(self.spans):
+            self._pause_index = (len(self.spans), [
+                span for span in self.spans if span.kind in PAUSE_KINDS])
+        return self._pause_index[1]
 
     def children_of(self, span_id: int) -> List[Span]:
         return [span for span in self.spans if span.parent_id == span_id]

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.dsu.program import ThreadState, UpdatableProgram
+from repro.dsu.transform import clone_heap
 from repro.dsu.version import ServerVersion
 from repro.errors import BrokenPipe, ConnectionReset, FdExhausted
 from repro.mve.gateway import SyscallGateway
@@ -101,7 +102,11 @@ class Server:
         kernel, gateway = self.kernel, self.gateway
         self.kernel, self.gateway = None, None
         try:
-            child = copy.deepcopy(self)
+            # The heap (most of the image) is copied as plain data; the
+            # memo maps its aliases (``program.heap``) onto that copy.
+            memo: Dict[int, Any] = {}
+            clone_heap(self.heap, memo)
+            child = copy.deepcopy(self, memo)
         finally:
             self.kernel, self.gateway = kernel, gateway
         child.kernel = kernel

@@ -28,31 +28,32 @@ from typing import Dict, Optional
 
 
 class ExecutionMode(enum.Enum):
-    """The six configurations evaluated in Table 2, plus follower replay."""
+    """The six configurations evaluated in Table 2, plus follower replay.
 
-    NATIVE = "native"
-    KITSUNE = "kitsune"
-    VARAN_SINGLE = "varan-1"
-    MVEDSUA_SINGLE = "mvedsua-1"
-    VARAN_LEADER = "varan-2"
-    MVEDSUA_LEADER = "mvedsua-2"
-    FOLLOWER = "follower"
+    Each member is declared as ``(label, uses_ring_buffer,
+    includes_kitsune, includes_varan)``; ``value`` is the label, the
+    three predicates are plain attributes resolved at class creation.
+    """
 
-    @property
-    def uses_ring_buffer(self) -> bool:
-        """True when syscalls are registered on the shared ring buffer."""
-        return self in (ExecutionMode.VARAN_LEADER, ExecutionMode.MVEDSUA_LEADER)
+    NATIVE = ("native", False, False, False)
+    KITSUNE = ("kitsune", False, True, False)
+    VARAN_SINGLE = ("varan-1", False, False, True)
+    MVEDSUA_SINGLE = ("mvedsua-1", False, True, True)
+    VARAN_LEADER = ("varan-2", True, False, True)
+    MVEDSUA_LEADER = ("mvedsua-2", True, True, True)
+    FOLLOWER = ("follower", False, False, True)
 
-    @property
-    def includes_kitsune(self) -> bool:
-        """True when the binary carries Kitsune update-point checks."""
-        return self in (ExecutionMode.KITSUNE, ExecutionMode.MVEDSUA_SINGLE,
-                        ExecutionMode.MVEDSUA_LEADER)
-
-    @property
-    def includes_varan(self) -> bool:
-        """True when syscalls are intercepted by the MVE monitor."""
-        return self not in (ExecutionMode.NATIVE, ExecutionMode.KITSUNE)
+    def __new__(cls, label: str, uses_ring_buffer: bool,
+                includes_kitsune: bool, includes_varan: bool):
+        member = object.__new__(cls)
+        member._value_ = label
+        #: True when syscalls are registered on the shared ring buffer.
+        member.uses_ring_buffer = uses_ring_buffer
+        #: True when the binary carries Kitsune update-point checks.
+        member.includes_kitsune = includes_kitsune
+        #: True when syscalls are intercepted by the MVE monitor.
+        member.includes_varan = includes_varan
+        return member
 
 
 @dataclass(frozen=True)
@@ -121,8 +122,14 @@ class AppProfile:
             return self.ring_entries_per_op
         return self.syscalls_per_op
 
-    def factors(self, mode: ExecutionMode) -> ModeFactors:
-        """Overhead factors for running this app in ``mode``."""
+    def __post_init__(self) -> None:
+        # The mode table is built once per profile instance, so
+        # ``dataclasses.replace`` variants get their own; it is not a
+        # field, hence invisible to eq/hash/repr.
+        object.__setattr__(self, "_factors", {
+            mode: self._resolve_factors(mode) for mode in ExecutionMode})
+
+    def _resolve_factors(self, mode: ExecutionMode) -> ModeFactors:
         compute = 1.0
         syscall = 1.0
         byte = 1.0
@@ -139,6 +146,10 @@ class AppProfile:
                         or _VARAN_SINGLE_SYSCALL)
         return ModeFactors(compute, syscall, byte)
 
+    def factors(self, mode: ExecutionMode) -> ModeFactors:
+        """Overhead factors for running this app in ``mode``."""
+        return self._factors[mode]
+
     def iteration_cost_ns(self, mode: ExecutionMode, *, n_requests: int,
                           n_syscalls: int, n_bytes: int = 0) -> int:
         """Virtual cost of one event-loop iteration in ``mode``.
@@ -146,7 +157,7 @@ class AppProfile:
         Compute cost is charged per parsed request; syscall and byte
         costs per what the iteration's trace actually did.
         """
-        f = self.factors(mode)
+        f = self._factors[mode]
         cost = (self.compute_ns * f.compute_factor * n_requests
                 + n_syscalls * self.syscall_ns * f.syscall_factor
                 + n_bytes * self.byte_ns * f.byte_factor)
@@ -156,7 +167,7 @@ class AppProfile:
                    n_bytes: int = 0) -> int:
         """Virtual cost of one client operation in ``mode``."""
         syscalls = self.syscalls_per_op if n_syscalls is None else n_syscalls
-        f = self.factors(mode)
+        f = self._factors[mode]
         cost = (self.compute_ns * f.compute_factor
                 + syscalls * self.syscall_ns * f.syscall_factor
                 + n_bytes * self.byte_ns * f.byte_factor)

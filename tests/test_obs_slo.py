@@ -159,6 +159,25 @@ class TestAttribution:
         assert effective_phase(hit, c) == "quiesce-pause"
         assert effective_phase(miss, c) == "normal"
 
+    def test_effective_phase_sees_a_pause_closed_after_first_lookup(self):
+        # The pause-span index is built on the first lookup; a pause
+        # that was still open then, and spans added since, must count.
+        c = SpanCollector()
+        early = c.open("request", "gateway", 0)
+        c.close(early, 60)
+        pause = c.open("dsu.quiesce", "dsu", 50)
+        assert effective_phase(early, c) == "normal"   # still open
+        assert c.pause_spans() == [pause]
+        c.close(pause, 80)
+        assert effective_phase(early, c) == "quiesce-pause"
+        late = c.open("request", "gateway", 300)
+        c.close(late, 320)
+        assert effective_phase(late, c) == "normal"
+        fork = c.add("dsu.fork", "dsu", 310, 330)      # index is stale
+        assert effective_phase(late, c) == "quiesce-pause"
+        assert c.pause_spans() == [pause, fork]
+        assert c.pause_spans() is c.pause_spans()      # built once
+
 
 # ---------------------------------------------------------------------------
 # The report: determinism, sharding byte-identity, validation

@@ -11,8 +11,12 @@ These encode the correctness arguments the paper relies on:
   of how those bytes are chunked by the network.
 """
 
+import collections
+import copy
+
 from hypothesis import given, settings, strategies as st
 
+from repro.dsu.transform import clone_heap
 from repro.mve import VaranRuntime
 from repro.mve.dsl import RuleEngine
 from repro.net import VirtualKernel
@@ -238,3 +242,98 @@ def test_redis_replies_are_deterministic(commands):
         return [client.command(runtime, c) for c in commands]
 
     assert run() == run()
+
+
+# -- clone_heap: the plain-data process-image copy ---------------------------
+
+heap_atoms = st.one_of(st.none(), st.booleans(), st.integers(),
+                       st.floats(allow_nan=False), st.text(max_size=6),
+                       st.binary(max_size=6))
+hashable_values = st.recursive(
+    heap_atoms, lambda inner: st.lists(inner, max_size=3).map(tuple),
+    max_leaves=6)
+plain_heaps = st.recursive(
+    heap_atoms,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=3).map(tuple),
+        st.sets(hashable_values, max_size=3),
+        st.dictionaries(hashable_values, inner, max_size=4)),
+    max_leaves=25)
+
+
+def _containers(value):
+    """Every mutable container reachable from ``value``, depth first."""
+    if isinstance(value, dict):
+        yield value
+        for item in value.values():
+            yield from _containers(item)
+    elif isinstance(value, (list, tuple)):
+        if isinstance(value, list):
+            yield value
+        for item in value:
+            yield from _containers(item)
+    elif isinstance(value, set):
+        yield value
+
+
+@settings(max_examples=200, deadline=None)
+@given(plain_heaps)
+def test_clone_heap_equals_deepcopy_and_is_independent(heap):
+    reference = copy.deepcopy(heap)
+    clone = clone_heap(heap)
+    assert clone == reference
+    assert [type(c) for c in _containers(clone)] \
+        == [type(c) for c in _containers(heap)]
+    # No mutable container is shared between the original and the clone,
+    # so scribbling over every one of the clone's leaves the original be.
+    assert not ({id(c) for c in _containers(heap)}
+                & {id(c) for c in _containers(clone)})
+    for container in list(_containers(clone)):
+        container.clear()
+    assert heap == reference
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.dictionaries(st.text(max_size=4), plain_heaps, max_size=4),
+       st.lists(heap_atoms, max_size=3))
+def test_clone_heap_keeps_aliased_subcontainers_aliased(table, shared):
+    heap = {"table": table, "a": shared, "b": [shared, (shared, 1)],
+            "self": None}
+    heap["self"] = heap                         # and survives a cycle
+    clone = clone_heap(heap)
+    assert clone["self"] is clone and clone is not heap
+    assert clone["a"] is clone["b"][0] is clone["b"][1][0]
+    assert clone["a"] is not shared and clone["a"] == shared
+    assert clone["table"] == table
+
+
+def test_clone_heap_hands_other_types_to_deepcopy():
+
+    class Blob:
+        copies = 0
+
+        def __init__(self, payload):
+            self.payload = payload
+
+        def __deepcopy__(self, memo):
+            Blob.copies += 1
+            return Blob(clone_heap(self.payload, memo))
+
+    shared = [1, 2]
+    blob = Blob(shared)
+    heap = {"blob": blob, "again": blob, "shared": shared,
+            "ordered": collections.OrderedDict(k=shared),
+            "buffer": bytearray(b"xy"), "frozen": frozenset({(1, "a")})}
+    clone = clone_heap(heap)
+    assert Blob.copies == 1 and clone["blob"] is clone["again"]
+    assert clone["blob"] is not blob
+    # One memo spans both copiers: the list stays one object whether it
+    # is reached through plain data, a custom type or a dict subclass.
+    assert clone["blob"].payload is clone["shared"] \
+        is clone["ordered"]["k"]
+    assert clone["shared"] == shared and clone["shared"] is not shared
+    assert type(clone["ordered"]) is collections.OrderedDict
+    assert clone["buffer"] == heap["buffer"] \
+        and clone["buffer"] is not heap["buffer"]
+    assert clone["frozen"] == heap["frozen"]

@@ -51,6 +51,22 @@ class TestFork:
         assert child.program is not server.program
         assert child.program.heap is child.heap
         assert child.program.version is child.version
+        assert server.program.heap is server.heap
+
+    def test_fork_copies_the_heap_once_for_all_its_aliases(self):
+        # The heap goes through clone_heap, the rest of the image through
+        # deepcopy; one memo must span both, or a session holding a heap
+        # sub-container would get a second, diverging copy of it.
+        kernel, server, runtime, client = deployment()
+        client.command(runtime, b"PUT a 1")
+        session = next(iter(server.sessions.values()))
+        session.state["pinned"] = server.heap["table"]
+        child = server.fork()
+        child_session = next(iter(child.sessions.values()))
+        assert child_session.state["pinned"] is child.heap["table"]
+        assert child.heap["table"] is not server.heap["table"]
+        assert child.heap == server.heap
+        assert server.kernel is kernel and server.gateway is runtime.gateway
 
 
 class TestSessions:

@@ -6,6 +6,8 @@ percent, and applications with more user-space compute per syscall see
 lower relative MVE overheads.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.sim import NANOS_PER_SECOND
@@ -163,3 +165,88 @@ class TestPerAppFactors:
         cost = profile.iteration_cost_ns(
             ExecutionMode.NATIVE, n_requests=2, n_syscalls=6)
         assert cost == 2 * profile.compute_ns + 6 * profile.syscall_ns
+
+
+# ---------------------------------------------------------------------------
+# The mode table vs. the formula it replaced
+# ---------------------------------------------------------------------------
+
+_RING = {ExecutionMode.VARAN_LEADER, ExecutionMode.MVEDSUA_LEADER}
+_KITSUNE = {ExecutionMode.KITSUNE, ExecutionMode.MVEDSUA_SINGLE,
+            ExecutionMode.MVEDSUA_LEADER}
+_NO_VARAN = {ExecutionMode.NATIVE, ExecutionMode.KITSUNE}
+
+
+def reference_factors(profile, mode):
+    """The per-call derivation ``AppProfile.factors`` used to run, from
+    scratch: mode sets spelled out, global defaults as literals."""
+    compute = syscall = byte = 1.0
+    if mode in _KITSUNE:
+        compute *= profile.kitsune_compute_factor
+    if mode is ExecutionMode.FOLLOWER:
+        syscall *= 0.60
+    elif mode in _RING:
+        syscall *= profile.varan_leader_syscall_factor or 2.80
+        byte *= profile.varan_leader_byte_factor or 1.18
+    elif mode not in _NO_VARAN:
+        syscall *= profile.varan_single_syscall_factor or 1.25
+    return compute, syscall, byte
+
+
+def reference_cost(profile, mode, n_requests, n_syscalls, n_bytes):
+    compute, syscall, byte = reference_factors(profile, mode)
+    return int(round(profile.compute_ns * compute * n_requests
+                     + n_syscalls * profile.syscall_ns * syscall
+                     + n_bytes * profile.byte_ns * byte))
+
+
+def _profile_variants():
+    for profile in PROFILES.values():
+        yield profile
+        yield dataclasses.replace(
+            profile, varan_single_syscall_factor=None,
+            varan_leader_syscall_factor=None,
+            varan_leader_byte_factor=None)
+        yield dataclasses.replace(
+            profile, kitsune_compute_factor=1.37,
+            varan_single_syscall_factor=1.91,
+            varan_leader_syscall_factor=5.03,
+            varan_leader_byte_factor=1.27, byte_ns=0.31)
+
+
+class TestModeTable:
+    @pytest.mark.parametrize("mode", list(ExecutionMode))
+    def test_predicates_match_the_mode_sets(self, mode):
+        assert mode.uses_ring_buffer == (mode in _RING)
+        assert mode.includes_kitsune == (mode in _KITSUNE)
+        assert mode.includes_varan == (mode not in _NO_VARAN)
+        assert ExecutionMode(mode.value) is mode
+
+    @pytest.mark.parametrize("mode", list(ExecutionMode))
+    def test_table_equals_the_reference_formula_exactly(self, mode):
+        shapes = [(1, 3, 0), (2, 6, 128), (0, 1, 0), (7, 320, 10 << 20)]
+        for profile in _profile_variants():
+            f = profile.factors(mode)
+            assert (f.compute_factor, f.syscall_factor, f.byte_factor) \
+                == reference_factors(profile, mode)
+            for n_requests, n_syscalls, n_bytes in shapes:
+                assert profile.iteration_cost_ns(
+                    mode, n_requests=n_requests, n_syscalls=n_syscalls,
+                    n_bytes=n_bytes) == reference_cost(
+                        profile, mode, n_requests, n_syscalls, n_bytes)
+                assert profile.op_cost_ns(
+                    mode, n_syscalls=n_syscalls, n_bytes=n_bytes) \
+                    == reference_cost(profile, mode, 1, n_syscalls, n_bytes)
+            assert profile.op_cost_ns(mode) == reference_cost(
+                profile, mode, 1, profile.syscalls_per_op, 0)
+
+    def test_replaced_profile_does_not_inherit_the_old_table(self):
+        redis = PROFILES["redis"]
+        tuned = dataclasses.replace(redis, varan_leader_syscall_factor=9.0)
+        assert tuned.factors(ExecutionMode.VARAN_LEADER).syscall_factor \
+            == 9.0
+        assert redis.factors(ExecutionMode.VARAN_LEADER).syscall_factor \
+            == 4.215
+        # The table is not a field: equality and hashing ignore it.
+        assert dataclasses.replace(redis) == redis
+        assert hash(dataclasses.replace(redis)) == hash(redis)
