@@ -134,6 +134,13 @@ def dispatch_key(pattern: SyscallPattern) -> Tuple[Sys, int]:
     return (pattern.name, pattern.fd)
 
 
+#: Guard marking a candidate whose pattern spans several records.
+_SEQUENCE = object()
+
+#: One dispatch candidate: the rule and its single-record guard.
+Candidate = Tuple[RewriteRule, Any]
+
+
 class DispatchIndex:
     """Rules bucketed by their first pattern's ``(Sys, fd)``.
 
@@ -143,6 +150,11 @@ class DispatchIndex:
     pattern's name (with pinned-fd sub-buckets) therefore preserves
     exact priority-order semantics while letting pass-through records —
     the common case per the paper — skip rule evaluation entirely.
+
+    Each candidate carries its guard: for a single-record rule the
+    bucket has already matched name and fd, so the pattern's predicate
+    (or None) is all that is left to test; multi-record rules carry
+    :data:`_SEQUENCE` and go through ``matches_prefix``/``viable``.
 
     Immutable once built; shareable across engines (see
     :meth:`RuleSet.engine_for_stage`).
@@ -157,7 +169,7 @@ class DispatchIndex:
         #: Sys -> [(priority, rule)] for wildcard-fd first patterns.
         self._wild: Dict[Sys, List[Tuple[int, RewriteRule]]] = {}
         #: (Sys, fd) -> merged candidate tuple, filled on first lookup.
-        self._cache: Dict[Tuple[Sys, int], Tuple[RewriteRule, ...]] = {}
+        self._cache: Dict[Tuple[Sys, int], Tuple[Candidate, ...]] = {}
         for priority, rule in enumerate(self.rules):
             first = rule.pattern[0]
             if first.fd == ANY_FD:
@@ -166,9 +178,10 @@ class DispatchIndex:
                 self._exact.setdefault((first.name, first.fd), []) \
                     .append((priority, rule))
 
-    def candidates(self, record: SyscallRecord) -> Tuple[RewriteRule, ...]:
-        """Rules whose first pattern could match ``record``, in priority
-        order.  Everything else provably neither fires nor stays viable."""
+    def candidates(self, record: SyscallRecord) -> Tuple[Candidate, ...]:
+        """``(rule, guard)`` for the rules whose first pattern could
+        match ``record``, in priority order.  Everything else provably
+        neither fires nor stays viable."""
         key = (record.name, record.fd)
         cached = self._cache.get(key)
         if cached is None:
@@ -176,7 +189,10 @@ class DispatchIndex:
             exact = ([] if record.fd == ANY_FD
                      else self._exact.get(key, []))
             merged = sorted(exact + wild) if exact else wild
-            cached = tuple(rule for _, rule in merged)
+            cached = tuple(
+                (rule, rule.pattern[0].predicate if len(rule.pattern) == 1
+                 else _SEQUENCE)
+                for _, rule in merged)
             self._cache[key] = cached
         return cached
 
@@ -291,7 +307,8 @@ class RuleEngine:
         ready = self._ready
         candidates_for = self._index.candidates
         while window:
-            candidates = candidates_for(window[0])
+            head = window[0]
+            candidates = candidates_for(head)
             if not candidates:
                 # No rule targets this record: pass it through.
                 ready.append(window.popleft())
@@ -299,20 +316,28 @@ class RuleEngine:
             fired = False
             any_viable = False
             window_len = len(window)
-            for rule in candidates:
-                if rule.matches_prefix(window):
+            for rule, guard in candidates:
+                if guard is not _SEQUENCE:
+                    # Single-record rule: only its predicate is untested.
+                    if guard is not None and not guard(head.data):
+                        continue
+                    consumed = 1
+                elif rule.matches_prefix(window):
                     consumed = len(rule.pattern)
-                    ready.extend(rule.apply(window))
-                    for _ in range(consumed):
-                        window.popleft()
-                    self.fired.append(rule.name)
-                    fired = True
-                    break
-                # With window >= pattern, viable() would just repeat the
-                # failed matches_prefix(); only shorter windows can grow
-                # into a match.
-                if window_len < len(rule.pattern) and rule.viable(window):
-                    any_viable = True
+                else:
+                    # With window >= pattern, viable() would just repeat
+                    # the failed matches_prefix(); only shorter windows
+                    # can grow into a match.
+                    if window_len < len(rule.pattern) \
+                            and rule.viable(window):
+                        any_viable = True
+                    continue
+                ready.extend(rule.apply(window))
+                for _ in range(consumed):
+                    window.popleft()
+                self.fired.append(rule.name)
+                fired = True
+                break
             if fired:
                 continue
             if any_viable and not flush:

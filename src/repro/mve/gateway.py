@@ -17,8 +17,7 @@ ring-buffer contents and virtual-time cost accounting.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from typing import List, Optional, Sequence
 
 from repro.errors import BrokenPipe, ConnectionReset, FdExhausted
 from repro.mve.divergence import check_drained, check_match
@@ -42,13 +41,18 @@ class GatewayRole(enum.Enum):
     REPLAY = "replay"
 
 
-@dataclass
 class IterationTrace:
     """Everything one event-loop iteration did, for accounting."""
 
-    records: List[SyscallRecord] = field(default_factory=list)
-    requests_handled: int = 0
-    bytes_transferred: int = 0
+    __slots__ = ("records", "requests_handled", "bytes_transferred")
+
+    def __init__(self, records: Optional[List[SyscallRecord]] = None,
+                 requests_handled: int = 0,
+                 bytes_transferred: int = 0) -> None:
+        self.records: List[SyscallRecord] = \
+            [] if records is None else records
+        self.requests_handled = requests_handled
+        self.bytes_transferred = bytes_transferred
 
     def syscall_count(self) -> int:
         return len(self.records)
@@ -63,16 +67,22 @@ class SyscallGateway:
         self.domain = domain
         self.role = role
         self.trace = IterationTrace()
-        #: REPLAY role: yields the next expected record, or None when the
-        #: per-iteration expected stream is exhausted.
-        self.expected_source: Optional[Callable[[], Optional[SyscallRecord]]] = None
-        self._peeked: Optional[SyscallRecord] = None
+        #: REPLAY role: this iteration's expected records and how many
+        #: of them the follower has consumed.
+        self._expected: Sequence[SyscallRecord] = ()
+        self._cursor = 0
 
     # -- iteration bookkeeping ------------------------------------------------
 
-    def begin_iteration(self) -> None:
-        """Reset the trace for a new event-loop iteration."""
+    def begin_iteration(self, expected: Sequence[SyscallRecord] = ()) -> None:
+        """Reset the trace for a new event-loop iteration.
+
+        ``expected`` is the REPLAY role's record stream for it (leader
+        records after rewrite rules).
+        """
         self.trace = IterationTrace()
+        self._expected = expected
+        self._cursor = 0
 
     def note_request(self, count: int = 1) -> None:
         """Server code reports a fully parsed client request."""
@@ -81,35 +91,46 @@ class SyscallGateway:
     def finish_iteration(self) -> IterationTrace:
         """Close out the iteration; REPLAY role verifies full drain."""
         if self.role is GatewayRole.REPLAY:
-            leftover = []
-            record = self._peek_expected()
-            if record is not None:
-                leftover.append(record)
-            check_drained(leftover)
+            leftover = self._peek_expected()
+            if leftover is not None:
+                check_drained([leftover])
         return self.trace
 
     # -- replay plumbing --------------------------------------------------------
 
     def _peek_expected(self) -> Optional[SyscallRecord]:
-        if self._peeked is None and self.expected_source is not None:
-            self._peeked = self.expected_source()
-        return self._peeked
+        cursor = self._cursor
+        if cursor < len(self._expected):
+            return self._expected[cursor]
+        return None
 
     def _take_expected(self) -> Optional[SyscallRecord]:
         record = self._peek_expected()
-        self._peeked = None
+        if record is not None:
+            self._cursor += 1
         return record
 
-    def _replay(self, actual: SyscallRecord) -> SyscallRecord:
-        """Match ``actual`` against the stream; returns the expected record."""
+    def _replay(self, name: Sys, fd: int = -1, data: bytes = b"",
+                result=None) -> SyscallRecord:
+        """Take the next expected record, which must match this syscall.
+
+        The fields are tested in place; the follower's own record is
+        only built for :func:`check_match` — which applies the
+        ``wildcard`` escape, ignores the payload of non-data-bearing
+        syscalls, and otherwise raises with both sides — when one of
+        them differs.
+        """
         expected = self._take_expected()
-        check_match(expected, actual)
+        if expected is None or expected.name is not name \
+                or expected.fd != fd or expected.data != data:
+            check_match(expected, SyscallRecord(name, fd, data, result))
         return expected
 
     def _emit(self, record: SyscallRecord) -> SyscallRecord:
-        self.trace.records.append(record)
+        trace = self.trace
+        trace.records.append(record)
         if record.name in (Sys.READ, Sys.WRITE):
-            self.trace.bytes_transferred += len(record.data)
+            trace.bytes_transferred += len(record.data)
         # Observability: read the tracer off the kernel each time so a
         # tracer attached after construction is still seen; the disabled
         # path is one attribute load and an ``is None`` test.
@@ -123,12 +144,10 @@ class SyscallGateway:
     def epoll_wait(self, epfd: int) -> List[int]:
         """Ready fds; followers receive the leader's recorded ready set."""
         if self.role is GatewayRole.REPLAY:
-            actual = SyscallRecord(Sys.EPOLL_WAIT, fd=epfd)
-            expected = self._replay(actual)
-            self._emit(expected)
+            expected = self._emit(self._replay(Sys.EPOLL_WAIT, epfd))
             return list(expected.result)
         ready = self.kernel.epoll_wait(self.domain, epfd)
-        self._emit(SyscallRecord(Sys.EPOLL_WAIT, fd=epfd, result=tuple(ready)))
+        self._emit(SyscallRecord(Sys.EPOLL_WAIT, epfd, b"", tuple(ready)))
         return ready
 
     def epoll_ctl(self, epfd: int, fd: int, *, add: bool) -> None:
@@ -145,9 +164,7 @@ class SyscallGateway:
         """
         payload = f"{address[0]}:{address[1]}".encode()
         if self.role is GatewayRole.REPLAY:
-            actual = SyscallRecord(Sys.CONNECT, data=payload)
-            expected = self._replay(actual)
-            self._emit(expected)
+            expected = self._emit(self._replay(Sys.CONNECT, data=payload))
             return int(expected.result)
         fd = self.kernel.connect(self.domain, tuple(address))
         self._emit(SyscallRecord(Sys.CONNECT, data=payload, result=fd))
@@ -161,9 +178,7 @@ class SyscallGateway:
         """
         payload = f"{address[0]}:{address[1]}".encode()
         if self.role is GatewayRole.REPLAY:
-            actual = SyscallRecord(Sys.LISTEN, data=payload)
-            expected = self._replay(actual)
-            self._emit(expected)
+            expected = self._emit(self._replay(Sys.LISTEN, data=payload))
             return int(expected.result)
         fd = self.kernel.listen(self.domain, tuple(address))
         self._emit(SyscallRecord(Sys.LISTEN, data=payload, result=fd))
@@ -172,9 +187,7 @@ class SyscallGateway:
     def accept(self, listen_fd: int) -> int:
         """Accept a connection; followers learn the fd from the record."""
         if self.role is GatewayRole.REPLAY:
-            actual = SyscallRecord(Sys.ACCEPT, fd=listen_fd)
-            expected = self._replay(actual)
-            self._emit(expected)
+            expected = self._emit(self._replay(Sys.ACCEPT, listen_fd))
             error = expected.aux.get("error")
             if error:
                 raise _ERRNO_CLASSES[error](
@@ -186,20 +199,19 @@ class SyscallGateway:
             self._emit(SyscallRecord(Sys.ACCEPT, fd=listen_fd,
                                      aux={"error": "EMFILE"}))
             raise
-        self._emit(SyscallRecord(Sys.ACCEPT, fd=listen_fd, result=fd))
+        self._emit(SyscallRecord(Sys.ACCEPT, listen_fd, b"", fd))
         return fd
 
     def read(self, fd: int, max_bytes: Optional[int] = None) -> bytes:
         """Read from a stream; followers get the leader's bytes (possibly
         rewritten by rules)."""
         if self.role is GatewayRole.REPLAY:
-            actual = SyscallRecord(Sys.READ, fd=fd)
             expected = self._take_expected()
             # Reads match on (name, fd) only: the *data* is an input the
             # leader received, served to the follower as-is.
             if expected is None or expected.name is not Sys.READ \
                     or expected.fd != fd:
-                check_match(expected, actual)
+                check_match(expected, SyscallRecord(Sys.READ, fd))
             self._emit(expected)
             error = expected.aux.get("error")
             if error:
@@ -212,7 +224,7 @@ class SyscallGateway:
             self._emit(SyscallRecord(Sys.READ, fd=fd,
                                      aux={"error": "ECONNRESET"}))
             raise
-        self._emit(SyscallRecord(Sys.READ, fd=fd, data=data, result=len(data)))
+        self._emit(SyscallRecord(Sys.READ, fd, data, len(data)))
         return data
 
     def write(self, fd: int, data: bytes) -> int:
@@ -235,9 +247,8 @@ class SyscallGateway:
                     Sys.WRITE, fd=fd, data=remaining, result=len(remaining),
                     aux={"error": _ERRNO_NAMES[type(exc)]}))
                 raise
-            self._emit(SyscallRecord(Sys.WRITE, fd=fd,
-                                     data=remaining[:written],
-                                     result=written))
+            self._emit(SyscallRecord(Sys.WRITE, fd, remaining[:written],
+                                     written))
             remaining = remaining[written:]
             if not remaining:
                 return total
@@ -247,8 +258,6 @@ class SyscallGateway:
         total = len(data)
         remaining = data
         while True:
-            actual = SyscallRecord(Sys.WRITE, fd=fd, data=remaining,
-                                   result=len(remaining))
             expected = self._take_expected()
             if expected is not None and expected.name is Sys.WRITE \
                     and expected.fd == fd:
@@ -270,19 +279,22 @@ class SyscallGateway:
                         self._emit(expected)
                         remaining = remaining[len(expected.data):]
                         continue
+                if remaining == expected.data:
+                    self._emit(SyscallRecord(Sys.WRITE, fd, remaining,
+                                             len(remaining)))
+                    return total
+            actual = SyscallRecord(Sys.WRITE, fd, remaining, len(remaining))
             check_match(expected, actual)
             self._emit(actual)
             return total
 
     def close(self, fd: int) -> None:
         """Close an fd; recorded so both versions agree on session ends."""
-        actual = SyscallRecord(Sys.CLOSE, fd=fd)
         if self.role is GatewayRole.REPLAY:
-            self._replay(actual)
-            self._emit(actual)
-            return
-        self.kernel.close(self.domain, fd)
-        self._emit(actual)
+            self._replay(Sys.CLOSE, fd)
+        else:
+            self.kernel.close(self.domain, fd)
+        self._emit(SyscallRecord(Sys.CLOSE, fd))
 
     # -- filesystem ------------------------------------------------------------
 
@@ -290,11 +302,10 @@ class SyscallGateway:
         """Open+read a whole file (one OPEN record, one READ record)."""
         path_bytes = path.encode()
         if self.role is GatewayRole.REPLAY:
-            self._emit(self._replay(SyscallRecord(Sys.OPEN, data=path_bytes)))
+            self._emit(self._replay(Sys.OPEN, data=path_bytes))
             expected = self._take_expected()
-            actual = SyscallRecord(Sys.READ, fd=-2)
             if expected is None or expected.name is not Sys.READ:
-                check_match(expected, actual)
+                check_match(expected, SyscallRecord(Sys.READ, -2))
             self._emit(expected)
             return expected.data
         data = self.kernel.fs.read_file(path)
@@ -306,9 +317,8 @@ class SyscallGateway:
         """Create/overwrite a file (one OPEN record, one WRITE record)."""
         path_bytes = path.encode()
         if self.role is GatewayRole.REPLAY:
-            self._emit(self._replay(SyscallRecord(Sys.OPEN, data=path_bytes)))
-            self._emit(self._replay(
-                SyscallRecord(Sys.WRITE, fd=-2, data=data, result=len(data))))
+            self._emit(self._replay(Sys.OPEN, data=path_bytes))
+            self._emit(self._replay(Sys.WRITE, -2, data, len(data)))
             return
         self.kernel.fs.write_file(path, data)
         self._emit(SyscallRecord(Sys.OPEN, data=path_bytes, result=0))
@@ -321,94 +331,81 @@ class SyscallGateway:
         is what the 2.0.0 -> 2.0.1 syscall-order rule reorders against
         the client-reply write.
         """
-        actual = SyscallRecord(Sys.WRITE, fd=-3, data=data, result=len(data))
         if self.role is GatewayRole.REPLAY:
-            self._replay(actual)
-            self._emit(actual)
-            return
-        self.kernel.fs.append_file(path, data)
-        self._emit(actual)
+            self._replay(Sys.WRITE, -3, data, len(data))
+        else:
+            self.kernel.fs.append_file(path, data)
+        self._emit(SyscallRecord(Sys.WRITE, -3, data, len(data)))
 
     def fs_unlink(self, path: str) -> None:
         """Delete a file."""
-        actual = SyscallRecord(Sys.UNLINK, data=path.encode(), result=0)
+        payload = path.encode()
         if self.role is GatewayRole.REPLAY:
-            self._replay(actual)
-            self._emit(actual)
-            return
-        self.kernel.fs.unlink(path)
-        self._emit(actual)
+            self._replay(Sys.UNLINK, -1, payload, 0)
+        else:
+            self.kernel.fs.unlink(path)
+        self._emit(SyscallRecord(Sys.UNLINK, -1, payload, 0))
 
     def fs_rename(self, src: str, dst: str) -> None:
         """Atomically rename a file."""
         payload = f"{src}\x00{dst}".encode()
-        actual = SyscallRecord(Sys.RENAME, data=payload, result=0)
         if self.role is GatewayRole.REPLAY:
-            self._replay(actual)
-            self._emit(actual)
-            return
-        self.kernel.fs.rename(src, dst)
-        self._emit(actual)
+            self._replay(Sys.RENAME, -1, payload, 0)
+        else:
+            self.kernel.fs.rename(src, dst)
+        self._emit(SyscallRecord(Sys.RENAME, -1, payload, 0))
 
     def fs_stat(self, path: str) -> Optional[int]:
         """File size, or None when absent (shared namespace, untraced in
         followers via replay of the leader's answer)."""
-        actual = SyscallRecord(Sys.STAT, data=path.encode())
         if self.role is GatewayRole.REPLAY:
-            expected = self._take_expected()
-            if expected is None or expected.name is not Sys.STAT:
-                check_match(expected, actual)
-            self._emit(expected)
-            return expected.result
+            return self._replay_stat(path.encode()).result
         result = (self.kernel.fs.size(path)
                   if self.kernel.fs.exists(path) else None)
         self._emit(SyscallRecord(Sys.STAT, data=path.encode(), result=result))
         return result
 
+    def _replay_stat(self, query: bytes) -> SyscallRecord:
+        """The leader's answer to a STAT-family query.  Matched on the
+        name only: the answer is an input, like read data."""
+        expected = self._take_expected()
+        if expected is None or expected.name is not Sys.STAT:
+            check_match(expected, SyscallRecord(Sys.STAT, data=query))
+        return self._emit(expected)
+
     def fs_mkdir(self, path: str) -> None:
         """Create a directory."""
-        actual = SyscallRecord(Sys.MKDIR, data=path.encode(), result=0)
+        payload = path.encode()
         if self.role is GatewayRole.REPLAY:
-            self._replay(actual)
-            self._emit(actual)
-            return
-        self.kernel.fs.mkdir(path)
-        self._emit(actual)
+            self._replay(Sys.MKDIR, -1, payload, 0)
+        else:
+            self.kernel.fs.mkdir(path)
+        self._emit(SyscallRecord(Sys.MKDIR, -1, payload, 0))
 
     def fs_rmdir(self, path: str) -> None:
         """Remove an (empty) directory."""
-        actual = SyscallRecord(Sys.RMDIR, data=path.encode(), result=0)
+        payload = path.encode()
         if self.role is GatewayRole.REPLAY:
-            self._replay(actual)
-            self._emit(actual)
-            return
-        self.kernel.fs.rmdir(path)
-        self._emit(actual)
+            self._replay(Sys.RMDIR, -1, payload, 0)
+        else:
+            self.kernel.fs.rmdir(path)
+        self._emit(SyscallRecord(Sys.RMDIR, -1, payload, 0))
 
     def fs_is_dir(self, path: str) -> bool:
         """Directory check, replayed to followers like stat."""
-        actual = SyscallRecord(Sys.STAT, data=("d:" + path).encode())
+        query = ("d:" + path).encode()
         if self.role is GatewayRole.REPLAY:
-            expected = self._take_expected()
-            if expected is None or expected.name is not Sys.STAT:
-                check_match(expected, actual)
-            self._emit(expected)
-            return bool(expected.result)
+            return bool(self._replay_stat(query).result)
         result = self.kernel.fs.is_dir(path)
-        self._emit(SyscallRecord(Sys.STAT, data=("d:" + path).encode(),
-                                 result=result))
+        self._emit(SyscallRecord(Sys.STAT, data=query, result=result))
         return result
 
     def fs_listdir(self, path: str) -> List[str]:
         """Directory listing, replayed to followers like stat."""
-        actual = SyscallRecord(Sys.STAT, data=(path + "/").encode())
+        query = (path + "/").encode()
         if self.role is GatewayRole.REPLAY:
-            expected = self._take_expected()
-            if expected is None or expected.name is not Sys.STAT:
-                check_match(expected, actual)
-            self._emit(expected)
-            return list(expected.result)
+            return list(self._replay_stat(query).result)
         entries = self.kernel.fs.listdir(path)
-        self._emit(SyscallRecord(Sys.STAT, data=(path + "/").encode(),
+        self._emit(SyscallRecord(Sys.STAT, data=query,
                                  result=tuple(entries)))
         return entries

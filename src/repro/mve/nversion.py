@@ -179,9 +179,7 @@ class NVersionRuntime:
         expected = self._rewrite(follower, records)
         process = follower.process
         gateway = process.gateway
-        stream = iter(expected)
-        gateway.expected_source = lambda: next(stream, None)
-        gateway.begin_iteration()
+        gateway.begin_iteration(expected)
         try:
             process.server.run_iteration(gateway)
             gateway.finish_iteration()

@@ -13,8 +13,7 @@ Entries carry their produce timestamp so replay can respect causality
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import Deque, List, Optional, Sequence, Union
+from typing import Deque, List, NamedTuple, Optional, Sequence, Union
 
 from repro.errors import SimulationError
 from repro.mve.events import ControlEvent
@@ -24,9 +23,8 @@ from repro.syscalls.model import SyscallRecord
 Payload = Union[SyscallRecord, ControlEvent]
 
 
-@dataclass(frozen=True)
-class RingEntry:
-    """One occupied slot."""
+class RingEntry(NamedTuple):
+    """One occupied slot (immutable, tuple-backed like the records)."""
 
     payload: Payload
     produced_at: int

@@ -472,9 +472,7 @@ class VaranRuntime:
 
         follower = self.follower
         gateway = follower.gateway
-        stream = iter(expected)
-        gateway.expected_source = lambda: next(stream, None)
-        gateway.begin_iteration()
+        gateway.begin_iteration(expected)
         tracer = self.kernel.tracer
         if tracer is not None:
             tracer.advance(ready_at)

@@ -2,29 +2,78 @@
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Set, Tuple
 
 
-class EpollSet:
+class Pollable:
+    """Anything an fd can name and an :class:`EpollSet` can watch.
+
+    ``watchers`` holds the ``(EpollSet, fd)`` pairs registered on the
+    object; subclasses call :meth:`_notify` on every transition of
+    their readability.
+    """
+
+    def __init__(self) -> None:
+        self.watchers: List[Tuple["EpollSet", int]] = []
+
+    def readable(self) -> bool:
+        """True when a read (or accept) would not block."""
+        return False
+
+    def _notify(self, readable: bool) -> None:
+        for epoll, fd in self.watchers:
+            epoll.mark(fd, readable)
+
+
+class EpollSet(Pollable):
     """Registered-interest set for one epoll instance.
 
     Readiness is level-triggered, matching how the simulated servers (and
-    LibEvent) use epoll.  Registration order is preserved because LibEvent's
-    round-robin dispatch — the source of Memcached's spurious divergences in
-    the paper — depends on a stable iteration order.
+    LibEvent) use epoll, but *tracked* rather than rescanned: watched
+    objects report every transition of their readability through
+    :meth:`mark`, so :meth:`ready` costs O(ready), not O(interest).
+    Registration order is preserved because LibEvent's round-robin
+    dispatch — the source of Memcached's spurious divergences in the
+    paper — depends on a stable iteration order.  (An epoll fd
+    registered in another set is never ready.)
     """
 
     def __init__(self, epfd: int) -> None:
+        super().__init__()
         self.epfd = epfd
-        self._interest: Dict[int, None] = {}
+        #: fd -> registration serial (a re-added fd goes to the back).
+        self._interest: Dict[int, int] = {}
+        self._registrations = 0
+        self._ready: Set[int] = set()
 
-    def add(self, fd: int) -> None:
-        """Register interest in ``fd`` (idempotent)."""
-        self._interest.setdefault(fd, None)
+    def add(self, fd: int, obj: Pollable) -> None:
+        """Register interest in ``fd``, which is ``obj`` (idempotent)."""
+        if fd in self._interest:
+            return
+        self._registrations += 1
+        self._interest[fd] = self._registrations
+        obj.watchers.append((self, fd))
+        if obj.readable():
+            self._ready.add(fd)
 
-    def remove(self, fd: int) -> None:
-        """Drop interest in ``fd`` (idempotent)."""
-        self._interest.pop(fd, None)
+    def remove(self, fd: int, obj: Pollable) -> None:
+        """Drop interest in ``fd``, which is ``obj`` (idempotent)."""
+        if self._interest.pop(fd, None) is not None:
+            self._ready.discard(fd)
+            obj.watchers.remove((self, fd))
+
+    def mark(self, fd: int, readable: bool) -> None:
+        """A watched object reports that its readability changed."""
+        if readable:
+            self._ready.add(fd)
+        else:
+            self._ready.discard(fd)
+
+    def ready(self) -> List[int]:
+        """Registered fds that are readable now, in registration order."""
+        if len(self._ready) > 1:
+            return sorted(self._ready, key=self._interest.__getitem__)
+        return list(self._ready)
 
     def interest(self) -> List[int]:
         """All registered fds, in registration order."""

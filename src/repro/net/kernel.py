@@ -54,6 +54,7 @@ class VirtualKernel:
         self._domains: Dict[int, _Domain] = {}
         self._listeners: Dict[Tuple[str, int], Tuple[int, int]] = {}
         self._next_domain = 1
+        self._next_connection = 1
         #: Observability hook: the active tracer at construction time
         #: (or one attached later via ``Tracer.attach``).  None — the
         #: default — keeps every syscall path tracer-free.
@@ -76,6 +77,14 @@ class VirtualKernel:
             return self._domains[domain_id]
         except KeyError:
             raise KernelError(f"unknown domain {domain_id}") from None
+
+    def _lookup(self, domain_id: int, fd: int) -> FdObject:
+        """What ``fd`` names in the domain; the miss path only picks the
+        error (unknown domain vs. bad fd)."""
+        try:
+            return self._domains[domain_id].fds[fd]
+        except KeyError:
+            return self._domain(domain_id).lookup(fd)
 
     # -- sockets -----------------------------------------------------------
 
@@ -113,7 +122,8 @@ class VirtualKernel:
         assert isinstance(listener, ListeningSocket)
         if not listener.open:
             raise KernelError(f"connection refused: {address}")
-        connection = Connection()
+        connection = Connection(self._next_connection)
+        self._next_connection += 1
         listener.enqueue(connection)
         domain = self._domain(domain_id)
         fd = domain.alloc(connection.client)
@@ -154,8 +164,7 @@ class VirtualKernel:
         """Read buffered bytes; ``b""`` means EOF."""
         if self.tracer is not None:
             self.tracer.on_kernel("enter", "read", domain_id, fd)
-        domain = self._domain(domain_id)
-        endpoint = domain.lookup(fd)
+        endpoint = self._lookup(domain_id, fd)
         if not isinstance(endpoint, Endpoint):
             raise KernelError(f"fd {fd} is not a stream")
         if self.chaos is not None:
@@ -180,11 +189,10 @@ class VirtualKernel:
         """Write bytes to the peer; returns the byte count."""
         if self.tracer is not None:
             self.tracer.on_kernel("enter", "write", domain_id, fd)
-        domain = self._domain(domain_id)
-        endpoint = domain.lookup(fd)
+        endpoint = self._lookup(domain_id, fd)
         if not isinstance(endpoint, Endpoint):
             raise KernelError(f"fd {fd} is not a stream")
-        connection = domain.endpoint_conn[fd]
+        connection = self._domains[domain_id].endpoint_conn[fd]
         if self.chaos is not None:
             fault = self.chaos.kernel_call("kernel.write", domain_id, fd)
             if fault is not None:
@@ -212,10 +220,12 @@ class VirtualKernel:
         elif isinstance(obj, ListeningSocket):
             obj.open = False
             self._listeners.pop(obj.address, None)
+        elif isinstance(obj, EpollSet):
+            for watched in obj.interest():
+                obj.remove(watched, domain.fds[watched])
         del domain.fds[fd]
-        for epoll in domain.fds.values():
-            if isinstance(epoll, EpollSet):
-                epoll.remove(fd)
+        for epoll, _ in list(obj.watchers):
+            epoll.remove(fd, obj)
         if self.tracer is not None:
             self.tracer.on_kernel("exit", "close", domain_id, fd)
 
@@ -227,13 +237,9 @@ class VirtualKernel:
 
     def epoll_create(self, domain_id: int) -> int:
         """New epoll instance; returns its fd."""
-        domain = self._domain(domain_id)
-        fd_holder: List[int] = []
         epoll = EpollSet(epfd=-1)
-        fd = domain.alloc(epoll)
-        epoll.epfd = fd
-        del fd_holder
-        return fd
+        epoll.epfd = self._domain(domain_id).alloc(epoll)
+        return epoll.epfd
 
     def epoll_ctl(self, domain_id: int, epfd: int, fd: int, *, add: bool) -> None:
         """Register (``add=True``) or deregister interest in ``fd``."""
@@ -241,29 +247,20 @@ class VirtualKernel:
         epoll = domain.lookup(epfd)
         if not isinstance(epoll, EpollSet):
             raise KernelError(f"fd {epfd} is not an epoll instance")
-        domain.lookup(fd)  # validate target fd
+        obj = domain.lookup(fd)  # validates the target fd
         if add:
-            epoll.add(fd)
+            epoll.add(fd, obj)
         else:
-            epoll.remove(fd)
+            epoll.remove(fd, obj)
 
     def epoll_wait(self, domain_id: int, epfd: int) -> List[int]:
         """Ready fds (level-triggered), in registration order."""
         if self.tracer is not None:
             self.tracer.on_kernel("enter", "epoll_wait", domain_id, epfd)
-        domain = self._domain(domain_id)
-        epoll = domain.lookup(epfd)
+        epoll = self._lookup(domain_id, epfd)
         if not isinstance(epoll, EpollSet):
             raise KernelError(f"fd {epfd} is not an epoll instance")
-        ready: List[int] = []
-        for fd in epoll.interest():
-            obj = domain.fds.get(fd)
-            if obj is None:
-                continue
-            if isinstance(obj, Endpoint) and obj.readable():
-                ready.append(fd)
-            elif isinstance(obj, ListeningSocket) and obj.has_pending():
-                ready.append(fd)
+        ready = epoll.ready()
         if self.tracer is not None:
             self.tracer.on_kernel("exit", "epoll_wait", domain_id, epfd)
         return ready

@@ -6,9 +6,10 @@ from typing import Deque, List, Optional, Tuple
 from collections import deque
 
 from repro.errors import ConnectionClosed
+from repro.net.epoll import Pollable
 
 
-class Endpoint:
+class Endpoint(Pollable):
     """One side of a :class:`Connection`.
 
     Holds the bytes this side has *received* but not yet read.  Reads are
@@ -16,16 +17,25 @@ class Endpoint:
     peer, and consecutive writes may coalesce, just like TCP.
     """
 
-    def __init__(self, label: str) -> None:
-        self.label = label
+    def __init__(self, side: str, conn_id: int) -> None:
+        super().__init__()
+        self._side = side
+        self._conn_id = conn_id
         self._inbox: Deque[bytes] = deque()
         self.open = True
         self.peer_open = True
         self.bytes_received = 0
 
+    @property
+    def label(self) -> str:
+        """``side#connection`` — only ever read on error paths."""
+        return f"{self._side}#{self._conn_id}"
+
     def deliver(self, data: bytes) -> None:
         """Called by the connection when the peer writes."""
         if data:
+            if self.watchers and not self._inbox:
+                self._notify(True)
             self._inbox.append(data)
             self.bytes_received += len(data)
 
@@ -36,6 +46,8 @@ class Endpoint:
         are re-delivered so the promoted follower can process it.
         """
         if data:
+            if self.watchers and not self._inbox:
+                self._notify(True)
             self._inbox.appendleft(data)
 
     def readable(self) -> bool:
@@ -54,33 +66,42 @@ class Endpoint:
         """
         if not self.open:
             raise ConnectionClosed(f"read on closed endpoint {self.label}")
-        if not self._inbox:
+        inbox = self._inbox
+        if not inbox:
             return b""
-        pieces: List[bytes] = []
-        remaining = max_bytes if max_bytes is not None else float("inf")
-        while self._inbox and remaining > 0:
-            chunk = self._inbox[0]
-            if len(chunk) <= remaining:
-                pieces.append(self._inbox.popleft())
-                remaining -= len(chunk)
-            else:
-                take = int(remaining)
-                pieces.append(chunk[:take])
-                self._inbox[0] = chunk[take:]
-                remaining = 0
-        return b"".join(pieces)
+        if max_bytes is None:
+            data = b"".join(inbox)
+            inbox.clear()
+        else:
+            pieces: List[bytes] = []
+            remaining = max_bytes
+            while inbox and remaining > 0:
+                chunk = inbox[0]
+                if len(chunk) <= remaining:
+                    pieces.append(inbox.popleft())
+                    remaining -= len(chunk)
+                else:
+                    pieces.append(chunk[:remaining])
+                    inbox[0] = chunk[remaining:]
+                    remaining = 0
+            data = b"".join(pieces)
+        if self.watchers and not inbox and self.peer_open:
+            self._notify(False)
+        return data
 
 
 class Connection:
-    """A bidirectional byte stream between two endpoints."""
+    """A bidirectional byte stream between two endpoints.
 
-    _next_id = 1
+    ``conn_id`` is allocated by the owning kernel, so endpoint labels do
+    not depend on what else ran in the process.
+    """
 
-    def __init__(self, client_label: str = "client", server_label: str = "server") -> None:
-        self.conn_id = Connection._next_id
-        Connection._next_id += 1
-        self.client = Endpoint(f"{client_label}#{self.conn_id}")
-        self.server = Endpoint(f"{server_label}#{self.conn_id}")
+    def __init__(self, conn_id: int, client_label: str = "client",
+                 server_label: str = "server") -> None:
+        self.conn_id = conn_id
+        self.client = Endpoint(client_label, conn_id)
+        self.server = Endpoint(server_label, conn_id)
 
     def other(self, endpoint: Endpoint) -> Endpoint:
         """The peer of ``endpoint``."""
@@ -103,25 +124,36 @@ class Connection:
     def close(self, endpoint: Endpoint) -> None:
         """Close one side; the peer sees EOF after draining its inbox."""
         endpoint.open = False
-        self.other(endpoint).peer_open = False
+        peer = self.other(endpoint)
+        peer.peer_open = False
+        if peer.watchers:
+            peer._notify(True)
 
 
-class ListeningSocket:
+class ListeningSocket(Pollable):
     """A bound, listening socket with a backlog of pending connections."""
 
     def __init__(self, address: Tuple[str, int]) -> None:
+        super().__init__()
         self.address = address
         self.backlog: Deque[Connection] = deque()
         self.open = True
 
     def enqueue(self, connection: Connection) -> None:
         """A client connected; park the connection until accepted."""
+        if self.watchers and not self.backlog:
+            self._notify(True)
         self.backlog.append(connection)
 
     def has_pending(self) -> bool:
         """True when an accept would not block."""
         return bool(self.backlog)
 
+    readable = has_pending
+
     def accept(self) -> Connection:
         """Pop the oldest pending connection."""
-        return self.backlog.popleft()
+        connection = self.backlog.popleft()
+        if self.watchers and not self.backlog:
+            self._notify(False)
+        return connection

@@ -163,9 +163,7 @@ def replay_stream(stream: RecordedStream, *,
         for record in expected:
             history.append(_HistoryEntry(record, at, sequence))
             sequence += 1
-        feed = iter(expected)
-        gateway.expected_source = lambda: next(feed, None)
-        gateway.begin_iteration()
+        gateway.begin_iteration(expected)
         try:
             server.run_iteration(gateway)
             gateway.finish_iteration()

@@ -15,10 +15,8 @@ to stable logical ids before recording.
 from __future__ import annotations
 
 import enum
-import sys
-from dataclasses import dataclass, field, replace
 from types import MappingProxyType
-from typing import Any, Iterable, Mapping, Optional, Tuple
+from typing import Any, Iterable, Mapping, NamedTuple, Optional, Tuple
 
 
 class Sys(enum.Enum):
@@ -59,15 +57,14 @@ UNTRACKED = frozenset({Sys.GETTIMEOFDAY})
 #: per-record dict allocation is pure overhead on the hot path.
 EMPTY_AUX: Mapping[str, Any] = MappingProxyType({})
 
-#: ``slots=True`` (3.10+) drops the per-record ``__dict__``; records are
-#: the most-allocated object in the simulator, so this is a measurable
-#: memory and speed win.  On 3.9 the plain layout is used.
-_SLOTTED = {"slots": True} if sys.version_info >= (3, 10) else {}
 
-
-@dataclass(frozen=True, **_SLOTTED)
-class SyscallRecord:
+class SyscallRecord(NamedTuple):
     """One intercepted system call.
+
+    Tuple-backed: records are the most-allocated object in the
+    simulator, and an immutable tuple is the cheapest value Python can
+    build (hot paths construct positionally).  Equality is field-wise
+    over all five fields; assignment raises ``AttributeError``.
 
     Attributes:
         name: which syscall.
@@ -81,22 +78,12 @@ class SyscallRecord:
     fd: int = -1
     data: bytes = b""
     result: Any = None
-    # dataclasses reject a mappingproxy *default* as mutable on some
-    # versions; the factory still hands out the one shared instance.
-    aux: Mapping[str, Any] = field(default_factory=lambda: EMPTY_AUX)
-    #: Cached :meth:`key` — every divergence check calls it, often more
-    #: than once per record.  Excluded from init/repr/eq.
-    _key: Optional[Tuple[Sys, int, bytes]] = field(
-        default=None, init=False, repr=False, compare=False)
+    aux: Mapping[str, Any] = EMPTY_AUX
 
     def key(self) -> Tuple[Sys, int, bytes]:
-        """The comparison key used for divergence detection (cached)."""
-        cached = self._key
-        if cached is None:
-            payload = self.data if self.name in DATA_BEARING else b""
-            cached = (self.name, self.fd, payload)
-            object.__setattr__(self, "_key", cached)
-        return cached
+        """The comparison key used for divergence detection."""
+        name, fd, data, _, _ = self
+        return (name, fd, data if name in DATA_BEARING else b"")
 
     def matches(self, other: "SyscallRecord") -> bool:
         """True when MVE would consider the two records equivalent."""
@@ -104,11 +91,11 @@ class SyscallRecord:
 
     def with_data(self, data: bytes) -> "SyscallRecord":
         """Copy of this record carrying different payload bytes."""
-        return replace(self, data=data)
+        return self._replace(data=data)
 
     def with_fd(self, fd: int) -> "SyscallRecord":
         """Copy of this record retargeted at a different logical fd."""
-        return replace(self, fd=fd)
+        return self._replace(fd=fd)
 
     def describe(self) -> str:
         """Compact human-readable form used in divergence reports."""

@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from repro.errors import SimulationError
 from repro.mve import ControlEvent, ControlKind, RingBuffer
-from repro.mve.ring_buffer import BufferFull
+from repro.mve.ring_buffer import BufferFull, RingEntry
 from repro.syscalls.model import write_record
 
 
@@ -214,3 +214,39 @@ def test_batched_ops_match_singleton_ops(batch_sizes, capacity):
         assert batched.produced_total == naive.produced_total
         assert batched.consumed_total == naive.consumed_total
         assert batched.high_watermark == naive.high_watermark
+
+
+# -- RingEntry value semantics -----------------------------------------------------
+
+def test_ring_entry_construction_and_fields():
+    entry = RingEntry(rec(0), 10, 3)
+    assert entry == RingEntry(payload=rec(0), produced_at=10, sequence=3)
+    assert (entry.payload, entry.produced_at, entry.sequence) \
+        == (rec(0), 10, 3)
+
+
+@pytest.mark.parametrize("field, other", [
+    ("payload", rec(1)), ("produced_at", 11), ("sequence", 4)])
+def test_ring_entry_equality_is_over_all_fields(field, other):
+    fields = dict(payload=rec(0), produced_at=10, sequence=3)
+    assert RingEntry(**fields) != RingEntry(**{**fields, field: other})
+
+
+def test_ring_entry_is_immutable():
+    entry = RingEntry(rec(0), 10, 3)
+    for field in ("payload", "produced_at", "sequence", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(entry, field, 0)
+
+
+def test_ring_entry_repr_names_every_field():
+    event = ControlEvent(ControlKind.PROMOTE, at=5, version="v1")
+    assert repr(RingEntry(event, 5, 0)) == (
+        f"RingEntry(payload={event!r}, produced_at=5, sequence=0)")
+
+
+def test_push_and_push_many_build_equal_entries():
+    single, batch = RingBuffer(capacity=4), RingBuffer(capacity=4)
+    singles = [single.push(rec(i), 7) for i in range(3)]
+    assert batch.push_many([rec(i) for i in range(3)], 7) == singles
+    assert singles == [RingEntry(rec(i), 7, i) for i in range(3)]

@@ -1,9 +1,10 @@
 """Unit tests for the virtual kernel: sockets, epoll, fd domains."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import BadFileDescriptor, ConnectionClosed, KernelError
-from repro.net import VirtualKernel
+from repro.net import Endpoint, ListeningSocket, VirtualKernel
 
 ADDR = ("127.0.0.1", 6379)
 
@@ -201,3 +202,293 @@ class TestEndpointUnread:
         endpoint = kernel._domain(server_domain).lookup(server_fd)
         endpoint.unread(b"")
         assert not endpoint.readable()
+
+
+# ---------------------------------------------------------------------------
+# Readiness oracle: tracked epoll readiness ≡ rescanning the interest list
+# ---------------------------------------------------------------------------
+
+class _World:
+    """One server domain (a listener, two epoll sets), one client domain
+    (one epoll set), and a model of every epoll set's interest list kept
+    here — registration order included — so the oracle shares nothing
+    with the kernel's own bookkeeping."""
+
+    def __init__(self):
+        self.kernel = kernel = VirtualKernel()
+        self.server = kernel.create_domain()
+        self.client = kernel.create_domain()
+        self.listen_fd = kernel.listen(self.server, ADDR)
+        self.listening = True
+        #: (domain, epfd) -> watched fds, in registration order.
+        self.interest = {
+            (self.server, kernel.epoll_create(self.server)): [],
+            (self.server, kernel.epoll_create(self.server)): [],
+            (self.client, kernel.epoll_create(self.client)): [],
+        }
+        self.streams = {self.server: [], self.client: []}
+        # Start from a serving state — two accepted connections, the
+        # listener and the first stream watched — so short operation
+        # sequences already reach the interesting transitions.
+        for _ in range(2):
+            self.connect(0, 0)
+            self.accept(0, 0)
+        self.ctl_add(5, 0)
+        self.ctl_add(1, 0)
+
+    # -- the oracle: the O(interest) rescan the kernel used to run ----------
+
+    def rescan(self, domain, epfd):
+        fds = self.kernel._domain(domain).fds
+        ready = []
+        for fd in self.interest[(domain, epfd)]:
+            obj = fds.get(fd)
+            if isinstance(obj, Endpoint) and obj.readable():
+                ready.append(fd)
+            elif isinstance(obj, ListeningSocket) and obj.has_pending():
+                ready.append(fd)
+        return ready
+
+    def check(self):
+        for domain, epfd in self.interest:
+            assert self.kernel.epoll_wait(domain, epfd) \
+                == self.rescan(domain, epfd)
+
+    # -- operations; ``a``/``b`` pick among whatever is live ------------------
+
+    def _pick(self, items, index):
+        return items[index % len(items)] if items else None
+
+    def _stream(self, a):
+        side = self.server if a % 2 else self.client
+        return side, self._pick(self.streams[side], a // 2)
+
+    def _epoll(self, domain, index):
+        return self._pick([epfd for d, epfd in self.interest if d == domain],
+                          index)
+
+    def connect(self, a, b):
+        if self.listening:
+            self.streams[self.client].append(
+                self.kernel.connect(self.client, ADDR))
+
+    def accept(self, a, b):
+        listener = self.kernel._domain(self.server).fds.get(self.listen_fd)
+        if listener is not None and listener.has_pending():
+            self.streams[self.server].append(
+                self.kernel.accept(self.server, self.listen_fd))
+
+    def write(self, a, b):
+        domain, fd = self._stream(a)
+        if fd is not None:
+            try:
+                self.kernel.write(domain, fd, b"x" * b)  # b == 0: no-op
+            except ConnectionClosed:
+                pass
+
+    def read(self, a, b):
+        domain, fd = self._stream(a)
+        if fd is not None:
+            self.kernel.read(domain, fd, b or None)  # partial, or drain
+
+    def unread(self, a, b):
+        domain, fd = self._stream(a)
+        if fd is not None:
+            self.kernel._domain(domain).lookup(fd).unread(b"u" * b)
+
+    def close(self, a, b):
+        domain, fd = self._stream(a)
+        if fd is not None:
+            self._close(domain, fd)
+            self.streams[domain].remove(fd)
+
+    def close_listener(self, a, b):
+        if self.listening and a == 0:
+            self._close(self.server, self.listen_fd)
+            self.listening = False
+
+    def _close(self, domain, fd):
+        self.kernel.close(domain, fd)
+        for (d, _), watched in self.interest.items():
+            if d == domain and fd in watched:
+                watched.remove(fd)
+
+    def _target(self, a):
+        domain, fd = self._stream(a)
+        if self.listening and a == 5:
+            domain, fd = self.server, self.listen_fd
+        return domain, fd
+
+    def ctl_add(self, a, b):
+        domain, fd = self._target(a)
+        epfd = self._epoll(domain, b)
+        if fd is not None:
+            self.kernel.epoll_ctl(domain, epfd, fd, add=True)
+            if fd not in self.interest[(domain, epfd)]:
+                self.interest[(domain, epfd)].append(fd)
+
+    def ctl_remove(self, a, b):
+        domain, fd = self._target(a)
+        epfd = self._epoll(domain, b)
+        if fd is not None:
+            self.kernel.epoll_ctl(domain, epfd, fd, add=False)
+            if fd in self.interest[(domain, epfd)]:
+                self.interest[(domain, epfd)].remove(fd)
+
+
+_OPERATIONS = ["connect", "accept", "write", "read", "unread", "close",
+               "close_listener", "ctl_add", "ctl_remove"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(_OPERATIONS),
+                          st.integers(0, 5), st.integers(0, 3)),
+                max_size=40))
+def test_tracked_readiness_equals_rescan(operations):
+    world = _World()
+    world.check()
+    for name, a, b in operations:
+        getattr(world, name)(a, b)
+        world.check()
+
+
+class TestReadinessTransitions:
+    """The notifying transitions, one by one (the property test above
+    finds them all; these name them)."""
+
+    def test_add_of_an_already_readable_fd_is_ready_at_once(self, kernel,
+                                                            pair):
+        server_domain, server_fd, client_domain, client_fd = pair
+        kernel.write(client_domain, client_fd, b"x")
+        epfd = kernel.epoll_create(server_domain)
+        kernel.epoll_ctl(server_domain, epfd, server_fd, add=True)
+        assert kernel.epoll_wait(server_domain, epfd) == [server_fd]
+
+    def test_two_epoll_sets_watch_one_fd(self, kernel, pair):
+        server_domain, server_fd, client_domain, client_fd = pair
+        first = kernel.epoll_create(server_domain)
+        second = kernel.epoll_create(server_domain)
+        for epfd in (first, second):
+            kernel.epoll_ctl(server_domain, epfd, server_fd, add=True)
+        kernel.write(client_domain, client_fd, b"x")
+        assert kernel.epoll_wait(server_domain, first) == [server_fd]
+        assert kernel.epoll_wait(server_domain, second) == [server_fd]
+        kernel.epoll_ctl(server_domain, first, server_fd, add=False)
+        kernel.read(server_domain, server_fd)
+        kernel.write(client_domain, client_fd, b"y")
+        assert kernel.epoll_wait(server_domain, first) == []
+        assert kernel.epoll_wait(server_domain, second) == [server_fd]
+
+    def test_re_add_moves_the_fd_to_the_back(self, kernel):
+        server_domain = kernel.create_domain()
+        client_domain = kernel.create_domain()
+        listen_fd = kernel.listen(server_domain, ADDR)
+        epfd = kernel.epoll_create(server_domain)
+        fds = []
+        for _ in range(3):
+            client_fd = kernel.connect(client_domain, ADDR)
+            kernel.write(client_domain, client_fd, b"x")
+            fds.append(kernel.accept(server_domain, listen_fd))
+            kernel.epoll_ctl(server_domain, epfd, fds[-1], add=True)
+        kernel.epoll_ctl(server_domain, epfd, fds[0], add=False)
+        kernel.epoll_ctl(server_domain, epfd, fds[0], add=True)
+        assert kernel.epoll_wait(server_domain, epfd) \
+            == [fds[1], fds[2], fds[0]]
+        # Adding again is idempotent: the position is kept.
+        kernel.epoll_ctl(server_domain, epfd, fds[1], add=True)
+        assert kernel.epoll_wait(server_domain, epfd) \
+            == [fds[1], fds[2], fds[0]]
+
+    def test_partial_read_keeps_ready_until_drained(self, kernel, pair):
+        server_domain, server_fd, client_domain, client_fd = pair
+        epfd = kernel.epoll_create(server_domain)
+        kernel.epoll_ctl(server_domain, epfd, server_fd, add=True)
+        kernel.write(client_domain, client_fd, b"abcd")
+        kernel.read(server_domain, server_fd, max_bytes=3)
+        assert kernel.epoll_wait(server_domain, epfd) == [server_fd]
+        kernel.read(server_domain, server_fd, max_bytes=3)
+        assert kernel.epoll_wait(server_domain, epfd) == []
+
+    def test_eof_stays_ready_after_the_inbox_drains(self, kernel, pair):
+        server_domain, server_fd, client_domain, client_fd = pair
+        epfd = kernel.epoll_create(server_domain)
+        kernel.epoll_ctl(server_domain, epfd, server_fd, add=True)
+        kernel.write(client_domain, client_fd, b"bye")
+        kernel.close(client_domain, client_fd)
+        assert kernel.read(server_domain, server_fd) == b"bye"
+        assert kernel.epoll_wait(server_domain, epfd) == [server_fd]
+
+    def test_unread_makes_a_drained_stream_ready_again(self, kernel, pair):
+        server_domain, server_fd, _, _ = pair
+        epfd = kernel.epoll_create(server_domain)
+        kernel.epoll_ctl(server_domain, epfd, server_fd, add=True)
+        kernel._domain(server_domain).lookup(server_fd).unread(b"again")
+        assert kernel.epoll_wait(server_domain, epfd) == [server_fd]
+
+    def test_accept_that_empties_the_backlog_clears_the_listener(
+            self, kernel):
+        server_domain = kernel.create_domain()
+        listen_fd = kernel.listen(server_domain, ADDR)
+        epfd = kernel.epoll_create(server_domain)
+        kernel.epoll_ctl(server_domain, epfd, listen_fd, add=True)
+        client_domain = kernel.create_domain()
+        kernel.connect(client_domain, ADDR)
+        kernel.connect(client_domain, ADDR)
+        kernel.accept(server_domain, listen_fd)
+        assert kernel.epoll_wait(server_domain, epfd) == [listen_fd]
+        kernel.accept(server_domain, listen_fd)
+        assert kernel.epoll_wait(server_domain, epfd) == []
+
+    def test_closing_an_epoll_fd_unwatches_its_fds(self, kernel, pair):
+        server_domain, server_fd, client_domain, client_fd = pair
+        epfd = kernel.epoll_create(server_domain)
+        kernel.epoll_ctl(server_domain, epfd, server_fd, add=True)
+        endpoint = kernel._domain(server_domain).lookup(server_fd)
+        assert len(endpoint.watchers) == 1
+        kernel.close(server_domain, epfd)
+        assert endpoint.watchers == []
+        kernel.write(client_domain, client_fd, b"x")  # nobody to notify
+        assert kernel.read(server_domain, server_fd) == b"x"
+
+    def test_an_epoll_fd_inside_another_set_is_never_ready(self, kernel,
+                                                           pair):
+        server_domain, server_fd, client_domain, client_fd = pair
+        inner = kernel.epoll_create(server_domain)
+        outer = kernel.epoll_create(server_domain)
+        kernel.epoll_ctl(server_domain, inner, server_fd, add=True)
+        kernel.epoll_ctl(server_domain, outer, inner, add=True)
+        kernel.write(client_domain, client_fd, b"x")
+        assert kernel.epoll_wait(server_domain, inner) == [server_fd]
+        assert kernel.epoll_wait(server_domain, outer) == []
+        kernel.close(server_domain, inner)
+        assert kernel.epoll_wait(server_domain, outer) == []
+
+
+class TestConnectionIds:
+    """Connection ids — quoted in ``ConnectionClosed`` messages — belong
+    to the kernel, not to the process."""
+
+    def _closed_read_message(self):
+        kernel = VirtualKernel()
+        server_domain = kernel.create_domain()
+        client_domain = kernel.create_domain()
+        listen_fd = kernel.listen(server_domain, ADDR)
+        kernel.connect(client_domain, ADDR)
+        client_fd = kernel.connect(client_domain, ADDR)
+        kernel.accept(server_domain, listen_fd)
+        endpoint = kernel._domain(client_domain).lookup(client_fd)
+        kernel.close(client_domain, client_fd)
+        with pytest.raises(ConnectionClosed) as raised:
+            endpoint.read()
+        return str(raised.value)
+
+    def test_labels_do_not_depend_on_earlier_kernels(self):
+        first = self._closed_read_message()
+        assert first == "read on closed endpoint client#2"
+        assert self._closed_read_message() == first
+
+    def test_write_errors_name_the_endpoint(self, kernel, pair):
+        server_domain, server_fd, client_domain, client_fd = pair
+        kernel.close(client_domain, client_fd)
+        with pytest.raises(ConnectionClosed, match=r"peer of server#1 is"):
+            kernel.write(server_domain, server_fd, b"data")

@@ -30,7 +30,7 @@ from repro.servers.kvstore import (
 from repro.servers.native import NativeRuntime
 from repro.servers.redis import RedisServer, redis_version
 from repro.syscalls.costs import PROFILES
-from repro.syscalls.model import Sys, SyscallRecord
+from repro.syscalls.model import EMPTY_AUX, Sys, SyscallRecord
 from repro.workloads import VirtualClient
 
 # -- strategies ---------------------------------------------------------------
@@ -138,6 +138,9 @@ record_strategy = st.builds(
     name=st.sampled_from([Sys.READ, Sys.WRITE, Sys.CLOSE]),
     fd=st.integers(0, 5),
     data=st.binary(max_size=12),
+    # hypothesis treats every NamedTuple field as required.
+    result=st.none(),
+    aux=st.just(EMPTY_AUX),
 )
 
 

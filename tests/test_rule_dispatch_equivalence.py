@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.mve.dsl.rules import (ANY_FD, DispatchIndex, RewriteRule,
                                  RuleEngine, SyscallPattern)
-from repro.syscalls.model import Sys, SyscallRecord
+from repro.syscalls.model import EMPTY_AUX, Sys, SyscallRecord
 
 
 class NaiveRuleEngine:
@@ -72,7 +72,10 @@ _records = st.lists(
     st.builds(SyscallRecord,
               name=st.sampled_from(_SYSCALLS),
               fd=st.sampled_from([3, 4, 5]),
-              data=st.sampled_from(_PAYLOADS)),
+              data=st.sampled_from(_PAYLOADS),
+              # hypothesis treats every NamedTuple field as required.
+              result=st.none(),
+              aux=st.just(EMPTY_AUX)),
     max_size=30)
 
 
@@ -144,3 +147,93 @@ def test_incremental_drain_matches_bulk_drain(rules, records):
     while incremental.has_ready():
         drained.append(incremental.next_expected())
     assert [r.key() for r in drained] == [r.key() for r in bulk.take_ready()]
+
+
+# -- one crowded bucket ---------------------------------------------------------------
+# Single-record rules take a fast path inside the bucket (only their
+# guard is evaluated); multi-record rules keep the sequence machinery.
+# The catalogues below force both kinds into the *same* bucket — every
+# rule's first pattern is a READ, pinned to fd 3 or wildcard — at
+# interleaved priorities, over streams that are mostly READs on fd 3.
+
+_bucket_rule = st.tuples(
+    st.sampled_from([ANY_FD, 3]),                  # first pattern's fd
+    st.sampled_from([None, b"a", b"ab", b"b"]),    # first pattern's guard
+    st.sampled_from([None, Sys.READ, Sys.WRITE]),  # second pattern, if any
+    st.sampled_from([None, b"a"]),                 # its guard
+    st.booleans())                                 # retag the head?
+
+
+def _bucket_rules(specs):
+    rules = []
+    for index, (fd, guard, second, second_guard, retag) in enumerate(specs):
+        patterns = [SyscallPattern(Sys.READ, fd, _predicate_for(guard))]
+        if second is not None:
+            patterns.append(SyscallPattern(second, ANY_FD,
+                                           _predicate_for(second_guard)))
+        rules.append(_make_rule(index, patterns, retag))
+    return rules
+
+
+_bucket_records = st.lists(
+    st.builds(SyscallRecord,
+              name=st.sampled_from([Sys.READ, Sys.READ, Sys.WRITE]),
+              fd=st.sampled_from([3, 3, 4]),
+              data=st.sampled_from(_PAYLOADS),
+              result=st.none(),
+              aux=st.just(EMPTY_AUX)),
+    max_size=20)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_bucket_rule, min_size=2, max_size=10).map(_bucket_rules),
+       _bucket_records, st.booleans())
+def test_mixed_single_and_sequence_rules_in_one_bucket(rules, records,
+                                                       flush):
+    indexed = RuleEngine(DispatchIndex(rules))
+    naive = NaiveRuleEngine(rules)
+    for record in records:
+        indexed.offer(record)
+        naive.offer(record)
+        # Record by record, not just at the end: a single-record rule
+        # that fires early must not strand a viable sequence rule.
+        assert indexed.fired == naive.fired
+        assert indexed.pending_window() == len(naive._window)
+    if flush:
+        indexed.flush()
+        naive.flush()
+    assert indexed.fired == naive.fired
+    assert indexed.take_ready() == naive.take_ready()
+    assert indexed.pending_window() == len(naive._window)
+
+
+def test_single_record_match_fires_past_a_viable_sequence_rule():
+    """The engine fires the first rule that *matches*; a higher-priority
+    two-record rule that is merely viable does not hold the window back
+    (naive engine and fast path alike), and wins only once it matches."""
+    pair = RewriteRule(
+        "pair", (SyscallPattern(Sys.READ, 3), SyscallPattern(Sys.WRITE)),
+        lambda records: [records[0]])
+    single = RewriteRule(
+        "single", (SyscallPattern(Sys.READ, ANY_FD, lambda d: d == b"a"),),
+        lambda records: [records[0].with_data(b"A")])
+    streams = {
+        # The guard holds: "single" fires on the lone READ either way.
+        b"a": {"pair-first": ["single"], "single-first": ["single"]},
+        # The guard fails: only the sequence rule can use the READ.
+        b"b": {"pair-first": ["pair"], "single-first": ["pair"]},
+    }
+    for payload, outcomes in streams.items():
+        for order, fired in outcomes.items():
+            rules = [pair, single] if order == "pair-first" \
+                else [single, pair]
+            engine = RuleEngine(DispatchIndex(rules))
+            naive = NaiveRuleEngine(rules)
+            for record in (SyscallRecord(Sys.READ, 3, payload),
+                           SyscallRecord(Sys.WRITE, 3, b"+OK")):
+                engine.offer(record)
+                naive.offer(record)
+            engine.flush()
+            naive.flush()
+            assert engine.fired == naive.fired == fired
+            assert engine.take_ready() == naive.take_ready()
