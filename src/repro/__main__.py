@@ -53,8 +53,16 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
+    """Run one command; a path it cannot read or write is a usage
+    error (one ``error:`` line, exit 2), not a traceback."""
+    try:
+        return _run(sys.argv[1:] if argv is None else argv)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+
+def _run(argv) -> int:
     if argv and argv[0] == "lint":
         # mvelint has its own flags; dispatch before experiment parsing.
         from repro.analysis.cli import lint_main

@@ -6,10 +6,10 @@ plus the follower's outstanding response queue — under all command
 classes a client could send, with both iteration-boundary choices
 (continue batching records into the current iteration, or flush — the
 runtime builds a fresh engine per iteration, so the flush edge models
-the ``VaranRuntime._rewrite`` boundary).  BFS with parent pointers
-yields shortest divergence witnesses; configuration hashing plus
-bounded-window/queue widening makes the fixpoint deterministic and
-terminating.
+the ``repro.mve.varan.rewrite_iteration`` boundary).  BFS with parent
+pointers yields shortest divergence witnesses; configuration hashing
+plus bounded-window/queue widening makes the fixpoint deterministic
+and terminating.
 
 A transition diverges when the follower-side comparison fails:
 

@@ -82,10 +82,10 @@ def _run_row(seed: int, link_latency_ns: int,
                 and mvedsua.runtime.in_mve_mode:
             mvedsua.finalize(finalize_at)
         key = (index * (2 * seed + 1)) % 97
-        if index % 3 == 2:
-            client.request(mvedsua, b"GET k%d" % key, at)
-        else:
-            client.request(mvedsua, b"PUT k%d v%d" % (key, index), at)
+        line = b"GET k%d" % key if index % 3 == 2 \
+            else b"PUT k%d v%d" % (key, index)
+        if not client.command(mvedsua, line, at):
+            raise RuntimeError(f"request {index} ({line!r}) got no reply")
 
     runtime = mvedsua.runtime
     latencies = client.latencies_ns

@@ -54,7 +54,8 @@ def chaos_main(argv: Optional[Sequence[str]] = None) -> int:
                         help="truncate the grid to its first N cells")
     parser.add_argument("--seed", type=int, default=1,
                         help="campaign seed (default: 1)")
-    parser.add_argument("--workers", default="1", metavar="N|auto",
+    parser.add_argument("--workers", type=resolve_workers, default="1",
+                        metavar="N|auto",
                         help="shard grid cells across N processes "
                              "('auto' = one per CPU; default: 1, the "
                              "serial golden reference)")
@@ -72,10 +73,7 @@ def chaos_main(argv: Optional[Sequence[str]] = None) -> int:
                              "outcome table")
     args = parser.parse_args(argv)
 
-    try:
-        workers = resolve_workers(args.workers)
-    except ValueError as exc:
-        parser.error(str(exc))
+    workers = args.workers
     if args.oncall_cap < 1:
         parser.error(f"--oncall-cap must be >= 1, got {args.oncall_cap}")
 

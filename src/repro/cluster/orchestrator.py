@@ -297,10 +297,10 @@ class FleetOrchestrator:
             self._emit("promote", finished, shard=shard.index,
                        node=node.name, wave=wave_index)
             tracer = self._tracer
-            if tracer is not None and tracer.spans is not None:
-                tracer.spans.add("fleet.slot", "fleet", started, finished,
-                                 shard=shard.index, node=node.name,
-                                 wave=wave_index)
+            if tracer is not None:
+                tracer.span("fleet.slot", "fleet", started, finished,
+                            shard=shard.index, node=node.name,
+                            wave=wave_index)
             report.records.append(FleetNodeRecord(
                 shard.index, node.name, wave_index, started, finished,
                 "updated", leader_pause_ns=pause))

@@ -259,8 +259,6 @@ class Mvedsua:
 
     def finalize(self, now: int) -> int:
         """Make the update permanent; drop the old version (t6)."""
-        if not self.runtime.in_mve_mode:
-            raise SimulationError("no follower to finalize")
         return self.runtime.finalize(now)
 
     def rollback(self, now: int, reason: str = "operator") -> int:

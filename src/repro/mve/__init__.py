@@ -13,13 +13,13 @@ Layout:
 * :mod:`repro.mve.dsl` — rewrite rules and the textual rule DSL.
 * :mod:`repro.mve.gateway` — leader/follower syscall gateways.
 * :mod:`repro.mve.divergence` — divergence detection and reporting.
-* :mod:`repro.mve.varan` — the runtime: fork, replay, promote, rollback.
+* :mod:`repro.mve.varan` — the runtime: a leader and its follower lanes
+  (fork, replay, promote, rollback); the pair is the one-lane case.
 """
 
 from repro.mve.ring_buffer import RingBuffer, RingEntry
 from repro.mve.events import ControlEvent, ControlKind
 from repro.mve.varan import ManagedProcess, VaranRuntime
-from repro.mve.nversion import NVersionRuntime
 
 __all__ = [
     "RingBuffer",
@@ -28,5 +28,4 @@ __all__ = [
     "ControlKind",
     "ManagedProcess",
     "VaranRuntime",
-    "NVersionRuntime",
 ]

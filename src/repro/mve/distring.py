@@ -1,8 +1,9 @@
 """A replicated ring buffer across fleet nodes (dMVX-style).
 
-:class:`DistributedRing` keeps the :class:`~repro.mve.ring_buffer.RingBuffer`
-contract — the Varan runtime drives it through the exact same
-``free_slots`` / ``push_many`` / ``pop_many`` dance — but every published
+:class:`DistributedRing` fills in the virtual-time half of the
+:class:`~repro.mve.ring_buffer.RingBuffer` contract — the Varan runtime
+drives it through the exact same ``advance`` / ``free_slots`` /
+``push_many`` / ``pop_many`` dance as a local ring — and every published
 burst actually crosses a :class:`~repro.net.ring_wire.RingLink`: the
 burst is coalesced into one ``repro-ring/1`` frame, encoded, charged
 propagation + serialisation time, decoded on the far side, and only
@@ -123,15 +124,8 @@ class DistributedRing(RingBuffer):
         return self.capacity - len(self._entries)
 
     def push(self, payload: Payload, produced_at: int) -> RingEntry:
-        if len(self._inflight) >= self.link.window \
-                or self.capacity - len(self._entries) < 1:
-            raise BufferFull(self.capacity)
-        decoded, deliver_at = self._transmit([payload], produced_at)
-        # The transmit may fill the window to exactly ``link.window``;
-        # landing the entry must check *capacity* only (the frame is
-        # already on the wire), so go through the base push_many, whose
-        # guard does not consult the overridden is_full().
-        return super().push_many(decoded, deliver_at)[0]
+        """A one-payload frame."""
+        return self.push_many([payload], produced_at)[0]
 
     def push_many(self, payloads: Sequence[Payload],
                   produced_at: int) -> List[RingEntry]:
@@ -139,6 +133,10 @@ class DistributedRing(RingBuffer):
                 or len(payloads) > self.capacity - len(self._entries):
             raise BufferFull(self.capacity)
         decoded, deliver_at = self._transmit(payloads, produced_at)
+        # The transmit may fill the window to exactly ``link.window``;
+        # landing the entries must check *capacity* only (the frame is
+        # already on the wire): the base push_many's guard does not
+        # consult the window.
         return super().push_many(decoded, deliver_at)
 
     def clear(self) -> None:

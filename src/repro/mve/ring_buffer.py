@@ -13,7 +13,8 @@ Entries carry their produce timestamp so replay can respect causality
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, List, NamedTuple, Optional, Sequence, Union
+from typing import (Deque, Iterator, List, NamedTuple, Optional, Sequence,
+                    Union)
 
 from repro.errors import SimulationError
 from repro.mve.events import ControlEvent
@@ -35,10 +36,20 @@ class RingBuffer:
     """Bounded FIFO with producer back-pressure.
 
     ``push`` raises :class:`BufferFull` rather than blocking; the MVE
-    runtime catches it, advances the follower far enough to free a slot,
-    and retries — that dance is what converts a slow follower into leader
-    latency.
+    runtime asks :meth:`free_slots` first, advances the follower far
+    enough to free a slot, and retries — that dance is what converts a
+    slow follower into leader latency.
+
+    This class is the whole ring contract the runtime drives.  The
+    virtual-time half (:meth:`advance`, :meth:`next_free_at`,
+    :meth:`resync`, :attr:`partition_timed_out`) is inert for an
+    in-memory ring; :class:`~repro.mve.distring.DistributedRing`
+    overrides it with the link's behaviour.
     """
+
+    #: True once a link-backed ring has exhausted its partition budget
+    #: (the runtime then demotes the follower); never for a local ring.
+    partition_timed_out = False
 
     def __init__(self, capacity: int) -> None:
         if capacity < 1:
@@ -131,6 +142,22 @@ class RingBuffer:
         """Drop all entries (used when a follower is terminated)."""
         self._consumed += len(self._entries)
         self._entries.clear()
+
+    def __iter__(self) -> Iterator[RingEntry]:
+        """The unconsumed entries, oldest first."""
+        return iter(self._entries)
+
+    def advance(self, at: int) -> None:
+        """Move ring time forward; a local ring keeps no clock."""
+
+    def next_free_at(self) -> Optional[int]:
+        """When a slot frees without the follower consuming anything;
+        None for a local ring, where only replay frees slots."""
+        return None
+
+    def resync(self, at: int) -> None:
+        """A fresh follower joins at ``at``; a local ring (cleared when
+        its predecessor left) has nothing to flush."""
 
 
 class BufferFull(SimulationError):

@@ -1,8 +1,11 @@
 """The MVE runtime (Varan analogue).
 
 One :class:`VaranRuntime` supervises an MVE group: a leader executing
-against the virtual kernel and (optionally) one follower replaying the
-leader's syscall stream through the ring buffer and rewrite rules.
+against the virtual kernel and any number of follower *lanes*, each
+replaying the leader's syscall stream through its own ring buffer and
+rewrite rules.  Mvedsua's leader/follower pair is the one-lane case of
+the same code; Varan's general N-version mode ("a bug that affects only
+some of the processes is tolerated by the others") is more lanes.
 
 Responsibilities, matching the paper's description of Varan plus the
 extensions Mvedsua made to it (§4):
@@ -16,27 +19,30 @@ extensions Mvedsua made to it (§4):
 * **follower replay** — re-execute iterations against the expected
   stream (leader records after rewrite rules), detecting divergences.
 * **promotion/demotion** — swap roles via a control event in the stream.
-* **failure policy** — terminate the diverging or crashed process and
-  continue with the survivor as sole leader (the paper's recovery story
-  for both new-version and old-version errors).
+* **failure policy** — terminate only the diverging or crashed
+  follower's lane; when the leader crashes, drain every lane and promote
+  the first healthy follower (the paper's recovery story for both
+  new-version and old-version errors).
 
-Virtual-time accounting: the leader and follower own separate CPUs.
+Virtual-time accounting: the leader and each follower own separate CPUs.
 Leader iterations charge leader time (with the mode's overhead factors);
-records are pushed at leader completion times; follower replay charges
-follower time, starting no earlier than the records' produce times.
+records are pushed at leader completion times, lane by lane, so the
+slowest follower bounds the leader; follower replay charges follower
+time, starting no earlier than the records' produce times.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Deque, List, Optional, Tuple
+from typing import (Any, Deque, Iterable, List, NamedTuple, Optional,
+                    Sequence, Tuple)
 
 from repro.errors import DivergenceError, ServerCrash, SimulationError
-from repro.mve.dsl.rules import Direction, RuleSet
+from repro.mve.dsl.rules import Direction, RuleEngine, RuleSet
 from repro.mve.events import ControlEvent, ControlKind
 from repro.mve.gateway import GatewayRole, IterationTrace, SyscallGateway
-from repro.mve.ring_buffer import BufferFull, RingBuffer
+from repro.mve.ring_buffer import Payload, RingBuffer
 from repro.obs.forensics import ForensicsBundle, build_divergence_bundle
 from repro.net.kernel import VirtualKernel
 from repro.replay.recorder import current_recorder
@@ -76,12 +82,60 @@ def _corrupt_expected(expected: List[SyscallRecord],
     return corrupted
 
 
-@dataclass
-class IterationDescriptor:
-    """Bookkeeping for one leader iteration awaiting follower replay."""
+def rewrite_iteration(engine: Optional[RuleEngine],
+                      payloads: Iterable[SyscallRecord]
+                      ) -> List[SyscallRecord]:
+    """One leader iteration's records as the follower must issue them:
+    run through ``engine``'s stage rules (``None`` = identity)."""
+    if engine is None:
+        return list(payloads)
+    for payload in payloads:
+        engine.offer(payload)
+    engine.flush()
+    return engine.take_ready()
+
+
+def replay_iteration(server: Any, gateway: SyscallGateway,
+                     expected: Sequence[SyscallRecord],
+                     engine: Optional[RuleEngine], *, at: int, version: str,
+                     leader_version: str, ring_history: Iterable[Any],
+                     ring_pending: Iterable[Any] = ()) -> None:
+    """Re-execute one leader iteration on a follower.
+
+    ``server`` runs behind its REPLAY ``gateway``, every syscall served
+    from and checked against ``expected`` (the iteration after
+    :func:`rewrite_iteration` through ``engine``).  A mismatch re-raises
+    the :class:`DivergenceError` annotated with ``at``/``version`` and
+    carrying the monitor's state as ``.forensics``.  The live monitor
+    and offline replay (:mod:`repro.replay.engine`) both run followers
+    through this one step.
+    """
+    gateway.begin_iteration(expected)
+    try:
+        server.run_iteration(gateway)
+        gateway.finish_iteration()
+    except DivergenceError as divergence:
+        divergence.annotate(at=at, version=version)
+        divergence.forensics = build_divergence_bundle(
+            at=at,
+            version=version,
+            leader_version=leader_version,
+            error=divergence,
+            ring_history=ring_history,
+            ring_pending=ring_pending,
+            expected_records=expected,
+            issued_records=gateway.trace.records,
+            rule_window=engine.pending_window() if engine is not None else 0,
+            rules_fired=list(engine.fired) if engine is not None else [],
+        )
+        raise
+
+
+class IterationDescriptor(NamedTuple):
+    """One published burst awaiting follower replay: an iteration's
+    ``n_records`` ring entries, or a single control event."""
 
     n_records: int
-    requests: int
     control: Optional[ControlEvent] = None
 
 
@@ -113,6 +167,21 @@ class ManagedProcess:
         return f"<ManagedProcess {self.label} {self.version_name}>"
 
 
+class FollowerLane:
+    """One follower and what feeds it: the process, the ring the leader
+    publishes into, the published bursts it has yet to replay, and the
+    rewrite rules that bridge its version to the leader's."""
+
+    __slots__ = ("process", "ring", "rules", "pending")
+
+    def __init__(self, process: ManagedProcess, ring: RingBuffer,
+                 rules: RuleSet) -> None:
+        self.process = process
+        self.ring = ring
+        self.rules = rules
+        self.pending: Deque[IterationDescriptor] = deque()
+
+
 class VaranRuntime:
     """Supervises one MVE group over one kernel domain."""
 
@@ -124,14 +193,15 @@ class VaranRuntime:
                  ring: Optional[RingBuffer] = None) -> None:
         self.kernel = kernel
         self.profile = profile
-        #: ``ring`` substitutes the buffer wholesale (a
+        #: The runtime's own ring, feeding the first lane of every
+        #: follower generation (cleared on termination, resynced at the
+        #: next fork; watermark and wire stats are cumulative).  ``ring``
+        #: substitutes it wholesale (a
         #: :class:`~repro.mve.distring.DistributedRing` for cross-node
-        #: pairs); by default local pairs get the plain in-memory ring
-        #: and every code path below stays exactly as before.
+        #: pairs); lanes forked beside a live one get a local ring of
+        #: the same capacity.
         self.ring = ring if ring is not None else RingBuffer(ring_capacity)
-        #: True when the ring is link-backed (duck-typed on the wire
-        #: API so this module never imports distring).
-        self._ring_distributed = hasattr(self.ring, "next_free_at")
+        #: Rewrite rules of a lane forked without its own.
         self.rules = rules if rules is not None else RuleSet()
         self.with_kitsune = with_kitsune
         self.domain = server.domain
@@ -139,12 +209,12 @@ class VaranRuntime:
         server.bind_gateway(gateway)
         self.leader = ManagedProcess(server, gateway, CpuAccount("leader"),
                                      "leader")
-        self.follower: Optional[ManagedProcess] = None
+        #: Live follower lanes, in fork order.
+        self.lanes: List[FollowerLane] = []
         #: Which stage's rules apply to follower replay.
         self.stage_direction = Direction.OUTDATED_LEADER
         #: True once the *new* version is the leader (post-promotion).
         self.leader_is_updated = False
-        self._iterations: Deque[IterationDescriptor] = deque()
         self.events: List[RuntimeEvent] = []
         self.rules_fired: List[str] = []
         self.last_divergence: Optional[DivergenceError] = None
@@ -159,9 +229,6 @@ class VaranRuntime:
         #: Times a full ring blocked the leader (always counted — the
         #: perf harness reports it next to ``ring.high_watermark``).
         self.ring_stalls = 0
-        #: The rule engine of the most recently replayed iteration,
-        #: kept for divergence forensics (window state, fired rules).
-        self._last_engine = None
         #: Forensics bundle for the most recent divergence, if any.
         self.last_forensics: Optional[ForensicsBundle] = None
         #: Stream recorder (see :mod:`repro.replay`): the active one if
@@ -187,13 +254,18 @@ class VaranRuntime:
     # ------------------------------------------------------------------
 
     @property
+    def follower(self) -> Optional[ManagedProcess]:
+        """The first lane's process — *the* follower of a pair."""
+        return self.lanes[0].process if self.lanes else None
+
+    @property
     def in_mve_mode(self) -> bool:
         """True while a follower is attached (leader-follower mode)."""
-        return self.follower is not None
+        return bool(self.lanes)
 
     def leader_mode(self) -> ExecutionMode:
         """Cost-model mode for leader execution right now."""
-        if self.in_mve_mode:
+        if self.lanes:
             return (ExecutionMode.MVEDSUA_LEADER if self.with_kitsune
                     else ExecutionMode.VARAN_LEADER)
         return (ExecutionMode.MVEDSUA_SINGLE if self.with_kitsune
@@ -270,8 +342,8 @@ class VaranRuntime:
         if crash is not None:
             self.log(completion, "leader-crash", str(crash))
             return self._handle_leader_crash(completion, trace)
-        if self.in_mve_mode:
-            completion = self._publish_iteration(trace, completion)
+        if self.lanes:
+            completion = self._publish(trace.records, completion)
             leader.cpu.block_until(completion)
         recorder = self.recorder
         if recorder is not None:
@@ -283,112 +355,86 @@ class VaranRuntime:
         self.completions.append((completion, trace.requests_handled))
         return completion
 
-    def _publish_iteration(self, trace: IterationTrace, at: int) -> int:
-        """Push an iteration's records onto the ring buffer.
+    def _publish(self, payloads: Sequence[Payload], at: int,
+                 control: Optional[ControlEvent] = None) -> int:
+        """Publish one burst — an iteration's records, or ``control`` as
+        a one-payload burst — to every lane in turn; returns when the
+        last lane took it, so the slowest follower bounds the leader."""
+        t = at
+        for lane in list(self.lanes):
+            t = self._publish_to_lane(lane, payloads, t, control)
+        return t
 
-        Batched: each burst pushes as many records as the ring has free
-        slots, then (if records remain) replays one follower iteration
-        to free space.  Virtual-time semantics match the per-record
-        formulation exactly — a burst's records all carry the produce
+    def _publish_to_lane(self, lane: FollowerLane,
+                         payloads: Sequence[Payload], t: int,
+                         control: Optional[ControlEvent]) -> int:
+        """Push a burst onto ``lane``'s ring, blocking on back-pressure.
+
+        Batched: each push takes as many payloads as the ring has free
+        slots, then (if any remain) replays one follower iteration to
+        free space.  Virtual-time semantics match the per-record
+        formulation exactly — a push's records all carry the produce
         time the per-record loop would have stamped them with, and
         back-pressure still advances ``t`` to the replay completion.
         """
-        t = at
-        records = trace.records
-        pushed, total = 0, len(records)
+        ring = lane.ring
+        pushed, total = 0, len(payloads)
         tracer = self.kernel.tracer
         chaos = self.kernel.chaos
         while pushed < total:
-            if self.follower is None:
+            if lane not in self.lanes:
                 return t  # follower died while we were blocked
-            if self._ring_distributed:
-                self.ring.advance(t)
-                if self._check_ring_partition(t):
-                    return t
-            free = self.ring.free_slots()
-            if free > 0 and chaos is not None and self._iterations \
-                    and chaos.fire("mve.ring") is not None:
+            ring.advance(t)
+            if ring.partition_timed_out:
+                return self._demote_partitioned(lane, t)
+            free = ring.free_slots()
+            if free > 0 and chaos is not None and control is None \
+                    and lane.pending and chaos.fire("mve.ring") is not None:
                 # Injected stall: pretend the ring is full so the leader
                 # blocks on one follower replay (needs a queued
-                # iteration to replay, hence the _iterations guard).
+                # iteration to replay, hence the pending guard).
                 free = 0
             if free == 0:
                 self.ring_stalls += 1
                 if tracer is not None:
-                    tracer.on_ring_stall(t, self.ring.capacity)
-                freed_at = self._replay_one()
-                if freed_at is None and self._ring_distributed:
-                    # Nothing left to replay: the stall is the in-flight
-                    # window, freed when the earliest ack lands.
-                    freed_at = self.ring.next_free_at()
+                    tracer.on_ring_stall(t, ring.capacity)
+                freed_at = self._replay_one(lane)
+                if freed_at is None:
+                    # Nothing left to replay: the stall is a link's
+                    # in-flight window, freed when the earliest ack lands.
+                    freed_at = ring.next_free_at()
                 if freed_at is None:
                     raise SimulationError(
                         "ring buffer cannot hold one leader iteration "
-                        f"(capacity {self.ring.capacity})")
-                if tracer is not None and tracer.spans is not None:
-                    tracer.spans.add("mve.ring-stall", "mve", t,
-                                     max(t, freed_at),
-                                     capacity=self.ring.capacity)
+                        f"(capacity {ring.capacity})")
+                if tracer is not None:
+                    tracer.span("mve.ring-stall", "mve", t, max(t, freed_at),
+                                capacity=ring.capacity)
                 t = max(t, freed_at)
                 continue
             take = min(free, total - pushed)
-            self.ring.push_many(records[pushed:pushed + take], t)
+            ring.push_many(payloads[pushed:pushed + take], t)
             pushed += take
-            if tracer is not None:
-                tracer.on_ring_publish(t, take, len(self.ring),
-                                       self.ring.high_watermark)
-        if self._ring_distributed and self._check_ring_partition(t):
-            return t
-        if self.follower is not None:
-            self._iterations.append(IterationDescriptor(
-                n_records=total,
-                requests=trace.requests_handled))
+            if tracer is not None and control is None:
+                tracer.on_ring_publish(t, take, len(ring),
+                                       ring.high_watermark)
+        if ring.partition_timed_out:
+            return self._demote_partitioned(lane, t)
+        lane.pending.append(IterationDescriptor(total, control))
         return t
 
-    def _push_with_backpressure(self, payload, t: int) -> int:
-        while True:
-            if self.follower is None:
-                return t
-            if self._ring_distributed:
-                self.ring.advance(t)
-                if self._check_ring_partition(t):
-                    return t
-            try:
-                self.ring.push(payload, t)
-                return t
-            except BufferFull:
-                self.ring_stalls += 1
-                tracer = self.kernel.tracer
-                if tracer is not None:
-                    tracer.on_ring_stall(t, self.ring.capacity)
-                freed_at = self._replay_one()
-                if freed_at is None and self._ring_distributed:
-                    freed_at = self.ring.next_free_at()
-                if freed_at is None:
-                    raise SimulationError(
-                        "ring buffer cannot hold one leader iteration "
-                        f"(capacity {self.ring.capacity})")
-                if tracer is not None and tracer.spans is not None:
-                    tracer.spans.add("mve.ring-stall", "mve", t,
-                                     max(t, freed_at),
-                                     capacity=self.ring.capacity)
-                t = max(t, freed_at)
-
-    def _check_ring_partition(self, t: int) -> bool:
-        """Demote the follower when a distributed ring's partition
-        budget is exhausted; True when the demotion ran.  Only called
-        on link-backed rings (``_ring_distributed``)."""
-        ring = self.ring
-        if not ring.partition_timed_out or self.follower is None:
-            return False
+    def _demote_partitioned(self, lane: FollowerLane, t: int) -> int:
+        """Demote ``lane``'s follower: its ring's partition budget is
+        exhausted (only a link-backed ring ever reports that).  Returns
+        ``t``, where the leader carries on."""
+        ring = lane.ring
         at = max(t, ring.partition_timed_out_at or t)
         self.log(at, "ring-partition",
                  f"cumulative partition delay {ring.partition_delay_ns}ns "
                  f"exceeded the link budget "
                  f"({ring.link.demote_timeout_ns}ns)")
-        self._terminate_process(self.follower, at,
-                                reason="ring-partition-timeout")
-        return True
+        self._terminate_lane(lane, at, reason="ring-partition-timeout")
+        return t
 
     def iteration_cost(self, trace: IterationTrace,
                        mode: ExecutionMode) -> int:
@@ -402,65 +448,79 @@ class VaranRuntime:
     # Fork and follower replay
     # ------------------------------------------------------------------
 
-    def fork_follower(self, now: int, *,
-                      server: Optional[Any] = None) -> ManagedProcess:
-        """Fork the leader into a follower at quiescence.
+    def fork_follower(self, now: int, *, server: Optional[Any] = None,
+                      rules: Optional[RuleSet] = None) -> ManagedProcess:
+        """Fork the leader into one more follower at quiescence.
 
         ``server`` overrides the forked copy (used by Mvedsua, which
         forks and then dynamically updates the child); by default the
         follower is an identical copy — plain Varan's N-version mode.
+        ``rules`` bridge this follower's version to the leader's
+        (default: the runtime's).
 
         The leader pays a copy-on-write fork pause.  Returns the new
         follower; the follower's CPU becomes available at fork time.
         """
-        if self.follower is not None:
-            raise SimulationError("an MVE follower is already attached")
         fork_done = self.leader.cpu.charge(now, FORK_PAUSE_NS)
         forked = server if server is not None else self.leader.server.fork()
         gateway = SyscallGateway(self.kernel, self.domain, GatewayRole.REPLAY)
         forked.bind_gateway(gateway)
-        cpu = self.leader.cpu.fork("follower", at=fork_done)
-        self.follower = ManagedProcess(forked, gateway, cpu, "follower")
-        if self._ring_distributed:
-            # A fresh follower rejoins the replicated stream from the
-            # fork point: flush the wire and reset partition accounting.
-            self.ring.resync(fork_done)
+        if self.lanes:
+            label = f"follower-{len(self.lanes)}"
+            ring = RingBuffer(self.ring.capacity)
+        else:
+            label, ring = "follower", self.ring
+        process = ManagedProcess(
+            forked, gateway, self.leader.cpu.fork(label, at=fork_done), label)
+        self.lanes.append(FollowerLane(
+            process, ring, rules if rules is not None else self.rules))
+        # A fresh follower joins the replicated stream from the fork
+        # point: a link-backed ring flushes the wire and resets its
+        # partition accounting.
+        ring.resync(fork_done)
         self.log(fork_done, "fork", forked.version.name)
         recorder = self.recorder
         if recorder is not None:
             recorder.on_fork(fork_done, forked.version.name)
-        return self.follower
+        return process
 
-    def drain_follower(self, *, max_iterations: Optional[int] = None) -> Optional[int]:
-        """Replay queued iterations on the follower.
+    def drain_follower(self) -> Optional[int]:
+        """Replay every queued iteration on every follower.
 
-        Returns the follower's completion time of the last replayed
-        iteration, or None when nothing was replayed.
+        Returns the completion time of the last replayed iteration, or
+        None when nothing was replayed.
         """
         last = None
-        replayed = 0
-        while self._iterations and self.follower is not None:
-            if max_iterations is not None and replayed >= max_iterations:
-                break
-            last = self._replay_one()
-            replayed += 1
+        for lane in list(self.lanes):
+            while lane.pending:  # emptied when the lane is terminated
+                last = self._replay_one(lane)
         return last
 
-    def _replay_one(self) -> Optional[int]:
-        """Replay one queued iteration; returns its completion time."""
-        if not self._iterations or self.follower is None:
+    def _replay_one(self, lane: FollowerLane) -> Optional[int]:
+        """Replay ``lane``'s oldest queued burst; returns its completion
+        time (None when nothing is queued)."""
+        if not lane.pending:
             return None
-        descriptor = self._iterations.popleft()
+        descriptor = lane.pending.popleft()
+        follower = lane.process
+        ring = lane.ring
         if descriptor.control is not None:
-            entry = self.ring.pop()
-            swap_at = max(self.follower.cpu.busy_until, entry.produced_at)
+            entry = ring.pop()
+            swap_at = max(follower.cpu.busy_until, entry.produced_at)
             if descriptor.control.kind is ControlKind.PROMOTE:
-                self._swap_roles(swap_at)
+                self._swap_roles(lane, swap_at)
             return swap_at
 
-        entries = self.ring.pop_many(descriptor.n_records)
+        entries = ring.pop_many(descriptor.n_records)
         ready_at = max((entry.produced_at for entry in entries), default=0)
-        expected = self._rewrite(entry.payload for entry in entries)
+        engine = lane.rules.engine_for_stage(self.stage_direction)
+        expected = rewrite_iteration(
+            engine, (entry.payload for entry in entries))
+        self.rules_fired.extend(engine.fired)
+        tracer = self.kernel.tracer
+        if tracer is not None:
+            tracer.on_rules_applied(len(entries), len(expected),
+                                    engine.fired)
 
         fault = None
         chaos = self.kernel.chaos
@@ -470,87 +530,58 @@ class VaranRuntime:
         if fault is not None and fault.kind == "corrupt-record":
             expected = _corrupt_expected(expected, fault.param)
 
-        follower = self.follower
-        gateway = follower.gateway
-        gateway.begin_iteration(expected)
-        tracer = self.kernel.tracer
         if tracer is not None:
             tracer.advance(ready_at)
-            tracer.on_ring_replay(ready_at, len(entries), len(self.ring),
-                                  entries)
+            tracer.on_ring_replay(ready_at, len(entries), len(ring), entries)
+        start = max(follower.cpu.busy_until, ready_at)
         try:
             if fault is not None and fault.kind == "crash":
                 raise ServerCrash("chaos: injected follower crash")
-            follower.server.run_iteration(gateway)
-            gateway.finish_iteration()
+            replay_iteration(
+                follower.server, follower.gateway, expected, engine,
+                at=start, version=follower.version_name,
+                leader_version=self.leader.version_name,
+                ring_history=(tracer.ring_history if tracer is not None
+                              else entries),
+                ring_pending=ring)
         except DivergenceError as divergence:
-            at = max(follower.cpu.busy_until, ready_at)
-            divergence.annotate(at=at, version=follower.version_name)
             self.last_divergence = divergence
-            self.last_forensics = self._capture_forensics(
-                at, divergence, entries, expected, follower)
+            self.last_forensics = divergence.forensics
             if tracer is not None:
-                tracer.on_divergence_check(at, False, len(entries),
+                tracer.on_divergence_check(start, False, len(entries),
                                            detail=str(divergence))
                 tracer.on_forensics(self.last_forensics)
-                if tracer.spans is not None:
-                    tracer.spans.add("mve.divergence", "mve", at, at,
-                                     version=follower.version_name)
-            self.log(at, "divergence", str(divergence))
-            self._terminate_process(follower, at, reason="divergence")
-            return at
+                tracer.span("mve.divergence", "mve", start, start,
+                            version=follower.version_name)
+            self.log(start, "divergence", str(divergence))
+            self._terminate_lane(lane, start, reason="divergence")
+            return start
         except ServerCrash as crash:
             follower.crashed = True
-            at = max(follower.cpu.busy_until, ready_at)
-            self.log(at, "follower-crash", str(crash))
-            self._terminate_process(follower, at, reason="crash")
-            return at
-        cost = self.iteration_cost(gateway.trace, ExecutionMode.FOLLOWER)
-        start = max(follower.cpu.busy_until, ready_at)
+            self.log(start, "follower-crash", str(crash))
+            self._terminate_lane(lane, start, reason="crash")
+            return start
+        cost = self.iteration_cost(follower.gateway.trace,
+                                   ExecutionMode.FOLLOWER)
         done = follower.cpu.charge(start, cost)
         if tracer is not None:
             tracer.on_divergence_check(done, True, len(entries))
         return done
 
-    def _rewrite(self, payloads) -> List[SyscallRecord]:
-        """Run one iteration's leader records through the stage rules."""
-        engine = self.rules.engine_for_stage(self.stage_direction)
-        n_in = 0
-        for payload in payloads:
-            engine.offer(payload)
-            n_in += 1
-        engine.flush()
-        self.rules_fired.extend(engine.fired)
-        self._last_engine = engine
-        expected = engine.take_ready()
-        tracer = self.kernel.tracer
-        if tracer is not None:
-            tracer.on_rules_applied(n_in, len(expected), engine.fired)
-        return expected
-
-    def _capture_forensics(self, at: int, divergence: DivergenceError,
-                           entries, expected, follower) -> ForensicsBundle:
-        """Bundle the monitor's state at a divergence (see
-        :mod:`repro.obs.forensics`)."""
-        tracer = self.kernel.tracer
-        history = tracer.ring_history if tracer is not None else entries
-        engine = self._last_engine
-        return build_divergence_bundle(
-            at=at,
-            version=follower.version_name,
-            leader_version=self.leader.version_name,
-            error=divergence,
-            ring_history=history,
-            ring_pending=[self.ring.peek(i) for i in range(len(self.ring))],
-            expected_records=expected,
-            issued_records=follower.gateway.trace.records,
-            rule_window=engine.pending_window() if engine is not None else 0,
-            rules_fired=list(engine.fired) if engine is not None else [],
-        )
-
     # ------------------------------------------------------------------
     # Promotion, termination, failure policy
     # ------------------------------------------------------------------
+
+    def _pair_lane(self, action: str) -> FollowerLane:
+        """The lane of a leader/follower pair, for the operations that
+        are only defined on one (``action`` names it in the error)."""
+        if not self.lanes:
+            raise SimulationError(f"no follower to {action}")
+        if len(self.lanes) > 1:
+            raise SimulationError(
+                f"cannot {action} with {len(self.lanes)} followers "
+                "attached: a pair operation")
+        return self.lanes[0]
 
     def promote(self, now: int) -> int:
         """Swap leader and follower (the paper's t4 -> t5 transition).
@@ -559,25 +590,20 @@ class VaranRuntime:
         follower drains the buffer, observes the event, and takes over.
         Returns t5, when the new leader resumes service.
         """
-        if self.follower is None:
-            raise SimulationError("no follower to promote")
+        self._pair_lane("promote")
         start = max(now, self.leader.cpu.busy_until)
         event = ControlEvent(ControlKind.PROMOTE, at=start,
                              version=self.leader.version_name)
         tracer = self.kernel.tracer
         if tracer is not None:
             tracer.on_control("promote", start, self.leader.version_name)
-        self._push_with_backpressure(event, start)
-        self._iterations.append(IterationDescriptor(
-            n_records=1, requests=0, control=event))
+        self._publish([event], start, control=event)
         self.log(start, "demote-requested", event.describe())
-        last = None
-        while self._iterations and self.follower is not None:
-            last = self._replay_one()
+        last = self.drain_follower()
         done = last if last is not None else start
-        if tracer is not None and tracer.spans is not None:
-            tracer.spans.add("mve.promote", "mve", start, done,
-                             version=self.leader.version_name)
+        if tracer is not None:
+            tracer.span("mve.promote", "mve", start, done,
+                        version=self.leader.version_name)
         recorder = self.recorder
         if recorder is not None:
             # self.leader is the post-swap leader; if the follower died
@@ -587,66 +613,63 @@ class VaranRuntime:
                                 self.leader.version_name)
         return done
 
-    def _swap_roles(self, at: int) -> None:
-        old_leader, new_leader = self.leader, self.follower
-        assert new_leader is not None
+    def _swap_roles(self, lane: FollowerLane, at: int) -> None:
+        old_leader, new_leader = self.leader, lane.process
         old_leader.gateway.role = GatewayRole.REPLAY
         old_leader.label = "follower"
         new_leader.gateway.role = GatewayRole.DIRECT
         new_leader.label = "leader"
         new_leader.cpu.block_until(at)
-        self.leader, self.follower = new_leader, old_leader
+        self.leader, lane.process = new_leader, old_leader
         self.stage_direction = Direction.UPDATED_LEADER
         self.leader_is_updated = True
         self.log(at, "promoted", new_leader.version_name)
 
     def finalize(self, now: int) -> int:
         """Terminate the follower and return to single-leader mode (t6)."""
-        if self.follower is None:
-            raise SimulationError("no follower to finalize")
+        lane = self._pair_lane("finalize")
         self.drain_follower()
-        if self.follower is not None:
-            at = max(now, self.follower.cpu.busy_until)
-            self._terminate_process(self.follower, at, reason="finalize")
+        if lane in self.lanes:
+            at = max(now, lane.process.cpu.busy_until)
+            self._terminate_lane(lane, at, reason="finalize")
             return at
         return now
 
     def terminate_follower(self, now: int, reason: str = "operator") -> int:
         """Explicitly drop the follower (operator-initiated rollback)."""
-        if self.follower is None:
-            raise SimulationError("no follower to terminate")
-        at = max(now, self.follower.cpu.busy_until)
-        self._terminate_process(self.follower, at, reason=reason)
+        lane = self._pair_lane("terminate")
+        at = max(now, lane.process.cpu.busy_until)
+        self._terminate_lane(lane, at, reason=reason)
         return at
 
-    def _terminate_process(self, process: ManagedProcess, at: int,
-                           reason: str) -> None:
-        """Drop ``process`` from the group; survivor becomes sole leader."""
-        if process is self.follower:
-            self.follower = None
-            self.ring.clear()
-            self._iterations.clear()
-            tracer = self.kernel.tracer
-            if tracer is not None and tracer.spans is not None:
-                tracer.spans.add("mve.demotion", "mve", at, at,
-                                 reason=reason)
-            self.log(at, "follower-terminated", reason)
-        else:  # pragma: no cover - leader termination goes via crash path
-            raise SimulationError("cannot terminate the leader directly")
+    def _detach_lane(self, lane: FollowerLane) -> None:
+        self.lanes.remove(lane)
+        lane.ring.clear()
+        lane.pending.clear()
+
+    def _terminate_lane(self, lane: FollowerLane, at: int,
+                        reason: str) -> None:
+        """Drop ``lane``'s follower from the group; the rest carry on."""
+        self._detach_lane(lane)
+        tracer = self.kernel.tracer
+        if tracer is not None:
+            tracer.span("mve.demotion", "mve", at, at, reason=reason)
+        self.log(at, "follower-terminated", reason)
 
     def _handle_leader_crash(self, at: int, trace: IterationTrace) -> int:
-        """The paper's old-version-error recovery: promote the follower."""
+        """The paper's old-version-error recovery: promote a follower."""
         crashed_version = self.leader.version_name
         self.leader.crashed = True
-        if self.follower is None or self.follower.crashed:
+        if not self.lanes:
             raise ServerCrash("leader crashed with no healthy follower",
                               pid=self.domain)
-        # Let the follower catch up on everything before the crash.
+        # Let the followers catch up on everything before the crash.
         self.drain_follower()
-        if self.follower is None:
+        if not self.lanes:
             raise ServerCrash("follower died during crash recovery",
                               pid=self.domain)
-        survivor = self.follower
+        lane = self.lanes[0]  # the first healthy survivor takes over
+        survivor = lane.process
         at = max(at, survivor.cpu.busy_until)
         # Re-deliver the input the crashed leader had consumed so the
         # promoted process can serve it.
@@ -655,14 +678,12 @@ class VaranRuntime:
         survivor.label = "leader"
         survivor.cpu.block_until(at)
         self.leader = survivor
-        self.follower = None
-        self.ring.clear()
-        self._iterations.clear()
+        self._detach_lane(lane)
         self.leader_is_updated = True
         tracer = self.kernel.tracer
-        if tracer is not None and tracer.spans is not None:
-            tracer.spans.add("mve.crash-promote", "mve", at, at,
-                             version=survivor.version_name)
+        if tracer is not None:
+            tracer.span("mve.crash-promote", "mve", at, at,
+                        version=survivor.version_name)
         self.log(at, "follower-promoted-after-crash")
         recorder = self.recorder
         if recorder is not None:

@@ -52,7 +52,8 @@ def slo_main(argv: Optional[Iterable[str]] = None) -> int:
                         help="scenario seed (default: %(default)s)")
     parser.add_argument("--quick", action="store_true",
                         help="run a reduced workload (CI smoke)")
-    parser.add_argument("--workers", default="1", metavar="N",
+    parser.add_argument("--workers", type=resolve_workers, default="1",
+                        metavar="N",
                         help="worker processes ('auto' = one per CPU); "
                              "the report is byte-identical at any count")
     parser.add_argument("--check", action="store_true",
@@ -70,9 +71,8 @@ def slo_main(argv: Optional[Iterable[str]] = None) -> int:
             print(f"slo spec problem: {problem}")
         return 1
 
-    workers = resolve_workers(args.workers)
     report = run_slo_scenario(args.scenario, seed=args.seed,
-                              quick=args.quick, workers=workers)
+                              quick=args.quick, workers=args.workers)
     out = args.out or f"SLO_{args.scenario}.json"
     with open(out, "w", encoding="utf-8") as handle:
         json.dump(report, handle, indent=1, sort_keys=False)

@@ -105,9 +105,10 @@ class Tracer:
         self.experiment = experiment
         self.events: List[TraceEvent] = []
         self.metrics = MetricsRegistry()
-        #: Causal span collector, or None (the default): call sites guard
-        #: with ``tracer.spans is not None`` so span-off runs allocate no
-        #: span objects at all (see :mod:`repro.obs.spans`).
+        #: Causal span collector, or None (the default), so span-off
+        #: runs allocate no span objects at all (see
+        #: :mod:`repro.obs.spans`); instrumented modules record known
+        #: intervals through :meth:`span`.
         self.spans: Optional[SpanCollector] = \
             SpanCollector() if spans else None
         #: Most recently advanced virtual time; used to stamp events
@@ -138,6 +139,13 @@ class Tracer:
         self.events.append(event)
         Tracer.emitted_total += 1
         return event
+
+    def span(self, name: str, layer: str, start: int, end: int,
+             **fields: Any) -> None:
+        """Record a known interval as a born-closed span; a no-op with
+        spans off."""
+        if self.spans is not None:
+            self.spans.add(name, layer, start, end, **fields)
 
     def attach(self, kernel: Any) -> "Tracer":
         """Attach this tracer to an existing kernel (and everything that
@@ -201,9 +209,8 @@ class Tracer:
                   deliver_at=deliver_at)
         self.metrics.counter("ring.frames").inc()
         self.metrics.gauge("ring.inflight").set(inflight)
-        if self.spans is not None:
-            self.spans.add("net.ring", "net", at, deliver_at,
-                           sequence=sequence, bytes=n_bytes)
+        self.span("net.ring", "net", at, deliver_at,
+                  sequence=sequence, bytes=n_bytes)
 
     def on_ring_resync(self, at: int, resyncs: int) -> None:
         """A distributed ring resynchronised its stream at a fork."""

@@ -50,7 +50,8 @@ def perf_main(argv: Optional[Iterable[str]] = None) -> int:
                         help="override every scenario's operation count")
     parser.add_argument("--repeat", type=int, default=1, metavar="K",
                         help="run each scenario K times, keep the fastest")
-    parser.add_argument("--workers", default="1", metavar="N|auto",
+    parser.add_argument("--workers", type=resolve_workers, default="1",
+                        metavar="N|auto",
                         help="shard scenarios across N processes ('auto' = "
                              "one per CPU; default: 1). Gauges and report "
                              "shape are identical to a serial run")
@@ -67,10 +68,7 @@ def perf_main(argv: Optional[Iterable[str]] = None) -> int:
                              "--diff fails (default: %(default)s)")
     args = parser.parse_args(list(argv) if argv is not None else None)
 
-    try:
-        workers = resolve_workers(args.workers)
-    except ValueError as exc:
-        parser.error(str(exc))
+    workers = args.workers
     if not 0 < args.tolerance < 1:
         parser.error(f"--tolerance must be in (0, 1), got {args.tolerance}")
 

@@ -5,9 +5,9 @@ The engine reconstructs the follower's side of MVE from a
 plan.  A fresh server runs the chosen candidate version behind a
 ``REPLAY``-role gateway (which never touches a kernel: every syscall is
 served from, and checked against, the expected stream), and each
-recorded leader iteration is rewritten through the pair's rules exactly
-as :meth:`repro.mve.varan.VaranRuntime._rewrite` would before being fed
-to the candidate.
+recorded leader iteration goes through the live monitor's own follower
+step — :func:`repro.mve.varan.rewrite_iteration` through the pair's
+rules, then :func:`repro.mve.varan.replay_iteration`.
 
 Because recording starts at process start (single-leader iterations
 included), the candidate builds its heap by serving the same traffic the
@@ -18,8 +18,8 @@ a full update lifecycle replays each segment under the right stage
 rules (``OUTDATED_LEADER`` while the recorded leader is older than the
 candidate, ``UPDATED_LEADER`` once it is newer, identity when equal).
 
-A mismatch raises the same :class:`~repro.errors.DivergenceError` the
-live monitor raises, and the engine packages the same
+A mismatch therefore raises the same
+:class:`~repro.errors.DivergenceError` carrying the same
 :class:`~repro.obs.forensics.ForensicsBundle` — time-travel forensics
 for a run that may have happened on another machine.
 """
@@ -32,8 +32,10 @@ from typing import Any, Dict, List, Optional
 
 from repro.errors import DivergenceError, ServerCrash
 from repro.mve.gateway import GatewayRole, SyscallGateway
+from repro.mve.ring_buffer import RingEntry
+from repro.mve.varan import replay_iteration, rewrite_iteration
 from repro.net.kernel import VirtualKernel
-from repro.obs.forensics import ForensicsBundle, build_divergence_bundle
+from repro.obs.forensics import ForensicsBundle
 from repro.replay.apps import ReplayApp, replay_app
 from repro.replay.stream import (RecordedStream, deserialize_record,
                                  read_stream)
@@ -43,17 +45,6 @@ REPLAY_SCHEMA = "repro-replay/1"
 
 #: Ring records kept for forensics (mirrors the tracer's last-K window).
 FORENSICS_LAST_K = 32
-
-
-@dataclass
-class _HistoryEntry:
-    """Ring-entry shape for forensics: the expected record as the
-    follower would have popped it, stamped with the recorded iteration
-    time and a running sequence number."""
-
-    payload: Any
-    produced_at: int
-    sequence: int
 
 
 @dataclass
@@ -128,8 +119,10 @@ def replay_stream(stream: RecordedStream, *,
     )
     leader_version = stream.initial_version
     report.final_version_recorded = leader_version
+    # Ring-entry shape for forensics: each expected record as the
+    # follower would have popped it, stamped with the recorded iteration
+    # time and a running sequence number.
     history: deque = deque(maxlen=FORENSICS_LAST_K)
-    last_engine = None
     sequence = 0
     # Iter-only index of the entry being replayed, so the reported
     # "iteration" lines up with report.iterations / iterations_replayed
@@ -148,59 +141,33 @@ def replay_stream(stream: RecordedStream, *,
         iteration += 1
         records = [deserialize_record(raw) for raw in entry["records"]]
         ruleset, direction = app.stage_for(leader_version, candidate)
-        if ruleset is None:
-            expected = records
-        else:
-            engine = ruleset.engine_for_stage(direction)
-            for record in records:
-                engine.offer(record)
-            engine.flush()
+        engine = ruleset.engine_for_stage(direction) \
+            if ruleset is not None else None
+        expected = rewrite_iteration(engine, records)
+        if engine is not None:
             report.rules_fired_names.extend(engine.fired)
             report.rules_fired = len(report.rules_fired_names)
-            expected = engine.take_ready()
-            last_engine = engine
         at = int(entry.get("at", 0))
-        for record in expected:
-            history.append(_HistoryEntry(record, at, sequence))
-            sequence += 1
-        gateway.begin_iteration(expected)
+        history.extend(RingEntry(record, at, sequence + offset)
+                       for offset, record in enumerate(expected))
+        sequence += len(expected)
         try:
-            server.run_iteration(gateway)
-            gateway.finish_iteration()
-        except DivergenceError as divergence:
-            divergence.annotate(at=at, version=candidate)
-            report.outcome = "divergence"
+            replay_iteration(server, gateway, expected, engine, at=at,
+                             version=candidate,
+                             leader_version=leader_version,
+                             ring_history=history)
+        except (DivergenceError, ServerCrash) as failure:
+            diverged = isinstance(failure, DivergenceError)
+            report.outcome = "divergence" if diverged else "crash"
             report.divergence = {
                 "at": at,
                 "iteration": iteration,
                 "entry_index": index,
                 "recorded_leader": leader_version,
-                "detail": str(divergence),
+                "detail": str(failure),
             }
-            report.forensics = build_divergence_bundle(
-                at=at,
-                version=candidate,
-                leader_version=leader_version,
-                error=divergence,
-                ring_history=list(history),
-                ring_pending=[],
-                expected_records=expected,
-                issued_records=gateway.trace.records,
-                rule_window=(last_engine.pending_window()
-                             if last_engine is not None else 0),
-                rules_fired=(list(last_engine.fired)
-                             if last_engine is not None else []),
-            )
-            return report
-        except ServerCrash as crash:
-            report.outcome = "crash"
-            report.divergence = {
-                "at": at,
-                "iteration": iteration,
-                "entry_index": index,
-                "recorded_leader": leader_version,
-                "detail": str(crash),
-            }
+            if diverged:
+                report.forensics = failure.forensics
             return report
         report.iterations_replayed += 1
         report.records_replayed += len(records)

@@ -22,13 +22,19 @@ The rules that make that hold:
 
 from __future__ import annotations
 
+import argparse
 import multiprocessing
 import os
 from typing import Any, Callable, List, Optional, Sequence, Union
 
 
+class WorkersError(ValueError, argparse.ArgumentTypeError):
+    """A bad ``--workers`` value; argparse prints its message as is."""
+
+
 def resolve_workers(spec: Union[int, str, None]) -> int:
-    """Parse a ``--workers N|auto`` value into a validated count.
+    """Parse a ``--workers N|auto`` value into a validated count — the
+    argparse ``type=`` of every ``--workers`` option.
 
     ``auto`` (or None) means one worker per available CPU; anything else
     must be a positive integer.
@@ -38,10 +44,10 @@ def resolve_workers(spec: Union[int, str, None]) -> int:
     try:
         workers = int(spec)
     except (TypeError, ValueError):
-        raise ValueError(f"--workers must be a positive integer or "
-                         f"'auto', not {spec!r}") from None
+        raise WorkersError(f"must be a positive integer or 'auto', "
+                           f"not {spec!r}") from None
     if workers < 1:
-        raise ValueError(f"--workers must be >= 1, got {workers}")
+        raise WorkersError(f"must be >= 1, got {workers}")
     return workers
 
 

@@ -54,7 +54,8 @@ def openloop_main(argv: Optional[Iterable[str]] = None) -> int:
                         help="workload seed (default: %(default)s)")
     parser.add_argument("--quick", action="store_true",
                         help="run a reduced workload (CI smoke)")
-    parser.add_argument("--workers", default="1", metavar="N",
+    parser.add_argument("--workers", type=resolve_workers, default="1",
+                        metavar="N",
                         help="worker processes ('auto' = one per CPU); "
                              "the report is byte-identical at any count")
     parser.add_argument("--check", action="store_true",
@@ -73,9 +74,8 @@ def openloop_main(argv: Optional[Iterable[str]] = None) -> int:
             print(f"load spec problem: {problem}")
         return 1
 
-    workers = resolve_workers(args.workers)
     report = run_openloop_scenario(args.scenario, seed=args.seed,
-                                   quick=args.quick, workers=workers)
+                                   quick=args.quick, workers=args.workers)
     if args.slo:
         from repro.obs.slo import build_slo_report
         from repro.workloads.openloop_scenarios import collect_slo_cells

@@ -38,3 +38,30 @@ def test_unknown_experiment_rejected():
 def test_missing_argument_rejected():
     with pytest.raises(SystemExit):
         main([])
+
+
+@pytest.mark.parametrize("argv, complaint", [
+    (["openloop", "kvstore", "--workers", "0"], "must be >= 1, got 0"),
+    (["slo", "fig7", "--workers", "zero"], "not 'zero'"),
+    (["chaos", "kvstore", "--workers", "-2"], "must be >= 1, got -2"),
+    (["perf", "--workers", "many"], "not 'many'"),
+])
+def test_bad_workers_is_a_usage_error(argv, complaint, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    error = capsys.readouterr().err
+    assert "argument --workers" in error and complaint in error
+    assert "Traceback" not in error
+
+
+@pytest.mark.parametrize("argv", [
+    ["chaos", "kvstore", "--plan", "MISSING.py"],
+    ["trace", "fig6", "--quick", "--out", "NO_DIR/x.jsonl"],
+])
+def test_unusable_path_is_one_error_line_and_exit_2(argv, capsys,
+                                                    monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    error_lines = capsys.readouterr().err.strip().splitlines()
+    assert len(error_lines) == 1 and "error:" in error_lines[0]

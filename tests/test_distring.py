@@ -334,6 +334,10 @@ class TestEndToEnd:
         availability = [row["slo_availability"] for row in rows[1:]]
         assert availability == sorted(availability, reverse=True)
         assert all(row["finalized"] for row in rows)
+        # Every request is framed and answered: an epoll_wait, a read
+        # and the reply's write each (plus the accept) — a sweep whose
+        # server never replies would raise instead.
+        assert all(row["syscalls"] >= 3 * row["requests"] for row in rows)
 
 
 class TestFleetLintMve704:

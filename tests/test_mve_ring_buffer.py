@@ -4,9 +4,15 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.errors import SimulationError
-from repro.mve import ControlEvent, ControlKind, RingBuffer
+from repro.mve import ControlEvent, ControlKind, RingBuffer, VaranRuntime
+from repro.mve.distring import DistributedRing
 from repro.mve.ring_buffer import BufferFull, RingEntry
+from repro.net import VirtualKernel
+from repro.net.ring_wire import RingLink
+from repro.servers.kvstore import KVStoreServer, KVStoreV1
+from repro.syscalls.costs import PROFILES
 from repro.syscalls.model import write_record
+from repro.workloads import VirtualClient
 
 
 def rec(i):
@@ -250,3 +256,107 @@ def test_push_and_push_many_build_equal_entries():
     singles = [single.push(rec(i), 7) for i in range(3)]
     assert batch.push_many([rec(i) for i in range(3)], 7) == singles
     assert singles == [RingEntry(rec(i), 7, i) for i in range(3)]
+
+
+# ---------------------------------------------------------------------------
+# The ring contract the runtime drives, over both implementations
+# ---------------------------------------------------------------------------
+
+#: Where the contract rings fill: slots locally, frames on the wire.
+LIMIT = 3
+
+
+def local_ring(limit=LIMIT):
+    return RingBuffer(limit)
+
+
+def link_ring(limit=LIMIT):
+    # Capacity to spare, so the in-flight window is what binds.
+    return DistributedRing(4 * limit, RingLink(latency_ns=1_000_000,
+                                               window=limit))
+
+
+@pytest.fixture(params=[local_ring, link_ring], ids=["local", "link"])
+def make_ring(request):
+    return request.param
+
+
+@pytest.fixture
+def ring(make_ring):
+    return make_ring()
+
+
+class TestRingContract:
+    def test_virtual_time_half_is_inert_until_something_is_in_flight(
+            self, ring):
+        assert ring.partition_timed_out is False
+        assert ring.next_free_at() is None
+        ring.advance(10**9)
+        ring.resync(10**9)
+        assert ring.is_empty() and ring.free_slots() > 0
+        assert ring.push(rec(0), 10**9).produced_at >= 10**9
+
+    def test_bursts_land_in_order_stamped_no_earlier_than_pushed(self, ring):
+        ring.push_many([rec(0), rec(1)], 100)
+        ring.push(rec(2), 200)
+        assert [entry.payload.data for entry in ring] == \
+            [rec(i).data for i in range(3)]
+        out = ring.pop_many(2) + [ring.pop()]
+        assert [entry.sequence for entry in out] == [0, 1, 2]
+        assert out[0].produced_at == out[1].produced_at >= 100
+        assert out[2].produced_at >= max(200, out[1].produced_at)
+        assert ring.is_empty() and list(ring) == []
+
+    def test_full_means_no_free_slots_and_a_refused_push(self, ring):
+        for i in range(LIMIT):
+            assert ring.free_slots() > 0 and not ring.is_full()
+            ring.push(rec(i), 0)
+        assert ring.free_slots() == 0 and ring.is_full()
+        held = len(ring)
+        with pytest.raises(BufferFull):
+            ring.push(rec(9), 0)
+        with pytest.raises(BufferFull):
+            ring.push_many([rec(9)], 0)
+        assert len(ring) == held  # a refused push lands nothing
+
+    def test_control_burst_at_the_boundary_lands(self, ring):
+        """The promote event published into the last free slot (the
+        last frame of the window) must land, not bounce after it was
+        already sent — the retransmit-forever regression."""
+        for i in range(LIMIT - 1):
+            ring.push(rec(i), 0)
+        event = ControlEvent(ControlKind.PROMOTE, at=7, version="1.0")
+        [entry] = ring.push_many([event], 7)
+        assert entry.payload.kind is ControlKind.PROMOTE
+        assert ring.free_slots() == 0
+        assert ring.high_watermark == LIMIT
+        assert ring.pop_many(LIMIT)[-1].payload.version == "1.0"
+
+    def test_clear_empties_and_reopens_the_ring(self, ring):
+        for i in range(LIMIT):
+            ring.push(rec(i), 0)
+        ring.clear()
+        assert ring.is_empty() and ring.next_free_at() is None
+        assert ring.free_slots() > 0
+        assert ring.consumed_total == ring.produced_total == LIMIT
+
+    def test_runtime_promotes_through_a_full_ring(self, make_ring):
+        """End to end: the control event goes through the same
+        back-pressure loop as an iteration's records."""
+        kernel = VirtualKernel()
+        server = KVStoreServer(KVStoreV1())
+        server.attach(kernel)
+        ring = make_ring(6)  # two 3-record iterations, or 6 frames
+        runtime = VaranRuntime(kernel, server, PROFILES["kvstore"],
+                               ring=ring)
+        client = VirtualClient(kernel, server.address)
+        follower = runtime.fork_follower(0)
+        follower.cpu.block_until(10**12)
+        for i in range(12):
+            client.command(runtime, b"PUT k%d v" % i, now=10**9 + i)
+        assert runtime.ring_stalls > 0
+        assert ring.free_slots() == 0  # full as the control event arrives
+        done = runtime.promote(2 * 10**12)
+        assert runtime.leader is follower and done >= 2 * 10**12
+        assert ring.is_empty() and not runtime.lanes[0].pending
+        assert client.command(runtime, b"GET k11", now=done) == b"v\r\n"

@@ -87,11 +87,22 @@ class TestIdenticalFollower:
         assert runtime.ring.is_empty()
         assert len(runtime.follower.server.heap["table"]) == 5
 
-    def test_double_fork_rejected(self):
-        _, runtime, _ = make_runtime()
-        runtime.fork_follower(0)
-        with pytest.raises(SimulationError):
-            runtime.fork_follower(1)
+    def test_second_fork_adds_a_lane_that_pair_operations_reject(self):
+        _, runtime, _ = make_runtime(ring_capacity=64)
+        first = runtime.fork_follower(0)
+        second = runtime.fork_follower(1)
+        assert [lane.process for lane in runtime.lanes] == [first, second]
+        # The pair API keeps meaning the first lane, fed by the
+        # runtime's own ring; the extra lane gets one of the same size.
+        assert runtime.follower is first
+        assert runtime.lanes[0].ring is runtime.ring
+        assert runtime.lanes[1].ring is not runtime.ring
+        assert runtime.lanes[1].ring.capacity == 64
+        for operation in (runtime.promote, runtime.finalize,
+                          runtime.terminate_follower):
+            with pytest.raises(SimulationError, match="pair operation"):
+                operation(2)
+        assert len(runtime.lanes) == 2
 
     def test_fork_charges_leader_pause(self):
         _, runtime, _ = make_runtime()
@@ -302,7 +313,7 @@ class TestBackPressure:
         client.command(runtime, b"PUT a 1", now=10**9)
         entries = [runtime.ring.pop() for _ in range(len(runtime.ring))]
         stamps = []
-        for descriptor in runtime._iterations:
+        for descriptor in runtime.lanes[0].pending:
             burst = entries[:descriptor.n_records]
             entries = entries[descriptor.n_records:]
             assert len({e.produced_at for e in burst}) == 1

@@ -89,22 +89,35 @@ def test_rejected_commands_preserve_the_relation(commands):
 
 
 @settings(max_examples=25, deadline=None)
-@given(st.lists(v1_commands, min_size=1, max_size=20))
-def test_identical_follower_never_diverges(commands):
+@given(st.lists(v1_commands, min_size=1, max_size=20),
+       st.integers(min_value=1, max_value=3),
+       st.sampled_from([16, 64, 1 << 12]))
+def test_identical_follower_never_diverges(commands, followers,
+                                           ring_capacity):
+    """One to three identical followers all converge on the leader's
+    state, and the slowest lane bounds the leader through its ring."""
     kernel = VirtualKernel()
     server = KVStoreServer(KVStoreV1())
     server.attach(kernel)
     runtime = VaranRuntime(kernel, server, PROFILES["kvstore"],
-                           ring_capacity=1 << 12)
+                           ring_capacity=ring_capacity)
     client = VirtualClient(kernel, server.address)
-    runtime.fork_follower(0)
-    now = 0
+    for _ in range(followers):
+        runtime.fork_follower(0)
+    stalled_until = 10**12
+    runtime.lanes[-1].process.cpu.block_until(stalled_until)
+    now = 10**9
     for command in commands:
         _, now = client.request(runtime, command + b"\r\n", now)
+    # The leader waited for the stalled lane exactly when its ring filled.
+    assert (runtime.ring_stalls > 0) == (now >= stalled_until)
     runtime.drain_follower()
     assert runtime.last_divergence is None
-    assert runtime.follower is not None
-    assert runtime.follower.server.heap == runtime.leader.server.heap
+    assert len(runtime.lanes) == followers
+    for lane in runtime.lanes:
+        assert lane.process.server.heap == runtime.leader.server.heap
+        assert lane.ring.is_empty()
+        assert lane.ring.high_watermark <= ring_capacity
 
 
 @settings(max_examples=25, deadline=None)

@@ -9,8 +9,10 @@ import pytest
 
 from repro.chaos.campaign import default_grid, probe_site_calls, run_campaign
 from repro.chaos.cli import chaos_main
-from repro.chaos.scenarios import run_kv_update_scenario
+from repro.chaos.scenarios import BuggyKVStoreV2, run_kv_update_scenario
 from repro.errors import SimulationError
+from repro.mve import VaranRuntime
+from repro.net import VirtualKernel
 from repro.obs.cli import trace_main
 from repro.perf.diff import diff_bench
 from repro.perf.harness import (SCHEMA, WALL_CLOCK_KEYS, run_scenarios,
@@ -20,6 +22,10 @@ from repro.replay.engine import replay_file
 from repro.replay.parallel import resolve_workers, shard_round_robin
 from repro.replay.recorder import StreamRecorder, current_recorder, recording
 from repro.replay.stream import StreamError, read_stream, validate_stream_file
+from repro.servers.kvstore import (KVStoreServer, KVStoreV1, kv_rules,
+                                   xform_1_to_2)
+from repro.syscalls.costs import PROFILES
+from repro.workloads import VirtualClient
 
 
 @pytest.fixture(scope="module")
@@ -139,6 +145,40 @@ class TestReplay:
         # The bundle carries the records around the mismatch.
         assert bundle["expected_records"]
         assert report.forensics.summary()
+
+    def test_offline_replay_reports_the_live_divergence(self, tmp_path):
+        """Oracle: a live run whose buggy follower diverges, recorded,
+        then replayed offline against the same build — both go through
+        the one follower step and name the same record pair."""
+        kernel = VirtualKernel()
+        server = KVStoreServer(KVStoreV1())
+        server.attach(kernel)
+        recorder = StreamRecorder(scenario="kvstore")
+        with recording(recorder):
+            runtime = VaranRuntime(kernel, server, PROFILES["kvstore"])
+        client = VirtualClient(kernel, server.address)
+        client.command(runtime, b"PUT k v1")
+        child = server.fork()
+        child.apply_version(BuggyKVStoreV2(),
+                            xform_1_to_2(dict(child.heap)))
+        runtime.fork_follower(10**9, server=child, rules=kv_rules())
+        client.command(runtime, b"PUT other v2", now=2 * 10**9)
+        client.command(runtime, b"GET k", now=3 * 10**9)
+        runtime.drain_follower()
+        live = runtime.last_forensics
+        assert live is not None and not runtime.in_mve_mode
+
+        path = tmp_path / "buggy.jsonl"
+        recorder.write(str(path))
+        report = replay_file(str(path), against="2.0-buggy")
+        assert report.outcome == "divergence"
+        offline = report.forensics
+        assert (offline.expected, offline.actual) == \
+            (live.expected, live.actual)
+        assert offline.expected_records == live.expected_records
+        assert offline.issued_records == live.issued_records
+        assert (offline.rule_window, offline.rules_fired) == \
+            (live.rule_window, live.rules_fired)
 
     def test_cli_exit_codes(self, kv_stream, tmp_path, capsys):
         assert replay_main([kv_stream]) == 0
