@@ -40,12 +40,12 @@ from repro.analysis.findings import (Finding, LintReport, RULE_METADATA,
                                      Severity)
 from repro.analysis.fleet_lint import lint_fleet_topologies, lint_fleet_topology
 from repro.analysis.paths import audit_paths
-from repro.analysis.prover import ProveResult, certificate_json, prove_app, prove_main
+from repro.analysis.prover import ProveResult, certificate_json, prove_app
 from repro.analysis.rules_lint import lint_rules
 from repro.analysis.sarif import report_to_sarif, sarif_json
 from repro.analysis.transform_audit import audit_transforms, seeded_heap
 from repro.analysis.witness import Witness, compile_witness, replay_witness
-from repro.analysis.cli import lint_main, run_app, run_catalog
+from repro.analysis.cli import run_app, run_catalog
 
 __all__ = [
     "AppConfig",
@@ -58,7 +58,6 @@ __all__ = [
     "certificate_json",
     "compile_witness",
     "prove_app",
-    "prove_main",
     "replay_witness",
     "report_to_sarif",
     "sarif_json",
@@ -70,7 +69,6 @@ __all__ = [
     "lint_fault_plans",
     "lint_fleet_topologies",
     "lint_fleet_topology",
-    "lint_main",
     "lint_rules",
     "load_catalog",
     "run_app",

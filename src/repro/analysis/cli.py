@@ -3,12 +3,9 @@
 Runs all nine mvelint analyzers over an app catalog and prints the
 report in one of three formats (``--format human|json|sarif``; the
 legacy ``--json`` flag is an alias for ``--format json`` and emits
-byte-identical output).  The exit status contract, documented in
-``docs/linting.md`` and relied on by CI:
-
-* **0** — no non-allowlisted ERROR finding;
-* **1** — at least one non-allowlisted ERROR finding;
-* **2** — an analyzer crashed (internal error, not a lint verdict).
+byte-identical output).  Under :mod:`repro.cli`'s exit policy the
+finding (exit 1) is a non-allowlisted ERROR; an analyzer crash is an
+internal error, not a lint verdict, and exits 2.
 
 The symbolic divergence prover (analyzer 8, MVE8xx) performs dynamic
 witness replay and is therefore opt-in for ``lint``: pass ``--prove``
@@ -23,11 +20,11 @@ because a malformed span file cannot be certified hygiene-clean.
 
 from __future__ import annotations
 
-import argparse
 import sys
 from typing import Dict, Iterable, Optional
 
-from repro.analysis.catalog import AppConfig, default_catalog, load_catalog
+from repro import cli
+from repro.analysis.catalog import AppConfig
 from repro.analysis.chaos_lint import lint_fault_plans
 from repro.analysis.coverage import check_coverage
 from repro.analysis.findings import LintReport, Severity
@@ -96,12 +93,10 @@ def run_catalog(catalog: Dict[str, AppConfig],
     return report
 
 
-def lint_main(argv: Optional[Iterable[str]] = None) -> int:
-    """CLI entry point; returns the process exit code (0/1/2)."""
-    parser = argparse.ArgumentParser(
-        prog="python -m repro lint",
-        description="mvelint: statically check rewrite rules, state "
-                    "transformers, and update paths before deploying.")
+def configure(parser) -> None:
+    parser.description = ("mvelint: statically check rewrite rules, state "
+                          "transformers, and update paths before "
+                          "deploying.")
     parser.add_argument("--format", choices=("human", "json", "sarif"),
                         default=None,
                         help="report format (default: human)")
@@ -109,10 +104,7 @@ def lint_main(argv: Optional[Iterable[str]] = None) -> int:
                         help="alias for --format json")
     parser.add_argument("--app", action="append", metavar="APP",
                         help="limit analysis to APP (repeatable)")
-    parser.add_argument("--catalog", metavar="PATH",
-                        help="Python file exposing catalog() -> "
-                             "{name: AppConfig}; defaults to the "
-                             "built-in server catalog")
+    cli.add_shared(parser, "catalog")
     parser.add_argument("--prove", action="store_true",
                         help="also run the MVE8xx symbolic divergence "
                              "prover (slower: replays witnesses "
@@ -120,26 +112,16 @@ def lint_main(argv: Optional[Iterable[str]] = None) -> int:
     parser.add_argument("--spans", metavar="PATH",
                         help="lint a repro-span/1 JSONL span file for "
                              "hygiene (MVE9xx) instead of the catalog")
-    args = parser.parse_args(list(argv) if argv is not None else None)
+
+
+def run(args) -> int:
     if args.format and args.json and args.format != "json":
-        parser.error("--json conflicts with --format " + args.format)
+        raise cli.UsageError("--json conflicts with --format " + args.format)
     fmt = args.format or ("json" if args.json else "human")
 
     if args.spans:
-        return _lint_spans_file(args.spans, fmt, parser)
-
-    if args.catalog:
-        try:
-            catalog = load_catalog(args.catalog)
-        except (OSError, ValueError) as exc:
-            parser.error(f"cannot load catalog {args.catalog!r}: {exc}")
-    else:
-        catalog = default_catalog()
-    if args.app:
-        unknown = [a for a in args.app if a not in catalog]
-        if unknown:
-            parser.error(f"unknown app(s): {', '.join(unknown)} "
-                         f"(catalog has: {', '.join(sorted(catalog))})")
+        return _lint_spans_file(args.spans, fmt)
+    catalog = cli.load_catalog(args, args.app or ())
 
     try:
         report = run_catalog(catalog, args.app, prove=args.prove)
@@ -149,30 +131,21 @@ def lint_main(argv: Optional[Iterable[str]] = None) -> int:
         print(f"mvelint: internal error: {exc!r}", file=sys.stderr)
         return EXIT_CRASH
 
-    if fmt == "json":
-        print(report.to_json())
-    elif fmt == "sarif":
-        from repro.analysis.sarif import sarif_json
-        print(sarif_json(report))
-    else:
-        _print_human(report)
-    return EXIT_FINDINGS if report.has_errors else EXIT_CLEAN
+    return _render(report, fmt)
 
 
-def _lint_spans_file(path: str, fmt: str, parser) -> int:
+def _lint_spans_file(path: str, fmt: str) -> int:
     """Span-hygiene mode: MVE9xx over one repro-span/1 JSONL file."""
     from repro.analysis.trace_lint import lint_span_file
     from repro.obs.spans import validate_span_file
-    try:
-        schema_problems = validate_span_file(path)
-    except OSError as exc:
-        parser.error(f"cannot read span file {path!r}: {exc}")
-    if schema_problems:
-        for problem in schema_problems:
-            print(f"span schema problem: {problem}", file=sys.stderr)
+    if cli.fail(validate_span_file(path), "span schema problem"):
         return EXIT_FINDINGS
     report = LintReport(apps=["spans"])
     report.extend(lint_span_file(path))
+    return _render(report, fmt)
+
+
+def _render(report: LintReport, fmt: str) -> int:
     if fmt == "json":
         print(report.to_json())
     elif fmt == "sarif":

@@ -35,14 +35,14 @@ byte-identical and CI can gate on the file.
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 import json
 import sys
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
-from repro.analysis.catalog import AppConfig, default_catalog, load_catalog
+from repro import cli
+from repro.analysis.catalog import AppConfig
 from repro.analysis.findings import Finding, LintReport, Severity
 from repro.analysis.state_space import (Divergence, Exploration,
                                         explore, fully_modeled,
@@ -293,37 +293,25 @@ def certificate_json(certificate: Dict[str, Any]) -> str:
     return json.dumps(certificate, sort_keys=True, indent=2) + "\n"
 
 
-def prove_main(argv: Optional[Iterable[str]] = None) -> int:
-    """``python -m repro prove APP`` — returns the process exit code
-    (0 clean certificate, 1 blocking findings, 2 internal error)."""
-    parser = argparse.ArgumentParser(
-        prog="python -m repro prove",
-        description="Exhaustively explore an app's cross-version "
-                    "protocol state space, replay divergence witnesses, "
-                    "and emit a repro-proof/1 certificate.")
+def configure(parser) -> None:
+    parser.description = ("Exhaustively explore an app's cross-version "
+                          "protocol state space, replay divergence "
+                          "witnesses, and emit a repro-proof/1 "
+                          "certificate.")
     parser.add_argument("app", help="app name from the catalog")
-    parser.add_argument("--catalog", metavar="PATH",
-                        help="Python file exposing catalog(); defaults "
-                             "to the built-in server catalog")
-    parser.add_argument("--out", metavar="PATH",
-                        help="certificate path (default PROOF_<app>.json;"
-                             " '-' writes to stdout only)")
+    cli.add_shared(parser, "catalog")
+    cli.add_report_path(parser, "--out", "PROOF_<app>.json",
+                        note="; '-' writes to stdout only")
     parser.add_argument("--json", action="store_true",
                         help="also print the certificate JSON to stdout")
     parser.add_argument("--no-replay", action="store_true",
                         help="skip dynamic witness replay (static only)")
-    args = parser.parse_args(list(argv) if argv is not None else None)
 
-    if args.catalog:
-        try:
-            catalog = load_catalog(args.catalog)
-        except (OSError, ValueError) as exc:
-            parser.error(f"cannot load catalog {args.catalog!r}: {exc}")
-    else:
-        catalog = default_catalog()
-    if args.app not in catalog:
-        parser.error(f"unknown app {args.app!r} "
-                     f"(catalog has: {', '.join(sorted(catalog))})")
+
+def run(args) -> int:
+    """``python -m repro prove APP`` — 0 clean certificate, 1 blocking
+    findings, 2 internal error."""
+    catalog = cli.load_catalog(args, [args.app])
 
     try:
         result = prove_app(catalog[args.app], replay=not args.no_replay)
@@ -331,13 +319,12 @@ def prove_main(argv: Optional[Iterable[str]] = None) -> int:
         print(f"prove: internal error: {exc!r}", file=sys.stderr)
         return 2
 
-    rendered = certificate_json(result.certificate)
     out_path = args.out or f"PROOF_{args.app}.json"
     if out_path != "-":
-        with open(out_path, "w", encoding="utf-8") as handle:
-            handle.write(rendered)
+        cli.write_json(out_path, result.certificate, indent=2,
+                       sort_keys=True)
     if args.json or out_path == "-":
-        print(rendered, end="")
+        print(certificate_json(result.certificate), end="")
     else:
         _print_human(result, out_path)
     return 0 if result.ok else 1

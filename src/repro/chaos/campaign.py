@@ -28,8 +28,9 @@ grid → bit-identical JSON, which the regression suite pins.
 
 from __future__ import annotations
 
+import functools
 import random
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.chaos.injector import ChaosInjector, chaos_active
 from repro.chaos.invariants import check_run
@@ -281,18 +282,51 @@ def cell_entry(name: str, cell_plan: FaultPlan, result: ChaosRunResult,
     return entry
 
 
-def _run_golden(record: Optional[str] = None,
-                scenario: str = "kvstore") -> ChaosRunResult:
-    """The fault-free baseline run, optionally recorded to ``record``."""
-    runner = scenario_runner(scenario)
+def _recorded(run: Callable[[], ChaosRunResult], record: Optional[str],
+              scenario: str) -> ChaosRunResult:
+    """``run()`` — captured, when ``record`` is a path, as a
+    ``repro-stream/1`` artifact there."""
     if record is None:
-        return runner()
+        return run()
     from repro.replay.recorder import StreamRecorder, recording
     recorder = StreamRecorder(scenario=scenario)
     with recording(recorder):
-        golden = runner()
+        result = run()
     recorder.write(record)
-    return golden
+    return result
+
+
+def _grid_cells(faults: List[Fault], scenario: str,
+                golden: ChaosRunResult) -> List[Dict[str, Any]]:
+    """One report entry per grid fault, each run as a one-fault plan."""
+    entries = []
+    for fault in faults:
+        name = fault.describe()
+        cell_plan = FaultPlan(name, (fault,))
+        entries.append(cell_entry(name, cell_plan,
+                                  run_cell(cell_plan, scenario), golden))
+    return entries
+
+
+def run_grid_shard(scenario: str, seed: int, oncall_cap: int,
+                   site_calls: Dict[str, int], max_cells: Optional[int],
+                   indices: List[int]) -> List[Dict[str, Any]]:
+    """Pool worker: the grid cells at ``indices``, in that order.
+
+    :class:`Fault` objects are not picklable (predicate triggers,
+    version factories, seeded RNGs are closures and live objects), so a
+    worker never receives faults: it receives this picklable
+    *description* of the grid and regenerates the exact grid locally via
+    :func:`default_grid`, relying on the same determinism the report
+    schema already pins (same seed → same grid).  It also runs its own
+    fault-free golden baseline (a few milliseconds) rather than having
+    one shipped across the process boundary.
+    """
+    golden = scenario_runner(scenario)()
+    grid_faults = default_grid(site_calls, seed,
+                               oncall_cap=oncall_cap)[:max_cells]
+    return _grid_cells([grid_faults[index] for index in indices],
+                       scenario, golden)
 
 
 def run_campaign(scenario: str = "kvstore", *, seed: int = 1,
@@ -307,8 +341,8 @@ def run_campaign(scenario: str = "kvstore", *, seed: int = 1,
     With ``plan`` the campaign runs that single (possibly multi-fault)
     plan as its only cell instead of the generated grid; ``max_cells``
     truncates the grid to a deterministic prefix.  ``workers > 1``
-    shards grid cells across processes (see
-    :mod:`repro.chaos.parallel`); the merged report is byte-identical
+    shards grid cells across processes (:func:`run_grid_shard` under
+    :func:`repro.parallel.map_shards`); the merged report is byte-identical
     to the serial run for the same seed, so the serial path stays the
     golden reference.  ``record`` writes a ``repro-stream/1`` artifact
     of the baseline run — or, with ``plan``, of the faulted run itself,
@@ -320,7 +354,10 @@ def run_campaign(scenario: str = "kvstore", *, seed: int = 1,
         raise SimulationError(f"workers must be >= 1, got {workers}")
     if oncall_cap < 1:
         raise SimulationError(f"oncall-cap must be >= 1, got {oncall_cap}")
-    golden = _run_golden(record if plan is None else None, scenario)
+    if max_cells is not None and max_cells < 1:
+        raise SimulationError(f"max-cells must be >= 1, got {max_cells}")
+    golden = _recorded(scenario_runner(scenario),
+                       record if plan is None else None, scenario)
     golden_problems = check_run(golden.observations, golden.final_table)
     if golden_problems:
         raise SimulationError(
@@ -328,34 +365,23 @@ def run_campaign(scenario: str = "kvstore", *, seed: int = 1,
             + golden_problems[0])
 
     if plan is not None:
-        if record is not None:
-            from repro.replay.recorder import StreamRecorder, recording
-            recorder = StreamRecorder(scenario=scenario)
-            with recording(recorder):
-                result = run_cell(plan, scenario)
-            recorder.write(record)
-        else:
-            result = run_cell(plan, scenario)
+        result = _recorded(functools.partial(run_cell, plan, scenario),
+                           record, scenario)
         grid = [cell_entry(plan.name, plan, result, golden)]
     else:
         site_calls = probe_site_calls(scenario)
-        grid_faults = default_grid(site_calls, seed, oncall_cap=oncall_cap)
-        if max_cells is not None:
-            grid_faults = grid_faults[:max_cells]
+        grid_faults = default_grid(site_calls, seed,
+                                   oncall_cap=oncall_cap)[:max_cells]
         if workers > 1 and len(grid_faults) > 1:
-            from repro.chaos.parallel import run_grid_parallel
-            grid = run_grid_parallel(
-                scenario, seed=seed, oncall_cap=oncall_cap,
-                site_calls=site_calls, n_cells=len(grid_faults),
-                max_cells=max_cells, workers=workers, method=mp_method)
+            # Imported here: a serial campaign should not pay for
+            # loading multiprocessing (1.2 MB on a 22 MB process).
+            from repro.parallel import map_shards
+            grid = map_shards(
+                functools.partial(run_grid_shard, scenario, seed,
+                                  oncall_cap, dict(site_calls), max_cells),
+                len(grid_faults), workers, method=mp_method)
         else:
-            grid = []
-            for fault in grid_faults:
-                name = fault.describe()
-                cell_plan = FaultPlan(name, (fault,))
-                grid.append(cell_entry(name, cell_plan,
-                                       run_cell(cell_plan, scenario),
-                                       golden))
+            grid = _grid_cells(grid_faults, scenario, golden)
 
     tally = {outcome: 0 for outcome in OUTCOMES}
     for entry in grid:

@@ -7,7 +7,7 @@
 
 The report is JSON with schema ``repro-fleet/1`` (see
 ``docs/cluster.md``); stdout carries the topology, the per-round table,
-and the invariant verdict.  Exit status is non-zero when any fleet
+and the invariant verdict.  Exit status is 1 when any fleet
 invariant is violated or the written report fails its own schema
 validation — the CI ``fleet-smoke`` job gates on exactly that.
 
@@ -35,31 +35,24 @@ Without the flag the report is byte-identical to earlier releases.
 
 from __future__ import annotations
 
-import argparse
-import json
-import sys
-from typing import Optional, Sequence
-
+from repro import cli
 from repro.bench.reporting import format_table
-from repro.cluster.fleet import run_fleet_scenario, validate_report
+from repro.cluster.fleet import (fleet_spec, run_fleet_scenario,
+                                 validate_report)
+from repro.obs.trace import tracing
 
 
-def fleet_main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro fleet",
-        description="Canary-staged Mvedsua upgrades across a sharded, "
-                    "replicated fleet.")
+def configure(parser) -> None:
+    parser.description = ("Canary-staged Mvedsua upgrades across a "
+                          "sharded, replicated fleet.")
     parser.add_argument("scenario", choices=["canary-kvstore"],
                         help="which fleet scenario to run")
-    parser.add_argument("--seed", type=int, default=1,
-                        help="traffic seed (default: 1)")
-    parser.add_argument("--shards", type=int, default=3,
-                        help="shard count (default: 3)")
-    parser.add_argument("--replicas", type=int, default=3,
-                        help="replicas per shard (default: 3)")
-    parser.add_argument("--report", metavar="PATH",
-                        help="where to write the JSON report (default: "
-                             "FLEET_<scenario>.json)")
+    cli.add_shared(parser, "seed")
+    parser.add_argument("--shards", type=cli.positive_int, default=3,
+                        help="shard count (default: %(default)s)")
+    parser.add_argument("--replicas", type=cli.positive_int, default=3,
+                        help="replicas per shard (default: %(default)s)")
+    cli.add_report_path(parser, "--report", "FLEET_kvstore.json")
     parser.add_argument("--slo", action="store_true",
                         help="trace the run with spans, embed a "
                              "repro-slo/1 section under the report's "
@@ -77,31 +70,34 @@ def fleet_main(argv: Optional[Sequence[str]] = None) -> int:
                              "crosses a declared link as repro-ring/1 "
                              "frames, and the report grows a "
                              "'distring' wire-telemetry section")
-    args = parser.parse_args(argv)
 
-    collector = None
+
+def run(args) -> int:
+    unusable = fleet_spec(args.shards, args.replicas,
+                          distributed=args.distributed).problems()
+    if unusable:
+        raise cli.UsageError("unusable fleet topology: "
+                             + "; ".join(unusable))
+
+    tracer = None
     if args.slo:
-        from repro.obs.slo import build_slo_report, collect_cell
-        from repro.obs.slo_scenarios import SLO_SPECS
-        from repro.obs.trace import Tracer, tracing
-        spec = SLO_SPECS[args.scenario]
+        from repro.obs.trace import Tracer
         tracer = Tracer(experiment=f"fleet-{args.scenario}", spans=True)
-        with tracing(tracer):
-            report = run_fleet_scenario(args.scenario, args.seed,
-                                        shards=args.shards,
-                                        replicas=args.replicas,
-                                        openloop=args.openloop,
-                                        distributed=args.distributed)
-        collector = tracer.spans
-        cell = collect_cell(collector, args.scenario, spec)
-        report["slo"] = build_slo_report(args.scenario, args.seed,
-                                         spec, [cell])
-    else:
+    with tracing(tracer):
         report = run_fleet_scenario(args.scenario, args.seed,
                                     shards=args.shards,
                                     replicas=args.replicas,
                                     openloop=args.openloop,
                                     distributed=args.distributed)
+    collector = None
+    if tracer is not None:
+        from repro.obs.slo import build_slo_report, collect_cell
+        from repro.obs.slo_scenarios import SLO_SPECS
+        spec = SLO_SPECS[args.scenario]
+        collector = tracer.spans
+        cell = collect_cell(collector, args.scenario, spec)
+        report["slo"] = build_slo_report(args.scenario, args.seed,
+                                         spec, [cell])
 
     topology = report["topology"]
     print(f"fleet scenario: {args.scenario} "
@@ -168,9 +164,7 @@ def fleet_main(argv: Optional[Sequence[str]] = None) -> int:
 
     suffix = args.scenario.split("-")[-1]
     path = args.report or f"FLEET_{suffix}.json"
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(report, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    cli.write_json(path, report, indent=2, sort_keys=True)
     print(f"\nwrote report: {path}")
 
     problems = validate_report(report)
@@ -178,9 +172,8 @@ def fleet_main(argv: Optional[Sequence[str]] = None) -> int:
         from repro.obs.slo import validate_slo_report
         problems += [f"slo: {p}"
                      for p in validate_slo_report(report["slo"])]
-    for problem in problems:
-        print(f"  report problem: {problem}", file=sys.stderr)
-    return 1 if violations or problems else 0
+    malformed = cli.fail(problems, "report problem")
+    return 1 if violations or malformed else 0
 
 
 def _round_availability(collector, start: int, finish: int, *,
@@ -215,7 +208,3 @@ def _round_availability(collector, start: int, finish: int, *,
         if span.attrs.get("answered", True) and not span.attrs.get("error"):
             answered += 1
     return total, answered
-
-
-if __name__ == "__main__":
-    sys.exit(fleet_main())

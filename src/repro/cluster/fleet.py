@@ -231,6 +231,14 @@ def _pair_placement(spec: FleetSpec, shard_map: ShardMap) -> Dict[str, str]:
     return placement
 
 
+def fleet_spec(shards: int, replicas: int, *,
+               distributed: bool = False) -> FleetSpec:
+    """The topology :func:`run_fleet_scenario` stands up."""
+    return FleetSpec(shards, replicas, wave_size=1,
+                     cross_node_pairs=distributed,
+                     ring_link=DEFAULT_FLEET_LINK if distributed else None)
+
+
 def run_fleet_scenario(scenario: str = "canary-kvstore", seed: int = 1, *,
                        shards: int = 3, replicas: int = 3,
                        sessions: int = 4, commands: int = 36,
@@ -255,9 +263,7 @@ def run_fleet_scenario(scenario: str = "canary-kvstore", seed: int = 1, *,
     ``distring`` section with the wire telemetry (again, only in that
     mode — the default report stays byte-identical).
     """
-    spec = FleetSpec(shards, replicas, wave_size=1,
-                     cross_node_pairs=distributed,
-                     ring_link=DEFAULT_FLEET_LINK if distributed else None)
+    spec = fleet_spec(shards, replicas, distributed=distributed)
     kernel, shard_map, balancer = build_kv_fleet(spec)
     orchestrator = FleetOrchestrator(balancer, spec,
                                      rules=kv_rules_from_dsl(),

@@ -18,51 +18,39 @@ leader's syscall stream as a ``repro-stream/1`` artifact that
 
 from __future__ import annotations
 
-import argparse
-from typing import Iterable, Optional
-
+from repro import cli
 from repro.bench.reporting import format_table
 from repro.obs.scenarios import TRACE_SCENARIOS, run_trace_scenario
-from repro.obs.trace import DEFAULT_LAST_K, validate_trace_file
+from repro.obs.trace import (DEFAULT_LAST_K, TRACE_SCHEMA,
+                             validate_trace_file)
 from repro.replay.recorder import StreamRecorder, recording
 
 
-def trace_main(argv: Optional[Iterable[str]] = None) -> int:
-    """CLI entry point; returns the process exit code."""
-    parser = argparse.ArgumentParser(
-        prog="python -m repro trace",
-        description="Run an experiment's semantic companion under the "
-                    "tracer and write a structured JSONL trace.")
+def configure(parser) -> None:
+    parser.description = ("Run an experiment's semantic companion under "
+                          "the tracer and write a structured JSONL trace.")
     parser.add_argument("experiment", choices=sorted(TRACE_SCENARIOS),
                         help="which experiment's companion scenario to run")
-    parser.add_argument("--out", metavar="PATH",
-                        help="trace output path "
-                             "(default: TRACE_<experiment>.jsonl)")
-    parser.add_argument("--quick", action="store_true",
-                        help="run a reduced workload (CI smoke)")
-    parser.add_argument("--check", action="store_true",
-                        help="validate the written JSONL against the "
-                             "trace schema; non-zero exit on problems")
-    parser.add_argument("--last-k", type=int, default=DEFAULT_LAST_K,
-                        metavar="K",
+    cli.add_report_path(parser, "--out", "TRACE_<experiment>.jsonl")
+    cli.add_shared(parser, "quick", "check")
+    parser.add_argument("--last-k", type=cli.non_negative_int,
+                        default=DEFAULT_LAST_K, metavar="K",
                         help="ring records kept for divergence forensics "
                              "(default: %(default)s)")
     parser.add_argument("--record", metavar="PATH",
                         help="also record the leader's syscall stream as "
                              "a repro-stream/1 artifact at PATH (replay "
                              "it with 'python -m repro replay PATH')")
-    args = parser.parse_args(list(argv) if argv is not None else None)
 
+
+def run(args) -> int:
     recorder = (StreamRecorder(scenario=args.experiment)
                 if args.record else None)
-    if recorder is not None:
-        with recording(recorder):
-            tracer = run_trace_scenario(args.experiment, quick=args.quick,
-                                        last_k=args.last_k)
-        recorder.write(args.record)
-    else:
+    with recording(recorder):
         tracer = run_trace_scenario(args.experiment, quick=args.quick,
                                     last_k=args.last_k)
+    if recorder is not None:
+        recorder.write(args.record)
     out = args.out or f"TRACE_{args.experiment}.jsonl"
     tracer.write_jsonl(out)
 
@@ -88,12 +76,7 @@ def trace_main(argv: Optional[Iterable[str]] = None) -> int:
         print(bundle.summary())
 
     if args.check:
-        problems = validate_trace_file(out)
-        if problems:
-            for problem in problems:
-                print(f"schema problem: {problem}")
-            return 1
-        print(f"schema ok: {out} is valid {_schema_id()}")
+        return cli.check_verdict(validate_trace_file(out), out, TRACE_SCHEMA)
     return 0
 
 
@@ -101,12 +84,3 @@ def _render_metric(value) -> str:
     if isinstance(value, dict):
         return " ".join(f"{k}={v}" for k, v in sorted(value.items()))
     return str(value)
-
-
-def _schema_id() -> str:
-    from repro.obs.trace import TRACE_SCHEMA
-    return TRACE_SCHEMA
-
-
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(trace_main())

@@ -14,17 +14,14 @@ pass/fail checks, and critical-path attributions for the worst
 SLO-violating requests.  The schema is documented in
 ``docs/observability.md``.
 
-Exit codes: 0 on success (SLO violations are *findings*, not errors),
-1 when ``--check`` finds schema problems or the spec itself is
-malformed, 2 on unknown scenarios.
+SLO violations are reported in the tables, not through the exit
+status: under :mod:`repro.cli`'s policy 1 means ``--check`` found
+schema problems or the spec itself is malformed.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-from typing import Iterable, Optional
-
+from repro import cli
 from repro.bench.reporting import format_table
 from repro.obs.slo import SLO_SCHEMA, validate_slo_report
 from repro.obs.slo_scenarios import (
@@ -33,50 +30,30 @@ from repro.obs.slo_scenarios import (
     run_slo_scenario,
 )
 from repro.obs.trace import Tracer, tracing
-from repro.replay.parallel import resolve_workers
 
 
-def slo_main(argv: Optional[Iterable[str]] = None) -> int:
-    """CLI entry point; returns the process exit code."""
-    parser = argparse.ArgumentParser(
-        prog="python -m repro slo",
-        description="Run an SLO scenario under span tracing and write "
-                    "a repro-slo/1 report with per-phase percentiles "
-                    "and critical-path attributions.")
+def configure(parser) -> None:
+    parser.description = ("Run an SLO scenario under span tracing and "
+                          "write a repro-slo/1 report with per-phase "
+                          "percentiles and critical-path attributions.")
     parser.add_argument("scenario", choices=sorted(SLO_SCENARIOS),
                         help="which SLO scenario to run")
-    parser.add_argument("--out", metavar="PATH",
-                        help="report output path "
-                             "(default: SLO_<scenario>.json)")
-    parser.add_argument("--seed", type=int, default=1,
-                        help="scenario seed (default: %(default)s)")
-    parser.add_argument("--quick", action="store_true",
-                        help="run a reduced workload (CI smoke)")
-    parser.add_argument("--workers", type=resolve_workers, default="1",
-                        metavar="N",
-                        help="worker processes ('auto' = one per CPU); "
-                             "the report is byte-identical at any count")
-    parser.add_argument("--check", action="store_true",
-                        help="validate the report against repro-slo/1; "
-                             "non-zero exit on problems")
+    cli.add_report_path(parser, "--out", "SLO_<scenario>.json")
+    cli.add_shared(parser, "seed", "quick", "workers", "check")
     parser.add_argument("--spans", metavar="PATH",
                         help="also write the first cell's spans as a "
                              "repro-span/1 JSONL file at PATH")
-    args = parser.parse_args(list(argv) if argv is not None else None)
 
+
+def run(args) -> int:
     spec = SLO_SPECS[args.scenario]
-    spec_problems = spec.problems()
-    if spec_problems:
-        for problem in spec_problems:
-            print(f"slo spec problem: {problem}")
+    if cli.fail(spec.problems(), "slo spec problem"):
         return 1
 
     report = run_slo_scenario(args.scenario, seed=args.seed,
                               quick=args.quick, workers=args.workers)
     out = args.out or f"SLO_{args.scenario}.json"
-    with open(out, "w", encoding="utf-8") as handle:
-        json.dump(report, handle, indent=1, sort_keys=False)
-        handle.write("\n")
+    cli.write_json(out, report, indent=1, sort_keys=False)
 
     if args.spans:
         _dump_spans(args.scenario, args.seed, args.quick, args.spans)
@@ -86,12 +63,8 @@ def slo_main(argv: Optional[Iterable[str]] = None) -> int:
     print(render_report(report))
 
     if args.check:
-        problems = validate_slo_report(report)
-        if problems:
-            for problem in problems:
-                print(f"schema problem: {problem}")
-            return 1
-        print(f"schema ok: {out} is valid {SLO_SCHEMA}")
+        return cli.check_verdict(validate_slo_report(report), out,
+                                 SLO_SCHEMA)
     return 0
 
 
@@ -144,7 +117,3 @@ def _exact(value) -> object:
     if isinstance(value, float):
         return f"{value:.4f}".rstrip("0").rstrip(".")
     return value
-
-
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(slo_main())

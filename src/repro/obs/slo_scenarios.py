@@ -22,11 +22,12 @@ lands inside request windows and the attribution engine has real
 
 from __future__ import annotations
 
+import functools
 from typing import Any, Callable, Dict, List, Tuple
 
 from repro.obs.slo import SloSpec, build_slo_report, collect_cell
 from repro.obs.trace import Tracer, tracing
-from repro.replay.parallel import run_sharded, shard_round_robin
+from repro.parallel import map_items
 
 #: Virtual-time latency budgets per scenario.  The p99 budget doubles
 #: as the per-request budget: a kvstore round trip costs tens of µs, a
@@ -174,15 +175,6 @@ def run_slo_cell(scenario: str, cell_index: int, seed: int,
     return collect_cell(tracer.spans, name, SLO_SPECS[scenario])
 
 
-def _run_shard(args: Tuple[str, List[int], int, bool]
-               ) -> List[Tuple[int, Dict[str, Any]]]:
-    """Pool worker: run a shard's cells serially, tagged with their
-    original indices so the parent can merge in cell order."""
-    scenario, indices, seed, quick = args
-    return [(index, run_slo_cell(scenario, index, seed, quick))
-            for index in indices]
-
-
 def run_slo_scenario(name: str, *, seed: int = 1, quick: bool = False,
                      workers: int = 1) -> Dict[str, Any]:
     """Run every cell of scenario ``name``; returns the ``repro-slo/1``
@@ -192,10 +184,7 @@ def run_slo_scenario(name: str, *, seed: int = 1, quick: bool = False,
     except KeyError:
         raise KeyError(f"unknown slo scenario {name!r} "
                        f"(have: {', '.join(sorted(SLO_SCENARIOS))})")
-    shards = shard_round_robin(len(cells), workers)
-    shard_args = [(name, indices, seed, quick) for indices in shards]
-    results = run_sharded(_run_shard, shard_args, workers)
-    indexed = [pair for shard in results for pair in shard]
-    indexed.sort(key=lambda pair: pair[0])
-    summaries = [summary for _, summary in indexed]
+    summaries = map_items(
+        functools.partial(run_slo_cell, name, seed=seed, quick=quick),
+        len(cells), workers)
     return build_slo_report(name, seed, SLO_SPECS[name], summaries)

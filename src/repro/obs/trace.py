@@ -327,13 +327,14 @@ def current_tracer() -> Optional[Tracer]:
 
 
 class tracing:
-    """Context manager: install a tracer for the duration of a block."""
+    """Context manager: install a tracer for the duration of a block
+    (``None``: the block runs with no tracer installed)."""
 
-    def __init__(self, tracer: Tracer) -> None:
+    def __init__(self, tracer: Optional[Tracer]) -> None:
         self.tracer = tracer
         self._previous: Optional[Tracer] = None
 
-    def __enter__(self) -> Tracer:
+    def __enter__(self) -> Optional[Tracer]:
         global _ACTIVE
         self._previous = _ACTIVE
         _ACTIVE = self.tracer

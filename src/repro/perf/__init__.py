@@ -16,8 +16,7 @@ schema ``scenario -> {wall_s, vreq_per_s, syscalls_per_s}``; see
 """
 
 from repro.perf.diff import diff_bench
-from repro.perf.harness import (BenchResult, run_scenarios, validate_bench,
-                                write_bench_json)
+from repro.perf.harness import BenchResult, run_scenarios, validate_bench
 from repro.perf.scenarios import SCENARIOS, Scenario, rule_heavy_catalog
 
 __all__ = [
@@ -28,5 +27,4 @@ __all__ = [
     "rule_heavy_catalog",
     "run_scenarios",
     "validate_bench",
-    "write_bench_json",
 ]

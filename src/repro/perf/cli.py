@@ -20,41 +20,40 @@ from __future__ import annotations
 
 import argparse
 import json
-import sys
-from typing import Iterable, Optional
 
+from repro import cli
 from repro.bench.reporting import format_table
 from repro.perf.diff import DEFAULT_TOLERANCE, diff_bench, format_diff
-from repro.perf.harness import (run_scenarios, to_bench_dict, validate_bench,
-                                write_bench_json)
+from repro.perf.harness import run_scenarios, to_bench_dict, validate_bench
 from repro.perf.scenarios import SCENARIOS
-from repro.replay.parallel import resolve_workers
 
 
-def perf_main(argv: Optional[Iterable[str]] = None) -> int:
-    """CLI entry point; returns the process exit code."""
-    parser = argparse.ArgumentParser(
-        prog="python -m repro perf",
-        description="Wall-clock benchmark of the MVE simulator hot paths.")
-    parser.add_argument("--quick", action="store_true",
-                        help="run 1/5th of each scenario's default ops")
+def _fraction(text: str) -> float:
+    """argparse ``type=`` of ``--tolerance``: strictly inside (0, 1)."""
+    value = float(text)
+    if not 0 < value < 1:
+        raise argparse.ArgumentTypeError(f"must be in (0, 1), got {value}")
+    return value
+
+
+def configure(parser) -> None:
+    parser.description = ("Wall-clock benchmark of the MVE simulator hot "
+                          "paths.")
+    cli.add_shared(parser, "quick")
     parser.add_argument("--json", action="store_true",
-                        help="write BENCH_perf.json next to the cwd")
-    parser.add_argument("--out", metavar="PATH", default="BENCH_perf.json",
-                        help="where --json writes (default: %(default)s)")
+                        help="write the repro-perf/4 report")
+    cli.add_report_path(parser, "--out", "BENCH_perf.json",
+                        note="; only with --json")
     parser.add_argument("--scenario", action="append", metavar="NAME",
                         choices=sorted(SCENARIOS),
                         help="run only NAME (repeatable); choices: "
                              + ", ".join(sorted(SCENARIOS)))
-    parser.add_argument("--ops", type=int, metavar="N",
+    parser.add_argument("--ops", type=cli.positive_int, metavar="N",
                         help="override every scenario's operation count")
-    parser.add_argument("--repeat", type=int, default=1, metavar="K",
+    parser.add_argument("--repeat", type=cli.positive_int, default=1,
+                        metavar="K",
                         help="run each scenario K times, keep the fastest")
-    parser.add_argument("--workers", type=resolve_workers, default="1",
-                        metavar="N|auto",
-                        help="shard scenarios across N processes ('auto' = "
-                             "one per CPU; default: 1). Gauges and report "
-                             "shape are identical to a serial run")
+    cli.add_shared(parser, "workers")
     parser.add_argument("--slo", action="store_true",
                         help="print the per-scenario virtual-time "
                              "latency percentile table (the "
@@ -62,18 +61,17 @@ def perf_main(argv: Optional[Iterable[str]] = None) -> int:
     parser.add_argument("--diff", metavar="BASELINE",
                         help="compare against a committed BENCH_perf.json; "
                              "exit 1 on gauge drift or rate regression")
-    parser.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE,
-                        metavar="F",
+    parser.add_argument("--tolerance", type=_fraction,
+                        default=DEFAULT_TOLERANCE, metavar="F",
                         help="allowed fractional vreq_per_s drop before "
                              "--diff fails (default: %(default)s)")
-    args = parser.parse_args(list(argv) if argv is not None else None)
 
-    workers = args.workers
-    if not 0 < args.tolerance < 1:
-        parser.error(f"--tolerance must be in (0, 1), got {args.tolerance}")
+
+def run(args) -> int:
+    baseline = _load_baseline(args.diff) if args.diff else None
 
     results = run_scenarios(args.scenario, quick=args.quick, ops=args.ops,
-                            repeat=args.repeat, workers=workers)
+                            repeat=args.repeat, workers=args.workers)
     print("repro perf: virtual requests simulated per wall-clock second")
     print(format_table(
         ["scenario", "ops", "wall s", "vreq/s", "syscalls/s",
@@ -99,23 +97,15 @@ def perf_main(argv: Optional[Iterable[str]] = None) -> int:
             print("no selected scenario reports latency percentiles")
 
     exit_code = 0
-    payload = to_bench_dict(results, quick=args.quick, workers=workers)
+    payload = to_bench_dict(results, quick=args.quick,
+                            workers=args.workers)
     if args.json:
-        write_bench_json(results, args.out, quick=args.quick,
-                         workers=workers)
-        print(f"wrote {args.out}")
-        for problem in validate_bench(payload):
-            print(f"  bench problem: {problem}", file=sys.stderr)
-            exit_code = 1
+        out = args.out or "BENCH_perf.json"
+        cli.write_json(out, payload, indent=2, sort_keys=True)
+        print(f"wrote {out}")
+        exit_code = cli.fail(validate_bench(payload), "bench problem")
 
-    if args.diff:
-        try:
-            with open(args.diff, encoding="utf-8") as handle:
-                baseline = json.load(handle)
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"cannot read baseline {args.diff}: {exc}",
-                  file=sys.stderr)
-            return 2
+    if baseline is not None:
         deltas = diff_bench(payload, baseline, tolerance=args.tolerance)
         print(f"\ndiff vs {args.diff} (tolerance {args.tolerance}):")
         print(format_diff(deltas))
@@ -128,5 +118,18 @@ def perf_main(argv: Optional[Iterable[str]] = None) -> int:
     return exit_code
 
 
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(perf_main())
+def _load_baseline(path: str) -> dict:
+    """The ``--diff`` baseline, refused before any scenario runs unless
+    it is a well-formed repro-perf/4 report: a truncated or wrong file
+    must not green-light a regression."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            baseline = json.load(handle)
+    except json.JSONDecodeError as exc:
+        raise cli.UsageError(f"cannot read baseline {path}: {exc}") from None
+    problems = (validate_bench(baseline) if isinstance(baseline, dict)
+                else ["not a JSON object"])
+    if problems:
+        raise cli.UsageError(f"unusable baseline {path}: "
+                             + "; ".join(problems))
+    return baseline

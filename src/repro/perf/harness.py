@@ -1,4 +1,4 @@
-"""Timing harness and BENCH_perf.json writer for ``repro perf``.
+"""Timing harness and BENCH_perf.json payload for ``repro perf``.
 
 Wall-clock numbers are machine-dependent; the value of this file is the
 *trajectory*: the same scenarios, run on the same machine across PRs,
@@ -21,13 +21,14 @@ gauge and every key is identical.
 
 from __future__ import annotations
 
-import json
+import functools
 import os
 import platform
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional
 
+from repro.parallel import map_items
 from repro.perf.scenarios import SCENARIOS, Scenario
 
 #: BENCH_perf.json schema identifier (bump on shape changes).
@@ -97,30 +98,16 @@ def run_scenario(scenario: Scenario, ops: int, *,
     return best
 
 
-def _scenario_ops(name: str, *, quick: bool, ops: Optional[int]) -> int:
-    """The operation count one scenario runs at, resolving --quick/--ops.
-    Shared by the serial loop and the shard workers so both run the
-    scenarios identically."""
+def _run_selected(selected: List[str], ops: Optional[int], quick: bool,
+                  repeat: int, index: int) -> BenchResult:
+    """Run ``selected[index]`` at the operation count --quick/--ops
+    resolve to.  Top-level, with plain-data arguments and a plain-data
+    BenchResult, so it crosses the process boundary intact."""
+    name = selected[index]
     n = ops if ops is not None else SCENARIOS[name].default_ops
     if quick and ops is None:
         n = max(1, n // 5)
-    return n
-
-
-def run_shard(args: Tuple[List[Tuple[int, str]], Optional[int], bool, int]) \
-        -> List[Tuple[int, BenchResult]]:
-    """Run one worker's scenarios; returns ``(index, result)`` pairs.
-
-    Top-level by design: multiprocessing's spawn start method pickles
-    the worker function by qualified name, and BenchResult (plain
-    str/int/float fields) crosses the process boundary intact.
-    """
-    indexed_names, ops, quick, repeat = args
-    out: List[Tuple[int, BenchResult]] = []
-    for index, name in indexed_names:
-        n = _scenario_ops(name, quick=quick, ops=ops)
-        out.append((index, run_scenario(SCENARIOS[name], n, repeat=repeat)))
-    return out
+    return run_scenario(SCENARIOS[name], n, repeat=repeat)
 
 
 def run_scenarios(names: Optional[Iterable[str]] = None, *,
@@ -130,7 +117,7 @@ def run_scenarios(names: Optional[Iterable[str]] = None, *,
     """Run the named scenarios (default: all, in registry order).
 
     ``workers > 1`` shards the scenario list across processes; the
-    result list is reordered to the requested order, so only wall-clock
+    result list comes back in the requested order, so only wall-clock
     fields can differ from a serial run.
     """
     selected = list(names) if names else list(SCENARIOS)
@@ -140,20 +127,9 @@ def run_scenarios(names: Optional[Iterable[str]] = None, *,
                        f"(have: {', '.join(SCENARIOS)})")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    if workers > 1 and len(selected) > 1:
-        from repro.replay.parallel import run_sharded, shard_round_robin
-        shards = shard_round_robin(len(selected), workers)
-        shard_args = [([(i, selected[i]) for i in shard], ops, quick, repeat)
-                      for shard in shards]
-        shard_results = run_sharded(run_shard, shard_args, workers,
-                                    method=mp_method)
-        indexed = [pair for shard in shard_results for pair in shard]
-        indexed.sort(key=lambda pair: pair[0])
-        return [result for _, result in indexed]
-    return [run_scenario(SCENARIOS[name],
-                         _scenario_ops(name, quick=quick, ops=ops),
-                         repeat=repeat)
-            for name in selected]
+    return map_items(
+        functools.partial(_run_selected, selected, ops, quick, repeat),
+        len(selected), workers, method=mp_method)
 
 
 def to_bench_dict(results: List[BenchResult], *, quick: bool = False,
@@ -217,12 +193,3 @@ def validate_bench(payload: Dict) -> List[str]:
         if isinstance(ops, dict) and name not in ops:
             problems.append(f"_meta.ops missing {name!r}")
     return problems
-
-
-def write_bench_json(results: List[BenchResult], path: str, *,
-                     quick: bool = False, workers: int = 1) -> None:
-    """Write BENCH_perf.json (sorted keys, trailing newline)."""
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(to_bench_dict(results, quick=quick, workers=workers),
-                  handle, indent=2, sort_keys=True)
-        handle.write("\n")

@@ -6,12 +6,10 @@ process-wide recorder (:mod:`repro.replay.recorder`) claimed by the
 first MVE runtime, and re-drives candidate versions against recordings
 offline (:mod:`repro.replay.engine`) — shadow testing of updates
 against captured traffic, plus time-travel forensics for divergences.
-:mod:`repro.replay.parallel` holds the shared multiprocessing machinery
-the chaos and perf campaigns use to shard work across workers.
 
 Only the stream format and the recorder are imported here: the MVE
 runtime hooks the recorder at construction time, so this package's
-import-time footprint must stay cycle-free (engine/apps/parallel import
+import-time footprint must stay cycle-free (engine/apps import
 servers and rules and are pulled in lazily by the CLIs).
 """
 

@@ -13,21 +13,18 @@ stream or an unknown app/version.  See ``docs/replay.md``.
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
-from typing import List, Optional
 
+from repro import cli
 from repro.replay.apps import ReplayAppError, replay_app
 from repro.replay.engine import replay_stream
 from repro.replay.stream import StreamError, read_stream, validate_stream_file
 
 
-def replay_main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro replay",
-        description="Replay a candidate version against a recorded "
-                    "syscall stream (repro-stream/1).")
+def configure(parser) -> None:
+    parser.description = ("Replay a candidate version against a recorded "
+                          "syscall stream (repro-stream/1).")
     parser.add_argument("stream", metavar="STREAM",
                         help="path to a recorded stream artifact")
     parser.add_argument("--against", metavar="VERSION",
@@ -35,33 +32,29 @@ def replay_main(argv: Optional[List[str]] = None) -> int:
                              "version the stream was recorded from)")
     parser.add_argument("--json", action="store_true", dest="as_json",
                         help="print the replay report as JSON")
-    parser.add_argument("--out", metavar="PATH",
-                        help="also write the replay report JSON to PATH")
+    cli.add_report_path(parser, "--out", None)
     parser.add_argument("--validate", action="store_true",
                         help="only validate the stream artifact and exit")
-    args = parser.parse_args(argv)
 
+
+def run(args) -> int:
     if args.validate:
-        problems = validate_stream_file(args.stream)
-        for problem in problems:
-            print(f"invalid stream: {problem}", file=sys.stderr)
-        if not problems:
-            print(f"{args.stream}: valid repro-stream/1")
-        return 2 if problems else 0
+        if cli.fail(validate_stream_file(args.stream), "invalid stream"):
+            return 2
+        print(f"{args.stream}: valid repro-stream/1")
+        return 0
 
     try:
         stream = read_stream(args.stream)
         app = replay_app(stream.app)
         report = replay_stream(stream, against=args.against, app=app)
-    except (OSError, StreamError, ReplayAppError) as exc:
+    except (StreamError, ReplayAppError) as exc:
         print(f"replay failed: {exc}", file=sys.stderr)
         return 2
 
     payload = report.as_dict()
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+        cli.write_json(args.out, payload, indent=2, sort_keys=True)
     if args.as_json:
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
@@ -91,7 +84,3 @@ def replay_main(argv: Optional[List[str]] = None) -> int:
         if args.out:
             print(f"wrote report: {args.out}")
     return 0 if report.ok else 1
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(replay_main())

@@ -170,13 +170,14 @@ def current_recorder() -> Optional[StreamRecorder]:
 
 
 class recording:
-    """Context manager: install a recorder for the duration of a block."""
+    """Context manager: install a recorder for the duration of a block
+    (``None``: the block runs with no recorder installed)."""
 
-    def __init__(self, recorder: StreamRecorder) -> None:
+    def __init__(self, recorder: Optional[StreamRecorder]) -> None:
         self.recorder = recorder
         self._previous: Optional[StreamRecorder] = None
 
-    def __enter__(self) -> StreamRecorder:
+    def __enter__(self) -> Optional[StreamRecorder]:
         global _ACTIVE
         self._previous = _ACTIVE
         _ACTIVE = self.recorder

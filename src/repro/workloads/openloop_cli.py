@@ -15,17 +15,14 @@ throughput, p50/p99/p999, upgrade-window percentiles, and the
 coordinated-omission contrast checks.  The schema is documented in
 ``docs/workloads.md``.
 
-Exit codes: 0 on success (a failed contrast check is a *finding*,
-reported in the table, not an error), 1 when ``--check`` finds schema
-problems or the scenario's spec is malformed, 2 on unknown scenarios.
+A failed contrast check is reported in the table, not through the
+exit status: under :mod:`repro.cli`'s policy 1 means ``--check`` found
+schema problems or the scenario's spec is malformed.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-from typing import Iterable, Optional
-
+from repro import cli
 from repro.bench.reporting import format_table
 from repro.workloads.openloop_scenarios import (
     OPENLOOP_SCHEMA,
@@ -34,44 +31,25 @@ from repro.workloads.openloop_scenarios import (
     scenario_spec,
     validate_openloop_report,
 )
-from repro.replay.parallel import resolve_workers
 
 
-def openloop_main(argv: Optional[Iterable[str]] = None) -> int:
-    """CLI entry point; returns the process exit code."""
-    parser = argparse.ArgumentParser(
-        prog="python -m repro openloop",
-        description="Drive an open-loop (coordinated-omission-free) "
-                    "workload through native, MVE, restart-DSU, and "
-                    "Mvedsua upgrade waves and write a repro-openloop/1 "
-                    "report.")
+def configure(parser) -> None:
+    parser.description = ("Drive an open-loop (coordinated-omission-free) "
+                          "workload through native, MVE, restart-DSU, and "
+                          "Mvedsua upgrade waves and write a "
+                          "repro-openloop/1 report.")
     parser.add_argument("scenario", choices=sorted(OPENLOOP_SPECS),
                         help="which open-loop scenario to run")
-    parser.add_argument("--out", metavar="PATH",
-                        help="report output path "
-                             "(default: OPENLOOP_<scenario>.json)")
-    parser.add_argument("--seed", type=int, default=1,
-                        help="workload seed (default: %(default)s)")
-    parser.add_argument("--quick", action="store_true",
-                        help="run a reduced workload (CI smoke)")
-    parser.add_argument("--workers", type=resolve_workers, default="1",
-                        metavar="N",
-                        help="worker processes ('auto' = one per CPU); "
-                             "the report is byte-identical at any count")
-    parser.add_argument("--check", action="store_true",
-                        help="validate the report against "
-                             "repro-openloop/1; non-zero exit on "
-                             "problems")
+    cli.add_report_path(parser, "--out", "OPENLOOP_<scenario>.json")
+    cli.add_shared(parser, "seed", "quick", "workers", "check")
     parser.add_argument("--slo", action="store_true",
                         help="also embed a full repro-slo/1 section "
                              "under the report's 'slo_report' key")
-    args = parser.parse_args(list(argv) if argv is not None else None)
 
+
+def run(args) -> int:
     spec = scenario_spec(args.scenario, args.quick)
-    spec_problems = spec.problems()
-    if spec_problems:
-        for problem in spec_problems:
-            print(f"load spec problem: {problem}")
+    if cli.fail(spec.problems(), "load spec problem"):
         return 1
 
     report = run_openloop_scenario(args.scenario, seed=args.seed,
@@ -85,9 +63,7 @@ def openloop_main(argv: Optional[Iterable[str]] = None) -> int:
             args.scenario, args.seed, slo_spec, cells)
 
     out = args.out or f"OPENLOOP_{args.scenario}.json"
-    with open(out, "w", encoding="utf-8") as handle:
-        json.dump(report, handle, indent=1, sort_keys=False)
-        handle.write("\n")
+    cli.write_json(out, report, indent=1, sort_keys=False)
 
     total = sum(row["requests"] for row in report["cells"])
     print(f"repro openloop {args.scenario}: {total} requests over "
@@ -108,11 +84,7 @@ def openloop_main(argv: Optional[Iterable[str]] = None) -> int:
             from repro.obs.slo import validate_slo_report
             problems += [f"slo_report: {p}" for p in
                          validate_slo_report(report["slo_report"])]
-        if problems:
-            for problem in problems:
-                print(f"schema problem: {problem}")
-            return 1
-        print(f"schema ok: {out} is valid {OPENLOOP_SCHEMA}")
+        return cli.check_verdict(problems, out, OPENLOOP_SCHEMA)
     return 0
 
 
@@ -135,7 +107,3 @@ def render_report(report: dict) -> str:
         [[check["check"], "ok" if check["ok"] else "VIOLATED"]
          for check in report["checks"]]))
     return "\n\n".join(sections)
-
-
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(openloop_main())

@@ -41,12 +41,13 @@ shards cells across workers exactly like the SLO/chaos runners and the
 
 from __future__ import annotations
 
+import functools
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.obs.metrics import Histogram
 from repro.obs.slo import SloSpec, collect_cell
 from repro.obs.trace import Tracer, tracing
-from repro.replay.parallel import run_sharded, shard_round_robin
+from repro.parallel import map_items
 from repro.workloads.openloop import (LoadSpec, OpenLoopGenerator,
                                       format_request)
 
@@ -502,15 +503,6 @@ def validate_openloop_report(report: Dict[str, Any]) -> List[str]:
 # Sharded execution (byte-identical at any worker count)
 # ---------------------------------------------------------------------------
 
-def _run_shard(args: Tuple[str, List[int], int, bool]
-               ) -> List[Tuple[int, Dict[str, Any]]]:
-    """Pool worker: run a shard's cells serially, tagged with their
-    original indices so the parent can merge in cell order."""
-    scenario, indices, seed, quick = args
-    return [(index, run_openloop_cell(scenario, index, seed, quick))
-            for index in indices]
-
-
 def run_openloop_scenario(name: str, *, seed: int = 1,
                           quick: bool = False,
                           workers: int = 1) -> Dict[str, Any]:
@@ -518,12 +510,9 @@ def run_openloop_scenario(name: str, *, seed: int = 1,
     if name not in OPENLOOP_SPECS:
         raise KeyError(f"unknown openloop scenario {name!r} "
                        f"(have: {', '.join(sorted(OPENLOOP_SPECS))})")
-    shards = shard_round_robin(len(CELLS), workers)
-    shard_args = [(name, indices, seed, quick) for indices in shards]
-    results = run_sharded(_run_shard, shard_args, workers)
-    indexed = [pair for shard in results for pair in shard]
-    indexed.sort(key=lambda pair: pair[0])
-    summaries = [summary for _, summary in indexed]
+    summaries = map_items(
+        functools.partial(run_openloop_cell, name, seed=seed, quick=quick),
+        len(CELLS), workers)
     return build_openloop_report(name, seed, quick, summaries)
 
 

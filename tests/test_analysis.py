@@ -14,13 +14,13 @@ from repro.analysis import (
     check_coverage,
     default_catalog,
     lint_fault_plan,
-    lint_main,
     lint_rules,
     run_app,
     run_catalog,
     seeded_heap,
 )
 from repro.chaos import Fault, FaultPlan, Trigger, at_stage, on_call
+from repro.cli import main
 from repro.dsu.transform import TransformRegistry
 from repro.dsu.version import ServerVersion, VersionRegistry
 from repro.mve.dsl import Direction, RuleSet, parse_rules, rewrite_write
@@ -469,14 +469,14 @@ class TestCatalogAndCli:
         assert "MVE601" in per_analyzer["chaos-lint"]
 
     def test_cli_default_catalog_exits_zero(self, capsys):
-        assert lint_main(["--json"]) == 0
+        assert main(["lint", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["ok"] is True
         assert payload["errors"] == 0
         assert payload["allowlisted"] == 3
 
     def test_cli_bad_catalog_exits_nonzero(self, capsys):
-        assert lint_main(["--json", "--catalog", FIXTURE_CATALOG]) == 1
+        assert main(["lint", "--json", "--catalog", FIXTURE_CATALOG]) == 1
         payload = json.loads(capsys.readouterr().out)
         assert payload["ok"] is False
         found = {f["code"] for f in payload["findings"]}
@@ -484,17 +484,17 @@ class TestCatalogAndCli:
                 "MVE403", "MVE501", "MVE601"} <= found
 
     def test_cli_app_filter(self, capsys):
-        assert lint_main(["--json", "--app", "vsftpd"]) == 0
+        assert main(["lint", "--json", "--app", "vsftpd"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["apps"] == ["vsftpd"]
 
     def test_cli_unknown_app_errors(self, capsys):
         with pytest.raises(SystemExit):
-            lint_main(["--app", "nosuch"])
+            main(["lint", "--app", "nosuch"])
         assert "unknown app(s): nosuch" in capsys.readouterr().err
 
     def test_human_output_mentions_summary(self, capsys):
-        assert lint_main(["--app", "snort"]) == 0
+        assert main(["lint", "--app", "snort"]) == 0
         out = capsys.readouterr().out
         assert "mvelint: analyzed snort" in out
         assert "ok: no blocking findings" in out
@@ -520,7 +520,8 @@ class TestWorkloadLint:
         assert {f.analyzer for f in report.findings} == {"workload-lint"}
 
     def test_cli_bad_workloads_exits_nonzero(self, capsys):
-        assert lint_main(["--json", "--catalog", FIXTURE_WORKLOADS]) == 1
+        assert main(["lint", "--json", "--catalog",
+                     FIXTURE_WORKLOADS]) == 1
         payload = json.loads(capsys.readouterr().out)
         assert payload["ok"] is False
         found = {f["code"] for f in payload["findings"]}
@@ -614,11 +615,11 @@ class TestCliExitCodesAndFormats:
     """Satellite: exit-code contract (0/1/2) and report formats."""
 
     def test_exit_zero_on_clean(self, capsys):
-        assert lint_main(["--app", "snort"]) == 0
+        assert main(["lint", "--app", "snort"]) == 0
         capsys.readouterr()
 
     def test_exit_one_on_error_findings(self, capsys):
-        assert lint_main(["--catalog", FIXTURE_CATALOG]) == 1
+        assert main(["lint", "--catalog", FIXTURE_CATALOG]) == 1
         capsys.readouterr()
 
     def test_exit_two_on_analyzer_crash(self, capsys, monkeypatch):
@@ -626,23 +627,23 @@ class TestCliExitCodesAndFormats:
         def boom(*args, **kwargs):
             raise RuntimeError("analyzer exploded")
         monkeypatch.setattr(cli_mod, "run_catalog", boom)
-        assert cli_mod.lint_main(["--app", "snort"]) == 2
+        assert main(["lint", "--app", "snort"]) == 2
         assert "internal error" in capsys.readouterr().err
 
     def test_format_json_matches_json_flag_byte_for_byte(self, capsys):
-        assert lint_main(["--json", "--app", "kvstore"]) == 0
+        assert main(["lint", "--json", "--app", "kvstore"]) == 0
         via_flag = capsys.readouterr().out
-        assert lint_main(["--format", "json", "--app", "kvstore"]) == 0
+        assert main(["lint", "--format", "json", "--app", "kvstore"]) == 0
         via_format = capsys.readouterr().out
         assert via_flag == via_format
 
     def test_conflicting_format_flags_rejected(self, capsys):
         with pytest.raises(SystemExit):
-            lint_main(["--json", "--format", "sarif"])
+            main(["lint", "--json", "--format", "sarif"])
         capsys.readouterr()
 
     def test_sarif_document_shape(self, capsys):
-        assert lint_main(["--format", "sarif", "--app", "kvstore"]) == 0
+        assert main(["lint", "--format", "sarif", "--app", "kvstore"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["version"] == "2.1.0"
         run = doc["runs"][0]
@@ -660,14 +661,14 @@ class TestCliExitCodesAndFormats:
                    for r in results)
 
     def test_sarif_levels_map_severities(self, capsys):
-        assert lint_main(["--format", "sarif", "--catalog",
-                          FIXTURE_CATALOG]) == 1
+        assert main(["lint", "--format", "sarif", "--catalog",
+                     FIXTURE_CATALOG]) == 1
         doc = json.loads(capsys.readouterr().out)
         levels = {r["level"] for r in doc["runs"][0]["results"]}
         assert "error" in levels
 
     def test_lint_prove_flag_runs_analyzer_eight(self, capsys):
-        assert lint_main(["--json", "--app", "kvstore", "--prove"]) == 0
+        assert main(["lint", "--json", "--app", "kvstore", "--prove"]) == 0
         payload = json.loads(capsys.readouterr().out)
         prover_findings = [f for f in payload["findings"]
                            if f["analyzer"] == "prove"]

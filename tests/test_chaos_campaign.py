@@ -17,7 +17,7 @@ from repro.chaos.campaign import (
     run_cell,
     validate_report,
 )
-from repro.chaos.cli import chaos_main
+from repro.cli import main
 from repro.chaos.plans import NAMED_PLANS
 from repro.chaos.scenarios import run_kv_update_scenario
 
@@ -207,8 +207,8 @@ class TestNamedPlans:
 class TestCli:
     def test_smoke_run_writes_a_valid_report(self, tmp_path, capsys):
         report_path = tmp_path / "chaos.json"
-        code = chaos_main(["kvstore", "--max-cells", "20",
-                           "--report", str(report_path)])
+        code = main(["chaos", "kvstore", "--max-cells", "20",
+                     "--report", str(report_path)])
         out = capsys.readouterr().out
         assert code == 0
         assert "chaos campaign" in out
@@ -224,8 +224,8 @@ class TestCli:
             "    return FaultPlan('file-plan', "
             "(Fault('mve.follower', 'crash', on_call(1)),))\n")
         report_path = tmp_path / "chaos.json"
-        code = chaos_main(["kvstore", "--plan", str(plan_path),
-                           "--report", str(report_path)])
+        code = main(["chaos", "kvstore", "--plan", str(plan_path),
+                     "--report", str(report_path)])
         capsys.readouterr()
         assert code == 0
         payload = json.loads(report_path.read_text())
@@ -234,5 +234,5 @@ class TestCli:
 
     def test_unknown_scenario_is_rejected(self, capsys):
         with pytest.raises(SystemExit):
-            chaos_main(["nosuch"])
+            main(["chaos", "nosuch"])
         assert "invalid choice" in capsys.readouterr().err

@@ -79,6 +79,7 @@ class TestCheckerCatchesDefects(unittest.TestCase):
                 ("repro", " fleet canary-kvstore --distributed"),
                 ("repro", " chaos kvstore-distributed"),
                 ("repro", " perf --scenario distributed-ring-kvstore"),
+                ("repro", " --help"),
                 ("repro.bench.distring", "")):
             self.checker.check_command(module, rest, "t:1", problems)
         self.assertEqual(problems, [])

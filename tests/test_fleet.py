@@ -258,9 +258,9 @@ class TestFleetScenario:
 
 class TestFleetCLI:
     def test_cli_writes_report_and_exits_zero(self, tmp_path, capsys):
-        from repro.cluster.cli import fleet_main
+        from repro.cli import main
         path = tmp_path / "FLEET_kvstore.json"
-        code = fleet_main(["canary-kvstore", "--report", str(path)])
+        code = main(["fleet", "canary-kvstore", "--report", str(path)])
         assert code == 0
         payload = json.loads(path.read_text())
         assert payload["schema"] == FLEET_SCHEMA
@@ -268,10 +268,10 @@ class TestFleetCLI:
         assert "rolled-back" in out and "completed" in out
 
     def test_cli_openloop_flag(self, tmp_path, capsys):
-        from repro.cluster.cli import fleet_main
+        from repro.cli import main
         path = tmp_path / "FLEET_openloop.json"
-        code = fleet_main(["canary-kvstore", "--openloop",
-                           "--report", str(path)])
+        code = main(["fleet", "canary-kvstore", "--openloop",
+                     "--report", str(path)])
         assert code == 0
         payload = json.loads(path.read_text())
         assert payload["traffic"]["mode"] == "open-loop"

@@ -4,9 +4,8 @@ import json
 
 import pytest
 
-from repro import __main__ as repro_main
+from repro.cli import main
 from repro.obs import TRACE_SCENARIOS, run_trace_scenario, validate_trace_file
-from repro.obs.cli import trace_main
 
 
 def test_trace_scenarios_cover_the_experiments():
@@ -21,7 +20,7 @@ def test_run_trace_scenario_unknown_name():
 
 def test_trace_main_writes_valid_jsonl(tmp_path, capsys):
     out = tmp_path / "fig7.jsonl"
-    code = trace_main(["fig7", "--quick", "--out", str(out), "--check"])
+    code = main(["trace", "fig7", "--quick", "--out", str(out), "--check"])
     assert code == 0
     assert validate_trace_file(str(out)) == []
 
@@ -39,7 +38,7 @@ def test_trace_main_writes_valid_jsonl(tmp_path, capsys):
 
 def test_trace_main_faults_prints_forensics(tmp_path, capsys):
     out = tmp_path / "faults.jsonl"
-    assert trace_main(["faults", "--quick", "--out", str(out)]) == 0
+    assert main(["trace", "faults", "--quick", "--out", str(out)]) == 0
     stdout = capsys.readouterr().out
     assert "forensics bundle 0:" in stdout
     assert "expected:" in stdout and "issued:" in stdout
@@ -48,7 +47,7 @@ def test_trace_main_faults_prints_forensics(tmp_path, capsys):
 def test_trace_main_check_rejects_corrupt_file(tmp_path, capsys, monkeypatch):
     out = tmp_path / "bad.jsonl"
     monkeypatch.chdir(tmp_path)
-    code = trace_main(["fig7", "--quick", "--out", str(out), "--check"])
+    code = main(["trace", "fig7", "--quick", "--out", str(out), "--check"])
     assert code == 0
     out.write_text('{"schema": "bogus/1"}\n')
     from repro.obs.trace import validate_trace_file as check
@@ -57,15 +56,15 @@ def test_trace_main_check_rejects_corrupt_file(tmp_path, capsys, monkeypatch):
 
 def test_trace_main_respects_last_k(tmp_path, capsys):
     out = tmp_path / "faults.jsonl"
-    assert trace_main(["faults", "--quick", "--out", str(out),
-                       "--last-k", "2"]) == 0
+    assert main(["trace", "faults", "--quick", "--out", str(out),
+                 "--last-k", "2"]) == 0
     stdout = capsys.readouterr().out
     assert "last 2 records kept" in stdout
 
 
 def test_main_dispatches_trace_subcommand(tmp_path, capsys):
     out = tmp_path / "t.jsonl"
-    code = repro_main.main(["trace", "fig7", "--quick", "--out", str(out)])
+    code = main(["trace", "fig7", "--quick", "--out", str(out)])
     assert code == 0
     assert out.exists()
 

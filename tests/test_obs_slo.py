@@ -25,7 +25,7 @@ from repro.obs.slo import (
     summarize_latencies,
     validate_slo_report,
 )
-from repro.obs.slo_cli import slo_main
+from repro.cli import main
 from repro.obs.slo_scenarios import SLO_SPECS, run_slo_scenario
 from repro.obs.spans import SpanCollector
 
@@ -248,8 +248,8 @@ class TestCli:
     def test_quick_run_writes_and_checks(self, tmp_path, capsys):
         out = tmp_path / "slo.json"
         spans = tmp_path / "spans.jsonl"
-        code = slo_main(["fig7", "--quick", "--check",
-                         "--out", str(out), "--spans", str(spans)])
+        code = main(["slo", "fig7", "--quick", "--check",
+                     "--out", str(out), "--spans", str(spans)])
         stdout = capsys.readouterr().out
         assert code == 0
         assert "schema ok" in stdout
@@ -261,5 +261,5 @@ class TestCli:
 
     def test_unknown_scenario_is_rejected(self, capsys):
         with pytest.raises(SystemExit):
-            slo_main(["nosuch"])
+            main(["slo", "nosuch"])
         assert "invalid choice" in capsys.readouterr().err

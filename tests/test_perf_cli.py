@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.perf import SCENARIOS, run_scenarios
-from repro.perf.cli import perf_main
+from repro.cli import main
 from repro.perf.harness import SCHEMA, to_bench_dict
 
 
@@ -47,8 +47,8 @@ def test_bench_dict_schema():
 
 def test_cli_writes_bench_json(tmp_path, capsys):
     out = tmp_path / "BENCH_perf.json"
-    code = perf_main(["--scenario", "single-leader", "--ops", "40",
-                      "--repeat", "1", "--json", "--out", str(out)])
+    code = main(["perf", "--scenario", "single-leader", "--ops", "40",
+                 "--repeat", "1", "--json", "--out", str(out)])
     assert code == 0
     table = capsys.readouterr().out
     assert "single-leader" in table
@@ -62,8 +62,8 @@ def test_cli_writes_bench_json(tmp_path, capsys):
 
 def test_cli_without_json_writes_nothing(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    code = perf_main(["--scenario", "single-leader", "--ops", "20",
-                      "--repeat", "1"])
+    code = main(["perf", "--scenario", "single-leader", "--ops", "20",
+                 "--repeat", "1"])
     assert code == 0
     assert not (tmp_path / "BENCH_perf.json").exists()
     assert "single-leader" in capsys.readouterr().out
@@ -71,10 +71,29 @@ def test_cli_without_json_writes_nothing(tmp_path, capsys, monkeypatch):
 
 def test_cli_rejects_unknown_scenario(capsys):
     with pytest.raises(SystemExit):
-        perf_main(["--scenario", "no-such-scenario"])
+        main(["perf", "--scenario", "no-such-scenario"])
 
 
 def test_rule_heavy_scenario_exercises_rules():
     results = run_scenarios(["rule-heavy-mve-redis"], ops=30, repeat=1)
     assert results[0].vrequests == 30
     assert results[0].syscalls > 0
+
+
+@pytest.mark.parametrize("baseline, complaint", [
+    ("[]", "not a JSON object"),
+    ("{}", "missing or malformed _meta"),
+])
+def test_diff_refuses_a_baseline_it_cannot_trust(baseline, complaint,
+                                                 tmp_path, capsys):
+    # A truncated or wrong file must not green-light a regression.
+    path = tmp_path / "baseline.json"
+    path.write_text(baseline)
+    with pytest.raises(SystemExit) as exit_info:
+        main(["perf", "--scenario", "single-leader", "--ops", "20",
+              "--diff", str(path)])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert f"unusable baseline {path}: {complaint}" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""  # refused before any scenario ran

@@ -3,23 +3,23 @@ campaign execution: stream round-trips, offline divergence forensics,
 byte-identical sharded reports, and the perf ``--diff`` regression
 gate."""
 
+import functools
 import json
+import operator
 
 import pytest
 
 from repro.chaos.campaign import default_grid, probe_site_calls, run_campaign
-from repro.chaos.cli import chaos_main
+from repro.cli import main
 from repro.chaos.scenarios import BuggyKVStoreV2, run_kv_update_scenario
 from repro.errors import SimulationError
 from repro.mve import VaranRuntime
 from repro.net import VirtualKernel
-from repro.obs.cli import trace_main
 from repro.perf.diff import diff_bench
 from repro.perf.harness import (SCHEMA, WALL_CLOCK_KEYS, run_scenarios,
                                 to_bench_dict, validate_bench)
-from repro.replay.cli import replay_main
 from repro.replay.engine import replay_file
-from repro.replay.parallel import resolve_workers, shard_round_robin
+from repro.parallel import map_items, resolve_workers, shard_round_robin
 from repro.replay.recorder import StreamRecorder, current_recorder, recording
 from repro.replay.stream import StreamError, read_stream, validate_stream_file
 from repro.servers.kvstore import (KVStoreServer, KVStoreV1, kv_rules,
@@ -181,16 +181,17 @@ class TestReplay:
             (live.rule_window, live.rules_fired)
 
     def test_cli_exit_codes(self, kv_stream, tmp_path, capsys):
-        assert replay_main([kv_stream]) == 0
-        assert replay_main([kv_stream, "--against", "2.0-buggy"]) == 1
-        assert replay_main([str(tmp_path / "missing.jsonl")]) == 2
-        assert replay_main([kv_stream, "--validate"]) == 0
+        assert main(["replay", kv_stream]) == 0
+        assert main(["replay", kv_stream, "--against", "2.0-buggy"]) == 1
+        assert main(["replay", str(tmp_path / "missing.jsonl")]) == 2
+        assert main(["replay", kv_stream, "--validate"]) == 0
         out = capsys.readouterr().out
         assert "divergence" in out
 
     def test_cli_writes_json_report(self, kv_stream, tmp_path, capsys):
         out = tmp_path / "replay.json"
-        assert replay_main([kv_stream, "--json", "--out", str(out)]) == 0
+        assert main(["replay", kv_stream, "--json", "--out",
+                     str(out)]) == 0
         payload = json.loads(out.read_text())
         assert payload["schema"] == "repro-replay/1"
         assert payload["outcome"] == "match"
@@ -200,8 +201,8 @@ class TestTraceRecordRoundTrip:
     def test_fig6_records_and_replays_clean(self, tmp_path, capsys):
         stream = tmp_path / "STREAM_fig6.jsonl"
         trace = tmp_path / "TRACE_fig6.jsonl"
-        assert trace_main(["fig6", "--quick", "--out", str(trace),
-                           "--record", str(stream)]) == 0
+        assert main(["trace", "fig6", "--quick", "--out", str(trace),
+                     "--record", str(stream)]) == 0
         assert "wrote stream" in capsys.readouterr().out
         assert validate_stream_file(str(stream)) == []
         report = replay_file(str(stream))
@@ -241,9 +242,9 @@ class TestParallelCampaign:
     def test_cli_workers_and_record(self, tmp_path, capsys):
         report_path = tmp_path / "chaos.json"
         stream_path = tmp_path / "stream.jsonl"
-        code = chaos_main(["kvstore", "--max-cells", "6", "--workers", "2",
-                           "--record", str(stream_path),
-                           "--report", str(report_path)])
+        code = main(["chaos", "kvstore", "--max-cells", "6", "--workers", "2",
+                     "--record", str(stream_path),
+                     "--report", str(report_path)])
         assert code == 0
         out = capsys.readouterr().out
         assert "2 workers" in out
@@ -254,9 +255,9 @@ class TestParallelCampaign:
 
     def test_cli_rejects_bad_workers_and_cap(self, capsys):
         with pytest.raises(SystemExit):
-            chaos_main(["kvstore", "--workers", "0"])
+            main(["chaos", "kvstore", "--workers", "0"])
         with pytest.raises(SystemExit):
-            chaos_main(["kvstore", "--oncall-cap", "0"])
+            main(["chaos", "kvstore", "--oncall-cap", "0"])
 
     def test_resolve_workers(self):
         assert resolve_workers("auto") >= 1
@@ -272,6 +273,13 @@ class TestParallelCampaign:
         assert all(shard for shard in shards)
         # More workers than items: no empty shards.
         assert shard_round_robin(2, 8) == [[0], [1]]
+
+    @pytest.mark.parametrize("method", ["fork", "spawn"])
+    @pytest.mark.parametrize("workers", [1, 2, 9])
+    def test_merge_returns_results_in_item_order(self, workers, method):
+        triple = functools.partial(operator.mul, 3)
+        assert map_items(triple, 5, workers, method=method) \
+            == [0, 3, 6, 9, 12]
 
 
 # ---------------------------------------------------------------------------

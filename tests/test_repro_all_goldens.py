@@ -17,7 +17,7 @@ import os
 
 import pytest
 
-from repro.__main__ import _COMMANDS
+from repro.bench.cli import EXPERIMENTS as MAINS
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 GOLDENS_PATH = os.path.join(HERE, "fixtures", "repro_all_goldens.json")
@@ -38,7 +38,7 @@ def _goldens(path=GOLDENS_PATH):
 def test_experiment_stdout_matches_its_pinned_digest(name):
     buffer = io.StringIO()
     with contextlib.redirect_stdout(buffer):
-        _COMMANDS[name]()
+        MAINS[name]()
     digest = hashlib.sha256(buffer.getvalue().encode("utf-8")).hexdigest()
     assert digest == _goldens()[name], (
         f"`python -m repro {name}` no longer prints its pinned bytes")

@@ -1,7 +1,10 @@
 #!/usr/bin/env python3
 """Doc lint: keep the operator docs honest.
 
-Three checks, run over ``README.md`` and every ``docs/*.md``:
+Three checks, run over ``README.md`` and every ``docs/*.md`` (the
+third also over the other places commands are quoted: the CI workflow,
+``EXPERIMENTS.md``, ``DESIGN.md``, the verify skill and the
+``repro/cli.py`` docstring):
 
 1. **Reachability** — every guide under ``docs/`` is mentioned (by
    basename) in ``README.md`` or ``docs/architecture.md``, so no page
@@ -16,14 +19,15 @@ Three checks, run over ``README.md`` and every ``docs/*.md``:
    * module form (``python -m repro.bench.distring``) must name an
      importable module file under ``src/``;
    * subcommand form (``python -m repro chaos kvstore --workers auto``)
-     is checked against the live ``--help`` of that subcommand — every
-     ``--flag`` must appear in the help text, and the first positional
-     operand must be one of the help's ``{a,b,c}`` choice groups.
+     must name a command in ``repro.cli.COMMANDS`` and is checked
+     against that command's ``--help`` — every ``--flag`` must appear
+     in the help text, and the first positional operand must be one of
+     the help's ``{a,b,c}`` choice groups.
 
    ALL-CAPS operands (``PATH``, ``STREAM``) are treated as
    placeholders, and commands containing ``…`` or ``<`` are skipped as
-   deliberately elided.  Help output is fetched once per subcommand
-   via a subprocess with ``PYTHONPATH`` including ``src``.
+   deliberately elided.  Help is rendered in-process, once per
+   command, by the real parser (``src`` is put on ``sys.path``).
 
 Exit status is the number of problems (0 = clean).  CI runs this as
 the ``docs-lint`` job; locally::
@@ -33,15 +37,26 @@ the ``docs-lint`` job; locally::
 
 from __future__ import annotations
 
+import contextlib
+import io
 import os
 import re
-import subprocess
 import sys
 from typing import Dict, List, Optional, Tuple
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DOCS = os.path.join(REPO, "docs")
 README = os.path.join(REPO, "README.md")
+
+#: Where commands are quoted outside README.md and docs/ (CLI honesty
+#: only; a missing file is skipped).
+ALSO_QUOTING_COMMANDS = (
+    os.path.join(".github", "workflows", "ci.yml"),
+    "EXPERIMENTS.md",
+    "DESIGN.md",
+    os.path.join(".claude", "skills", "verify", "SKILL.md"),
+    os.path.join("src", "repro", "cli.py"),
+)
 
 #: ``[text](target)`` — target captured lazily so nested parens in the
 #: text part cannot swallow the link.
@@ -96,41 +111,27 @@ def check_links(path: str, text: str, problems: List[str]) -> None:
 class CliChecker:
     """Validates quoted ``python -m repro …`` commands against the CLI."""
 
-    #: Subcommands with their own parsers, plus the experiment names the
-    #: top-level parser accepts directly (kept in sync by a live probe of
-    #: ``python -m repro bogus``, which lists the valid choices).
     def __init__(self) -> None:
-        self._help: Dict[str, Optional[str]] = {}
-        self._env = dict(os.environ)
         src = os.path.join(REPO, "src")
-        existing = self._env.get("PYTHONPATH", "")
-        self._env["PYTHONPATH"] = (src + os.pathsep + existing
-                                   if existing else src)
-        self._subcommands = self._probe_subcommands()
+        if src not in sys.path:
+            sys.path.insert(0, src)
+        from repro.cli import COMMANDS, main
+        self._main = main
+        self._subcommands = sorted(COMMANDS)
+        self._help: Dict[Optional[str], Optional[str]] = {}
 
-    def _run(self, argv: List[str]) -> str:
-        result = subprocess.run(
-            [sys.executable, "-m", "repro"] + argv,
-            capture_output=True, text=True, env=self._env, cwd=REPO,
-            timeout=60)
-        return result.stdout + result.stderr
-
-    def _probe_subcommands(self) -> List[str]:
-        """The experiment/subcommand vocabulary, from the real parser."""
-        output = self._run(["--bogus-doc-lint-probe"])
-        groups = CHOICES_RE.findall(output)
-        names: List[str] = []
-        for group in groups:
-            names.extend(group.split(","))
-        return sorted(set(names))
-
-    def help_for(self, sub: str) -> Optional[str]:
-        """Cached ``python -m repro <sub> --help`` text (None = unknown)."""
+    def help_for(self, sub: Optional[str]) -> Optional[str]:
+        """Cached ``python -m repro <sub> --help`` text; ``sub=None`` is
+        the top-level help, an unknown ``sub`` has none."""
         if sub not in self._help:
-            if sub not in self._subcommands:
+            if sub is not None and sub not in self._subcommands:
                 self._help[sub] = None
             else:
-                self._help[sub] = self._run([sub, "--help"])
+                buffer = io.StringIO()
+                with contextlib.redirect_stdout(buffer), \
+                        contextlib.suppress(SystemExit):
+                    self._main(([sub] if sub else []) + ["--help"])
+                self._help[sub] = buffer.getvalue()
         return self._help[sub]
 
     def check_module(self, module: str, where: str,
@@ -156,17 +157,20 @@ class CliChecker:
         tokens = [t for t in tokens if t]
         if not tokens:
             return  # bare "python -m repro" in prose
-        sub = tokens[0]
+        # ``python -m repro --help``: flags before any subcommand are
+        # the top-level parser's.
+        sub = None if tokens[0].startswith("-") else tokens[0]
         help_text = self.help_for(sub)
         if help_text is None:
             problems.append(f"{where}: unknown subcommand -> "
                             f"python -m repro {sub}")
             return
-        for flag in (t for t in tokens[1:] if t.startswith("--")):
+        shown = f"python -m repro {sub}" if sub else "python -m repro"
+        for flag in (t for t in tokens[sub is not None:]
+                     if t.startswith("--")):
             name = flag.split("=", 1)[0]
             if name not in help_text:
-                problems.append(f"{where}: python -m repro {sub} has no "
-                                f"flag {name}")
+                problems.append(f"{where}: {shown} has no flag {name}")
         # First positional operand straight after the subcommand; flag
         # values never sit there, so this cannot misfire on them.
         if len(tokens) > 1 and not tokens[1].startswith("-"):
@@ -201,6 +205,15 @@ def main() -> int:
     for path, text in pages:
         check_links(path, text, problems)
         check_commands(path, text, checker, problems)
+    for relative in ALSO_QUOTING_COMMANDS:
+        path = os.path.join(REPO, relative)
+        if os.path.exists(path):
+            with open(path, encoding="utf-8") as handle:
+                text = handle.read()
+            if path.endswith(".py"):  # the module docstring only
+                text = text.split('"""', 2)[1]
+            check_commands(path, text, checker, problems)
+            pages.append((path, text))
     for problem in problems:
         print(problem)
     count = len(problems)
