@@ -30,11 +30,10 @@ state-transformation error classes:
 
 from __future__ import annotations
 
-import copy
 from typing import Any, Dict, Iterable, List
 
 from repro.analysis.findings import Finding, Severity
-from repro.dsu.transform import TransformRegistry
+from repro.dsu.transform import TransformRegistry, clone_heap
 from repro.dsu.version import ServerVersion, VersionRegistry
 from repro.errors import NoUpdatePath
 
@@ -86,8 +85,8 @@ def _audit_one(app: str, location: str, transformer,
         findings.append(Finding(code, severity, ANALYZER, app, location,
                                 message))
 
-    pristine = copy.deepcopy(heap)
-    first_input = copy.deepcopy(heap)
+    pristine = clone_heap(heap)
+    first_input = clone_heap(heap)
     first = _run(transformer, first_input)
     if isinstance(first, str):
         emit("MVE301", Severity.ERROR, f"transformer raised: {first}")
@@ -102,7 +101,7 @@ def _audit_one(app: str, location: str, transformer,
         return findings
 
     # MVE305: run again on an equal input; outputs must match.
-    second = _run(transformer, copy.deepcopy(heap))
+    second = _run(transformer, clone_heap(heap))
     if isinstance(second, str):
         emit("MVE305", Severity.ERROR,
              f"second run over an equal heap raised: {second}")

@@ -18,12 +18,11 @@ live traffic* rather than the transform in isolation.
 
 from __future__ import annotations
 
-import copy
 import enum
 from dataclasses import dataclass
 from typing import Any, Dict
 
-from repro.dsu.transform import StateTransformer
+from repro.dsu.transform import StateTransformer, clone_heap
 
 
 class TTSTVerdict(enum.Enum):
@@ -55,14 +54,14 @@ class TTSTValidator:
 
     def validate(self, heap: Dict[str, Any]) -> TTSTReport:
         """Run Old -> New -> Reversed and compare Reversed to Old."""
-        original = copy.deepcopy(heap)
+        original = clone_heap(heap)
         try:
-            new_heap = self.forward(copy.deepcopy(heap))
+            new_heap = self.forward(clone_heap(heap))
         except Exception as exc:
             return TTSTReport(TTSTVerdict.REJECTED,
                               f"forward transformer raised: {exc!r}")
         try:
-            reversed_heap = self.backward(copy.deepcopy(new_heap))
+            reversed_heap = self.backward(clone_heap(new_heap))
         except Exception as exc:
             return TTSTReport(TTSTVerdict.REJECTED,
                               f"backward transformer raised: {exc!r}")

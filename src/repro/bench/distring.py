@@ -5,9 +5,9 @@ over the in-process ring (the byte-identical baseline every golden
 pins) and once per link-latency point over a :class:`DistributedRing`
 — and reports, per row, the request p99, the ring-stall count, and
 the fraction of requests inside a 3 ms SLO budget.  The table is the
-``emit_distring`` section of EXPERIMENTS.md and the gauge source for
-the ``distributed-ring-kvstore`` perf scenario; everything here is
-virtual-time and therefore bit-identical for a given seed.
+``emit_distring`` section of EXPERIMENTS.md (its exact gauges are
+pinned in ``tests/test_distring.py``); everything here is virtual-time
+and therefore bit-identical for a given seed.
 
 The shape under test: a follower across a link replays later than a
 local one, so leader publishes hit the bounded in-flight window and

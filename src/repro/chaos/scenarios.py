@@ -123,9 +123,6 @@ class ChaosRunResult:
     injections: List[Dict[str, Any]] = field(default_factory=list)
     forensics: Optional[Dict[str, Any]] = None
     recovery_at: Optional[int] = None
-    #: Simulated syscalls the run issued — the perf harness normalises
-    #: chaos-recovery throughput with this.
-    syscalls: int = 0
 
     def replies(self) -> List[Optional[bytes]]:
         return [obs.reply for obs in self.observations]
@@ -234,7 +231,6 @@ def run_kv_update_scenario(distributed: bool = False) -> ChaosRunResult:
     last = mvedsua.last_outcome()
     result.rolled_back = bool(last and last.rolled_back())
     result.finalized = bool(last and last.succeeded())
-    result.syscalls = runtime.total_syscalls
     result.events = [(event.at, event.kind, event.detail)
                      for event in runtime.events]
     for at, kind, detail in result.events:

@@ -11,7 +11,7 @@
     python -m repro experiments   # emit EXPERIMENTS.md to stdout
     python -m repro lint          # mvelint: static rule/transformer checks
     python -m repro prove kvstore # MVE8xx divergence prover + certificate
-    python -m repro perf          # wall-clock benchmark of the simulator
+    python -m repro perf          # deterministic gauge gate (hot paths)
     python -m repro trace fig6    # traced semantic companion run
     python -m repro chaos kvstore # fault-injection campaign + invariants
     python -m repro fleet canary-kvstore  # sharded fleet canary upgrade
@@ -33,7 +33,7 @@ done, the report writer, and the exit policy:
 * **0** — the command ran and found nothing wrong;
 * **1** — a finding or a failed gate: a lint ERROR, an invariant
   violation, a replay divergence, a report that fails its own schema
-  under ``--check``, a ``perf --diff`` regression;
+  under ``--check``, a ``perf --diff`` gauge drift;
 * **2** — a usage error or unusable input: an unknown command or flag,
   an out-of-range value, a path that cannot be read or written, a
   malformed stream or baseline, an analyzer crash.

@@ -224,10 +224,11 @@ class VaranRuntime:
         #: (completion_time, requests_handled) per leader iteration; the
         #: workload layer samples this for latency measurements.
         self.completions: List[Tuple[int, int]] = []
-        #: Cumulative syscall records the leader emitted (perf telemetry).
+        #: Cumulative syscall records the leader emitted (a ``repro perf``
+        #: gauge).
         self.total_syscalls = 0
-        #: Times a full ring blocked the leader (always counted — the
-        #: perf harness reports it next to ``ring.high_watermark``).
+        #: Times a full ring blocked the leader (always counted —
+        #: ``repro perf`` gauges it next to ``ring.high_watermark``).
         self.ring_stalls = 0
         #: Forensics bundle for the most recent divergence, if any.
         self.last_forensics: Optional[ForensicsBundle] = None

@@ -3,8 +3,7 @@
 The observability layer keeps runtime telemetry separate from the trace
 event stream: events answer "what happened, in order", metrics answer
 "how much, in total".  A :class:`MetricsRegistry` snapshot is appended
-as the final line of every JSONL trace and (for the perf harness) lands
-in ``BENCH_perf.json``.
+as the final line of every JSONL trace.
 
 This module deliberately imports nothing from the rest of ``repro`` so
 that instrumented modules (kernel, engine) can import the observability

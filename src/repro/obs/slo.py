@@ -450,7 +450,8 @@ def percentile_oracle(values: List[int], q: float) -> Optional[int]:
 
 
 def summarize_latencies(values: List[int]) -> Dict[str, int]:
-    """p50/p99/p999 extras for a latency list (perf-harness helper)."""
+    """Exact ``latency_p50_ns``/``p99``/``p999`` gauges of a latency
+    list (``repro perf``, ``repro.bench.distring``)."""
     summary: Dict[str, int] = {}
     if not values:
         return summary

@@ -1,11 +1,10 @@
 """Sharded execution of independent work items across processes.
 
-The chaos campaign, the SLO and open-loop scenarios and the perf
-harness all run *independent* items (grid cells, scenario cells,
-benchmarks) and must produce byte-identical reports at any worker
-count, so all nondeterminism (OS scheduling, completion order) is
-confined to *when* a result arrives, never to *what* it says or where
-it lands in the merged list.
+The chaos campaign and the SLO and open-loop scenarios all run
+*independent* items (grid cells, scenario cells) and must produce
+byte-identical reports at any worker count, so all nondeterminism (OS
+scheduling, completion order) is confined to *when* a result arrives,
+never to *what* it says or where it lands in the merged list.
 
 The rules that make that hold:
 
@@ -85,9 +84,7 @@ def map_shards(shard_worker: Callable[[List[int]], List[Any]],
     path stays the golden reference and needs no pool at all.  So does
     any call made from inside a pool worker: daemonic processes cannot
     have children, so a sharded run nested under another sharded run
-    (e.g. the chaos-campaign-parallel perf scenario inside
-    ``repro perf --workers N``) degrades to the serial path instead of
-    crashing the outer pool.
+    degrades to the serial path instead of crashing the outer pool.
 
     Workers regenerate all state from picklable descriptions, so either
     start method is correct; ``fork`` (preferred where available) just

@@ -1,30 +1,26 @@
-"""Wall-clock performance harness for the MVE simulator.
+"""Deterministic gauges of the MVE hot path, and the gate that pins them.
 
 The paper's evaluation lives and dies by the cost of the interposition
 hot path: the leader records syscalls, the ring buffer carries them, the
-rewrite-rule engine transforms them, and the follower replays them.  The
-rest of the repository measures *virtual* time — this package measures
-how fast the simulator itself runs on real hardware, so every PR can be
-held to a wall-clock trajectory.
-
-``python -m repro perf`` runs parameterized scenarios (single-leader
-steady state, MVE leader+follower, rule-heavy redis/vsftpd streams, a
-Figure-7-style ring sweep) and reports virtual requests simulated per
-wall-clock second.  ``--json`` writes ``BENCH_perf.json`` with the
-schema ``scenario -> {wall_s, vreq_per_s, syscalls_per_s}``; see
-``docs/performance.md``.
+rewrite-rule engine transforms them, and the follower replays them.
+``python -m repro perf`` runs six configurations of that path (single
+leader, leader+follower, a rule-heavy Redis update, a Figure-7-style
+ring sweep) and reports what each does in *virtual* time: requests,
+syscalls, ring high-watermark, stalls, exact latency percentiles.
+``--json`` writes them as ``BENCH_perf.json`` (``repro-perf/5``) and
+``--diff`` holds a run to the committed file exactly; see
+``docs/performance.md``.  How fast the simulator runs on real hardware
+is measured by ``hostbench/``, and only there.
 """
 
 from repro.perf.diff import diff_bench
-from repro.perf.harness import BenchResult, run_scenarios, validate_bench
-from repro.perf.scenarios import SCENARIOS, Scenario, rule_heavy_catalog
+from repro.perf.harness import run_scenarios, validate_bench
+from repro.perf.scenarios import SCENARIOS, Scenario
 
 __all__ = [
-    "BenchResult",
     "SCENARIOS",
     "Scenario",
     "diff_bench",
-    "rule_heavy_catalog",
     "run_scenarios",
     "validate_bench",
 ]

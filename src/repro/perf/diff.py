@@ -1,41 +1,22 @@
-"""Regression gate: diff a fresh perf run against a BENCH baseline.
+"""The ``--diff`` gate: a fresh perf run against a committed baseline.
 
-``python -m repro perf --diff BASELINE.json`` runs the scenarios, then
-compares the fresh payload against the committed baseline:
+Every per-scenario key is a virtual-time gauge — ring high-watermark,
+stall count, syscalls, latency percentiles — so the comparison is
+exact: any drift is a behaviour change, not noise.
 
-* **Deterministic gauges** (every per-scenario key that is neither a
-  wall-clock measurement nor a ``*_wall_ms`` / ``*_speedup_pct``
-  timing extra) must match *exactly* — ring high-watermarks, stall
-  counts, recovery latencies, fleet rollbacks are all virtual-time
-  quantities and any drift is a behaviour change, not noise.
-* **Wall-clock rates** are ratio-gated: ``vreq_per_s`` may not drop
-  below ``baseline * (1 - tolerance)``.  The default tolerance is
-  generous (0.5) because CI machines are noisy; the trajectory matters,
-  not the absolute number.
-* **Missing scenarios** (in the baseline but not the fresh run) fail
-  the gate; scenarios new to the fresh run are reported but pass.
-* Gauge and rate comparisons are skipped when the two runs used
-  different operation counts (``--quick`` vs full, ``--ops`` override):
-  the gauges are deterministic *given the ops*, not across them.
+* A scenario in the baseline but not in a full run is ``missing`` and
+  fails the gate; a ``--scenario`` run is compared only on what it ran.
+* A scenario new to the run is reported and passes.
+* A scenario run at a different operation count (``--quick``, ``--ops``)
+  is ``ops-changed`` and not compared: gauges are deterministic *given*
+  the ops, not across them.
+* A diff that ends up comparing nothing fails: it checked nothing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
-
-from repro.perf.harness import WALL_CLOCK_KEYS
-
-#: Default allowed fractional drop in vreq_per_s before --diff fails.
-DEFAULT_TOLERANCE = 0.5
-
-#: Extras with these suffixes are timing measurements, not gauges —
-#: exempt from the exact-match requirement.
-_TIMING_SUFFIXES = ("_wall_ms", "_speedup_pct")
-
-
-def _is_gauge(key: str) -> bool:
-    return key not in WALL_CLOCK_KEYS and not key.endswith(_TIMING_SUFFIXES)
+from typing import Dict, List
 
 
 @dataclass
@@ -43,82 +24,53 @@ class ScenarioDelta:
     """One scenario's comparison verdict."""
 
     name: str
-    #: ``ok`` | ``regression`` | ``gauge-mismatch`` | ``missing`` |
-    #: ``new`` | ``ops-changed``
+    #: ``ok`` | ``gauge-mismatch`` | ``missing`` | ``new`` | ``ops-changed``
     status: str
     #: Human-readable gate failures (empty for passing statuses).
     problems: List[str] = field(default_factory=list)
-    #: current vreq_per_s / baseline vreq_per_s (None when not compared).
-    vreq_ratio: Optional[float] = None
-
-    @property
-    def ok(self) -> bool:
-        return not self.problems
 
 
 def diff_bench(current: Dict, baseline: Dict, *,
-               tolerance: float = DEFAULT_TOLERANCE) -> List[ScenarioDelta]:
-    """Compare two BENCH payloads; the gate fails iff any delta carries
-    problems.  Scenario order follows the baseline (then new arrivals)."""
-    if not 0 < tolerance < 1:
-        raise ValueError(f"tolerance must be in (0, 1), got {tolerance}")
-    current_ops = (current.get("_meta") or {}).get("ops") or {}
-    baseline_ops = (baseline.get("_meta") or {}).get("ops") or {}
+               subset: bool = False) -> List[ScenarioDelta]:
+    """Compare two repro-perf/5 payloads, in baseline order (then new
+    arrivals).  ``subset`` says ``current`` ran only the scenarios it
+    was asked for, so the rest of the baseline is left out."""
     deltas: List[ScenarioDelta] = []
-    baseline_names = [k for k in sorted(baseline) if k != "_meta"]
-    for name in baseline_names:
-        if name not in current:
-            deltas.append(ScenarioDelta(
-                name, "missing",
-                [f"{name}: in baseline but not in this run"]))
+    for name in sorted(baseline):
+        if name == "_meta":
             continue
-        old, new = baseline[name], current[name]
-        if current_ops.get(name) != baseline_ops.get(name):
+        if name not in current:
+            if not subset:
+                deltas.append(ScenarioDelta(
+                    name, "missing",
+                    [f"{name}: in baseline but not in this run"]))
+            continue
+        if current["_meta"]["ops"].get(name) \
+                != baseline["_meta"]["ops"].get(name):
             deltas.append(ScenarioDelta(name, "ops-changed"))
             continue
-        problems: List[str] = []
-        for key in sorted(set(old) | set(new)):
-            if not _is_gauge(key):
-                continue
-            if key not in new:
-                problems.append(f"{name}: gauge {key!r} disappeared "
-                                f"(baseline {old[key]!r})")
-            elif key not in old:
-                pass  # new gauge: nothing to compare against yet
-            elif new[key] != old[key]:
-                problems.append(f"{name}: gauge {key!r} changed "
-                                f"{old[key]!r} -> {new[key]!r}")
-        ratio: Optional[float] = None
-        old_rate = old.get("vreq_per_s")
-        new_rate = new.get("vreq_per_s")
-        if isinstance(old_rate, (int, float)) and old_rate > 0 \
-                and isinstance(new_rate, (int, float)):
-            ratio = new_rate / old_rate
-            if ratio < 1 - tolerance:
-                problems.append(
-                    f"{name}: vreq_per_s regressed {old_rate:,.0f} -> "
-                    f"{new_rate:,.0f} ({ratio:.2f}x, floor "
-                    f"{1 - tolerance:.2f}x)")
-        status = "ok"
-        if any("gauge" in p for p in problems):
-            status = "gauge-mismatch"
-        elif problems:
-            status = "regression"
-        deltas.append(ScenarioDelta(name, status, problems, ratio))
-    for name in sorted(current):
-        if name != "_meta" and name not in baseline:
-            deltas.append(ScenarioDelta(name, "new"))
+        old, new = baseline[name], current[name]
+        problems = [f"{name}: gauge {key!r} changed "
+                    f"{old.get(key)!r} -> {new.get(key)!r}"
+                    for key in sorted(set(old) | set(new))
+                    if old.get(key) != new.get(key)]
+        deltas.append(ScenarioDelta(
+            name, "gauge-mismatch" if problems else "ok", problems))
+    deltas += [ScenarioDelta(name, "new") for name in sorted(current)
+               if name != "_meta" and name not in baseline]
     return deltas
 
 
+def gate_failures(deltas: List[ScenarioDelta]) -> List[str]:
+    """Why the gate fails (empty: it passes)."""
+    failures = [problem for delta in deltas for problem in delta.problems]
+    if not any(delta.status in ("ok", "gauge-mismatch") for delta in deltas):
+        failures.append("no scenario was compared (different --quick/--ops "
+                        "than the baseline?)")
+    return failures
+
+
 def format_diff(deltas: List[ScenarioDelta]) -> str:
-    """A per-scenario delta table plus one line per gate failure."""
-    lines = []
-    for delta in deltas:
-        ratio = ("-" if delta.vreq_ratio is None
-                 else f"{delta.vreq_ratio:.2f}x")
-        lines.append(f"  {delta.name:<28} {delta.status:<14} vreq {ratio}")
-    for delta in deltas:
-        for problem in delta.problems:
-            lines.append(f"  REGRESSION {problem}")
-    return "\n".join(lines)
+    """One status line per scenario."""
+    return "\n".join(f"  {delta.name:<22} {delta.status}"
+                     for delta in deltas)

@@ -1,14 +1,16 @@
-"""The benchmark scenarios ``python -m repro perf`` runs.
+"""The configurations ``python -m repro perf`` gauges.
 
-Each scenario separates *setup* (building kernels, servers, rule sets —
-untimed) from the *measured thunk* (the request or record loop — timed
-by the harness).  Thunks return ``(virtual_requests, syscalls, extras)``
-so the harness can normalise wall time into virtual-requests-per-second
-and syscalls-per-second; ``extras`` carries scenario-specific gauges
-(ring high-watermark and BufferFull stall count for scenarios that run
-a real ring buffer, empty for the stream scenarios).
+Each scenario builds one hot-path configuration of the MVE stack,
+serves ``ops`` requests through it back to back, and returns the run's
+gauges: requests served, syscalls the leader issued, the ring's peak
+occupancy, how often a full ring stalled the leader, and the exact
+virtual-time request-latency percentiles.  All of it is virtual-time
+arithmetic — same ops, same numbers, on any machine — which is what
+lets ``--diff`` compare a run against ``BENCH_perf.json`` exactly.
+How long the simulator takes on the host is ``hostbench/``'s question.
 
-Scenario catalogue:
+A configuration belongs here only while no golden and no tier-1
+assertion already pins its gauges:
 
 * ``single-leader`` — Redis steady state, no follower: the paper's
   common case, where interposition must be nearly free.
@@ -17,43 +19,21 @@ Scenario catalogue:
 * ``rule-heavy-mve-redis`` — a Redis 2.0.0 -> 2.0.1 update held in
   outdated-leader mode with a large rule catalogue registered; every
   leader record crosses the rule engine on its way to the follower.
-* ``rules-redis-stream`` / ``rules-vsftpd-stream`` — the rule engine in
-  isolation over synthetic leader streams, with heavy catalogues.
 * ``fig7-ring-2^N`` — leader + follower under a small/medium/large ring,
   interleaving publish and back-pressure replay like Figure 7 does.
-* ``chaos-recovery-kvstore`` — full update lifecycles under
-  recovery-class chaos faults (``repro.chaos``), reporting deterministic
-  virtual-time recovery-latency gauges alongside wall-clock throughput.
-* ``fleet-canary-upgrade`` — the sharded-fleet canary scenario
-  (``repro.cluster.fleet``): two upgrade rounds over seeded traffic,
-  reporting the fleet's rollback and MVE-budget gauges.
-* ``chaos-campaign-parallel`` — the chaos campaign grid serial vs
-  sharded across 8 workers, recording the measured speedup and a
-  byte-identity check between the two reports.
-* ``openloop-upgrade-waves`` — the open-loop kvstore workload
-  (``repro.workloads.openloop``) through restart vs Mvedsua upgrade
-  waves, reporting the deterministic coordinated-omission gauges
-  (offered vs achieved rate, upgrade-window p99, SLO availability).
-* ``distributed-ring-kvstore`` — the kvstore update lifecycle over the
-  local ring vs :class:`~repro.mve.distring.DistributedRing` at three
-  link-latency points (``repro.bench.distring``), reporting how ring
-  stalls, request p99 and SLO availability shift as the MVE pair's
-  ring crosses a link.
 """
 
 from __future__ import annotations
 
-import json
-import time
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from functools import partial
+from typing import Callable, Dict, List
 
 from repro.core import Mvedsua
 from repro.mve import VaranRuntime
 from repro.mve.dsl.rules import (
     Direction,
     RewriteRule,
-    RuleEngine,
     RuleSet,
     SyscallPattern,
 )
@@ -66,32 +46,30 @@ from repro.servers.redis import (
     redis_transforms,
     redis_version,
 )
-from repro.servers.vsftpd import vsftpd_rules
-from repro.servers.vsftpd.rules import TABLE1_RULE_COUNTS
 from repro.syscalls.costs import PROFILES
-from repro.syscalls.model import Sys, SyscallRecord, read_record, write_record
+from repro.syscalls.model import Sys, SyscallRecord
 from repro.workloads import VirtualClient
 from repro.workloads.memtier import MemtierSpec
 
-#: A measured thunk: run the workload, return
-#: (virtual_requests, syscalls, extras).
-Thunk = Callable[[], Tuple[int, int, Dict[str, int]]]
+#: Every scenario reports exactly these, in table order.
+GAUGES = ("vrequests", "syscalls", "ring_high_watermark", "ring_stalls",
+          "latency_p50_ns", "latency_p99_ns", "latency_p999_ns")
 
 
 @dataclass(frozen=True)
 class Scenario:
-    """One named benchmark configuration."""
+    """One named hot-path configuration."""
 
     name: str
     description: str
-    #: ops -> thunk; setup happens inside build, the thunk is timed.
-    build: Callable[[int], Thunk]
+    #: ops -> the run's :data:`GAUGES`.
+    run: Callable[[int], Dict[str, int]]
     #: Default operation count (``--quick`` divides by 5).
-    default_ops: int = 2000
+    default_ops: int
 
 
 # ---------------------------------------------------------------------------
-# Rule-catalogue builders
+# The padded rule catalogue
 # ---------------------------------------------------------------------------
 
 #: Syscalls a realistic filesystem/session rule catalogue spreads over.
@@ -104,22 +82,20 @@ def _identity_action(matched: List[SyscallRecord]) -> List[SyscallRecord]:
     return list(matched)
 
 
-def rule_heavy_catalog(n_rules: int = 120, *,
-                       base: Optional[RuleSet] = None) -> RuleSet:
+def rule_heavy_catalog(base: RuleSet) -> RuleSet:
     """A large rule catalogue in the shape real deployments accumulate.
 
-    Starts from ``base`` (e.g. the genuine Redis 2.0.0 -> 2.0.1 rules)
-    and pads with guarded single-record rules spread across the syscall
+    Starts from ``base`` (the genuine Redis 2.0.0 -> 2.0.1 rules) and
+    pads with 120 guarded single-record rules spread across the syscall
     vocabulary — banner rewrites, path renames, session tweaks — whose
-    predicates never fire for the benchmark stream.  This mirrors the
+    predicates never fire for the scenario's stream.  This mirrors the
     paper's observation that the overwhelming majority of records match
     no rule: the engine's job is to get out of the way.
     """
     rules = RuleSet()
-    if base is not None:
-        for rule in base.rules:
-            rules.add(rule)
-    for index in range(n_rules):
+    for rule in base.rules:
+        rules.add(rule)
+    for index in range(120):
         sysname = _CATALOG_SYSCALLS[index % len(_CATALOG_SYSCALLS)]
         token = f"#pad-{sysname.value}-{index}".encode()
         rules.add(RewriteRule(
@@ -131,471 +107,93 @@ def rule_heavy_catalog(n_rules: int = 120, *,
     return rules
 
 
-def full_vsftpd_catalog() -> RuleSet:
-    """Every shipped Vsftpd rule (all Table 1 update pairs), in one set."""
-    rules = RuleSet()
-    for old, new, count in TABLE1_RULE_COUNTS:
-        if count == 0:
-            continue
-        for rule in vsftpd_rules(old, new).rules:
-            # Rule names must stay unique across pairs.
-            rules.add(RewriteRule(f"{old}-{new}/{rule.name}", rule.pattern,
-                                  rule.action, rule.direction, rule.ast,
-                                  trace_tag=rule.trace_tag,
-                                  suppresses=rule.suppresses))
-    return rules
-
-
 # ---------------------------------------------------------------------------
-# Semantic-stack scenarios
+# The configurations
 # ---------------------------------------------------------------------------
 
-def _redis_runtime() -> Tuple[VirtualKernel, VaranRuntime, VirtualClient]:
+def _serve(runtime, client: VirtualClient, commands: List[bytes],
+           ) -> Dict[str, int]:
+    """Serve ``commands`` back to back, let every follower catch up, and
+    read the gauges off the always-on counters (no tracer installed)."""
+    now = 0
+    for command in commands:
+        _, now = client.request(runtime, command, now + 1)
+    varan = getattr(runtime, "runtime", runtime)  # Mvedsua wraps VaranRuntime
+    varan.drain_follower()
+    gauges = {"vrequests": len(commands),
+              "syscalls": varan.total_syscalls,
+              "ring_high_watermark": varan.ring.high_watermark,
+              "ring_stalls": varan.ring_stalls}
+    gauges.update(summarize_latencies(client.latencies_ns))
+    return gauges
+
+
+def _redis(seed: int, ops: int):
     kernel = VirtualKernel()
     server = RedisServer(redis_version("2.0.0", hmget_bug=False))
     server.attach(kernel)
+    client = VirtualClient(kernel, server.address)
+    commands = list(MemtierSpec().commands(ops, protocol="redis", seed=seed))
+    return kernel, server, client, commands
+
+
+def run_single_leader(ops: int) -> Dict[str, int]:
+    kernel, server, client, commands = _redis(11, ops)
     runtime = VaranRuntime(kernel, server, PROFILES["redis"],
                            ring_capacity=1 << 14)
-    client = VirtualClient(kernel, server.address)
-    return kernel, runtime, client
+    return _serve(runtime, client, commands)
 
 
-def _command_loop(runtime, client, commands) -> Thunk:
-    def thunk() -> Tuple[int, int, Dict[str, int]]:
-        now = 0
-        handled = 0
-        for command in commands:
-            _, now = client.request(runtime, command, now + 1)
-            handled += 1
-        extras = _ring_extras(runtime)
-        # Exact virtual-time request percentiles (deterministic, so they
-        # are gauges for --diff purposes, not wall-clock quantities).
-        extras.update(summarize_latencies(client.latencies_ns))
-        return handled, _total_syscalls(runtime), extras
-    return thunk
-
-
-def _total_syscalls(runtime) -> int:
-    inner = getattr(runtime, "runtime", runtime)  # Mvedsua wraps VaranRuntime
-    return inner.total_syscalls
-
-
-def _ring_extras(runtime) -> Dict[str, int]:
-    """Ring pressure gauges for scenarios that run a real ring buffer."""
-    inner = getattr(runtime, "runtime", runtime)
-    return {"ring_high_watermark": inner.ring.high_watermark,
-            "ring_stalls": inner.ring_stalls}
-
-
-def build_single_leader(ops: int) -> Thunk:
-    _, runtime, client = _redis_runtime()
-    commands = list(MemtierSpec().commands(ops, protocol="redis", seed=11))
-    return _command_loop(runtime, client, commands)
-
-
-def build_mve_follower(ops: int) -> Thunk:
-    _, runtime, client = _redis_runtime()
+def run_mve_follower(ops: int) -> Dict[str, int]:
+    kernel, server, client, commands = _redis(12, ops)
+    runtime = VaranRuntime(kernel, server, PROFILES["redis"],
+                           ring_capacity=1 << 14)
     runtime.fork_follower(0)
-    commands = list(MemtierSpec().commands(ops, protocol="redis", seed=12))
-    loop = _command_loop(runtime, client, commands)
-
-    def thunk() -> Tuple[int, int, Dict[str, int]]:
-        handled, syscalls, _ = loop()
-        runtime.drain_follower()
-        extras = _ring_extras(runtime)
-        extras.update(summarize_latencies(client.latencies_ns))
-        return handled, syscalls, extras
-    return thunk
+    return _serve(runtime, client, commands)
 
 
-def build_rule_heavy_mve_redis(ops: int) -> Thunk:
-    kernel = VirtualKernel()
-    server = RedisServer(redis_version("2.0.0", hmget_bug=False))
-    server.attach(kernel)
+def run_rule_heavy_mve_redis(ops: int) -> Dict[str, int]:
+    kernel, server, client, commands = _redis(13, ops)
     mvedsua = Mvedsua(kernel, server, PROFILES["redis"],
                       transforms=redis_transforms(),
                       ring_capacity=1 << 14)
-    client = VirtualClient(kernel, server.address)
-    catalog = rule_heavy_catalog(base=redis_rules("2.0.0", "2.0.1"))
+    catalog = rule_heavy_catalog(redis_rules("2.0.0", "2.0.1"))
     attempt = mvedsua.request_update(
         redis_version("2.0.1", hmget_bug=False), 10**9, rules=catalog)
     if not attempt.ok:  # pragma: no cover - setup invariant
         raise RuntimeError(f"update failed: {attempt.reason}")
-    commands = list(MemtierSpec().commands(ops, protocol="redis", seed=13))
-    return _command_loop(mvedsua, client, commands)
+    return _serve(mvedsua, client, commands)
 
 
-def build_ring_sweep(capacity: int) -> Callable[[int], Thunk]:
-    def build(ops: int) -> Thunk:
-        kernel = VirtualKernel()
-        server = KVStoreServer(KVStoreV1())
-        server.attach(kernel)
-        runtime = VaranRuntime(kernel, server, PROFILES["kvstore"],
-                               ring_capacity=capacity)
-        client = VirtualClient(kernel, server.address)
-        runtime.fork_follower(0)
-        commands = [b"PUT k%d v%d\r\n" % (i % 512, i) for i in range(ops)]
+def run_ring_sweep(capacity: int, ops: int) -> Dict[str, int]:
+    kernel = VirtualKernel()
+    server = KVStoreServer(KVStoreV1())
+    server.attach(kernel)
+    runtime = VaranRuntime(kernel, server, PROFILES["kvstore"],
+                           ring_capacity=capacity)
+    client = VirtualClient(kernel, server.address)
+    runtime.fork_follower(0)
+    commands = [b"PUT k%d v%d\r\n" % (i % 512, i) for i in range(ops)]
+    return _serve(runtime, client, commands)
 
-        def thunk() -> Tuple[int, int, Dict[str, int]]:
-            now = 0
-            for command in commands:
-                _, now = client.request(runtime, command, now + 1)
-            runtime.drain_follower()
-            extras = _ring_extras(runtime)
-            extras.update(summarize_latencies(client.latencies_ns))
-            return len(commands), runtime.total_syscalls, extras
-        return thunk
-    return build
-
-
-# ---------------------------------------------------------------------------
-# Chaos-recovery scenario: how fast does MVE contain an injected fault?
-# ---------------------------------------------------------------------------
-
-def build_chaos_recovery(ops: int) -> Thunk:
-    """``ops`` full kvstore update lifecycles, each under one
-    recovery-class chaos fault, cycling a fixed cell list.
-
-    Wall-clock throughput measures the simulator's fault paths (crash
-    handling, divergence forensics, rollback); the extras are *virtual*
-    recovery latencies — injection to the recovery event — which are
-    deterministic and therefore regression-pinnable, unlike wall time.
-    """
-    # Imported lazily: the chaos package pulls in the full server stack.
-    from repro.chaos.campaign import run_cell
-    from repro.chaos.plan import Fault, FaultPlan, on_call
-    from repro.chaos.scenarios import buggy_v2_factory
-    from repro.servers.kvstore import xform_drop_table
-
-    cells = [
-        # E1: buggy new version — divergence caught at the first
-        # post-update replay, a full virtual second after injection.
-        FaultPlan("e1-buggy-version", (
-            Fault("dsu.update", "buggy-version", on_call(1),
-                  param={"factory": buggy_v2_factory}),)),
-        # E2: transformer drops the table — same detection window.
-        FaultPlan("e2-drop-table", (
-            Fault("dsu.transform", "replace", on_call(1),
-                  param={"transformer": xform_drop_table}),)),
-        # Follower crashes mid-catch-up: rollback, old version serves on.
-        FaultPlan("follower-crash", (
-            Fault("mve.follower", "crash", on_call(1)),)),
-        # Corrupted follower record: divergence forensics + rollback.
-        FaultPlan("follower-corrupt", (
-            Fault("mve.follower", "corrupt-record", on_call(2)),)),
-        # Leader crashes while outdated: the follower is promoted.
-        FaultPlan("leader-crash", (
-            Fault("mve.leader", "crash", on_call(12)),)),
-    ]
-
-    def thunk() -> Tuple[int, int, Dict[str, int]]:
-        vrequests = 0
-        syscalls = 0
-        latencies: List[int] = []
-        for index in range(ops):
-            result = run_cell(cells[index % len(cells)])
-            vrequests += len(result.observations)
-            syscalls += result.syscalls
-            if result.injections and result.recovery_at is not None:
-                # Raw signed delta — a negative value is an ordering
-                # anomaly the campaign classifier reports loudly, so the
-                # perf extras must not paper over it either.
-                latencies.append(result.recovery_at
-                                 - result.injections[0]["at"])
-        extras = {"recovered_runs": len(latencies)}
-        if latencies:
-            extras["recovery_latency_min_ns"] = min(latencies)
-            extras["recovery_latency_max_ns"] = max(latencies)
-            extras["recovery_latency_mean_ns"] = \
-                sum(latencies) // len(latencies)
-        return vrequests, syscalls, extras
-    return thunk
-
-
-# ---------------------------------------------------------------------------
-# Parallel-campaign scenario: serial golden run vs sharded execution
-# ---------------------------------------------------------------------------
-
-def build_chaos_campaign_parallel(ops: int) -> Thunk:
-    """The chaos campaign over its first ``ops`` grid cells, run twice:
-    serially (the golden reference) and sharded across 8 workers.
-
-    The deterministic gauges pin what must never regress: the cell
-    count, the worker count, and — the whole point of the parallel
-    executor — that the two reports are byte-identical.  The wall-clock
-    extras (``*_wall_ms``, ``*_speedup_pct``) record the measured
-    speedup honestly; on a box with fewer cores than workers the
-    "speedup" is a slowdown, which is exactly what the trajectory file
-    should say for that machine.
-    """
-    # Imported lazily: the chaos package pulls in the full server stack.
-    from repro.chaos.campaign import run_campaign
-
-    workers = 8
-
-    def thunk() -> Tuple[int, int, Dict[str, int]]:
-        start = time.perf_counter()
-        serial = run_campaign("kvstore", seed=1, max_cells=ops)
-        serial_wall = time.perf_counter() - start
-        start = time.perf_counter()
-        parallel = run_campaign("kvstore", seed=1, max_cells=ops,
-                                workers=workers)
-        parallel_wall = time.perf_counter() - start
-        identical = (json.dumps(serial, sort_keys=True)
-                     == json.dumps(parallel, sort_keys=True))
-        extras = {
-            "campaign_cells": serial["cells"],
-            "campaign_workers": workers,
-            "reports_identical": int(identical),
-            "serial_wall_ms": int(serial_wall * 1000),
-            "parallel_wall_ms": int(parallel_wall * 1000),
-            "campaign_speedup_pct": (
-                int(round(100 * serial_wall / parallel_wall))
-                if parallel_wall > 0 else 0),
-        }
-        return 2 * serial["cells"], 0, extras
-    return thunk
-
-
-# ---------------------------------------------------------------------------
-# Fleet scenario: canary-staged upgrades across a sharded fleet
-# ---------------------------------------------------------------------------
-
-def build_fleet_canary_upgrade(ops: int) -> Thunk:
-    """The ``python -m repro fleet`` canary scenario on a 2×2 fleet.
-
-    ``ops`` is the client command budget spread over the three traffic
-    phases.  Wall-clock throughput measures the whole orchestration
-    stack (sharded routing, fan-out writes, canary probes, fleet-wide
-    rollback); the extras pin the deterministic fleet gauges — the
-    rollback count and the per-shard MVE-pair budget, which must
-    never exceed one.
-    """
-    # Imported lazily: the fleet pulls in the chaos invariant checker.
-    from repro.cluster.fleet import run_fleet_scenario
-
-    def thunk() -> Tuple[int, int, Dict[str, int]]:
-        report = run_fleet_scenario(seed=1, shards=2, replicas=2,
-                                    commands=ops)
-        extras = {
-            "fleet_rollbacks": report["rollbacks"],
-            "fleet_max_mve_pairs_per_shard":
-                report["max_mve_pairs_per_shard"],
-            "fleet_failovers": report["failovers"],
-        }
-        return len(report["observations"]), report["syscalls"], extras
-    return thunk
-
-
-# ---------------------------------------------------------------------------
-# Open-loop scenario: tail latency through identical upgrade waves
-# ---------------------------------------------------------------------------
-
-def build_openloop_upgrade_waves(ops: int) -> Thunk:
-    """The ``python -m repro openloop kvstore`` scenario end to end.
-
-    ``ops`` maps onto the workload's arrival budget: anything below the
-    spec's full 2400 requests runs the ``--quick`` variant.  Wall-clock
-    throughput measures the whole open-loop stack (arrival generation,
-    flyweight churn, six serve cells, histogram reporting); the extras
-    pin the deterministic virtual-time gauges the coordinated-omission
-    headline rests on — offered vs achieved rate, the upgrade-window
-    p99 for restart vs Mvedsua, both pause lengths, per-cell SLO
-    availability in per-mille, and the contrast-check tally.
-    """
-    # Imported lazily: the scenario pulls in the full server stack.
-    from repro.workloads.openloop_scenarios import run_openloop_scenario
-
-    quick = ops < 2400
-
-    def thunk() -> Tuple[int, int, Dict[str, int]]:
-        report = run_openloop_scenario("kvstore", seed=1, quick=quick)
-        cells = {row["cell"]: row for row in report["cells"]}
-        contrast = report["contrast"]
-        restart = cells["restart-open"]
-        mvedsua = cells["mvedsua-open"]
-        extras = {
-            "offered_rps": restart["offered_rps"],
-            "achieved_rps_restart": restart["achieved_rps"],
-            "achieved_rps_mvedsua": mvedsua["achieved_rps"],
-            "window_p99_restart_ns": restart["window_p99_ns"],
-            "window_p99_mvedsua_ns": mvedsua["window_p99_ns"],
-            "p999_restart_open_ns": restart["p999_ns"],
-            "p999_mvedsua_open_ns": mvedsua["p999_ns"],
-            "pause_restart_ns": contrast["restart_pause_ns"],
-            "pause_mvedsua_ns": contrast["mvedsua_pause_ns"],
-            "slo_availability_restart_permille":
-                int(round(1000 * restart["slo_availability"])),
-            "slo_availability_mvedsua_permille":
-                int(round(1000 * mvedsua["slo_availability"])),
-            "contrast_checks_ok":
-                sum(1 for check in report["checks"] if check["ok"]),
-        }
-        vrequests = sum(row["requests"] for row in report["cells"])
-        return vrequests, 0, extras
-    return thunk
-
-
-# ---------------------------------------------------------------------------
-# Distributed-ring scenario: the link-latency sweep vs the local ring
-# ---------------------------------------------------------------------------
-
-def build_distributed_ring_kvstore(ops: int) -> Thunk:
-    """The ``repro.bench.distring`` sweep: the same kvstore update
-    lifecycle over the in-process ring and over a ``repro-ring/1`` link
-    at each latency point.
-
-    ``ops`` is the per-row request budget.  Wall-clock throughput
-    measures the wire path (frame encode/decode, window accounting);
-    the extras pin the deterministic shape the EXPERIMENTS.md table
-    rests on — per-point ring stalls, p99, and SLO availability in
-    per-mille, which must degrade monotonically with link latency.
-    """
-    # Imported lazily: the driver pulls in the full server stack.
-    from repro.bench.distring import link_label, run_distring_comparison
-
-    def thunk() -> Tuple[int, int, Dict[str, int]]:
-        report = run_distring_comparison(seed=1, commands=ops)
-        extras: Dict[str, int] = {}
-        vrequests = 0
-        syscalls = 0
-        for row in report["rows"]:
-            point = link_label(row["link_latency_ns"])
-            extras[f"ring_stalls_{point}"] = row["ring_stalls"]
-            extras[f"p99_{point}_ns"] = row["latency_p99_ns"]
-            extras[f"slo_availability_{point}_permille"] = \
-                int(round(1000 * row["slo_availability"]))
-            vrequests += row["requests"]
-            syscalls += row["syscalls"]
-        distributed = [row for row in report["rows"]
-                       if row["ring"] == "distributed"]
-        extras["wire_frames"] = sum(row["frames"] for row in distributed)
-        extras["wire_bytes"] = sum(row["wire_bytes"]
-                                   for row in distributed)
-        extras["rows_finalized"] = sum(1 for row in report["rows"]
-                                       if row["finalized"])
-        return vrequests, syscalls, extras
-    return thunk
-
-
-# ---------------------------------------------------------------------------
-# Stream scenarios: the rule engine in isolation
-# ---------------------------------------------------------------------------
-
-def _redis_stream(n_records: int) -> List[SyscallRecord]:
-    """A leader stream shaped like Redis under Memtier: mostly GET reads
-    and replies, a 10% SET tail with AOF writes."""
-    records: List[SyscallRecord] = []
-    index = 0
-    while len(records) < n_records:
-        fd = 4 + (index % 7)
-        records.append(SyscallRecord(Sys.EPOLL_WAIT, fd=3, result=(fd,)))
-        if index % 10 == 3:
-            records.append(read_record(fd, b"SET memtier-%d vvvv\r\n" % index))
-            records.append(write_record(fd, b"+OK\r\n"))
-            records.append(write_record(-3, b"AOF SET memtier-%d\r\n" % index))
-        else:
-            records.append(read_record(fd, b"GET memtier-%d\r\n" % index))
-            records.append(write_record(fd, b"$4\r\nvvvv\r\n"))
-        index += 1
-    return records[:n_records]
-
-
-def _vsftpd_stream(n_records: int) -> List[SyscallRecord]:
-    """A control-channel stream shaped like the paper's FtpBench: RETR
-    loops with 150/226 replies and file opens."""
-    records: List[SyscallRecord] = []
-    index = 0
-    while len(records) < n_records:
-        fd = 5 + (index % 3)
-        records.append(read_record(fd, b"RETR bench.bin\r\n"))
-        records.append(write_record(fd, b"150 Opening BINARY mode data "
-                                        b"connection.\r\n"))
-        records.append(SyscallRecord(Sys.OPEN, data=b"/srv/bench.bin",
-                                     result=0))
-        records.append(read_record(-2, b"x" * 5))
-        records.append(write_record(fd, b"226 Transfer complete.\r\n"))
-        index += 1
-    return records[:n_records]
-
-
-def _engine_stream_thunk(rules: List[RewriteRule],
-                         records: List[SyscallRecord]) -> Thunk:
-    def thunk() -> Tuple[int, int, Dict[str, int]]:
-        engine = RuleEngine(rules)
-        out = 0
-        for record in records:
-            engine.offer(record)
-            while engine.has_ready():
-                engine.next_expected()
-                out += 1
-        engine.flush()
-        while engine.has_ready():
-            engine.next_expected()
-            out += 1
-        return len(records), out, {}
-    return thunk
-
-
-def build_rules_redis_stream(ops: int) -> Thunk:
-    catalog = rule_heavy_catalog(base=redis_rules("2.0.0", "2.0.1"))
-    rules = catalog.for_stage(Direction.OUTDATED_LEADER)
-    return _engine_stream_thunk(rules, _redis_stream(ops))
-
-
-def build_rules_vsftpd_stream(ops: int) -> Thunk:
-    catalog = rule_heavy_catalog(base=full_vsftpd_catalog())
-    rules = catalog.for_stage(Direction.OUTDATED_LEADER)
-    return _engine_stream_thunk(rules, _vsftpd_stream(ops))
-
-
-# ---------------------------------------------------------------------------
-# Registry
-# ---------------------------------------------------------------------------
 
 SCENARIOS: Dict[str, Scenario] = {s.name: s for s in (
     Scenario("single-leader",
              "Redis steady state, no follower (interception only)",
-             build_single_leader, default_ops=2000),
+             run_single_leader, default_ops=2000),
     Scenario("mve-follower",
              "Varan leader + identical follower, no rules",
-             build_mve_follower, default_ops=1500),
+             run_mve_follower, default_ops=1500),
     Scenario("rule-heavy-mve-redis",
              "Redis 2.0.0->2.0.1 outdated-leader stage, 120-rule catalogue",
-             build_rule_heavy_mve_redis, default_ops=1500),
-    Scenario("rules-redis-stream",
-             "rule engine alone over a Memtier-shaped record stream",
-             build_rules_redis_stream, default_ops=30000),
-    Scenario("rules-vsftpd-stream",
-             "rule engine alone over an FtpBench-shaped record stream",
-             build_rules_vsftpd_stream, default_ops=30000),
+             run_rule_heavy_mve_redis, default_ops=1500),
     Scenario("fig7-ring-2^5",
              "leader+follower through a 32-entry ring (heavy back-pressure)",
-             build_ring_sweep(1 << 5), default_ops=1500),
+             partial(run_ring_sweep, 1 << 5), default_ops=1500),
     Scenario("fig7-ring-2^8",
              "leader+follower through a 256-entry ring",
-             build_ring_sweep(1 << 8), default_ops=1500),
+             partial(run_ring_sweep, 1 << 8), default_ops=1500),
     Scenario("fig7-ring-2^11",
              "leader+follower through a 2048-entry ring",
-             build_ring_sweep(1 << 11), default_ops=1500),
-    Scenario("chaos-recovery-kvstore",
-             "update lifecycles under recovery-class chaos faults "
-             "(virtual recovery-latency gauges)",
-             build_chaos_recovery, default_ops=30),
-    Scenario("fleet-canary-upgrade",
-             "canary-staged fleet upgrade: sharded routing, fan-out "
-             "writes, rollback on divergence",
-             build_fleet_canary_upgrade, default_ops=60),
-    Scenario("chaos-campaign-parallel",
-             "chaos campaign grid serial vs 8 workers (measured "
-             "speedup + report byte-identity)",
-             build_chaos_campaign_parallel, default_ops=211),
-    Scenario("openloop-upgrade-waves",
-             "open-loop kvstore workload through restart vs Mvedsua "
-             "upgrade waves (coordinated-omission gauges)",
-             build_openloop_upgrade_waves, default_ops=2400),
-    Scenario("distributed-ring-kvstore",
-             "kvstore update lifecycle over the local ring vs a "
-             "repro-ring/1 link at three latency points",
-             build_distributed_ring_kvstore, default_ops=240),
+             partial(run_ring_sweep, 1 << 11), default_ops=1500),
 )}

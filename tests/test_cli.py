@@ -38,8 +38,8 @@ SURFACE = {
     "lint": (["--app", "--catalog", "--format", "--json", "--prove",
               "--spans"], []),
     "prove": (["--catalog", "--json", "--no-replay", "--out"], ["app"]),
-    "perf": (["--diff", "--json", "--ops", "--out", "--quick", "--repeat",
-              "--scenario", "--slo", "--tolerance", "--workers"], []),
+    "perf": (["--diff", "--json", "--ops", "--out", "--quick",
+              "--scenario", "--slo"], []),
     "trace": (["--check", "--last-k", "--out", "--quick", "--record"],
               ["{faults,fig6,fig7,table1,table2}"]),
     "chaos": (["--max-cells", "--oncall-cap", "--plan", "--record",
@@ -122,7 +122,7 @@ def test_missing_argument_rejected():
     (["openloop", "kvstore", "--workers", "0"], "must be >= 1, got 0"),
     (["slo", "fig7", "--workers", "zero"], "not 'zero'"),
     (["chaos", "kvstore", "--workers", "-2"], "must be >= 1, got -2"),
-    (["perf", "--workers", "many"], "not 'many'"),
+    (["openloop", "redis", "--workers", "many"], "not 'many'"),
     (["trace", "fig6", "--quick", "--last-k", "-1"],
      "argument --last-k: must be >= 0, got -1"),
     (["fleet", "canary-kvstore", "--shards", "0"],
@@ -135,8 +135,10 @@ def test_missing_argument_rejected():
      "argument --max-cells: must be >= 1, got -3"),
     (["chaos", "kvstore", "--max-cells", "0"],
      "argument --max-cells: must be >= 1, got 0"),
-    (["perf", "--repeat", "0"], "argument --repeat: must be >= 1, got 0"),
-    (["perf", "--repeat", "-1"], "argument --repeat: must be >= 1, got -1"),
+    # Flags that only shaped wall time are gone, not silently accepted.
+    (["perf", "--repeat", "3"], "unrecognized arguments: --repeat 3"),
+    (["perf", "--tolerance", "0.2"],
+     "unrecognized arguments: --tolerance 0.2"),
     (["perf", "--ops", "0"], "argument --ops: must be >= 1, got 0"),
 ])
 def test_bad_workers_is_a_usage_error(argv, complaint, capsys,

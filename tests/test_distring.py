@@ -339,6 +339,20 @@ class TestEndToEnd:
         # server never replies would raise instead.
         assert all(row["syscalls"] >= 3 * row["requests"] for row in rows)
 
+    def test_default_sweep_gauges_are_pinned(self):
+        # The EXPERIMENTS.md table shows these at display precision;
+        # here they are exact, so a shifted stall or percentile fails
+        # even when the rounded table still reads the same.
+        from repro.bench.distring import run_distring_comparison
+        rows = run_distring_comparison()["rows"]
+        assert [(row["ring_stalls"], row["latency_p99_ns"],
+                 round(1000 * row["slo_availability"])) for row in rows] \
+            == [(0, 13149680, 946), (5, 13149680, 946),
+                (15, 13149680, 900), (87, 194146640, 246)]
+        assert [(row["frames"], row["wire_bytes"]) for row in rows[1:]] \
+            == [(121, 25548)] * 3
+        assert all(row["finalized"] for row in rows)
+
 
 class TestFleetLintMve704:
     def test_cross_node_without_link_is_flagged(self):

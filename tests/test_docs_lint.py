@@ -78,7 +78,7 @@ class TestCheckerCatchesDefects(unittest.TestCase):
         for module, rest in (
                 ("repro", " fleet canary-kvstore --distributed"),
                 ("repro", " chaos kvstore-distributed"),
-                ("repro", " perf --scenario distributed-ring-kvstore"),
+                ("repro", " perf --scenario fig7-ring-2^5"),
                 ("repro", " --help"),
                 ("repro.bench.distring", "")):
             self.checker.check_command(module, rest, "t:1", problems)

@@ -215,6 +215,14 @@ class TestFleetScenario:
         assert set(report["final_versions"].values()) == {"2.0"}
         assert validate_report(report) == []
 
+    def test_budget_and_rollback_hold_on_a_small_busy_fleet(self):
+        # Fewer nodes and more traffic than the CLI's 3x3 default: still
+        # one fleet-wide rollback and at most one MVE pair per shard.
+        report = run_fleet_scenario(shards=2, replicas=2, commands=60)
+        assert (report["rollbacks"], report["max_mve_pairs_per_shard"],
+                report["failovers"]) == (1, 1, 0)
+        assert len(report["observations"]) == 60
+
     def test_report_is_bit_identical_across_runs(self):
         first = json.dumps(run_fleet_scenario(seed=3), sort_keys=True)
         second = json.dumps(run_fleet_scenario(seed=3), sort_keys=True)

@@ -8,7 +8,7 @@ class tallies exactly for this test.
 """
 
 from repro.obs import Tracer, current_tracer, tracing
-from repro.perf.scenarios import build_rule_heavy_mve_redis
+from repro.perf.scenarios import run_rule_heavy_mve_redis
 
 
 def test_disabled_path_creates_and_emits_nothing():
@@ -16,13 +16,12 @@ def test_disabled_path_creates_and_emits_nothing():
     created_before = Tracer.created_total
     emitted_before = Tracer.emitted_total
 
-    thunk = build_rule_heavy_mve_redis(32)
-    vrequests, syscalls, extras = thunk()
+    gauges = run_rule_heavy_mve_redis(32)
 
     # The workload really ran...
-    assert vrequests == 32
-    assert syscalls > 0
-    assert extras["ring_high_watermark"] > 0
+    assert gauges["vrequests"] == 32
+    assert gauges["syscalls"] > 0
+    assert gauges["ring_high_watermark"] > 0
     # ...and the observability layer never woke up.
     assert Tracer.created_total == created_before
     assert Tracer.emitted_total == emitted_before
@@ -32,7 +31,6 @@ def test_enabled_path_actually_records():
     # Control experiment: the same workload with a tracer installed does
     # emit — proving the zero above measures the guard, not dead hooks.
     with tracing(Tracer(experiment="overhead-control")) as tracer:
-        thunk = build_rule_heavy_mve_redis(8)
-        thunk()
+        run_rule_heavy_mve_redis(8)
     assert tracer.events
     assert tracer.metrics.snapshot()["syscalls.total"]["value"] > 0

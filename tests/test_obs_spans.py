@@ -18,7 +18,7 @@ from repro.obs.spans import (
     validate_span_file,
     validate_span_lines,
 )
-from repro.perf.scenarios import build_rule_heavy_mve_redis
+from repro.perf.scenarios import run_rule_heavy_mve_redis
 
 FIXTURE = "tests/fixtures/bad_spans.jsonl"
 
@@ -34,13 +34,12 @@ class TestDisabledPath:
         collectors_before = SpanCollector.created_total
         spans_before = SpanCollector.opened_total
 
-        thunk = build_rule_heavy_mve_redis(32)
-        vrequests, syscalls, extras = thunk()
+        gauges = run_rule_heavy_mve_redis(32)
 
         # The workload really ran, through every instrumented hook...
-        assert vrequests == 32
-        assert syscalls > 0
-        assert extras["ring_high_watermark"] > 0
+        assert gauges["vrequests"] == 32
+        assert gauges["syscalls"] > 0
+        assert gauges["ring_high_watermark"] > 0
         # ...and not one span object was born.
         assert SpanCollector.created_total == collectors_before
         assert SpanCollector.opened_total == spans_before
@@ -51,8 +50,7 @@ class TestDisabledPath:
         collectors_before = SpanCollector.created_total
         spans_before = SpanCollector.opened_total
         with tracing(Tracer(experiment="span-overhead")) as tracer:
-            thunk = build_rule_heavy_mve_redis(8)
-            thunk()
+            run_rule_heavy_mve_redis(8)
         assert tracer.spans is None
         assert tracer.events  # tracing itself did record
         assert SpanCollector.created_total == collectors_before
@@ -64,8 +62,7 @@ class TestDisabledPath:
         # hooks.
         with tracing(Tracer(experiment="span-control",
                             spans=True)) as tracer:
-            thunk = build_rule_heavy_mve_redis(8)
-            thunk()
+            run_rule_heavy_mve_redis(8)
         assert tracer.spans is not None
         tally = tracer.spans.kind_tally()
         assert tally.get("request", 0) == 8

@@ -1,6 +1,6 @@
 """Syscall-stream record/replay (``repro-stream/1``) and parallel
 campaign execution: stream round-trips, offline divergence forensics,
-byte-identical sharded reports, and the perf ``--diff`` regression
+byte-identical sharded reports, and the perf ``--diff`` gauge
 gate."""
 
 import functools
@@ -15,9 +15,9 @@ from repro.chaos.scenarios import BuggyKVStoreV2, run_kv_update_scenario
 from repro.errors import SimulationError
 from repro.mve import VaranRuntime
 from repro.net import VirtualKernel
-from repro.perf.diff import diff_bench
-from repro.perf.harness import (SCHEMA, WALL_CLOCK_KEYS, run_scenarios,
-                                to_bench_dict, validate_bench)
+from repro.perf.diff import diff_bench, gate_failures
+from repro.perf.harness import SCHEMA, run_scenarios, validate_bench
+from repro.perf.scenarios import GAUGES
 from repro.replay.engine import replay_file
 from repro.parallel import map_items, resolve_workers, shard_round_robin
 from repro.replay.recorder import StreamRecorder, current_recorder, recording
@@ -283,79 +283,51 @@ class TestParallelCampaign:
 
 
 # ---------------------------------------------------------------------------
-# Parallel perf harness + the --diff regression gate
+# The perf payload + the --diff gauge gate
 # ---------------------------------------------------------------------------
 
 
-def _bench_payload(rate=100.0, gauge=7, ops=10, wall_ms=5):
+def _bench_payload(stalls=7, ops=10):
+    gauges = dict.fromkeys(GAUGES, 1)
+    gauges["ring_stalls"] = stalls
     return {
         "_meta": {"schema": SCHEMA, "quick": False, "ops": {"s": ops},
-                  "python": "3", "workers": 1, "cpu_count": 1,
                   "scenario_order": ["s"]},
-        "s": {"wall_s": 1.0, "vreq_per_s": rate, "syscalls_per_s": rate,
-              "gauge": gauge, "setup_wall_ms": wall_ms},
+        "s": gauges,
     }
 
 
 class TestPerfParallel:
-    def test_sharded_results_match_serial_modulo_wall_clock(self):
-        names = ["rules-redis-stream", "rules-vsftpd-stream"]
-        serial = run_scenarios(names, ops=60)
-        parallel = run_scenarios(names, ops=60, workers=2)
-
-        def gauges(results):
-            return [(r.name, r.ops, r.vrequests, r.syscalls, r.extras)
-                    for r in results]
-        assert gauges(serial) == gauges(parallel)
-
     def test_bench_meta_records_the_run_shape(self):
-        results = run_scenarios(["rules-redis-stream"], ops=40)
-        payload = to_bench_dict(results, quick=True, workers=3)
-        meta = payload["_meta"]
-        assert meta["schema"] == "repro-perf/4"
-        assert meta["workers"] == 3
-        assert meta["cpu_count"] >= 1
-        assert meta["scenario_order"] == ["rules-redis-stream"]
+        payload = run_scenarios(["fig7-ring-2^5"], ops=40, quick=True)
+        assert payload["_meta"] == {
+            "schema": "repro-perf/5", "quick": True,
+            "ops": {"fig7-ring-2^5": 40},
+            "scenario_order": ["fig7-ring-2^5"]}
         assert validate_bench(payload) == []
 
     def test_validate_bench_catches_tampering(self):
         payload = _bench_payload()
         assert validate_bench(payload) == []
-        del payload["_meta"]["workers"]
-        assert any("workers" in p for p in validate_bench(payload))
+        del payload["_meta"]["scenario_order"]
+        assert any("scenario_order" in p for p in validate_bench(payload))
+        payload["s"]["ring_stalls"] = 0.5
+        assert any("ring_stalls" in p for p in validate_bench(payload))
         payload["_meta"]["schema"] = "repro-perf/1"
         assert any("schema" in p for p in validate_bench(payload))
-
-    def test_campaign_parallel_scenario_reports_identity(self):
-        result = run_scenarios(["chaos-campaign-parallel"], ops=8)[0]
-        assert result.extras["reports_identical"] == 1
-        assert result.extras["campaign_cells"] == 8
-        assert result.extras["campaign_workers"] == 8
-        assert result.vrequests == 16
 
 
 class TestDiffGate:
     def test_identical_payloads_pass(self):
         deltas = diff_bench(_bench_payload(), _bench_payload())
         assert [d.status for d in deltas] == ["ok"]
-        assert all(d.ok for d in deltas)
+        assert gate_failures(deltas) == []
 
-    def test_timing_extras_are_exempt_but_gauges_are_not(self):
-        current = _bench_payload(gauge=7, wall_ms=900)
-        assert all(d.ok for d in diff_bench(current, _bench_payload()))
-        drifted = _bench_payload(gauge=8)
-        deltas = diff_bench(drifted, _bench_payload())
+    def test_any_drifted_gauge_is_a_mismatch(self):
+        deltas = diff_bench(_bench_payload(stalls=8), _bench_payload())
         assert deltas[0].status == "gauge-mismatch"
-        assert "gauge" in deltas[0].problems[0]
-
-    def test_rate_regression_is_ratio_gated(self):
-        ok = diff_bench(_bench_payload(rate=60.0), _bench_payload(rate=100.0))
-        assert all(d.ok for d in ok)
-        bad = diff_bench(_bench_payload(rate=40.0), _bench_payload(rate=100.0))
-        assert bad[0].status == "regression"
-        strict = diff_bench(_bench_payload(rate=90.0),
-                            _bench_payload(rate=100.0), tolerance=0.05)
-        assert strict[0].status == "regression"
+        assert gate_failures(deltas) \
+            == ["s: gauge 'ring_stalls' changed 7 -> 8"]
 
     def test_missing_scenario_fails_and_new_passes(self):
         baseline = _bench_payload()
@@ -364,21 +336,20 @@ class TestDiffGate:
         deltas = diff_bench(current, baseline)
         assert {d.name: d.status for d in deltas} \
             == {"s": "ok", "extra-scenario": "new"}
-        missing = {k: v for k, v in baseline.items() if k == "_meta"}
+        assert gate_failures(deltas) == []
+        missing = {"_meta": baseline["_meta"]}
         deltas = diff_bench(missing, baseline)
         assert deltas[0].status == "missing"
-        assert not deltas[0].ok
+        assert deltas[0].problems
+        # A --scenario run is held only to what it ran — but a diff
+        # left with nothing to compare still fails.
+        assert diff_bench(missing, baseline, subset=True) == []
+        assert gate_failures([]) != []
 
     def test_ops_change_skips_the_comparison(self):
-        current = _bench_payload(gauge=999, ops=50)
-        deltas = diff_bench(current, _bench_payload(gauge=7, ops=10))
+        current = _bench_payload(stalls=999, ops=50)
+        deltas = diff_bench(current, _bench_payload(stalls=7, ops=10))
         assert deltas[0].status == "ops-changed"
-        assert deltas[0].ok
-
-    def test_tolerance_is_validated(self):
-        with pytest.raises(ValueError):
-            diff_bench(_bench_payload(), _bench_payload(), tolerance=1.5)
-
-
-def test_wall_clock_keys_are_the_report_rates():
-    assert WALL_CLOCK_KEYS == {"wall_s", "vreq_per_s", "syscalls_per_s"}
+        assert deltas[0].problems == []
+        assert any("no scenario was compared" in failure
+                   for failure in gate_failures(deltas))

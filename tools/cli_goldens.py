@@ -71,6 +71,7 @@ CASES: List[Case] = [
          ("TRACE_fig6.jsonl", "STREAM.jsonl", "REPLAY.json"), gate=True),
     Case("prove-kvstore", ("prove kvstore",), ("PROOF_kvstore.json",),
          gate=True),
+    Case("perf", ("perf --json",), ("BENCH_perf.json",), gate=True),
     # -- the rest of the documented surface, full sizes
     Case("all", ("all",)),
     *(Case(name, (name,)) for name in
@@ -89,6 +90,8 @@ CASES: List[Case] = [
          ("fleet canary-kvstore --distributed --slo",),
          ("FLEET_kvstore.json",)),
     Case("slo-fig7", ("slo fig7",), ("SLO_fig7.json",), workers=True),
+    Case("openloop-kvstore", ("openloop kvstore",),
+         ("OPENLOOP_kvstore.json",), workers=True),
 ]
 
 
