@@ -104,7 +104,7 @@ def main() -> None:
                             for key, value in sorted(entry.items())
                             if key != "type")
         print(f"  {name:24s} {rendered}")
-    print(f"  trace events collected: {len(tracer.events)}")
+    print(f"  trace events collected: {tracer.event_count}")
     print("\n== post-mortems ==")
     print(render_history(mvedsua))
     print("\nGET balance ->",

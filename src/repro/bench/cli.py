@@ -57,5 +57,5 @@ def run(args) -> int:
             uninstall_tracer()
             tracer.write_jsonl(args.trace_path)
             print(f"\nwrote trace: {args.trace_path} "
-                  f"({len(tracer.events)} events)", file=sys.stderr)
+                  f"({tracer.event_count} events)", file=sys.stderr)
     return 0

@@ -136,7 +136,7 @@ class SyscallGateway:
         # path is one attribute load and an ``is None`` test.
         tracer = self.kernel.tracer
         if tracer is not None:
-            tracer.on_syscall(self.role.value, record)
+            tracer.on_syscall(self.role._value_, record)
         return record
 
     # -- sockets ------------------------------------------------------------------

@@ -54,7 +54,7 @@ def run(args) -> int:
     out = args.out or f"TRACE_{args.experiment}.jsonl"
     tracer.write_jsonl(out)
 
-    print(f"repro trace {args.experiment}: {len(tracer.events)} events "
+    print(f"repro trace {args.experiment}: {tracer.event_count} events "
           f"-> {out}")
     if recorder is not None:
         print(f"wrote stream: {args.record} "

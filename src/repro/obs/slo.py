@@ -37,7 +37,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional
 
 from repro.obs.metrics import Histogram
-from repro.obs.spans import PHASES, Span, SpanCollector
+from repro.obs.spans import PAUSE_KINDS, PHASES, Span, SpanCollector
 
 #: SLO report schema identifier (bump on shape changes).
 SLO_SCHEMA = "repro-slo/1"
@@ -144,20 +144,25 @@ def effective_phase(request: Span, collector: SpanCollector) -> str:
     """
     if request.end_ns is None:
         return request.phase
-    for span in collector.pause_spans():
-        if span.overlap_ns(request.start_ns, request.end_ns) > 0:
-            return "quiesce-pause"
+    for kind in PAUSE_KINDS:
+        for span in collector.of_kind(kind):
+            if span.overlap_ns(request.start_ns, request.end_ns) > 0:
+                return "quiesce-pause"
     return request.phase
 
 
-def _descendant_ids(request: Span, collector: SpanCollector) -> set:
-    ids = {request.span_id}
-    # Spans are appended in creation order, so one forward pass links
-    # every descendant (a child is always created after its parent).
-    for span in collector.spans:
-        if span.parent_id in ids:
-            ids.add(span.span_id)
-    return ids
+def _descends_from(span: Span, ancestor_id: int, spans: List[Span]) -> bool:
+    """Whether ``span``'s parent links lead to ``ancestor_id``.  An id
+    is a 1-based position in ``spans`` and a parent precedes its child,
+    so only links to an earlier span are followed."""
+    child_id, parent_id = span.span_id, span.parent_id
+    while parent_id is not None:
+        if parent_id == ancestor_id:
+            return True
+        if not 0 < parent_id < child_id:
+            return False
+        child_id, parent_id = parent_id, spans[parent_id - 1].parent_id
+    return False
 
 
 def attribute_request(request: Span,
@@ -171,18 +176,17 @@ def attribute_request(request: Span,
     request's own service time dominates every blameable wait.
     """
     assert request.end_ns is not None
-    descendants = _descendant_ids(request, collector)
     breakdown: Dict[str, int] = {}
-    for span in collector.spans:
-        category = BLAME.get(span.kind)
-        if category is None or span.end_ns is None:
-            continue
-        if span.span_id in descendants:
-            ns = span.end_ns - span.start_ns
-        else:
-            ns = span.overlap_ns(request.start_ns, request.end_ns)
-        if ns > 0:
-            breakdown[category] = breakdown.get(category, 0) + ns
+    for kind, category in BLAME.items():
+        for span in collector.of_kind(kind):
+            if span.end_ns is None:
+                continue
+            if _descends_from(span, request.span_id, collector.spans):
+                ns = span.end_ns - span.start_ns
+            else:
+                ns = span.overlap_ns(request.start_ns, request.end_ns)
+            if ns > 0:
+                breakdown[category] = breakdown.get(category, 0) + ns
     if not breakdown:
         latency = request.end_ns - request.start_ns
         return {"blame": SELF_BLAME, "blame_ns": latency,

@@ -45,7 +45,8 @@ cycles.
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from collections import defaultdict
+from typing import Any, Dict, Iterator, List, Optional, Sequence
 
 #: JSONL span schema identifier (bump on shape changes).
 SPAN_SCHEMA = "repro-span/1"
@@ -125,14 +126,16 @@ class SpanCollector:
 
     def __init__(self) -> None:
         SpanCollector.created_total += 1
+        #: Every span in creation order; a span's id is its 1-based
+        #: position here, which is how parent links are followed.
         self.spans: List[Span] = []
+        #: The same spans by kind (kinds in first-appearance order).
+        self._by_kind: Dict[str, List[Span]] = defaultdict(list)
         self._stack: List[Span] = []
         self._next_id = 1
         #: Current upgrade phase, stamped onto spans at creation.  The
         #: DSU orchestrator advances it through :data:`PHASES`.
         self.phase = PHASES[0]
-        #: ``(len(spans) it was built at, the PAUSE_KINDS spans)``.
-        self._pause_index: Tuple[int, List[Span]] = (0, [])
 
     # -- creation -----------------------------------------------------------
 
@@ -145,6 +148,7 @@ class SpanCollector:
                     phase=self.phase, attrs=attrs)
         self._next_id += 1
         self.spans.append(span)
+        self._by_kind[kind].append(span)
         SpanCollector.opened_total += 1
         return span
 
@@ -189,29 +193,20 @@ class SpanCollector:
         """The innermost open span, or None."""
         return self._stack[-1] if self._stack else None
 
+    def of_kind(self, kind: str) -> Sequence[Span]:
+        """The spans of one kind, in creation order (a view of the
+        collector's index, not a copy)."""
+        return self._by_kind.get(kind, ())
+
     def request_spans(self) -> List[Span]:
         """All ``request`` spans, in creation order."""
-        return [span for span in self.spans if span.kind == "request"]
-
-    def pause_spans(self) -> List[Span]:
-        """The :data:`PAUSE_KINDS` spans, in creation order.
-
-        Indexed once and rebuilt only when spans have been added since;
-        it holds the spans themselves, so one closed later is seen.
-        """
-        if self._pause_index[0] != len(self.spans):
-            self._pause_index = (len(self.spans), [
-                span for span in self.spans if span.kind in PAUSE_KINDS])
-        return self._pause_index[1]
+        return list(self.of_kind("request"))
 
     def children_of(self, span_id: int) -> List[Span]:
         return [span for span in self.spans if span.parent_id == span_id]
 
     def kind_tally(self) -> Dict[str, int]:
-        tally: Dict[str, int] = {}
-        for span in self.spans:
-            tally[span.kind] = tally.get(span.kind, 0) + 1
-        return tally
+        return {kind: len(spans) for kind, spans in self._by_kind.items()}
 
     # -- export -------------------------------------------------------------
 
@@ -240,6 +235,32 @@ def iter_span_dicts(lines: List[str]) -> Iterator[Dict[str, Any]]:
 # Schema validation (shape only; hygiene is the MVE9xx lint's job)
 # ---------------------------------------------------------------------------
 
+def jsonl_header_problems(line: str, schema: str, count_key: str,
+                          present: int) -> List[str]:
+    """Problems with a JSONL artifact's header line: not a JSON object,
+    the wrong schema id, or a declared ``count_key`` that is not the
+    ``present`` body lines (``repro-span/1`` and ``repro-trace/1``)."""
+    try:
+        header = json.loads(line)
+    except ValueError as exc:
+        return [f"line 1: not JSON ({exc})"]
+    if not isinstance(header, dict):
+        header = {}
+    problems: List[str] = []
+    if header.get("schema") != schema:
+        problems.append(f"line 1: schema is {header.get('schema')!r}, "
+                        f"expected {schema!r}")
+    declared = header.get(count_key)
+    if not isinstance(declared, int) or declared < 0:
+        problems.append(f"line 1: {count_key!r} is {declared!r}, "
+                        f"expected a non-negative int")
+    elif declared != present:
+        problems.append(f"header declares {declared} {count_key} but the "
+                        f"file has {present} {count_key[:-1]} lines "
+                        f"(truncated?)")
+    return problems
+
+
 def validate_span_lines(lines: List[str]) -> List[str]:
     """Check JSONL span lines against ``repro-span/1``.
 
@@ -249,25 +270,10 @@ def validate_span_lines(lines: List[str]) -> List[str]:
     ``parent`` integer or null, non-empty ``kind``/``layer`` strings,
     and a ``phase`` from :data:`PHASES`.
     """
-    problems: List[str] = []
     if not lines:
         return ["span file is empty"]
-    try:
-        header = json.loads(lines[0])
-    except ValueError as exc:
-        return [f"line 1: not JSON ({exc})"]
-    if not isinstance(header, dict) \
-            or header.get("schema") != SPAN_SCHEMA:
-        schema = header.get("schema") if isinstance(header, dict) else None
-        problems.append(f"line 1: schema is {schema!r}, "
-                        f"expected {SPAN_SCHEMA!r}")
-    declared = header.get("spans") if isinstance(header, dict) else None
-    if not isinstance(declared, int) or declared < 0:
-        problems.append(f"line 1: 'spans' is {declared!r}, "
-                        f"expected a non-negative int")
-    elif declared != len(lines) - 1:
-        problems.append(f"header declares {declared} spans but the file "
-                        f"has {len(lines) - 1} span lines (truncated?)")
+    problems = jsonl_header_problems(lines[0], SPAN_SCHEMA, "spans",
+                                     len(lines) - 1)
     for index, line in enumerate(lines[1:], start=2):
         try:
             span = json.loads(line)

@@ -21,6 +21,10 @@ Timestamps are virtual nanoseconds.  Layers that know the virtual time
 that do not (the kernel, the gateway) stamp events with the most
 recently advanced time, which is exact at iteration granularity.
 
+With an observer present, an event is one flat tuple appended to the
+tracer's log; :class:`TraceEvent` objects, kind tallies and JSONL lines
+are built from the log only when someone reads them.
+
 Traces export as JSONL (schema ``repro-trace/1``): a header line, one
 line per event, and a final ``metrics.snapshot`` line.  See
 ``docs/observability.md`` for the full schema and event taxonomy.
@@ -36,10 +40,10 @@ import json
 from collections import Counter as _TallyCounter
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Deque, Dict, Iterable, List, Optional
+from typing import Any, Deque, Dict, Iterable, Iterator, List, Optional, Tuple
 
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.spans import SpanCollector
+from repro.obs.metrics import Counter, MetricsRegistry
+from repro.obs.spans import SpanCollector, jsonl_header_problems
 
 #: JSONL trace schema identifier (bump on shape changes).
 TRACE_SCHEMA = "repro-trace/1"
@@ -78,33 +82,65 @@ class TraceEvent:
     fields: Dict[str, Any] = field(default_factory=dict)
 
     def as_dict(self) -> Dict[str, Any]:
-        payload: Dict[str, Any] = {"at": self.at, "kind": self.kind,
-                                   "layer": self.layer}
-        for key, value in self.fields.items():
-            payload[key] = jsonable(value)
-        return payload
+        return _payload(self.at, self.kind, self.layer, self.fields.items())
 
 
-class Tracer:
+def _payload(at: int, kind: str, layer: str,
+             items: Iterable[Tuple[str, Any]]) -> Dict[str, Any]:
+    """The JSON-ready form of one event (one ``repro-trace/1`` line)."""
+    payload: Dict[str, Any] = {"at": at, "kind": kind, "layer": layer}
+    for key, value in items:
+        payload[key] = jsonable(value)
+    return payload
+
+
+#: Every hook goes through :meth:`Tracer.emit` except the kernel's and
+#: the gateway's: they fire ~18 times per request (all others together
+#: once), so they append their log entry themselves, with these constant
+#: kinds and field names, and bump counters they looked up once.
+_KERNEL_KINDS = {"enter": "kernel.enter", "exit": "kernel.exit"}
+_KERNEL_FIELDS = ("op", "domain", "fd")
+_SYSCALL_FIELDS = ("role", "name", "fd", "nbytes")
+
+_emitted_total = 0
+
+
+class _TracerTallies(type):
+    #: Trace events ever emitted, across all tracers (process lifetime).
+    #: A module global behind a property: assigning a *class* attribute
+    #: per event would invalidate the interpreter's method caches for
+    #: the class under every hook call.
+    emitted_total = property(lambda cls: _emitted_total)
+
+
+class Tracer(metaclass=_TracerTallies):
     """Collects trace events, metrics, and divergence forensics.
 
-    Class-level tallies (``created_total``, ``emitted_total``) exist so
-    the overhead regression test can assert the disabled path creates
-    *nothing* — counts, not wall-clock.
+    Class-level tallies (``created_total``, ``emitted_total``,
+    ``materialised_total``) exist so the overhead regression test can
+    assert the disabled path creates *nothing* — counts, not wall-clock.
     """
 
     #: Tracer instances ever constructed (process lifetime).
     created_total = 0
-    #: Trace events ever emitted, across all tracers (process lifetime).
-    emitted_total = 0
+    #: :class:`TraceEvent` objects ever built (process lifetime): none
+    #: while nobody reads :attr:`events`.
+    materialised_total = 0
 
     def __init__(self, experiment: str = "",
                  last_k: int = DEFAULT_LAST_K,
                  spans: bool = False) -> None:
         Tracer.created_total += 1
         self.experiment = experiment
-        self.events: List[TraceEvent] = []
+        #: Every event in emission order, one flat tuple each:
+        #: ``(at, kind, layer, field_names, *field_values)``.
+        self._log: List[Tuple[Any, ...]] = []
+        self._events: List[TraceEvent] = []
         self.metrics = MetricsRegistry()
+        #: The hot hooks' counters, looked up on first use so the
+        #: registry still lists only touched names.
+        self._kernel_syscalls: Optional[Counter] = None
+        self._syscall_counters: Dict[str, Tuple[Counter, Counter]] = {}
         #: Causal span collector, or None (the default), so span-off
         #: runs allocate no span objects at all (see
         #: :mod:`repro.obs.spans`); instrumented modules record known
@@ -129,16 +165,32 @@ class Tracer:
             self.vnow = at
 
     def emit(self, kind: str, layer: str, at: Optional[int] = None,
-             **fields: Any) -> TraceEvent:
+             **fields: Any) -> None:
         """Record one event; ``at=None`` stamps the current virtual time."""
+        global _emitted_total
         if at is None:
             at = self.vnow
-        else:
-            self.advance(at)
-        event = TraceEvent(at, kind, layer, fields)
-        self.events.append(event)
-        Tracer.emitted_total += 1
-        return event
+        elif at > self.vnow:
+            self.vnow = at
+        self._log.append((at, kind, layer, tuple(fields), *fields.values()))
+        _emitted_total += 1
+
+    @property
+    def event_count(self) -> int:
+        """Events recorded so far (builds nothing)."""
+        return len(self._log)
+
+    @property
+    def events(self) -> List[TraceEvent]:
+        """Every event so far, in order, as :class:`TraceEvent` objects:
+        built from the log on read, each entry once, so a run that never
+        looks pays for none."""
+        events = self._events
+        fresh = self._log[len(events):]
+        events.extend(TraceEvent(at, kind, layer, dict(zip(names, values)))
+                      for at, kind, layer, names, *values in fresh)
+        Tracer.materialised_total += len(fresh)
+        return events
 
     def span(self, name: str, layer: str, start: int, end: int,
              **fields: Any) -> None:
@@ -160,17 +212,33 @@ class Tracer:
 
     def on_syscall(self, role: str, record: Any) -> None:
         """A gateway emitted one syscall record (any role)."""
-        self.emit("syscall", "mve", role=role, name=record.name.value,
-                  fd=record.fd, nbytes=len(record.data))
-        self.metrics.counter("syscalls.total").inc()
-        self.metrics.counter(f"syscalls.{role}").inc()
+        global _emitted_total
+        self._log.append((self.vnow, "syscall", "mve", _SYSCALL_FIELDS,
+                          role, record.name._value_, record.fd,
+                          len(record.data)))
+        _emitted_total += 1
+        counters = self._syscall_counters.get(role)
+        if counters is None:
+            counters = self._syscall_counters[role] = (
+                self.metrics.counter("syscalls.total"),
+                self.metrics.counter(f"syscalls.{role}"))
+        counters[0].value += 1
+        counters[1].value += 1
 
     def on_kernel(self, phase: str, op: str, domain: int,
                   fd: int = -1) -> None:
-        """The virtual kernel entered/exited one syscall implementation."""
-        self.emit(f"kernel.{phase}", "kernel", op=op, domain=domain, fd=fd)
+        """The virtual kernel entered/exited (``phase`` is ``"enter"`` or
+        ``"exit"``) one syscall implementation."""
+        global _emitted_total
+        self._log.append((self.vnow, _KERNEL_KINDS[phase], "kernel",
+                          _KERNEL_FIELDS, op, domain, fd))
+        _emitted_total += 1
         if phase == "enter":
-            self.metrics.counter("kernel.syscalls").inc()
+            counter = self._kernel_syscalls
+            if counter is None:
+                counter = self._kernel_syscalls = \
+                    self.metrics.counter("kernel.syscalls")
+            counter.value += 1
 
     def on_sim_event(self, at: int, pending: int) -> None:
         """The discrete-event engine dispatched one scheduled event."""
@@ -279,24 +347,27 @@ class Tracer:
 
     def kind_tally(self) -> Dict[str, int]:
         """Event counts per kind (for summaries and tests)."""
-        return dict(_TallyCounter(event.kind for event in self.events))
+        return dict(_TallyCounter(entry[1] for entry in self._log))
+
+    def _jsonl_lines(self) -> Iterator[str]:
+        yield json.dumps({"schema": TRACE_SCHEMA,
+                          "experiment": self.experiment,
+                          "events": len(self._log)})
+        for at, kind, layer, names, *values in self._log:
+            yield json.dumps(_payload(at, kind, layer, zip(names, values)))
+        yield json.dumps({"at": self.vnow, "kind": "metrics.snapshot",
+                          "layer": "obs",
+                          "metrics": self.metrics.snapshot()})
 
     def to_jsonl_lines(self) -> List[str]:
         """The full trace as JSONL lines (header, events, metrics)."""
-        lines = [json.dumps({"schema": TRACE_SCHEMA,
-                             "experiment": self.experiment,
-                             "events": len(self.events)})]
-        lines.extend(json.dumps(event.as_dict()) for event in self.events)
-        lines.append(json.dumps({"at": self.vnow, "kind": "metrics.snapshot",
-                                 "layer": "obs",
-                                 "metrics": self.metrics.snapshot()}))
-        return lines
+        return list(self._jsonl_lines())
 
     def write_jsonl(self, path: str) -> None:
-        """Write the trace to ``path`` (one JSON object per line)."""
+        """Write the trace to ``path``, one JSON object per line, a line
+        at a time."""
         with open(path, "w", encoding="utf-8") as handle:
-            for line in self.to_jsonl_lines():
-                handle.write(line + "\n")
+            handle.writelines(line + "\n" for line in self._jsonl_lines())
 
 
 # ---------------------------------------------------------------------------
@@ -353,42 +424,35 @@ def validate_trace_lines(lines: List[str]) -> List[str]:
     """Check JSONL trace lines against ``repro-trace/1``.
 
     Returns a list of problems (empty means valid): a header with the
-    right schema id, events carrying integer ``at`` plus non-empty
-    ``kind``/``layer`` strings, and a final metrics snapshot.
+    right schema id and event count, events carrying integer ``at``
+    plus non-empty ``kind``/``layer`` strings, and a final metrics
+    snapshot.
     """
-    problems: List[str] = []
     if not lines:
         return ["trace is empty"]
-    try:
-        header = json.loads(lines[0])
-    except ValueError as exc:
-        return [f"line 1: not JSON ({exc})"]
-    if header.get("schema") != TRACE_SCHEMA:
-        problems.append(f"line 1: schema is {header.get('schema')!r}, "
-                        f"expected {TRACE_SCHEMA!r}")
     if len(lines) < 2:
-        problems.append("trace has no metrics snapshot line")
-        return problems
+        return ["trace has no metrics snapshot line"]
+    problems = jsonl_header_problems(lines[0], TRACE_SCHEMA, "events",
+                                     len(lines) - 2)
+    last: Any = None
     for index, line in enumerate(lines[1:], start=2):
         try:
-            event = json.loads(line)
+            last = event = json.loads(line)
         except ValueError as exc:
+            last = None
             problems.append(f"line {index}: not JSON ({exc})")
+            continue
+        if not isinstance(event, dict):
+            problems.append(f"line {index}: not an object")
             continue
         at = event.get("at")
         if not isinstance(at, int):
             problems.append(f"line {index}: 'at' is {at!r}, expected int")
-        kind = event.get("kind")
-        if not isinstance(kind, str) or not kind:
-            problems.append(f"line {index}: missing 'kind'")
-        layer = event.get("layer")
-        if not isinstance(layer, str) or not layer:
-            problems.append(f"line {index}: missing 'layer'")
-    try:
-        last = json.loads(lines[-1])
-    except ValueError:
-        last = {}
-    if last.get("kind") != "metrics.snapshot":
+        for key in ("kind", "layer"):
+            value = event.get(key)
+            if not isinstance(value, str) or not value:
+                problems.append(f"line {index}: missing {key!r}")
+    if not isinstance(last, dict) or last.get("kind") != "metrics.snapshot":
         problems.append("last line is not a metrics.snapshot")
     elif not isinstance(last.get("metrics"), dict):
         problems.append("metrics.snapshot carries no metrics dict")

@@ -25,7 +25,9 @@ anything — the MVE10xx workload lint and the runtime share it.
 from __future__ import annotations
 
 import bisect
-from typing import Any, List, Mapping
+import functools
+import itertools
+from typing import Any, List, Mapping, Tuple
 
 #: The closed distribution vocabulary (MVE1001 checks against this).
 KEY_DISTRIBUTIONS = ("uniform", "zipf")
@@ -52,6 +54,14 @@ class UniformKeys:
         return {"distribution": "uniform", "keyspace": self.keyspace}
 
 
+@functools.lru_cache(maxsize=4)
+def _zipf_cdf(keyspace: int, exponent: float) -> Tuple[float, ...]:
+    """Running sums of the rank weights, kept for the last few
+    distributions: every cell of a scenario samples the same one."""
+    return tuple(itertools.accumulate(
+        1.0 / float(rank + 1) ** exponent for rank in range(keyspace)))
+
+
 class ZipfKeys:
     """Zipfian key popularity: rank r with weight ``1/(r+1)**exponent``.
 
@@ -65,12 +75,7 @@ class ZipfKeys:
     def __init__(self, keyspace: int, exponent: float = 1.1) -> None:
         self.keyspace = keyspace
         self.exponent = exponent
-        cdf: List[float] = []
-        total = 0.0
-        for rank in range(keyspace):
-            total += 1.0 / float(rank + 1) ** exponent
-            cdf.append(total)
-        self._cdf = cdf
+        self._cdf = _zipf_cdf(keyspace, exponent)
 
     def sample(self, rng) -> int:
         """One key rank; consumes exactly one ``random`` draw."""

@@ -1,10 +1,13 @@
-"""Satellite regression: tracing disabled must cost nothing.
+"""Satellite regression: tracing disabled must cost nothing, and tracing
+enabled must build nothing nobody reads.
 
-"Nothing" is asserted in counts, not wall-clock: the rule-heavy Redis
-perf scenario runs a full MVE catch-up workload, and with no tracer
-installed the observability layer may create zero tracers and emit zero
-trace events.  :class:`~repro.obs.trace.Tracer` keeps process-lifetime
-class tallies exactly for this test.
+Both are asserted in counts, not wall-clock: the rule-heavy Redis perf
+scenario runs a full MVE catch-up workload; with no tracer installed
+the observability layer may create zero tracers and emit zero trace
+events, and with one installed every event is a log entry but no
+:class:`~repro.obs.trace.TraceEvent` exists until ``.events`` is read.
+:class:`~repro.obs.trace.Tracer` keeps process-lifetime class tallies
+exactly for this test.
 """
 
 from repro.obs import Tracer, current_tracer, tracing
@@ -34,3 +37,25 @@ def test_enabled_path_actually_records():
         run_rule_heavy_mve_redis(8)
     assert tracer.events
     assert tracer.metrics.snapshot()["syscalls.total"]["value"] > 0
+
+
+def test_enabled_path_builds_no_event_objects_until_they_are_read():
+    emitted_before = Tracer.emitted_total
+    built_before = Tracer.materialised_total
+
+    with tracing(Tracer(experiment="overhead-enabled")) as tracer:
+        gauges = run_rule_heavy_mve_redis(32)
+
+    assert gauges["vrequests"] == 32
+    count = tracer.event_count
+    assert count > gauges["syscalls"]       # kernel + gateway + ring + ...
+    assert Tracer.emitted_total == emitted_before + count
+    # Counting, tallying and exporting all work off the log.
+    assert sum(tracer.kind_tally().values()) == count
+    assert len(tracer.to_jsonl_lines()) == count + 2
+    assert Tracer.materialised_total == built_before
+    # Reading the events builds each exactly once, however often.
+    assert len(tracer.events) == count
+    assert Tracer.materialised_total == built_before + count
+    assert len(tracer.events) == count
+    assert Tracer.materialised_total == built_before + count

@@ -27,7 +27,7 @@ from repro.obs.slo import (
 )
 from repro.cli import main
 from repro.obs.slo_scenarios import SLO_SPECS, run_slo_scenario
-from repro.obs.spans import SpanCollector
+from repro.obs.spans import PAUSE_KINDS, PHASES, SpanCollector
 
 values_lists = st.lists(st.integers(min_value=0, max_value=10**12),
                         min_size=1, max_size=200)
@@ -160,23 +160,157 @@ class TestAttribution:
         assert effective_phase(miss, c) == "normal"
 
     def test_effective_phase_sees_a_pause_closed_after_first_lookup(self):
-        # The pause-span index is built on the first lookup; a pause
-        # that was still open then, and spans added since, must count.
+        # The by-kind index holds the spans themselves: a pause that
+        # was still open at a lookup, and spans added since, must count.
         c = SpanCollector()
         early = c.open("request", "gateway", 0)
         c.close(early, 60)
         pause = c.open("dsu.quiesce", "dsu", 50)
         assert effective_phase(early, c) == "normal"   # still open
-        assert c.pause_spans() == [pause]
+        assert c.of_kind("dsu.quiesce") == [pause]
         c.close(pause, 80)
         assert effective_phase(early, c) == "quiesce-pause"
         late = c.open("request", "gateway", 300)
         c.close(late, 320)
         assert effective_phase(late, c) == "normal"
-        fork = c.add("dsu.fork", "dsu", 310, 330)      # index is stale
+        fork = c.add("dsu.fork", "dsu", 310, 330)
         assert effective_phase(late, c) == "quiesce-pause"
-        assert c.pause_spans() == [pause, fork]
-        assert c.pause_spans() is c.pause_spans()      # built once
+        assert c.of_kind("dsu.fork") == [fork]
+        assert c.of_kind("dsu.fork") is c.of_kind("dsu.fork")   # no copy
+        assert c.of_kind("mve.promote") == ()
+
+
+# ---------------------------------------------------------------------------
+# Indexed attribution against the full-scan reference
+# ---------------------------------------------------------------------------
+#
+# What ``effective_phase``/``attribute_request``/``collect_cell`` did
+# before the collector had a by-kind index: every question re-reads
+# ``collector.spans`` from the start, and ancestry is one forward pass
+# over every span.  Kept here as the reference.
+
+
+def _scan_effective_phase(request, collector):
+    if request.end_ns is None:
+        return request.phase
+    for span in collector.spans:
+        if span.kind in PAUSE_KINDS \
+                and span.overlap_ns(request.start_ns, request.end_ns) > 0:
+            return "quiesce-pause"
+    return request.phase
+
+
+def _scan_attribute_request(request, collector):
+    descendants = {request.span_id}
+    for span in collector.spans:
+        if span.parent_id in descendants:
+            descendants.add(span.span_id)
+    breakdown = {}
+    for span in collector.spans:
+        category = BLAME.get(span.kind)
+        if category is None or span.end_ns is None:
+            continue
+        if span.span_id in descendants:
+            ns = span.end_ns - span.start_ns
+        else:
+            ns = span.overlap_ns(request.start_ns, request.end_ns)
+        if ns > 0:
+            breakdown[category] = breakdown.get(category, 0) + ns
+    if not breakdown:
+        return {"blame": "self",
+                "blame_ns": request.end_ns - request.start_ns,
+                "breakdown": {}}
+    blame = min(breakdown, key=lambda cat: (-breakdown[cat], cat))
+    return {"blame": blame, "blame_ns": breakdown[blame],
+            "breakdown": dict(sorted(breakdown.items()))}
+
+
+def _scan_collect_cell(collector, cell, spec):
+    phase_values, violations = {}, []
+    requests = answered = 0
+    for request in collector.spans:
+        if request.kind != "request" or request.end_ns is None:
+            continue
+        requests += 1
+        if request.attrs.get("answered", True) \
+                and not request.attrs.get("error"):
+            answered += 1
+        latency = request.end_ns - request.start_ns
+        phase = _scan_effective_phase(request, collector)
+        values = phase_values.setdefault(phase, {})
+        values[str(latency)] = values.get(str(latency), 0) + 1
+        if spec.p99_ns is not None and latency > spec.p99_ns:
+            attribution = _scan_attribute_request(request, collector)
+            violations.append({
+                "cell": cell, "client": request.attrs.get("client", ""),
+                "start_ns": request.start_ns, "latency_ns": latency,
+                "budget_ns": spec.p99_ns, "phase": phase, **attribution})
+    span_kinds = {}
+    for span in collector.spans:
+        span_kinds[span.kind] = span_kinds.get(span.kind, 0) + 1
+    return {"cell": cell, "requests": requests, "answered": answered,
+            "spans": len(collector.spans), "span_kinds": span_kinds,
+            "phase_values": phase_values, "violations": violations}
+
+
+_span_kinds = st.sampled_from(["request", "request", "dsu.update",
+                               "fleet.round", *BLAME])
+_times = st.integers(min_value=0, max_value=400)
+#: Collector calls: nested opens, closes of the innermost span (some
+#: stay open), born-closed spans under the dynamic parent or under any
+#: id at all — earlier, later, its own, or no span's — and phase moves.
+_span_ops = st.one_of(
+    st.tuples(st.just("open"), _span_kinds, _times),
+    st.tuples(st.just("close"), _times,
+              st.fixed_dictionaries({}, optional={
+                  "answered": st.booleans(), "error": st.booleans()})),
+    st.tuples(st.just("add"), _span_kinds, _times, _times,
+              st.none() | st.integers(min_value=0, max_value=12)),
+    st.tuples(st.just("phase"), st.sampled_from(PHASES)),
+)
+
+
+def _build_forest(ops):
+    collector = SpanCollector()
+    for op, *args in ops:
+        if op == "open":
+            kind, at = args
+            collector.open(kind, "layer", at, client=f"c{at % 3}")
+        elif op == "close" and collector.current is not None:
+            at, attrs = args
+            collector.close(collector.current,
+                            collector.current.start_ns + at, **attrs)
+        elif op == "add":
+            kind, start, length, parent = args
+            collector.add(kind, "layer", start, start + length,
+                          parent=parent)
+        elif op == "phase":
+            collector.set_phase(args[0])
+    return collector
+
+
+class TestIndexedAttributionMatchesTheFullScan:
+    @given(ops=st.lists(_span_ops, max_size=30),
+           budget=st.none() | st.integers(min_value=1, max_value=200))
+    @settings(max_examples=300, deadline=None)
+    def test_on_generated_span_forests(self, ops, budget):
+        collector = _build_forest(ops)
+        for span in collector.spans:
+            assert effective_phase(span, collector) == \
+                _scan_effective_phase(span, collector)
+            if span.end_ns is not None:
+                # Any closed span can be asked about, blameable or not.
+                assert attribute_request(span, collector) == \
+                    _scan_attribute_request(span, collector)
+        spec = SloSpec("generated", p99_ns=budget)
+        cell = collect_cell(collector, "cell", spec)
+        assert cell == _scan_collect_cell(collector, "cell", spec)
+        # Key order is part of the report's bytes.
+        assert json.dumps(cell) == \
+            json.dumps(_scan_collect_cell(collector, "cell", spec))
+        assert [span.span_id for span in collector.request_spans()] == \
+            [span.span_id for span in collector.spans
+             if span.kind == "request"]
 
 
 # ---------------------------------------------------------------------------

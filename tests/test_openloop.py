@@ -8,6 +8,7 @@ the flyweight pool's live-object count is bounded by the connection
 count no matter how large the logical population is.
 """
 
+import bisect
 import json
 
 import pytest
@@ -128,6 +129,27 @@ class TestKeyspace:
         # Under zipf(1.1) the first 100 of 10,000 ranks carry well over
         # a third of the mass; uniform would put 1% there.
         assert head / len(draws) > 0.3
+
+    @given(keyspace=st.integers(min_value=1, max_value=300),
+           exponent=st.floats(min_value=0.01, max_value=4.0), seed=seeds)
+    @settings(max_examples=50, deadline=None)
+    def test_shared_cdf_is_the_per_instance_loop(self, keyspace, exponent,
+                                                 seed):
+        # The CDF is computed once per (keyspace, exponent) and shared;
+        # the loop each instance used to run is the reference, float for
+        # float, so the same draws pick the same ranks.
+        cdf, total = [], 0.0
+        for rank in range(keyspace):
+            total += 1.0 / float(rank + 1) ** exponent
+            cdf.append(total)
+        first, again = ZipfKeys(keyspace, exponent), \
+            ZipfKeys(keyspace, exponent)
+        assert list(first._cdf) == cdf
+        assert again._cdf is first._cdf
+        rng, reference = _rng(seed), _rng(seed)
+        for _ in range(50):
+            assert first.sample(rng) == bisect.bisect_left(
+                cdf, reference.random() * cdf[-1])
 
     def test_key_problems_vocabulary(self):
         assert key_problems({"distribution": "uniform",
