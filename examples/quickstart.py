@@ -8,37 +8,26 @@ catch-up (t3), promotion (t4/t5), finalization (t6).
 Run with:  python examples/quickstart.py
 """
 
-from repro.core import Mvedsua
-from repro.net import VirtualKernel
-from repro.servers.kvstore import (
-    KVStoreServer,
-    KVStoreV1,
-    KVStoreV2,
-    kv_rules,
-    kv_transforms,
-)
+from repro.apps import deploy
 from repro.sim.engine import SECOND, ns_to_seconds
-from repro.syscalls.costs import PROFILES
-from repro.workloads import VirtualClient
 
 
 def main() -> None:
     # A virtual machine, a DSU-enabled server on it, and Mvedsua
-    # supervising the deployment in single-leader mode.
-    kernel = VirtualKernel()
-    server = KVStoreServer(KVStoreV1())
-    server.attach(kernel)
-    mvedsua = Mvedsua(kernel, server, PROFILES["kvstore"],
-                      transforms=kv_transforms())
-    client = VirtualClient(kernel, server.address)
+    # supervising the deployment in single-leader mode — everything the
+    # app catalog (repro.apps) knows about "kvstore", stood up at 1.0.
+    stack = deploy("kvstore", "1.0")
+    mvedsua = stack.runtime
+    client = stack.client()
 
     print("== single-leader stage (v1.0) ==")
     print("PUT balance 1000 ->", client.command(mvedsua, b"PUT balance 1000"))
     print("GET balance      ->", client.command(mvedsua, b"GET balance"))
 
     # Request the dynamic update.  The leader forks; the follower runs
-    # the state transformer; the leader keeps serving throughout.
-    attempt = mvedsua.request_update(KVStoreV2(), SECOND, rules=kv_rules())
+    # the state transformer; the leader keeps serving throughout.  The
+    # catalog supplies the 2.0 build and the pair's rewrite rules.
+    attempt = stack.update("2.0", SECOND)
     print(f"\n== update requested: {attempt.reason} "
           f"(transform visited {attempt.entries} entries) ==")
     print("stage:", mvedsua.stage.value)

@@ -13,23 +13,20 @@ Package map -- see DESIGN.md for the full inventory:
 * :mod:`repro.servers` -- Redis, Memcached, Vsftpd, and the running
   example, with real wire protocols over :mod:`repro.net`'s virtual
   kernel.
+* :mod:`repro.apps` -- the app catalog (each server's releases, rules,
+  transformers and server class, wired once) and ``deploy()``.
 * :mod:`repro.bench` -- one driver per paper table/figure
   (``python -m repro all`` runs everything).
 
 Quickstart::
 
-    from repro.core import Mvedsua
-    from repro.net import VirtualKernel
-    from repro.servers.kvstore import (KVStoreServer, KVStoreV1,
-                                       KVStoreV2, kv_rules, kv_transforms)
-    from repro.syscalls.costs import PROFILES
+    from repro.apps import deploy
 
-    kernel = VirtualKernel()
-    server = KVStoreServer(KVStoreV1())
-    server.attach(kernel)
-    mvedsua = Mvedsua(kernel, server, PROFILES["kvstore"],
-                      transforms=kv_transforms())
-    mvedsua.request_update(KVStoreV2(), now=0, rules=kv_rules())
+    stack = deploy("kvstore", "1.0")        # kernel, server, Mvedsua
+    client = stack.client()
+    client.command(stack.runtime, b"PUT balance 1000")
+    stack.update("2.0", at=0)               # fork, transform, catch up
+    stack.runtime.promote(now=1)
 """
 
 __version__ = "1.0.0"

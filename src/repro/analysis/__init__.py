@@ -33,7 +33,7 @@ Run it via ``python -m repro lint [--format human|json|sarif]
 gating.
 """
 
-from repro.analysis.catalog import AppConfig, default_catalog, load_catalog
+from repro.apps import AppConfig, default_catalog, load_catalog
 from repro.analysis.chaos_lint import lint_fault_plan, lint_fault_plans
 from repro.analysis.coverage import check_coverage
 from repro.analysis.findings import (Finding, LintReport, RULE_METADATA,

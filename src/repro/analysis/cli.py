@@ -24,7 +24,7 @@ import sys
 from typing import Dict, Iterable, Optional
 
 from repro import cli
-from repro.analysis.catalog import AppConfig
+from repro.apps import AppConfig
 from repro.analysis.chaos_lint import lint_fault_plans
 from repro.analysis.coverage import check_coverage
 from repro.analysis.findings import LintReport, Severity

@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro import cli
-from repro.analysis.catalog import AppConfig
+from repro.apps import AppConfig
 from repro.analysis.findings import Finding, LintReport, Severity
 from repro.analysis.state_space import (Divergence, Exploration,
                                         explore, fully_modeled,

@@ -29,14 +29,12 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.analysis.state_space import Step
+from repro.apps import AppConfig, deploy
 from repro.chaos.injector import ChaosInjector, chaos_active
 from repro.chaos.plans import witness_plan
-from repro.core import Mvedsua
-from repro.errors import KernelError, ServerCrash, SimulationError
+from repro.errors import (KernelError, NoUpdatePath, ServerCrash,
+                          SimulationError)
 from repro.mve.dsl.rules import Direction
-from repro.net.kernel import VirtualKernel
-from repro.syscalls.costs import PROFILES
-from repro.workloads import VirtualClient
 
 #: Virtual-time script of the scenario (nanoseconds).
 SECOND = 1_000_000_000
@@ -90,7 +88,7 @@ class WitnessScenario:
     """A witness lowered to an executable scenario + chaos plan."""
 
     witness: Witness
-    config: Any  # AppConfig (kept loose to avoid an import cycle)
+    config: AppConfig
     plan: Any = None
 
     def __post_init__(self) -> None:
@@ -103,23 +101,14 @@ class WitnessScenario:
             return self._run()
 
     def _run(self) -> ReplayResult:
-        witness, config = self.witness, self.config
-        kernel = VirtualKernel()
+        witness = self.witness
         try:
-            old_version = config.versions.get(witness.app, witness.old)
-            new_version = config.versions.get(witness.app, witness.new)
-        except Exception as exc:
+            stack = deploy(self.config, witness.old, ring_capacity=64)
+        except NoUpdatePath as exc:
             return ReplayResult("error", f"version lookup failed: {exc}")
-        server = _make_server(config, old_version)
-        server.attach(kernel)
-        profile = PROFILES.get(getattr(server, "profile_name", ""),
-                               PROFILES["kvstore"])
-        mvedsua = Mvedsua(kernel, server, profile,
-                          transforms=config.transforms, ring_capacity=64)
+        mvedsua = stack.runtime
         try:
-            attempt = mvedsua.request_update(
-                new_version, UPDATE_AT,
-                rules=config.rules_for(witness.old, witness.new))
+            attempt = stack.update(witness.new, UPDATE_AT)
         except (SimulationError, ServerCrash) as exc:
             return ReplayResult("error", f"update failed: {exc}")
         if not attempt.ok:
@@ -130,7 +119,7 @@ class WitnessScenario:
                 mvedsua.promote(PROMOTE_AT)
             except ServerCrash as exc:
                 return ReplayResult("error", f"promotion crashed: {exc}")
-        client = VirtualClient(kernel, server.address, "witness")
+        client = stack.client("witness")
         replies: List[Optional[str]] = []
         now = FIRST_COMMAND_AT
         try:
@@ -162,20 +151,12 @@ class WitnessScenario:
             "identically", replies=replies)
 
 
-def _make_server(config: Any, version: Any) -> Any:
-    factory = getattr(config, "server_factory", None)
-    if factory is not None:
-        return factory(version)
-    from repro.servers.base import Server
-    return Server(version)
-
-
-def compile_witness(config: Any, witness: Witness) -> WitnessScenario:
+def compile_witness(config: AppConfig, witness: Witness) -> WitnessScenario:
     """Lower ``witness`` into an executable scenario."""
     return WitnessScenario(witness=witness, config=config)
 
 
-def replay_witness(config: Any, witness: Witness) -> ReplayResult:
+def replay_witness(config: AppConfig, witness: Witness) -> ReplayResult:
     """Compile and run ``witness``; never raises."""
     try:
         return compile_witness(config, witness).run()

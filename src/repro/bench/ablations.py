@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
+from repro.apps import app, deploy
 from repro.baselines.lockstep import LOCKSTEP_SYSTEMS, MVEDSUA_CAPABILITIES
 from repro.baselines.restart import (
     CheckpointRestart,
@@ -29,13 +30,8 @@ from repro.baselines.ttst import TTSTValidator
 from repro.bench.reporting import format_ms, format_percent, format_table
 from repro.core import Mvedsua, Stage
 from repro.dsu import Kitsune
-from repro.net import VirtualKernel
 from repro.servers.kvstore import (
-    KVStoreServer,
-    KVStoreV1,
     KVStoreV2,
-    kv_rules,
-    kv_transforms,
     xform_1_to_2,
     xform_2_to_1,
     xform_corrupt_values,
@@ -47,7 +43,6 @@ from repro.servers.kvstore import (
 from repro.servers.native import NativeRuntime
 from repro.sim.engine import SECOND
 from repro.syscalls.costs import PROFILES, ExecutionMode
-from repro.workloads import VirtualClient
 
 STORE_SIZE = 200_000
 
@@ -66,17 +61,19 @@ class StrategyOutcome:
     detail: str = ""
 
 
-def _native_deployment():
-    kernel = VirtualKernel()
-    server = KVStoreServer(KVStoreV1())
-    server.attach(kernel)
-    server.heap["table"].update(
+def _deployment(runtime, **runtime_kwargs):
+    """A 200k-entry kvstore 1.0 under ``runtime``, one client attached."""
+    stack = deploy("kvstore", "1.0", runtime, **runtime_kwargs)
+    stack.server.heap["table"].update(
         {f"key{i}": "value" for i in range(STORE_SIZE)})
-    runtime = NativeRuntime(kernel, server, PROFILES["kvstore"],
-                            with_kitsune=True)
-    client = VirtualClient(kernel, server.address)
-    client.command(runtime, b"PUT balance 1000")
-    return kernel, server, runtime, client
+    client = stack.client()
+    client.command(stack.runtime, b"PUT balance 1000")
+    return stack, client
+
+
+def _native_deployment():
+    stack, client = _deployment(NativeRuntime, with_kitsune=True)
+    return stack.runtime, client
 
 
 def _check_state(client, runtime, now) -> bool:
@@ -91,17 +88,18 @@ def run_upgrade_strategies() -> List[StrategyOutcome]:
     outcomes = []
 
     # Stop/restart: fast but forgets everything.
-    _, _, runtime, client = _native_deployment()
-    report = StopRestart().perform(runtime, KVStoreV2(), SECOND)
+    kvstore = app("kvstore")
+    runtime, client = _native_deployment()
+    report = StopRestart().perform(runtime, kvstore.version("2.0"), SECOND)
     outcomes.append(StrategyOutcome(
         "stop-restart", report.pause_ns,
         state_preserved=_check_state(client, runtime, 2 * SECOND),
         upgrade_succeeded=True, detail=report.detail))
 
     # Checkpoint-restart: fails outright — the state format changed.
-    _, _, runtime, client = _native_deployment()
+    runtime, client = _native_deployment()
     try:
-        CheckpointRestart().perform(runtime, KVStoreV2(), SECOND)
+        CheckpointRestart().perform(runtime, kvstore.version("2.0"), SECOND)
         succeeded, detail = True, ""
     except IncompatibleCheckpoint as exc:
         succeeded, detail = False, str(exc)
@@ -112,9 +110,9 @@ def run_upgrade_strategies() -> List[StrategyOutcome]:
         upgrade_succeeded=succeeded, detail=detail[:60]))
 
     # Standalone Kitsune: works, but pauses for the whole transform.
-    _, _, runtime, client = _native_deployment()
-    result = runtime.apply_update(Kitsune(kv_transforms()), KVStoreV2(),
-                                  SECOND)
+    runtime, client = _native_deployment()
+    result = runtime.apply_update(Kitsune(kvstore.transforms),
+                                  kvstore.version("2.0"), SECOND)
     outcomes.append(StrategyOutcome(
         "kitsune", result.pause_ns,
         state_preserved=_check_state(client, runtime, 60 * SECOND),
@@ -122,19 +120,11 @@ def run_upgrade_strategies() -> List[StrategyOutcome]:
         detail=f"{result.entries_transformed:,} entries transformed"))
 
     # Mvedsua: works, and the leader only pays fork + quiesce.
-    kernel = VirtualKernel()
-    server = KVStoreServer(KVStoreV1())
-    server.attach(kernel)
-    server.heap["table"].update(
-        {f"key{i}": "value" for i in range(STORE_SIZE)})
-    mvedsua = Mvedsua(kernel, server, PROFILES["kvstore"],
-                      transforms=kv_transforms())
-    client = VirtualClient(kernel, server.address)
-    client.command(mvedsua, b"PUT balance 1000")
+    stack, client = _deployment(Mvedsua)
+    mvedsua = stack.runtime
     leader_cpu = mvedsua.runtime.leader.cpu
     before = max(SECOND, leader_cpu.busy_until)
-    attempt = mvedsua.request_update(KVStoreV2(), SECOND,
-                                     rules=kv_rules())
+    attempt = stack.update("2.0", SECOND)
     pause = leader_cpu.busy_until - before
     mvedsua.promote(10 * SECOND)
     mvedsua.finalize(11 * SECOND)
@@ -166,15 +156,12 @@ def _mvedsua_catches(forward, new_version=None) -> Optional[str]:
     from repro.dsu.transform import TransformRegistry
     registry = TransformRegistry()
     registry.register("kvstore", "1.0", "2.0", forward)
-    kernel = VirtualKernel()
-    server = KVStoreServer(KVStoreV1())
-    server.attach(kernel)
-    mvedsua = Mvedsua(kernel, server, PROFILES["kvstore"],
-                      transforms=registry)
-    client = VirtualClient(kernel, server.address)
+    stack = deploy("kvstore", "1.0", transforms=registry)
+    mvedsua, client = stack.runtime, stack.client()
     client.command(mvedsua, b"PUT balance 1000")
-    attempt = mvedsua.request_update(new_version or KVStoreV2(), SECOND,
-                                     rules=kv_rules())
+    attempt = mvedsua.request_update(
+        new_version or stack.app.version("2.0"), SECOND,
+        rules=stack.app.rules_for("1.0", "2.0"))
     if not attempt.ok:
         return f"update aborted: {attempt.reason}"
     client.command(mvedsua, b"GET balance", now=2 * SECOND)

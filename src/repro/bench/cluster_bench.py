@@ -14,8 +14,10 @@ two ways:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Tuple
 
+from repro.apps import app
 from repro.bench.reporting import format_ms, format_table
 from repro.cluster import (
     ClusterNode,
@@ -25,13 +27,6 @@ from repro.cluster import (
     UpgradeSummary,
 )
 from repro.net import VirtualKernel
-from repro.servers.kvstore import (
-    KVStoreServer,
-    KVStoreV1,
-    KVStoreV2,
-    kv_rules,
-    kv_transforms,
-)
 from repro.sim.engine import SECOND
 from repro.syscalls.costs import PROFILES
 
@@ -43,14 +38,14 @@ LONG_LIVED_CLIENTS = 8
 def build_cluster(mvedsua: bool) -> Tuple[LoadBalancer, list]:
     """A seeded cluster with long-lived sessions attached."""
     kernel = VirtualKernel()
+    kvstore = app("kvstore")
     nodes = []
     for index in range(NODES):
-        server = KVStoreServer(
-            KVStoreV1(), address=(f"10.0.0.{index + 1}", 7000))
+        server = kvstore.server("1.0", address=(f"10.0.0.{index + 1}", 7000))
         server.attach(kernel)
         node = ClusterNode(f"node-{index}", kernel, server,
-                           PROFILES["kvstore"],
-                           transforms=kv_transforms() if mvedsua else None)
+                           PROFILES[server.profile_name],
+                           transforms=kvstore.transforms if mvedsua else None)
         node.current_server.heap["table"].update(
             {f"{node.name}-k{i}": "v" for i in range(ENTRIES_PER_NODE)})
         nodes.append(node)
@@ -72,14 +67,17 @@ class ClusterComparison:
 
 
 def run_cluster_comparison() -> ClusterComparison:
+    kvstore = app("kvstore")
+    new_version = partial(kvstore.version, "2.0")
     balancer, clients = build_cluster(mvedsua=False)
     rolling = RollingUpgrade(balancer, drain_timeout_ns=30 * SECOND
-                             ).upgrade(KVStoreV2, SECOND)
+                             ).upgrade(new_version, SECOND)
     assert rolling.all_upgraded_to("2.0", balancer)
 
     balancer, clients = build_cluster(mvedsua=True)
-    upgrade = MvedsuaRollingUpgrade(balancer, rules=kv_rules())
-    mvedsua = upgrade.upgrade(KVStoreV2, SECOND)
+    upgrade = MvedsuaRollingUpgrade(balancer,
+                                    rules=kvstore.rules_for("1.0", "2.0"))
+    mvedsua = upgrade.upgrade(new_version, SECOND)
     assert mvedsua.all_upgraded_to("2.0", balancer)
     live_ok = 0
     for index, (client, node) in enumerate(clients):

@@ -20,15 +20,11 @@ from __future__ import annotations
 
 from typing import Any, Dict, List
 
-from repro.core import Mvedsua, Stage
-from repro.net.kernel import VirtualKernel
+from repro.apps import deploy
+from repro.core import Stage
 from repro.net.ring_wire import RingLink
 from repro.obs.slo import summarize_latencies
-from repro.servers.kvstore import (KVStoreServer, KVStoreV1, KVStoreV2,
-                                   kv_rules_from_dsl, kv_transforms)
 from repro.sim.engine import MILLISECOND
-from repro.syscalls.costs import PROFILES
-from repro.workloads import VirtualClient
 
 #: Ring capacity for the sweep — big enough that the *window*, not the
 #: ring, is the binding constraint on distributed rows.
@@ -57,23 +53,19 @@ def _run_row(seed: int, link_latency_ns: int,
     update_at = span // 4
     promote_at = span // 2
     finalize_at = 3 * span // 4
-    kernel = VirtualKernel()
-    server = KVStoreServer(KVStoreV1())
-    server.attach(kernel)
     link = None
     if link_latency_ns:
         link = RingLink(latency_ns=link_latency_ns, window=WINDOW)
-    mvedsua = Mvedsua(kernel, server, PROFILES["kvstore"],
-                      transforms=kv_transforms(),
-                      ring_capacity=RING_CAPACITY, ring_link=link)
-    client = VirtualClient(kernel, server.address)
+    stack = deploy("kvstore", "1.0", ring_capacity=RING_CAPACITY,
+                   ring_link=link)
+    mvedsua = stack.runtime
+    client = stack.client()
 
     update = None
     for index in range(commands):
         at = (index + 1) * MILLISECOND
         if update is None and at >= update_at:
-            update = mvedsua.request_update(KVStoreV2(), update_at,
-                                            rules=kv_rules_from_dsl())
+            update = stack.update("2.0", update_at)
             if not update.ok:  # pragma: no cover - setup invariant
                 raise RuntimeError(f"update failed: {update.reason}")
         if at >= promote_at and mvedsua.stage is Stage.OUTDATED_LEADER:

@@ -22,6 +22,7 @@ import statistics
 from dataclasses import dataclass, field
 from typing import List
 
+from repro.apps import Stack, app, deploy
 from repro.bench.reporting import format_table
 from repro.chaos import ChaosInjector, chaos_active
 from repro.chaos.plans import e1_new_code_plan, e2_transform_plan, \
@@ -30,23 +31,11 @@ from repro.core import Mvedsua, RetryPolicy, Stage
 from repro.dsu import Kitsune
 from repro.errors import ServerCrash
 from repro.net import VirtualKernel
-from repro.servers.memcached import (
-    MANY_CLIENTS_THRESHOLD,
-    MemcachedServer,
-    memcached_transforms,
-    memcached_version,
-)
+from repro.servers.memcached import MANY_CLIENTS_THRESHOLD
 from repro.servers.native import NativeRuntime
-from repro.servers.redis import (
-    RedisServer,
-    redis_rules,
-    redis_transforms,
-    redis_version,
-)
 from repro.sim.engine import MILLISECOND, SECOND
 from repro.sim.rng import RngStreams
 from repro.syscalls.costs import PROFILES
-from repro.workloads import VirtualClient
 
 
 @dataclass
@@ -70,19 +59,14 @@ def run_e1() -> List[FaultOutcome]:
     outcomes = []
 
     # Kitsune alone: the update installs, then the bad HMGET kills it.
-    kernel = VirtualKernel()
-    server = RedisServer(redis_version("2.0.0", hmget_bug=False))
-    server.attach(kernel)
-    runtime = NativeRuntime(kernel, server, PROFILES["redis"],
-                            with_kitsune=True)
-    client = VirtualClient(kernel, server.address)
+    stack = deploy("redis", "2.0.0", NativeRuntime, with_kitsune=True)
+    runtime, client = stack.runtime, stack.client()
     client.command(runtime, b"SET wrongtype value")
     # The operator requests a clean 2.0.1; the fault plan swaps in the
     # build with revision 7fb16bac's HMGET bug.
     with chaos_active(ChaosInjector(e1_new_code_plan())):
-        runtime.apply_update(Kitsune(redis_transforms()),
-                             redis_version("2.0.1", hmget_bug=False),
-                             SECOND)
+        runtime.apply_update(Kitsune(stack.app.transforms),
+                             stack.app.version("2.0.1"), SECOND)
     crashed = False
     try:
         client.command(runtime, b"HMGET wrongtype f", now=2 * SECOND)
@@ -98,17 +82,11 @@ def run_e1() -> List[FaultOutcome]:
                                  "server crashed and stayed down"))
 
     # Mvedsua: the follower crashes; service continues on the leader.
-    kernel = VirtualKernel()
-    server = RedisServer(redis_version("2.0.0", hmget_bug=False))
-    server.attach(kernel)
-    mvedsua = Mvedsua(kernel, server, PROFILES["redis"],
-                      transforms=redis_transforms())
-    client = VirtualClient(kernel, server.address)
+    stack = deploy("redis", "2.0.0")
+    mvedsua, client = stack.runtime, stack.client()
     client.command(mvedsua, b"SET wrongtype value")
     with chaos_active(ChaosInjector(e1_new_code_plan())):
-        mvedsua.request_update(redis_version("2.0.1", hmget_bug=False),
-                               SECOND,
-                               rules=redis_rules("2.0.0", "2.0.1"))
+        stack.update("2.0.1", SECOND)
     reply = client.command(mvedsua, b"HMGET wrongtype f", now=2 * SECOND)
     follow_up = client.command(mvedsua, b"GET wrongtype", now=3 * SECOND)
     outcomes.append(FaultOutcome(
@@ -127,13 +105,12 @@ def run_e1() -> List[FaultOutcome]:
 # ---------------------------------------------------------------------------
 
 
-def _memcached_with_clients(client_count: int):
-    kernel = VirtualKernel()
-    server = MemcachedServer(memcached_version("1.2.2"))
-    server.attach(kernel)
-    clients = [VirtualClient(kernel, server.address, f"c{index}")
-               for index in range(client_count)]
-    return kernel, server, clients
+def _memcached_with_clients(runtime, client_count: int, **runtime_kwargs):
+    stack = deploy("memcached", "1.2.2", runtime, **runtime_kwargs)
+    clients = [stack.client(f"c{index}") for index in range(client_count)]
+    for index, client in enumerate(clients):
+        client.command(stack.runtime, b"set k%d 0 0 1\r\nv" % index)
+    return stack, clients
 
 
 def run_e2(client_count: int = MANY_CLIENTS_THRESHOLD + 2
@@ -142,14 +119,12 @@ def run_e2(client_count: int = MANY_CLIENTS_THRESHOLD + 2
 
     # Kitsune alone: the fault plan swaps in the transformer that frees
     # LibEvent state — a time bomb armed by enough connected clients.
-    kernel, server, clients = _memcached_with_clients(client_count)
-    runtime = NativeRuntime(kernel, server, PROFILES["memcached"],
-                            with_kitsune=True)
-    for index, client in enumerate(clients):
-        client.command(runtime, b"set k%d 0 0 1\r\nv" % index)
+    stack, clients = _memcached_with_clients(NativeRuntime, client_count,
+                                             with_kitsune=True)
+    runtime = stack.runtime
     with chaos_active(ChaosInjector(e2_transform_plan())):
-        runtime.apply_update(Kitsune(memcached_transforms()),
-                             memcached_version("1.2.3"), SECOND)
+        runtime.apply_update(Kitsune(stack.app.transforms),
+                             stack.app.version("1.2.3"), SECOND)
     crashed = False
     try:
         clients[0].command(runtime, b"get k0", now=2 * SECOND)
@@ -160,13 +135,10 @@ def run_e2(client_count: int = MANY_CLIENTS_THRESHOLD + 2
                                  f"{client_count} clients connected"))
 
     # Mvedsua: the crash happens on the follower during catch-up.
-    kernel, server, clients = _memcached_with_clients(client_count)
-    mvedsua = Mvedsua(kernel, server, PROFILES["memcached"],
-                      transforms=memcached_transforms())
-    for index, client in enumerate(clients):
-        client.command(mvedsua, b"set k%d 0 0 1\r\nv" % index)
+    stack, clients = _memcached_with_clients(Mvedsua, client_count)
+    mvedsua = stack.runtime
     with chaos_active(ChaosInjector(e2_transform_plan())):
-        mvedsua.request_update(memcached_version("1.2.3"), SECOND)
+        stack.update("1.2.3", SECOND)
     reply = clients[0].command(mvedsua, b"get k0", now=2 * SECOND)
     outcomes.append(FaultOutcome(
         "E2 state-transform error", "mvedsua",
@@ -222,16 +194,20 @@ def run_e3(trials: int = 31, seed: int = 1,
     result = E3Result()
 
     # -- part 1: the divergence itself ------------------------------------
+    # The one hand-built stack: deploy() forwards keywords to the
+    # runtime, and this experiment needs a server built *without* the
+    # paper's LibEvent adaptation.
+    memcached = app("memcached")
     kernel = VirtualKernel()
-    server = MemcachedServer(memcached_version("1.2.2"),
-                             libevent_reset_on_abort=False)
+    server = memcached.server("1.2.2", libevent_reset_on_abort=False)
     server.attach(kernel)
-    mvedsua = Mvedsua(kernel, server, PROFILES["memcached"],
-                      transforms=memcached_transforms())
-    alice = VirtualClient(kernel, server.address, "alice")
-    bob = VirtualClient(kernel, server.address, "bob")
+    stack = Stack(kernel, server,
+                  Mvedsua(kernel, server, PROFILES[server.profile_name],
+                          transforms=memcached.transforms), memcached)
+    mvedsua = stack.runtime
+    alice, bob = stack.client("alice"), stack.client("bob")
     alice.command(mvedsua, b"get warm")  # cursor becomes odd
-    mvedsua.request_update(memcached_version("1.2.3"), SECOND)
+    stack.update("1.2.3", SECOND)
     alice.send(b"set p 0 0 1\r\n1\r\n")
     bob.send(b"set q 0 0 1\r\n2\r\n")
     mvedsua.pump(2 * SECOND)
@@ -249,18 +225,14 @@ def run_e3(trials: int = 31, seed: int = 1,
     policy = RetryPolicy(retry_wait_ns=500 * MILLISECOND, max_attempts=50)
     for trial_index in range(trials):
         rng = streams.reseed("e3-trial", trial_index)
-        kernel = VirtualKernel()
-        server = MemcachedServer(memcached_version("1.2.2"))
-        server.attach(kernel)
-        mvedsua = Mvedsua(kernel, server, PROFILES["memcached"],
-                          transforms=memcached_transforms())
+        mvedsua = deploy(memcached, "1.2.2").runtime
         # The timing fault races every quiesce attempt: with
         # failure_probability a worker is caught holding a lock, so the
         # attempt fails and the policy retries after its 500 ms wait.
         plan = e3_timing_plan(rng, failure_probability)
         with chaos_active(ChaosInjector(plan)):
             attempts = mvedsua.request_update_with_retry(
-                memcached_version("1.2.3"), SECOND, policy=policy)
+                memcached.version("1.2.3"), SECOND, policy=policy)
         result.trials.append(RetryTrial(retries=len(attempts) - 1,
                                         installed=attempts[-1].ok))
     return result

@@ -13,19 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
-from repro.core import Mvedsua, Stage
+from repro.apps import app, deploy
+from repro.core import Stage
 from repro.dsu.transform import TransformRegistry
 from repro.mve.dsl import RuleSet
-from repro.net import VirtualKernel
-from repro.servers.redis import (
-    RedisServer,
-    redis_rules,
-    redis_transforms,
-    redis_version,
-)
 from repro.sim.engine import SECOND
-from repro.syscalls.costs import PROFILES
-from repro.workloads import VirtualClient
 from repro.workloads.memtier import MemtierSpec
 
 
@@ -67,13 +59,10 @@ def run_semantic_redis_lifecycle(
     Measures each phase's virtual CPU time on the serving leader, which
     is the semantic-stack equivalent of the fluid model's throughput.
     """
-    kernel = VirtualKernel()
-    server = RedisServer(redis_version("2.0.0", hmget_bug=False))
-    server.attach(kernel)
-    mvedsua = Mvedsua(kernel, server, PROFILES["redis"],
-                      transforms=transforms or redis_transforms(),
-                      ring_capacity=1 << 14)
-    client = VirtualClient(kernel, server.address)
+    stack = deploy("redis", "2.0.0", ring_capacity=1 << 14,
+                   transforms=transforms or app("redis").transforms)
+    mvedsua = stack.runtime
+    client = stack.client()
     spec = MemtierSpec()
 
     def run_phase(name: str, start_ns: int) -> PhaseMeasurement:
@@ -87,10 +76,7 @@ def run_semantic_redis_lifecycle(
                                 leader_cpu.total_busy - busy_before)
 
     phases = [run_phase("single-before", SECOND)]
-    attempt = mvedsua.request_update(
-        redis_version("2.0.1", hmget_bug=False), 100 * SECOND,
-        rules=rules if rules is not None
-        else redis_rules("2.0.0", "2.0.1"))
+    attempt = stack.update("2.0.1", 100 * SECOND, rules=rules)
     phases.append(run_phase("outdated-leader", 101 * SECOND))
     if mvedsua.stage is Stage.OUTDATED_LEADER:
         mvedsua.promote(200 * SECOND)

@@ -12,19 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List
 
+from repro.apps import app, deploy
 from repro.bench.reporting import format_table
-from repro.core import Mvedsua, Stage
+from repro.core import Stage
 from repro.mve.dsl import RuleSet
-from repro.net import VirtualKernel
-from repro.servers.vsftpd import (
-    TABLE1_RULE_COUNTS,
-    VsftpdServer,
-    vsftpd_rules,
-    vsftpd_transforms,
-    vsftpd_version,
-)
+from repro.servers.vsftpd import TABLE1_RULE_COUNTS
 from repro.sim.engine import SECOND
-from repro.syscalls.costs import PROFILES
 from repro.workloads.ftpclient import FtpClient
 
 
@@ -52,22 +45,19 @@ def _run_pair(old: str, new: str, rules: RuleSet) -> bool:
 
     Returns True when the pair stayed in sync (no rollback).
     """
-    kernel = VirtualKernel()
+    stack = deploy("vsftpd", old)
+    kernel, mvedsua = stack.kernel, stack.runtime
     kernel.fs.write_file("/f.txt", b"table-one-payload")
-    server = VsftpdServer(vsftpd_version(old))
-    server.attach(kernel)
-    mvedsua = Mvedsua(kernel, server, PROFILES["vsftpd-small"],
-                      transforms=vsftpd_transforms())
-    client = FtpClient(kernel, server.address)
+    client = FtpClient(kernel, stack.server.address)
     client.login(mvedsua)
-    mvedsua.request_update(vsftpd_version(new), SECOND, rules=rules)
+    stack.update(new, SECOND, rules=rules)
     now = 2 * SECOND
     client.command(mvedsua, b"SYST", now=now)
     client.command(mvedsua, b"FEAT", now=now)
     client.retr(mvedsua, "f.txt", now=now)
     for probe in (b"STOU", b"EPSV x", b"MDTM f.txt", b"BOGUS"):
         client.command(mvedsua, probe, now=now)
-    fresh = FtpClient(kernel, server.address, "fresh")
+    fresh = FtpClient(kernel, stack.server.address, "fresh")
     fresh.connect_greeting(mvedsua, now=now)
     fresh.command(mvedsua, b"PWD", now=now)
     fresh.command(mvedsua, b"QUIT", now=now)
@@ -79,7 +69,7 @@ def run_table1() -> List[Table1Row]:
     """Measure and validate every pair."""
     rows = []
     for old, new, paper_count in TABLE1_RULE_COUNTS:
-        rules = vsftpd_rules(old, new)
+        rules = app("vsftpd").rules_for(old, new)
         rows.append(Table1Row(
             old=old, new=new,
             rules=rules.count(),
@@ -111,17 +101,13 @@ def other_apps_rule_counts() -> List[tuple]:
     Memcached, one for Redis)."""
     from repro.servers.memcached.rules import RULE_COUNTS as MC_COUNTS
     from repro.servers.redis.rules import RULE_COUNTS as REDIS_COUNTS
-    from repro.servers.memcached import memcached_rules
-    from repro.servers.redis import redis_rules
     rows = []
-    for old, new, expected in REDIS_COUNTS:
-        rows.append(("redis", f"{old} -> {new}",
-                     redis_rules(old, new).count(), expected))
-    for old, new, expected in MC_COUNTS:
-        if new == "1.2.5":
-            continue  # extension pair, not part of the paper's set
-        rows.append(("memcached", f"{old} -> {new}",
-                     memcached_rules(old, new).count(), expected))
+    for name, counts in (("redis", REDIS_COUNTS), ("memcached", MC_COUNTS)):
+        for old, new, expected in counts:
+            if (name, new) == ("memcached", "1.2.5"):
+                continue  # extension pair, not part of the paper's set
+            rows.append((name, f"{old} -> {new}",
+                         app(name).rules_for(old, new).count(), expected))
     return rows
 
 

@@ -28,8 +28,8 @@ from repro.chaos.plan import Fault, FaultPlan, on_call, when
 
 
 def _buggy_redis(version: Any) -> Any:
-    from repro.servers.redis import redis_version
-    return redis_version(version.name, hmget_bug=True)
+    from repro.apps import app
+    return app("redis").version(f"{version.name}-7fb16bac")
 
 
 def e1_new_code_plan() -> FaultPlan:

@@ -18,15 +18,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.apps import deploy
 from repro.chaos.invariants import ClientObservation
-from repro.core import Mvedsua, Stage
+from repro.core import Stage
 from repro.errors import KernelError, ServerCrash
-from repro.net.kernel import VirtualKernel
 from repro.net.ring_wire import RingLink
-from repro.servers.kvstore import (KVStoreServer, KVStoreV1, KVStoreV2,
-                                   kv_rules_from_dsl, kv_transforms)
+from repro.servers.kvstore import KVStoreV2
 from repro.sim.engine import SECOND
-from repro.syscalls.costs import PROFILES
 from repro.workloads import VirtualClient
 
 #: Ring capacity for the scenario — small enough that forced stalls and
@@ -149,25 +147,21 @@ def run_kv_update_scenario(distributed: bool = False) -> ChaosRunResult:
     :data:`CHAOS_RING_LINK` as ``repro-ring/1`` frames — which is what
     makes the ``fleet.ring`` partition site reachable.
     """
-    kernel = VirtualKernel()
-    server = KVStoreServer(KVStoreV1())
-    server.attach(kernel)
+    stack = deploy("kvstore", "1.0", ring_capacity=RING_CAPACITY,
+                   ring_link=CHAOS_RING_LINK if distributed else None)
+    kernel, mvedsua = stack.kernel, stack.runtime
     chaos = kernel.chaos
     if chaos is not None:
-        chaos.domain_filter = {server.domain}
+        chaos.domain_filter = {stack.server.domain}
         if kernel.tracer is not None:
             chaos.tracer = kernel.tracer
-    mvedsua = Mvedsua(kernel, server, PROFILES["kvstore"],
-                      transforms=kv_transforms(),
-                      ring_capacity=RING_CAPACITY,
-                      ring_link=CHAOS_RING_LINK if distributed else None)
     result = ChaosRunResult()
     clients: Dict[str, VirtualClient] = {}
     dead: set = set()
 
     def connect(label: str) -> None:
         try:
-            clients[label] = VirtualClient(kernel, server.address, label)
+            clients[label] = stack.client(label)
         except KernelError:
             dead.add(label)
 
@@ -201,8 +195,7 @@ def run_kv_update_scenario(distributed: bool = False) -> ChaosRunResult:
         if update is None and at >= UPDATE_AT \
                 and not result.service_crashed \
                 and mvedsua.stage is Stage.SINGLE_LEADER:
-            update = mvedsua.request_update(KVStoreV2(), UPDATE_AT,
-                                            rules=kv_rules_from_dsl())
+            update = stack.update("2.0", UPDATE_AT)
         if label not in clients and label not in dead:
             connect(label)
         if update is not None and at >= PROMOTE_AT \

@@ -133,7 +133,7 @@ def add_report_path(parser: argparse.ArgumentParser, flag: str,
 
 def load_catalog(args: argparse.Namespace, apps: Iterable[str]):
     """The catalog ``--catalog`` selects, checked to hold ``apps``."""
-    from repro.analysis import catalog as catalogs
+    from repro import apps as catalogs
     if args.catalog:
         try:
             catalog = catalogs.load_catalog(args.catalog)

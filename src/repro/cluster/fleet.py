@@ -21,10 +21,12 @@ a run is what proves it stayed lossless.
 from __future__ import annotations
 
 import random
+from functools import partial
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.apps import app
 from repro.chaos.invariants import ClientObservation, check_run
-from repro.chaos.scenarios import BuggyKVStoreV2, _semantic_table
+from repro.chaos.scenarios import _semantic_table
 from repro.cluster.balancer import FleetBalancer
 from repro.cluster.node import ClusterNode, NodeStatus
 from repro.cluster.orchestrator import (FleetOrchestrator, NODE_OUTCOMES,
@@ -33,8 +35,6 @@ from repro.cluster.shard import FleetSpec, Shard, ShardMap
 from repro.errors import KernelError, ServerCrash
 from repro.net.kernel import VirtualKernel
 from repro.net.ring_wire import RingLink
-from repro.servers.kvstore import (KVStoreServer, KVStoreV1, KVStoreV2,
-                                   kv_rules_from_dsl, kv_transforms)
 from repro.sim.engine import MILLISECOND, SECOND
 from repro.syscalls.costs import PROFILES
 from repro.workloads.client import VirtualClient
@@ -71,17 +71,18 @@ def build_kv_fleet(spec: FleetSpec) -> Tuple[VirtualKernel, ShardMap,
     if problems:
         raise ValueError("unusable fleet topology: " + "; ".join(problems))
     kernel = VirtualKernel()
+    kvstore = app("kvstore")
     link = spec.ring_link if spec.cross_node_pairs else None
     shards: List[Shard] = []
     for s in range(spec.shards):
         nodes: List[ClusterNode] = []
         for r in range(spec.replicas_per_shard):
-            server = KVStoreServer(KVStoreV1(),
-                                   address=(f"10.{s}.0.{r + 1}", 7000))
+            server = kvstore.server("1.0",
+                                    address=(f"10.{s}.0.{r + 1}", 7000))
             server.attach(kernel)
             nodes.append(ClusterNode(f"s{s}-r{r}", kernel, server,
-                                     PROFILES["kvstore"],
-                                     transforms=kv_transforms(),
+                                     PROFILES[server.profile_name],
+                                     transforms=kvstore.transforms,
                                      ring_link=link))
         shards.append(Shard(s, nodes))
     shard_map = ShardMap(shards)
@@ -265,8 +266,9 @@ def run_fleet_scenario(scenario: str = "canary-kvstore", seed: int = 1, *,
     """
     spec = fleet_spec(shards, replicas, distributed=distributed)
     kernel, shard_map, balancer = build_kv_fleet(spec)
+    kvstore = app("kvstore")
     orchestrator = FleetOrchestrator(balancer, spec,
-                                     rules=kv_rules_from_dsl(),
+                                     rules=kvstore.rules_for("1.0", "2.0"),
                                      validation_window_ns=SECOND)
     rng = random.Random(seed)
     observations: List[ClientObservation] = []
@@ -312,10 +314,12 @@ def run_fleet_scenario(scenario: str = "canary-kvstore", seed: int = 1, *,
     phase = max(1, commands // 3)
     t = SECOND
     t = traffic(t, phase)
-    round1 = orchestrator.run_round(BuggyKVStoreV2, t, label="2.0-buggy")
+    round1 = orchestrator.run_round(partial(kvstore.version, "2.0-buggy"),
+                                    t, label="2.0-buggy")
     t = max(t, round1.finished_at) + 100 * MILLISECOND
     t = traffic(t, phase)
-    round2 = orchestrator.run_round(KVStoreV2, t, label="2.0")
+    round2 = orchestrator.run_round(partial(kvstore.version, "2.0"),
+                                    t, label="2.0")
     t = max(t, round2.finished_at) + 100 * MILLISECOND
     t = traffic(t, max(1, commands - 2 * phase))
 

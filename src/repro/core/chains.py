@@ -2,21 +2,23 @@
 
 The paper evaluates *individual* update pairs; a real deployment applies
 them in sequence (Vsftpd 1.1.0 all the way to 2.0.6).  This helper walks
-a :class:`~repro.dsu.version.VersionRegistry` release by release through
-the full fork / validate / promote / finalize lifecycle, stopping — with
-the old version still serving — at the first failed or rolled-back step.
+an app's catalog entry (:class:`repro.apps.AppConfig`: release order,
+versions, rules) release by release through the full fork / validate /
+promote / finalize lifecycle, stopping — with the old version still
+serving — at the first failed or rolled-back step.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from typing import TYPE_CHECKING, Callable, List, Optional
 
 from repro.core.mvedsua import Mvedsua, UpdateAttempt
 from repro.core.stages import Stage
-from repro.dsu.version import ServerVersion, VersionRegistry
-from repro.mve.dsl import RuleSet
 from repro.sim.engine import SECOND
+
+if TYPE_CHECKING:  # repro.apps imports this package
+    from repro.apps import AppConfig
 
 
 @dataclass
@@ -43,9 +45,7 @@ class ChainResult:
                                         for step in self.steps)
 
 
-def upgrade_chain(mvedsua: Mvedsua, registry: VersionRegistry, app: str, *,
-                  version_factory: Callable[[str], ServerVersion],
-                  rules_factory: Callable[[str, str], RuleSet],
+def upgrade_chain(mvedsua: Mvedsua, config: "AppConfig", *,
                   start_at: int,
                   validate: Optional[Callable[[Mvedsua, int], None]] = None,
                   step_ns: int = 4 * SECOND,
@@ -63,12 +63,12 @@ def upgrade_chain(mvedsua: Mvedsua, registry: VersionRegistry, app: str, *,
         current = mvedsua.current_version
         if target is not None and current == target:
             break
-        successor = registry.successor(app, current)
+        successor = config.versions.successor(config.name, current)
         if successor is None:
             break
         attempt = mvedsua.request_update(
-            version_factory(successor), now,
-            rules=rules_factory(current, successor))
+            config.version(successor), now,
+            rules=config.rules_for(current, successor))
         if not attempt.ok:
             result.steps.append(ChainStep(current, successor, attempt,
                                           completed=False,

@@ -101,10 +101,6 @@ class DistributedRing(RingBuffer):
     def _tracer(self):
         return self.kernel.tracer if self.kernel is not None else None
 
-    def window_free(self) -> int:
-        """Frames the in-flight window can still accept."""
-        return self.link.window - len(self._inflight)
-
     def inflight(self) -> int:
         """Unacknowledged frames currently on the wire."""
         return len(self._inflight)

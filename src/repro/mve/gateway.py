@@ -3,10 +3,9 @@
 Servers never call the virtual kernel directly; every syscall goes through
 a :class:`SyscallGateway`, whose *role* determines what happens:
 
-* ``DIRECT`` — execute against the kernel and trace (native execution, and
-  Varan's single-leader mode, which intercepts but does not record).
-* ``RECORDING`` — execute against the kernel, trace, and the runtime
-  pushes the trace onto the ring buffer (MVE leader).
+* ``DIRECT`` — execute against the kernel and trace (native execution
+  and every MVE leader: the runtime, not the gateway, publishes the
+  trace onto the ring buffer).
 * ``REPLAY`` — never touch the kernel: serve results from the expected
   record stream and flag any mismatch as a divergence (MVE follower).
 
@@ -37,7 +36,6 @@ class GatewayRole(enum.Enum):
     """How syscalls are executed."""
 
     DIRECT = "direct"
-    RECORDING = "recording"
     REPLAY = "replay"
 
 
@@ -54,12 +52,9 @@ class IterationTrace:
         self.requests_handled = requests_handled
         self.bytes_transferred = bytes_transferred
 
-    def syscall_count(self) -> int:
-        return len(self.records)
-
 
 class SyscallGateway:
-    """One process's syscall interface, in one of the three roles."""
+    """One process's syscall interface, in one of the two roles."""
 
     def __init__(self, kernel: VirtualKernel, domain: int,
                  role: GatewayRole = GatewayRole.DIRECT) -> None:

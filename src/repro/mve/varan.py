@@ -286,16 +286,6 @@ class VaranRuntime:
         """Just the kinds, in order — convenient for assertions."""
         return [event.kind for event in self.events]
 
-    def events_since(self, index: int) -> List[RuntimeEvent]:
-        """Events appended after position ``index``.
-
-        Orchestrators snapshot ``len(events)`` before a lifecycle step
-        and read back exactly what the step produced — the fleet
-        orchestrator uses this to attribute a demotion to its cause
-        (divergence vs crash) without re-scanning the whole log.
-        """
-        return self.events[index:]
-
     # ------------------------------------------------------------------
     # Leader serving
     # ------------------------------------------------------------------

@@ -12,7 +12,7 @@ layer without cycles.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional
 
 
 class Counter:
@@ -58,8 +58,7 @@ class Histogram:
     per-value counts: :meth:`quantile` is then the true nearest-rank
     percentile and :meth:`merge` makes cross-worker aggregation lossless
     — two sharded halves merged together are indistinguishable from one
-    serial run.  Display code that wants log₂ buckets derives them from
-    :meth:`log2_buckets`; the data itself is never bucketed.
+    serial run.
     """
 
     __slots__ = ("name", "count", "total", "min_value", "max_value",
@@ -127,19 +126,6 @@ class Histogram:
                 self.max_value is None or other.max_value > self.max_value):
             self.max_value = other.max_value
         return self
-
-    def log2_buckets(self) -> List[Tuple[int, int]]:
-        """Display-only log₂ bucketing: ``(bucket_floor, count)`` pairs.
-
-        Bucket ``b`` covers values in ``[2**b, 2**(b+1))``; values below
-        1 land in the floor-0 bucket.  The exact counts stay intact —
-        this is a *view*, used by report renderers.
-        """
-        buckets: Dict[int, int] = {}
-        for value, n in self.counts.items():
-            floor = 1 << (value.bit_length() - 1) if value >= 1 else 0
-            buckets[floor] = buckets.get(floor, 0) + n
-        return sorted(buckets.items())
 
     def as_dict(self) -> Dict[str, Any]:
         return {

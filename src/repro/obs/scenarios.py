@@ -23,22 +23,14 @@ from repro.obs.trace import DEFAULT_LAST_K, Tracer, tracing
 
 def _trace_fig6(tracer: Tracer, quick: bool) -> None:
     """Redis 2.0.0 -> 2.0.1 through the full Mvedsua lifecycle."""
-    from repro.core import Mvedsua
-    from repro.net import VirtualKernel
-    from repro.servers.redis import (RedisServer, redis_rules,
-                                     redis_transforms, redis_version)
+    from repro.apps import deploy
     from repro.sim.engine import SECOND
-    from repro.syscalls.costs import PROFILES
-    from repro.workloads import VirtualClient
     from repro.workloads.memtier import MemtierSpec
 
     ops = 8 if quick else 40
-    kernel = VirtualKernel()
-    server = RedisServer(redis_version("2.0.0", hmget_bug=False))
-    server.attach(kernel)
-    mvedsua = Mvedsua(kernel, server, PROFILES["redis"],
-                      transforms=redis_transforms(), ring_capacity=1 << 10)
-    client = VirtualClient(kernel, server.address)
+    stack = deploy("redis", "2.0.0", ring_capacity=1 << 10)
+    mvedsua = stack.runtime
+    client = stack.client()
     spec = MemtierSpec()
 
     def serve(start_ns: int, seed: int) -> None:
@@ -47,9 +39,7 @@ def _trace_fig6(tracer: Tracer, quick: bool) -> None:
             _, now = client.request(mvedsua, command, now)
 
     serve(SECOND, seed=1)
-    mvedsua.request_update(redis_version("2.0.1", hmget_bug=False),
-                           100 * SECOND,
-                           rules=redis_rules("2.0.0", "2.0.1"))
+    stack.update("2.0.1", 100 * SECOND)
     serve(101 * SECOND, seed=2)
     mvedsua.promote(200 * SECOND)
     serve(201 * SECOND, seed=3)
@@ -59,25 +49,17 @@ def _trace_fig6(tracer: Tracer, quick: bool) -> None:
 
 def _trace_table1(tracer: Tracer, quick: bool) -> None:
     """One Vsftpd Table 1 update pair (2.0.4 -> 2.0.5, RETR reorder)."""
-    from repro.core import Mvedsua
-    from repro.net import VirtualKernel
-    from repro.servers.vsftpd import (VsftpdServer, vsftpd_rules,
-                                      vsftpd_transforms, vsftpd_version)
+    from repro.apps import deploy
     from repro.sim.engine import SECOND
-    from repro.syscalls.costs import PROFILES
     from repro.workloads.ftpclient import FtpClient
 
     retrs = 1 if quick else 4
-    kernel = VirtualKernel()
-    kernel.fs.write_file("/f.txt", b"trace payload")
-    server = VsftpdServer(vsftpd_version("2.0.4"))
-    server.attach(kernel)
-    mvedsua = Mvedsua(kernel, server, PROFILES["vsftpd-small"],
-                      transforms=vsftpd_transforms())
-    client = FtpClient(kernel, server.address)
+    stack = deploy("vsftpd", "2.0.4")
+    stack.kernel.fs.write_file("/f.txt", b"trace payload")
+    mvedsua = stack.runtime
+    client = FtpClient(stack.kernel, stack.server.address)
     client.login(mvedsua)
-    mvedsua.request_update(vsftpd_version("2.0.5"), SECOND,
-                           rules=vsftpd_rules("2.0.4", "2.0.5"))
+    stack.update("2.0.5", SECOND)
     now = 2 * SECOND
     for _ in range(retrs):
         client.retr(mvedsua, "f.txt", now=now)
@@ -89,20 +71,15 @@ def _trace_table1(tracer: Tracer, quick: bool) -> None:
 
 def _trace_table2(tracer: Tracer, quick: bool) -> None:
     """Redis steady state: single leader, then a plain Varan follower."""
+    from repro.apps import deploy
     from repro.mve import VaranRuntime
-    from repro.net import VirtualKernel
-    from repro.servers.redis import RedisServer, redis_version
-    from repro.syscalls.costs import PROFILES
-    from repro.workloads import VirtualClient
     from repro.workloads.memtier import MemtierSpec
 
     ops = 8 if quick else 40
-    kernel = VirtualKernel()
-    server = RedisServer(redis_version("2.0.0", hmget_bug=False))
-    server.attach(kernel)
-    runtime = VaranRuntime(kernel, server, PROFILES["redis"],
-                           ring_capacity=1 << 10, with_kitsune=False)
-    client = VirtualClient(kernel, server.address)
+    stack = deploy("redis", "2.0.0", VaranRuntime,
+                   ring_capacity=1 << 10, with_kitsune=False)
+    runtime = stack.runtime
+    client = stack.client()
     spec = MemtierSpec()
     now = 0
     for command in spec.commands(ops, protocol="redis", seed=5):
@@ -115,19 +92,13 @@ def _trace_table2(tracer: Tracer, quick: bool) -> None:
 
 def _trace_fig7(tracer: Tracer, quick: bool) -> None:
     """KV store through a tiny (8-entry) ring: heavy back-pressure."""
+    from repro.apps import deploy
     from repro.mve import VaranRuntime
-    from repro.net import VirtualKernel
-    from repro.servers.kvstore import KVStoreServer, KVStoreV1
-    from repro.syscalls.costs import PROFILES
-    from repro.workloads import VirtualClient
 
     ops = 12 if quick else 80
-    kernel = VirtualKernel()
-    server = KVStoreServer(KVStoreV1())
-    server.attach(kernel)
-    runtime = VaranRuntime(kernel, server, PROFILES["kvstore"],
-                           ring_capacity=8)
-    client = VirtualClient(kernel, server.address)
+    stack = deploy("kvstore", "1.0", VaranRuntime, ring_capacity=8)
+    runtime = stack.runtime
+    client = stack.client()
     runtime.fork_follower(0)
     now = 0
     for index in range(ops):
@@ -139,42 +110,28 @@ def _trace_fig7(tracer: Tracer, quick: bool) -> None:
 def _trace_faults(tracer: Tracer, quick: bool) -> None:
     """Forced failures: an xform bug (divergence + forensics bundle) and
     a new-code crash (follower terminated, service survives)."""
-    from repro.core import Mvedsua
+    from repro.apps import deploy
     from repro.dsu.transform import TransformRegistry
-    from repro.net import VirtualKernel
-    from repro.servers.kvstore import (KVStoreServer, KVStoreV1, KVStoreV2,
-                                       kv_rules, xform_drop_table)
-    from repro.servers.redis import (RedisServer, redis_rules,
-                                     redis_transforms, redis_version)
+    from repro.servers.kvstore import xform_drop_table
     from repro.sim.engine import SECOND
-    from repro.syscalls.costs import PROFILES
-    from repro.workloads import VirtualClient
 
     # -- xform bug: the dropped table makes the follower's GET diverge.
     buggy = TransformRegistry()
     buggy.register("kvstore", "1.0", "2.0", xform_drop_table)
-    kernel = VirtualKernel()
-    server = KVStoreServer(KVStoreV1())
-    server.attach(kernel)
-    mvedsua = Mvedsua(kernel, server, PROFILES["kvstore"], transforms=buggy)
-    client = VirtualClient(kernel, server.address)
-    client.command(mvedsua, b"PUT balance 1000")
-    mvedsua.request_update(KVStoreV2(), SECOND, rules=kv_rules())
-    client.command(mvedsua, b"GET balance", now=2 * SECOND)
-    client.command(mvedsua, b"GET balance", now=3 * SECOND)
+    stack = deploy("kvstore", "1.0", transforms=buggy)
+    client = stack.client()
+    client.command(stack.runtime, b"PUT balance 1000")
+    stack.update("2.0", SECOND)
+    client.command(stack.runtime, b"GET balance", now=2 * SECOND)
+    client.command(stack.runtime, b"GET balance", now=3 * SECOND)
 
     # -- new-code crash: the E1 Redis HMGET bug kills the follower.
-    kernel = VirtualKernel()
-    server = RedisServer(redis_version("2.0.0", hmget_bug=False))
-    server.attach(kernel)
-    mvedsua = Mvedsua(kernel, server, PROFILES["redis"],
-                      transforms=redis_transforms())
-    client = VirtualClient(kernel, server.address)
-    client.command(mvedsua, b"SET wrongtype value")
-    mvedsua.request_update(redis_version("2.0.1", hmget_bug=True),
-                           SECOND, rules=redis_rules("2.0.0", "2.0.1"))
-    client.command(mvedsua, b"HMGET wrongtype f", now=2 * SECOND)
-    client.command(mvedsua, b"GET wrongtype", now=3 * SECOND)
+    stack = deploy("redis", "2.0.0")
+    client = stack.client()
+    client.command(stack.runtime, b"SET wrongtype value")
+    stack.update("2.0.1-7fb16bac", SECOND)
+    client.command(stack.runtime, b"HMGET wrongtype f", now=2 * SECOND)
+    client.command(stack.runtime, b"GET wrongtype", now=3 * SECOND)
 
 
 #: experiment name -> scenario driver.  Keys deliberately mirror the

@@ -58,23 +58,14 @@ def _drive_fig7(params: Dict[str, Any], seed: int, quick: bool) -> None:
     and (on small rings) ring back-pressure both land inside request
     windows.
     """
-    from repro.core import Mvedsua
-    from repro.net import VirtualKernel
-    from repro.servers.kvstore import (KVStoreServer, KVStoreV1, KVStoreV2,
-                                       kv_rules, kv_transforms)
+    from repro.apps import deploy
     from repro.sim.engine import MILLISECOND, SECOND
-    from repro.syscalls.costs import PROFILES
-    from repro.workloads import VirtualClient
 
     ops = 8 if quick else 32
     capacity = params["capacity"]
-    kernel = VirtualKernel()
-    server = KVStoreServer(KVStoreV1())
-    server.attach(kernel)
-    mvedsua = Mvedsua(kernel, server, PROFILES["kvstore"],
-                      transforms=kv_transforms(), ring_capacity=capacity)
-    client = VirtualClient(kernel, server.address,
-                           name=f"kv-cap{capacity}")
+    stack = deploy("kvstore", "1.0", ring_capacity=capacity)
+    mvedsua = stack.runtime
+    client = stack.client(f"kv-cap{capacity}")
 
     def serve(start_ns: int, count: int, tag: int) -> int:
         now = start_ns
@@ -89,7 +80,7 @@ def _drive_fig7(params: Dict[str, Any], seed: int, quick: bool) -> None:
     # The update: requests admitted right behind it overlap quiescence
     # and the fork pause.
     up_at = now + MILLISECOND
-    mvedsua.request_update(KVStoreV2(), up_at, rules=kv_rules())
+    stack.update("2.0", up_at)
     now = serve(up_at + 1, ops, tag=1)
     # Validation window: MVE active, the small ring stalls the leader.
     now = serve(now + MILLISECOND, ops, tag=2)
@@ -101,31 +92,23 @@ def _drive_fig7(params: Dict[str, Any], seed: int, quick: bool) -> None:
 
 def _drive_table1(params: Dict[str, Any], seed: int, quick: bool) -> None:
     """One vsftpd update pair with traffic spanning the update window."""
-    from repro.core import Mvedsua
-    from repro.net import VirtualKernel
-    from repro.servers.vsftpd import (VsftpdServer, vsftpd_rules,
-                                      vsftpd_transforms, vsftpd_version)
+    from repro.apps import deploy
     from repro.sim.engine import MILLISECOND, SECOND
-    from repro.syscalls.costs import PROFILES
     from repro.workloads.ftpclient import FtpClient
 
     old, new = params["old"], params["new"]
     retrs = 2 if quick else 6
-    kernel = VirtualKernel()
-    kernel.fs.write_file("/f.txt", b"slo-payload")
-    server = VsftpdServer(vsftpd_version(old))
-    server.attach(kernel)
-    mvedsua = Mvedsua(kernel, server, PROFILES["vsftpd-small"],
-                      transforms=vsftpd_transforms())
-    client = FtpClient(kernel, server.address, f"ftp-{old}")
+    stack = deploy("vsftpd", old)
+    stack.kernel.fs.write_file("/f.txt", b"slo-payload")
+    mvedsua = stack.runtime
+    client = FtpClient(stack.kernel, stack.server.address, f"ftp-{old}")
     client.login(mvedsua, now=SECOND)
     now = SECOND + MILLISECOND
     for _ in range(retrs):
         client.retr(mvedsua, "f.txt", now=now)
         now += MILLISECOND
     up_at = now
-    mvedsua.request_update(vsftpd_version(new), up_at,
-                           rules=vsftpd_rules(old, new))
+    stack.update(new, up_at)
     now = up_at + 1
     for _ in range(retrs):
         client.command(mvedsua, b"SYST", now=now)

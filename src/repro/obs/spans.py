@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import json
 from collections import defaultdict
-from typing import Any, Dict, Iterator, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
 #: JSONL span schema identifier (bump on shape changes).
 SPAN_SCHEMA = "repro-span/1"
@@ -222,13 +222,6 @@ class SpanCollector:
         with open(path, "w", encoding="utf-8") as handle:
             for line in self.to_jsonl_lines(experiment):
                 handle.write(line + "\n")
-
-
-def iter_span_dicts(lines: List[str]) -> Iterator[Dict[str, Any]]:
-    """Parsed span objects from JSONL lines (header skipped); raises
-    ``ValueError`` on non-JSON lines."""
-    for line in lines[1:]:
-        yield json.loads(line)
 
 
 # ---------------------------------------------------------------------------

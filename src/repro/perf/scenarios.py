@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Dict, List
 
-from repro.core import Mvedsua
+from repro.apps import Stack, deploy
 from repro.mve import VaranRuntime
 from repro.mve.dsl.rules import (
     Direction,
@@ -37,18 +37,8 @@ from repro.mve.dsl.rules import (
     RuleSet,
     SyscallPattern,
 )
-from repro.net import VirtualKernel
 from repro.obs.slo import summarize_latencies
-from repro.servers.kvstore import KVStoreServer, KVStoreV1
-from repro.servers.redis import (
-    RedisServer,
-    redis_rules,
-    redis_transforms,
-    redis_version,
-)
-from repro.syscalls.costs import PROFILES
 from repro.syscalls.model import Sys, SyscallRecord
-from repro.workloads import VirtualClient
 from repro.workloads.memtier import MemtierSpec
 
 #: Every scenario reports exactly these, in table order.
@@ -111,10 +101,10 @@ def rule_heavy_catalog(base: RuleSet) -> RuleSet:
 # The configurations
 # ---------------------------------------------------------------------------
 
-def _serve(runtime, client: VirtualClient, commands: List[bytes],
-           ) -> Dict[str, int]:
+def _serve(stack: Stack, commands: List[bytes]) -> Dict[str, int]:
     """Serve ``commands`` back to back, let every follower catch up, and
     read the gauges off the always-on counters (no tracer installed)."""
+    runtime, client = stack.runtime, stack.client()
     now = 0
     for command in commands:
         _, now = client.request(runtime, command, now + 1)
@@ -128,53 +118,35 @@ def _serve(runtime, client: VirtualClient, commands: List[bytes],
     return gauges
 
 
-def _redis(seed: int, ops: int):
-    kernel = VirtualKernel()
-    server = RedisServer(redis_version("2.0.0", hmget_bug=False))
-    server.attach(kernel)
-    client = VirtualClient(kernel, server.address)
-    commands = list(MemtierSpec().commands(ops, protocol="redis", seed=seed))
-    return kernel, server, client, commands
+def _memtier(seed: int, ops: int) -> List[bytes]:
+    return list(MemtierSpec().commands(ops, protocol="redis", seed=seed))
 
 
 def run_single_leader(ops: int) -> Dict[str, int]:
-    kernel, server, client, commands = _redis(11, ops)
-    runtime = VaranRuntime(kernel, server, PROFILES["redis"],
-                           ring_capacity=1 << 14)
-    return _serve(runtime, client, commands)
+    stack = deploy("redis", "2.0.0", VaranRuntime, ring_capacity=1 << 14)
+    return _serve(stack, _memtier(11, ops))
 
 
 def run_mve_follower(ops: int) -> Dict[str, int]:
-    kernel, server, client, commands = _redis(12, ops)
-    runtime = VaranRuntime(kernel, server, PROFILES["redis"],
-                           ring_capacity=1 << 14)
-    runtime.fork_follower(0)
-    return _serve(runtime, client, commands)
+    stack = deploy("redis", "2.0.0", VaranRuntime, ring_capacity=1 << 14)
+    stack.runtime.fork_follower(0)
+    return _serve(stack, _memtier(12, ops))
 
 
 def run_rule_heavy_mve_redis(ops: int) -> Dict[str, int]:
-    kernel, server, client, commands = _redis(13, ops)
-    mvedsua = Mvedsua(kernel, server, PROFILES["redis"],
-                      transforms=redis_transforms(),
-                      ring_capacity=1 << 14)
-    catalog = rule_heavy_catalog(redis_rules("2.0.0", "2.0.1"))
-    attempt = mvedsua.request_update(
-        redis_version("2.0.1", hmget_bug=False), 10**9, rules=catalog)
+    stack = deploy("redis", "2.0.0", ring_capacity=1 << 14)
+    catalog = rule_heavy_catalog(stack.app.rules_for("2.0.0", "2.0.1"))
+    attempt = stack.update("2.0.1", 10**9, rules=catalog)
     if not attempt.ok:  # pragma: no cover - setup invariant
         raise RuntimeError(f"update failed: {attempt.reason}")
-    return _serve(mvedsua, client, commands)
+    return _serve(stack, _memtier(13, ops))
 
 
 def run_ring_sweep(capacity: int, ops: int) -> Dict[str, int]:
-    kernel = VirtualKernel()
-    server = KVStoreServer(KVStoreV1())
-    server.attach(kernel)
-    runtime = VaranRuntime(kernel, server, PROFILES["kvstore"],
-                           ring_capacity=capacity)
-    client = VirtualClient(kernel, server.address)
-    runtime.fork_follower(0)
+    stack = deploy("kvstore", "1.0", VaranRuntime, ring_capacity=capacity)
+    stack.runtime.fork_follower(0)
     commands = [b"PUT k%d v%d\r\n" % (i % 512, i) for i in range(ops)]
-    return _serve(runtime, client, commands)
+    return _serve(stack, commands)
 
 
 SCENARIOS: Dict[str, Scenario] = {s.name: s for s in (

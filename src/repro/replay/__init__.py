@@ -9,8 +9,8 @@ against captured traffic, plus time-travel forensics for divergences.
 
 Only the stream format and the recorder are imported here: the MVE
 runtime hooks the recorder at construction time, so this package's
-import-time footprint must stay cycle-free (engine/apps import
-servers and rules and are pulled in lazily by the CLIs).
+import-time footprint must stay cycle-free (the engine imports the app
+catalog, :mod:`repro.apps`, and is pulled in lazily by the CLIs).
 """
 
 from repro.replay.recorder import (StreamRecorder, current_recorder,

@@ -17,7 +17,7 @@ import json
 import sys
 
 from repro import cli
-from repro.replay.apps import ReplayAppError, replay_app
+from repro.errors import NoUpdatePath
 from repro.replay.engine import replay_stream
 from repro.replay.stream import StreamError, read_stream, validate_stream_file
 
@@ -45,10 +45,10 @@ def run(args) -> int:
         return 0
 
     try:
-        stream = read_stream(args.stream)
-        app = replay_app(stream.app)
-        report = replay_stream(stream, against=args.against, app=app)
-    except (StreamError, ReplayAppError) as exc:
+        report = replay_stream(read_stream(args.stream),
+                               against=args.against)
+    except (StreamError, NoUpdatePath) as exc:
+        # Unreadable stream; an app or version label the catalog lacks.
         print(f"replay failed: {exc}", file=sys.stderr)
         return 2
 

@@ -12,7 +12,8 @@ rules, then :func:`repro.mve.varan.replay_iteration`.
 Because recording starts at process start (single-leader iterations
 included), the candidate builds its heap by serving the same traffic the
 recorded leader served — so "replay from scratch" needs no checkpoint
-and works for any candidate the app registry can bridge with rules.
+and works for any candidate the app catalog (:mod:`repro.apps`) can
+bridge with rules.
 Control entries switch the leader version mid-stream, so a recording of
 a full update lifecycle replays each segment under the right stage
 rules (``OUTDATED_LEADER`` while the recorded leader is older than the
@@ -30,13 +31,13 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
+from repro.apps import app
 from repro.errors import DivergenceError, ServerCrash
 from repro.mve.gateway import GatewayRole, SyscallGateway
 from repro.mve.ring_buffer import RingEntry
 from repro.mve.varan import replay_iteration, rewrite_iteration
 from repro.net.kernel import VirtualKernel
 from repro.obs.forensics import ForensicsBundle
-from repro.replay.apps import ReplayApp, replay_app
 from repro.replay.stream import (RecordedStream, deserialize_record,
                                  read_stream)
 
@@ -93,14 +94,14 @@ class ReplayReport:
 
 
 def replay_stream(stream: RecordedStream, *,
-                  against: Optional[str] = None,
-                  app: Optional[ReplayApp] = None) -> ReplayReport:
+                  against: Optional[str] = None) -> ReplayReport:
     """Re-drive ``against`` (default: the recorded initial version)
-    through the recording; returns the verdict."""
-    if app is None:
-        app = replay_app(stream.app)
+    through the recording; returns the verdict.  ``NoUpdatePath`` for
+    an app the catalog does not ship or a label the app does not
+    have."""
+    config = app(stream.app)
     candidate = against if against else stream.initial_version
-    server = app.make_server(candidate)
+    server = config.server(candidate)
     # REPLAY gateways never execute against a kernel, so the candidate
     # does not attach(); it only needs the recorded fd labels so its
     # epoll/accept calls name the fds the leader's records name.
@@ -111,7 +112,7 @@ def replay_stream(stream: RecordedStream, *,
     server.epoll_fd = int(stream.header.get("epoll_fd", 1))
 
     report = ReplayReport(
-        app=app.name,
+        app=config.name,
         scenario=stream.scenario,
         recorded_version=stream.initial_version,
         against=candidate,
@@ -119,6 +120,9 @@ def replay_stream(stream: RecordedStream, *,
     )
     leader_version = stream.initial_version
     report.final_version_recorded = leader_version
+    # The rules bridging the recorded leader to the candidate; control
+    # entries switch the leader, and with it the stage.
+    ruleset, direction = config.stage_for(leader_version, candidate)
     # Ring-entry shape for forensics: each expected record as the
     # follower would have popped it, stamped with the recorded iteration
     # time and a running sequence number.
@@ -134,13 +138,14 @@ def replay_stream(stream: RecordedStream, *,
         if kind == "control":
             leader_version = entry["new_leader"]
             report.final_version_recorded = leader_version
+            ruleset, direction = config.stage_for(leader_version,
+                                                  candidate)
             report.controls_seen += 1
             continue
         if kind != "iter":
             continue
         iteration += 1
         records = [deserialize_record(raw) for raw in entry["records"]]
-        ruleset, direction = app.stage_for(leader_version, candidate)
         engine = ruleset.engine_for_stage(direction) \
             if ruleset is not None else None
         expected = rewrite_iteration(engine, records)

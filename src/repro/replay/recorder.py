@@ -36,15 +36,6 @@ from repro.replay.stream import (STREAM_SCHEMA, serialize_record,
                                  write_stream)
 
 
-def _app_of(profile_name: str) -> str:
-    """Canonical app name from a cost-profile name.
-
-    Profiles suffix a size class (``vsftpd-small``/``vsftpd-large``);
-    the app registry keys on the bare name.
-    """
-    return profile_name.split("-", 1)[0]
-
-
 class StreamRecorder:
     """Accumulates one scenario's leader stream for :func:`write`."""
 
@@ -72,7 +63,8 @@ class StreamRecorder:
         not ``id()`` — so a later runtime allocated at a dead claimant's
         address cannot falsely win; once the claimant dies the claim
         simply stays closed.  Metadata is captured here, once,
-        duck-typed off the runtime: app + cost profile, the initial
+        duck-typed off the runtime: app (the leader version's own
+        ``app``, the catalog key) + cost profile, the initial
         leader version, ring capacity, and the fault plan in force.
         """
         if self._claimed_by is not None:
@@ -87,7 +79,7 @@ class StreamRecorder:
         self.header = {
             "type": "header",
             "schema": STREAM_SCHEMA,
-            "app": _app_of(profile_name),
+            "app": server.version.app,
             "scenario": self.scenario,
             "initial_version": runtime.leader.version_name,
             "profile": profile_name,

@@ -53,14 +53,8 @@ def run(args) -> int:
         return 1
 
     report = run_openloop_scenario(args.scenario, seed=args.seed,
-                                   quick=args.quick, workers=args.workers)
-    if args.slo:
-        from repro.obs.slo import build_slo_report
-        from repro.workloads.openloop_scenarios import collect_slo_cells
-        _, slo_spec = OPENLOOP_SPECS[args.scenario]
-        cells = collect_slo_cells(args.scenario, args.seed, args.quick)
-        report["slo_report"] = build_slo_report(
-            args.scenario, args.seed, slo_spec, cells)
+                                   quick=args.quick, workers=args.workers,
+                                   slo=args.slo)
 
     out = args.out or f"OPENLOOP_{args.scenario}.json"
     cli.write_json(out, report, indent=1, sort_keys=False)

@@ -42,14 +42,18 @@ shards cells across workers exactly like the SLO/chaos runners and the
 from __future__ import annotations
 
 import functools
-from typing import Any, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
+from repro.mve import VaranRuntime
 from repro.obs.metrics import Histogram
-from repro.obs.slo import SloSpec, collect_cell
+from repro.obs.slo import SloSpec, build_slo_report, collect_cell
 from repro.obs.trace import Tracer, tracing
 from repro.parallel import map_items
 from repro.workloads.openloop import (LoadSpec, OpenLoopGenerator,
                                       format_request)
+
+if TYPE_CHECKING:  # loaded with the first stack, see _stack
+    from repro.apps import Stack
 
 #: Report schema identifier (bump on shape changes).
 OPENLOOP_SCHEMA = "repro-openloop/1"
@@ -115,74 +119,39 @@ def scenario_spec(scenario: str, quick: bool) -> LoadSpec:
 
 
 # ---------------------------------------------------------------------------
-# Per-scenario server stacks
-# ---------------------------------------------------------------------------
-
-def _kvstore_stack(mode: str, preload: int):
-    from repro.dsu.kitsune import Kitsune
-    from repro.net import VirtualKernel
-    from repro.servers.kvstore import (KVStoreServer, KVStoreV1,
-                                       KVStoreV2, kv_rules, kv_transforms)
-    from repro.syscalls.costs import PROFILES
-
-    kernel = VirtualKernel()
-    server = KVStoreServer(KVStoreV1())
-    server.attach(kernel)
-    table = server.program.heap["table"]
-    for index in range(preload):
-        table[f"warm-{index}"] = "w"
-    profile = PROFILES["kvstore"]
-    runtime = _runtime(mode, kernel, server, profile, kv_transforms())
-    upgrade = {"new_version": KVStoreV2(), "rules": kv_rules(),
-               "kitsune": Kitsune(kv_transforms()),
-               "xform_entry_ns": profile.xform_entry_ns or 0}
-    return kernel, server, runtime, upgrade
-
-
-def _redis_stack(mode: str, preload: int):
-    from repro.dsu.kitsune import Kitsune
-    from repro.net import VirtualKernel
-    from repro.servers.redis import (RedisServer, redis_rules,
-                                     redis_transforms, redis_version)
-    from repro.syscalls.costs import PROFILES
-
-    kernel = VirtualKernel()
-    server = RedisServer(redis_version("2.0.0", hmget_bug=False))
-    server.attach(kernel)
-    db = server.program.heap["db"]
-    for index in range(preload):
-        db[f"warm-{index}"] = "w"
-    profile = PROFILES["redis"]
-    runtime = _runtime(mode, kernel, server, profile, redis_transforms())
-    upgrade = {"new_version": redis_version("2.0.1", hmget_bug=False),
-               "rules": redis_rules("2.0.0", "2.0.1"),
-               "kitsune": Kitsune(redis_transforms()),
-               "xform_entry_ns": profile.xform_entry_ns or 0}
-    return kernel, server, runtime, upgrade
-
-
-def _runtime(mode: str, kernel, server, profile, transforms):
-    if mode in ("native", "restart"):
-        from repro.servers.native import NativeRuntime
-        return NativeRuntime(kernel, server, profile,
-                             with_kitsune=(mode == "restart"))
-    if mode == "mve":
-        from repro.mve import VaranRuntime
-        return VaranRuntime(kernel, server, profile,
-                            ring_capacity=1 << 12)
-    from repro.core import Mvedsua
-    return Mvedsua(kernel, server, profile, transforms=transforms,
-                   ring_capacity=1 << 12)
-
-
-_STACKS = {"kvstore": _kvstore_stack, "redis": _redis_stack}
-
-_PROTOCOLS = {"kvstore": "kvstore", "redis": "redis"}
-
-
-# ---------------------------------------------------------------------------
 # One cell: drive the shared arrival stream through one configuration
 # ---------------------------------------------------------------------------
+
+#: scenario (= catalog app = wire protocol) -> (the release that
+#: serves, the release the wave installs, the heap table the preload
+#: warms).
+_WAVES: Dict[str, Tuple[str, str, str]] = {
+    "kvstore": ("1.0", "2.0", "table"),
+    "redis": ("2.0.0", "2.0.1", "db"),
+}
+
+
+def _stack(scenario: str, mode: str, preload: int) -> Stack:
+    """The scenario's old release under the cell's runtime, warmed."""
+    # The catalog and the DSU runtimes load with the first stack, not
+    # with this module: lint only reads OPENLOOP_SPECS from it, and
+    # hostbench counts its import as set-up time.
+    from repro.apps import deploy
+    from repro.core import Mvedsua
+    from repro.servers.native import NativeRuntime
+    runtime, kwargs = {
+        "native": (NativeRuntime, {}),
+        "restart": (NativeRuntime, {"with_kitsune": True}),
+        "mve": (VaranRuntime, {"ring_capacity": 1 << 12}),
+        "mvedsua": (Mvedsua, {"ring_capacity": 1 << 12}),
+    }[mode]
+    old, _, table = _WAVES[scenario]
+    stack = deploy(scenario, old, runtime, **kwargs)
+    warm = stack.server.heap[table]
+    for index in range(preload):
+        warm[f"warm-{index}"] = "w"
+    return stack
+
 
 def run_openloop_cell(scenario: str, cell_index: int, seed: int,
                       quick: bool) -> Dict[str, Any]:
@@ -194,31 +163,27 @@ def run_openloop_cell(scenario: str, cell_index: int, seed: int,
 
     tracer = Tracer(experiment=f"openloop-{scenario}-{name}", spans=True)
     with tracing(tracer):
-        kernel, server, runtime, upgrade = _STACKS[scenario](mode, preload)
+        stack = _stack(scenario, mode, preload)
         # One stream name per scenario: every cell sees the identical
         # arrival skeleton, so cells differ only in how they serve it.
         generator = OpenLoopGenerator(spec, seed,
                                       stream=f"openloop.{scenario}")
         events = list(generator.events())
         summary = _drive(scenario, name, mode, loop, spec, slo_spec,
-                         kernel, server, runtime, upgrade, generator,
-                         events, tracer)
+                         stack, generator, events, tracer)
     return summary
 
 
 def _drive(scenario: str, name: str, mode: str, loop: str,
-           spec: LoadSpec, slo_spec: SloSpec, kernel, server, runtime,
-           upgrade: Dict[str, Any], generator: OpenLoopGenerator,
-           events, tracer) -> Dict[str, Any]:
-    from repro.workloads.client import VirtualClient
-
+           spec: LoadSpec, slo_spec: SloSpec, stack: Stack,
+           generator: OpenLoopGenerator, events, tracer) -> Dict[str, Any]:
+    runtime = stack.runtime
+    new = _WAVES[scenario][1]
     if mode == "mve":
         runtime.fork_follower(0)
 
-    protocol = _PROTOCOLS[scenario]
     value = "v" * spec.value_size
-    clients = [VirtualClient(kernel, server.address,
-                             name=f"{name}-c{slot}")
+    clients = [stack.client(f"{name}-c{slot}")
                for slot in range(spec.connections)]
     slot_done = [0] * spec.connections
 
@@ -243,16 +208,14 @@ def _drive(scenario: str, name: str, mode: str, loop: str,
             if not did_update and at >= update_at:
                 did_update = True
                 if mode == "restart":
+                    from repro.dsu.kitsune import Kitsune
                     before = max(update_at, runtime.cpu.busy_until)
-                    runtime.apply_update(upgrade["kitsune"],
-                                         upgrade["new_version"],
-                                         update_at)
+                    runtime.apply_update(Kitsune(stack.app.transforms),
+                                         stack.app.version(new), update_at)
                     resume_ns = runtime.cpu.busy_until
                     pause_ns = resume_ns - before
                 else:
-                    attempt = runtime.request_update(
-                        upgrade["new_version"], update_at,
-                        rules=upgrade["rules"])
+                    attempt = stack.update(new, update_at)
                     if not attempt.ok:  # pragma: no cover - setup
                         raise RuntimeError(
                             f"update failed: {attempt.reason}")
@@ -269,7 +232,7 @@ def _drive(scenario: str, name: str, mode: str, loop: str,
                     runtime.finalize(max(at, last_done) + 1)
 
         send = at if loop == "open" else max(at, slot_done[event.slot])
-        payload = format_request(event, protocol, value)
+        payload = format_request(event, scenario, value)
         response, done = clients[event.slot].request(runtime, payload,
                                                      send)
         if mode == "mve":
@@ -504,21 +467,23 @@ def validate_openloop_report(report: Dict[str, Any]) -> List[str]:
 # ---------------------------------------------------------------------------
 
 def run_openloop_scenario(name: str, *, seed: int = 1,
-                          quick: bool = False,
-                          workers: int = 1) -> Dict[str, Any]:
-    """Run every cell of scenario ``name``; returns the report."""
+                          quick: bool = False, workers: int = 1,
+                          slo: bool = False) -> Dict[str, Any]:
+    """Run every cell of scenario ``name``; returns the report.
+
+    ``slo=True`` (the ``--slo`` path) also embeds the full
+    ``repro-slo/1`` section, assembled from the same cells' own
+    :func:`~repro.obs.slo.collect_cell` summaries, as ``slo_report``.
+    """
     if name not in OPENLOOP_SPECS:
         raise KeyError(f"unknown openloop scenario {name!r} "
                        f"(have: {', '.join(sorted(OPENLOOP_SPECS))})")
     summaries = map_items(
         functools.partial(run_openloop_cell, name, seed=seed, quick=quick),
         len(CELLS), workers)
-    return build_openloop_report(name, seed, quick, summaries)
-
-
-def collect_slo_cells(scenario: str, seed: int,
-                      quick: bool) -> List[Dict[str, Any]]:
-    """Re-run every cell serially and return the raw
-    :func:`~repro.obs.slo.collect_cell` summaries (the ``--slo`` path)."""
-    return [run_openloop_cell(scenario, index, seed, quick)["slo_cell"]
-            for index in range(len(CELLS))]
+    report = build_openloop_report(name, seed, quick, summaries)
+    if slo:
+        report["slo_report"] = build_slo_report(
+            name, seed, OPENLOOP_SPECS[name][1],
+            [summary["slo_cell"] for summary in summaries])
+    return report

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, FrozenSet, List, Optional
 
-from repro.analysis.catalog import AppConfig
+from repro.apps import AppConfig
 from repro.dsu.transform import TransformRegistry
 from repro.dsu.version import ServerVersion, VersionRegistry
 from repro.mve.dsl import RuleSet, parse_rules

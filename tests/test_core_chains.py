@@ -1,39 +1,20 @@
-"""Tests for registry-driven chained updates."""
+"""Tests for catalog-driven chained updates."""
 
-from repro.core import Mvedsua
+import dataclasses
+
+from repro.apps import app, deploy
 from repro.core.chains import upgrade_chain
 from repro.mve.dsl import RuleSet
-from repro.net import VirtualKernel
-from repro.servers.vsftpd import (
-    VsftpdServer,
-    vsftpd_rules,
-    vsftpd_transforms,
-    vsftpd_version,
-)
-from repro.servers.vsftpd.versions import vsftpd_registry
-from repro.servers.redis import (
-    RedisServer,
-    redis_rules,
-    redis_transforms,
-    redis_version,
-)
-from repro.servers.redis.versions import redis_registry
 from repro.sim.engine import SECOND
-from repro.syscalls.costs import PROFILES
-from repro.workloads import VirtualClient
 from repro.workloads.ftpclient import FtpClient
 
 
 def vsftpd_deployment(start="1.1.0"):
-    kernel = VirtualKernel()
-    kernel.fs.write_file("/f.txt", b"chained")
-    server = VsftpdServer(vsftpd_version(start))
-    server.attach(kernel)
-    mvedsua = Mvedsua(kernel, server, PROFILES["vsftpd-small"],
-                      transforms=vsftpd_transforms())
-    client = FtpClient(kernel, server.address)
-    client.login(mvedsua)
-    return kernel, mvedsua, client
+    stack = deploy("vsftpd", start)
+    stack.kernel.fs.write_file("/f.txt", b"chained")
+    client = FtpClient(stack.kernel, stack.server.address)
+    client.login(stack.runtime)
+    return stack.kernel, stack.runtime, client
 
 
 def test_full_vsftpd_chain_via_registry():
@@ -42,11 +23,8 @@ def test_full_vsftpd_chain_via_registry():
     def validate(deployment, now):
         client.retr(deployment, "f.txt", now=now)
 
-    result = upgrade_chain(
-        mvedsua, vsftpd_registry(), "vsftpd",
-        version_factory=vsftpd_version,
-        rules_factory=vsftpd_rules,
-        start_at=SECOND, validate=validate)
+    result = upgrade_chain(mvedsua, app("vsftpd"),
+                           start_at=SECOND, validate=validate)
     assert result.completed
     assert result.final_version == "2.0.6"
     assert len(result.steps) == 13
@@ -54,11 +32,8 @@ def test_full_vsftpd_chain_via_registry():
 
 def test_chain_stops_at_target():
     _, mvedsua, _ = vsftpd_deployment()
-    result = upgrade_chain(
-        mvedsua, vsftpd_registry(), "vsftpd",
-        version_factory=vsftpd_version,
-        rules_factory=vsftpd_rules,
-        start_at=SECOND, target="1.2.0")
+    result = upgrade_chain(mvedsua, app("vsftpd"),
+                           start_at=SECOND, target="1.2.0")
     assert result.final_version == "1.2.0"
     assert len(result.steps) == 4
 
@@ -71,11 +46,10 @@ def test_chain_stops_on_divergence():
     def validate(deployment, now):
         client.command(deployment, b"SYST", now=now)  # trips text deltas
 
-    result = upgrade_chain(
-        mvedsua, vsftpd_registry(), "vsftpd",
-        version_factory=vsftpd_version,
-        rules_factory=lambda old, new: RuleSet(),  # no rules at all
-        start_at=SECOND, validate=validate)
+    no_rules = dataclasses.replace(
+        app("vsftpd"), rules_for=lambda old, new: RuleSet())
+    result = upgrade_chain(mvedsua, no_rules,
+                           start_at=SECOND, validate=validate)
     assert not result.completed
     # 1.1.0 -> 1.1.1 needs no rules and completes; 1.1.1 -> 1.1.2 (the
     # banner/SYST rewording) diverges and stops the chain.
@@ -85,23 +59,17 @@ def test_chain_stops_on_divergence():
 
 
 def test_redis_chain_via_registry():
-    kernel = VirtualKernel()
-    server = RedisServer(redis_version("2.0.0"))
-    server.attach(kernel)
-    mvedsua = Mvedsua(kernel, server, PROFILES["redis"],
-                      transforms=redis_transforms())
-    client = VirtualClient(kernel, server.address)
+    stack = deploy("redis", "2.0.0")
+    mvedsua = stack.runtime
+    client = stack.client()
     client.command(mvedsua, b"SET durable value")
 
     def validate(deployment, now):
         client.command(deployment, b"SET probe 1", now=now)
         client.command(deployment, b"GET durable", now=now)
 
-    result = upgrade_chain(
-        mvedsua, redis_registry(), "redis",
-        version_factory=redis_version,
-        rules_factory=redis_rules,
-        start_at=SECOND, validate=validate)
+    result = upgrade_chain(mvedsua, app("redis"),
+                           start_at=SECOND, validate=validate)
     assert result.completed
     assert result.final_version == "2.0.3"
     assert client.command(mvedsua, b"GET durable",

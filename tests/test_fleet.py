@@ -309,7 +309,7 @@ class TestFleetLint:
         assert any(f.code == "MVE701" for f in report.findings)
 
     def test_default_catalog_is_fleet_clean(self):
-        from repro.analysis.catalog import default_catalog
+        from repro.apps import default_catalog
         from repro.analysis.cli import run_app
         report = run_app(default_catalog()["kvstore"])
         assert not any(f.code.startswith("MVE7")

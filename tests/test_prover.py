@@ -4,7 +4,7 @@ import os
 import random
 import unittest
 
-from repro.analysis.catalog import default_catalog, load_catalog
+from repro.apps import default_catalog, load_catalog
 from repro.analysis.effects import (CLIENT_FD, ANY, REPS, ProtocolModel,
                                     read_record, reduce_abstract)
 from repro.analysis.findings import Severity

@@ -3,7 +3,7 @@
 import os
 import unittest
 
-from repro.analysis.catalog import load_catalog
+from repro.apps import load_catalog
 from repro.analysis.prover import prove_app
 from repro.analysis.witness import (Witness, compile_witness,
                                     replay_witness)

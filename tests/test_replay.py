@@ -9,6 +9,7 @@ import operator
 
 import pytest
 
+from repro.apps import deploy
 from repro.chaos.campaign import default_grid, probe_site_calls, run_campaign
 from repro.cli import main
 from repro.chaos.scenarios import BuggyKVStoreV2, run_kv_update_scenario
@@ -21,7 +22,8 @@ from repro.perf.scenarios import GAUGES
 from repro.replay.engine import replay_file
 from repro.parallel import map_items, resolve_workers, shard_round_robin
 from repro.replay.recorder import StreamRecorder, current_recorder, recording
-from repro.replay.stream import StreamError, read_stream, validate_stream_file
+from repro.replay.stream import (StreamError, read_stream,
+                                 validate_stream_file, write_stream)
 from repro.servers.kvstore import (KVStoreServer, KVStoreV1, kv_rules,
                                    xform_1_to_2)
 from repro.syscalls.costs import PROFILES
@@ -88,6 +90,8 @@ def _fake_runtime(version="1.0"):
     runtime.leader = Obj()
     runtime.leader.version_name = version
     runtime.leader.server = Obj()
+    runtime.leader.server.version = Obj()
+    runtime.leader.server.version.app = "kvstore"
     runtime.ring = Obj()
     runtime.ring.capacity = 64
     return runtime
@@ -195,6 +199,98 @@ class TestReplay:
         payload = json.loads(out.read_text())
         assert payload["schema"] == "repro-replay/1"
         assert payload["outcome"] == "match"
+
+
+def _record(app, label, commands, path):
+    """Record ``commands`` served by ``deploy(app, label)``; returns the
+    stream path."""
+    recorder = StreamRecorder(scenario=app)
+    with recording(recorder):
+        stack = deploy(app, label)
+    client = stack.client()
+    for index, command in enumerate(commands):
+        client.command(stack.runtime, command, now=index * 10**9)
+    recorder.write(str(path))
+    return str(path)
+
+
+class TestReplayRedrivesTheRecordedBinary:
+    """The catalog builds what was recorded: before ``repro.apps`` the
+    replay registry built Redis *with* revision 7fb16bac, knew no
+    Memcached, and a Snort stream was stamped (and re-driven as)
+    kvstore."""
+
+    def test_redis_replays_its_own_build_and_catches_7fb16bac(
+            self, tmp_path, capsys):
+        path = _record("redis", "2.0.0",
+                       [b"SET wrongtype value", b"HMGET wrongtype f",
+                        b"GET wrongtype"], tmp_path / "redis.jsonl")
+        own = replay_file(path)
+        assert own.outcome == "match"
+        assert (own.iterations_replayed, own.iterations) == (4, 4)
+        assert main(["replay", path]) == 0
+        # The shadow-testing story kvstore 2.0-buggy tells: the bad
+        # build crashes offline, on the recorded HMGET.
+        buggy = replay_file(path, against="2.0.0-7fb16bac")
+        assert buggy.outcome == "crash"
+        assert buggy.divergence["iteration"] == 2
+        assert "HMGET" in buggy.divergence["detail"]
+        assert main(["replay", path, "--against", "2.0.0-7fb16bac"]) == 1
+
+    def test_memcached_is_replayable(self, tmp_path):
+        path = _record("memcached", "1.2.4",
+                       [b"set k 0 0 1\r\nv", b"get k"],
+                       tmp_path / "memcached.jsonl")
+        assert read_stream(path).app == "memcached"
+        assert replay_file(path).outcome == "match"
+        assert replay_file(path, against="1.2.5").outcome == "match"
+
+    def test_snort_is_recorded_and_replayed_as_snort(self, tmp_path):
+        path = _record("snort", "1.0",
+                       [b"PKT 10.0.0.1 probe", b"PKT 10.0.0.1 exploit",
+                        b"STATS"], tmp_path / "snort.jsonl")
+        stream = read_stream(path)
+        assert stream.app == "snort"
+        # The cost profile is still the borrowed one; the app is not
+        # guessed from it any more.
+        assert stream.header["profile"] == "kvstore"
+        report = replay_file(path)
+        assert (report.app, report.outcome) == ("snort", "match")
+
+    def test_unknown_app_or_label_exits_2_with_one_line(
+            self, kv_stream, tmp_path, capsys):
+        assert main(["replay", kv_stream, "--against", "9.9"]) == 2
+        err = capsys.readouterr().err
+        assert err == "replay failed: unknown version kvstore-9.9\n"
+        stream = read_stream(kv_stream)
+        alien = str(tmp_path / "alien.jsonl")
+        write_stream(alien, {**stream.header, "app": "nginx"},
+                     stream.entries)
+        assert main(["replay", alien]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("replay failed: no app 'nginx' (known: ")
+        assert err.count("\n") == 1
+
+    def test_a_keyerror_inside_replay_is_not_an_unknown_app(
+            self, kv_stream, monkeypatch):
+        """Exit 2 is for the two catalog lookups; a candidate that
+        raises while serving the recording is a bug and surfaces."""
+        def handle(self, heap, request, session=None, io=None):
+            raise KeyError("handler bug")
+        monkeypatch.setattr(KVStoreV1, "handle", handle)
+        with pytest.raises(KeyError, match="handler bug"):
+            main(["replay", kv_stream])
+
+    def test_a_candidate_build_recording_names_its_release(self, tmp_path):
+        """A stream stamps release names: recorded from ``2.0-buggy`` it
+        says ``2.0``, so re-driving the build that was recorded takes
+        ``--against 2.0-buggy`` (docs/replay.md)."""
+        path = _record("kvstore", "2.0-buggy", [b"PUT k v", b"GET k"],
+                       tmp_path / "buggy.jsonl")
+        assert read_stream(path).initial_version == "2.0"
+        release = replay_file(path)
+        assert (release.against, release.outcome) == ("2.0", "divergence")
+        assert replay_file(path, against="2.0-buggy").outcome == "match"
 
 
 class TestTraceRecordRoundTrip:

@@ -70,7 +70,7 @@ def test_repo_memcached_catalog_is_tagged():
 def test_run_app_registers_the_trace_analyzer():
     # Strip the trace tags from memcached's rules: run_app must now
     # surface MVE501, proving the analyzer is wired into the pipeline.
-    from repro.analysis.catalog import default_catalog
+    from repro.apps import default_catalog
     from repro.analysis.cli import run_app
 
     def untagged_rules(old, new):

@@ -64,6 +64,8 @@ CASES: List[Case] = [
          workers=True, gate=True),
     Case("openloop-kvstore-quick", ("openloop kvstore --quick",),
          ("OPENLOOP_kvstore.json",), workers=True, gate=True),
+    Case("openloop-kvstore-quick-slo", ("openloop kvstore --quick --slo",),
+         ("OPENLOOP_kvstore.json",), workers=True, gate=True),
     Case("trace-replay",
          ("trace fig6 --quick --check --record STREAM.jsonl",
           "replay STREAM.jsonl --out REPLAY.json",
