@@ -44,6 +44,7 @@ from typing import Iterable, List, Optional
 from repro.analysis.findings import Finding, Severity
 from repro.dsu.version import ServerVersion
 from repro.mve.dsl.rules import RewriteRule, RuleSet
+from repro.report import read_lines
 
 ANALYZER = "trace"
 
@@ -140,6 +141,4 @@ def lint_spans(lines: Iterable[str], *, app: str = "spans",
 
 def lint_span_file(path: str, *, app: str = "spans") -> List[Finding]:
     """Run :func:`lint_spans` over a JSONL span file on disk."""
-    with open(path, "r", encoding="utf-8") as handle:
-        lines = [line.rstrip("\n") for line in handle if line.strip()]
-    return lint_spans(lines, app=app, source=path)
+    return lint_spans(read_lines(path), app=app, source=path)

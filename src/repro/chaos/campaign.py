@@ -39,6 +39,8 @@ from repro.chaos.plan import (SITES, STAGE_NAMES, Fault, FaultPlan, at_stage,
 from repro.chaos.scenarios import ChaosRunResult, buggy_v2_factory, \
     run_kv_update_scenario
 from repro.errors import SimulationError
+from repro.report import (ANY, INT, NAT, STR, ListOf, MapOf, Obj, const,
+                          one_of, problems)
 from repro.servers.kvstore import xform_drop_table
 
 CHAOS_SCHEMA = "repro-chaos/1"
@@ -50,6 +52,17 @@ CHAOS_SCHEMA = "repro-chaos/1"
 OUTCOMES = ("masked", "recovered-demotion", "recovered-rollback",
             "availability-loss", "ordering-anomaly",
             "invariant-violation")
+
+#: What a ``repro-chaos/1`` report looks like (:mod:`repro.report`).
+CHAOS_SHAPE = Obj({
+    "schema": const(CHAOS_SCHEMA), "scenario": STR, "seed": INT,
+    "cells": NAT, "outcomes": MapOf(NAT, OUTCOMES),
+    "golden": Obj({"observations": ANY}),
+    "grid": ListOf(Obj({
+        "name": ANY, "site": ANY, "kind": ANY, "trigger": ANY,
+        "outcome": one_of(OUTCOMES), "detail": ANY,
+        "injections": ListOf(ANY)}), min_len=1),
+})
 
 #: Upper bound on per-(site, kind) ``on-call`` indices in the default
 #: grid, so a chattier scenario cannot explode the sweep.
@@ -404,44 +417,21 @@ def run_campaign(scenario: str = "kvstore", *, seed: int = 1,
     }
 
 
-def validate_report(payload: Any) -> List[str]:
-    """Structural validation of a ``repro-chaos/1`` report."""
-    problems: List[str] = []
-    if not isinstance(payload, dict):
-        return ["report is not an object"]
-    if payload.get("schema") != CHAOS_SCHEMA:
-        problems.append(f"schema is {payload.get('schema')!r}, "
-                        f"expected {CHAOS_SCHEMA!r}")
-    if not isinstance(payload.get("scenario"), str):
-        problems.append("scenario missing or not a string")
-    if not isinstance(payload.get("seed"), int):
-        problems.append("seed missing or not an integer")
-    golden = payload.get("golden")
-    if not isinstance(golden, dict) or "observations" not in golden:
-        problems.append("golden baseline missing")
-    grid = payload.get("grid")
-    if not isinstance(grid, list) or not grid:
-        return problems + ["grid missing or empty"]
-    if payload.get("cells") != len(grid):
-        problems.append(f"cells={payload.get('cells')!r} but the grid "
-                        f"has {len(grid)} entries")
+def _tally_problems(report: Dict[str, Any]) -> List[str]:
+    """Cross-check of a shape-valid report: its tallies are the grid's."""
+    found: List[str] = []
+    grid = report["grid"]
+    if report["cells"] != len(grid):
+        found.append(f"cells={report['cells']!r} but the grid has "
+                     f"{len(grid)} entries")
     recount = {outcome: 0 for outcome in OUTCOMES}
-    for index, entry in enumerate(grid):
-        if not isinstance(entry, dict):
-            problems.append(f"grid[{index}] is not an object")
-            continue
-        for key in ("name", "site", "kind", "trigger", "outcome",
-                    "detail", "injections"):
-            if key not in entry:
-                problems.append(f"grid[{index}] missing {key!r}")
-        outcome = entry.get("outcome")
-        if outcome in recount:
-            recount[outcome] += 1
-        else:
-            problems.append(f"grid[{index}] has unknown outcome "
-                            f"{outcome!r}")
-        if not isinstance(entry.get("injections", []), list):
-            problems.append(f"grid[{index}] injections is not a list")
-    if payload.get("outcomes") != recount:
-        problems.append("outcome tally does not match the grid")
-    return problems
+    for entry in grid:
+        recount[entry["outcome"]] += 1
+    if report["outcomes"] != recount:
+        found.append("outcome tally does not match the grid")
+    return found
+
+
+def validate_report(payload: Any) -> List[str]:
+    """Problems with a ``repro-chaos/1`` report (empty = valid)."""
+    return problems(payload, CHAOS_SHAPE, "", _tally_problems)

@@ -35,6 +35,8 @@ from repro.cluster.shard import FleetSpec, Shard, ShardMap
 from repro.errors import KernelError, ServerCrash
 from repro.net.kernel import VirtualKernel
 from repro.net.ring_wire import RingLink
+from repro.report import (ANY, NAT, POS, ListOf, MapOf, Obj, const, one_of,
+                          problems)
 from repro.sim.engine import MILLISECOND, SECOND
 from repro.syscalls.costs import PROFILES
 from repro.workloads.client import VirtualClient
@@ -55,6 +57,25 @@ OPENLOOP_RATE_PER_SEC = 40.0
 #: pair: same-datacenter numbers (0.5 ms one way, 1 GB/s, 8 frames in
 #: flight, 250 ms of tolerated partition delay before demotion).
 DEFAULT_FLEET_LINK = RingLink()
+
+#: What a ``repro-fleet/1`` report looks like (:mod:`repro.report`);
+#: ``distring`` is there only in ``--distributed`` mode.
+FLEET_SHAPE = Obj({
+    "schema": const(FLEET_SCHEMA),
+    "topology": Obj({"shards": POS, "replicas_per_shard": POS,
+                     "wave_size": POS}),
+    "rounds": ListOf(Obj(
+        {"outcome": one_of(ROUND_OUTCOMES)},
+        {"records": ListOf(Obj({"outcome": one_of(NODE_OUTCOMES)}))}),
+        min_len=1),
+    "max_mve_pairs_per_shard": one_of((0, 1)),
+    "invariants": Obj({"problems": ListOf(ANY)}),
+}, {
+    "distring": Obj({
+        "link": Obj({"latency_ns": NAT, "bandwidth_bps": NAT,
+                     "window": NAT, "demote_timeout_ns": NAT}),
+        "wire": MapOf(NAT)}),
+})
 
 
 def build_kv_fleet(spec: FleetSpec) -> Tuple[VirtualKernel, ShardMap,
@@ -390,51 +411,6 @@ def run_fleet_scenario(scenario: str = "canary-kvstore", seed: int = 1, *,
     return report
 
 
-def validate_report(payload: Dict[str, Any]) -> List[str]:
-    """Schema-level problems with a fleet report (empty = valid)."""
-    problems: List[str] = []
-    if payload.get("schema") != FLEET_SCHEMA:
-        problems.append(f"schema is {payload.get('schema')!r}, "
-                        f"expected {FLEET_SCHEMA!r}")
-    topology = payload.get("topology", {})
-    for field in ("shards", "replicas_per_shard", "wave_size"):
-        value = topology.get(field)
-        if not isinstance(value, int) or value < 1:
-            problems.append(f"topology.{field} must be a positive "
-                            f"integer, got {value!r}")
-    rounds = payload.get("rounds")
-    if not isinstance(rounds, list) or not rounds:
-        problems.append("report has no rounds")
-        rounds = []
-    for index, round_payload in enumerate(rounds):
-        outcome = round_payload.get("outcome")
-        if outcome not in ROUND_OUTCOMES:
-            problems.append(f"rounds[{index}].outcome {outcome!r} not in "
-                            f"{ROUND_OUTCOMES}")
-        for rindex, record in enumerate(round_payload.get("records", [])):
-            if record.get("outcome") not in NODE_OUTCOMES:
-                problems.append(
-                    f"rounds[{index}].records[{rindex}].outcome "
-                    f"{record.get('outcome')!r} not in {NODE_OUTCOMES}")
-    pairs = payload.get("max_mve_pairs_per_shard")
-    if not isinstance(pairs, int) or pairs > 1 or pairs < 0:
-        problems.append(f"max_mve_pairs_per_shard must be 0 or 1, "
-                        f"got {pairs!r}")
-    invariants = payload.get("invariants", {})
-    if not isinstance(invariants.get("problems"), list):
-        problems.append("invariants.problems must be a list")
-    distring = payload.get("distring")
-    if distring is not None:
-        link = distring.get("link", {})
-        for field in ("latency_ns", "bandwidth_bps", "window",
-                      "demote_timeout_ns"):
-            value = link.get(field)
-            if not isinstance(value, int) or value < 0:
-                problems.append(f"distring.link.{field} must be a "
-                                f"non-negative integer, got {value!r}")
-        wire = distring.get("wire", {})
-        for field, value in sorted(wire.items()):
-            if not isinstance(value, int) or value < 0:
-                problems.append(f"distring.wire.{field} must be a "
-                                f"non-negative integer, got {value!r}")
-    return problems
+def validate_report(payload: Any) -> List[str]:
+    """Problems with a ``repro-fleet/1`` report (empty = valid)."""
+    return problems(payload, FLEET_SHAPE)

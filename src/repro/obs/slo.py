@@ -28,8 +28,8 @@ histograms merge losslessly across workers
 non-deterministic (wall clock, worker count) is allowed into the
 payload.
 
-Standard library + :mod:`repro.obs.metrics` + :mod:`repro.obs.spans`
-only, so scenario runners at any layer can import it without cycles.
+Standard library, :mod:`repro.report`, :mod:`repro.obs.metrics` and
+:mod:`repro.obs.spans` only: any layer can import it without cycles.
 """
 
 from __future__ import annotations
@@ -38,6 +38,8 @@ from typing import Any, Dict, List, Optional
 
 from repro.obs.metrics import Histogram
 from repro.obs.spans import PAUSE_KINDS, PHASES, Span, SpanCollector
+from repro.report import (ANY, BOOL, INT, NAT, STR, UNIT, ListOf, MapOf, Obj,
+                          Via, const, problems)
 
 #: SLO report schema identifier (bump on shape changes).
 SLO_SCHEMA = "repro-slo/1"
@@ -352,91 +354,37 @@ def build_slo_report(scenario: str, seed: int, spec: SloSpec,
 # Report validation
 # ---------------------------------------------------------------------------
 
-def validate_slo_report(report: Dict[str, Any]) -> List[str]:
-    """Check a ``repro-slo/1`` report's shape; returns problems."""
-    problems: List[str] = []
-    if not isinstance(report, dict):
-        return ["report is not an object"]
-    if report.get("schema") != SLO_SCHEMA:
-        problems.append(f"schema is {report.get('schema')!r}, "
-                        f"expected {SLO_SCHEMA!r}")
-    for key in ("scenario", "seed", "spec", "cells", "phases", "checks",
-                "attributions"):
-        if key not in report:
-            problems.append(f"missing key {key!r}")
-    spec_payload = report.get("spec")
-    if isinstance(spec_payload, dict):
-        problems.extend(SloSpec.from_dict(spec_payload).problems())
-    elif "spec" in report:
-        problems.append(f"spec is {spec_payload!r}, expected an object")
-    for key in ("requests", "answered", "violating_requests"):
-        value = report.get(key)
-        if not isinstance(value, int) or value < 0:
-            problems.append(f"{key} is {value!r}, expected a "
-                            f"non-negative int")
-    availability = report.get("availability")
-    if not isinstance(availability, (int, float)) \
-            or not 0.0 <= availability <= 1.0:
-        problems.append(f"availability is {availability!r}, expected a "
-                        f"float in [0, 1]")
-    cells = report.get("cells")
-    if isinstance(cells, list) and cells:
-        for key in ("requests", "answered"):
-            tallied = sum(entry.get(key, 0) for entry in cells
-                          if isinstance(entry, dict))
-            if isinstance(report.get(key), int) \
-                    and report[key] != tallied:
-                problems.append(f"{key} is {report[key]} but the cells "
-                                f"tally {tallied} (tampered?)")
-    elif "cells" in report and not isinstance(cells, list):
-        problems.append(f"cells is {cells!r}, expected a list")
-    phases = report.get("phases")
-    if isinstance(phases, dict):
-        for phase, row in phases.items():
-            if phase not in PHASES:
-                problems.append(f"phase table has unknown phase "
-                                f"{phase!r}")
-                continue
-            if not isinstance(row, dict):
-                problems.append(f"phase {phase!r} row is not an object")
-                continue
-            for key in ("count", "p50_ns", "p99_ns", "p999_ns",
-                        "max_ns"):
-                if not isinstance(row.get(key), int):
-                    problems.append(f"phase {phase!r} {key} is "
-                                    f"{row.get(key)!r}, expected int")
-    elif "phases" in report:
-        problems.append(f"phases is {phases!r}, expected an object")
-    checks = report.get("checks")
-    if isinstance(checks, list):
-        for index, check in enumerate(checks):
-            if not isinstance(check, dict) \
-                    or not isinstance(check.get("check"), str) \
-                    or not isinstance(check.get("ok"), bool):
-                problems.append(f"checks[{index}] is malformed")
-    elif "checks" in report:
-        problems.append(f"checks is {checks!r}, expected a list")
-    attributions = report.get("attributions")
-    if isinstance(attributions, list):
-        for index, attribution in enumerate(attributions):
-            if not isinstance(attribution, dict):
-                problems.append(f"attributions[{index}] is not an "
-                                f"object")
-                continue
-            for key in ("cell", "phase", "blame"):
-                if not isinstance(attribution.get(key), str):
-                    problems.append(f"attributions[{index}] {key} is "
-                                    f"{attribution.get(key)!r}, "
-                                    f"expected str")
-            for key in ("latency_ns", "blame_ns"):
-                if not isinstance(attribution.get(key), int):
-                    problems.append(f"attributions[{index}] {key} is "
-                                    f"{attribution.get(key)!r}, "
-                                    f"expected int")
-    elif "attributions" in report:
-        problems.append(f"attributions is {attributions!r}, "
-                        f"expected a list")
-    return problems
+#: Sections reports share: a serialized :class:`SloSpec` is whatever its
+#: ``problems`` say; a ``checks`` table is named verdicts.
+SPEC_SHAPE = Via(Obj({}), lambda spec: SloSpec.from_dict(spec).problems())
+CHECKS_SHAPE = ListOf(Obj({"check": STR, "ok": BOOL}))
+
+#: What a ``repro-slo/1`` report looks like (:mod:`repro.report`).
+SLO_SHAPE = Obj({
+    "schema": const(SLO_SCHEMA), "scenario": ANY, "seed": ANY,
+    "spec": SPEC_SHAPE,
+    "cells": ListOf(Obj({"requests": NAT, "answered": NAT})),
+    "requests": NAT, "answered": NAT, "availability": UNIT,
+    "phases": MapOf(Obj({"count": INT, "p50_ns": INT, "p99_ns": INT,
+                         "p999_ns": INT, "max_ns": INT}), PHASES),
+    "checks": CHECKS_SHAPE, "violating_requests": NAT,
+    "attributions": ListOf(Obj({"cell": STR, "phase": STR, "blame": STR,
+                                "latency_ns": INT, "blame_ns": INT})),
+})
+
+
+def _cell_tally_problems(report: Dict[str, Any]) -> List[str]:
+    """Cross-check of a shape-valid report: the totals are the cells'."""
+    tallies = ((key, sum(cell[key] for cell in report["cells"]))
+               for key in ("requests", "answered"))
+    return [f"{key} is {report[key]} but the cells tally {tallied} "
+            f"(tampered?)" for key, tallied in tallies
+            if report[key] != tallied]
+
+
+def validate_slo_report(report: Any) -> List[str]:
+    """Problems with a ``repro-slo/1`` report (empty = valid)."""
+    return problems(report, SLO_SHAPE, "", _cell_tally_problems)
 
 
 def percentile_oracle(values: List[int], q: float) -> Optional[int]:

@@ -38,8 +38,8 @@ line per span.  ``validate_span_lines`` / ``validate_span_file`` check
 the shape; span *hygiene* (unclosed spans, orphan parents, end before
 start) is the MVE9xx lint's job (:mod:`repro.analysis.trace_lint`).
 
-Standard library only, so any layer of the stack can import it without
-cycles.
+Standard library and :mod:`repro.report` only, so any layer of the stack
+can import it without cycles.
 """
 
 from __future__ import annotations
@@ -47,6 +47,9 @@ from __future__ import annotations
 import json
 from collections import defaultdict
 from typing import Any, Dict, List, Optional, Sequence
+
+from repro.report import (INT, NAT, TEXT, Obj, Opt, const, jsonl_problems,
+                          one_of, read_lines)
 
 #: JSONL span schema identifier (bump on shape changes).
 SPAN_SCHEMA = "repro-span/1"
@@ -228,80 +231,21 @@ class SpanCollector:
 # Schema validation (shape only; hygiene is the MVE9xx lint's job)
 # ---------------------------------------------------------------------------
 
-def jsonl_header_problems(line: str, schema: str, count_key: str,
-                          present: int) -> List[str]:
-    """Problems with a JSONL artifact's header line: not a JSON object,
-    the wrong schema id, or a declared ``count_key`` that is not the
-    ``present`` body lines (``repro-span/1`` and ``repro-trace/1``)."""
-    try:
-        header = json.loads(line)
-    except ValueError as exc:
-        return [f"line 1: not JSON ({exc})"]
-    if not isinstance(header, dict):
-        header = {}
-    problems: List[str] = []
-    if header.get("schema") != schema:
-        problems.append(f"line 1: schema is {header.get('schema')!r}, "
-                        f"expected {schema!r}")
-    declared = header.get(count_key)
-    if not isinstance(declared, int) or declared < 0:
-        problems.append(f"line 1: {count_key!r} is {declared!r}, "
-                        f"expected a non-negative int")
-    elif declared != present:
-        problems.append(f"header declares {declared} {count_key} but the "
-                        f"file has {present} {count_key[:-1]} lines "
-                        f"(truncated?)")
-    return problems
+#: A ``repro-span/1`` header line and span line (:mod:`repro.report`).
+SPAN_HEADER_SHAPE = Obj({"schema": const(SPAN_SCHEMA), "spans": NAT})
+SPAN_SHAPE = Obj({"span": INT, "start_ns": INT, "end_ns": Opt(INT),
+                  "parent": Opt(INT), "kind": TEXT, "layer": TEXT,
+                  "phase": one_of(PHASES)})
 
 
 def validate_span_lines(lines: List[str]) -> List[str]:
-    """Check JSONL span lines against ``repro-span/1``.
-
-    Returns a list of problems (empty means valid): a header with the
-    right schema id and span count, then span lines carrying an integer
-    ``span`` id, integer ``start_ns``, ``end_ns`` integer or null,
-    ``parent`` integer or null, non-empty ``kind``/``layer`` strings,
-    and a ``phase`` from :data:`PHASES`.
-    """
+    """Problems with ``repro-span/1`` lines (empty = valid): a
+    :data:`SPAN_HEADER_SHAPE`, then as many :data:`SPAN_SHAPE` as it says."""
     if not lines:
         return ["span file is empty"]
-    problems = jsonl_header_problems(lines[0], SPAN_SCHEMA, "spans",
-                                     len(lines) - 1)
-    for index, line in enumerate(lines[1:], start=2):
-        try:
-            span = json.loads(line)
-        except ValueError as exc:
-            problems.append(f"line {index}: not JSON ({exc})")
-            continue
-        if not isinstance(span, dict):
-            problems.append(f"line {index}: not an object")
-            continue
-        if not isinstance(span.get("span"), int):
-            problems.append(f"line {index}: 'span' is "
-                            f"{span.get('span')!r}, expected int")
-        if not isinstance(span.get("start_ns"), int):
-            problems.append(f"line {index}: 'start_ns' is "
-                            f"{span.get('start_ns')!r}, expected int")
-        end_ns = span.get("end_ns", "missing")
-        if end_ns is not None and not isinstance(end_ns, int):
-            problems.append(f"line {index}: 'end_ns' is {end_ns!r}, "
-                            f"expected int or null")
-        parent = span.get("parent", "missing")
-        if parent is not None and not isinstance(parent, int):
-            problems.append(f"line {index}: 'parent' is {parent!r}, "
-                            f"expected int or null")
-        for key in ("kind", "layer"):
-            value = span.get(key)
-            if not isinstance(value, str) or not value:
-                problems.append(f"line {index}: missing {key!r}")
-        if span.get("phase") not in PHASES:
-            problems.append(f"line {index}: phase {span.get('phase')!r} "
-                            f"not in {PHASES}")
-    return problems
+    return jsonl_problems(lines, SPAN_HEADER_SHAPE, "spans", SPAN_SHAPE)
 
 
 def validate_span_file(path: str) -> List[str]:
     """Validate a JSONL span file; returns a list of problems."""
-    with open(path, "r", encoding="utf-8") as handle:
-        lines = [line.rstrip("\n") for line in handle if line.strip()]
-    return validate_span_lines(lines)
+    return validate_span_lines(read_lines(path))

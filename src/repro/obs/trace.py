@@ -29,7 +29,7 @@ Traces export as JSONL (schema ``repro-trace/1``): a header line, one
 line per event, and a final ``metrics.snapshot`` line.  See
 ``docs/observability.md`` for the full schema and event taxonomy.
 
-This module imports only the standard library and
+This module imports only the standard library, :mod:`repro.report` and
 :mod:`repro.obs.metrics`, so any layer of the stack can depend on it
 without cycles.
 """
@@ -43,7 +43,9 @@ from dataclasses import dataclass, field
 from typing import Any, Deque, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.obs.metrics import Counter, MetricsRegistry
-from repro.obs.spans import SpanCollector, jsonl_header_problems
+from repro.obs.spans import SpanCollector
+from repro.report import (ANY, INT, NAT, TEXT, MapOf, Obj, const,
+                          jsonl_problems, problems, read_lines)
 
 #: JSONL trace schema identifier (bump on shape changes).
 TRACE_SCHEMA = "repro-trace/1"
@@ -420,47 +422,31 @@ class tracing:
 # Schema validation (used by tests and the CI trace-smoke job)
 # ---------------------------------------------------------------------------
 
-def validate_trace_lines(lines: List[str]) -> List[str]:
-    """Check JSONL trace lines against ``repro-trace/1``.
+#: A ``repro-trace/1`` header, event and closing snapshot line.
+TRACE_HEADER_SHAPE = Obj({"schema": const(TRACE_SCHEMA), "events": NAT})
+EVENT_SHAPE = Obj({"at": INT, "kind": TEXT, "layer": TEXT})
+SNAPSHOT_SHAPE = Obj({"kind": const("metrics.snapshot"),
+                      "metrics": MapOf(ANY)})
 
-    Returns a list of problems (empty means valid): a header with the
-    right schema id and event count, events carrying integer ``at``
-    plus non-empty ``kind``/``layer`` strings, and a final metrics
-    snapshot.
-    """
-    if not lines:
-        return ["trace is empty"]
+
+def validate_trace_lines(lines: List[str]) -> List[str]:
+    """Problems with ``repro-trace/1`` lines (empty = valid): a
+    :data:`TRACE_HEADER_SHAPE`, as many :data:`EVENT_SHAPE` as it says,
+    then the metrics snapshot."""
     if len(lines) < 2:
-        return ["trace has no metrics snapshot line"]
-    problems = jsonl_header_problems(lines[0], TRACE_SCHEMA, "events",
-                                     len(lines) - 2)
-    last: Any = None
-    for index, line in enumerate(lines[1:], start=2):
-        try:
-            last = event = json.loads(line)
-        except ValueError as exc:
-            last = None
-            problems.append(f"line {index}: not JSON ({exc})")
-            continue
-        if not isinstance(event, dict):
-            problems.append(f"line {index}: not an object")
-            continue
-        at = event.get("at")
-        if not isinstance(at, int):
-            problems.append(f"line {index}: 'at' is {at!r}, expected int")
-        for key in ("kind", "layer"):
-            value = event.get(key)
-            if not isinstance(value, str) or not value:
-                problems.append(f"line {index}: missing {key!r}")
-    if not isinstance(last, dict) or last.get("kind") != "metrics.snapshot":
-        problems.append("last line is not a metrics.snapshot")
-    elif not isinstance(last.get("metrics"), dict):
-        problems.append("metrics.snapshot carries no metrics dict")
-    return problems
+        return ["trace has no metrics snapshot line" if lines
+                else "trace is empty"]
+    found = jsonl_problems(lines, TRACE_HEADER_SHAPE, "events", EVENT_SHAPE,
+                           uncounted=1)
+    try:
+        last = json.loads(lines[-1])
+    except ValueError:
+        last = None
+    if problems(last, SNAPSHOT_SHAPE):
+        found.append("last line is not a metrics.snapshot")
+    return found
 
 
 def validate_trace_file(path: str) -> List[str]:
     """Validate a JSONL trace file; returns a list of problems."""
-    with open(path, "r", encoding="utf-8") as handle:
-        lines = [line.rstrip("\n") for line in handle if line.strip()]
-    return validate_trace_lines(lines)
+    return validate_trace_lines(read_lines(path))

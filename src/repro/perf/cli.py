@@ -92,8 +92,7 @@ def _load_baseline(path: str) -> dict:
             baseline = json.load(handle)
     except json.JSONDecodeError as exc:
         raise cli.UsageError(f"cannot read baseline {path}: {exc}") from None
-    problems = (validate_bench(baseline) if isinstance(baseline, dict)
-                else ["not a JSON object"])
+    problems = validate_bench(baseline)
     if problems:
         raise cli.UsageError(f"unusable baseline {path}: "
                              + "; ".join(problems))

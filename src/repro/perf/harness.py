@@ -9,15 +9,20 @@ host, so the same arguments write the same bytes on any machine.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional
+from typing import Any, Dict, Iterable, List, Optional
 
 from repro.perf.scenarios import GAUGES, SCENARIOS
+from repro.report import ANY, INT, STR, ListOf, MapOf, Obj, const, problems
 
 #: BENCH_perf.json schema identifier (bump on shape changes).
 #: /5 dropped every wall-clock and machine-dependent key.
 SCHEMA = "repro-perf/5"
 
-_META_KEYS = ("quick", "ops", "scenario_order")
+#: What ``_meta`` and one scenario's gauges look like
+#: (:mod:`repro.report`); every other top-level key is a scenario.
+META_SHAPE = Obj({"schema": const(SCHEMA), "quick": ANY, "ops": MapOf(ANY),
+                  "scenario_order": ListOf(STR)})
+GAUGES_SHAPE = Obj({gauge: INT for gauge in GAUGES})
 
 
 def run_scenarios(names: Optional[Iterable[str]] = None, *,
@@ -42,10 +47,22 @@ def run_scenarios(names: Optional[Iterable[str]] = None, *,
     return payload
 
 
-def validate_bench(payload: Dict) -> List[str]:
-    """Schema check for a repro-perf/5 payload; returns problem strings
-    (empty means valid).  Mirrors ``repro.chaos.campaign.validate_report``
-    so CI can gate on the artifact it just wrote."""
+def _order_and_ops(names: List[str], meta: Dict) -> List[str]:
+    """Cross-check of a shape-valid ``_meta`` against the payload's
+    scenario ``names``: it must list and size exactly those."""
+    found = [] if names else ["no scenario entries"]
+    if sorted(meta["scenario_order"]) != names:
+        found.append("_meta.scenario_order does not match the scenario "
+                     "entries")
+    return found + [f"_meta.ops missing {name!r}" for name in names
+                    if name not in meta["ops"]]
+
+
+def validate_bench(payload: Any) -> List[str]:
+    """Problems with a repro-perf/5 payload (empty means valid): CI's
+    gate on what it just wrote, ``--diff``'s on what it was handed."""
+    if not isinstance(payload, dict):
+        return ["not a JSON object"]
     meta = payload.get("_meta")
     if not isinstance(meta, dict):
         return ["missing or malformed _meta"]
@@ -54,26 +71,9 @@ def validate_bench(payload: Dict) -> List[str]:
         # this line may be compared or checked against it.
         return [f"schema is {meta.get('schema')!r}, want {SCHEMA!r} — "
                 "regenerate it with `python -m repro perf --json`"]
-    problems = [f"_meta missing {key!r}" for key in _META_KEYS
-                if key not in meta]
-    scenario_names = sorted(k for k in payload if k != "_meta")
-    if not scenario_names:
-        problems.append("no scenario entries")
-    order = meta.get("scenario_order")
-    if isinstance(order, list) and sorted(order) != scenario_names:
-        problems.append("_meta.scenario_order does not match the "
-                        "scenario entries")
-    ops = meta.get("ops")
-    if "ops" in meta and not isinstance(ops, dict):
-        problems.append("_meta.ops is not an object")
-    for name in scenario_names:
-        entry = payload[name]
-        if not isinstance(entry, dict):
-            problems.append(f"{name}: entry is not an object")
-            continue
-        problems += [f"{name}: missing integer gauge {key!r}"
-                     for key in GAUGES
-                     if type(entry.get(key)) is not int]
-        if isinstance(ops, dict) and name not in ops:
-            problems.append(f"_meta.ops missing {name!r}")
-    return problems
+    names = sorted(name for name in payload if name != "_meta")
+    found = problems(meta, META_SHAPE, "_meta",
+                     lambda shaped: _order_and_ops(names, shaped))
+    for name in names:
+        found += problems(payload[name], GAUGES_SHAPE, f"{name}:")
+    return found

@@ -108,8 +108,8 @@ def replay_stream(stream: RecordedStream, *,
     kernel = VirtualKernel()
     gateway = SyscallGateway(kernel, domain=0, role=GatewayRole.REPLAY)
     server.bind_gateway(gateway)
-    server.listen_fd = int(stream.header.get("listen_fd", 0))
-    server.epoll_fd = int(stream.header.get("epoll_fd", 1))
+    server.listen_fd = stream.header["listen_fd"]
+    server.epoll_fd = stream.header["epoll_fd"]
 
     report = ReplayReport(
         app=config.name,
@@ -152,7 +152,7 @@ def replay_stream(stream: RecordedStream, *,
         if engine is not None:
             report.rules_fired_names.extend(engine.fired)
             report.rules_fired = len(report.rules_fired_names)
-        at = int(entry.get("at", 0))
+        at = entry["at"]
         history.extend(RingEntry(record, at, sequence + offset)
                        for offset, record in enumerate(expected))
         sequence += len(expected)

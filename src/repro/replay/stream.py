@@ -34,8 +34,8 @@ Record payload bytes are stored as latin-1 strings (reversible for any
 byte value); tuple results are tagged so they round-trip as tuples.
 
 This module imports only the standard library plus the leaf modules
-``repro.errors`` and ``repro.syscalls.model`` so the recorder hook in
-``repro.mve.varan`` can depend on it without cycles.
+``repro.errors``, ``repro.report`` and ``repro.syscalls.model`` so the
+recorder hook in ``repro.mve.varan`` can depend on it without cycles.
 """
 
 from __future__ import annotations
@@ -45,14 +45,12 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional
 
 from repro.errors import SimulationError
+from repro.report import (ANY, BOOL, BYTES, INT, NAT, STR, TEXT, ListOf, MapOf,
+                          Obj, Opt, Via, const, one_of, problems, read_lines)
 from repro.syscalls.model import Sys, SyscallRecord
 
 #: Stream artifact schema identifier (bump on shape changes).
 STREAM_SCHEMA = "repro-stream/1"
-
-#: Entry types legal after the header, in the vocabulary checked by
-#: :func:`validate_stream_file`.
-ENTRY_TYPES = ("iter", "fork", "control", "footer")
 
 
 class StreamError(SimulationError):
@@ -142,8 +140,35 @@ def unframe_line(line: str, index: int) -> Dict[str, Any]:
 
 
 # ---------------------------------------------------------------------------
-# The in-memory form
+# Shapes (everything StreamRecorder.write can produce) and the in-memory form
 # ---------------------------------------------------------------------------
+
+#: Results nest: a tuple is stored as ``{"t": [results]}``, bytes as
+#: ``{"b": latin-1}``, and anything else as itself.
+RESULT_SHAPE = Via(ANY, lambda result: problems(result, TAGGED_SHAPE)
+                   if isinstance(result, dict) else [])
+TAGGED_SHAPE = Obj({}, {"t": ListOf(RESULT_SHAPE), "b": BYTES})
+RECORD_SHAPE = Obj({"sys": one_of(sys.value for sys in Sys), "fd": INT},
+                   {"data": BYTES, "result": RESULT_SHAPE,
+                    "aux": MapOf(ANY)})
+
+HEADER_SHAPE = Obj({
+    "type": const("header"), "schema": const(STREAM_SCHEMA), "app": TEXT,
+    "scenario": STR, "initial_version": TEXT, "ring_capacity": INT,
+    "listen_fd": INT, "epoll_fd": INT,
+}, {"profile": STR, "fault_plan": Opt(Obj({}))})
+
+#: Entry type -> shape, for every entry legal after the header.
+ENTRY_SHAPES = {
+    "iter": Obj({"at": INT, "version": STR, "mve": BOOL,
+                 "records": ListOf(RECORD_SHAPE)}),
+    "fork": Obj({"at": INT, "version": STR}),
+    "control": Obj({"kind": TEXT, "at": INT, "version": STR,
+                    "new_leader": STR}),
+    "footer": Obj({"iterations": NAT, "records": NAT, "controls": NAT}),
+}
+ENTRY_TYPES = tuple(ENTRY_SHAPES)
+
 
 @dataclass
 class RecordedStream:
@@ -198,20 +223,23 @@ def write_stream(path: str, header: Dict[str, Any],
     return len(lines)
 
 
+def _shaped(entry: Dict[str, Any], shape: Any, where: str,
+            path: str) -> Dict[str, Any]:
+    """``entry``, or :class:`StreamError` saying how it is no ``shape``."""
+    found = problems(entry, shape, where)
+    if found:
+        raise StreamError(f"{path}: " + "; ".join(found))
+    return entry
+
+
 def read_stream(path: str) -> RecordedStream:
     """Parse a stream artifact, raising :class:`StreamError` on any
-    framing, schema, or integrity problem."""
-    with open(path, "r", encoding="utf-8") as handle:
-        lines = [line.rstrip("\n") for line in handle if line.strip()]
+    framing, shape, or integrity problem: what it returns is everything
+    :func:`repro.replay.engine.replay_stream` relies on."""
+    lines = read_lines(path)
     if not lines:
         raise StreamError(f"{path}: empty stream artifact")
-    header = unframe_line(lines[0], 0)
-    if header.get("type") != "header":
-        raise StreamError(f"{path}: first entry is "
-                          f"{header.get('type')!r}, expected 'header'")
-    if header.get("schema") != STREAM_SCHEMA:
-        raise StreamError(f"{path}: schema is {header.get('schema')!r}, "
-                          f"expected {STREAM_SCHEMA!r}")
+    header = _shaped(unframe_line(lines[0], 0), HEADER_SHAPE, "header", path)
     entries: List[Dict[str, Any]] = []
     footer: Optional[Dict[str, Any]] = None
     for index, line in enumerate(lines[1:], start=1):
@@ -219,61 +247,32 @@ def read_stream(path: str) -> RecordedStream:
         kind = entry.get("type")
         if footer is not None:
             raise StreamError(f"line {index}: entry after the footer")
-        if kind == "footer":
-            footer = entry
-            continue
         if kind not in ENTRY_TYPES:
             raise StreamError(f"line {index}: unknown entry type {kind!r}")
-        entries.append(entry)
+        _shaped(entry, ENTRY_SHAPES[kind], f"entry {index - 1}", path)
+        if kind == "footer":
+            footer = entry
+        else:
+            entries.append(entry)
     if footer is None:
         raise StreamError(f"{path}: missing footer (truncated artifact)")
-    iterations = sum(1 for e in entries if e["type"] == "iter")
-    records = sum(len(e.get("records", ())) for e in entries
-                  if e["type"] == "iter")
+    stream = RecordedStream(header=header, entries=entries)
     controls = sum(1 for e in entries if e["type"] == "control")
-    for key, have in (("iterations", iterations), ("records", records),
+    for key, have in (("iterations", len(stream.iterations())),
+                      ("records", stream.record_count()),
                       ("controls", controls)):
-        if footer.get(key) != have:
+        if footer[key] != have:
             raise StreamError(
-                f"{path}: footer says {footer.get(key)} {key} but the "
+                f"{path}: footer says {footer[key]} {key} but the "
                 f"stream holds {have} (truncated artifact)")
-    return RecordedStream(header=header, entries=entries)
+    return stream
 
 
 def validate_stream_file(path: str) -> List[str]:
-    """Problems with a stream artifact (empty list means valid)."""
+    """Problems with a stream artifact (empty list means valid): the
+    reason :func:`read_stream` refuses it, if it does."""
     try:
-        stream = read_stream(path)
+        read_stream(path)
     except (OSError, StreamError) as exc:
         return [str(exc)]
-    problems: List[str] = []
-    for key in ("app", "scenario", "initial_version"):
-        if not isinstance(stream.header.get(key), str) \
-                or not stream.header.get(key):
-            problems.append(f"header missing {key!r}")
-    if not isinstance(stream.header.get("ring_capacity"), int):
-        problems.append("header missing 'ring_capacity'")
-    for index, entry in enumerate(stream.entries):
-        if entry["type"] == "iter":
-            if not isinstance(entry.get("records"), list):
-                problems.append(f"entry {index}: iter without records")
-                continue
-            for record in entry["records"]:
-                try:
-                    deserialize_record(record)
-                except StreamError as exc:
-                    problems.append(f"entry {index}: {exc}")
-                    break
-            if not isinstance(entry.get("at"), int):
-                problems.append(f"entry {index}: iter without 'at'")
-            if not isinstance(entry.get("version"), str):
-                problems.append(f"entry {index}: iter without 'version'")
-        elif entry["type"] == "control":
-            if not entry.get("kind"):
-                problems.append(f"entry {index}: control without 'kind'")
-            if not isinstance(entry.get("new_leader"), str):
-                problems.append(f"entry {index}: control without "
-                                f"'new_leader'")
-    if not stream.iterations():
-        problems.append("stream holds no iterations")
-    return problems
+    return []

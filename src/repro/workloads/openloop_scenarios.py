@@ -46,9 +46,11 @@ from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from repro.mve import VaranRuntime
 from repro.obs.metrics import Histogram
-from repro.obs.slo import SloSpec, build_slo_report, collect_cell
+from repro.obs.slo import (CHECKS_SHAPE, SPEC_SHAPE, SloSpec,
+                           build_slo_report, collect_cell)
 from repro.obs.trace import Tracer, tracing
 from repro.parallel import map_items
+from repro.report import ANY, NAT, ListOf, Obj, Via, const, problems
 from repro.workloads.openloop import (LoadSpec, OpenLoopGenerator,
                                       format_request)
 
@@ -394,72 +396,43 @@ def build_openloop_report(scenario: str, seed: int, quick: bool,
     }
 
 
-def validate_openloop_report(report: Dict[str, Any]) -> List[str]:
-    """Check a ``repro-openloop/1`` report's shape; returns problems."""
-    problems: List[str] = []
-    if not isinstance(report, dict):
-        return ["report is not an object"]
-    if report.get("schema") != OPENLOOP_SCHEMA:
-        problems.append(f"schema is {report.get('schema')!r}, "
-                        f"expected {OPENLOOP_SCHEMA!r}")
-    for key in ("scenario", "seed", "spec", "slo", "cells", "contrast",
-                "checks", "ok"):
-        if key not in report:
-            problems.append(f"missing key {key!r}")
-    spec_payload = report.get("spec")
-    if isinstance(spec_payload, dict):
-        problems.extend(LoadSpec.from_dict(spec_payload).problems())
-    elif "spec" in report:
-        problems.append(f"spec is {spec_payload!r}, expected an object")
-    slo_payload = report.get("slo")
-    if isinstance(slo_payload, dict):
-        problems.extend(SloSpec.from_dict(slo_payload).problems())
-    elif "slo" in report:
-        problems.append(f"slo is {slo_payload!r}, expected an object")
-    cells = report.get("cells")
-    if isinstance(cells, list):
-        expected = [name for name, _, _ in CELLS]
-        got = [row.get("cell") for row in cells
-               if isinstance(row, dict)]
-        if got != expected:
-            problems.append(f"cells are {got!r}, expected {expected!r}")
-        for row in cells:
-            if not isinstance(row, dict):
-                problems.append("cell row is not an object")
-                continue
-            for key in ("offered", "requests", "answered", "sessions",
-                        "tracked_objects", "pause_ns"):
-                if not isinstance(row.get(key), int) or row[key] < 0:
-                    problems.append(
-                        f"cell {row.get('cell')!r} {key} is "
-                        f"{row.get(key)!r}, expected a non-negative int")
-            if isinstance(row.get("requests"), int) \
-                    and isinstance(row.get("offered"), int) \
-                    and row["requests"] > row["offered"]:
-                problems.append(
-                    f"cell {row.get('cell')!r} completed more requests "
-                    f"than were offered (tampered?)")
-            connections = (report.get("spec") or {}).get("connections")
-            if isinstance(connections, int) \
-                    and isinstance(row.get("tracked_objects"), int) \
-                    and row["tracked_objects"] > connections:
-                problems.append(
-                    f"cell {row.get('cell')!r} tracks "
-                    f"{row['tracked_objects']} objects, more than the "
-                    f"{connections} connection slots — the flyweight "
-                    f"bound is broken")
-    elif "cells" in report:
-        problems.append(f"cells is {cells!r}, expected a list")
-    checks = report.get("checks")
-    if isinstance(checks, list):
-        for index, check in enumerate(checks):
-            if not isinstance(check, dict) \
-                    or not isinstance(check.get("check"), str) \
-                    or not isinstance(check.get("ok"), bool):
-                problems.append(f"checks[{index}] is malformed")
-    elif "checks" in report:
-        problems.append(f"checks is {checks!r}, expected a list")
-    return problems
+#: What a ``repro-openloop/1`` report looks like (:mod:`repro.report`).
+OPENLOOP_SHAPE = Obj({
+    "schema": const(OPENLOOP_SCHEMA), "scenario": ANY, "seed": ANY,
+    "spec": Via(Obj({}), lambda spec: LoadSpec.from_dict(spec).problems()),
+    "slo": SPEC_SHAPE,
+    "cells": ListOf(Obj({
+        "cell": ANY, "offered": NAT, "requests": NAT, "answered": NAT,
+        "sessions": NAT, "tracked_objects": NAT, "pause_ns": NAT})),
+    "contrast": ANY, "checks": CHECKS_SHAPE, "ok": ANY,
+})
+
+
+def _cell_problems(report: Dict[str, Any]) -> List[str]:
+    """Cross-checks of a shape-valid report: the cells are the declared
+    ones in order, none completed more than it was offered, and none
+    tracks more objects than the spec has connection slots."""
+    found: List[str] = []
+    expected = [name for name, _, _ in CELLS]
+    got = [row["cell"] for row in report["cells"]]
+    if got != expected:
+        found.append(f"cells are {got!r}, expected {expected!r}")
+    connections = LoadSpec.from_dict(report["spec"]).connections
+    for row in report["cells"]:
+        if row["requests"] > row["offered"]:
+            found.append(f"cell {row['cell']!r} completed more requests "
+                         f"than were offered (tampered?)")
+        if row["tracked_objects"] > connections:
+            found.append(
+                f"cell {row['cell']!r} tracks {row['tracked_objects']} "
+                f"objects, more than the {connections} connection slots "
+                f"— the flyweight bound is broken")
+    return found
+
+
+def validate_openloop_report(report: Any) -> List[str]:
+    """Problems with a ``repro-openloop/1`` report (empty = valid)."""
+    return problems(report, OPENLOOP_SHAPE, "", _cell_problems)
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,18 @@
 """Shared fixtures: a kernel, a KV-store deployment, and clients."""
 
 import pytest
+from hypothesis import settings
 
 from repro.core import Mvedsua
 from repro.net import VirtualKernel
 from repro.servers.kvstore import KVStoreServer, KVStoreV1, kv_transforms
 from repro.syscalls.costs import PROFILES
 from repro.workloads import VirtualClient
+
+# Tests that set no ``max_examples`` of their own (tests/test_report.py)
+# run hypothesis's default in tier-1 and this depth in CI:
+# ``python -m pytest tests/test_report.py --hypothesis-profile ci``.
+settings.register_profile("ci", max_examples=2000, deadline=None)
 
 
 @pytest.fixture

@@ -154,6 +154,11 @@ class TestCampaignReport:
         tampered = json.loads(json.dumps(full_report))
         tampered["schema"] = "repro-chaos/0"
         assert any("schema" in p for p in validate_report(tampered))
+        # A misshapen cell is a problem too, not an exception.
+        tampered = json.loads(json.dumps(full_report))
+        tampered["grid"][3]["outcome"] = []
+        assert any("'grid'[3] 'outcome'" in p
+                   for p in validate_report(tampered))
 
     def test_rollback_cells_capture_forensics(self, full_report):
         corrupt = [entry for entry in full_report["grid"]

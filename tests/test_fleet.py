@@ -240,6 +240,12 @@ class TestFleetScenario:
         problems = validate_report(report)
         assert any("max_mve_pairs_per_shard" in p for p in problems)
         assert any("exploded" in p for p in problems)
+        # Misshapen sections are problems too, not exceptions.
+        for key, damage in [("topology", []), ("rounds", [1]),
+                            ("invariants", 3), ("distring", 1)]:
+            assert any(key in p for p in
+                       validate_report({**report, key: damage}))
+        assert validate_report([report]) != []
 
     def test_openloop_traffic_keeps_outcomes_and_tags_report(self):
         report = run_fleet_scenario(openloop=True)

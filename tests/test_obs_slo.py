@@ -361,6 +361,10 @@ class TestReport:
         tampered["spec"]["p99_ns"] = -1
         assert validate_slo_report(tampered)
         assert validate_slo_report({}) != []
+        # A misshapen cell is a problem too, not an exception.
+        tampered = {**quick_fig7, "cells": [{"requests": "x"}]}
+        assert any("'cells'[0] 'requests'" in p
+                   for p in validate_slo_report(tampered))
 
     def test_collect_cell_is_pickle_shaped(self):
         # Cells cross process boundaries under --workers: plain dicts

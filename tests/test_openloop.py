@@ -370,3 +370,9 @@ class TestOpenLoopScenario:
         broken = json.loads(json.dumps(quick_report))
         broken["schema"] = "repro-openloop/0"
         assert validate_openloop_report(broken)
+        # Misshapen sections are problems too, not exceptions.
+        for key, damage in [("cells", [5]), ("spec", []), ("checks", 1)]:
+            assert any(key in problem for problem in
+                       validate_openloop_report({**quick_report,
+                                                 key: damage}))
+        assert validate_openloop_report([quick_report]) != []

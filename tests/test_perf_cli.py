@@ -76,6 +76,10 @@ def test_rule_heavy_scenario_exercises_rules():
     ('{"_meta": {"schema": "repro-perf/4"}}',
      "schema is 'repro-perf/4', want 'repro-perf/5' — regenerate it "
      "with `python -m repro perf --json`"),
+    # Was a TypeError out of sorted(), and a traceback.
+    ('{"_meta": {"schema": "repro-perf/5", "quick": false, "ops": {}, '
+     '"scenario_order": [1, "a"]}}',
+     "_meta 'scenario_order'[0] is 1, expected a string"),
 ])
 def test_diff_refuses_a_baseline_it_cannot_trust(baseline, complaint,
                                                  tmp_path, capsys):

@@ -22,7 +22,7 @@ from repro.perf.scenarios import GAUGES
 from repro.replay.engine import replay_file
 from repro.parallel import map_items, resolve_workers, shard_round_robin
 from repro.replay.recorder import StreamRecorder, current_recorder, recording
-from repro.replay.stream import (StreamError, read_stream,
+from repro.replay.stream import (StreamError, frame_line, read_stream,
                                  validate_stream_file, write_stream)
 from repro.servers.kvstore import (KVStoreServer, KVStoreV1, kv_rules,
                                    xform_1_to_2)
@@ -72,6 +72,67 @@ class TestStreamArtifact:
         corrupt.write_text("\n".join(lines) + "\n", encoding="utf-8")
         with pytest.raises(StreamError, match="length prefix"):
             read_stream(str(corrupt))
+
+    @pytest.mark.parametrize("edit, complaint", [
+        # What a default StreamRecorder() writes (an empty scenario
+        # included) is valid for `replay` and `--validate` alike.
+        pytest.param(lambda header, entry: None, None,
+                     id="default-recorder"),
+        pytest.param(lambda header, entry: entry.update(records=5),
+                     "entry 0 'records' is 5, expected a list",
+                     id="records"),
+        pytest.param(lambda header, entry: entry["records"][0].update(fd="x"),
+                     "entry 0 'records'[0] 'fd' is 'x', expected an int",
+                     id="fd"),
+        pytest.param(lambda header, entry: entry["records"][0].update(data=5),
+                     "entry 0 'records'[0] 'data' is 5, expected a latin-1 "
+                     "string", id="data"),
+        pytest.param(lambda header, entry: entry["records"][0].update(aux=3),
+                     "entry 0 'records'[0] 'aux' is 3, expected an object",
+                     id="aux"),
+        pytest.param(lambda header, entry:
+                     entry["records"][0].update(result={"b": 5}),
+                     "entry 0 'records'[0] 'result' 'b' is 5, expected a "
+                     "latin-1 string", id="result"),
+        pytest.param(lambda header, entry:
+                     entry["records"].__setitem__(0, [1, 2]),
+                     "entry 0 'records'[0] is [1, 2], expected an object",
+                     id="record"),
+        pytest.param(lambda header, entry: entry.update(at="x"),
+                     "entry 0 'at' is 'x', expected an int", id="at"),
+        pytest.param(lambda header, entry: header.update(listen_fd="a"),
+                     "header 'listen_fd' is 'a', expected an int",
+                     id="listen_fd"),
+    ])
+    def test_replay_and_validate_accept_and_reject_the_same_files(
+            self, edit, complaint, tmp_path, capsys):
+        """One meaning of valid: a well-framed stream with a misshapen
+        header, entry or record is one typed line and exit 2 from both
+        commands — none of these reached ``--validate``'s old checks
+        without a traceback, and plain ``replay`` ran none of them."""
+        recorder = StreamRecorder()
+        with recording(recorder):
+            run_kv_update_scenario()
+        assert recorder.entries[0]["type"] == "iter"
+        edit(recorder.header, recorder.entries[0])
+        footer = {"type": "footer", "iterations": recorder.iterations,
+                  "records": recorder.records, "controls": sum(
+                      entry["type"] == "control"
+                      for entry in recorder.entries)}
+        path = tmp_path / "stream.jsonl"
+        path.write_text("".join(
+            frame_line(entry) + "\n" for entry in
+            [recorder.header, *recorder.entries, footer]), encoding="utf-8")
+        expected = 0 if complaint is None else 2
+        assert main(["replay", str(path)]) == expected
+        replayed = capsys.readouterr().err
+        assert main(["replay", str(path), "--validate"]) == expected
+        validated = capsys.readouterr().err
+        if complaint is None:
+            assert (replayed, validated) == ("", "")
+        else:
+            assert replayed == f"replay failed: {path}: {complaint}\n"
+            assert validated == f"invalid stream: {path}: {complaint}\n"
 
 
 # ---------------------------------------------------------------------------
@@ -411,6 +472,11 @@ class TestPerfParallel:
         assert any("ring_stalls" in p for p in validate_bench(payload))
         payload["_meta"]["schema"] = "repro-perf/1"
         assert any("schema" in p for p in validate_bench(payload))
+        # Misshapen payloads are problems too, not exceptions.
+        assert validate_bench([]) == ["not a JSON object"]
+        payload = _bench_payload()
+        payload["_meta"]["scenario_order"] = [1, "a"]
+        assert any("scenario_order" in p for p in validate_bench(payload))
 
 
 class TestDiffGate:

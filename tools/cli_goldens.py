@@ -74,6 +74,15 @@ CASES: List[Case] = [
     Case("prove-kvstore", ("prove kvstore",), ("PROOF_kvstore.json",),
          gate=True),
     Case("perf", ("perf --json",), ("BENCH_perf.json",), gate=True),
+    # the paths no other case enters: every ``--check``/``--validate``
+    # verdict line and the span-schema gate in front of ``lint --spans``
+    Case("validate-paths",
+         ("trace fig6 --quick --record STREAM.jsonl",
+          "replay STREAM.jsonl --validate",
+          "slo fig7 --quick --check --spans SPANS.jsonl",
+          "lint --spans SPANS.jsonl",
+          "openloop kvstore --quick --check"),
+         ("STREAM.jsonl", "SPANS.jsonl"), workers=True, gate=True),
     # -- the rest of the documented surface, full sizes
     Case("all", ("all",)),
     *(Case(name, (name,)) for name in
