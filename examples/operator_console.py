@@ -3,7 +3,7 @@
 The paper leaves promotion to operators ("if the new version shows no
 problems after a warmup period, operators can make it permanent").  This
 example shows that workflow end to end on the running-example store,
-with the observability layer attached the way a production console
+with the observability layer installed the way a production console
 would use it:
 
 1. a buggy update attempt — the operator reads the automatic rollback's
@@ -31,6 +31,7 @@ from repro.servers.kvstore import (
     xform_drop_table,
 )
 from repro.sim.engine import SECOND
+from repro.sites import observing
 from repro.syscalls.costs import PROFILES
 from repro.workloads import VirtualClient
 
@@ -54,18 +55,23 @@ def metrics_line(tracer: Tracer) -> str:
 
 def main() -> None:
     kernel = VirtualKernel()
-    # The console attaches a tracer to the running kernel: every gateway
-    # and runtime on it starts reporting, no restart needed.
-    tracer = Tracer(experiment="operator-console").attach(kernel)
     server = KVStoreServer(KVStoreV1())
     server.attach(kernel)
     buggy = TransformRegistry()
     buggy.register("kvstore", "1.0", "2.0", xform_drop_table)
     mvedsua = Mvedsua(kernel, server, PROFILES["kvstore"],
                       transforms=buggy)
-    console = OperatorConsole(mvedsua)
     client = VirtualClient(kernel, server.address)
+    # The console installs a tracer over the running deployment: every
+    # kernel, gateway and runtime starts reporting, no restart needed.
+    tracer = Tracer(experiment="operator-console")
+    with observing(tracer=tracer):
+        operate(mvedsua, client, tracer)
 
+
+def operate(mvedsua: Mvedsua, client: VirtualClient,
+            tracer: Tracer) -> None:
+    console = OperatorConsole(mvedsua)
     client.command(mvedsua, b"PUT balance 1000")
     print("== status before the update ==")
     print(console.render_status())

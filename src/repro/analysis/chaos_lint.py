@@ -1,13 +1,13 @@
 """Analyzer 6: fault-plan lint (MVE6xx).
 
 Fault plans name injection sites and fault kinds from the closed
-vocabulary in :data:`repro.chaos.plan.SITES`.  The vocabulary drifts in
-two directions — a plan can reference a site whose hook was renamed or
-never compiled in, or a hook can grow a kind no plan exercises — and
-both failure modes are silent at runtime: the injector simply never
-fires and the campaign reports an all-``masked`` grid that *looks* like
-resilience.  Checking plans statically closes the first direction the
-same way MVE2xx closes rule-coverage drift.
+vocabulary in :data:`repro.chaos.plan.SITES` (the fault rows of
+:data:`repro.sites.TABLE`).  A plan naming a site or kind outside it is
+silent at runtime: the injector simply never fires and the campaign
+reports an all-``masked`` grid that *looks* like resilience.  Checking
+plans statically closes that the same way MVE2xx closes rule-coverage
+drift; the other direction — a table row whose hook was renamed or never
+compiled in — is ``tests/test_sites.py``'s, which probes every site.
 
 ====== =============================================================
 Code   Meaning

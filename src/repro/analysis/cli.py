@@ -139,7 +139,7 @@ def _lint_spans_file(path: str, fmt: str) -> int:
     from repro.analysis.trace_lint import lint_span_file
     from repro.obs.spans import validate_span_file
     if cli.fail(validate_span_file(path), "span schema problem"):
-        return EXIT_FINDINGS
+        return 2    # unusable input, as an invalid stream is to replay
     report = LintReport(apps=["spans"])
     report.extend(lint_span_file(path))
     return _render(report, fmt)

@@ -38,13 +38,12 @@ not parse as span objects are skipped here.
 
 from __future__ import annotations
 
-import json
 from typing import Iterable, List, Optional
 
 from repro.analysis.findings import Finding, Severity
 from repro.dsu.version import ServerVersion
 from repro.mve.dsl.rules import RewriteRule, RuleSet
-from repro.report import read_lines
+from repro.report import decode, read_lines
 
 ANALYZER = "trace"
 
@@ -94,7 +93,7 @@ def lint_spans(lines: Iterable[str], *, app: str = "spans",
     spans = []
     for index, line in enumerate(list(lines)[1:], start=2):
         try:
-            payload = json.loads(line)
+            payload = decode(line)
         except ValueError:
             continue
         if isinstance(payload, dict) and isinstance(payload.get("span"),

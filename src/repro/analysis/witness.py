@@ -30,11 +30,12 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.analysis.state_space import Step
 from repro.apps import AppConfig, deploy
-from repro.chaos.injector import ChaosInjector, chaos_active
+from repro.chaos.injector import ChaosInjector
 from repro.chaos.plans import witness_plan
 from repro.errors import (KernelError, NoUpdatePath, ServerCrash,
                           SimulationError)
 from repro.mve.dsl.rules import Direction
+from repro.sites import observing
 
 #: Virtual-time script of the scenario (nanoseconds).
 SECOND = 1_000_000_000
@@ -97,7 +98,7 @@ class WitnessScenario:
                 f"{self.witness.app}:{self.witness.code}:{self.witness.cls}")
 
     def run(self) -> ReplayResult:
-        with chaos_active(ChaosInjector(self.plan)):
+        with observing(chaos=ChaosInjector(self.plan)):
             return self._run()
 
     def _run(self) -> ReplayResult:

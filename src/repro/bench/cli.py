@@ -16,6 +16,7 @@ import sys
 
 from repro.bench import (ablations, cluster_bench, experiments_md, faults,
                          fig6, fig7, table1, table2)
+from repro.sites import observing
 
 #: command -> the experiment's ``main()``; ``all`` runs every entry
 #: but ``experiments``, in this order.
@@ -44,17 +45,16 @@ def run(args) -> int:
              if args.command == "all" else [args.command])
     tracer = None
     if args.trace_path:
-        from repro.obs.trace import Tracer, install_tracer
-        tracer = install_tracer(Tracer(experiment=args.command))
+        from repro.obs.trace import Tracer
+        tracer = Tracer(experiment=args.command)
     try:
-        for name in names:
-            if args.command == "all":
-                print(f"\n{'=' * 72}\n")
-            EXPERIMENTS[name]()
+        with observing(tracer=tracer):
+            for name in names:
+                if args.command == "all":
+                    print(f"\n{'=' * 72}\n")
+                EXPERIMENTS[name]()
     finally:
         if tracer is not None:
-            from repro.obs.trace import uninstall_tracer
-            uninstall_tracer()
             tracer.write_jsonl(args.trace_path)
             print(f"\nwrote trace: {args.trace_path} "
                   f"({tracer.event_count} events)", file=sys.stderr)

@@ -24,7 +24,7 @@ from typing import List
 
 from repro.apps import Stack, app, deploy
 from repro.bench.reporting import format_table
-from repro.chaos import ChaosInjector, chaos_active
+from repro.chaos import ChaosInjector
 from repro.chaos.plans import e1_new_code_plan, e2_transform_plan, \
     e3_timing_plan
 from repro.core import Mvedsua, RetryPolicy, Stage
@@ -35,6 +35,7 @@ from repro.servers.memcached import MANY_CLIENTS_THRESHOLD
 from repro.servers.native import NativeRuntime
 from repro.sim.engine import MILLISECOND, SECOND
 from repro.sim.rng import RngStreams
+from repro.sites import observing
 from repro.syscalls.costs import PROFILES
 
 
@@ -64,7 +65,7 @@ def run_e1() -> List[FaultOutcome]:
     client.command(runtime, b"SET wrongtype value")
     # The operator requests a clean 2.0.1; the fault plan swaps in the
     # build with revision 7fb16bac's HMGET bug.
-    with chaos_active(ChaosInjector(e1_new_code_plan())):
+    with observing(chaos=ChaosInjector(e1_new_code_plan())):
         runtime.apply_update(Kitsune(stack.app.transforms),
                              stack.app.version("2.0.1"), SECOND)
     crashed = False
@@ -85,7 +86,7 @@ def run_e1() -> List[FaultOutcome]:
     stack = deploy("redis", "2.0.0")
     mvedsua, client = stack.runtime, stack.client()
     client.command(mvedsua, b"SET wrongtype value")
-    with chaos_active(ChaosInjector(e1_new_code_plan())):
+    with observing(chaos=ChaosInjector(e1_new_code_plan())):
         stack.update("2.0.1", SECOND)
     reply = client.command(mvedsua, b"HMGET wrongtype f", now=2 * SECOND)
     follow_up = client.command(mvedsua, b"GET wrongtype", now=3 * SECOND)
@@ -122,7 +123,7 @@ def run_e2(client_count: int = MANY_CLIENTS_THRESHOLD + 2
     stack, clients = _memcached_with_clients(NativeRuntime, client_count,
                                              with_kitsune=True)
     runtime = stack.runtime
-    with chaos_active(ChaosInjector(e2_transform_plan())):
+    with observing(chaos=ChaosInjector(e2_transform_plan())):
         runtime.apply_update(Kitsune(stack.app.transforms),
                              stack.app.version("1.2.3"), SECOND)
     crashed = False
@@ -137,7 +138,7 @@ def run_e2(client_count: int = MANY_CLIENTS_THRESHOLD + 2
     # Mvedsua: the crash happens on the follower during catch-up.
     stack, clients = _memcached_with_clients(Mvedsua, client_count)
     mvedsua = stack.runtime
-    with chaos_active(ChaosInjector(e2_transform_plan())):
+    with observing(chaos=ChaosInjector(e2_transform_plan())):
         stack.update("1.2.3", SECOND)
     reply = clients[0].command(mvedsua, b"get k0", now=2 * SECOND)
     outcomes.append(FaultOutcome(
@@ -230,7 +231,7 @@ def run_e3(trials: int = 31, seed: int = 1,
         # failure_probability a worker is caught holding a lock, so the
         # attempt fails and the policy retries after its 500 ms wait.
         plan = e3_timing_plan(rng, failure_probability)
-        with chaos_active(ChaosInjector(plan)):
+        with observing(chaos=ChaosInjector(plan)):
             attempts = mvedsua.request_update_with_retry(
                 memcached.version("1.2.3"), SECOND, policy=policy)
         result.trials.append(RetryTrial(retries=len(attempts) - 1,

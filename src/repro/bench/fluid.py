@@ -25,8 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
-from repro.obs.trace import current_tracer
 from repro.sim.engine import MILLISECOND, SECOND
+from repro.sites import OBS
 from repro.syscalls.costs import (
     AppProfile,
     ExecutionMode,
@@ -158,7 +158,7 @@ class FluidSim:
                              max_latency_ns=0, longest_stall_ns=0)
         #: Fluid runs are batch-granular: only lifecycle transitions are
         #: traced (the semantic stack carries the per-syscall events).
-        tracer = current_tracer()
+        tracer = OBS.tracer
 
         def mark(stage: str, at: int) -> None:
             if tracer is not None:

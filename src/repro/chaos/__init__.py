@@ -9,7 +9,7 @@ The subsystem has four pieces, mirroring the issue that motivated it:
 ``injector``
     :class:`ChaosInjector`, armed behind zero-cost-when-disabled hooks
     in the sim engine, virtual kernel, MVE runtime, and DSU engine
-    (same install pattern as the ``repro.obs`` Tracer);
+    (installed with :func:`repro.sites.observing`, like the Tracer);
 ``invariants``
     the post-run checker: clients saw a gap-free, protocol-valid
     response stream and final leader state matches a fault-free run;
@@ -19,16 +19,12 @@ The subsystem has four pieces, mirroring the issue that motivated it:
     ``availability-loss`` / ``invariant-violation`` and emitting the
     deterministic ``repro-chaos/1`` report.
 
-Only the dependency-light core (plan + injector) is re-exported here so
-that ``net.kernel`` and ``sim.engine`` can import the hooks without
-dragging in servers or the campaign layer; import
-``repro.chaos.campaign`` / ``.scenarios`` / ``.plans`` / ``.cli``
+Only the dependency-light core (plan + injector) is re-exported here;
+import ``repro.chaos.campaign`` / ``.scenarios`` / ``.plans`` / ``.cli``
 directly for the rest.
 """
 
-from repro.chaos.injector import (ChaosInjector, Injection, chaos_active,
-                                  current_chaos, install_chaos,
-                                  uninstall_chaos)
+from repro.chaos.injector import ChaosInjector, Injection
 from repro.chaos.plan import (SITES, Fault, FaultPlan, Trigger, at_stage,
                               at_time, fault_problems, load_plan, on_call,
                               trigger_problems, when)
@@ -42,13 +38,9 @@ __all__ = [
     "Injection",
     "at_stage",
     "at_time",
-    "chaos_active",
-    "current_chaos",
     "fault_problems",
-    "install_chaos",
     "load_plan",
     "on_call",
     "trigger_problems",
-    "uninstall_chaos",
     "when",
 ]

@@ -32,7 +32,7 @@ import functools
 import random
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.chaos.injector import ChaosInjector, chaos_active
+from repro.chaos.injector import ChaosInjector
 from repro.chaos.invariants import check_run
 from repro.chaos.plan import (SITES, STAGE_NAMES, Fault, FaultPlan, at_stage,
                               at_time, on_call, when)
@@ -42,6 +42,7 @@ from repro.errors import SimulationError
 from repro.report import (ANY, INT, NAT, STR, ListOf, MapOf, Obj, const,
                           one_of, problems)
 from repro.servers.kvstore import xform_drop_table
+from repro.sites import observing
 
 CHAOS_SCHEMA = "repro-chaos/1"
 
@@ -242,7 +243,7 @@ def probe_site_calls(scenario: str = "kvstore") -> Dict[str, int]:
     """Per-site call counts from one fault-free instrumented run."""
     runner = scenario_runner(scenario)
     probe = ChaosInjector(FaultPlan("probe"))
-    with chaos_active(probe):
+    with observing(chaos=probe):
         runner()
     return dict(probe.site_calls)
 
@@ -251,8 +252,7 @@ def run_cell(plan: FaultPlan,
              scenario: str = "kvstore") -> ChaosRunResult:
     """Run the scenario once under ``plan``'s injector."""
     runner = scenario_runner(scenario)
-    injector = ChaosInjector(plan)
-    with chaos_active(injector):
+    with observing(chaos=ChaosInjector(plan)):
         return runner()
 
 
@@ -301,9 +301,9 @@ def _recorded(run: Callable[[], ChaosRunResult], record: Optional[str],
     ``repro-stream/1`` artifact there."""
     if record is None:
         return run()
-    from repro.replay.recorder import StreamRecorder, recording
+    from repro.replay.recorder import StreamRecorder
     recorder = StreamRecorder(scenario=scenario)
-    with recording(recorder):
+    with observing(recorder=recorder):
         result = run()
     recorder.write(record)
     return result

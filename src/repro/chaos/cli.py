@@ -57,8 +57,24 @@ def configure(parser) -> None:
                              "outcome table")
 
 
+def _usable_plan(path: str):
+    """The plan ``--plan PATH`` names, loaded and validated before
+    anything runs; a file that yields no valid plan is a usage error."""
+    try:
+        plan = load_plan(path)
+        problems = plan.validate()
+    except OSError:
+        raise
+    except Exception as exc:  # the file is the user's code: anything
+        problems = [f"{type(exc).__name__}: {exc}"]
+    if problems:
+        raise cli.UsageError(f"cannot use fault plan {path!r}: "
+                             + "; ".join(problems))
+    return plan
+
+
 def run(args) -> int:
-    plan = load_plan(args.plan) if args.plan else None
+    plan = _usable_plan(args.plan) if args.plan else None
     report = run_campaign(args.scenario, seed=args.seed,
                           max_cells=args.max_cells, plan=plan,
                           workers=args.workers, oncall_cap=args.oncall_cap,

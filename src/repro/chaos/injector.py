@@ -1,13 +1,11 @@
 """The chaos injector: arms a :class:`FaultPlan` behind the stack's hooks.
 
-The injector follows the exact install pattern of ``repro.obs.trace``:
-a module-global active instance (:func:`install_chaos` /
-:func:`uninstall_chaos` / :func:`current_chaos`, plus the
-:class:`chaos_active` context manager) that the virtual kernel and the
-simulation engine pick up at construction time.  When no injector is
-installed every hook is a single ``is None`` check — the class-level
-``created_total`` / ``injected_total`` counters let the regression suite
-pin that the disabled path allocates nothing, the same way the Tracer
+An injector is installed like every observer, with
+:func:`repro.sites.observing`, and found by each instrumented site when
+it runs (``OBS.chaos``).  When none is installed every hook is a single
+``is None`` check — the class-level ``created_total`` /
+``injected_total`` counters let the regression suite pin that the
+disabled path allocates nothing, the same way the Tracer
 zero-allocation test does.
 
 Hook protocol
@@ -28,6 +26,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Set
 
 from repro.chaos.plan import Fault, FaultPlan
+from repro.sites import OBS
 
 
 @dataclass(frozen=True)
@@ -94,9 +93,6 @@ class ChaosInjector:
         self.vnow = 0
         self.stage = ""
         self.domain_filter: Optional[Set[int]] = None
-        # Bound lazily by the scenario/campaign when tracing is active;
-        # fire() forwards each injection to tracer.on_chaos.
-        self.tracer = None
 
     # -- state fed by the instrumented stack --------------------------
 
@@ -137,7 +133,7 @@ class ChaosInjector:
                                       kind=entry.fault.kind,
                                       call_index=index, stage=self.stage)
                 self.injections.append(injection)
-                tracer = self.tracer
+                tracer = OBS.tracer
                 if tracer is not None:
                     tracer.on_chaos(self.vnow, site, entry.fault.kind,
                                     call_index=index, stage=self.stage)
@@ -171,48 +167,3 @@ class ChaosInjector:
         ctx.update(site=fault.site, call_index=index, at=self.vnow,
                    stage=self.stage)
         return bool(trigger.predicate(ctx))
-
-
-# -- the module-global active injector (same shape as obs.trace) -------
-
-_ACTIVE: Optional[ChaosInjector] = None
-
-
-def install_chaos(injector: ChaosInjector) -> None:
-    """Make ``injector`` the process-wide active injector.
-
-    Kernels and engines constructed *after* this call pick it up; the
-    hooks stay ``is None`` no-ops everywhere else.
-    """
-    global _ACTIVE
-    _ACTIVE = injector
-
-
-def uninstall_chaos() -> None:
-    """Clear the active injector (hooks go back to no-ops)."""
-    global _ACTIVE
-    _ACTIVE = None
-
-
-def current_chaos() -> Optional[ChaosInjector]:
-    """The active injector, or ``None`` when chaos is disabled."""
-    return _ACTIVE
-
-
-class chaos_active:
-    """Context manager scoping an installed injector::
-
-        with chaos_active(ChaosInjector(plan)) as injector:
-            run_scenario()
-        report(injector.injections)
-    """
-
-    def __init__(self, injector: ChaosInjector) -> None:
-        self.injector = injector
-
-    def __enter__(self) -> ChaosInjector:
-        install_chaos(self.injector)
-        return self.injector
-
-    def __exit__(self, *exc_info: object) -> None:
-        uninstall_chaos()

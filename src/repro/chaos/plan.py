@@ -23,7 +23,7 @@ Triggers come in four kinds, mirroring the issue's taxonomy:
     an arbitrary callable over the call context (site, call index,
     virtual time, stage, and per-site extras such as the fd).
 
-This module imports only the standard library plus ``repro.errors`` so
+This module imports only the standard library and :mod:`repro.sites`, so
 every layer of the stack can depend on it without cycles.
 """
 
@@ -33,39 +33,14 @@ import importlib.util
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
-#: Injection sites and the fault kinds legal at each one.  This is the
-#: closed vocabulary MVE601 checks plans against; adding a site here
-#: without compiling its hook is exactly the kind of drift the lint
-#: exists to catch, so keep the table next to the hook inventory in
-#: ``docs/chaos.md``.
+from repro.sites import TABLE
+
+#: Injection sites and the fault kinds legal at each one: the rows of
+#: :data:`repro.sites.TABLE` that take faults, in table order (campaign
+#: grids enumerate this).  The closed vocabulary MVE601 checks plans
+#: against; ``tests/test_sites.py`` holds every site to a compiled hook.
 SITES: Dict[str, Tuple[str, ...]] = {
-    # sim/engine.py — the discrete-event dispatch loop.
-    "sim.event": ("delay", "drop"),
-    # net/kernel.py — syscall implementations (leader side only).
-    "kernel.read": ("short-read", "econnreset"),
-    "kernel.write": ("short-write", "epipe"),
-    "kernel.accept": ("fd-exhaustion",),
-    "kernel.connect": ("fd-exhaustion",),
-    # mve/varan.py — leader iterations, follower replay, the ring.
-    "mve.leader": ("crash",),
-    "mve.follower": ("crash", "corrupt-record"),
-    "mve.ring": ("stall",),
-    # dsu/kitsune.py + core/mvedsua.py — the update lifecycle.
-    "dsu.update": ("buggy-version",),
-    "dsu.quiesce": ("timeout", "delay", "race"),
-    "dsu.transform": ("exception", "corrupt-heap", "replace"),
-    # cluster/orchestrator.py + cluster/balancer.py — fleet orchestration.
-    "fleet.replica": ("crash",),
-    "fleet.canary": ("divergence",),
-    "fleet.balancer": ("partition",),
-    # mve/distring.py — the replicated ring's wire (cross-node pairs);
-    # fires once per repro-ring/1 frame, so only distributed scenarios
-    # ever reach it.
-    "fleet.ring": ("partition-drop", "partition-delay",
-                   "partition-reorder"),
-    # workloads/openloop.py — the open-loop arrival stream.
-    "openloop.arrival": ("burst", "drop"),
-}
+    site.name: site.faults for site in TABLE if site.faults}
 
 #: Legal trigger kinds (see the module docstring).
 TRIGGER_KINDS = ("on-call", "at-time", "at-stage", "predicate")

@@ -7,10 +7,10 @@ closed-loop clients, restricting traffic to the version-neutral
 ``PUT``/``GET`` subset so one invariant checker covers runs that end on
 either version.
 
-The scenario is chaos-*aware*, not chaos-*dependent*: it reads the
-injector off the kernel (arming it with the server's fd domain so
-client syscalls are never faulted) and runs identically when none is
-installed — that fault-free run is the campaign's golden baseline.
+The scenario is chaos-*aware*, not chaos-*dependent*: it arms an
+installed injector with the server's fd domain (so client syscalls are
+never faulted) and runs identically when none is installed — that
+fault-free run is the campaign's golden baseline.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from repro.errors import KernelError, ServerCrash
 from repro.net.ring_wire import RingLink
 from repro.servers.kvstore import KVStoreV2
 from repro.sim.engine import SECOND
+from repro.sites import OBS
 from repro.workloads import VirtualClient
 
 #: Ring capacity for the scenario — small enough that forced stalls and
@@ -149,12 +150,10 @@ def run_kv_update_scenario(distributed: bool = False) -> ChaosRunResult:
     """
     stack = deploy("kvstore", "1.0", ring_capacity=RING_CAPACITY,
                    ring_link=CHAOS_RING_LINK if distributed else None)
-    kernel, mvedsua = stack.kernel, stack.runtime
-    chaos = kernel.chaos
+    mvedsua = stack.runtime
+    chaos = OBS.chaos
     if chaos is not None:
         chaos.domain_filter = {stack.server.domain}
-        if kernel.tracer is not None:
-            chaos.tracer = kernel.tracer
     result = ChaosRunResult()
     clients: Dict[str, VirtualClient] = {}
     dead: set = set()

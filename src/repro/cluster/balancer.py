@@ -7,6 +7,7 @@ from typing import Dict, List
 from repro.cluster.node import ClusterNode
 from repro.cluster.shard import Shard, ShardMap
 from repro.errors import KernelError
+from repro.sites import OBS
 from repro.workloads.client import VirtualClient
 
 
@@ -88,11 +89,6 @@ class FleetBalancer:
         #: Picks the partition fault diverted to another replica.
         self.partitions = 0
 
-    @property
-    def kernel(self):
-        """The (shared) virtual kernel all fleet nodes run on."""
-        return self.shard_map.shards[0].nodes[0].kernel
-
     def shard_for(self, key: str) -> Shard:
         """The shard responsible for ``key``."""
         return self.shard_map.shard_for(key)
@@ -103,7 +99,7 @@ class FleetBalancer:
                    for node in shard.nodes):
             raise KernelError(f"shard {shard.index} has no replica "
                               f"accepting connections")
-        chaos = self.kernel.chaos
+        chaos = OBS.chaos
         cursor = self._cursors.get(shard.index, 0)
         for _ in range(2 * len(shard.nodes)):
             node = shard.nodes[cursor % len(shard.nodes)]
@@ -115,7 +111,7 @@ class FleetBalancer:
                                    node=node.name, when=now)
                 if fault is not None and fault.kind == "partition":
                     self.partitions += 1
-                    tracer = self.kernel.tracer
+                    tracer = OBS.tracer
                     if tracer is not None:
                         tracer.on_fleet("partition", now,
                                         shard=shard.index, node=node.name)

@@ -39,7 +39,7 @@ from repro import cli
 from repro.bench.reporting import format_table
 from repro.cluster.fleet import (fleet_spec, run_fleet_scenario,
                                  validate_report)
-from repro.obs.trace import tracing
+from repro.sites import observing
 
 
 def configure(parser) -> None:
@@ -83,7 +83,7 @@ def run(args) -> int:
     if args.slo:
         from repro.obs.trace import Tracer
         tracer = Tracer(experiment=f"fleet-{args.scenario}", spans=True)
-    with tracing(tracer):
+    with observing(tracer=tracer):
         report = run_fleet_scenario(args.scenario, args.seed,
                                     shards=args.shards,
                                     replicas=args.replicas,

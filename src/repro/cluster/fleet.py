@@ -38,6 +38,7 @@ from repro.net.ring_wire import RingLink
 from repro.report import (ANY, NAT, POS, ListOf, MapOf, Obj, const, one_of,
                           problems)
 from repro.sim.engine import MILLISECOND, SECOND
+from repro.sites import OBS
 from repro.syscalls.costs import PROFILES
 from repro.workloads.client import VirtualClient
 
@@ -85,8 +86,7 @@ def build_kv_fleet(spec: FleetSpec) -> Tuple[VirtualKernel, ShardMap,
     Node ``s<shard>-r<replica>`` listens on ``10.<shard>.0.<replica+1>``;
     every node runs under its own Mvedsua supervisor.  An installed
     chaos injector is armed with the *server* domains (client syscalls
-    are never faulted) and wired to the tracer, same as the campaign
-    scenario.
+    are never faulted), same as the campaign scenario.
     """
     problems = spec.problems()
     if problems:
@@ -107,12 +107,10 @@ def build_kv_fleet(spec: FleetSpec) -> Tuple[VirtualKernel, ShardMap,
                                      ring_link=link))
         shards.append(Shard(s, nodes))
     shard_map = ShardMap(shards)
-    chaos = kernel.chaos
+    chaos = OBS.chaos
     if chaos is not None:
         chaos.domain_filter = {node.server.domain
                                for node in shard_map.nodes()}
-        if kernel.tracer is not None:
-            chaos.tracer = kernel.tracer
     return kernel, shard_map, FleetBalancer(shard_map)
 
 
@@ -158,7 +156,7 @@ class FleetSession:
             # The pinned replica died; the session re-homes within the
             # shard (the acked writes are safe — they fanned out).
             self.balancer.failovers += 1
-            tracer = self.balancer.kernel.tracer
+            tracer = OBS.tracer
             if tracer is not None:
                 tracer.on_fleet("failover", now, shard=shard.index,
                                 session=self.name, node=node.name)
@@ -286,7 +284,7 @@ def run_fleet_scenario(scenario: str = "canary-kvstore", seed: int = 1, *,
     mode — the default report stays byte-identical).
     """
     spec = fleet_spec(shards, replicas, distributed=distributed)
-    kernel, shard_map, balancer = build_kv_fleet(spec)
+    _, shard_map, balancer = build_kv_fleet(spec)
     kvstore = app("kvstore")
     orchestrator = FleetOrchestrator(balancer, spec,
                                      rules=kvstore.rules_for("1.0", "2.0"),
@@ -348,7 +346,7 @@ def run_fleet_scenario(scenario: str = "canary-kvstore", seed: int = 1, *,
     problems = check_run(observations, final_table) + agreement_problems
     syscalls = sum(getattr(node.runtime, "runtime", node.runtime)
                    .total_syscalls for node in shard_map.nodes())
-    chaos = kernel.chaos
+    chaos = OBS.chaos
     report: Dict[str, Any] = {
         "schema": FLEET_SCHEMA,
         "scenario": scenario,

@@ -40,6 +40,7 @@ from repro.core.stages import Stage
 from repro.dsu.version import ServerVersion
 from repro.mve.dsl import RuleSet
 from repro.sim.engine import MILLISECOND, SECOND
+from repro.sites import OBS
 from repro.workloads.client import VirtualClient
 
 #: Outcomes a node can leave a round with (the report taxonomy).
@@ -122,12 +123,8 @@ class FleetOrchestrator:
 
     # -- observability helpers -----------------------------------------
 
-    @property
-    def _tracer(self):
-        return self.balancer.kernel.tracer
-
     def _emit(self, kind: str, at: int, **fields: Any) -> None:
-        tracer = self._tracer
+        tracer = OBS.tracer
         if tracer is not None:
             tracer.on_fleet(kind, at, **fields)
 
@@ -136,7 +133,7 @@ class FleetOrchestrator:
                     for shard in self.balancer.shard_map.shards)
         if worst > self.max_mve_pairs_per_shard:
             self.max_mve_pairs_per_shard = worst
-        tracer = self._tracer
+        tracer = OBS.tracer
         if tracer is not None:
             tracer.metrics.gauge("fleet.mve_pairs").set(worst)
         if worst > 1:
@@ -163,8 +160,7 @@ class FleetOrchestrator:
         t = now
         self._emit("round_start", t, label=report.label,
                    version=report.version)
-        tracer = self._tracer
-        spans = tracer.spans if tracer is not None else None
+        spans = OBS.spans
         round_span = None
         if spans is not None:
             round_span = spans.open("fleet.round", "fleet", t,
@@ -200,7 +196,7 @@ class FleetOrchestrator:
         slot run concurrently (each shard holds exactly one pair); a
         single demotion rolls back every other in-flight update.
         """
-        chaos = self.balancer.kernel.chaos
+        chaos = OBS.chaos
         t = now
         in_flight: List[tuple] = []
         for shard in self.balancer.shard_map.shards:
@@ -296,7 +292,7 @@ class FleetOrchestrator:
                 promote_at + self.validation_window_ns)
             self._emit("promote", finished, shard=shard.index,
                        node=node.name, wave=wave_index)
-            tracer = self._tracer
+            tracer = OBS.tracer
             if tracer is not None:
                 tracer.span("fleet.slot", "fleet", started, finished,
                             shard=shard.index, node=node.name,

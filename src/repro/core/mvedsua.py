@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, List, Optional
 
-from repro.chaos.injector import current_chaos
 from repro.core.policy import RetryPolicy
 from repro.core.stages import Stage, UpdateTimeline
 from repro.dsu.kitsune import Kitsune
@@ -33,6 +32,7 @@ from repro.errors import QuiescenceTimeout, SimulationError, StateTransformError
 from repro.mve.dsl.rules import Direction, RuleSet
 from repro.mve.varan import RuntimeEvent, VaranRuntime
 from repro.net.kernel import VirtualKernel
+from repro.sites import OBS
 from repro.syscalls.costs import AppProfile
 
 
@@ -64,7 +64,7 @@ class Mvedsua:
         ring = None
         if ring_link is not None:
             from repro.mve.distring import DistributedRing
-            ring = DistributedRing(ring_capacity, ring_link, kernel)
+            ring = DistributedRing(ring_capacity, ring_link)
         self.ring_link = ring_link
         self.runtime = VaranRuntime(kernel, server, profile,
                                     ring_capacity=ring_capacity,
@@ -79,9 +79,9 @@ class Mvedsua:
         self._note_chaos_stage()
 
     def _note_chaos_stage(self) -> None:
-        """Tell an attached chaos injector which update stage we are in,
+        """Tell an installed chaos injector which update stage we are in,
         so ``at-stage`` fault triggers can resolve."""
-        chaos = self.runtime.kernel.chaos
+        chaos = OBS.chaos
         if chaos is not None:
             chaos.note_stage(self.stage.value)
 
@@ -126,11 +126,7 @@ class Mvedsua:
         if self.stage is not Stage.SINGLE_LEADER:
             raise SimulationError(
                 f"cannot update while in stage {self.stage.value}")
-        chaos = self.runtime.kernel.chaos
-        if chaos is None:
-            # The kernel may predate the injector (experiments install
-            # a plan around just the update call).
-            chaos = current_chaos()
+        chaos = OBS.chaos
         if chaos is not None:
             chaos.advance(now)
             fault = chaos.fire("dsu.update")
@@ -139,7 +135,7 @@ class Mvedsua:
                 # the E1 fault class.
                 new_version = fault.param["factory"](new_version)
         leader_server = self.runtime.leader.server
-        tracer = self.runtime.kernel.tracer
+        tracer = OBS.tracer
         if tracer is not None:
             tracer.on_dsu("request", now,
                           old=leader_server.version.name,
@@ -201,8 +197,8 @@ class Mvedsua:
                           old=leader_server.version.name,
                           new=new_version.name)
             tracer.on_dsu("resume", t1)
-            if tracer.spans is not None:
-                spans = tracer.spans
+            spans = tracer.spans
+            if spans is not None:
                 update = spans.add("dsu.update", "dsu", now, t2,
                                    old=leader_server.version.name,
                                    new=new_version.name)
@@ -275,9 +271,9 @@ class Mvedsua:
     def _set_span_phase(self, phase: str) -> None:
         """Advance the span collector's upgrade phase (no-op when spans
         are off)."""
-        tracer = self.runtime.kernel.tracer
-        if tracer is not None and tracer.spans is not None:
-            tracer.spans.set_phase(phase)
+        spans = OBS.spans
+        if spans is not None:
+            spans.set_phase(phase)
 
     def _on_runtime_event(self, event: RuntimeEvent) -> None:
         if event.kind == "promoted":

@@ -18,12 +18,11 @@ import enum
 from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
-from repro.chaos.injector import current_chaos
 from repro.errors import QuiescenceTimeout, StateTransformError
 from repro.dsu.program import ThreadState, UpdatableProgram
 from repro.dsu.transform import TransformRegistry, clone_heap
 from repro.dsu.version import ServerVersion
-from repro.obs.trace import current_tracer
+from repro.sites import OBS
 
 
 def _racy_threads(program: UpdatableProgram, param) -> None:
@@ -114,7 +113,7 @@ class Kitsune:
         update point — the *timing error* class of update failures.
         """
         extra_ns = 0
-        chaos = current_chaos()
+        chaos = OBS.chaos
         if chaos is not None:
             fault = chaos.fire("dsu.quiesce")
             if fault is not None:
@@ -150,7 +149,7 @@ class Kitsune:
         """
         old = program.version
         fault = None
-        chaos = current_chaos()
+        chaos = OBS.chaos
         if chaos is not None:
             fault = chaos.fire("dsu.transform")
             if fault is not None and fault.kind == "exception":
@@ -185,7 +184,7 @@ class Kitsune:
         the program is untouched (Kitsune aborts back to the old code) and
         the result says why.
         """
-        chaos = current_chaos()
+        chaos = OBS.chaos
         if chaos is not None:
             fault = chaos.fire("dsu.update")
             if fault is not None:
@@ -193,7 +192,7 @@ class Kitsune:
                 # the E1 fault class.
                 new_version = fault.param["factory"](new_version)
         old_name = program.version.name
-        tracer = current_tracer()
+        tracer = OBS.tracer
         if tracer is not None:
             tracer.on_dsu("request", tracer.vnow, old=old_name,
                           new=new_version.name, system="kitsune")

@@ -44,6 +44,7 @@ from repro.mve.ring_buffer import (BufferFull, Payload, RingBuffer,
                                    RingEntry)
 from repro.net.ring_wire import (RingLink, decode_frame, encode_frame,
                                  transit_ns)
+from repro.sites import OBS
 
 #: Default extra delay of a ``partition-delay`` fault (param ``delay_ns``).
 PARTITION_DELAY_NS = 25_000_000
@@ -55,16 +56,12 @@ PARTITION_REORDER_NS = 10_000_000
 class DistributedRing(RingBuffer):
     """The ring buffer with a network link between push and pop."""
 
-    def __init__(self, capacity: int, link: RingLink,
-                 kernel=None) -> None:
+    def __init__(self, capacity: int, link: RingLink) -> None:
         super().__init__(capacity)
         problems = link.problems()
         if problems:
             raise SimulationError("bad ring link: " + "; ".join(problems))
         self.link = link
-        #: The shared kernel, for the live chaos injector and tracer
-        #: (both installed after construction; resolved per frame).
-        self.kernel = kernel
         self._inflight: Deque[Tuple[int, int]] = deque()
         self._vnow = 0
         #: Monotone delivery clamp — the receiver's reassembly buffer:
@@ -90,24 +87,12 @@ class DistributedRing(RingBuffer):
         self.partition_timeouts = 0
 
     # ------------------------------------------------------------------
-    # Link-side accessors
+    # RingBuffer contract, window-aware
     # ------------------------------------------------------------------
-
-    @property
-    def _chaos(self):
-        return self.kernel.chaos if self.kernel is not None else None
-
-    @property
-    def _tracer(self):
-        return self.kernel.tracer if self.kernel is not None else None
 
     def inflight(self) -> int:
         """Unacknowledged frames currently on the wire."""
         return len(self._inflight)
-
-    # ------------------------------------------------------------------
-    # RingBuffer contract, window-aware
-    # ------------------------------------------------------------------
 
     def is_full(self) -> bool:
         return self.free_slots() == 0
@@ -173,7 +158,7 @@ class DistributedRing(RingBuffer):
         if at > self._last_delivery:
             self._last_delivery = at
         self.resyncs += 1
-        tracer = self._tracer
+        tracer = OBS.tracer
         if tracer is not None:
             tracer.on_ring_resync(at, self.resyncs)
 
@@ -184,7 +169,7 @@ class DistributedRing(RingBuffer):
     def _partition_delay(self, produced_at: int) -> int:
         """Fire the ``fleet.ring`` chaos site for this frame; returns
         the injected delay (0 when no fault is armed)."""
-        chaos = self._chaos
+        chaos = OBS.chaos
         if chaos is None:
             return 0
         chaos.advance(produced_at)
@@ -229,7 +214,7 @@ class DistributedRing(RingBuffer):
         self.frames_sent += 1
         self.bytes_sent += n_bytes
         self._frame_seq = sequence + 1
-        tracer = self._tracer
+        tracer = OBS.tracer
         if tracer is not None:
             tracer.on_ring_frame(produced_at, sequence, len(decoded),
                                  n_bytes, len(self._inflight), deliver_at)

@@ -21,6 +21,7 @@ from typing import List, Optional, Sequence
 from repro.errors import BrokenPipe, ConnectionReset, FdExhausted
 from repro.mve.divergence import check_drained, check_match
 from repro.net.kernel import VirtualKernel
+from repro.sites import OBS
 from repro.syscalls.model import Sys, SyscallRecord
 
 #: Kernel errors that record as error-bearing syscall records
@@ -126,10 +127,7 @@ class SyscallGateway:
         trace.records.append(record)
         if record.name in (Sys.READ, Sys.WRITE):
             trace.bytes_transferred += len(record.data)
-        # Observability: read the tracer off the kernel each time so a
-        # tracer attached after construction is still seen; the disabled
-        # path is one attribute load and an ``is None`` test.
-        tracer = self.kernel.tracer
+        tracer = OBS.tracer
         if tracer is not None:
             tracer.on_syscall(self.role._value_, record)
         return record

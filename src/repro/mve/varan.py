@@ -45,9 +45,9 @@ from repro.mve.gateway import GatewayRole, IterationTrace, SyscallGateway
 from repro.mve.ring_buffer import Payload, RingBuffer
 from repro.obs.forensics import ForensicsBundle, build_divergence_bundle
 from repro.net.kernel import VirtualKernel
-from repro.replay.recorder import current_recorder
 from repro.net.sockets import Endpoint
 from repro.sim.process import CpuAccount
+from repro.sites import OBS
 from repro.syscalls.costs import AppProfile, ExecutionMode, FORK_PAUSE_NS
 from repro.syscalls.model import DATA_BEARING, Sys, SyscallRecord
 
@@ -232,23 +232,13 @@ class VaranRuntime:
         self.ring_stalls = 0
         #: Forensics bundle for the most recent divergence, if any.
         self.last_forensics: Optional[ForensicsBundle] = None
-        #: Stream recorder (see :mod:`repro.replay`): the active one if
+        #: Stream recorder (see :mod:`repro.replay`): the installed one if
         #: this runtime won the claim, else None — scenarios that build
         #: several MVE groups record only the first, and the disabled
         #: path stays one attribute load + ``is None`` per iteration.
-        recorder = current_recorder()
+        recorder = OBS.recorder
         self.recorder = recorder if recorder is not None \
             and recorder.claim(self) else None
-
-    @property
-    def tracer(self):
-        """The attached tracer, if any (lives on the shared kernel)."""
-        return self.kernel.tracer
-
-    @property
-    def chaos(self):
-        """The active chaos injector, if any (lives on the shared kernel)."""
-        return self.kernel.chaos
 
     # ------------------------------------------------------------------
     # Introspection
@@ -278,7 +268,7 @@ class VaranRuntime:
         self.events.append(event)
         if self.observer is not None:
             self.observer(event)
-        tracer = self.kernel.tracer
+        tracer = OBS.tracer
         if tracer is not None:
             tracer.emit(f"mve.{kind}", "mve", at=at, detail=detail)
 
@@ -297,7 +287,7 @@ class VaranRuntime:
         and divergences are handled by the failure policy; after a crash
         the surviving process carries on within the same call.
         """
-        chaos = self.kernel.chaos
+        chaos = OBS.chaos
         if chaos is not None:
             chaos.advance(now)
         t = max(now, self.leader.cpu.busy_until)
@@ -316,7 +306,7 @@ class VaranRuntime:
         gateway = leader.gateway
         gateway.begin_iteration()
         crash: Optional[ServerCrash] = None
-        chaos = self.kernel.chaos
+        chaos = OBS.chaos
         if chaos is not None and chaos.fire("mve.leader") is not None:
             # Injected leader kill: the process dies before consuming
             # any input, so a promoted survivor finds it still buffered.
@@ -340,7 +330,7 @@ class VaranRuntime:
         if recorder is not None:
             recorder.on_iteration(completion, leader.version_name,
                                   self.in_mve_mode, trace.records)
-            tracer = self.kernel.tracer
+            tracer = OBS.tracer
             if tracer is not None:
                 tracer.on_stream_record(completion, len(trace.records))
         self.completions.append((completion, trace.requests_handled))
@@ -370,8 +360,8 @@ class VaranRuntime:
         """
         ring = lane.ring
         pushed, total = 0, len(payloads)
-        tracer = self.kernel.tracer
-        chaos = self.kernel.chaos
+        tracer = OBS.tracer
+        chaos = OBS.chaos
         while pushed < total:
             if lane not in self.lanes:
                 return t  # follower died while we were blocked
@@ -508,13 +498,13 @@ class VaranRuntime:
         expected = rewrite_iteration(
             engine, (entry.payload for entry in entries))
         self.rules_fired.extend(engine.fired)
-        tracer = self.kernel.tracer
+        tracer = OBS.tracer
         if tracer is not None:
             tracer.on_rules_applied(len(entries), len(expected),
                                     engine.fired)
 
         fault = None
-        chaos = self.kernel.chaos
+        chaos = OBS.chaos
         if chaos is not None:
             chaos.advance(ready_at)
             fault = chaos.fire("mve.follower")
@@ -585,7 +575,7 @@ class VaranRuntime:
         start = max(now, self.leader.cpu.busy_until)
         event = ControlEvent(ControlKind.PROMOTE, at=start,
                              version=self.leader.version_name)
-        tracer = self.kernel.tracer
+        tracer = OBS.tracer
         if tracer is not None:
             tracer.on_control("promote", start, self.leader.version_name)
         self._publish([event], start, control=event)
@@ -642,7 +632,7 @@ class VaranRuntime:
                         reason: str) -> None:
         """Drop ``lane``'s follower from the group; the rest carry on."""
         self._detach_lane(lane)
-        tracer = self.kernel.tracer
+        tracer = OBS.tracer
         if tracer is not None:
             tracer.span("mve.demotion", "mve", at, at, reason=reason)
         self.log(at, "follower-terminated", reason)
@@ -671,7 +661,7 @@ class VaranRuntime:
         self.leader = survivor
         self._detach_lane(lane)
         self.leader_is_updated = True
-        tracer = self.kernel.tracer
+        tracer = OBS.tracer
         if tracer is not None:
             tracer.span("mve.crash-promote", "mve", at, at,
                         version=survivor.version_name)

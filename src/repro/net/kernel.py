@@ -10,13 +10,12 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple, Union
 
-from repro.chaos.injector import current_chaos
 from repro.errors import (BadFileDescriptor, BrokenPipe, ConnectionReset,
                           FdExhausted, KernelError)
 from repro.net.epoll import EpollSet
 from repro.net.filesystem import VirtualFilesystem
 from repro.net.sockets import Connection, Endpoint, ListeningSocket
-from repro.obs.trace import current_tracer
+from repro.sites import OBS
 
 #: Anything an fd can refer to.
 FdObject = Union[Endpoint, ListeningSocket, EpollSet]
@@ -55,13 +54,6 @@ class VirtualKernel:
         self._listeners: Dict[Tuple[str, int], Tuple[int, int]] = {}
         self._next_domain = 1
         self._next_connection = 1
-        #: Observability hook: the active tracer at construction time
-        #: (or one attached later via ``Tracer.attach``).  None — the
-        #: default — keeps every syscall path tracer-free.
-        self.tracer = current_tracer()
-        #: Fault-injection hook, same pattern: None keeps every syscall
-        #: path chaos-free.
-        self.chaos = current_chaos()
 
     # -- domains -----------------------------------------------------------
 
@@ -90,16 +82,17 @@ class VirtualKernel:
 
     def listen(self, domain_id: int, address: Tuple[str, int]) -> int:
         """socket+bind+listen in one step; returns the listening fd."""
-        if self.tracer is not None:
-            self.tracer.on_kernel("enter", "listen", domain_id)
+        tracer = OBS.tracer
+        if tracer is not None:
+            tracer.on_kernel("enter", "listen", domain_id)
         if address in self._listeners:
             raise KernelError(f"address in use: {address}")
         domain = self._domain(domain_id)
         sock = ListeningSocket(address)
         fd = domain.alloc(sock)
         self._listeners[address] = (domain_id, fd)
-        if self.tracer is not None:
-            self.tracer.on_kernel("exit", "listen", domain_id, fd)
+        if tracer is not None:
+            tracer.on_kernel("exit", "listen", domain_id, fd)
         return fd
 
     def connect(self, domain_id: int, address: Tuple[str, int]) -> int:
@@ -108,10 +101,12 @@ class VirtualKernel:
         The connection is queued on the listener's backlog until the server
         accepts it.
         """
-        if self.tracer is not None:
-            self.tracer.on_kernel("enter", "connect", domain_id)
-        if self.chaos is not None:
-            fault = self.chaos.kernel_call("kernel.connect", domain_id, -1)
+        tracer = OBS.tracer
+        if tracer is not None:
+            tracer.on_kernel("enter", "connect", domain_id)
+        chaos = OBS.chaos
+        if chaos is not None:
+            fault = chaos.kernel_call("kernel.connect", domain_id, -1)
             if fault is not None:
                 raise FdExhausted(
                     f"connect in domain {domain_id}: out of file descriptors")
@@ -128,23 +123,24 @@ class VirtualKernel:
         domain = self._domain(domain_id)
         fd = domain.alloc(connection.client)
         domain.endpoint_conn[fd] = connection
-        if self.tracer is not None:
-            self.tracer.on_kernel("exit", "connect", domain_id, fd)
+        if tracer is not None:
+            tracer.on_kernel("exit", "connect", domain_id, fd)
         return fd
 
     def accept(self, domain_id: int, listen_fd: int) -> int:
         """Accept a pending connection; returns the server-side fd."""
-        if self.tracer is not None:
-            self.tracer.on_kernel("enter", "accept", domain_id, listen_fd)
+        tracer = OBS.tracer
+        if tracer is not None:
+            tracer.on_kernel("enter", "accept", domain_id, listen_fd)
         domain = self._domain(domain_id)
         listener = domain.lookup(listen_fd)
         if not isinstance(listener, ListeningSocket):
             raise KernelError(f"fd {listen_fd} is not a listening socket")
         if not listener.has_pending():
             raise KernelError("accept would block: empty backlog")
-        if self.chaos is not None:
-            fault = self.chaos.kernel_call(
-                "kernel.accept", domain_id, listen_fd)
+        chaos = OBS.chaos
+        if chaos is not None:
+            fault = chaos.kernel_call("kernel.accept", domain_id, listen_fd)
             if fault is not None:
                 # The pending connection is consumed and torn down so
                 # the listener does not stay "readable" forever; the
@@ -156,19 +152,21 @@ class VirtualKernel:
         connection = listener.accept()
         fd = domain.alloc(connection.server)
         domain.endpoint_conn[fd] = connection
-        if self.tracer is not None:
-            self.tracer.on_kernel("exit", "accept", domain_id, fd)
+        if tracer is not None:
+            tracer.on_kernel("exit", "accept", domain_id, fd)
         return fd
 
     def read(self, domain_id: int, fd: int, max_bytes: Optional[int] = None) -> bytes:
         """Read buffered bytes; ``b""`` means EOF."""
-        if self.tracer is not None:
-            self.tracer.on_kernel("enter", "read", domain_id, fd)
+        tracer = OBS.tracer
+        if tracer is not None:
+            tracer.on_kernel("enter", "read", domain_id, fd)
         endpoint = self._lookup(domain_id, fd)
         if not isinstance(endpoint, Endpoint):
             raise KernelError(f"fd {fd} is not a stream")
-        if self.chaos is not None:
-            fault = self.chaos.kernel_call("kernel.read", domain_id, fd)
+        chaos = OBS.chaos
+        if chaos is not None:
+            fault = chaos.kernel_call("kernel.read", domain_id, fd)
             if fault is not None:
                 if fault.kind == "econnreset":
                     raise ConnectionReset(
@@ -181,20 +179,22 @@ class VirtualKernel:
                 if max_bytes is None or short < max_bytes:
                     max_bytes = short
         data = endpoint.read(max_bytes)
-        if self.tracer is not None:
-            self.tracer.on_kernel("exit", "read", domain_id, fd)
+        if tracer is not None:
+            tracer.on_kernel("exit", "read", domain_id, fd)
         return data
 
     def write(self, domain_id: int, fd: int, data: bytes) -> int:
         """Write bytes to the peer; returns the byte count."""
-        if self.tracer is not None:
-            self.tracer.on_kernel("enter", "write", domain_id, fd)
+        tracer = OBS.tracer
+        if tracer is not None:
+            tracer.on_kernel("enter", "write", domain_id, fd)
         endpoint = self._lookup(domain_id, fd)
         if not isinstance(endpoint, Endpoint):
             raise KernelError(f"fd {fd} is not a stream")
         connection = self._domains[domain_id].endpoint_conn[fd]
-        if self.chaos is not None:
-            fault = self.chaos.kernel_call("kernel.write", domain_id, fd)
+        chaos = OBS.chaos
+        if chaos is not None:
+            fault = chaos.kernel_call("kernel.write", domain_id, fd)
             if fault is not None:
                 if fault.kind == "epipe":
                     raise BrokenPipe(f"write fd {fd}: broken pipe")
@@ -204,14 +204,15 @@ class VirtualKernel:
                 if short < len(data):
                     data = data[:short]
         written = connection.write(endpoint, data)
-        if self.tracer is not None:
-            self.tracer.on_kernel("exit", "write", domain_id, fd)
+        if tracer is not None:
+            tracer.on_kernel("exit", "write", domain_id, fd)
         return written
 
     def close(self, domain_id: int, fd: int) -> None:
         """Close any fd; streams signal EOF to their peer."""
-        if self.tracer is not None:
-            self.tracer.on_kernel("enter", "close", domain_id, fd)
+        tracer = OBS.tracer
+        if tracer is not None:
+            tracer.on_kernel("enter", "close", domain_id, fd)
         domain = self._domain(domain_id)
         obj = domain.lookup(fd)
         if isinstance(obj, Endpoint):
@@ -226,8 +227,8 @@ class VirtualKernel:
         del domain.fds[fd]
         for epoll, _ in list(obj.watchers):
             epoll.remove(fd, obj)
-        if self.tracer is not None:
-            self.tracer.on_kernel("exit", "close", domain_id, fd)
+        if tracer is not None:
+            tracer.on_kernel("exit", "close", domain_id, fd)
 
     def is_open(self, domain_id: int, fd: int) -> bool:
         """True when ``fd`` is open in the domain."""
@@ -255,14 +256,15 @@ class VirtualKernel:
 
     def epoll_wait(self, domain_id: int, epfd: int) -> List[int]:
         """Ready fds (level-triggered), in registration order."""
-        if self.tracer is not None:
-            self.tracer.on_kernel("enter", "epoll_wait", domain_id, epfd)
+        tracer = OBS.tracer
+        if tracer is not None:
+            tracer.on_kernel("enter", "epoll_wait", domain_id, epfd)
         epoll = self._lookup(domain_id, epfd)
         if not isinstance(epoll, EpollSet):
             raise KernelError(f"fd {epfd} is not an epoll instance")
         ready = epoll.ready()
-        if self.tracer is not None:
-            self.tracer.on_kernel("exit", "epoll_wait", domain_id, epfd)
+        if tracer is not None:
+            tracer.on_kernel("exit", "epoll_wait", domain_id, epfd)
         return ready
 
     # -- inspection (used by tests and the MVE runtime) ----------------------

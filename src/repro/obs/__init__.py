@@ -1,7 +1,8 @@
 """repro.obs — structured tracing, metrics, and divergence forensics.
 
 Zero-cost when disabled: instrumented hot paths guard every hook with a
-single ``tracer is not None`` test.  See ``docs/observability.md``.
+single ``tracer is not None`` test; a tracer is installed with
+:func:`repro.sites.observing`.  See ``docs/observability.md``.
 """
 
 from repro.obs.forensics import ForensicsBundle, build_divergence_bundle
@@ -20,10 +21,6 @@ from repro.obs.trace import (
     TRACE_SCHEMA,
     TraceEvent,
     Tracer,
-    current_tracer,
-    install_tracer,
-    tracing,
-    uninstall_tracer,
     validate_trace_file,
     validate_trace_lines,
 )
@@ -50,10 +47,6 @@ __all__ = [
     "MetricsRegistry",
     "ForensicsBundle",
     "build_divergence_bundle",
-    "current_tracer",
-    "install_tracer",
-    "uninstall_tracer",
-    "tracing",
     "validate_trace_file",
     "validate_trace_lines",
 ]

@@ -23,7 +23,8 @@ from repro.bench.reporting import format_table
 from repro.obs.scenarios import TRACE_SCENARIOS, run_trace_scenario
 from repro.obs.trace import (DEFAULT_LAST_K, TRACE_SCHEMA,
                              validate_trace_file)
-from repro.replay.recorder import StreamRecorder, recording
+from repro.replay.recorder import StreamRecorder
+from repro.sites import observing
 
 
 def configure(parser) -> None:
@@ -46,7 +47,7 @@ def configure(parser) -> None:
 def run(args) -> int:
     recorder = (StreamRecorder(scenario=args.experiment)
                 if args.record else None)
-    with recording(recorder):
+    with observing(recorder=recorder):
         tracer = run_trace_scenario(args.experiment, quick=args.quick,
                                     last_k=args.last_k)
     if recorder is not None:

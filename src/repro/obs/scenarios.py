@@ -18,7 +18,8 @@ from __future__ import annotations
 
 from typing import Callable, Dict
 
-from repro.obs.trace import DEFAULT_LAST_K, Tracer, tracing
+from repro.obs.trace import DEFAULT_LAST_K, Tracer
+from repro.sites import observing
 
 
 def _trace_fig6(tracer: Tracer, quick: bool) -> None:
@@ -154,6 +155,6 @@ def run_trace_scenario(name: str, *, quick: bool = False,
         raise KeyError(f"unknown trace scenario {name!r} "
                        f"(have: {', '.join(sorted(TRACE_SCENARIOS))})")
     tracer = Tracer(experiment=name, last_k=last_k)
-    with tracing(tracer):
+    with observing(tracer=tracer):
         scenario(tracer, quick)
     return tracer

@@ -29,7 +29,8 @@ from repro.obs.slo_scenarios import (
     SLO_SPECS,
     run_slo_scenario,
 )
-from repro.obs.trace import Tracer, tracing
+from repro.obs.trace import Tracer
+from repro.sites import observing
 
 
 def configure(parser) -> None:
@@ -71,7 +72,7 @@ def run(args) -> int:
 def _dump_spans(scenario: str, seed: int, quick: bool, path: str) -> None:
     """Re-run the scenario's first cell and dump its raw spans."""
     tracer = Tracer(experiment=f"slo-{scenario}", spans=True)
-    with tracing(tracer):
+    with observing(tracer=tracer):
         # run_slo_cell builds its own tracer; re-drive the cell under
         # ours so the dump and the report share one code path.
         driver, cells = SLO_SCENARIOS[scenario]

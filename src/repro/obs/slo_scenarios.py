@@ -26,8 +26,9 @@ import functools
 from typing import Any, Callable, Dict, List, Tuple
 
 from repro.obs.slo import SloSpec, build_slo_report, collect_cell
-from repro.obs.trace import Tracer, tracing
+from repro.obs.trace import Tracer
 from repro.parallel import map_items
+from repro.sites import observing
 
 #: Virtual-time latency budgets per scenario.  The p99 budget doubles
 #: as the per-request budget: a kvstore round trip costs tens of µs, a
@@ -153,7 +154,7 @@ def run_slo_cell(scenario: str, cell_index: int, seed: int,
     driver, cells = SLO_SCENARIOS[scenario]
     name, params = cells[cell_index]
     tracer = Tracer(experiment=f"slo-{scenario}-{name}", spans=True)
-    with tracing(tracer):
+    with observing(tracer=tracer):
         driver(params, seed, quick)
     return collect_cell(tracer.spans, name, SLO_SPECS[scenario])
 

@@ -38,8 +38,8 @@ line per span.  ``validate_span_lines`` / ``validate_span_file`` check
 the shape; span *hygiene* (unclosed spans, orphan parents, end before
 start) is the MVE9xx lint's job (:mod:`repro.analysis.trace_lint`).
 
-Standard library and :mod:`repro.report` only, so any layer of the stack
-can import it without cycles.
+Standard library, :mod:`repro.report` and :mod:`repro.sites` only, so
+any layer of the stack can import it without cycles.
 """
 
 from __future__ import annotations
@@ -48,8 +48,9 @@ import json
 from collections import defaultdict
 from typing import Any, Dict, List, Optional, Sequence
 
-from repro.report import (INT, NAT, TEXT, Obj, Opt, const, jsonl_problems,
-                          one_of, read_lines)
+from repro.report import (INT, NAT, TEXT, Obj, Opt, const,
+                          jsonl_file_problems, jsonl_problems, one_of)
+from repro.sites import kinds
 
 #: JSONL span schema identifier (bump on shape changes).
 SPAN_SCHEMA = "repro-span/1"
@@ -234,8 +235,8 @@ class SpanCollector:
 #: A ``repro-span/1`` header line and span line (:mod:`repro.report`).
 SPAN_HEADER_SHAPE = Obj({"schema": const(SPAN_SCHEMA), "spans": NAT})
 SPAN_SHAPE = Obj({"span": INT, "start_ns": INT, "end_ns": Opt(INT),
-                  "parent": Opt(INT), "kind": TEXT, "layer": TEXT,
-                  "phase": one_of(PHASES)})
+                  "parent": Opt(INT), "kind": one_of(kinds("spans")),
+                  "layer": TEXT, "phase": one_of(PHASES)})
 
 
 def validate_span_lines(lines: List[str]) -> List[str]:
@@ -248,4 +249,4 @@ def validate_span_lines(lines: List[str]) -> List[str]:
 
 def validate_span_file(path: str) -> List[str]:
     """Validate a JSONL span file; returns a list of problems."""
-    return validate_span_lines(read_lines(path))
+    return jsonl_file_problems(path, validate_span_lines)

@@ -7,14 +7,12 @@ the common case is *no* observer, and then tracing must cost nothing.
 Every hook therefore reduces to one attribute load plus an ``is None``
 test — no wrappers, no decorators, no conditional imports on hot paths.
 
-The tracer is found two ways:
-
-* a module-global *active* tracer (:func:`install_tracer`), picked up by
-  :class:`~repro.net.kernel.VirtualKernel` and
-  :class:`~repro.sim.engine.Engine` at construction time — this is what
-  ``python -m repro trace`` and the ``--trace PATH`` flag use;
-* explicit attachment (:meth:`Tracer.attach`) to an existing kernel —
-  what ``examples/operator_console.py`` does.
+A tracer watches whatever runs inside ``with
+repro.sites.observing(tracer=...)``: every instrumented site reads the
+installed tracer when it runs, so it does not matter whether the
+deployment was built before or after — ``python -m repro trace``, the
+``--trace PATH`` flag and ``examples/operator_console.py`` all enter
+that one block.
 
 Timestamps are virtual nanoseconds.  Layers that know the virtual time
 (the MVE runtime, the orchestrator) call :meth:`Tracer.advance`; layers
@@ -29,9 +27,9 @@ Traces export as JSONL (schema ``repro-trace/1``): a header line, one
 line per event, and a final ``metrics.snapshot`` line.  See
 ``docs/observability.md`` for the full schema and event taxonomy.
 
-This module imports only the standard library, :mod:`repro.report` and
-:mod:`repro.obs.metrics`, so any layer of the stack can depend on it
-without cycles.
+This module imports only the standard library, :mod:`repro.report`,
+:mod:`repro.sites` and its :mod:`repro.obs` siblings, so any layer of
+the stack can depend on it without cycles.
 """
 
 from __future__ import annotations
@@ -45,7 +43,8 @@ from typing import Any, Deque, Dict, Iterable, Iterator, List, Optional, Tuple
 from repro.obs.metrics import Counter, MetricsRegistry
 from repro.obs.spans import SpanCollector
 from repro.report import (ANY, INT, NAT, TEXT, MapOf, Obj, const,
-                          jsonl_problems, problems, read_lines)
+                          jsonl_file_problems, jsonl_problems, one_of)
+from repro.sites import kinds
 
 #: JSONL trace schema identifier (bump on shape changes).
 TRACE_SCHEMA = "repro-trace/1"
@@ -200,12 +199,6 @@ class Tracer(metaclass=_TracerTallies):
         spans off."""
         if self.spans is not None:
             self.spans.add(name, layer, start, end, **fields)
-
-    def attach(self, kernel: Any) -> "Tracer":
-        """Attach this tracer to an existing kernel (and everything that
-        reads ``kernel.tracer`` — gateways, MVE runtimes)."""
-        kernel.tracer = self
-        return self
 
     # -- layer hooks --------------------------------------------------------
     #
@@ -373,60 +366,15 @@ class Tracer(metaclass=_TracerTallies):
 
 
 # ---------------------------------------------------------------------------
-# The active (global) tracer
-# ---------------------------------------------------------------------------
-
-_ACTIVE: Optional[Tracer] = None
-
-
-def install_tracer(tracer: Tracer) -> Tracer:
-    """Make ``tracer`` the active tracer; kernels and engines built while
-    it is installed pick it up automatically."""
-    global _ACTIVE
-    _ACTIVE = tracer
-    return tracer
-
-
-def uninstall_tracer() -> Optional[Tracer]:
-    """Clear the active tracer; returns the one that was installed."""
-    global _ACTIVE
-    tracer, _ACTIVE = _ACTIVE, None
-    return tracer
-
-
-def current_tracer() -> Optional[Tracer]:
-    """The active tracer, or None (the zero-cost default)."""
-    return _ACTIVE
-
-
-class tracing:
-    """Context manager: install a tracer for the duration of a block
-    (``None``: the block runs with no tracer installed)."""
-
-    def __init__(self, tracer: Optional[Tracer]) -> None:
-        self.tracer = tracer
-        self._previous: Optional[Tracer] = None
-
-    def __enter__(self) -> Optional[Tracer]:
-        global _ACTIVE
-        self._previous = _ACTIVE
-        _ACTIVE = self.tracer
-        return self.tracer
-
-    def __exit__(self, *exc_info: Any) -> None:
-        global _ACTIVE
-        _ACTIVE = self._previous
-
-
-# ---------------------------------------------------------------------------
 # Schema validation (used by tests and the CI trace-smoke job)
 # ---------------------------------------------------------------------------
 
 #: A ``repro-trace/1`` header, event and closing snapshot line.
 TRACE_HEADER_SHAPE = Obj({"schema": const(TRACE_SCHEMA), "events": NAT})
-EVENT_SHAPE = Obj({"at": INT, "kind": TEXT, "layer": TEXT})
-SNAPSHOT_SHAPE = Obj({"kind": const("metrics.snapshot"),
-                      "metrics": MapOf(ANY)})
+EVENT_SHAPE = Obj({"at": INT, "kind": one_of(kinds("events")),
+                   "layer": TEXT})
+SNAPSHOT_SHAPE = Obj({"at": INT, "kind": const("metrics.snapshot"),
+                      "layer": TEXT, "metrics": MapOf(ANY)})
 
 
 def validate_trace_lines(lines: List[str]) -> List[str]:
@@ -437,16 +385,12 @@ def validate_trace_lines(lines: List[str]) -> List[str]:
         return ["trace has no metrics snapshot line" if lines
                 else "trace is empty"]
     found = jsonl_problems(lines, TRACE_HEADER_SHAPE, "events", EVENT_SHAPE,
-                           uncounted=1)
-    try:
-        last = json.loads(lines[-1])
-    except ValueError:
-        last = None
-    if problems(last, SNAPSHOT_SHAPE):
+                           closing=SNAPSHOT_SHAPE)
+    if any(problem.startswith(f"line {len(lines)}:") for problem in found):
         found.append("last line is not a metrics.snapshot")
     return found
 
 
 def validate_trace_file(path: str) -> List[str]:
     """Validate a JSONL trace file; returns a list of problems."""
-    return validate_trace_lines(read_lines(path))
+    return jsonl_file_problems(path, validate_trace_lines)

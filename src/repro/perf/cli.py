@@ -16,13 +16,12 @@ committed baseline and exits 1 when any gauge drifted.
 
 from __future__ import annotations
 
-import json
-
 from repro import cli
 from repro.bench.reporting import format_table
 from repro.perf.diff import diff_bench, format_diff, gate_failures
 from repro.perf.harness import SCHEMA, run_scenarios, validate_bench
 from repro.perf.scenarios import SCENARIOS
+from repro.report import decode
 
 
 def configure(parser) -> None:
@@ -89,9 +88,10 @@ def _load_baseline(path: str) -> dict:
     older-schema file must not green-light a regression."""
     try:
         with open(path, encoding="utf-8") as handle:
-            baseline = json.load(handle)
-    except json.JSONDecodeError as exc:
-        raise cli.UsageError(f"cannot read baseline {path}: {exc}") from None
+            baseline = decode(handle.read())
+    except ValueError as exc:    # not UTF-8, not JSON, or nested too deep
+        raise cli.UsageError(f"unusable baseline {path}: cannot decode: "
+                             f"{exc}") from None
     problems = validate_bench(baseline)
     if problems:
         raise cli.UsageError(f"unusable baseline {path}: "

@@ -1,8 +1,8 @@
 """The stream recorder: taps the leader's syscall stream into an artifact.
 
-A :class:`StreamRecorder` is installed process-wide (mirroring the
-tracer and the chaos injector) and *claimed* by the first
-:class:`~repro.mve.varan.VaranRuntime` constructed while it is active —
+A :class:`StreamRecorder` is installed with
+:func:`repro.sites.observing` and *claimed* by the first
+:class:`~repro.mve.varan.VaranRuntime` constructed while it is —
 scenarios that build several MVE groups in sequence record only the
 first, which keeps the artifact a single coherent stream.  The claimed
 runtime then drives three hooks:
@@ -22,9 +22,8 @@ path, same zero-cost discipline as the tracer; the class-level
 ``created_total`` / ``recorded_total`` counters let the regression
 suite assert the disabled path allocates nothing.
 
-This module imports only the standard library and
-:mod:`repro.replay.stream`, so :mod:`repro.mve.varan` can hook it
-without cycles; runtime metadata is captured duck-typed at claim time.
+Runtime metadata is captured duck-typed at claim time, so this module
+never imports the runtime it taps.
 """
 
 from __future__ import annotations
@@ -34,6 +33,7 @@ from typing import Any, Dict, List, Optional
 
 from repro.replay.stream import (STREAM_SCHEMA, serialize_record,
                                  write_stream)
+from repro.sites import OBS
 
 
 class StreamRecorder:
@@ -71,7 +71,7 @@ class StreamRecorder:
             return self._claimed_by() is runtime
         self._claimed_by = weakref.ref(runtime)
         profile_name = getattr(runtime.profile, "name", "")
-        chaos = runtime.kernel.chaos
+        chaos = OBS.chaos
         fault_plan = None
         if chaos is not None and getattr(chaos.plan, "faults", ()):
             fault_plan = chaos.plan.as_dict()
@@ -132,49 +132,3 @@ class StreamRecorder:
             raise ValueError("recorder was never claimed by a runtime — "
                              "nothing to write")
         return write_stream(path, self.header, self.entries)
-
-
-# ---------------------------------------------------------------------------
-# The active (global) recorder
-# ---------------------------------------------------------------------------
-
-_ACTIVE: Optional[StreamRecorder] = None
-
-
-def install_recorder(recorder: StreamRecorder) -> StreamRecorder:
-    """Make ``recorder`` the active recorder; MVE runtimes built while it
-    is installed try to claim it."""
-    global _ACTIVE
-    _ACTIVE = recorder
-    return recorder
-
-
-def uninstall_recorder() -> Optional[StreamRecorder]:
-    """Clear the active recorder; returns the one that was installed."""
-    global _ACTIVE
-    recorder, _ACTIVE = _ACTIVE, None
-    return recorder
-
-
-def current_recorder() -> Optional[StreamRecorder]:
-    """The active recorder, or None (the zero-cost default)."""
-    return _ACTIVE
-
-
-class recording:
-    """Context manager: install a recorder for the duration of a block
-    (``None``: the block runs with no recorder installed)."""
-
-    def __init__(self, recorder: Optional[StreamRecorder]) -> None:
-        self.recorder = recorder
-        self._previous: Optional[StreamRecorder] = None
-
-    def __enter__(self) -> Optional[StreamRecorder]:
-        global _ACTIVE
-        self._previous = _ACTIVE
-        _ACTIVE = self.recorder
-        return self.recorder
-
-    def __exit__(self, *exc_info: Any) -> None:
-        global _ACTIVE
-        _ACTIVE = self._previous

@@ -46,7 +46,8 @@ from typing import Any, Dict, Iterable, List, Optional
 
 from repro.errors import SimulationError
 from repro.report import (ANY, BOOL, BYTES, INT, NAT, STR, TEXT, ListOf, MapOf,
-                          Obj, Opt, Via, const, one_of, problems, read_lines)
+                          Obj, Opt, Via, const, decode, one_of, problems,
+                          read_lines)
 from repro.syscalls.model import Sys, SyscallRecord
 
 #: Stream artifact schema identifier (bump on shape changes).
@@ -131,8 +132,8 @@ def unframe_line(line: str, index: int) -> Dict[str, Any]:
                           f"bytes but the payload has {actual} "
                           f"(truncated or corrupted artifact)")
     try:
-        payload = json.loads(body)
-    except json.JSONDecodeError as exc:
+        payload = decode(body)
+    except ValueError as exc:
         raise StreamError(f"line {index}: bad JSON payload: {exc}") from None
     if not isinstance(payload, dict):
         raise StreamError(f"line {index}: entry is not an object")
@@ -236,7 +237,10 @@ def read_stream(path: str) -> RecordedStream:
     """Parse a stream artifact, raising :class:`StreamError` on any
     framing, shape, or integrity problem: what it returns is everything
     :func:`repro.replay.engine.replay_stream` relies on."""
-    lines = read_lines(path)
+    try:
+        lines = read_lines(path)
+    except UnicodeDecodeError as exc:
+        raise StreamError(f"{path}: not UTF-8 text ({exc})") from None
     if not lines:
         raise StreamError(f"{path}: empty stream artifact")
     header = _shaped(unframe_line(lines[0], 0), HEADER_SHAPE, "header", path)

@@ -148,19 +148,40 @@ def _walk(value: Any, shape: Any) -> Sequence[str]:
     return found
 
 
+def decode(text: str) -> Any:
+    """``json.loads``, with text nested deeper than the interpreter can
+    follow a ``ValueError`` like any other text that is not JSON."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("nests too deeply to decode") from None
+
+
 def read_lines(path: str) -> List[str]:
-    """The non-blank lines of a JSONL artifact, newlines stripped."""
+    """The non-blank lines of a JSONL artifact, newlines stripped; a
+    file that is not UTF-8 text is a ``ValueError``."""
     with open(path, "r", encoding="utf-8") as handle:
         return [line.rstrip("\n") for line in handle if line.strip()]
 
 
+def jsonl_file_problems(path: str, judge: Callable[[List[str]], List[str]]
+                        ) -> List[str]:
+    """``judge(lines)`` of a JSONL artifact on disk; a file that is not
+    text is its own one problem."""
+    try:
+        return judge(read_lines(path))
+    except UnicodeDecodeError as exc:
+        return [f"not UTF-8 text ({exc})"]
+
+
 def jsonl_problems(lines: Sequence[str], header: Any, count_key: str,
-                   line_shape: Any, uncounted: int = 0) -> List[str]:
+                   line_shape: Any, closing: Any = None) -> List[str]:
     """Problems with a header-then-body JSONL artifact (``repro-span/1``,
     ``repro-trace/1``): line 1 is a ``header`` whose ``count_key``
-    declares how many body lines follow — not counting the last
-    ``uncounted`` — and every body line is a ``line_shape`` object."""
-    present = len(lines) - 1 - uncounted
+    declares how many body lines follow, every body line is a
+    ``line_shape`` object and, with ``closing``, one last line of that
+    shape — not counted — ends the file."""
+    present = len(lines) - 1 - (closing is not None)
 
     def count(head: Mapping[str, Any]) -> List[str]:
         if head[count_key] == present:
@@ -171,7 +192,7 @@ def jsonl_problems(lines: Sequence[str], header: Any, count_key: str,
     found: List[str] = []
     for number, line in enumerate(lines, start=1):
         try:
-            value = json.loads(line)
+            value = decode(line)
         except ValueError as exc:
             found.append(f"line {number}: not JSON ({exc})")
             continue
@@ -180,7 +201,9 @@ def jsonl_problems(lines: Sequence[str], header: Any, count_key: str,
             found += problems(value if isinstance(value, dict) else {},
                               header, "line 1:", count)
         elif isinstance(value, dict):
-            found += problems(value, line_shape, f"line {number}:")
+            found += problems(
+                value, line_shape if number <= present + 1 else closing,
+                f"line {number}:")
         else:
             found.append(f"line {number}: not an object")
     return found

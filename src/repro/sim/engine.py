@@ -10,9 +10,8 @@ from __future__ import annotations
 import heapq
 from typing import Callable, List, Optional, Tuple
 
-from repro.chaos.injector import current_chaos
 from repro.errors import SimulationError
-from repro.obs.trace import current_tracer
+from repro.sites import OBS
 
 #: Number of virtual nanoseconds per virtual second.
 NANOS_PER_SECOND = 1_000_000_000
@@ -50,12 +49,6 @@ class Engine:
         self._seq = 0
         self._queue: List[Tuple[int, int, Callable[[], None]]] = []
         self._running = False
-        #: Observability hook: the active tracer at construction time.
-        #: None (the default) keeps the dispatch loop tracer-free.
-        self.tracer = current_tracer()
-        #: Fault-injection hook, same pattern: None keeps the loop
-        #: chaos-free.
-        self.chaos = current_chaos()
 
     @property
     def now(self) -> int:
@@ -108,8 +101,9 @@ class Engine:
                     break
                 heapq.heappop(self._queue)
                 self._now = when
-                if self.chaos is not None:
-                    fault = self.chaos.fire("sim.event", when=when)
+                chaos = OBS.chaos
+                if chaos is not None:
+                    fault = chaos.fire("sim.event", when=when)
                     if fault is not None:
                         if fault.kind == "drop":
                             continue
@@ -121,8 +115,9 @@ class Engine:
                             self._queue, (when + delay, self._seq, callback))
                         self._seq += 1
                         continue
-                if self.tracer is not None:
-                    self.tracer.on_sim_event(when, len(self._queue))
+                tracer = OBS.tracer
+                if tracer is not None:
+                    tracer.on_sim_event(when, len(self._queue))
                 callback()
             if until is not None and until > self._now:
                 self._now = until

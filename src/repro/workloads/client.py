@@ -11,6 +11,7 @@ from __future__ import annotations
 from typing import Any, List, Optional, Tuple
 
 from repro.net.kernel import VirtualKernel
+from repro.sites import OBS
 
 
 class VirtualClient:
@@ -41,8 +42,7 @@ class VirtualClient:
         a :class:`~repro.servers.native.NativeRuntime` or a
         :class:`~repro.mve.varan.VaranRuntime`.
         """
-        tracer = self.kernel.tracer
-        spans = tracer.spans if tracer is not None else None
+        spans = OBS.spans
         if spans is None:
             self.send(data)
             done = runtime.pump(now)

@@ -31,8 +31,8 @@ import heapq
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Tuple
 
-from repro.chaos.injector import current_chaos
 from repro.sim.rng import RngStreams
+from repro.sites import OBS
 from repro.workloads.arrivals import arrival_problems, build_arrivals
 from repro.workloads.keyspace import build_keys, key_problems
 from repro.workloads.pool import FlyweightPool
@@ -187,7 +187,7 @@ class OpenLoopGenerator:
         arrival time.
         """
         spec = self.spec
-        chaos = current_chaos()
+        chaos = OBS.chaos
         pending: List[Tuple[int, int, OpenRequest]] = []
         seq = 0
         for at_ns in self._arrivals.times(self._arrival_rng,

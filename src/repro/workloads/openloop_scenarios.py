@@ -48,9 +48,10 @@ from repro.mve import VaranRuntime
 from repro.obs.metrics import Histogram
 from repro.obs.slo import (CHECKS_SHAPE, SPEC_SHAPE, SloSpec,
                            build_slo_report, collect_cell)
-from repro.obs.trace import Tracer, tracing
+from repro.obs.trace import Tracer
 from repro.parallel import map_items
 from repro.report import ANY, NAT, ListOf, Obj, Via, const, problems
+from repro.sites import observing
 from repro.workloads.openloop import (LoadSpec, OpenLoopGenerator,
                                       format_request)
 
@@ -164,7 +165,7 @@ def run_openloop_cell(scenario: str, cell_index: int, seed: int,
     preload = PRELOAD_ENTRIES_QUICK if quick else PRELOAD_ENTRIES
 
     tracer = Tracer(experiment=f"openloop-{scenario}-{name}", spans=True)
-    with tracing(tracer):
+    with observing(tracer=tracer):
         stack = _stack(scenario, mode, preload)
         # One stream name per scenario: every cell sees the identical
         # arrival skeleton, so cells differ only in how they serve it.

@@ -1,11 +1,14 @@
 """Shared fixtures: a kernel, a KV-store deployment, and clients."""
 
+import contextlib
+
 import pytest
 from hypothesis import settings
 
 from repro.core import Mvedsua
 from repro.net import VirtualKernel
 from repro.servers.kvstore import KVStoreServer, KVStoreV1, kv_transforms
+from repro.sites import observing
 from repro.syscalls.costs import PROFILES
 from repro.workloads import VirtualClient
 
@@ -18,6 +21,15 @@ settings.register_profile("ci", max_examples=2000, deadline=None)
 @pytest.fixture
 def kernel():
     return VirtualKernel()
+
+
+@pytest.fixture
+def install():
+    """``install(chaos=..., tracer=..., recorder=...)``: observers that
+    stay installed until the test ends (sites find them when they run,
+    so a helper cannot install one around construction alone)."""
+    with contextlib.ExitStack() as installs:
+        yield lambda **hooks: installs.enter_context(observing(**hooks))
 
 
 @pytest.fixture

@@ -21,11 +21,12 @@ from repro.dsu.version import ServerVersion, VersionRegistry
 from repro.errors import NoUpdatePath
 from repro.mve import VaranRuntime
 from repro.mve.dsl import Direction, RuleSet
-from repro.replay.recorder import StreamRecorder, recording
+from repro.replay.recorder import StreamRecorder
 from repro.replay.engine import replay_stream
 from repro.replay.stream import read_stream
 from repro.servers.base import Server
 from repro.servers.native import NativeRuntime
+from repro.sites import observing
 
 CATALOG = default_catalog()
 LABELS = [(name, label) for name, config in CATALOG.items()
@@ -38,7 +39,7 @@ def _recording(config, label, tmp_path):
     """``seed_requests`` (one NOOP where the app lists none) served by
     ``deploy(config, label, VaranRuntime)``, as a parsed stream."""
     recorder = StreamRecorder(scenario=config.name)
-    with recording(recorder):
+    with observing(recorder=recorder):
         stack = deploy(config, label, VaranRuntime)
     client = stack.client()
     for index, request in enumerate(config.seed_requests or (b"NOOP",)):

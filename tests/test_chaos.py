@@ -11,8 +11,6 @@ from repro.chaos import (
     FaultPlan,
     at_stage,
     at_time,
-    chaos_active,
-    current_chaos,
     load_plan,
     on_call,
     when,
@@ -22,8 +20,9 @@ from repro.chaos.scenarios import run_kv_update_scenario
 from repro.errors import BrokenPipe, ConnectionReset, FdExhausted
 from repro.mve.varan import CORRUPTION_MARKER
 from repro.net.kernel import VirtualKernel
-from repro.obs import Tracer, tracing, validate_trace_lines
+from repro.obs import Tracer, validate_trace_lines
 from repro.sim.engine import Engine
+from repro.sites import OBS, observing
 
 
 # ---------------------------------------------------------------------------
@@ -168,10 +167,11 @@ class TestInjector:
         assert injector.kernel_call("kernel.read", 1, 5) is not None
 
     def test_chaos_active_scopes_the_installation(self):
-        assert current_chaos() is None
-        with chaos_active(ChaosInjector(FaultPlan("p"))) as injector:
-            assert current_chaos() is injector
-        assert current_chaos() is None
+        assert OBS.chaos is None
+        injector = ChaosInjector(FaultPlan("p"))
+        with observing(chaos=injector):
+            assert OBS.chaos is injector
+        assert OBS.chaos is None
 
 
 # ---------------------------------------------------------------------------
@@ -190,8 +190,12 @@ class TestDisabledPath:
         assert not result.injections
 
     def test_kernel_and_engine_hooks_stay_none(self):
-        assert VirtualKernel().chaos is None
-        assert Engine().chaos is None
+        # Nothing installed: the slot holds four Nones, and neither a
+        # kernel nor an engine keeps a hook of its own to find later.
+        assert (OBS.tracer, OBS.spans, OBS.chaos, OBS.recorder) == \
+            (None, None, None, None)
+        for built in (VirtualKernel(), Engine()):
+            assert not {"tracer", "chaos"} & set(vars(built))
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +208,7 @@ class TestEngineFaults:
         ran = []
         plan = FaultPlan("p", (
             Fault("sim.event", "drop", on_call(1)),))
-        with chaos_active(ChaosInjector(plan)):
+        with observing(chaos=ChaosInjector(plan)):
             engine = Engine()
             engine.schedule_at(10, lambda: ran.append("a"))
             engine.schedule_at(20, lambda: ran.append("b"))
@@ -216,7 +220,7 @@ class TestEngineFaults:
         plan = FaultPlan("p", (
             Fault("sim.event", "delay", on_call(1),
                   param={"delay_ns": 15}),))
-        with chaos_active(ChaosInjector(plan)):
+        with observing(chaos=ChaosInjector(plan)):
             engine = Engine()
             engine.schedule_at(10, lambda: ran.append(engine.now))
             engine.schedule_at(20, lambda: ran.append(engine.now))
@@ -241,12 +245,15 @@ def _connected_pair(kernel):
 
 
 class TestKernelFaults:
-    def _kernel(self, site, kind, trigger, param=None, server_domain=None):
+    @pytest.fixture(autouse=True)
+    def _installer(self, install):
+        self._install = install
+
+    def _kernel(self, site, kind, trigger, param=None):
         plan = FaultPlan("p", (
             Fault(site, kind, trigger, param=param or {}),))
-        with chaos_active(ChaosInjector(plan)):
-            kernel = VirtualKernel()
-        return kernel
+        self._install(chaos=ChaosInjector(plan))
+        return VirtualKernel()
 
     def test_read_econnreset(self):
         kernel = self._kernel("kernel.read", "econnreset", on_call(1))
@@ -299,7 +306,7 @@ class TestKernelFaults:
     def test_domain_filter_shields_client_syscalls(self):
         kernel = self._kernel("kernel.read", "econnreset", on_call(1))
         sdom, sfd, cdom, cfd = _connected_pair(kernel)
-        kernel.chaos.domain_filter = {sdom}
+        OBS.chaos.domain_filter = {sdom}
         kernel.write(sdom, sfd, b"+OK\r\n")
         # Client-side read: filtered out, not counted, not faulted.
         assert kernel.read(cdom, cfd) == b"+OK\r\n"
@@ -373,9 +380,9 @@ CORRUPT_PLAN = FaultPlan("corrupt", (
 class TestObsIntegration:
     def test_chaos_inject_events_validate_and_are_counted(self):
         tracer = Tracer(experiment="chaos-obs")
-        with tracing(tracer):
-            with chaos_active(ChaosInjector(CORRUPT_PLAN)) as injector:
-                run_kv_update_scenario()
+        injector = ChaosInjector(CORRUPT_PLAN)
+        with observing(tracer=tracer, chaos=injector):
+            run_kv_update_scenario()
         assert injector.injections
         assert validate_trace_lines(tracer.to_jsonl_lines()) == []
         assert tracer.kind_tally().get("chaos.inject") == \
@@ -386,7 +393,7 @@ class TestObsIntegration:
         assert snapshot["chaos.site.mve.follower"]["value"] == 1
 
     def test_forensics_bundle_carries_the_injected_corruption(self):
-        with chaos_active(ChaosInjector(CORRUPT_PLAN)):
+        with observing(chaos=ChaosInjector(CORRUPT_PLAN)):
             result = run_kv_update_scenario()
         assert result.forensics is not None
         marker = CORRUPTION_MARKER.decode("latin-1")

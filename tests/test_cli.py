@@ -158,6 +158,39 @@ def test_bad_workers_is_a_usage_error(argv, complaint, capsys,
     assert captured.out == "" and os.listdir(tmp_path) == []
 
 
+_PLAN_IMPORT = "from repro.chaos.plan import Fault, FaultPlan, on_call\n"
+
+
+@pytest.mark.parametrize("name, text, complaint", [
+    ("plan.txt", "not python", "cannot load fault plan"),
+    ("plan.py", "def plan(:\n", "SyntaxError"),
+    ("plan.py", "x = 1\n", "does not define a plan() function"),
+    ("plan.py", "def plan():\n    return 7\n",
+     "plan() returned int, expected FaultPlan"),
+    ("plan.py", _PLAN_IMPORT + "def plan():\n    return FaultPlan('p', ("
+     "Fault('kernel.reed', 'short-read', on_call(1)),))\n",
+     "unknown injection site 'kernel.reed' (known sites: dsu.quiesce, "),
+    ("plan.py", _PLAN_IMPORT + "def plan():\n    return FaultPlan('p', ("
+     "Fault('kernel.read', 'epipe', on_call(1)),))\n",
+     "fault kind 'epipe' is not legal at site 'kernel.read'"),
+])
+def test_unusable_fault_plan_is_a_usage_error(name, text, complaint, capsys,
+                                              monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / name).write_text(text, encoding="utf-8")
+    with pytest.raises(SystemExit) as exit_info:
+        main(["chaos", "kvstore", "--plan", name])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    [error] = [line for line in captured.err.splitlines()
+               if "error:" in line]
+    assert f"error: cannot use fault plan {name!r}: " in error
+    assert complaint in error
+    assert "Traceback" not in captured.err
+    # Refused before the fault-free baseline ran or a report was written.
+    assert captured.out == "" and os.listdir(tmp_path) == [name]
+
+
 @pytest.mark.parametrize("argv", [
     ["chaos", "kvstore", "--plan", "MISSING.py"],
     ["trace", "fig6", "--quick", "--out", "NO_DIR/x.jsonl"],

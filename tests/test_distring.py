@@ -7,11 +7,9 @@ end-to-end guarantees: distributed fleet runs are bit-stable per seed
 and local runs are untouched by the distributed machinery.
 """
 
-from types import SimpleNamespace
-
 import pytest
 
-from repro.chaos.injector import ChaosInjector, chaos_active
+from repro.chaos.injector import ChaosInjector
 from repro.chaos.plan import Fault, FaultPlan, on_call
 from repro.errors import SimulationError
 from repro.mve.distring import DistributedRing
@@ -20,6 +18,7 @@ from repro.mve.ring_buffer import BufferFull
 from repro.net.ring_wire import (RingLink, WireError, decode_ack,
                                  decode_frame, encode_ack, encode_frame,
                                  transit_ns)
+from repro.sites import observing
 from repro.syscalls.model import write_record
 
 
@@ -201,18 +200,28 @@ def _partition_ring(kind, *, param=None, count=-1, link=None):
     return injector, link or LINK
 
 
+def _clean_push():
+    """Frame 0 over :data:`LINK` with no injector in the way."""
+    with observing(chaos=None):
+        return DistributedRing(16, LINK).push(rec(0), 0)
+
+
 class TestPartitions:
+    @pytest.fixture(autouse=True)
+    def _installer(self, install):
+        self._install = install
+
     def _ring_with_faults(self, faults, link=LINK):
         injector = ChaosInjector(FaultPlan("test-partition", faults))
-        kernel = SimpleNamespace(chaos=injector, tracer=None)
-        return DistributedRing(16, link, kernel), injector
+        self._install(chaos=injector)
+        return DistributedRing(16, link), injector
 
     def test_delay_fault_postpones_delivery_and_accrues(self):
         ring, _ = self._ring_with_faults(
             (Fault("fleet.ring", "partition-delay", on_call(1),
                    param={"delay_ns": 7_000_000}),))
         delayed = ring.push(rec(0), 0)
-        clean = DistributedRing(16, LINK).push(rec(0), 0)
+        clean = _clean_push()
         assert delayed.produced_at == clean.produced_at + 7_000_000
         assert ring.frames_delayed == 1
         assert ring.partition_delay_ns == 7_000_000
@@ -222,7 +231,7 @@ class TestPartitions:
         ring, _ = self._ring_with_faults(
             (Fault("fleet.ring", "partition-drop", on_call(1)),))
         entry = ring.push(rec(0), 0)
-        clean = DistributedRing(16, LINK).push(rec(0), 0)
+        clean = _clean_push()
         assert entry.produced_at == clean.produced_at + LINK.retransmit_ns
         assert ring.frames_dropped == 1
 
@@ -281,7 +290,8 @@ class TestPartitions:
         from repro.chaos.scenarios import run_kv_update_scenario
         plan = FaultPlan("vacuous", (
             Fault("fleet.ring", "partition-drop", on_call(1)),))
-        with chaos_active(ChaosInjector(plan)) as injector:
+        injector = ChaosInjector(plan)
+        with observing(chaos=injector):
             run_kv_update_scenario()
         assert injector.site_calls.get("fleet.ring", 0) == 0
         assert injector.injections == []

@@ -97,6 +97,30 @@ class TestCheckerCatchesDefects(unittest.TestCase):
         self.assertEqual(len(problems), 1)
         self.assertIn("no-such-page.md", problems[0])
 
+    def test_site_table_drift_is_reported_both_ways(self):
+        header = "| kind | layer | interval |"
+        with open(os.path.join(REPO, "docs", "observability.md"),
+                  encoding="utf-8") as handle:
+            page = handle.read()
+        problems = []
+        self.mod.check_site_table("p.md", page, header, "spans", problems)
+        self.assertEqual(problems, [])
+        # A kind the table lacks, a declared kind gone, a wrong layer.
+        drifted = page.replace("| `net.ring` | net |",
+                               "| `net.rung` | net |") \
+            .replace("| `request` | gateway |", "| `request` | mve |")
+        self.mod.check_site_table("p.md", drifted, header, "spans",
+                                  problems)
+        self.assertEqual(problems, [
+            "p.md: `request` has layer gateway, not mve",
+            "p.md: `net.rung` is in the spans table but not in "
+            "repro.sites.TABLE",
+            "p.md: `net.ring` (spans) is in repro.sites.TABLE but not in "
+            "the table"])
+        self.mod.check_site_table("p.md", "no table here", header, "spans",
+                                  problems)
+        self.assertIn("no table headed", problems[-1])
+
     def test_resolving_link_passes(self):
         problems = []
         page = os.path.join(REPO, "docs", "architecture.md")

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.chaos.injector import ChaosInjector, chaos_active
+from repro.chaos.injector import ChaosInjector
 from repro.chaos.plan import Fault, FaultPlan, on_call
 from repro.chaos.scenarios import BuggyKVStoreV2, buggy_v2_factory
 from repro.cluster import (
@@ -21,9 +21,10 @@ from repro.cluster.fleet import (
     validate_report,
 )
 from repro.errors import KernelError
-from repro.obs.trace import Tracer, tracing
+from repro.obs.trace import Tracer
 from repro.servers.kvstore import KVStoreV2, kv_rules_from_dsl
 from repro.sim.engine import SECOND
+from repro.sites import observing
 
 
 def make_fleet(shards=2, replicas=2):
@@ -144,7 +145,7 @@ class TestFleetOrchestrator:
 
     def test_fleet_events_are_traced(self):
         tracer = Tracer(experiment="fleet-test")
-        with tracing(tracer):
+        with observing(tracer=tracer):
             _, _, _, orchestrator = make_fleet(shards=1, replicas=2)
             orchestrator.run_round(KVStoreV2, SECOND)
         kinds = {event.kind for event in tracer.events
@@ -173,7 +174,7 @@ class TestFleetChaos:
     def test_replica_crash_mid_wave_is_survivable(self):
         plan = FaultPlan("crash", (
             Fault("fleet.replica", "crash", on_call(2)),))
-        with chaos_active(ChaosInjector(plan)):
+        with observing(chaos=ChaosInjector(plan)):
             report = run_fleet_scenario()
         records = [record for round_payload in report["rounds"]
                    for record in round_payload["records"]]
@@ -184,7 +185,7 @@ class TestFleetChaos:
         plan = FaultPlan("divergence", (
             Fault("fleet.canary", "divergence", on_call(1),
                   param={"factory": buggy_v2_factory}),))
-        with chaos_active(ChaosInjector(plan)):
+        with observing(chaos=ChaosInjector(plan)):
             _, shard_map, _, orchestrator = make_fleet(shards=2,
                                                        replicas=2)
             report = orchestrator.run_round(KVStoreV2, SECOND)
@@ -196,7 +197,7 @@ class TestFleetChaos:
     def test_balancer_partition_routes_around_replica(self):
         plan = FaultPlan("partition", (
             Fault("fleet.balancer", "partition", on_call(1)),))
-        with chaos_active(ChaosInjector(plan)):
+        with observing(chaos=ChaosInjector(plan)):
             _, shard_map, balancer, _ = make_fleet(shards=1, replicas=2)
             node = balancer.pick_replica(shard_map.shards[0])
         assert node.name == "s0-r1"  # r0 was partitioned away

@@ -15,6 +15,7 @@ from repro.servers.kvstore import (
     kv_rules,
     xform_1_to_2,
 )
+from repro.sites import observing
 from repro.syscalls.costs import PROFILES
 from repro.workloads import VirtualClient
 
@@ -91,15 +92,16 @@ class TestPartialFailure:
                               now=10**10) == b"v\r\n"
 
     def test_divergent_replica_terminated(self):
-        kernel, runtime, client = make_runtime()
-        tracer = Tracer().attach(kernel)
-        healthy = runtime.fork_follower(0)
-        updated = runtime.leader.server.fork()
-        updated.apply_version(KVStoreV2(),
-                              xform_1_to_2(dict(updated.heap)))
-        runtime.fork_follower(0, server=updated)  # no rules!
-        client.command(runtime, b"PUT-number pi 3", now=10**9)
-        runtime.drain_follower()
+        _, runtime, client = make_runtime()
+        tracer = Tracer()
+        with observing(tracer=tracer):
+            healthy = runtime.fork_follower(0)
+            updated = runtime.leader.server.fork()
+            updated.apply_version(KVStoreV2(),
+                                  xform_1_to_2(dict(updated.heap)))
+            runtime.fork_follower(0, server=updated)  # no rules!
+            client.command(runtime, b"PUT-number pi 3", now=10**9)
+            runtime.drain_follower()
         assert group_size(runtime) == 2
         assert divergences(runtime) == 1
         assert [lane.process for lane in runtime.lanes] == [healthy]

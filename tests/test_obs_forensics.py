@@ -8,7 +8,7 @@ from repro.core import Mvedsua
 from repro.dsu.transform import TransformRegistry
 from repro.errors import DivergenceError
 from repro.net import VirtualKernel
-from repro.obs import Tracer, tracing
+from repro.obs import Tracer
 from repro.servers.kvstore import (
     KVStoreServer,
     KVStoreV1,
@@ -17,6 +17,7 @@ from repro.servers.kvstore import (
     xform_drop_table,
 )
 from repro.sim.engine import SECOND
+from repro.sites import observing
 from repro.syscalls.costs import PROFILES
 from repro.workloads import VirtualClient
 
@@ -75,9 +76,10 @@ def test_forensics_summary_names_the_records():
 
 
 def test_tracer_collects_bundle_and_ring_history():
-    kernel, mvedsua, client = _diverging_deployment()
-    tracer = Tracer(experiment="forensics", last_k=4).attach(kernel)
-    _force_divergence(mvedsua, client)
+    _, mvedsua, client = _diverging_deployment()
+    tracer = Tracer(experiment="forensics", last_k=4)
+    with observing(tracer=tracer):
+        _force_divergence(mvedsua, client)
 
     assert len(tracer.forensics) == 1
     bundle = tracer.forensics[0]

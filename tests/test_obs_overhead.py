@@ -10,12 +10,14 @@ events, and with one installed every event is a log entry but no
 exactly for this test.
 """
 
-from repro.obs import Tracer, current_tracer, tracing
+from repro.obs import Tracer
 from repro.perf.scenarios import run_rule_heavy_mve_redis
+from repro.sites import OBS, observing
 
 
 def test_disabled_path_creates_and_emits_nothing():
-    assert current_tracer() is None
+    assert (OBS.tracer, OBS.spans, OBS.chaos, OBS.recorder) == \
+        (None, None, None, None)
     created_before = Tracer.created_total
     emitted_before = Tracer.emitted_total
 
@@ -33,7 +35,8 @@ def test_disabled_path_creates_and_emits_nothing():
 def test_enabled_path_actually_records():
     # Control experiment: the same workload with a tracer installed does
     # emit — proving the zero above measures the guard, not dead hooks.
-    with tracing(Tracer(experiment="overhead-control")) as tracer:
+    tracer = Tracer(experiment="overhead-control")
+    with observing(tracer=tracer):
         run_rule_heavy_mve_redis(8)
     assert tracer.events
     assert tracer.metrics.snapshot()["syscalls.total"]["value"] > 0
@@ -43,7 +46,8 @@ def test_enabled_path_builds_no_event_objects_until_they_are_read():
     emitted_before = Tracer.emitted_total
     built_before = Tracer.materialised_total
 
-    with tracing(Tracer(experiment="overhead-enabled")) as tracer:
+    tracer = Tracer(experiment="overhead-enabled")
+    with observing(tracer=tracer):
         gauges = run_rule_heavy_mve_redis(32)
 
     assert gauges["vrequests"] == 32

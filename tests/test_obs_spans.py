@@ -10,7 +10,8 @@ disabled path to *zero span objects*.
 import pytest
 
 from repro.analysis.trace_lint import lint_span_file, lint_spans
-from repro.obs import Tracer, current_tracer, tracing
+from repro.cli import main
+from repro.obs import Tracer
 from repro.obs.spans import (
     PHASES,
     SPAN_SCHEMA,
@@ -19,6 +20,7 @@ from repro.obs.spans import (
     validate_span_lines,
 )
 from repro.perf.scenarios import run_rule_heavy_mve_redis
+from repro.sites import OBS, observing
 
 FIXTURE = "tests/fixtures/bad_spans.jsonl"
 
@@ -30,7 +32,7 @@ FIXTURE = "tests/fixtures/bad_spans.jsonl"
 
 class TestDisabledPath:
     def test_no_tracer_allocates_no_spans(self):
-        assert current_tracer() is None
+        assert OBS.tracer is None and OBS.spans is None
         collectors_before = SpanCollector.created_total
         spans_before = SpanCollector.opened_total
 
@@ -49,7 +51,8 @@ class TestDisabledPath:
         # second, independent opt-in.
         collectors_before = SpanCollector.created_total
         spans_before = SpanCollector.opened_total
-        with tracing(Tracer(experiment="span-overhead")) as tracer:
+        tracer = Tracer(experiment="span-overhead")
+        with observing(tracer=tracer):
             run_rule_heavy_mve_redis(8)
         assert tracer.spans is None
         assert tracer.events  # tracing itself did record
@@ -60,8 +63,8 @@ class TestDisabledPath:
         # Control experiment: the same workload with spans enabled does
         # record — proving the zeros above measure the guard, not dead
         # hooks.
-        with tracing(Tracer(experiment="span-control",
-                            spans=True)) as tracer:
+        tracer = Tracer(experiment="span-control", spans=True)
+        with observing(tracer=tracer):
             run_rule_heavy_mve_redis(8)
         assert tracer.spans is not None
         tally = tracer.spans.kind_tally()
@@ -198,9 +201,26 @@ class TestSpanHygiene:
         c.close(span, 5)
         assert lint_spans(c.to_jsonl_lines("unit")) == []
 
-    def test_unparseable_lines_are_skipped_not_fatal(self):
-        lines = ['{"schema": "repro-span/1", "spans": 1}', "{nope",
-                 '{"span": 1, "parent": null, "kind": "request", '
-                 '"layer": "gateway", "start_ns": 0, "end_ns": 1, '
-                 '"phase": "normal"}']
-        assert lint_spans(lines) == []
+    def test_unparseable_lines_are_skipped_not_fatal(self, tmp_path, capsys):
+        header = '{"schema": "repro-span/1", "spans": 1}'
+        span = ('{"span": 1, "parent": null, "kind": "request", '
+                '"layer": "gateway", "start_ns": 0, "end_ns": 1, '
+                '"phase": "normal"}')
+        assert lint_spans([header, "{nope", span]) == []
+        # Nor is a file that never becomes JSON at all (each was a
+        # traceback out of ``lint --spans``): one schema problem, exit
+        # 2, and no span line to lint.
+        path = tmp_path / "spans.jsonl"
+        deep = f"{header}\n{'[' * 100_000}{']' * 100_000}\n".encode()
+        path.write_bytes(deep)
+        assert lint_span_file(str(path)) == []
+        for data, problem in [
+                (b"\xff" + header.encode(),
+                 "not UTF-8 text ('utf-8' codec can't decode byte 0xff in "
+                 "position 0: invalid start byte)"),
+                (deep, "line 2: not JSON (nests too deeply to decode)")]:
+            path.write_bytes(data)
+            assert validate_span_file(str(path)) == [problem]
+            assert main(["lint", "--spans", str(path)]) == 2
+            assert capsys.readouterr().err == \
+                f"span schema problem: {problem}\n"

@@ -13,15 +13,12 @@ from repro.obs import (
     MetricsRegistry,
     TRACE_SCHEMA,
     Tracer,
-    current_tracer,
-    install_tracer,
-    tracing,
-    uninstall_tracer,
     validate_trace_lines,
 )
 from repro.obs.trace import TraceEvent, jsonable
 from repro.servers.kvstore import KVStoreV2, kv_rules
 from repro.sim.engine import SECOND
+from repro.sites import OBS, observing
 from repro.syscalls.model import Sys, SyscallRecord
 
 
@@ -231,27 +228,34 @@ def test_metrics_name_is_bound_to_one_type():
 # -- the active tracer ------------------------------------------------------
 
 def test_install_and_uninstall_tracer():
-    assert current_tracer() is None
-    tracer = install_tracer(Tracer())
-    try:
-        assert current_tracer() is tracer
-    finally:
-        assert uninstall_tracer() is tracer
-    assert current_tracer() is None
+    assert OBS.tracer is None
+    tracer = Tracer(spans=True)
+    with observing(tracer=tracer):
+        assert OBS.tracer is tracer
+        # The collector rides along, so span sites test one attribute.
+        assert OBS.spans is tracer.spans
+    assert OBS.tracer is None and OBS.spans is None
 
 
 def test_tracing_context_manager_restores_previous():
     outer, inner = Tracer(), Tracer()
-    with tracing(outer):
-        with tracing(inner):
-            assert current_tracer() is inner
-        assert current_tracer() is outer
-    assert current_tracer() is None
+    with observing(tracer=outer):
+        with observing(tracer=inner):
+            assert OBS.tracer is inner
+        assert OBS.tracer is outer
+    assert OBS.tracer is None
 
 
 def test_attach_binds_tracer_to_kernel(kernel):
-    tracer = Tracer().attach(kernel)
-    assert kernel.tracer is tracer
+    # The kernel predates the tracer and holds no hook of its own; its
+    # syscalls are seen all the same, and only inside the block.
+    tracer = Tracer()
+    domain = kernel.create_domain()
+    with observing(tracer=tracer):
+        kernel.listen(domain, ("late", 1))
+    kernel.epoll_create(domain)
+    kernel.listen(domain, ("later", 1))
+    assert tracer.kind_tally() == {"kernel.enter": 1, "kernel.exit": 1}
 
 
 # -- JSONL schema -----------------------------------------------------------
@@ -302,14 +306,14 @@ def test_validate_trace_lines_never_raises_on_non_object_json():
     assert any("declares 5 events but the file has 0 event lines "
                "(truncated?)" in problem for problem in
                validate_trace_lines([declared_five, snapshot]))
-    event = json.dumps({"at": 1, "kind": "x", "layer": "sim"})
+    event = json.dumps({"at": 1, "kind": "sim.event", "layer": "sim"})
     assert validate_trace_lines([header, event, snapshot]) == []
 
 
 def test_write_jsonl_and_validate_file(tmp_path):
     from repro.obs import validate_trace_file
     tracer = Tracer(experiment="file")
-    tracer.emit("x", "sim", at=2)
+    tracer.emit("sim.event", "sim", at=2)
     path = tmp_path / "trace.jsonl"
     tracer.write_jsonl(str(path))
     assert validate_trace_file(str(path)) == []
@@ -318,13 +322,15 @@ def test_write_jsonl_and_validate_file(tmp_path):
 # -- end-to-end through the stack -------------------------------------------
 
 def test_attached_tracer_sees_the_whole_lifecycle(kernel, mvedsua, client):
-    tracer = Tracer(experiment="lifecycle").attach(kernel)
-    client.command(mvedsua, b"PUT balance 1000")
-    mvedsua.request_update(KVStoreV2(), SECOND, rules=kv_rules())
-    client.command(mvedsua, b"GET balance", now=2 * SECOND)
-    mvedsua.promote(3 * SECOND)
-    client.command(mvedsua, b"GET balance", now=4 * SECOND)
-    mvedsua.finalize(5 * SECOND)
+    # Installed after kernel, server, runtime and client were all built.
+    tracer = Tracer(experiment="lifecycle")
+    with observing(tracer=tracer):
+        client.command(mvedsua, b"PUT balance 1000")
+        mvedsua.request_update(KVStoreV2(), SECOND, rules=kv_rules())
+        client.command(mvedsua, b"GET balance", now=2 * SECOND)
+        mvedsua.promote(3 * SECOND)
+        client.command(mvedsua, b"GET balance", now=4 * SECOND)
+        mvedsua.finalize(5 * SECOND)
 
     kinds = set(tracer.kind_tally())
     assert {"syscall", "ring.publish", "ring.replay",

@@ -14,10 +14,11 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.chaos.injector import ChaosInjector, chaos_active
+from repro.chaos.injector import ChaosInjector
 from repro.chaos.plan import Fault, FaultPlan, at_time, on_call
 from repro.sim.engine import SECOND
 from repro.sim.rng import RngStreams
+from repro.sites import observing
 from repro.workloads.arrivals import (
     MmppArrivals,
     PoissonArrivals,
@@ -278,7 +279,7 @@ class TestOpenLoopGenerator:
         # the first five arrivals (on-call matches one exact index).
         plan = FaultPlan("p", (
             Fault("openloop.arrival", "drop", at_time(0, count=5)),))
-        with chaos_active(ChaosInjector(plan)):
+        with observing(chaos=ChaosInjector(plan)):
             generator = OpenLoopGenerator(spec, seed=1)
             events = list(generator.events())
         assert generator.dropped == 5
@@ -289,7 +290,7 @@ class TestOpenLoopGenerator:
         plan = FaultPlan("p", (
             Fault("openloop.arrival", "burst", on_call(10),
                   param={"extra": 4}),))
-        with chaos_active(ChaosInjector(plan)):
+        with observing(chaos=ChaosInjector(plan)):
             generator = OpenLoopGenerator(spec, seed=1)
             events = list(generator.events())
         assert generator.bursts == 1

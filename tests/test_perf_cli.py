@@ -80,12 +80,18 @@ def test_rule_heavy_scenario_exercises_rules():
     ('{"_meta": {"schema": "repro-perf/5", "quick": false, "ops": {}, '
      '"scenario_order": [1, "a"]}}',
      "_meta 'scenario_order'[0] is 1, expected a string"),
+    # Below the JSON layer: a UnicodeDecodeError and a RecursionError.
+    (b"\xff{}", "cannot decode: 'utf-8' codec can't decode byte 0xff in "
+     "position 0: invalid start byte"),
+    ("[" * 100_000 + "]" * 100_000,
+     "cannot decode: nests too deeply to decode"),
 ])
 def test_diff_refuses_a_baseline_it_cannot_trust(baseline, complaint,
                                                  tmp_path, capsys):
     # A truncated or wrong file must not green-light a regression.
     path = tmp_path / "baseline.json"
-    path.write_text(baseline)
+    path.write_bytes(baseline if isinstance(baseline, bytes)
+                     else baseline.encode("utf-8"))
     with pytest.raises(SystemExit) as exit_info:
         main(["perf", "--scenario", "single-leader", "--ops", "20",
               "--diff", str(path)])

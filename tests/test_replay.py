@@ -21,13 +21,19 @@ from repro.perf.harness import SCHEMA, run_scenarios, validate_bench
 from repro.perf.scenarios import GAUGES
 from repro.replay.engine import replay_file
 from repro.parallel import map_items, resolve_workers, shard_round_robin
-from repro.replay.recorder import StreamRecorder, current_recorder, recording
+from repro.replay.recorder import StreamRecorder
 from repro.replay.stream import (StreamError, frame_line, read_stream,
                                  validate_stream_file, write_stream)
 from repro.servers.kvstore import (KVStoreServer, KVStoreV1, kv_rules,
                                    xform_1_to_2)
+from repro.sites import OBS, observing
 from repro.syscalls.costs import PROFILES
 from repro.workloads import VirtualClient
+
+
+#: A well-framed stream line whose JSON nests past what the interpreter
+#: can decode.
+_DEEP_LINE = b"%08x " % 200_000 + b"[" * 100_000 + b"]" * 100_000 + b"\n"
 
 
 @pytest.fixture(scope="module")
@@ -35,7 +41,7 @@ def kv_stream(tmp_path_factory):
     """A recorded kvstore update lifecycle (the chaos golden run)."""
     path = tmp_path_factory.mktemp("streams") / "kv.jsonl"
     recorder = StreamRecorder(scenario="kvstore")
-    with recording(recorder):
+    with observing(recorder=recorder):
         run_kv_update_scenario()
     recorder.write(str(path))
     return str(path)
@@ -103,6 +109,14 @@ class TestStreamArtifact:
         pytest.param(lambda header, entry: header.update(listen_fd="a"),
                      "header 'listen_fd' is 'a', expected an int",
                      id="listen_fd"),
+        # Below the JSON layer (an edit may return a rewrite of the
+        # file's bytes): both were tracebacks out of the reader.
+        pytest.param(lambda header, entry: lambda data: b"\xff" + data,
+                     "not UTF-8 text ('utf-8' codec can't decode byte 0xff "
+                     "in position 0: invalid start byte)", id="not-utf8"),
+        pytest.param(lambda header, entry: lambda data: _DEEP_LINE + data,
+                     "line 0: bad JSON payload: nests too deeply to decode",
+                     id="nested-past-decoding"),
     ])
     def test_replay_and_validate_accept_and_reject_the_same_files(
             self, edit, complaint, tmp_path, capsys):
@@ -111,18 +125,19 @@ class TestStreamArtifact:
         commands — none of these reached ``--validate``'s old checks
         without a traceback, and plain ``replay`` ran none of them."""
         recorder = StreamRecorder()
-        with recording(recorder):
+        with observing(recorder=recorder):
             run_kv_update_scenario()
         assert recorder.entries[0]["type"] == "iter"
-        edit(recorder.header, recorder.entries[0])
+        rewrite = edit(recorder.header, recorder.entries[0])
         footer = {"type": "footer", "iterations": recorder.iterations,
                   "records": recorder.records, "controls": sum(
                       entry["type"] == "control"
                       for entry in recorder.entries)}
         path = tmp_path / "stream.jsonl"
-        path.write_text("".join(
+        data = "".join(
             frame_line(entry) + "\n" for entry in
-            [recorder.header, *recorder.entries, footer]), encoding="utf-8")
+            [recorder.header, *recorder.entries, footer]).encode("utf-8")
+        path.write_bytes(rewrite(data) if rewrite else data)
         expected = 0 if complaint is None else 2
         assert main(["replay", str(path)]) == expected
         replayed = capsys.readouterr().err
@@ -131,8 +146,10 @@ class TestStreamArtifact:
         if complaint is None:
             assert (replayed, validated) == ("", "")
         else:
-            assert replayed == f"replay failed: {path}: {complaint}\n"
-            assert validated == f"invalid stream: {path}: {complaint}\n"
+            if not complaint.startswith("line "):    # framing names lines
+                complaint = f"{path}: {complaint}"
+            assert replayed == f"replay failed: {complaint}\n"
+            assert validated == f"invalid stream: {complaint}\n"
 
 
 # ---------------------------------------------------------------------------
@@ -146,8 +163,6 @@ def _fake_runtime(version="1.0"):
     runtime = Obj()
     runtime.profile = Obj()
     runtime.profile.name = "kvstore"
-    runtime.kernel = Obj()
-    runtime.kernel.chaos = None
     runtime.leader = Obj()
     runtime.leader.version_name = version
     runtime.leader.server = Obj()
@@ -160,7 +175,7 @@ def _fake_runtime(version="1.0"):
 
 class TestRecorder:
     def test_disabled_by_default_and_costs_nothing(self):
-        assert current_recorder() is None
+        assert OBS.recorder is None
         before = StreamRecorder.recorded_total
         run_kv_update_scenario()
         assert StreamRecorder.recorded_total == before
@@ -219,7 +234,7 @@ class TestReplay:
         server = KVStoreServer(KVStoreV1())
         server.attach(kernel)
         recorder = StreamRecorder(scenario="kvstore")
-        with recording(recorder):
+        with observing(recorder=recorder):
             runtime = VaranRuntime(kernel, server, PROFILES["kvstore"])
         client = VirtualClient(kernel, server.address)
         client.command(runtime, b"PUT k v1")
@@ -266,7 +281,7 @@ def _record(app, label, commands, path):
     """Record ``commands`` served by ``deploy(app, label)``; returns the
     stream path."""
     recorder = StreamRecorder(scenario=app)
-    with recording(recorder):
+    with observing(recorder=recorder):
         stack = deploy(app, label)
     client = stack.client()
     for index, command in enumerate(commands):

@@ -248,6 +248,19 @@ def _json_type(value):
     return float if isinstance(value, (int, float)) else type(value)
 
 
+#: Line shape -> (validator, lines before, lines after) making a whole
+#: one-line JSONL artifact around a specimen of that shape.
+_JSONL_AROUND = {
+    id(EVENT_SHAPE): (
+        validate_trace_lines,
+        ['{"schema": "repro-trace/1", "events": 1}'],
+        ['{"at": 0, "kind": "metrics.snapshot", "layer": "obs", '
+         '"metrics": {}}']),
+    id(SPAN_SHAPE): (
+        validate_span_lines, ['{"schema": "repro-span/1", "spans": 1}'], []),
+}
+
+
 @given(data=st.data())
 def test_a_leaf_of_another_json_type_is_a_problem_at_its_path(
         specimens, data):
@@ -260,14 +273,25 @@ def test_a_leaf_of_another_json_type_is_a_problem_at_its_path(
     parent = damaged
     for step in steps[:-1]:
         parent = parent[step]
-    wrong = data.draw(st.sampled_from(
-        [item for item in (None, True, 7, 0.5, "x", [], {})
-         if _json_type(item) is not _json_type(parent[steps[-1]])
-         and not (nullable and item is None)]))
+    candidates = [item for item in (None, True, 7, 0.5, "x", [], {})
+                  if _json_type(item) is not _json_type(parent[steps[-1]])
+                  and not (nullable and item is None)]
+    lines = _JSONL_AROUND.get(id(shape))
+    if lines is not None and steps == ("kind",):
+        # The right JSON type is not enough: a kind is one the site
+        # table (repro.sites) declares.
+        candidates.append("undeclared.kind")
+    wrong = data.draw(st.sampled_from(candidates))
     parent[steps[-1]] = wrong
     found = problems(damaged, shape)
     assert any(problem.startswith(f"{path} is {wrong!r}, expected ")
                for problem in found), (label, path, found)
+    if lines is not None:
+        validate, before, after = lines
+        assert validate([*before, json.dumps(value), *after]) == []
+        assert any(problem.startswith(f"line 2: {path} is {wrong!r}, ")
+                   for problem in
+                   validate([*before, json.dumps(damaged), *after]))
 
 
 @given(data=st.data())
@@ -395,8 +419,8 @@ def test_jsonl_problems_counts_body_lines_but_not_the_uncounted():
     head = json.dumps({"schema": "s/1", "rows": 2})
     body = [json.dumps({"n": 1}), json.dumps({"n": 2})]
     assert jsonl_problems([head, *body], header, "rows", line) == []
-    assert jsonl_problems([head, *body, "{}"], header, "rows", Obj({}),
-                          uncounted=1) == []
+    assert jsonl_problems([head, *body, "{}"], header, "rows", line,
+                          closing=Obj({})) == []
     assert jsonl_problems([head, body[0]], header, "rows", line) == [
         "line 1: header declares 2 rows but the file has 1 row lines "
         "(truncated?)"]

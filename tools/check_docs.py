@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Doc lint: keep the operator docs honest.
 
-Three checks, run over ``README.md`` and every ``docs/*.md`` (the
+Four checks, run over ``README.md`` and every ``docs/*.md`` (the
 third also over the other places commands are quoted: the CI workflow,
 ``EXPERIMENTS.md``, ``DESIGN.md``, the verify skill and the
 ``repro/cli.py`` docstring):
@@ -28,6 +28,12 @@ third also over the other places commands are quoted: the CI workflow,
    placeholders, and commands containing ``…`` or ``<`` are skipped as
    deliberately elided.  Help is rendered in-process, once per
    command, by the real parser (``src`` is put on ``sys.path``).
+4. **Site vocabulary** — the three tables that spell out the
+   instrumented sites (``docs/chaos.md``'s site | kinds | hook
+   location, ``docs/observability.md``'s event taxonomy and span
+   kinds) list exactly what ``repro.sites.TABLE`` declares, in both
+   directions: every fault site with its kinds and the file holding
+   its hook, every event and span kind with its layer.
 
 Exit status is the number of problems (0 = clean).  CI runs this as
 the ``docs-lint`` job; locally::
@@ -194,6 +200,59 @@ def check_commands(path: str, text: str, checker: CliChecker,
                                   f"{rel}:{lineno}", problems)
 
 
+#: Check 4: (page, header row of the table, ``repro.sites`` column).
+SITE_TABLES = (
+    ("chaos.md", "| site | kinds | hook location |", "faults"),
+    ("observability.md", "| kind | layer | fields | emitted when |",
+     "events"),
+    ("observability.md", "| kind | layer | interval |", "spans"),
+)
+
+#: `` `name` `` in a table cell.
+NAME_RE = re.compile(r"`([^`]+)`")
+
+
+def check_site_table(rel: str, text: str, header: str, column: str,
+                     problems: List[str]) -> None:
+    """The table under ``header`` lists what ``repro.sites.TABLE``
+    declares in ``column``: names in the first cell (both directions),
+    then fault kinds and the hook's file, or the layer."""
+    from repro.sites import TABLE, kinds
+    declared = ({site.name: site for site in TABLE if site.faults}
+                if column == "faults" else kinds(column))
+    lines = text.splitlines()
+    if header not in lines:
+        problems.append(f"{rel}: no table headed {header!r}")
+        return
+    documented = set()
+    for line in lines[lines.index(header) + 2:]:
+        if not line.startswith("|"):
+            break
+        cells = [cell.strip() for cell in line.strip("|").split("|")]
+        for name in NAME_RE.findall(cells[0]):
+            documented.add(name)
+            site = declared.get(name)
+            if site is None:
+                problems.append(f"{rel}: `{name}` is in the {column} "
+                                f"table but not in repro.sites.TABLE")
+            elif column != "faults":
+                if cells[1] != site.layer:
+                    problems.append(f"{rel}: `{name}` has layer "
+                                    f"{site.layer}, not {cells[1]}")
+            else:
+                if tuple(NAME_RE.findall(cells[1])) != site.faults:
+                    problems.append(f"{rel}: `{name}` takes "
+                                    f"{', '.join(site.faults)}")
+                if NAME_RE.findall(cells[2])[:1] != \
+                        [site.where.partition(":")[0]]:
+                    problems.append(f"{rel}: `{name}` is hooked in "
+                                    f"{site.where}")
+    for name in declared:
+        if name not in documented:
+            problems.append(f"{rel}: `{name}` ({column}) is in "
+                            f"repro.sites.TABLE but not in the table")
+
+
 def main() -> int:
     problems: List[str] = []
     check_reachability(problems)
@@ -205,6 +264,10 @@ def main() -> int:
     for path, text in pages:
         check_links(path, text, problems)
         check_commands(path, text, checker, problems)
+        for page, header, column in SITE_TABLES:
+            if os.path.basename(path) == page:
+                check_site_table(os.path.relpath(path, REPO), text, header,
+                                 column, problems)
     for relative in ALSO_QUOTING_COMMANDS:
         path = os.path.join(REPO, relative)
         if os.path.exists(path):

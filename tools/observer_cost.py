@@ -13,8 +13,8 @@ peak RSS, and trace events per op.
 
 A cell *is* a hostbench round — ``hostbench/child.py``'s ``run_round``
 builds the workload from ``hostbench/workloads.py`` and times its slices
-against the calibration kernel — run with a tracer already installed
-(the kernel picks it up at construction), in one fresh subprocess (this
+against the calibration kernel — run inside
+``repro.sites.observing(tracer=...)``, in one fresh subprocess (this
 script with ``--cell``) under ``run.py``'s child environment, so no
 cell inherits another's heap.
 
@@ -51,11 +51,13 @@ def run_cell(name: str, mode: str, seed: int, ops: int) -> Dict[str, Any]:
     """One untraced hostbench round of ``name`` in this process, under
     one observer mode."""
     sys.path.insert(0, child.SRC)
+    from repro.sites import observing
     tracer = None
     if mode != "absent":
-        from repro.obs.trace import Tracer, install_tracer
-        tracer = install_tracer(Tracer(spans=(mode == "tracer+spans")))
-    record = child.run_round(name, seed, ops, False, time.perf_counter())
+        from repro.obs.trace import Tracer
+        tracer = Tracer(spans=(mode == "tracer+spans"))
+    with observing(tracer=tracer):
+        record = child.run_round(name, seed, ops, False, time.perf_counter())
     return {
         "ops_per_ref_s": record["attempted"] / record["ref_s"],
         "peak_rss_mb": record["peak_rss_mb"],
