@@ -1,17 +1,5 @@
-"""Benchmark harness: one module per paper table/figure.
-
-* :mod:`repro.bench.fluid` — the batched ("fluid") performance simulator
-  used for throughput/latency experiments at Memtier scale, mirroring the
-  MVE runtime's timing rules (mode overheads, ring back-pressure, fork
-  and update pauses) without per-request Python overhead.
-* :mod:`repro.bench.table1` — Vsftpd rewrite rules per update pair.
-* :mod:`repro.bench.table2` — steady-state throughput/overhead matrix.
-* :mod:`repro.bench.fig6` — throughput timeline through all update stages.
-* :mod:`repro.bench.fig7` — update pause vs ring-buffer size.
-* :mod:`repro.bench.faults` — the §6.2 fault-tolerance experiments.
-* :mod:`repro.bench.reporting` — table/series formatting helpers.
+"""Benchmark harness: one driver per paper table/figure (``python -m
+repro <name>``), the "fluid" performance simulator they share
+(:mod:`repro.bench.fluid`), the claims ledger that holds the paper's
+numbers and gates what the drivers measure (:mod:`repro.bench.claims`).
 """
-
-from repro.bench.fluid import FluidConfig, FluidResult, FluidSim, UpdatePlan
-
-__all__ = ["FluidConfig", "FluidResult", "FluidSim", "UpdatePlan"]

@@ -321,7 +321,3 @@ def main() -> None:
     print()
     print("Ablation C: lock-step comparators (Table 2 bottom rows + §7)")
     print(render_comparators(run_comparators()))
-
-
-if __name__ == "__main__":
-    main()

@@ -64,6 +64,7 @@ class ClusterComparison:
     mvedsua: UpgradeSummary
     rolling_sessions_before: int
     mvedsua_live_sessions_ok: int
+    state_entries_before: int = NODES * ENTRIES_PER_NODE
 
 
 def run_cluster_comparison() -> ClusterComparison:
@@ -116,7 +117,3 @@ def main() -> None:
           f"{ENTRIES_PER_NODE:,} entries each, "
           f"{LONG_LIVED_CLIENTS} long-lived sessions")
     print(render(run_cluster_comparison()))
-
-
-if __name__ == "__main__":
-    main()

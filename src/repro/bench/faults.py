@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from typing import List
 
 from repro.apps import Stack, app, deploy
+from repro.bench import claims
 from repro.bench.reporting import format_table
 from repro.chaos import ChaosInjector
 from repro.chaos.plans import e1_new_code_plan, e2_transform_plan, \
@@ -256,14 +257,11 @@ def render(e1: List[FaultOutcome], e2: List[FaultOutcome],
         f"E3 retry-until-installed: {installed}/{len(e3.trials)} "
         f"installed; retries max={e3.max_retries} "
         f"median={e3.median_retries:g} "
-        f"(paper: max 8, median 2, 500 ms waits)")
+        f"(paper: max {claims.PAPER['e3.max-retries']}, "
+        f"median {claims.PAPER['e3.median-retries']}, 500 ms waits)")
     return table + "\n" + retry_line
 
 
 def main() -> None:
     print("Section 6.2: fault tolerance experiments")
     print(render(run_e1(), run_e2(), run_e3()))
-
-
-if __name__ == "__main__":
-    main()

@@ -81,7 +81,3 @@ def render(series: List[Fig6Series]) -> str:
 def main() -> None:
     print("Figure 6: performance while updating Memcached and Redis")
     print(render(run_fig6()))
-
-
-if __name__ == "__main__":
-    main()

@@ -17,8 +17,9 @@ introduces is measured as the maximum request latency:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
+from repro.bench import claims
 from repro.bench.fluid import FluidConfig, FluidResult, FluidSim, UpdatePlan
 from repro.bench.reporting import format_ms, format_table, sparkline
 from repro.sim.engine import SECOND
@@ -29,16 +30,6 @@ STORE_ENTRIES = 1_000_000
 UPDATE_AT = 120 * SECOND
 DURATION = 360 * SECOND
 
-#: Paper's measured maximum latencies (ms).
-PAPER_MAX_LATENCY_MS = {
-    "native": 100,
-    "kitsune": 5040,
-    "mvedsua-2^10": 7130,
-    "mvedsua-2^20": 5330,
-    "mvedsua-2^24": 117,
-    "immediate-promotion": 3000,
-}
-
 
 @dataclass
 class Fig7Row:
@@ -46,7 +37,6 @@ class Fig7Row:
 
     label: str
     result: FluidResult
-    paper_ms: Optional[int]
 
     @property
     def max_latency_ms(self) -> float:
@@ -70,51 +60,26 @@ def _plan(immediate: bool = False) -> UpdatePlan:
 def run_fig7() -> List[Fig7Row]:
     """All six configurations."""
     rows = [
-        Fig7Row("native", FluidSim(_config()).run(),
-                PAPER_MAX_LATENCY_MS["native"]),
+        Fig7Row("native", FluidSim(_config()).run()),
         Fig7Row("kitsune",
                 FluidSim(_config()).run(plan=_plan(),
-                                        kitsune_in_place=True),
-                PAPER_MAX_LATENCY_MS["kitsune"]),
+                                        kitsune_in_place=True)),
     ]
     for power in (10, 20, 24):
-        label = f"mvedsua-2^{power}"
         rows.append(Fig7Row(
-            label, FluidSim(_config(1 << power)).run(plan=_plan()),
-            PAPER_MAX_LATENCY_MS[label]))
+            f"mvedsua-2^{power}",
+            FluidSim(_config(1 << power)).run(plan=_plan())))
     rows.append(Fig7Row(
         "immediate-promotion",
-        FluidSim(_config(1 << 24)).run(plan=_plan(immediate=True)),
-        PAPER_MAX_LATENCY_MS["immediate-promotion"]))
+        FluidSim(_config(1 << 24)).run(plan=_plan(immediate=True))))
     return rows
 
 
 def check_shape(rows: List[Fig7Row]) -> List[str]:
-    """The orderings the paper's Figure 7 establishes."""
-    by_label = {row.label: row.max_latency_ms for row in rows}
-    failures = []
-    orderings = [
-        # A too-small ring is *worse* than just pausing with Kitsune.
-        ("mvedsua-2^10", ">", "kitsune"),
-        # Bigger rings monotonically shrink the pause...
-        ("mvedsua-2^10", ">", "mvedsua-2^20"),
-        ("mvedsua-2^20", ">", "mvedsua-2^24"),
-        # ...and skipping the outdated-leader drain re-introduces it.
-        ("immediate-promotion", ">", "mvedsua-2^24"),
-        ("kitsune", ">", "immediate-promotion"),
-        ("mvedsua-2^20", ">", "immediate-promotion"),
-    ]
-    for left, _, right in orderings:
-        if not by_label[left] > by_label[right]:
-            failures.append(f"{left} should exceed {right}")
-    # 2^20 sits in Kitsune's regime (the paper measured it slightly
-    # above Kitsune, this model slightly below; both are "did not mask").
-    if not (0.5 * by_label["kitsune"] < by_label["mvedsua-2^20"]
-            < 1.5 * by_label["kitsune"]):
-        failures.append("2^20 should be in Kitsune's regime")
-    if not by_label["mvedsua-2^24"] < 2 * by_label["native"]:
-        failures.append("2^24 should be near native")
-    return failures
+    """The ledger's Figure 7 claims that ``rows`` do not support, by
+    id: the magnitudes and every ordering the figure establishes."""
+    return [claim.id for claim, _, holds in claims.measure(
+        claims.Results(fig7=rows), ("fig7.",)) if not holds]
 
 
 def render(rows: List[Fig7Row]) -> str:
@@ -122,7 +87,7 @@ def render(rows: List[Fig7Row]) -> str:
         ["configuration", "max latency", "paper", "update on follower"],
         [[row.label,
           format_ms(row.result.max_latency_ns),
-          f"{row.paper_ms:,} ms",
+          f"{claims.PAPER[f'fig7.{row.label}']:,} ms",
           format_ms(row.result.t2_updated - row.result.t1_forked
                     if row.result.t2_updated is not None
                     and row.result.t1_forked is not None else None)]
@@ -141,7 +106,3 @@ def render(rows: List[Fig7Row]) -> str:
 def main() -> None:
     print("Figure 7: updating Redis with a 1M-entry store, by buffer size")
     print(render(run_fig7()))
-
-
-if __name__ == "__main__":
-    main()

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import List
 
 from repro.apps import app, deploy
+from repro.bench import claims
 from repro.bench.reporting import format_table
 from repro.core import Stage
 from repro.mve.dsl import RuleSet
@@ -93,7 +94,7 @@ def render(rows: List[Table1Row]) -> str:
           "ok" if row.ok else "MISMATCH"]
          for row in rows])
     return (f"{table}\nAverage rules/update: {average:.2f} "
-            f"(paper: 0.85)")
+            f"(paper: {claims.PAPER['table1.average']})")
 
 
 def other_apps_rule_counts() -> List[tuple]:
@@ -120,7 +121,3 @@ def main() -> None:
     print(format_table(
         ["app", "versions", "# rules", "expected"],
         [list(row) for row in other_apps_rule_counts()]))
-
-
-if __name__ == "__main__":
-    main()

@@ -10,23 +10,12 @@ paper's convention.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import List
 
+from repro.bench import claims
 from repro.bench.fluid import steady_state_throughput
 from repro.bench.reporting import format_percent, format_table
 from repro.syscalls.costs import PROFILES, ExecutionMode
-
-#: Paper's Table 2 (ops/sec for Native, throughput drop for the rest).
-PAPER_TABLE2: Dict[str, Dict[str, float]] = {
-    "memcached": {"native": 249_000, "kitsune": 0.03, "varan-1": 0.06,
-                  "mvedsua-1": 0.09, "varan-2": 0.50, "mvedsua-2": 0.52},
-    "redis": {"native": 73_000, "kitsune": -0.01, "varan-1": 0.08,
-              "mvedsua-1": 0.06, "varan-2": 0.44, "mvedsua-2": 0.42},
-    "vsftpd-small": {"native": 2_667, "kitsune": 0.05, "varan-1": 0.03,
-                     "mvedsua-1": 0.08, "varan-2": 0.24, "mvedsua-2": 0.25},
-    "vsftpd-large": {"native": 118, "kitsune": 0.02, "varan-1": 0.02,
-                     "mvedsua-1": 0.03, "varan-2": 0.25, "mvedsua-2": 0.25},
-}
 
 #: Workload parameters: (threads, bytes per op).
 WORKLOADS = {
@@ -49,7 +38,6 @@ class Table2Cell:
     mode: str
     ops_per_sec: float
     overhead: float
-    paper_overhead: Optional[float]
 
 
 def run_table2() -> List[Table2Cell]:
@@ -62,18 +50,14 @@ def run_table2() -> List[Table2Cell]:
         for mode in MODES:
             ops = steady_state_throughput(profile, mode, threads=threads,
                                           n_bytes=n_bytes)
-            paper = PAPER_TABLE2[app].get(mode.value)
-            if mode is ExecutionMode.NATIVE:
-                paper = None
             cells.append(Table2Cell(app, mode.value, ops,
-                                    1.0 - ops / native, paper))
+                                    1.0 - ops / native))
     return cells
 
 
 def render(cells: List[Table2Cell]) -> str:
     """Paper-style rows: one line per mode, one column pair per app."""
     apps = list(WORKLOADS)
-    lines = []
     header = ["Version"]
     for app in apps:
         header += [f"{app} ops/s", "ovh", "paper"]
@@ -84,20 +68,14 @@ def render(cells: List[Table2Cell]) -> str:
             cell = next(c for c in cells
                         if c.app == app and c.mode == mode.value)
             row.append(round(cell.ops_per_sec))
-            row.append("-" if mode is ExecutionMode.NATIVE
-                       else format_percent(cell.overhead))
-            row.append("-" if cell.paper_overhead is None
-                       else format_percent(cell.paper_overhead))
+            row += ["-", "-"] if mode is ExecutionMode.NATIVE else [
+                format_percent(cell.overhead),
+                format_percent(claims.PAPER[f"table2.{app}.{mode.value}"])]
         rows.append(row)
-    lines.append(format_table(header, rows))
-    return "\n".join(lines)
+    return format_table(header, rows)
 
 
 def main() -> None:
     print("Table 2: steady-state performance and overhead "
           "(overhead = throughput drop vs native)")
     print(render(run_table2()))
-
-
-if __name__ == "__main__":
-    main()

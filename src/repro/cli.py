@@ -9,6 +9,7 @@
     python -m repro cluster       # rolling-upgrade ablation
     python -m repro all           # everything above, in order
     python -m repro experiments   # emit EXPERIMENTS.md to stdout
+    python -m repro claims        # every paper claim, measured and gated
     python -m repro lint          # mvelint: static rule/transformer checks
     python -m repro prove kvstore # MVE8xx divergence prover + certificate
     python -m repro perf          # deterministic gauge gate (hot paths)
@@ -33,7 +34,7 @@ done, the report writer, and the exit policy:
 * **0** — the command ran and found nothing wrong;
 * **1** — a finding or a failed gate: a lint ERROR, an invariant
   violation, a replay divergence, a report that fails its own schema
-  under ``--check``, a ``perf --diff`` gauge drift;
+  under ``--check``, a ``perf --diff`` gauge drift, a claim out of band;
 * **2** — a usage error or unusable input: an unknown command or flag,
   an out-of-range value, a path that cannot be read or written, a
   malformed stream or baseline, an analyzer crash.
@@ -57,6 +58,7 @@ COMMANDS: Dict[str, str] = {
     **dict.fromkeys(("table1", "table2", "fig6", "fig7", "faults",
                      "ablations", "cluster", "all", "experiments"),
                     "repro.bench.cli"),
+    "claims": "repro.bench.claims",
     "lint": "repro.analysis.cli",
     "prove": "repro.analysis.prover",
     "perf": "repro.perf.cli",

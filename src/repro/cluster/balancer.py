@@ -23,11 +23,6 @@ class LoadBalancer:
         self.nodes = list(nodes)
         self._cursor = 0
 
-    def serving_nodes(self) -> List[ClusterNode]:
-        """Nodes currently accepting new connections."""
-        return [node for node in self.nodes
-                if node.accepting_new_connections()]
-
     def pick(self) -> ClusterNode:
         """Choose a node for a new connection (round robin).
 
@@ -54,13 +49,6 @@ class LoadBalancer:
         node = self.pick()
         client = VirtualClient(node.kernel, node.address, name)
         return client, node
-
-    def pump_all(self, now: int) -> int:
-        """Let every node serve its pending input."""
-        latest = now
-        for node in self.nodes:
-            latest = max(latest, node.pump(now))
-        return latest
 
 
 class FleetBalancer:
@@ -120,10 +108,3 @@ class FleetBalancer:
             return node
         raise KernelError(f"shard {shard.index} is partitioned from the "
                           f"balancer")
-
-    def pump_all(self, now: int) -> int:
-        """Let every replica in every shard serve its pending input."""
-        latest = now
-        for node in self.shard_map.nodes():
-            latest = max(latest, node.pump(now))
-        return latest

@@ -140,11 +140,6 @@ class Shard:
         """Replicas that have not crashed (writes fan out to these)."""
         return [node for node in self.nodes if node.healthy()]
 
-    def serving_nodes(self) -> List[ClusterNode]:
-        """Replicas new session placements may land on."""
-        return [node for node in self.nodes
-                if node.accepting_new_connections()]
-
     def mve_pairs(self) -> int:
         """Replicas currently running a leader-follower pair — the
         quantity the orchestrator's per-shard budget caps at one."""

@@ -6,11 +6,14 @@ Performance experiments run in virtual time: every server iteration charges
   + n_syscalls * syscall_ns * mode.syscall_factor
   + n_bytes    * byte_ns    * mode.byte_factor
 
-against the owning CPU.  The per-application constants below are calibrated
-once so that the *native* rows of the paper's Table 2 come out right given
-each server's actual syscall count per operation; every other number in the
-evaluation (all overhead rows, the update timelines of Figures 6 and 7, the
-fault-tolerance timings) is then *produced* by the simulation, not asserted.
+against the owning CPU.  The per-application base costs below are
+calibrated so that the *native* row of the paper's Table 2 comes out right
+given each server's actual syscall count per operation, and the per-mode
+factors are solved from its Kitsune, Varan-1 and Varan-2 rows; the update
+constants are fitted to Figure 7's native / Kitsune / 2^24 magnitudes and
+the 6.2 s follower-side update.  The Mvedsua-1/-2 rows, Figure 6, every
+ordering of Figure 7 and the fault-tolerance outcomes are then *produced*
+by the simulation; ``repro.bench.claims`` marks each number either way.
 
 Calibration targets (Table 2, "Native" row):
 

@@ -1,6 +1,6 @@
 """Unit tests for the benchmark drivers and reporting helpers."""
 
-from repro.bench import fig7, table2
+from repro.bench import claims, fig7, table2
 from repro.bench.fig7 import Fig7Row
 from repro.bench.fluid import FluidResult
 from repro.bench.reporting import (
@@ -46,9 +46,11 @@ class TestReporting:
 
 class TestTable2Module:
     def test_paper_reference_data_complete(self):
-        for app, rows in table2.PAPER_TABLE2.items():
-            assert app in table2.WORKLOADS
-            assert "native" in rows and "mvedsua-2" in rows
+        ids = {claim.id for claim in claims.LEDGER}
+        for app in table2.WORKLOADS:
+            for mode in table2.MODES:
+                assert f"table2.{app}.{mode.value}" in ids
+        assert claims.PAPER["table2.redis.native"] == 73_000
 
     def test_render_contains_all_modes(self):
         cells = table2.run_table2()
@@ -67,7 +69,7 @@ class TestFig7Module:
                              duration_ns=10**9,
                              max_latency_ns=int(latency_ms * 1e6),
                              longest_stall_ns=0)
-        return Fig7Row(label, result, 100)
+        return Fig7Row(label, result)
 
     def test_check_shape_accepts_paper_ordering(self):
         rows = [

@@ -35,6 +35,7 @@ goldens = _load_goldens_tool()
 _TRACE_ONLY = (["--trace"], [])
 SURFACE = {
     **{name: _TRACE_ONLY for name in list(EXPERIMENTS) + ["all"]},
+    "claims": ([], []),
     "lint": (["--app", "--catalog", "--format", "--json", "--prove",
               "--spans"], []),
     "prove": (["--catalog", "--json", "--no-replay", "--out"], ["app"]),

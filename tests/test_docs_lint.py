@@ -121,6 +121,31 @@ class TestCheckerCatchesDefects(unittest.TestCase):
                                   problems)
         self.assertIn("no table headed", problems[-1])
 
+    def test_claim_id_drift_is_reported_both_ways(self):
+        with open(os.path.join(REPO, "docs", "calibration.md"),
+                  encoding="utf-8") as handle:
+            calibration = handle.read()
+        with open(os.path.join(REPO, "DESIGN.md"),
+                  encoding="utf-8") as handle:
+            design = handle.read()
+        problems = []
+        self.mod.check_claim_ids(calibration, design, problems)
+        self.assertEqual(problems, [])
+        # A fit no longer cited, a prediction and a stranger cited as
+        # fits, an index row pointing at no ledger row.
+        self.mod.check_claim_ids(
+            calibration.replace("`fig7.kitsune`", "`fig7.masking`, "
+                                "`fig7.kitsunes`"),
+            design.replace("| `e3.` ·", "| `e4.`, `e3.retry` ·"), problems)
+        self.assertEqual(problems, [
+            "docs/calibration.md: cites `fig7.kitsunes`, which is not in "
+            "the claims ledger",
+            "docs/calibration.md: cites `fig7.masking`, which is an "
+            "emergent claim",
+            "docs/calibration.md: calibrated claim `fig7.kitsune` is not "
+            "cited",
+            "DESIGN.md §3 E3: no claim id starts with `e3.retry`"])
+
     def test_resolving_link_passes(self):
         problems = []
         page = os.path.join(REPO, "docs", "architecture.md")

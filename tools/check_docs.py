@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Doc lint: keep the operator docs honest.
 
-Four checks, run over ``README.md`` and every ``docs/*.md`` (the
+Five checks, run over ``README.md`` and every ``docs/*.md`` (the
 third also over the other places commands are quoted: the CI workflow,
 ``EXPERIMENTS.md``, ``DESIGN.md``, the verify skill and the
 ``repro/cli.py`` docstring):
@@ -34,6 +34,12 @@ third also over the other places commands are quoted: the CI workflow,
    kinds) list exactly what ``repro.sites.TABLE`` declares, in both
    directions: every fault site with its kinds and the file holding
    its hook, every event and span kind with its layer.
+5. **Claim ids** — the ids ``docs/calibration.md`` cites (backticked,
+   next to the constant fitted to them) are exactly the rows of the
+   claims ledger (``repro.bench.claims.LEDGER``) whose ``kind`` is
+   ``calibrated``, in both directions; and every id prefix in the last
+   column of ``DESIGN.md`` §3's index (backticked, before the ``·``)
+   has at least one ledger row.
 
 Exit status is the number of problems (0 = clean).  CI runs this as
 the ``docs-lint`` job; locally::
@@ -253,6 +259,47 @@ def check_site_table(rel: str, text: str, header: str, column: str,
                             f"repro.sites.TABLE but not in the table")
 
 
+#: Anything backticked without a space in it.
+TOKEN_RE = re.compile(r"`([^`\s]+)`")
+
+
+def check_claim_ids(calibration: str, design: str,
+                    problems: List[str]) -> None:
+    """``calibration`` cites exactly the ledger's calibrated ids;
+    ``design``'s §3 index names only prefixes that have rows."""
+    from repro.bench.claims import CALIBRATED, LEDGER
+    ids = {claim.id: claim.kind for claim in LEDGER}
+    families = {claim_id.partition(".")[0] for claim_id in ids}
+
+    def claim_ids(text: str) -> List[str]:
+        """The backticked tokens shaped like a claim id or id prefix:
+        ``family.rest`` with the family one the ledger uses."""
+        return [token for token in TOKEN_RE.findall(text)
+                if "." in token and token.partition(".")[0] in families]
+    cited = set(claim_ids(calibration))
+    for claim_id in sorted(cited):
+        if ids.get(claim_id) != CALIBRATED:
+            problems.append(
+                f"docs/calibration.md: cites `{claim_id}`, which is "
+                + ("an emergent claim" if claim_id in ids
+                   else "not in the claims ledger"))
+    for claim_id, kind in ids.items():
+        if kind == CALIBRATED and claim_id not in cited:
+            problems.append(f"docs/calibration.md: calibrated claim "
+                            f"`{claim_id}` is not cited")
+    index = design.partition("\n## 3.")[2].partition("\n## 4.")[0]
+    for line in index.splitlines():
+        if not re.match(r"\| [A-Z]\d \|", line):
+            continue
+        prefixes = claim_ids(line.split("|")[-2].partition("·")[0])
+        if not prefixes:
+            problems.append(f"DESIGN.md §3 {line[2:4]}: names no ledger id")
+        for prefix in prefixes:
+            if not any(claim_id.startswith(prefix) for claim_id in ids):
+                problems.append(f"DESIGN.md §3 {line[2:4]}: no claim id "
+                                f"starts with `{prefix}`")
+
+
 def main() -> int:
     problems: List[str] = []
     check_reachability(problems)
@@ -277,6 +324,9 @@ def main() -> int:
                 text = text.split('"""', 2)[1]
             check_commands(path, text, checker, problems)
             pages.append((path, text))
+    by_name = {os.path.relpath(path, REPO): text for path, text in pages}
+    check_claim_ids(by_name[os.path.join("docs", "calibration.md")],
+                    by_name["DESIGN.md"], problems)
     for problem in problems:
         print(problem)
     count = len(problems)

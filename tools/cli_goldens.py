@@ -87,7 +87,7 @@ CASES: List[Case] = [
     Case("all", ("all",)),
     *(Case(name, (name,)) for name in
       ("table1", "table2", "fig6", "fig7", "faults", "ablations",
-       "cluster", "experiments")),
+       "cluster", "experiments", "claims")),
     Case("experiment-trace", ("fig7 --trace TRACE.jsonl",),
          ("TRACE.jsonl",)),
     Case("lint", ("lint", "lint --json", "lint --format sarif")),
