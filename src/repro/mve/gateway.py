@@ -22,7 +22,7 @@ from repro.errors import BrokenPipe, ConnectionReset, FdExhausted
 from repro.mve.divergence import check_drained, check_match
 from repro.net.kernel import VirtualKernel
 from repro.sites import OBS
-from repro.syscalls.model import Sys, SyscallRecord
+from repro.syscalls.model import EMPTY_AUX, Sys, SyscallRecord
 
 #: Kernel errors that record as error-bearing syscall records
 #: (``aux={"error": name}``): when the leader's syscall fails this way
@@ -80,10 +80,6 @@ class SyscallGateway:
         self._expected = expected
         self._cursor = 0
 
-    def note_request(self, count: int = 1) -> None:
-        """Server code reports a fully parsed client request."""
-        self.trace.requests_handled += count
-
     def finish_iteration(self) -> IterationTrace:
         """Close out the iteration; REPLAY role verifies full drain."""
         if self.role is GatewayRole.REPLAY:
@@ -123,6 +119,12 @@ class SyscallGateway:
         return expected
 
     def _emit(self, record: SyscallRecord) -> SyscallRecord:
+        """Add ``record`` to the iteration's trace, account its bytes,
+        show it to the tracer.  The leader's three calls per request
+        (DIRECT ``epoll_wait``/``read``/``write``) do the first two in
+        place while no tracer is installed: they know the syscall kind,
+        and build the record with ``tuple.__new__`` — field for field
+        what ``SyscallRecord(...)`` returns, minus its Python frame."""
         trace = self.trace
         trace.records.append(record)
         if record.name in (Sys.READ, Sys.WRITE):
@@ -140,7 +142,12 @@ class SyscallGateway:
             expected = self._emit(self._replay(Sys.EPOLL_WAIT, epfd))
             return list(expected.result)
         ready = self.kernel.epoll_wait(self.domain, epfd)
-        self._emit(SyscallRecord(Sys.EPOLL_WAIT, epfd, b"", tuple(ready)))
+        record = tuple.__new__(SyscallRecord, (
+            Sys.EPOLL_WAIT, epfd, b"", tuple(ready), EMPTY_AUX))
+        if OBS.tracer is None:
+            self.trace.records.append(record)
+        else:
+            self._emit(record)
         return ready
 
     def epoll_ctl(self, epfd: int, fd: int, *, add: bool) -> None:
@@ -217,7 +224,14 @@ class SyscallGateway:
             self._emit(SyscallRecord(Sys.READ, fd=fd,
                                      aux={"error": "ECONNRESET"}))
             raise
-        self._emit(SyscallRecord(Sys.READ, fd, data, len(data)))
+        record = tuple.__new__(SyscallRecord, (
+            Sys.READ, fd, data, len(data), EMPTY_AUX))
+        if OBS.tracer is None:
+            trace = self.trace
+            trace.records.append(record)
+            trace.bytes_transferred += len(data)
+        else:
+            self._emit(record)
         return data
 
     def write(self, fd: int, data: bytes) -> int:
@@ -240,8 +254,15 @@ class SyscallGateway:
                     Sys.WRITE, fd=fd, data=remaining, result=len(remaining),
                     aux={"error": _ERRNO_NAMES[type(exc)]}))
                 raise
-            self._emit(SyscallRecord(Sys.WRITE, fd, remaining[:written],
-                                     written))
+            sent = remaining[:written]
+            record = tuple.__new__(SyscallRecord, (
+                Sys.WRITE, fd, sent, written, EMPTY_AUX))
+            if OBS.tracer is None:
+                trace = self.trace
+                trace.records.append(record)
+                trace.bytes_transferred += len(sent)
+            else:
+                self._emit(record)
             remaining = remaining[written:]
             if not remaining:
                 return total

@@ -211,6 +211,9 @@ class VaranRuntime:
                                      "leader")
         #: Live follower lanes, in fork order.
         self.lanes: List[FollowerLane] = []
+        #: Cost-model mode for leader execution right now; reassigned
+        #: wherever ``lanes`` gains or loses a follower.
+        self.leader_mode = self._leader_mode()
         #: Which stage's rules apply to follower replay.
         self.stage_direction = Direction.OUTDATED_LEADER
         #: True once the *new* version is the leader (post-promotion).
@@ -254,8 +257,7 @@ class VaranRuntime:
         """True while a follower is attached (leader-follower mode)."""
         return bool(self.lanes)
 
-    def leader_mode(self) -> ExecutionMode:
-        """Cost-model mode for leader execution right now."""
+    def _leader_mode(self) -> ExecutionMode:
         if self.lanes:
             return (ExecutionMode.MVEDSUA_LEADER if self.with_kitsune
                     else ExecutionMode.VARAN_LEADER)
@@ -290,16 +292,15 @@ class VaranRuntime:
         chaos = OBS.chaos
         if chaos is not None:
             chaos.advance(now)
+        kernel, domain = self.kernel, self.domain
         t = max(now, self.leader.cpu.busy_until)
         while True:
-            if self.leader.crashed:
+            leader = self.leader  # a crash may have promoted a survivor
+            if leader.crashed:
                 raise ServerCrash("leader crashed with no survivor")
-            ready = self.kernel.epoll_wait(self.domain,
-                                           self.leader.server.epoll_fd)
-            if not ready:
-                break
-            t = self._run_leader_iteration(max(now, t))
-        return t
+            if not kernel.epoll_wait(domain, leader.server.epoll_fd):
+                return t
+            t = self._run_leader_iteration(t)
 
     def _run_leader_iteration(self, start: int) -> int:
         leader = self.leader
@@ -317,22 +318,24 @@ class VaranRuntime:
             except ServerCrash as exc:
                 crash = exc
         trace = gateway.trace
-        self.total_syscalls += len(trace.records)
-        cost = self.iteration_cost(trace, self.leader_mode())
-        completion = leader.cpu.charge(start, cost)
+        records = trace.records
+        self.total_syscalls += len(records)
+        completion = leader.cpu.charge(start, self.profile.iteration_cost_ns(
+            self.leader_mode, n_requests=trace.requests_handled,
+            n_syscalls=len(records), n_bytes=trace.bytes_transferred))
         if crash is not None:
             self.log(completion, "leader-crash", str(crash))
             return self._handle_leader_crash(completion, trace)
         if self.lanes:
-            completion = self._publish(trace.records, completion)
+            completion = self._publish(records, completion)
             leader.cpu.block_until(completion)
         recorder = self.recorder
         if recorder is not None:
             recorder.on_iteration(completion, leader.version_name,
-                                  self.in_mve_mode, trace.records)
+                                  self.in_mve_mode, records)
             tracer = OBS.tracer
             if tracer is not None:
-                tracer.on_stream_record(completion, len(trace.records))
+                tracer.on_stream_record(completion, len(records))
         self.completions.append((completion, trace.requests_handled))
         return completion
 
@@ -417,14 +420,6 @@ class VaranRuntime:
         self._terminate_lane(lane, at, reason="ring-partition-timeout")
         return t
 
-    def iteration_cost(self, trace: IterationTrace,
-                       mode: ExecutionMode) -> int:
-        """Virtual CPU cost of one iteration in ``mode``."""
-        return self.profile.iteration_cost_ns(
-            mode, n_requests=trace.requests_handled,
-            n_syscalls=len(trace.records),
-            n_bytes=trace.bytes_transferred)
-
     # ------------------------------------------------------------------
     # Fork and follower replay
     # ------------------------------------------------------------------
@@ -455,6 +450,7 @@ class VaranRuntime:
             forked, gateway, self.leader.cpu.fork(label, at=fork_done), label)
         self.lanes.append(FollowerLane(
             process, ring, rules if rules is not None else self.rules))
+        self.leader_mode = self._leader_mode()
         # A fresh follower joins the replicated stream from the fork
         # point: a link-backed ring flushes the wire and resets its
         # partition accounting.
@@ -542,9 +538,10 @@ class VaranRuntime:
             self.log(start, "follower-crash", str(crash))
             self._terminate_lane(lane, start, reason="crash")
             return start
-        cost = self.iteration_cost(follower.gateway.trace,
-                                   ExecutionMode.FOLLOWER)
-        done = follower.cpu.charge(start, cost)
+        trace = follower.gateway.trace
+        done = follower.cpu.charge(start, self.profile.iteration_cost_ns(
+            ExecutionMode.FOLLOWER, n_requests=trace.requests_handled,
+            n_syscalls=len(trace.records), n_bytes=trace.bytes_transferred))
         if tracer is not None:
             tracer.on_divergence_check(done, True, len(entries))
         return done
@@ -625,6 +622,7 @@ class VaranRuntime:
 
     def _detach_lane(self, lane: FollowerLane) -> None:
         self.lanes.remove(lane)
+        self.leader_mode = self._leader_mode()
         lane.ring.clear()
         lane.pending.clear()
 

@@ -9,8 +9,10 @@ class Pollable:
     """Anything an fd can name and an :class:`EpollSet` can watch.
 
     ``watchers`` holds the ``(EpollSet, fd)`` pairs registered on the
-    object; subclasses call :meth:`_notify` on every transition of
-    their readability.
+    object; on every transition of its readability a subclass adds the
+    fd to (or discards it from) each watching set's ``ready_fds`` —
+    through :meth:`_notify`, or in place on the per-request path
+    (:meth:`~repro.net.sockets.Endpoint.write` and ``read``).
     """
 
     def __init__(self) -> None:
@@ -22,7 +24,10 @@ class Pollable:
 
     def _notify(self, readable: bool) -> None:
         for epoll, fd in self.watchers:
-            epoll.mark(fd, readable)
+            if readable:
+                epoll.ready_fds.add(fd)
+            else:
+                epoll.ready_fds.discard(fd)
 
 
 class EpollSet(Pollable):
@@ -30,8 +35,8 @@ class EpollSet(Pollable):
 
     Readiness is level-triggered, matching how the simulated servers (and
     LibEvent) use epoll, but *tracked* rather than rescanned: watched
-    objects report every transition of their readability through
-    :meth:`mark`, so :meth:`ready` costs O(ready), not O(interest).
+    objects report every transition of their readability into
+    ``ready_fds``, so :meth:`ready` costs O(ready), not O(interest).
     Registration order is preserved because LibEvent's round-robin
     dispatch — the source of Memcached's spurious divergences in the
     paper — depends on a stable iteration order.  (An epoll fd
@@ -44,7 +49,9 @@ class EpollSet(Pollable):
         #: fd -> registration serial (a re-added fd goes to the back).
         self._interest: Dict[int, int] = {}
         self._registrations = 0
-        self._ready: Set[int] = set()
+        #: Registered fds that are readable now; kept by the watched
+        #: objects themselves.
+        self.ready_fds: Set[int] = set()
 
     def add(self, fd: int, obj: Pollable) -> None:
         """Register interest in ``fd``, which is ``obj`` (idempotent)."""
@@ -54,26 +61,19 @@ class EpollSet(Pollable):
         self._interest[fd] = self._registrations
         obj.watchers.append((self, fd))
         if obj.readable():
-            self._ready.add(fd)
+            self.ready_fds.add(fd)
 
     def remove(self, fd: int, obj: Pollable) -> None:
         """Drop interest in ``fd``, which is ``obj`` (idempotent)."""
         if self._interest.pop(fd, None) is not None:
-            self._ready.discard(fd)
+            self.ready_fds.discard(fd)
             obj.watchers.remove((self, fd))
-
-    def mark(self, fd: int, readable: bool) -> None:
-        """A watched object reports that its readability changed."""
-        if readable:
-            self._ready.add(fd)
-        else:
-            self._ready.discard(fd)
 
     def ready(self) -> List[int]:
         """Registered fds that are readable now, in registration order."""
-        if len(self._ready) > 1:
-            return sorted(self._ready, key=self._interest.__getitem__)
-        return list(self._ready)
+        if len(self.ready_fds) > 1:
+            return sorted(self.ready_fds, key=self._interest.__getitem__)
+        return list(self.ready_fds)
 
     def interest(self) -> List[int]:
         """All registered fds, in registration order."""

@@ -27,7 +27,6 @@ class _Domain:
     def __init__(self, domain_id: int) -> None:
         self.domain_id = domain_id
         self.fds: Dict[int, FdObject] = {}
-        self.endpoint_conn: Dict[int, Connection] = {}
         self._next_fd = 3  # 0/1/2 reserved, as on a real system
 
     def alloc(self, obj: FdObject) -> int:
@@ -69,14 +68,6 @@ class VirtualKernel:
             return self._domains[domain_id]
         except KeyError:
             raise KernelError(f"unknown domain {domain_id}") from None
-
-    def _lookup(self, domain_id: int, fd: int) -> FdObject:
-        """What ``fd`` names in the domain; the miss path only picks the
-        error (unknown domain vs. bad fd)."""
-        try:
-            return self._domains[domain_id].fds[fd]
-        except KeyError:
-            return self._domain(domain_id).lookup(fd)
 
     # -- sockets -----------------------------------------------------------
 
@@ -122,7 +113,6 @@ class VirtualKernel:
         listener.enqueue(connection)
         domain = self._domain(domain_id)
         fd = domain.alloc(connection.client)
-        domain.endpoint_conn[fd] = connection
         if tracer is not None:
             tracer.on_kernel("exit", "connect", domain_id, fd)
         return fd
@@ -145,13 +135,10 @@ class VirtualKernel:
                 # The pending connection is consumed and torn down so
                 # the listener does not stay "readable" forever; the
                 # client observes EOF, the server observes EMFILE.
-                connection = listener.accept()
-                connection.close(connection.server)
+                listener.accept().server.close()
                 raise FdExhausted(
                     f"accept in domain {domain_id}: out of file descriptors")
-        connection = listener.accept()
-        fd = domain.alloc(connection.server)
-        domain.endpoint_conn[fd] = connection
+        fd = domain.alloc(listener.accept().server)
         if tracer is not None:
             tracer.on_kernel("exit", "accept", domain_id, fd)
         return fd
@@ -161,7 +148,10 @@ class VirtualKernel:
         tracer = OBS.tracer
         if tracer is not None:
             tracer.on_kernel("enter", "read", domain_id, fd)
-        endpoint = self._lookup(domain_id, fd)
+        try:
+            endpoint = self._domains[domain_id].fds[fd]
+        except KeyError:  # picks the error: unknown domain, or bad fd
+            endpoint = self._domain(domain_id).lookup(fd)
         if not isinstance(endpoint, Endpoint):
             raise KernelError(f"fd {fd} is not a stream")
         chaos = OBS.chaos
@@ -188,10 +178,12 @@ class VirtualKernel:
         tracer = OBS.tracer
         if tracer is not None:
             tracer.on_kernel("enter", "write", domain_id, fd)
-        endpoint = self._lookup(domain_id, fd)
+        try:
+            endpoint = self._domains[domain_id].fds[fd]
+        except KeyError:
+            endpoint = self._domain(domain_id).lookup(fd)
         if not isinstance(endpoint, Endpoint):
             raise KernelError(f"fd {fd} is not a stream")
-        connection = self._domains[domain_id].endpoint_conn[fd]
         chaos = OBS.chaos
         if chaos is not None:
             fault = chaos.kernel_call("kernel.write", domain_id, fd)
@@ -203,7 +195,7 @@ class VirtualKernel:
                 short = max(1, int(fault.param.get("bytes", 1)))
                 if short < len(data):
                     data = data[:short]
-        written = connection.write(endpoint, data)
+        written = endpoint.write(data)
         if tracer is not None:
             tracer.on_kernel("exit", "write", domain_id, fd)
         return written
@@ -216,8 +208,7 @@ class VirtualKernel:
         domain = self._domain(domain_id)
         obj = domain.lookup(fd)
         if isinstance(obj, Endpoint):
-            connection = domain.endpoint_conn.pop(fd)
-            connection.close(obj)
+            obj.close()
         elif isinstance(obj, ListeningSocket):
             obj.open = False
             self._listeners.pop(obj.address, None)
@@ -259,7 +250,10 @@ class VirtualKernel:
         tracer = OBS.tracer
         if tracer is not None:
             tracer.on_kernel("enter", "epoll_wait", domain_id, epfd)
-        epoll = self._lookup(domain_id, epfd)
+        try:
+            epoll = self._domains[domain_id].fds[epfd]
+        except KeyError:
+            epoll = self._domain(domain_id).lookup(epfd)
         if not isinstance(epoll, EpollSet):
             raise KernelError(f"fd {epfd} is not an epoll instance")
         ready = epoll.ready()
@@ -275,8 +269,7 @@ class VirtualKernel:
 
     def peer_endpoint(self, domain_id: int, fd: int) -> Endpoint:
         """The remote endpoint of a connected stream fd."""
-        domain = self._domain(domain_id)
-        endpoint = domain.lookup(fd)
+        endpoint = self._domain(domain_id).lookup(fd)
         if not isinstance(endpoint, Endpoint):
             raise KernelError(f"fd {fd} is not a stream")
-        return domain.endpoint_conn[fd].other(endpoint)
+        return endpoint.peer

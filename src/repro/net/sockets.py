@@ -24,20 +24,36 @@ class Endpoint(Pollable):
         self._inbox: Deque[bytes] = deque()
         self.open = True
         self.peer_open = True
-        self.bytes_received = 0
+        #: The other side; set by the :class:`Connection` that made both.
+        self.peer: "Endpoint"
 
     @property
     def label(self) -> str:
         """``side#connection`` — only ever read on error paths."""
         return f"{self._side}#{self._conn_id}"
 
-    def deliver(self, data: bytes) -> None:
-        """Called by the connection when the peer writes."""
+    def write(self, data: bytes) -> int:
+        """Write to the peer's inbox; returns bytes written."""
+        if not self.open:
+            raise ConnectionClosed(f"write on closed endpoint {self.label}")
+        peer = self.peer
+        if not peer.open:
+            raise ConnectionClosed(f"peer of {self.label} is closed")
         if data:
-            if self.watchers and not self._inbox:
-                self._notify(True)
-            self._inbox.append(data)
-            self.bytes_received += len(data)
+            inbox = peer._inbox
+            if not inbox:  # the peer turns readable
+                for epoll, fd in peer.watchers:
+                    epoll.ready_fds.add(fd)
+            inbox.append(data)
+        return len(data)
+
+    def close(self) -> None:
+        """Close this side; the peer sees EOF after draining its inbox."""
+        self.open = False
+        peer = self.peer
+        peer.peer_open = False
+        if peer.watchers:
+            peer._notify(True)
 
     def unread(self, data: bytes) -> None:
         """Push bytes back to the *front* of the inbox.
@@ -85,13 +101,14 @@ class Endpoint(Pollable):
                     inbox[0] = chunk[remaining:]
                     remaining = 0
             data = b"".join(pieces)
-        if self.watchers and not inbox and self.peer_open:
-            self._notify(False)
+        if not inbox and self.peer_open:  # no longer readable
+            for epoll, fd in self.watchers:
+                epoll.ready_fds.discard(fd)
         return data
 
 
 class Connection:
-    """A bidirectional byte stream between two endpoints.
+    """A bidirectional byte stream: two endpoints, each the other's peer.
 
     ``conn_id`` is allocated by the owning kernel, so endpoint labels do
     not depend on what else ran in the process.
@@ -102,32 +119,7 @@ class Connection:
         self.conn_id = conn_id
         self.client = Endpoint(client_label, conn_id)
         self.server = Endpoint(server_label, conn_id)
-
-    def other(self, endpoint: Endpoint) -> Endpoint:
-        """The peer of ``endpoint``."""
-        if endpoint is self.client:
-            return self.server
-        if endpoint is self.server:
-            return self.client
-        raise ValueError("endpoint does not belong to this connection")
-
-    def write(self, endpoint: Endpoint, data: bytes) -> int:
-        """Write from ``endpoint`` to its peer; returns bytes written."""
-        if not endpoint.open:
-            raise ConnectionClosed(f"write on closed endpoint {endpoint.label}")
-        peer = self.other(endpoint)
-        if not peer.open:
-            raise ConnectionClosed(f"peer of {endpoint.label} is closed")
-        peer.deliver(data)
-        return len(data)
-
-    def close(self, endpoint: Endpoint) -> None:
-        """Close one side; the peer sees EOF after draining its inbox."""
-        endpoint.open = False
-        peer = self.other(endpoint)
-        peer.peer_open = False
-        if peer.watchers:
-            peer._notify(True)
+        self.client.peer, self.server.peer = self.server, self.client
 
 
 class ListeningSocket(Pollable):

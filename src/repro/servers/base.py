@@ -46,6 +46,10 @@ class Server:
 
     #: Profile name in :data:`repro.syscalls.costs.PROFILES`.
     profile_name = "kvstore"
+    #: What version handlers get as ``io``: ``io_class(gateway, fd)``,
+    #: or the gateway itself when None (servers whose handlers need a
+    #: richer view name it here, see Vsftpd's data connections).
+    io_class: Optional[type] = None
 
     def __init__(self, version: ServerVersion,
                  address: Tuple[str, int] = ("127.0.0.1", 7000)) -> None:
@@ -162,11 +166,12 @@ class Server:
             self._drop_session(fd)
             return
         session.buffer += data
+        io = gateway if self.io_class is None else self.io_class(gateway, fd)
+        trace = gateway.trace
         for request in self._frame_requests(session):
-            gateway.note_request()
+            trace.requests_handled += 1
             responses = self.version.handle(self.heap, request,
-                                            session.state,
-                                            io=self._io_context(gateway, session))
+                                            session.state, io=io)
             try:
                 self._emit_responses(gateway, session, request, responses)
             except (BrokenPipe, ConnectionReset):
@@ -175,12 +180,6 @@ class Server:
                 gateway.close(fd)
                 self._drop_session(fd)
                 return
-
-    def _io_context(self, gateway: SyscallGateway,
-                    session: Session) -> Any:
-        """I/O context passed to version handlers; the gateway itself by
-        default (servers with richer needs override this)."""
-        return gateway
 
     def _emit_responses(self, gateway: SyscallGateway, session: Session,
                         request: bytes, responses: List[bytes]) -> None:
@@ -194,8 +193,5 @@ class Server:
 
     def _frame_requests(self, session: Session) -> List[bytes]:
         """Split buffered bytes into complete CRLF-terminated requests."""
-        requests = []
-        while b"\r\n" in session.buffer:
-            line, session.buffer = session.buffer.split(b"\r\n", 1)
-            requests.append(line)
+        *requests, session.buffer = session.buffer.split(b"\r\n")
         return requests

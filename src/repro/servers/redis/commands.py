@@ -468,18 +468,26 @@ COMMANDS: Dict[str, Tuple[Handler, int, bool]] = {
 }
 
 
-def dispatch(heap: Heap, request: bytes, ctx: Dict[str, Any],
-             io: Optional[Any] = None) -> bytes:
-    """Parse one inline command and run it.  Returns the RESP reply.
+#: Verbs whose commands mutate the database (and hence hit the AOF).
+WRITE_VERBS = frozenset(verb for verb, entry in COMMANDS.items() if entry[2])
+
+
+def parse(request: bytes) -> Tuple[str, List[str]]:
+    """``(VERB, args)`` of one inline command: the one place a request
+    is decoded and its verb upper-cased."""
+    parts = request.decode("latin-1").split(" ")
+    return parts[0].upper(), parts[1:]
+
+
+def run(heap: Heap, verb: str, args: List[str], ctx: Dict[str, Any],
+        io: Optional[Any] = None) -> bytes:
+    """Run one parsed command.  Returns the RESP reply.
 
     ``io`` (the syscall gateway) is threaded through ``ctx`` for the
     persistence commands, which write snapshots via recorded syscalls.
     """
     if io is not None:
         ctx = dict(ctx, io=io)
-    parts = request.decode("latin-1").split(" ")
-    verb = parts[0].upper()
-    args = parts[1:]
     entry = COMMANDS.get(verb)
     if entry is None:
         return resp.error(f"unknown command '{verb.lower()}'")
@@ -492,8 +500,13 @@ def dispatch(heap: Heap, request: bytes, ctx: Dict[str, Any],
         return resp.WRONG_TYPE
 
 
+def dispatch(heap: Heap, request: bytes, ctx: Dict[str, Any],
+             io: Optional[Any] = None) -> bytes:
+    """Parse one inline command and run it.  Returns the RESP reply."""
+    verb, args = parse(request)
+    return run(heap, verb, args, ctx, io)
+
+
 def is_write_command(request: bytes) -> bool:
     """Does this request mutate the database (and hence hit the AOF)?"""
-    verb = request.split(b" ", 1)[0].decode("latin-1").upper()
-    entry = COMMANDS.get(verb)
-    return entry is not None and entry[2]
+    return parse(request)[0] in WRITE_VERBS

@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.mve.gateway import SyscallGateway
 from repro.servers.base import Server, Session
-from repro.servers.redis.versions import RedisVersion, redis_version
+from repro.servers.redis.versions import (RedisVersion, Replies,
+                                          redis_version)
 
 #: AOF entries carry a sentinel prefix so rewrite rules can target them
 #: without colliding with RESP multi-bulk replies (which start with "*").
@@ -26,23 +27,20 @@ class RedisServer(Server):
         self.aof_enabled = aof_enabled
 
     def _emit_responses(self, gateway: SyscallGateway, session: Session,
-                        request: bytes, responses: List[bytes]) -> None:
+                        request: bytes, responses: Replies) -> None:
         """Reply + AOF append, in the order this version uses.
 
         The 2.0.0/2.0.1 ordering difference lives here: it is the
         syscall-sequence divergence the paper wrote its one Redis DSL
         rule for.
         """
-        log_entry = AOF_PREFIX + request + b"\r\n"
-        queued = bool(responses) and responses[0] == b"+QUEUED\r\n"
-        log_it = (self.aof_enabled and not queued
-                  and self.version.is_write(request))
+        log_it = self.aof_enabled and responses.logged
         if log_it and self.version.aof_before_reply:
-            gateway.fs_append(AOF_PATH, log_entry)
+            gateway.fs_append(AOF_PATH, AOF_PREFIX + request + b"\r\n")
         for payload in responses:
             gateway.write(session.fd, payload)
         if log_it and not self.version.aof_before_reply:
-            gateway.fs_append(AOF_PATH, log_entry)
+            gateway.fs_append(AOF_PATH, AOF_PREFIX + request + b"\r\n")
 
     def load_snapshot(self, path: str = None) -> bool:
         """Warm the store from an RDB snapshot on the virtual fs.

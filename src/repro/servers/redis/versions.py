@@ -15,7 +15,7 @@ Cross-version deltas modelled (paper §5.2):
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict
 
 from repro.dsu.version import ServerVersion
 from repro.servers.redis import commands
@@ -25,6 +25,22 @@ from repro.servers.redis.resp import error as resp_error
 
 def resp_ok() -> bytes:
     return _RESP_OK
+
+
+_QUEUED = b"+QUEUED\r\n"
+_TRANSACTION_VERBS = frozenset({"MULTI", "DISCARD", "EXEC"})
+#: EXEC is logged as a whole (its queued commands may include writes),
+#: which keeps the AOF stream identical across versions.
+LOGGED_VERBS = commands.WRITE_VERBS | {"EXEC"}
+
+
+class Replies(list):
+    """What :meth:`RedisVersion.handle` returns: the reply payloads, plus
+    ``logged`` — whether the request must hit the AOF, decided where the
+    verb was parsed so the server need not parse it again.  An override
+    of ``handle`` returns one too: ``RedisServer`` reads ``logged``."""
+
+    __slots__ = ("logged",)
 
 
 class RedisVersion(ServerVersion):
@@ -52,57 +68,54 @@ class RedisVersion(ServerVersion):
     def heap_entries(self, heap) -> int:
         return len(heap["db"])
 
-    def handle(self, heap, request: bytes, session=None, io=None) -> List[bytes]:
-        transactional = self._handle_transaction(heap, request, session, io)
-        if transactional is not None:
-            return transactional
-        return [commands.dispatch(heap, request, self._ctx, io)]
+    def handle(self, heap, request: bytes, session=None, io=None) -> Replies:
+        """One reply payload per request; the verb is parsed here, once."""
+        verb, args = commands.parse(request)
+        if session is not None and (
+                verb in _TRANSACTION_VERBS
+                or session.get("multi_queue") is not None):
+            payload = self._handle_transaction(heap, verb, request, session,
+                                               io)
+        else:
+            payload = commands.run(heap, verb, args, self._ctx, io)
+        replies = Replies((payload,))
+        replies.logged = verb in LOGGED_VERBS and payload is not _QUEUED
+        return replies
 
-    def _handle_transaction(self, heap, request: bytes, session,
-                            io) -> Optional[List[bytes]]:
-        """MULTI/EXEC/DISCARD (present since Redis 1.2).
+    def _handle_transaction(self, heap, verb: str, request: bytes, session,
+                            io) -> bytes:
+        """MULTI/EXEC/DISCARD (present since Redis 1.2), and every
+        command while a transaction is open.
 
         Queued commands live in *session* state — control state in the
         DSU sense: a transaction opened before a dynamic update can be
         EXECed after it, because Kitsune migrates sessions.
         """
-        if session is None:
-            return None
-        verb = request.split(b" ", 1)[0].upper()
         queued = session.get("multi_queue")
-        if verb == b"MULTI":
+        if verb == "MULTI":
             if queued is not None:
-                return [resp_error("MULTI calls can not be nested")]
+                return resp_error("MULTI calls can not be nested")
             session["multi_queue"] = []
-            return [resp_ok()]
-        if verb == b"DISCARD":
+            return resp_ok()
+        if verb == "DISCARD":
             if queued is None:
-                return [resp_error("DISCARD without MULTI")]
+                return resp_error("DISCARD without MULTI")
             session.pop("multi_queue")
-            return [resp_ok()]
-        if verb == b"EXEC":
+            return resp_ok()
+        if verb == "EXEC":
             if queued is None:
-                return [resp_error("EXEC without MULTI")]
+                return resp_error("EXEC without MULTI")
             session.pop("multi_queue")
             replies = [commands.dispatch(heap, line, self._ctx, io)
                        for line in queued]
-            header = b"*" + str(len(replies)).encode() + b"\r\n"
-            return [header + b"".join(replies)]
-        if queued is not None:
-            queued.append(request)
-            return [b"+QUEUED\r\n"]
-        return None
+            return (b"*" + str(len(replies)).encode() + b"\r\n"
+                    + b"".join(replies))
+        queued.append(request)
+        return _QUEUED
 
     def is_write(self, request: bytes) -> bool:
-        """True when the command mutates state (and must hit the AOF).
-
-        EXEC is logged as a whole (its queued commands may include
-        writes), which keeps the AOF stream identical across versions.
-        """
-        verb = request.split(b" ", 1)[0].upper()
-        if verb == b"EXEC":
-            return True
-        return commands.is_write_command(request)
+        """True when the command mutates state (and must hit the AOF)."""
+        return commands.parse(request)[0] in LOGGED_VERBS
 
 
 def redis_version(name: str, *, hmget_bug: bool = True) -> RedisVersion:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.mve.gateway import SyscallGateway
 from repro.servers.base import Server, Session
@@ -79,6 +79,7 @@ class VsftpdServer(Server):
     """FTP server over the shared event-loop skeleton."""
 
     profile_name = "vsftpd-small"
+    io_class = VsftpdIO
 
     def __init__(self, version: Optional[VsftpdVersion] = None,
                  address: Tuple[str, int] = ("127.0.0.1", 21)) -> None:
@@ -87,5 +88,3 @@ class VsftpdServer(Server):
     def on_connect(self, session: Session) -> List[bytes]:
         return [self.version.banner()]
 
-    def _io_context(self, gateway: SyscallGateway, session: Session) -> Any:
-        return VsftpdIO(gateway, session.fd)

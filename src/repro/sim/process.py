@@ -17,34 +17,24 @@ class CpuAccount:
 
     def __init__(self, name: str = "cpu") -> None:
         self.name = name
-        self._busy_until = 0
-        self._total_busy = 0
-
-    @property
-    def busy_until(self) -> int:
-        """Virtual time at which this core next becomes idle."""
-        return self._busy_until
-
-    @property
-    def total_busy(self) -> int:
-        """Cumulative busy nanoseconds, for utilisation reporting."""
-        return self._total_busy
-
-    def start_time(self, arrival: int) -> int:
-        """When would work arriving at ``arrival`` begin executing?"""
-        return max(arrival, self._busy_until)
+        #: Virtual time at which this core next becomes idle.
+        self.busy_until = 0
+        #: Cumulative busy nanoseconds, for utilisation reporting.
+        self.total_busy = 0
 
     def charge(self, arrival: int, cost: int) -> int:
         """Enqueue ``cost`` nanoseconds of work arriving at ``arrival``.
 
-        Returns the completion time.
+        Work starts at ``max(arrival, busy_until)``.  Returns the
+        completion time.
         """
         if cost < 0:
             raise SimulationError(f"negative CPU cost: {cost}")
-        start = self.start_time(arrival)
-        self._busy_until = start + cost
-        self._total_busy += cost
-        return self._busy_until
+        busy = self.busy_until
+        done = (busy if busy > arrival else arrival) + cost
+        self.busy_until = done
+        self.total_busy += cost
+        return done
 
     def block_until(self, when: int) -> None:
         """Stall the core (not counted as busy work) until ``when``.
@@ -52,19 +42,19 @@ class CpuAccount:
         Used when the MVE leader blocks on a full ring buffer: the core is
         unavailable but not executing.
         """
-        if when > self._busy_until:
-            self._busy_until = when
+        if when > self.busy_until:
+            self.busy_until = when
 
     def reset(self) -> None:
         """Forget all accounting (used when forking a follower)."""
-        self._busy_until = 0
-        self._total_busy = 0
+        self.busy_until = 0
+        self.total_busy = 0
 
     def fork(self, name: str, at: int) -> "CpuAccount":
         """Create a new core whose availability starts at ``at``."""
         child = CpuAccount(name)
-        child._busy_until = at
+        child.busy_until = at
         return child
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"CpuAccount({self.name!r}, busy_until={self._busy_until})"
+        return f"CpuAccount({self.name!r}, busy_until={self.busy_until})"

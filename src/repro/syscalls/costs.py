@@ -128,9 +128,12 @@ class AppProfile:
     def __post_init__(self) -> None:
         # The mode table is built once per profile instance, so
         # ``dataclasses.replace`` variants get their own; it is not a
-        # field, hence invisible to eq/hash/repr.
+        # field, hence invisible to eq/hash/repr.  Keyed by the mode's
+        # label, not the member: ``Enum.__hash__`` is a Python-level
+        # call, and the table is read once per costed iteration.
         object.__setattr__(self, "_factors", {
-            mode: self._resolve_factors(mode) for mode in ExecutionMode})
+            mode._value_: self._resolve_factors(mode)
+            for mode in ExecutionMode})
 
     def _resolve_factors(self, mode: ExecutionMode) -> ModeFactors:
         compute = 1.0
@@ -151,7 +154,7 @@ class AppProfile:
 
     def factors(self, mode: ExecutionMode) -> ModeFactors:
         """Overhead factors for running this app in ``mode``."""
-        return self._factors[mode]
+        return self._factors[mode._value_]
 
     def iteration_cost_ns(self, mode: ExecutionMode, *, n_requests: int,
                           n_syscalls: int, n_bytes: int = 0) -> int:
@@ -160,7 +163,7 @@ class AppProfile:
         Compute cost is charged per parsed request; syscall and byte
         costs per what the iteration's trace actually did.
         """
-        f = self._factors[mode]
+        f = self._factors[mode._value_]
         cost = (self.compute_ns * f.compute_factor * n_requests
                 + n_syscalls * self.syscall_ns * f.syscall_factor
                 + n_bytes * self.byte_ns * f.byte_factor)
@@ -170,7 +173,7 @@ class AppProfile:
                    n_bytes: int = 0) -> int:
         """Virtual cost of one client operation in ``mode``."""
         syscalls = self.syscalls_per_op if n_syscalls is None else n_syscalls
-        f = self._factors[mode]
+        f = self._factors[mode._value_]
         cost = (self.compute_ns * f.compute_factor
                 + syscalls * self.syscall_ns * f.syscall_factor
                 + n_bytes * self.byte_ns * f.byte_factor)

@@ -6,7 +6,9 @@ from repro.errors import ConnectionReset, DivergenceError
 from repro.mve.divergence import check_match
 from repro.mve.gateway import GatewayRole, SyscallGateway
 from repro.net import VirtualKernel
+from repro.servers.kvstore import KVStoreServer, KVStoreV1
 from repro.syscalls.model import Sys, SyscallRecord
+from repro.workloads import VirtualClient
 
 ADDR = ("10.0.0.1", 80)
 
@@ -86,11 +88,20 @@ class TestDirectRole:
         direct.fs_rmdir("/d")
         assert not kernel.fs.is_dir("/d")
 
-    def test_note_request_counts(self, direct):
-        direct.begin_iteration()
-        direct.note_request()
-        direct.note_request(2)
-        assert direct.trace.requests_handled == 3
+    def test_note_request_counts(self, kernel):
+        # The server loop counts every framed request on the
+        # iteration's trace: three pipelined in one read are three.
+        server = KVStoreServer(KVStoreV1())
+        server.attach(kernel)
+        gateway = SyscallGateway(kernel, server.domain, GatewayRole.DIRECT)
+        client = VirtualClient(kernel, server.address)
+        gateway.begin_iteration()
+        server.run_iteration(gateway)  # accepts the connection
+        assert gateway.trace.requests_handled == 0
+        client.send(b"PUT a 1\r\nGET a\r\nGET b\r\n")
+        gateway.begin_iteration()
+        server.run_iteration(gateway)
+        assert gateway.trace.requests_handled == 3
 
 
 class TestReplayRole:

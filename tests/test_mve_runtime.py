@@ -49,9 +49,9 @@ class TestSingleLeader:
 
     def test_single_leader_mode_costs(self):
         _, runtime, _ = make_runtime(with_kitsune=False)
-        assert runtime.leader_mode() is ExecutionMode.VARAN_SINGLE
+        assert runtime.leader_mode is ExecutionMode.VARAN_SINGLE
         _, runtime, _ = make_runtime(with_kitsune=True)
-        assert runtime.leader_mode() is ExecutionMode.MVEDSUA_SINGLE
+        assert runtime.leader_mode is ExecutionMode.MVEDSUA_SINGLE
 
     def test_pump_returns_monotone_completion_times(self):
         _, runtime, client = make_runtime()
@@ -68,7 +68,7 @@ class TestIdenticalFollower:
         client.command(runtime, b"PUT a 1")
         runtime.fork_follower(10**9)
         assert runtime.in_mve_mode
-        assert runtime.leader_mode() is ExecutionMode.VARAN_LEADER
+        assert runtime.leader_mode is ExecutionMode.VARAN_LEADER
         client.command(runtime, b"PUT b 2", now=2 * 10**9)
         client.command(runtime, b"GET a", now=3 * 10**9)
         runtime.drain_follower()

@@ -27,6 +27,13 @@ def make_runtime(**kwargs):
     return kernel, runtime, client
 
 
+def iteration_cost(runtime, trace, mode):
+    """What the runtime charges for ``trace`` in ``mode``."""
+    return runtime.profile.iteration_cost_ns(
+        mode, n_requests=trace.requests_handled,
+        n_syscalls=len(trace.records), n_bytes=trace.bytes_transferred)
+
+
 def fork_v2(runtime, now=0):
     child = runtime.leader.server.fork()
     child.apply_version(KVStoreV2(), xform_1_to_2(dict(child.heap)))
@@ -40,7 +47,7 @@ class TestIterationCost:
             records=[read_record(4, b"x" * 10), write_record(4, b"y" * 5)],
             requests_handled=2, bytes_transferred=15)
         profile = PROFILES["kvstore"]
-        cost = runtime.iteration_cost(trace, ExecutionMode.NATIVE)
+        cost = iteration_cost(runtime, trace, ExecutionMode.NATIVE)
         assert cost == (2 * profile.compute_ns
                         + 2 * profile.syscall_ns)  # byte_ns is 0
 
@@ -48,15 +55,15 @@ class TestIterationCost:
         _, runtime, _ = make_runtime()
         trace = IterationTrace(records=[read_record(4, b"partial")],
                                requests_handled=0, bytes_transferred=7)
-        assert runtime.iteration_cost(trace, ExecutionMode.NATIVE) == \
+        assert iteration_cost(runtime, trace, ExecutionMode.NATIVE) == \
             PROFILES["kvstore"].syscall_ns
 
     def test_leader_mode_costs_more(self):
         _, runtime, _ = make_runtime()
         trace = IterationTrace(records=[read_record(4, b"q")],
                                requests_handled=1, bytes_transferred=1)
-        native = runtime.iteration_cost(trace, ExecutionMode.NATIVE)
-        leader = runtime.iteration_cost(trace, ExecutionMode.MVEDSUA_LEADER)
+        native = iteration_cost(runtime, trace, ExecutionMode.NATIVE)
+        leader = iteration_cost(runtime, trace, ExecutionMode.MVEDSUA_LEADER)
         assert leader > native
 
 

@@ -179,6 +179,61 @@ class TestEpoll:
             kernel.epoll_wait(server_domain, server_fd)
 
 
+# What read/write/epoll_wait raise when the fd is not what they need:
+# the checks run inline on the per-request path, and these are their
+# exact classes and messages.  ``{fd}`` is the row's fd; the server end
+# of the pair is connection 1.
+_TYPED_ERRORS = [
+    ("read", "listener", KernelError, "fd {fd} is not a stream"),
+    ("write", "listener", KernelError, "fd {fd} is not a stream"),
+    ("read", "epoll", KernelError, "fd {fd} is not a stream"),
+    ("write", "epoll", KernelError, "fd {fd} is not a stream"),
+    ("epoll_wait", "stream", KernelError, "fd {fd} is not an epoll instance"),
+    ("epoll_wait", "listener", KernelError,
+     "fd {fd} is not an epoll instance"),
+    ("read", "unknown-fd", BadFileDescriptor,
+     "fd {fd} not open in domain {domain}"),
+    ("write", "unknown-fd", BadFileDescriptor,
+     "fd {fd} not open in domain {domain}"),
+    ("epoll_wait", "unknown-fd", BadFileDescriptor,
+     "fd {fd} not open in domain {domain}"),
+    ("read", "unknown-domain", KernelError, "unknown domain {domain}"),
+    ("write", "unknown-domain", KernelError, "unknown domain {domain}"),
+    ("epoll_wait", "unknown-domain", KernelError, "unknown domain {domain}"),
+    ("read", "closed-endpoint", ConnectionClosed,
+     "read on closed endpoint server#1"),
+    ("write", "closed-endpoint", ConnectionClosed,
+     "write on closed endpoint server#1"),
+    ("write", "closed-peer", ConnectionClosed, "peer of server#1 is closed"),
+]
+
+
+@pytest.mark.parametrize(
+    "call,target,error,message", _TYPED_ERRORS,
+    ids=[f"{call}-{target}" for call, target, _, _ in _TYPED_ERRORS])
+def test_inlined_checks_keep_their_typed_errors(kernel, call, target, error,
+                                                message):
+    domain = kernel.create_domain()
+    client_domain = kernel.create_domain()
+    listen_fd = kernel.listen(domain, ADDR)
+    client_fd = kernel.connect(client_domain, ADDR)
+    stream_fd = kernel.accept(domain, listen_fd)
+    fd = {"listener": listen_fd, "epoll": kernel.epoll_create(domain),
+          "unknown-fd": 99}.get(target, stream_fd)
+    if target == "unknown-domain":
+        domain = 77
+    elif target == "closed-endpoint":
+        # Closed, yet still in the fd table: only reachable by hand.
+        kernel._domain(domain).lookup(stream_fd).open = False
+    elif target == "closed-peer":
+        kernel.close(client_domain, client_fd)
+    arguments = (domain, fd, b"x") if call == "write" else (domain, fd)
+    with pytest.raises(KernelError) as raised:
+        getattr(kernel, call)(*arguments)
+    assert type(raised.value) is error
+    assert str(raised.value) == message.format(fd=fd, domain=domain)
+
+
 def test_peer_endpoint_inspection(kernel, pair):
     server_domain, server_fd, client_domain, client_fd = pair
     kernel.write(server_domain, server_fd, b"hello")

@@ -1,8 +1,11 @@
 """Unit tests for the shared server skeleton (fork, sessions, framing)."""
 
+from hypothesis import example, given, strategies as st
+
 from repro.net import VirtualKernel
 from repro.servers.base import Server, Session
 from repro.servers.kvstore import KVStoreServer, KVStoreV1
+from repro.servers.memcached import MemcachedServer
 from repro.servers.native import NativeRuntime
 from repro.syscalls.costs import PROFILES
 from repro.workloads import VirtualClient
@@ -100,7 +103,44 @@ class TestSessions:
         assert server.program.version is server.version
 
 
+def frame_line_by_line(buffer):
+    """CRLF framing as the skeleton did it before it split once: one
+    ``split(b"\\r\\n", 1)`` per line, re-copying the tail each time
+    (quadratic in a pipelined burst).  Kept as the reference."""
+    requests = []
+    while b"\r\n" in buffer:
+        line, buffer = buffer.split(b"\r\n", 1)
+        requests.append(line)
+    return requests, buffer
+
+
+#: Buffers built from the pieces framing can get wrong, and raw bytes.
+_BUFFERS = st.lists(
+    st.sampled_from([b"", b"\r", b"\n", b"\r\n", b"\r\r\n", b"GET k",
+                     b"PUT a 1", b" "]) | st.binary(max_size=6),
+    max_size=40).map(b"".join)
+
+
 class TestFraming:
+    @given(_BUFFERS)
+    @example(b"GET k")                      # no terminator: nothing framed
+    @example(b"GET k\r")                    # lone CR stays buffered
+    @example(b"\r\n\r\nGET k\r\n\r\n")     # empty lines are requests
+    @example(b"GET k\r\n" * 1_000)          # a pipelined burst
+    def test_one_split_frames_like_the_line_by_line_loop(self, buffer):
+        session = Session(fd=4, buffer=buffer)
+        requests = KVStoreServer(KVStoreV1())._frame_requests(session)
+        assert (requests, session.buffer) == frame_line_by_line(buffer)
+
+    def test_memcached_still_frames_its_own_way(self):
+        # A storage command's data block may itself hold CRLF; only the
+        # override's byte count frames it.
+        session = Session(fd=4, buffer=b"set k 0 0 4\r\na\r\nb\r\n"
+                                       b"get k\r\nget")
+        requests = MemcachedServer()._frame_requests(session)
+        assert requests == [b"set k 0 0 4\r\na\r\nb", b"get k"]
+        assert session.buffer == b"get"
+
     def test_carriage_return_required(self):
         kernel, server, runtime, client = deployment()
         reply, _ = client.request(runtime, b"PUT a 1\n", 0)  # bare LF

@@ -257,6 +257,88 @@ class TestAofSyscallOrder:
         assert not kernel.fs.exists(AOF_PATH)
 
 
+class TestVerbParsedOnce:
+    """One parser (``commands.parse``: latin-1 decode, ``str.upper``)
+    answers what four did — two of them byte-wise (``bytes.upper``).
+    Pinned on the inputs where those could have differed."""
+
+    CASINGS = {
+        "upper": str.upper,
+        "lower": str.lower,
+        "mixed": lambda verb: "".join(
+            char.lower() if index % 2 else char
+            for index, char in enumerate(verb)),
+    }
+
+    @pytest.mark.parametrize("casing", sorted(CASINGS))
+    def test_is_write_over_the_whole_table(self, casing):
+        version = redis_version("2.0.0")
+        for verb, (_, _, writes) in redis_commands.COMMANDS.items():
+            request = self.CASINGS[casing](verb).encode() + b" k v"
+            assert version.is_write(request) is writes, request
+            assert redis_commands.is_write_command(request) is writes, request
+
+    def test_exec_is_logged_whatever_follows_it(self):
+        version = redis_version("2.0.0")
+        for request in (b"EXEC", b"exec", b"EXEC arg", b"eXeC "):
+            assert version.is_write(request), request
+            # ...by the version's say-so: it is not a table command.
+            assert not redis_commands.is_write_command(request), request
+        for request in (b"MULTI", b"multi x", b"DISCARD", b"EXECUTE"):
+            assert not version.is_write(request), request
+
+    def test_transaction_edges_reach_the_aof_as_before(self, deployment):
+        kernel, server, runtime, client = deployment
+        # EXEC is logged as a whole — even one that opens nothing.
+        assert b"EXEC without MULTI" in client.command(runtime, b"EXEC arg")
+        logged = AOF_PREFIX + b"EXEC arg\r\n"
+        assert kernel.fs.read_file(AOF_PATH) == logged
+        assert client.command(runtime, b"multi") == b"+OK\r\n"
+        assert b"not be nested" in client.command(runtime, b"MULTI")
+        assert client.command(runtime, b"SET a 1") == b"+QUEUED\r\n"
+        assert kernel.fs.read_file(AOF_PATH) == logged  # nothing yet
+        assert client.command(runtime, b"exec") == b"*1\r\n+OK\r\n"
+        assert kernel.fs.read_file(AOF_PATH) == logged + AOF_PREFIX \
+            + b"exec\r\n"
+
+    def test_non_ascii_verb(self, deployment):
+        kernel, server, runtime, client = deployment
+        # 0xdf is latin-1 sharp s: str.upper() makes it "SS",
+        # bytes.upper() leaves it alone.  Neither spells SET.
+        request = b"\xdfET k v"
+        assert not server.version.is_write(request)
+        assert not redis_commands.is_write_command(request)
+        assert client.command(runtime, request) == \
+            b"-ERR unknown command 'sset'\r\n"
+        assert client.command(runtime, b"GET k") == b"$-1\r\n"
+        assert not kernel.fs.exists(AOF_PATH)
+        # Inside a transaction it queues like any other line.
+        client.command(runtime, b"MULTI")
+        assert client.command(runtime, request) == b"+QUEUED\r\n"
+        assert client.command(runtime, b"EXEC") == \
+            b"*1\r\n-ERR unknown command 'sset'\r\n"
+
+    def test_no_latin1_byte_upper_cases_into_a_verb(self):
+        # Why one str.upper() may stand in for the byte-wise parsers:
+        # above 0x7f the only upper-casing that lands in ASCII is
+        # sharp s -> "SS", and no verb contains "SS".
+        for code in range(0x80, 0x100):
+            upper = chr(code).upper()
+            assert upper == "SS" or not upper.isascii(), hex(code)
+        verbs = set(redis_commands.COMMANDS) | {"MULTI", "EXEC", "DISCARD"}
+        assert not [verb for verb in verbs if "SS" in verb]
+
+    def test_handle_says_what_the_aof_must_log(self):
+        version = redis_version("2.0.0")
+        heap, session = version.initial_heap(), {}
+        assert version.handle(heap, b"SET k v", session).logged
+        assert not version.handle(heap, b"GET k", session).logged
+        assert not version.handle(heap, b"MULTI", session).logged
+        queued = version.handle(heap, b"SET k w", session)
+        assert queued == [b"+QUEUED\r\n"] and not queued.logged
+        assert version.handle(heap, b"EXEC", session).logged
+
+
 class TestSeed:
     def test_seed_populates_without_aof(self, deployment):
         kernel, server, runtime, client = deployment

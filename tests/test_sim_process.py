@@ -21,8 +21,10 @@ def test_busy_cpu_queues_work():
 def test_start_time_reflects_queue():
     cpu = CpuAccount()
     cpu.charge(arrival=0, cost=100)
-    assert cpu.start_time(arrival=50) == 100
-    assert cpu.start_time(arrival=200) == 200
+    # Work starts at max(arrival, busy_until): behind the queue first,
+    # then at its own arrival once the core has gone idle.
+    assert cpu.charge(arrival=50, cost=0) == 100
+    assert cpu.charge(arrival=200, cost=0) == 200
 
 
 def test_total_busy_accumulates_only_work():
@@ -43,8 +45,10 @@ def test_block_until_stalls_without_busy_time():
 
 
 def test_negative_cost_rejected():
-    with pytest.raises(SimulationError):
-        CpuAccount().charge(arrival=0, cost=-1)
+    cpu = CpuAccount()
+    with pytest.raises(SimulationError, match="negative CPU cost: -1"):
+        cpu.charge(arrival=0, cost=-1)
+    assert (cpu.busy_until, cpu.total_busy) == (0, 0)  # nothing charged
 
 
 def test_fork_starts_child_at_fork_time():
