@@ -30,6 +30,7 @@ from repro.baselines.ttst import TTSTValidator
 from repro.bench.reporting import format_ms, format_percent, format_table
 from repro.core import Mvedsua, Stage
 from repro.dsu import Kitsune
+from repro.errors import ReproError
 from repro.servers.kvstore import (
     KVStoreV2,
     xform_1_to_2,
@@ -61,18 +62,18 @@ class StrategyOutcome:
     detail: str = ""
 
 
-def _deployment(runtime, **runtime_kwargs):
-    """A 200k-entry kvstore 1.0 under ``runtime``, one client attached."""
+def _deployment(runtime, store, **runtime_kwargs):
+    """A kvstore 1.0 under ``runtime`` holding its own copy of ``store``,
+    one client attached."""
     stack = deploy("kvstore", "1.0", runtime, **runtime_kwargs)
-    stack.server.heap["table"].update(
-        {f"key{i}": "value" for i in range(STORE_SIZE)})
+    stack.server.heap["table"].update(store)
     client = stack.client()
     client.command(stack.runtime, b"PUT balance 1000")
     return stack, client
 
 
-def _native_deployment():
-    stack, client = _deployment(NativeRuntime, with_kitsune=True)
+def _native_deployment(store):
+    stack, client = _deployment(NativeRuntime, store, with_kitsune=True)
     return stack.runtime, client
 
 
@@ -80,16 +81,18 @@ def _check_state(client, runtime, now) -> bool:
     try:
         return client.command(runtime, b"GET balance",
                               now=now) == b"1000\r\n"
-    except Exception:
-        return False
+    except ReproError:
+        return False  # a crashed or diverged server has lost the state
 
 
 def run_upgrade_strategies() -> List[StrategyOutcome]:
     outcomes = []
+    # Built once: the four deployments copy it, sharing the key strings.
+    store = {f"key{i}": "value" for i in range(STORE_SIZE)}
 
     # Stop/restart: fast but forgets everything.
     kvstore = app("kvstore")
-    runtime, client = _native_deployment()
+    runtime, client = _native_deployment(store)
     report = StopRestart().perform(runtime, kvstore.version("2.0"), SECOND)
     outcomes.append(StrategyOutcome(
         "stop-restart", report.pause_ns,
@@ -97,7 +100,7 @@ def run_upgrade_strategies() -> List[StrategyOutcome]:
         upgrade_succeeded=True, detail=report.detail))
 
     # Checkpoint-restart: fails outright — the state format changed.
-    runtime, client = _native_deployment()
+    runtime, client = _native_deployment(store)
     try:
         CheckpointRestart().perform(runtime, kvstore.version("2.0"), SECOND)
         succeeded, detail = True, ""
@@ -110,7 +113,7 @@ def run_upgrade_strategies() -> List[StrategyOutcome]:
         upgrade_succeeded=succeeded, detail=detail[:60]))
 
     # Standalone Kitsune: works, but pauses for the whole transform.
-    runtime, client = _native_deployment()
+    runtime, client = _native_deployment(store)
     result = runtime.apply_update(Kitsune(kvstore.transforms),
                                   kvstore.version("2.0"), SECOND)
     outcomes.append(StrategyOutcome(
@@ -120,7 +123,7 @@ def run_upgrade_strategies() -> List[StrategyOutcome]:
         detail=f"{result.entries_transformed:,} entries transformed"))
 
     # Mvedsua: works, and the leader only pays fork + quiesce.
-    stack, client = _deployment(Mvedsua)
+    stack, client = _deployment(Mvedsua, store)
     mvedsua = stack.runtime
     leader_cpu = mvedsua.runtime.leader.cpu
     before = max(SECOND, leader_cpu.busy_until)

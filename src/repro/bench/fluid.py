@@ -142,6 +142,11 @@ class FluidSim:
         entries_per_op = profile.entries_per_op
         write_fraction = config.spec.write_fraction
         keyspace = config.spec.keyspace
+        # The step loop runs 36 000 times per Figure 6/7 run: what it
+        # reads every step is held in locals, and min/max are written
+        # as the comparisons they perform.
+        threads = config.threads
+        ring_capacity = config.ring_capacity
 
         mode = self._single_mode()
         rated_mode = None  # the mode op_cost/potential/epsilon are for
@@ -166,10 +171,12 @@ class FluidSim:
 
         follower_op_cost = profile.op_cost_ns(
             ExecutionMode.FOLLOWER, n_bytes=config.n_bytes_per_op)
-        follower_entry_rate = (config.threads * entries_per_op
+        follower_entry_rate = (threads * entries_per_op
                                / follower_op_cost)  # entries per ns
 
         bins_per_second = SECOND // dt
+        bins = result.bins
+        total_ops = 0.0
         bin_accumulator = 0.0
         bin_count = 0
         stall_ns = 0
@@ -239,7 +246,8 @@ class FluidSim:
             if follower and follower_ready_at is not None \
                     and t >= follower_ready_at:
                 follower_capacity = follower_entry_rate * dt
-                consumed = min(occupancy, follower_capacity)
+                consumed = (follower_capacity
+                            if follower_capacity < occupancy else occupancy)
                 occupancy -= consumed
                 flow_capacity = follower_capacity - consumed
                 if occupancy <= 0 and result.t3_caught_up is None \
@@ -264,17 +272,20 @@ class FluidSim:
                 # Per-mode constants, re-derived on lifecycle transitions.
                 rated_mode = mode
                 op_cost = self._op_cost(mode)
-                potential = dt * config.threads / op_cost
-                epsilon = potential_epsilon(dt, op_cost, config.threads)
+                potential = dt * threads / op_cost
+                epsilon = potential_epsilon(dt, op_cost, threads)
             served = 0.0
             if t >= service_blocked_until and not draining_for_promotion:
                 if follower:
-                    headroom = (config.ring_capacity - occupancy
-                                + flow_capacity)
-                    served = min(potential,
-                                 max(0.0, headroom) / entries_per_op)
+                    headroom = ring_capacity - occupancy + flow_capacity
+                    served = (headroom if headroom > 0.0
+                              else 0.0) / entries_per_op
+                    if served > potential:
+                        served = potential
                     produced = served * entries_per_op
-                    occupancy += produced - min(produced, flow_capacity)
+                    occupancy += produced - (
+                        flow_capacity if flow_capacity < produced
+                        else produced)
                 else:
                     served = potential
 
@@ -282,27 +293,29 @@ class FluidSim:
             if served <= epsilon:
                 stall_ns += dt
             else:
-                longest_stall = max(longest_stall, stall_ns)
+                if stall_ns > longest_stall:
+                    longest_stall = stall_ns
                 stall_ns = 0
-            new_keys = served * write_fraction * max(
-                0.0, 1.0 - store_entries / keyspace)
-            store_entries += new_keys
-            result.total_ops += served
+            room = 1.0 - store_entries / keyspace
+            store_entries += served * write_fraction * (
+                room if room > 0.0 else 0.0)
+            total_ops += served
             bin_accumulator += served
             bin_count += 1
             if bin_count == bins_per_second:
-                result.bins.append(bin_accumulator)
+                bins.append(bin_accumulator)
                 bin_accumulator = 0.0
                 bin_count = 0
             t += dt
 
+        result.total_ops = total_ops
         if bin_count:
-            result.bins.append(bin_accumulator * bins_per_second / bin_count)
+            bins.append(bin_accumulator * bins_per_second / bin_count)
         longest_stall = max(longest_stall, stall_ns)
         result.longest_stall_ns = longest_stall
         steady_latency = int(config.spec.connections
                              * self._op_cost(self._single_mode())
-                             / config.threads)
+                             / threads)
         result.max_latency_ns = (longest_stall + steady_latency
                                  + TAIL_FLOOR_NS)
         return result

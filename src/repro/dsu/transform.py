@@ -44,11 +44,13 @@ def clone_heap(value: Any, memo: Optional[Dict[int, Any]] = None) -> Any:
         return clone
     if kind is dict and _ATOMS.issuperset(map(type, value)):
         # Atom keys are shared, so start from a shallow copy (keeps
-        # order) and replace only the values that need copying.
+        # order) and replace only the values that need copying — none,
+        # for a flat store, which one C-level pass over the values tells.
         clone = memo[id(value)] = value.copy()
-        for key, item in value.items():
-            if type(item) not in _ATOMS:
-                clone[key] = clone_heap(item, memo)
+        if not _ATOMS.issuperset(map(type, value.values())):
+            for key, item in value.items():
+                if type(item) not in _ATOMS:
+                    clone[key] = clone_heap(item, memo)
     elif kind is list:
         clone = memo[id(value)] = []
         clone.extend([clone_heap(item, memo) for item in value])

@@ -1,7 +1,12 @@
 """Tests for the fluid performance simulator."""
 
+import gc
+import hashlib
+import sys
+
 import pytest
 
+from repro.bench import fig6, fig7
 from repro.bench.fluid import (
     FluidConfig,
     FluidSim,
@@ -193,3 +198,122 @@ class TestRollbackTimeline:
         result = FluidSim(config).run(plan=rollback_plan)
         assert min(result.bins) > 0
         assert result.max_latency_ns < TAIL_FLOOR_NS + 100 * MILLISECOND
+
+
+# ---------------------------------------------------------------------------
+# Bit-identity pins and the per-step call budget
+# ---------------------------------------------------------------------------
+
+INSTANTS = ("t1_forked", "t2_updated", "t3_caught_up", "t5_promoted",
+            "t6_finalized", "rolled_back_at")
+
+
+def fingerprint(result):
+    """Every float bit and every instant of one ``FluidResult``."""
+    return (float.hex(result.total_ops),
+            hashlib.sha256(repr(result.bins).encode()).hexdigest()[:16],
+            result.longest_stall_ns, result.max_latency_ns,
+            tuple(getattr(result, name) for name in INSTANTS))
+
+
+def pinned_runs():
+    """label -> ``FluidResult`` of the runs the goldens are rendered
+    from, plus one rollback and one fixed-mode run."""
+    runs = {f"fig7.{row.label}": row.result for row in fig7.run_fig7()}
+    runs.update((f"fig6.{series.app}", series.result)
+                for series in fig6.run_fig6())
+    runs["rollback"] = FluidSim(
+        redis_config(ring_capacity=1 << 24)).run(
+            plan=UpdatePlan(request_at=10 * SECOND,
+                            rollback_at=15 * SECOND))
+    runs["table2.memcached-4.varan-2"] = FluidSim(
+        FluidConfig(profile=PROFILES["memcached"], threads=4,
+                    spec=MemtierSpec(duration_ns=10 * SECOND)),
+        fixed_mode=ExecutionMode.VARAN_LEADER).run(10 * SECOND)
+    return runs
+
+
+#: Taken at the parent of the PR that made the step loop call-free
+#: (PR 23); the loop may get cheaper, these may not move.
+PINS = {
+    "fig7.native": (
+        "0x1.70dde52ed4827p+24", "cfbb1ec8b39a0ea1", 0, 100_744_600,
+        (None, None, None, None, None, None)),
+    "fig7.kitsune": (
+        "0x1.6bbbbef15b5e2p+24", "3f5976bce7b29f05",
+        5_010_000_000, 5_110_744_600,
+        (120_000_000_000, 125_002_000_000, None, None, None, None)),
+    "fig7.mvedsua-2^10": (
+        "0x1.3ce13c6b74744p+24", "c2e75c7540e1e56e",
+        6_190_000_000, 6_290_744_600,
+        (120_000_000_000, 126_215_000_000, 126_220_000_000,
+         180_000_000_000, 240_000_000_000, None)),
+    "fig7.mvedsua-2^20": (
+        "0x1.3e363c6b74771p+24", "d769f52a49bf10ad",
+        4_060_000_000, 4_160_744_600,
+        (120_000_000_000, 126_215_000_000, 128_390_000_000,
+         180_000_000_000, 240_000_000_000, None)),
+    "fig7.mvedsua-2^24": (
+        "0x1.40bee0b402051p+24", "86f4002fc6c0fbc1", 20_000_000, 120_744_600,
+        (120_000_000_000, 126_215_000_000, 132_540_000_000,
+         180_000_000_000, 240_000_000_000, None)),
+    "fig7.immediate-promotion": (
+        "0x1.6b2750eb1bd72p+24", "67c988047db4924f",
+        3_130_000_000, 3_230_744_600,
+        (120_000_000_000, 126_215_000_000, 129_350_000_000,
+         129_350_000_000, 129_350_000_000, None)),
+    "fig6.memcached": (
+        "0x1.082a3c448f64cp+26", "d942d515a05f5833", 640_000_000, 740_219_725,
+        (120_000_000_000, 120_634_993_800, 120_640_000_000,
+         180_000_000_000, 240_000_000_000, None)),
+    "fig6.redis": (
+        "0x1.405bf6acc0a9dp+24", "457bdda5ea7d7ab4", 610_000_000, 710_744_600,
+        (120_000_000_000, 120_634_801_600, 120_640_000_000,
+         180_000_000_000, 240_000_000_000, None)),
+    "rollback": (
+        "0x1.cb8ce1d4c7d74p+20", "80a695e2adbb7e66", 20_000_000, 120_744_600,
+        (10_000_000_000, 10_318_285_400, 10_610_000_000,
+         None, None, 15_000_000_000)),
+    "table2.memcached-4.varan-2": (
+        "0x1.2fe7373d9d2a1p+20", "42b4a16b5c19654c", 0, 100_401_675,
+        (None, None, None, None, None, None)),
+}
+
+
+def test_every_float_bit_and_instant_is_pinned():
+    measured = {label: fingerprint(result)
+                for label, result in pinned_runs().items()}
+    assert measured == PINS
+
+
+#: Python frames plus C calls per fixed step of the Figure 7
+#: ``mvedsua-2^10`` run: 3.31 before PR 23 (``min``/``max``, and
+#: ``list.append`` once a second), 0.011 after (the appends).
+CALLS_PER_STEP_CEILING = 0.5
+
+
+def calls_per_step():
+    sim = FluidSim(fig7._config(1 << 10))
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call" or event == "c_call":
+            calls += 1
+
+    gc.collect()
+    gc.disable()
+    sys.setprofile(count)
+    try:
+        result = sim.run(plan=fig7._plan())
+    finally:
+        sys.setprofile(None)
+        gc.enable()
+    assert fingerprint(result) == PINS["fig7.mvedsua-2^10"]
+    return calls / (result.duration_ns // sim.config.bin_ns)
+
+
+def test_the_step_loop_stays_inside_its_call_budget():
+    measured = calls_per_step()
+    assert measured <= CALLS_PER_STEP_CEILING
+    assert calls_per_step() == measured  # exact, run for run

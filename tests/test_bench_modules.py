@@ -1,6 +1,10 @@
 """Unit tests for the benchmark drivers and reporting helpers."""
 
-from repro.bench import claims, fig7, table2
+import dataclasses
+
+import pytest
+
+from repro.bench import ablations, claims, fig7, table2
 from repro.bench.fig7 import Fig7Row
 from repro.bench.fluid import FluidResult
 from repro.bench.reporting import (
@@ -9,6 +13,8 @@ from repro.bench.reporting import (
     format_table,
     sparkline,
 )
+from repro.errors import ServerCrash
+from repro.servers.native import NativeRuntime
 
 
 class TestReporting:
@@ -99,3 +105,71 @@ class TestFig7Module:
         text = fig7.render(rows)
         assert "5,040 ms" in text  # the paper's Kitsune number
         assert "shape check: ok" in text
+
+
+class TestUpgradeStrategies:
+    #: ``run_upgrade_strategies()`` before its four deployments shared
+    #: one store (PR 23), at the shipped size and at a small one.
+    CHECKPOINT = "checkpoint format 'v1' is not readable by kvstore-2.0 (forma"
+    PARENT_ROWS = {
+        200_000: [
+            ("stop-restart", 500_000_000, False, True,
+             "in-memory state dropped"),
+            ("checkpoint-restart", 535_200_176, True, False, CHECKPOINT),
+            ("kitsune", 1_000_105_000, True, True,
+             "200,001 entries transformed"),
+            ("mvedsua", 15_100_000, True, True,
+             "update ran 1000 ms on the follower")],
+        1_000: [
+            ("stop-restart", 500_000_000, False, True,
+             "in-memory state dropped"),
+            ("checkpoint-restart", 500_176_176, True, False, CHECKPOINT),
+            ("kitsune", 5_105_000, True, True, "1,001 entries transformed"),
+            ("mvedsua", 15_100_000, True, True,
+             "update ran 5 ms on the follower")],
+    }
+
+    def test_two_deployments_of_one_store_are_independent(self):
+        store = {f"key{i}": "value" for i in range(50)}
+        first, client = ablations._deployment(NativeRuntime, store,
+                                              with_kitsune=True)
+        second, _ = ablations._deployment(NativeRuntime, store,
+                                          with_kitsune=True)
+        assert client.command(first.runtime, b"PUT fresh 1") == b"+OK\r\n"
+        assert "fresh" in first.server.heap["table"]
+        assert "fresh" not in second.server.heap["table"]
+        assert len(second.server.heap["table"]) == len(store) + 1  # balance
+        assert store == {f"key{i}": "value" for i in range(50)}
+
+    @pytest.mark.parametrize("size", sorted(PARENT_ROWS))
+    def test_outcomes_equal_the_unshared_build_and_the_store_survives(
+            self, size, monkeypatch):
+        stores = []
+        deployment = ablations._deployment
+
+        def watched(runtime, store, **kwargs):
+            stores.append(store)
+            return deployment(runtime, store, **kwargs)
+
+        monkeypatch.setattr(ablations, "STORE_SIZE", size)
+        monkeypatch.setattr(ablations, "_deployment", watched)
+        outcomes = ablations.run_upgrade_strategies()
+        assert [dataclasses.astuple(outcome) for outcome in outcomes] \
+            == self.PARENT_ROWS[size]
+        assert len(stores) == 4 and all(s is stores[0] for s in stores)
+        assert len(stores[0]) == size and "balance" not in stores[0]
+        assert set(stores[0].values()) == {"value"}
+
+    def test_check_state_reports_a_lost_server_and_nothing_else(self):
+        class Client:
+            def __init__(self, error):
+                self.error = error
+
+            def command(self, runtime, request, now):
+                raise self.error
+
+        assert ablations._check_state(Client(ServerCrash("gone")),
+                                      None, 0) is False
+        # A harness mistake must not render as "state preserved: NO".
+        with pytest.raises(TypeError):
+            ablations._check_state(Client(TypeError("harness")), None, 0)

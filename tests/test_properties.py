@@ -324,6 +324,34 @@ def test_clone_heap_keeps_aliased_subcontainers_aliased(table, shared):
     assert clone["table"] == table
 
 
+#: All-atom stores up to 2 000 entries: a short generated value list,
+#: repeated (cheap to generate, large enough to be the bulk of a heap).
+flat_stores = st.builds(
+    lambda items, repeat: {f"key{i}": item
+                           for i, item in enumerate(items * repeat)},
+    st.lists(heap_atoms, max_size=40), st.integers(1, 50))
+
+
+@settings(max_examples=100, deadline=None)
+@given(flat_stores, st.lists(heap_atoms, max_size=3))
+def test_clone_heap_copies_a_flat_store_whole_and_shares_nothing(flat, tail):
+    late = dict(flat, tail=tail)        # its only non-atom value is last
+    heap = {"table": flat, "again": [flat, (flat, 1)], "late": late}
+    reference = copy.deepcopy(heap)
+    clone = clone_heap(heap)
+    assert clone == reference
+    assert list(clone["table"]) == list(flat)
+    assert list(clone["late"]) == list(late)
+    # Reachable three times, still one object — and not the original.
+    assert clone["table"] is clone["again"][0] is clone["again"][1][0]
+    assert clone["late"]["tail"] is not tail
+    assert not ({id(c) for c in _containers(heap)}
+                & {id(c) for c in _containers(clone)})
+    for container in list(_containers(clone)):
+        container.clear()
+    assert heap == reference
+
+
 def test_clone_heap_hands_other_types_to_deepcopy():
 
     class Blob:
