@@ -199,8 +199,8 @@ class DistributedRing(RingBuffer):
                   produced_at: int) -> Tuple[List[Payload], int]:
         """Ship one frame; returns the decoded payloads and the virtual
         time they become visible to the follower."""
-        line = encode_frame(self._frame_seq, list(payloads))
-        n_bytes = len(line.encode("utf-8"))
+        line = encode_frame(self._frame_seq, payloads)
+        n_bytes = len(line)  # a frame is ASCII
         delay = self._partition_delay(produced_at)
         deliver_at = produced_at + transit_ns(self.link, n_bytes) + delay
         if deliver_at < self._last_delivery:

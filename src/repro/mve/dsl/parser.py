@@ -50,8 +50,10 @@ objects.  Compiled rules keep a reference to their source AST in
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
+from functools import lru_cache, partial
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.errors import DslSyntaxError
@@ -374,15 +376,43 @@ def _compile_expr(expr: ExprAst) -> Callable[[Dict[str, bytes]], bytes]:
     raise DslSyntaxError(f"unknown expression op {expr.op!r}")
 
 
+def _compile_cond(cond: CondAst) -> Callable[[bytes], bool]:
+    """``cond.evaluate`` as a C-level callable: the engine tests a guard
+    once per candidate record, and a Python frame per test is most of
+    what the test costs."""
+    if cond.op == "eq":
+        return partial(operator.eq, cond.literal)
+    if cond.op == "ne":
+        return partial(operator.ne, cond.literal)
+    if cond.op in ("startswith", "endswith"):
+        return operator.methodcaller(cond.op, cond.literal)
+    if cond.op == "contains":
+        return operator.methodcaller("__contains__", cond.literal)
+    raise DslSyntaxError(f"unknown condition op {cond.op!r}")
+
+
+def _compile_guard(conds: Tuple[CondAst, ...]) -> Callable[[bytes], bool]:
+    """The predicate of one match position: all of ``conds`` hold."""
+    tests = tuple(_compile_cond(cond) for cond in conds)
+    if len(tests) == 1:
+        return tests[0]
+
+    def conjunction(data: bytes) -> bool:
+        for test in tests:
+            if not test(data):
+                return False
+        return True
+    return conjunction
+
+
 def compile_rule(ast: RuleAst) -> RewriteRule:
     """Compile one parsed rule into an executable :class:`RewriteRule`."""
     pattern = []
     for item in ast.matches:
         conds = ast.conditions_for(item.data_var)
         if conds:
-            def combined(data, conds=conds):
-                return all(c.evaluate(data) for c in conds)
-            pattern.append(SyscallPattern(item.syscall, predicate=combined))
+            pattern.append(SyscallPattern(item.syscall,
+                                          predicate=_compile_guard(conds)))
         else:
             pattern.append(SyscallPattern(item.syscall))
 
@@ -402,7 +432,8 @@ def compile_rule(ast: RuleAst) -> RewriteRule:
                                      result=len(data)))
         return out
 
-    return RewriteRule(ast.name, pattern, action, ast.direction, ast=ast)
+    return RewriteRule(ast.name, tuple(pattern), action, ast.direction,
+                       ast=ast)
 
 
 def parse_rules_ast(text: str) -> List[RuleAst]:
@@ -410,6 +441,17 @@ def parse_rules_ast(text: str) -> List[RuleAst]:
     return _Parser(_tokenize(text)).parse_rules()
 
 
+@lru_cache(maxsize=32)
+def _compiled(text: str) -> Tuple[RewriteRule, ...]:
+    return tuple(compile_rule(ast) for ast in parse_rules_ast(text))
+
+
 def parse_rules(text: str) -> List[RewriteRule]:
-    """Parse DSL ``text`` into :class:`RewriteRule` objects."""
-    return [compile_rule(ast) for ast in parse_rules_ast(text)]
+    """Parse DSL ``text`` into :class:`RewriteRule` objects.
+
+    A text is parsed and compiled once (the catalogues are constants,
+    and a chaos campaign asks for them per cell); every call gets its
+    own list of the shared rules, which nothing mutates — engine state
+    and stage caches live in the :class:`RuleSet` the caller builds.
+    """
+    return list(_compiled(text))

@@ -157,35 +157,39 @@ class DispatchIndex:
     :data:`_SEQUENCE` and go through ``matches_prefix``/``viable``.
 
     Immutable once built; shareable across engines (see
-    :meth:`RuleSet.engine_for_stage`).
+    :meth:`RuleSet.engine_for_stage`).  The tables are keyed by the
+    syscall's ``_value_``: a ``Sys`` hashes through a Python-level
+    ``Enum.__hash__``, a frame per lookup on the per-record path.
     """
 
     __slots__ = ("rules", "_exact", "_wild", "_cache")
 
     def __init__(self, rules: Iterable[RewriteRule]) -> None:
         self.rules: List[RewriteRule] = list(rules)
-        #: (Sys, fd) -> [(priority, rule)] for pinned-fd first patterns.
-        self._exact: Dict[Tuple[Sys, int], List[Tuple[int, RewriteRule]]] = {}
-        #: Sys -> [(priority, rule)] for wildcard-fd first patterns.
-        self._wild: Dict[Sys, List[Tuple[int, RewriteRule]]] = {}
-        #: (Sys, fd) -> merged candidate tuple, filled on first lookup.
-        self._cache: Dict[Tuple[Sys, int], Tuple[Candidate, ...]] = {}
+        #: (sys, fd) -> [(priority, rule)] for pinned-fd first patterns.
+        self._exact: Dict[Tuple[str, int], List[Tuple[int, RewriteRule]]] = {}
+        #: sys -> [(priority, rule)] for wildcard-fd first patterns.
+        self._wild: Dict[str, List[Tuple[int, RewriteRule]]] = {}
+        #: (sys, fd) -> merged candidate tuple, filled on first lookup.
+        self._cache: Dict[Tuple[str, int], Tuple[Candidate, ...]] = {}
         for priority, rule in enumerate(self.rules):
             first = rule.pattern[0]
             if first.fd == ANY_FD:
-                self._wild.setdefault(first.name, []).append((priority, rule))
+                self._wild.setdefault(first.name._value_, []) \
+                    .append((priority, rule))
             else:
-                self._exact.setdefault((first.name, first.fd), []) \
+                self._exact.setdefault((first.name._value_, first.fd), []) \
                     .append((priority, rule))
 
     def candidates(self, record: SyscallRecord) -> Tuple[Candidate, ...]:
         """``(rule, guard)`` for the rules whose first pattern could
         match ``record``, in priority order.  Everything else provably
         neither fires nor stays viable."""
-        key = (record.name, record.fd)
+        sys = record.name._value_
+        key = (sys, record.fd)
         cached = self._cache.get(key)
         if cached is None:
-            wild = self._wild.get(record.name, [])
+            wild = self._wild.get(sys, [])
             exact = ([] if record.fd == ANY_FD
                      else self._exact.get(key, []))
             merged = sorted(exact + wild) if exact else wild
@@ -206,8 +210,9 @@ class RuleSet:
     #: the count so direct ``rules`` appends also invalidate.
     _stage_cache: Dict[Direction, Tuple[int, List[RewriteRule]]] = field(
         default_factory=dict, init=False, repr=False, compare=False)
-    #: stage -> (rule count at compute time, shared dispatch index).
-    _index_cache: Dict[Direction, Tuple[int, DispatchIndex]] = field(
+    #: stage value -> (rule count at compute time, shared dispatch
+    #: index); by ``_value_`` for the reason :class:`DispatchIndex` is.
+    _index_cache: Dict[str, Tuple[int, DispatchIndex]] = field(
         default_factory=dict, init=False, repr=False, compare=False)
 
     def add(self, rule: RewriteRule) -> "RuleSet":
@@ -235,12 +240,12 @@ class RuleSet:
         so the runtime asks for a new engine per iteration and this
         method amortises the index across all of them.
         """
-        cached = self._index_cache.get(stage)
+        cached = self._index_cache.get(stage._value_)
         if cached is not None and cached[0] == len(self.rules):
             index = cached[1]
         else:
             index = DispatchIndex(self.for_stage(stage))
-            self._index_cache[stage] = (len(self.rules), index)
+            self._index_cache[stage._value_] = (len(self.rules), index)
         return RuleEngine(index)
 
     def count(self, stage: Direction = Direction.OUTDATED_LEADER) -> int:

@@ -16,7 +16,8 @@ ring-buffer contents and virtual-time cost accounting.
 from __future__ import annotations
 
 import enum
-from typing import List, Optional, Sequence
+from collections import deque
+from typing import Deque, List, Optional, Sequence
 
 from repro.errors import BrokenPipe, ConnectionReset, FdExhausted
 from repro.mve.divergence import check_drained, check_match
@@ -63,10 +64,10 @@ class SyscallGateway:
         self.domain = domain
         self.role = role
         self.trace = IterationTrace()
-        #: REPLAY role: this iteration's expected records and how many
-        #: of them the follower has consumed.
-        self._expected: Sequence[SyscallRecord] = ()
-        self._cursor = 0
+        #: REPLAY role: the expected records this iteration has yet to
+        #: consume (None outside one; a syscall takes the next with
+        #: ``pending.popleft() if pending else None``, a C call).
+        self._pending: Optional[Deque[SyscallRecord]] = None
 
     # -- iteration bookkeeping ------------------------------------------------
 
@@ -77,30 +78,15 @@ class SyscallGateway:
         records after rewrite rules).
         """
         self.trace = IterationTrace()
-        self._expected = expected
-        self._cursor = 0
+        self._pending = deque(expected) if expected else None
 
     def finish_iteration(self) -> IterationTrace:
         """Close out the iteration; REPLAY role verifies full drain."""
-        if self.role is GatewayRole.REPLAY:
-            leftover = self._peek_expected()
-            if leftover is not None:
-                check_drained([leftover])
+        if self.role is GatewayRole.REPLAY and self._pending:
+            check_drained([self._pending[0]])
         return self.trace
 
     # -- replay plumbing --------------------------------------------------------
-
-    def _peek_expected(self) -> Optional[SyscallRecord]:
-        cursor = self._cursor
-        if cursor < len(self._expected):
-            return self._expected[cursor]
-        return None
-
-    def _take_expected(self) -> Optional[SyscallRecord]:
-        record = self._peek_expected()
-        if record is not None:
-            self._cursor += 1
-        return record
 
     def _replay(self, name: Sys, fd: int = -1, data: bytes = b"",
                 result=None) -> SyscallRecord:
@@ -112,7 +98,8 @@ class SyscallGateway:
         syscalls, and otherwise raises with both sides — when one of
         them differs.
         """
-        expected = self._take_expected()
+        pending = self._pending
+        expected = pending.popleft() if pending else None
         if expected is None or expected.name is not name \
                 or expected.fd != fd or expected.data != data:
             check_match(expected, SyscallRecord(name, fd, data, result))
@@ -120,11 +107,12 @@ class SyscallGateway:
 
     def _emit(self, record: SyscallRecord) -> SyscallRecord:
         """Add ``record`` to the iteration's trace, account its bytes,
-        show it to the tracer.  The leader's three calls per request
-        (DIRECT ``epoll_wait``/``read``/``write``) do the first two in
-        place while no tracer is installed: they know the syscall kind,
-        and build the record with ``tuple.__new__`` — field for field
-        what ``SyscallRecord(...)`` returns, minus its Python frame."""
+        show it to the tracer.  The three calls a request makes
+        (``epoll_wait``/``read``/``write``, in either role) do the
+        first two in place while no tracer is installed: they know the
+        syscall kind, and build the record with ``tuple.__new__`` —
+        field for field what ``SyscallRecord(...)`` returns, minus its
+        Python frame."""
         trace = self.trace
         trace.records.append(record)
         if record.name in (Sys.READ, Sys.WRITE):
@@ -139,7 +127,11 @@ class SyscallGateway:
     def epoll_wait(self, epfd: int) -> List[int]:
         """Ready fds; followers receive the leader's recorded ready set."""
         if self.role is GatewayRole.REPLAY:
-            expected = self._emit(self._replay(Sys.EPOLL_WAIT, epfd))
+            expected = self._replay(Sys.EPOLL_WAIT, epfd)
+            if OBS.tracer is None:
+                self.trace.records.append(expected)
+            else:
+                self._emit(expected)
             return list(expected.result)
         ready = self.kernel.epoll_wait(self.domain, epfd)
         record = tuple.__new__(SyscallRecord, (
@@ -206,13 +198,19 @@ class SyscallGateway:
         """Read from a stream; followers get the leader's bytes (possibly
         rewritten by rules)."""
         if self.role is GatewayRole.REPLAY:
-            expected = self._take_expected()
+            pending = self._pending
+            expected = pending.popleft() if pending else None
             # Reads match on (name, fd) only: the *data* is an input the
             # leader received, served to the follower as-is.
             if expected is None or expected.name is not Sys.READ \
                     or expected.fd != fd:
                 check_match(expected, SyscallRecord(Sys.READ, fd))
-            self._emit(expected)
+            if OBS.tracer is None:
+                trace = self.trace
+                trace.records.append(expected)
+                trace.bytes_transferred += len(expected.data)
+            else:
+                self._emit(expected)
             error = expected.aux.get("error")
             if error:
                 raise _ERRNO_CLASSES[error](
@@ -271,8 +269,9 @@ class SyscallGateway:
         """Match a follower write against possibly-chunked leader records."""
         total = len(data)
         remaining = data
+        pending = self._pending
         while True:
-            expected = self._take_expected()
+            expected = pending.popleft() if pending else None
             if expected is not None and expected.name is Sys.WRITE \
                     and expected.fd == fd:
                 error = expected.aux.get("error")
@@ -287,15 +286,20 @@ class SyscallGateway:
                     # continues with another write on the same fd —
                     # a genuine prefix *divergence* must still trip
                     # check_match below.
-                    nxt = self._peek_expected()
-                    if nxt is not None and nxt.name is Sys.WRITE \
-                            and nxt.fd == fd:
+                    if pending and pending[0].name is Sys.WRITE \
+                            and pending[0].fd == fd:
                         self._emit(expected)
                         remaining = remaining[len(expected.data):]
                         continue
                 if remaining == expected.data:
-                    self._emit(SyscallRecord(Sys.WRITE, fd, remaining,
-                                             len(remaining)))
+                    record = tuple.__new__(SyscallRecord, (
+                        Sys.WRITE, fd, remaining, len(remaining), EMPTY_AUX))
+                    if OBS.tracer is None:
+                        trace = self.trace
+                        trace.records.append(record)
+                        trace.bytes_transferred += len(remaining)
+                    else:
+                        self._emit(record)
                     return total
             actual = SyscallRecord(Sys.WRITE, fd, remaining, len(remaining))
             check_match(expected, actual)
@@ -317,7 +321,8 @@ class SyscallGateway:
         path_bytes = path.encode()
         if self.role is GatewayRole.REPLAY:
             self._emit(self._replay(Sys.OPEN, data=path_bytes))
-            expected = self._take_expected()
+            pending = self._pending
+            expected = pending.popleft() if pending else None
             if expected is None or expected.name is not Sys.READ:
                 check_match(expected, SyscallRecord(Sys.READ, -2))
             self._emit(expected)
@@ -382,7 +387,8 @@ class SyscallGateway:
     def _replay_stat(self, query: bytes) -> SyscallRecord:
         """The leader's answer to a STAT-family query.  Matched on the
         name only: the answer is an input, like read data."""
-        expected = self._take_expected()
+        pending = self._pending
+        expected = pending.popleft() if pending else None
         if expected is None or expected.name is not Sys.STAT:
             check_match(expected, SyscallRecord(Sys.STAT, data=query))
         return self._emit(expected)

@@ -13,6 +13,7 @@ Entries carry their produce timestamp so replay can respect causality
 from __future__ import annotations
 
 from collections import deque
+from itertools import repeat
 from typing import (Deque, Iterator, List, NamedTuple, Optional, Sequence,
                     Union)
 
@@ -107,8 +108,11 @@ class RingBuffer:
         if len(payloads) > self.capacity - len(self._entries):
             raise BufferFull(self.capacity)
         sequence = self._produced
-        entries = [RingEntry(payload, produced_at, sequence + offset)
-                   for offset, payload in enumerate(payloads)]
+        # RingEntry(payload, produced_at, sequence + offset) per payload,
+        # built without a Python frame each.
+        entries = list(map(tuple.__new__, repeat(RingEntry), zip(
+            payloads, repeat(produced_at),
+            range(sequence, sequence + len(payloads)))))
         self._entries.extend(entries)
         self._produced = sequence + len(entries)
         if len(self._entries) > self.high_watermark:
@@ -135,8 +139,7 @@ class RingBuffer:
                 f"pop_many({count}) from ring buffer holding "
                 f"{len(self._entries)} entries")
         self._consumed += count
-        popleft = self._entries.popleft
-        return [popleft() for _ in range(count)]
+        return list(map(deque.popleft, repeat(self._entries, count)))
 
     def clear(self) -> None:
         """Drop all entries (used when a follower is terminated)."""

@@ -489,10 +489,13 @@ class VaranRuntime:
             return swap_at
 
         entries = ring.pop_many(descriptor.n_records)
-        ready_at = max((entry.produced_at for entry in entries), default=0)
+        if entries:
+            payloads, produced, _ = zip(*entries)
+            ready_at = max(produced)
+        else:
+            payloads, ready_at = (), 0
         engine = lane.rules.engine_for_stage(self.stage_direction)
-        expected = rewrite_iteration(
-            engine, (entry.payload for entry in entries))
+        expected = rewrite_iteration(engine, payloads)
         self.rules_fired.extend(engine.fired)
         tracer = OBS.tracer
         if tracer is not None:

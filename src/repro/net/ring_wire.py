@@ -26,14 +26,14 @@ distributed runs are as bit-reproducible as local ones.
 
 from __future__ import annotations
 
+import json.encoder
 from dataclasses import dataclass
-from typing import Any, Dict, List, Tuple, Union
+from typing import Any, Dict, List, Sequence, Tuple, Union
 
 from repro.errors import SimulationError
 from repro.mve.events import ControlEvent, ControlKind
-from repro.replay.stream import (deserialize_record, frame_line,
-                                 serialize_record, unframe_line)
-from repro.syscalls.model import SyscallRecord
+from repro.replay.stream import canonical, frame_line, unframe_line
+from repro.syscalls.model import EMPTY_AUX, Sys, SyscallRecord
 
 #: Wire protocol identifier, stamped into every frame (bump on shape
 #: changes; receivers reject anything else).
@@ -109,74 +109,179 @@ def transit_ns(link: RingLink, n_bytes: int) -> int:
 # ---------------------------------------------------------------------------
 # Frame encode/decode
 # ---------------------------------------------------------------------------
+#
+# A frame body is the canonical JSON (``repro.replay.stream.canonical``)
+# of ``{"schema", "seq", "records": [...]}``, each record as
+# ``serialize_record`` lays it out.  The encoder writes those bytes
+# directly — key order is fixed, so a record is a template — and hands
+# ``canonical`` only what is rare (``aux``, control events, results
+# that are not ints, tuples or bytes).  ``tests/test_distring.py`` holds
+# it to the dict-and-dumps formulation byte for byte.
 
-def _serialize_payload(payload: Payload) -> Dict[str, Any]:
-    if isinstance(payload, ControlEvent):
-        entry: Dict[str, Any] = {"ctl": payload.kind.value}
-        if payload.at is not None:
-            entry["at"] = payload.at
-        if payload.version is not None:
-            entry["version"] = payload.version
-        return entry
-    return serialize_record(payload)
-
-
-def _deserialize_payload(entry: Any) -> Payload:
-    if not isinstance(entry, dict):
-        raise WireError(f"frame payload entry is not an object: {entry!r}")
-    if "ctl" in entry:
-        try:
-            kind = ControlKind(entry["ctl"])
-        except ValueError as exc:
-            raise WireError(f"unknown control kind {entry['ctl']!r}") \
-                from exc
-        return ControlEvent(kind, at=entry.get("at"),
-                            version=entry.get("version"))
-    try:
-        return deserialize_record(entry)
-    except SimulationError as exc:
-        raise WireError(f"bad syscall record on the wire: {exc}") from exc
+#: ``"…"`` with everything outside printable ASCII escaped — the
+#: function ``canonical`` itself renders strings with.  A frame is
+#: therefore ASCII, and its byte length is its ``len``.
+_quote = json.encoder.encode_basestring_ascii
+#: ``,"sys":"read"}`` per syscall: ``sys`` sorts last of a record's keys
+#: (``aux``, ``data``, ``fd``, ``result``, ``sys``).
+_SYS_TAIL = {sys.value: f',"sys":{_quote(sys.value)}}}' for sys in Sys}
+_SYS_BY_VALUE = {sys.value: sys for sys in Sys}
+_INT_ONLY = {int}
+_CONTROL_BY_VALUE = {kind.value: kind for kind in ControlKind}
 
 
-def encode_frame(sequence: int, payloads: List[Payload]) -> str:
+def _result_json(result: Any) -> str:
+    """A record's result: a tuple tagged ``{"t": [...]}``, bytes tagged
+    ``{"b": latin-1}``, anything else as itself."""
+    if type(result) is int:
+        return str(result)
+    if isinstance(result, (list, tuple)):
+        # An epoll_wait's ready set — ints only — needs no recursion.
+        items = map(str if set(map(type, result)) == _INT_ONLY
+                    else _result_json, result)
+        return '{"t":[' + ",".join(items) + "]}"
+    if isinstance(result, bytes):
+        return '{"b":' + _quote(result.decode("latin-1")) + "}"
+    return canonical(result)
+
+
+def _control_json(event: ControlEvent) -> str:
+    entry: Dict[str, Any] = {"ctl": event.kind.value}
+    if event.at is not None:
+        entry["at"] = event.at
+    if event.version is not None:
+        entry["version"] = event.version
+    return canonical(entry)
+
+
+def encode_frame(sequence: int, payloads: Sequence[Payload]) -> str:
     """One ``repro-ring/1`` frame: a length-prefixed JSON line.
 
     ``sequence`` is the frame's position in the stream (0-based,
     monotonic); the receiver uses it to detect gaps and to reassemble
     out-of-order delivery.
     """
-    if sequence < 0:
-        raise WireError(f"frame sequence must be >= 0, got {sequence}")
+    if type(sequence) is not int or sequence < 0:
+        raise WireError(f"frame sequence must be an integer >= 0, "
+                        f"got {sequence!r}")
     if not payloads:
         raise WireError("refusing to encode an empty frame")
-    body = {"schema": RING_WIRE_SCHEMA, "seq": sequence,
-            "records": [_serialize_payload(payload)
-                        for payload in payloads]}
-    return frame_line(body)
+    entries = []
+    for payload in payloads:
+        if type(payload) is ControlEvent:
+            entries.append(_control_json(payload))
+            continue
+        name, fd, data, result, aux = payload
+        text = f'{{"data":{_quote(data.decode("latin-1"))},"fd":' if data \
+            else '{"fd":'
+        if aux:
+            text = '{"aux":' + canonical({str(k): v for k, v
+                                          in aux.items()}) + "," + text[1:]
+        text += str(fd) if type(fd) is int else canonical(fd)
+        if type(result) is int:
+            text += f',"result":{result}'
+        elif result is not None:
+            text += ',"result":' + _result_json(result)
+        entries.append(text + _SYS_TAIL[name._value_])
+    body = (f'{{"records":[{",".join(entries)}],'
+            f'"schema":"{RING_WIRE_SCHEMA}","seq":{sequence}}}')
+    return f"{len(body):08x} {body}"
+
+
+def _frame_body(line: str, what: str) -> Dict[str, Any]:
+    """The JSON object a well-framed ``repro-ring/1`` line carries."""
+    try:
+        body = unframe_line(line, 0)
+    except SimulationError as exc:
+        raise WireError(str(exc)) from exc
+    if body.get("schema") != RING_WIRE_SCHEMA:
+        raise WireError(f"{what} schema is {body.get('schema')!r}, "
+                        f"expected {RING_WIRE_SCHEMA!r}")
+    return body
+
+
+def _sequence(body: Dict[str, Any], key: str, what: str) -> int:
+    sequence = body.get(key)
+    if type(sequence) is not int or sequence < 0:
+        raise WireError(f"{what} sequence {sequence!r} is not a "
+                        f"non-negative integer")
+    return sequence
+
+
+def _untagged(result: Any) -> Any:
+    """Inverse of :func:`_result_json`'s tagging."""
+    if type(result) is dict:
+        if "t" in result:
+            items = result["t"]
+            if type(items) is not list:
+                raise WireError(f"tuple result carries {items!r}, "
+                                f"not a list")
+            if dict in map(type, items):
+                return tuple(map(_untagged, items))
+            return tuple(items)
+        if "b" in result:
+            text = result["b"]
+            if type(text) is not str:
+                raise WireError(f"bytes result carries {text!r}, "
+                                f"not a string")
+            return text.encode("latin-1")
+    return result
+
+
+def _control_event(entry: Dict[str, Any]) -> ControlEvent:
+    ctl, at, version = entry["ctl"], entry.get("at"), entry.get("version")
+    kind = _CONTROL_BY_VALUE.get(ctl) if type(ctl) is str else None
+    if kind is None:
+        raise WireError(f"unknown control kind {ctl!r}")
+    if (at is not None and type(at) is not int) \
+            or (version is not None and type(version) is not str):
+        raise WireError(f"bad control event on the wire: {entry!r}")
+    return ControlEvent(kind, at, version)
 
 
 def decode_frame(line: str) -> Tuple[int, List[Payload]]:
     """Parse one frame; returns ``(sequence, payloads)``.
 
     Raises :class:`WireError` on truncation, garbage, a wrong schema,
-    or a malformed body — the receiver treats any of those as a
-    partition event, never as data.
+    or a malformed body — an entry that is no object, a field of the
+    wrong JSON type, payload text outside latin-1 — so the receiver
+    treats any of those as a partition event, never as data.  Fields
+    the encoder omits come back as the record's defaults (``aux`` as
+    ``EMPTY_AUX``), tagged results as tuples and bytes.
     """
-    try:
-        body = unframe_line(line, 0)
-    except SimulationError as exc:
-        raise WireError(str(exc)) from exc
-    if body.get("schema") != RING_WIRE_SCHEMA:
-        raise WireError(f"frame schema is {body.get('schema')!r}, "
-                        f"expected {RING_WIRE_SCHEMA!r}")
-    sequence = body.get("seq")
-    if not isinstance(sequence, int) or sequence < 0:
-        raise WireError(f"frame sequence {sequence!r} is not a "
-                        f"non-negative integer")
+    body = _frame_body(line, "frame")
+    sequence = _sequence(body, "seq", "frame")
     records = body.get("records")
-    if not isinstance(records, list) or not records:
+    if type(records) is not list or not records:
         raise WireError("frame carries no records")
-    return sequence, [_deserialize_payload(entry) for entry in records]
+    payloads: List[Payload] = []
+    append, new, names = payloads.append, tuple.__new__, _SYS_BY_VALUE.get
+    try:
+        for entry in records:
+            if type(entry) is not dict:
+                raise WireError(f"frame payload entry is not an object: "
+                                f"{entry!r}")
+            if "ctl" in entry:
+                append(_control_event(entry))
+                continue
+            name = names(entry.get("sys"))
+            fd = entry.get("fd", -1)
+            data = entry.get("data", "")
+            result = entry.get("result")
+            aux = entry.get("aux", EMPTY_AUX)
+            if name is None or type(fd) is not int or type(data) is not str \
+                    or (aux is not EMPTY_AUX and type(aux) is not dict):
+                raise WireError(f"bad syscall record on the wire: "
+                                f"{entry!r}")
+            if type(result) is dict:
+                result = _untagged(result)
+            append(new(SyscallRecord, (name, fd, data.encode("latin-1"),
+                                       result, aux)))
+    except (TypeError, UnicodeEncodeError, RecursionError) as exc:
+        # An unhashable "sys", text outside latin-1, a result nested
+        # deeper than the interpreter follows.
+        raise WireError(f"bad syscall record on the wire: {exc}") from None
+    return sequence, payloads
 
 
 def encode_ack(sequence: int) -> str:
@@ -186,15 +291,4 @@ def encode_ack(sequence: int) -> str:
 
 def decode_ack(line: str) -> int:
     """Parse one ack; returns the acknowledged sequence number."""
-    try:
-        body = unframe_line(line, 0)
-    except SimulationError as exc:
-        raise WireError(str(exc)) from exc
-    if body.get("schema") != RING_WIRE_SCHEMA:
-        raise WireError(f"ack schema is {body.get('schema')!r}, "
-                        f"expected {RING_WIRE_SCHEMA!r}")
-    sequence = body.get("ack")
-    if not isinstance(sequence, int) or sequence < 0:
-        raise WireError(f"ack sequence {sequence!r} is not a "
-                        f"non-negative integer")
-    return sequence
+    return _sequence(_frame_body(line, "ack"), "ack", "ack")

@@ -110,10 +110,16 @@ def deserialize_record(entry: Dict[str, Any]) -> SyscallRecord:
 # Length-prefixed framing
 # ---------------------------------------------------------------------------
 
+#: Canonical JSON text of a value: sorted keys, compact separators and
+#: (the encoder's default) every non-ASCII character escaped, so the
+#: text's byte length is its ``len``.
+canonical = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
 def frame_line(payload: Dict[str, Any]) -> str:
     """One length-prefixed JSONL line (without the trailing newline)."""
-    body = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return f"{len(body.encode('utf-8')):08x} {body}"
+    body = canonical(payload)
+    return f"{len(body):08x} {body}"
 
 
 def unframe_line(line: str, index: int) -> Dict[str, Any]:
@@ -126,7 +132,11 @@ def unframe_line(line: str, index: int) -> Dict[str, Any]:
         raise StreamError(f"line {index}: bad length prefix "
                           f"{line[:8]!r}") from None
     body = line[9:]
-    actual = len(body.encode("utf-8"))
+    # What an encoder here wrote is ASCII; other text is measured as the
+    # UTF-8 it would be on disk (a lone surrogate included, so that it
+    # is a length mismatch or a shape problem, never an encode error).
+    actual = len(body) if body.isascii() \
+        else len(body.encode("utf-8", "surrogatepass"))
     if actual != declared:
         raise StreamError(f"line {index}: length prefix says {declared} "
                           f"bytes but the payload has {actual} "

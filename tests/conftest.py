@@ -12,9 +12,11 @@ from repro.sites import observing
 from repro.syscalls.costs import PROFILES
 from repro.workloads import VirtualClient
 
-# Tests that set no ``max_examples`` of their own (tests/test_report.py)
+# Tests that set no ``max_examples`` of their own (tests/test_report.py,
+# the ring codec's and the compiled DSL guards' equivalence properties)
 # run hypothesis's default in tier-1 and this depth in CI:
-# ``python -m pytest tests/test_report.py --hypothesis-profile ci``.
+# ``python -m pytest tests/test_report.py … --hypothesis-profile ci``
+# (the full line is in .github/workflows/ci.yml).
 settings.register_profile("ci", max_examples=2000, deadline=None)
 
 

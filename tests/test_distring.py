@@ -8,6 +8,7 @@ and local runs are untouched by the distributed machinery.
 """
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.chaos.injector import ChaosInjector
 from repro.chaos.plan import Fault, FaultPlan, on_call
@@ -18,8 +19,10 @@ from repro.mve.ring_buffer import BufferFull
 from repro.net.ring_wire import (RingLink, WireError, decode_ack,
                                  decode_frame, encode_ack, encode_frame,
                                  transit_ns)
+from repro.replay.stream import frame_line, serialize_record
 from repro.sites import observing
-from repro.syscalls.model import write_record
+from repro.syscalls.model import (EMPTY_AUX, Sys, SyscallRecord,
+                                  write_record)
 
 
 def rec(i):
@@ -117,6 +120,170 @@ class TestRingWire:
         assert len(bad.problems()) == 5
         with pytest.raises(SimulationError):
             DistributedRing(8, RingLink(window=0))
+
+
+# ---------------------------------------------------------------------------
+# The codec against its reference formulation
+# ---------------------------------------------------------------------------
+
+def reference_frame(sequence, payloads):
+    """``repro-ring/1`` as first written: each payload as a dict, the
+    body through ``json.dumps(sort_keys=True, separators=(",", ":"))``.
+    ``encode_frame`` writes the same bytes without building either."""
+    records = []
+    for payload in payloads:
+        if isinstance(payload, ControlEvent):
+            entry = {"ctl": payload.kind.value}
+            if payload.at is not None:
+                entry["at"] = payload.at
+            if payload.version is not None:
+                entry["version"] = payload.version
+        else:
+            entry = serialize_record(payload)
+        records.append(entry)
+    return frame_line({"schema": "repro-ring/1", "seq": sequence,
+                       "records": records})
+
+
+#: Every byte value, the JSON-special ones (quote, backslash, controls,
+#: the 0x7f/0x80 edge) over-weighted.
+payload_bytes = st.one_of(
+    st.binary(max_size=24),
+    st.lists(st.sampled_from([b'"', b"\\", b"\r\n", b"\x00", b"\x1f",
+                              b"\x7f", b"\x80", b"\xff", b"/", b"PUT k v"]),
+             max_size=6).map(b"".join))
+results = st.recursive(
+    st.one_of(st.none(), st.integers(-2**70, 2**70), st.booleans(),
+              st.text(max_size=8), payload_bytes),
+    lambda inner: st.lists(inner, max_size=3).map(tuple), max_leaves=6)
+aux_maps = st.one_of(
+    st.just(EMPTY_AUX),
+    st.dictionaries(st.text(max_size=6),
+                    st.one_of(st.booleans(), st.integers(-9, 9),
+                              st.text(max_size=6)), max_size=3))
+syscall_records = st.builds(
+    SyscallRecord, st.sampled_from(list(Sys)),
+    st.one_of(st.integers(-3, 2**20), st.integers(-2**40, 2**40)),
+    payload_bytes, results, aux_maps)
+control_events = st.builds(
+    ControlEvent, st.sampled_from(list(ControlKind)),
+    st.one_of(st.none(), st.integers(0, 2**62)),
+    st.one_of(st.none(), st.text(max_size=8)))
+bursts = st.lists(st.one_of(syscall_records, control_events),
+                  min_size=1, max_size=5)
+
+
+def same_types(left, right):
+    """Equal values of equal types all the way down (``1 == True`` and
+    ``(1,) == [1]``-style slack is what a codec bug looks like)."""
+    if type(left) is not type(right):
+        return False
+    if isinstance(left, tuple):
+        return len(left) == len(right) \
+            and all(map(same_types, left, right))
+    return left == right
+
+
+class TestCodecEquivalence:
+    @given(sequence=st.integers(0, 2**40), payloads=bursts)
+    def test_encoder_writes_the_reference_bytes(self, sequence, payloads):
+        line = encode_frame(sequence, payloads)
+        assert line == reference_frame(sequence, payloads)
+        assert line.isascii() and int(line[:8], 16) == len(line) - 9
+
+    @given(sequence=st.integers(0, 2**40), payloads=bursts)
+    def test_round_trip_returns_what_went_in(self, sequence, payloads):
+        got_sequence, decoded = decode_frame(encode_frame(sequence,
+                                                          payloads))
+        assert got_sequence == sequence and len(decoded) == len(payloads)
+        for sent, got in zip(payloads, decoded):
+            assert type(got) is type(sent)
+            if isinstance(sent, ControlEvent):
+                assert got == sent
+                continue
+            assert got[:3] == sent[:3] and got.name is sent.name
+            assert type(got.fd) is int and type(got.data) is bytes
+            assert same_types(got.result, sent.result)
+            # An absent aux is the shared empty one, not a new dict.
+            if sent.aux:
+                assert got.aux == sent.aux
+            else:
+                assert got.aux is EMPTY_AUX
+
+    #: Well-framed, ill-typed bodies: each was a traceback (or passed as
+    #: data) before the decoder validated fields as it builds records.
+    ILL_TYPED = {
+        "data-int": {"sys": "read", "fd": 4, "data": 5},
+        "result-b-int": {"sys": "read", "fd": 4, "result": {"b": 5}},
+        "result-t-int": {"sys": "read", "fd": 4, "result": {"t": 5}},
+        "result-nested-b-null":
+            {"sys": "read", "fd": 4, "result": {"t": [{"b": None}]}},
+        "aux-int": {"sys": "read", "fd": 4, "aux": 5},
+        "fd-word": {"sys": "read", "fd": "x"},
+        "fd-digit-string": {"sys": "read", "fd": "4"},
+        "fd-bool": {"sys": "read", "fd": True},
+        "fd-float": {"sys": "read", "fd": 4.0},
+        "data-beyond-latin1": {"sys": "read", "fd": 4, "data": "\u0100"},
+        "data-lone-surrogate": {"sys": "read", "fd": 4, "data": "\ud800"},
+        "result-b-beyond-latin1":
+            {"sys": "read", "fd": 4, "result": {"b": "\u0100"}},
+        "sys-list": {"sys": ["read"], "fd": 4},
+        "sys-unknown": {"sys": "reed", "fd": 4},
+        "sys-absent": {"fd": 4},
+        "ctl-at-word": {"ctl": "promote", "at": "soon"},
+        "ctl-at-bool": {"ctl": "promote", "at": True},
+        "ctl-version-int": {"ctl": "promote", "version": 2},
+        "ctl-list": {"ctl": ["promote"]},
+        "ctl-unknown": {"ctl": "abdicate"},
+        "entry-int": 5,
+    }
+
+    @pytest.mark.parametrize("case", sorted(ILL_TYPED))
+    def test_ill_typed_entries_are_wire_errors(self, case):
+        line = frame_line({"schema": "repro-ring/1", "seq": 0,
+                           "records": [serialize_record(rec(0)),
+                                       self.ILL_TYPED[case]]})
+        with pytest.raises(WireError):
+            decode_frame(line)
+
+    def test_a_boolean_is_not_a_sequence_number(self):
+        with pytest.raises(WireError):
+            decode_frame(frame_line({"schema": "repro-ring/1", "seq": True,
+                                     "records": [serialize_record(rec(0))]}))
+        with pytest.raises(WireError):
+            decode_ack(frame_line({"schema": "repro-ring/1", "ack": True}))
+        with pytest.raises(WireError):
+            encode_frame(True, [rec(0)])
+
+    def test_a_foreign_encoder_may_send_raw_utf8(self):
+        # This encoder escapes everything; the format only says the
+        # prefix counts the body's UTF-8 bytes.
+        def frame(text, extra_bytes):
+            body = ('{"records":[{"data":"' + text + '","fd":4,'
+                    '"sys":"read"}],"schema":"repro-ring/1","seq":0}')
+            return f"{len(body) + extra_bytes:08x} {body}"
+        assert decode_frame(frame("caf\xe9", 1))[1][0].data == b"caf\xe9"
+        with pytest.raises(WireError, match="length prefix"):
+            decode_frame(frame("caf\xe9", 0))
+        # A lone surrogate cannot be UTF-8 at all: typed, not a crash.
+        with pytest.raises(WireError):
+            decode_frame(frame("caf\ud800", 2))
+
+    @pytest.mark.parametrize("depth", [50, 400, 20_000])
+    def test_deeply_nested_results_decode_or_are_wire_errors(self, depth):
+        # Where the JSON layer or the untagging gives up depends on the
+        # interpreter's stack; what may not happen is a RecursionError.
+        body = ('{"records":[{"fd":4,"result":' + '{"t":[' * depth + "1"
+                + "]}" * depth
+                + ',"sys":"read"}],"schema":"repro-ring/1","seq":0}')
+        try:
+            _, (record,) = decode_frame(f"{len(body):08x} {body}")
+        except WireError:
+            return
+        value = record.result
+        for _ in range(depth):
+            (value,) = value
+        assert value == 1
 
 
 class TestDistributedRing:

@@ -25,10 +25,18 @@ WARMUP, REQUESTS = 500, 2_000
 #: observer installed: 66.4 frames per request before PR 22, 36.4 after.
 LEADER_CEILING = 46
 #: The same stack with one identical follower attached (leader publish,
-#: follower replay, the final drain): 155.0 before PR 22, 117.0 after —
-#: what the leader half and the shared kernel-free pieces gave back.
-#: Ceiling = measured + 2: the baseline for the follower half's own PR.
-PAIR_CEILING = 119
+#: follower replay, the final drain): 155.0 before PR 22, 117.0 after it
+#: (the leader half and the shared kernel-free pieces), 87.7 after PR 24
+#: (the follower step: C-level ring entries, no generator per burst, the
+#: REPLAY gateway's take and emit in place).  Ceiling = measured + 2.
+PAIR_CEILING = 90
+#: A kvstore 1.0 -> 2.0 pair in the outdated-leader stage under the
+#: shipped DSL rules (``kv_rules_from_dsl()``), through ``Mvedsua``:
+#: every READ is tested against two compiled ``where`` guards, which
+#: are C calls, not frames — 79.3 measured; 115.3 at PR 23, when each
+#: guard was four frames (``combined``, its genexpr twice, ``evaluate``)
+#: and each dispatch lookup an ``Enum.__hash__``.  Ceiling = measured + 2.
+DSL_PAIR_CEILING = 82
 
 
 def warmed_stack():
@@ -49,11 +57,33 @@ def warmed_stack():
     return runtime, drive
 
 
-def frames_per_request(*, follower=False):
-    """Python frames entered per request by ``drive()`` (and, with a
-    ``follower`` attached, the final drain)."""
-    runtime, drive = warmed_stack()
-    if follower:
+def kvstore_update_stack():
+    """``(runtime, drive)`` like :func:`warmed_stack`: kvstore 1.0 under
+    ``Mvedsua`` after ``WARMUP`` requests, updating to 2.0 under the
+    pair's shipped DSL rules; ``drive()`` sends the next ``REQUESTS``
+    PUT/PUT/GET requests to the pair."""
+    stack = deploy("kvstore", "1.0")
+    client, mvedsua = stack.client("budget"), stack.runtime
+    commands = [b"GET k%d\r\n" % (index % 97) if index % 3 == 2
+                else b"PUT k%d v%d\r\n" % (index % 97, index)
+                for index in range(WARMUP + REQUESTS)]
+    now = 0
+    for command in commands[:WARMUP]:
+        _, now = client.request(mvedsua, command, now + 1)
+    assert stack.update("2.0", now + 1).ok
+
+    def drive():
+        at = now + 1
+        for command in commands[WARMUP:]:
+            _, at = client.request(mvedsua, command, at + 1)
+    return mvedsua.runtime, drive
+
+
+def frames_per_request(*, follower=False, stack=warmed_stack):
+    """Python frames entered per request by ``stack``'s ``drive()``
+    (and, with a ``follower`` attached, the final drain)."""
+    runtime, drive = stack()
+    if follower and not runtime.lanes:
         runtime.fork_follower(runtime.leader.cpu.busy_until)
     frames = 0
 
@@ -98,3 +128,10 @@ def test_a_request_is_still_seven_kernel_crossings():
 
 def test_the_one_lane_pair_has_a_recorded_baseline():
     assert frames_per_request(follower=True) <= PAIR_CEILING
+
+
+def test_a_dsl_guard_costs_no_frames():
+    measured = frames_per_request(follower=True, stack=kvstore_update_stack)
+    assert measured <= DSL_PAIR_CEILING
+    assert frames_per_request(follower=True,
+                              stack=kvstore_update_stack) == measured
