@@ -11,7 +11,7 @@ and the invariant verdict.  Exit status is 1 when any fleet
 invariant is violated or the written report fails its own schema
 validation — the CI ``fleet-smoke`` job gates on exactly that.
 
-``--slo`` runs the scenario under span tracing, embeds a full
+``--slo`` runs the scenario under a span collector, embeds a full
 ``repro-slo/1`` section (see ``docs/observability.md``) under the
 report's ``slo`` key, and adds per-round SLO availability columns to
 the round table — requests whose gateway span overlaps the round, and
@@ -79,22 +79,20 @@ def run(args) -> int:
         raise cli.UsageError("unusable fleet topology: "
                              + "; ".join(unusable))
 
-    tracer = None
+    collector = None
     if args.slo:
-        from repro.obs.trace import Tracer
-        tracer = Tracer(experiment=f"fleet-{args.scenario}", spans=True)
-    with observing(tracer=tracer):
+        from repro.obs.spans import SpanCollector
+        collector = SpanCollector()
+    with observing(spans=collector):
         report = run_fleet_scenario(args.scenario, args.seed,
                                     shards=args.shards,
                                     replicas=args.replicas,
                                     openloop=args.openloop,
                                     distributed=args.distributed)
-    collector = None
-    if tracer is not None:
+    if collector is not None:
         from repro.obs.slo import build_slo_report, collect_cell
         from repro.obs.slo_scenarios import SLO_SPECS
         spec = SLO_SPECS[args.scenario]
-        collector = tracer.spans
         cell = collect_cell(collector, args.scenario, spec)
         report["slo"] = build_slo_report(args.scenario, args.seed,
                                          spec, [cell])

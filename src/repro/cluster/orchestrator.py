@@ -292,11 +292,11 @@ class FleetOrchestrator:
                 promote_at + self.validation_window_ns)
             self._emit("promote", finished, shard=shard.index,
                        node=node.name, wave=wave_index)
-            tracer = OBS.tracer
-            if tracer is not None:
-                tracer.span("fleet.slot", "fleet", started, finished,
-                            shard=shard.index, node=node.name,
-                            wave=wave_index)
+            spans = OBS.spans
+            if spans is not None:
+                spans.add("fleet.slot", "fleet", started, finished,
+                          shard=shard.index, node=node.name,
+                          wave=wave_index)
             report.records.append(FleetNodeRecord(
                 shard.index, node.name, wave_index, started, finished,
                 "updated", leader_pause_ns=pause))

@@ -197,19 +197,18 @@ class Mvedsua:
                           old=leader_server.version.name,
                           new=new_version.name)
             tracer.on_dsu("resume", t1)
-            spans = tracer.spans
-            if spans is not None:
-                update = spans.add("dsu.update", "dsu", now, t2,
-                                   old=leader_server.version.name,
-                                   new=new_version.name)
-                spans.add("dsu.quiesce", "dsu", now, now + quiesce_ns,
-                          parent=update.span_id)
-                spans.add("dsu.fork", "dsu", now + quiesce_ns, t1,
-                          parent=update.span_id)
-                spans.add("dsu.xform", "dsu", t1, t2,
-                          parent=update.span_id,
-                          version=new_version.name)
-                spans.set_phase("mve-active")
+        spans = OBS.spans
+        if spans is not None:
+            update = spans.add("dsu.update", "dsu", now, t2,
+                               old=leader_server.version.name,
+                               new=new_version.name)
+            spans.add("dsu.quiesce", "dsu", now, now + quiesce_ns,
+                      parent=update.span_id)
+            spans.add("dsu.fork", "dsu", now + quiesce_ns, t1,
+                      parent=update.span_id)
+            spans.add("dsu.xform", "dsu", t1, t2,
+                      parent=update.span_id, version=new_version.name)
+            spans.set_phase("mve-active")
         return UpdateAttempt(True, "applied", t1, quiesce_ns=quiesce_ns,
                              xform_ns=xform_ns, entries=entries)
 

@@ -218,6 +218,10 @@ class DistributedRing(RingBuffer):
         if tracer is not None:
             tracer.on_ring_frame(produced_at, sequence, len(decoded),
                                  n_bytes, len(self._inflight), deliver_at)
+        spans = OBS.spans
+        if spans is not None:
+            spans.add("net.ring", "net", produced_at, deliver_at,
+                      sequence=sequence, bytes=n_bytes)
         return decoded, deliver_at
 
     # ------------------------------------------------------------------

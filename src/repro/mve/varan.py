@@ -364,6 +364,7 @@ class VaranRuntime:
         ring = lane.ring
         pushed, total = 0, len(payloads)
         tracer = OBS.tracer
+        spans = OBS.spans
         chaos = OBS.chaos
         while pushed < total:
             if lane not in self.lanes:
@@ -391,9 +392,9 @@ class VaranRuntime:
                     raise SimulationError(
                         "ring buffer cannot hold one leader iteration "
                         f"(capacity {ring.capacity})")
-                if tracer is not None:
-                    tracer.span("mve.ring-stall", "mve", t, max(t, freed_at),
-                                capacity=ring.capacity)
+                if spans is not None:
+                    spans.add("mve.ring-stall", "mve", t, max(t, freed_at),
+                              capacity=ring.capacity)
                 t = max(t, freed_at)
                 continue
             take = min(free, total - pushed)
@@ -531,8 +532,10 @@ class VaranRuntime:
                 tracer.on_divergence_check(start, False, len(entries),
                                            detail=str(divergence))
                 tracer.on_forensics(self.last_forensics)
-                tracer.span("mve.divergence", "mve", start, start,
-                            version=follower.version_name)
+            spans = OBS.spans
+            if spans is not None:
+                spans.add("mve.divergence", "mve", start, start,
+                          version=follower.version_name)
             self.log(start, "divergence", str(divergence))
             self._terminate_lane(lane, start, reason="divergence")
             return start
@@ -582,9 +585,10 @@ class VaranRuntime:
         self.log(start, "demote-requested", event.describe())
         last = self.drain_follower()
         done = last if last is not None else start
-        if tracer is not None:
-            tracer.span("mve.promote", "mve", start, done,
-                        version=self.leader.version_name)
+        spans = OBS.spans
+        if spans is not None:
+            spans.add("mve.promote", "mve", start, done,
+                      version=self.leader.version_name)
         recorder = self.recorder
         if recorder is not None:
             # self.leader is the post-swap leader; if the follower died
@@ -633,9 +637,9 @@ class VaranRuntime:
                         reason: str) -> None:
         """Drop ``lane``'s follower from the group; the rest carry on."""
         self._detach_lane(lane)
-        tracer = OBS.tracer
-        if tracer is not None:
-            tracer.span("mve.demotion", "mve", at, at, reason=reason)
+        spans = OBS.spans
+        if spans is not None:
+            spans.add("mve.demotion", "mve", at, at, reason=reason)
         self.log(at, "follower-terminated", reason)
 
     def _handle_leader_crash(self, at: int, trace: IterationTrace) -> int:
@@ -662,10 +666,10 @@ class VaranRuntime:
         self.leader = survivor
         self._detach_lane(lane)
         self.leader_is_updated = True
-        tracer = OBS.tracer
-        if tracer is not None:
-            tracer.span("mve.crash-promote", "mve", at, at,
-                        version=survivor.version_name)
+        spans = OBS.spans
+        if spans is not None:
+            spans.add("mve.crash-promote", "mve", at, at,
+                      version=survivor.version_name)
         self.log(at, "follower-promoted-after-crash")
         recorder = self.recorder
         if recorder is not None:

@@ -1,8 +1,9 @@
 """repro.obs — structured tracing, metrics, and divergence forensics.
 
 Zero-cost when disabled: instrumented hot paths guard every hook with a
-single ``tracer is not None`` test; a tracer is installed with
-:func:`repro.sites.observing`.  See ``docs/observability.md``.
+single ``is not None`` test; a tracer and a span collector are each
+installed, independently, with :func:`repro.sites.observing`.  See
+``docs/observability.md``.
 """
 
 from repro.obs.forensics import ForensicsBundle, build_divergence_bundle

@@ -29,7 +29,7 @@ from repro.obs.slo_scenarios import (
     SLO_SPECS,
     run_slo_scenario,
 )
-from repro.obs.trace import Tracer
+from repro.obs.spans import SpanCollector
 from repro.sites import observing
 
 
@@ -71,16 +71,15 @@ def run(args) -> int:
 
 def _dump_spans(scenario: str, seed: int, quick: bool, path: str) -> None:
     """Re-run the scenario's first cell and dump its raw spans."""
-    tracer = Tracer(experiment=f"slo-{scenario}", spans=True)
-    with observing(tracer=tracer):
-        # run_slo_cell builds its own tracer; re-drive the cell under
-        # ours so the dump and the report share one code path.
+    spans = SpanCollector()
+    with observing(spans=spans):
+        # run_slo_cell installs its own collector; re-drive the cell
+        # under ours so the dump and the report share one code path.
         driver, cells = SLO_SCENARIOS[scenario]
-        name, params = cells[0]
+        _, params = cells[0]
         driver(params, seed, quick)
-    assert tracer.spans is not None
-    tracer.spans.write_jsonl(path, experiment=f"slo-{scenario}")
-    print(f"wrote spans: {path} ({len(tracer.spans.spans)} spans)")
+    spans.write_jsonl(path, experiment=f"slo-{scenario}")
+    print(f"wrote spans: {path} ({len(spans.spans)} spans)")
 
 
 def render_report(report: dict) -> str:

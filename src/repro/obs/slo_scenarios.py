@@ -3,8 +3,8 @@
 Each scenario is a list of independent *cells* — a ring capacity in the
 fig7 sweep, a vsftpd update pair in the table1 sweep, a whole fleet
 round for canary-kvstore — and each cell runs the real semantic stack
-under a spans-enabled :class:`~repro.obs.trace.Tracer`, then reduces to
-the JSON/pickle-safe summary :func:`repro.obs.slo.collect_cell`
+under a :class:`~repro.obs.spans.SpanCollector` and no tracer, then
+reduces to the JSON/pickle-safe summary :func:`repro.obs.slo.collect_cell`
 defines.  :func:`run_slo_scenario` shards cells across workers exactly
 like the chaos campaign does (picklable descriptions, round-robin
 shards, in-order merge) and assembles the ``repro-slo/1`` report — the
@@ -26,7 +26,7 @@ import functools
 from typing import Any, Callable, Dict, List, Tuple
 
 from repro.obs.slo import SloSpec, build_slo_report, collect_cell
-from repro.obs.trace import Tracer
+from repro.obs.spans import SpanCollector
 from repro.parallel import map_items
 from repro.sites import observing
 
@@ -48,7 +48,7 @@ SLO_SPECS: Dict[str, SloSpec] = {
 
 
 # ---------------------------------------------------------------------------
-# Cell drivers (run under an installed spans-enabled tracer)
+# Cell drivers (run under an installed span collector)
 # ---------------------------------------------------------------------------
 
 def _drive_fig7(params: Dict[str, Any], seed: int, quick: bool) -> None:
@@ -121,7 +121,7 @@ def _drive_table1(params: Dict[str, Any], seed: int, quick: bool) -> None:
 
 
 def _drive_canary(params: Dict[str, Any], seed: int, quick: bool) -> None:
-    """The full sharded-fleet canary scenario under span tracing."""
+    """The full sharded-fleet canary scenario under span collection."""
     from repro.cluster.fleet import run_fleet_scenario
 
     run_fleet_scenario("canary-kvstore", seed=seed,
@@ -149,14 +149,14 @@ SLO_SCENARIOS: Dict[str, Tuple[Callable[..., None],
 
 def run_slo_cell(scenario: str, cell_index: int, seed: int,
                  quick: bool) -> Dict[str, Any]:
-    """Run one cell under a fresh spans-enabled tracer; returns the
+    """Run one cell under a fresh span collector; returns the
     pickle-safe cell summary."""
     driver, cells = SLO_SCENARIOS[scenario]
     name, params = cells[cell_index]
-    tracer = Tracer(experiment=f"slo-{scenario}-{name}", spans=True)
-    with observing(tracer=tracer):
+    spans = SpanCollector()
+    with observing(spans=spans):
         driver(params, seed, quick)
-    return collect_cell(tracer.spans, name, SLO_SPECS[scenario])
+    return collect_cell(spans, name, SLO_SPECS[scenario])
 
 
 def run_slo_scenario(name: str, *, seed: int = 1, quick: bool = False,

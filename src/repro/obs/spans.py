@@ -15,8 +15,9 @@ Span kinds, by layer:
   (layer ``dsu``) — the update lifecycle; ``dsu.update`` is the
   umbrella, the others its children;
 * ``mve.ring-stall`` / ``mve.divergence`` / ``mve.demotion`` /
-  ``mve.promote`` (layer ``mve``) — ring back-pressure waits and
-  lifecycle transitions;
+  ``mve.promote`` / ``mve.crash-promote`` (layer ``mve``) — ring
+  back-pressure waits and lifecycle transitions;
+* ``net.ring`` (layer ``net``) — one distributed-ring frame's flight;
 * ``fleet.round`` / ``fleet.slot`` (layer ``fleet``) — canary-staged
   upgrade rounds; probe requests issued inside a round become its
   children via the open-span stack.
@@ -27,10 +28,10 @@ created in between (opened or added closed) gets the stack top as its
 parent.  Known-interval waits (a ring stall is ``[t, freed_at]`` the
 moment it resolves) use :meth:`SpanCollector.add` and are born closed.
 
-The collector mirrors the tracer's zero-cost contract: spans are off by
-default (``Tracer(spans=False)`` keeps ``tracer.spans`` None), every
-instrumented call site guards with ``spans is not None``, and the
-class-level tallies (``created_total`` / ``opened_total``) let the
+A collector is an observer of its own, installed with
+``repro.sites.observing(spans=SpanCollector())`` — no tracer needed —
+and every instrumented call site guards with ``spans is not None``.
+The class-level tallies (``created_total`` / ``opened_total``) let the
 overhead test assert the disabled path allocates *zero* span objects.
 
 Spans export as JSONL (schema ``repro-span/1``): a header line then one

@@ -41,7 +41,6 @@ from dataclasses import dataclass, field
 from typing import Any, Deque, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.obs.metrics import Counter, MetricsRegistry
-from repro.obs.spans import SpanCollector
 from repro.report import (ANY, INT, NAT, TEXT, MapOf, Obj, const,
                           jsonl_file_problems, jsonl_problems, one_of)
 from repro.sites import kinds
@@ -129,8 +128,7 @@ class Tracer(metaclass=_TracerTallies):
     materialised_total = 0
 
     def __init__(self, experiment: str = "",
-                 last_k: int = DEFAULT_LAST_K,
-                 spans: bool = False) -> None:
+                 last_k: int = DEFAULT_LAST_K) -> None:
         Tracer.created_total += 1
         self.experiment = experiment
         #: Every event in emission order, one flat tuple each:
@@ -142,12 +140,6 @@ class Tracer(metaclass=_TracerTallies):
         #: registry still lists only touched names.
         self._kernel_syscalls: Optional[Counter] = None
         self._syscall_counters: Dict[str, Tuple[Counter, Counter]] = {}
-        #: Causal span collector, or None (the default), so span-off
-        #: runs allocate no span objects at all (see
-        #: :mod:`repro.obs.spans`); instrumented modules record known
-        #: intervals through :meth:`span`.
-        self.spans: Optional[SpanCollector] = \
-            SpanCollector() if spans else None
         #: Most recently advanced virtual time; used to stamp events
         #: from layers that do not carry a clock.
         self.vnow = 0
@@ -192,13 +184,6 @@ class Tracer(metaclass=_TracerTallies):
                       for at, kind, layer, names, *values in fresh)
         Tracer.materialised_total += len(fresh)
         return events
-
-    def span(self, name: str, layer: str, start: int, end: int,
-             **fields: Any) -> None:
-        """Record a known interval as a born-closed span; a no-op with
-        spans off."""
-        if self.spans is not None:
-            self.spans.add(name, layer, start, end, **fields)
 
     # -- layer hooks --------------------------------------------------------
     #
@@ -272,8 +257,6 @@ class Tracer(metaclass=_TracerTallies):
                   deliver_at=deliver_at)
         self.metrics.counter("ring.frames").inc()
         self.metrics.gauge("ring.inflight").set(inflight)
-        self.span("net.ring", "net", at, deliver_at,
-                  sequence=sequence, bytes=n_bytes)
 
     def on_ring_resync(self, at: int, resyncs: int) -> None:
         """A distributed ring resynchronised its stream at a fork."""

@@ -1,10 +1,10 @@
 """The one observer slot and the one table of instrumented sites.
 
-Four observers watch the stack — the tracer, its span collector, the
-chaos injector and the stream recorder (:mod:`repro.obs.trace`,
-:mod:`repro.obs.spans`, :mod:`repro.chaos.injector`,
-:mod:`repro.replay.recorder`) — and this module is how all of them are
-found and what all of them may say.
+Four observers, each installed on its own, watch the stack — the tracer,
+the span collector, the chaos injector and the stream recorder
+(:mod:`repro.obs.trace`, :mod:`repro.obs.spans`,
+:mod:`repro.chaos.injector`, :mod:`repro.replay.recorder`) — and this
+module is how all of them are found and what all of them may say.
 
 **The slot.**  :data:`OBS` holds the installed observers, ``None`` each
 by default.  Every instrumented site reads it *when it runs*::
@@ -34,9 +34,9 @@ from typing import Any, Dict, Iterator, NamedTuple, Tuple
 
 
 class _Observers:
-    """The installed observers, each None while that hook is off.
-    ``spans`` is ``tracer.spans`` (None without a tracer or with spans
-    off), kept beside it so span sites test one attribute, not two."""
+    """The installed observers, each None while that hook is off.  No
+    slot implies another: spans without a tracer log no trace event, a
+    tracer without spans creates no span."""
 
     __slots__ = ("tracer", "spans", "chaos", "recorder")
 
@@ -52,7 +52,7 @@ _KEEP: Any = object()
 
 
 @contextmanager
-def observing(tracer: Any = _KEEP, chaos: Any = _KEEP,
+def observing(tracer: Any = _KEEP, spans: Any = _KEEP, chaos: Any = _KEEP,
               recorder: Any = _KEEP) -> Iterator[None]:
     """Install the given observers for the duration of a block.
 
@@ -63,7 +63,8 @@ def observing(tracer: Any = _KEEP, chaos: Any = _KEEP,
     previous = (OBS.tracer, OBS.spans, OBS.chaos, OBS.recorder)
     if tracer is not _KEEP:
         OBS.tracer = tracer
-        OBS.spans = tracer.spans if tracer is not None else None
+    if spans is not _KEEP:
+        OBS.spans = spans
     if chaos is not _KEEP:
         OBS.chaos = chaos
     if recorder is not _KEEP:

@@ -33,10 +33,11 @@ the state transform is expensive (entries × 5 µs) the way a warmed
 production heap is — that is what makes restart-style DSU pause for
 tens of milliseconds while Mvedsua does not.
 
-Cells run under a spans-enabled tracer and reduce to picklable
-summaries (exact latency→count dicts), so ``run_openloop_scenario``
-shards cells across workers exactly like the SLO/chaos runners and the
-``repro-openloop/1`` report is byte-identical at any worker count.
+Cells run under a span collector and no tracer (the report reads spans
+only) and reduce to picklable summaries (exact latency→count dicts), so
+``run_openloop_scenario`` shards cells across workers exactly like the
+SLO/chaos runners and the ``repro-openloop/1`` report is byte-identical
+at any worker count.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from repro.mve import VaranRuntime
 from repro.obs.metrics import Histogram
 from repro.obs.slo import (CHECKS_SHAPE, SPEC_SHAPE, SloSpec,
                            build_slo_report, collect_cell)
-from repro.obs.trace import Tracer
+from repro.obs.spans import SpanCollector
 from repro.parallel import map_items
 from repro.report import ANY, NAT, ListOf, Obj, Via, const, problems
 from repro.sites import observing
@@ -158,14 +159,14 @@ def _stack(scenario: str, mode: str, preload: int) -> Stack:
 
 def run_openloop_cell(scenario: str, cell_index: int, seed: int,
                       quick: bool) -> Dict[str, Any]:
-    """Run one cell under span tracing; returns a picklable summary."""
+    """Run one cell under a span collector; returns a picklable summary."""
     name, mode, loop = CELLS[cell_index]
     spec = scenario_spec(scenario, quick)
     _, slo_spec = OPENLOOP_SPECS[scenario]
     preload = PRELOAD_ENTRIES_QUICK if quick else PRELOAD_ENTRIES
 
-    tracer = Tracer(experiment=f"openloop-{scenario}-{name}", spans=True)
-    with observing(tracer=tracer):
+    spans = SpanCollector()
+    with observing(spans=spans):
         stack = _stack(scenario, mode, preload)
         # One stream name per scenario: every cell sees the identical
         # arrival skeleton, so cells differ only in how they serve it.
@@ -173,13 +174,13 @@ def run_openloop_cell(scenario: str, cell_index: int, seed: int,
                                       stream=f"openloop.{scenario}")
         events = list(generator.events())
         summary = _drive(scenario, name, mode, loop, spec, slo_spec,
-                         stack, generator, events, tracer)
+                         stack, generator, events, spans)
     return summary
 
 
 def _drive(scenario: str, name: str, mode: str, loop: str,
            spec: LoadSpec, slo_spec: SloSpec, stack: Stack,
-           generator: OpenLoopGenerator, events, tracer) -> Dict[str, Any]:
+           generator: OpenLoopGenerator, events, spans) -> Dict[str, Any]:
     runtime = stack.runtime
     new = _WAVES[scenario][1]
     if mode == "mve":
@@ -279,7 +280,7 @@ def _drive(scenario: str, name: str, mode: str, loop: str,
         "update_at_ns": update_at if did_update else None,
         "resume_ns": resume_ns, "pause_ns": pause_ns,
         "values": values, "window_values": window_values,
-        "slo_cell": collect_cell(tracer.spans, name, slo_spec),
+        "slo_cell": collect_cell(spans, name, slo_spec),
     }
 
 

@@ -27,9 +27,10 @@ def kernel():
 
 @pytest.fixture
 def install():
-    """``install(chaos=..., tracer=..., recorder=...)``: observers that
-    stay installed until the test ends (sites find them when they run,
-    so a helper cannot install one around construction alone)."""
+    """``install(chaos=..., tracer=..., spans=..., recorder=...)``:
+    observers that stay installed until the test ends (sites find them
+    when they run, so a helper cannot install one around construction
+    alone)."""
     with contextlib.ExitStack() as installs:
         yield lambda **hooks: installs.enter_context(observing(**hooks))
 

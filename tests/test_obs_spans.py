@@ -47,30 +47,44 @@ class TestDisabledPath:
         assert SpanCollector.opened_total == spans_before
 
     def test_tracer_without_spans_allocates_no_spans(self):
-        # A tracer alone must not wake the span layer: spans are a
-        # second, independent opt-in.
+        # A tracer alone must not wake the span layer: spans are an
+        # independent observer, installed on their own.
         collectors_before = SpanCollector.created_total
         spans_before = SpanCollector.opened_total
         tracer = Tracer(experiment="span-overhead")
         with observing(tracer=tracer):
+            assert OBS.spans is None
             run_rule_heavy_mve_redis(8)
-        assert tracer.spans is None
+        assert not hasattr(tracer, "spans")
         assert tracer.events  # tracing itself did record
         assert SpanCollector.created_total == collectors_before
         assert SpanCollector.opened_total == spans_before
 
     def test_enabled_path_actually_records(self):
-        # Control experiment: the same workload with spans enabled does
-        # record — proving the zeros above measure the guard, not dead
-        # hooks.
-        tracer = Tracer(experiment="span-control", spans=True)
-        with observing(tracer=tracer):
+        # Control experiment: the same workload with spans installed
+        # does record — proving the zeros above measure the guard, not
+        # dead hooks.
+        spans = SpanCollector()
+        with observing(tracer=Tracer(experiment="span-control"),
+                       spans=spans):
             run_rule_heavy_mve_redis(8)
-        assert tracer.spans is not None
-        tally = tracer.spans.kind_tally()
+        tally = spans.kind_tally()
         assert tally.get("request", 0) == 8
         assert all(span.end_ns is not None
-                   for span in tracer.spans.request_spans())
+                   for span in spans.request_spans())
+
+    def test_report_cells_build_no_tracer(self):
+        # The open-loop and SLO reports read spans only, so their cells
+        # install a collector and nothing else.
+        from repro.obs.slo_scenarios import run_slo_cell
+        from repro.workloads.openloop_scenarios import run_openloop_cell
+        created = Tracer.created_total
+        emitted = Tracer.emitted_total
+        openloop = run_openloop_cell("kvstore", 4, seed=1, quick=True)
+        slo = run_slo_cell("fig7", 0, seed=1, quick=True)
+        assert (Tracer.created_total, Tracer.emitted_total) == \
+            (created, emitted)
+        assert openloop["slo_cell"]["spans"] > 0 and slo["spans"] > 0
 
 
 # ---------------------------------------------------------------------------

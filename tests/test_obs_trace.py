@@ -15,6 +15,7 @@ from repro.obs import (
     Tracer,
     validate_trace_lines,
 )
+from repro.obs.spans import SpanCollector
 from repro.obs.trace import TraceEvent, jsonable
 from repro.servers.kvstore import KVStoreV2, kv_rules
 from repro.sim.engine import SECOND
@@ -171,11 +172,11 @@ _calls = st.one_of(
 )
 
 
-@given(calls=st.lists(_calls, max_size=40), spans=st.booleans())
+@given(calls=st.lists(_calls, max_size=40))
 @settings(max_examples=150, deadline=None)
-def test_flat_log_reads_back_as_the_eager_tracer_would(calls, spans):
-    flat = Tracer(experiment="p", spans=spans)
-    eager = EagerTracer(experiment="p", spans=spans)
+def test_flat_log_reads_back_as_the_eager_tracer_would(calls):
+    flat = Tracer(experiment="p")
+    eager = EagerTracer(experiment="p")
     for position, (hook, args, kwargs) in enumerate(calls):
         getattr(flat, hook)(*args, **kwargs)
         getattr(eager, hook)(*args, **kwargs)
@@ -193,8 +194,6 @@ def test_flat_log_reads_back_as_the_eager_tracer_would(calls, spans):
     assert json.dumps(flat.metrics.snapshot()) == \
         json.dumps(eager.metrics.snapshot())
     assert list(flat.ring_history) == list(eager.ring_history)
-    if spans:
-        assert flat.spans.to_jsonl_lines() == eager.spans.to_jsonl_lines()
 
 
 # -- metrics registry -------------------------------------------------------
@@ -229,11 +228,14 @@ def test_metrics_name_is_bound_to_one_type():
 
 def test_install_and_uninstall_tracer():
     assert OBS.tracer is None
-    tracer = Tracer(spans=True)
+    tracer, spans = Tracer(), SpanCollector()
     with observing(tracer=tracer):
         assert OBS.tracer is tracer
-        # The collector rides along, so span sites test one attribute.
-        assert OBS.spans is tracer.spans
+        # A tracer brings no collector: spans are their own observer.
+        assert OBS.spans is None
+        with observing(spans=spans):
+            assert (OBS.tracer, OBS.spans) == (tracer, spans)
+        assert OBS.spans is None
     assert OBS.tracer is None and OBS.spans is None
 
 

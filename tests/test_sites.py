@@ -2,7 +2,8 @@
 
 Three things are held here:
 
-* the slot — ``observing(...)`` nests, restores and clears per hook;
+* the slot — ``observing(...)`` nests, restores and clears per hook,
+  and the span collector needs no tracer beside it;
 * the bytes — five one-fault cells run with tracer, span collector,
   chaos injector and stream recorder installed *together* produce the
   trace, span, stream, injection and runtime-event bytes pinned in
@@ -35,6 +36,7 @@ from repro.chaos.injector import ChaosInjector
 from repro.chaos.plan import SITES, Fault, FaultPlan, at_time, on_call
 from repro.chaos.scenarios import buggy_v2_factory, run_kv_update_scenario
 from repro.cluster.fleet import run_fleet_scenario
+from repro.obs.spans import SpanCollector
 from repro.obs.trace import Tracer
 from repro.replay.recorder import StreamRecorder
 from repro.replay.stream import ENTRY_SHAPES
@@ -66,20 +68,29 @@ def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+def _run_cell(site, kind, index, param, **observers):
+    """One cell of :data:`OBSERVER_CELLS`: its fault armed, ``observers``
+    installed beside the injector; returns the scenario result."""
+    name = f"{site}/{kind}"
+    plan = FaultPlan(name, (Fault(site, kind, on_call(index), param),))
+    injector = ChaosInjector(plan)
+    with observing(chaos=injector, **observers):
+        result = run_kv_update_scenario(distributed=(site == "fleet.ring"))
+    assert injector.injections, f"{name}: the fault never fired"
+    return result
+
+
 def observer_digests() -> Dict[str, Dict[str, str]]:
     """Run every cell of :data:`OBSERVER_CELLS` under all four observers
     at once; sha256 of each artifact's bytes, by cell."""
     digests: Dict[str, Dict[str, str]] = {}
     for site, kind, index, param in OBSERVER_CELLS:
         name = f"{site}/{kind}"
-        plan = FaultPlan(name, (Fault(site, kind, on_call(index), param),))
-        tracer = Tracer(experiment=name, spans=True)
-        injector = ChaosInjector(plan)
+        tracer = Tracer(experiment=name)
+        spans = SpanCollector()
         recorder = StreamRecorder(scenario=name)
-        with observing(tracer=tracer, chaos=injector, recorder=recorder):
-            result = run_kv_update_scenario(
-                distributed=(site == "fleet.ring"))
-        assert injector.injections, f"{name}: the fault never fired"
+        result = _run_cell(site, kind, index, param, tracer=tracer,
+                           spans=spans, recorder=recorder)
         with tempfile.TemporaryDirectory() as scratch:
             path = os.path.join(scratch, "stream.jsonl")
             recorder.write(path)
@@ -88,7 +99,7 @@ def observer_digests() -> Dict[str, Dict[str, str]]:
         digests[name] = {
             "trace": _sha256("\n".join(tracer.to_jsonl_lines())),
             "spans": _sha256("\n".join(
-                tracer.spans.to_jsonl_lines(experiment=name))),
+                spans.to_jsonl_lines(experiment=name))),
             "stream": _sha256(stream),
             "injections": _sha256(json.dumps(result.injections)),
             "events": _sha256(json.dumps(result.events)),
@@ -111,21 +122,36 @@ def test_all_four_observers_together_produce_the_pinned_bytes(hashseed):
     assert json.loads(out.stdout) == pinned
 
 
+def test_spans_alone_produce_the_pinned_span_bytes():
+    """The collector needs no tracer: installed without one (and without
+    a recorder), every cell's ``repro-span/1`` lines hash to the digest
+    pinned with all four observers, and no trace event is logged."""
+    with open(OBSERVER_GOLDENS, encoding="utf-8") as handle:
+        pinned = json.load(handle)
+    created, emitted = Tracer.created_total, Tracer.emitted_total
+    for site, kind, index, param in OBSERVER_CELLS:
+        name = f"{site}/{kind}"
+        spans = SpanCollector()
+        _run_cell(site, kind, index, param, tracer=None, spans=spans,
+                  recorder=None)
+        assert _sha256("\n".join(spans.to_jsonl_lines(experiment=name))) \
+            == pinned[name]["spans"], name
+    assert (Tracer.created_total, Tracer.emitted_total) == (created, emitted)
+
+
 # ---------------------------------------------------------------------------
 # The slot
 # ---------------------------------------------------------------------------
 
-def _hook(name):
-    return {"tracer": Tracer, "chaos": ChaosInjector,
-            "recorder": StreamRecorder}[name]()
+_HOOKS = {"tracer": Tracer, "spans": SpanCollector, "chaos": ChaosInjector,
+          "recorder": StreamRecorder}
 
 
-@pytest.mark.parametrize("name", ["tracer", "chaos", "recorder"])
+@pytest.mark.parametrize("name", list(_HOOKS))
 def test_nested_observing_restores_the_outer_hook(name):
-    others = [other for other in ("tracer", "chaos", "recorder")
-              if other != name]
-    installed = {other: _hook(other) for other in others}
-    outer, inner = _hook(name), _hook(name)
+    others = [other for other in _HOOKS if other != name]
+    installed = {other: _HOOKS[other]() for other in others}
+    outer, inner = _HOOKS[name](), _HOOKS[name]()
     with observing(**installed, **{name: outer}):
         with observing(**{name: inner}):
             assert getattr(OBS, name) is inner
@@ -226,13 +252,12 @@ def test_what_the_runs_emit_is_what_the_table_declares():
     some run — a row nothing feeds is a stale row."""
     seen = {"events": set(), "spans": set(), "entries": set()}
     for plan, run in _watched_runs():
-        tracer = Tracer(spans=True)
-        recorder = StreamRecorder()
-        with observing(tracer=tracer, chaos=ChaosInjector(plan),
-                       recorder=recorder):
+        tracer, spans, recorder = Tracer(), SpanCollector(), StreamRecorder()
+        with observing(tracer=tracer, spans=spans,
+                       chaos=ChaosInjector(plan), recorder=recorder):
             run()
         seen["events"] |= {(e.kind, e.layer) for e in tracer.events}
-        seen["spans"] |= {(s.kind, s.layer) for s in tracer.spans.spans}
+        seen["spans"] |= {(s.kind, s.layer) for s in spans.spans}
         seen["entries"] |= {(entry["type"], "replay")
                             for entry in recorder.entries}
     for column, emitted in seen.items():

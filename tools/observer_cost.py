@@ -5,18 +5,18 @@
 
 Two hostbench workloads that construct no tracer — the common case
 (``steady-single-leader``) and the full MVE lifecycle
-(``update-rule-heavy``) — each run three ways: with no tracer installed
-("absent", what ``hostbench/run.py`` measures), with a plain
-``Tracer()``, and with ``Tracer(spans=True)``.  Per cell, printed: ops
-per reference-speed host second, how many times slower than "absent",
-peak RSS, and trace events per op.
+(``update-rule-heavy``) — each run four ways: with no observer
+installed ("absent", what ``hostbench/run.py`` measures), with a
+``Tracer()``, with a ``SpanCollector()``, and with both.  Per cell,
+printed: ops per reference-speed host second, how many times slower than
+"absent", peak RSS, trace events per op and spans per op.
 
 A cell *is* a hostbench round — ``hostbench/child.py``'s ``run_round``
 builds the workload from ``hostbench/workloads.py`` and times its slices
 against the calibration kernel — run inside
-``repro.sites.observing(tracer=...)``, in one fresh subprocess (this
-script with ``--cell``) under ``run.py``'s child environment, so no
-cell inherits another's heap.
+``repro.sites.observing(tracer=..., spans=...)``, in one fresh
+subprocess (this script with ``--cell``) under ``run.py``'s child
+environment, so no cell inherits another's heap.
 
 This is a record, not a gate: one round per cell, no verdict, exit 1
 only when a cell crashed or failed its functional check.  A host-time
@@ -44,25 +44,27 @@ import workloads  # noqa: E402  (imports nothing from repro until built)
 #: Requests per cell.  ``steady-single-leader`` runs half a hostbench
 #: round: an eager tracer on the full one needs the better part of a GiB.
 OPS = {"steady-single-leader": 60_000, "update-rule-heavy": 32_000}
-MODES = ("absent", "tracer", "tracer+spans")
+MODES = ("absent", "tracer", "spans", "tracer+spans")
 
 
 def run_cell(name: str, mode: str, seed: int, ops: int) -> Dict[str, Any]:
     """One untraced hostbench round of ``name`` in this process, under
     one observer mode."""
     sys.path.insert(0, child.SRC)
+    from repro.obs.spans import SpanCollector
+    from repro.obs.trace import Tracer
     from repro.sites import observing
-    tracer = None
-    if mode != "absent":
-        from repro.obs.trace import Tracer
-        tracer = Tracer(spans=(mode == "tracer+spans"))
-    with observing(tracer=tracer):
+    installed = mode.split("+")
+    tracer = Tracer() if "tracer" in installed else None
+    spans = SpanCollector() if "spans" in installed else None
+    with observing(tracer=tracer, spans=spans):
         record = child.run_round(name, seed, ops, False, time.perf_counter())
+    attempted = record["attempted"]
     return {
-        "ops_per_ref_s": record["attempted"] / record["ref_s"],
+        "ops_per_ref_s": attempted / record["ref_s"],
         "peak_rss_mb": record["peak_rss_mb"],
-        "events_per_op":
-            tracer.event_count / record["attempted"] if tracer else 0.0,
+        "events_per_op": tracer.event_count / attempted if tracer else 0.0,
+        "spans_per_op": len(spans.spans) / attempted if spans else 0.0,
         "failed": record["failed"],
     }
 
@@ -94,7 +96,8 @@ def main(argv=None) -> int:
 
     failures: List[str] = []
     print(f"{'workload':<22} {'observer':<13} {'ops':>7} {'ops/ref s':>10} "
-          f"{'slowdown':>9} {'peak MiB':>9} {'events/op':>10}")
+          f"{'slowdown':>9} {'peak MiB':>9} {'events/op':>10} "
+          f"{'spans/op':>9}")
     for name, ops in OPS.items():
         if args.smoke:
             ops //= workloads.SMOKE_DIVISOR
@@ -115,7 +118,8 @@ def main(argv=None) -> int:
             print(f"{name:<22} {mode:<13} {ops:>7} "
                   f"{cell['ops_per_ref_s']:>10.0f} {slowdown:>9} "
                   f"{cell['peak_rss_mb']:>9.1f} "
-                  f"{cell['events_per_op']:>10.2f}", flush=True)
+                  f"{cell['events_per_op']:>10.2f} "
+                  f"{cell['spans_per_op']:>9.2f}", flush=True)
     for failure in failures:
         print(f"FAILED: {failure}", file=sys.stderr)
     return 1 if failures else 0
