@@ -62,8 +62,19 @@ CASES: List[Case] = [
          ("FLEET_kvstore.json",), gate=True),
     Case("slo-fig7-quick", ("slo fig7 --quick",), ("SLO_fig7.json",),
          workers=True, gate=True),
+    Case("slo-table1-quick", ("slo table1 --quick",), ("SLO_table1.json",),
+         workers=True, gate=True),
+    Case("slo-canary-kvstore-quick", ("slo canary-kvstore --quick",),
+         ("SLO_canary-kvstore.json",), workers=True, gate=True),
     Case("openloop-kvstore-quick", ("openloop kvstore --quick",),
          ("OPENLOOP_kvstore.json",), workers=True, gate=True),
+    Case("openloop-redis-quick", ("openloop redis --quick",),
+         ("OPENLOOP_redis.json",), workers=True, gate=True),
+    Case("trace-companions-quick",
+         ("trace fig7 --quick", "trace table1 --quick",
+          "trace table2 --quick", "trace faults --quick"),
+         ("TRACE_fig7.jsonl", "TRACE_table1.jsonl", "TRACE_table2.jsonl",
+          "TRACE_faults.jsonl"), gate=True),
     Case("openloop-kvstore-quick-slo", ("openloop kvstore --quick --slo",),
          ("OPENLOOP_kvstore.json",), workers=True, gate=True),
     Case("trace-replay",
