@@ -32,12 +32,12 @@ import functools
 import random
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from repro import scenarios
 from repro.chaos.injector import ChaosInjector
 from repro.chaos.invariants import check_run
 from repro.chaos.plan import (SITES, STAGE_NAMES, Fault, FaultPlan, at_stage,
                               at_time, on_call, when)
-from repro.chaos.scenarios import ChaosRunResult, buggy_v2_factory, \
-    run_kv_update_scenario
+from repro.chaos.scenarios import ChaosRunResult, buggy_v2_factory
 from repro.errors import SimulationError
 from repro.report import (ANY, INT, NAT, STR, ListOf, MapOf, Obj, const,
                           one_of, problems)
@@ -68,22 +68,6 @@ CHAOS_SHAPE = Obj({
 #: Upper bound on per-(site, kind) ``on-call`` indices in the default
 #: grid, so a chattier scenario cannot explode the sweep.
 ONCALL_CAP = 24
-
-#: The scenarios the campaign can sweep.  ``kvstore-distributed`` is
-#: the same lifecycle with the MVE pair's ring crossing
-#: :data:`~repro.chaos.scenarios.CHAOS_RING_LINK`, which makes the
-#: ``fleet.ring`` partition site reachable (the local scenario never
-#: fires it, so the pinned local grid is unchanged).
-CAMPAIGN_SCENARIOS = ("kvstore", "kvstore-distributed")
-
-
-def scenario_runner(scenario: str):
-    """The zero-argument runner for one campaign scenario."""
-    if scenario == "kvstore":
-        return run_kv_update_scenario
-    if scenario == "kvstore-distributed":
-        return lambda: run_kv_update_scenario(distributed=True)
-    raise SimulationError(f"unknown chaos scenario: {scenario!r}")
 
 #: (site, kind) pairs that fire during normal serving — swept again under
 #: ``at-stage`` and ``at-time`` triggers.  The one-shot ``dsu.*`` sites
@@ -241,19 +225,17 @@ def classify(result: ChaosRunResult,
 
 def probe_site_calls(scenario: str = "kvstore") -> Dict[str, int]:
     """Per-site call counts from one fault-free instrumented run."""
-    runner = scenario_runner(scenario)
     probe = ChaosInjector(FaultPlan("probe"))
     with observing(chaos=probe):
-        runner()
+        scenarios.run_cell("chaos", scenario)
     return dict(probe.site_calls)
 
 
 def run_cell(plan: FaultPlan,
              scenario: str = "kvstore") -> ChaosRunResult:
     """Run the scenario once under ``plan``'s injector."""
-    runner = scenario_runner(scenario)
     with observing(chaos=ChaosInjector(plan)):
-        return runner()
+        return scenarios.run_cell("chaos", scenario)
 
 
 def cell_entry(name: str, cell_plan: FaultPlan, result: ChaosRunResult,
@@ -335,7 +317,7 @@ def run_grid_shard(scenario: str, seed: int, oncall_cap: int,
     fault-free golden baseline (a few milliseconds) rather than having
     one shipped across the process boundary.
     """
-    golden = scenario_runner(scenario)()
+    golden = scenarios.run_cell("chaos", scenario)
     grid_faults = default_grid(site_calls, seed,
                                oncall_cap=oncall_cap)[:max_cells]
     return _grid_cells([grid_faults[index] for index in indices],
@@ -361,7 +343,7 @@ def run_campaign(scenario: str = "kvstore", *, seed: int = 1,
     of the baseline run — or, with ``plan``, of the faulted run itself,
     so the recording carries the plan in force.
     """
-    if scenario not in CAMPAIGN_SCENARIOS:
+    if scenario not in scenarios.SCENARIOS["chaos"]:
         raise SimulationError(f"unknown chaos scenario: {scenario!r}")
     if workers < 1:
         raise SimulationError(f"workers must be >= 1, got {workers}")
@@ -369,7 +351,8 @@ def run_campaign(scenario: str = "kvstore", *, seed: int = 1,
         raise SimulationError(f"oncall-cap must be >= 1, got {oncall_cap}")
     if max_cells is not None and max_cells < 1:
         raise SimulationError(f"max-cells must be >= 1, got {max_cells}")
-    golden = _recorded(scenario_runner(scenario),
+    golden = _recorded(functools.partial(scenarios.run_cell, "chaos",
+                                         scenario),
                        record if plan is None else None, scenario)
     golden_problems = check_run(golden.observations, golden.final_table)
     if golden_problems:

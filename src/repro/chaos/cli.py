@@ -23,15 +23,16 @@ from __future__ import annotations
 
 from repro import cli
 from repro.bench.reporting import format_table
-from repro.chaos.campaign import (CAMPAIGN_SCENARIOS, ONCALL_CAP, OUTCOMES,
-                                  run_campaign, validate_report)
+from repro.chaos.campaign import (ONCALL_CAP, OUTCOMES, run_campaign,
+                                  validate_report)
 from repro.chaos.plan import load_plan
+from repro.scenarios import SCENARIOS
 
 
 def configure(parser) -> None:
     parser.description = ("Deterministic fault-injection campaigns with "
                           "invariant checking.")
-    parser.add_argument("scenario", choices=list(CAMPAIGN_SCENARIOS),
+    parser.add_argument("scenario", choices=sorted(SCENARIOS["chaos"]),
                         help="which scenario to sweep "
                              "(kvstore-distributed crosses the MVE "
                              "ring over a link, adding fleet.ring "

@@ -8,7 +8,6 @@ installed, independently, with :func:`repro.sites.observing`.  See
 
 from repro.obs.forensics import ForensicsBundle, build_divergence_bundle
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
-from repro.obs.scenarios import TRACE_SCENARIOS, run_trace_scenario
 from repro.obs.slo import SLO_SCHEMA, SloSpec, build_slo_report, validate_slo_report
 from repro.obs.spans import (
     PHASES,
@@ -38,8 +37,6 @@ __all__ = [
     "validate_span_file",
     "validate_span_lines",
     "TRACE_SCHEMA",
-    "TRACE_SCENARIOS",
-    "run_trace_scenario",
     "TraceEvent",
     "Tracer",
     "Counter",

@@ -6,9 +6,9 @@
     python -m repro trace fig7 --out t.jsonl
     python -m repro trace fig6 --record STREAM_fig6.jsonl
 
-Runs the experiment's *semantic companion* scenario (see
-:mod:`repro.obs.scenarios`) with a tracer installed, writes the JSONL
-trace, and prints an event/metric summary — plus a forensics summary
+Runs the experiment's *semantic companion* (its ``trace`` row in
+:data:`repro.scenarios.SCENARIOS`) with a tracer installed, writes the
+JSONL trace, and prints an event/metric summary — plus a forensics summary
 for every divergence the run hit.  The trace schema is documented in
 ``docs/observability.md``.  ``--record`` additionally captures the
 leader's syscall stream as a ``repro-stream/1`` artifact that
@@ -20,17 +20,17 @@ from __future__ import annotations
 
 from repro import cli
 from repro.bench.reporting import format_table
-from repro.obs.scenarios import TRACE_SCENARIOS, run_trace_scenario
-from repro.obs.trace import (DEFAULT_LAST_K, TRACE_SCHEMA,
+from repro.obs.trace import (DEFAULT_LAST_K, TRACE_SCHEMA, Tracer,
                              validate_trace_file)
 from repro.replay.recorder import StreamRecorder
+from repro.scenarios import SCENARIOS, run_cell
 from repro.sites import observing
 
 
 def configure(parser) -> None:
     parser.description = ("Run an experiment's semantic companion under "
                           "the tracer and write a structured JSONL trace.")
-    parser.add_argument("experiment", choices=sorted(TRACE_SCENARIOS),
+    parser.add_argument("experiment", choices=sorted(SCENARIOS["trace"]),
                         help="which experiment's companion scenario to run")
     cli.add_report_path(parser, "--out", "TRACE_<experiment>.jsonl")
     cli.add_shared(parser, "quick", "check")
@@ -47,9 +47,9 @@ def configure(parser) -> None:
 def run(args) -> int:
     recorder = (StreamRecorder(scenario=args.experiment)
                 if args.record else None)
-    with observing(recorder=recorder):
-        tracer = run_trace_scenario(args.experiment, quick=args.quick,
-                                    last_k=args.last_k)
+    tracer = Tracer(experiment=args.experiment, last_k=args.last_k)
+    with observing(tracer=tracer, recorder=recorder):
+        run_cell("trace", args.experiment, quick=args.quick)
     if recorder is not None:
         recorder.write(args.record)
     out = args.out or f"TRACE_{args.experiment}.jsonl"

@@ -6,8 +6,8 @@
     python -m repro slo table1 --workers 2   # byte-identical to serial
     python -m repro slo fig7 --spans PATH    # also dump repro-span/1 JSONL
 
-Runs every cell of an SLO scenario (see
-:mod:`repro.obs.slo_scenarios`) under span tracing, checks the
+Runs every cell of an ``slo`` row of :data:`repro.scenarios.SCENARIOS`
+under span tracing (:mod:`repro.obs.slo_scenarios`), checks the
 scenario's :class:`~repro.obs.slo.SloSpec`, and writes the
 ``repro-slo/1`` report: per-upgrade-phase p50/p99/p999 tables, SLO
 pass/fail checks, and critical-path attributions for the worst
@@ -24,12 +24,9 @@ from __future__ import annotations
 from repro import cli
 from repro.bench.reporting import format_table
 from repro.obs.slo import SLO_SCHEMA, validate_slo_report
-from repro.obs.slo_scenarios import (
-    SLO_SCENARIOS,
-    SLO_SPECS,
-    run_slo_scenario,
-)
+from repro.obs.slo_scenarios import SLO_SPECS, run_slo_scenario
 from repro.obs.spans import SpanCollector
+from repro.scenarios import SCENARIOS, run_cell
 from repro.sites import observing
 
 
@@ -37,7 +34,7 @@ def configure(parser) -> None:
     parser.description = ("Run an SLO scenario under span tracing and "
                           "write a repro-slo/1 report with per-phase "
                           "percentiles and critical-path attributions.")
-    parser.add_argument("scenario", choices=sorted(SLO_SCENARIOS),
+    parser.add_argument("scenario", choices=sorted(SCENARIOS["slo"]),
                         help="which SLO scenario to run")
     cli.add_report_path(parser, "--out", "SLO_<scenario>.json")
     cli.add_shared(parser, "seed", "quick", "workers", "check")
@@ -73,11 +70,7 @@ def _dump_spans(scenario: str, seed: int, quick: bool, path: str) -> None:
     """Re-run the scenario's first cell and dump its raw spans."""
     spans = SpanCollector()
     with observing(spans=spans):
-        # run_slo_cell installs its own collector; re-drive the cell
-        # under ours so the dump and the report share one code path.
-        driver, cells = SLO_SCENARIOS[scenario]
-        _, params = cells[0]
-        driver(params, seed, quick)
+        run_cell("slo", scenario, 0, seed, quick)
     spans.write_jsonl(path, experiment=f"slo-{scenario}")
     print(f"wrote spans: {path} ({len(spans.spans)} spans)")
 

@@ -3,10 +3,11 @@
 The paper's evaluation lives and dies by the cost of the interposition
 hot path: the leader records syscalls, the ring buffer carries them, the
 rewrite-rule engine transforms them, and the follower replays them.
-``python -m repro perf`` runs six configurations of that path (single
-leader, leader+follower, a rule-heavy Redis update, a Figure-7-style
-ring sweep) and reports what each does in *virtual* time: requests,
-syscalls, ring high-watermark, stalls, exact latency percentiles.
+``python -m repro perf`` runs the six ``perf`` rows of
+:data:`repro.scenarios.SCENARIOS` (single leader, leader+follower, a
+rule-heavy Redis update, a Figure-7-style ring sweep) and reports what
+each does in *virtual* time: requests, syscalls, ring high-watermark,
+stalls, exact latency percentiles.
 ``--json`` writes them as ``BENCH_perf.json`` (``repro-perf/5``) and
 ``--diff`` holds a run to the committed file exactly; see
 ``docs/performance.md``.  How fast the simulator runs on real hardware
@@ -15,11 +16,8 @@ is measured by ``hostbench/``, and only there.
 
 from repro.perf.diff import diff_bench
 from repro.perf.harness import run_scenarios, validate_bench
-from repro.perf.scenarios import SCENARIOS, Scenario
 
 __all__ = [
-    "SCENARIOS",
-    "Scenario",
     "diff_bench",
     "run_scenarios",
     "validate_bench",

@@ -8,10 +8,11 @@
     python -m repro perf --slo            # virtual-time latency percentiles
 
 Every number printed or written is a deterministic virtual-time gauge;
-host time is ``python3 hostbench/run.py``'s job.  The BENCH_perf.json
-schema and the scenario catalogue are documented in
-``docs/performance.md``.  ``--diff`` compares the fresh run against a
-committed baseline and exits 1 when any gauge drifted.
+host time is ``python3 hostbench/run.py``'s job.  The scenarios are the
+``perf`` rows of :data:`repro.scenarios.SCENARIOS`; they and the
+BENCH_perf.json schema are documented in ``docs/performance.md``.
+``--diff`` compares the fresh run against a committed baseline and
+exits 1 when any gauge drifted.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ from repro import cli
 from repro.bench.reporting import format_table
 from repro.perf.diff import diff_bench, format_diff, gate_failures
 from repro.perf.harness import SCHEMA, run_scenarios, validate_bench
-from repro.perf.scenarios import SCENARIOS
 from repro.report import decode
+from repro.scenarios import SCENARIOS
 
 
 def configure(parser) -> None:
@@ -33,9 +34,9 @@ def configure(parser) -> None:
     cli.add_report_path(parser, "--out", "BENCH_perf.json",
                         note="; only with --json")
     parser.add_argument("--scenario", action="append", metavar="NAME",
-                        choices=sorted(SCENARIOS),
+                        choices=sorted(SCENARIOS["perf"]),
                         help="run only NAME (repeatable); choices: "
-                             + ", ".join(sorted(SCENARIOS)))
+                             + ", ".join(sorted(SCENARIOS["perf"])))
     parser.add_argument("--ops", type=cli.positive_int, metavar="N",
                         help="override every scenario's operation count")
     parser.add_argument("--slo", action="store_true",

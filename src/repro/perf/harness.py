@@ -1,18 +1,27 @@
-"""Run the ``repro perf`` scenarios into a ``repro-perf/5`` payload.
+"""Run the ``repro perf`` rows into a ``repro-perf/5`` payload.
 
-``BENCH_perf.json`` maps each scenario name to its gauges
-(:data:`repro.perf.scenarios.GAUGES`) plus a ``_meta`` entry saying how
-the run was parameterized: the schema id, the ``--quick`` flag, ops per
-scenario and the scenario order.  Nothing in it is measured on the
-host, so the same arguments write the same bytes on any machine.
+``BENCH_perf.json`` maps each ``perf`` row of
+:data:`repro.scenarios.SCENARIOS` to its :data:`GAUGES`, read off the
+Varan runtime and client the row's drive returns (no tracer installed),
+plus a ``_meta`` entry saying how the run was parameterized: the schema
+id, the ``--quick`` flag, ops per scenario and the scenario order.
+Nothing in it is measured on the host, so the same arguments write the
+same bytes on any machine.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
-from repro.perf.scenarios import GAUGES, SCENARIOS
+from repro.mve.dsl.rules import Direction, RewriteRule, RuleSet, SyscallPattern
+from repro.obs.slo import summarize_latencies
 from repro.report import ANY, INT, STR, ListOf, MapOf, Obj, const, problems
+from repro.scenarios import SCENARIOS, run_cell
+from repro.syscalls.model import Sys, SyscallRecord
+
+#: Every scenario reports exactly these, in table order.
+GAUGES = ("vrequests", "syscalls", "ring_high_watermark", "ring_stalls",
+          "latency_p50_ns", "latency_p99_ns", "latency_p999_ns")
 
 #: BENCH_perf.json schema identifier (bump on shape changes).
 #: /5 dropped every wall-clock and machine-dependent key.
@@ -25,23 +34,71 @@ META_SHAPE = Obj({"schema": const(SCHEMA), "quick": ANY, "ops": MapOf(ANY),
 GAUGES_SHAPE = Obj({gauge: INT for gauge in GAUGES})
 
 
+#: Syscalls a realistic filesystem/session rule catalogue spreads over.
+_CATALOG_SYSCALLS = (Sys.OPEN, Sys.UNLINK, Sys.RENAME, Sys.STAT, Sys.MKDIR,
+                     Sys.RMDIR, Sys.CONNECT, Sys.LISTEN, Sys.ACCEPT,
+                     Sys.CLOSE, Sys.READ, Sys.WRITE)
+
+
+def _identity_action(matched: List[SyscallRecord]) -> List[SyscallRecord]:
+    return list(matched)
+
+
+def rule_heavy_catalog(base: RuleSet) -> RuleSet:
+    """A large rule catalogue in the shape real deployments accumulate.
+
+    Starts from ``base`` (the genuine Redis 2.0.0 -> 2.0.1 rules) and
+    pads with 120 guarded single-record rules spread across the syscall
+    vocabulary — banner rewrites, path renames, session tweaks — whose
+    predicates never fire for the scenario's stream.  This mirrors the
+    paper's observation that the overwhelming majority of records match
+    no rule: the engine's job is to get out of the way.
+    """
+    rules = RuleSet()
+    for rule in base.rules:
+        rules.add(rule)
+    for index in range(120):
+        sysname = _CATALOG_SYSCALLS[index % len(_CATALOG_SYSCALLS)]
+        token = f"#pad-{sysname.value}-{index}".encode()
+        rules.add(RewriteRule(
+            f"pad_{sysname.value}_{index}",
+            [SyscallPattern(sysname,
+                            predicate=lambda d, t=token: d.startswith(t))],
+            _identity_action,
+            direction=Direction.BOTH))
+    return rules
+
+
+def gauges(run: Tuple[Any, Any], ops: int) -> Dict[str, int]:
+    """:data:`GAUGES` of a finished ``perf`` run: the Varan runtime and
+    the client its drive returned, after ``ops`` requests."""
+    varan, client = run
+    return {"vrequests": ops,
+            "syscalls": varan.total_syscalls,
+            "ring_high_watermark": varan.ring.high_watermark,
+            "ring_stalls": varan.ring_stalls,
+            **summarize_latencies(client.latencies_ns)}
+
+
 def run_scenarios(names: Optional[Iterable[str]] = None, *,
                   quick: bool = False, ops: Optional[int] = None) -> Dict:
-    """Run the named scenarios (default: all, in registry order) at the
+    """Run the named scenarios (default: all, in table order) at the
     operation count ``--quick``/``--ops`` resolve to."""
-    selected = list(names) if names else list(SCENARIOS)
-    unknown = [n for n in selected if n not in SCENARIOS]
+    rows = SCENARIOS["perf"]
+    selected = list(names) if names else list(rows)
+    unknown = [n for n in selected if n not in rows]
     if unknown:
         raise KeyError(f"unknown scenario(s): {', '.join(unknown)} "
-                       f"(have: {', '.join(SCENARIOS)})")
+                       f"(have: {', '.join(rows)})")
     payload: Dict[str, Dict] = {}
     counts: Dict[str, int] = {}
     for name in selected:
-        n = ops if ops is not None else SCENARIOS[name].default_ops
+        _, cell = rows[name].cells[0]
+        n = ops if ops is not None else cell["ops"]
         if quick and ops is None:
             n = max(1, n // 5)
         counts[name] = n
-        payload[name] = SCENARIOS[name].run(n)
+        payload[name] = gauges(run_cell("perf", name, quick=quick, ops=n), n)
     payload["_meta"] = {"schema": SCHEMA, "quick": quick, "ops": counts,
                         "scenario_order": selected}
     return payload

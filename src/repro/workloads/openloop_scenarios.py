@@ -33,16 +33,18 @@ the state transform is expensive (entries × 5 µs) the way a warmed
 production heap is — that is what makes restart-style DSU pause for
 tens of milliseconds while Mvedsua does not.
 
-Cells run under a span collector and no tracer (the report reads spans
-only) and reduce to picklable summaries (exact latency→count dicts), so
-``run_openloop_scenario`` shards cells across workers exactly like the
-SLO/chaos runners and the ``repro-openloop/1`` report is byte-identical
-at any worker count.
+Each scenario is an ``openloop`` row of
+:data:`repro.scenarios.SCENARIOS` with these six cells, and
+:func:`drive_cell` is its drive.  :func:`run_openloop_cell` runs a
+cell under a span collector and no tracer (the report reads spans
+only) and reduces it to a picklable summary (exact latency→count
+dicts), so ``run_openloop_scenario`` shards cells with
+:func:`repro.scenarios.run_cells` and the ``repro-openloop/1`` report
+is byte-identical at any worker count.
 """
 
 from __future__ import annotations
 
-import functools
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from repro.mve import VaranRuntime
@@ -50,8 +52,8 @@ from repro.obs.metrics import Histogram
 from repro.obs.slo import (CHECKS_SHAPE, SPEC_SHAPE, SloSpec,
                            build_slo_report, collect_cell)
 from repro.obs.spans import SpanCollector
-from repro.parallel import map_items
 from repro.report import ANY, NAT, ListOf, Obj, Via, const, problems
+from repro.scenarios import SCENARIOS, run_cell, run_cells
 from repro.sites import observing
 from repro.workloads.openloop import (LoadSpec, OpenLoopGenerator,
                                       format_request)
@@ -98,15 +100,10 @@ OPENLOOP_SPECS: Dict[str, Tuple[LoadSpec, SloSpec]] = {
                 availability=0.99)),
 }
 
-#: (cell name, mode, loop) in report order.
+#: (cell name, mode, loop) in report order, read off the table.
 CELLS: List[Tuple[str, str, str]] = [
-    ("native-open", "native", "open"),
-    ("mve-open", "mve", "open"),
-    ("restart-open", "restart", "open"),
-    ("restart-closed", "restart", "closed"),
-    ("mvedsua-open", "mvedsua", "open"),
-    ("mvedsua-closed", "mvedsua", "closed"),
-]
+    (name, cell["mode"], cell["loop"])
+    for name, cell in SCENARIOS["openloop"]["kvstore"].cells]
 
 
 def scenario_spec(scenario: str, quick: bool) -> LoadSpec:
@@ -159,28 +156,29 @@ def _stack(scenario: str, mode: str, preload: int) -> Stack:
 
 def run_openloop_cell(scenario: str, cell_index: int, seed: int,
                       quick: bool) -> Dict[str, Any]:
-    """Run one cell under a span collector; returns a picklable summary."""
-    name, mode, loop = CELLS[cell_index]
-    spec = scenario_spec(scenario, quick)
-    _, slo_spec = OPENLOOP_SPECS[scenario]
-    preload = PRELOAD_ENTRIES_QUICK if quick else PRELOAD_ENTRIES
-
+    """Run one cell under a span collector; returns a picklable summary
+    with the cell's :func:`~repro.obs.slo.collect_cell` as ``slo_cell``."""
     spans = SpanCollector()
     with observing(spans=spans):
-        stack = _stack(scenario, mode, preload)
-        # One stream name per scenario: every cell sees the identical
-        # arrival skeleton, so cells differ only in how they serve it.
-        generator = OpenLoopGenerator(spec, seed,
-                                      stream=f"openloop.{scenario}")
-        events = list(generator.events())
-        summary = _drive(scenario, name, mode, loop, spec, slo_spec,
-                         stack, generator, events, spans)
+        summary = run_cell("openloop", scenario, cell_index, seed, quick)
+    summary["slo_cell"] = collect_cell(spans, summary["cell"],
+                                       OPENLOOP_SPECS[scenario][1])
     return summary
 
 
-def _drive(scenario: str, name: str, mode: str, loop: str,
-           spec: LoadSpec, slo_spec: SloSpec, stack: Stack,
-           generator: OpenLoopGenerator, events, spans) -> Dict[str, Any]:
+def drive_cell(params: Dict[str, Any], seed: int,
+               quick: bool) -> Dict[str, Any]:
+    """The openloop rows' drive: serve the app's arrival stream through
+    the cell's ``mode`` and ``loop``; returns the cell's summary."""
+    scenario, mode, loop = params["app"], params["mode"], params["loop"]
+    name = f"{mode}-{loop}"
+    spec = scenario_spec(scenario, quick)
+    stack = _stack(scenario, mode,
+                   PRELOAD_ENTRIES_QUICK if quick else PRELOAD_ENTRIES)
+    # One stream name per scenario: every cell sees the identical
+    # arrival skeleton, so cells differ only in how they serve it.
+    generator = OpenLoopGenerator(spec, seed, stream=f"openloop.{scenario}")
+    events = list(generator.events())
     runtime = stack.runtime
     new = _WAVES[scenario][1]
     if mode == "mve":
@@ -280,7 +278,6 @@ def _drive(scenario: str, name: str, mode: str, loop: str,
         "update_at_ns": update_at if did_update else None,
         "resume_ns": resume_ns, "pause_ns": pause_ns,
         "values": values, "window_values": window_values,
-        "slo_cell": collect_cell(spans, name, slo_spec),
     }
 
 
@@ -450,12 +447,8 @@ def run_openloop_scenario(name: str, *, seed: int = 1,
     ``repro-slo/1`` section, assembled from the same cells' own
     :func:`~repro.obs.slo.collect_cell` summaries, as ``slo_report``.
     """
-    if name not in OPENLOOP_SPECS:
-        raise KeyError(f"unknown openloop scenario {name!r} "
-                       f"(have: {', '.join(sorted(OPENLOOP_SPECS))})")
-    summaries = map_items(
-        functools.partial(run_openloop_cell, name, seed=seed, quick=quick),
-        len(CELLS), workers)
+    summaries = run_cells("openloop", name, run_openloop_cell, seed=seed,
+                          quick=quick, workers=workers)
     report = build_openloop_report(name, seed, quick, summaries)
     if slo:
         report["slo_report"] = build_slo_report(

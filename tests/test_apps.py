@@ -206,7 +206,7 @@ ALLOWED = {
     "chaos/scenarios.py": {"KVStoreV2"},            # BuggyKVStoreV2's base
     "chaos/campaign.py": {"xform_drop_table"},      # dsu.transform fault
     "chaos/plans.py": {"xform_free_libevent"},      # the E2 fault
-    "obs/scenarios.py": {"xform_drop_table"},       # trace faults
+    "scenarios.py": {"xform_drop_table"},           # trace faults
     "bench/faults.py": {"MANY_CLIENTS_THRESHOLD"},  # E2's client count
     "bench/table1.py": {"TABLE1_RULE_COUNTS", "RULE_COUNTS"},
     "bench/ablations.py": {                         # the TTST matrix

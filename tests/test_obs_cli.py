@@ -5,17 +5,19 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.obs import TRACE_SCENARIOS, run_trace_scenario, validate_trace_file
+from repro.obs import Tracer, validate_trace_file
+from repro.scenarios import SCENARIOS, run_cell
+from repro.sites import observing
 
 
 def test_trace_scenarios_cover_the_experiments():
-    assert set(TRACE_SCENARIOS) == {"fig6", "fig7", "table1", "table2",
-                                    "faults"}
+    assert set(SCENARIOS["trace"]) == {"fig6", "fig7", "table1", "table2",
+                                       "faults"}
 
 
 def test_run_trace_scenario_unknown_name():
     with pytest.raises(KeyError, match="unknown trace scenario"):
-        run_trace_scenario("nope")
+        run_cell("trace", "nope")
 
 
 def test_trace_main_writes_valid_jsonl(tmp_path, capsys):
@@ -70,7 +72,9 @@ def test_main_dispatches_trace_subcommand(tmp_path, capsys):
 
 
 def test_run_trace_scenario_fig6_quick_has_dsu_lifecycle():
-    tracer = run_trace_scenario("fig6", quick=True)
+    tracer = Tracer(experiment="fig6")
+    with observing(tracer=tracer):
+        run_cell("trace", "fig6", quick=True)
     kinds = set(tracer.kind_tally())
     assert {"syscall", "ring.publish", "ring.replay", "divergence.check",
             "dsu.request", "dsu.quiesce", "dsu.xform", "dsu.applied",

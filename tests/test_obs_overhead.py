@@ -11,8 +11,14 @@ exactly for this test.
 """
 
 from repro.obs import Tracer
-from repro.perf.scenarios import run_rule_heavy_mve_redis
+from repro.perf import run_scenarios
 from repro.sites import OBS, observing
+
+
+def run_rule_heavy_mve_redis(ops):
+    """The rule-heavy Redis perf row's gauges after ``ops`` requests."""
+    return run_scenarios(["rule-heavy-mve-redis"],
+                         ops=ops)["rule-heavy-mve-redis"]
 
 
 def test_disabled_path_creates_and_emits_nothing():

@@ -19,10 +19,16 @@ from repro.obs.spans import (
     validate_span_file,
     validate_span_lines,
 )
-from repro.perf.scenarios import run_rule_heavy_mve_redis
+from repro.perf import run_scenarios
 from repro.sites import OBS, observing
 
 FIXTURE = "tests/fixtures/bad_spans.jsonl"
+
+
+def run_rule_heavy_mve_redis(ops):
+    """The rule-heavy Redis perf row's gauges after ``ops`` requests."""
+    return run_scenarios(["rule-heavy-mve-redis"],
+                         ops=ops)["rule-heavy-mve-redis"]
 
 
 # ---------------------------------------------------------------------------

@@ -5,10 +5,10 @@ import os
 
 import pytest
 
-from repro.perf import SCENARIOS, run_scenarios
 from repro.cli import main
-from repro.perf.harness import SCHEMA
-from repro.perf.scenarios import GAUGES
+from repro.perf import run_scenarios
+from repro.perf.harness import GAUGES, SCHEMA
+from repro.scenarios import SCENARIOS
 
 BASELINE = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "BENCH_perf.json")
@@ -16,7 +16,7 @@ BASELINE = os.path.join(os.path.dirname(os.path.dirname(
 
 def test_scenario_registry_names_are_stable():
     # CI, docs, and --scenario choices all key off these names.
-    assert set(SCENARIOS) == {
+    assert set(SCENARIOS["perf"]) == {
         "single-leader", "mve-follower", "rule-heavy-mve-redis",
         "fig7-ring-2^5", "fig7-ring-2^8", "fig7-ring-2^11",
     }
@@ -116,7 +116,7 @@ def test_diff_gate_holds_the_committed_baseline(tmp_path, capsys):
     assert main(["perf", "--diff", BASELINE]) == 0
     captured = capsys.readouterr()
     assert "--diff gate passed" in captured.out
-    assert captured.out.count(" ok\n") == len(SCENARIOS)
+    assert captured.out.count(" ok\n") == len(SCENARIOS["perf"])
     # ...and one edited gauge fails it, named by scenario and gauge.
     edited = _edited_baseline(tmp_path, "fig7-ring-2^8", "ring_stalls")
     assert main(["perf", "--diff", edited]) == 1

@@ -18,7 +18,7 @@ from repro.mve import VaranRuntime
 from repro.net import VirtualKernel
 from repro.perf.diff import diff_bench, gate_failures
 from repro.perf.harness import SCHEMA, run_scenarios, validate_bench
-from repro.perf.scenarios import GAUGES
+from repro.perf.harness import GAUGES
 from repro.replay.engine import replay_file
 from repro.parallel import map_items, resolve_workers, shard_round_robin
 from repro.replay.recorder import StreamRecorder

@@ -31,7 +31,7 @@ import pytest
 
 from repro.apps import deploy
 from repro.bench.fluid import FluidConfig, FluidSim, UpdatePlan
-from repro.chaos.campaign import CAMPAIGN_SCENARIOS, probe_site_calls
+from repro.chaos.campaign import probe_site_calls
 from repro.chaos.injector import ChaosInjector
 from repro.chaos.plan import SITES, Fault, FaultPlan, at_time, on_call
 from repro.chaos.scenarios import buggy_v2_factory, run_kv_update_scenario
@@ -40,6 +40,7 @@ from repro.obs.spans import SpanCollector
 from repro.obs.trace import Tracer
 from repro.replay.recorder import StreamRecorder
 from repro.replay.stream import ENTRY_SHAPES
+from repro.scenarios import SCENARIOS
 from repro.servers.native import NativeRuntime
 from repro.sim.engine import SECOND
 from repro.sites import OBS, TABLE, kinds, observing
@@ -202,7 +203,7 @@ def test_every_fault_site_is_reached_by_a_fault_free_probe():
     """A site whose hook was renamed or never compiled in fails here,
     instead of filling a campaign grid with ``masked`` cells."""
     calls: collections.Counter = collections.Counter()
-    for scenario in CAMPAIGN_SCENARIOS:
+    for scenario in SCENARIOS["chaos"]:
         calls.update(probe_site_calls(scenario))
     calls.update(_probed(run_fleet_scenario))
     calls.update(_probed(lambda: list(

@@ -43,15 +43,11 @@ import cli_goldens  # noqa: E402  (tools/cli_goldens.py: the pinned cases)
 
 def invocations() -> List[str]:
     """Every documented ``python -m repro …`` argument string, once."""
-    from repro.obs.scenarios import TRACE_SCENARIOS
-    from repro.obs.slo_scenarios import SLO_SCENARIOS
-    from repro.workloads.openloop_scenarios import OPENLOOP_SPECS
+    from repro.scenarios import SCENARIOS
     steps = [step for case in cli_goldens.CASES for step in case.steps]
-    steps += [f"{command} {scenario}"
-              for command, scenarios in (("trace", TRACE_SCENARIOS),
-                                         ("slo", SLO_SCENARIOS),
-                                         ("openloop", OPENLOOP_SPECS))
-              for scenario in scenarios]
+    steps += [f"{command} {scenario}" for command in ("trace", "slo",
+                                                      "openloop")
+              for scenario in SCENARIOS[command]]
     return list(dict.fromkeys(steps))
 
 
