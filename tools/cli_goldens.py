@@ -41,6 +41,8 @@ _WORKERS_ECHO = re.compile(rb", \d+ workers?\)")
 class Case(NamedTuple):
     """One pinned invocation sequence (the steps share a directory)."""
     name: str
+    #: ``{REPO}`` in a step is the repository root (steps run elsewhere);
+    #: the pin's label keeps the placeholder, so it holds in any checkout
     steps: Tuple[str, ...]
     artifacts: Tuple[str, ...] = ()
     #: the last step takes ``--workers``
@@ -101,7 +103,15 @@ CASES: List[Case] = [
        "cluster", "experiments", "claims")),
     Case("experiment-trace", ("fig7 --trace TRACE.jsonl",),
          ("TRACE.jsonl",)),
-    Case("lint", ("lint", "lint --json", "lint --format sarif")),
+    Case("lint", ("lint", "lint --json", "lint --format sarif"), gate=True),
+    # every analyzer's findings and the exit status on a failing catalog
+    Case("lint-fixtures",
+         ("lint --catalog {REPO}/tests/fixtures/bad_catalog.py --json",
+          "lint --catalog {REPO}/tests/fixtures/bad_catalog.py "
+          "--format sarif",
+          "lint --catalog {REPO}/tests/fixtures/bad_workloads.py --json",
+          "lint --catalog {REPO}/tests/fixtures/gap_catalog.py --json",
+          "lint --app kvstore --prove --json"), gate=True),
     Case("chaos-kvstore", ("chaos kvstore",), ("CHAOS_kvstore.json",),
          workers=True),
     Case("chaos-kvstore-distributed", ("chaos kvstore-distributed",),
@@ -128,7 +138,7 @@ def run_case(case: Case, *, varied: bool) -> Dict[str, bytes]:
     observed: Dict[str, bytes] = {}
     with tempfile.TemporaryDirectory() as cwd:
         for index, step in enumerate(case.steps):
-            argv = step.split()
+            argv = step.replace("{REPO}", REPO).split()
             if varied and case.workers and index == len(case.steps) - 1:
                 argv += ["--workers", "2"]
             done = subprocess.run([sys.executable, "-m", "repro"] + argv,
