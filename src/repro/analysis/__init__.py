@@ -16,11 +16,12 @@ divergences or corrupted heaps:
   unreachable versions in the update graph (MVE4xx);
 * :mod:`repro.analysis.trace_lint` — suppressing rules with no
   forensic trace tag (MVE5xx);
-* :mod:`repro.analysis.chaos_lint` — fault plans referencing unknown
+* :mod:`repro.analysis.specs` — the catalog's declared specs, each
+  checked by its own validators: fault plans referencing unknown
   injection sites, illegal fault kinds, or malformed triggers (MVE6xx);
-* :mod:`repro.analysis.fleet_lint` — fleet topologies whose upgrade
-  waves are wider than the replication factor, or malformed shard /
-  replica / wave counts (MVE7xx);
+  fleet topologies whose upgrade waves are wider than the replication
+  factor, or malformed shard / replica / wave counts (MVE7xx); load
+  specs that would measure nothing (MVE10xx);
 * :mod:`repro.analysis.prover` — the symbolic divergence prover:
   exhaustive exploration of the cross-version protocol state space with
   executable counterexample witnesses and ``repro-proof/1``
@@ -34,15 +35,14 @@ gating.
 """
 
 from repro.apps import AppConfig, default_catalog, load_catalog
-from repro.analysis.chaos_lint import lint_fault_plan, lint_fault_plans
 from repro.analysis.coverage import check_coverage
 from repro.analysis.findings import (Finding, LintReport, RULE_METADATA,
                                      Severity)
-from repro.analysis.fleet_lint import lint_fleet_topologies, lint_fleet_topology
 from repro.analysis.paths import audit_paths
 from repro.analysis.prover import ProveResult, certificate_json, prove_app
 from repro.analysis.rules_lint import lint_rules
 from repro.analysis.sarif import report_to_sarif, sarif_json
+from repro.analysis.specs import lint_spec, lint_specs
 from repro.analysis.transform_audit import audit_transforms, seeded_heap
 from repro.analysis.witness import Witness, compile_witness, replay_witness
 from repro.analysis.cli import run_app, run_catalog
@@ -65,11 +65,9 @@ __all__ = [
     "audit_transforms",
     "check_coverage",
     "default_catalog",
-    "lint_fault_plan",
-    "lint_fault_plans",
-    "lint_fleet_topologies",
-    "lint_fleet_topology",
     "lint_rules",
+    "lint_spec",
+    "lint_specs",
     "load_catalog",
     "run_app",
     "run_catalog",

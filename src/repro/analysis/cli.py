@@ -25,15 +25,13 @@ from typing import Dict, Iterable, Optional
 
 from repro import cli
 from repro.apps import AppConfig
-from repro.analysis.chaos_lint import lint_fault_plans
 from repro.analysis.coverage import check_coverage
 from repro.analysis.findings import LintReport, Severity
-from repro.analysis.fleet_lint import lint_fleet_topologies
 from repro.analysis.paths import audit_paths
 from repro.analysis.rules_lint import lint_rules
+from repro.analysis.specs import lint_specs
 from repro.analysis.trace_lint import lint_trace_tags
 from repro.analysis.transform_audit import audit_transforms
-from repro.analysis.workload_lint import lint_workload_specs
 from repro.errors import NoUpdatePath
 
 EXIT_CLEAN = 0
@@ -69,9 +67,7 @@ def run_app(config: AppConfig, *, prove: bool = False) -> LintReport:
                                      ruleset))
     report.extend(audit_transforms(app, config.versions, config.transforms,
                                    config.seed_requests))
-    report.extend(lint_fault_plans(app, config.fault_plans))
-    report.extend(lint_fleet_topologies(app, config.fleet_topologies))
-    report.extend(lint_workload_specs(app, config.workload_specs))
+    report.extend(lint_specs(config))
     if prove:
         from repro.analysis.prover import prove_app
         prove_result = prove_app(config)

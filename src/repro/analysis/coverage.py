@@ -1,4 +1,4 @@
-"""Coverage cross-check of rules against version deltas (analyzer 2 of 5).
+"""Coverage cross-check of rules against version deltas.
 
 For an update pair ``(old, new)`` the behavioural deltas are read off the
 two :class:`~repro.dsu.version.ServerVersion` objects:
@@ -21,13 +21,20 @@ Codes: **MVE201** uncovered command delta, **MVE202** uncovered
 response-text delta, **MVE203** rule references a command absent from
 both versions (DSL rules only; deliberate redirect *targets* like
 ``bad-cmd``/``FOOBAR`` live in emit expressions and are not checked).
+
+A command counts as covered exactly when the MVE8xx prover would count
+its class anchored: both read the pair through
+:mod:`repro.analysis.effects` — the same probe lines, the same
+per-probe guard evaluation (``effects.read_covers``), the same verbs
+named by rule literals.
 """
 
 from __future__ import annotations
 
-import re
 from typing import FrozenSet, List
 
+from repro.analysis.effects import (literal_verbs, probe_lines, read_covers,
+                                    safe_pred)
 from repro.analysis.findings import Finding, Severity
 from repro.dsu.version import ServerVersion
 from repro.mve.dsl.rules import Direction, RewriteRule, RuleSet
@@ -41,42 +48,12 @@ _STAGE_SEVERITY = {
     Direction.UPDATED_LEADER: Severity.WARNING,
 }
 
-_VERB_RE = re.compile(r"^[A-Za-z][A-Za-z0-9_-]*$")
-
-
-def _probe_lines(command: str) -> List[bytes]:
-    """Synthetic request payloads a client could send for ``command``."""
-    head = command.encode("latin-1")
-    return [head + suffix for suffix in
-            (b"\r\n", b" a\r\n", b" a b\r\n", b" a b c\r\n")]
-
-
-def _read_covers(rule: RewriteRule, probes: List[bytes]) -> bool:
-    """Does the rule's leading READ pattern match any probe request?"""
-    if not rule.pattern or rule.pattern[0].name is not Sys.READ:
-        return False
-    predicate = rule.pattern[0].predicate
-    if predicate is None:
-        return True
-    try:
-        return any(predicate(line) for line in probes)
-    except Exception:
-        return False
-
 
 def _write_covers(rule: RewriteRule, text: bytes) -> bool:
     """Does any WRITE pattern of the rule match ``text``?"""
-    for pattern in rule.pattern:
-        if pattern.name is not Sys.WRITE:
-            continue
-        if pattern.predicate is None:
-            return True
-        try:
-            if pattern.predicate(text):
-                return True
-        except Exception:
-            continue
-    return False
+    return any(pattern.predicate is None
+               or safe_pred(pattern.predicate, text)
+               for pattern in rule.pattern if pattern.name is Sys.WRITE)
 
 
 def check_coverage(app: str, old_version: ServerVersion,
@@ -96,8 +73,8 @@ def check_coverage(app: str, old_version: ServerVersion,
         leader = "old" if stage is Direction.OUTDATED_LEADER else "new"
         for kind, commands in deltas:
             for command in commands:
-                probes = _probe_lines(command)
-                if any(_read_covers(r, probes) for r in stage_rules):
+                probes = probe_lines(command)
+                if any(read_covers(r, probes) for r in stage_rules):
                     continue
                 consequence = (
                     "guaranteed divergence aborts the update"
@@ -138,27 +115,10 @@ def check_coverage(app: str, old_version: ServerVersion,
 def _unknown_command_refs(app: str, pair: str, rule: RewriteRule,
                           vocabulary: FrozenSet[str]) -> List[Finding]:
     """MVE203: DSL match conditions naming commands neither version has."""
-    findings: List[Finding] = []
-    ast = rule.ast
-    if ast is None:
-        return findings
-    for match in ast.matches:
-        if match.syscall is not Sys.READ:
-            continue
-        for cond in ast.conditions_for(match.data_var):
-            if cond.op not in ("eq", "startswith"):
-                continue
-            token = cond.literal.decode("latin-1").split()
-            verb = token[0] if token else ""
-            if not _VERB_RE.match(verb):
-                continue
-            known = any(cmd == verb or cmd.startswith(verb)
-                        for cmd in vocabulary)
-            if not known:
-                findings.append(Finding(
-                    "MVE203", Severity.WARNING, ANALYZER, app,
+    return [Finding("MVE203", Severity.WARNING, ANALYZER, app,
                     f"{pair} rule {rule.name}",
                     f"match condition references command {verb!r}, which "
                     f"neither version understands; the rule may never "
-                    f"fire on real traffic"))
-    return findings
+                    f"fire on real traffic")
+            for verb in literal_verbs(rule)
+            if not any(cmd.startswith(verb) for cmd in vocabulary)]

@@ -7,8 +7,9 @@ rules without running servers.  This module supplies its two ingredients:
   classes* a client could send (the union of both versions' command
   vocabularies, plus verbs referenced only by rule match literals, plus
   one unknown-command class) with representative probe payloads per
-  class (the same probe family :mod:`repro.analysis.coverage` uses, so
-  the two analyzers agree on what "covered" means);
+  class (:func:`probe_lines`; :mod:`repro.analysis.coverage` asks
+  :func:`read_covers` over the same probes, so the two analyzers agree
+  on what "covered" means);
 * an **abstract rewrite engine** — a re-implementation of
   :meth:`repro.mve.dsl.rules.RuleEngine._reduce` over *abstract* records
   whose payloads are either finite representative sets or opaque dynamic
@@ -29,7 +30,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 from repro.dsu.version import ServerVersion
 from repro.mve.dsl.rules import ANY_FD, RewriteRule, SyscallPattern
@@ -59,21 +60,36 @@ MAX_REDUCE_STEPS = 512
 
 
 def probe_lines(command: str) -> Tuple[bytes, ...]:
-    """The representative payloads for one command class.
-
-    Must stay in lockstep with ``coverage._probe_lines`` — both
-    analyzers decide rule coverage by evaluating predicates over these.
-    """
+    """The representative payloads for one command class: the verb with
+    zero to three arguments."""
     head = command.encode("latin-1")
     return tuple(head + suffix for suffix in
                  (b"\r\n", b" a\r\n", b" a b\r\n", b" a b c\r\n"))
 
 
-def _safe_pred(predicate, data: bytes) -> bool:
+def safe_pred(predicate, data: bytes) -> bool:
+    """``predicate(data)``, a raise counting as no match."""
     try:
         return bool(predicate(data))
     except Exception:
         return False
+
+
+def literal_verbs(rule: RewriteRule) -> Iterator[str]:
+    """The command verbs a DSL rule's READ match literals name, one per
+    ``eq``/``startswith`` condition whose literal opens with a verb."""
+    ast = rule.ast
+    if ast is None:
+        return
+    for match in ast.matches:
+        if match.syscall is not Sys.READ:
+            continue
+        for cond in ast.conditions_for(match.data_var):
+            if cond.op not in ("eq", "startswith"):
+                continue
+            token = cond.literal.decode("latin-1").split()
+            if token and _VERB_RE.match(token[0]):
+                yield token[0]
 
 
 @dataclass(frozen=True)
@@ -119,37 +135,17 @@ class ProtocolModel:
             old_version.response_texts())
         self.new_texts: FrozenSet[bytes] = frozenset(
             new_version.response_texts())
-        synthetic = self._rule_literal_verbs(rules) \
-            - self.old_vocab - self.new_vocab
+        # A rule guarding on a verb outside both vocabularies still
+        # deserves a probe class, so dead rules (MVE803) and overlapping
+        # rules (MVE804) are observable.
+        literal = {verb for rule in rules for verb in literal_verbs(rule)}
         self.classes: Tuple[str, ...] = tuple(
-            sorted(self.old_vocab | self.new_vocab | synthetic)
+            sorted(self.old_vocab | self.new_vocab | literal)
             + [UNKNOWN_CLASS])
         self.probes: Dict[str, Tuple[bytes, ...]] = {
             cls: probe_lines(cls if cls != UNKNOWN_CLASS else "NOCMD")
             for cls in self.classes}
         self._verbs = frozenset(self.classes) - {UNKNOWN_CLASS}
-
-    @staticmethod
-    def _rule_literal_verbs(rules: Sequence[RewriteRule]) -> FrozenSet[str]:
-        """Verbs named by DSL match literals — a rule guarding on a verb
-        outside both vocabularies still deserves a probe class, so dead
-        rules (MVE803) and overlapping rules (MVE804) are observable."""
-        verbs = set()
-        for rule in rules:
-            ast = getattr(rule, "ast", None)
-            if ast is None:
-                continue
-            for match in ast.matches:
-                if match.syscall is not Sys.READ:
-                    continue
-                for cond in ast.conditions_for(match.data_var):
-                    if cond.op not in ("eq", "startswith"):
-                        continue
-                    token = cond.literal.decode("latin-1").split()
-                    verb = token[0] if token else ""
-                    if _VERB_RE.match(verb):
-                        verbs.add(verb)
-        return frozenset(verbs)
 
     def accepts(self, version: str, cls: str) -> bool:
         vocab = self.old_vocab if version == self.old_name else self.new_vocab
@@ -188,7 +184,7 @@ def match_one(pattern: SyscallPattern, record: ARecord):
     if tag == RESP:
         return MAY, None, None, True
     reps = record.payload[1]
-    yes = tuple(r for r in reps if _safe_pred(pattern.predicate, r))
+    yes = tuple(r for r in reps if safe_pred(pattern.predicate, r))
     no = tuple(r for r in reps if r not in yes)
     if not yes:
         return NO, None, None, False
@@ -417,13 +413,15 @@ def _push(outcomes: List[Outcome], seen: set, outcome: Outcome) -> None:
 
 
 def read_covers(rule: RewriteRule, probes: Sequence[bytes]) -> bool:
-    """Does the rule's leading READ pattern match any probe?  The same
-    question ``coverage._read_covers`` asks — a rule whose multi-record
-    footprint goes beyond the request/response abstraction still
-    *anchors* its command class through its leading read."""
+    """Does the rule's leading READ pattern match any probe?  Each probe
+    is asked on its own, so a guard that raises on one still covers
+    through another.  Coverage (MVE201) asks this; so does the prover —
+    a rule whose multi-record footprint goes beyond the request/response
+    abstraction still *anchors* its command class through its leading
+    read."""
     if not rule.pattern or rule.pattern[0].name is not Sys.READ:
         return False
     predicate = rule.pattern[0].predicate
     if predicate is None:
         return True
-    return any(_safe_pred(predicate, line) for line in probes)
+    return any(safe_pred(predicate, line) for line in probes)

@@ -12,11 +12,11 @@ MVE2xx coverage cross-check (:mod:`repro.analysis.coverage`)
 MVE3xx state-transformer audit (:mod:`repro.analysis.transform_audit`)
 MVE4xx update-path audit (:mod:`repro.analysis.paths`)
 MVE5xx trace-annotation lint (:mod:`repro.analysis.trace_lint`)
-MVE6xx fault-plan lint (:mod:`repro.analysis.chaos_lint`)
-MVE7xx fleet-topology lint (:mod:`repro.analysis.fleet_lint`)
+MVE6xx fault-plan lint (:mod:`repro.analysis.specs`)
+MVE7xx fleet-topology lint (:mod:`repro.analysis.specs`)
 MVE8xx symbolic divergence prover (:mod:`repro.analysis.prover`)
 MVE9xx span-hygiene lint (:mod:`repro.analysis.trace_lint`)
-MVE10xx workload-spec lint (:mod:`repro.analysis.workload_lint`)
+MVE10xx workload-spec lint (:mod:`repro.analysis.specs`)
 ====== ==========================================================
 
 :data:`RULE_METADATA` names every code for external report formats

@@ -1,4 +1,4 @@
-"""Update-path audit (mvelint analyzer 4 of 5).
+"""Update-path audit.
 
 A dynamic update from release N to N+1 needs *both* programmer
 artifacts: a state transformer (Kitsune side) and a rewrite-rule set

@@ -1,4 +1,4 @@
-"""The MVE8xx symbolic divergence prover (analyzer 8 of 8).
+"""The MVE8xx symbolic divergence prover.
 
 For every update pair of an app the prover exhaustively explores the
 abstract cross-version protocol state space (:mod:`.state_space` over

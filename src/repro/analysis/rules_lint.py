@@ -1,4 +1,4 @@
-"""Static lint of rewrite-rule sets (mvelint analyzer 1 of 5).
+"""Static lint of rewrite-rule sets.
 
 The rule engine (:class:`repro.mve.dsl.rules.RuleEngine`) tries rules in
 priority order and fires the first full prefix match, so rule-set bugs

@@ -1,4 +1,4 @@
-"""Trace-annotation and span-hygiene lint (mvelint analyzer 5 of 5).
+"""Trace-annotation and span-hygiene lint.
 
 A rule that emits *fewer* records than it matches removes leader
 syscalls from the follower's expected stream — by construction it can

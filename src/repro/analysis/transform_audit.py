@@ -1,4 +1,4 @@
-"""Abstract execution of state transformers (mvelint analyzer 3 of 5).
+"""Abstract execution of state transformers.
 
 Each registered :data:`~repro.dsu.transform.StateTransformer` is run —
 twice — against a synthetic heap derived from the old version's

@@ -95,7 +95,7 @@ def spec_problems(spec: LoadSpec) -> List[Tuple[str, str]]:
     """``(category, message)`` validation problems for one spec.
 
     Categories map 1:1 onto the MVE10xx lint codes (see
-    :mod:`repro.analysis.workload_lint`); the runtime joins the
+    :mod:`repro.analysis.specs`); the runtime joins the
     messages, the lint keeps the categories.
     """
     problems: List[Tuple[str, str]] = []

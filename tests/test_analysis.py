@@ -13,8 +13,8 @@ from repro.analysis import (
     audit_transforms,
     check_coverage,
     default_catalog,
-    lint_fault_plan,
     lint_rules,
+    lint_spec,
     run_app,
     run_catalog,
     seeded_heap,
@@ -238,6 +238,31 @@ class TestCoverage:
         assert flagged, "rules referencing 'PUT' should be flagged"
         assert all(f.severity is Severity.WARNING for f in flagged)
 
+    @pytest.mark.parametrize("guard, covered", [
+        (lambda d: d.startswith(b"ZAP"), True),
+        # Raises on the bare b"ZAP\r\n" probe, matches b"ZAP a\r\n".
+        (lambda d: d.split()[0] == b"ZAP" and d.split()[1] == b"a", True),
+        (lambda d: d.split()[9] == b"a", False),
+    ], ids=["total", "raises-on-one-probe", "raises-on-every-probe"])
+    def test_coverage_and_prover_agree_on_what_covers(self, guard, covered):
+        """MVE201 and the prover's anchoring ask one question over one
+        probe family: a guard covers when some probe matches, a probe
+        that raises counting as no match."""
+        from repro.analysis.effects import ProtocolModel
+        from repro.analysis.state_space import explore
+        from repro.mve.dsl import redirect_read
+        old = BadKVVersion("1", frozenset())
+        new = BadKVVersion("2", frozenset({"ZAP"}))
+        rules = RuleSet().add(redirect_read("zap", guard, b"bad-cmd\r\n"))
+        stage = Direction.OUTDATED_LEADER
+        linted = [f for f in by_code(check_coverage(APP, old, new, rules),
+                                     "MVE201")
+                  if stage.value in f.location]
+        explored = explore(ProtocolModel(old, new, rules.rules), rules,
+                           stage, old, new)
+        proved = [d for d in explored.divergences if d.cls == "ZAP"]
+        assert (not linted, not proved) == (covered, covered)
+
 
 # ---------------------------------------------------------------------------
 # Analyzer 3: transformer audit
@@ -403,7 +428,7 @@ class TestChaosLint:
     def test_unknown_site_is_mve601_error(self):
         plan = FaultPlan("p", (Fault("kernel.reed", "econnreset",
                                      on_call(1)),))
-        findings = lint_fault_plan(APP, plan)
+        findings = lint_spec(APP, "fault_plans", plan)
         flagged = by_code(findings, "MVE601")
         assert len(flagged) == 1
         assert flagged[0].severity is Severity.ERROR
@@ -412,7 +437,7 @@ class TestChaosLint:
     def test_illegal_kind_at_site_is_mve601_error(self):
         plan = FaultPlan("p", (Fault("mve.leader", "corrupt-record",
                                      on_call(1)),))
-        findings = lint_fault_plan(APP, plan)
+        findings = lint_spec(APP, "fault_plans", plan)
         flagged = by_code(findings, "MVE601")
         assert len(flagged) == 1
         assert "corrupt-record" in flagged[0].message
@@ -423,7 +448,7 @@ class TestChaosLint:
             Fault("kernel.write", "epipe", at_stage("promoted")),
             Fault("sim.event", "drop", Trigger("predicate")),
         ))
-        findings = lint_fault_plan(APP, plan)
+        findings = lint_spec(APP, "fault_plans", plan)
         flagged = by_code(findings, "MVE602")
         assert len(flagged) == 3
         assert all(f.severity is Severity.ERROR for f in flagged)
@@ -434,7 +459,7 @@ class TestChaosLint:
             Fault("kernel.read", "short-read", at_stage("outdated-leader"),
                   param={"bytes": 5}),
         ))
-        assert lint_fault_plan(APP, plan) == []
+        assert lint_spec(APP, "fault_plans", plan) == []
 
 
 # ---------------------------------------------------------------------------
@@ -529,9 +554,9 @@ class TestWorkloadLint:
                 "MVE1004", "MVE1005"} <= found
 
     def test_default_catalog_specs_are_clean(self):
-        from repro.analysis.workload_lint import lint_workload_specs
         for name, config in default_catalog().items():
-            assert lint_workload_specs(name, config.workload_specs) == []
+            for factory in config.workload_specs:
+                assert lint_spec(name, "workload_specs", factory()) == []
 
 
 class TestReportDedupeAndOrdering:

@@ -533,28 +533,28 @@ class TestEndToEnd:
 
 class TestFleetLintMve704:
     def test_cross_node_without_link_is_flagged(self):
-        from repro.analysis.fleet_lint import lint_fleet_topology
+        from repro.analysis.specs import lint_spec
         from repro.cluster.shard import FleetSpec
         spec = FleetSpec(2, 2, wave_size=1, cross_node_pairs=True)
         assert spec.link_problems() != []
-        findings = lint_fleet_topology("app", spec)
+        findings = lint_spec("app", "fleet_topologies", spec)
         assert [f.code for f in findings] == ["MVE704"]
         assert findings[0].severity.value == "error"
 
     def test_malformed_link_is_flagged(self):
-        from repro.analysis.fleet_lint import lint_fleet_topology
+        from repro.analysis.specs import lint_spec
         from repro.cluster.shard import FleetSpec
         spec = FleetSpec(2, 2, wave_size=1, cross_node_pairs=True,
                          ring_link=RingLink(window=0))
         assert any(f.code == "MVE704"
-                   for f in lint_fleet_topology("app", spec))
+                   for f in lint_spec("app", "fleet_topologies", spec))
 
     def test_declared_link_is_clean(self):
-        from repro.analysis.fleet_lint import lint_fleet_topology
+        from repro.analysis.specs import lint_spec
         from repro.cluster.shard import FleetSpec
         spec = FleetSpec(2, 2, wave_size=1, cross_node_pairs=True,
                          ring_link=RingLink())
-        assert lint_fleet_topology("app", spec) == []
+        assert lint_spec("app", "fleet_topologies", spec) == []
 
     def test_bad_catalog_trips_mve704(self):
         from repro.analysis.cli import run_catalog

@@ -295,18 +295,21 @@ class TestFleetCLI:
 
 class TestFleetLint:
     def test_mve701_for_over_wide_wave(self):
-        from repro.analysis.fleet_lint import lint_fleet_topology
-        findings = lint_fleet_topology("app", FleetSpec(2, 1, wave_size=2))
+        from repro.analysis.specs import lint_spec
+        findings = lint_spec("app", "fleet_topologies",
+                             FleetSpec(2, 1, wave_size=2))
         assert [f.code for f in findings] == ["MVE701"]
 
     def test_mve702_for_full_shard_wave(self):
-        from repro.analysis.fleet_lint import lint_fleet_topology
-        findings = lint_fleet_topology("app", FleetSpec(2, 2, wave_size=2))
+        from repro.analysis.specs import lint_spec
+        findings = lint_spec("app", "fleet_topologies",
+                             FleetSpec(2, 2, wave_size=2))
         assert [f.code for f in findings] == ["MVE702"]
 
     def test_mve703_for_malformed_counts(self):
-        from repro.analysis.fleet_lint import lint_fleet_topology
-        findings = lint_fleet_topology("app", FleetSpec(0, 0, wave_size=0))
+        from repro.analysis.specs import lint_spec
+        findings = lint_spec("app", "fleet_topologies",
+                             FleetSpec(0, 0, wave_size=0))
         assert {f.code for f in findings} == {"MVE703"}
 
     def test_bad_catalog_trips_mve701(self):
