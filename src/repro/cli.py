@@ -94,8 +94,6 @@ def _int_at_least(minimum: int) -> Callable[[str], int]:
 
 #: argparse ``type=`` for counts that must be at least one.
 positive_int = _int_at_least(1)
-#: argparse ``type=`` for counts where zero is meaningful.
-non_negative_int = _int_at_least(0)
 
 
 #: Declared once: ``--name`` -> its ``add_argument`` keywords.

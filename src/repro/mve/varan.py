@@ -42,8 +42,9 @@ from repro.errors import DivergenceError, ServerCrash, SimulationError
 from repro.mve.dsl.rules import Direction, RuleEngine, RuleSet
 from repro.mve.events import ControlEvent, ControlKind
 from repro.mve.gateway import GatewayRole, IterationTrace, SyscallGateway
-from repro.mve.ring_buffer import Payload, RingBuffer
-from repro.obs.forensics import ForensicsBundle, build_divergence_bundle
+from repro.mve.ring_buffer import Payload, RingBuffer, RingEntry
+from repro.obs.forensics import (FORENSICS_LAST_K, ForensicsBundle,
+                                 build_divergence_bundle)
 from repro.net.kernel import VirtualKernel
 from repro.net.sockets import Endpoint
 from repro.sim.process import CpuAccount
@@ -169,10 +170,11 @@ class ManagedProcess:
 
 class FollowerLane:
     """One follower and what feeds it: the process, the ring the leader
-    publishes into, the published bursts it has yet to replay, and the
-    rewrite rules that bridge its version to the leader's."""
+    publishes into, the published bursts it has yet to replay, the
+    rewrite rules that bridge its version to the leader's, and the ring
+    entries it consumed last (a divergence's forensics)."""
 
-    __slots__ = ("process", "ring", "rules", "pending")
+    __slots__ = ("process", "ring", "rules", "pending", "history")
 
     def __init__(self, process: ManagedProcess, ring: RingBuffer,
                  rules: RuleSet) -> None:
@@ -180,6 +182,7 @@ class FollowerLane:
         self.ring = ring
         self.rules = rules
         self.pending: Deque[IterationDescriptor] = deque()
+        self.history: Deque[RingEntry] = deque(maxlen=FORENSICS_LAST_K)
 
 
 class VaranRuntime:
@@ -490,6 +493,7 @@ class VaranRuntime:
             return swap_at
 
         entries = ring.pop_many(descriptor.n_records)
+        lane.history.extend(entries)
         if entries:
             payloads, produced, _ = zip(*entries)
             ready_at = max(produced)
@@ -513,7 +517,7 @@ class VaranRuntime:
 
         if tracer is not None:
             tracer.advance(ready_at)
-            tracer.on_ring_replay(ready_at, len(entries), len(ring), entries)
+            tracer.on_ring_replay(ready_at, len(entries), len(ring))
         start = max(follower.cpu.busy_until, ready_at)
         try:
             if fault is not None and fault.kind == "crash":
@@ -522,9 +526,7 @@ class VaranRuntime:
                 follower.server, follower.gateway, expected, engine,
                 at=start, version=follower.version_name,
                 leader_version=self.leader.version_name,
-                ring_history=(tracer.ring_history if tracer is not None
-                              else entries),
-                ring_pending=ring)
+                ring_history=lane.history, ring_pending=ring)
         except DivergenceError as divergence:
             self.last_divergence = divergence
             self.last_forensics = divergence.forensics

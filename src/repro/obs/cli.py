@@ -20,8 +20,7 @@ from __future__ import annotations
 
 from repro import cli
 from repro.bench.reporting import format_table
-from repro.obs.trace import (DEFAULT_LAST_K, TRACE_SCHEMA, Tracer,
-                             validate_trace_file)
+from repro.obs.trace import TRACE_SCHEMA, Tracer, validate_trace_file
 from repro.replay.recorder import StreamRecorder
 from repro.scenarios import SCENARIOS, run_cell
 from repro.sites import observing
@@ -34,10 +33,6 @@ def configure(parser) -> None:
                         help="which experiment's companion scenario to run")
     cli.add_report_path(parser, "--out", "TRACE_<experiment>.jsonl")
     cli.add_shared(parser, "quick", "check")
-    parser.add_argument("--last-k", type=cli.non_negative_int,
-                        default=DEFAULT_LAST_K, metavar="K",
-                        help="ring records kept for divergence forensics "
-                             "(default: %(default)s)")
     parser.add_argument("--record", metavar="PATH",
                         help="also record the leader's syscall stream as "
                              "a repro-stream/1 artifact at PATH (replay "
@@ -47,7 +42,7 @@ def configure(parser) -> None:
 def run(args) -> int:
     recorder = (StreamRecorder(scenario=args.experiment)
                 if args.record else None)
-    tracer = Tracer(experiment=args.experiment, last_k=args.last_k)
+    tracer = Tracer(experiment=args.experiment)
     with observing(tracer=tracer, recorder=recorder):
         run_cell("trace", args.experiment, quick=args.quick)
     if recorder is not None:

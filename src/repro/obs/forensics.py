@@ -6,7 +6,9 @@ was flushed, and the follower was terminated.  A
 :class:`ForensicsBundle` captures all of it at the moment of the
 :class:`~repro.errors.DivergenceError`:
 
-* the last-K ring records the follower consumed (K defaults to 32),
+* the last :data:`FORENSICS_LAST_K` ring records the follower consumed
+  (its lane keeps them itself, so an installed observer changes
+  nothing),
 * the rewrite-rule engine's state (window depth, rules fired),
 * both versions' pending syscalls — the expected stream derived from
   the leader and everything the follower actually issued,
@@ -27,6 +29,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional
+
+#: Consumed ring records a bundle keeps (its ``ring_last_k``).
+FORENSICS_LAST_K = 32
 
 
 def describe_payload(payload: Any) -> str:
@@ -129,8 +134,8 @@ def build_divergence_bundle(*, at: int, version: str, leader_version: str,
                             expected_records: Iterable[Any] = (),
                             issued_records: Iterable[Any] = (),
                             rule_window: int = 0,
-                            rules_fired: Iterable[str] = (),
-                            last_k: int = 32) -> ForensicsBundle:
+                            rules_fired: Iterable[str] = ()
+                            ) -> ForensicsBundle:
     """Assemble a bundle from the MVE runtime's state at the divergence.
 
     ``error`` is the :class:`~repro.errors.DivergenceError`; its
@@ -138,7 +143,7 @@ def build_divergence_bundle(*, at: int, version: str, leader_version: str,
     """
     expected = getattr(error, "expected", None)
     actual = getattr(error, "actual", None)
-    history = list(ring_history)[-last_k:]
+    history = list(ring_history)[-FORENSICS_LAST_K:]
     return ForensicsBundle(
         at=at,
         version=version,

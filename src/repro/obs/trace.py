@@ -36,9 +36,8 @@ from __future__ import annotations
 
 import json
 from collections import Counter as _TallyCounter
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Deque, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.obs.metrics import Counter, MetricsRegistry
 from repro.report import (ANY, INT, NAT, TEXT, MapOf, Obj, const,
@@ -47,9 +46,6 @@ from repro.sites import kinds
 
 #: JSONL trace schema identifier (bump on shape changes).
 TRACE_SCHEMA = "repro-trace/1"
-
-#: Ring records a forensics bundle keeps (the "last K" of the issue).
-DEFAULT_LAST_K = 32
 
 
 def jsonable(value: Any) -> Any:
@@ -127,8 +123,7 @@ class Tracer(metaclass=_TracerTallies):
     #: while nobody reads :attr:`events`.
     materialised_total = 0
 
-    def __init__(self, experiment: str = "",
-                 last_k: int = DEFAULT_LAST_K) -> None:
+    def __init__(self, experiment: str = "") -> None:
         Tracer.created_total += 1
         self.experiment = experiment
         #: Every event in emission order, one flat tuple each:
@@ -143,9 +138,6 @@ class Tracer(metaclass=_TracerTallies):
         #: Most recently advanced virtual time; used to stamp events
         #: from layers that do not carry a clock.
         self.vnow = 0
-        #: Recently consumed ring entries, kept for divergence forensics.
-        self.ring_history: Deque[Any] = deque(maxlen=last_k)
-        self.last_k = last_k
         #: Forensics bundles captured on divergences (see
         #: :mod:`repro.obs.forensics`).
         self.forensics: List[Any] = []
@@ -234,10 +226,8 @@ class Tracer(metaclass=_TracerTallies):
         self.metrics.gauge("ring.occupancy").set(occupancy)
         self.metrics.gauge("ring.high_watermark").set(high_watermark)
 
-    def on_ring_replay(self, at: int, count: int, occupancy: int,
-                       entries: Iterable[Any] = ()) -> None:
+    def on_ring_replay(self, at: int, count: int, occupancy: int) -> None:
         """The follower consumed one iteration's entries from the ring."""
-        self.ring_history.extend(entries)
         self.emit("ring.replay", "mve", at=at, count=count,
                   occupancy=occupancy)
         self.metrics.counter("ring.replayed").inc(count)

@@ -37,15 +37,12 @@ from repro.mve.gateway import GatewayRole, SyscallGateway
 from repro.mve.ring_buffer import RingEntry
 from repro.mve.varan import replay_iteration, rewrite_iteration
 from repro.net.kernel import VirtualKernel
-from repro.obs.forensics import ForensicsBundle
+from repro.obs.forensics import FORENSICS_LAST_K, ForensicsBundle
 from repro.replay.stream import (RecordedStream, deserialize_record,
                                  read_stream)
 
 #: Replay report schema identifier (bump on shape changes).
 REPLAY_SCHEMA = "repro-replay/1"
-
-#: Ring records kept for forensics (mirrors the tracer's last-K window).
-FORENSICS_LAST_K = 32
 
 
 @dataclass

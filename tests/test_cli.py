@@ -41,7 +41,7 @@ SURFACE = {
     "prove": (["--catalog", "--json", "--no-replay", "--out"], ["app"]),
     "perf": (["--diff", "--json", "--ops", "--out", "--quick",
               "--scenario", "--slo"], []),
-    "trace": (["--check", "--last-k", "--out", "--quick", "--record"],
+    "trace": (["--check", "--out", "--quick", "--record"],
               ["{faults,fig6,fig7,table1,table2}"]),
     "chaos": (["--max-cells", "--oncall-cap", "--plan", "--record",
                "--report", "--seed", "--slo", "--workers"],
@@ -124,8 +124,9 @@ def test_missing_argument_rejected():
     (["slo", "fig7", "--workers", "zero"], "not 'zero'"),
     (["chaos", "kvstore", "--workers", "-2"], "must be >= 1, got -2"),
     (["openloop", "redis", "--workers", "many"], "not 'many'"),
-    (["trace", "fig6", "--quick", "--last-k", "-1"],
-     "argument --last-k: must be >= 0, got -1"),
+    # The forensics window is a constant, not a flag.
+    (["trace", "fig6", "--quick", "--last-k", "2"],
+     "unrecognized arguments: --last-k 2"),
     (["fleet", "canary-kvstore", "--shards", "0"],
      "argument --shards: must be >= 1, got 0"),
     (["fleet", "canary-kvstore", "--replicas", "0"],

@@ -9,6 +9,7 @@ from repro.dsu.transform import TransformRegistry
 from repro.errors import DivergenceError
 from repro.net import VirtualKernel
 from repro.obs import Tracer
+from repro.obs.forensics import FORENSICS_LAST_K
 from repro.servers.kvstore import (
     KVStoreServer,
     KVStoreV1,
@@ -77,15 +78,15 @@ def test_forensics_summary_names_the_records():
 
 def test_tracer_collects_bundle_and_ring_history():
     _, mvedsua, client = _diverging_deployment()
-    tracer = Tracer(experiment="forensics", last_k=4)
+    tracer = Tracer(experiment="forensics")
     with observing(tracer=tracer):
         _force_divergence(mvedsua, client)
 
     assert len(tracer.forensics) == 1
     bundle = tracer.forensics[0]
     assert bundle is mvedsua.runtime.last_forensics
-    # With a tracer attached the last-K window honours its deque bound.
-    assert len(bundle.ring_last_k) <= 4
+    # The ring history is the lane's, bounded by the one forensics K.
+    assert 0 < len(bundle.ring_last_k) <= FORENSICS_LAST_K
     kinds = tracer.kind_tally()
     assert kinds.get("divergence.forensics") == 1
     assert tracer.metrics.snapshot()["divergence.detected"]["value"] == 1

@@ -150,8 +150,7 @@ _calls = st.one_of(
           st.integers(min_value=-1, max_value=64)),
     _call("on_sim_event", _ats, _counts),
     _call("on_ring_publish", _ats, _counts, _counts, _counts),
-    _call("on_ring_replay", _ats, _counts, _counts,
-          st.lists(_counts, max_size=3)),
+    _call("on_ring_replay", _ats, _counts, _counts),
     _call("on_ring_stall", _ats, _counts),
     _call("on_ring_frame", _ats, _counts, _counts, _counts, _counts, _ats),
     _call("on_ring_resync", _ats, _counts),
@@ -193,7 +192,6 @@ def test_flat_log_reads_back_as_the_eager_tracer_would(calls):
     assert list(flat.metrics._metrics) == list(eager.metrics._metrics)
     assert json.dumps(flat.metrics.snapshot()) == \
         json.dumps(eager.metrics.snapshot())
-    assert list(flat.ring_history) == list(eager.ring_history)
 
 
 # -- metrics registry -------------------------------------------------------

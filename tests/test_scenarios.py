@@ -20,7 +20,7 @@ import pytest
 
 import repro.scenarios as table
 from repro.chaos.injector import ChaosInjector
-from repro.chaos.plan import FaultPlan
+from repro.chaos.plan import Fault, FaultPlan, on_call
 from repro.chaos.scenarios import run_kv_update_scenario
 from repro.cli import main
 from repro.cluster.fleet import run_fleet_scenario
@@ -93,6 +93,23 @@ def test_observers_are_read_only(command, name):
     assert hooks["spans"].spans, "the outer collector saw no span"
     assert hooks["tracer"].event_count
     assert not hooks["chaos"].injections
+
+
+def test_observers_leave_divergence_forensics_alone():
+    """The kvstore chaos cell whose third follower replay is corrupted
+    diverges; its bundle keeps the lane's own last-K ring records, the
+    same run alone and under all four observers."""
+    plan = FaultPlan("corrupt-3", (Fault("mve.follower", "corrupt-record",
+                                         on_call(3)),))
+    with observing(chaos=ChaosInjector(plan)):
+        alone = run_cell("chaos", "kvstore")
+    with observing(tracer=Tracer(), spans=SpanCollector(),
+                   chaos=ChaosInjector(plan),
+                   recorder=StreamRecorder(scenario="kvstore")):
+        watched = run_cell("chaos", "kvstore")
+    assert alone.forensics is not None
+    assert len(alone.forensics["ring_last_k"]) > 3   # more than one burst
+    assert watched.forensics == alone.forensics
 
 
 def test_no_drive_installs_an_observer():
