@@ -27,11 +27,12 @@ have precise static definitions:
   record probes each rule in the bucket in turn; differentiate first
   positions (or split the rule set per stage) to keep dispatch O(1).
 
-Rules parsed from the textual DSL carry their AST
-(:attr:`RewriteRule.ast`), enabling structural subsumption and overlap
-reasoning over ``where`` clauses; programmatically built rules expose
-only opaque predicate callables, for which the lint falls back to
-conservative identity-based checks (no false positives, fewer catches).
+Rules parsed from the textual DSL — every shipped rule — carry their
+AST (:attr:`RewriteRule.ast`), enabling structural subsumption and
+overlap reasoning over ``where`` clauses; a rule built directly as a
+:class:`RewriteRule` exposes only opaque predicate callables, for which
+the lint falls back to conservative identity-based checks (no false
+positives, fewer catches).
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.analysis.findings import Finding, Severity
 from repro.dsu.version import ServerVersion
-from repro.mve.dsl.parser import CondAst, RuleAst
+from repro.mve.dsl.parser import BLANK, CondAst, RuleAst
 from repro.mve.dsl.rules import (ANY_FD, Direction, RewriteRule, RuleSet,
                                  dispatch_key)
 from repro.syscalls.model import Sys
@@ -280,12 +281,13 @@ def lint_rules(ruleset: RuleSet, *, app: str = "", pair: str = "",
                      f"first-pattern dispatch bucket ({name}, ANY_FD); "
                      f"every such record probes all of them in turn")
 
-    # MVE106: bound-but-unused payload variables (DSL rules only).
+    # MVE106: bound-but-unused payload variables (DSL rules only; "_"
+    # binds nothing).
     for rule in rules:
         ast: Optional[RuleAst] = rule.ast
         if ast is None:
             continue
-        used = ast.used_variables()
+        used = ast.used_variables() | {BLANK}
         for match in ast.matches:
             if match.data_var not in used:
                 emit("MVE106", Severity.INFO, rule,

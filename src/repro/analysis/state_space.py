@@ -305,10 +305,12 @@ def unfired_rules(ruleset: RuleSet,
 
 def fully_modeled(rule: RewriteRule) -> bool:
     """True when the abstract domain can represent the rule exactly:
-    a DSL rule over wildcard-fd READ/WRITE records.  Opaque programmatic
-    predicates and pinned pseudo-fds sit outside the model, so a
+    a DSL rule over wildcard-fd READ/WRITE records and no ``matches``
+    guard.  Opaque predicates (a regular expression, or a rule built
+    without the DSL) and pinned pseudo-fds sit outside the model, so a
     never-fired verdict for them is informational, not suspicious."""
-    if getattr(rule, "ast", None) is None:
+    ast = getattr(rule, "ast", None)
+    if ast is None or any(cond.op == "matches" for cond in ast.conditions):
         return False
     from repro.mve.dsl.rules import ANY_FD
     return all(p.name in (Sys.READ, Sys.WRITE) and p.fd == ANY_FD

@@ -9,10 +9,9 @@ Memcached's ``noreply`` suppressing the reply write), but forensics
 then depends on the trace saying *which* intentional difference the
 rule covers.
 
-* **MVE501 untagged-suppression** — a rule whose action drops records
-  from the expected stream (``suppresses=True`` for programmatically
-  built rules, or a DSL rule whose ``emit`` count is below its
-  ``match`` count) carries no :attr:`RewriteRule.trace_tag`; divergence
+* **MVE501 untagged-suppression** — a rule that ``suppresses`` (the
+  DSL sets it when a rule emits fewer records than it matches, or a
+  ``*`` wildcard) carries no :attr:`RewriteRule.trace_tag`; divergence
   forensics on a run where this rule fired cannot distinguish "covered
   intentional difference" from "silently swallowed bug".
 
@@ -42,20 +41,10 @@ from typing import Iterable, List, Optional
 
 from repro.analysis.findings import Finding, Severity
 from repro.dsu.version import ServerVersion
-from repro.mve.dsl.rules import RewriteRule, RuleSet
+from repro.mve.dsl.rules import RuleSet
 from repro.report import decode, read_lines
 
 ANALYZER = "trace"
-
-
-def _is_suppressing(rule: RewriteRule) -> bool:
-    """Does this rule drop records from the expected stream?"""
-    if rule.suppresses:
-        return True
-    ast = rule.ast
-    if ast is not None and hasattr(ast, "matches") and hasattr(ast, "emits"):
-        return len(ast.emits) < len(ast.matches)
-    return False
 
 
 def lint_trace_tags(ruleset: RuleSet, *, app: str, pair: str,
@@ -65,7 +54,7 @@ def lint_trace_tags(ruleset: RuleSet, *, app: str, pair: str,
     """MVE501 over one update pair's rule set."""
     findings: List[Finding] = []
     for rule in ruleset.rules:
-        if not _is_suppressing(rule) or rule.trace_tag:
+        if not rule.suppresses or rule.trace_tag:
             continue
         findings.append(Finding(
             code="MVE501",

@@ -178,14 +178,14 @@ def deploy(app_or_name: Union[str, AppConfig], label: str,
 # ---------------------------------------------------------------------------
 
 def _kvstore_config() -> AppConfig:
-    from repro.servers.kvstore.rules import kv_rules_from_dsl
+    from repro.servers.kvstore.rules import kv_rules
     from repro.servers.kvstore.transforms import kv_transforms
     from repro.servers.kvstore.versions import (KVStoreServer,
                                                 kvstore_registry)
 
     def rules_for(old: str, new: str) -> RuleSet:
         if (old, new) == ("1.0", "2.0"):
-            return kv_rules_from_dsl()
+            return kv_rules()
         return RuleSet()
 
     def buggy_v2():

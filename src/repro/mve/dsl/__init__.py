@@ -11,8 +11,11 @@ rule directions:
 * ``UPDATED_LEADER`` — new version leads after promotion; the reverse
   mapping.
 
-Rules can be built programmatically (:mod:`repro.mve.dsl.rules`) or
-parsed from the paper-style textual syntax (:mod:`repro.mve.dsl.parser`).
+Every shipped rule is written in the paper-style textual syntax and
+parsed by :func:`parse_rules` (:mod:`repro.mve.dsl.parser`).  The
+compiled form (a :class:`RewriteRule` of :class:`SyscallPattern`
+positions) and the engine that runs it live in
+:mod:`repro.mve.dsl.rules`.
 """
 
 from repro.mve.dsl.rules import (
@@ -24,14 +27,6 @@ from repro.mve.dsl.rules import (
     RuleSet,
     SyscallPattern,
     dispatch_key,
-    merge_writes,
-    redirect_read,
-    rewrite_read,
-    rewrite_write,
-    split_write,
-    suppress_reply,
-    swap_adjacent,
-    tolerate_extra_reply,
 )
 from repro.mve.dsl.parser import (
     CondAst,
@@ -60,13 +55,5 @@ __all__ = [
     "RuleSet",
     "SyscallPattern",
     "dispatch_key",
-    "merge_writes",
-    "redirect_read",
-    "rewrite_read",
-    "rewrite_write",
-    "split_write",
-    "suppress_reply",
-    "swap_adjacent",
-    "tolerate_extra_reply",
     "parse_rules",
 ]

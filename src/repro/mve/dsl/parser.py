@@ -2,7 +2,8 @@
 
 Varan's DSL (Pina et al., USENIX ATC'17) writes rules as a match over the
 leader's syscalls followed by the sequence the follower should issue.
-This parser accepts a line-oriented rendering of the same idea::
+This parser accepts a line-oriented rendering of the same idea, and it
+is the only way a shipped rule is written::
 
     # Figure 4, Rule 1: direct new-typed PUTs to an invalid command.
     rule put_typed outdated-leader:
@@ -13,32 +14,60 @@ This parser accepts a line-oriented rendering of the same idea::
         read(fd, s), write(fd, r) where r == "500 Unknown command.\\r\\n"
             => read(fd, "FOOBAR\\r\\n"), write(fd, r)
 
-    # Merge a split banner write.
-    rule banner both:
-        write(fd, a), write(fd, b) where startswith(a, "220") => write(fd, a + b)
-
-    # Swap two adjacent syscalls (Redis 2.0.0 -> 2.0.1).
+    # Swap the reply and the AOF append (Redis 2.0.0 -> 2.0.1).
     rule aof_order outdated-leader:
-        write(f1, a), write(f2, b) where startswith(b, "*") => write(f2, b), write(f1, a)
+        write(c, a), write(-3, b) where startswith(b, "AOF ")
+            => write(-3, b), write(c, a)
+
+    # After promotion the old follower rejects EPSV: expect its 500, not
+    # the leader's listen and 229 reply (Vsftpd 1.2.2 -> 2.0.0).
+    rule epsv_tolerate updated-leader tag vsftpd-epsv:
+        read(fd, s), listen(_, _), write(r, t)
+            where startswith(s, "EPSV") and startswith(t, "229")
+            => read(fd, s), write(r, "500 Unknown command.\\r\\n")
+
+    # Accept whatever reply the old follower writes (Memcached 1.2.5).
+    rule noreply_tolerate updated-leader tag memcached-noreply:
+        read(fd, s) where matches(s, ".* noreply") => read(fd, s), write(fd, *)
 
 Grammar (informal)::
 
     rules      := { rule }
-    rule       := "rule" NAME [direction] ":" match_seq "=>" emit_seq
+    rule       := "rule" NAME [direction] ["tag" NAME] ":" match_seq
+                  "=>" emit_seq
     direction  := "outdated-leader" | "updated-leader" | "both"
     match_seq  := match { "," match } [ "where" cond { "and" cond } ]
-    match      := SYSCALL "(" fdvar "," var ")"
+    match      := SYSCALL "(" fd "," var ")"
+    fd         := var | INT                    # an INT pins that fd
+    var        := NAME | "_"                   # "_" binds nothing
     cond       := var "==" STRING | var "!=" STRING
-                | PRED "(" var "," STRING ")"          # startswith/endswith/contains
+                | PRED "(" var "," STRING ")"
     emit_seq   := emit { "," emit }
-    emit       := SYSCALL "(" fdvar "," expr ")"
+    emit       := SYSCALL "(" fd "," ( expr | "*" ) ")"
     expr       := STRING | var | var "+" var
                 | "replace_prefix" "(" var "," STRING "," STRING ")"
                 | "replace" "(" var "," STRING "," STRING ")"
 
-Variables bind the fd and payload of the matched records; emitted records
-reuse the matched record's fd (patterns in this reproduction always apply
-per-connection, which is what the paper's rules do too).
+SYSCALL is any :class:`~repro.syscalls.model.Sys` value.  PRED is
+``startswith``, ``endswith``, ``contains`` or ``matches`` (an anchored
+``re.match`` of the literal as a pattern).  ``#`` outside a string
+literal starts a comment that runs to the end of the line.
+
+Variables bind the fd and payload of the matched records.  An emit
+builds its record one of three ways:
+
+* an emit that repeats a match position (same syscall, fd and payload
+  variable) re-emits that matched record unchanged;
+* a ``*`` payload emits a wildcard record, which accepts whatever the
+  follower issues there (``aux={"wildcard": True}``);
+* any other emit copies the first matched record its fd variable names,
+  with the emit's syscall and payload, so the rest of the record (a
+  replayed errno in ``aux``, say) survives the rewrite.
+
+``tag`` sets :attr:`~repro.mve.dsl.rules.RewriteRule.trace_tag`.  A
+rule that emits fewer records than it matches, or emits ``*``,
+``suppresses`` a would-be divergence, and mvelint's MVE501 asks it for
+a tag.
 
 Parsing happens in two stages: the grammar above is first read into an
 inspectable AST (:class:`RuleAst` and friends), which ``mvelint``
@@ -57,16 +86,8 @@ from functools import lru_cache, partial
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.errors import DslSyntaxError
-from repro.mve.dsl.rules import Direction, RewriteRule, SyscallPattern
+from repro.mve.dsl.rules import ANY_FD, Direction, RewriteRule, SyscallPattern
 from repro.syscalls.model import Sys, SyscallRecord
-
-_SYSCALLS = {
-    "read": Sys.READ,
-    "write": Sys.WRITE,
-    "open": Sys.OPEN,
-    "close": Sys.CLOSE,
-    "unlink": Sys.UNLINK,
-}
 
 _DIRECTIONS = {
     "outdated-leader": Direction.OUTDATED_LEADER,
@@ -78,14 +99,23 @@ _PREDICATES = {
     "startswith": bytes.startswith,
     "endswith": bytes.endswith,
     "contains": lambda data, lit: lit in data,
+    "matches": lambda data, lit: re.match(lit, data) is not None,
 }
+
+#: The variable that binds nothing.
+BLANK = "_"
+
+_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_-]*")
+_INT_RE = re.compile(r"-?[0-9]+")
 
 _TOKEN_RE = re.compile(
     r"""
     \s*(
         "(?:[^"\\]|\\.)*"      # string literal
+      | \#[^\n]*               # comment, dropped by _tokenize
       | =>                     # arrow
-      | == | != | \+ | , | \( | \) | :
+      | == | != | \+ | , | \( | \) | : | \*
+      | -?[0-9]+               # integer: a pinned fd
       | [A-Za-z_][A-Za-z0-9_-]*
     )
     """,
@@ -95,23 +125,25 @@ _TOKEN_RE = re.compile(
 
 def _unescape(literal: str) -> bytes:
     body = literal[1:-1]
-    return body.encode("utf-8").decode("unicode_escape").encode("latin-1")
+    try:
+        return body.encode("utf-8").decode("unicode_escape").encode("latin-1")
+    except UnicodeError as exc:
+        raise DslSyntaxError(
+            f"bad string literal {literal[:30]!r}: {exc.reason}") from None
 
 
 def _tokenize(text: str) -> List[str]:
     tokens: List[str] = []
     position = 0
-    stripped = "\n".join(
-        line.split("#", 1)[0] for line in text.splitlines()
-    )
-    while position < len(stripped):
-        match = _TOKEN_RE.match(stripped, position)
+    while position < len(text):
+        match = _TOKEN_RE.match(text, position)
         if match is None:
-            remainder = stripped[position:].strip()
+            remainder = text[position:].strip()
             if not remainder:
                 break
             raise DslSyntaxError(f"cannot tokenize near: {remainder[:30]!r}")
-        tokens.append(match.group(1))
+        if not match.group(1).startswith("#"):
+            tokens.append(match.group(1))
         position = match.end()
     return tokens
 
@@ -123,11 +155,17 @@ def _tokenize(text: str) -> List[str]:
 
 @dataclass(frozen=True)
 class MatchAst:
-    """One ``syscall(fdvar, datavar)`` match position."""
+    """One ``syscall(fd, datavar)`` match position.  ``fd_var`` is the
+    fd as written: a variable, ``_``, or an integer that pins the fd."""
 
     syscall: Sys
     fd_var: str
     data_var: str
+
+    @property
+    def fd(self) -> int:
+        """The pinned fd, or ``ANY_FD``."""
+        return int(self.fd_var) if _INT_RE.fullmatch(self.fd_var) else ANY_FD
 
 
 @dataclass(frozen=True)
@@ -135,7 +173,7 @@ class CondAst:
     """One ``where`` condition over a bound payload variable.
 
     ``op`` is one of ``eq``, ``ne``, ``startswith``, ``endswith``,
-    ``contains``.
+    ``contains``, ``matches``.
     """
 
     op: str
@@ -156,7 +194,8 @@ class ExprAst:
     """One emit expression.
 
     ``op`` is one of ``literal``, ``var``, ``concat``, ``replace``,
-    ``replace_prefix``; the operand fields used depend on the op.
+    ``replace_prefix``, ``wildcard``; the operand fields used depend on
+    the op.
     """
 
     op: str
@@ -173,7 +212,7 @@ class ExprAst:
 
 @dataclass(frozen=True)
 class EmitAst:
-    """One ``syscall(fdvar, expr)`` emission."""
+    """One ``syscall(fd, expr)`` emission."""
 
     syscall: Sys
     fd_var: str
@@ -189,6 +228,7 @@ class RuleAst:
     matches: Tuple[MatchAst, ...]
     conditions: Tuple[CondAst, ...] = ()
     emits: Tuple[EmitAst, ...] = ()
+    trace_tag: Optional[str] = None
 
     def conditions_for(self, data_var: str) -> Tuple[CondAst, ...]:
         """The conditions constraining one payload variable."""
@@ -200,6 +240,18 @@ class RuleAst:
         for emit in self.emits:
             used.update(emit.expr.variables())
         return frozenset(used)
+
+
+def _repeated(matches: Tuple[MatchAst, ...],
+              emit: EmitAst) -> Optional[int]:
+    """The match position ``emit`` re-emits unchanged, if it repeats one."""
+    if emit.expr.op != "var":
+        return None
+    for index, match in enumerate(matches):
+        if (match.syscall, match.fd_var, match.data_var) \
+                == (emit.syscall, emit.fd_var, emit.expr.var):
+            return index
+    return None
 
 
 class _Parser:
@@ -248,6 +300,10 @@ class _Parser:
         direction = Direction.OUTDATED_LEADER
         if self.peek() in _DIRECTIONS:
             direction = _DIRECTIONS[self.next()]
+        trace_tag = None
+        if self.peek() == "tag":
+            self.next()
+            trace_tag = self._name()
         self.expect(":")
         matches = [self.parse_match()]
         while self.peek() == ",":
@@ -266,18 +322,16 @@ class _Parser:
             self.next()
             emits.append(self.parse_emit(matches))
         return RuleAst(name, direction, tuple(matches), tuple(conditions),
-                       tuple(emits))
+                       tuple(emits), trace_tag)
 
     def parse_match(self) -> MatchAst:
-        syscall_name = self.next()
-        if syscall_name not in _SYSCALLS:
-            raise DslSyntaxError(f"unknown syscall {syscall_name!r}")
+        syscall = self._syscall()
         self.expect("(")
-        fd_var = self.next()
+        fd_var = self._fd()
         self.expect(",")
-        data_var = self.next()
+        data_var = self._name()
         self.expect(")")
-        return MatchAst(_SYSCALLS[syscall_name], fd_var, data_var)
+        return MatchAst(syscall, fd_var, data_var)
 
     def parse_condition(self, matches: List[MatchAst]) -> CondAst:
         head = self.next()
@@ -288,6 +342,12 @@ class _Parser:
             literal = self._string()
             self.expect(")")
             _require_var(var, matches)
+            if head == "matches":
+                try:
+                    re.compile(literal)
+                except (re.error, OverflowError) as exc:
+                    raise DslSyntaxError(
+                        f"bad pattern {literal[:30]!r}: {exc}") from None
             return CondAst(head, var, literal)
         var = head
         operator = self.next()
@@ -300,16 +360,22 @@ class _Parser:
         raise DslSyntaxError(f"unknown operator {operator!r}")
 
     def parse_emit(self, matches: List[MatchAst]) -> EmitAst:
-        syscall_name = self.next()
-        if syscall_name not in _SYSCALLS:
-            raise DslSyntaxError(f"unknown syscall {syscall_name!r}")
+        syscall = self._syscall()
         self.expect("(")
-        fd_var = self.next()
+        fd_var = self._fd()
         self.expect(",")
-        expr = self.parse_expr(matches)
+        if self.peek() == "*":
+            self.next()
+            if syscall is not Sys.WRITE:
+                raise DslSyntaxError("a '*' payload emits a write only")
+            expr = ExprAst("wildcard")
+        else:
+            expr = self.parse_expr(matches)
         self.expect(")")
-        _require_fd_var(fd_var, matches)
-        return EmitAst(_SYSCALLS[syscall_name], fd_var, expr)
+        emit = EmitAst(syscall, fd_var, expr)
+        if _repeated(matches, emit) is None:
+            _require_fd_var(fd_var, matches)
+        return emit
 
     def parse_expr(self, matches: List[MatchAst]) -> ExprAst:
         head = self.next()
@@ -340,14 +406,34 @@ class _Parser:
             raise DslSyntaxError(f"expected string literal, got {token!r}")
         return _unescape(token)
 
+    def _syscall(self) -> Sys:
+        token = self.next()
+        try:
+            return Sys(token)
+        except ValueError:
+            raise DslSyntaxError(f"unknown syscall {token!r}") from None
+
+    def _name(self) -> str:
+        token = self.next()
+        if not _NAME_RE.fullmatch(token):
+            raise DslSyntaxError(f"expected a name, got {token!r}")
+        return token
+
+    def _fd(self) -> str:
+        token = self.next()
+        if not (_INT_RE.fullmatch(token) or _NAME_RE.fullmatch(token)):
+            raise DslSyntaxError(f"expected an fd, got {token!r}")
+        return token
+
 
 def _require_var(var: str, matches: List[MatchAst]) -> None:
-    if var not in {m.data_var for m in matches}:
+    if var == BLANK or var not in {m.data_var for m in matches}:
         raise DslSyntaxError(f"unbound payload variable {var!r}")
 
 
 def _require_fd_var(var: str, matches: List[MatchAst]) -> None:
-    if var not in {m.fd_var for m in matches}:
+    if var == BLANK or var not in {m.fd_var for m in matches} \
+            or _INT_RE.fullmatch(var):
         raise DslSyntaxError(f"unbound fd variable {var!r}")
 
 
@@ -388,6 +474,8 @@ def _compile_cond(cond: CondAst) -> Callable[[bytes], bool]:
         return operator.methodcaller(cond.op, cond.literal)
     if cond.op == "contains":
         return operator.methodcaller("__contains__", cond.literal)
+    if cond.op == "matches":
+        return re.compile(cond.literal).match
     raise DslSyntaxError(f"unknown condition op {cond.op!r}")
 
 
@@ -405,35 +493,64 @@ def _compile_guard(conds: Tuple[CondAst, ...]) -> Callable[[bytes], bool]:
     return conjunction
 
 
+def _compile_action(ast: RuleAst) -> Callable[[List[SyscallRecord]],
+                                               List[SyscallRecord]]:
+    """The emits as one action over the matched records (see the module
+    docstring for how each emit builds its record)."""
+    first: Dict[str, int] = {}
+    for index, match in enumerate(ast.matches):
+        first.setdefault(match.fd_var, index)
+    plan = []
+    read = set()
+    for emit in ast.emits:
+        index = _repeated(ast.matches, emit)
+        if index is not None:
+            plan.append((index, None, None))
+        elif emit.expr.op == "wildcard":
+            plan.append((first[emit.fd_var], emit.syscall, None))
+        else:
+            plan.append((first[emit.fd_var], emit.syscall,
+                         _compile_expr(emit.expr)))
+            read.update(emit.expr.variables())
+    # Only what an expression reads: a reorder or a drop builds no env.
+    bound = tuple((m.data_var, index) for index, m in enumerate(ast.matches)
+                  if m.data_var in read)
+
+    def action(matched: List[SyscallRecord]) -> List[SyscallRecord]:
+        env = {}
+        for var, index in bound:
+            env[var] = matched[index].data
+        out = []
+        for index, syscall, expr in plan:
+            source = matched[index]
+            if syscall is None:
+                out.append(source)
+            elif expr is None:
+                out.append(SyscallRecord(syscall, fd=source.fd,
+                                         aux={"wildcard": True}))
+            else:
+                # ``source`` with a new name and payload, built without
+                # ``_replace``'s Python frames.
+                out.append(tuple.__new__(SyscallRecord, (
+                    syscall, source.fd, expr(env), source.result,
+                    source.aux)))
+        return out
+    return action
+
+
 def compile_rule(ast: RuleAst) -> RewriteRule:
     """Compile one parsed rule into an executable :class:`RewriteRule`."""
     pattern = []
     for item in ast.matches:
         conds = ast.conditions_for(item.data_var)
-        if conds:
-            pattern.append(SyscallPattern(item.syscall,
-                                          predicate=_compile_guard(conds)))
-        else:
-            pattern.append(SyscallPattern(item.syscall))
-
-    fd_of = {m.fd_var: index for index, m in enumerate(ast.matches)}
-    var_of = {m.data_var: index for index, m in enumerate(ast.matches)}
-    emits = tuple((e.syscall, e.fd_var, _compile_expr(e.expr))
-                  for e in ast.emits)
-
-    def action(matched: List[SyscallRecord],
-               emits=emits) -> List[SyscallRecord]:
-        env = {var: matched[index].data for var, index in var_of.items()}
-        out = []
-        for syscall, fd_var, expr in emits:
-            source = matched[fd_of[fd_var]]
-            data = expr(env)
-            out.append(SyscallRecord(syscall, fd=source.fd, data=data,
-                                     result=len(data)))
-        return out
-
-    return RewriteRule(ast.name, tuple(pattern), action, ast.direction,
-                       ast=ast)
+        pattern.append(SyscallPattern(
+            item.syscall, item.fd,
+            _compile_guard(conds) if conds else None))
+    suppresses = len(ast.emits) < len(ast.matches) or any(
+        emit.expr.op == "wildcard" for emit in ast.emits)
+    return RewriteRule(ast.name, tuple(pattern), _compile_action(ast),
+                       ast.direction, ast=ast, trace_tag=ast.trace_tag,
+                       suppresses=suppresses)
 
 
 def parse_rules_ast(text: str) -> List[RuleAst]:

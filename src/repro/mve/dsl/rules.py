@@ -84,17 +84,16 @@ class RewriteRule:
     pattern: Sequence[SyscallPattern]
     action: Action
     direction: Direction = Direction.OUTDATED_LEADER
-    #: Source AST for rules built from the textual DSL (a
-    #: :class:`repro.mve.dsl.parser.RuleAst`); None for rules built with
-    #: the programmatic API.  mvelint uses it for structural checks.
+    #: Source AST (a :class:`repro.mve.dsl.parser.RuleAst`); every
+    #: shipped rule is DSL text and has one.  None for a rule built
+    #: directly from this class.  mvelint uses it for structural checks.
     ast: Any = None
     #: Annotation naming the intentional cross-version difference this
-    #: rule covers (e.g. "memcached-noreply").  Stamped into trace events
-    #: when the rule fires; mvelint's MVE501 requires it on rules that
-    #: drop records from the expected stream.
+    #: rule covers (e.g. "memcached-noreply"; the DSL's ``tag``).
+    #: mvelint's MVE501 requires it on rules that suppress.
     trace_tag: Optional[str] = None
-    #: True when the rule emits fewer records than it matches, i.e. it
-    #: would silently swallow a would-be divergence.
+    #: True when the rule emits fewer records than it matches, or a
+    #: wildcard, i.e. it would silently swallow a would-be divergence.
     suppresses: bool = False
 
     def __post_init__(self) -> None:
@@ -351,136 +350,3 @@ class RuleEngine:
             # Nothing can use the head record: pass it through.
             ready.append(window.popleft())
 
-
-# ---------------------------------------------------------------------------
-# Rule constructors covering the paper's catalogue of divergences.
-# ---------------------------------------------------------------------------
-
-
-def redirect_read(name: str, trigger: Callable[[bytes], bool],
-                  replacement: bytes,
-                  direction: Direction = Direction.OUTDATED_LEADER) -> RewriteRule:
-    """Serve the follower different input for a matching read.
-
-    This is Figure 4's Rule 1 / Figure 5: a command the leader rejected is
-    replaced by one the follower is guaranteed to reject the same way
-    (``bad-cmd``), keeping both versions' states related.
-    """
-    def action(matched: List[SyscallRecord]) -> List[SyscallRecord]:
-        return [matched[0].with_data(replacement)]
-
-    return RewriteRule(name, [SyscallPattern(Sys.READ, predicate=trigger)],
-                       action, direction)
-
-
-def rewrite_read(name: str, trigger: Callable[[bytes], bool],
-                 rewriter: Callable[[bytes], bytes],
-                 direction: Direction = Direction.OUTDATED_LEADER) -> RewriteRule:
-    """Transform the payload the follower reads (Figure 4's Rules 2/3)."""
-    def action(matched: List[SyscallRecord]) -> List[SyscallRecord]:
-        return [matched[0].with_data(rewriter(matched[0].data))]
-
-    return RewriteRule(name, [SyscallPattern(Sys.READ, predicate=trigger)],
-                       action, direction)
-
-
-def rewrite_write(name: str, trigger: Callable[[bytes], bool],
-                  rewriter: Callable[[bytes], bytes],
-                  direction: Direction = Direction.OUTDATED_LEADER) -> RewriteRule:
-    """Expect the follower to write different bytes than the leader did.
-
-    Used when response text intentionally changed between versions (e.g.
-    a reworded banner): the leader's write is mapped to the text the other
-    version produces.
-    """
-    def action(matched: List[SyscallRecord]) -> List[SyscallRecord]:
-        return [matched[0].with_data(rewriter(matched[0].data))]
-
-    return RewriteRule(name, [SyscallPattern(Sys.WRITE, predicate=trigger)],
-                       action, direction)
-
-
-def split_write(name: str, trigger: Callable[[bytes], bool],
-                splitter: Callable[[bytes], List[bytes]],
-                direction: Direction = Direction.OUTDATED_LEADER) -> RewriteRule:
-    """One leader write becomes several follower writes.
-
-    The paper's canonical benign divergence: "a single system call in the
-    old version might be broken into multiple system calls in the new".
-    """
-    def action(matched: List[SyscallRecord]) -> List[SyscallRecord]:
-        record = matched[0]
-        return [record.with_data(part) for part in splitter(record.data)]
-
-    return RewriteRule(name, [SyscallPattern(Sys.WRITE, predicate=trigger)],
-                       action, direction)
-
-
-def merge_writes(name: str, first: Callable[[bytes], bool],
-                 second: Callable[[bytes], bool],
-                 direction: Direction = Direction.OUTDATED_LEADER) -> RewriteRule:
-    """Two leader writes become one concatenated follower write."""
-    def action(matched: List[SyscallRecord]) -> List[SyscallRecord]:
-        return [matched[0].with_data(matched[0].data + matched[1].data)]
-
-    return RewriteRule(
-        name,
-        [SyscallPattern(Sys.WRITE, predicate=first),
-         SyscallPattern(Sys.WRITE, predicate=second)],
-        action, direction)
-
-
-def suppress_reply(name: str, trigger: Callable[[bytes], bool],
-                   direction: Direction = Direction.OUTDATED_LEADER,
-                   trace_tag: Optional[str] = None) -> RewriteRule:
-    """The follower issues *no* reply where the leader wrote one.
-
-    For protocol extensions like Memcached's ``noreply``: the old leader
-    answers every storage command, the new follower (which understands
-    the suppression flag) stays silent — so the leader's write is simply
-    dropped from the expected stream.
-    """
-    def action(matched: List[SyscallRecord]) -> List[SyscallRecord]:
-        return [matched[0]]  # keep the read, drop the reply write
-
-    return RewriteRule(
-        name,
-        [SyscallPattern(Sys.READ, predicate=trigger),
-         SyscallPattern(Sys.WRITE)],
-        action, direction, trace_tag=trace_tag, suppresses=True)
-
-
-def tolerate_extra_reply(name: str, trigger: Callable[[bytes], bool],
-                         direction: Direction = Direction.UPDATED_LEADER,
-                         trace_tag: Optional[str] = None) -> RewriteRule:
-    """The follower writes a reply the leader suppressed.
-
-    The reverse of :func:`suppress_reply`: the new leader (told
-    ``noreply``) records only the read; the old follower will answer
-    anyway, and its reply content is irrelevant to clients — so the rule
-    appends a *wildcard* write that matches any write the follower
-    issues.
-    """
-    def action(matched: List[SyscallRecord]) -> List[SyscallRecord]:
-        wildcard = SyscallRecord(Sys.WRITE, fd=matched[0].fd,
-                                 aux={"wildcard": True})
-        return [matched[0], wildcard]
-
-    # The wildcard write accepts *any* follower reply content, so this
-    # rule also masks would-be divergences and wants a trace_tag.
-    return RewriteRule(name, [SyscallPattern(Sys.READ, predicate=trigger)],
-                       action, direction, trace_tag=trace_tag,
-                       suppresses=True)
-
-
-def swap_adjacent(name: str, first: SyscallPattern, second: SyscallPattern,
-                  direction: Direction = Direction.OUTDATED_LEADER) -> RewriteRule:
-    """The follower issues two adjacent syscalls in the opposite order.
-
-    Needed for Redis 2.0.0 -> 2.0.1, which "reverses the order of two
-    system calls when handling client commands" (paper §5.2).
-    """
-    def action(matched: List[SyscallRecord]) -> List[SyscallRecord]:
-        return [matched[1], matched[0]]
-
-    return RewriteRule(name, [first, second], action, direction)

@@ -20,23 +20,25 @@ from __future__ import annotations
 
 from typing import Tuple
 
-from repro.mve.dsl import RuleSet, suppress_reply, tolerate_extra_reply
+from repro.mve.dsl import RuleSet, parse_rules
 
-
-def _has_noreply(data: bytes) -> bool:
-    first_line = data.split(b"\r\n", 1)[0]
-    return first_line.endswith(b" noreply")
+#: The guard reads "the request's first line (up to the first CRLF, or
+#: the whole payload) ends in `` noreply``".
+MEMCACHED_124_125_RULES_TEXT = r'''
+rule noreply_suppress outdated-leader tag memcached-noreply:
+    read(fd, s), write(fd, _) where matches(s, "(?s)(?:(?!\r\n).)* noreply(?:\r\n|\\Z)")
+        => read(fd, s)
+rule noreply_tolerate updated-leader tag memcached-noreply:
+    read(fd, s) where matches(s, "(?s)(?:(?!\r\n).)* noreply(?:\r\n|\\Z)")
+        => read(fd, s), write(fd, *)
+'''
 
 
 def memcached_rules(old: str, new: str) -> RuleSet:
     """The rule set for updating ``old`` -> ``new``."""
-    rules = RuleSet()
     if (old, new) == ("1.2.4", "1.2.5"):
-        rules.add(suppress_reply("noreply_suppress", _has_noreply,
-                                 trace_tag="memcached-noreply"))
-        rules.add(tolerate_extra_reply("noreply_tolerate", _has_noreply,
-                                       trace_tag="memcached-noreply"))
-    return rules
+        return RuleSet(parse_rules(MEMCACHED_124_125_RULES_TEXT))
+    return RuleSet()
 
 
 #: Rule counts per update pair, for reporting.  The paper's pairs need

@@ -10,61 +10,28 @@ from __future__ import annotations
 
 from typing import Tuple
 
-from repro.mve.dsl import Direction, RuleSet, SyscallPattern, parse_rules, swap_adjacent
-from repro.servers.redis.server import AOF_PREFIX
-from repro.syscalls.model import Sys
+from repro.mve.dsl import RuleSet, parse_rules
 
-#: The same 2.0.0 -> 2.0.1 rules in the textual DSL (client replies
-#: never start with the AOF sentinel, so the prefix guard is exact).
+#: fd -3 is the AOF (``SyscallGateway.fs_append``); a client reply is any
+#: write that does not carry the AOF sentinel ``AOF_PREFIX``.
 REDIS_200_201_RULES_TEXT = r'''
 # Outdated leader (2.0.0 records reply-then-AOF; 2.0.1 issues AOF-first).
 rule aof_order outdated-leader:
-    write(f1, a), write(f2, b) where startswith(b, "AOF ")
-        => write(f2, b), write(f1, a)
+    write(c, a), write(-3, b) where matches(a, "(?!AOF )") and startswith(b, "AOF ")
+        => write(-3, b), write(c, a)
 
 # Updated leader (2.0.1 records AOF-first; 2.0.0 issues reply-first).
 rule aof_order_rev updated-leader:
-    write(f1, a), write(f2, b) where startswith(a, "AOF ")
-        => write(f2, b), write(f1, a)
+    write(-3, a), write(c, b) where startswith(a, "AOF ") and matches(b, "(?!AOF )")
+        => write(c, b), write(-3, a)
 '''
-
-
-def _is_aof(data: bytes) -> bool:
-    return data.startswith(AOF_PREFIX)
-
-
-def _is_reply(data: bytes) -> bool:
-    return not data.startswith(AOF_PREFIX)
 
 
 def redis_rules(old: str, new: str) -> RuleSet:
     """The rule set for updating ``old`` -> ``new``."""
-    rules = RuleSet()
     if (old, new) == ("2.0.0", "2.0.1"):
-        # Outdated leader (2.0.0) records [reply, aof]; the updated
-        # follower (2.0.1) issues [aof, reply].
-        rules.add(swap_adjacent(
-            "aof_order",
-            SyscallPattern(Sys.WRITE, predicate=_is_reply),
-            SyscallPattern(Sys.WRITE, fd=-3, predicate=_is_aof),
-            direction=Direction.OUTDATED_LEADER))
-        # Updated leader (2.0.1) records [aof, reply]; the outdated
-        # follower (2.0.0) issues [reply, aof].
-        rules.add(swap_adjacent(
-            "aof_order_rev",
-            SyscallPattern(Sys.WRITE, fd=-3, predicate=_is_aof),
-            SyscallPattern(Sys.WRITE, predicate=_is_reply),
-            direction=Direction.UPDATED_LEADER))
-    return rules
-
-
-def redis_rules_from_dsl(old: str, new: str) -> RuleSet:
-    """The same rule sets, parsed from the textual DSL."""
-    rules = RuleSet()
-    if (old, new) == ("2.0.0", "2.0.1"):
-        for rule in parse_rules(REDIS_200_201_RULES_TEXT):
-            rules.add(rule)
-    return rules
+        return RuleSet(parse_rules(REDIS_200_201_RULES_TEXT))
+    return RuleSet()
 
 
 #: Rule counts per update pair, for reporting alongside Vsftpd's Table 1.

@@ -14,111 +14,75 @@ per client-visible behavioural change, in both directions:
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import Tuple
 
-from repro.mve.dsl import (
-    Direction,
-    RewriteRule,
-    RuleSet,
-    SyscallPattern,
-    redirect_read,
-    rewrite_write,
-)
+from repro.mve.dsl import RuleSet, parse_rules
 from repro.servers.vsftpd.features import VSFTPD_FEATURES, VsftpdFeatures
-from repro.syscalls.model import Sys, SyscallRecord
 
-UNKNOWN = b"500 Unknown command.\r\n"
+#: The rules for each command a release adds.  Outdated leader: redirect
+#: the command to one *neither* version knows (``FOOBAR``, as in Figure
+#: 5) so the new follower rejects it exactly like the old leader did.
+#: Updated leader: the new leader executes the command — its read, the
+#: command's record footprint, its reply ``r`` — and the old follower
+#: rejects it instead, tolerable because Vsftpd keeps no state about the
+#: file system (paper §5.1).
+ADDED_COMMAND_RULES = {
+    "STOU": r'''
+rule stou_redirect outdated-leader:
+    read(fd, s) where startswith(s, "STOU") => read(fd, "FOOBAR\r\n")
+rule stou_tolerate updated-leader tag vsftpd-stou:
+    read(fd, s), open(_, _), write(-2, _), write(r, t)
+        where startswith(s, "STOU") and startswith(t, "257")
+        => read(fd, s), write(r, "500 Unknown command.\r\n")
+''',
+    "EPSV": r'''
+rule epsv_redirect outdated-leader:
+    read(fd, s) where startswith(s, "EPSV") => read(fd, "FOOBAR\r\n")
+rule epsv_tolerate updated-leader tag vsftpd-epsv:
+    read(fd, s), listen(_, _), write(r, t)
+        where startswith(s, "EPSV") and startswith(t, "229")
+        => read(fd, s), write(r, "500 Unknown command.\r\n")
+''',
+    "MDTM": r'''
+rule mdtm_redirect outdated-leader:
+    read(fd, s) where startswith(s, "MDTM") => read(fd, "FOOBAR\r\n")
+rule mdtm_tolerate updated-leader tag vsftpd-mdtm:
+    read(fd, s), stat(_, _), write(r, _) where startswith(s, "MDTM")
+        => read(fd, s), write(r, "500 Unknown command.\r\n")
+''',
+}
+
+#: 2.0.4 -> 2.0.5: RETR opens the file (fd -2 is the data file) before
+#: the 150 reply.
+RETR_ORDER_RULES = r'''
+rule retr_order_fwd outdated-leader:
+    write(c, w), open(_, p), read(-2, d) where startswith(w, "150 Opening")
+        => open(_, p), read(-2, d), write(c, w)
+rule retr_order_rev updated-leader:
+    open(_, p), read(-2, d), write(c, w) where startswith(w, "150 Opening")
+        => write(c, w), open(_, p), read(-2, d)
+'''
 
 
-def _eq(text: bytes):
-    return lambda data, t=text: data == t
+def _quote(data: bytes) -> str:
+    """``data`` as a DSL string literal."""
+    return '"' + "".join(
+        chr(byte) if 32 <= byte < 127 and byte not in b'"\\'
+        else f"\\x{byte:02x}" for byte in data) + '"'
 
 
-def _starts(prefix: bytes):
-    return lambda data, p=prefix: data.startswith(p)
-
-
-def _const(text: bytes):
-    return lambda data, t=text: t
-
-
-def _text_change_rules(label: str, old_text: bytes,
-                       new_text: bytes) -> List[RewriteRule]:
+def _text_change_rules(label: str, old_text: bytes, new_text: bytes) -> str:
     """Old leader's text maps to the new follower's, and vice versa."""
-    return [
-        rewrite_write(f"{label}_fwd", _eq(old_text), _const(new_text),
-                      direction=Direction.OUTDATED_LEADER),
-        rewrite_write(f"{label}_rev", _eq(new_text), _const(old_text),
-                      direction=Direction.UPDATED_LEADER),
-    ]
+    old, new = _quote(old_text), _quote(new_text)
+    return (f"rule {label}_fwd outdated-leader:\n"
+            f"    write(fd, s) where s == {old} => write(fd, {new})\n"
+            f"rule {label}_rev updated-leader:\n"
+            f"    write(fd, s) where s == {new} => write(fd, {old})\n")
 
 
-def _added_command_rules(verb: str) -> List[RewriteRule]:
-    """A command the old version rejects but the new version executes.
-
-    Outdated leader: redirect the command to one *neither* version knows
-    (``FOOBAR``, as in Figure 5) so the new follower rejects it exactly
-    like the old leader did.
-
-    Updated leader: the new leader executes the command; expect the old
-    follower to reject it instead — tolerable because Vsftpd keeps no
-    state about the file system (paper §5.1).
-    """
-    prefix = verb.encode()
-    forward = redirect_read(f"{verb.lower()}_redirect", _starts(prefix),
-                            b"FOOBAR\r\n",
-                            direction=Direction.OUTDATED_LEADER)
-
-    # Leader-side record footprints of each new command's execution.
-    footprints = {
-        "STOU": [SyscallPattern(Sys.READ, predicate=_starts(prefix)),
-                 SyscallPattern(Sys.OPEN),
-                 SyscallPattern(Sys.WRITE, fd=-2),
-                 SyscallPattern(Sys.WRITE, predicate=_starts(b"257"))],
-        "EPSV": [SyscallPattern(Sys.READ, predicate=_starts(prefix)),
-                 SyscallPattern(Sys.LISTEN),
-                 SyscallPattern(Sys.WRITE, predicate=_starts(b"229"))],
-        "MDTM": [SyscallPattern(Sys.READ, predicate=_starts(prefix)),
-                 SyscallPattern(Sys.STAT),
-                 SyscallPattern(Sys.WRITE)],
-    }
-
-    def tolerate(matched: List[SyscallRecord]) -> List[SyscallRecord]:
-        read = matched[0]
-        reply_fd = matched[-1].fd if matched[-1].name is Sys.WRITE else read.fd
-        return [read,
-                SyscallRecord(Sys.WRITE, fd=reply_fd, data=UNKNOWN,
-                              result=len(UNKNOWN))]
-
-    reverse = RewriteRule(f"{verb.lower()}_tolerate", footprints[verb],
-                          tolerate, direction=Direction.UPDATED_LEADER)
-    return [forward, reverse]
-
-
-def _retr_order_rules() -> List[RewriteRule]:
-    """2.0.4 -> 2.0.5: RETR opens the file before the 150 reply."""
-    write_150 = SyscallPattern(Sys.WRITE, predicate=_starts(b"150 Opening"))
-    open_file = SyscallPattern(Sys.OPEN)
-    read_file = SyscallPattern(Sys.READ, fd=-2)
-
-    def to_open_first(matched):
-        return [matched[1], matched[2], matched[0]]
-
-    def to_reply_first(matched):
-        return [matched[2], matched[0], matched[1]]
-
-    return [
-        RewriteRule("retr_order_fwd", [write_150, open_file, read_file],
-                    to_open_first, direction=Direction.OUTDATED_LEADER),
-        RewriteRule("retr_order_rev", [open_file, read_file, write_150],
-                    to_reply_first, direction=Direction.UPDATED_LEADER),
-    ]
-
-
-def rules_from_features(old: VsftpdFeatures,
-                        new: VsftpdFeatures) -> RuleSet:
-    """Derive the rule set for updating ``old`` -> ``new``."""
-    rules = RuleSet()
+def rules_from_features(old: VsftpdFeatures, new: VsftpdFeatures) -> str:
+    """The DSL text of the rules for updating ``old`` -> ``new``."""
+    parts = []
     for label, old_text, new_text in (
         ("banner", old.banner, new.banner),
         ("syst", old.syst, new.syst),
@@ -126,29 +90,26 @@ def rules_from_features(old: VsftpdFeatures,
         ("goodbye", old.goodbye, new.goodbye),
     ):
         if old_text != new_text:
-            for rule in _text_change_rules(
-                    label, old_text.encode() + b"\r\n",
-                    new_text.encode() + b"\r\n"):
-                rules.add(rule)
+            parts.append(_text_change_rules(
+                label, old_text.encode() + b"\r\n",
+                new_text.encode() + b"\r\n"))
     if old.feat_text() != new.feat_text():
-        for rule in _text_change_rules("feat", old.feat_text(),
-                                       new.feat_text()):
-            rules.add(rule)
+        parts.append(_text_change_rules("feat", old.feat_text(),
+                                        new.feat_text()))
     for verb, had, has in (("STOU", old.has_stou, new.has_stou),
                            ("EPSV", old.has_epsv, new.has_epsv),
                            ("MDTM", old.has_mdtm, new.has_mdtm)):
         if has and not had:
-            for rule in _added_command_rules(verb):
-                rules.add(rule)
+            parts.append(ADDED_COMMAND_RULES[verb])
     if new.open_before_150 and not old.open_before_150:
-        for rule in _retr_order_rules():
-            rules.add(rule)
-    return rules
+        parts.append(RETR_ORDER_RULES)
+    return "".join(parts)
 
 
 def vsftpd_rules(old: str, new: str) -> RuleSet:
     """The rule set for updating release ``old`` -> ``new``."""
-    return rules_from_features(VSFTPD_FEATURES[old], VSFTPD_FEATURES[new])
+    return RuleSet(parse_rules(rules_from_features(VSFTPD_FEATURES[old],
+                                                   VSFTPD_FEATURES[new])))
 
 
 #: The paper's Table 1: rules needed per update pair.

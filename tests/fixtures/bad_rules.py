@@ -8,8 +8,6 @@ from repro.mve.dsl import (
     RuleSet,
     SyscallPattern,
     parse_rules,
-    redirect_read,
-    rewrite_write,
 )
 from repro.syscalls.model import Sys
 
@@ -61,13 +59,19 @@ def unused_var_rules() -> RuleSet:
     return rules
 
 
+def _redirect(name: str, guard) -> RewriteRule:
+    """A read redirected to ``bad-cmd``, built without the DSL (whose
+    parser refuses a duplicate name)."""
+    return RewriteRule(
+        name, [SyscallPattern(Sys.READ, predicate=guard)],
+        lambda matched: [matched[0].with_data(b"bad-cmd\r\n")])
+
+
 def duplicate_name_rules() -> RuleSet:
     """The same rule name registered twice (MVE101)."""
     rules = RuleSet()
-    rules.add(redirect_read("dup", lambda d: d.startswith(b"A"),
-                            b"bad-cmd\r\n"))
-    rules.add(redirect_read("dup", lambda d: d.startswith(b"B"),
-                            b"bad-cmd\r\n"))
+    rules.add(_redirect("dup", lambda d: d.startswith(b"A")))
+    rules.add(_redirect("dup", lambda d: d.startswith(b"B")))
     return rules
 
 
@@ -79,10 +83,11 @@ def dead_direction_rules(old_text: bytes, new_text: bytes) -> RuleSet:
     version leads; it can never fire for this update pair.
     """
     rules = RuleSet()
-    rules.add(rewrite_write(
-        "backwards", lambda d, t=new_text: d == t,
-        lambda d, t=old_text: t,
-        direction=Direction.OUTDATED_LEADER))
+    rules.add(RewriteRule(
+        "backwards",
+        [SyscallPattern(Sys.WRITE, predicate=lambda d, t=new_text: d == t)],
+        lambda matched, t=old_text: [matched[0].with_data(t)],
+        Direction.OUTDATED_LEADER))
     return rules
 
 

@@ -23,7 +23,9 @@ from repro.chaos import Fault, FaultPlan, Trigger, at_stage, on_call
 from repro.cli import main
 from repro.dsu.transform import TransformRegistry
 from repro.dsu.version import ServerVersion, VersionRegistry
-from repro.mve.dsl import Direction, RuleSet, parse_rules, rewrite_write
+from repro.mve.dsl import (Direction, RewriteRule, RuleSet, SyscallPattern,
+                           parse_rules)
+from repro.syscalls.model import Sys
 from tests.fixtures import bad_rules, bad_transforms
 from tests.fixtures.bad_catalog import APP, BadKVVersion
 from tests.fixtures.bad_catalog import catalog as bad_catalog
@@ -37,6 +39,17 @@ FIXTURE_WORKLOADS = str(Path(__file__).parent / "fixtures"
 
 def codes(findings):
     return {f.code for f in findings}
+
+
+def write_rule(name, guard, text=None,
+               direction=Direction.OUTDATED_LEADER):
+    """A rule built without the DSL (opaque guard, no AST) that expects
+    ``text`` — or the leader's own bytes — in place of a guarded write."""
+    def action(matched):
+        return [matched[0].with_data(text if text is not None
+                                     else matched[0].data)]
+    return RewriteRule(name, [SyscallPattern(Sys.WRITE, predicate=guard)],
+                       action, direction)
 
 
 def by_code(findings, code):
@@ -108,9 +121,8 @@ class TestRulesLint:
     def test_correctly_tagged_direction_is_clean(self):
         old = _TextVersion("1", [b"old banner\r\n"])
         new = _TextVersion("2", [b"new banner\r\n"])
-        rules = RuleSet().add(rewrite_write(
-            "forward", lambda d: d == b"new banner\r\n",
-            lambda d: b"old banner\r\n",
+        rules = RuleSet().add(write_rule(
+            "forward", lambda d: d == b"new banner\r\n", b"old banner\r\n",
             direction=Direction.UPDATED_LEADER))
         findings = lint_rules(rules, old_version=old, new_version=new)
         assert "MVE104" not in codes(findings)
@@ -134,8 +146,8 @@ class TestRulesLint:
         # index cannot tell them apart, so every WRITE probes all six.
         rules = RuleSet()
         for i in range(6):
-            rules.add(rewrite_write(f"w{i}", lambda d, i=i:
-                                    d.startswith(b"%d" % i), lambda d: d))
+            rules.add(write_rule(f"w{i}", lambda d, i=i:
+                                 d.startswith(b"%d" % i)))
         findings = lint_rules(rules)
         flagged = by_code(findings, "MVE107")
         assert len(flagged) == 1  # one finding per bucket, not per rule
@@ -150,24 +162,24 @@ class TestRulesLint:
         for i in range(6):
             direction = (Direction.OUTDATED_LEADER if i % 2
                          else Direction.UPDATED_LEADER)
-            rules.add(rewrite_write(f"w{i}", lambda d, i=i:
-                                    d.startswith(b"%d" % i), lambda d: d,
-                                    direction=direction))
+            rules.add(write_rule(f"w{i}", lambda d, i=i:
+                                 d.startswith(b"%d" % i),
+                                 direction=direction))
         assert "MVE107" not in codes(lint_rules(rules))
 
     def test_small_buckets_stay_quiet(self):
         rules = RuleSet()
         for i in range(4):  # at the limit, not over it
-            rules.add(rewrite_write(f"w{i}", lambda d, i=i:
-                                    d.startswith(b"%d" % i), lambda d: d))
+            rules.add(write_rule(f"w{i}", lambda d, i=i:
+                                 d.startswith(b"%d" % i)))
         assert "MVE107" not in codes(lint_rules(rules))
 
     def test_shipped_kvstore_rules_are_clean(self):
-        from repro.servers.kvstore.rules import kv_rules_from_dsl
+        from repro.servers.kvstore.rules import kv_rules
         from repro.servers.kvstore.versions import kvstore_registry
 
         registry = kvstore_registry()
-        findings = lint_rules(kv_rules_from_dsl(), app="kvstore",
+        findings = lint_rules(kv_rules(), app="kvstore",
                               old_version=registry.get("kvstore", "1.0"),
                               new_version=registry.get("kvstore", "2.0"))
         assert findings == []
@@ -220,12 +232,12 @@ class TestCoverage:
         old = _TextKV("1", frozenset(), [b"old banner\r\n"])
         new = _TextKV("2", frozenset(), [b"new banner\r\n"])
         rules = RuleSet()
-        rules.add(rewrite_write("fwd", lambda d: d == b"old banner\r\n",
-                                lambda d: b"new banner\r\n",
-                                direction=Direction.OUTDATED_LEADER))
-        rules.add(rewrite_write("rev", lambda d: d == b"new banner\r\n",
-                                lambda d: b"old banner\r\n",
-                                direction=Direction.UPDATED_LEADER))
+        rules.add(write_rule("fwd", lambda d: d == b"old banner\r\n",
+                             b"new banner\r\n",
+                             direction=Direction.OUTDATED_LEADER))
+        rules.add(write_rule("rev", lambda d: d == b"new banner\r\n",
+                             b"old banner\r\n",
+                             direction=Direction.UPDATED_LEADER))
         findings = check_coverage(APP, old, new, rules)
         assert "MVE202" not in codes(findings)
 
@@ -250,10 +262,11 @@ class TestCoverage:
         that raises counting as no match."""
         from repro.analysis.effects import ProtocolModel
         from repro.analysis.state_space import explore
-        from repro.mve.dsl import redirect_read
         old = BadKVVersion("1", frozenset())
         new = BadKVVersion("2", frozenset({"ZAP"}))
-        rules = RuleSet().add(redirect_read("zap", guard, b"bad-cmd\r\n"))
+        rules = RuleSet().add(RewriteRule(
+            "zap", [SyscallPattern(Sys.READ, predicate=guard)],
+            lambda matched: [matched[0].with_data(b"bad-cmd\r\n")]))
         stage = Direction.OUTDATED_LEADER
         linted = [f for f in by_code(check_coverage(APP, old, new, rules),
                                      "MVE201")

@@ -1,10 +1,13 @@
 """Unit tests for the textual rule DSL parser."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import DslSyntaxError
-from repro.mve.dsl import Direction, RuleEngine, parse_rules, parse_rules_ast
-from repro.syscalls.model import Sys, read_record, write_record
+from repro.mve.dsl import (ANY_FD, Direction, RewriteRule, RuleEngine,
+                           SyscallPattern, dispatch_key, parse_rules,
+                           parse_rules_ast)
+from repro.syscalls.model import Sys, SyscallRecord, read_record, write_record
 
 
 def apply_one(rule_text, records):
@@ -145,6 +148,95 @@ def test_comments_and_blank_lines_ignored():
     assert len(parse_rules(text)) == 1
 
 
+def test_a_hash_inside_a_string_literal_is_not_a_comment():
+    text = 'rule r: read(fd, s) where s == "GET #1" => read(fd, "#")  # note'
+    (rule,) = parse_rules(text)
+    assert rule.ast.conditions[0].literal == b"GET #1"
+    assert apply_one(text, [read_record(1, b"GET #1")])[0].data == b"#"
+
+
+class TestShippedShapes:
+    """What the shipped rules need beyond Figures 4 and 5."""
+
+    def test_syscall_names_are_the_sys_values(self):
+        for sys in Sys:
+            (rule,) = parse_rules(
+                f"rule r: {sys.value}(fd, s) => {sys.value}(fd, s)")
+            assert rule.pattern[0].name is sys
+
+    def test_an_integer_pins_the_fd(self):
+        (rule,) = parse_rules(
+            "rule r: write(-3, a), write(c, b) => write(c, b), write(-3, a)")
+        assert [p.fd for p in rule.pattern] == [-3, ANY_FD]
+        assert dispatch_key(rule.pattern[0]) == (Sys.WRITE, -3)
+        (pinned,) = parse_rules("rule r: read(-2, d) => read(-2, d)")
+        assert pinned.pattern[0].matches(read_record(-2, b"a"))
+        assert not pinned.pattern[0].matches(read_record(4, b"a"))
+        # A rewritten record copies a named fd's record; a pin names none.
+        with pytest.raises(DslSyntaxError, match="unbound fd"):
+            parse_rules('rule r: read(-2, d) => read(-2, "x")')
+
+    def test_blank_binds_nothing(self):
+        (rule,) = parse_rules("rule r: read(fd, s), open(_, _) => read(fd, s)")
+        assert [p.fd for p in rule.pattern] == [ANY_FD, ANY_FD]
+        assert rule.pattern[1].predicate is None
+        with pytest.raises(DslSyntaxError, match="unbound payload"):
+            parse_rules('rule r: read(fd, _) where _ == "x" => read(fd, "y")')
+        with pytest.raises(DslSyntaxError, match="unbound fd"):
+            parse_rules('rule r: read(_, s) => read(_, "x")')
+
+    def test_a_repeated_match_position_is_emitted_unchanged(self):
+        leader = [SyscallRecord(Sys.OPEN, -1, b"/f", 0),
+                  SyscallRecord(Sys.READ, -2, b"data", 99, {"k": 1})]
+        out = apply_one(
+            "rule r: open(_, p), read(-2, d) => read(-2, d), open(_, p)",
+            leader)
+        assert out == leader[::-1]
+
+    def test_any_other_emit_copies_the_record_its_fd_names(self):
+        leader = SyscallRecord(Sys.WRITE, 4, b"257 ok", 6, {"error": "EPIPE"})
+        (out,) = apply_one('rule r: write(fd, s) => write(fd, "500")',
+                           [leader])
+        assert out == SyscallRecord(Sys.WRITE, 4, b"500", 6,
+                                    {"error": "EPIPE"})
+        # An fd variable bound twice names its first record.
+        read = SyscallRecord(Sys.READ, 4, b"STOU\r\n", 6, {"k": 1})
+        reply = SyscallRecord(Sys.WRITE, 4, b"500\r\n", 5)
+        out = apply_one('rule r: read(fd, s), write(fd, r) '
+                        '=> read(fd, "FOOBAR"), write(fd, r)', [read, reply])
+        assert out == [read._replace(data=b"FOOBAR"), reply]
+
+    def test_a_star_payload_emits_the_wildcard_write(self):
+        (rule,) = parse_rules(
+            "rule r: read(fd, s) => read(fd, s), write(fd, *)")
+        assert rule.suppresses
+        out = apply_one("rule r: read(fd, s) => read(fd, s), write(fd, *)",
+                        [read_record(4, b"set k noreply")])
+        assert out[1] == SyscallRecord(Sys.WRITE, 4, aux={"wildcard": True})
+        with pytest.raises(DslSyntaxError, match="write only"):
+            parse_rules("rule r: read(fd, s) => read(fd, *)")
+
+    def test_tag_sets_the_trace_tag(self):
+        (tagged, plain) = parse_rules(
+            "rule a both tag app-diff: read(fd, s) => read(fd, s)\n"
+            "rule b: read(fd, s) => read(fd, s)")
+        assert (tagged.trace_tag, tagged.direction) == ("app-diff",
+                                                        Direction.BOTH)
+        assert plain.trace_tag is None
+
+    def test_suppresses_when_fewer_records_are_emitted(self):
+        drop, keep = parse_rules(
+            "rule drop: read(fd, s), write(fd, r) => read(fd, s)\n"
+            "rule keep: read(fd, s), write(fd, r) => write(fd, r), read(fd, s)")
+        assert drop.suppresses and not keep.suppresses
+
+    def test_matches_is_an_anchored_re_match(self):
+        text = 'rule r: read(fd, s) where matches(s, "GET|SET") => read(fd, "x")'
+        out = apply_one(text, [read_record(1, b"GET k"),
+                               read_record(1, b"x GET")])
+        assert [r.data for r in out] == [b"x", b"x GET"]
+
+
 class TestSyntaxErrors:
     def test_unknown_syscall(self):
         with pytest.raises(DslSyntaxError, match="unknown syscall"):
@@ -200,6 +292,18 @@ class TestSyntaxErrors:
         with pytest.raises(DslSyntaxError, match="cannot tokenize"):
             parse_rules('rule r: read(fd, s) => read(fd, s) @ nonsense')
 
+    @pytest.mark.parametrize("literal", [r'"\x"', r'"\N{x}"', r'"\u20ac"'])
+    def test_malformed_escape(self, literal):
+        with pytest.raises(DslSyntaxError, match="bad string literal"):
+            parse_rules(f"rule r: read(fd, s) where s == {literal} "
+                        f"=> read(fd, s)")
+
+    @pytest.mark.parametrize("pattern", ['"("', '"a{99999999999}"'])
+    def test_bad_pattern(self, pattern):
+        with pytest.raises(DslSyntaxError, match="bad pattern"):
+            parse_rules(f"rule r: read(fd, s) where matches(s, {pattern}) "
+                        f"=> read(fd, s)")
+
 
 class TestAst:
     TEXT = r'''
@@ -233,8 +337,7 @@ class TestAst:
         assert rule.ast == ast
 
     def test_programmatic_rules_have_no_ast(self):
-        from repro.mve.dsl import redirect_read
-        rule = redirect_read("r", lambda d: True, b"x")
+        rule = RewriteRule("r", [SyscallPattern(Sys.READ)], list)
         assert rule.ast is None
 
     def test_condition_evaluate(self):
@@ -244,3 +347,46 @@ class TestAst:
         (cond,) = ast.conditions
         assert cond.evaluate(b"PUT k v")
         assert not cond.evaluate(b"GET k")
+
+
+#: Broken and odd string literals, and tokens and near-tokens, that
+#: generated rule texts splice into valid ones.
+LITERALS = ('"x"', '"("', '"a{99999999999}"', r'"\x"', r'"\N{x}"',
+            r'"\u20ac"', '"#"', '"\\"', '"')
+SOUP = ("rule", "r", "tag", "t-1", "both", ":", ",", "(", ")", "=>", "==",
+        "!=", "+", "*", "where", "and", "read", "write", "listen", "ioctl",
+        "fd", "s", "_", "-2", "startswith", "matches", "replace", "#", "\n",
+        "@") + LITERALS
+#: Valid rules, one token per space (no literal holds a space).
+TEMPLATES = (
+    'rule r : read ( fd , s ) where startswith ( s , "x" ) '
+    '=> read ( fd , "y" )',
+    'rule r both tag t-1 : write ( c , a ) , write ( -3 , b ) '
+    'where matches ( a , "x" ) and b == "y" => write ( -3 , b ) , '
+    'write ( c , a )',
+    'rule r : read ( fd , s ) , open ( _ , _ ) '
+    '=> read ( fd , replace_prefix ( s , "x" , "y" ) ) , write ( fd , * )',
+)
+
+
+@st.composite
+def mangled_rules(draw):
+    """A valid rule with one to three tokens replaced: a literal by a
+    literal, anything else by any token."""
+    tokens = draw(st.sampled_from(TEMPLATES)).split(" ")
+    for _ in range(draw(st.integers(1, 3))):
+        index = draw(st.integers(0, len(tokens) - 1))
+        tokens[index] = draw(st.sampled_from(
+            LITERALS if tokens[index].startswith('"') else SOUP))
+    return " ".join(tokens)
+
+
+class TestTokenSoup:
+    @settings(deadline=None)
+    @given(st.lists(mangled_rules(), min_size=1, max_size=3).map("\n".join))
+    def test_parse_rules_returns_rules_or_raises_a_syntax_error(self, text):
+        try:
+            rules = parse_rules(text)
+        except DslSyntaxError:
+            return
+        assert all(isinstance(rule, RewriteRule) for rule in rules)

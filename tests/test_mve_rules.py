@@ -1,4 +1,5 @@
-"""Unit tests for the rewrite-rule engine and rule constructors."""
+"""Unit tests for the rewrite-rule engine and the rule shapes the DSL
+writes."""
 
 import pytest
 
@@ -9,14 +10,21 @@ from repro.mve.dsl import (
     RuleEngine,
     RuleSet,
     SyscallPattern,
-    merge_writes,
-    redirect_read,
-    rewrite_read,
-    rewrite_write,
-    split_write,
-    swap_adjacent,
+    parse_rules,
 )
 from repro.syscalls.model import Sys, read_record, write_record
+
+
+def rule(text):
+    """The one rule ``text`` defines."""
+    (only,) = parse_rules(text)
+    return only
+
+
+#: Two writes merged into one.
+MERGE_AB = r'''rule merge:
+    write(fd, a), write(fd2, b) where startswith(a, "A") and startswith(b, "B")
+        => write(fd, a + b)'''
 
 
 def run_engine(rules, records):
@@ -58,49 +66,54 @@ class TestPassThrough:
         assert [r.data for r in out] == [b"GET k", b"+OK"]
 
     def test_non_matching_rule_is_identity(self):
-        rule = redirect_read("r", lambda d: d.startswith(b"NOPE"), b"bad")
-        _, out = run_engine([rule], [read_record(1, b"GET k")])
+        never = rule(r'rule r: read(fd, s) where startswith(s, "NOPE") '
+                     r'=> read(fd, "bad")')
+        _, out = run_engine([never], [read_record(1, b"GET k")])
         assert out[0].data == b"GET k"
 
 
 class TestSingleRecordRules:
     def test_redirect_read(self):
         # Figure 4 Rule 1: typed PUT becomes an invalid command.
-        rule = redirect_read("put_typed", lambda d: d.startswith(b"PUT-"),
-                             b"bad-cmd\r\n")
+        put_typed = rule(r'''rule put_typed:
+            read(fd, s) where startswith(s, "PUT-") => read(fd, "bad-cmd\r\n")''')
         engine, out = run_engine(
-            [rule], [read_record(4, b"PUT-number balance 1001\r\n")])
+            [put_typed], [read_record(4, b"PUT-number balance 1001\r\n")])
         assert out[0].data == b"bad-cmd\r\n"
         assert out[0].fd == 4
         assert engine.fired == ["put_typed"]
 
     def test_rewrite_read(self):
         # Figure 4 Rule 2: untyped PUT becomes PUT-string.
-        rule = rewrite_read(
-            "put_untyped", lambda d: d.startswith(b"PUT "),
-            lambda d: d.replace(b"PUT ", b"PUT-string ", 1))
-        _, out = run_engine([rule], [read_record(4, b"PUT k v\r\n")])
+        put_untyped = rule(r'''rule put_untyped:
+            read(fd, s) where startswith(s, "PUT ")
+                => read(fd, replace_prefix(s, "PUT ", "PUT-string "))''')
+        _, out = run_engine([put_untyped], [read_record(4, b"PUT k v\r\n")])
         assert out[0].data == b"PUT-string k v\r\n"
 
     def test_rewrite_write(self):
-        rule = rewrite_write("banner", lambda d: d.startswith(b"220 v1"),
-                             lambda d: d.replace(b"v1", b"v2"))
-        _, out = run_engine([rule], [write_record(4, b"220 v1 ready\r\n")])
+        banner = rule(r'''rule banner:
+            write(fd, s) where startswith(s, "220 v1")
+                => write(fd, replace(s, "v1", "v2"))''')
+        _, out = run_engine([banner], [write_record(4, b"220 v1 ready\r\n")])
         assert out[0].data == b"220 v2 ready\r\n"
 
     def test_split_write(self):
-        rule = split_write("split", lambda d: b"\r\n" in d,
-                           lambda d: [d[:5], d[5:]])
-        _, out = run_engine([rule], [write_record(4, b"HELLO WORLD\r\n")])
+        split = rule(r'''rule split:
+            write(fd, s) where contains(s, "\r\n")
+                => write(fd, "HELLO"), write(fd, replace_prefix(s, "HELLO", ""))''')
+        _, out = run_engine([split], [write_record(4, b"HELLO WORLD\r\n")])
         assert [r.data for r in out] == [b"HELLO", b" WORLD\r\n"]
         assert all(r.name is Sys.WRITE and r.fd == 4 for r in out)
 
 
 class TestMultiRecordRules:
     def test_merge_writes(self):
-        rule = merge_writes("merge", lambda d: d.startswith(b"220-"),
-                            lambda d: d.startswith(b"220 "))
-        _, out = run_engine([rule], [
+        merge = rule(r'''rule merge:
+            write(fd, a), write(fd2, b)
+                where startswith(a, "220-") and startswith(b, "220 ")
+                => write(fd, a + b)''')
+        _, out = run_engine([merge], [
             write_record(4, b"220-part one\r\n"),
             write_record(4, b"220 part two\r\n"),
         ])
@@ -108,10 +121,10 @@ class TestMultiRecordRules:
         assert out[0].data == b"220-part one\r\n220 part two\r\n"
 
     def test_swap_adjacent(self):
-        rule = swap_adjacent(
-            "aof", SyscallPattern(Sys.WRITE, predicate=lambda d: d.startswith(b"+")),
-            SyscallPattern(Sys.WRITE, predicate=lambda d: d.startswith(b"*")))
-        _, out = run_engine([rule], [
+        aof = rule(r'''rule aof:
+            write(f1, a), write(f2, b) where startswith(a, "+") and startswith(b, "*")
+                => write(f2, b), write(f1, a)''')
+        _, out = run_engine([aof], [
             write_record(4, b"+OK\r\n"),
             write_record(9, b"*3 aof entry\r\n"),
         ])
@@ -119,9 +132,7 @@ class TestMultiRecordRules:
         assert [r.fd for r in out] == [9, 4]
 
     def test_partial_match_waits_for_more_records(self):
-        rule = merge_writes("merge", lambda d: d.startswith(b"A"),
-                            lambda d: d.startswith(b"B"))
-        engine = RuleEngine([rule])
+        engine = RuleEngine([rule(MERGE_AB)])
         engine.offer(write_record(1, b"A1"))
         # Might still complete: nothing ready yet.
         assert not engine.has_ready()
@@ -130,18 +141,14 @@ class TestMultiRecordRules:
         assert engine.next_expected().data == b"A1B2"
 
     def test_partial_match_flushes_when_stream_ends(self):
-        rule = merge_writes("merge", lambda d: d.startswith(b"A"),
-                            lambda d: d.startswith(b"B"))
-        engine = RuleEngine([rule])
+        engine = RuleEngine([rule(MERGE_AB)])
         engine.offer(write_record(1, b"A1"))
         engine.flush()
         assert engine.next_expected().data == b"A1"
 
     def test_failed_partial_match_reconsiders_suffix(self):
         # "A" then "A" then "B": first A flushes, then A+B merges.
-        rule = merge_writes("merge", lambda d: d.startswith(b"A"),
-                            lambda d: d.startswith(b"B"))
-        _, out = run_engine([rule], [
+        _, out = run_engine([rule(MERGE_AB)], [
             write_record(1, b"A1"), write_record(1, b"A2"),
             write_record(1, b"B3"),
         ])
@@ -150,20 +157,17 @@ class TestMultiRecordRules:
 
 class TestPriorityAndDirection:
     def test_first_matching_rule_wins(self):
-        rule_a = redirect_read("a", lambda d: True, b"from-a")
-        rule_b = redirect_read("b", lambda d: True, b"from-b")
-        engine, out = run_engine([rule_a, rule_b], [read_record(1, b"x")])
+        rules = parse_rules('rule a: read(fd, s) => read(fd, "from-a")\n'
+                            'rule b: read(fd, s) => read(fd, "from-b")')
+        engine, out = run_engine(rules, [read_record(1, b"x")])
         assert out[0].data == b"from-a"
         assert engine.fired == ["a"]
 
     def test_ruleset_stage_filtering(self):
-        rules = RuleSet()
-        rules.add(redirect_read("fwd", lambda d: True, b"x",
-                                direction=Direction.OUTDATED_LEADER))
-        rules.add(redirect_read("rev", lambda d: True, b"y",
-                                direction=Direction.UPDATED_LEADER))
-        rules.add(redirect_read("always", lambda d: True, b"z",
-                                direction=Direction.BOTH))
+        rules = RuleSet(parse_rules('''
+            rule fwd outdated-leader: read(fd, s) => read(fd, "x")
+            rule rev updated-leader: read(fd, s) => read(fd, "y")
+            rule always both: read(fd, s) => read(fd, "z")'''))
         outdated = rules.for_stage(Direction.OUTDATED_LEADER)
         updated = rules.for_stage(Direction.UPDATED_LEADER)
         assert [r.name for r in outdated] == ["fwd", "always"]
@@ -172,7 +176,7 @@ class TestPriorityAndDirection:
         assert len(rules) == 3
 
     def test_action_returning_none_raises(self):
-        rule = RewriteRule("bad", [SyscallPattern(Sys.READ)], lambda m: None)
-        engine = RuleEngine([rule])
+        bad = RewriteRule("bad", [SyscallPattern(Sys.READ)], lambda m: None)
+        engine = RuleEngine([bad])
         with pytest.raises(RuleError):
             engine.offer(read_record(1, b"x"))

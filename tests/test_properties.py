@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.dsu.transform import clone_heap
 from repro.mve import VaranRuntime
-from repro.mve.dsl import RuleEngine
+from repro.mve.dsl import RewriteRule, RuleEngine, SyscallPattern
 from repro.net import VirtualKernel
 from repro.servers.kvstore import (
     KVStoreServer,
@@ -175,9 +175,10 @@ def test_rule_engine_without_rules_is_identity(records):
 @settings(max_examples=60, deadline=None)
 @given(st.lists(record_strategy, max_size=30))
 def test_non_matching_rules_are_identity(records):
-    from repro.mve.dsl import redirect_read
-    rule = redirect_read("never", lambda d: d.startswith(b"\xff\xfe"),
-                         b"unused")
+    rule = RewriteRule(
+        "never", [SyscallPattern(Sys.READ,
+                                 predicate=lambda d: d.startswith(b"\xff\xfe"))],
+        lambda matched: [matched[0].with_data(b"unused")])
     engine = RuleEngine([rule])
     out = []
     for record in records:

@@ -3,20 +3,29 @@
 import dataclasses
 
 from repro.analysis.findings import Severity
-from repro.analysis.trace_lint import _is_suppressing, lint_trace_tags
+from repro.analysis.trace_lint import lint_trace_tags
 from repro.mve.dsl.parser import parse_rules
-from repro.mve.dsl.rules import RuleSet, suppress_reply, tolerate_extra_reply
+from repro.mve.dsl.rules import RewriteRule, RuleSet, SyscallPattern
 from repro.servers.kvstore import kv_rules
 from repro.servers.memcached.rules import memcached_rules
+from repro.syscalls.model import Sys
 
 
 def _lint(ruleset):
     return lint_trace_tags(ruleset, app="test", pair="1.0->2.0")
 
 
+def _dropping(name, guard, trace_tag=None):
+    """A rule built without the DSL that drops the reply write."""
+    return RewriteRule(
+        name, [SyscallPattern(Sys.READ, predicate=guard),
+               SyscallPattern(Sys.WRITE)],
+        lambda matched: matched[:1], trace_tag=trace_tag, suppresses=True)
+
+
 def test_untagged_suppress_reply_warns():
     rules = RuleSet().add(
-        suppress_reply("quiet", lambda data: data.startswith(b"set ")))
+        _dropping("quiet", lambda data: data.startswith(b"set ")))
     findings = _lint(rules)
     assert len(findings) == 1
     finding = findings[0]
@@ -29,14 +38,16 @@ def test_untagged_suppress_reply_warns():
 
 def test_tagged_suppress_reply_is_clean():
     rules = RuleSet().add(
-        suppress_reply("quiet", lambda data: True, trace_tag="test-quiet"))
+        _dropping("quiet", lambda data: True, trace_tag="test-quiet"))
     assert _lint(rules) == []
 
 
 def test_tolerate_extra_reply_counts_as_suppressing():
     # Its wildcard write accepts any follower reply, so it also masks
     # content divergences and needs a tag.
-    rules = RuleSet().add(tolerate_extra_reply("answer", lambda data: True))
+    rules = RuleSet(parse_rules(
+        "rule answer updated-leader: read(fd, s) => read(fd, s), write(fd, *)"))
+    assert rules.rules[0].suppresses
     assert [finding.code for finding in _lint(rules)] == ["MVE501"]
 
 
@@ -49,7 +60,7 @@ def test_dsl_rule_dropping_records_is_suppressing():
     rules = RuleSet()
     for rule in parse_rules(text):
         rules.add(rule)
-    assert all(_is_suppressing(rule) for rule in rules.rules)
+    assert all(rule.suppresses for rule in rules.rules)
     assert [finding.code for finding in _lint(rules)] == ["MVE501"]
 
 
@@ -65,6 +76,22 @@ def test_repo_memcached_catalog_is_tagged():
     findings = lint_trace_tags(memcached_rules("1.2.4", "1.2.5"),
                                app="memcached", pair="1.2.4->1.2.5")
     assert findings == []
+
+
+def test_repo_vsftpd_tolerate_rules_are_tagged():
+    # Each drops the leader's footprint of the command the old follower
+    # rejects (open/write(-2), listen or stat): MVE501 needs a tag.
+    from repro.servers.vsftpd.rules import TABLE1_RULE_COUNTS, vsftpd_rules
+    tags, findings = {}, []
+    for old, new, _ in TABLE1_RULE_COUNTS:
+        rules = vsftpd_rules(old, new)
+        findings += lint_trace_tags(rules, app="vsftpd", pair=f"{old}->{new}")
+        tags.update((rule.name, rule.trace_tag) for rule in rules.rules
+                    if rule.suppresses)
+    assert findings == []
+    assert tags == {"stou_tolerate": "vsftpd-stou",
+                    "epsv_tolerate": "vsftpd-epsv",
+                    "mdtm_tolerate": "vsftpd-mdtm"}
 
 
 def test_run_app_registers_the_trace_analyzer():
