@@ -37,8 +37,8 @@ from repro.workloads import VirtualClient
 
 
 def metrics_line(tracer: Tracer) -> str:
-    """One console line from the live metrics registry."""
-    snapshot = tracer.metrics.snapshot()
+    """One console line from the live metrics (folded from the log)."""
+    snapshot = tracer.metrics()
 
     def value(name: str) -> int:
         entry = snapshot.get(name, {})
@@ -105,7 +105,7 @@ def operate(mvedsua: Mvedsua, client: VirtualClient,
     print("\n== final status ==")
     print(console.render_status())
     print("\n== final metrics ==")
-    for name, entry in sorted(tracer.metrics.snapshot().items()):
+    for name, entry in sorted(tracer.metrics().items()):
         rendered = " ".join(f"{key}={value}"
                             for key, value in sorted(entry.items())
                             if key != "type")

@@ -167,7 +167,8 @@ class FluidSim:
 
         def mark(stage: str, at: int) -> None:
             if tracer is not None:
-                tracer.on_dsu("lifecycle", at, stage=stage, sim="fluid")
+                tracer.emit("dsu.lifecycle", "dsu", at=at, stage=stage,
+                            sim="fluid")
 
         follower_op_cost = profile.op_cost_ns(
             ExecutionMode.FOLLOWER, n_bytes=config.n_bytes_per_op)

@@ -135,8 +135,9 @@ class ChaosInjector:
                 self.injections.append(injection)
                 tracer = OBS.tracer
                 if tracer is not None:
-                    tracer.on_chaos(self.vnow, site, entry.fault.kind,
-                                    call_index=index, stage=self.stage)
+                    tracer.emit("chaos.inject", "chaos", at=self.vnow,
+                                site=site, fault=entry.fault.kind,
+                                call_index=index, stage=self.stage)
                 return entry.fault
         return None
 

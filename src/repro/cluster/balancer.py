@@ -101,8 +101,8 @@ class FleetBalancer:
                     self.partitions += 1
                     tracer = OBS.tracer
                     if tracer is not None:
-                        tracer.on_fleet("partition", now,
-                                        shard=shard.index, node=node.name)
+                        tracer.emit("fleet.partition", "fleet", at=now,
+                                    shard=shard.index, node=node.name)
                     continue
             self._cursors[shard.index] = cursor
             return node

@@ -158,8 +158,9 @@ class FleetSession:
             self.balancer.failovers += 1
             tracer = OBS.tracer
             if tracer is not None:
-                tracer.on_fleet("failover", now, shard=shard.index,
-                                session=self.name, node=node.name)
+                tracer.emit("fleet.failover", "fleet", at=now,
+                            shard=shard.index, session=self.name,
+                            node=node.name)
         self._sticky[shard.index] = node
         return node
 

@@ -18,10 +18,10 @@ topology's :meth:`~repro.cluster.shard.FleetSpec.waves`:
   MVE overhead bounded in replicated deployments.  The budget is
   *asserted*, not assumed: :meth:`FleetOrchestrator._sample_budget`
   raises :class:`FleetBudgetError` the moment any shard holds two pairs,
-  and exports the worst case as the ``fleet.mve_pairs`` gauge.
+  and keeps the worst case as ``max_mve_pairs_per_shard`` (the
+  ``repro-fleet/1`` report's field of that name).
 
-Every step emits a ``fleet.*`` trace event via
-:meth:`repro.obs.trace.Tracer.on_fleet`, and two chaos sites make the
+Every step emits a ``fleet.*`` trace event, and two chaos sites make the
 round's failure paths reachable from fault plans: ``fleet.replica``
 (``crash`` — the replica dies just as its slot comes up) and
 ``fleet.canary`` (``divergence`` — the canary is handed a buggy build,
@@ -126,16 +126,13 @@ class FleetOrchestrator:
     def _emit(self, kind: str, at: int, **fields: Any) -> None:
         tracer = OBS.tracer
         if tracer is not None:
-            tracer.on_fleet(kind, at, **fields)
+            tracer.emit(f"fleet.{kind}", "fleet", at=at, **fields)
 
-    def _sample_budget(self, at: int) -> None:
+    def _sample_budget(self) -> None:
         worst = max(shard.mve_pairs()
                     for shard in self.balancer.shard_map.shards)
         if worst > self.max_mve_pairs_per_shard:
             self.max_mve_pairs_per_shard = worst
-        tracer = OBS.tracer
-        if tracer is not None:
-            tracer.metrics.gauge("fleet.mve_pairs").set(worst)
         if worst > 1:
             raise FleetBudgetError(
                 f"a shard is running {worst} leader-follower pairs "
@@ -240,7 +237,7 @@ class FleetOrchestrator:
             self._emit("canary" if wave_index == 0 else "wave", t,
                        shard=shard.index, node=node.name,
                        wave=wave_index, version=version.name)
-            self._sample_budget(t)
+            self._sample_budget()
             in_flight.append((shard, node, mvedsua, started, pause))
             t += MILLISECOND
 
@@ -282,7 +279,7 @@ class FleetOrchestrator:
                     detail="fleet-canary-rollback"))
             for shard, node in demoted:
                 node.status = NodeStatus.SERVING
-            self._sample_budget(t)
+            self._sample_budget()
             return t, True
 
         for shard, node, mvedsua, started, pause in survivors:
@@ -300,7 +297,7 @@ class FleetOrchestrator:
             report.records.append(FleetNodeRecord(
                 shard.index, node.name, wave_index, started, finished,
                 "updated", leader_pause_ns=pause))
-            self._sample_budget(finished)
+            self._sample_budget()
             t = max(t, finished)
         return t, False
 

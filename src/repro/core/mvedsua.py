@@ -137,9 +137,9 @@ class Mvedsua:
         leader_server = self.runtime.leader.server
         tracer = OBS.tracer
         if tracer is not None:
-            tracer.on_dsu("request", now,
-                          old=leader_server.version.name,
-                          new=new_version.name)
+            tracer.emit("dsu.request", "dsu", at=now,
+                        old=leader_server.version.name,
+                        new=new_version.name)
         if prepare is not None:
             prepare(leader_server)
 
@@ -148,12 +148,13 @@ class Mvedsua:
             quiesce_ns = self.kitsune.quiesce(leader_server.program)
         except QuiescenceTimeout as exc:
             if tracer is not None:
-                tracer.on_dsu("failed", now, reason="quiescence-failed",
-                              error=str(exc))
+                tracer.emit("dsu.failed", "dsu", at=now,
+                            reason="quiescence-failed", error=str(exc))
             return UpdateAttempt(False, "quiescence-failed", now,
                                  error=str(exc))
         if tracer is not None:
-            tracer.on_dsu("quiesce", now + quiesce_ns, ns=quiesce_ns)
+            tracer.emit("dsu.quiesce", "dsu", at=now + quiesce_ns,
+                        ns=quiesce_ns)
 
         # Phase 2: fork; the child performs the update.
         child = leader_server.fork()
@@ -166,8 +167,8 @@ class Mvedsua:
             # up; the leader resumes as if nothing happened.
             leader_server.program.run_abort_callback()
             if tracer is not None:
-                tracer.on_dsu("failed", now, reason="transform-failed",
-                              error=str(exc))
+                tracer.emit("dsu.failed", "dsu", at=now,
+                            reason="transform-failed", error=str(exc))
             return UpdateAttempt(False, "transform-failed", now,
                                  quiesce_ns=quiesce_ns, error=str(exc))
         child.apply_version(new_version, new_heap)
@@ -191,12 +192,12 @@ class Mvedsua:
         self._note_chaos_stage()
         self.timeline = UpdateTimeline(t1_forked=t1, t2_updated=t2)
         if tracer is not None:
-            tracer.on_dsu("xform", t2, ns=xform_ns, entries=entries,
-                          version=new_version.name)
-            tracer.on_dsu("applied", t1, t1=t1, t2=t2,
-                          old=leader_server.version.name,
-                          new=new_version.name)
-            tracer.on_dsu("resume", t1)
+            tracer.emit("dsu.xform", "dsu", at=t2, ns=xform_ns,
+                        entries=entries, version=new_version.name)
+            tracer.emit("dsu.applied", "dsu", at=t1, t1=t1, t2=t2,
+                        old=leader_server.version.name,
+                        new=new_version.name)
+            tracer.emit("dsu.resume", "dsu", at=t1)
         spans = OBS.spans
         if spans is not None:
             update = spans.add("dsu.update", "dsu", now, t2,

@@ -176,8 +176,9 @@ class Kitsune:
 
     def apply_update(self, program: UpdatableProgram,
                      new_version: ServerVersion, *,
-                     xform_entry_ns: int = 0) -> UpdateResult:
-        """Update ``program`` in place, Kitsune-style.
+                     xform_entry_ns: int = 0, at: int = 0) -> UpdateResult:
+        """Update ``program`` in place, Kitsune-style, from virtual time
+        ``at`` (where its ``dsu.*`` trace events are stamped from).
 
         On success the program runs the new version with the transformed
         heap, and the result carries the full service pause.  On failure
@@ -194,18 +195,19 @@ class Kitsune:
         old_name = program.version.name
         tracer = OBS.tracer
         if tracer is not None:
-            tracer.on_dsu("request", tracer.vnow, old=old_name,
-                          new=new_version.name, system="kitsune")
+            tracer.emit("dsu.request", "dsu", at=at, old=old_name,
+                        new=new_version.name, system="kitsune")
         try:
             quiesce_ns = self.quiesce(program)
         except QuiescenceTimeout as exc:
             if tracer is not None:
-                tracer.on_dsu("failed", tracer.vnow,
-                              reason="quiescence-failed", error=str(exc))
+                tracer.emit("dsu.failed", "dsu", at=at,
+                            reason="quiescence-failed", error=str(exc))
             return UpdateResult(UpdateOutcome.QUIESCENCE_FAILED, 0,
                                 old_name, new_version.name, error=str(exc))
         if tracer is not None:
-            tracer.on_dsu("quiesce", tracer.vnow + quiesce_ns, ns=quiesce_ns)
+            tracer.emit("dsu.quiesce", "dsu", at=at + quiesce_ns,
+                        ns=quiesce_ns)
         try:
             new_heap, xform_ns, entries = self.transform(
                 program, new_version, xform_entry_ns)
@@ -213,19 +215,19 @@ class Kitsune:
             # A detectably-failing transformer aborts the update after the
             # pause already paid for quiescence.
             if tracer is not None:
-                tracer.on_dsu("failed", tracer.vnow,
-                              reason="transform-failed", error=str(exc))
+                tracer.emit("dsu.failed", "dsu", at=at + quiesce_ns,
+                            reason="transform-failed", error=str(exc))
             return UpdateResult(UpdateOutcome.TRANSFORM_FAILED, quiesce_ns,
                                 old_name, new_version.name, error=str(exc))
         program.version = new_version
         program.heap = new_heap
         if tracer is not None:
-            at = tracer.vnow + quiesce_ns + xform_ns
-            tracer.on_dsu("xform", at, ns=xform_ns, entries=entries,
-                          version=new_version.name)
-            tracer.on_dsu("applied", at, old=old_name,
-                          new=new_version.name, system="kitsune")
-            tracer.on_dsu("resume", at)
+            done = at + quiesce_ns + xform_ns
+            tracer.emit("dsu.xform", "dsu", at=done, ns=xform_ns,
+                        entries=entries, version=new_version.name)
+            tracer.emit("dsu.applied", "dsu", at=done, old=old_name,
+                        new=new_version.name, system="kitsune")
+            tracer.emit("dsu.resume", "dsu", at=done)
         return UpdateResult(UpdateOutcome.APPLIED, quiesce_ns + xform_ns,
                             old_name, new_version.name,
                             entries_transformed=entries)

@@ -160,7 +160,8 @@ class DistributedRing(RingBuffer):
         self.resyncs += 1
         tracer = OBS.tracer
         if tracer is not None:
-            tracer.on_ring_resync(at, self.resyncs)
+            tracer.emit("net.ring.resync", "net", at=at,
+                        resyncs=self.resyncs)
 
     # ------------------------------------------------------------------
     # The wire
@@ -216,8 +217,9 @@ class DistributedRing(RingBuffer):
         self._frame_seq = sequence + 1
         tracer = OBS.tracer
         if tracer is not None:
-            tracer.on_ring_frame(produced_at, sequence, len(decoded),
-                                 n_bytes, len(self._inflight), deliver_at)
+            tracer.emit("net.ring.frame", "net", at=produced_at,
+                        sequence=sequence, count=len(decoded), bytes=n_bytes,
+                        inflight=len(self._inflight), deliver_at=deliver_at)
         spans = OBS.spans
         if spans is not None:
             spans.add("net.ring", "net", produced_at, deliver_at,

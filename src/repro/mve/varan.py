@@ -338,7 +338,8 @@ class VaranRuntime:
                                   self.in_mve_mode, records)
             tracer = OBS.tracer
             if tracer is not None:
-                tracer.on_stream_record(completion, len(records))
+                tracer.emit("stream.record", "replay", at=completion,
+                            count=len(records))
         self.completions.append((completion, trace.requests_handled))
         return completion
 
@@ -385,7 +386,8 @@ class VaranRuntime:
             if free == 0:
                 self.ring_stalls += 1
                 if tracer is not None:
-                    tracer.on_ring_stall(t, ring.capacity)
+                    tracer.emit("ring.stall", "mve", at=t,
+                                capacity=ring.capacity)
                 freed_at = self._replay_one(lane)
                 if freed_at is None:
                     # Nothing left to replay: the stall is a link's
@@ -404,8 +406,8 @@ class VaranRuntime:
             ring.push_many(payloads[pushed:pushed + take], t)
             pushed += take
             if tracer is not None and control is None:
-                tracer.on_ring_publish(t, take, len(ring),
-                                       ring.high_watermark)
+                tracer.emit("ring.publish", "mve", at=t, count=take,
+                            occupancy=len(ring))
         if ring.partition_timed_out:
             return self._demote_partitioned(lane, t)
         lane.pending.append(IterationDescriptor(total, control))
@@ -504,8 +506,8 @@ class VaranRuntime:
         self.rules_fired.extend(engine.fired)
         tracer = OBS.tracer
         if tracer is not None:
-            tracer.on_rules_applied(len(entries), len(expected),
-                                    engine.fired)
+            for name in engine.fired:
+                tracer.emit("rule.fired", "mve", rule=name)
 
         fault = None
         chaos = OBS.chaos
@@ -516,8 +518,8 @@ class VaranRuntime:
             expected = _corrupt_expected(expected, fault.param)
 
         if tracer is not None:
-            tracer.advance(ready_at)
-            tracer.on_ring_replay(ready_at, len(entries), len(ring))
+            tracer.emit("ring.replay", "mve", at=ready_at,
+                        count=len(entries), occupancy=len(ring))
         start = max(follower.cpu.busy_until, ready_at)
         try:
             if fault is not None and fault.kind == "crash":
@@ -531,8 +533,8 @@ class VaranRuntime:
             self.last_divergence = divergence
             self.last_forensics = divergence.forensics
             if tracer is not None:
-                tracer.on_divergence_check(start, False, len(entries),
-                                           detail=str(divergence))
+                tracer.emit("divergence.check", "mve", at=start, ok=False,
+                            records=len(entries), detail=str(divergence))
                 tracer.on_forensics(self.last_forensics)
             spans = OBS.spans
             if spans is not None:
@@ -551,7 +553,8 @@ class VaranRuntime:
             ExecutionMode.FOLLOWER, n_requests=trace.requests_handled,
             n_syscalls=len(trace.records), n_bytes=trace.bytes_transferred))
         if tracer is not None:
-            tracer.on_divergence_check(done, True, len(entries))
+            tracer.emit("divergence.check", "mve", at=done, ok=True,
+                        records=len(entries), detail="")
         return done
 
     # ------------------------------------------------------------------
@@ -582,7 +585,8 @@ class VaranRuntime:
                              version=self.leader.version_name)
         tracer = OBS.tracer
         if tracer is not None:
-            tracer.on_control("promote", start, self.leader.version_name)
+            tracer.emit("control.promote", "mve", at=start,
+                        version=self.leader.version_name)
         self._publish([event], start, control=event)
         self.log(start, "demote-requested", event.describe())
         last = self.drain_follower()

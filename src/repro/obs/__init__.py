@@ -7,7 +7,7 @@ installed, independently, with :func:`repro.sites.observing`.  See
 """
 
 from repro.obs.forensics import ForensicsBundle, build_divergence_bundle
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
+from repro.obs.metrics import Histogram
 from repro.obs.slo import SLO_SCHEMA, SloSpec, build_slo_report, validate_slo_report
 from repro.obs.spans import (
     PHASES,
@@ -39,10 +39,7 @@ __all__ = [
     "TRACE_SCHEMA",
     "TraceEvent",
     "Tracer",
-    "Counter",
-    "Gauge",
     "Histogram",
-    "MetricsRegistry",
     "ForensicsBundle",
     "build_divergence_bundle",
     "validate_trace_file",

@@ -59,13 +59,14 @@ def run(args) -> int:
     print(format_table(
         ["event kind", "count"],
         [[kind, tally[kind]] for kind in sorted(tally)]))
-    snapshot = tracer.metrics.snapshot()
+    snapshot = tracer.metrics()
     if snapshot:
         print()
         print(format_table(
             ["metric", "value"],
-            [[name, _render_metric(value)]
-             for name, value in snapshot.items()]))
+            [[name, " ".join(f"{key}={value}"
+                             for key, value in sorted(metric.items()))]
+             for name, metric in snapshot.items()]))
     for index, bundle in enumerate(tracer.forensics):
         print()
         print(f"forensics bundle {index}:")
@@ -74,9 +75,3 @@ def run(args) -> int:
     if args.check:
         return cli.check_verdict(validate_trace_file(out), out, TRACE_SCHEMA)
     return 0
-
-
-def _render_metric(value) -> str:
-    if isinstance(value, dict):
-        return " ".join(f"{k}={v}" for k, v in sorted(value.items()))
-    return str(value)

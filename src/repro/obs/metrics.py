@@ -1,9 +1,8 @@
-"""Metrics registry: counters, gauges, and histograms.
+"""The exact histogram behind every latency table and trace histogram.
 
-The observability layer keeps runtime telemetry separate from the trace
-event stream: events answer "what happened, in order", metrics answer
-"how much, in total".  A :class:`MetricsRegistry` snapshot is appended
-as the final line of every JSONL trace.
+Counters and gauges need no class: a trace's metrics are folded from
+its event log (:meth:`repro.obs.trace.Tracer.metrics`), and the SLO and
+open-loop reports merge :class:`Histogram` values across workers.
 
 This module deliberately imports nothing from the rest of ``repro`` so
 that instrumented modules (kernel, engine) can import the observability
@@ -12,42 +11,7 @@ layer without cycles.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
-
-
-class Counter:
-    """Monotonically increasing count (e.g. ``syscalls.total``)."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.value = 0
-
-    def inc(self, amount: int = 1) -> None:
-        self.value += amount
-
-    def as_dict(self) -> Dict[str, Any]:
-        return {"type": "counter", "value": self.value}
-
-
-class Gauge:
-    """A point-in-time level (e.g. ``ring.occupancy``); tracks its max."""
-
-    __slots__ = ("name", "value", "max_value")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.value = 0
-        self.max_value = 0
-
-    def set(self, value: int) -> None:
-        self.value = value
-        if value > self.max_value:
-            self.max_value = value
-
-    def as_dict(self) -> Dict[str, Any]:
-        return {"type": "gauge", "value": self.value, "max": self.max_value}
+from typing import Any, Dict, Mapping, Optional
 
 
 class Histogram:
@@ -72,6 +36,23 @@ class Histogram:
         self.max_value: Optional[int] = None
         #: Exact value -> occurrence count.
         self.counts: Dict[int, int] = {}
+
+    @classmethod
+    def from_counts(cls, name: str,
+                    values: Mapping[str, int]) -> "Histogram":
+        """The histogram of a report's ``{"<value>": count}`` map — the
+        form per-cell latency counts travel in between workers."""
+        histogram = cls(name)
+        for key, count in values.items():
+            value = int(key)
+            histogram.count += count
+            histogram.total += value * count
+            histogram.counts[value] = histogram.counts.get(value, 0) + count
+            if histogram.min_value is None or value < histogram.min_value:
+                histogram.min_value = value
+            if histogram.max_value is None or value > histogram.max_value:
+                histogram.max_value = value
+        return histogram
 
     def observe(self, value: int) -> None:
         self.count += 1
@@ -136,45 +117,3 @@ class Histogram:
             "max": self.max_value,
             "mean": round(self.mean, 3),
         }
-
-
-class MetricsRegistry:
-    """Named metrics, created lazily on first touch.
-
-    A name belongs to exactly one metric type for the registry's
-    lifetime; asking for the same name with a different type raises.
-    """
-
-    def __init__(self) -> None:
-        self._metrics: Dict[str, Any] = {}
-
-    def _get(self, name: str, cls):
-        metric = self._metrics.get(name)
-        if metric is None:
-            metric = cls(name)
-            self._metrics[name] = metric
-        elif not isinstance(metric, cls):
-            raise TypeError(
-                f"metric {name!r} is a {type(metric).__name__}, "
-                f"not a {cls.__name__}")
-        return metric
-
-    def counter(self, name: str) -> Counter:
-        return self._get(name, Counter)
-
-    def gauge(self, name: str) -> Gauge:
-        return self._get(name, Gauge)
-
-    def histogram(self, name: str) -> Histogram:
-        return self._get(name, Histogram)
-
-    def __len__(self) -> int:
-        return len(self._metrics)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._metrics
-
-    def snapshot(self) -> Dict[str, Dict[str, Any]]:
-        """All metrics as plain JSON-ready dicts, sorted by name."""
-        return {name: metric.as_dict()
-                for name, metric in sorted(self._metrics.items())}

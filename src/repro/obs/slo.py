@@ -259,17 +259,7 @@ def phase_histograms(cells: List[Dict[str, Any]]) -> Dict[str, Histogram]:
             histogram = merged.get(phase)
             if histogram is None:
                 histogram = merged[phase] = Histogram(f"latency.{phase}")
-            shard = Histogram(f"latency.{phase}")
-            for key, count in values.items():
-                value = int(key)
-                shard.count += count
-                shard.total += value * count
-                shard.counts[value] = shard.counts.get(value, 0) + count
-                if shard.min_value is None or value < shard.min_value:
-                    shard.min_value = value
-                if shard.max_value is None or value > shard.max_value:
-                    shard.max_value = value
-            histogram.merge(shard)
+            histogram.merge(Histogram.from_counts(f"latency.{phase}", values))
     return merged
 
 

@@ -15,13 +15,15 @@ deployment was built before or after — ``python -m repro trace``, the
 that one block.
 
 Timestamps are virtual nanoseconds.  Layers that know the virtual time
-(the MVE runtime, the orchestrator) call :meth:`Tracer.advance`; layers
-that do not (the kernel, the gateway) stamp events with the most
-recently advanced time, which is exact at iteration granularity.
+(the MVE runtime, the orchestrator) pass it as ``at=``, which also moves
+the tracer's clock forward (never back); layers that do not (the
+kernel, the gateway) stamp events with that clock, which is exact at
+iteration granularity.
 
 With an observer present, an event is one flat tuple appended to the
-tracer's log; :class:`TraceEvent` objects, kind tallies and JSONL lines
-are built from the log only when someone reads them.
+tracer's log, and the log is the tracer's only record: :class:`TraceEvent`
+objects, kind tallies, JSONL lines and the metrics (:data:`METRICS`
+folded over the log) are built from it only when someone reads them.
 
 Traces export as JSONL (schema ``repro-trace/1``): a header line, one
 line per event, and a final ``metrics.snapshot`` line.  See
@@ -35,11 +37,12 @@ the stack can depend on it without cycles.
 from __future__ import annotations
 
 import json
-from collections import Counter as _TallyCounter
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import (Any, Dict, Iterable, Iterator, List, NamedTuple,
+                    Optional, Tuple, Union)
 
-from repro.obs.metrics import Counter, MetricsRegistry
+from repro.obs.metrics import Histogram
 from repro.report import (ANY, INT, NAT, TEXT, MapOf, Obj, const,
                           jsonl_file_problems, jsonl_problems, one_of)
 from repro.sites import kinds
@@ -90,13 +93,72 @@ def _payload(at: int, kind: str, layer: str,
     return payload
 
 
-#: Every hook goes through :meth:`Tracer.emit` except the kernel's and
+#: Every site logs through :meth:`Tracer.emit` except the kernel's and
 #: the gateway's: they fire ~18 times per request (all others together
 #: once), so they append their log entry themselves, with these constant
-#: kinds and field names, and bump counters they looked up once.
+#: kinds and field names.
 _KERNEL_KINDS = {"enter": "kernel.enter", "exit": "kernel.exit"}
 _KERNEL_FIELDS = ("op", "domain", "fd")
 _SYSCALL_FIELDS = ("role", "name", "fd", "nbytes")
+
+
+class Move(NamedTuple):
+    """One metric an event moves, a row of :data:`METRICS`.  ``metric``
+    is its name, ``{field}`` filled from the event and ``{kind}`` with
+    its kind.  A ``counter`` adds ``by``, a ``gauge`` is set to it, a
+    ``peak`` gauge to its running maximum, a ``histogram`` observes it;
+    ``by`` is a constant or the name of the field holding the value.
+    The row moves nothing when the field ``unless`` names is true."""
+
+    metric: str
+    how: str
+    by: Union[int, str] = 1
+    unless: str = ""
+
+    #: The metric's type in the snapshot.
+    type = property(lambda self: "gauge" if self.how == "peak" else self.how)
+
+
+#: What each event kind moves in the metrics snapshot; read by
+#: :meth:`Tracer.metrics` and nothing else.  A key ending in ``.*``
+#: covers every kind with that prefix.  A row that reads a field the
+#: event lacks moves nothing.
+METRICS: Dict[str, Tuple[Move, ...]] = {
+    "syscall": (Move("syscalls.total", "counter"),
+                Move("syscalls.{role}", "counter")),
+    "kernel.enter": (Move("kernel.syscalls", "counter"),),
+    "sim.event": (Move("sim.events", "counter"),),
+    "ring.publish": (Move("ring.published", "counter", "count"),
+                     Move("ring.occupancy", "gauge", "occupancy"),
+                     Move("ring.high_watermark", "peak", "occupancy")),
+    "ring.replay": (Move("ring.replayed", "counter", "count"),
+                    Move("rules.records_in", "counter", "count"),
+                    Move("rules.dispatch_hits", "counter", 0),
+                    Move("ring.occupancy", "gauge", "occupancy")),
+    "rule.fired": (Move("rules.dispatch_hits", "counter"),),
+    "ring.stall": (Move("ring.stalls", "counter"),),
+    "net.ring.frame": (Move("ring.frames", "counter"),
+                       Move("ring.inflight", "gauge", "inflight")),
+    "net.ring.resync": (Move("ring.resync", "counter"),),
+    "divergence.check": (Move("divergence.checks", "counter"),
+                         Move("divergence.detected", "counter",
+                              unless="ok")),
+    "stream.record": (Move("stream.recorded", "counter", "count"),),
+    "chaos.inject": (Move("chaos.injected", "counter"),
+                     Move("chaos.site.{site}", "counter")),
+    "dsu.*": (Move("{kind}", "counter"),),
+    "dsu.quiesce": (Move("dsu.quiescence_wait_ns", "histogram", "ns"),),
+    "dsu.xform": (Move("dsu.xform_ns", "histogram", "ns"),),
+    "control.*": (Move("{kind}", "counter"),),
+    "fleet.*": (Move("{kind}", "counter"),),
+}
+
+
+def moves(kind: str) -> Tuple[Move, ...]:
+    """The rows of :data:`METRICS` an event of ``kind`` moves."""
+    return METRICS.get(kind.partition(".")[0] + ".*", ()) \
+        + METRICS.get(kind, ())
+
 
 _emitted_total = 0
 
@@ -110,7 +172,8 @@ class _TracerTallies(type):
 
 
 class Tracer(metaclass=_TracerTallies):
-    """Collects trace events, metrics, and divergence forensics.
+    """Collects trace events and divergence forensics; the metrics are
+    read off the events (:meth:`metrics`).
 
     Class-level tallies (``created_total``, ``emitted_total``,
     ``materialised_total``) exist so the overhead regression test can
@@ -130,13 +193,8 @@ class Tracer(metaclass=_TracerTallies):
         #: ``(at, kind, layer, field_names, *field_values)``.
         self._log: List[Tuple[Any, ...]] = []
         self._events: List[TraceEvent] = []
-        self.metrics = MetricsRegistry()
-        #: The hot hooks' counters, looked up on first use so the
-        #: registry still lists only touched names.
-        self._kernel_syscalls: Optional[Counter] = None
-        self._syscall_counters: Dict[str, Tuple[Counter, Counter]] = {}
-        #: Most recently advanced virtual time; used to stamp events
-        #: from layers that do not carry a clock.
+        #: The highest ``at`` any event carried; stamps the events of
+        #: layers that do not carry a clock.
         self.vnow = 0
         #: Forensics bundles captured on divergences (see
         #: :mod:`repro.obs.forensics`).
@@ -144,14 +202,12 @@ class Tracer(metaclass=_TracerTallies):
 
     # -- core emission ------------------------------------------------------
 
-    def advance(self, at: int) -> None:
-        """Move the tracer's notion of virtual time forward (never back)."""
-        if at > self.vnow:
-            self.vnow = at
-
     def emit(self, kind: str, layer: str, at: Optional[int] = None,
              **fields: Any) -> None:
-        """Record one event; ``at=None`` stamps the current virtual time."""
+        """Record one event; ``at=None`` stamps the current virtual time.
+
+        Call sites guard with ``if tracer is not None:`` and then call
+        this (or one of the three hooks below) once per event."""
         global _emitted_total
         if at is None:
             at = self.vnow
@@ -177,10 +233,7 @@ class Tracer(metaclass=_TracerTallies):
         Tracer.materialised_total += len(fresh)
         return events
 
-    # -- layer hooks --------------------------------------------------------
-    #
-    # Call sites guard with ``if tracer is not None:`` and then call one
-    # of these, keeping instrumented modules to a single line each.
+    # -- the three hooks that are more than an ``emit`` ---------------------
 
     def on_syscall(self, role: str, record: Any) -> None:
         """A gateway emitted one syscall record (any role)."""
@@ -189,13 +242,6 @@ class Tracer(metaclass=_TracerTallies):
                           role, record.name._value_, record.fd,
                           len(record.data)))
         _emitted_total += 1
-        counters = self._syscall_counters.get(role)
-        if counters is None:
-            counters = self._syscall_counters[role] = (
-                self.metrics.counter("syscalls.total"),
-                self.metrics.counter(f"syscalls.{role}"))
-        counters[0].value += 1
-        counters[1].value += 1
 
     def on_kernel(self, phase: str, op: str, domain: int,
                   fd: int = -1) -> None:
@@ -205,70 +251,6 @@ class Tracer(metaclass=_TracerTallies):
         self._log.append((self.vnow, _KERNEL_KINDS[phase], "kernel",
                           _KERNEL_FIELDS, op, domain, fd))
         _emitted_total += 1
-        if phase == "enter":
-            counter = self._kernel_syscalls
-            if counter is None:
-                counter = self._kernel_syscalls = \
-                    self.metrics.counter("kernel.syscalls")
-            counter.value += 1
-
-    def on_sim_event(self, at: int, pending: int) -> None:
-        """The discrete-event engine dispatched one scheduled event."""
-        self.emit("sim.event", "sim", at=at, pending=pending)
-        self.metrics.counter("sim.events").inc()
-
-    def on_ring_publish(self, at: int, count: int, occupancy: int,
-                        high_watermark: int) -> None:
-        """The leader pushed a batch of records onto the ring."""
-        self.emit("ring.publish", "mve", at=at, count=count,
-                  occupancy=occupancy)
-        self.metrics.counter("ring.published").inc(count)
-        self.metrics.gauge("ring.occupancy").set(occupancy)
-        self.metrics.gauge("ring.high_watermark").set(high_watermark)
-
-    def on_ring_replay(self, at: int, count: int, occupancy: int) -> None:
-        """The follower consumed one iteration's entries from the ring."""
-        self.emit("ring.replay", "mve", at=at, count=count,
-                  occupancy=occupancy)
-        self.metrics.counter("ring.replayed").inc(count)
-        self.metrics.gauge("ring.occupancy").set(occupancy)
-
-    def on_ring_stall(self, at: int, capacity: int) -> None:
-        """A full ring blocked the leader (Figure 7's back-pressure)."""
-        self.emit("ring.stall", "mve", at=at, capacity=capacity)
-        self.metrics.counter("ring.stalls").inc()
-
-    def on_ring_frame(self, at: int, sequence: int, count: int,
-                      n_bytes: int, inflight: int,
-                      deliver_at: int) -> None:
-        """A distributed ring shipped one repro-ring/1 frame."""
-        self.emit("net.ring.frame", "net", at=at, sequence=sequence,
-                  count=count, bytes=n_bytes, inflight=inflight,
-                  deliver_at=deliver_at)
-        self.metrics.counter("ring.frames").inc()
-        self.metrics.gauge("ring.inflight").set(inflight)
-
-    def on_ring_resync(self, at: int, resyncs: int) -> None:
-        """A distributed ring resynchronised its stream at a fork."""
-        self.emit("net.ring.resync", "net", at=at, resyncs=resyncs)
-        self.metrics.counter("ring.resync").inc()
-
-    def on_rules_applied(self, n_in: int, n_out: int,
-                         fired: List[str]) -> None:
-        """One iteration's records crossed the rewrite-rule engine."""
-        self.metrics.counter("rules.records_in").inc(n_in)
-        self.metrics.counter("rules.dispatch_hits").inc(len(fired))
-        for name in fired:
-            self.emit("rule.fired", "mve", rule=name)
-
-    def on_divergence_check(self, at: int, ok: bool, records: int,
-                            detail: str = "") -> None:
-        """One replayed iteration's verdict: matched or diverged."""
-        self.emit("divergence.check", "mve", at=at, ok=ok, records=records,
-                  detail=detail)
-        self.metrics.counter("divergence.checks").inc()
-        if not ok:
-            self.metrics.counter("divergence.detected").inc()
 
     def on_forensics(self, bundle: Any) -> None:
         """A divergence produced a forensics bundle; keep and announce it."""
@@ -277,45 +259,46 @@ class Tracer(metaclass=_TracerTallies):
                   reason=bundle.reason, bundle=len(self.forensics) - 1,
                   ring_records=len(bundle.ring_last_k))
 
-    def on_dsu(self, kind: str, at: int, **fields: Any) -> None:
-        """A DSU lifecycle step (request/quiesce/xform/applied/...)."""
-        self.emit(f"dsu.{kind}", "dsu", at=at, **fields)
-        self.metrics.counter(f"dsu.{kind}").inc()
-        if kind == "quiesce" and "ns" in fields:
-            self.metrics.histogram("dsu.quiescence_wait_ns") \
-                .observe(fields["ns"])
-        if kind == "xform" and "ns" in fields:
-            self.metrics.histogram("dsu.xform_ns").observe(fields["ns"])
-
-    def on_stream_record(self, at: int, count: int) -> None:
-        """The stream recorder persisted one leader iteration."""
-        self.emit("stream.record", "replay", at=at, count=count)
-        self.metrics.counter("stream.recorded").inc(count)
-
-    def on_control(self, kind: str, at: int, version: str) -> None:
-        """A promote/demote control event entered the ring stream."""
-        self.emit(f"control.{kind}", "mve", at=at, version=version)
-        self.metrics.counter(f"control.{kind}").inc()
-
-    def on_fleet(self, kind: str, at: int, **fields: Any) -> None:
-        """A fleet-orchestration step (canary/wave/promote/rollback/
-        demotion/failover/partition/replica_crash)."""
-        self.emit(f"fleet.{kind}", "fleet", at=at, **fields)
-        self.metrics.counter(f"fleet.{kind}").inc()
-
-    def on_chaos(self, at: int, site: str, kind: str, *,
-                 call_index: int = 0, stage: str = "") -> None:
-        """A chaos injector fired one fault at an instrumented site."""
-        self.emit("chaos.inject", "chaos", at=at, site=site, fault=kind,
-                  call_index=call_index, stage=stage)
-        self.metrics.counter("chaos.injected").inc()
-        self.metrics.counter(f"chaos.site.{site}").inc()
-
-    # -- reporting ----------------------------------------------------------
+    # -- reading the log ----------------------------------------------------
 
     def kind_tally(self) -> Dict[str, int]:
         """Event counts per kind (for summaries and tests)."""
-        return dict(_TallyCounter(entry[1] for entry in self._log))
+        return dict(Counter(entry[1] for entry in self._log))
+
+    def metrics(self) -> Dict[str, Dict[str, Any]]:
+        """The metrics snapshot, sorted by name: :data:`METRICS` folded
+        over the log."""
+        counters: Dict[str, int] = {}
+        gauges: Dict[str, List[int]] = {}
+        histograms: Dict[str, Histogram] = {}
+        for entry in self._log:
+            fields = dict(zip(entry[3], entry[4:]), kind=entry[1])
+            for metric, how, by, unless in moves(entry[1]):
+                try:
+                    name = metric.format_map(fields)
+                    value = fields[by] if isinstance(by, str) else by
+                except KeyError:
+                    continue  # the event lacks a field the row reads
+                if unless and fields.get(unless, True):
+                    continue
+                if how == "counter":
+                    counters[name] = counters.get(name, 0) + value
+                elif how == "histogram":
+                    histograms.setdefault(name, Histogram(name)) \
+                        .observe(value)
+                else:
+                    gauge = gauges.setdefault(name, [0, 0])
+                    gauge[0] = max(gauge[0], value) if how == "peak" \
+                        else value
+                    gauge[1] = max(gauge[1], value)
+        snapshot = {name: {"type": "counter", "value": value}
+                    for name, value in counters.items()}
+        snapshot.update((name, {"type": "gauge", "value": value,
+                                "max": peak})
+                        for name, (value, peak) in gauges.items())
+        snapshot.update((name, histogram.as_dict())
+                        for name, histogram in histograms.items())
+        return dict(sorted(snapshot.items()))
 
     def _jsonl_lines(self) -> Iterator[str]:
         yield json.dumps({"schema": TRACE_SCHEMA,
@@ -324,8 +307,7 @@ class Tracer(metaclass=_TracerTallies):
         for at, kind, layer, names, *values in self._log:
             yield json.dumps(_payload(at, kind, layer, zip(names, values)))
         yield json.dumps({"at": self.vnow, "kind": "metrics.snapshot",
-                          "layer": "obs",
-                          "metrics": self.metrics.snapshot()})
+                          "layer": "obs", "metrics": self.metrics()})
 
     def to_jsonl_lines(self) -> List[str]:
         """The full trace as JSONL lines (header, events, metrics)."""

@@ -79,12 +79,12 @@ class NativeRuntime:
         """
         if not self.with_kitsune:
             raise ServerCrash("cannot dynamically update a non-DSU binary")
+        start = max(now, self.cpu.busy_until)
         result = kitsune.apply_update(
             self.server.program, new_version,
-            xform_entry_ns=self.profile.xform_entry_ns or 0)
+            xform_entry_ns=self.profile.xform_entry_ns or 0, at=start)
         if result.ok:
             self.server.apply_version(self.server.program.version,
                                       self.server.program.heap)
-        start = max(now, self.cpu.busy_until)
         self.cpu.block_until(start + result.pause_ns + QUIESCE_NS)
         return result

@@ -117,7 +117,8 @@ class Engine:
                         continue
                 tracer = OBS.tracer
                 if tracer is not None:
-                    tracer.on_sim_event(when, len(self._queue))
+                    tracer.emit("sim.event", "sim", at=when,
+                                pending=len(self._queue))
                 callback()
             if until is not None and until > self._now:
                 self._now = until

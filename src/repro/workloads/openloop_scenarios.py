@@ -285,20 +285,6 @@ def drive_cell(params: Dict[str, Any], seed: int,
 # Report assembly (lossless value-dict merge, byte-identical per seed)
 # ---------------------------------------------------------------------------
 
-def _histogram(values: Dict[str, int], name: str) -> Histogram:
-    histogram = Histogram(name)
-    for key, count in values.items():
-        value = int(key)
-        histogram.count += count
-        histogram.total += value * count
-        histogram.counts[value] = histogram.counts.get(value, 0) + count
-        if histogram.min_value is None or value < histogram.min_value:
-            histogram.min_value = value
-        if histogram.max_value is None or value > histogram.max_value:
-            histogram.max_value = value
-    return histogram
-
-
 def _rate_per_sec(count: int, span_ns: int) -> int:
     if span_ns <= 0:
         return 0
@@ -307,8 +293,9 @@ def _rate_per_sec(count: int, span_ns: int) -> int:
 
 def _cell_row(summary: Dict[str, Any],
               slo_spec: SloSpec) -> Dict[str, Any]:
-    histogram = _histogram(summary["values"], "latency")
-    window = _histogram(summary["window_values"], "latency.window")
+    histogram = Histogram.from_counts("latency", summary["values"])
+    window = Histogram.from_counts("latency.window",
+                                   summary["window_values"])
     offered_span = summary["last_at_ns"] - summary["first_at_ns"]
     achieved_span = summary["last_done_ns"] - summary["first_at_ns"]
     budget = slo_spec.p99_ns or 0

@@ -387,7 +387,7 @@ class TestObsIntegration:
         assert validate_trace_lines(tracer.to_jsonl_lines()) == []
         assert tracer.kind_tally().get("chaos.inject") == \
             len(injector.injections)
-        snapshot = tracer.metrics.snapshot()
+        snapshot = tracer.metrics()
         assert snapshot["chaos.injected"]["value"] == \
             len(injector.injections)
         assert snapshot["chaos.site.mve.follower"]["value"] == 1

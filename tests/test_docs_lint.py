@@ -121,6 +121,29 @@ class TestCheckerCatchesDefects(unittest.TestCase):
                                   problems)
         self.assertIn("no table headed", problems[-1])
 
+    def test_metrics_table_drift_is_reported_both_ways(self):
+        with open(os.path.join(REPO, "docs", "observability.md"),
+                  encoding="utf-8") as handle:
+            page = handle.read()
+        problems = []
+        self.mod.check_metrics_table("p.md", page, problems)
+        self.assertEqual(problems, [])
+        # A metric the fold no longer makes, one it makes gone, and a
+        # wrong type.
+        drifted = page.replace("| `ring.stalls` | counter |",
+                               "| `ring.stalls` | gauge |") \
+            .replace("| `sim.events` | counter |",
+                     "| `fleet.mve_pairs` | gauge |")
+        self.mod.check_metrics_table("p.md", drifted, problems)
+        self.assertEqual(problems, [
+            "p.md: `fleet.mve_pairs` is in the metrics table but "
+            "repro.obs.trace.METRICS makes no such metric",
+            "p.md: `ring.stalls` is a counter, not a gauge",
+            "p.md: `sim.events` is made by repro.obs.trace.METRICS but not "
+            "in the metrics table"])
+        self.mod.check_metrics_table("p.md", "no table here", problems)
+        self.assertIn("no table headed", problems[-1])
+
     def test_claim_id_drift_is_reported_both_ways(self):
         with open(os.path.join(REPO, "docs", "calibration.md"),
                   encoding="utf-8") as handle:

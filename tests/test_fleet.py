@@ -141,7 +141,7 @@ class TestFleetOrchestrator:
                                                   rules=rules)
             assert attempt.ok
         with pytest.raises(FleetBudgetError):
-            orchestrator._sample_budget(SECOND)
+            orchestrator._sample_budget()
 
     def test_fleet_events_are_traced(self):
         tracer = Tracer(experiment="fleet-test")
@@ -152,7 +152,9 @@ class TestFleetOrchestrator:
                  if event.kind.startswith("fleet.")}
         assert {"fleet.round_start", "fleet.canary", "fleet.wave",
                 "fleet.promote", "fleet.round_end"} <= kinds
-        assert tracer.metrics.gauge("fleet.mve_pairs").max_value == 1
+        assert orchestrator.max_mve_pairs_per_shard == 1
+        assert tracer.metrics()["fleet.canary"] == \
+            {"type": "counter", "value": 1}
 
 
 class TestFleetSession:

@@ -80,6 +80,6 @@ def test_run_trace_scenario_fig6_quick_has_dsu_lifecycle():
     assert {"syscall", "ring.publish", "ring.replay", "divergence.check",
             "dsu.request", "dsu.quiesce", "dsu.xform", "dsu.applied",
             "control.promote"} <= kinds
-    snapshot = tracer.metrics.snapshot()
+    snapshot = tracer.metrics()
     assert snapshot["dsu.quiescence_wait_ns"]["count"] >= 1
     assert snapshot["rules.dispatch_hits"]["value"] >= 0

@@ -89,7 +89,7 @@ def test_tracer_collects_bundle_and_ring_history():
     assert 0 < len(bundle.ring_last_k) <= FORENSICS_LAST_K
     kinds = tracer.kind_tally()
     assert kinds.get("divergence.forensics") == 1
-    assert tracer.metrics.snapshot()["divergence.detected"]["value"] == 1
+    assert tracer.metrics()["divergence.detected"]["value"] == 1
 
 
 def test_forensics_bundle_write_json(tmp_path):

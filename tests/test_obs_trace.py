@@ -1,25 +1,25 @@
-"""repro.obs.trace / repro.obs.metrics: the tracer and its registry."""
+"""repro.obs.trace / repro.obs.metrics: the tracer, its log and the
+metrics folded from it."""
 
 import json
 import types
 from collections import Counter
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.mve.events import ControlEvent, ControlKind
 from repro.obs import (
-    MetricsRegistry,
     TRACE_SCHEMA,
+    Histogram,
     Tracer,
     validate_trace_lines,
 )
 from repro.obs.spans import SpanCollector
-from repro.obs.trace import TraceEvent, jsonable
+from repro.obs.trace import METRICS, TraceEvent, jsonable, moves
 from repro.servers.kvstore import KVStoreV2, kv_rules
 from repro.sim.engine import SECOND
-from repro.sites import OBS, observing
+from repro.sites import OBS, kinds, observing
 from repro.syscalls.model import Sys, SyscallRecord
 
 
@@ -32,9 +32,9 @@ def test_emit_stamps_and_advances_virtual_time():
     # No explicit timestamp: reuse the last advanced time.
     tracer.emit("b", "sim")
     assert tracer.events[-1].at == 10
-    # Time never moves backwards.
-    tracer.advance(5)
-    assert tracer.vnow == 10
+    # Time never moves backwards: an earlier event keeps its own stamp.
+    tracer.emit("late", "sim", at=5)
+    assert (tracer.events[-1].at, tracer.vnow) == (5, 10)
     tracer.emit("c", "sim", at=30)
     assert tracer.vnow == 30
 
@@ -57,38 +57,171 @@ def test_jsonable_handles_bytes_enums_and_containers():
     assert "object" in jsonable(object())
 
 
-# -- the flat log against the eager reference -------------------------------
+# -- the flat log and its fold against the eager reference ------------------
+
+class _Counter:
+    def __init__(self):
+        self.value = 0
+
+    def inc(self, amount=1):
+        self.value += amount
+
+    def as_dict(self):
+        return {"type": "counter", "value": self.value}
+
+
+class _Gauge:
+    def __init__(self):
+        self.value = self.max_value = 0
+
+    def set(self, value):
+        self.value = value
+        self.max_value = max(self.max_value, value)
+
+    def as_dict(self):
+        return {"type": "gauge", "value": self.value, "max": self.max_value}
+
+
+class _Registry:
+    """The metrics registry the tracer kept before the fold: metrics
+    created on first touch by name, one type per name."""
+
+    def __init__(self):
+        self.metrics = {}
+
+    def _get(self, name, cls):
+        metric = self.metrics.setdefault(
+            name, Histogram(name) if cls is Histogram else cls())
+        if not isinstance(metric, cls):
+            raise TypeError(f"metric {name!r} changes type")
+        return metric
+
+    def counter(self, name):
+        return self._get(name, _Counter)
+
+    def gauge(self, name):
+        return self._get(name, _Gauge)
+
+    def histogram(self, name):
+        return self._get(name, Histogram)
+
+    def snapshot(self):
+        return {name: metric.as_dict()
+                for name, metric in sorted(self.metrics.items())}
+
 
 class EagerTracer(Tracer):
-    """The event path this tracer had before the flat log, kept as the
+    """The tracer before the flat log and the fold, kept as the
     reference: one :class:`TraceEvent` (and its kwargs dict) built per
-    event at emission, kinds formatted and counters looked up by name
-    every time, readers walking the event objects.  The hooks it does
-    not override reach it through ``emit``."""
+    event at emission, readers walking the event objects, and one hook
+    per site that emits and bumps a registry's counters, gauges and
+    histograms by name.  Every ``emit`` call is also kept in
+    ``emitted``, so a flat tracer can be handed what a site now calls."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.eager_events = []
+        self.emitted = []
+        self.registry = _Registry()
+        #: The one ring's own high watermark.
+        self.ring_peak = 0
 
     events = property(lambda self: self.eager_events)
 
+    def metrics(self):
+        return self.registry.snapshot()
+
     def emit(self, kind, layer, at=None, **fields):
+        self.emitted.append((kind, layer, at, fields))
         if at is None:
             at = self.vnow
         else:
-            self.advance(at)
+            self.vnow = max(self.vnow, at)
         self.eager_events.append(TraceEvent(at, kind, layer, fields))
 
     def on_syscall(self, role, record):
         self.emit("syscall", "mve", role=role, name=record.name.value,
                   fd=record.fd, nbytes=len(record.data))
-        self.metrics.counter("syscalls.total").inc()
-        self.metrics.counter(f"syscalls.{role}").inc()
+        self.registry.counter("syscalls.total").inc()
+        self.registry.counter(f"syscalls.{role}").inc()
 
     def on_kernel(self, phase, op, domain, fd=-1):
         self.emit(f"kernel.{phase}", "kernel", op=op, domain=domain, fd=fd)
         if phase == "enter":
-            self.metrics.counter("kernel.syscalls").inc()
+            self.registry.counter("kernel.syscalls").inc()
+
+    def on_sim_event(self, at, pending):
+        self.emit("sim.event", "sim", at=at, pending=pending)
+        self.registry.counter("sim.events").inc()
+
+    def on_ring_publish(self, at, count, occupancy):
+        self.ring_peak = max(self.ring_peak, occupancy)
+        self.emit("ring.publish", "mve", at=at, count=count,
+                  occupancy=occupancy)
+        self.registry.counter("ring.published").inc(count)
+        self.registry.gauge("ring.occupancy").set(occupancy)
+        self.registry.gauge("ring.high_watermark").set(self.ring_peak)
+
+    def on_replay(self, at, count, occupancy, fired):
+        """One ``_replay_one``: the rule engine's tally, then the ring's."""
+        self.registry.counter("rules.records_in").inc(count)
+        self.registry.counter("rules.dispatch_hits").inc(len(fired))
+        for name in fired:
+            self.emit("rule.fired", "mve", rule=name)
+        self.emit("ring.replay", "mve", at=at, count=count,
+                  occupancy=occupancy)
+        self.registry.counter("ring.replayed").inc(count)
+        self.registry.gauge("ring.occupancy").set(occupancy)
+
+    def on_ring_stall(self, at, capacity):
+        self.emit("ring.stall", "mve", at=at, capacity=capacity)
+        self.registry.counter("ring.stalls").inc()
+
+    def on_ring_frame(self, at, sequence, count, n_bytes, inflight,
+                      deliver_at):
+        self.emit("net.ring.frame", "net", at=at, sequence=sequence,
+                  count=count, bytes=n_bytes, inflight=inflight,
+                  deliver_at=deliver_at)
+        self.registry.counter("ring.frames").inc()
+        self.registry.gauge("ring.inflight").set(inflight)
+
+    def on_ring_resync(self, at, resyncs):
+        self.emit("net.ring.resync", "net", at=at, resyncs=resyncs)
+        self.registry.counter("ring.resync").inc()
+
+    def on_divergence_check(self, at, ok, records, detail=""):
+        self.emit("divergence.check", "mve", at=at, ok=ok, records=records,
+                  detail=detail)
+        self.registry.counter("divergence.checks").inc()
+        if not ok:
+            self.registry.counter("divergence.detected").inc()
+
+    def on_dsu(self, kind, at, **fields):
+        self.emit(f"dsu.{kind}", "dsu", at=at, **fields)
+        self.registry.counter(f"dsu.{kind}").inc()
+        if kind == "quiesce" and "ns" in fields:
+            self.registry.histogram("dsu.quiescence_wait_ns") \
+                .observe(fields["ns"])
+        if kind == "xform" and "ns" in fields:
+            self.registry.histogram("dsu.xform_ns").observe(fields["ns"])
+
+    def on_stream_record(self, at, count):
+        self.emit("stream.record", "replay", at=at, count=count)
+        self.registry.counter("stream.recorded").inc(count)
+
+    def on_control(self, kind, at, version):
+        self.emit(f"control.{kind}", "mve", at=at, version=version)
+        self.registry.counter(f"control.{kind}").inc()
+
+    def on_fleet(self, kind, at, **fields):
+        self.emit(f"fleet.{kind}", "fleet", at=at, **fields)
+        self.registry.counter(f"fleet.{kind}").inc()
+
+    def on_chaos(self, at, site, kind, *, call_index=0, stage=""):
+        self.emit("chaos.inject", "chaos", at=at, site=site, fault=kind,
+                  call_index=call_index, stage=stage)
+        self.registry.counter("chaos.injected").inc()
+        self.registry.counter(f"chaos.site.{site}").inc()
 
     def kind_tally(self):
         return dict(Counter(event.kind for event in self.events))
@@ -99,8 +232,7 @@ class EagerTracer(Tracer):
                              "events": len(self.events)})]
         lines.extend(json.dumps(event.as_dict()) for event in self.events)
         lines.append(json.dumps({"at": self.vnow, "kind": "metrics.snapshot",
-                                 "layer": "obs",
-                                 "metrics": self.metrics.snapshot()}))
+                                 "layer": "obs", "metrics": self.metrics()}))
         return lines
 
 
@@ -138,10 +270,9 @@ def _call(hook, *args, **kwargs):
 _ns_fields = st.fixed_dictionaries({}, optional={"ns": _counts,
                                                   "entries": _counts})
 
-#: One call of every ``on_*`` hook, ``emit`` (with and without ``at``)
-#: and ``advance``.
+#: One call of every site's hook as it was, and of ``emit`` (with and
+#: without ``at``).
 _calls = st.one_of(
-    _call("advance", _ats),
     st.tuples(st.just("emit"), st.tuples(_names, _names, st.none() | _ats),
               _fields),
     _call("on_syscall", _roles, _records),
@@ -149,12 +280,11 @@ _calls = st.one_of(
     _call("on_kernel", st.sampled_from(["enter", "exit"]), _names, _counts,
           st.integers(min_value=-1, max_value=64)),
     _call("on_sim_event", _ats, _counts),
-    _call("on_ring_publish", _ats, _counts, _counts, _counts),
-    _call("on_ring_replay", _ats, _counts, _counts),
+    _call("on_ring_publish", _ats, _counts, _counts),
+    _call("on_replay", _ats, _counts, _counts, st.lists(_names, max_size=3)),
     _call("on_ring_stall", _ats, _counts),
     _call("on_ring_frame", _ats, _counts, _counts, _counts, _counts, _ats),
     _call("on_ring_resync", _ats, _counts),
-    _call("on_rules_applied", _counts, _counts, st.lists(_names, max_size=3)),
     _call("on_divergence_check", _ats, st.booleans(), _counts),
     _call("on_divergence_check", _ats, st.booleans(), _counts, _names),
     _call("on_forensics", _bundles),
@@ -172,13 +302,19 @@ _calls = st.one_of(
 
 
 @given(calls=st.lists(_calls, max_size=40))
-@settings(max_examples=150, deadline=None)
+@settings(deadline=None)
 def test_flat_log_reads_back_as_the_eager_tracer_would(calls):
     flat = Tracer(experiment="p")
     eager = EagerTracer(experiment="p")
     for position, (hook, args, kwargs) in enumerate(calls):
-        getattr(flat, hook)(*args, **kwargs)
         getattr(eager, hook)(*args, **kwargs)
+        if hasattr(Tracer, hook):
+            getattr(flat, hook)(*args, **kwargs)
+        else:
+            # A hook the tracer no longer has: its site calls ``emit``.
+            for kind, layer, at, fields in eager.emitted:
+                flat.emit(kind, layer, at=at, **fields)
+        eager.emitted.clear()
         if position % 7 == 3:       # reading mid-run must change nothing
             assert flat.events == eager.events
     assert flat.vnow == eager.vnow
@@ -188,38 +324,72 @@ def test_flat_log_reads_back_as_the_eager_tracer_would(calls):
     assert list(flat.kind_tally().items()) == \
         list(eager.kind_tally().items())
     assert flat.to_jsonl_lines() == eager.to_jsonl_lines()
-    # Same names in the same order, registry and snapshot both.
-    assert list(flat.metrics._metrics) == list(eager.metrics._metrics)
-    assert json.dumps(flat.metrics.snapshot()) == \
-        json.dumps(eager.metrics.snapshot())
+    # The fold gives the registry's snapshot, key order included.
+    assert json.dumps(flat.metrics()) == json.dumps(eager.metrics())
 
 
-# -- metrics registry -------------------------------------------------------
+# -- the metrics fold -------------------------------------------------------
 
 def test_metrics_counter_gauge_histogram():
-    registry = MetricsRegistry()
-    registry.counter("c").inc()
-    registry.counter("c").inc(4)
-    registry.gauge("g").set(7)
-    registry.gauge("g").set(3)
-    registry.histogram("h").observe(10)
-    registry.histogram("h").observe(20)
+    tracer = Tracer()
+    tracer.emit("ring.publish", "mve", count=1, occupancy=7)
+    tracer.emit("ring.publish", "mve", count=4, occupancy=3)
+    tracer.emit("dsu.quiesce", "dsu", ns=10)
+    tracer.emit("dsu.quiesce", "dsu", ns=20)
+    tracer.emit("dsu.quiesce", "dsu")   # no ``ns``: moves no histogram
 
-    snapshot = registry.snapshot()
-    assert snapshot["c"] == {"type": "counter", "value": 5}
-    assert snapshot["g"] == {"type": "gauge", "value": 3, "max": 7}
-    assert snapshot["h"]["count"] == 2
-    assert snapshot["h"]["total"] == 30
-    assert snapshot["h"]["min"] == 10
-    assert snapshot["h"]["max"] == 20
-    assert snapshot["h"]["mean"] == 15.0
+    snapshot = tracer.metrics()
+    assert list(snapshot) == sorted(snapshot)
+    assert snapshot["ring.published"] == {"type": "counter", "value": 5}
+    assert snapshot["ring.occupancy"] == \
+        {"type": "gauge", "value": 3, "max": 7}
+    assert snapshot["dsu.quiesce"] == {"type": "counter", "value": 3}
+    assert snapshot["dsu.quiescence_wait_ns"] == {
+        "type": "histogram", "count": 2, "total": 30, "min": 10, "max": 20,
+        "mean": 15.0}
 
 
 def test_metrics_name_is_bound_to_one_type():
-    registry = MetricsRegistry()
-    registry.counter("name")
-    with pytest.raises(TypeError):
-        registry.gauge("name")
+    # Every declared event kind through the fold's table: no metric name
+    # is moved as two types (a field-named family stays one name).
+    types = {}
+    for kind in kinds("events"):
+        for move in moves(kind):
+            name = move.metric.replace("{kind}", kind)
+            assert types.setdefault(name, move.type) == move.type, name
+    assert types["ring.high_watermark"] == types["ring.occupancy"] == \
+        "gauge"
+    assert types["dsu.xform"] == "counter"
+    assert types["dsu.xform_ns"] == "histogram"
+
+
+def test_high_watermark_is_the_highest_published_occupancy():
+    # Two rings publishing under one tracer: the gauge holds the highest
+    # occupancy any traced publish left, not the last ring's own mark.
+    tracer = Tracer()
+    tracer.emit("ring.publish", "mve", count=7, occupancy=7)   # ring A
+    tracer.emit("ring.publish", "mve", count=5, occupancy=5)   # ring B
+    tracer.emit("ring.replay", "mve", count=5, occupancy=0)
+    snapshot = tracer.metrics()
+    assert snapshot["ring.high_watermark"] == \
+        {"type": "gauge", "value": 7, "max": 7}
+    assert snapshot["ring.occupancy"] == \
+        {"type": "gauge", "value": 0, "max": 7}
+    assert snapshot["rules.dispatch_hits"] == {"type": "counter", "value": 0}
+
+
+def test_every_fold_row_is_keyed_by_a_declared_event_kind():
+    declared = kinds("events")
+    for key in METRICS:
+        if key.endswith(".*"):
+            assert any(kind.startswith(key[:-1]) for kind in declared), key
+        else:
+            assert key in declared, key
+
+
+def test_only_three_hooks_are_more_than_an_emit():
+    assert [name for name in vars(Tracer) if name.startswith("on_")] == \
+        ["on_syscall", "on_kernel", "on_forensics"]
 
 
 # -- the active tracer ------------------------------------------------------
@@ -262,8 +432,7 @@ def test_attach_binds_tracer_to_kernel(kernel):
 
 def test_jsonl_round_trip_is_schema_valid():
     tracer = Tracer(experiment="unit")
-    tracer.emit("syscall", "mve", at=1, name="read")
-    tracer.metrics.counter("syscalls.total").inc()
+    tracer.emit("syscall", "mve", at=1, role="direct", name="read")
     lines = tracer.to_jsonl_lines()
 
     assert validate_trace_lines(lines) == []
@@ -336,7 +505,7 @@ def test_attached_tracer_sees_the_whole_lifecycle(kernel, mvedsua, client):
     assert {"syscall", "ring.publish", "ring.replay",
             "divergence.check", "dsu.request", "dsu.applied",
             "control.promote"} <= kinds
-    snapshot = tracer.metrics.snapshot()
+    snapshot = tracer.metrics()
     assert snapshot["syscalls.total"]["value"] > 0
     assert snapshot["divergence.checks"]["value"] > 0
     assert "ring.occupancy" in snapshot

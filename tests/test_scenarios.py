@@ -70,7 +70,7 @@ def _observed(command, name, everything):
                     for event in tracer.events
                     if event.kind != "stream.record"],
                    {metric: value for metric, value
-                    in tracer.metrics.snapshot().items()
+                    in tracer.metrics().items()
                     if metric != "stream.recorded"})
     elif command == "slo":
         reduced = collect_cell(hooks["spans"], cell, SLO_SPECS[name])

@@ -5,6 +5,7 @@ import pytest
 from repro.dsu import Kitsune
 from repro.errors import ServerCrash
 from repro.net import VirtualKernel
+from repro.obs import Tracer
 from repro.servers.kvstore import (
     KVStoreServer,
     KVStoreV1,
@@ -13,6 +14,7 @@ from repro.servers.kvstore import (
 )
 from repro.servers.native import NativeRuntime
 from repro.sim.engine import SECOND
+from repro.sites import observing
 from repro.syscalls.costs import PROFILES, QUIESCE_NS, ExecutionMode
 from repro.workloads import VirtualClient
 
@@ -62,6 +64,24 @@ def test_update_swaps_version_and_pauses():
     assert runtime.cpu.busy_until >= SECOND + 100 * \
         PROFILES["kvstore"].xform_entry_ns + QUIESCE_NS
     assert runtime.cpu.busy_until > busy_before
+
+
+def test_traced_update_is_stamped_from_its_start():
+    _, _, runtime, client = deployment(with_kitsune=True)
+    for index in range(100):
+        client.command(runtime, b"PUT key%d v" % index)
+    tracer = Tracer()
+    with observing(tracer=tracer):
+        result = runtime.apply_update(Kitsune(kv_transforms()), KVStoreV2(),
+                                      SECOND)
+    events = {event.kind: event for event in tracer.events}
+    quiesce_ns = events["dsu.quiesce"].fields["ns"]
+    xform_ns = events["dsu.xform"].fields["ns"]
+    assert quiesce_ns + xform_ns == result.pause_ns > 0
+    assert events["dsu.request"].at == SECOND
+    assert events["dsu.quiesce"].at == SECOND + quiesce_ns
+    for kind in ("dsu.xform", "dsu.applied", "dsu.resume"):
+        assert events[kind].at == SECOND + result.pause_ns, kind
 
 
 def test_requests_after_update_use_new_version():

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Doc lint: keep the operator docs honest.
 
-Five checks, run over ``README.md`` and every ``docs/*.md`` (the
+Six checks, run over ``README.md`` and every ``docs/*.md`` (the
 third also over the other places commands are quoted: the CI workflow,
 ``EXPERIMENTS.md``, ``DESIGN.md``, the verify skill and the
 ``repro/cli.py`` docstring):
@@ -40,6 +40,11 @@ third also over the other places commands are quoted: the CI workflow,
    ``calibrated``, in both directions; and every id prefix in the last
    column of ``DESIGN.md`` §3's index (backticked, before the ``·``)
    has at least one ledger row.
+6. **Metric names** — ``docs/observability.md``'s metrics table lists
+   exactly the metrics the trace fold (``repro.obs.trace.METRICS``) can
+   produce, in both directions, each with its type.  A name filled from
+   an event field is a family row: ``syscalls.<role>``; a ``.*`` key's
+   ``{kind}`` metric is ``dsu.<kind>``.
 
 Exit status is the number of problems (0 = clean).  CI runs this as
 the ``docs-lint`` job; locally::
@@ -218,6 +223,22 @@ SITE_TABLES = (
 NAME_RE = re.compile(r"`([^`]+)`")
 
 
+def table_rows(rel: str, text: str, header: str,
+               problems: List[str]) -> Optional[List[List[str]]]:
+    """The cells of each row of the table headed ``header``; None (and
+    a problem) when the page has no such table."""
+    lines = text.splitlines()
+    if header not in lines:
+        problems.append(f"{rel}: no table headed {header!r}")
+        return None
+    rows = []
+    for line in lines[lines.index(header) + 2:]:
+        if not line.startswith("|"):
+            break
+        rows.append([cell.strip() for cell in line.strip("|").split("|")])
+    return rows
+
+
 def check_site_table(rel: str, text: str, header: str, column: str,
                      problems: List[str]) -> None:
     """The table under ``header`` lists what ``repro.sites.TABLE``
@@ -226,15 +247,11 @@ def check_site_table(rel: str, text: str, header: str, column: str,
     from repro.sites import TABLE, kinds
     declared = ({site.name: site for site in TABLE if site.faults}
                 if column == "faults" else kinds(column))
-    lines = text.splitlines()
-    if header not in lines:
-        problems.append(f"{rel}: no table headed {header!r}")
+    rows = table_rows(rel, text, header, problems)
+    if rows is None:
         return
     documented = set()
-    for line in lines[lines.index(header) + 2:]:
-        if not line.startswith("|"):
-            break
-        cells = [cell.strip() for cell in line.strip("|").split("|")]
+    for cells in rows:
         for name in NAME_RE.findall(cells[0]):
             documented.add(name)
             site = declared.get(name)
@@ -257,6 +274,47 @@ def check_site_table(rel: str, text: str, header: str, column: str,
         if name not in documented:
             problems.append(f"{rel}: `{name}` ({column}) is in "
                             f"repro.sites.TABLE but not in the table")
+
+
+#: Check 6: the header row of ``docs/observability.md``'s metrics table.
+METRICS_HEADER = "| metric | type | meaning |"
+
+
+def fold_metrics() -> Dict[str, str]:
+    """Every metric ``repro.obs.trace.METRICS`` can produce, named as
+    the docs name it, with its type."""
+    from repro.obs.trace import METRICS
+    produced = {}
+    for key, moves in METRICS.items():
+        for move in moves:
+            name = move.metric.replace("{kind}", key.replace("*", "<kind>"))
+            produced[re.sub(r"\{(\w+)\}", r"<\1>", name)] = move.type
+    return produced
+
+
+def check_metrics_table(rel: str, text: str, problems: List[str]) -> None:
+    """The metrics table names exactly what the fold produces, both
+    directions, with the fold's type in the second cell."""
+    produced = fold_metrics()
+    rows = table_rows(rel, text, METRICS_HEADER, problems)
+    if rows is None:
+        return
+    documented = set()
+    for cells in rows:
+        for name in NAME_RE.findall(cells[0]):
+            documented.add(name)
+            if name not in produced:
+                problems.append(f"{rel}: `{name}` is in the metrics table "
+                                f"but repro.obs.trace.METRICS makes no such "
+                                f"metric")
+            elif cells[1] != produced[name]:
+                problems.append(f"{rel}: `{name}` is a {produced[name]}, "
+                                f"not a {cells[1]}")
+    for name in produced:
+        if name not in documented:
+            problems.append(f"{rel}: `{name}` is made by "
+                            f"repro.obs.trace.METRICS but not in the "
+                            f"metrics table")
 
 
 #: Anything backticked without a space in it.
@@ -315,6 +373,8 @@ def main() -> int:
             if os.path.basename(path) == page:
                 check_site_table(os.path.relpath(path, REPO), text, header,
                                  column, problems)
+        if os.path.basename(path) == "observability.md":
+            check_metrics_table(os.path.relpath(path, REPO), text, problems)
     for relative in ALSO_QUOTING_COMMANDS:
         path = os.path.join(REPO, relative)
         if os.path.exists(path):
