@@ -12,10 +12,12 @@ witness replay and is therefore opt-in for ``lint``: pass ``--prove``
 (or run ``python -m repro prove APP`` for the full certificate).
 
 ``--spans PATH`` switches to span-hygiene mode: instead of the app
-catalog, the MVE9xx checks run over a ``repro-span/1`` JSONL file
-(written by ``python -m repro slo ... --spans PATH``).  The file is
-schema-validated first; shape problems print to stderr and exit 1,
-because a malformed span file cannot be certified hygiene-clean.
+catalog, the MVE9xx checks run over the span records of a ``repro-run/1``
+JSONL run log (written by ``python -m repro slo ... --spans PATH``,
+``python -m repro trace`` or any ``--trace PATH``; event records are
+skipped).  The file is schema-validated first; shape problems print to
+stderr and exit 2, because a malformed run log cannot be certified
+hygiene-clean.
 """
 
 from __future__ import annotations
@@ -106,8 +108,9 @@ def configure(parser) -> None:
                              "prover (slower: replays witnesses "
                              "dynamically)")
     parser.add_argument("--spans", metavar="PATH",
-                        help="lint a repro-span/1 JSONL span file for "
-                             "hygiene (MVE9xx) instead of the catalog")
+                        help="lint the span records of a repro-run/1 "
+                             "JSONL run log for hygiene (MVE9xx) instead "
+                             "of the catalog")
 
 
 def run(args) -> int:
@@ -131,10 +134,10 @@ def run(args) -> int:
 
 
 def _lint_spans_file(path: str, fmt: str) -> int:
-    """Span-hygiene mode: MVE9xx over one repro-span/1 JSONL file."""
+    """Span-hygiene mode: MVE9xx over one repro-run/1 JSONL file."""
     from repro.analysis.trace_lint import lint_span_file
-    from repro.obs.spans import validate_span_file
-    if cli.fail(validate_span_file(path), "span schema problem"):
+    from repro.obs.trace import validate_file
+    if cli.fail(validate_file(path), "span schema problem"):
         return 2    # unusable input, as an invalid stream is to replay
     report = LintReport(apps=["spans"])
     report.extend(lint_span_file(path))

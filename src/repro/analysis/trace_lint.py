@@ -15,24 +15,27 @@ rule covers.
   forensics on a run where this rule fired cannot distinguish "covered
   intentional difference" from "silently swallowed bug".
 
-The MVE9xx family lints exported ``repro-span/1`` span files (see
-:mod:`repro.obs.spans`): the SLO engine's critical-path attribution
-walks parent links and sums closed intervals, so a malformed span
-degrades every report built on top of it.
+The MVE9xx family lints the span records of exported ``repro-run/1``
+run logs (see :mod:`repro.obs.trace`; event records are skipped): the
+SLO engine's critical-path attribution follows parent links by position
+and sums closed intervals, so a malformed span degrades every report
+built on top of it.
 
-* **MVE901 unclosed-span** (warning) — ``end_ns`` is null in the final
+* **MVE901 unclosed-span** (warning) — ``end`` is null in the final
   artifact; the span contributes zero overlap to attribution, silently
   under-blaming whatever it measured.
-* **MVE902 orphan-parent** (error) — ``parent`` references a span id
-  that appears nowhere in the file; the causal chain from a violated
-  request to its waits is broken.
-* **MVE903 negative-duration** (error) — ``end_ns < start_ns``; a
-  virtual-time interval can never run backwards, so the producing
-  instrumentation is buggy.
+* **MVE902 orphan-parent** (error) — ``parent`` is not the id of a span
+  earlier in the file (it names no span, the span itself, or a later
+  one), or the span ids do not run 1…n in file order; either way a
+  parent link followed by position lands on the wrong span and the
+  causal chain from a violated request to its waits is broken.
+* **MVE903 negative-duration** (error) — ``end < at``; a virtual-time
+  interval can never run backwards, so the producing instrumentation
+  is buggy.
 
 ``lint_spans`` checks hygiene only; schema shape is
-:func:`repro.obs.spans.validate_span_lines`'s job, and lines that do
-not parse as span objects are skipped here.
+:func:`repro.obs.trace.validate_lines`'s job, and lines that do not
+parse as span records are skipped here.
 """
 
 from __future__ import annotations
@@ -73,11 +76,11 @@ def lint_trace_tags(ruleset: RuleSet, *, app: str, pair: str,
 
 def lint_spans(lines: Iterable[str], *, app: str = "spans",
                source: str = "<spans>") -> List[Finding]:
-    """MVE901/902/903 span hygiene over ``repro-span/1`` JSONL lines.
+    """MVE901/902/903 span hygiene over ``repro-run/1`` JSONL lines.
 
     ``lines`` is the whole file including the header line; lines that
-    fail to parse as span objects are skipped (run
-    :func:`repro.obs.spans.validate_span_lines` for shape problems).
+    are not span records are skipped (run
+    :func:`repro.obs.trace.validate_lines` for shape problems).
     """
     spans = []
     for index, line in enumerate(list(lines)[1:], start=2):
@@ -88,13 +91,20 @@ def lint_spans(lines: Iterable[str], *, app: str = "spans",
         if isinstance(payload, dict) and isinstance(payload.get("span"),
                                                     int):
             spans.append((index, payload))
-    known_ids = {payload["span"] for _, payload in spans}
+    earlier = set()
     findings: List[Finding] = []
-    for index, payload in spans:
+
+    def broken(where: str, message: str) -> None:
+        findings.append(Finding(
+            code="MVE902", severity=Severity.ERROR, analyzer=ANALYZER,
+            app=app, location=where,
+            message=f"{message}; the causal chain to its request is broken"))
+
+    for position, (index, payload) in enumerate(spans, start=1):
         span_id = payload["span"]
         kind = payload.get("kind", "?")
         where = f"{source}:{index}"
-        if payload.get("end_ns", None) is None:
+        if payload.get("end", None) is None:
             findings.append(Finding(
                 code="MVE901", severity=Severity.WARNING,
                 analyzer=ANALYZER, app=app, location=where,
@@ -103,24 +113,24 @@ def lint_spans(lines: Iterable[str], *, app: str = "spans",
                          f"critical-path attribution, under-blaming "
                          f"whatever it measured"),
             ))
+        if span_id != position:
+            broken(where, f"span {span_id} ({kind}) is span record "
+                          f"{position} of this file, but ids run 1..n in "
+                          f"file order: parent links are followed by "
+                          f"position")
         parent = payload.get("parent")
-        if parent is not None and parent not in known_ids:
-            findings.append(Finding(
-                code="MVE902", severity=Severity.ERROR,
-                analyzer=ANALYZER, app=app, location=where,
-                message=(f"span {span_id} ({kind}) references parent "
-                         f"{parent}, which no span in this file has; "
-                         f"the causal chain to its request is broken"),
-            ))
-        end_ns = payload.get("end_ns")
-        start_ns = payload.get("start_ns")
-        if isinstance(end_ns, int) and isinstance(start_ns, int) \
-                and end_ns < start_ns:
+        if parent is not None and parent not in earlier:
+            broken(where, f"span {span_id} ({kind}) references parent "
+                          f"{parent}, which no earlier span in this file "
+                          f"has")
+        earlier.add(span_id)
+        end, start = payload.get("end"), payload.get("at")
+        if isinstance(end, int) and isinstance(start, int) and end < start:
             findings.append(Finding(
                 code="MVE903", severity=Severity.ERROR,
                 analyzer=ANALYZER, app=app, location=where,
-                message=(f"span {span_id} ({kind}) ends at {end_ns} "
-                         f"before it starts at {start_ns}; virtual "
+                message=(f"span {span_id} ({kind}) ends at {end} "
+                         f"before it starts at {start}; virtual "
                          f"time cannot run backwards, so the producing "
                          f"instrumentation is buggy"),
             ))
@@ -128,5 +138,5 @@ def lint_spans(lines: Iterable[str], *, app: str = "spans",
 
 
 def lint_span_file(path: str, *, app: str = "spans") -> List[Finding]:
-    """Run :func:`lint_spans` over a JSONL span file on disk."""
+    """Run :func:`lint_spans` over a JSONL run log on disk."""
     return lint_spans(read_lines(path), app=app, source=path)

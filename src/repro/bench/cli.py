@@ -3,11 +3,12 @@
 
     python -m repro fig7                    # one experiment
     python -m repro all                     # the seven, in paper order
-    python -m repro fig7 --trace t.jsonl    # + a repro-trace/1 JSONL
+    python -m repro fig7 --trace t.jsonl    # + a repro-run/1 JSONL log
 
-``--trace PATH`` runs with the structured tracer installed and writes
-the trace afterwards; the experiment's stdout is unchanged (tracing is
-passive, and the ``wrote trace:`` note goes to stderr).
+``--trace PATH`` runs with the run log's writer in both the tracer and
+the spans slot and writes the one correlated log afterwards; the
+experiment's stdout is unchanged (tracing is passive, and the ``wrote
+trace:`` note goes to stderr).
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ def run(args) -> int:
         from repro.obs.trace import Tracer
         tracer = Tracer(experiment=args.command)
     try:
-        with observing(tracer=tracer):
+        with observing(tracer=tracer, spans=tracer):
             for name in names:
                 if args.command == "all":
                     print(f"\n{'=' * 72}\n")

@@ -61,13 +61,13 @@ class _Armed:
 class ChaosInjector:
     """Evaluates an armed :class:`FaultPlan` against hook calls.
 
-    The injector tracks virtual time (fed by :meth:`advance` from the
-    pump/engine hooks) and the current update stage (fed by
-    :meth:`note_stage` from the Mvedsua orchestrator) so ``at-time`` and
-    ``at-stage`` triggers resolve without the hooks threading either
-    through every call site.  ``domain_filter`` restricts ``kernel.*``
-    sites to the named kernel domains — campaign scenarios set it to the
-    server's domain so faults never corrupt the *clients'* syscalls.
+    ``at-time`` and ``at-stage`` triggers read the run's position,
+    ``repro.sites.OBS.vnow`` and ``OBS.stage`` — moved by the sites and
+    the Mvedsua orchestrator, never by the injector — so neither is
+    threaded through every call site.  ``domain_filter`` restricts
+    ``kernel.*`` sites to the named kernel domains — campaign scenarios
+    set it to the server's domain so faults never corrupt the
+    *clients'* syscalls.
     """
 
     #: Class-level counters for the zero-allocation regression test —
@@ -90,20 +90,14 @@ class ChaosInjector:
         #: armed or not, so ``on-call`` indices are stable across plans.
         self.site_calls: Dict[str, int] = {}
         self.injections: List[Injection] = []
-        self.vnow = 0
-        self.stage = ""
         self.domain_filter: Optional[Set[int]] = None
 
-    # -- state fed by the instrumented stack --------------------------
-
     def advance(self, at: int) -> None:
-        """Advance the injector's view of virtual time (monotonic)."""
-        if at > self.vnow:
-            self.vnow = at
-
-    def note_stage(self, stage: str) -> None:
-        """Record the deployment's current update stage."""
-        self.stage = stage
+        """Move the run clock to ``at``.  No site calls this any more (the
+        sites move ``OBS.vnow`` themselves); it stays a plain function
+        because the frozen probe table in ``hostbench/probes.py``
+        resolves it."""
+        OBS.vnow = max(OBS.vnow, at)
 
     # -- the hook entry points -----------------------------------------
 
@@ -113,31 +107,35 @@ class ChaosInjector:
 
         Extra keyword context (``fd``, ``when``, ...) is visible to
         predicate triggers alongside the standard ``site`` /
-        ``call_index`` / ``at`` / ``stage`` keys.
+        ``call_index`` / ``at`` / ``stage`` keys.  A site that passes
+        ``when`` (its own virtual time) is judged and stamped at that
+        time when it is past the run clock; the clock stays where the
+        sites put it.
         """
         index = self.site_calls.get(site, 0) + 1
         self.site_calls[site] = index
         armed = self._armed.get(site)
         if not armed:
             return None
+        at, stage = OBS.vnow, OBS.stage
         when = context.get("when")
-        if isinstance(when, int):
-            self.advance(when)
+        if isinstance(when, int) and when > at:
+            at = when
         for entry in armed:
             if entry.exhausted():
                 continue
-            if self._matches(entry.fault, index, context):
+            if self._matches(entry.fault, index, at, stage, context):
                 entry.fired += 1
                 ChaosInjector.injected_total += 1
-                injection = Injection(at=self.vnow, site=site,
+                injection = Injection(at=at, site=site,
                                       kind=entry.fault.kind,
-                                      call_index=index, stage=self.stage)
+                                      call_index=index, stage=stage)
                 self.injections.append(injection)
                 tracer = OBS.tracer
                 if tracer is not None:
-                    tracer.emit("chaos.inject", "chaos", at=self.vnow,
-                                site=site, fault=entry.fault.kind,
-                                call_index=index, stage=self.stage)
+                    tracer.emit("chaos.inject", "chaos", at=at, site=site,
+                                fault=entry.fault.kind, call_index=index,
+                                stage=stage)
                 return entry.fault
         return None
 
@@ -154,17 +152,17 @@ class ChaosInjector:
             return None
         return self.fire(site, domain=domain, fd=fd)
 
-    def _matches(self, fault: Fault, index: int,
+    @staticmethod
+    def _matches(fault: Fault, index: int, at: int, stage: str,
                  context: Dict[str, Any]) -> bool:
         trigger = fault.trigger
         if trigger.kind == "on-call":
             return index == trigger.call_index
         if trigger.kind == "at-time":
-            return self.vnow >= trigger.at_ns
+            return at >= trigger.at_ns
         if trigger.kind == "at-stage":
-            return self.stage == trigger.stage
+            return stage == trigger.stage
         # predicate
         ctx = dict(context)
-        ctx.update(site=fault.site, call_index=index, at=self.vnow,
-                   stage=self.stage)
+        ctx.update(site=fault.site, call_index=index, at=at, stage=stage)
         return bool(trigger.predicate(ctx))

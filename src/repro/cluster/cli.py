@@ -81,8 +81,8 @@ def run(args) -> int:
 
     collector = None
     if args.slo:
-        from repro.obs.spans import SpanCollector
-        collector = SpanCollector()
+        from repro.obs.trace import Tracer
+        collector = Tracer()
     with observing(spans=collector):
         report = run_fleet_scenario(args.scenario, args.seed,
                                     shards=args.shards,

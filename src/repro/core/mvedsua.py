@@ -76,14 +76,17 @@ class Mvedsua:
         self.stage = Stage.SINGLE_LEADER
         self.timeline: Optional[UpdateTimeline] = None
         self.history: List[UpdateTimeline] = []
-        self._note_chaos_stage()
+        # A new deployment resets the run's stage (what ``at-stage``
+        # triggers match), not its span phase: that is where the run's
+        # last update left it.
+        OBS.stage = self.stage.value
 
-    def _note_chaos_stage(self) -> None:
-        """Tell an installed chaos injector which update stage we are in,
-        so ``at-stage`` fault triggers can resolve."""
-        chaos = OBS.chaos
-        if chaos is not None:
-            chaos.note_stage(self.stage.value)
+    def _enter(self, stage: Stage, phase: str) -> None:
+        """One lifecycle transition: the deployment's stage, and the
+        run's position every observer reads (``OBS.stage`` for chaos
+        triggers, ``OBS.phase`` stamped onto new spans)."""
+        self.stage = stage
+        OBS.stage, OBS.phase = stage.value, phase
 
     # ------------------------------------------------------------------
     # Serving
@@ -126,9 +129,10 @@ class Mvedsua:
         if self.stage is not Stage.SINGLE_LEADER:
             raise SimulationError(
                 f"cannot update while in stage {self.stage.value}")
+        if now > OBS.vnow:
+            OBS.vnow = now
         chaos = OBS.chaos
         if chaos is not None:
-            chaos.advance(now)
             fault = chaos.fire("dsu.update")
             if fault is not None:
                 # "buggy-version": the operator ships a broken build —
@@ -188,8 +192,6 @@ class Mvedsua:
         # Phase 4: the leader aborts its own update and resumes.
         leader_server.program.run_abort_callback()
 
-        self.stage = Stage.OUTDATED_LEADER
-        self._note_chaos_stage()
         self.timeline = UpdateTimeline(t1_forked=t1, t2_updated=t2)
         if tracer is not None:
             tracer.emit("dsu.xform", "dsu", at=t2, ns=xform_ns,
@@ -209,7 +211,7 @@ class Mvedsua:
                       parent=update.span_id)
             spans.add("dsu.xform", "dsu", t1, t2,
                       parent=update.span_id, version=new_version.name)
-            spans.set_phase("mve-active")
+        self._enter(Stage.OUTDATED_LEADER, "mve-active")
         return UpdateAttempt(True, "applied", t1, quiesce_ns=quiesce_ns,
                              xform_ns=xform_ns, entries=entries)
 
@@ -268,18 +270,9 @@ class Mvedsua:
     # Stage reconciliation from runtime events
     # ------------------------------------------------------------------
 
-    def _set_span_phase(self, phase: str) -> None:
-        """Advance the span collector's upgrade phase (no-op when spans
-        are off)."""
-        spans = OBS.spans
-        if spans is not None:
-            spans.set_phase(phase)
-
     def _on_runtime_event(self, event: RuntimeEvent) -> None:
         if event.kind == "promoted":
-            self.stage = Stage.UPDATED_LEADER
-            self._note_chaos_stage()
-            self._set_span_phase("promoted")
+            self._enter(Stage.UPDATED_LEADER, "promoted")
             if self.timeline is not None \
                     and self.timeline.t5_promoted is None:
                 self.timeline.t5_promoted = event.at
@@ -287,9 +280,8 @@ class Mvedsua:
             final = (event.detail == "finalize"
                      or self.stage is Stage.UPDATED_LEADER)
             self._close_timeline(event)
-            self.stage = Stage.SINGLE_LEADER
-            self._note_chaos_stage()
-            self._set_span_phase("promoted" if final else "rolled-back")
+            self._enter(Stage.SINGLE_LEADER,
+                        "promoted" if final else "rolled-back")
         elif event.kind == "follower-promoted-after-crash":
             # The new version became the sole leader because the old
             # version crashed: the update is now permanent.
@@ -298,9 +290,7 @@ class Mvedsua:
                 self.timeline.t6_finalized = event.at
                 self.history.append(self.timeline)
                 self.timeline = None
-            self.stage = Stage.SINGLE_LEADER
-            self._note_chaos_stage()
-            self._set_span_phase("promoted")
+            self._enter(Stage.SINGLE_LEADER, "promoted")
 
     def _close_timeline(self, event: RuntimeEvent) -> None:
         if self.timeline is None:

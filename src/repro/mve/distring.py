@@ -173,7 +173,6 @@ class DistributedRing(RingBuffer):
         chaos = OBS.chaos
         if chaos is None:
             return 0
-        chaos.advance(produced_at)
         fault = chaos.fire("fleet.ring")
         if fault is None:
             return 0
@@ -202,6 +201,8 @@ class DistributedRing(RingBuffer):
         time they become visible to the follower."""
         line = encode_frame(self._frame_seq, payloads)
         n_bytes = len(line)  # a frame is ASCII
+        if produced_at > OBS.vnow:
+            OBS.vnow = produced_at
         delay = self._partition_delay(produced_at)
         deliver_at = produced_at + transit_ns(self.link, n_bytes) + delay
         if deliver_at < self._last_delivery:

@@ -292,9 +292,8 @@ class VaranRuntime:
         and divergences are handled by the failure policy; after a crash
         the surviving process carries on within the same call.
         """
-        chaos = OBS.chaos
-        if chaos is not None:
-            chaos.advance(now)
+        if now > OBS.vnow:
+            OBS.vnow = now
         kernel, domain = self.kernel, self.domain
         t = max(now, self.leader.cpu.busy_until)
         while True:
@@ -501,6 +500,8 @@ class VaranRuntime:
             ready_at = max(produced)
         else:
             payloads, ready_at = (), 0
+        if ready_at > OBS.vnow:
+            OBS.vnow = ready_at
         engine = lane.rules.engine_for_stage(self.stage_direction)
         expected = rewrite_iteration(engine, payloads)
         self.rules_fired.extend(engine.fired)
@@ -512,7 +513,6 @@ class VaranRuntime:
         fault = None
         chaos = OBS.chaos
         if chaos is not None:
-            chaos.advance(ready_at)
             fault = chaos.fire("mve.follower")
         if fault is not None and fault.kind == "corrupt-record":
             expected = _corrupt_expected(expected, fault.param)

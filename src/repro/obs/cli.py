@@ -7,9 +7,10 @@
     python -m repro trace fig6 --record STREAM_fig6.jsonl
 
 Runs the experiment's *semantic companion* (its ``trace`` row in
-:data:`repro.scenarios.SCENARIOS`) with a tracer installed, writes the
-JSONL trace, and prints an event/metric summary — plus a forensics summary
-for every divergence the run hit.  The trace schema is documented in
+:data:`repro.scenarios.SCENARIOS`) with the run log's writer in both the
+tracer and the spans slot, writes the one correlated ``repro-run/1``
+JSONL log, and prints an event/metric summary — plus a forensics summary
+for every divergence the run hit.  The schema is documented in
 ``docs/observability.md``.  ``--record`` additionally captures the
 leader's syscall stream as a ``repro-stream/1`` artifact that
 ``python -m repro replay`` can re-drive offline — see
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 from repro import cli
 from repro.bench.reporting import format_table
-from repro.obs.trace import TRACE_SCHEMA, Tracer, validate_trace_file
+from repro.obs.trace import RUN_SCHEMA, Tracer, validate_file
 from repro.replay.recorder import StreamRecorder
 from repro.scenarios import SCENARIOS, run_cell
 from repro.sites import observing
@@ -28,7 +29,7 @@ from repro.sites import observing
 
 def configure(parser) -> None:
     parser.description = ("Run an experiment's semantic companion under "
-                          "the tracer and write a structured JSONL trace.")
+                          "the run log and write it as structured JSONL.")
     parser.add_argument("experiment", choices=sorted(SCENARIOS["trace"]),
                         help="which experiment's companion scenario to run")
     cli.add_report_path(parser, "--out", "TRACE_<experiment>.jsonl")
@@ -43,7 +44,7 @@ def run(args) -> int:
     recorder = (StreamRecorder(scenario=args.experiment)
                 if args.record else None)
     tracer = Tracer(experiment=args.experiment)
-    with observing(tracer=tracer, recorder=recorder):
+    with observing(tracer=tracer, spans=tracer, recorder=recorder):
         run_cell("trace", args.experiment, quick=args.quick)
     if recorder is not None:
         recorder.write(args.record)
@@ -73,5 +74,5 @@ def run(args) -> int:
         print(bundle.summary())
 
     if args.check:
-        return cli.check_verdict(validate_trace_file(out), out, TRACE_SCHEMA)
+        return cli.check_verdict(validate_file(out), out, RUN_SCHEMA)
     return 0

@@ -1,8 +1,8 @@
 """Request-level SLO accounting over causal spans.
 
 This is where the span layer pays off: given a
-:class:`~repro.obs.spans.SpanCollector` full of request / DSU / MVE /
-fleet spans, this module answers the operator's questions —
+run log (:class:`~repro.obs.trace.Tracer`, installed in the spans slot)
+full of request / DSU / MVE / fleet spans, this module answers the operator's questions —
 
 * *Did we meet the latency budget?*  :class:`SloSpec` states the budget
   (p50/p99/p999 ceilings in virtual ns, an availability floor) and
@@ -29,7 +29,7 @@ non-deterministic (wall clock, worker count) is allowed into the
 payload.
 
 Standard library, :mod:`repro.report`, :mod:`repro.obs.metrics` and
-:mod:`repro.obs.spans` only: any layer can import it without cycles.
+:mod:`repro.obs.trace` only: any layer can import it without cycles.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional
 
 from repro.obs.metrics import Histogram
-from repro.obs.spans import PAUSE_KINDS, PHASES, Span, SpanCollector
+from repro.obs.trace import PAUSE_KINDS, PHASES, Span, Tracer
 from repro.report import (ANY, BOOL, INT, NAT, STR, UNIT, ListOf, MapOf, Obj,
                           Via, const, problems)
 
@@ -137,10 +137,10 @@ class SloSpec:
 # Sample extraction and critical-path attribution
 # ---------------------------------------------------------------------------
 
-def effective_phase(request: Span, collector: SpanCollector) -> str:
+def effective_phase(request: Span, collector: Tracer) -> str:
     """The upgrade phase the request was *actually* served in.
 
-    The stamped phase is the collector's phase at admission; a request
+    The stamped phase is the run's phase at admission; a request
     that overlaps a quiescence or fork window was paused by the update
     regardless of when it was admitted, so it reports ``quiesce-pause``.
     """
@@ -168,7 +168,7 @@ def _descends_from(span: Span, ancestor_id: int, spans: List[Span]) -> bool:
 
 
 def attribute_request(request: Span,
-                      collector: SpanCollector) -> Dict[str, Any]:
+                      collector: Tracer) -> Dict[str, Any]:
     """Critical-path attribution for one (closed) request span.
 
     Returns ``{"blame": category, "blame_ns": ns, "breakdown": {...}}``:
@@ -198,7 +198,7 @@ def attribute_request(request: Span,
             "breakdown": dict(sorted(breakdown.items()))}
 
 
-def collect_cell(collector: SpanCollector, cell: str,
+def collect_cell(collector: Tracer, cell: str,
                  spec: SloSpec) -> Dict[str, Any]:
     """Reduce one scenario cell's spans to a JSON/pickle-safe summary.
 
@@ -241,7 +241,7 @@ def collect_cell(collector: SpanCollector, cell: str,
         "requests": requests,
         "answered": answered,
         "spans": len(collector.spans),
-        "span_kinds": collector.kind_tally(),
+        "span_kinds": collector.span_tally(),
         "phase_values": phase_values,
         "violations": violations,
     }

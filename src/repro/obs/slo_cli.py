@@ -4,7 +4,7 @@
     python -m repro slo fig7 --quick         # smaller workload (CI smoke)
     python -m repro slo canary-kvstore --check
     python -m repro slo table1 --workers 2   # byte-identical to serial
-    python -m repro slo fig7 --spans PATH    # also dump repro-span/1 JSONL
+    python -m repro slo fig7 --spans PATH    # also dump its repro-run/1 log
 
 Runs every cell of an ``slo`` row of :data:`repro.scenarios.SCENARIOS`
 under span tracing (:mod:`repro.obs.slo_scenarios`), checks the
@@ -25,7 +25,7 @@ from repro import cli
 from repro.bench.reporting import format_table
 from repro.obs.slo import SLO_SCHEMA, validate_slo_report
 from repro.obs.slo_scenarios import SLO_SPECS, run_slo_scenario
-from repro.obs.spans import SpanCollector
+from repro.obs.trace import Tracer
 from repro.scenarios import SCENARIOS, run_cell
 from repro.sites import observing
 
@@ -40,7 +40,7 @@ def configure(parser) -> None:
     cli.add_shared(parser, "seed", "quick", "workers", "check")
     parser.add_argument("--spans", metavar="PATH",
                         help="also write the first cell's spans as a "
-                             "repro-span/1 JSONL file at PATH")
+                             "repro-run/1 JSONL run log at PATH")
 
 
 def run(args) -> int:
@@ -68,10 +68,10 @@ def run(args) -> int:
 
 def _dump_spans(scenario: str, seed: int, quick: bool, path: str) -> None:
     """Re-run the scenario's first cell and dump its raw spans."""
-    spans = SpanCollector()
+    spans = Tracer(experiment=f"slo-{scenario}")
     with observing(spans=spans):
         run_cell("slo", scenario, 0, seed, quick)
-    spans.write_jsonl(path, experiment=f"slo-{scenario}")
+    spans.write_jsonl(path)
     print(f"wrote spans: {path} ({len(spans.spans)} spans)")
 
 

@@ -3,8 +3,8 @@
 Each ``slo`` row of :data:`repro.scenarios.SCENARIOS` is a list of
 independent *cells* — a ring capacity in the fig7 sweep, a vsftpd update
 pair in the table1 sweep, a whole fleet round for canary-kvstore.
-:func:`run_slo_cell` runs one under a
-:class:`~repro.obs.spans.SpanCollector` and no tracer, then reduces it
+:func:`run_slo_cell` runs one with the run log's writer in the spans
+slot only (:class:`~repro.obs.trace.Tracer`), then reduces it
 to the JSON/pickle-safe summary :func:`repro.obs.slo.collect_cell`
 defines.  :func:`run_slo_scenario` shards cells with
 :func:`repro.scenarios.run_cells` and assembles the ``repro-slo/1``
@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Any, Dict
 
 from repro.obs.slo import SloSpec, build_slo_report, collect_cell
-from repro.obs.spans import SpanCollector
+from repro.obs.trace import Tracer
 from repro.scenarios import SCENARIOS, run_cell, run_cells
 from repro.sites import observing
 
@@ -41,9 +41,9 @@ SLO_SPECS: Dict[str, SloSpec] = {
 
 def run_slo_cell(scenario: str, cell_index: int, seed: int,
                  quick: bool) -> Dict[str, Any]:
-    """Run one cell under a fresh span collector; returns the
+    """Run one cell with a fresh writer in the spans slot; returns the
     pickle-safe cell summary."""
-    spans = SpanCollector()
+    spans = Tracer()
     with observing(spans=spans):
         run_cell("slo", scenario, cell_index, seed, quick)
     name, _ = SCENARIOS["slo"][scenario].cells[cell_index]

@@ -1,54 +1,70 @@
-"""Structured, virtual-time-stamped tracing for the whole stack.
+"""The run log: one writer for every trace event and every span.
 
-One :class:`Tracer` collects :class:`TraceEvent` records from
-instrumentation hooks in the simulation engine, the virtual kernel, the
-MVE runtime, and the DSU engine.  The design constraint is the paper's:
-the common case is *no* observer, and then tracing must cost nothing.
-Every hook therefore reduces to one attribute load plus an ``is None``
-test — no wrappers, no decorators, no conditional imports on hot paths.
+One :class:`Tracer` keeps one ordered log of a run, and the slot it is
+installed in decides what goes into it: ``repro.sites.observing(
+tracer=log)`` logs trace events, ``observing(spans=log)`` logs spans,
+and both slots log both, correlated, into one artifact —
+``python -m repro trace`` and every ``--trace PATH`` flag install it
+that way; the SLO and open-loop cells install it as spans only.  The
+design constraint is the paper's: the common case is *no* observer, and
+then every hook is one attribute load plus an ``is None`` test.
 
-A tracer watches whatever runs inside ``with
-repro.sites.observing(tracer=...)``: every instrumented site reads the
-installed tracer when it runs, so it does not matter whether the
-deployment was built before or after — ``python -m repro trace``, the
-``--trace PATH`` flag and ``examples/operator_console.py`` all enter
-that one block.
+The log holds two kinds of record:
 
-Timestamps are virtual nanoseconds.  Layers that know the virtual time
-(the MVE runtime, the orchestrator) pass it as ``at=``, which also moves
-the tracer's clock forward (never back); layers that do not (the
-kernel, the gateway) stamp events with that clock, which is exact at
-iteration granularity.
+* a **trace event** — "what happened, in order" — is a zero-length
+  record.  A site that knows the virtual time passes it as ``at=``; the
+  kernel and the gateway, which do not, take the run clock
+  (``repro.sites.OBS.vnow``, moved by the sites where work starts, never
+  by an observer).  It carries its dynamic-extent parent, the innermost
+  open span.
+* a **span** (:class:`Span`) — "what caused this request's latency" —
+  is an interval of virtual time with a causal parent link, stamped
+  with the run's upgrade phase (``OBS.phase``) at creation.  A request
+  span owns the ring-stall waits served inside it, so an SLO report can
+  walk from a violated request down to its dominant wait
+  (:mod:`repro.obs.slo`).
 
-With an observer present, an event is one flat tuple appended to the
-tracer's log, and the log is the tracer's only record: :class:`TraceEvent`
-objects, kind tallies, JSONL lines and the metrics (:data:`METRICS`
-folded over the log) are built from it only when someone reads them.
+Parenting uses **dynamic extent**: :meth:`Tracer.open` pushes a span,
+:meth:`Tracer.close` pops it, and any record created in between gets the
+stack top as its parent; a known interval (a ring stall is ``[t,
+freed_at]`` the moment it resolves) is :meth:`Tracer.add`-ed born
+closed, with ``parent=`` when it belongs to another span.  Either way a
+parent precedes its child, and a span's id is its 1-based position
+among the log's spans.
 
-Traces export as JSONL (schema ``repro-trace/1``): a header line, one
-line per event, and a final ``metrics.snapshot`` line.  See
-``docs/observability.md`` for the full schema and event taxonomy.
+The log is the writer's only record: :class:`TraceEvent` objects, kind
+tallies, JSONL lines and the metrics (:data:`METRICS` folded over the
+events) are built from it only when someone reads them.  It exports as
+JSONL, schema ``repro-run/1`` (``docs/observability.md``): a header, one
+line per record in log order, and a closing ``metrics.snapshot`` line.
+Record hygiene (unclosed spans, parents that do not precede their
+child, ids out of order) is the MVE9xx lint's job
+(:mod:`repro.analysis.trace_lint`).
 
-This module imports only the standard library, :mod:`repro.report`,
-:mod:`repro.sites` and its :mod:`repro.obs` siblings, so any layer of
-the stack can depend on it without cycles.
+Standard library, :mod:`repro.report`, :mod:`repro.sites` and
+:mod:`repro.obs.metrics` only, so any layer of the stack can depend on
+it without cycles.
 """
 
 from __future__ import annotations
 
 import json
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from typing import (Any, Dict, Iterable, Iterator, List, NamedTuple,
-                    Optional, Tuple, Union)
+                    Optional, Sequence, Tuple, Union)
 
 from repro.obs.metrics import Histogram
-from repro.report import (ANY, INT, NAT, TEXT, MapOf, Obj, const,
-                          jsonl_file_problems, jsonl_problems, one_of)
-from repro.sites import kinds
+from repro.report import (ANY, INT, NAT, POS, TEXT, MapOf, Obj, Opt, Via,
+                          const, jsonl_file_problems, jsonl_problems,
+                          one_of, problems)
+from repro.sites import OBS, PHASES, kinds
 
-#: JSONL trace schema identifier (bump on shape changes).
-TRACE_SCHEMA = "repro-trace/1"
+#: JSONL run-log schema identifier (bump on shape changes).
+RUN_SCHEMA = "repro-run/1"
+
+#: Span kinds during which the update pauses request service.
+PAUSE_KINDS = ("dsu.quiesce", "dsu.fork")
 
 
 def jsonable(value: Any) -> Any:
@@ -73,24 +89,68 @@ def jsonable(value: Any) -> Any:
 
 @dataclass
 class TraceEvent:
-    """One structured trace record."""
+    """One trace event, read back from the log."""
 
     at: int
     kind: str
     layer: str
     fields: Dict[str, Any] = field(default_factory=dict)
+    #: The span open around the event when it was logged, if any.
+    parent: Optional[int] = None
 
     def as_dict(self) -> Dict[str, Any]:
-        return _payload(self.at, self.kind, self.layer, self.fields.items())
+        return _event_record(self.at, self.kind, self.layer, self.parent,
+                             self.fields.items())
 
 
-def _payload(at: int, kind: str, layer: str,
-             items: Iterable[Tuple[str, Any]]) -> Dict[str, Any]:
-    """The JSON-ready form of one event (one ``repro-trace/1`` line)."""
-    payload: Dict[str, Any] = {"at": at, "kind": kind, "layer": layer}
+def _event_record(at: int, kind: str, layer: str, parent: Optional[int],
+                  items: Iterable[Tuple[str, Any]]) -> Dict[str, Any]:
+    """The JSON-ready ``repro-run/1`` record of one event."""
+    payload: Dict[str, Any] = {"at": at, "kind": kind, "layer": layer,
+                               "parent": parent}
     for key, value in items:
         payload[key] = jsonable(value)
     return payload
+
+
+class Span:
+    """One interval of virtual time with a causal parent link."""
+
+    __slots__ = ("span_id", "parent_id", "kind", "layer", "start_ns",
+                 "end_ns", "phase", "attrs")
+
+    def __init__(self, span_id: int, parent_id: Optional[int], kind: str,
+                 layer: str, start_ns: int, end_ns: Optional[int] = None,
+                 phase: str = PHASES[0],
+                 attrs: Optional[Dict[str, Any]] = None) -> None:
+        self.span_id = span_id
+        self.parent_id = parent_id
+        self.kind = kind
+        self.layer = layer
+        self.start_ns = start_ns
+        self.end_ns = end_ns
+        self.phase = phase
+        self.attrs = attrs if attrs is not None else {}
+
+    def overlap_ns(self, start_ns: int, end_ns: int) -> int:
+        """How much of ``[start_ns, end_ns]`` this (closed) span covers."""
+        if self.end_ns is None:
+            return 0
+        return max(0, min(self.end_ns, end_ns) - max(self.start_ns,
+                                                     start_ns))
+
+    def as_dict(self) -> Dict[str, Any]:
+        """The JSON-ready ``repro-run/1`` record of this span."""
+        payload: Dict[str, Any] = {
+            "at": self.start_ns, "kind": self.kind, "layer": self.layer,
+            "parent": self.parent_id, "span": self.span_id,
+            "end": self.end_ns, "phase": self.phase}
+        payload.update(self.attrs)
+        return payload
+
+    def __repr__(self) -> str:  # pragma: no cover - debug aid
+        return (f"<Span {self.span_id} {self.kind} "
+                f"[{self.start_ns}, {self.end_ns}]>")
 
 
 #: Every site logs through :meth:`Tracer.emit` except the kernel's and
@@ -160,27 +220,29 @@ def moves(kind: str) -> Tuple[Move, ...]:
         + METRICS.get(kind, ())
 
 
-_emitted_total = 0
+_emitted_total = _opened_total = 0
 
 
-class _TracerTallies(type):
-    #: Trace events ever emitted, across all tracers (process lifetime).
-    #: A module global behind a property: assigning a *class* attribute
-    #: per event would invalidate the interpreter's method caches for
-    #: the class under every hook call.
+class _Tallies(type):
+    #: Trace events / spans ever logged, across all writers (process
+    #: lifetime).  Module globals behind properties: assigning a *class*
+    #: attribute per record would invalidate the interpreter's method
+    #: caches for the class under every hook call.
     emitted_total = property(lambda cls: _emitted_total)
+    opened_total = property(lambda cls: _opened_total)
 
 
-class Tracer(metaclass=_TracerTallies):
-    """Collects trace events and divergence forensics; the metrics are
-    read off the events (:meth:`metrics`).
+class Tracer(metaclass=_Tallies):
+    """The run log's writer: trace events from the tracer slot, spans
+    from the spans slot, one ordered log either way.
 
     Class-level tallies (``created_total``, ``emitted_total``,
-    ``materialised_total``) exist so the overhead regression test can
-    assert the disabled path creates *nothing* — counts, not wall-clock.
+    ``opened_total``, ``materialised_total``) exist so the overhead
+    tests can assert the disabled path creates *nothing* — counts, not
+    wall-clock.
     """
 
-    #: Tracer instances ever constructed (process lifetime).
+    #: Writers ever constructed (process lifetime).
     created_total = 0
     #: :class:`TraceEvent` objects ever built (process lifetime): none
     #: while nobody reads :attr:`events`.
@@ -189,58 +251,46 @@ class Tracer(metaclass=_TracerTallies):
     def __init__(self, experiment: str = "") -> None:
         Tracer.created_total += 1
         self.experiment = experiment
-        #: Every event in emission order, one flat tuple each:
-        #: ``(at, kind, layer, field_names, *field_values)``.
-        self._log: List[Tuple[Any, ...]] = []
+        #: Every record in order: a span is its :class:`Span`, an event
+        #: one flat tuple ``(at, kind, layer, parent, field_names,
+        #: *field_values)``.
+        self._log: List[Any] = []
+        #: The spans alone, in creation order; a span's id is its 1-based
+        #: position here, which is how parent links are followed.
+        self.spans: List[Span] = []
+        #: The same spans by kind (kinds in first-appearance order).
+        self._by_kind: Dict[str, List[Span]] = defaultdict(list)
+        self._stack: List[Span] = []
         self._events: List[TraceEvent] = []
-        #: The highest ``at`` any event carried; stamps the events of
-        #: layers that do not carry a clock.
-        self.vnow = 0
+        #: How much of the log :attr:`events` has read.
+        self._read = 0
         #: Forensics bundles captured on divergences (see
         #: :mod:`repro.obs.forensics`).
         self.forensics: List[Any] = []
 
-    # -- core emission ------------------------------------------------------
+    # -- trace events (the tracer slot) -------------------------------------
 
     def emit(self, kind: str, layer: str, at: Optional[int] = None,
              **fields: Any) -> None:
-        """Record one event; ``at=None`` stamps the current virtual time.
+        """Log one event; ``at=None`` stamps the run clock.
 
         Call sites guard with ``if tracer is not None:`` and then call
         this (or one of the three hooks below) once per event."""
         global _emitted_total
-        if at is None:
-            at = self.vnow
-        elif at > self.vnow:
-            self.vnow = at
-        self._log.append((at, kind, layer, tuple(fields), *fields.values()))
+        stack = self._stack
+        self._log.append((OBS.vnow if at is None else at, kind, layer,
+                          stack[-1].span_id if stack else None,
+                          tuple(fields), *fields.values()))
         _emitted_total += 1
-
-    @property
-    def event_count(self) -> int:
-        """Events recorded so far (builds nothing)."""
-        return len(self._log)
-
-    @property
-    def events(self) -> List[TraceEvent]:
-        """Every event so far, in order, as :class:`TraceEvent` objects:
-        built from the log on read, each entry once, so a run that never
-        looks pays for none."""
-        events = self._events
-        fresh = self._log[len(events):]
-        events.extend(TraceEvent(at, kind, layer, dict(zip(names, values)))
-                      for at, kind, layer, names, *values in fresh)
-        Tracer.materialised_total += len(fresh)
-        return events
-
-    # -- the three hooks that are more than an ``emit`` ---------------------
 
     def on_syscall(self, role: str, record: Any) -> None:
         """A gateway emitted one syscall record (any role)."""
         global _emitted_total
-        self._log.append((self.vnow, "syscall", "mve", _SYSCALL_FIELDS,
-                          role, record.name._value_, record.fd,
-                          len(record.data)))
+        stack = self._stack
+        self._log.append((OBS.vnow, "syscall", "mve",
+                          stack[-1].span_id if stack else None,
+                          _SYSCALL_FIELDS, role, record.name._value_,
+                          record.fd, len(record.data)))
         _emitted_total += 1
 
     def on_kernel(self, phase: str, op: str, domain: int,
@@ -248,7 +298,9 @@ class Tracer(metaclass=_TracerTallies):
         """The virtual kernel entered/exited (``phase`` is ``"enter"`` or
         ``"exit"``) one syscall implementation."""
         global _emitted_total
-        self._log.append((self.vnow, _KERNEL_KINDS[phase], "kernel",
+        stack = self._stack
+        self._log.append((OBS.vnow, _KERNEL_KINDS[phase], "kernel",
+                          stack[-1].span_id if stack else None,
                           _KERNEL_FIELDS, op, domain, fd))
         _emitted_total += 1
 
@@ -259,20 +311,104 @@ class Tracer(metaclass=_TracerTallies):
                   reason=bundle.reason, bundle=len(self.forensics) - 1,
                   ring_records=len(bundle.ring_last_k))
 
+    # -- spans (the spans slot) ---------------------------------------------
+
+    def _new_span(self, kind: str, layer: str, start_ns: int,
+                  end_ns: Optional[int], parent: Optional[int],
+                  attrs: Dict[str, Any]) -> Span:
+        global _opened_total
+        if parent is None and self._stack:
+            parent = self._stack[-1].span_id
+        span = Span(len(self.spans) + 1, parent, kind, layer, start_ns,
+                    end_ns, OBS.phase, attrs)
+        self.spans.append(span)
+        self._by_kind[kind].append(span)
+        self._log.append(span)
+        _opened_total += 1
+        return span
+
+    def open(self, kind: str, layer: str, at: int,
+             **attrs: Any) -> Span:
+        """Start a span; records created before :meth:`close` become its
+        children."""
+        span = self._new_span(kind, layer, at, None, None, attrs)
+        self._stack.append(span)
+        return span
+
+    def close(self, span: Span, at: int, **attrs: Any) -> Span:
+        """End an open span (must be the innermost open one)."""
+        if not self._stack or self._stack[-1] is not span:
+            raise ValueError(f"span {span.span_id} is not the innermost "
+                             f"open span")
+        self._stack.pop()
+        span.end_ns = at
+        span.attrs.update(attrs)
+        return span
+
+    def add(self, kind: str, layer: str, start_ns: int, end_ns: int,
+            parent: Optional[int] = None, **attrs: Any) -> Span:
+        """Record a known interval as a born-closed span.
+
+        ``parent`` overrides the dynamic-extent parent (the innermost
+        open span, if any).
+        """
+        return self._new_span(kind, layer, start_ns, end_ns, parent, attrs)
+
     # -- reading the log ----------------------------------------------------
+
+    def _event_entries(self) -> Iterator[Tuple[Any, ...]]:
+        return (entry for entry in self._log if type(entry) is tuple)
+
+    @property
+    def event_count(self) -> int:
+        """Events logged so far (builds nothing)."""
+        return len(self._log) - len(self.spans)
+
+    @property
+    def events(self) -> List[TraceEvent]:
+        """Every event so far, in order, as :class:`TraceEvent` objects:
+        built from the log on read, each entry once, so a run that never
+        looks pays for none."""
+        fresh = [TraceEvent(at, kind, layer, dict(zip(names, values)),
+                            parent)
+                 for at, kind, layer, parent, names, *values
+                 in (entry for entry in self._log[self._read:]
+                     if type(entry) is tuple)]
+        self._read = len(self._log)
+        self._events.extend(fresh)
+        Tracer.materialised_total += len(fresh)
+        return self._events
 
     def kind_tally(self) -> Dict[str, int]:
         """Event counts per kind (for summaries and tests)."""
-        return dict(Counter(entry[1] for entry in self._log))
+        return dict(Counter(entry[1] for entry in self._event_entries()))
+
+    def span_tally(self) -> Dict[str, int]:
+        """Span counts per kind, kinds in first-appearance order."""
+        return {kind: len(spans) for kind, spans in self._by_kind.items()}
+
+    @property
+    def current(self) -> Optional[Span]:
+        """The innermost open span, or None."""
+        return self._stack[-1] if self._stack else None
+
+    def of_kind(self, kind: str) -> Sequence[Span]:
+        """The spans of one kind, in creation order (a view of the
+        writer's index, not a copy)."""
+        return self._by_kind.get(kind, ())
+
+    def request_spans(self) -> List[Span]:
+        """All ``request`` spans, in creation order."""
+        return list(self.of_kind("request"))
 
     def metrics(self) -> Dict[str, Dict[str, Any]]:
         """The metrics snapshot, sorted by name: :data:`METRICS` folded
-        over the log."""
+        over the events."""
         counters: Dict[str, int] = {}
         gauges: Dict[str, List[int]] = {}
         histograms: Dict[str, Histogram] = {}
-        for entry in self._log:
-            fields = dict(zip(entry[3], entry[4:]), kind=entry[1])
+        for entry in self._event_entries():
+            fields = dict(zip(entry[4], entry[5:]), kind=entry[1])
             for metric, how, by, unless in moves(entry[1]):
                 try:
                     name = metric.format_map(fields)
@@ -301,51 +437,63 @@ class Tracer(metaclass=_TracerTallies):
         return dict(sorted(snapshot.items()))
 
     def _jsonl_lines(self) -> Iterator[str]:
-        yield json.dumps({"schema": TRACE_SCHEMA,
+        yield json.dumps({"schema": RUN_SCHEMA,
                           "experiment": self.experiment,
-                          "events": len(self._log)})
-        for at, kind, layer, names, *values in self._log:
-            yield json.dumps(_payload(at, kind, layer, zip(names, values)))
-        yield json.dumps({"at": self.vnow, "kind": "metrics.snapshot",
-                          "layer": "obs", "metrics": self.metrics()})
+                          "records": len(self._log)})
+        for entry in self._log:
+            if type(entry) is tuple:
+                at, kind, layer, parent, names, *values = entry
+                yield json.dumps(_event_record(at, kind, layer, parent,
+                                               zip(names, values)))
+            else:
+                yield json.dumps(entry.as_dict())
+        yield json.dumps({"kind": "metrics.snapshot",
+                          "metrics": self.metrics()})
 
     def to_jsonl_lines(self) -> List[str]:
-        """The full trace as JSONL lines (header, events, metrics)."""
+        """The full log as JSONL lines (header, records, metrics)."""
         return list(self._jsonl_lines())
 
     def write_jsonl(self, path: str) -> None:
-        """Write the trace to ``path``, one JSON object per line, a line
-        at a time."""
+        """Write the log to ``path``, one JSON object per line, a line at
+        a time."""
         with open(path, "w", encoding="utf-8") as handle:
             handle.writelines(line + "\n" for line in self._jsonl_lines())
 
 
 # ---------------------------------------------------------------------------
-# Schema validation (used by tests and the CI trace-smoke job)
+# Schema validation (shape only; hygiene is the MVE9xx lint's job)
 # ---------------------------------------------------------------------------
 
-#: A ``repro-trace/1`` header, event and closing snapshot line.
-TRACE_HEADER_SHAPE = Obj({"schema": const(TRACE_SCHEMA), "events": NAT})
+#: A ``repro-run/1`` header, event record, span record (a record with a
+#: ``span`` id) and closing snapshot line.
+RUN_HEADER_SHAPE = Obj({"schema": const(RUN_SCHEMA), "records": NAT})
 EVENT_SHAPE = Obj({"at": INT, "kind": one_of(kinds("events")),
-                   "layer": TEXT})
-SNAPSHOT_SHAPE = Obj({"at": INT, "kind": const("metrics.snapshot"),
-                      "layer": TEXT, "metrics": MapOf(ANY)})
+                   "layer": TEXT, "parent": Opt(POS)})
+SPAN_SHAPE = Obj({"at": INT, "kind": one_of(kinds("spans")), "layer": TEXT,
+                  "parent": Opt(POS), "span": POS, "end": Opt(INT),
+                  "phase": one_of(PHASES)})
+SNAPSHOT_SHAPE = Obj({"kind": const("metrics.snapshot"),
+                      "metrics": MapOf(ANY)})
+_RECORD = Via(Obj({}), lambda record: problems(
+    record, SPAN_SHAPE if "span" in record else EVENT_SHAPE))
 
 
-def validate_trace_lines(lines: List[str]) -> List[str]:
-    """Problems with ``repro-trace/1`` lines (empty = valid): a
-    :data:`TRACE_HEADER_SHAPE`, as many :data:`EVENT_SHAPE` as it says,
-    then the metrics snapshot."""
+def validate_lines(lines: List[str]) -> List[str]:
+    """Problems with ``repro-run/1`` lines (empty = valid): a
+    :data:`RUN_HEADER_SHAPE`, as many records as it says, each an
+    :data:`EVENT_SHAPE` or a :data:`SPAN_SHAPE`, then the metrics
+    snapshot."""
     if len(lines) < 2:
-        return ["trace has no metrics snapshot line" if lines
-                else "trace is empty"]
-    found = jsonl_problems(lines, TRACE_HEADER_SHAPE, "events", EVENT_SHAPE,
+        return ["run log has no metrics snapshot line" if lines
+                else "run log is empty"]
+    found = jsonl_problems(lines, RUN_HEADER_SHAPE, "records", _RECORD,
                            closing=SNAPSHOT_SHAPE)
     if any(problem.startswith(f"line {len(lines)}:") for problem in found):
         found.append("last line is not a metrics.snapshot")
     return found
 
 
-def validate_trace_file(path: str) -> List[str]:
-    """Validate a JSONL trace file; returns a list of problems."""
-    return jsonl_file_problems(path, validate_trace_lines)
+def validate_file(path: str) -> List[str]:
+    """Validate a ``repro-run/1`` JSONL file; returns a list of problems."""
+    return jsonl_file_problems(path, validate_lines)

@@ -176,11 +176,11 @@ def jsonl_file_problems(path: str, judge: Callable[[List[str]], List[str]]
 
 def jsonl_problems(lines: Sequence[str], header: Any, count_key: str,
                    line_shape: Any, closing: Any = None) -> List[str]:
-    """Problems with a header-then-body JSONL artifact (``repro-span/1``,
-    ``repro-trace/1``): line 1 is a ``header`` whose ``count_key``
-    declares how many body lines follow, every body line is a
-    ``line_shape`` object and, with ``closing``, one last line of that
-    shape — not counted — ends the file."""
+    """Problems with a header-then-body JSONL artifact (``repro-run/1``):
+    line 1 is a ``header`` whose ``count_key`` declares how many body
+    lines follow, every body line is a ``line_shape`` object and, with
+    ``closing``, one last line of that shape — not counted — ends the
+    file."""
     present = len(lines) - 1 - (closing is not None)
 
     def count(head: Mapping[str, Any]) -> List[str]:

@@ -7,17 +7,20 @@ whatever :data:`repro.sites.OBS` holds and returns what the command's
 reducer reads; it never installs an observer itself.  A command picks
 its rows, wraps :func:`run_cell` in its own observer and reduces:
 
-============  ==========================  ===============================
-command       installs                    reduces
-============  ==========================  ===============================
-``trace``     ``observing(tracer=…)``     the tracer's events and metrics
-``slo``       ``observing(spans=…)``      ``collect_cell`` over the spans
-``openloop``  ``observing(spans=…)``      the returned summary, plus
-                                          ``collect_cell``
-``perf``      nothing                     gauges off the returned
-                                          runtime and client
-``chaos``     ``observing(chaos=…)``      the returned ``ChaosRunResult``
-============  ==========================  ===============================
+============  ==================================  ==========================
+command       installs                            reduces
+============  ==================================  ==========================
+``trace``     ``observing(tracer=…, spans=…)``    the run log: events, spans
+              (one writer in both slots)          and metrics
+``slo``       ``observing(spans=…)``              ``collect_cell`` over the
+                                                  spans
+``openloop``  ``observing(spans=…)``              the returned summary, plus
+                                                  ``collect_cell``
+``perf``      nothing                             gauges off the returned
+                                                  runtime and client
+``chaos``     ``observing(chaos=…)``              the returned
+                                                  ``ChaosRunResult``
+============  ==================================  ==========================
 
 so any row runs under any observers at once, and what a command reduces
 does not depend on what else is watching (``tests/test_scenarios.py``).

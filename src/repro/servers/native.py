@@ -16,6 +16,7 @@ from repro.errors import ServerCrash
 from repro.mve.gateway import GatewayRole, SyscallGateway
 from repro.net.kernel import VirtualKernel
 from repro.sim.process import CpuAccount
+from repro.sites import OBS
 from repro.syscalls.costs import AppProfile, ExecutionMode, QUIESCE_NS
 
 
@@ -49,6 +50,8 @@ class NativeRuntime:
         """
         if self.crashed is not None:
             raise ServerCrash(f"server is down: {self.crashed}")
+        if now > OBS.vnow:
+            OBS.vnow = now
         t = max(now, self.cpu.busy_until)
         while True:
             ready = self.kernel.epoll_wait(self.server.domain,

@@ -1,9 +1,10 @@
-"""The one observer slot and the one table of instrumented sites.
+"""The one observer slot, the run's position, and the one table of
+instrumented sites.
 
-Four observers, each installed on its own, watch the stack — the tracer,
-the span collector, the chaos injector and the stream recorder
-(:mod:`repro.obs.trace`, :mod:`repro.obs.spans`,
-:mod:`repro.chaos.injector`, :mod:`repro.replay.recorder`) — and this
+Four observer slots watch the stack — the tracer slot and the spans
+slot (both filled by the run log's one writer, :mod:`repro.obs.trace`),
+the chaos injector and the stream recorder
+(:mod:`repro.chaos.injector`, :mod:`repro.replay.recorder`) — and this
 module is how all of them are found and what all of them may say.
 
 **The slot.**  :data:`OBS` holds the installed observers, ``None`` each
@@ -17,10 +18,19 @@ so a deployment built before the observer was installed is watched all
 the same, and the disabled path stays one attribute test.  The only way
 in is :func:`observing`, which restores what it replaced.
 
+**The position.**  :data:`OBS` also holds where the run is, which every
+observer reads and none moves: ``vnow``, the run clock in virtual
+nanoseconds, moved forward (never back) by the sites where work starts
+— a leader pump, a follower replay, a ring frame, an update request —
+and ``stage`` / ``phase``, the update lifecycle position, written by
+:class:`~repro.core.mvedsua.Mvedsua` once per transition.  Each
+:func:`observing` block is a run of its own: the position starts at
+``(0, "", "normal")`` and the outer one is back on exit.
+
 **The table.**  :data:`TABLE` has one :class:`Site` row per instrumented
 site: where the hook lives and what it feeds.  The chaos registry
-(:data:`repro.chaos.plan.SITES`) and the ``kind`` leaves of the trace
-and span shapes are computed from it, ``tests/test_sites.py`` holds it
+(:data:`repro.chaos.plan.SITES`) and the ``kind`` leaves of the run
+log's record shape are computed from it, ``tests/test_sites.py`` holds it
 to the running code and ``tools/check_docs.py`` holds the docs' tables
 to it.  It is never consulted per event.
 
@@ -33,15 +43,31 @@ from contextlib import contextmanager
 from typing import Any, Dict, Iterator, NamedTuple, Tuple
 
 
-class _Observers:
-    """The installed observers, each None while that hook is off.  No
-    slot implies another: spans without a tracer log no trace event, a
-    tracer without spans creates no span."""
+#: Upgrade phases a request can be served in, in lifecycle order; the
+#: first is where every run starts.
+PHASES = ("normal", "mve-active", "quiesce-pause", "promoted",
+          "rolled-back")
 
-    __slots__ = ("tracer", "spans", "chaos", "recorder")
+_START = (0, "", PHASES[0])
+
+
+class _Observers:
+    """The installed observers, each None while that hook is off, and
+    the run's position.  No slot implies another: a writer in the spans
+    slot alone logs no trace event, one in the tracer slot alone creates
+    no span."""
+
+    __slots__ = ("tracer", "spans", "chaos", "recorder", "vnow", "stage",
+                 "phase")
 
     def __init__(self) -> None:
         self.tracer = self.spans = self.chaos = self.recorder = None
+        #: ``vnow``: the run clock (virtual ns), the latest instant work
+        #: started.  ``stage``: the deployment's update stage (a
+        #: ``Stage`` value, ``""`` until one is built), what ``at-stage``
+        #: triggers match.  ``phase``: the upgrade phase spans are
+        #: stamped with at creation.
+        self.vnow, self.stage, self.phase = _START
 
 
 #: The slot.  Read its fields at call time; write them only through
@@ -57,10 +83,14 @@ def observing(tracer: Any = _KEEP, spans: Any = _KEEP, chaos: Any = _KEEP,
     """Install the given observers for the duration of a block.
 
     A hook that is not named keeps its current value; ``None`` turns it
-    off for the block.  Whatever was installed before is back on exit,
-    also when the block raises, so blocks nest.
+    off for the block.  The block is a run: its position starts at time
+    0, no stage, phase ``normal``.  Whatever was installed before, and
+    the outer position, are back on exit, also when the block raises,
+    so blocks nest.
     """
-    previous = (OBS.tracer, OBS.spans, OBS.chaos, OBS.recorder)
+    previous = (OBS.tracer, OBS.spans, OBS.chaos, OBS.recorder, OBS.vnow,
+                OBS.stage, OBS.phase)
+    OBS.vnow, OBS.stage, OBS.phase = _START
     if tracer is not _KEEP:
         OBS.tracer = tracer
     if spans is not _KEEP:
@@ -72,7 +102,8 @@ def observing(tracer: Any = _KEEP, spans: Any = _KEEP, chaos: Any = _KEEP,
     try:
         yield
     finally:
-        OBS.tracer, OBS.spans, OBS.chaos, OBS.recorder = previous
+        (OBS.tracer, OBS.spans, OBS.chaos, OBS.recorder, OBS.vnow,
+         OBS.stage, OBS.phase) = previous
 
 
 class Site(NamedTuple):
@@ -86,9 +117,9 @@ class Site(NamedTuple):
     where: str
     #: Chaos fault kinds legal here (``ChaosInjector.fire(name)``).
     faults: Tuple[str, ...] = ()
-    #: ``repro-trace/1`` event kinds emitted here.
+    #: ``repro-run/1`` event kinds emitted here (tracer slot).
     events: Tuple[str, ...] = ()
-    #: ``repro-span/1`` span kinds recorded here.
+    #: ``repro-run/1`` span kinds recorded here (spans slot).
     spans: Tuple[str, ...] = ()
     #: ``repro-stream/1`` entry types written here.
     entries: Tuple[str, ...] = ()

@@ -51,7 +51,7 @@ from repro.mve import VaranRuntime
 from repro.obs.metrics import Histogram
 from repro.obs.slo import (CHECKS_SHAPE, SPEC_SHAPE, SloSpec,
                            build_slo_report, collect_cell)
-from repro.obs.spans import SpanCollector
+from repro.obs.trace import Tracer
 from repro.report import ANY, NAT, ListOf, Obj, Via, const, problems
 from repro.scenarios import SCENARIOS, run_cell, run_cells
 from repro.sites import observing
@@ -156,9 +156,10 @@ def _stack(scenario: str, mode: str, preload: int) -> Stack:
 
 def run_openloop_cell(scenario: str, cell_index: int, seed: int,
                       quick: bool) -> Dict[str, Any]:
-    """Run one cell under a span collector; returns a picklable summary
-    with the cell's :func:`~repro.obs.slo.collect_cell` as ``slo_cell``."""
-    spans = SpanCollector()
+    """Run one cell with a writer in the spans slot; returns a picklable
+    summary with the cell's :func:`~repro.obs.slo.collect_cell` as
+    ``slo_cell``."""
+    spans = Tracer()
     with observing(spans=spans):
         summary = run_cell("openloop", scenario, cell_index, seed, quick)
     summary["slo_cell"] = collect_cell(spans, summary["cell"],

@@ -22,6 +22,15 @@ from repro.workloads import VirtualClient
 settings.register_profile("ci", max_examples=2000, deadline=None)
 
 
+@pytest.fixture(autouse=True)
+def own_run():
+    """Every test is a run of its own: the run's position (clock, stage,
+    phase in ``repro.sites.OBS``) starts fresh, and what a test's
+    deployments moved does not leak into the next test."""
+    with observing():
+        yield
+
+
 @pytest.fixture
 def kernel():
     return VirtualKernel()

@@ -20,7 +20,7 @@ from repro.chaos.scenarios import run_kv_update_scenario
 from repro.errors import BrokenPipe, ConnectionReset, FdExhausted
 from repro.mve.varan import CORRUPTION_MARKER
 from repro.net.kernel import VirtualKernel
-from repro.obs import Tracer, validate_trace_lines
+from repro.obs import Tracer, validate_lines
 from repro.sim.engine import Engine
 from repro.sites import OBS, observing
 
@@ -128,20 +128,22 @@ class TestInjector:
     def test_at_time_fires_first_call_at_or_after(self):
         injector = ChaosInjector(FaultPlan("p", (
             Fault("mve.ring", "stall", at_time(1_000)),)))
-        injector.advance(500)
-        assert injector.fire("mve.ring") is None
-        injector.advance(1_000)
-        assert injector.fire("mve.ring") is not None
-        assert injector.fire("mve.ring") is None  # single-shot
+        with observing():      # triggers read the run clock, OBS.vnow
+            OBS.vnow = 500
+            assert injector.fire("mve.ring") is None
+            OBS.vnow = 1_000
+            assert injector.fire("mve.ring") is not None
+            assert injector.fire("mve.ring") is None  # single-shot
 
     def test_at_stage_fires_only_in_the_named_stage(self):
         injector = ChaosInjector(FaultPlan("p", (
             Fault("mve.follower", "crash",
                   at_stage("outdated-leader")),)))
-        injector.note_stage("single-leader")
-        assert injector.fire("mve.follower") is None
-        injector.note_stage("outdated-leader")
-        assert injector.fire("mve.follower") is not None
+        with observing():      # triggers read the run stage, OBS.stage
+            OBS.stage = "single-leader"
+            assert injector.fire("mve.follower") is None
+            OBS.stage = "outdated-leader"
+            assert injector.fire("mve.follower") is not None
 
     def test_predicate_sees_standard_and_extra_context(self):
         seen = []
@@ -149,9 +151,9 @@ class TestInjector:
             Fault("kernel.read", "econnreset",
                   when(lambda ctx: seen.append(dict(ctx)) or False,
                        count=-1)),)))
-        injector.advance(77)
-        injector.note_stage("single-leader")
-        injector.fire("kernel.read", fd=9, domain=2)
+        with observing():
+            OBS.vnow, OBS.stage = 77, "single-leader"
+            injector.fire("kernel.read", fd=9, domain=2)
         assert seen[0]["site"] == "kernel.read"
         assert seen[0]["call_index"] == 1
         assert seen[0]["at"] == 77
@@ -384,7 +386,7 @@ class TestObsIntegration:
         with observing(tracer=tracer, chaos=injector):
             run_kv_update_scenario()
         assert injector.injections
-        assert validate_trace_lines(tracer.to_jsonl_lines()) == []
+        assert validate_lines(tracer.to_jsonl_lines()) == []
         assert tracer.kind_tally().get("chaos.inject") == \
             len(injector.injections)
         snapshot = tracer.metrics()

@@ -6,7 +6,7 @@ import re
 import pytest
 
 from repro.cli import main
-from repro.obs import Tracer, validate_trace_file
+from repro.obs import Tracer, validate_file
 from repro.obs.forensics import FORENSICS_LAST_K
 from repro.scenarios import SCENARIOS, run_cell
 from repro.sites import observing
@@ -26,7 +26,7 @@ def test_trace_main_writes_valid_jsonl(tmp_path, capsys):
     out = tmp_path / "fig7.jsonl"
     code = main(["trace", "fig7", "--quick", "--out", str(out), "--check"])
     assert code == 0
-    assert validate_trace_file(str(out)) == []
+    assert validate_file(str(out)) == []
 
     stdout = capsys.readouterr().out
     assert "repro trace fig7" in stdout
@@ -54,7 +54,7 @@ def test_trace_main_check_rejects_corrupt_file(tmp_path, capsys, monkeypatch):
     code = main(["trace", "fig7", "--quick", "--out", str(out), "--check"])
     assert code == 0
     out.write_text('{"schema": "bogus/1"}\n')
-    from repro.obs.trace import validate_trace_file as check
+    from repro.obs.trace import validate_file as check
     assert check(str(out)) != []
 
 
@@ -83,3 +83,74 @@ def test_run_trace_scenario_fig6_quick_has_dsu_lifecycle():
     snapshot = tracer.metrics()
     assert snapshot["dsu.quiescence_wait_ns"]["count"] >= 1
     assert snapshot["rules.dispatch_hits"]["value"] >= 0
+
+
+# ---------------------------------------------------------------------------
+# One run clock: no observer moves it
+# ---------------------------------------------------------------------------
+
+def _trace_lines(tmp_path, name, *extra):
+    out = tmp_path / f"{name}.jsonl"
+    assert main(["trace", "fig6", "--quick", "--out", str(out),
+                 *extra]) == 0
+    return out.read_text().splitlines()
+
+
+def test_recording_changes_only_the_recorders_own_records(tmp_path, capsys):
+    """The recorder's ``stream.record`` events are its share of the log;
+    every other line of ``trace --record`` is the plain trace's, ``at``
+    included: the recorder's tap moves no clock."""
+    plain = _trace_lines(tmp_path, "plain")
+    recorded = _trace_lines(tmp_path, "recorded", "--record",
+                            str(tmp_path / "STREAM.jsonl"))
+    taps = [line for line in recorded[1:-1]
+            if json.loads(line)["kind"] == "stream.record"]
+    assert taps
+    assert [line for line in recorded[1:-1] if line not in taps] == \
+        plain[1:-1]
+    metrics = json.loads(recorded[-1])
+    del metrics["metrics"]["stream.recorded"]
+    assert metrics == json.loads(plain[-1])
+
+
+def test_an_experiments_stdout_does_not_see_its_trace(tmp_path, capsys):
+    """``repro faults`` prints the same bytes with and without
+    ``--trace``: its E1–E3 chaos blocks run inside the traced run, and
+    each injector's clock still starts at 0."""
+    assert main(["faults"]) == 0
+    untraced = capsys.readouterr().out
+    assert main(["faults", "--trace", str(tmp_path / "t.jsonl")]) == 0
+    assert capsys.readouterr().out == untraced
+
+
+def test_no_leader_syscall_is_stamped_before_its_pump(monkeypatch):
+    """The run clock is where the work is: every kernel/syscall record
+    of the leader's domain logged inside ``pump(now)`` carries an ``at``
+    no earlier than ``now``."""
+    from repro.mve.varan import VaranRuntime
+    log = Tracer()
+    pumps = []
+    original = VaranRuntime.pump
+
+    def pump(runtime, now):
+        start = log.event_count
+        try:
+            return original(runtime, now)
+        finally:
+            pumps.append((start, log.event_count, now, runtime.domain))
+
+    monkeypatch.setattr(VaranRuntime, "pump", pump)
+    with observing(tracer=log, spans=log):
+        run_cell("trace", "fig6", quick=True)
+    checked = 0
+    for start, end, now, domain in pumps:
+        for event in log.events[start:end]:
+            if event.kind.startswith("kernel."):
+                leader = event.fields["domain"] == domain
+            else:
+                leader = event.kind == "syscall" and \
+                    event.fields["role"] in ("direct", "recording")
+            if leader:
+                checked += 1
+                assert event.at >= now, (event, now)
+    assert checked > 100

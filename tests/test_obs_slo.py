@@ -27,7 +27,8 @@ from repro.obs.slo import (
 )
 from repro.cli import main
 from repro.obs.slo_scenarios import SLO_SPECS, run_slo_scenario
-from repro.obs.spans import PAUSE_KINDS, PHASES, SpanCollector
+from repro.obs.trace import PAUSE_KINDS, PHASES, Tracer
+from repro.sites import OBS, observing
 
 values_lists = st.lists(st.integers(min_value=0, max_value=10**12),
                         min_size=1, max_size=200)
@@ -118,7 +119,7 @@ class TestSloSpec:
 
 
 def _request_with_waits():
-    c = SpanCollector()
+    c = Tracer()
     request = c.open("request", "gateway", 0)
     c.add("mve.ring-stall", "mve", 10, 30)
     c.close(request, 100)
@@ -137,7 +138,7 @@ class TestAttribution:
         assert attribution["breakdown"]["ring-stall"] == 20
 
     def test_unblamed_latency_is_self(self):
-        c = SpanCollector()
+        c = Tracer()
         request = c.open("request", "gateway", 0)
         c.close(request, 50)
         attribution = attribute_request(request, c)
@@ -150,7 +151,7 @@ class TestAttribution:
         assert "dsu.update" not in BLAME
 
     def test_effective_phase_retags_requests_over_a_pause(self):
-        c = SpanCollector()
+        c = Tracer()
         hit = c.open("request", "gateway", 0)
         c.close(hit, 100)
         c.add("dsu.quiesce", "dsu", 50, 80)
@@ -162,7 +163,7 @@ class TestAttribution:
     def test_effective_phase_sees_a_pause_closed_after_first_lookup(self):
         # The by-kind index holds the spans themselves: a pause that
         # was still open at a lookup, and spans added since, must count.
-        c = SpanCollector()
+        c = Tracer()
         early = c.open("request", "gateway", 0)
         c.close(early, 60)
         pause = c.open("dsu.quiesce", "dsu", 50)
@@ -271,7 +272,13 @@ _span_ops = st.one_of(
 
 
 def _build_forest(ops):
-    collector = SpanCollector()
+    collector = Tracer()
+    with observing():
+        _grow(collector, ops)
+    return collector
+
+
+def _grow(collector, ops):
     for op, *args in ops:
         if op == "open":
             kind, at = args
@@ -285,8 +292,7 @@ def _build_forest(ops):
             collector.add(kind, "layer", start, start + length,
                           parent=parent)
         elif op == "phase":
-            collector.set_phase(args[0])
-    return collector
+            OBS.phase = args[0]
 
 
 class TestIndexedAttributionMatchesTheFullScan:
@@ -394,8 +400,8 @@ class TestCli:
         assert "quiesce-pause" in stdout
         report = json.loads(out.read_text())
         assert validate_slo_report(report) == []
-        from repro.obs.spans import validate_span_file
-        assert validate_span_file(str(spans)) == []
+        from repro.obs.trace import validate_file
+        assert validate_file(str(spans)) == []
 
     def test_unknown_scenario_is_rejected(self, capsys):
         with pytest.raises(SystemExit):

@@ -1,5 +1,5 @@
-"""repro.obs.trace / repro.obs.metrics: the tracer, its log and the
-metrics folded from it."""
+"""repro.obs.trace / repro.obs.metrics: the run log's event records,
+the run clock they are stamped with, and the metrics folded from them."""
 
 import json
 import types
@@ -10,12 +10,11 @@ from hypothesis import strategies as st
 
 from repro.mve.events import ControlEvent, ControlKind
 from repro.obs import (
-    TRACE_SCHEMA,
+    RUN_SCHEMA,
     Histogram,
     Tracer,
-    validate_trace_lines,
+    validate_lines,
 )
-from repro.obs.spans import SpanCollector
 from repro.obs.trace import METRICS, TraceEvent, jsonable, moves
 from repro.servers.kvstore import KVStoreV2, kv_rules
 from repro.sim.engine import SECOND
@@ -25,18 +24,19 @@ from repro.syscalls.model import Sys, SyscallRecord
 
 # -- core emission ----------------------------------------------------------
 
-def test_emit_stamps_and_advances_virtual_time():
+def test_emit_stamps_the_run_clock_and_never_moves_it():
     tracer = Tracer(experiment="t")
-    tracer.emit("a", "sim", at=10)
-    assert tracer.vnow == 10
-    # No explicit timestamp: reuse the last advanced time.
-    tracer.emit("b", "sim")
-    assert tracer.events[-1].at == 10
-    # Time never moves backwards: an earlier event keeps its own stamp.
-    tracer.emit("late", "sim", at=5)
-    assert (tracer.events[-1].at, tracer.vnow) == (5, 10)
-    tracer.emit("c", "sim", at=30)
-    assert tracer.vnow == 30
+    with observing(tracer=tracer):
+        OBS.vnow = 10                       # a site where work starts
+        # No explicit timestamp: the run clock.
+        tracer.emit("b", "sim")
+        assert tracer.events[-1].at == 10
+        # An explicit one is the event's own, and moves nothing.
+        tracer.emit("c", "sim", at=30)
+        tracer.emit("late", "sim", at=5)
+        assert [event.at for event in tracer.events] == [10, 30, 5]
+        tracer.emit("d", "sim")
+        assert (tracer.events[-1].at, OBS.vnow) == (10, 10)
 
 
 def test_kind_tally_counts_events():
@@ -116,7 +116,9 @@ class EagerTracer(Tracer):
     event at emission, readers walking the event objects, and one hook
     per site that emits and bumps a registry's counters, gauges and
     histograms by name.  Every ``emit`` call is also kept in
-    ``emitted``, so a flat tracer can be handed what a site now calls."""
+    ``emitted``, so a flat tracer can be handed what a site now calls.
+    An event without ``at`` is stamped with the run clock, as the flat
+    log does; with no span open, its parent is null."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -134,9 +136,7 @@ class EagerTracer(Tracer):
     def emit(self, kind, layer, at=None, **fields):
         self.emitted.append((kind, layer, at, fields))
         if at is None:
-            at = self.vnow
-        else:
-            self.vnow = max(self.vnow, at)
+            at = OBS.vnow
         self.eager_events.append(TraceEvent(at, kind, layer, fields))
 
     def on_syscall(self, role, record):
@@ -227,12 +227,12 @@ class EagerTracer(Tracer):
         return dict(Counter(event.kind for event in self.events))
 
     def to_jsonl_lines(self):
-        lines = [json.dumps({"schema": TRACE_SCHEMA,
+        lines = [json.dumps({"schema": RUN_SCHEMA,
                              "experiment": self.experiment,
-                             "events": len(self.events)})]
+                             "records": len(self.events)})]
         lines.extend(json.dumps(event.as_dict()) for event in self.events)
-        lines.append(json.dumps({"at": self.vnow, "kind": "metrics.snapshot",
-                                 "layer": "obs", "metrics": self.metrics()}))
+        lines.append(json.dumps({"kind": "metrics.snapshot",
+                                 "metrics": self.metrics()}))
         return lines
 
 
@@ -270,9 +270,10 @@ def _call(hook, *args, **kwargs):
 _ns_fields = st.fixed_dictionaries({}, optional={"ns": _counts,
                                                   "entries": _counts})
 
-#: One call of every site's hook as it was, and of ``emit`` (with and
-#: without ``at``).
+#: One call of every site's hook as it was, of ``emit`` (with and
+#: without ``at``), and a site moving the run clock (``tick``).
 _calls = st.one_of(
+    st.tuples(st.just("tick"), st.tuples(_ats), st.just({})),
     st.tuples(st.just("emit"), st.tuples(_names, _names, st.none() | _ats),
               _fields),
     _call("on_syscall", _roles, _records),
@@ -304,9 +305,17 @@ _calls = st.one_of(
 @given(calls=st.lists(_calls, max_size=40))
 @settings(deadline=None)
 def test_flat_log_reads_back_as_the_eager_tracer_would(calls):
+    with observing():
+        _flat_against_eager(calls)
+
+
+def _flat_against_eager(calls):
     flat = Tracer(experiment="p")
     eager = EagerTracer(experiment="p")
     for position, (hook, args, kwargs) in enumerate(calls):
+        if hook == "tick":
+            OBS.vnow = max(OBS.vnow, *args)
+            continue
         getattr(eager, hook)(*args, **kwargs)
         if hasattr(Tracer, hook):
             getattr(flat, hook)(*args, **kwargs)
@@ -317,7 +326,6 @@ def test_flat_log_reads_back_as_the_eager_tracer_would(calls):
         eager.emitted.clear()
         if position % 7 == 3:       # reading mid-run must change nothing
             assert flat.events == eager.events
-    assert flat.vnow == eager.vnow
     assert flat.event_count == len(eager.events)
     assert flat.events == eager.events
     assert flat.events is flat.events
@@ -396,10 +404,10 @@ def test_only_three_hooks_are_more_than_an_emit():
 
 def test_install_and_uninstall_tracer():
     assert OBS.tracer is None
-    tracer, spans = Tracer(), SpanCollector()
+    tracer, spans = Tracer(), Tracer()
     with observing(tracer=tracer):
         assert OBS.tracer is tracer
-        # A tracer brings no collector: spans are their own observer.
+        # The tracer slot fills no spans slot: each is its own observer.
         assert OBS.spans is None
         with observing(spans=spans):
             assert (OBS.tracer, OBS.spans) == (tracer, spans)
@@ -435,57 +443,65 @@ def test_jsonl_round_trip_is_schema_valid():
     tracer.emit("syscall", "mve", at=1, role="direct", name="read")
     lines = tracer.to_jsonl_lines()
 
-    assert validate_trace_lines(lines) == []
+    assert validate_lines(lines) == []
     header = json.loads(lines[0])
-    assert header["schema"] == TRACE_SCHEMA
+    assert header["schema"] == RUN_SCHEMA
     assert header["experiment"] == "unit"
-    assert header["events"] == 1
+    assert header["records"] == 1
     last = json.loads(lines[-1])
     assert last["kind"] == "metrics.snapshot"
     assert last["metrics"]["syscalls.total"]["value"] == 1
 
 
 def test_validate_trace_lines_flags_problems():
-    assert validate_trace_lines([]) == ["trace is empty"]
-    assert any("schema" in problem for problem in validate_trace_lines(
+    assert validate_lines([]) == ["run log is empty"]
+    assert any("schema" in problem for problem in validate_lines(
         ['{"schema": "bogus/9"}', '{"kind": "metrics.snapshot", '
-         '"at": 0, "layer": "obs", "metrics": {}}']))
-    # Non-integer 'at' and a missing final snapshot both surface.
-    lines = [json.dumps({"schema": TRACE_SCHEMA, "experiment": "",
-                         "events": 1}),
-             json.dumps({"at": "soon", "kind": "x", "layer": "sim"})]
-    problems = validate_trace_lines(lines)
+         '"metrics": {}}']))
+    # A missing final snapshot, and a non-integer 'at', both surface.
+    lines = [json.dumps({"schema": RUN_SCHEMA, "experiment": "",
+                         "records": 1}),
+             json.dumps({"at": "soon", "kind": "x", "layer": "sim",
+                         "parent": None})]
+    assert any("metrics.snapshot" in problem
+               for problem in validate_lines(lines))
+    problems = validate_lines(
+        lines + ['{"kind": "metrics.snapshot", "metrics": {}}'])
     assert any("'at'" in problem for problem in problems)
-    assert any("metrics.snapshot" in problem for problem in problems)
 
 
 def test_validate_trace_lines_never_raises_on_non_object_json():
     # Valid JSON that is not an object is a problem, not a traceback.
-    header = json.dumps({"schema": TRACE_SCHEMA, "experiment": "",
-                         "events": 1})
-    snapshot = json.dumps({"at": 0, "kind": "metrics.snapshot",
-                           "layer": "obs", "metrics": {}})
-    problems = validate_trace_lines(["[]", "42"])
+    header = json.dumps({"schema": RUN_SCHEMA, "experiment": "",
+                         "records": 1})
+    snapshot = json.dumps({"kind": "metrics.snapshot", "metrics": {}})
+    problems = validate_lines(["[]", "42"])
     assert any("schema" in problem for problem in problems)
     assert "last line is not a metrics.snapshot" in problems
     assert "line 2: not an object" in \
-        validate_trace_lines([header, "42", snapshot])
-    # The header's event count is checked against the lines present.
-    declared_five = json.dumps({"schema": TRACE_SCHEMA, "events": 5})
-    assert any("declares 5 events but the file has 0 event lines "
+        validate_lines([header, "42", snapshot])
+    # The header's record count is checked against the lines present.
+    declared_five = json.dumps({"schema": RUN_SCHEMA, "records": 5})
+    assert any("declares 5 records but the file has 0 record lines "
                "(truncated?)" in problem for problem in
-               validate_trace_lines([declared_five, snapshot]))
-    event = json.dumps({"at": 1, "kind": "sim.event", "layer": "sim"})
-    assert validate_trace_lines([header, event, snapshot]) == []
+               validate_lines([declared_five, snapshot]))
+    event = json.dumps({"at": 1, "kind": "sim.event", "layer": "sim",
+                        "parent": None})
+    assert validate_lines([header, event, snapshot]) == []
+    # An event's parent is a span id, never 0 or text.
+    orphan = json.dumps({"at": 1, "kind": "sim.event", "layer": "sim",
+                         "parent": 0})
+    assert any("'parent'" in problem for problem in
+               validate_lines([header, orphan, snapshot]))
 
 
 def test_write_jsonl_and_validate_file(tmp_path):
-    from repro.obs import validate_trace_file
+    from repro.obs import validate_file
     tracer = Tracer(experiment="file")
     tracer.emit("sim.event", "sim", at=2)
     path = tmp_path / "trace.jsonl"
     tracer.write_jsonl(str(path))
-    assert validate_trace_file(str(path)) == []
+    assert validate_file(str(path)) == []
 
 
 # -- end-to-end through the stack -------------------------------------------
@@ -511,7 +527,7 @@ def test_attached_tracer_sees_the_whole_lifecycle(kernel, mvedsua, client):
     assert "ring.occupancy" in snapshot
     # The whole trace is timestamped in virtual nanoseconds.
     assert all(event.at >= 0 for event in tracer.events)
-    assert validate_trace_lines(tracer.to_jsonl_lines()) == []
+    assert validate_lines(tracer.to_jsonl_lines()) == []
 
 
 # -- satellite: virtual timestamps on events and errors ---------------------

@@ -27,10 +27,8 @@ from repro.cli import main
 from repro.cluster.fleet import FLEET_SHAPE
 from repro.cluster.fleet import validate_report as validate_fleet
 from repro.obs.slo import SLO_SHAPE, validate_slo_report
-from repro.obs.spans import (SPAN_HEADER_SHAPE, SPAN_SHAPE,
-                             validate_span_file, validate_span_lines)
-from repro.obs.trace import (EVENT_SHAPE, SNAPSHOT_SHAPE, TRACE_HEADER_SHAPE,
-                             validate_trace_file, validate_trace_lines)
+from repro.obs.trace import (EVENT_SHAPE, RUN_HEADER_SHAPE, SNAPSHOT_SHAPE,
+                             SPAN_SHAPE, validate_file, validate_lines)
 from repro.perf.harness import GAUGES_SHAPE, META_SHAPE, validate_bench
 from repro.replay.stream import (ENTRY_SHAPES, HEADER_SHAPE, RECORD_SHAPE,
                                  validate_stream_file)
@@ -46,9 +44,9 @@ SHIPPED = {
     "CHAOS_SHAPE": CHAOS_SHAPE, "FLEET_SHAPE": FLEET_SHAPE,
     "SLO_SHAPE": SLO_SHAPE, "OPENLOOP_SHAPE": OPENLOOP_SHAPE,
     "META_SHAPE": META_SHAPE, "GAUGES_SHAPE": GAUGES_SHAPE,
-    "SPAN_HEADER_SHAPE": SPAN_HEADER_SHAPE, "SPAN_SHAPE": SPAN_SHAPE,
-    "TRACE_HEADER_SHAPE": TRACE_HEADER_SHAPE, "EVENT_SHAPE": EVENT_SHAPE,
-    "SNAPSHOT_SHAPE": SNAPSHOT_SHAPE, "HEADER_SHAPE": HEADER_SHAPE,
+    "RUN_HEADER_SHAPE": RUN_HEADER_SHAPE, "EVENT_SHAPE": EVENT_SHAPE,
+    "SPAN_SHAPE": SPAN_SHAPE, "SNAPSHOT_SHAPE": SNAPSHOT_SHAPE,
+    "HEADER_SHAPE": HEADER_SHAPE,
     "RECORD_SHAPE": RECORD_SHAPE,
     **{f"ENTRY_SHAPES[{kind}]": shape
        for kind, shape in ENTRY_SHAPES.items()},
@@ -98,8 +96,7 @@ def test_every_shape_and_validator_judges_any_json_value(value):
         assert isinstance(validate(value), list)
     lines = [json.dumps(item) for item in
              (value if isinstance(value, list) else [value])]
-    assert isinstance(validate_span_lines(lines), list)
-    assert isinstance(validate_trace_lines(lines), list)
+    assert isinstance(validate_lines(lines), list)
 
 
 # ---------------------------------------------------------------------------
@@ -131,19 +128,15 @@ def _bench_specimens(path):
         yield gauges, GAUGES_SHAPE
 
 
-def _trace_specimens(path):
-    assert validate_trace_file(path) == []
-    header, *events, snapshot = _json_lines(path)
-    yield header, TRACE_HEADER_SHAPE
+def _run_log_specimens(path):
+    assert validate_file(path) == []
+    header, *records, snapshot = _json_lines(path)
+    yield header, RUN_HEADER_SHAPE
     yield snapshot, SNAPSHOT_SHAPE
+    events = [record for record in records if "span" not in record]
+    spans = [record for record in records if "span" in record]
     for event in events[:20]:
         yield event, EVENT_SHAPE
-
-
-def _span_specimens(path):
-    assert validate_span_file(path) == []
-    header, *spans = _json_lines(path)
-    yield header, SPAN_HEADER_SHAPE
     for span in spans[:20]:
         yield span, SPAN_SHAPE
 
@@ -166,8 +159,8 @@ ARTIFACT_SPECIMENS = {
     "OPENLOOP_": _report_specimens(validate_openloop_report,
                                    OPENLOOP_SHAPE),
     "BENCH_": _bench_specimens,
-    "TRACE_": _trace_specimens,
-    "SPANS": _span_specimens,
+    "TRACE_": _run_log_specimens,
+    "SPANS": _run_log_specimens,
     "STREAM": _stream_specimens,
     "PROOF_": None,
     "REPLAY": None,
@@ -250,15 +243,11 @@ def _json_type(value):
 
 #: Line shape -> (validator, lines before, lines after) making a whole
 #: one-line JSONL artifact around a specimen of that shape.
-_JSONL_AROUND = {
-    id(EVENT_SHAPE): (
-        validate_trace_lines,
-        ['{"schema": "repro-trace/1", "events": 1}'],
-        ['{"at": 0, "kind": "metrics.snapshot", "layer": "obs", '
-         '"metrics": {}}']),
-    id(SPAN_SHAPE): (
-        validate_span_lines, ['{"schema": "repro-span/1", "spans": 1}'], []),
-}
+_RUN_LOG_AROUND = (validate_lines,
+                   ['{"schema": "repro-run/1", "records": 1}'],
+                   ['{"kind": "metrics.snapshot", "metrics": {}}'])
+_JSONL_AROUND = {id(EVENT_SHAPE): _RUN_LOG_AROUND,
+                 id(SPAN_SHAPE): _RUN_LOG_AROUND}
 
 
 @given(data=st.data())

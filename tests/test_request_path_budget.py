@@ -6,8 +6,8 @@ Python frames it enters.  ``sys.setprofile`` counts them exactly (one
 run for run, and it does not depend on the machine — so it is a tier-1
 assert, where host time (``hostbench``) never could be.  The ceilings
 are the counts measured on CPython 3.11 (3.9 and 3.10 read the same,
-3.12 and 3.13 slightly lower) plus headroom; docs/performance.md
-(PR 22) has the per-function table behind them.
+3.12 and 3.13 slightly lower) plus headroom; the history table of
+docs/performance.md points to the change that measured them.
 """
 
 import gc

@@ -1,15 +1,19 @@
-"""The one observer slot and the one site table (:mod:`repro.sites`).
+"""The one observer slot, the run's position and the one site table
+(:mod:`repro.sites`).
 
-Three things are held here:
+Four things are held here:
 
 * the slot — ``observing(...)`` nests, restores and clears per hook,
-  and the span collector needs no tracer beside it;
-* the bytes — five one-fault cells run with tracer, span collector,
-  chaos injector and stream recorder installed *together* produce the
-  trace, span, stream, injection and runtime-event bytes pinned in
-  ``tests/fixtures/observer_goldens.json`` (written at the commit before
-  the slot existed; ``python tests/test_sites.py --write`` re-pins after
-  a deliberate change to simulated output);
+  and opens a run: the position (clock, stage, phase) starts fresh and
+  the outer one is back on exit;
+* the bytes — five one-fault cells run with the run log's writer in
+  both the tracer and the spans slot, the chaos injector and the stream
+  recorder installed *together* produce the log, stream, injection and
+  runtime-event bytes pinned in ``tests/fixtures/observer_goldens.json``
+  (``python tests/test_sites.py --write`` re-pins after a deliberate
+  change to simulated output);
+* independence — each observer installed alone writes exactly its share
+  of those bytes, so no observer moves what another one reads;
 * the table — every fault site is reached by a fault-free probe, every
   declared kind is emitted by some run and nothing undeclared is, and
   the vocabularies derived from the table equal what they replaced.
@@ -25,7 +29,7 @@ import os
 import subprocess
 import sys
 import tempfile
-from typing import Dict
+from typing import Dict, List
 
 import pytest
 
@@ -36,14 +40,13 @@ from repro.chaos.injector import ChaosInjector
 from repro.chaos.plan import SITES, Fault, FaultPlan, at_time, on_call
 from repro.chaos.scenarios import buggy_v2_factory, run_kv_update_scenario
 from repro.cluster.fleet import run_fleet_scenario
-from repro.obs.spans import SpanCollector
 from repro.obs.trace import Tracer
 from repro.replay.recorder import StreamRecorder
 from repro.replay.stream import ENTRY_SHAPES
 from repro.scenarios import SCENARIOS
 from repro.servers.native import NativeRuntime
 from repro.sim.engine import SECOND
-from repro.sites import OBS, TABLE, kinds, observing
+from repro.sites import OBS, PHASES, TABLE, kinds, observing
 from repro.syscalls.costs import PROFILES
 from repro.workloads.closed_loop import ClosedLoopDriver
 from repro.workloads.memtier import MemtierSpec
@@ -71,41 +74,47 @@ def _sha256(text: str) -> str:
 
 def _run_cell(site, kind, index, param, **observers):
     """One cell of :data:`OBSERVER_CELLS`: its fault armed, ``observers``
-    installed beside the injector; returns the scenario result."""
+    installed beside the injector; returns the cell's bytes by artifact:
+    the run log's lines (``log``, when a writer is installed), the
+    stream (``stream``, with a recorder), and the injections and
+    runtime events (always)."""
     name = f"{site}/{kind}"
     plan = FaultPlan(name, (Fault(site, kind, on_call(index), param),))
     injector = ChaosInjector(plan)
     with observing(chaos=injector, **observers):
         result = run_kv_update_scenario(distributed=(site == "fleet.ring"))
     assert injector.injections, f"{name}: the fault never fired"
-    return result
+    out = {"injections": json.dumps(result.injections),
+           "events": json.dumps(result.events)}
+    log = observers.get("tracer") or observers.get("spans")
+    if log is not None:
+        out["log"] = "\n".join(log.to_jsonl_lines())
+    recorder = observers.get("recorder")
+    if recorder is not None:
+        with tempfile.TemporaryDirectory() as scratch:
+            path = os.path.join(scratch, "stream.jsonl")
+            recorder.write(path)
+            with open(path, encoding="utf-8") as handle:
+                out["stream"] = handle.read()
+    return out
+
+
+def _all_four(site, kind, index, param):
+    """A cell under all four observers at once: one writer in both run
+    log slots, the injector and a recorder."""
+    name = f"{site}/{kind}"
+    log = Tracer(experiment=name)
+    return _run_cell(site, kind, index, param, tracer=log, spans=log,
+                     recorder=StreamRecorder(scenario=name))
 
 
 def observer_digests() -> Dict[str, Dict[str, str]]:
     """Run every cell of :data:`OBSERVER_CELLS` under all four observers
     at once; sha256 of each artifact's bytes, by cell."""
-    digests: Dict[str, Dict[str, str]] = {}
-    for site, kind, index, param in OBSERVER_CELLS:
-        name = f"{site}/{kind}"
-        tracer = Tracer(experiment=name)
-        spans = SpanCollector()
-        recorder = StreamRecorder(scenario=name)
-        result = _run_cell(site, kind, index, param, tracer=tracer,
-                           spans=spans, recorder=recorder)
-        with tempfile.TemporaryDirectory() as scratch:
-            path = os.path.join(scratch, "stream.jsonl")
-            recorder.write(path)
-            with open(path, encoding="utf-8") as handle:
-                stream = handle.read()
-        digests[name] = {
-            "trace": _sha256("\n".join(tracer.to_jsonl_lines())),
-            "spans": _sha256("\n".join(
-                spans.to_jsonl_lines(experiment=name))),
-            "stream": _sha256(stream),
-            "injections": _sha256(json.dumps(result.injections)),
-            "events": _sha256(json.dumps(result.events)),
-        }
-    return digests
+    return {f"{site}/{kind}": {artifact: _sha256(data) for artifact, data
+                               in _all_four(site, kind, index,
+                                            param).items()}
+            for site, kind, index, param in OBSERVER_CELLS}
 
 
 @pytest.mark.parametrize("hashseed", ["0", "1"])
@@ -123,28 +132,56 @@ def test_all_four_observers_together_produce_the_pinned_bytes(hashseed):
     assert json.loads(out.stdout) == pinned
 
 
-def test_spans_alone_produce_the_pinned_span_bytes():
-    """The collector needs no tracer: installed without one (and without
-    a recorder), every cell's ``repro-span/1`` lines hash to the digest
-    pinned with all four observers, and no trace event is logged."""
-    with open(OBSERVER_GOLDENS, encoding="utf-8") as handle:
-        pinned = json.load(handle)
-    created, emitted = Tracer.created_total, Tracer.emitted_total
-    for site, kind, index, param in OBSERVER_CELLS:
-        name = f"{site}/{kind}"
-        spans = SpanCollector()
-        _run_cell(site, kind, index, param, tracer=None, spans=spans,
-                  recorder=None)
-        assert _sha256("\n".join(spans.to_jsonl_lines(experiment=name))) \
-            == pinned[name]["spans"], name
-    assert (Tracer.created_total, Tracer.emitted_total) == (created, emitted)
+def _records(log_text: str) -> List[dict]:
+    """A run log's record lines, decoded (header and snapshot dropped)."""
+    return [json.loads(line) for line in log_text.split("\n")[1:-1]]
+
+
+def _unparented(record: dict) -> dict:
+    """An event record as a writer in the tracer slot alone logs it:
+    with no span open around it (no writer in the spans slot)."""
+    return dict(record, parent=None) if "span" not in record else record
+
+
+def test_each_observer_alone_writes_its_share_of_the_bytes():
+    """Installed on its own beside the cell's injector, each observer
+    writes exactly its part of the all-four run: the tracer slot the
+    event records and the metrics they fold to, the spans slot the span
+    records, the recorder the stream; the injections and runtime events
+    never move.  Nothing one observer records depends on which others
+    are installed.  Two things in the all-four log are *about* another
+    observer and go with it: an event's ``parent`` names a span (null
+    without the spans slot), and ``stream.record`` events log the
+    recorder's tap."""
+    for cell in OBSERVER_CELLS:
+        together = _all_four(*cell)
+        records = [r for r in _records(together["log"])
+                   if r["kind"] != "stream.record"]
+        metrics = json.loads(together["log"].split("\n")[-1])
+        del metrics["metrics"]["stream.recorded"]
+        alone = {
+            "tracer": _run_cell(*cell, tracer=Tracer()),
+            "spans": _run_cell(*cell, spans=Tracer()),
+            "chaos": _run_cell(*cell),
+            "recorder": _run_cell(*cell, recorder=StreamRecorder(
+                scenario=f"{cell[0]}/{cell[1]}")),
+        }
+        for name, out in alone.items():
+            assert out["injections"] == together["injections"], name
+            assert out["events"] == together["events"], name
+        assert _records(alone["tracer"]["log"]) == \
+            [_unparented(r) for r in records if "span" not in r]
+        assert json.loads(alone["tracer"]["log"].split("\n")[-1]) == metrics
+        assert _records(alone["spans"]["log"]) == \
+            [r for r in records if "span" in r]
+        assert alone["recorder"]["stream"] == together["stream"]
 
 
 # ---------------------------------------------------------------------------
 # The slot
 # ---------------------------------------------------------------------------
 
-_HOOKS = {"tracer": Tracer, "spans": SpanCollector, "chaos": ChaosInjector,
+_HOOKS = {"tracer": Tracer, "spans": Tracer, "chaos": ChaosInjector,
           "recorder": StreamRecorder}
 
 
@@ -170,6 +207,33 @@ def test_nested_observing_restores_the_outer_hook(name):
         assert getattr(OBS, name) is outer
     assert (OBS.tracer, OBS.spans, OBS.chaos, OBS.recorder) == \
         (None, None, None, None)
+
+
+def test_a_block_is_a_run_with_its_own_position():
+    """Every block starts its run at time 0, no stage, the first phase,
+    and gives the outer run its position back on exit — so an injector
+    installed inside a traced run (``trace faults``' E1–E3) sees a clock
+    that starts at 0."""
+    with observing():
+        OBS.vnow, OBS.stage, OBS.phase = 7, "outdated-leader", "mve-active"
+        with observing(chaos=ChaosInjector()):
+            assert (OBS.vnow, OBS.stage, OBS.phase) == (0, "", PHASES[0])
+            OBS.vnow, OBS.stage, OBS.phase = 99, "single-leader", "promoted"
+        assert (OBS.vnow, OBS.stage, OBS.phase) == \
+            (7, "outdated-leader", "mve-active")
+
+
+def test_deployments_and_transitions_write_the_position():
+    """``Mvedsua`` writes the lifecycle position once per transition:
+    building one sets the stage and leaves the phase where the run's
+    last update put it; an update moves both."""
+    with observing():
+        OBS.phase = "rolled-back"
+        stack = deploy("kvstore", "1.0")
+        assert (OBS.stage, OBS.phase) == ("single-leader", "rolled-back")
+        stack.update("2.0", SECOND)
+        assert (OBS.stage, OBS.phase) == ("outdated-leader", "mve-active")
+        assert OBS.vnow == SECOND    # the update request moved the clock
 
 
 # ---------------------------------------------------------------------------
@@ -253,12 +317,12 @@ def test_what_the_runs_emit_is_what_the_table_declares():
     some run — a row nothing feeds is a stale row."""
     seen = {"events": set(), "spans": set(), "entries": set()}
     for plan, run in _watched_runs():
-        tracer, spans, recorder = Tracer(), SpanCollector(), StreamRecorder()
-        with observing(tracer=tracer, spans=spans,
-                       chaos=ChaosInjector(plan), recorder=recorder):
+        log, recorder = Tracer(), StreamRecorder()
+        with observing(tracer=log, spans=log, chaos=ChaosInjector(plan),
+                       recorder=recorder):
             run()
-        seen["events"] |= {(e.kind, e.layer) for e in tracer.events}
-        seen["spans"] |= {(s.kind, s.layer) for s in spans.spans}
+        seen["events"] |= {(e.kind, e.layer) for e in log.events}
+        seen["spans"] |= {(s.kind, s.layer) for s in log.spans}
         seen["entries"] |= {(entry["type"], "replay")
                             for entry in recorder.entries}
     for column, emitted in seen.items():

@@ -3,13 +3,14 @@
 
     python tools/observer_cost.py [--smoke] [--seed 1]
 
-Two hostbench workloads that construct no tracer — the common case
+Two hostbench workloads that construct no run log — the common case
 (``steady-single-leader``) and the full MVE lifecycle
 (``update-rule-heavy``) — each run four ways: with no observer
-installed ("absent", what ``hostbench/run.py`` measures), with a
-``Tracer()``, with a ``SpanCollector()``, and with both.  Per cell,
-printed: ops per reference-speed host second, how many times slower than
-"absent", peak RSS, trace events per op and spans per op.
+installed ("absent", what ``hostbench/run.py`` measures), and with one
+run-log writer (``repro.obs.trace.Tracer``) in the tracer slot, the
+spans slot, or both.  Per cell, printed: ops per reference-speed host
+second, how many times slower than "absent", peak RSS, trace events per
+op and spans per op.
 
 A cell *is* a hostbench round — ``hostbench/child.py``'s ``run_round``
 builds the workload from ``hostbench/workloads.py`` and times its slices
@@ -49,22 +50,21 @@ MODES = ("absent", "tracer", "spans", "tracer+spans")
 
 def run_cell(name: str, mode: str, seed: int, ops: int) -> Dict[str, Any]:
     """One untraced hostbench round of ``name`` in this process, under
-    one observer mode."""
+    one observer mode: the slots ``mode`` names hold one writer."""
     sys.path.insert(0, child.SRC)
-    from repro.obs.spans import SpanCollector
     from repro.obs.trace import Tracer
     from repro.sites import observing
     installed = mode.split("+")
-    tracer = Tracer() if "tracer" in installed else None
-    spans = SpanCollector() if "spans" in installed else None
-    with observing(tracer=tracer, spans=spans):
+    log = Tracer()
+    with observing(tracer=log if "tracer" in installed else None,
+                   spans=log if "spans" in installed else None):
         record = child.run_round(name, seed, ops, False, time.perf_counter())
     attempted = record["attempted"]
     return {
         "ops_per_ref_s": attempted / record["ref_s"],
         "peak_rss_mb": record["peak_rss_mb"],
-        "events_per_op": tracer.event_count / attempted if tracer else 0.0,
-        "spans_per_op": len(spans.spans) / attempted if spans else 0.0,
+        "events_per_op": log.event_count / attempted,
+        "spans_per_op": len(log.spans) / attempted,
         "failed": record["failed"],
     }
 
