@@ -85,44 +85,48 @@ def _check_state(client, runtime, now) -> bool:
         return False  # a crashed or diverged server has lost the state
 
 
-def run_upgrade_strategies() -> List[StrategyOutcome]:
-    outcomes = []
-    # Built once: the four deployments copy it, sharing the key strings.
-    store = {f"key{i}": "value" for i in range(STORE_SIZE)}
-
-    # Stop/restart: fast but forgets everything.
-    kvstore = app("kvstore")
+def _stop_restart(store) -> StrategyOutcome:
+    """Stop/restart: fast but forgets everything."""
     runtime, client = _native_deployment(store)
-    report = StopRestart().perform(runtime, kvstore.version("2.0"), SECOND)
-    outcomes.append(StrategyOutcome(
+    report = StopRestart().perform(runtime, app("kvstore").version("2.0"),
+                                   SECOND)
+    return StrategyOutcome(
         "stop-restart", report.pause_ns,
         state_preserved=_check_state(client, runtime, 2 * SECOND),
-        upgrade_succeeded=True, detail=report.detail))
+        upgrade_succeeded=True, detail=report.detail)
 
-    # Checkpoint-restart: fails outright — the state format changed.
+
+def _checkpoint_restart(store) -> StrategyOutcome:
+    """Checkpoint-restart: fails outright — the state format changed."""
     runtime, client = _native_deployment(store)
     try:
-        CheckpointRestart().perform(runtime, kvstore.version("2.0"), SECOND)
+        CheckpointRestart().perform(runtime, app("kvstore").version("2.0"),
+                                    SECOND)
         succeeded, detail = True, ""
     except IncompatibleCheckpoint as exc:
         succeeded, detail = False, str(exc)
     pause = runtime.cpu.busy_until - SECOND
-    outcomes.append(StrategyOutcome(
+    return StrategyOutcome(
         "checkpoint-restart", pause,
         state_preserved=_check_state(client, runtime, 60 * SECOND),
-        upgrade_succeeded=succeeded, detail=detail[:60]))
+        upgrade_succeeded=succeeded, detail=detail[:60])
 
-    # Standalone Kitsune: works, but pauses for the whole transform.
+
+def _kitsune(store) -> StrategyOutcome:
+    """Standalone Kitsune: works, but pauses for the whole transform."""
+    kvstore = app("kvstore")
     runtime, client = _native_deployment(store)
     result = runtime.apply_update(Kitsune(kvstore.transforms),
                                   kvstore.version("2.0"), SECOND)
-    outcomes.append(StrategyOutcome(
+    return StrategyOutcome(
         "kitsune", result.pause_ns,
         state_preserved=_check_state(client, runtime, 60 * SECOND),
         upgrade_succeeded=result.ok,
-        detail=f"{result.entries_transformed:,} entries transformed"))
+        detail=f"{result.entries_transformed:,} entries transformed")
 
-    # Mvedsua: works, and the leader only pays fork + quiesce.
+
+def _mvedsua(store) -> StrategyOutcome:
+    """Mvedsua: works, and the leader only pays fork + quiesce."""
     stack, client = _deployment(Mvedsua, store)
     mvedsua = stack.runtime
     leader_cpu = mvedsua.runtime.leader.cpu
@@ -131,13 +135,24 @@ def run_upgrade_strategies() -> List[StrategyOutcome]:
     pause = leader_cpu.busy_until - before
     mvedsua.promote(10 * SECOND)
     mvedsua.finalize(11 * SECOND)
-    outcomes.append(StrategyOutcome(
+    return StrategyOutcome(
         "mvedsua", pause,
         state_preserved=_check_state(client, mvedsua, 60 * SECOND),
         upgrade_succeeded=attempt.ok and mvedsua.current_version == "2.0",
         detail=f"update ran {attempt.xform_ns / 1e6:.0f} ms "
-               f"on the follower"))
-    return outcomes
+               f"on the follower")
+
+
+#: The strategies in report order.  Each runs in a scope of its own, so
+#: its deployment (a 200k-entry image, two under Mvedsua) is freed
+#: before the next one is built.
+STRATEGIES = (_stop_restart, _checkpoint_restart, _kitsune, _mvedsua)
+
+
+def run_upgrade_strategies() -> List[StrategyOutcome]:
+    # Built once: every deployment copies it, sharing the key strings.
+    store = {f"key{i}": "value" for i in range(STORE_SIZE)}
+    return [strategy(store) for strategy in STRATEGIES]
 
 
 # ---------------------------------------------------------------------------

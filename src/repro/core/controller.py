@@ -101,19 +101,18 @@ class AutoPilot:
     confirm_ns: int = 60 * SECOND
 
     _validated_requests: int = 0
-    _last_seen_completions: int = 0
+    _last_seen_served: int = 0
 
     def observe(self, now: int) -> Optional[str]:
         """Advance the deployment if the policy says so."""
         mvedsua = self.mvedsua
         runtime = mvedsua.runtime
-        # Count validated requests (completions while a follower is
-        # attached and caught up enough to have replayed them).
-        completions = sum(count for _, count in runtime.completions)
+        # Count validated requests (served while a follower is attached
+        # and caught up enough to have replayed them).
+        served = runtime.requests_served
         if runtime.in_mve_mode:
-            self._validated_requests += (completions
-                                         - self._last_seen_completions)
-        self._last_seen_completions = completions
+            self._validated_requests += served - self._last_seen_served
+        self._last_seen_served = served
 
         timeline = mvedsua.timeline
         if timeline is None:

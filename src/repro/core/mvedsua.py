@@ -49,6 +49,64 @@ class UpdateAttempt:
     error: Optional[str] = None
 
 
+class Lifecycle:
+    """Where one deployment's updates stand: the stage, the open update's
+    timeline and the closed ones.
+
+    The runtime's observer is :meth:`on_runtime_event`, so the runtime
+    points at this object and never back up at the :class:`Mvedsua`
+    that owns both: a dropped deployment is freed by reference counting.
+    """
+
+    __slots__ = ("stage", "timeline", "history")
+
+    def __init__(self) -> None:
+        self.stage = Stage.SINGLE_LEADER
+        self.timeline: Optional[UpdateTimeline] = None
+        self.history: List[UpdateTimeline] = []
+
+    def enter(self, stage: Stage, phase: str) -> None:
+        """One lifecycle transition: the deployment's stage, and the
+        run's position every observer reads (``OBS.stage`` for chaos
+        triggers, ``OBS.phase`` stamped onto new spans)."""
+        self.stage = stage
+        OBS.stage, OBS.phase = stage.value, phase
+
+    def on_runtime_event(self, event: RuntimeEvent) -> None:
+        """Reconcile the stage with what the runtime just did."""
+        if event.kind == "promoted":
+            self.enter(Stage.UPDATED_LEADER, "promoted")
+            if self.timeline is not None \
+                    and self.timeline.t5_promoted is None:
+                self.timeline.t5_promoted = event.at
+        elif event.kind == "follower-terminated":
+            final = (event.detail == "finalize"
+                     or self.stage is Stage.UPDATED_LEADER)
+            self._close_timeline(event)
+            self.enter(Stage.SINGLE_LEADER,
+                       "promoted" if final else "rolled-back")
+        elif event.kind == "follower-promoted-after-crash":
+            # The new version became the sole leader because the old
+            # version crashed: the update is now permanent.
+            if self.timeline is not None:
+                self.timeline.t5_promoted = event.at
+                self.timeline.t6_finalized = event.at
+                self.history.append(self.timeline)
+                self.timeline = None
+            self.enter(Stage.SINGLE_LEADER, "promoted")
+
+    def _close_timeline(self, event: RuntimeEvent) -> None:
+        if self.timeline is None:
+            return
+        if event.detail == "finalize" or self.stage is Stage.UPDATED_LEADER:
+            # Terminating the *outdated* follower makes the update final.
+            self.timeline.t6_finalized = event.at
+        else:
+            self.timeline.rolled_back_at = event.at
+        self.history.append(self.timeline)
+        self.timeline = None
+
+
 class Mvedsua:
     """One Mvedsua-supervised server deployment."""
 
@@ -70,23 +128,29 @@ class Mvedsua:
                                     ring_capacity=ring_capacity,
                                     with_kitsune=True,
                                     ring=ring)
-        self.runtime.observer = self._on_runtime_event
+        self.lifecycle = Lifecycle()
+        self.runtime.observer = self.lifecycle.on_runtime_event
         self.profile = profile
         self.kitsune = Kitsune(transforms, quiesce_timeout_ns)
-        self.stage = Stage.SINGLE_LEADER
-        self.timeline: Optional[UpdateTimeline] = None
-        self.history: List[UpdateTimeline] = []
         # A new deployment resets the run's stage (what ``at-stage``
         # triggers match), not its span phase: that is where the run's
         # last update left it.
-        OBS.stage = self.stage.value
+        OBS.stage = self.lifecycle.stage.value
 
-    def _enter(self, stage: Stage, phase: str) -> None:
-        """One lifecycle transition: the deployment's stage, and the
-        run's position every observer reads (``OBS.stage`` for chaos
-        triggers, ``OBS.phase`` stamped onto new spans)."""
-        self.stage = stage
-        OBS.stage, OBS.phase = stage.value, phase
+    @property
+    def stage(self) -> Stage:
+        """Which of the paper's three stages the deployment is in."""
+        return self.lifecycle.stage
+
+    @property
+    def timeline(self) -> Optional[UpdateTimeline]:
+        """The update in flight, if any."""
+        return self.lifecycle.timeline
+
+    @property
+    def history(self) -> List[UpdateTimeline]:
+        """Every completed update's timeline, oldest first."""
+        return self.lifecycle.history
 
     # ------------------------------------------------------------------
     # Serving
@@ -101,13 +165,13 @@ class Mvedsua:
     def _advance_follower(self) -> None:
         if self.runtime.in_mve_mode:
             self.runtime.drain_follower()
-        if (self.timeline is not None
-                and self.timeline.t3_caught_up is None
-                and self.timeline.t2_updated is not None
+        timeline = self.lifecycle.timeline
+        if (timeline is not None
+                and timeline.t3_caught_up is None
+                and timeline.t2_updated is not None
                 and self.runtime.in_mve_mode
                 and self.runtime.ring.is_empty()):
-            self.timeline.t3_caught_up = \
-                self.runtime.follower.cpu.busy_until
+            timeline.t3_caught_up = self.runtime.follower.cpu.busy_until
 
     # ------------------------------------------------------------------
     # The update lifecycle
@@ -126,9 +190,10 @@ class Mvedsua:
         On success the deployment enters the outdated-leader stage.  On
         failure the leader is untouched and the attempt says why.
         """
-        if self.stage is not Stage.SINGLE_LEADER:
+        lifecycle = self.lifecycle
+        if lifecycle.stage is not Stage.SINGLE_LEADER:
             raise SimulationError(
-                f"cannot update while in stage {self.stage.value}")
+                f"cannot update while in stage {lifecycle.stage.value}")
         if now > OBS.vnow:
             OBS.vnow = now
         chaos = OBS.chaos
@@ -192,7 +257,7 @@ class Mvedsua:
         # Phase 4: the leader aborts its own update and resumes.
         leader_server.program.run_abort_callback()
 
-        self.timeline = UpdateTimeline(t1_forked=t1, t2_updated=t2)
+        lifecycle.timeline = UpdateTimeline(t1_forked=t1, t2_updated=t2)
         if tracer is not None:
             tracer.emit("dsu.xform", "dsu", at=t2, ns=xform_ns,
                         entries=entries, version=new_version.name)
@@ -211,7 +276,7 @@ class Mvedsua:
                       parent=update.span_id)
             spans.add("dsu.xform", "dsu", t1, t2,
                       parent=update.span_id, version=new_version.name)
-        self._enter(Stage.OUTDATED_LEADER, "mve-active")
+        lifecycle.enter(Stage.OUTDATED_LEADER, "mve-active")
         return UpdateAttempt(True, "applied", t1, quiesce_ns=quiesce_ns,
                              xform_ns=xform_ns, entries=entries)
 
@@ -242,17 +307,19 @@ class Mvedsua:
 
     def promote(self, now: int) -> int:
         """Expose the new version to clients (t4 -> t5)."""
-        if self.stage is not Stage.OUTDATED_LEADER:
+        lifecycle = self.lifecycle
+        if lifecycle.stage is not Stage.OUTDATED_LEADER:
             raise SimulationError(
-                f"cannot promote from stage {self.stage.value}")
-        assert self.timeline is not None
-        self.timeline.t4_demote = now
+                f"cannot promote from stage {lifecycle.stage.value}")
+        assert lifecycle.timeline is not None
+        lifecycle.timeline.t4_demote = now
         t5 = self.runtime.promote(now)
         # The promotion drain may instead have discovered a divergence
         # and rolled the update back — in which case the observer already
         # closed the timeline and there is nothing to stamp.
-        if self.timeline is not None and self.timeline.t5_promoted is None:
-            self.timeline.t5_promoted = t5
+        timeline = lifecycle.timeline
+        if timeline is not None and timeline.t5_promoted is None:
+            timeline.t5_promoted = t5
         return t5
 
     def finalize(self, now: int) -> int:
@@ -261,47 +328,11 @@ class Mvedsua:
 
     def rollback(self, now: int, reason: str = "operator") -> int:
         """Abandon the update; the old version continues as sole leader."""
-        if self.stage is not Stage.OUTDATED_LEADER:
+        stage = self.lifecycle.stage
+        if stage is not Stage.OUTDATED_LEADER:
             raise SimulationError(
-                f"cannot roll back from stage {self.stage.value}")
+                f"cannot roll back from stage {stage.value}")
         return self.runtime.terminate_follower(now, reason=reason)
-
-    # ------------------------------------------------------------------
-    # Stage reconciliation from runtime events
-    # ------------------------------------------------------------------
-
-    def _on_runtime_event(self, event: RuntimeEvent) -> None:
-        if event.kind == "promoted":
-            self._enter(Stage.UPDATED_LEADER, "promoted")
-            if self.timeline is not None \
-                    and self.timeline.t5_promoted is None:
-                self.timeline.t5_promoted = event.at
-        elif event.kind == "follower-terminated":
-            final = (event.detail == "finalize"
-                     or self.stage is Stage.UPDATED_LEADER)
-            self._close_timeline(event)
-            self._enter(Stage.SINGLE_LEADER,
-                        "promoted" if final else "rolled-back")
-        elif event.kind == "follower-promoted-after-crash":
-            # The new version became the sole leader because the old
-            # version crashed: the update is now permanent.
-            if self.timeline is not None:
-                self.timeline.t5_promoted = event.at
-                self.timeline.t6_finalized = event.at
-                self.history.append(self.timeline)
-                self.timeline = None
-            self._enter(Stage.SINGLE_LEADER, "promoted")
-
-    def _close_timeline(self, event: RuntimeEvent) -> None:
-        if self.timeline is None:
-            return
-        if event.detail == "finalize" or self.stage is Stage.UPDATED_LEADER:
-            # Terminating the *outdated* follower makes the update final.
-            self.timeline.t6_finalized = event.at
-        else:
-            self.timeline.rolled_back_at = event.at
-        self.history.append(self.timeline)
-        self.timeline = None
 
     # ------------------------------------------------------------------
     # Introspection
@@ -314,6 +345,5 @@ class Mvedsua:
 
     def last_outcome(self) -> Optional[UpdateTimeline]:
         """The most recently completed update's timeline."""
-        if self.history:
-            return self.history[-1]
-        return None
+        history = self.lifecycle.history
+        return history[-1] if history else None

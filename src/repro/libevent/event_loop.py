@@ -48,3 +48,8 @@ class LibEventLoop:
         follower's.
         """
         self._cursor = 0
+
+    def reset_on_abort(self, program) -> None:
+        """:meth:`reset` as ``program``'s update-abort callback — the
+        paper's Memcached adaptation (§5.3)."""
+        self.reset()

@@ -36,7 +36,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from typing import (Any, Deque, Iterable, List, NamedTuple, Optional,
-                    Sequence, Tuple)
+                    Sequence)
 
 from repro.errors import DivergenceError, ServerCrash, SimulationError
 from repro.mve.dsl.rules import Direction, RuleEngine, RuleSet
@@ -227,9 +227,8 @@ class VaranRuntime:
         #: Optional callback invoked with every RuntimeEvent as it is
         #: logged; the Mvedsua orchestrator subscribes to track stages.
         self.observer = None
-        #: (completion_time, requests_handled) per leader iteration; the
-        #: workload layer samples this for latency measurements.
-        self.completions: List[Tuple[int, int]] = []
+        #: Requests the leader has served, over every iteration.
+        self.requests_served = 0
         #: Cumulative syscall records the leader emitted (a ``repro perf``
         #: gauge).
         self.total_syscalls = 0
@@ -318,7 +317,9 @@ class VaranRuntime:
             try:
                 leader.server.run_iteration(gateway)
             except ServerCrash as exc:
-                crash = exc
+                # Without its traceback, whose first frame is this one:
+                # kept in a local, it would make the frame a cycle.
+                crash = exc.with_traceback(None)
         trace = gateway.trace
         records = trace.records
         self.total_syscalls += len(records)
@@ -339,7 +340,7 @@ class VaranRuntime:
             if tracer is not None:
                 tracer.emit("stream.record", "replay", at=completion,
                             count=len(records))
-        self.completions.append((completion, trace.requests_handled))
+        self.requests_served += trace.requests_handled
         return completion
 
     def _publish(self, payloads: Sequence[Payload], at: int,
@@ -530,7 +531,9 @@ class VaranRuntime:
                 leader_version=self.leader.version_name,
                 ring_history=lane.history, ring_pending=ring)
         except DivergenceError as divergence:
-            self.last_divergence = divergence
+            # Kept without its traceback: the frames' locals hold this
+            # runtime, a cycle that would outlive the deployment.
+            self.last_divergence = divergence.with_traceback(None)
             self.last_forensics = divergence.forensics
             if tracer is not None:
                 tracer.emit("divergence.check", "mve", at=start, ok=False,

@@ -51,6 +51,10 @@ class VirtualKernel:
         self.fs = VirtualFilesystem()
         self._domains: Dict[int, _Domain] = {}
         self._listeners: Dict[Tuple[str, int], Tuple[int, int]] = {}
+        #: Live connections by id, until both sides are closed: what
+        #: :meth:`peer_endpoint` resolves through (an endpoint holds no
+        #: reference to its peer).
+        self._connections: Dict[int, Connection] = {}
         self._next_domain = 1
         self._next_connection = 1
 
@@ -109,6 +113,7 @@ class VirtualKernel:
         if not listener.open:
             raise KernelError(f"connection refused: {address}")
         connection = Connection(self._next_connection)
+        self._connections[connection.conn_id] = connection
         self._next_connection += 1
         listener.enqueue(connection)
         domain = self._domain(domain_id)
@@ -208,7 +213,8 @@ class VirtualKernel:
         domain = self._domain(domain_id)
         obj = domain.lookup(fd)
         if isinstance(obj, Endpoint):
-            obj.close()
+            if obj.close():
+                self._connections.pop(obj.conn_id, None)
         elif isinstance(obj, ListeningSocket):
             obj.open = False
             self._listeners.pop(obj.address, None)
@@ -272,4 +278,4 @@ class VirtualKernel:
         endpoint = self._domain(domain_id).lookup(fd)
         if not isinstance(endpoint, Endpoint):
             raise KernelError(f"fd {fd} is not a stream")
-        return endpoint.peer
+        return self._connections[endpoint.conn_id].peer_of(endpoint)

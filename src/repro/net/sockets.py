@@ -6,7 +6,22 @@ from typing import Deque, List, Optional, Tuple
 from collections import deque
 
 from repro.errors import ConnectionClosed
-from repro.net.epoll import Pollable
+from repro.net.epoll import EpollSet, Pollable
+
+
+class _Half:
+    """What one side of a connection receives: its inbox, the epoll
+    sets watching it, and whether it is still open.  Each
+    :class:`Endpoint` holds its own half and its peer's, never the peer
+    :class:`Endpoint` itself, so a dropped connection is freed by
+    reference counting, not left to the cyclic collector."""
+
+    __slots__ = ("inbox", "watchers", "open")
+
+    def __init__(self) -> None:
+        self.inbox: Deque[bytes] = deque()
+        self.watchers: List[Tuple[EpollSet, int]] = []
+        self.open = True
 
 
 class Endpoint(Pollable):
@@ -17,43 +32,54 @@ class Endpoint(Pollable):
     peer, and consecutive writes may coalesce, just like TCP.
     """
 
-    def __init__(self, side: str, conn_id: int) -> None:
-        super().__init__()
+    def __init__(self, side: str, conn_id: int, half: _Half,
+                 peer: _Half) -> None:
         self._side = side
-        self._conn_id = conn_id
-        self._inbox: Deque[bytes] = deque()
-        self.open = True
-        self.peer_open = True
-        #: The other side; set by the :class:`Connection` that made both.
-        self.peer: "Endpoint"
+        self.conn_id = conn_id
+        self._half = half
+        #: The other side's half; set by the :class:`Connection` that
+        #: made both.
+        self._peer = peer
+        self._inbox = half.inbox
+        self.watchers = half.watchers
+
+    @property
+    def open(self) -> bool:
+        """False once this side is closed."""
+        return self._half.open
+
+    @open.setter
+    def open(self, value: bool) -> None:
+        self._half.open = value
 
     @property
     def label(self) -> str:
         """``side#connection`` — only ever read on error paths."""
-        return f"{self._side}#{self._conn_id}"
+        return f"{self._side}#{self.conn_id}"
 
     def write(self, data: bytes) -> int:
         """Write to the peer's inbox; returns bytes written."""
-        if not self.open:
+        if not self._half.open:
             raise ConnectionClosed(f"write on closed endpoint {self.label}")
-        peer = self.peer
+        peer = self._peer
         if not peer.open:
             raise ConnectionClosed(f"peer of {self.label} is closed")
         if data:
-            inbox = peer._inbox
+            inbox = peer.inbox
             if not inbox:  # the peer turns readable
                 for epoll, fd in peer.watchers:
                     epoll.ready_fds.add(fd)
             inbox.append(data)
         return len(data)
 
-    def close(self) -> None:
-        """Close this side; the peer sees EOF after draining its inbox."""
-        self.open = False
-        peer = self.peer
-        peer.peer_open = False
-        if peer.watchers:
-            peer._notify(True)
+    def close(self) -> bool:
+        """Close this side; the peer sees EOF after draining its inbox.
+        True when the peer was closed already (the connection is gone)."""
+        self._half.open = False
+        peer = self._peer
+        for epoll, fd in peer.watchers:  # the peer turns readable
+            epoll.ready_fds.add(fd)
+        return not peer.open
 
     def unread(self, data: bytes) -> None:
         """Push bytes back to the *front* of the inbox.
@@ -68,7 +94,7 @@ class Endpoint(Pollable):
 
     def readable(self) -> bool:
         """True when a read would not block (data or peer-closed EOF)."""
-        return bool(self._inbox) or not self.peer_open
+        return bool(self._inbox) or not self._peer.open
 
     def pending_bytes(self) -> int:
         """Bytes buffered and not yet read."""
@@ -80,7 +106,7 @@ class Endpoint(Pollable):
         Returns ``b""`` at EOF (peer closed, nothing buffered).  Raises
         :class:`ConnectionClosed` if this side itself is closed.
         """
-        if not self.open:
+        if not self._half.open:
             raise ConnectionClosed(f"read on closed endpoint {self.label}")
         inbox = self._inbox
         if not inbox:
@@ -101,14 +127,15 @@ class Endpoint(Pollable):
                     inbox[0] = chunk[remaining:]
                     remaining = 0
             data = b"".join(pieces)
-        if not inbox and self.peer_open:  # no longer readable
+        if not inbox and self._peer.open:  # no longer readable
             for epoll, fd in self.watchers:
                 epoll.ready_fds.discard(fd)
         return data
 
 
 class Connection:
-    """A bidirectional byte stream: two endpoints, each the other's peer.
+    """A bidirectional byte stream: two endpoints, each holding its own
+    half and the other's.
 
     ``conn_id`` is allocated by the owning kernel, so endpoint labels do
     not depend on what else ran in the process.
@@ -117,9 +144,13 @@ class Connection:
     def __init__(self, conn_id: int, client_label: str = "client",
                  server_label: str = "server") -> None:
         self.conn_id = conn_id
-        self.client = Endpoint(client_label, conn_id)
-        self.server = Endpoint(server_label, conn_id)
-        self.client.peer, self.server.peer = self.server, self.client
+        client, server = _Half(), _Half()
+        self.client = Endpoint(client_label, conn_id, client, server)
+        self.server = Endpoint(server_label, conn_id, server, client)
+
+    def peer_of(self, endpoint: Endpoint) -> Endpoint:
+        """The other side of ``endpoint``."""
+        return self.server if endpoint is self.client else self.client
 
 
 class ListeningSocket(Pollable):

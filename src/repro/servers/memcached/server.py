@@ -57,7 +57,11 @@ class MemcachedServer(Server):
         super().__init__(version or memcached_version("1.2.2"), address)
         self.program.epoll_update_points = mvedsua_adapted
         if libevent_reset_on_abort:
-            self.program.abort_callback = self._reset_libevent_on_abort
+            # Bound to the LibEvent loop, not to this server: the program
+            # the hook sits on must not point back up at its owner.
+            # ``fork``'s deep copy rebinds a bound method to the child's
+            # loop (a closure it would share with the parent).
+            self.program.abort_callback = self.libevent.reset_on_abort
 
     def _threads(self) -> List[ThreadState]:
         threads = [ThreadState("main")]
@@ -67,10 +71,6 @@ class MemcachedServer(Server):
         return threads
 
     # -- Mvedsua adaptation hooks -------------------------------------------
-
-    def _reset_libevent_on_abort(self, program) -> None:
-        """The paper's abort callback: resync dispatch order (§5.3)."""
-        self.libevent.reset()
 
     def on_update_applied(self) -> None:
         """Kitsune relaunches threads after an update; LibEvent state is

@@ -8,7 +8,7 @@ quiesce + state-transformation time.
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Tuple
+from typing import Any, Optional
 
 from repro.dsu.kitsune import Kitsune, UpdateResult
 from repro.dsu.version import ServerVersion
@@ -34,8 +34,8 @@ class NativeRuntime:
                                       GatewayRole.DIRECT)
         server.bind_gateway(self.gateway)
         self.crashed: Optional[ServerCrash] = None
-        #: (completion_time, requests) per iteration, for latency sampling.
-        self.completions: List[Tuple[int, int]] = []
+        #: Requests served, over every iteration.
+        self.requests_served = 0
 
     def mode(self) -> ExecutionMode:
         """Cost-model mode: Native, or Kitsune when DSU-enabled."""
@@ -70,7 +70,7 @@ class NativeRuntime:
                 n_syscalls=len(trace.records),
                 n_bytes=trace.bytes_transferred)
             t = self.cpu.charge(t, cost)
-            self.completions.append((t, trace.requests_handled))
+            self.requests_served += trace.requests_handled
 
     def apply_update(self, kitsune: Kitsune, new_version: ServerVersion,
                      now: int) -> UpdateResult:

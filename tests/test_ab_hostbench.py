@@ -63,6 +63,23 @@ def test_lower_is_better_metrics_flip_the_sign(ab):
     assert ab.verdict(PARENT, change, "higher") == (0, False)
 
 
+def test_the_metrics_are_the_benchmarks_end_to_end_ones(ab):
+    assert [name for name, _ in ab.METRICS] == \
+        [metric["name"] for metric in ab.BENCHMARK["end_to_end"]]
+    assert dict(ab.METRICS)["peak_rss_mb"] == "lower"
+
+
+@pytest.mark.parametrize("argv", [
+    ["HEAD", "--workload", "paper-all", "--metric", "wall_s"],
+    ["HEAD", "--metric", "peak_rss_mb"],  # a claim needs a --workload
+])
+def test_metric_must_be_an_end_to_end_name_of_one_workload(ab, argv, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        ab.main(argv)
+    assert exit_.value.code == 2
+    assert "--metric" in capsys.readouterr().err
+
+
 # -- the no-regression mode (``--workload`` omitted) ---------------------------
 
 

@@ -11,6 +11,9 @@ docs/performance.md points to the change that measured them.
 """
 
 import gc
+import json
+import os
+import subprocess
 import sys
 
 from repro.apps import deploy
@@ -19,6 +22,7 @@ from repro.obs.trace import Tracer
 from repro.sites import OBS, observing
 from repro.workloads.memtier import MemtierSpec
 
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WARMUP, REQUESTS = 500, 2_000
 
 #: Steady single-leader stack (Redis 2.0.0 alone behind Varan), no
@@ -135,3 +139,20 @@ def test_a_dsl_guard_costs_no_frames():
     assert measured <= DSL_PAIR_CEILING
     assert frames_per_request(follower=True,
                               stack=kvstore_update_stack) == measured
+
+
+def test_the_frames_tool_counts_the_same_leader_path(tmp_path):
+    # ``tools/frames.py`` counts hostbench's own steady-single-leader
+    # run (in a fresh process, so the benchmark's modules stay out of
+    # this one).  Its run is cold and uses the workload's command mix,
+    # where this file warms up first: the totals agree to within half a
+    # frame per request, not exactly.
+    out = tmp_path / "frames.json"
+    done = subprocess.run(
+        [sys.executable, os.path.join(REPO, "tools", "frames.py"),
+         "--workload", "steady-single-leader", "--smoke", "--json",
+         str(out)], capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr[-2000:]
+    cell = json.loads(out.read_text())["workloads"]["steady-single-leader"]
+    assert cell["failed"] == 0
+    assert abs(cell["total_per_op"] - frames_per_request()) < 0.5

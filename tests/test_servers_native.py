@@ -125,5 +125,4 @@ def test_completions_recorded_per_iteration():
     _, _, runtime, client = deployment()
     client.command(runtime, b"PUT a 1")
     client.command(runtime, b"GET a")
-    requests = sum(count for _, count in runtime.completions)
-    assert requests == 2
+    assert runtime.requests_served == 2

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """A/B hostbench workloads: a parent revision against this tree.
 
-    python tools/ab_hostbench.py PARENT_REV [--workload W]
+    python tools/ab_hostbench.py PARENT_REV [--workload W [--metric M]]
                                  [--pairs 10] [--seconds 20] [--smoke]
 
 ``PARENT_REV`` is exported (``git archive``) into a temporary directory
@@ -13,12 +13,15 @@ side that goes first flips every pair, so slow drift of the host
 favours neither.
 
 With ``--workload W`` (a change that claims a gain), printed: the
-per-pair ``ops_per_host_s`` of both sides, each side's median and
-quartiles for the three end-to-end metrics, the change's wins, and the
-verdict of the choosing-metrics guide, section 8 — a gain is claimed
-only when the change wins at least nine tenths of the pairs (ties count
-for neither side) *and* the medians differ by more than the distance
-between the parent's own quartiles.  Exit 1 when the gain is not shown.
+per-pair claimed metric of both sides (``--metric``, any end-to-end
+name in ``BENCHMARK.json``; default ``ops_per_host_s``), each side's
+median and quartiles for every end-to-end metric, the change's wins,
+and the verdict of the choosing-metrics guide, section 8 — a gain is
+claimed only when the change wins at least nine tenths of the pairs
+(ties count for neither side) *and* the medians differ by more than
+the distance between the parent's own quartiles, both read in the
+direction ``BENCHMARK.json`` says is ``better`` for the metric.  Exit
+1 when the gain is not shown.
 
 With ``--workload`` omitted (a change that claims none), every workload
 named in ``BENCHMARK.json`` is A/B'd the same way and each (end-to-end
@@ -47,9 +50,12 @@ from typing import Any, Dict, List, Tuple
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
+with open(os.path.join(REPO, "BENCHMARK.json"), encoding="utf-8") as _handle:
+    BENCHMARK = json.load(_handle)
 #: ``(name, better)`` of the end-to-end metrics ``run.py`` reports.
-METRICS = (("ops_per_host_s", "higher"), ("setup_s", "lower"),
-           ("peak_rss_mb", "lower"))
+METRICS = tuple((metric["name"], metric["better"])
+                for metric in BENCHMARK["end_to_end"])
+#: The metric a gain is claimed on unless ``--metric`` names another.
 CLAIMED = "ops_per_host_s"
 FIRST_SEED = 101
 
@@ -113,13 +119,14 @@ Samples = Dict[str, Dict[str, List[float]]]  # side -> metric -> values
 
 
 def run_pairs(trees: Dict[str, str], workload: str, pairs: int,
-              seconds: float, smoke: bool) -> Samples:
-    """Alternating measurements of one workload, a line printed per pair."""
+              seconds: float, smoke: bool, shown: str) -> Samples:
+    """Alternating measurements of one workload, a line printed per pair
+    (with its ``shown`` metric)."""
     sides: Samples = {side: {name: [] for name, _ in METRICS}
                       for side in ("parent", "change")}
     print(f"{workload}: {pairs} pair(s), {seconds:g} s each side")
     print(f"{'pair':>4} {'seed':>5} {'first':>6} "
-          f"{'parent':>12} {'change':>12}  {CLAIMED}")
+          f"{'parent':>12} {'change':>12}  {shown}")
     for pair in range(pairs):
         seed = FIRST_SEED + pair
         order = ("parent", "change") if pair % 2 == 0 \
@@ -129,8 +136,8 @@ def run_pairs(trees: Dict[str, str], workload: str, pairs: int,
             for name, value in values.items():
                 sides[side][name].append(value)
         print(f"{pair + 1:>4} {seed:>5} {order[0]:>6} "
-              f"{sides['parent'][CLAIMED][-1]:>12.1f} "
-              f"{sides['change'][CLAIMED][-1]:>12.1f}", flush=True)
+              f"{sides['parent'][shown][-1]:>12.1f} "
+              f"{sides['change'][shown][-1]:>12.1f}", flush=True)
     return sides
 
 
@@ -164,7 +171,8 @@ def judge_all(results: Dict[str, Samples], compare: Any
     return rows
 
 
-def report_gain(sides: Samples, pairs: int, smoke: bool) -> int:
+def report_gain(sides: Samples, pairs: int, smoke: bool,
+                claimed: str) -> int:
     print(f"\n{'metric':<16} {'side':<7} {'q1':>12} {'median':>12} "
           f"{'q3':>12}")
     for name, _ in METRICS:
@@ -172,11 +180,11 @@ def report_gain(sides: Samples, pairs: int, smoke: bool) -> int:
             q1, median, q3 = quartiles(sides[side][name])
             print(f"{name:<16} {side:<7} {q1:>12.4f} {median:>12.4f} "
                   f"{q3:>12.4f}")
-    parent, change = sides["parent"][CLAIMED], sides["change"][CLAIMED]
-    wins, met = verdict(parent, change, dict(METRICS)[CLAIMED])
+    parent, change = sides["parent"][claimed], sides["change"][claimed]
+    wins, met = verdict(parent, change, dict(METRICS)[claimed])
     q1, parent_median, q3 = quartiles(parent)
     change_median = quartiles(change)[1]
-    print(f"\n{CLAIMED}: change ahead in {wins}/{pairs} pairs; median "
+    print(f"\n{claimed}: change ahead in {wins}/{pairs} pairs; median "
           f"{parent_median:.1f} -> {change_median:.1f} "
           f"({change_median / parent_median:.3f}x), parent quartile "
           f"distance {q3 - q1:.1f}")
@@ -209,18 +217,20 @@ def main(argv=None) -> int:
     parser.add_argument("--workload",
                         help="claim a gain on this workload (default: "
                              "every workload, judged for regressions)")
+    parser.add_argument("--metric", default=CLAIMED,
+                        choices=[name for name, _ in METRICS],
+                        help="the end-to-end metric a --workload gain is "
+                             f"claimed on (default: {CLAIMED})")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=20)
     parser.add_argument("--smoke", action="store_true")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
-    if args.workload:
-        workloads = [args.workload]
-    else:
-        with open(os.path.join(REPO, "BENCHMARK.json"),
-                  encoding="utf-8") as handle:
-            workloads = [w["name"] for w in json.load(handle)["workloads"]]
+    if args.metric != CLAIMED and not args.workload:
+        parser.error("--metric names the claimed metric of a --workload")
+    workloads = [args.workload] if args.workload \
+        else [w["name"] for w in BENCHMARK["workloads"]]
 
     results: Dict[str, Samples] = {}
     try:
@@ -230,12 +240,13 @@ def main(argv=None) -> int:
             for workload in workloads:
                 results[workload] = run_pairs(
                     {"parent": parent, "change": REPO}, workload,
-                    args.pairs, args.seconds, args.smoke)
+                    args.pairs, args.seconds, args.smoke, args.metric)
     except RunFailed as failure:
         print(f"FAILED: {failure}")
         return 2
     if args.workload:
-        return report_gain(results[args.workload], args.pairs, args.smoke)
+        return report_gain(results[args.workload], args.pairs, args.smoke,
+                           args.metric)
     return report_no_regression(results, args.smoke)
 
 

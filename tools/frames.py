@@ -1,0 +1,208 @@
+#!/usr/bin/env python3
+"""Python frames per operation, layer by layer, for every hostbench workload.
+
+    python tools/frames.py                    # every workload, the table
+    python tools/frames.py --workload NAME    # one workload
+    python tools/frames.py --smoke            # a quarter of the op count
+    python tools/frames.py --json FRAMES.json # + the numbers as JSON
+
+Each workload is built by ``hostbench/workloads.py``'s own builder at a
+fixed small op count (the count ``hostbench/run.py --smoke`` uses, one
+pass of the seven experiments for ``paper-all``) and its timed region
+— the thunk's slices, as ``hostbench/child.py`` times them — runs
+under ``sys.setprofile``, as ``tools/reach.py`` runs the documented
+commands.  Every ``call`` event is one Python frame entered
+(a generator's resume included; C calls are not frames) and is charged
+to the innermost boundary of ``hostbench/probes.py``'s layer table it
+runs under, ``(root)`` when under none — the same attribution
+``hostbench/run.py --trace 1`` makes of host time.  A frame count does
+not depend on the host's speed: the table repeats exactly, run for
+run, on one CPython version.  All workloads run in this one process,
+so caches an earlier workload warmed stay warm for the next; a
+workload measured alone (``--workload``) can read a little higher.
+
+A second, separate pass builds the workload again with ``tracemalloc``
+tracing and records the peak of traced memory over the timed region
+(set-up included in what is held), in MiB — the allocation side of
+``peak_rss_mb``, without the interpreter and the allocator's slack.
+
+``hostbench/`` is only imported, never edited.  Exit status: 0; 1 when
+a workload's run failed its own functional check.
+"""
+
+from __future__ import annotations
+
+import argparse
+import gc
+import json
+import os
+import sys
+import tracemalloc
+from collections import Counter
+from typing import Any, Dict, List
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+HOSTBENCH = os.path.join(REPO, "hostbench")
+sys.path.insert(0, os.path.join(REPO, "src"))
+sys.path.insert(0, HOSTBENCH)
+
+import probes  # noqa: E402  (hostbench/probes.py: the layer table)
+import workloads  # noqa: E402  (hostbench/workloads.py: the builders)
+
+#: Frames that run under no probe boundary.
+ROOT = "(root)"
+SEED = 1
+
+
+def default_ops(name: str, smoke: bool) -> int:
+    """The op count one workload runs at: ``run.py --smoke``'s, but one
+    whole pass of ``paper-all`` (its ``ablations`` is the memory peak)."""
+    ops = len(workloads.EXPERIMENTS) if name == "paper-all" \
+        else workloads.smoke_ops(workloads.WORKLOADS[name])
+    return max(1, ops // 4) if smoke else ops
+
+
+def boundaries() -> Dict[Any, probes.Probe]:
+    """code object -> probe, for every probe target that resolves."""
+    codes = {}
+    for probe in probes.PROBES:
+        try:
+            _, _, function = probes._resolve(probe.target)
+        except (ImportError, AttributeError):
+            continue
+        codes[function.__code__] = probe
+    return codes
+
+
+def _drive(steps) -> Any:
+    """Exhaust a workload's slices; returns its outcome."""
+    while True:
+        try:
+            next(steps)
+        except StopIteration as stop:
+            return stop.value
+
+
+def count_frames(name: str, ops: int, seed: int = SEED) -> Dict[str, Any]:
+    """``{"ops", "failed", "layers": {layer: frames}}`` for one run of
+    ``name``'s timed region."""
+    thunk = workloads.WORKLOADS[name].build(seed, ops)
+    codes = boundaries()
+    counts: Counter = Counter()
+    #: ``(frame, layer)`` of every open boundary frame, innermost last.
+    open_: List[Any] = []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            probe = codes.get(frame.f_code)
+            if probe is not None:
+                layer = probe.layer
+                if probe.pick is not None:
+                    code = frame.f_code
+                    layer = probe.pick(tuple(
+                        frame.f_locals[arg_name]
+                        for arg_name in code.co_varnames[:code.co_argcount]))
+                open_.append((frame, layer))
+            counts[open_[-1][1] if open_ else ROOT] += 1
+        elif event == "return" and open_ and open_[-1][0] is frame:
+            open_.pop()
+
+    steps = thunk()
+    # A collection inside the region would count finalizers' frames.
+    gc.collect()
+    gc.disable()
+    sys.setprofile(profile)
+    try:
+        outcome = _drive(steps)
+    finally:
+        sys.setprofile(None)
+        gc.enable()
+    return {"ops": outcome.attempted, "failed": outcome.failed,
+            "layers": dict(counts)}
+
+
+def traced_peak_mib(name: str, ops: int, seed: int = SEED) -> float:
+    """Peak traced memory over ``name``'s timed region, in MiB."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        steps = workloads.WORKLOADS[name].build(seed, ops)()
+        tracemalloc.reset_peak()
+        _drive(steps)
+        return tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+
+
+def measure(names: List[str], smoke: bool) -> Dict[str, Any]:
+    """The whole table: per workload, frames per op by layer, total and
+    the tracemalloc peak."""
+    report: Dict[str, Any] = {"schema": "repro-frames/1", "seed": SEED,
+                              "workloads": {}}
+    for name in names:
+        ops = default_ops(name, smoke)
+        counted = count_frames(name, ops)
+        frames = counted["layers"]
+        report["workloads"][name] = {
+            "ops": counted["ops"],
+            "failed": counted["failed"],
+            "frames_per_op": {layer: frames[layer] / counted["ops"]
+                              for layer in [*probes.LAYERS, ROOT]
+                              if layer in frames},
+            "total_per_op": sum(frames.values()) / counted["ops"],
+            "tracemalloc_peak_mib": traced_peak_mib(name, ops),
+        }
+    return report
+
+
+def render(report: Dict[str, Any]) -> str:
+    """Layers down, workloads across; a layer no workload enters is
+    left out."""
+    names = list(report["workloads"])
+    cells = report["workloads"]
+    width = max(12, *(len(name) for name in names))
+    layers = [layer for layer in [*probes.LAYERS, ROOT]
+              if any(layer in cells[name]["frames_per_op"]
+                     for name in names)]
+    lines = [f"{'frames per op':<20}"
+             + "".join(f" {name:>{width}}" for name in names)]
+    for layer in layers:
+        lines.append(f"{layer:<20}" + "".join(
+            f" {cells[name]['frames_per_op'].get(layer, 0):>{width}.2f}"
+            for name in names))
+    lines.append(f"{'total':<20}" + "".join(
+        f" {cells[name]['total_per_op']:>{width}.2f}" for name in names))
+    lines.append(f"{'ops':<20}" + "".join(
+        f" {cells[name]['ops']:>{width}d}" for name in names))
+    lines.append(f"{'tracemalloc MiB':<20}" + "".join(
+        f" {cells[name]['tracemalloc_peak_mib']:>{width}.1f}"
+        for name in names))
+    return "\n".join(lines)
+
+
+def main(argv: List[str]) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--workload", choices=sorted(workloads.WORKLOADS),
+                        help="one workload (default: all six)")
+    parser.add_argument("--smoke", action="store_true",
+                        help="a quarter of the op count (CI sizing)")
+    parser.add_argument("--json", metavar="PATH",
+                        help="also write the numbers to PATH")
+    args = parser.parse_args(argv)
+    names = [args.workload] if args.workload else list(workloads.WORKLOADS)
+    report = measure(names, args.smoke)
+    print(render(report))
+    if args.json:
+        with open(args.json, "w", encoding="utf-8") as handle:
+            json.dump(report, handle, indent=1, sort_keys=True)
+            handle.write("\n")
+    failed = [name for name, cell in report["workloads"].items()
+              if cell["failed"]]
+    for name in failed:
+        print(f"failed: {name}: {report['workloads'][name]['failed']} "
+              "op(s) failed their check", file=sys.stderr)
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
