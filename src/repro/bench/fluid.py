@@ -23,8 +23,12 @@ the closed-loop steady latency plus a measured-testbed tail floor.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
+from itertools import repeat
+from operator import add
 from typing import List, Optional, Tuple
 
+from repro.errors import SimulationError
 from repro.sim.engine import MILLISECOND, SECOND
 from repro.sites import OBS
 from repro.syscalls.costs import (
@@ -136,17 +140,27 @@ class FluidSim:
         Kitsune way (service pause) instead of Mvedsua's fork.
         """
         config = self.config
-        duration = duration_ns or config.spec.duration_ns
+        duration = (config.spec.duration_ns if duration_ns is None
+                    else duration_ns)
         dt = config.bin_ns
+        threads = config.threads
+        ring_capacity = config.ring_capacity
+        for name, value in (("duration", duration), ("bin_ns", dt),
+                            ("threads", threads),
+                            ("ring_capacity", ring_capacity)):
+            if value <= 0:
+                raise SimulationError(
+                    f"fluid run {name} must be positive, got {value}")
+        if SECOND % dt:
+            raise SimulationError(
+                f"fluid run bin_ns must divide one second, got {dt}")
         profile = config.profile
         entries_per_op = profile.entries_per_op
         write_fraction = config.spec.write_fraction
         keyspace = config.spec.keyspace
-        # The step loop runs 36 000 times per Figure 6/7 run: what it
-        # reads every step is held in locals, and min/max are written
-        # as the comparisons they perform.
-        threads = config.threads
-        ring_capacity = config.ring_capacity
+        # What a step reads is held in locals, and min/max are written as
+        # the comparisons they perform: the steps that still run are the
+        # ones where something changes (see the fast-forward below).
 
         mode = self._single_mode()
         rated_mode = None  # the mode op_cost/potential/epsilon are for
@@ -175,6 +189,9 @@ class FluidSim:
         follower_entry_rate = (threads * entries_per_op
                                / follower_op_cost)  # entries per ns
 
+        plan_instants = () if plan is None else (
+            plan.request_at, plan.rollback_at, plan.promote_at,
+            plan.finalize_at)
         bins_per_second = SECOND // dt
         bins = result.bins
         total_ops = 0.0
@@ -183,6 +200,7 @@ class FluidSim:
         stall_ns = 0
         longest_stall = 0
 
+        state = None  # what the last step left; None before the first
         t = 0
         while t < duration:
             # -- lifecycle transitions at bin boundaries ------------------
@@ -308,6 +326,54 @@ class FluidSim:
                 bin_accumulator = 0.0
                 bin_count = 0
             t += dt
+
+            # -- fast-forward across a fixed point -----------------------------
+            # A step is a pure function of ``state`` and of which
+            # thresholds ``t`` has reached.  One that left its state as it
+            # found it repeats bit for bit up to the next threshold (or the
+            # end): those steps are applied here at once, with the same
+            # float additions, one by one, that stepping would make.  (The
+            # instants t1 sets, t2 and the two below, move with t1_forked.)
+            last, state = state, (occupancy, mode, follower,
+                                  draining_for_promotion, promoted,
+                                  finalized, result.t1_forked,
+                                  result.t3_caught_up)
+            if state != last:
+                continue
+            horizon = duration
+            for at in (*plan_instants, result.t2_updated, follower_ready_at,
+                       service_blocked_until):
+                if at is not None and t - dt < at < horizon:
+                    horizon = at
+            skip = (horizon - t + dt - 1) // dt  # the steps in [t, horizon)
+            if skip <= 0:
+                continue
+            if served <= epsilon:
+                stall_ns += skip * dt
+            if plan is not None and result.t1_forked is None:
+                # Read only for t1's transform size, so stepped only
+                # until t1, and left alone once the keyspace is full.
+                grown = served * write_fraction
+                for _ in range(skip):
+                    room = 1.0 - store_entries / keyspace
+                    if room <= 0.0:
+                        break
+                    store_entries += grown * room
+            total_ops = reduce(add, repeat(served, skip), total_ops)
+            fill = bins_per_second - bin_count
+            if skip < fill:
+                bin_accumulator = reduce(add, repeat(served, skip),
+                                         bin_accumulator)
+                bin_count += skip
+            else:
+                bins.append(reduce(add, repeat(served, fill),
+                                   bin_accumulator))
+                full, bin_count = divmod(skip - fill, bins_per_second)
+                if full:
+                    bins.extend([reduce(add, repeat(served, bins_per_second),
+                                        0.0)] * full)
+                bin_accumulator = reduce(add, repeat(served, bin_count), 0.0)
+            t += skip * dt
 
         result.total_ops = total_ops
         if bin_count:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import copy
 import operator
+from itertools import chain, compress, repeat
 from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.errors import NoUpdatePath, StateTransformError
@@ -23,6 +24,7 @@ StateTransformer = Callable[[Dict[str, Any]], Dict[str, Any]]
 
 #: Immutable leaf types a heap copy may share with the original.
 _ATOMS = frozenset({str, bytes, int, float, bool, type(None)})
+_ATOMS_AND_TUPLE = _ATOMS | {tuple}
 
 
 def clone_heap(value: Any, memo: Optional[Dict[int, Any]] = None) -> Any:
@@ -45,9 +47,15 @@ def clone_heap(value: Any, memo: Optional[Dict[int, Any]] = None) -> Any:
     if kind is dict and _ATOMS.issuperset(map(type, value)):
         # Atom keys are shared, so start from a shallow copy (keeps
         # order) and replace only the values that need copying — none,
-        # for a flat store, which one C-level pass over the values tells.
+        # for a flat store or a store of atom tuples (Redis's
+        # ``("string", value)`` entries), which C-level passes tell.
         clone = memo[id(value)] = value.copy()
-        if not _ATOMS.issuperset(map(type, value.values())):
+        values = value.values()
+        if not _ATOMS.issuperset(map(type, values)) and not (
+                _ATOMS_AND_TUPLE.issuperset(map(type, values))
+                and _ATOMS.issuperset(map(type, chain.from_iterable(
+                    compress(values, map(operator.is_, map(type, values),
+                                         repeat(tuple))))))):
             for key, item in value.items():
                 if type(item) not in _ATOMS:
                     clone[key] = clone_heap(item, memo)

@@ -15,7 +15,8 @@ from repro.workloads import VirtualClient
 # Tests that set no ``max_examples`` of their own (tests/test_report.py,
 # the ring codec's and the compiled DSL guards' equivalence properties,
 # the shipped rules against their references, the parser on mangled
-# rule text, the tracer's log and fold against its eager reference)
+# rule text, the tracer's log and fold against its eager reference, the
+# fluid model's fast-forward against plain stepping)
 # run hypothesis's default in tier-1 and this depth in CI:
 # ``python -m pytest tests/test_report.py … --hypothesis-profile ci``
 # (the full line is in .github/workflows/ci.yml).

@@ -2,21 +2,35 @@
 
 import gc
 import hashlib
+import inspect
 import sys
+from typing import Optional
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.bench import fig6, fig7
+from repro.bench import fig6, fig7, table2
 from repro.bench.fluid import (
+    FOLLOWER_XFORM_FACTOR,
     FluidConfig,
+    FluidResult,
     FluidSim,
     TAIL_FLOOR_NS,
     UpdatePlan,
     mode_throughputs,
+    potential_epsilon,
     steady_state_throughput,
 )
+from repro.errors import SimulationError
+from repro.obs.trace import Tracer
 from repro.sim.engine import MILLISECOND, SECOND
-from repro.syscalls.costs import FORK_PAUSE_NS, PROFILES, ExecutionMode
+from repro.sites import OBS, observing
+from repro.syscalls.costs import (
+    FORK_PAUSE_NS,
+    PROFILES,
+    QUIESCE_NS,
+    ExecutionMode,
+)
 from repro.workloads.memtier import MemtierSpec
 
 
@@ -286,10 +300,11 @@ def test_every_float_bit_and_instant_is_pinned():
     assert measured == PINS
 
 
-#: Python frames plus C calls per fixed step of the Figure 7
+#: Python frames plus C calls per nominal step of the Figure 7
 #: ``mvedsua-2^10`` run: 3.31 before PR 23 (``min``/``max``, and
-#: ``list.append`` once a second), 0.011 after (the appends).
-CALLS_PER_STEP_CEILING = 0.5
+#: ``list.append`` once a second), 0.011 after (the appends), 0.0019
+#: since the loop fast-forwards across fixed points.
+CALLS_PER_STEP_CEILING = 0.005
 
 
 def calls_per_step():
@@ -317,3 +332,337 @@ def test_the_step_loop_stays_inside_its_call_budget():
     measured = calls_per_step()
     assert measured <= CALLS_PER_STEP_CEILING
     assert calls_per_step() == measured  # exact, run for run
+
+
+# ---------------------------------------------------------------------------
+# The fast-forward against plain stepping
+# ---------------------------------------------------------------------------
+
+def reference_run(sim, duration_ns=None, plan=None,
+                  kitsune_in_place=False):
+    """``sim.run(duration_ns, plan, kitsune_in_place)`` stepped the
+    way ``FluidSim.run`` stepped before its fast-forward, every
+    ``bin_ns`` step executed: the loop kept verbatim as the oracle the
+    fast-forward is held to (as ``tests/reference_rules.py`` keeps the
+    rule builders the DSL replaced)."""
+    config = sim.config
+    duration = duration_ns or config.spec.duration_ns
+    dt = config.bin_ns
+    profile = config.profile
+    entries_per_op = profile.entries_per_op
+    write_fraction = config.spec.write_fraction
+    keyspace = config.spec.keyspace
+    # The step loop runs 36 000 times per Figure 6/7 run: what it
+    # reads every step is held in locals, and min/max are written
+    # as the comparisons they perform.
+    threads = config.threads
+    ring_capacity = config.ring_capacity
+
+    mode = sim._single_mode()
+    rated_mode = None  # the mode op_cost/potential/epsilon are for
+    follower = False
+    follower_ready_at: Optional[int] = None
+    occupancy = 0.0
+    store_entries = float(config.initial_entries)
+    service_blocked_until = 0
+    draining_for_promotion = False
+    promoted = False
+    finalized = plan is None
+
+    result = FluidResult(bins=[], total_ops=0.0, duration_ns=duration,
+                         max_latency_ns=0, longest_stall_ns=0)
+    #: Fluid runs are batch-granular: only lifecycle transitions are
+    #: traced (the semantic stack carries the per-syscall events).
+    tracer = OBS.tracer
+
+    def mark(stage: str, at: int) -> None:
+        if tracer is not None:
+            tracer.emit("dsu.lifecycle", "dsu", at=at, stage=stage,
+                        sim="fluid")
+
+    follower_op_cost = profile.op_cost_ns(
+        ExecutionMode.FOLLOWER, n_bytes=config.n_bytes_per_op)
+    follower_entry_rate = (threads * entries_per_op
+                           / follower_op_cost)  # entries per ns
+
+    bins_per_second = SECOND // dt
+    bins = result.bins
+    total_ops = 0.0
+    bin_accumulator = 0.0
+    bin_count = 0
+    stall_ns = 0
+    longest_stall = 0
+
+    t = 0
+    while t < duration:
+        # -- lifecycle transitions at bin boundaries ------------------
+        if plan is not None:
+            if result.t1_forked is None and t >= plan.request_at:
+                xform_ns = int(store_entries) * (
+                    profile.xform_entry_ns or 0)
+                if kitsune_in_place:
+                    pause = QUIESCE_NS + xform_ns
+                    service_blocked_until = t + pause
+                    result.t1_forked = t
+                    result.t2_updated = t + pause
+                    finalized = True  # no MVE stages follow
+                else:
+                    result.t1_forked = t
+                    service_blocked_until = t + FORK_PAUSE_NS
+                    follower = True
+                    follower_ready_at = t + FORK_PAUSE_NS + int(
+                        xform_ns * FOLLOWER_XFORM_FACTOR)
+                    result.t2_updated = follower_ready_at
+                    mode = sim._leader_mode()
+                mark("t1_forked", result.t1_forked)
+                mark("t2_updated", result.t2_updated)
+
+            if (follower and plan.rollback_at is not None
+                    and t >= plan.rollback_at and not promoted):
+                # Divergence discovered: terminate the follower, drop
+                # the ring, and fall back to single-leader service.
+                follower = False
+                occupancy = 0.0
+                draining_for_promotion = False
+                finalized = True
+                result.rolled_back_at = t
+                mark("rolled_back", t)
+                mode = sim._single_mode()
+
+            if (follower and plan.immediate_promotion
+                    and result.t2_updated is not None
+                    and t >= result.t2_updated and not promoted):
+                draining_for_promotion = True
+
+            if (follower and not promoted
+                    and plan.promote_at is not None
+                    and t >= plan.promote_at):
+                draining_for_promotion = True
+
+            if (follower and promoted
+                    and plan.finalize_at is not None and not finalized
+                    and t >= plan.finalize_at):
+                follower = False
+                finalized = True
+                result.t6_finalized = t
+                mark("t6_finalized", t)
+                mode = sim._single_mode()
+
+        # -- follower consumption --------------------------------------
+        # The follower first works off the backlog, and any leftover
+        # consumption capacity absorbs entries produced later in this
+        # same bin (otherwise a small ring would serialise to one
+        # ring-full per bin instead of streaming through it).
+        flow_capacity = 0.0
+        if follower and follower_ready_at is not None \
+                and t >= follower_ready_at:
+            follower_capacity = follower_entry_rate * dt
+            consumed = (follower_capacity
+                        if follower_capacity < occupancy else occupancy)
+            occupancy -= consumed
+            flow_capacity = follower_capacity - consumed
+            if occupancy <= 0 and result.t3_caught_up is None \
+                    and result.t2_updated is not None:
+                result.t3_caught_up = t
+                mark("t3_caught_up", t)
+
+        if draining_for_promotion and occupancy <= 0:
+            draining_for_promotion = False
+            promoted = True
+            result.t5_promoted = t
+            mark("t5_promoted", t)
+            if plan is not None and plan.immediate_promotion:
+                follower = False
+                finalized = True
+                result.t6_finalized = t
+                mark("t6_finalized", t)
+                mode = sim._single_mode()
+
+        # -- leader service ---------------------------------------------
+        if mode is not rated_mode:
+            # Per-mode constants, re-derived on lifecycle transitions.
+            rated_mode = mode
+            op_cost = sim._op_cost(mode)
+            potential = dt * threads / op_cost
+            epsilon = potential_epsilon(dt, op_cost, threads)
+        served = 0.0
+        if t >= service_blocked_until and not draining_for_promotion:
+            if follower:
+                headroom = ring_capacity - occupancy + flow_capacity
+                served = (headroom if headroom > 0.0
+                          else 0.0) / entries_per_op
+                if served > potential:
+                    served = potential
+                produced = served * entries_per_op
+                occupancy += produced - (
+                    flow_capacity if flow_capacity < produced
+                    else produced)
+            else:
+                served = potential
+
+        # -- bookkeeping ---------------------------------------------------
+        if served <= epsilon:
+            stall_ns += dt
+        else:
+            if stall_ns > longest_stall:
+                longest_stall = stall_ns
+            stall_ns = 0
+        room = 1.0 - store_entries / keyspace
+        store_entries += served * write_fraction * (
+            room if room > 0.0 else 0.0)
+        total_ops += served
+        bin_accumulator += served
+        bin_count += 1
+        if bin_count == bins_per_second:
+            bins.append(bin_accumulator)
+            bin_accumulator = 0.0
+            bin_count = 0
+        t += dt
+
+    result.total_ops = total_ops
+    if bin_count:
+        bins.append(bin_accumulator * bins_per_second / bin_count)
+    longest_stall = max(longest_stall, stall_ns)
+    result.longest_stall_ns = longest_stall
+    steady_latency = int(config.spec.connections
+                         * sim._op_cost(sim._single_mode())
+                         / threads)
+    result.max_latency_ns = (longest_stall + steady_latency
+                             + TAIL_FLOOR_NS)
+    return result
+
+
+def instants(duration):
+    """Lifecycle instants within a run of ``duration`` ns, on whole
+    seconds (a bin boundary at every ``bin_ns``) or anywhere."""
+    return st.one_of(
+        st.integers(0, duration // SECOND).map(lambda s: s * SECOND),
+        st.integers(0, duration))
+
+
+@st.composite
+def fluid_runs(draw):
+    """``(sim, plan, kitsune_in_place)`` for one generated run."""
+    duration = draw(st.integers(1_000, 60_000)) * MILLISECOND
+    config = FluidConfig(
+        profile=PROFILES[draw(st.sampled_from(sorted(PROFILES)))],
+        threads=draw(st.integers(1, 4)),
+        ring_capacity=1 << draw(st.integers(4, 24)),
+        initial_entries=draw(st.integers(0, 2_000_000)),
+        bin_ns=draw(st.sampled_from((1, 10, 100))) * MILLISECOND,
+        spec=MemtierSpec(duration_ns=duration,
+                         keyspace=draw(st.sampled_from((1_000, 100_000)))))
+    plan = None
+    if draw(st.integers(0, 3)):  # three runs in four update
+        request_at = draw(instants(duration))
+        # Every other instant after the request, in any order.
+        later = instants(duration - request_at).map(
+            lambda offset: request_at + offset)
+        plan = UpdatePlan(request_at, promote_at=draw(st.none() | later),
+                          finalize_at=draw(st.none() | later),
+                          immediate_promotion=draw(st.booleans()),
+                          rollback_at=draw(st.none() | later))
+    fixed_mode = draw(st.none() | st.sampled_from(list(ExecutionMode)))
+    return FluidSim(config, fixed_mode=fixed_mode), plan, draw(st.booleans())
+
+
+def traced(run):
+    """``(fingerprint, events)`` of ``run()`` under a fresh tracer."""
+    log = Tracer()
+    with observing(tracer=log):
+        result = run()
+    return fingerprint(result), [event.as_dict() for event in log.events]
+
+
+@given(fluid_runs())
+@settings(deadline=None)
+def test_fast_forward_equals_plain_stepping(generated):
+    sim, plan, in_place = generated
+    fast = traced(lambda: sim.run(plan=plan, kitsune_in_place=in_place))
+    reference = traced(lambda: reference_run(sim, plan=plan,
+                                             kitsune_in_place=in_place))
+    assert fast == reference
+    assert all(event["kind"] == "dsu.lifecycle" for event in fast[1])
+
+
+def executed_steps(experiment):
+    """Steps ``experiment()`` executes in ``FluidSim.run``'s loop: line
+    events on the loop body's first line, under ``sys.settrace``."""
+    source, first = inspect.getsourcelines(FluidSim.run)
+    loop = next(index for index, line in enumerate(source)
+                if line.strip() == "while t < duration:")
+    body = first + next(index for index in range(loop + 1, len(source))
+                        if not source[index].strip().startswith("#"))
+    code = FluidSim.run.__code__
+    steps = 0
+
+    def count(frame, event, arg):
+        nonlocal steps
+        if event == "line" and frame.f_lineno == body:
+            steps += 1
+        return count
+
+    def calls(frame, event, arg):
+        return count if frame.f_code is code else None
+
+    sys.settrace(calls)
+    try:
+        experiment()
+    finally:
+        sys.settrace(None)
+    return steps
+
+
+#: experiment -> (steps executed at most, nominal steps: duration /
+#: ``bin_ns`` summed over its runs).  Plain stepping executed every
+#: nominal step; the fast-forward reads 2 668, 24 and 56.
+STEP_CEILINGS = {
+    "fig7": (3_000, 216_000),
+    "fig6": (50, 72_000),
+    "table2": (56, 28_000),
+}
+EXPERIMENTS = {"fig7": fig7.run_fig7, "fig6": fig6.run_fig6,
+               "table2": table2.run_table2}
+
+
+@pytest.mark.parametrize("name", sorted(STEP_CEILINGS))
+def test_the_skipped_steps_stay_skipped(name):
+    ceiling, nominal = STEP_CEILINGS[name]
+    measured = executed_steps(EXPERIMENTS[name])
+    assert 0 < measured <= ceiling < nominal
+    assert executed_steps(EXPERIMENTS[name]) == measured  # run for run
+
+
+# ---------------------------------------------------------------------------
+# Inputs the run would misread
+# ---------------------------------------------------------------------------
+
+def test_a_zero_duration_is_rejected_not_read_as_the_spec_s():
+    with pytest.raises(SimulationError, match="duration .* got 0"):
+        FluidSim(redis_config()).run(0)
+
+
+def test_a_negative_duration_is_rejected():
+    with pytest.raises(SimulationError, match="duration .* got -5"):
+        FluidSim(redis_config()).run(-5)
+
+
+def test_a_zero_bin_is_rejected():
+    with pytest.raises(SimulationError, match="bin_ns .* got 0"):
+        FluidSim(redis_config(bin_ns=0)).run()
+
+
+def test_a_bin_that_does_not_divide_a_second_is_rejected():
+    with pytest.raises(SimulationError,
+                       match="bin_ns must divide one second, got 3000000"):
+        FluidSim(redis_config(bin_ns=3 * MILLISECOND)).run()
+
+
+def test_zero_threads_are_rejected():
+    with pytest.raises(SimulationError, match="threads .* got 0"):
+        FluidSim(redis_config(threads=0)).run()
+
+
+def test_a_non_positive_ring_capacity_is_rejected():
+    with pytest.raises(SimulationError, match="ring_capacity .* got -1"):
+        FluidSim(redis_config(ring_capacity=-1)).run(plan=plan())

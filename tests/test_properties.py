@@ -13,6 +13,7 @@ These encode the correctness arguments the paper relies on:
 
 import collections
 import copy
+from typing import Any, NamedTuple
 
 from hypothesis import given, settings, strategies as st
 
@@ -269,8 +270,28 @@ heap_atoms = st.one_of(st.none(), st.booleans(), st.integers(),
 hashable_values = st.recursive(
     heap_atoms, lambda inner: st.lists(inner, max_size=3).map(tuple),
     max_leaves=6)
-plain_heaps = st.recursive(
+
+
+class Entry(NamedTuple):
+    """A tuple subclass as a store value (deep-copied, never shared)."""
+
+    kind: str
+    payload: Any
+
+
+#: What a store maps a key to: an atom, Redis's ``("string", value)``,
+#: an atom tuple, a nested tuple, a tuple holding lists, a NamedTuple.
+store_values = st.one_of(
     heap_atoms,
+    st.tuples(st.just("string"), heap_atoms),
+    st.lists(heap_atoms, max_size=3).map(tuple),
+    st.lists(hashable_values, max_size=3).map(tuple),
+    st.lists(st.lists(heap_atoms, max_size=2), max_size=2).map(tuple),
+    st.builds(Entry, st.text(max_size=3),
+              heap_atoms | st.lists(heap_atoms, max_size=2)))
+stores = st.dictionaries(st.text(max_size=4), store_values, max_size=8)
+plain_heaps = st.recursive(
+    heap_atoms | stores,
     lambda inner: st.one_of(
         st.lists(inner, max_size=4),
         st.lists(inner, max_size=3).map(tuple),
@@ -346,6 +367,36 @@ def test_clone_heap_copies_a_flat_store_whole_and_shares_nothing(flat, tail):
     # Reachable three times, still one object — and not the original.
     assert clone["table"] is clone["again"][0] is clone["again"][1][0]
     assert clone["late"]["tail"] is not tail
+    assert not ({id(c) for c in _containers(heap)}
+                & {id(c) for c in _containers(clone)})
+    for container in list(_containers(clone)):
+        container.clear()
+    assert heap == reference
+
+
+ATOM_TYPES = (str, bytes, int, float, bool, type(None))
+
+
+def _immutable(value):
+    """Atoms, and plain tuples of immutables: what a copy may share."""
+    return type(value) in ATOM_TYPES or (
+        type(value) is tuple and all(map(_immutable, value)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(stores, st.lists(heap_atoms, max_size=3))
+def test_clone_heap_shares_exactly_the_atom_tuples_of_a_store(store, shared):
+    heap = {"store": store, "again": [store, shared],
+            "late": dict(store, tail=(shared, 1))}
+    reference = copy.deepcopy(heap)
+    clone = clone_heap(heap)
+    assert clone == reference
+    assert clone["store"] is clone["again"][0] is not store
+    assert clone["late"]["tail"][0] is clone["again"][1] is not shared
+    for key, value in store.items():
+        # Shared when immutable all the way down, else copied.
+        assert (clone["store"][key] is value) == _immutable(value)
+        assert type(clone["store"][key]) is type(value)
     assert not ({id(c) for c in _containers(heap)}
                 & {id(c) for c in _containers(clone)})
     for container in list(_containers(clone)):

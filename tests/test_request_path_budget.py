@@ -156,3 +156,29 @@ def test_the_frames_tool_counts_the_same_leader_path(tmp_path):
     cell = json.loads(out.read_text())["workloads"]["steady-single-leader"]
     assert cell["failed"] == 0
     assert abs(cell["total_per_op"] - frames_per_request()) < 0.5
+
+
+def test_the_frames_tool_counts_lines_exactly_under_the_same_layers(
+        tmp_path):
+    # ``--lines`` adds a ``sys.settrace`` pass: every line executed is
+    # charged to the layer its frame runs under, so a loop inside one
+    # frame shows.  Each frame runs at least one line, and two runs in
+    # fresh processes read the same table.
+    reports = []
+    for run in range(2):
+        out = tmp_path / f"lines{run}.json"
+        done = subprocess.run(
+            [sys.executable, os.path.join(REPO, "tools", "frames.py"),
+             "--workload", "steady-single-leader", "--smoke", "--lines",
+             "--json", str(out)], capture_output=True, text=True,
+            timeout=120)
+        assert done.returncode == 0, done.stderr[-2000:]
+        assert "\nlines per op " in done.stdout
+        reports.append(
+            json.loads(out.read_text())["workloads"]["steady-single-leader"])
+    cell = reports[0]
+    assert cell["lines_per_op"] == reports[1]["lines_per_op"]
+    assert set(cell["lines_per_op"]) == set(cell["frames_per_op"])
+    for layer, frames in cell["frames_per_op"].items():
+        assert cell["lines_per_op"][layer] >= frames
+    assert cell["lines_total_per_op"] > cell["total_per_op"]

@@ -5,6 +5,7 @@
     python tools/frames.py --workload NAME    # one workload
     python tools/frames.py --smoke            # a quarter of the op count
     python tools/frames.py --json FRAMES.json # + the numbers as JSON
+    python tools/frames.py --lines            # + a lines-per-op table
 
 Each workload is built by ``hostbench/workloads.py``'s own builder at a
 fixed small op count (the count ``hostbench/run.py --smoke`` uses, one
@@ -20,6 +21,14 @@ not depend on the host's speed: the table repeats exactly, run for
 run, on one CPython version.  All workloads run in this one process,
 so caches an earlier workload warmed stay warm for the next; a
 workload measured alone (``--workload``) can read a little higher.
+
+A frame count is blind to a loop that runs inside one frame (a
+``FluidSim.run`` step loop is one frame however many steps it takes).
+``--lines`` adds an opt-in pass under ``sys.settrace`` that charges
+every ``line`` event — one per line executed, a loop's body lines
+once per iteration — to the same layers, and prints a "lines per op"
+table below the frames table; it is slower, and exact run for run in
+the same way.
 
 A second, separate pass builds the workload again with ``tracemalloc``
 tracing and records the peak of traced memory over the timed region
@@ -83,10 +92,36 @@ def _drive(steps) -> Any:
             return stop.value
 
 
+def _layer(probe: probes.Probe, frame: Any) -> str:
+    """The layer a boundary frame of ``probe`` opens."""
+    if probe.pick is None:
+        return probe.layer
+    code = frame.f_code
+    return probe.pick(tuple(frame.f_locals[arg_name] for arg_name
+                            in code.co_varnames[:code.co_argcount]))
+
+
+def _counted(name: str, ops: int, seed: int, hook, function
+             ) -> Dict[str, Any]:
+    """Run ``name``'s timed region under ``hook(function)``
+    (``sys.setprofile`` or ``sys.settrace``); the outcome's ``ops`` and
+    ``failed``."""
+    steps = workloads.WORKLOADS[name].build(seed, ops)()
+    # A collection inside the region would count finalizers' frames.
+    gc.collect()
+    gc.disable()
+    hook(function)
+    try:
+        outcome = _drive(steps)
+    finally:
+        hook(None)
+        gc.enable()
+    return {"ops": outcome.attempted, "failed": outcome.failed}
+
+
 def count_frames(name: str, ops: int, seed: int = SEED) -> Dict[str, Any]:
     """``{"ops", "failed", "layers": {layer: frames}}`` for one run of
     ``name``'s timed region."""
-    thunk = workloads.WORKLOADS[name].build(seed, ops)
     codes = boundaries()
     counts: Counter = Counter()
     #: ``(frame, layer)`` of every open boundary frame, innermost last.
@@ -96,29 +131,47 @@ def count_frames(name: str, ops: int, seed: int = SEED) -> Dict[str, Any]:
         if event == "call":
             probe = codes.get(frame.f_code)
             if probe is not None:
-                layer = probe.layer
-                if probe.pick is not None:
-                    code = frame.f_code
-                    layer = probe.pick(tuple(
-                        frame.f_locals[arg_name]
-                        for arg_name in code.co_varnames[:code.co_argcount]))
-                open_.append((frame, layer))
+                open_.append((frame, _layer(probe, frame)))
             counts[open_[-1][1] if open_ else ROOT] += 1
         elif event == "return" and open_ and open_[-1][0] is frame:
             open_.pop()
 
-    steps = thunk()
-    # A collection inside the region would count finalizers' frames.
-    gc.collect()
-    gc.disable()
-    sys.setprofile(profile)
-    try:
-        outcome = _drive(steps)
-    finally:
-        sys.setprofile(None)
-        gc.enable()
-    return {"ops": outcome.attempted, "failed": outcome.failed,
-            "layers": dict(counts)}
+    counted = _counted(name, ops, seed, sys.setprofile, profile)
+    return {**counted, "layers": dict(counts)}
+
+
+def count_lines(name: str, ops: int, seed: int = SEED) -> Dict[str, Any]:
+    """``{"ops", "failed", "layers": {layer: lines}}``: ``line`` events
+    of one run of ``name``'s timed region, each charged to the layer its
+    frame runs under."""
+    codes = boundaries()
+    counts: Counter = Counter()
+    #: Layer of every open boundary frame, innermost last.
+    open_: List[str] = []
+
+    def tracer(layer: str, boundary: bool):
+        def local(frame, event, arg):
+            if event == "line":
+                counts[layer] += 1
+            elif event == "return" and boundary:
+                open_.pop()
+            return local
+        return local
+
+    #: One local tracer per layer for the frames inside it.
+    inside = {layer: tracer(layer, False)
+              for layer in [*probes.LAYERS, ROOT]}
+
+    def trace(frame, event, arg):  # ``call``: a frame is entered
+        probe = codes.get(frame.f_code)
+        if probe is None:
+            return inside[open_[-1] if open_ else ROOT]
+        layer = _layer(probe, frame)
+        open_.append(layer)
+        return tracer(layer, True)
+
+    counted = _counted(name, ops, seed, sys.settrace, trace)
+    return {**counted, "layers": dict(counts)}
 
 
 def traced_peak_mib(name: str, ops: int, seed: int = SEED) -> float:
@@ -134,50 +187,72 @@ def traced_peak_mib(name: str, ops: int, seed: int = SEED) -> float:
         tracemalloc.stop()
 
 
-def measure(names: List[str], smoke: bool) -> Dict[str, Any]:
+def _per_op(counted: Dict[str, Any]) -> Dict[str, float]:
+    """A count's layers, in table order, divided by its ops."""
+    layers = counted["layers"]
+    return {layer: layers[layer] / counted["ops"]
+            for layer in [*probes.LAYERS, ROOT] if layer in layers}
+
+
+def measure(names: List[str], smoke: bool,
+            lines: bool = False) -> Dict[str, Any]:
     """The whole table: per workload, frames per op by layer, total and
-    the tracemalloc peak."""
+    the tracemalloc peak; with ``lines``, line events per op too."""
     report: Dict[str, Any] = {"schema": "repro-frames/1", "seed": SEED,
                               "workloads": {}}
     for name in names:
         ops = default_ops(name, smoke)
         counted = count_frames(name, ops)
-        frames = counted["layers"]
-        report["workloads"][name] = {
+        cell = report["workloads"][name] = {
             "ops": counted["ops"],
             "failed": counted["failed"],
-            "frames_per_op": {layer: frames[layer] / counted["ops"]
-                              for layer in [*probes.LAYERS, ROOT]
-                              if layer in frames},
-            "total_per_op": sum(frames.values()) / counted["ops"],
+            "frames_per_op": _per_op(counted),
+            "total_per_op": sum(counted["layers"].values()) / counted["ops"],
             "tracemalloc_peak_mib": traced_peak_mib(name, ops),
         }
+        if lines:
+            traced = count_lines(name, ops)
+            cell["lines_per_op"] = _per_op(traced)
+            cell["lines_total_per_op"] = (sum(traced["layers"].values())
+                                          / traced["ops"])
     return report
 
 
-def render(report: Dict[str, Any]) -> str:
+def _table(cells: Dict[str, Any], title: str, per_op: str,
+           total: str) -> List[str]:
     """Layers down, workloads across; a layer no workload enters is
     left out."""
-    names = list(report["workloads"])
-    cells = report["workloads"]
+    names = list(cells)
     width = max(12, *(len(name) for name in names))
     layers = [layer for layer in [*probes.LAYERS, ROOT]
-              if any(layer in cells[name]["frames_per_op"]
-                     for name in names)]
-    lines = [f"{'frames per op':<20}"
-             + "".join(f" {name:>{width}}" for name in names)]
+              if any(layer in cells[name][per_op] for name in names)]
+    rows = [f"{title:<20}" + "".join(f" {name:>{width}}" for name in names)]
     for layer in layers:
-        lines.append(f"{layer:<20}" + "".join(
-            f" {cells[name]['frames_per_op'].get(layer, 0):>{width}.2f}"
+        rows.append(f"{layer:<20}" + "".join(
+            f" {cells[name][per_op].get(layer, 0):>{width}.2f}"
             for name in names))
-    lines.append(f"{'total':<20}" + "".join(
-        f" {cells[name]['total_per_op']:>{width}.2f}" for name in names))
-    lines.append(f"{'ops':<20}" + "".join(
+    rows.append(f"{'total':<20}" + "".join(
+        f" {cells[name][total]:>{width}.2f}" for name in names))
+    return rows
+
+
+def render(report: Dict[str, Any]) -> str:
+    """The frames table with the op counts and tracemalloc peaks, then
+    the lines table when the report has one."""
+    cells = report["workloads"]
+    names = list(cells)
+    width = max(12, *(len(name) for name in names))
+    rows = _table(cells, "frames per op", "frames_per_op", "total_per_op")
+    rows.append(f"{'ops':<20}" + "".join(
         f" {cells[name]['ops']:>{width}d}" for name in names))
-    lines.append(f"{'tracemalloc MiB':<20}" + "".join(
+    rows.append(f"{'tracemalloc MiB':<20}" + "".join(
         f" {cells[name]['tracemalloc_peak_mib']:>{width}.1f}"
         for name in names))
-    return "\n".join(lines)
+    if all("lines_per_op" in cell for cell in cells.values()):
+        rows.append("")
+        rows.extend(_table(cells, "lines per op", "lines_per_op",
+                           "lines_total_per_op"))
+    return "\n".join(rows)
 
 
 def main(argv: List[str]) -> int:
@@ -188,9 +263,12 @@ def main(argv: List[str]) -> int:
                         help="a quarter of the op count (CI sizing)")
     parser.add_argument("--json", metavar="PATH",
                         help="also write the numbers to PATH")
+    parser.add_argument("--lines", action="store_true",
+                        help="also count line events per op by layer "
+                             "(sys.settrace; sees loops inside a frame)")
     args = parser.parse_args(argv)
     names = [args.workload] if args.workload else list(workloads.WORKLOADS)
-    report = measure(names, args.smoke)
+    report = measure(names, args.smoke, args.lines)
     print(render(report))
     if args.json:
         with open(args.json, "w", encoding="utf-8") as handle:
