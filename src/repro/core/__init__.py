@@ -13,14 +13,15 @@ system):
   version now validates it in reverse;
 * back to ``single-leader`` once the operator finalizes (or automatically
   when a divergence/crash terminates one side).
+
+Nothing promotes or finalizes by itself: ``Mvedsua.promote`` and
+``Mvedsua.finalize`` are the operator's calls, and ``Mvedsua.history``
+keeps every closed update's timeline.
 """
 
 from repro.core.stages import Stage, UpdateTimeline
 from repro.core.policy import RetryPolicy
 from repro.core.mvedsua import Mvedsua, UpdateAttempt
-from repro.core.controller import AutoPilot, DeploymentStatus, OperatorConsole
-from repro.core.chains import ChainResult, ChainStep, upgrade_chain
-from repro.core.report import UpdatePostMortem, post_mortems, render_history
 
 __all__ = [
     "Stage",
@@ -28,13 +29,4 @@ __all__ = [
     "RetryPolicy",
     "Mvedsua",
     "UpdateAttempt",
-    "AutoPilot",
-    "DeploymentStatus",
-    "OperatorConsole",
-    "ChainResult",
-    "ChainStep",
-    "upgrade_chain",
-    "UpdatePostMortem",
-    "post_mortems",
-    "render_history",
 ]

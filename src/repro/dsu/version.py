@@ -115,17 +115,6 @@ class VersionRegistry:
         """Release names of ``app`` in order."""
         return list(self._order.get(app, []))
 
-    def successor(self, app: str, name: str) -> Optional[str]:
-        """The next release after ``name``, or None for the latest."""
-        releases = self.releases(app)
-        try:
-            index = releases.index(name)
-        except ValueError:
-            raise NoUpdatePath(f"unknown version {app}-{name}") from None
-        if index + 1 < len(releases):
-            return releases[index + 1]
-        return None
-
     def update_pairs(self, app: str) -> List[Tuple[str, str]]:
         """All consecutive (old, new) release pairs — Table 1's rows."""
         releases = self.releases(app)

@@ -2,10 +2,12 @@
 
 * :mod:`repro.workloads.client` — a virtual client: connect, send,
   pump the server runtime, read the response, measure latency.
-* :mod:`repro.workloads.memtier` — the Memtier-like closed-loop
-  key-value benchmark (90% GET / 10% SET) used for Redis and Memcached.
-* :mod:`repro.workloads.ftpbench` — the paper's custom Vsftpd benchmark:
-  log in, repeatedly RETR one file.
+* :mod:`repro.workloads.memtier` — the workload specs: the Memtier-like
+  closed-loop key-value benchmark (90% GET / 10% SET) used for Redis and
+  Memcached, and the paper's custom Vsftpd benchmark (log in, repeatedly
+  RETR one file).
+* :mod:`repro.workloads.ftpclient` — a virtual FTP client (control and
+  data connections) over the same kernel.
 * :mod:`repro.workloads.keyspace` — shared key-popularity
   distributions (uniform + Zipf) every generator samples from.
 * :mod:`repro.workloads.arrivals` — open-loop arrival processes

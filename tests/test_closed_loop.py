@@ -1,127 +1,145 @@
-"""Tests for the closed-loop multi-client driver."""
+"""Concurrent closed-loop clients against one server runtime.
+
+Memtier keeps one request in flight on each of many connections.  Here
+that shape is batched: every client sends its next request, the
+runtime is pumped once, then every client reads its reply.  All the
+requests are pending together, so one pump serves several ready
+connections — the multi-ready epoll paths (and Memcached's LibEvent
+round-robin) that one client at a time, with at most two fds ready,
+barely touches.
+"""
 
 import pytest
 
-from repro.core import Mvedsua, Stage
-from repro.net import VirtualKernel
-from repro.servers.memcached import (
-    MemcachedServer,
-    memcached_rules,
-    memcached_transforms,
-    memcached_version,
-)
+from repro.apps import deploy
+from repro.core import Stage
+from repro.net.epoll import EpollSet
 from repro.servers.native import NativeRuntime
-from repro.servers.redis import RedisServer, redis_version
 from repro.sim.engine import SECOND
-from repro.syscalls.costs import PROFILES
-from repro.workloads.closed_loop import ClosedLoopDriver
 from repro.workloads.memtier import MemtierSpec
 
 
-def redis_deployment():
-    kernel = VirtualKernel()
-    server = RedisServer(redis_version("2.0.0"))
-    server.attach(kernel)
-    runtime = NativeRuntime(kernel, server, PROFILES["redis"])
-    return kernel, server, runtime
+def clients(stack, count):
+    return [stack.client(f"loop-{index}") for index in range(count)]
+
+
+def batch(runtime, connections, payloads, now):
+    """One batched round: every client sends, one pump, every client
+    reads.  Returns the replies and the pump's completion time."""
+    for client, payload in zip(connections, payloads):
+        client.send(payload)
+    done = runtime.pump(now)
+    return [client.recv() for client in connections], done
+
+
+def redis_stack():
+    return deploy("redis", "2.0.0", NativeRuntime)
 
 
 def test_all_requests_answered():
-    kernel, server, runtime = redis_deployment()
-    driver = ClosedLoopDriver(kernel, runtime, server.address,
-                              connections=4)
-
-    def commands(index):
-        for i in range(25):
-            yield b"SET c%d-k%d v\r\n" % (index, i)
-
-    stats = driver.run(commands)
-    assert stats.requests_sent == 100
-    assert stats.responses_received == 100
-    assert len(server.heap["db"]) == 100
+    stack = redis_stack()
+    connections = clients(stack, 4)
+    now, replies = 0, []
+    for i in range(25):
+        answers, now = batch(stack.runtime, connections,
+                             [b"SET c%d-k%d v\r\n" % (index, i)
+                              for index in range(4)], now)
+        replies += answers
+    assert replies == [b"+OK\r\n"] * 100
+    assert len(stack.server.heap["db"]) == 100
 
 
 def test_throughput_near_profile_rate():
-    kernel, server, runtime = redis_deployment()
-    driver = ClosedLoopDriver(kernel, runtime, server.address,
-                              connections=4)
+    stack = redis_stack()
+    connections = clients(stack, 4)
     spec = MemtierSpec()
-
-    def commands(index):
-        return iter(list(spec.commands(100, protocol="redis",
-                                       seed=index)))
-
-    stats = driver.run(commands)
+    streams = [list(spec.commands(100, protocol="redis", seed=index))
+               for index in range(4)]
+    now = 0
+    for round_ in zip(*streams):
+        answers, now = batch(stack.runtime, connections, round_, now)
+        assert all(answers)
     # A single-threaded server serves ~73k ops/s regardless of the
     # number of closed-loop clients.
-    assert stats.throughput_ops_per_sec == pytest.approx(73_000, rel=0.20)
+    assert 400 * SECOND / now == pytest.approx(73_000, rel=0.20)
 
 
 def test_latency_grows_with_connections():
-    def run_with(connections):
-        kernel, server, runtime = redis_deployment()
-        driver = ClosedLoopDriver(kernel, runtime, server.address,
-                                  connections=connections)
-        driver_commands = lambda index: iter(
-            [b"SET k%d-%d v\r\n" % (index, i) for i in range(30)])
-        return driver.run(driver_commands).mean_latency_ns
+    def mean_latency(count):
+        stack = redis_stack()
+        connections = clients(stack, count)
+        now, latencies = 0, []
+        for i in range(30):
+            _, done = batch(stack.runtime, connections,
+                            [b"SET k%d-%d v\r\n" % (index, i)
+                             for index in range(count)], now)
+            latencies.append(done - now)
+            now = done
+        return sum(latencies) / len(latencies)
 
     # More concurrent closed-loop clients => more queueing per request.
-    assert run_with(8) > run_with(1)
+    assert mean_latency(8) > mean_latency(1)
 
 
 def test_interleaving_is_deterministic():
     def run_once():
-        kernel, server, runtime = redis_deployment()
-        driver = ClosedLoopDriver(kernel, runtime, server.address,
-                                  connections=3)
-        commands = lambda index: iter(
-            [b"SET k%d-%d v\r\n" % (index, i) for i in range(10)])
-        stats = driver.run(commands)
-        return stats.finished_at, tuple(stats.latencies_ns)
+        stack = redis_stack()
+        connections = clients(stack, 3)
+        now, trace = 0, []
+        for i in range(10):
+            answers, done = batch(stack.runtime, connections,
+                                  [b"SET k%d-%d v\r\n" % (index, i)
+                                   for index in range(3)], now)
+            trace.append((done - now, tuple(answers)))
+            now = done
+        return now, trace, sorted(stack.server.heap["db"])
 
     assert run_once() == run_once()
 
 
-def test_memcached_update_under_concurrent_load():
-    """Many interleaved clients through a full Mvedsua lifecycle,
-    exercising LibEvent's round-robin with multi-ready epoll sets."""
-    kernel = VirtualKernel()
-    server = MemcachedServer(memcached_version("1.2.2"))
-    server.attach(kernel)
-    mvedsua = Mvedsua(kernel, server, PROFILES["memcached"],
-                      transforms=memcached_transforms(),
-                      ring_capacity=1 << 14)
-    driver = ClosedLoopDriver(kernel, mvedsua, server.address,
-                              connections=6)
-    mvedsua.request_update(memcached_version("1.2.3"), SECOND,
-                           rules=memcached_rules("1.2.2", "1.2.3"))
+def test_memcached_update_under_concurrent_load(monkeypatch):
+    """Six concurrent clients through a full Mvedsua lifecycle: the
+    server's epoll sets hold several ready connections at once."""
+    stack = deploy("memcached", "1.2.2", ring_capacity=1 << 14)
+    mvedsua = stack.runtime
+    connections = clients(stack, 6)
+    ready_sizes = []
+    ready = EpollSet.ready
 
-    def commands(index):
-        for i in range(20):
-            yield b"set c%d-%d 0 0 1\r\nv\r\n" % (index, i)
-            yield b"get c%d-%d\r\n" % (index, i)
+    def watched(epoll):
+        fds = ready(epoll)
+        if mvedsua.stage is Stage.OUTDATED_LEADER:
+            ready_sizes.append(len(fds))
+        return fds
 
-    stats = driver.run(commands, start_at=2 * SECOND)
-    assert stats.responses_received == 6 * 40
+    monkeypatch.setattr(EpollSet, "ready", watched)
+    assert stack.update("1.2.3", SECOND).ok
+    now, replies = 2 * SECOND, []
+    for i in range(20):
+        for payload in (b"set c%d-%d 0 0 1\r\nv\r\n", b"get c%d-%d\r\n"):
+            answers, now = batch(mvedsua, connections,
+                                 [payload % (index, i)
+                                  for index in range(6)], now)
+            replies += answers
+    assert len(replies) == 6 * 40 and all(replies)
+    # All six connections were ready together; one client at a time
+    # never has more than two ready fds.
+    assert max(ready_sizes) == len(connections)
     assert mvedsua.stage is Stage.OUTDATED_LEADER
     assert mvedsua.runtime.last_divergence is None
-    mvedsua.promote(stats.finished_at + SECOND)
-    mvedsua.finalize(stats.finished_at + 2 * SECOND)
+    mvedsua.promote(now + SECOND)
+    mvedsua.finalize(now + 2 * SECOND)
     assert mvedsua.current_version == "1.2.3"
 
 
 def test_think_time_spreads_requests():
-    kernel, server, runtime = redis_deployment()
-    eager = ClosedLoopDriver(kernel, runtime, server.address,
-                             connections=1)
-    commands = lambda index: iter([b"PING\r\n"] * 10)
-    fast = eager.run(commands)
+    def throughput(think_ns):
+        stack = redis_stack()
+        connections = clients(stack, 1)
+        done = 0
+        for _ in range(10):
+            _, done = batch(stack.runtime, connections, [b"PING\r\n"],
+                            done + think_ns)
+        return 10 * SECOND / done
 
-    kernel, server, runtime = redis_deployment()
-    lazy = ClosedLoopDriver(kernel, runtime, server.address,
-                            connections=1, think_time_ns=10**7)
-    slow = lazy.run(commands)
-    assert slow.finished_at - slow.started_at > \
-        fast.finished_at - fast.started_at
-    assert slow.throughput_ops_per_sec < fast.throughput_ops_per_sec
+    assert throughput(10**7) < throughput(0)

@@ -1,130 +1,166 @@
-"""Tests for the operator console and the auto-pilot policy."""
+"""What an operator reads off a deployment, and what moves it forward.
 
-from repro.core import AutoPilot, Mvedsua, OperatorConsole, Stage
+Status is the runtime's own fields: ``mvedsua.stage``, the leader's and
+follower's ``version_name``, ``rules_fired``, ``last_divergence`` and
+the ``history`` timelines.  Promotion and finalization are the
+operator's calls: a deployment never leaves ``OUTDATED_LEADER`` by
+itself, ``promote`` and ``finalize`` are the only ways forward, and a
+rollback returns it to ``SINGLE_LEADER`` with ``history[-1]`` rolled
+back.
+"""
+
+import pytest
+
+from repro.apps import deploy
+from repro.core import Stage
 from repro.dsu.transform import TransformRegistry
-from repro.net import VirtualKernel
-from repro.servers.kvstore import (
-    KVStoreServer,
-    KVStoreV1,
-    KVStoreV2,
-    kv_rules,
-    kv_transforms,
-    xform_drop_table,
-)
+from repro.errors import SimulationError
+from repro.servers.kvstore import xform_drop_table
 from repro.sim.engine import SECOND
-from repro.syscalls.costs import PROFILES
-from repro.workloads import VirtualClient
 
 
 def deployment(transforms=None):
-    kernel = VirtualKernel()
-    server = KVStoreServer(KVStoreV1())
-    server.attach(kernel)
-    mvedsua = Mvedsua(kernel, server, PROFILES["kvstore"],
-                      transforms=transforms or kv_transforms())
-    client = VirtualClient(kernel, server.address)
-    return mvedsua, client
+    kwargs = {} if transforms is None else {"transforms": transforms}
+    stack = deploy("kvstore", "1.0", **kwargs)
+    return stack, stack.client()
+
+
+def buggy_deployment():
+    """The 1.0 -> 2.0 transformer drops the table: the first read of an
+    old key during catch-up diverges."""
+    registry = TransformRegistry()
+    registry.register("kvstore", "1.0", "2.0", xform_drop_table)
+    return deployment(transforms=registry)
 
 
 class TestOperatorConsole:
     def test_single_leader_status(self):
-        mvedsua, client = deployment()
+        stack, client = deployment()
+        mvedsua = stack.runtime
         client.command(mvedsua, b"PUT k v")
-        status = OperatorConsole(mvedsua).status()
-        assert status.stage == "single-leader"
-        assert status.serving_version == "1.0"
-        assert status.validating_version is None
-        assert status.divergence is None
-        assert status.updates_completed == 0
+        assert mvedsua.stage is Stage.SINGLE_LEADER
+        assert mvedsua.runtime.leader.version_name == "1.0"
+        assert mvedsua.runtime.follower is None
+        assert mvedsua.runtime.last_divergence is None
+        assert mvedsua.history == []
 
     def test_outdated_leader_status(self):
-        mvedsua, client = deployment()
-        mvedsua.request_update(KVStoreV2(), SECOND, rules=kv_rules())
+        stack, client = deployment()
+        mvedsua = stack.runtime
+        stack.update("2.0", SECOND)
         client.command(mvedsua, b"PUT-number x 1", now=2 * SECOND)
-        status = OperatorConsole(mvedsua).status()
-        assert status.stage == "outdated-leader"
-        assert status.serving_version == "1.0"
-        assert status.validating_version == "2.0"
-        assert status.rules_fired >= 1
+        assert mvedsua.stage is Stage.OUTDATED_LEADER
+        assert mvedsua.runtime.leader.version_name == "1.0"
+        assert mvedsua.runtime.follower.version_name == "2.0"
+        assert len(mvedsua.runtime.rules_fired) >= 1
 
     def test_rollback_counted(self):
-        registry = TransformRegistry()
-        registry.register("kvstore", "1.0", "2.0", xform_drop_table)
-        mvedsua, client = deployment(transforms=registry)
+        stack, client = buggy_deployment()
+        mvedsua = stack.runtime
         client.command(mvedsua, b"PUT k v")
-        mvedsua.request_update(KVStoreV2(), SECOND, rules=kv_rules())
+        stack.update("2.0", SECOND)
         client.command(mvedsua, b"GET k", now=2 * SECOND)
-        status = OperatorConsole(mvedsua).status()
-        assert status.updates_rolled_back == 1
-        assert status.divergence is not None
+        assert [t.rolled_back() for t in mvedsua.history] == [True]
+        assert mvedsua.runtime.last_divergence is not None
+        assert mvedsua.runtime.follower is None
 
     def test_render_status_is_one_screen(self):
-        mvedsua, client = deployment()
-        text = OperatorConsole(mvedsua).render_status()
-        assert "stage:" in text and "serving:" in text
-        assert len(text.splitlines()) <= 10
+        """Every status field an operator reads has a printable value
+        in every stage, with or without a follower."""
+        stack, client = deployment()
+        mvedsua = stack.runtime
+        runtime = mvedsua.runtime
+        seen = []
+        for step in (lambda: None,
+                     lambda: stack.update("2.0", SECOND),
+                     lambda: mvedsua.promote(2 * SECOND),
+                     lambda: mvedsua.finalize(3 * SECOND)):
+            step()
+            client.command(mvedsua, b"PUT k v", now=4 * SECOND)
+            follower = runtime.follower
+            seen.append((mvedsua.stage.value, runtime.leader.version_name,
+                         follower.version_name if follower else None))
+        assert seen == [("single-leader", "1.0", None),
+                        ("outdated-leader", "1.0", "2.0"),
+                        ("updated-leader", "2.0", "1.0"),
+                        ("single-leader", "2.0", None)]
 
 
 class TestAutoPilot:
-    def drive(self, mvedsua, client, pilot, *, seconds, start):
-        """Issue one request per virtual second, observing after each."""
-        actions = []
+    """The lifecycle guarantees a warm-up policy on top would rely on."""
+
+    def traffic(self, mvedsua, client, *, seconds, start):
+        """One request per virtual second; the stage seen after each."""
+        stages = set()
         for tick in range(seconds):
-            now = (start + tick) * SECOND
-            client.command(mvedsua, b"PUT k%d v" % tick, now=now)
-            action = pilot.observe(now)
-            if action:
-                actions.append((tick, action))
-        return actions
+            client.command(mvedsua, b"PUT k%d v" % tick,
+                           now=(start + tick) * SECOND)
+            stages.add(mvedsua.stage)
+        return stages
 
     def test_full_auto_lifecycle(self):
-        mvedsua, client = deployment()
-        pilot = AutoPilot(mvedsua, warmup_ns=5 * SECOND,
-                          min_validated_requests=3,
-                          confirm_ns=5 * SECOND)
-        mvedsua.request_update(KVStoreV2(), SECOND, rules=kv_rules())
-        actions = self.drive(mvedsua, client, pilot, seconds=30, start=2)
-        kinds = [action for _, action in actions]
-        assert kinds == ["promoted", "finalized"]
+        stack, client = deployment()
+        mvedsua = stack.runtime
+        stack.update("2.0", SECOND)
+        assert self.traffic(mvedsua, client, seconds=10, start=2) \
+            == {Stage.OUTDATED_LEADER}
+        mvedsua.promote(12 * SECOND)
+        assert self.traffic(mvedsua, client, seconds=10, start=13) \
+            == {Stage.UPDATED_LEADER}
+        mvedsua.finalize(23 * SECOND)
         assert mvedsua.stage is Stage.SINGLE_LEADER
         assert mvedsua.current_version == "2.0"
         assert mvedsua.last_outcome().succeeded()
+        timeline = mvedsua.last_outcome()
+        assert timeline.t2_updated <= timeline.t4_demote \
+            <= timeline.t5_promoted <= timeline.t6_finalized
 
     def test_does_not_promote_before_warmup(self):
-        mvedsua, client = deployment()
-        pilot = AutoPilot(mvedsua, warmup_ns=3600 * SECOND,
-                          min_validated_requests=1)
-        mvedsua.request_update(KVStoreV2(), SECOND, rules=kv_rules())
-        actions = self.drive(mvedsua, client, pilot, seconds=10, start=2)
-        assert actions == []
-        assert mvedsua.stage is Stage.OUTDATED_LEADER
+        stack, client = deployment()
+        mvedsua = stack.runtime
+        stack.update("2.0", SECOND)
+        # An hour of virtual time later nothing has moved it on.
+        assert self.traffic(mvedsua, client, seconds=10, start=3600) \
+            == {Stage.OUTDATED_LEADER}
+        assert mvedsua.timeline.t5_promoted is None
+        assert mvedsua.history == []
 
     def test_does_not_promote_without_traffic(self):
-        mvedsua, client = deployment()
-        pilot = AutoPilot(mvedsua, warmup_ns=1 * SECOND,
-                          min_validated_requests=50)
-        mvedsua.request_update(KVStoreV2(), SECOND, rules=kv_rules())
-        # Plenty of time passes but only 5 requests are validated.
+        stack, client = deployment()
+        mvedsua = stack.runtime
+        stack.update("2.0", SECOND)
+        # Sparse traffic and idle pumps, far apart.
         for tick in range(5):
             client.command(mvedsua, b"PUT k%d v" % tick,
                            now=(10 + tick * 100) * SECOND)
-            assert pilot.observe((10 + tick * 100) * SECOND) is None
-        assert mvedsua.stage is Stage.OUTDATED_LEADER
+            mvedsua.pump((60 + tick * 100) * SECOND)
+            assert mvedsua.stage is Stage.OUTDATED_LEADER
+        assert mvedsua.runtime.follower.version_name == "2.0"
 
     def test_idle_in_single_leader(self):
-        mvedsua, client = deployment()
-        pilot = AutoPilot(mvedsua)
-        assert pilot.observe(SECOND) is None
+        stack, _ = deployment()
+        mvedsua = stack.runtime
+        mvedsua.pump(SECOND)
+        assert mvedsua.stage is Stage.SINGLE_LEADER
+        assert mvedsua.timeline is None
+        # With no update in flight there is nothing to move forward.
+        with pytest.raises(SimulationError):
+            mvedsua.promote(2 * SECOND)
+        with pytest.raises(SimulationError):
+            mvedsua.finalize(2 * SECOND)
+        assert mvedsua.history == []
 
     def test_rollback_resets_the_pilot(self):
-        registry = TransformRegistry()
-        registry.register("kvstore", "1.0", "2.0", xform_drop_table)
-        mvedsua, client = deployment(transforms=registry)
+        stack, client = buggy_deployment()
+        mvedsua = stack.runtime
         client.command(mvedsua, b"PUT seed v")
-        pilot = AutoPilot(mvedsua, warmup_ns=SECOND,
-                          min_validated_requests=1)
-        mvedsua.request_update(KVStoreV2(), SECOND, rules=kv_rules())
+        stack.update("2.0", SECOND)
         # The divergence rolls the update back before any promotion.
         client.command(mvedsua, b"GET seed", now=10 * SECOND)
-        assert pilot.observe(10 * SECOND) is None
         assert mvedsua.stage is Stage.SINGLE_LEADER
+        assert mvedsua.timeline is None
+        assert mvedsua.history[-1].rolled_back()
+        assert mvedsua.history[-1].t5_promoted is None
+        with pytest.raises(SimulationError):
+            mvedsua.promote(11 * SECOND)
+        assert mvedsua.current_version == "1.0"

@@ -1,68 +1,82 @@
-"""Tests for update post-mortems."""
+"""What happened to each update, when, and why.
 
-from repro.core import Mvedsua
-from repro.core.report import post_mortems, render_history
+A deployment's ``history`` holds one Figure 2 timeline per closed
+update attempt, oldest first; the runtime's event log, cut to an
+attempt's window (fork to finalize or rollback), names what ended it.
+"""
+
+import dataclasses
+
+from repro.apps import app, deploy
 from repro.dsu.transform import TransformRegistry
 from repro.errors import ServerCrash
-from repro.net import VirtualKernel
-from repro.servers.kvstore import (
-    KVStoreServer,
-    KVStoreV1,
-    KVStoreV2,
-    kv_rules,
-    kv_transforms,
-    xform_drop_table,
-)
+from repro.servers.kvstore import KVStoreV1, kv_transforms, xform_drop_table
 from repro.sim.engine import SECOND
-from repro.syscalls.costs import PROFILES
-from repro.workloads import VirtualClient
+
+TRIGGERS = ("divergence", "follower-crash", "leader-crash")
 
 
-def deployment(transforms=None, version=None):
-    kernel = VirtualKernel()
-    server = KVStoreServer(version or KVStoreV1())
-    server.attach(kernel)
-    mvedsua = Mvedsua(kernel, server, PROFILES["kvstore"],
-                      transforms=transforms or kv_transforms())
-    client = VirtualClient(kernel, server.address)
-    return mvedsua, client
+def deployment(transforms=None):
+    kwargs = {} if transforms is None else {"transforms": transforms}
+    stack = deploy("kvstore", "1.0", **kwargs)
+    return stack, stack.client()
+
+
+def buggy_transforms():
+    registry = TransformRegistry()
+    registry.register("kvstore", "1.0", "2.0", xform_drop_table)
+    return registry
+
+
+def window(mvedsua, timeline):
+    """The kinds of the runtime events inside one attempt's window."""
+    end = timeline.t6_finalized if timeline.t6_finalized is not None \
+        else timeline.rolled_back_at
+    return [event.kind for event in mvedsua.runtime.events
+            if timeline.t1_forked <= event.at <= end]
 
 
 def test_no_history():
-    mvedsua, _ = deployment()
-    assert post_mortems(mvedsua) == []
-    assert render_history(mvedsua) == "no completed update attempts"
+    stack, client = deployment()
+    mvedsua = stack.runtime
+    client.command(mvedsua, b"PUT a 1")
+    assert mvedsua.history == []
+    assert mvedsua.last_outcome() is None
+    assert mvedsua.timeline is None
 
 
 def test_finalized_update_post_mortem():
-    mvedsua, client = deployment()
+    stack, client = deployment()
+    mvedsua = stack.runtime
     client.command(mvedsua, b"PUT a 1")
-    mvedsua.request_update(KVStoreV2(), SECOND, rules=kv_rules())
+    stack.update("2.0", SECOND)
     client.command(mvedsua, b"GET a", now=2 * SECOND)
     mvedsua.promote(3 * SECOND)
     mvedsua.finalize(4 * SECOND)
-    reports = post_mortems(mvedsua)
-    assert len(reports) == 1
-    report = reports[0]
-    assert report.outcome == "finalized"
-    assert report.trigger is None
-    assert report.duration_ns() > 0
-    text = report.render()
-    assert "t1 forked" in text and "t6 finalized" in text
+    [timeline] = mvedsua.history
+    assert timeline.succeeded() and not timeline.rolled_back()
+    stamps = [timeline.t1_forked, timeline.t2_updated,
+              timeline.t3_caught_up, timeline.t4_demote,
+              timeline.t5_promoted, timeline.t6_finalized]
+    assert None not in stamps and stamps == sorted(stamps)
+    assert timeline.t6_finalized - timeline.t1_forked > 0
+    kinds = window(mvedsua, timeline)
+    assert not set(kinds) & set(TRIGGERS)
+    assert kinds[-1] == "follower-terminated"
 
 
 def test_rolled_back_post_mortem_names_the_divergence():
-    registry = TransformRegistry()
-    registry.register("kvstore", "1.0", "2.0", xform_drop_table)
-    mvedsua, client = deployment(transforms=registry)
+    stack, client = deployment(buggy_transforms())
+    mvedsua = stack.runtime
     client.command(mvedsua, b"PUT k v")
-    mvedsua.request_update(KVStoreV2(), SECOND, rules=kv_rules())
+    stack.update("2.0", SECOND)
     client.command(mvedsua, b"GET k", now=2 * SECOND)
-    report = post_mortems(mvedsua)[0]
-    assert report.outcome == "rolled-back"
-    assert report.trigger is not None
-    assert "divergence" in report.trigger
-    assert "rolled back" in report.render()
+    [timeline] = mvedsua.history
+    assert timeline.rolled_back() and not timeline.succeeded()
+    assert timeline.t5_promoted is None
+    assert [kind for kind in window(mvedsua, timeline)
+            if kind in TRIGGERS] == ["divergence"]
+    assert mvedsua.runtime.last_divergence is not None
 
 
 def test_failover_post_mortem():
@@ -72,31 +86,40 @@ def test_failover_post_mortem():
                 raise ServerCrash("old bug")
             return super().handle(heap, request, session, io)
 
-    mvedsua, client = deployment(version=CrashV1())
+    # A candidate build of 1.0 that crashes on one request.
+    config = dataclasses.replace(app("kvstore"),
+                                 candidates={"1.0-crash": CrashV1})
+    stack = deploy(config, "1.0-crash")
+    mvedsua, client = stack.runtime, stack.client()
     client.command(mvedsua, b"PUT a 1")
-    mvedsua.request_update(KVStoreV2(), SECOND, rules=kv_rules())
+    stack.update("2.0", SECOND)
     client.command(mvedsua, b"BOOM", now=2 * SECOND)
-    report = post_mortems(mvedsua)[0]
-    assert report.outcome == "failed-over (old-version crash)"
-    assert "leader-crash" in report.trigger
+    [timeline] = mvedsua.history
+    # The new version took over because the old one crashed: permanent.
+    assert timeline.succeeded() and not timeline.rolled_back()
+    assert timeline.t5_promoted == timeline.t6_finalized
+    kinds = window(mvedsua, timeline)
+    assert [kind for kind in kinds if kind in TRIGGERS] == ["leader-crash"]
+    assert "follower-promoted-after-crash" in kinds
+    assert mvedsua.current_version == "2.0"
 
 
 def test_multiple_attempts_reported_in_order():
-    registry = TransformRegistry()
-    registry.register("kvstore", "1.0", "2.0", xform_drop_table)
-    mvedsua, client = deployment(transforms=registry)
+    stack, client = deployment(buggy_transforms())
+    mvedsua = stack.runtime
     client.command(mvedsua, b"PUT k v")
     # Attempt 1: rolls back on divergence.
-    mvedsua.request_update(KVStoreV2(), SECOND, rules=kv_rules())
+    stack.update("2.0", SECOND)
     client.command(mvedsua, b"GET k", now=2 * SECOND)
     # Attempt 2 with the fixed transformer: succeeds.
     mvedsua.kitsune.transforms = kv_transforms()
-    mvedsua.request_update(KVStoreV2(), 10 * SECOND, rules=kv_rules())
+    stack.update("2.0", 10 * SECOND)
     client.command(mvedsua, b"GET k", now=11 * SECOND)
     mvedsua.promote(12 * SECOND)
     mvedsua.finalize(13 * SECOND)
-    reports = post_mortems(mvedsua)
-    assert [r.outcome for r in reports] == ["rolled-back", "finalized"]
-    assert reports[0].index == 0 and reports[1].index == 1
-    history_text = render_history(mvedsua)
-    assert "update #0" in history_text and "update #1" in history_text
+    first, second = mvedsua.history
+    assert (first.rolled_back(), second.succeeded()) == (True, True)
+    assert first.rolled_back_at < second.t1_forked
+    assert "divergence" in window(mvedsua, first)
+    assert "divergence" not in window(mvedsua, second)
+    assert mvedsua.last_outcome() is second

@@ -45,10 +45,9 @@ from repro.replay.recorder import StreamRecorder
 from repro.replay.stream import ENTRY_SHAPES
 from repro.scenarios import SCENARIOS
 from repro.servers.native import NativeRuntime
-from repro.sim.engine import SECOND
+from repro.sim.engine import SECOND, Engine
 from repro.sites import OBS, PHASES, TABLE, kinds, observing
 from repro.syscalls.costs import PROFILES
-from repro.workloads.closed_loop import ClosedLoopDriver
 from repro.workloads.memtier import MemtierSpec
 from repro.workloads.openloop import LoadSpec, OpenLoopGenerator
 
@@ -240,13 +239,23 @@ def test_deployments_and_transitions_write_the_position():
 # The table is true
 # ---------------------------------------------------------------------------
 
-def _closed_loop_run():
-    """One ``ClosedLoopDriver`` run: the only thing that turns the
-    discrete-event engine (and, unfiltered, a client's connect)."""
+def _engine_run():
+    """Two requests on the discrete-event engine, each scheduled when
+    the one before completes.  No command turns the engine, so this is
+    what reaches the ``sim.event`` site (and, unfiltered, a client's
+    connect)."""
     stack = deploy("kvstore", "1.0", NativeRuntime)
-    driver = ClosedLoopDriver(stack.kernel, stack.runtime,
-                              stack.server.address, connections=1)
-    driver.run(lambda index: iter([b"PUT k v\r\n", b"GET k\r\n"]))
+    client, engine = stack.client(), Engine()
+    requests = iter([b"PUT k v\r\n", b"GET k\r\n"])
+
+    def send():
+        payload = next(requests, None)
+        if payload is not None:
+            _, done = client.request(stack.runtime, payload, engine.now)
+            engine.schedule_at(max(done, engine.now + 1), send)
+
+    engine.schedule_at(0, send)
+    engine.run()
 
 
 def _rule_firing_run():
@@ -272,7 +281,7 @@ def test_every_fault_site_is_reached_by_a_fault_free_probe():
     calls.update(_probed(run_fleet_scenario))
     calls.update(_probed(lambda: list(
         OpenLoopGenerator(LoadSpec(requests=8), seed=1).events())))
-    calls.update(_probed(_closed_loop_run))
+    calls.update(_probed(_engine_run))
     assert [site.name for site in TABLE
             if site.faults and not calls[site.name]] == []
     # ...and nothing fires a site the table does not list.
@@ -303,7 +312,7 @@ def _watched_runs():
         Fault("fleet.canary", "divergence", on_call(4),
               {"factory": buggy_v2_factory}),)), run_fleet_scenario)
     yield FaultPlan("rules"), _rule_firing_run
-    yield FaultPlan("engine"), _closed_loop_run
+    yield FaultPlan("engine"), _engine_run
     yield FaultPlan("fluid"), lambda: FluidSim(FluidConfig(
         profile=PROFILES["redis"],
         spec=MemtierSpec(duration_ns=4 * SECOND))).run(
