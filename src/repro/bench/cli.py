@@ -56,7 +56,7 @@ def run(args) -> int:
                 EXPERIMENTS[name]()
     finally:
         if tracer is not None:
-            tracer.write_jsonl(args.trace_path)
+            tracer.write(args.trace_path)
             print(f"\nwrote trace: {args.trace_path} "
                   f"({tracer.event_count} events)", file=sys.stderr)
     return 0

@@ -39,6 +39,7 @@ from repro.chaos.plan import (SITES, STAGE_NAMES, Fault, FaultPlan, at_stage,
                               at_time, on_call, when)
 from repro.chaos.scenarios import ChaosRunResult, buggy_v2_factory
 from repro.errors import SimulationError
+from repro.obs.trace import Tracer
 from repro.report import (ANY, INT, NAT, STR, ListOf, MapOf, Obj, const,
                           one_of, problems)
 from repro.servers.kvstore import xform_drop_table
@@ -279,15 +280,15 @@ def cell_entry(name: str, cell_plan: FaultPlan, result: ChaosRunResult,
 
 def _recorded(run: Callable[[], ChaosRunResult], record: Optional[str],
               scenario: str) -> ChaosRunResult:
-    """``run()`` — captured, when ``record`` is a path, as a
-    ``repro-stream/1`` artifact there."""
+    """``run()`` — recorded, when ``record`` is a path, into a
+    ``repro-run/1`` log there (the run log's writer in the recorder
+    slot alone)."""
     if record is None:
         return run()
-    from repro.replay.recorder import StreamRecorder
-    recorder = StreamRecorder(scenario=scenario)
-    with observing(recorder=recorder):
+    log = Tracer(experiment=scenario)
+    with observing(recorder=log):
         result = run()
-    recorder.write(record)
+    log.write(record)
     return result
 
 
@@ -339,9 +340,9 @@ def run_campaign(scenario: str = "kvstore", *, seed: int = 1,
     shards grid cells across processes (:func:`run_grid_shard` under
     :func:`repro.parallel.map_shards`); the merged report is byte-identical
     to the serial run for the same seed, so the serial path stays the
-    golden reference.  ``record`` writes a ``repro-stream/1`` artifact
-    of the baseline run — or, with ``plan``, of the faulted run itself,
-    so the recording carries the plan in force.
+    golden reference.  ``record`` writes a run log recording the
+    baseline run — or, with ``plan``, the faulted run itself, so the
+    recording carries the plan in force.
     """
     if scenario not in scenarios.SCENARIOS["chaos"]:
         raise SimulationError(f"unknown chaos scenario: {scenario!r}")

@@ -7,7 +7,7 @@
     python -m repro chaos kvstore --report out.json
     python -m repro chaos kvstore --workers auto  # shard across CPUs
     python -m repro chaos kvstore --oncall-cap 48 # wider on-call sweep
-    python -m repro chaos kvstore --record STREAM # record the baseline
+    python -m repro chaos kvstore --record LOG    # record the baseline
     python -m repro chaos kvstore --slo           # recovery percentiles
 
 The report is JSON with schema ``repro-chaos/1`` (see
@@ -50,8 +50,8 @@ def configure(parser) -> None:
                              "sweep (default: %(default)s)")
     parser.add_argument("--record", metavar="PATH",
                         help="record the fault-free baseline run (or, "
-                             "with --plan, the faulted run) as a "
-                             "repro-stream/1 artifact at PATH")
+                             "with --plan, the faulted run) into a "
+                             "repro-run/1 log at PATH")
     parser.add_argument("--slo", action="store_true",
                         help="print exact recovery-latency percentiles "
                              "and the ordering-anomaly tally after the "
@@ -117,7 +117,7 @@ def run(args) -> int:
     cli.write_json(path, report, indent=2, sort_keys=True)
     print(f"\nwrote report: {path}")
     if args.record:
-        print(f"wrote stream: {args.record}")
+        print(f"wrote recording: {args.record}")
 
     malformed = cli.fail(validate_report(report), "report problem")
     return 1 if violations or malformed else 0

@@ -29,9 +29,13 @@ from repro.syscalls.model import EMPTY_AUX, Sys, SyscallRecord
 #: (``aux={"error": name}``): when the leader's syscall fails this way
 #: the follower must fail identically during replay, so both versions
 #: drop the session at the same point and stay convergent.
-_ERRNO_CLASSES = {"ECONNRESET": ConnectionReset, "EPIPE": BrokenPipe,
-                  "EMFILE": FdExhausted}
-_ERRNO_NAMES = {cls: name for name, cls in _ERRNO_CLASSES.items()}
+ERRNO_CLASSES = {"ECONNRESET": ConnectionReset, "EPIPE": BrokenPipe,
+                 "EMFILE": FdExhausted}
+_ERRNO_NAMES = {cls: name for name, cls in ERRNO_CLASSES.items()}
+#: The errors each syscall records — what its ``DIRECT`` side catches —
+#: and so the only ones its ``REPLAY`` side may raise in a follower.
+RECORDED_ERRORS = {"accept": ("EMFILE",), "read": ("ECONNRESET",),
+                   "write": ("EPIPE", "ECONNRESET")}
 
 
 class GatewayRole(enum.Enum):
@@ -182,7 +186,7 @@ class SyscallGateway:
             expected = self._emit(self._replay(Sys.ACCEPT, listen_fd))
             error = expected.aux.get("error")
             if error:
-                raise _ERRNO_CLASSES[error](
+                raise ERRNO_CLASSES[error](
                     f"replayed {error} on accept fd {listen_fd}")
             return int(expected.result)
         try:
@@ -213,7 +217,7 @@ class SyscallGateway:
                 self._emit(expected)
             error = expected.aux.get("error")
             if error:
-                raise _ERRNO_CLASSES[error](
+                raise ERRNO_CLASSES[error](
                     f"replayed {error} on read fd {fd}")
             return expected.data
         try:
@@ -277,7 +281,7 @@ class SyscallGateway:
                 error = expected.aux.get("error")
                 if error:
                     self._emit(expected)
-                    raise _ERRNO_CLASSES[error](
+                    raise ERRNO_CLASSES[error](
                         f"replayed {error} on write fd {fd}")
                 if expected.data and remaining != expected.data \
                         and remaining.startswith(expected.data):

@@ -237,10 +237,11 @@ class VaranRuntime:
         self.ring_stalls = 0
         #: Forensics bundle for the most recent divergence, if any.
         self.last_forensics: Optional[ForensicsBundle] = None
-        #: Stream recorder (see :mod:`repro.replay`): the installed one if
-        #: this runtime won the claim, else None — scenarios that build
-        #: several MVE groups record only the first, and the disabled
-        #: path stays one attribute load + ``is None`` per iteration.
+        #: The run-log writer in the recorder slot, if this runtime won
+        #: its claim (:meth:`repro.obs.trace.Tracer.claim`), else None —
+        #: scenarios that build several MVE groups record only the
+        #: first, and the disabled path stays one attribute load +
+        #: ``is None`` per iteration.
         recorder = OBS.recorder
         self.recorder = recorder if recorder is not None \
             and recorder.claim(self) else None
@@ -336,10 +337,6 @@ class VaranRuntime:
         if recorder is not None:
             recorder.on_iteration(completion, leader.version_name,
                                   self.in_mve_mode, records)
-            tracer = OBS.tracer
-            if tracer is not None:
-                tracer.emit("stream.record", "replay", at=completion,
-                            count=len(records))
         self.requests_served += trace.requests_handled
         return completion
 
@@ -462,9 +459,6 @@ class VaranRuntime:
         # partition accounting.
         ring.resync(fork_done)
         self.log(fork_done, "fork", forked.version.name)
-        recorder = self.recorder
-        if recorder is not None:
-            recorder.on_fork(fork_done, forked.version.name)
         return process
 
     def drain_follower(self) -> Optional[int]:
@@ -603,7 +597,7 @@ class VaranRuntime:
             # self.leader is the post-swap leader; if the follower died
             # mid-drain the swap never happened and leadership is
             # unchanged — new_leader reflects either outcome.
-            recorder.on_control("promote", done, event.version,
+            recorder.on_promote("promote", done, event.version,
                                 self.leader.version_name)
         return done
 
@@ -682,7 +676,7 @@ class VaranRuntime:
         self.log(at, "follower-promoted-after-crash")
         recorder = self.recorder
         if recorder is not None:
-            recorder.on_control("crash-promote", at, crashed_version,
+            recorder.on_promote("crash-promote", at, crashed_version,
                                 survivor.version_name)
         return at
 

@@ -4,10 +4,10 @@ A distributed MVE pair (see :mod:`repro.mve.distring`) ships the
 leader's syscall stream to a follower on another fleet node as
 *frames*: one frame per published burst, carrying the burst's
 :class:`~repro.syscalls.model.SyscallRecord` payloads (or one control
-event) coalesced into a single length-prefixed line.  The framing is
-deliberately the same shape as the ``repro-stream/1`` artifact format —
-an 8-hex-digit byte length, one space, a canonical-JSON body — so the
-same truncation/garbage detection applies on the wire as on disk.
+event) coalesced into a single length-prefixed line: an 8-hex-digit
+byte length, one space, a canonical-JSON body.  The receiver checks the
+length before it parses anything, so a truncated or garbled frame is a
+:class:`WireError`, never data.
 
 Each frame carries a monotonically increasing ``seq``; the receiver
 acknowledges frames by sequence number, and the sender bounds the
@@ -32,7 +32,7 @@ from typing import Any, Dict, List, Sequence, Tuple, Union
 
 from repro.errors import SimulationError
 from repro.mve.events import ControlEvent, ControlKind
-from repro.replay.stream import canonical, frame_line, unframe_line
+from repro.report import canonical, decode
 from repro.syscalls.model import EMPTY_AUX, Sys, SyscallRecord
 
 #: Wire protocol identifier, stamped into every frame (bump on shape
@@ -107,16 +107,52 @@ def transit_ns(link: RingLink, n_bytes: int) -> int:
 
 
 # ---------------------------------------------------------------------------
+# Length-prefixed framing
+# ---------------------------------------------------------------------------
+
+def frame_line(payload: Dict[str, Any]) -> str:
+    """One length-prefixed line (without the trailing newline)."""
+    body = canonical(payload)
+    return f"{len(body):08x} {body}"
+
+
+def unframe_line(line: str) -> Dict[str, Any]:
+    """Parse one framed line, checking the length prefix first."""
+    if len(line) < 10 or line[8] != " ":
+        raise WireError("missing length prefix")
+    try:
+        declared = int(line[:8], 16)
+    except ValueError:
+        raise WireError(f"bad length prefix {line[:8]!r}") from None
+    body = line[9:]
+    # What an encoder here wrote is ASCII; other text is measured as the
+    # UTF-8 it would be on the wire (a lone surrogate included, so that
+    # it is a length mismatch or a shape problem, never an encode error).
+    actual = len(body) if body.isascii() \
+        else len(body.encode("utf-8", "surrogatepass"))
+    if actual != declared:
+        raise WireError(f"length prefix says {declared} bytes but the "
+                        f"payload has {actual} (truncated or corrupted)")
+    try:
+        payload = decode(body)
+    except ValueError as exc:
+        raise WireError(f"bad JSON payload: {exc}") from None
+    if not isinstance(payload, dict):
+        raise WireError("entry is not an object")
+    return payload
+
+
+# ---------------------------------------------------------------------------
 # Frame encode/decode
 # ---------------------------------------------------------------------------
 #
-# A frame body is the canonical JSON (``repro.replay.stream.canonical``)
-# of ``{"schema", "seq", "records": [...]}``, each record as
-# ``serialize_record`` lays it out.  The encoder writes those bytes
-# directly — key order is fixed, so a record is a template — and hands
-# ``canonical`` only what is rare (``aux``, control events, results
-# that are not ints, tuples or bytes).  ``tests/test_distring.py`` holds
-# it to the dict-and-dumps formulation byte for byte.
+# A frame body is the canonical JSON (``repro.report.canonical``) of
+# ``{"schema", "seq", "records": [...]}``, each record as
+# ``repro.obs.trace.serialize_record`` lays it out.  The encoder writes
+# those bytes directly — key order is fixed, so a record is a template —
+# and hands ``canonical`` only what is rare (``aux``, control events,
+# results that are not ints, tuples or bytes).  ``tests/test_distring.py``
+# holds it to the dict-and-dumps formulation byte for byte.
 
 #: ``"…"`` with everything outside printable ASCII escaped — the
 #: function ``canonical`` itself renders strings with.  A frame is
@@ -190,10 +226,7 @@ def encode_frame(sequence: int, payloads: Sequence[Payload]) -> str:
 
 def _frame_body(line: str, what: str) -> Dict[str, Any]:
     """The JSON object a well-framed ``repro-ring/1`` line carries."""
-    try:
-        body = unframe_line(line, 0)
-    except SimulationError as exc:
-        raise WireError(str(exc)) from exc
+    body = unframe_line(line)
     if body.get("schema") != RING_WIRE_SCHEMA:
         raise WireError(f"{what} schema is {body.get('schema')!r}, "
                         f"expected {RING_WIRE_SCHEMA!r}")

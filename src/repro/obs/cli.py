@@ -4,16 +4,16 @@
     python -m repro trace fig6 --quick      # smaller workload (CI smoke)
     python -m repro trace faults --check    # validate the JSONL afterwards
     python -m repro trace fig7 --out t.jsonl
-    python -m repro trace fig6 --record STREAM_fig6.jsonl
+    python -m repro trace fig6 --record     # the stream goes in the log
 
 Runs the experiment's *semantic companion* (its ``trace`` row in
 :data:`repro.scenarios.SCENARIOS`) with the run log's writer in both the
 tracer and the spans slot, writes the one correlated ``repro-run/1``
 JSONL log, and prints an event/metric summary — plus a forensics summary
 for every divergence the run hit.  The schema is documented in
-``docs/observability.md``.  ``--record`` additionally captures the
-leader's syscall stream as a ``repro-stream/1`` artifact that
-``python -m repro replay`` can re-drive offline — see
+``docs/observability.md``.  ``--record`` puts the writer in the
+recorder slot too, so the log also carries the leader's syscall stream,
+which ``python -m repro replay`` can re-drive offline — see
 ``docs/replay.md``.
 """
 
@@ -22,7 +22,6 @@ from __future__ import annotations
 from repro import cli
 from repro.bench.reporting import format_table
 from repro.obs.trace import RUN_SCHEMA, Tracer, validate_file
-from repro.replay.recorder import StreamRecorder
 from repro.scenarios import SCENARIOS, run_cell
 from repro.sites import observing
 
@@ -34,28 +33,22 @@ def configure(parser) -> None:
                         help="which experiment's companion scenario to run")
     cli.add_report_path(parser, "--out", "TRACE_<experiment>.jsonl")
     cli.add_shared(parser, "quick", "check")
-    parser.add_argument("--record", metavar="PATH",
-                        help="also record the leader's syscall stream as "
-                             "a repro-stream/1 artifact at PATH (replay "
-                             "it with 'python -m repro replay PATH')")
+    parser.add_argument("--record", action="store_true",
+                        help="also record the leader's syscall stream "
+                             "into the log (replay it with 'python -m "
+                             "repro replay LOG')")
 
 
 def run(args) -> int:
-    recorder = (StreamRecorder(scenario=args.experiment)
-                if args.record else None)
     tracer = Tracer(experiment=args.experiment)
-    with observing(tracer=tracer, spans=tracer, recorder=recorder):
+    with observing(tracer=tracer, spans=tracer,
+                   recorder=tracer if args.record else None):
         run_cell("trace", args.experiment, quick=args.quick)
-    if recorder is not None:
-        recorder.write(args.record)
     out = args.out or f"TRACE_{args.experiment}.jsonl"
-    tracer.write_jsonl(out)
+    tracer.write(out)
 
     print(f"repro trace {args.experiment}: {tracer.event_count} events "
           f"-> {out}")
-    if recorder is not None:
-        print(f"wrote stream: {args.record} "
-              f"({recorder.iterations} iterations)")
     tally = tracer.kind_tally()
     print(format_table(
         ["event kind", "count"],

@@ -71,7 +71,7 @@ def _dump_spans(scenario: str, seed: int, quick: bool, path: str) -> None:
     spans = Tracer(experiment=f"slo-{scenario}")
     with observing(spans=spans):
         run_cell("slo", scenario, 0, seed, quick)
-    spans.write_jsonl(path)
+    spans.write(path)
     print(f"wrote spans: {path} ({len(spans.spans)} spans)")
 
 

@@ -1,15 +1,18 @@
-"""The run log: one writer for every trace event and every span.
+"""The run log: one writer for every trace event, span and stream record.
 
-One :class:`Tracer` keeps one ordered log of a run, and the slot it is
-installed in decides what goes into it: ``repro.sites.observing(
+One :class:`Tracer` keeps one ordered log of a run, and the slots it is
+installed in decide what goes into it: ``repro.sites.observing(
 tracer=log)`` logs trace events, ``observing(spans=log)`` logs spans,
-and both slots log both, correlated, into one artifact —
-``python -m repro trace`` and every ``--trace PATH`` flag install it
-that way; the SLO and open-loop cells install it as spans only.  The
-design constraint is the paper's: the common case is *no* observer, and
-then every hook is one attribute load plus an ``is None`` test.
+``observing(recorder=log)`` logs the leader's syscall stream, and a
+writer in several slots logs all of it, correlated, into one artifact —
+``python -m repro trace`` and every ``--trace PATH`` flag install it in
+the tracer and spans slots (``trace --record`` adds the recorder slot);
+the SLO and open-loop cells install it as spans only, ``chaos --record``
+as the recorder only.  The design constraint is the paper's: the common
+case is *no* observer, and then every hook is one attribute load plus
+an ``is None`` test.
 
-The log holds two kinds of record:
+The log holds three kinds of record:
 
 * a **trace event** — "what happened, in order" — is a zero-length
   record.  A site that knows the virtual time passes it as ``at=``; the
@@ -23,6 +26,15 @@ The log holds two kinds of record:
   span owns the ring-stall waits served inside it, so an SLO report can
   walk from a violated request down to its dominant wait
   (:mod:`repro.obs.slo`).
+* a **stream record** (``stream.*``, layer ``replay``) is an event the
+  MVE runtime that *claimed* the writer logs through the recorder slot:
+  one ``stream.claim`` with what replay needs to rebuild the follower,
+  then one ``stream.record`` per leader iteration with its syscall
+  records before rewrite rules, and a ``stream.promote`` /
+  ``stream.crash-promote`` wherever leadership changed.  Each carries
+  ``len``, the canonical-JSON byte length of its payload, so an
+  in-place edit is caught before replay uses the record
+  (:mod:`repro.replay.stream` reads the stream back).
 
 Parenting uses **dynamic extent**: :meth:`Tracer.open` pushes a span,
 :meth:`Tracer.close` pops it, and any record created in between gets the
@@ -43,12 +55,13 @@ child, ids out of order) is the MVE9xx lint's job
 
 Standard library, :mod:`repro.report`, :mod:`repro.sites` and
 :mod:`repro.obs.metrics` only, so any layer of the stack can depend on
-it without cycles.
+it without cycles; the runtime and its records are read duck-typed.
 """
 
 from __future__ import annotations
 
 import json
+import weakref
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from typing import (Any, Dict, Iterable, Iterator, List, NamedTuple,
@@ -56,8 +69,8 @@ from typing import (Any, Dict, Iterable, Iterator, List, NamedTuple,
 
 from repro.obs.metrics import Histogram
 from repro.report import (ANY, INT, NAT, POS, TEXT, MapOf, Obj, Opt, Via,
-                          const, jsonl_file_problems, jsonl_problems,
-                          one_of, problems)
+                          canonical, const, jsonl_file_problems,
+                          jsonl_problems, one_of, problems)
 from repro.sites import OBS, PHASES, kinds
 
 #: JSONL run-log schema identifier (bump on shape changes).
@@ -85,6 +98,41 @@ def jsonable(value: Any) -> Any:
     if hasattr(value, "value") and not callable(value.value):  # enums
         return jsonable(value.value)
     return repr(value)
+
+
+def serialize_record(record: Any) -> Dict[str, Any]:
+    """One syscall record as a stream record holds it (reversible:
+    :func:`repro.replay.stream.deserialize_record`).  Payload bytes are
+    latin-1 text; a tuple result is tagged ``{"t": [...]}`` and a bytes
+    result ``{"b": latin-1}`` so both come back as they went in."""
+    entry: Dict[str, Any] = {"sys": record.name.value, "fd": record.fd}
+    if record.data:
+        entry["data"] = record.data.decode("latin-1")
+    if record.result is not None:
+        entry["result"] = _serialize_result(record.result)
+    if record.aux:
+        entry["aux"] = {str(k): v for k, v in record.aux.items()}
+    return entry
+
+
+def _serialize_result(result: Any) -> Any:
+    if isinstance(result, (list, tuple)):
+        return {"t": [_serialize_result(item) for item in result]}
+    if isinstance(result, bytes):
+        return {"b": result.decode("latin-1")}
+    return result
+
+
+#: The fields every record has that a stream record's ``len`` leaves
+#: out: its envelope, and ``len`` itself.
+_ENVELOPE = ("kind", "layer", "parent", "len")
+
+
+def stream_len(record: Dict[str, Any]) -> int:
+    """A stream record's ``len``: the byte length of the canonical JSON
+    of its payload, every field but :data:`_ENVELOPE`."""
+    return len(canonical({key: value for key, value in record.items()
+                          if key not in _ENVELOPE}))
 
 
 @dataclass
@@ -234,7 +282,8 @@ class _Tallies(type):
 
 class Tracer(metaclass=_Tallies):
     """The run log's writer: trace events from the tracer slot, spans
-    from the spans slot, one ordered log either way.
+    from the spans slot, stream records from the recorder slot, one
+    ordered log whatever the mix.
 
     Class-level tallies (``created_total``, ``emitted_total``,
     ``opened_total``, ``materialised_total``) exist so the overhead
@@ -267,6 +316,12 @@ class Tracer(metaclass=_Tallies):
         #: Forensics bundles captured on divergences (see
         #: :mod:`repro.obs.forensics`).
         self.forensics: List[Any] = []
+        #: The runtime whose stream the recorder slot logs (see
+        #: :meth:`claim`), by weakref.
+        self._claimed_by: Optional[weakref.ref] = None
+        #: Log positions of the stream records whose ``len`` is not
+        #: filled in yet (:meth:`_sized`).
+        self._unsized: List[int] = []
 
     # -- trace events (the tracer slot) -------------------------------------
 
@@ -310,6 +365,80 @@ class Tracer(metaclass=_Tallies):
         self.emit("divergence.forensics", "mve", at=bundle.at,
                   reason=bundle.reason, bundle=len(self.forensics) - 1,
                   ring_records=len(bundle.ring_last_k))
+
+    # -- stream records (the recorder slot) ---------------------------------
+
+    def claim(self, runtime: Any) -> bool:
+        """Log ``runtime``'s stream, if no runtime holds the claim yet.
+
+        :class:`~repro.mve.varan.VaranRuntime` asks on construction and
+        keeps the writer only when this returns True: the first MVE
+        group built while the writer is in the recorder slot wins, so
+        scenarios that build several record one coherent stream.  The
+        claim is held by weakref — not ``id()`` — so a later runtime
+        allocated at a dead claimant's address cannot falsely win; once
+        the claimant dies the claim stays closed.  Winning logs
+        ``stream.claim``: the app (the leader version's own ``app``, the
+        catalog key), initial leader version, cost profile, ring
+        capacity, the fd labels a replayed candidate must use so its
+        epoll/accept calls name the leader's fds, and the fault plan in
+        force.
+        """
+        if self._claimed_by is not None:
+            return self._claimed_by() is runtime
+        self._claimed_by = weakref.ref(runtime)
+        chaos = OBS.chaos
+        fault_plan = None
+        if chaos is not None and getattr(chaos.plan, "faults", ()):
+            fault_plan = chaos.plan.as_dict()
+        server = runtime.leader.server
+        self._stream("stream.claim", OBS.vnow, app=server.version.app,
+                     initial_version=runtime.leader.version_name,
+                     profile=getattr(runtime.profile, "name", ""),
+                     ring_capacity=runtime.ring.capacity,
+                     listen_fd=getattr(server, "listen_fd", 0),
+                     epoll_fd=getattr(server, "epoll_fd", 1),
+                     fault_plan=fault_plan)
+        return True
+
+    def on_iteration(self, at: int, version: str, mve: bool,
+                     records: Sequence[Any]) -> None:
+        """The claimant's leader completed one iteration (``records``
+        before rewrite rules: one recording replays against any
+        candidate the app's rules bridge)."""
+        self._stream("stream.record", at, version=version, mve=mve,
+                     count=len(records),
+                     records=[serialize_record(record)
+                              for record in records])
+
+    def on_promote(self, kind: str, at: int, version: str,
+                   new_leader: str) -> None:
+        """A ``promote`` or ``crash-promote`` changed which version
+        leads the claimant."""
+        self._stream(f"stream.{kind}", at, version=version,
+                     new_leader=new_leader)
+
+    def _stream(self, kind: str, at: int, **fields: Any) -> None:
+        """Log one stream record.  Its ``len`` is left for
+        :meth:`_sized` to fill in when the log is read, so recording
+        encodes no JSON."""
+        global _emitted_total
+        stack = self._stack
+        self._unsized.append(len(self._log))
+        self._log.append((at, kind, "replay",
+                          stack[-1].span_id if stack else None,
+                          (*fields, "len"), *fields.values(), None))
+        _emitted_total += 1
+
+    def _sized(self) -> List[Any]:
+        """The log, with every stream record's ``len`` filled in."""
+        log = self._log
+        for index in self._unsized:
+            entry = log[index]
+            payload = dict(zip(entry[4], entry[5:]), at=entry[0])
+            log[index] = (*entry[:-1], stream_len(payload))
+        self._unsized.clear()
+        return log
 
     # -- spans (the spans slot) ---------------------------------------------
 
@@ -372,7 +501,7 @@ class Tracer(metaclass=_Tallies):
         fresh = [TraceEvent(at, kind, layer, dict(zip(names, values)),
                             parent)
                  for at, kind, layer, parent, names, *values
-                 in (entry for entry in self._log[self._read:]
+                 in (entry for entry in self._sized()[self._read:]
                      if type(entry) is tuple)]
         self._read = len(self._log)
         self._events.extend(fresh)
@@ -440,7 +569,7 @@ class Tracer(metaclass=_Tallies):
         yield json.dumps({"schema": RUN_SCHEMA,
                           "experiment": self.experiment,
                           "records": len(self._log)})
-        for entry in self._log:
+        for entry in self._sized():
             if type(entry) is tuple:
                 at, kind, layer, parent, names, *values = entry
                 yield json.dumps(_event_record(at, kind, layer, parent,
@@ -454,11 +583,12 @@ class Tracer(metaclass=_Tallies):
         """The full log as JSONL lines (header, records, metrics)."""
         return list(self._jsonl_lines())
 
-    def write_jsonl(self, path: str) -> None:
+    def write(self, path: str) -> int:
         """Write the log to ``path``, one JSON object per line, a line at
-        a time."""
+        a time; returns the lines written."""
         with open(path, "w", encoding="utf-8") as handle:
             handle.writelines(line + "\n" for line in self._jsonl_lines())
+        return len(self._log) + 2
 
 
 # ---------------------------------------------------------------------------

@@ -1,29 +1,14 @@
-"""Syscall-stream record/replay: persistent leader streams as artifacts.
+"""Syscall-stream record/replay: the leader's stream, read back out of a
+run log, re-drives candidate versions offline.
 
-``repro.replay`` turns the leader's syscall stream into a versioned
-on-disk artifact (``repro-stream/1``, :mod:`repro.replay.stream`) via a
-recorder (:mod:`repro.replay.recorder`, installed with
-:func:`repro.sites.observing`) claimed by the first MVE runtime, and
-re-drives candidate versions against recordings
-offline (:mod:`repro.replay.engine`) — shadow testing of updates
-against captured traffic, plus time-travel forensics for divergences.
+The run log's one writer (:class:`repro.obs.trace.Tracer`) records the
+stream from the recorder slot (:func:`repro.sites.observing`), claimed
+by the first MVE runtime constructed while it is installed.
+:mod:`repro.replay.stream` reads that stream back out of a
+``repro-run/1`` log, and :mod:`repro.replay.engine` re-drives a
+candidate version against it — shadow testing of updates against
+captured traffic, plus time-travel forensics for divergences.
 
-Only the stream format and the recorder are imported here; the engine
-imports the app catalog, :mod:`repro.apps`, and is pulled in lazily by
-the CLIs.
+Nothing is imported here: the engine imports the app catalog,
+:mod:`repro.apps`, and is pulled in lazily by the CLIs.
 """
-
-from repro.replay.recorder import StreamRecorder
-from repro.replay.stream import (STREAM_SCHEMA, RecordedStream, StreamError,
-                                 read_stream, validate_stream_file,
-                                 write_stream)
-
-__all__ = [
-    "STREAM_SCHEMA",
-    "RecordedStream",
-    "StreamError",
-    "StreamRecorder",
-    "read_stream",
-    "validate_stream_file",
-    "write_stream",
-]

@@ -4,11 +4,13 @@
     python -m repro replay STREAM --against 2.0-buggy   # shadow test
     python -m repro replay STREAM --json                # report to stdout
     python -m repro replay STREAM --out REPLAY.json     # report to a file
-    python -m repro replay STREAM --validate            # check the artifact
+    python -m repro replay STREAM --validate            # read, replay nothing
 
-Exit status: 0 when the candidate matched the recording end to end,
-1 on divergence or crash (the shadow-testing gate), 2 on a malformed
-stream or an unknown app/version.  See ``docs/replay.md``.
+``STREAM`` is a ``repro-run/1`` run log with a stream recorded into it
+(``trace E --record``, ``chaos S --record PATH``).  Exit status: 0 when
+the candidate matched the recording end to end, 1 on divergence or
+crash (the shadow-testing gate), 2 on a file that holds no readable
+recording or an unknown app/version.  See ``docs/replay.md``.
 """
 
 from __future__ import annotations
@@ -19,14 +21,14 @@ import sys
 from repro import cli
 from repro.errors import NoUpdatePath
 from repro.replay.engine import replay_stream
-from repro.replay.stream import StreamError, read_stream, validate_stream_file
+from repro.replay.stream import StreamError, read_stream
 
 
 def configure(parser) -> None:
-    parser.description = ("Replay a candidate version against a recorded "
-                          "syscall stream (repro-stream/1).")
+    parser.description = ("Replay a candidate version against the syscall "
+                          "stream recorded into a repro-run/1 log.")
     parser.add_argument("stream", metavar="STREAM",
-                        help="path to a recorded stream artifact")
+                        help="path to a run log with a recorded stream")
     parser.add_argument("--against", metavar="VERSION",
                         help="candidate version to re-drive (default: the "
                              "version the stream was recorded from)")
@@ -34,22 +36,22 @@ def configure(parser) -> None:
                         help="print the replay report as JSON")
     cli.add_report_path(parser, "--out", None)
     parser.add_argument("--validate", action="store_true",
-                        help="only validate the stream artifact and exit")
+                        help="only read the recording and exit")
 
 
 def run(args) -> int:
-    if args.validate:
-        if cli.fail(validate_stream_file(args.stream), "invalid stream"):
-            return 2
-        print(f"{args.stream}: valid repro-stream/1")
-        return 0
-
     try:
-        report = replay_stream(read_stream(args.stream),
-                               against=args.against)
+        stream = read_stream(args.stream)
+        if args.validate:
+            print(f"{args.stream}: valid recording, "
+                  f"{len(stream.iterations())} iterations")
+            return 0
+        report = replay_stream(stream, against=args.against)
     except (StreamError, NoUpdatePath) as exc:
-        # Unreadable stream; an app or version label the catalog lacks.
-        print(f"replay failed: {exc}", file=sys.stderr)
+        # No readable recording; an app or version label the catalog
+        # lacks.
+        label = "invalid stream" if args.validate else "replay failed"
+        print(f"{label}: {exc}", file=sys.stderr)
         return 2
 
     payload = report.as_dict()

@@ -1,23 +1,25 @@
 """Offline replay: re-drive a candidate version against a recorded stream.
 
-The engine reconstructs the follower's side of MVE from a
-``repro-stream/1`` artifact alone — no workload, no scheduler, no chaos
-plan.  A fresh server runs the chosen candidate version behind a
-``REPLAY``-role gateway (which never touches a kernel: every syscall is
-served from, and checked against, the expected stream), and each
-recorded leader iteration goes through the live monitor's own follower
-step — :func:`repro.mve.varan.rewrite_iteration` through the pair's
-rules, then :func:`repro.mve.varan.replay_iteration`.
+The engine reconstructs the follower's side of MVE from the stream
+recorded into a ``repro-run/1`` log alone (:mod:`repro.replay.stream`)
+— no workload, no scheduler, no chaos plan.  A fresh server runs the
+chosen candidate version behind a ``REPLAY``-role gateway (which never
+touches a kernel: every syscall is served from, and checked against,
+the expected stream), and each recorded leader iteration goes through
+the live monitor's own follower step —
+:func:`repro.mve.varan.rewrite_iteration` through the pair's rules, then
+:func:`repro.mve.varan.replay_iteration`.
 
 Because recording starts at process start (single-leader iterations
 included), the candidate builds its heap by serving the same traffic the
 recorded leader served — so "replay from scratch" needs no checkpoint
 and works for any candidate the app catalog (:mod:`repro.apps`) can
 bridge with rules.
-Control entries switch the leader version mid-stream, so a recording of
-a full update lifecycle replays each segment under the right stage
-rules (``OUTDATED_LEADER`` while the recorded leader is older than the
-candidate, ``UPDATED_LEADER`` once it is newer, identity when equal).
+Promote and crash-promote records switch the leader version
+mid-stream, so a recording of a full update lifecycle replays each
+segment under the right stage rules (``OUTDATED_LEADER`` while the
+recorded leader is older than the candidate, ``UPDATED_LEADER`` once it
+is newer, identity when equal).
 
 A mismatch therefore raises the same
 :class:`~repro.errors.DivergenceError` carrying the same
@@ -105,8 +107,8 @@ def replay_stream(stream: RecordedStream, *,
     kernel = VirtualKernel()
     gateway = SyscallGateway(kernel, domain=0, role=GatewayRole.REPLAY)
     server.bind_gateway(gateway)
-    server.listen_fd = stream.header["listen_fd"]
-    server.epoll_fd = stream.header["epoll_fd"]
+    server.listen_fd = stream.claim["listen_fd"]
+    server.epoll_fd = stream.claim["epoll_fd"]
 
     report = ReplayReport(
         app=config.name,
@@ -117,29 +119,26 @@ def replay_stream(stream: RecordedStream, *,
     )
     leader_version = stream.initial_version
     report.final_version_recorded = leader_version
-    # The rules bridging the recorded leader to the candidate; control
-    # entries switch the leader, and with it the stage.
+    # The rules bridging the recorded leader to the candidate; promote
+    # records switch the leader, and with it the stage.
     ruleset, direction = config.stage_for(leader_version, candidate)
     # Ring-entry shape for forensics: each expected record as the
     # follower would have popped it, stamped with the recorded iteration
     # time and a running sequence number.
     history: deque = deque(maxlen=FORENSICS_LAST_K)
     sequence = 0
-    # Iter-only index of the entry being replayed, so the reported
-    # "iteration" lines up with report.iterations / iterations_replayed
-    # (which never count control or fork entries).
+    # Iteration-only index of the record being replayed, so the
+    # reported "iteration" lines up with report.iterations /
+    # iterations_replayed (which never count promote records).
     iteration = -1
 
-    for index, entry in enumerate(stream.entries):
-        kind = entry["type"]
-        if kind == "control":
+    for index, entry in stream.entries:
+        if entry["kind"] != "stream.record":    # a (crash-)promote
             leader_version = entry["new_leader"]
             report.final_version_recorded = leader_version
             ruleset, direction = config.stage_for(leader_version,
                                                   candidate)
             report.controls_seen += 1
-            continue
-        if kind != "iter":
             continue
         iteration += 1
         records = [deserialize_record(raw) for raw in entry["records"]]
@@ -177,5 +176,6 @@ def replay_stream(stream: RecordedStream, *,
 
 
 def replay_file(path: str, *, against: Optional[str] = None) -> ReplayReport:
-    """Convenience wrapper: read a stream artifact and replay it."""
+    """Convenience wrapper: read the stream a run log recorded and
+    replay it."""
     return replay_stream(read_stream(path), against=against)

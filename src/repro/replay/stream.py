@@ -1,86 +1,43 @@
-"""The ``repro-stream/1`` artifact: a persisted leader syscall stream.
+"""A recorded stream: the leader's syscall stream, read out of a run log.
 
-A recorded stream turns the leader's syscall/ring traffic into a
-first-class, versioned artifact — following DiOS-style reproducible
-execution: re-driving a follower (or a *candidate* new version) against
-the recording reproduces the original divergence verdict offline, with
-no workload, kernel scheduling, or chaos plan required at replay time.
+Re-driving a follower (or a *candidate* new version) against a
+recording reproduces the original divergence verdict offline, with no
+workload, kernel scheduling or chaos plan at replay time — DiOS-style
+reproducible execution.  The recording is the ``stream.*`` records the
+run log's one writer (:class:`repro.obs.trace.Tracer`) logs from the
+recorder slot, in order with whatever else the run logged: one
+``stream.claim`` (app, initial version, fd labels, fault plan), a
+``stream.record`` per leader iteration (its syscall records before
+rewrite rules) and a ``stream.promote`` / ``stream.crash-promote``
+wherever leadership changed (``docs/replay.md``).
 
-Framing is **length-prefixed JSONL**: every line is
-
-    ``XXXXXXXX <json>\\n``
-
-where ``XXXXXXXX`` is the zero-padded lower-case hex byte length of the
-UTF-8 ``<json>`` payload that follows the single separating space.  The
-prefix makes truncation and in-place corruption detectable without
-parsing: a reader checks the arithmetic before it ever calls
-``json.loads``.  Entry order is the recording order:
-
-* exactly one ``header`` first — schema id, app, scenario, the initial
-  leader version, cost profile, ring capacity, and the fault plan in
-  force (``null`` for a fault-free recording);
-* ``iter`` entries — one leader event-loop iteration: completion time,
-  the emitting leader's version, whether a follower was attached, and
-  the iteration's syscall records *before* rewrite rules (rules are a
-  replay-side concern: the same stream can be replayed against any
-  candidate version);
-* ``fork`` / ``control`` entries — follower attach points and
-  promote/crash-promote markers, so replay knows which version produced
-  each segment of the stream;
-* exactly one ``footer`` last — iteration/record/control totals, which
-  double as an integrity check.
-
-Record payload bytes are stored as latin-1 strings (reversible for any
-byte value); tuple results are tagged so they round-trip as tuples.
-
-This module imports only the standard library plus the leaf modules
-``repro.errors``, ``repro.report`` and ``repro.syscalls.model`` so the
-recorder hook in ``repro.mve.varan`` can depend on it without cycles.
+:func:`read_stream` is the one reader: the run log's header count and
+closing snapshot catch truncation, the shapes below what replay would
+otherwise have to defend against, and each record's ``len``
+(:func:`repro.obs.trace.stream_len`) an in-place edit.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional
+from dataclasses import dataclass
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import SimulationError
-from repro.report import (ANY, BOOL, BYTES, INT, NAT, STR, TEXT, ListOf, MapOf,
-                          Obj, Opt, Via, const, decode, one_of, problems,
-                          read_lines)
+from repro.mve.gateway import ERRNO_CLASSES, RECORDED_ERRORS
+from repro.obs.trace import stream_len, validate_lines
+from repro.report import (ANY, BOOL, BYTES, INT, NAT, STR, TEXT, Leaf, ListOf,
+                          Obj, Opt, Via, decode, one_of, problems, read_lines)
 from repro.syscalls.model import Sys, SyscallRecord
-
-#: Stream artifact schema identifier (bump on shape changes).
-STREAM_SCHEMA = "repro-stream/1"
 
 
 class StreamError(SimulationError):
-    """A malformed or unreadable ``repro-stream/1`` artifact."""
+    """A file that holds no readable recording."""
 
 
 # ---------------------------------------------------------------------------
-# Record (de)serialization
+# Record deserialization (serialization is the writer's:
+# repro.obs.trace.serialize_record)
 # ---------------------------------------------------------------------------
-
-def serialize_record(record: SyscallRecord) -> Dict[str, Any]:
-    """One syscall record as JSON-ready data (reversible)."""
-    entry: Dict[str, Any] = {"sys": record.name.value, "fd": record.fd}
-    if record.data:
-        entry["data"] = record.data.decode("latin-1")
-    if record.result is not None:
-        entry["result"] = _serialize_result(record.result)
-    if record.aux:
-        entry["aux"] = {str(k): v for k, v in record.aux.items()}
-    return entry
-
-
-def _serialize_result(result: Any) -> Any:
-    if isinstance(result, (list, tuple)):
-        return {"t": [_serialize_result(item) for item in result]}
-    if isinstance(result, bytes):
-        return {"b": result.decode("latin-1")}
-    return result
-
 
 def _deserialize_result(result: Any) -> Any:
     if isinstance(result, dict):
@@ -92,66 +49,19 @@ def _deserialize_result(result: Any) -> Any:
 
 
 def deserialize_record(entry: Dict[str, Any]) -> SyscallRecord:
-    """Rebuild a :class:`SyscallRecord` from its serialized form."""
-    try:
-        name = Sys(entry["sys"])
-    except (KeyError, ValueError) as exc:
-        raise StreamError(f"bad syscall record entry: {entry!r}") from exc
+    """Rebuild a :class:`SyscallRecord` from a record that has the
+    shape :data:`RECORD_SHAPE` declares."""
     kwargs: Dict[str, Any] = {}
     if "aux" in entry:
         kwargs["aux"] = dict(entry["aux"])
-    return SyscallRecord(name, fd=int(entry.get("fd", -1)),
+    return SyscallRecord(Sys(entry["sys"]), fd=entry["fd"],
                          data=entry.get("data", "").encode("latin-1"),
                          result=_deserialize_result(entry.get("result")),
                          **kwargs)
 
 
 # ---------------------------------------------------------------------------
-# Length-prefixed framing
-# ---------------------------------------------------------------------------
-
-#: Canonical JSON text of a value: sorted keys, compact separators and
-#: (the encoder's default) every non-ASCII character escaped, so the
-#: text's byte length is its ``len``.
-canonical = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
-
-
-def frame_line(payload: Dict[str, Any]) -> str:
-    """One length-prefixed JSONL line (without the trailing newline)."""
-    body = canonical(payload)
-    return f"{len(body):08x} {body}"
-
-
-def unframe_line(line: str, index: int) -> Dict[str, Any]:
-    """Parse one framed line, checking the length prefix first."""
-    if len(line) < 10 or line[8] != " ":
-        raise StreamError(f"line {index}: missing length prefix")
-    try:
-        declared = int(line[:8], 16)
-    except ValueError:
-        raise StreamError(f"line {index}: bad length prefix "
-                          f"{line[:8]!r}") from None
-    body = line[9:]
-    # What an encoder here wrote is ASCII; other text is measured as the
-    # UTF-8 it would be on disk (a lone surrogate included, so that it
-    # is a length mismatch or a shape problem, never an encode error).
-    actual = len(body) if body.isascii() \
-        else len(body.encode("utf-8", "surrogatepass"))
-    if actual != declared:
-        raise StreamError(f"line {index}: length prefix says {declared} "
-                          f"bytes but the payload has {actual} "
-                          f"(truncated or corrupted artifact)")
-    try:
-        payload = decode(body)
-    except ValueError as exc:
-        raise StreamError(f"line {index}: bad JSON payload: {exc}") from None
-    if not isinstance(payload, dict):
-        raise StreamError(f"line {index}: entry is not an object")
-    return payload
-
-
-# ---------------------------------------------------------------------------
-# Shapes (everything StreamRecorder.write can produce) and the in-memory form
+# Shapes: everything the writer's recorder slot can produce
 # ---------------------------------------------------------------------------
 
 #: Results nest: a tuple is stored as ``{"t": [results]}``, bytes as
@@ -159,134 +69,153 @@ def unframe_line(line: str, index: int) -> Dict[str, Any]:
 RESULT_SHAPE = Via(ANY, lambda result: problems(result, TAGGED_SHAPE)
                    if isinstance(result, dict) else [])
 TAGGED_SHAPE = Obj({}, {"t": ListOf(RESULT_SHAPE), "b": BYTES})
-RECORD_SHAPE = Obj({"sys": one_of(sys.value for sys in Sys), "fd": INT},
-                   {"data": BYTES, "result": RESULT_SHAPE,
-                    "aux": MapOf(ANY)})
 
-HEADER_SHAPE = Obj({
-    "type": const("header"), "schema": const(STREAM_SCHEMA), "app": TEXT,
-    "scenario": STR, "initial_version": TEXT, "ring_capacity": INT,
-    "listen_fd": INT, "epoll_fd": INT,
-}, {"profile": STR, "fault_plan": Opt(Obj({}))})
-
-#: Entry type -> shape, for every entry legal after the header.
-ENTRY_SHAPES = {
-    "iter": Obj({"at": INT, "version": STR, "mve": BOOL,
-                 "records": ListOf(RECORD_SHAPE)}),
-    "fork": Obj({"at": INT, "version": STR}),
-    "control": Obj({"kind": TEXT, "at": INT, "version": STR,
-                    "new_leader": STR}),
-    "footer": Obj({"iterations": NAT, "records": NAT, "controls": NAT}),
+#: What the ``REPLAY`` gateway hands back to the candidate, by syscall:
+#: ``epoll_wait``'s ready set, the fd ``accept``/``connect``/``listen``
+#: return, and a ``stat``-family answer (a size or null, a bool, a
+#: listing).  Any other result is compared or ignored, never returned.
+REPLAYED_RESULTS = {
+    "epoll_wait": Obj({"t": ListOf(INT)}),
+    "accept": INT,
+    "connect": INT,
+    "listen": INT,
+    "stat": Leaf("null, an int, a bool or a tagged list of names",
+                 lambda value: value is None or type(value) in (int, bool)
+                 or (type(value) is dict and list(value) == ["t"]
+                     and type(value["t"]) is list
+                     and all(type(name) is str for name in value["t"]))),
 }
-ENTRY_TYPES = tuple(ENTRY_SHAPES)
+
+
+def _replayed(record: Dict[str, Any]) -> List[str]:
+    """What a record's syscall hands the candidate is what the gateway
+    can hand it: an ``aux`` error the syscall records
+    (:data:`~repro.mve.gateway.RECORDED_ERRORS`), and a result of the
+    type :data:`REPLAYED_RESULTS` names — which only ``stat`` (null) and
+    a failed ``accept`` (its error is raised instead) go without."""
+    name = record["sys"]
+    error = record.get("aux", {}).get("error")
+    if error is not None and name in RECORDED_ERRORS:
+        found = problems(error, one_of(RECORDED_ERRORS[name]),
+                         "'aux' 'error'")
+        if found:
+            return found
+    shape = REPLAYED_RESULTS.get(name)
+    if shape is None:
+        return []
+    if "result" in record:
+        return problems(record["result"], shape, "'result'")
+    if name == "stat" or (name == "accept" and error is not None):
+        return []
+    return [f"missing 'result', which {name} returns"]
+
+
+RECORD_SHAPE = Via(Obj({"sys": one_of(sys.value for sys in Sys), "fd": INT},
+                       {"data": BYTES, "result": RESULT_SHAPE,
+                        "aux": Obj({}, {"error": one_of(ERRNO_CLASSES)})}),
+                   _replayed)
+
+
+def _len_holds(record: Dict[str, Any]) -> List[str]:
+    actual = stream_len(record)
+    if record["len"] == actual:
+        return []
+    return [f"len says {record['len']} bytes but the payload has "
+            f"{actual} (edited in place?)"]
+
+
+def _stream_shape(fields: Dict[str, Any]) -> Via:
+    return Via(Obj({**fields, "len": NAT}), _len_holds)
+
+
+_CONTROL_SHAPE = _stream_shape({"version": STR, "new_leader": STR})
+
+#: Stream record kind -> shape, ``len`` checked last.
+STREAM_SHAPES = {
+    "stream.claim": _stream_shape({
+        "app": TEXT, "initial_version": TEXT, "profile": STR,
+        "ring_capacity": INT, "listen_fd": INT, "epoll_fd": INT,
+        "fault_plan": Opt(Obj({}))}),
+    "stream.record": _stream_shape({
+        "version": STR, "mve": BOOL, "count": NAT,
+        "records": ListOf(RECORD_SHAPE)}),
+    "stream.promote": _CONTROL_SHAPE,
+    "stream.crash-promote": _CONTROL_SHAPE,
+}
+
+#: The run log header's label, the recording's scenario.
+_HEADER_SHAPE = Obj({}, {"experiment": STR})
 
 
 @dataclass
 class RecordedStream:
-    """A parsed ``repro-stream/1`` artifact."""
+    """A stream read back out of a run log."""
 
-    #: Header metadata (scenario, app, versions, fault plan, ...).
-    header: Dict[str, Any]
-    #: Every non-header, non-footer entry, in recording order.
-    entries: List[Dict[str, Any]] = field(default_factory=list)
+    #: The run log's ``experiment`` label: the scenario recorded.
+    scenario: str
+    #: The ``stream.claim`` record (app, versions, fd labels, ...).
+    claim: Dict[str, Any]
+    #: ``(position, record)`` of every ``stream.record``,
+    #: ``stream.promote`` and ``stream.crash-promote``, in log order;
+    #: ``position`` is the record's 0-based index among the log's
+    #: records (its line is ``position + 2``).
+    entries: List[Tuple[int, Dict[str, Any]]]
 
     @property
     def app(self) -> str:
-        return self.header.get("app", "")
-
-    @property
-    def scenario(self) -> str:
-        return self.header.get("scenario", "")
+        return self.claim["app"]
 
     @property
     def initial_version(self) -> str:
-        return self.header.get("initial_version", "")
-
-    @property
-    def fault_plan(self) -> Optional[Dict[str, Any]]:
-        return self.header.get("fault_plan")
+        return self.claim["initial_version"]
 
     def iterations(self) -> List[Dict[str, Any]]:
-        return [entry for entry in self.entries if entry["type"] == "iter"]
+        return [record for _, record in self.entries
+                if record["kind"] == "stream.record"]
 
     def record_count(self) -> int:
-        return sum(len(entry["records"]) for entry in self.iterations())
-
-
-def write_stream(path: str, header: Dict[str, Any],
-                 entries: Iterable[Dict[str, Any]]) -> int:
-    """Write a framed stream artifact; returns the entry count written
-    (including header and footer)."""
-    iterations = records = controls = 0
-    lines = [frame_line(header)]
-    for entry in entries:
-        if entry.get("type") == "iter":
-            iterations += 1
-            records += len(entry.get("records", ()))
-        elif entry.get("type") == "control":
-            controls += 1
-        lines.append(frame_line(entry))
-    lines.append(frame_line({"type": "footer", "iterations": iterations,
-                             "records": records, "controls": controls}))
-    with open(path, "w", encoding="utf-8") as handle:
-        for line in lines:
-            handle.write(line + "\n")
-    return len(lines)
-
-
-def _shaped(entry: Dict[str, Any], shape: Any, where: str,
-            path: str) -> Dict[str, Any]:
-    """``entry``, or :class:`StreamError` saying how it is no ``shape``."""
-    found = problems(entry, shape, where)
-    if found:
-        raise StreamError(f"{path}: " + "; ".join(found))
-    return entry
+        return sum(len(record["records"]) for record in self.iterations())
 
 
 def read_stream(path: str) -> RecordedStream:
-    """Parse a stream artifact, raising :class:`StreamError` on any
-    framing, shape, or integrity problem: what it returns is everything
-    :func:`repro.replay.engine.replay_stream` relies on."""
+    """The stream recorded into the ``repro-run/1`` log at ``path``.
+
+    Raises :class:`StreamError` naming the first reason the file is no
+    recording — not UTF-8, not a valid run log (truncation included),
+    a misshapen stream record or one whose ``len`` disagrees, a stream
+    record before the claim, no claim at all: what it returns is
+    everything :func:`repro.replay.engine.replay_stream` relies on."""
     try:
         lines = read_lines(path)
     except UnicodeDecodeError as exc:
         raise StreamError(f"{path}: not UTF-8 text ({exc})") from None
-    if not lines:
-        raise StreamError(f"{path}: empty stream artifact")
-    header = _shaped(unframe_line(lines[0], 0), HEADER_SHAPE, "header", path)
-    entries: List[Dict[str, Any]] = []
-    footer: Optional[Dict[str, Any]] = None
-    for index, line in enumerate(lines[1:], start=1):
-        entry = unframe_line(line, index)
-        kind = entry.get("type")
-        if footer is not None:
-            raise StreamError(f"line {index}: entry after the footer")
-        if kind not in ENTRY_TYPES:
-            raise StreamError(f"line {index}: unknown entry type {kind!r}")
-        _shaped(entry, ENTRY_SHAPES[kind], f"entry {index - 1}", path)
-        if kind == "footer":
-            footer = entry
+    found = validate_lines(lines)
+    if not found:
+        header = decode(lines[0])
+        found = problems(header, _HEADER_SHAPE, "line 1:")
+    if found:
+        raise StreamError(f"{path}: {found[0]}")
+    claim: Optional[Dict[str, Any]] = None
+    entries: List[Tuple[int, Dict[str, Any]]] = []
+    for position, line in enumerate(lines[1:-1]):
+        record = decode(line)
+        kind = record["kind"]
+        if kind not in STREAM_SHAPES:
+            continue
+        where = f"line {position + 2}:"
+        found = problems(record, STREAM_SHAPES[kind], where)
+        if found:
+            raise StreamError(f"{path}: " + "; ".join(found))
+        if kind == "stream.claim":
+            if claim is not None:
+                raise StreamError(f"{path}: {where} a second stream.claim")
+            claim = record
+        elif claim is None:
+            raise StreamError(f"{path}: {where} {kind} before the "
+                              f"stream.claim")
         else:
-            entries.append(entry)
-    if footer is None:
-        raise StreamError(f"{path}: missing footer (truncated artifact)")
-    stream = RecordedStream(header=header, entries=entries)
-    controls = sum(1 for e in entries if e["type"] == "control")
-    for key, have in (("iterations", len(stream.iterations())),
-                      ("records", stream.record_count()),
-                      ("controls", controls)):
-        if footer[key] != have:
-            raise StreamError(
-                f"{path}: footer says {footer[key]} {key} but the "
-                f"stream holds {have} (truncated artifact)")
-    return stream
-
-
-def validate_stream_file(path: str) -> List[str]:
-    """Problems with a stream artifact (empty list means valid): the
-    reason :func:`read_stream` refuses it, if it does."""
-    try:
-        read_stream(path)
-    except (OSError, StreamError) as exc:
-        return [str(exc)]
-    return []
+            entries.append((position, record))
+    if claim is None:
+        raise StreamError(f"{path}: no stream.claim: nothing was recorded "
+                          f"into this run log")
+    return RecordedStream(header.get("experiment", ""), claim, entries)

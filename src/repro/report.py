@@ -1,11 +1,11 @@
 """What an artifact looks like, declared once and checked by one walker.
 
-Every ``repro-*/N`` report, JSONL file and recorded stream is decoded
-JSON, and "is it well-formed" is one algorithm: walk the value against
-an expected shape, stamping each problem with the path it was found at.
-A subsystem declares its artifact's shape as a module constant beside
-the code that builds it (``CHAOS_SHAPE``, ``SLO_SHAPE``, the stream's
-``HEADER_SHAPE`` ...) from the closed vocabulary below, and
+Every ``repro-*/N`` report and JSONL file is decoded JSON, and "is it
+well-formed" is one algorithm: walk the value against an expected
+shape, stamping each problem with the path it was found at.  A
+subsystem declares its artifact's shape as a module constant beside
+the code that builds it (``CHAOS_SHAPE``, ``SLO_SHAPE``, the stream
+records' ``STREAM_SHAPES`` ...) from the closed vocabulary below, and
 :func:`problems` is the only walker.  It is *total*: for any decoded
 JSON value it returns a list of strings and never raises, so a
 malformed file is a typed refusal, never a traceback.
@@ -146,6 +146,13 @@ def _walk(value: Any, shape: Any) -> Sequence[str]:
                 found += [f" {key!r}{inner}"
                           for inner in _walk(value[key], inner_shape)]
     return found
+
+
+#: Canonical JSON text of a value: sorted keys, compact separators and
+#: (the encoder's default) every non-ASCII character escaped, so the
+#: text's byte length is its ``len``.  A stream record's ``len`` field
+#: and a ``repro-ring/1`` frame's length prefix are measured on it.
+canonical = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 def decode(text: str) -> Any:

@@ -1,11 +1,11 @@
 """The one observer slot, the run's position, and the one table of
 instrumented sites.
 
-Four observer slots watch the stack — the tracer slot and the spans
-slot (both filled by the run log's one writer, :mod:`repro.obs.trace`),
-the chaos injector and the stream recorder
-(:mod:`repro.chaos.injector`, :mod:`repro.replay.recorder`) — and this
-module is how all of them are found and what all of them may say.
+Four observer slots watch the stack — the tracer, spans and recorder
+slots (all three filled by the run log's one writer,
+:mod:`repro.obs.trace`) and the chaos injector
+(:mod:`repro.chaos.injector`) — and this module is how all of them are
+found and what all of them may say.
 
 **The slot.**  :data:`OBS` holds the installed observers, ``None`` each
 by default.  Every instrumented site reads it *when it runs*::
@@ -55,7 +55,7 @@ class _Observers:
     """The installed observers, each None while that hook is off, and
     the run's position.  No slot implies another: a writer in the spans
     slot alone logs no trace event, one in the tracer slot alone creates
-    no span."""
+    no span and records no stream."""
 
     __slots__ = ("tracer", "spans", "chaos", "recorder", "vnow", "stage",
                  "phase")
@@ -117,12 +117,11 @@ class Site(NamedTuple):
     where: str
     #: Chaos fault kinds legal here (``ChaosInjector.fire(name)``).
     faults: Tuple[str, ...] = ()
-    #: ``repro-run/1`` event kinds emitted here (tracer slot).
+    #: ``repro-run/1`` event kinds emitted here (tracer slot; the
+    #: ``stream.*`` kinds, recorder slot).
     events: Tuple[str, ...] = ()
     #: ``repro-run/1`` span kinds recorded here (spans slot).
     spans: Tuple[str, ...] = ()
-    #: ``repro-stream/1`` entry types written here.
-    entries: Tuple[str, ...] = ()
 
 
 #: Every instrumented site.  The rows with ``faults`` are the chaos
@@ -163,10 +162,10 @@ TABLE: Tuple[Site, ...] = (
          spans=("mve.ring-stall",)),
     Site("mve.promote", "mve", "mve/varan.py:VaranRuntime.promote",
          events=("control.promote",), spans=("mve.promote",)),
-    # The recorder's tap: leader iterations, forks, promotions.
-    Site("stream.record", "replay",
-         "mve/varan.py:VaranRuntime._run_leader_iteration",
-         events=("stream.record",), entries=("iter", "fork", "control")),
+    # The recorder slot's tap: the claim, leader iterations, promotions.
+    Site("stream.record", "replay", "mve/varan.py:VaranRuntime",
+         events=("stream.claim", "stream.record", "stream.promote",
+                 "stream.crash-promote")),
     # The update lifecycle.
     Site("dsu.update", "dsu", "core/mvedsua.py:Mvedsua.request_update",
          faults=("buggy-version",),
@@ -215,6 +214,6 @@ TABLE: Tuple[Site, ...] = (
 
 
 def kinds(column: str) -> Dict[str, Site]:
-    """``column`` is ``"events"``, ``"spans"`` or ``"entries"``: each
-    kind the table declares there -> the row declaring it."""
+    """``column`` is ``"events"`` or ``"spans"``: each kind the table
+    declares there -> the row declaring it."""
     return {kind: site for site in TABLE for kind in getattr(site, column)}

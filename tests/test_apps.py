@@ -38,7 +38,7 @@ PAIRS = [(name, old, new) for name, config in CATALOG.items()
 def _recording(config, label, tmp_path):
     """``seed_requests`` (one NOOP where the app lists none) served by
     ``deploy(config, label, VaranRuntime)``, as a parsed stream."""
-    recorder = StreamRecorder(scenario=config.name)
+    recorder = StreamRecorder(config.name)
     with observing(recorder=recorder):
         stack = deploy(config, label, VaranRuntime)
     client = stack.client()

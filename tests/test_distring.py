@@ -18,8 +18,8 @@ from repro.mve.events import ControlEvent, ControlKind
 from repro.mve.ring_buffer import BufferFull
 from repro.net.ring_wire import (RingLink, WireError, decode_ack,
                                  decode_frame, encode_ack, encode_frame,
-                                 transit_ns)
-from repro.replay.stream import frame_line, serialize_record
+                                 frame_line, transit_ns)
+from repro.obs.trace import serialize_record
 from repro.sites import observing
 from repro.syscalls.model import (EMPTY_AUX, Sys, SyscallRecord,
                                   write_record)
@@ -76,14 +76,12 @@ class TestRingWire:
             decode_frame("00000004 {!!}")
 
     def test_wrong_schema_rejected(self):
-        from repro.replay.stream import frame_line
         line = frame_line({"schema": "repro-ring/99", "seq": 0,
                            "records": [{"x": 1}]})
         with pytest.raises(WireError, match="schema"):
             decode_frame(line)
 
     def test_bad_sequence_rejected(self):
-        from repro.replay.stream import frame_line
         for seq in (None, -4, "7"):
             line = frame_line({"schema": "repro-ring/1", "seq": seq,
                                "records": [{"x": 1}]})
@@ -91,7 +89,6 @@ class TestRingWire:
                 decode_frame(line)
 
     def test_recordless_frame_rejected(self):
-        from repro.replay.stream import frame_line
         line = frame_line({"schema": "repro-ring/1", "seq": 0,
                            "records": []})
         with pytest.raises(WireError):
@@ -101,7 +98,6 @@ class TestRingWire:
         assert decode_ack(encode_ack(41)) == 41
         with pytest.raises(WireError):
             decode_ack("garbage")
-        from repro.replay.stream import frame_line
         with pytest.raises(WireError):
             decode_ack(frame_line({"schema": "repro-ring/1", "ack": -1}))
 

@@ -20,9 +20,11 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
 
 #: Modules no static import reaches, each with what loads it.
 ALLOWED = {
-    # hostbench's probe table binds SpanCollector.open/close/add here
-    # by name, and that table is frozen.
+    # hostbench's probe table binds SpanCollector.open/close/add and
+    # StreamRecorder.on_iteration/write here by name, and that table is
+    # frozen.
     "repro.obs.spans",
+    "repro.replay.recorder",
     # repro.bench.claims loads its drivers through a table of strings.
     "repro.bench.semantic",
 }

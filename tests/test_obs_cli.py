@@ -97,15 +97,15 @@ def _trace_lines(tmp_path, name, *extra):
 
 
 def test_recording_changes_only_the_recorders_own_records(tmp_path, capsys):
-    """The recorder's ``stream.record`` events are its share of the log;
-    every other line of ``trace --record`` is the plain trace's, ``at``
-    included: the recorder's tap moves no clock."""
+    """The recorder slot's ``stream.*`` records are its share of the
+    log; every other line of ``trace --record`` is the plain trace's,
+    ``at`` included: the recorder's tap moves no clock."""
     plain = _trace_lines(tmp_path, "plain")
-    recorded = _trace_lines(tmp_path, "recorded", "--record",
-                            str(tmp_path / "STREAM.jsonl"))
+    recorded = _trace_lines(tmp_path, "recorded", "--record")
     taps = [line for line in recorded[1:-1]
-            if json.loads(line)["kind"] == "stream.record"]
-    assert taps
+            if json.loads(line)["kind"].startswith("stream.")]
+    assert {json.loads(line)["kind"] for line in taps} == \
+        {"stream.claim", "stream.record", "stream.promote"}
     assert [line for line in recorded[1:-1] if line not in taps] == \
         plain[1:-1]
     metrics = json.loads(recorded[-1])

@@ -166,7 +166,7 @@ class TestValidation:
         c.close(span, 5, answered=True)
         c.add("mve.ring-stall", "mve", 1, 3)
         path = tmp_path / "spans.jsonl"
-        c.write_jsonl(str(path))
+        c.write(str(path))
         return path
 
     def test_round_trip_validates(self, tmp_path):

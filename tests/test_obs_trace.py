@@ -396,8 +396,12 @@ def test_every_fold_row_is_keyed_by_a_declared_event_kind():
 
 
 def test_only_three_hooks_are_more_than_an_emit():
-    assert [name for name in vars(Tracer) if name.startswith("on_")] == \
-        ["on_syscall", "on_kernel", "on_forensics"]
+    """Three tracer-slot hooks do more than an ``emit``; the other two
+    ``on_`` hooks are the recorder slot's, called only on the writer a
+    runtime claimed."""
+    hooks = [name for name in vars(Tracer) if name.startswith("on_")]
+    assert hooks == ["on_syscall", "on_kernel", "on_forensics",
+                     "on_iteration", "on_promote"]
 
 
 # -- the active tracer ------------------------------------------------------
@@ -500,7 +504,7 @@ def test_write_jsonl_and_validate_file(tmp_path):
     tracer = Tracer(experiment="file")
     tracer.emit("sim.event", "sim", at=2)
     path = tmp_path / "trace.jsonl"
-    tracer.write_jsonl(str(path))
+    assert tracer.write(str(path)) == 3    # header, event, snapshot
     assert validate_file(str(path)) == []
 
 

@@ -1,143 +1,203 @@
-"""Syscall-stream record/replay (``repro-stream/1``) and parallel
-campaign execution: stream round-trips, offline divergence forensics,
-byte-identical sharded reports, and the perf ``--diff`` gauge
-gate."""
+"""Syscall-stream record/replay (the ``stream.*`` records of a
+``repro-run/1`` log) and parallel campaign execution: recordings read
+back and refused, offline divergence forensics, byte-identical sharded
+reports, and the perf ``--diff`` gauge gate."""
 
 import functools
 import json
 import operator
+import os
+import tempfile
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.apps import deploy
-from repro.chaos.campaign import default_grid, probe_site_calls, run_campaign
+from repro.chaos.campaign import (default_grid, probe_site_calls,
+                                  run_campaign, run_cell)
+from repro.chaos.plan import FaultPlan
 from repro.cli import main
 from repro.chaos.scenarios import BuggyKVStoreV2, run_kv_update_scenario
 from repro.errors import SimulationError
 from repro.mve import VaranRuntime
 from repro.net import VirtualKernel
+from repro.obs.trace import Tracer, stream_len, validate_file
 from repro.perf.diff import diff_bench, gate_failures
 from repro.perf.harness import SCHEMA, run_scenarios, validate_bench
 from repro.perf.harness import GAUGES
 from repro.replay.engine import replay_file
 from repro.parallel import map_items, resolve_workers, shard_round_robin
 from repro.replay.recorder import StreamRecorder
-from repro.replay.stream import (StreamError, frame_line, read_stream,
-                                 validate_stream_file, write_stream)
+from repro.replay.stream import StreamError, read_stream
+from repro.scenarios import SCENARIOS
 from repro.servers.kvstore import (KVStoreServer, KVStoreV1, kv_rules,
                                    xform_1_to_2)
 from repro.sites import OBS, observing
 from repro.syscalls.costs import PROFILES
+from repro.syscalls.model import Sys
 from repro.workloads import VirtualClient
 
 
-#: A well-framed stream line whose JSON nests past what the interpreter
-#: can decode.
-_DEEP_LINE = b"%08x " % 200_000 + b"[" * 100_000 + b"]" * 100_000 + b"\n"
+#: A line of JSON nested past what the interpreter can decode.
+_DEEP_LINE = b"[" * 100_000 + b"]" * 100_000 + b"\n"
 
 
 @pytest.fixture(scope="module")
 def kv_stream(tmp_path_factory):
     """A recorded kvstore update lifecycle (the chaos golden run)."""
     path = tmp_path_factory.mktemp("streams") / "kv.jsonl"
-    recorder = StreamRecorder(scenario="kvstore")
+    recorder = StreamRecorder("kvstore")
     with observing(recorder=recorder):
         run_kv_update_scenario()
     recorder.write(str(path))
     return str(path)
 
 
+def _log_lines(path):
+    """A run log's lines, decoded."""
+    with open(path, encoding="utf-8") as handle:
+        return [json.loads(line) for line in handle]
+
+
+def _write_log(path, lines):
+    """Write decoded run-log lines back, each stream record's ``len``
+    made to hold again — an edit a careful hand would make."""
+    with open(path, "w", encoding="utf-8") as handle:
+        for line in lines:
+            if str(line.get("kind", "")).startswith("stream."):
+                line["len"] = stream_len(line)
+            handle.write(json.dumps(line) + "\n")
+    return str(path)
+
+
 # ---------------------------------------------------------------------------
-# The stream artifact
+# The recording
 # ---------------------------------------------------------------------------
+
+
+def _sys(iteration, index, name):
+    """Record ``index`` of a ``stream.record``, checked to be ``name``."""
+    record = iteration["records"][index]
+    assert record["sys"] == name
+    return record
 
 
 class TestStreamArtifact:
     def test_recorded_stream_round_trips(self, kv_stream):
         stream = read_stream(kv_stream)
-        assert stream.app == "kvstore"
+        assert (stream.app, stream.scenario) == ("kvstore", "kvstore")
         assert stream.initial_version == "1.0"
         assert stream.record_count() > 0
         assert len(stream.iterations()) > 0
-        # The update lifecycle leaves at least one control entry.
-        assert any(e["type"] == "control" for e in stream.entries)
-        assert validate_stream_file(kv_stream) == []
+        # The update lifecycle leaves at least one promote record.
+        assert any(record["kind"] == "stream.promote"
+                   for _, record in stream.entries)
+        # A recording is a run log, valid as such.
+        assert validate_file(kv_stream) == []
 
     def test_truncated_stream_is_rejected(self, kv_stream, tmp_path):
         lines = open(kv_stream, encoding="utf-8").read().splitlines()
-        truncated = tmp_path / "truncated.jsonl"
-        truncated.write_text("\n".join(lines[:-1]) + "\n", encoding="utf-8")
-        with pytest.raises(StreamError, match="footer"):
-            read_stream(str(truncated))
-        assert validate_stream_file(str(truncated)) != []
+        for cut in (lines[:-1], lines[:-2] + lines[-1:]):
+            truncated = tmp_path / "truncated.jsonl"
+            truncated.write_text("\n".join(cut) + "\n", encoding="utf-8")
+            with pytest.raises(StreamError, match="truncated"):
+                read_stream(str(truncated))
 
     def test_corrupt_length_prefix_is_rejected(self, kv_stream, tmp_path):
-        lines = open(kv_stream, encoding="utf-8").read().splitlines()
-        lines[1] = "zzzzzzzz " + lines[1].split(" ", 1)[1]
+        """The length prefix of the old stream file is each stream
+        record's ``len`` now: a record whose ``len`` disagrees with its
+        payload is refused before replay reads it."""
+        lines = _log_lines(kv_stream)
+        lines[2]["len"] += 1
         corrupt = tmp_path / "corrupt.jsonl"
-        corrupt.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        with pytest.raises(StreamError, match="length prefix"):
+        corrupt.write_text("".join(json.dumps(line) + "\n"
+                                   for line in lines), encoding="utf-8")
+        with pytest.raises(StreamError, match="line 3: len says"):
             read_stream(str(corrupt))
 
     @pytest.mark.parametrize("edit, complaint", [
-        # What a default StreamRecorder() writes (an empty scenario
-        # included) is valid for `replay` and `--validate` alike.
-        pytest.param(lambda header, entry: None, None,
+        # What a default StreamRecorder() writes (an empty experiment
+        # label included) is valid for `replay` and `--validate` alike.
+        pytest.param(lambda claim, iters: None, None,
                      id="default-recorder"),
-        pytest.param(lambda header, entry: entry.update(records=5),
-                     "entry 0 'records' is 5, expected a list",
+        pytest.param(lambda claim, iters: iters[0].update(records=5),
+                     "line 3: 'records' is 5, expected a list",
                      id="records"),
-        pytest.param(lambda header, entry: entry["records"][0].update(fd="x"),
-                     "entry 0 'records'[0] 'fd' is 'x', expected an int",
+        pytest.param(lambda claim, iters:
+                     iters[0]["records"][0].update(fd="x"),
+                     "line 3: 'records'[0] 'fd' is 'x', expected an int",
                      id="fd"),
-        pytest.param(lambda header, entry: entry["records"][0].update(data=5),
-                     "entry 0 'records'[0] 'data' is 5, expected a latin-1 "
-                     "string", id="data"),
-        pytest.param(lambda header, entry: entry["records"][0].update(aux=3),
-                     "entry 0 'records'[0] 'aux' is 3, expected an object",
+        pytest.param(lambda claim, iters:
+                     iters[0]["records"][0].update(data=5),
+                     "line 3: 'records'[0] 'data' is 5, expected a "
+                     "latin-1 string", id="data"),
+        pytest.param(lambda claim, iters:
+                     iters[0]["records"][0].update(aux=3),
+                     "line 3: 'records'[0] 'aux' is 3, expected an object",
                      id="aux"),
-        pytest.param(lambda header, entry:
-                     entry["records"][0].update(result={"b": 5}),
-                     "entry 0 'records'[0] 'result' 'b' is 5, expected a "
+        pytest.param(lambda claim, iters:
+                     iters[0]["records"][0].update(result={"b": 5}),
+                     "line 3: 'records'[0] 'result' 'b' is 5, expected a "
                      "latin-1 string", id="result"),
-        pytest.param(lambda header, entry:
-                     entry["records"].__setitem__(0, [1, 2]),
-                     "entry 0 'records'[0] is [1, 2], expected an object",
+        pytest.param(lambda claim, iters:
+                     iters[0]["records"].__setitem__(0, [1, 2]),
+                     "line 3: 'records'[0] is [1, 2], expected an object",
                      id="record"),
-        pytest.param(lambda header, entry: entry.update(at="x"),
-                     "entry 0 'at' is 'x', expected an int", id="at"),
-        pytest.param(lambda header, entry: header.update(listen_fd="a"),
-                     "header 'listen_fd' is 'a', expected an int",
+        pytest.param(lambda claim, iters: iters[0].update(at="x"),
+                     "line 3: 'at' is 'x', expected an int", id="at"),
+        pytest.param(lambda claim, iters: claim.update(listen_fd="a"),
+                     "line 2: 'listen_fd' is 'a', expected an int",
                      id="listen_fd"),
+        # In the generic shape, but not what the REPLAY gateway hands
+        # the candidate: each was a traceback out of `replay`.
+        pytest.param(lambda claim, iters:
+                     _sys(iters[0], 0, "epoll_wait").update(result=0),
+                     "line 3: 'records'[0] 'result' is 0, expected an "
+                     "object", id="epoll-wait-result"),
+        pytest.param(lambda claim, iters:
+                     _sys(iters[0], 1, "accept").update(
+                         result={"b": "\xff"}),
+                     "line 3: 'records'[1] 'result' is {'b': 'ÿ'}, "
+                     "expected an int", id="accept-result"),
+        pytest.param(lambda claim, iters:
+                     _sys(iters[1], 2, "read").update(
+                         aux={"error": "EBOGUS"}),
+                     "line 4: 'records'[2] 'aux' 'error' is 'EBOGUS', "
+                     "expected 'ECONNRESET' or 'EPIPE' or 'EMFILE'",
+                     id="read-errno"),
+        # An in-place edit that moves the payload's length: one byte
+        # inserted into a read's data, `len` left as recorded.
+        pytest.param(lambda claim, iters: lambda data: data.replace(
+            b'"sys": "read", "fd": 5, "data": "',
+            b'"sys": "read", "fd": 5, "data": "!', 1),
+            "line 4: len says {len} bytes but the payload has {len+1} "
+            "(edited in place?)", id="len"),
         # Below the JSON layer (an edit may return a rewrite of the
         # file's bytes): both were tracebacks out of the reader.
-        pytest.param(lambda header, entry: lambda data: b"\xff" + data,
+        pytest.param(lambda claim, iters: lambda data: b"\xff" + data,
                      "not UTF-8 text ('utf-8' codec can't decode byte 0xff "
                      "in position 0: invalid start byte)", id="not-utf8"),
-        pytest.param(lambda header, entry: lambda data: _DEEP_LINE + data,
-                     "line 0: bad JSON payload: nests too deeply to decode",
+        pytest.param(lambda claim, iters: lambda data: _DEEP_LINE + data,
+                     "line 1: not JSON (nests too deeply to decode)",
                      id="nested-past-decoding"),
     ])
     def test_replay_and_validate_accept_and_reject_the_same_files(
             self, edit, complaint, tmp_path, capsys):
-        """One meaning of valid: a well-framed stream with a misshapen
-        header, entry or record is one typed line and exit 2 from both
-        commands — none of these reached ``--validate``'s old checks
-        without a traceback, and plain ``replay`` ran none of them."""
+        """One meaning of valid: a run log with a misshapen claim,
+        iteration or syscall record is one typed line and exit 2 from
+        both commands, never a traceback."""
         recorder = StreamRecorder()
         with observing(recorder=recorder):
             run_kv_update_scenario()
-        assert recorder.entries[0]["type"] == "iter"
-        rewrite = edit(recorder.header, recorder.entries[0])
-        footer = {"type": "footer", "iterations": recorder.iterations,
-                  "records": recorder.records, "controls": sum(
-                      entry["type"] == "control"
-                      for entry in recorder.entries)}
+        lines = [json.loads(line) for line in recorder.to_jsonl_lines()]
+        claim, iters = lines[1], lines[2:]
+        assert claim["kind"] == "stream.claim"
+        assert iters[0]["kind"] == iters[1]["kind"] == "stream.record"
+        rewrite = edit(claim, iters)
         path = tmp_path / "stream.jsonl"
-        data = "".join(
-            frame_line(entry) + "\n" for entry in
-            [recorder.header, *recorder.entries, footer]).encode("utf-8")
-        path.write_bytes(rewrite(data) if rewrite else data)
+        _write_log(path, lines)
+        if rewrite:
+            path.write_bytes(rewrite(path.read_bytes()))
         expected = 0 if complaint is None else 2
         assert main(["replay", str(path)]) == expected
         replayed = capsys.readouterr().err
@@ -146,14 +206,62 @@ class TestStreamArtifact:
         if complaint is None:
             assert (replayed, validated) == ("", "")
         else:
-            if not complaint.startswith("line "):    # framing names lines
-                complaint = f"{path}: {complaint}"
-            assert replayed == f"replay failed: {complaint}\n"
-            assert validated == f"invalid stream: {complaint}\n"
+            complaint = complaint.replace("{len}", str(iters[1]["len"])) \
+                .replace("{len+1}", str(iters[1]["len"] + 1))
+            assert replayed == f"replay failed: {path}: {complaint}\n"
+            assert validated == f"invalid stream: {path}: {complaint}\n"
+
+
+# -- any in-shape edit replays or is refused -----------------------------
+
+_LATIN1 = st.text(st.characters(max_codepoint=0xFF), max_size=12)
+_RESULTS = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 12) | _LATIN1
+    | st.builds(lambda text: {"b": text}, _LATIN1),
+    lambda inner: st.builds(lambda items: {"t": items},
+                            st.lists(inner, max_size=3)),
+    max_leaves=6)
+_AUX = st.dictionaries(
+    st.sampled_from(["error", "wildcard", "flags"]),
+    st.sampled_from(["ECONNRESET", "EPIPE", "EMFILE", "EBOGUS", ""])
+    | st.booleans() | st.integers(0, 2), max_size=2)
+#: Fields of a syscall record as the generic record shape allows them
+#: (``sys`` in the vocabulary, ``fd`` an int, latin-1 ``data``, a tagged
+#: ``result``, an ``aux`` object).
+_EDITS = st.fixed_dictionaries({}, optional={
+    "sys": st.sampled_from([sys.value for sys in Sys]),
+    "fd": st.integers(-3, 12), "data": _LATIN1, "result": _RESULTS,
+    "aux": _AUX})
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_any_in_shape_edit_replays_or_is_refused(kv_stream, data):
+    """Edit one recorded syscall record — replace fields, drop
+    optional ones, ``len`` fixed up — and replay it: the verdict is
+    ``match``, ``divergence`` or ``crash``, or the reader refuses the
+    file with :class:`StreamError`; never another exception."""
+    lines = _log_lines(kv_stream)
+    iterations = [line for line in lines if line.get("kind")
+                  == "stream.record" and line["records"]]
+    iteration = data.draw(st.sampled_from(iterations))
+    record = data.draw(st.sampled_from(iteration["records"]))
+    for key in data.draw(st.sets(st.sampled_from(["data", "result",
+                                                  "aux"]))):
+        record.pop(key, None)
+    record.update(data.draw(_EDITS))
+    with tempfile.TemporaryDirectory() as scratch:
+        path = _write_log(os.path.join(scratch, "edited.jsonl"), lines)
+        try:
+            report = replay_file(path)
+        except StreamError:
+            return
+    assert report.outcome in ("match", "divergence", "crash")
 
 
 # ---------------------------------------------------------------------------
-# The recorder
+# The recorder slot
 # ---------------------------------------------------------------------------
 
 
@@ -176,22 +284,30 @@ def _fake_runtime(version="1.0"):
 class TestRecorder:
     def test_disabled_by_default_and_costs_nothing(self):
         assert OBS.recorder is None
-        before = StreamRecorder.recorded_total
+        before = (Tracer.created_total, Tracer.emitted_total)
         run_kv_update_scenario()
-        assert StreamRecorder.recorded_total == before
+        assert (Tracer.created_total, Tracer.emitted_total) == before
 
     def test_first_runtime_wins_the_claim(self):
-        recorder = StreamRecorder(scenario="t")
+        recorder = StreamRecorder("t")
         first, second = _fake_runtime(), _fake_runtime("2.0")
         assert recorder.claim(first) is True
         assert recorder.claim(second) is False
         # Idempotent for the holder.
         assert recorder.claim(first) is True
-        assert recorder.header["initial_version"] == "1.0"
+        [claim] = recorder.events
+        assert (claim.kind, claim.fields["initial_version"]) == \
+            ("stream.claim", "1.0")
 
-    def test_unclaimed_recorder_refuses_to_write(self, tmp_path):
-        with pytest.raises(ValueError, match="never claimed"):
-            StreamRecorder().write(str(tmp_path / "empty.jsonl"))
+    def test_an_unclaimed_log_holds_no_recording(self, tmp_path, capsys):
+        path = str(tmp_path / "empty.jsonl")
+        assert StreamRecorder().write(path) == 2    # header, snapshot
+        with pytest.raises(StreamError, match="no stream.claim"):
+            read_stream(path)
+        assert main(["replay", path]) == 2
+        assert capsys.readouterr().err == (
+            f"replay failed: {path}: no stream.claim: nothing was "
+            f"recorded into this run log\n")
 
 
 # ---------------------------------------------------------------------------
@@ -225,6 +341,12 @@ class TestReplay:
         # The bundle carries the records around the mismatch.
         assert bundle["expected_records"]
         assert report.forensics.summary()
+        # entry_index is the diverging record's place in the run log.
+        lines = _log_lines(kv_stream)
+        diverged = lines[report.divergence["entry_index"] + 1]
+        assert (diverged["kind"], diverged["at"]) == \
+            ("stream.record", report.divergence["at"])
+
 
     def test_offline_replay_reports_the_live_divergence(self, tmp_path):
         """Oracle: a live run whose buggy follower diverges, recorded,
@@ -233,7 +355,7 @@ class TestReplay:
         kernel = VirtualKernel()
         server = KVStoreServer(KVStoreV1())
         server.attach(kernel)
-        recorder = StreamRecorder(scenario="kvstore")
+        recorder = StreamRecorder("kvstore")
         with observing(recorder=recorder):
             runtime = VaranRuntime(kernel, server, PROFILES["kvstore"])
         client = VirtualClient(kernel, server.address)
@@ -279,8 +401,8 @@ class TestReplay:
 
 def _record(app, label, commands, path):
     """Record ``commands`` served by ``deploy(app, label)``; returns the
-    stream path."""
-    recorder = StreamRecorder(scenario=app)
+    run log's path."""
+    recorder = StreamRecorder(app)
     with observing(recorder=recorder):
         stack = deploy(app, label)
     client = stack.client()
@@ -329,7 +451,7 @@ class TestReplayRedrivesTheRecordedBinary:
         assert stream.app == "snort"
         # The cost profile is still the borrowed one; the app is not
         # guessed from it any more.
-        assert stream.header["profile"] == "kvstore"
+        assert stream.claim["profile"] == "kvstore"
         report = replay_file(path)
         assert (report.app, report.outcome) == ("snort", "match")
 
@@ -338,10 +460,9 @@ class TestReplayRedrivesTheRecordedBinary:
         assert main(["replay", kv_stream, "--against", "9.9"]) == 2
         err = capsys.readouterr().err
         assert err == "replay failed: unknown version kvstore-9.9\n"
-        stream = read_stream(kv_stream)
-        alien = str(tmp_path / "alien.jsonl")
-        write_stream(alien, {**stream.header, "app": "nginx"},
-                     stream.entries)
+        lines = _log_lines(kv_stream)
+        lines[1]["app"] = "nginx"
+        alien = _write_log(tmp_path / "alien.jsonl", lines)
         assert main(["replay", alien]) == 2
         err = capsys.readouterr().err
         assert err.startswith("replay failed: no app 'nginx' (known: ")
@@ -371,12 +492,12 @@ class TestReplayRedrivesTheRecordedBinary:
 
 class TestTraceRecordRoundTrip:
     def test_fig6_records_and_replays_clean(self, tmp_path, capsys):
-        stream = tmp_path / "STREAM_fig6.jsonl"
         trace = tmp_path / "TRACE_fig6.jsonl"
         assert main(["trace", "fig6", "--quick", "--out", str(trace),
-                     "--record", str(stream)]) == 0
-        assert "wrote stream" in capsys.readouterr().out
-        assert validate_stream_file(str(stream)) == []
+                     "--record"]) == 0
+        assert "stream.record" in capsys.readouterr().out
+        assert validate_file(str(trace)) == []
+        stream = trace
         report = replay_file(str(stream))
         assert report.ok
         # The recorded update promotes 2.0.0 -> 2.0.1 mid-stream.
@@ -386,6 +507,44 @@ class TestTraceRecordRoundTrip:
         assert follower.ok
         assert follower.rules_fired > 0
 
+
+
+    #: Iterations each companion records at --quick.
+    ITERATIONS = {"fig6": 33, "table2": 17, "fig7": 13, "table1": 7,
+                  "faults": 4}
+
+    @pytest.mark.parametrize("experiment", sorted(SCENARIOS["trace"]))
+    def test_every_companion_recording_replays_clean(self, experiment,
+                                                     tmp_path, capsys):
+        assert set(self.ITERATIONS) == set(SCENARIOS["trace"])
+        log = str(tmp_path / "TRACE.jsonl")
+        assert main(["trace", experiment, "--quick", "--out", log,
+                     "--record"]) == 0
+        report = replay_file(log)
+        assert report.outcome == "match"
+        assert report.iterations_replayed == report.iterations \
+            == self.ITERATIONS[experiment]
+
+
+@pytest.mark.parametrize("scenario", sorted(SCENARIOS["chaos"]))
+def test_every_chaos_cell_recording_replays_clean(scenario, tmp_path):
+    """Each cell of the campaign grid, recorded under its fault, replays
+    against the recorded version with zero divergences: what a leader
+    served under a fault is what a follower re-executes."""
+    grid = default_grid(probe_site_calls(scenario), 1)
+    assert len(grid) == {"kvstore": 211, "kvstore-distributed": 273}[
+        scenario]
+    path = str(tmp_path / "cell.jsonl")
+    verdicts = {}
+    for fault in grid:
+        name = fault.describe()
+        log = Tracer(name)
+        with observing(recorder=log):
+            run_cell(FaultPlan(name, (fault,)), scenario)
+        log.write(path)
+        verdicts[name] = replay_file(path).outcome
+    assert {name: outcome for name, outcome in verdicts.items()
+            if outcome != "match"} == {}
 
 # ---------------------------------------------------------------------------
 # Parallel campaign execution
@@ -413,17 +572,17 @@ class TestParallelCampaign:
 
     def test_cli_workers_and_record(self, tmp_path, capsys):
         report_path = tmp_path / "chaos.json"
-        stream_path = tmp_path / "stream.jsonl"
+        log_path = tmp_path / "recorded.jsonl"
         code = main(["chaos", "kvstore", "--max-cells", "6", "--workers", "2",
-                     "--record", str(stream_path),
+                     "--record", str(log_path),
                      "--report", str(report_path)])
         assert code == 0
         out = capsys.readouterr().out
         assert "2 workers" in out
-        assert "wrote stream" in out
+        assert "wrote recording" in out
         assert json.loads(report_path.read_text())["cells"] == 6
         # The recorded golden baseline replays clean.
-        assert replay_file(str(stream_path)).ok
+        assert replay_file(str(log_path)).ok
 
     def test_cli_rejects_bad_workers_and_cap(self, capsys):
         with pytest.raises(SystemExit):

@@ -30,8 +30,7 @@ from repro.obs.slo import SLO_SHAPE, validate_slo_report
 from repro.obs.trace import (EVENT_SHAPE, RUN_HEADER_SHAPE, SNAPSHOT_SHAPE,
                              SPAN_SHAPE, validate_file, validate_lines)
 from repro.perf.harness import GAUGES_SHAPE, META_SHAPE, validate_bench
-from repro.replay.stream import (ENTRY_SHAPES, HEADER_SHAPE, RECORD_SHAPE,
-                                 validate_stream_file)
+from repro.replay.stream import RECORD_SHAPE, RESULT_SHAPE, STREAM_SHAPES
 from repro.report import (ANY, BOOL, BYTES, INT, NAT, POS, STR, TEXT, UNIT,
                           Leaf, ListOf, MapOf, Obj, Opt, Via, const,
                           jsonl_problems, one_of, problems)
@@ -46,10 +45,9 @@ SHIPPED = {
     "META_SHAPE": META_SHAPE, "GAUGES_SHAPE": GAUGES_SHAPE,
     "RUN_HEADER_SHAPE": RUN_HEADER_SHAPE, "EVENT_SHAPE": EVENT_SHAPE,
     "SPAN_SHAPE": SPAN_SHAPE, "SNAPSHOT_SHAPE": SNAPSHOT_SHAPE,
-    "HEADER_SHAPE": HEADER_SHAPE,
     "RECORD_SHAPE": RECORD_SHAPE,
-    **{f"ENTRY_SHAPES[{kind}]": shape
-       for kind, shape in ENTRY_SHAPES.items()},
+    **{f"STREAM_SHAPES[{kind}]": shape
+       for kind, shape in STREAM_SHAPES.items()},
 }
 
 #: The validators that take one decoded report.
@@ -139,15 +137,10 @@ def _run_log_specimens(path):
         yield event, EVENT_SHAPE
     for span in spans[:20]:
         yield span, SPAN_SHAPE
-
-
-def _stream_specimens(path):
-    assert validate_stream_file(path) == []
-    with open(path, encoding="utf-8") as handle:
-        header, *entries = [json.loads(line[9:]) for line in handle]
-    yield header, HEADER_SHAPE
-    for entry in entries[:20] + entries[-1:]:
-        yield entry, ENTRY_SHAPES[entry["type"]]
+    stream = [record for record in events
+              if record["kind"] in STREAM_SHAPES]
+    for record in stream[:20] + stream[-1:]:
+        yield record, STREAM_SHAPES[record["kind"]]
 
 
 #: Artifact name prefix -> (value, shape) specimens of the file; the
@@ -161,7 +154,6 @@ ARTIFACT_SPECIMENS = {
     "BENCH_": _bench_specimens,
     "TRACE_": _run_log_specimens,
     "SPANS": _run_log_specimens,
-    "STREAM": _stream_specimens,
     "PROOF_": None,
     "REPLAY": None,
 }
@@ -197,7 +189,7 @@ def test_what_the_commands_write_is_valid_under_its_shape(specimens):
     # Every shipped shape is exercised by at least one real artifact.
     seen = {id(shape) for _, _, shape in specimens}
     assert {name for name, shape in SHIPPED.items()
-            if id(shape) not in seen} == {"RECORD_SHAPE"}  # inside iter
+            if id(shape) not in seen} == {"RECORD_SHAPE"}  # in a record
     for label, value, shape in specimens:
         assert problems(value, shape) == [], label
 
@@ -399,7 +391,7 @@ def test_nesting_deeper_than_the_walk_is_a_problem_not_an_overflow():
     value = 1
     for _ in range(400):
         value = {"t": [value]}
-    found = problems(value, RECORD_SHAPE.optional["result"], "result")
+    found = problems(value, RESULT_SHAPE, "result")
     assert found and all(isinstance(problem, str) for problem in found)
 
 

@@ -53,7 +53,7 @@ def _observed(command, name, everything):
     command's reduction of the run, as text."""
     hooks = {"tracer": Tracer(experiment=name), "spans": SpanCollector(),
              "chaos": ChaosInjector(FaultPlan("none")),
-             "recorder": StreamRecorder(scenario=name)}
+             "recorder": StreamRecorder(name)}
     if not everything:
         hooks = {hook: hooks[hook] for hook in hooks if hook == OWN[command]}
     params = {"ops": PERF_OPS} if command == "perf" else {}
@@ -61,17 +61,9 @@ def _observed(command, name, everything):
         ran = run_cell(command, name, 0, 1, True, **params)
     cell, _ = SCENARIOS[command][name].cells[0]
     if command == "trace":
-        # The tracer logs a recorder's tap beside it as ``stream.record``
-        # events, and stamps every later event with the newest time any
-        # hook reported, the tap's included: that is the tracer watching
-        # the recorder, not the run changing, so times are left out.
         tracer = hooks["tracer"]
-        reduced = ([{**event.as_dict(), "at": None}
-                    for event in tracer.events
-                    if event.kind != "stream.record"],
-                   {metric: value for metric, value
-                    in tracer.metrics().items()
-                    if metric != "stream.recorded"})
+        reduced = ([event.as_dict() for event in tracer.events],
+                   tracer.metrics())
     elif command == "slo":
         reduced = collect_cell(hooks["spans"], cell, SLO_SPECS[name])
     elif command == "openloop":
@@ -105,7 +97,7 @@ def test_observers_leave_divergence_forensics_alone():
         alone = run_cell("chaos", "kvstore")
     with observing(tracer=Tracer(), spans=SpanCollector(),
                    chaos=ChaosInjector(plan),
-                   recorder=StreamRecorder(scenario="kvstore")):
+                   recorder=StreamRecorder("kvstore")):
         watched = run_cell("chaos", "kvstore")
     assert alone.forensics is not None
     assert len(alone.forensics["ring_last_k"]) > 3   # more than one burst

@@ -7,9 +7,9 @@ Four things are held here:
   and opens a run: the position (clock, stage, phase) starts fresh and
   the outer one is back on exit;
 * the bytes — five one-fault cells run with the run log's writer in
-  both the tracer and the spans slot, the chaos injector and the stream
-  recorder installed *together* produce the log, stream, injection and
-  runtime-event bytes pinned in ``tests/fixtures/observer_goldens.json``
+  the tracer, spans and recorder slots and the chaos injector installed
+  *together* produce the log, injection and runtime-event bytes pinned
+  in ``tests/fixtures/observer_goldens.json``
   (``python tests/test_sites.py --write`` re-pins after a deliberate
   change to simulated output);
 * independence — each observer installed alone writes exactly its share
@@ -28,7 +28,6 @@ import json
 import os
 import subprocess
 import sys
-import tempfile
 from typing import Dict, List
 
 import pytest
@@ -42,7 +41,7 @@ from repro.chaos.scenarios import buggy_v2_factory, run_kv_update_scenario
 from repro.cluster.fleet import run_fleet_scenario
 from repro.obs.trace import Tracer
 from repro.replay.recorder import StreamRecorder
-from repro.replay.stream import ENTRY_SHAPES
+from repro.replay.stream import STREAM_SHAPES
 from repro.scenarios import SCENARIOS
 from repro.servers.native import NativeRuntime
 from repro.sim.engine import SECOND, Engine
@@ -74,9 +73,8 @@ def _sha256(text: str) -> str:
 def _run_cell(site, kind, index, param, **observers):
     """One cell of :data:`OBSERVER_CELLS`: its fault armed, ``observers``
     installed beside the injector; returns the cell's bytes by artifact:
-    the run log's lines (``log``, when a writer is installed), the
-    stream (``stream``, with a recorder), and the injections and
-    runtime events (always)."""
+    the run log's lines (``log``, when a writer is installed) and the
+    injections and runtime events (always)."""
     name = f"{site}/{kind}"
     plan = FaultPlan(name, (Fault(site, kind, on_call(index), param),))
     injector = ChaosInjector(plan)
@@ -85,26 +83,18 @@ def _run_cell(site, kind, index, param, **observers):
     assert injector.injections, f"{name}: the fault never fired"
     out = {"injections": json.dumps(result.injections),
            "events": json.dumps(result.events)}
-    log = observers.get("tracer") or observers.get("spans")
+    log = next(iter(observers.values()), None)
     if log is not None:
         out["log"] = "\n".join(log.to_jsonl_lines())
-    recorder = observers.get("recorder")
-    if recorder is not None:
-        with tempfile.TemporaryDirectory() as scratch:
-            path = os.path.join(scratch, "stream.jsonl")
-            recorder.write(path)
-            with open(path, encoding="utf-8") as handle:
-                out["stream"] = handle.read()
     return out
 
 
 def _all_four(site, kind, index, param):
-    """A cell under all four observers at once: one writer in both run
-    log slots, the injector and a recorder."""
-    name = f"{site}/{kind}"
-    log = Tracer(experiment=name)
+    """A cell under all four observers at once: one writer in the
+    tracer, spans and recorder slots, and the injector."""
+    log = Tracer(experiment=f"{site}/{kind}")
     return _run_cell(site, kind, index, param, tracer=log, spans=log,
-                     recorder=StreamRecorder(scenario=name))
+                     recorder=log)
 
 
 def observer_digests() -> Dict[str, Dict[str, str]]:
@@ -145,35 +135,38 @@ def _unparented(record: dict) -> dict:
 def test_each_observer_alone_writes_its_share_of_the_bytes():
     """Installed on its own beside the cell's injector, each observer
     writes exactly its part of the all-four run: the tracer slot the
-    event records and the metrics they fold to, the spans slot the span
-    records, the recorder the stream; the injections and runtime events
-    never move.  Nothing one observer records depends on which others
-    are installed.  Two things in the all-four log are *about* another
-    observer and go with it: an event's ``parent`` names a span (null
-    without the spans slot), and ``stream.record`` events log the
-    recorder's tap."""
+    event records, the recorder slot the stream records, each with the
+    metrics they fold to, the spans slot the span records; the
+    injections and runtime events never move.  Nothing one observer
+    records depends on which others are installed.  One thing in the
+    all-four log is *about* another observer and goes with it: a
+    record's ``parent`` names a span (null without the spans slot)."""
     for cell in OBSERVER_CELLS:
         together = _all_four(*cell)
-        records = [r for r in _records(together["log"])
-                   if r["kind"] != "stream.record"]
+        records = _records(together["log"])
+        stream = [r for r in records if r["kind"].startswith("stream.")]
         metrics = json.loads(together["log"].split("\n")[-1])
-        del metrics["metrics"]["stream.recorded"]
+        recorded = {"stream.recorded":
+                    metrics["metrics"].pop("stream.recorded")}
         alone = {
             "tracer": _run_cell(*cell, tracer=Tracer()),
             "spans": _run_cell(*cell, spans=Tracer()),
             "chaos": _run_cell(*cell),
-            "recorder": _run_cell(*cell, recorder=StreamRecorder(
-                scenario=f"{cell[0]}/{cell[1]}")),
+            "recorder": _run_cell(*cell, recorder=StreamRecorder()),
         }
         for name, out in alone.items():
             assert out["injections"] == together["injections"], name
             assert out["events"] == together["events"], name
         assert _records(alone["tracer"]["log"]) == \
-            [_unparented(r) for r in records if "span" not in r]
+            [_unparented(r) for r in records
+             if "span" not in r and r not in stream]
         assert json.loads(alone["tracer"]["log"].split("\n")[-1]) == metrics
         assert _records(alone["spans"]["log"]) == \
             [r for r in records if "span" in r]
-        assert alone["recorder"]["stream"] == together["stream"]
+        assert _records(alone["recorder"]["log"]) == \
+            [_unparented(r) for r in stream]
+        assert json.loads(alone["recorder"]["log"].split("\n")[-1]) == \
+            {"kind": "metrics.snapshot", "metrics": recorded}
 
 
 # ---------------------------------------------------------------------------
@@ -324,16 +317,14 @@ def test_what_the_runs_emit_is_what_the_table_declares():
     """Both directions, per column: every kind a run emits is declared,
     with the layer its row says, and every declared kind is emitted by
     some run — a row nothing feeds is a stale row."""
-    seen = {"events": set(), "spans": set(), "entries": set()}
+    seen = {"events": set(), "spans": set()}
     for plan, run in _watched_runs():
-        log, recorder = Tracer(), StreamRecorder()
+        log = Tracer()
         with observing(tracer=log, spans=log, chaos=ChaosInjector(plan),
-                       recorder=recorder):
+                       recorder=log):
             run()
         seen["events"] |= {(e.kind, e.layer) for e in log.events}
         seen["spans"] |= {(s.kind, s.layer) for s in log.spans}
-        seen["entries"] |= {(entry["type"], "replay")
-                            for entry in recorder.entries}
     for column, emitted in seen.items():
         declared = {(kind, site.layer)
                     for kind, site in kinds(column).items()}
@@ -363,11 +354,12 @@ def test_the_derived_vocabularies_equal_what_they_replaced():
                         "partition-reorder")),
         ("openloop.arrival", ("burst", "drop")),
     ]
-    # The stream's entry shapes are the entries column (the footer is
-    # the writer's, not a site's).
-    assert set(kinds("entries")) == set(ENTRY_SHAPES) - {"footer"}
+    # The stream's record shapes are the kinds its row declares.
+    assert set(STREAM_SHAPES) == {kind for kind, site
+                                  in kinds("events").items()
+                                  if site.name == "stream.record"}
     # A name or kind is declared once.
-    for column in ("events", "spans", "entries"):
+    for column in ("events", "spans"):
         declared = [kind for site in TABLE for kind in getattr(site, column)]
         assert len(declared) == len(set(declared)), column
     assert len({site.name for site in TABLE}) == len(TABLE)

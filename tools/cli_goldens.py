@@ -80,22 +80,22 @@ CASES: List[Case] = [
     Case("openloop-kvstore-quick-slo", ("openloop kvstore --quick --slo",),
          ("OPENLOOP_kvstore.json",), workers=True, gate=True),
     Case("trace-replay",
-         ("trace fig6 --quick --check --record STREAM.jsonl",
-          "replay STREAM.jsonl --out REPLAY.json",
-          "replay STREAM.jsonl --json"),
-         ("TRACE_fig6.jsonl", "STREAM.jsonl", "REPLAY.json"), gate=True),
+         ("trace fig6 --quick --check --record",
+          "replay TRACE_fig6.jsonl --out REPLAY.json",
+          "replay TRACE_fig6.jsonl --json"),
+         ("TRACE_fig6.jsonl", "REPLAY.json"), gate=True),
     Case("prove-kvstore", ("prove kvstore",), ("PROOF_kvstore.json",),
          gate=True),
     Case("perf", ("perf --json",), ("BENCH_perf.json",), gate=True),
     # the paths no other case enters: every ``--check``/``--validate``
     # verdict line and the span-schema gate in front of ``lint --spans``
     Case("validate-paths",
-         ("trace fig6 --quick --record STREAM.jsonl",
-          "replay STREAM.jsonl --validate",
+         ("trace fig6 --quick --record",
+          "replay TRACE_fig6.jsonl --validate",
           "slo fig7 --quick --check --spans SPANS.jsonl",
           "lint --spans SPANS.jsonl",
           "openloop kvstore --quick --check"),
-         ("STREAM.jsonl", "SPANS.jsonl"), workers=True, gate=True),
+         ("TRACE_fig6.jsonl", "SPANS.jsonl"), workers=True, gate=True),
     # -- the rest of the documented surface, full sizes
     Case("all", ("all",)),
     *(Case(name, (name,)) for name in

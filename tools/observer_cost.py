@@ -5,18 +5,23 @@
 
 Two hostbench workloads that construct no run log — the common case
 (``steady-single-leader``) and the full MVE lifecycle
-(``update-rule-heavy``) — each run four ways: with no observer
-installed ("absent", what ``hostbench/run.py`` measures), and with one
+(``update-rule-heavy``) — each run five ways: with no observer
+installed ("absent", what ``hostbench/run.py`` measures), with one
 run-log writer (``repro.obs.trace.Tracer``) in the tracer slot, the
-spans slot, or both.  Per cell, printed: ops per reference-speed host
-second, how many times slower than "absent", peak RSS, trace events per
-op and spans per op.
+spans slot, or both, and with a writer in the recorder slot alone
+("recorder": the leader's syscall stream, every iteration of the
+round).  The recorder is built as
+``repro.replay.recorder.StreamRecorder()``, the name the benchmark's
+probe table resolves, so this script measures a tree from before the
+recorder joined the run log the same way.  Per cell, printed: ops per
+reference-speed host second, how many times slower than "absent", peak
+RSS, trace events per op and spans per op.
 
 A cell *is* a hostbench round — ``hostbench/child.py``'s ``run_round``
 builds the workload from ``hostbench/workloads.py`` and times its slices
 against the calibration kernel — run inside
-``repro.sites.observing(tracer=..., spans=...)``, in one fresh
-subprocess (this script with ``--cell``) under ``run.py``'s child
+``repro.sites.observing(tracer=..., spans=..., recorder=...)``, in one
+fresh subprocess (this script with ``--cell``) under ``run.py``'s child
 environment, so no cell inherits another's heap.
 
 This is a record, not a gate: one round per cell, no verdict, exit 1
@@ -45,19 +50,23 @@ import workloads  # noqa: E402  (imports nothing from repro until built)
 #: Requests per cell.  ``steady-single-leader`` runs half a hostbench
 #: round: an eager tracer on the full one needs the better part of a GiB.
 OPS = {"steady-single-leader": 60_000, "update-rule-heavy": 32_000}
-MODES = ("absent", "tracer", "spans", "tracer+spans")
+MODES = ("absent", "tracer", "spans", "tracer+spans", "recorder")
 
 
 def run_cell(name: str, mode: str, seed: int, ops: int) -> Dict[str, Any]:
     """One untraced hostbench round of ``name`` in this process, under
-    one observer mode: the slots ``mode`` names hold one writer."""
+    one observer mode: the tracer and spans slots ``mode`` names hold
+    one writer, the recorder slot a ``StreamRecorder`` of its own."""
     sys.path.insert(0, child.SRC)
     from repro.obs.trace import Tracer
+    from repro.replay.recorder import StreamRecorder
     from repro.sites import observing
     installed = mode.split("+")
     log = Tracer()
     with observing(tracer=log if "tracer" in installed else None,
-                   spans=log if "spans" in installed else None):
+                   spans=log if "spans" in installed else None,
+                   recorder=StreamRecorder()
+                   if "recorder" in installed else None):
         record = child.run_round(name, seed, ops, False, time.perf_counter())
     attempted = record["attempted"]
     return {
