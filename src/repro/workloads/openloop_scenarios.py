@@ -33,6 +33,13 @@ the state transform is expensive (entries × 5 µs) the way a warmed
 production heap is — that is what makes restart-style DSU pause for
 tens of milliseconds while Mvedsua does not.
 
+What the six cells share is built once per ``(scenario, seed, quick)``
+by :func:`shared_stream` and kept in a small memo: the arrival events,
+the generator's and pool's counters, each event's wire payload and the
+preload entries, in one frozen :class:`SharedStream`.  A cell under a
+chaos injector builds its own, since the ``openloop.arrival`` site can
+reshape the stream, and leaves the memo alone.
+
 Each scenario is an ``openloop`` row of
 :data:`repro.scenarios.SCENARIOS` with these six cells, and
 :func:`drive_cell` is its drive.  :func:`run_openloop_cell` runs a
@@ -45,6 +52,8 @@ is byte-identical at any worker count.
 
 from __future__ import annotations
 
+import functools
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from repro.mve import VaranRuntime
@@ -54,9 +63,9 @@ from repro.obs.slo import (CHECKS_SHAPE, SPEC_SHAPE, SloSpec,
 from repro.obs.trace import Tracer
 from repro.report import ANY, NAT, ListOf, Obj, Via, const, problems
 from repro.scenarios import SCENARIOS, run_cell, run_cells
-from repro.sites import observing
+from repro.sites import OBS, observing
 from repro.workloads.openloop import (LoadSpec, OpenLoopGenerator,
-                                      format_request)
+                                      OpenRequest, format_request)
 
 if TYPE_CHECKING:  # loaded with the first stack, see _stack
     from repro.apps import Stack
@@ -120,20 +129,68 @@ def scenario_spec(scenario: str, quick: bool) -> LoadSpec:
 
 
 # ---------------------------------------------------------------------------
-# One cell: drive the shared arrival stream through one configuration
+# What every cell of a scenario shares: one stream, built once
 # ---------------------------------------------------------------------------
 
 #: scenario (= catalog app = wire protocol) -> (the release that
 #: serves, the release the wave installs, the heap table the preload
-#: warms).
-_WAVES: Dict[str, Tuple[str, str, str]] = {
-    "kvstore": ("1.0", "2.0", "table"),
-    "redis": ("2.0.0", "2.0.1", "db"),
+#: warms, one preloaded entry in that app's own heap shape).
+_WAVES: Dict[str, Tuple[str, str, str, Any]] = {
+    "kvstore": ("1.0", "2.0", "table", "w"),
+    "redis": ("2.0.0", "2.0.1", "db", ("string", "w")),
 }
 
 
-def _stack(scenario: str, mode: str, preload: int) -> Stack:
-    """The scenario's old release under the cell's runtime, warmed."""
+@dataclass(frozen=True)
+class SharedStream:
+    """One scenario's arrival stream, served unchanged by all its cells.
+
+    ``payloads[i]`` is the wire form of ``events[i]``; the counters are
+    the generator's and its pool's once the stream is exhausted.
+    ``preload`` is copied into each cell's heap and never written.
+    """
+
+    events: Tuple[OpenRequest, ...]
+    payloads: Tuple[bytes, ...]
+    offered: int
+    dropped: int
+    sessions: int
+    reconnects: int
+    deferred_sends: int
+    tracked_objects: int
+    preload: Dict[str, Any]
+
+
+@functools.lru_cache(maxsize=4)
+def shared_stream(scenario: str, seed: int, quick: bool) -> SharedStream:
+    """The scenario's stream, kept for the last few ``(scenario, seed,
+    quick)``: the six cells of a scenario serve the same one."""
+    spec = scenario_spec(scenario, quick)
+    # One stream name per scenario: every cell sees the identical
+    # arrival skeleton, so cells differ only in how they serve it.
+    generator = OpenLoopGenerator(spec, seed, stream=f"openloop.{scenario}")
+    events = tuple(generator.events())
+    value = "v" * spec.value_size
+    entry = _WAVES[scenario][3]
+    pool = generator.pool
+    return SharedStream(
+        events=events,
+        payloads=tuple(format_request(event, scenario, value)
+                       for event in events),
+        offered=generator.offered, dropped=generator.dropped,
+        sessions=pool.sessions_started, reconnects=pool.reconnects,
+        deferred_sends=pool.deferred_sends,
+        tracked_objects=pool.tracked_objects(),
+        preload={f"warm-{index}": entry for index in range(
+            PRELOAD_ENTRIES_QUICK if quick else PRELOAD_ENTRIES)})
+
+
+# ---------------------------------------------------------------------------
+# One cell: drive the shared arrival stream through one configuration
+# ---------------------------------------------------------------------------
+
+def _stack(scenario: str, mode: str) -> Stack:
+    """The scenario's old release under the cell's runtime."""
     # The catalog and the DSU runtimes load with the first stack, not
     # with this module: lint only reads OPENLOOP_SPECS from it, and
     # hostbench counts its import as set-up time.
@@ -146,12 +203,7 @@ def _stack(scenario: str, mode: str, preload: int) -> Stack:
         "mve": (VaranRuntime, {"ring_capacity": 1 << 12}),
         "mvedsua": (Mvedsua, {"ring_capacity": 1 << 12}),
     }[mode]
-    old, _, table = _WAVES[scenario]
-    stack = deploy(scenario, old, runtime, **kwargs)
-    warm = stack.server.heap[table]
-    for index in range(preload):
-        warm[f"warm-{index}"] = "w"
-    return stack
+    return deploy(scenario, _WAVES[scenario][0], runtime, **kwargs)
 
 
 def run_openloop_cell(scenario: str, cell_index: int, seed: int,
@@ -174,18 +226,18 @@ def drive_cell(params: Dict[str, Any], seed: int,
     scenario, mode, loop = params["app"], params["mode"], params["loop"]
     name = f"{mode}-{loop}"
     spec = scenario_spec(scenario, quick)
-    stack = _stack(scenario, mode,
-                   PRELOAD_ENTRIES_QUICK if quick else PRELOAD_ENTRIES)
-    # One stream name per scenario: every cell sees the identical
-    # arrival skeleton, so cells differ only in how they serve it.
-    generator = OpenLoopGenerator(spec, seed, stream=f"openloop.{scenario}")
-    events = list(generator.events())
+    stack = _stack(scenario, mode)
+    # A chaos injector's openloop.arrival site can reshape the stream:
+    # such a cell builds its own and leaves the memo to clean cells.
+    shared = (shared_stream(scenario, seed, quick) if OBS.chaos is None
+              else shared_stream.__wrapped__(scenario, seed, quick))
+    _, new, table, _ = _WAVES[scenario]
+    stack.server.heap[table].update(shared.preload)
+    events = shared.events
     runtime = stack.runtime
-    new = _WAVES[scenario][1]
     if mode == "mve":
         runtime.fork_follower(0)
 
-    value = "v" * spec.value_size
     clients = [stack.client(f"{name}-c{slot}")
                for slot in range(spec.connections)]
     slot_done = [0] * spec.connections
@@ -205,7 +257,7 @@ def drive_cell(params: Dict[str, Any], seed: int,
     first_at = events[0].at_ns if events else 0
     last_at = events[-1].at_ns if events else 0
 
-    for event in events:
+    for event, payload in zip(events, shared.payloads):
         at = event.at_ns
         if mode in ("restart", "mvedsua"):
             if not did_update and at >= update_at:
@@ -235,7 +287,6 @@ def drive_cell(params: Dict[str, Any], seed: int,
                     runtime.finalize(max(at, last_done) + 1)
 
         send = at if loop == "open" else max(at, slot_done[event.slot])
-        payload = format_request(event, scenario, value)
         response, done = clients[event.slot].request(runtime, payload,
                                                      send)
         if mode == "mve":
@@ -264,15 +315,14 @@ def drive_cell(params: Dict[str, Any], seed: int,
             runtime.promote(last_done + 1)
         runtime.finalize(last_done + 2)
 
-    pool = generator.pool
     return {
         "cell": name, "mode": mode, "loop": loop,
-        "offered": generator.offered, "dropped": generator.dropped,
+        "offered": shared.offered, "dropped": shared.dropped,
         "requests": requests, "answered": answered,
-        "sessions": pool.sessions_started,
-        "reconnects": pool.reconnects,
-        "deferred_sends": pool.deferred_sends,
-        "tracked_objects": pool.tracked_objects(),
+        "sessions": shared.sessions,
+        "reconnects": shared.reconnects,
+        "deferred_sends": shared.deferred_sends,
+        "tracked_objects": shared.tracked_objects,
         "population": spec.population,
         "first_at_ns": first_at, "last_at_ns": last_at,
         "last_done_ns": last_done,

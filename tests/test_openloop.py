@@ -9,6 +9,7 @@ count no matter how large the logical population is.
 """
 
 import bisect
+import dataclasses
 import json
 
 import pytest
@@ -377,3 +378,113 @@ class TestOpenLoopScenario:
                        validate_openloop_report({**quick_report,
                                                  key: damage}))
         assert validate_openloop_report([quick_report]) != []
+
+
+# -- the stream the six cells share ------------------------------------------
+
+SCENARIO_SIZES = [(scenario, quick) for scenario in ("kvstore", "redis")
+                  for quick in (False, True)]
+
+
+class TestSharedStream:
+    """Each scenario's stream is built once and served by all six cells;
+    a chaos cell builds its own."""
+
+    @pytest.mark.parametrize("scenario, quick", SCENARIO_SIZES)
+    def test_memo_equals_a_fresh_build(self, scenario, quick):
+        from repro.workloads.openloop_scenarios import (
+            scenario_spec, shared_stream)
+        memo = shared_stream(scenario, 1, quick)
+        assert shared_stream(scenario, 1, quick) is memo
+        cold = shared_stream.__wrapped__(scenario, 1, quick)
+        assert cold is not memo
+        assert cold == memo
+        # ...and both are what one generator pass gives.
+        spec = scenario_spec(scenario, quick)
+        generator = OpenLoopGenerator(spec, 1,
+                                      stream=f"openloop.{scenario}")
+        assert memo.events == tuple(generator.events())
+        value = "v" * spec.value_size
+        assert memo.payloads == tuple(
+            format_request(event, scenario, value)
+            for event in memo.events)
+        pool = generator.pool
+        assert (memo.offered, memo.dropped, memo.sessions,
+                memo.reconnects, memo.deferred_sends,
+                memo.tracked_objects) == (
+            generator.offered, generator.dropped, pool.sessions_started,
+            pool.reconnects, pool.deferred_sends, pool.tracked_objects())
+
+    @pytest.mark.parametrize("scenario", ["kvstore", "redis"])
+    def test_record_cannot_be_changed_in_place(self, scenario):
+        from repro.workloads.openloop_scenarios import (
+            CELLS, run_openloop_cell, shared_stream)
+        shared = shared_stream(scenario, 1, True)
+        assert isinstance(shared.events, tuple)
+        assert isinstance(shared.payloads, tuple)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            shared.events[0].key = -1
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            shared.offered = 0
+        preload = dict(shared.preload)
+        for cell in range(len(CELLS)):
+            run_openloop_cell(scenario, cell, 1, True)
+        assert shared_stream(scenario, 1, True) is shared
+        assert shared.preload == preload
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_warm_memo_report_is_byte_identical(self, workers,
+                                                monkeypatch):
+        from repro.workloads import openloop_scenarios
+        from repro.workloads.openloop_scenarios import (
+            run_openloop_scenario, shared_stream)
+        # Cold: every cell builds its own stream, as before the memo.
+        with monkeypatch.context() as patch:
+            patch.setattr(openloop_scenarios, "shared_stream",
+                          shared_stream.__wrapped__)
+            cold = run_openloop_scenario("redis", seed=3, quick=True,
+                                         workers=workers, slo=True)
+        # Warm: forked workers inherit the memo built here.
+        shared_stream("redis", 3, True)
+        warm = run_openloop_scenario("redis", seed=3, quick=True,
+                                     workers=workers, slo=True)
+        assert json.dumps(warm, sort_keys=False) == \
+            json.dumps(cold, sort_keys=False)
+
+    def test_chaos_cells_bypass_the_memo(self):
+        from repro.scenarios import run_cell
+        from repro.workloads.openloop_scenarios import (
+            scenario_spec, shared_stream)
+        shared_stream.cache_clear()
+        clean = run_cell("openloop", "kvstore", 0, 1, True)
+        memo = shared_stream("kvstore", 1, True)
+        arrivals = scenario_spec("kvstore", True).requests
+        plans = {
+            "drop": (Fault("openloop.arrival", "drop",
+                           at_time(0, count=5)), arrivals, 5),
+            "burst": (Fault("openloop.arrival", "burst", on_call(10),
+                            param={"extra": 4}), arrivals + 4, 0),
+        }
+        for kind, (fault, offered, dropped) in plans.items():
+            injector = ChaosInjector(FaultPlan(kind, (fault,)))
+            with observing(chaos=injector):
+                faulted = run_cell("openloop", "kvstore", 0, 1, True)
+            assert injector.site_calls["openloop.arrival"] == arrivals
+            assert (faulted["offered"], faulted["dropped"]) == \
+                (offered, dropped), kind
+            assert faulted["requests"] == offered - dropped, kind
+            assert shared_stream("kvstore", 1, True) is memo
+        assert shared_stream.cache_info().currsize == 1
+        assert run_cell("openloop", "kvstore", 0, 1, True) == clean
+
+
+def test_redis_preload_is_readable_by_redis():
+    """The warm keys carry Redis's own ``(type, value)`` entries."""
+    from repro.workloads.openloop_scenarios import _stack, shared_stream
+    stack = _stack("redis", "native")
+    stack.server.heap["db"].update(shared_stream("redis", 1, True).preload)
+    client = stack.client()
+    assert client.request(stack.runtime, b"GET warm-1\r\n", SECOND)[0] \
+        == b"$1\r\nw\r\n"
+    assert client.request(stack.runtime, b"TYPE warm-1\r\n",
+                          2 * SECOND)[0] == b"+string\r\n"

@@ -258,3 +258,42 @@ def test_a_forked_followers_abort_hook_resets_its_own_libevent():
     assert leader.libevent.cursor == 3
     leader.program.run_abort_callback()
     assert leader.libevent.cursor == 0
+
+
+def test_an_openloop_cell_frees_its_stack_and_the_memo_holds_none(
+        monkeypatch):
+    """An open-loop cell's stack dies when the cell returns, and the
+    stream memo its scenario's cells share reaches nothing a cell
+    built."""
+    from repro.obs.trace import Tracer
+    from repro.workloads import openloop_scenarios
+    from repro.workloads.openloop_scenarios import (run_openloop_cell,
+                                                    shared_stream)
+    tracked = Tracked()
+    deploy_cell = openloop_scenarios._stack
+
+    def tracking(scenario, mode):
+        stack = deploy_cell(scenario, mode)
+        tracked.add(stack)
+        tracked.stack(stack.kernel, stack.runtime)
+        return stack
+
+    monkeypatch.setattr(openloop_scenarios, "_stack", tracking)
+    shared_stream.cache_clear()
+    for cell in (1, 4):  # mve-open, mvedsua-open
+        run_openloop_cell("redis", cell, 1, True)
+    assert tracked.refs
+    alive = tracked.alive()
+    assert not alive, f"outlived the cell: {alive!r}"
+
+    owned = (Stack, VirtualKernel, NativeRuntime, VaranRuntime, Mvedsua,
+             Tracer)
+    seen, frontier = set(), [shared_stream("redis", 1, True)]
+    assert shared_stream.cache_info().currsize == 1
+    while frontier:
+        obj = frontier.pop()
+        if id(obj) in seen or isinstance(obj, type):
+            continue  # a class leads to its module, not to run state
+        seen.add(id(obj))
+        assert not isinstance(obj, owned), f"the memo reaches {obj!r}"
+        frontier.extend(gc.get_referents(obj))
