@@ -14,9 +14,11 @@ Run with:  python examples/cluster_rolling_upgrade.py
 from repro.errors import ConnectionClosed
 from repro.cluster import (
     ClusterNode,
-    LoadBalancer,
+    FleetBalancer,
     MvedsuaRollingUpgrade,
     RollingUpgrade,
+    Shard,
+    ShardMap,
 )
 from repro.net import VirtualKernel
 from repro.servers.kvstore import (
@@ -28,6 +30,7 @@ from repro.servers.kvstore import (
 )
 from repro.sim.engine import SECOND
 from repro.syscalls.costs import PROFILES
+from repro.workloads import VirtualClient
 
 
 def build(mvedsua: bool):
@@ -40,21 +43,24 @@ def build(mvedsua: bool):
         nodes.append(ClusterNode(
             f"node-{index}", kernel, server, PROFILES["kvstore"],
             transforms=kv_transforms() if mvedsua else None))
-    balancer = LoadBalancer(nodes)
+    # A flat cluster is a one-shard fleet: the balancer round-robins
+    # new sessions over the shard's replicas.
+    shard = Shard(0, nodes)
+    balancer = FleetBalancer(ShardMap([shard]))
     sessions = []
     for index in range(3):
-        client, node = balancer.connect(f"ssh-like-{index}")
+        node = balancer.pick_replica(shard)
+        client = VirtualClient(node.kernel, node.address, f"ssh-like-{index}")
         client.command(node.runtime, b"PUT my-session data%d" % index)
         sessions.append((client, node, index))
-    return balancer, sessions
+    return nodes, sessions
 
 
 def main() -> None:
     print("== rolling restart ==")
-    balancer, sessions = build(mvedsua=False)
-    summary = RollingUpgrade(balancer).upgrade(KVStoreV2, SECOND)
-    print(f"  upgraded to: "
-          f"{ {n.version_name for n in balancer.nodes} }")
+    nodes, sessions = build(mvedsua=False)
+    summary = RollingUpgrade(nodes).upgrade(KVStoreV2, SECOND)
+    print(f"  upgraded to: { {n.version_name for n in nodes} }")
     print(f"  sessions dropped: {summary.total_sessions_dropped}")
     client, node, index = sessions[0]
     try:
@@ -65,11 +71,10 @@ def main() -> None:
         print("  session connection: forcibly closed during the drain")
 
     print("\n== Mvedsua rolling upgrade ==")
-    balancer, sessions = build(mvedsua=True)
-    upgrade = MvedsuaRollingUpgrade(balancer, rules=kv_rules())
+    nodes, sessions = build(mvedsua=True)
+    upgrade = MvedsuaRollingUpgrade(nodes, rules=kv_rules())
     summary = upgrade.upgrade(KVStoreV2, SECOND)
-    print(f"  upgraded to: "
-          f"{ {n.version_name for n in balancer.nodes} }")
+    print(f"  upgraded to: { {n.version_name for n in nodes} }")
     print(f"  sessions dropped: {summary.total_sessions_dropped}")
     for client, node, index in sessions:
         reply = client.command(node.runtime, b"GET my-session",

@@ -33,7 +33,8 @@ from dataclasses import dataclass, field
 from functools import cache, partial
 from typing import Any, Callable, Dict, Optional, Tuple, Union
 
-from repro.core.mvedsua import Mvedsua, UpdateAttempt
+from repro.core.mvedsua import Mvedsua
+from repro.dsu.kitsune import UpdateAttempt
 from repro.dsu.transform import TransformRegistry
 from repro.dsu.version import ServerVersion, VersionRegistry
 from repro.errors import NoUpdatePath

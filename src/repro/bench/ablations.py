@@ -116,13 +116,13 @@ def _kitsune(store) -> StrategyOutcome:
     """Standalone Kitsune: works, but pauses for the whole transform."""
     kvstore = app("kvstore")
     runtime, client = _native_deployment(store)
-    result = runtime.apply_update(Kitsune(kvstore.transforms),
-                                  kvstore.version("2.0"), SECOND)
+    attempt = runtime.apply_update(Kitsune(kvstore.transforms),
+                                   kvstore.version("2.0"), SECOND)
     return StrategyOutcome(
-        "kitsune", result.pause_ns,
+        "kitsune", attempt.quiesce_ns + attempt.xform_ns,
         state_preserved=_check_state(client, runtime, 60 * SECOND),
-        upgrade_succeeded=result.ok,
-        detail=f"{result.entries_transformed:,} entries transformed")
+        upgrade_succeeded=attempt.ok,
+        detail=f"{attempt.entries:,} entries transformed")
 
 
 def _mvedsua(store) -> StrategyOutcome:

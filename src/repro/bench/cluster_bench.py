@@ -15,28 +15,31 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Tuple
+from typing import List, Tuple
 
 from repro.apps import app
 from repro.bench.reporting import format_ms, format_table
 from repro.cluster import (
     ClusterNode,
-    LoadBalancer,
+    FleetBalancer,
     MvedsuaRollingUpgrade,
     RollingUpgrade,
+    Shard,
+    ShardMap,
     UpgradeSummary,
 )
 from repro.net import VirtualKernel
 from repro.sim.engine import SECOND
 from repro.syscalls.costs import PROFILES
+from repro.workloads.client import VirtualClient
 
 NODES = 4
 ENTRIES_PER_NODE = 10_000
 LONG_LIVED_CLIENTS = 8
 
 
-def build_cluster(mvedsua: bool) -> Tuple[LoadBalancer, list]:
-    """A seeded cluster with long-lived sessions attached."""
+def build_cluster(mvedsua: bool) -> Tuple[List[ClusterNode], list]:
+    """A seeded one-shard cluster with long-lived sessions attached."""
     kernel = VirtualKernel()
     kvstore = app("kvstore")
     nodes = []
@@ -49,13 +52,15 @@ def build_cluster(mvedsua: bool) -> Tuple[LoadBalancer, list]:
         node.current_server.heap["table"].update(
             {f"{node.name}-k{i}": "v" for i in range(ENTRIES_PER_NODE)})
         nodes.append(node)
-    balancer = LoadBalancer(nodes)
+    shard = Shard(0, nodes)
+    balancer = FleetBalancer(ShardMap([shard]))
     clients = []
     for index in range(LONG_LIVED_CLIENTS):
-        client, node = balancer.connect(f"session-{index}")
+        node = balancer.pick_replica(shard)
+        client = VirtualClient(node.kernel, node.address, f"session-{index}")
         client.command(node.runtime, b"PUT session%d alive" % index)
         clients.append((client, node))
-    return balancer, clients
+    return nodes, clients
 
 
 @dataclass
@@ -70,16 +75,16 @@ class ClusterComparison:
 def run_cluster_comparison() -> ClusterComparison:
     kvstore = app("kvstore")
     new_version = partial(kvstore.version, "2.0")
-    balancer, clients = build_cluster(mvedsua=False)
-    rolling = RollingUpgrade(balancer, drain_timeout_ns=30 * SECOND
+    nodes, clients = build_cluster(mvedsua=False)
+    rolling = RollingUpgrade(nodes, drain_timeout_ns=30 * SECOND
                              ).upgrade(new_version, SECOND)
-    assert rolling.all_upgraded_to("2.0", balancer)
+    assert rolling.all_upgraded_to("2.0", nodes)
 
-    balancer, clients = build_cluster(mvedsua=True)
-    upgrade = MvedsuaRollingUpgrade(balancer,
+    nodes, clients = build_cluster(mvedsua=True)
+    upgrade = MvedsuaRollingUpgrade(nodes,
                                     rules=kvstore.rules_for("1.0", "2.0"))
     mvedsua = upgrade.upgrade(new_version, SECOND)
-    assert mvedsua.all_upgraded_to("2.0", balancer)
+    assert mvedsua.all_upgraded_to("2.0", nodes)
     live_ok = 0
     for index, (client, node) in enumerate(clients):
         reply = client.command(node.runtime, b"GET session%d" % index,

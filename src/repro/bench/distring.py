@@ -118,7 +118,6 @@ def run_distring_comparison(seed: int = 1, *,
     for latency_ns in LINK_LATENCY_POINTS:
         rows.append(_run_row(seed, latency_ns, commands))
     return {
-        "schema": "repro-distring-bench/1",
         "seed": seed,
         "commands": commands,
         "ring_capacity": RING_CAPACITY,

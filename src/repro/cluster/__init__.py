@@ -8,15 +8,15 @@ quantitatively, then scales it out to a sharded, replicated fleet:
 
 * :mod:`repro.cluster.node` — one cluster node wrapping a server
   deployment (native or Mvedsua-supervised).
-* :mod:`repro.cluster.balancer` — connection routing that steers new
-  clients away from draining, demoted, or failed nodes, for flat
-  clusters (:class:`LoadBalancer`) and sharded fleets
-  (:class:`FleetBalancer`).
-* :mod:`repro.cluster.rolling` — the rolling-upgrade coordinator (drain /
-  restart / resume), and the Mvedsua alternative that updates each node
-  in place — which also implements the paper's §1.2 note that MVE
-  overhead "can be further mitigated by using rolling upgrades": only
-  one node at a time runs in leader-follower mode.
+* :mod:`repro.cluster.balancer` — :class:`FleetBalancer`, the one
+  router: it steers new clients away from draining, demoted, or failed
+  nodes.  A flat cluster is a one-shard fleet (``Shard(0, nodes)``).
+* :mod:`repro.cluster.rolling` — the rolling-upgrade loop over a node
+  list (drain / restart / resume), and the Mvedsua alternative that
+  overrides only its per-node step to update each node in place — which
+  also implements the paper's §1.2 note that MVE overhead "can be
+  further mitigated by using rolling upgrades": only one node at a time
+  runs in leader-follower mode.
 * :mod:`repro.cluster.shard` — key-hash sharding: the declarative
   :class:`FleetSpec` topology, per-shard replica groups, the stable
   :class:`ShardMap`.
@@ -28,7 +28,7 @@ quantitatively, then scales it out to a sharded, replicated fleet:
 """
 
 from repro.cluster.node import ClusterNode, NodeStatus
-from repro.cluster.balancer import FleetBalancer, LoadBalancer
+from repro.cluster.balancer import FleetBalancer
 from repro.cluster.orchestrator import (
     FleetBudgetError,
     FleetNodeRecord,
@@ -45,7 +45,6 @@ from repro.cluster.shard import FleetSpec, Shard, ShardMap
 __all__ = [
     "ClusterNode",
     "NodeStatus",
-    "LoadBalancer",
     "FleetBalancer",
     "FleetBudgetError",
     "FleetNodeRecord",

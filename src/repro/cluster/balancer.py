@@ -1,54 +1,13 @@
-"""Connection routing across cluster nodes and sharded fleets."""
+"""Connection routing across a fleet's shards."""
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict
 
 from repro.cluster.node import ClusterNode
 from repro.cluster.shard import Shard, ShardMap
 from repro.errors import KernelError
 from repro.sites import OBS
-from repro.workloads.client import VirtualClient
-
-
-class LoadBalancer:
-    """Round-robin routing that respects node drain state.
-
-    New connections go to the next node that is accepting; existing
-    connections stick to their node (the balancer never migrates a
-    session — that is exactly why stateful nodes are hard to drain).
-    """
-
-    def __init__(self, nodes: List[ClusterNode]) -> None:
-        self.nodes = list(nodes)
-        self._cursor = 0
-
-    def pick(self) -> ClusterNode:
-        """Choose a node for a new connection (round robin).
-
-        The cursor walks the *stable* node list and skips nodes that are
-        not accepting.  Indexing the filtered candidate list instead
-        (the old behaviour) reshuffled every subsequent assignment the
-        moment one node entered or left drain, because the same cursor
-        value suddenly named a different node.
-        """
-        if not any(node.accepting_new_connections()
-                   for node in self.nodes):
-            raise KernelError("no cluster node is accepting connections")
-        while True:
-            node = self.nodes[self._cursor % len(self.nodes)]
-            self._cursor += 1
-            if node.accepting_new_connections():
-                return node
-
-    def connect(self, name: str = "client") -> tuple:
-        """Open a new client connection via the balancer.
-
-        Returns ``(client, node)`` so callers can pump the right runtime.
-        """
-        node = self.pick()
-        client = VirtualClient(node.kernel, node.address, name)
-        return client, node
 
 
 class FleetBalancer:
@@ -56,11 +15,15 @@ class FleetBalancer:
 
     Commands hash to a shard via the :class:`~repro.cluster.shard.
     ShardMap`; within the shard, new placements round-robin over the
-    *stable* replica list (the same fix as :meth:`LoadBalancer.pick`),
-    skipping replicas that are draining, demoted, or failed.  Existing
-    sessions stick to their replica — a draining or demoted replica
-    keeps serving the sessions it already has; only a *failed* replica
-    forces a failover.
+    *stable* replica list, skipping replicas that are draining, demoted,
+    or failed.  The cursor walks the stable list rather than indexing
+    the filtered candidates: otherwise one replica entering or leaving
+    drain would make the same cursor value name a different replica and
+    reshuffle every later assignment.  Existing sessions stick to their
+    replica — a draining or demoted replica keeps serving the sessions
+    it already has; only a *failed* replica forces a failover.  A flat
+    cluster is a one-shard fleet: ``Shard(0, nodes)`` in a
+    :class:`~repro.cluster.shard.ShardMap`.
 
     A ``fleet.balancer``/``partition`` chaos fault makes the replica a
     pick would have chosen temporarily unreachable, forcing the pick to

@@ -41,7 +41,7 @@ class ClusterNode:
         self.profile = profile
         self.status = NodeStatus.SERVING
         #: Fleet identity, assigned by :class:`repro.cluster.shard.Shard`
-        #: when the node joins a replica group (None in flat clusters).
+        #: when the node joins a replica group (None until it does).
         self.shard_index: Optional[int] = None
         self.replica_index: Optional[int] = None
         #: When set (a repro.net RingLink), this node's MVE follower is

@@ -9,10 +9,11 @@ version, move on.  Two problems fall out, both measured here:
   SSH/long-lived-session argument);
 * a restarted stateful node loses its in-memory state.
 
-:class:`MvedsuaRollingUpgrade` runs the same per-node schedule but
-updates each node in place with Mvedsua: no draining, no drops, no state
-loss — and only one node at a time pays the leader-follower overhead,
-which is the paper's §1.2 suggestion for mitigating MVE cost.
+:class:`MvedsuaRollingUpgrade` runs the same loop (it overrides only the
+per-node step) but updates each node in place with Mvedsua: no
+draining, no drops, no state loss — and only one node at a time pays
+the leader-follower overhead, which is the paper's §1.2 suggestion for
+mitigating MVE cost.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
 from repro.baselines.restart import StopRestart
-from repro.cluster.balancer import LoadBalancer
 from repro.cluster.node import ClusterNode, NodeStatus
 from repro.dsu.version import ServerVersion
 from repro.mve.dsl import RuleSet
@@ -63,25 +63,26 @@ class UpgradeSummary:
                 - min(r.started_at for r in self.records))
 
     def all_upgraded_to(self, version: str,
-                        balancer: LoadBalancer) -> bool:
-        return all(node.version_name == version
-                   for node in balancer.nodes)
+                        nodes: List[ClusterNode]) -> bool:
+        return all(node.version_name == version for node in nodes)
 
 
 class RollingUpgrade:
     """Drain / stop-restart / resume, one node at a time."""
 
-    def __init__(self, balancer: LoadBalancer, *,
+    strategy = "rolling-restart"
+
+    def __init__(self, nodes: List[ClusterNode], *,
                  drain_timeout_ns: int = 30 * SECOND) -> None:
-        self.balancer = balancer
+        self.nodes = list(nodes)
         self.drain_timeout_ns = drain_timeout_ns
 
     def upgrade(self, version_factory: Callable[[], ServerVersion],
                 now: int) -> UpgradeSummary:
-        """Upgrade every node; returns the cluster-wide summary."""
-        summary = UpgradeSummary("rolling-restart")
+        """Upgrade every node in turn; returns the cluster-wide summary."""
+        summary = UpgradeSummary(self.strategy)
         t = now
-        for node in self.balancer.nodes:
+        for node in self.nodes:
             record = self._upgrade_node(node, version_factory(), t)
             summary.records.append(record)
             t = record.finished_at
@@ -121,26 +122,17 @@ class RollingUpgrade:
         return dropped
 
 
-class MvedsuaRollingUpgrade:
+class MvedsuaRollingUpgrade(RollingUpgrade):
     """Per-node Mvedsua updates: no drain, no drops, no state loss."""
 
-    def __init__(self, balancer: LoadBalancer, *,
+    strategy = "mvedsua-rolling"
+
+    def __init__(self, nodes: List[ClusterNode], *,
                  validation_window_ns: int = 5 * SECOND,
                  rules: Optional[RuleSet] = None) -> None:
-        self.balancer = balancer
+        super().__init__(nodes)
         self.validation_window_ns = validation_window_ns
         self.rules = rules
-
-    def upgrade(self, version_factory: Callable[[], ServerVersion],
-                now: int) -> UpgradeSummary:
-        """Update every node in place, one at a time."""
-        summary = UpgradeSummary("mvedsua-rolling")
-        t = now
-        for node in self.balancer.nodes:
-            record = self._upgrade_node(node, version_factory(), t)
-            summary.records.append(record)
-            t = record.finished_at
-        return summary
 
     def _upgrade_node(self, node: ClusterNode,
                       new_version: ServerVersion,

@@ -21,7 +21,8 @@ keeps every closed update's timeline.
 
 from repro.core.stages import Stage, UpdateTimeline
 from repro.core.policy import RetryPolicy
-from repro.core.mvedsua import Mvedsua, UpdateAttempt
+from repro.core.mvedsua import Mvedsua
+from repro.dsu.kitsune import UpdateAttempt
 
 __all__ = [
     "Stage",

@@ -20,12 +20,11 @@ Nondeterministic failures (timing errors) are retried via
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Callable, List, Optional
 
 from repro.core.policy import RetryPolicy
 from repro.core.stages import Stage, UpdateTimeline
-from repro.dsu.kitsune import Kitsune
+from repro.dsu.kitsune import Kitsune, UpdateAttempt
 from repro.dsu.transform import TransformRegistry
 from repro.dsu.version import ServerVersion
 from repro.errors import QuiescenceTimeout, SimulationError, StateTransformError
@@ -34,19 +33,6 @@ from repro.mve.varan import RuntimeEvent, VaranRuntime
 from repro.net.kernel import VirtualKernel
 from repro.sites import OBS
 from repro.syscalls.costs import AppProfile
-
-
-@dataclass
-class UpdateAttempt:
-    """Outcome of one ``request_update`` call."""
-
-    ok: bool
-    reason: str
-    at: int
-    quiesce_ns: int = 0
-    xform_ns: int = 0
-    entries: int = 0
-    error: Optional[str] = None
 
 
 class Lifecycle:

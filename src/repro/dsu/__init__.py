@@ -18,7 +18,7 @@ machinery for the simulated servers:
 from repro.dsu.version import ServerVersion, VersionRegistry
 from repro.dsu.transform import StateTransformer, TransformRegistry
 from repro.dsu.program import ThreadState, UpdatableProgram
-from repro.dsu.kitsune import Kitsune, UpdateOutcome, UpdateResult
+from repro.dsu.kitsune import Kitsune, UpdateAttempt
 
 __all__ = [
     "ServerVersion",
@@ -28,6 +28,5 @@ __all__ = [
     "ThreadState",
     "UpdatableProgram",
     "Kitsune",
-    "UpdateOutcome",
-    "UpdateResult",
+    "UpdateAttempt",
 ]

@@ -14,7 +14,6 @@ abort callback for the leader side.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
@@ -66,34 +65,24 @@ def _scramble(value: Any, marker: str) -> None:
             _scramble(child, marker)
 
 
-class UpdateOutcome(enum.Enum):
-    """How an update attempt ended."""
-
-    APPLIED = "applied"
-    QUIESCENCE_FAILED = "quiescence-failed"
-    TRANSFORM_FAILED = "transform-failed"
-
-
 @dataclass
-class UpdateResult:
-    """Outcome of one update attempt.
+class UpdateAttempt:
+    """How one update attempt ended, standalone or under Mvedsua.
 
-    ``pause_ns`` is the service pause this attempt caused on the process
-    that executed it: for standalone Kitsune that is the full quiesce +
-    transform time; under Mvedsua the leader only pays the fork, so the
-    caller reports its own (much smaller) pause.
+    ``reason`` is ``"applied"``, ``"quiescence-failed"`` or
+    ``"transform-failed"``; ``at`` is when the attempt took effect (its
+    start for standalone Kitsune, the fork under Mvedsua).  A standalone
+    update pauses service for ``quiesce_ns + xform_ns``; under Mvedsua
+    the transform runs on the follower and the leader pays the fork.
     """
 
-    outcome: UpdateOutcome
-    pause_ns: int
-    old_version: str
-    new_version: str
+    ok: bool
+    reason: str
+    at: int
+    quiesce_ns: int = 0
+    xform_ns: int = 0
+    entries: int = 0
     error: Optional[str] = None
-    entries_transformed: int = 0
-
-    @property
-    def ok(self) -> bool:
-        return self.outcome is UpdateOutcome.APPLIED
 
 
 class Kitsune:
@@ -176,14 +165,14 @@ class Kitsune:
 
     def apply_update(self, program: UpdatableProgram,
                      new_version: ServerVersion, *,
-                     xform_entry_ns: int = 0, at: int = 0) -> UpdateResult:
+                     xform_entry_ns: int = 0, at: int = 0) -> UpdateAttempt:
         """Update ``program`` in place, Kitsune-style, from virtual time
         ``at`` (where its ``dsu.*`` trace events are stamped from).
 
         On success the program runs the new version with the transformed
-        heap, and the result carries the full service pause.  On failure
-        the program is untouched (Kitsune aborts back to the old code) and
-        the result says why.
+        heap, and the attempt carries both phases of the service pause.
+        On failure the program is untouched (Kitsune aborts back to the
+        old code) and the attempt says why.
         """
         chaos = OBS.chaos
         if chaos is not None:
@@ -203,8 +192,8 @@ class Kitsune:
             if tracer is not None:
                 tracer.emit("dsu.failed", "dsu", at=at,
                             reason="quiescence-failed", error=str(exc))
-            return UpdateResult(UpdateOutcome.QUIESCENCE_FAILED, 0,
-                                old_name, new_version.name, error=str(exc))
+            return UpdateAttempt(False, "quiescence-failed", at,
+                                 error=str(exc))
         if tracer is not None:
             tracer.emit("dsu.quiesce", "dsu", at=at + quiesce_ns,
                         ns=quiesce_ns)
@@ -217,8 +206,8 @@ class Kitsune:
             if tracer is not None:
                 tracer.emit("dsu.failed", "dsu", at=at + quiesce_ns,
                             reason="transform-failed", error=str(exc))
-            return UpdateResult(UpdateOutcome.TRANSFORM_FAILED, quiesce_ns,
-                                old_name, new_version.name, error=str(exc))
+            return UpdateAttempt(False, "transform-failed", at,
+                                 quiesce_ns=quiesce_ns, error=str(exc))
         program.version = new_version
         program.heap = new_heap
         if tracer is not None:
@@ -228,6 +217,5 @@ class Kitsune:
             tracer.emit("dsu.applied", "dsu", at=done, old=old_name,
                         new=new_version.name, system="kitsune")
             tracer.emit("dsu.resume", "dsu", at=done)
-        return UpdateResult(UpdateOutcome.APPLIED, quiesce_ns + xform_ns,
-                            old_name, new_version.name,
-                            entries_transformed=entries)
+        return UpdateAttempt(True, "applied", at, quiesce_ns=quiesce_ns,
+                             xform_ns=xform_ns, entries=entries)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import enum
 from collections import deque
-from typing import Deque, List, Optional, Sequence
+from typing import Any, Callable, Deque, List, Optional, Sequence
 
 from repro.errors import BrokenPipe, ConnectionReset, FdExhausted
 from repro.mve.divergence import check_drained, check_match
@@ -360,76 +360,66 @@ class SyscallGateway:
             self.kernel.fs.append_file(path, data)
         self._emit(SyscallRecord(Sys.WRITE, -3, data, len(data)))
 
+    def _namespace_change(self, name: Sys, payload: bytes,
+                          change: Callable[[], None]) -> None:
+        """A call that changes the namespace (unlink, rename, mkdir,
+        rmdir): the leader runs ``change``, a follower matches the
+        leader's record, and both record ``(name, -1, payload, 0)``."""
+        if self.role is GatewayRole.REPLAY:
+            self._replay(name, -1, payload, 0)
+        else:
+            change()
+        self._emit(SyscallRecord(name, -1, payload, 0))
+
+    def _stat_query(self, query: bytes, answer: Callable[[], Any]) -> Any:
+        """A STAT-family query (stat, is-dir, listdir): the leader
+        records ``answer()`` as a STAT record's result and a follower
+        gets the leader's, matched on the name only: the answer is an
+        input, like read data."""
+        if self.role is GatewayRole.REPLAY:
+            pending = self._pending
+            expected = pending.popleft() if pending else None
+            if expected is None or expected.name is not Sys.STAT:
+                check_match(expected, SyscallRecord(Sys.STAT, data=query))
+            return self._emit(expected).result
+        result = answer()
+        self._emit(SyscallRecord(Sys.STAT, data=query, result=result))
+        return result
+
     def fs_unlink(self, path: str) -> None:
         """Delete a file."""
-        payload = path.encode()
-        if self.role is GatewayRole.REPLAY:
-            self._replay(Sys.UNLINK, -1, payload, 0)
-        else:
-            self.kernel.fs.unlink(path)
-        self._emit(SyscallRecord(Sys.UNLINK, -1, payload, 0))
+        self._namespace_change(Sys.UNLINK, path.encode(),
+                               lambda: self.kernel.fs.unlink(path))
 
     def fs_rename(self, src: str, dst: str) -> None:
         """Atomically rename a file."""
-        payload = f"{src}\x00{dst}".encode()
-        if self.role is GatewayRole.REPLAY:
-            self._replay(Sys.RENAME, -1, payload, 0)
-        else:
-            self.kernel.fs.rename(src, dst)
-        self._emit(SyscallRecord(Sys.RENAME, -1, payload, 0))
+        self._namespace_change(Sys.RENAME, f"{src}\x00{dst}".encode(),
+                               lambda: self.kernel.fs.rename(src, dst))
+
+    def fs_mkdir(self, path: str) -> None:
+        """Create a directory."""
+        self._namespace_change(Sys.MKDIR, path.encode(),
+                               lambda: self.kernel.fs.mkdir(path))
+
+    def fs_rmdir(self, path: str) -> None:
+        """Remove an (empty) directory."""
+        self._namespace_change(Sys.RMDIR, path.encode(),
+                               lambda: self.kernel.fs.rmdir(path))
 
     def fs_stat(self, path: str) -> Optional[int]:
         """File size, or None when absent (shared namespace, untraced in
         followers via replay of the leader's answer)."""
-        if self.role is GatewayRole.REPLAY:
-            return self._replay_stat(path.encode()).result
-        result = (self.kernel.fs.size(path)
-                  if self.kernel.fs.exists(path) else None)
-        self._emit(SyscallRecord(Sys.STAT, data=path.encode(), result=result))
-        return result
-
-    def _replay_stat(self, query: bytes) -> SyscallRecord:
-        """The leader's answer to a STAT-family query.  Matched on the
-        name only: the answer is an input, like read data."""
-        pending = self._pending
-        expected = pending.popleft() if pending else None
-        if expected is None or expected.name is not Sys.STAT:
-            check_match(expected, SyscallRecord(Sys.STAT, data=query))
-        return self._emit(expected)
-
-    def fs_mkdir(self, path: str) -> None:
-        """Create a directory."""
-        payload = path.encode()
-        if self.role is GatewayRole.REPLAY:
-            self._replay(Sys.MKDIR, -1, payload, 0)
-        else:
-            self.kernel.fs.mkdir(path)
-        self._emit(SyscallRecord(Sys.MKDIR, -1, payload, 0))
-
-    def fs_rmdir(self, path: str) -> None:
-        """Remove an (empty) directory."""
-        payload = path.encode()
-        if self.role is GatewayRole.REPLAY:
-            self._replay(Sys.RMDIR, -1, payload, 0)
-        else:
-            self.kernel.fs.rmdir(path)
-        self._emit(SyscallRecord(Sys.RMDIR, -1, payload, 0))
+        fs = self.kernel.fs
+        return self._stat_query(path.encode(), lambda: (
+            fs.size(path) if fs.exists(path) else None))
 
     def fs_is_dir(self, path: str) -> bool:
         """Directory check, replayed to followers like stat."""
-        query = ("d:" + path).encode()
-        if self.role is GatewayRole.REPLAY:
-            return bool(self._replay_stat(query).result)
-        result = self.kernel.fs.is_dir(path)
-        self._emit(SyscallRecord(Sys.STAT, data=query, result=result))
-        return result
+        return bool(self._stat_query(("d:" + path).encode(),
+                                     lambda: self.kernel.fs.is_dir(path)))
 
     def fs_listdir(self, path: str) -> List[str]:
         """Directory listing, replayed to followers like stat."""
-        query = (path + "/").encode()
-        if self.role is GatewayRole.REPLAY:
-            return list(self._replay_stat(query).result)
-        entries = self.kernel.fs.listdir(path)
-        self._emit(SyscallRecord(Sys.STAT, data=query,
-                                 result=tuple(entries)))
-        return entries
+        return list(self._stat_query(
+            (path + "/").encode(),
+            lambda: tuple(self.kernel.fs.listdir(path))))

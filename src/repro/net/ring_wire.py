@@ -241,8 +241,10 @@ def _sequence(body: Dict[str, Any], key: str, what: str) -> int:
     return sequence
 
 
-def _untagged(result: Any) -> Any:
-    """Inverse of :func:`_result_json`'s tagging."""
+def untagged(result: Any) -> Any:
+    """Inverse of the ``{"t": [...]}`` / ``{"b": latin-1}`` result
+    tagging of :func:`_result_json` (a frame) and
+    :func:`repro.obs.trace.serialize_record` (a stream record)."""
     if type(result) is dict:
         if "t" in result:
             items = result["t"]
@@ -250,7 +252,7 @@ def _untagged(result: Any) -> Any:
                 raise WireError(f"tuple result carries {items!r}, "
                                 f"not a list")
             if dict in map(type, items):
-                return tuple(map(_untagged, items))
+                return tuple(map(untagged, items))
             return tuple(items)
         if "b" in result:
             text = result["b"]
@@ -307,7 +309,7 @@ def decode_frame(line: str) -> Tuple[int, List[Payload]]:
                 raise WireError(f"bad syscall record on the wire: "
                                 f"{entry!r}")
             if type(result) is dict:
-                result = _untagged(result)
+                result = untagged(result)
             append(new(SyscallRecord, (name, fd, data.encode("latin-1"),
                                        result, aux)))
     except (TypeError, UnicodeEncodeError, RecursionError) as exc:

@@ -24,6 +24,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import SimulationError
 from repro.mve.gateway import ERRNO_CLASSES, RECORDED_ERRORS
+from repro.net.ring_wire import untagged
 from repro.obs.trace import stream_len, validate_lines
 from repro.report import (ANY, BOOL, BYTES, INT, NAT, STR, TEXT, Leaf, ListOf,
                           Obj, Opt, Via, decode, one_of, problems, read_lines)
@@ -36,17 +37,9 @@ class StreamError(SimulationError):
 
 # ---------------------------------------------------------------------------
 # Record deserialization (serialization is the writer's:
-# repro.obs.trace.serialize_record)
+# repro.obs.trace.serialize_record; results are untagged by the ring
+# wire's decoder, which inverts the same tagging)
 # ---------------------------------------------------------------------------
-
-def _deserialize_result(result: Any) -> Any:
-    if isinstance(result, dict):
-        if "t" in result:
-            return tuple(_deserialize_result(item) for item in result["t"])
-        if "b" in result:
-            return result["b"].encode("latin-1")
-    return result
-
 
 def deserialize_record(entry: Dict[str, Any]) -> SyscallRecord:
     """Rebuild a :class:`SyscallRecord` from a record that has the
@@ -56,7 +49,7 @@ def deserialize_record(entry: Dict[str, Any]) -> SyscallRecord:
         kwargs["aux"] = dict(entry["aux"])
     return SyscallRecord(Sys(entry["sys"]), fd=entry["fd"],
                          data=entry.get("data", "").encode("latin-1"),
-                         result=_deserialize_result(entry.get("result")),
+                         result=untagged(entry.get("result")),
                          **kwargs)
 
 

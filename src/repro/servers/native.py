@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Any, Optional
 
-from repro.dsu.kitsune import Kitsune, UpdateResult
+from repro.dsu.kitsune import Kitsune, UpdateAttempt
 from repro.dsu.version import ServerVersion
 from repro.errors import ServerCrash
 from repro.mve.gateway import GatewayRole, SyscallGateway
@@ -73,7 +73,7 @@ class NativeRuntime:
             self.requests_served += trace.requests_handled
 
     def apply_update(self, kitsune: Kitsune, new_version: ServerVersion,
-                     now: int) -> UpdateResult:
+                     now: int) -> UpdateAttempt:
         """Standalone Kitsune update: service pauses for the duration.
 
         The pause (quiesce + transform) blocks the CPU, so requests that
@@ -83,11 +83,12 @@ class NativeRuntime:
         if not self.with_kitsune:
             raise ServerCrash("cannot dynamically update a non-DSU binary")
         start = max(now, self.cpu.busy_until)
-        result = kitsune.apply_update(
+        attempt = kitsune.apply_update(
             self.server.program, new_version,
             xform_entry_ns=self.profile.xform_entry_ns or 0, at=start)
-        if result.ok:
+        if attempt.ok:
             self.server.apply_version(self.server.program.version,
                                       self.server.program.heap)
-        self.cpu.block_until(start + result.pause_ns + QUIESCE_NS)
-        return result
+        self.cpu.block_until(start + attempt.quiesce_ns + attempt.xform_ns
+                             + QUIESCE_NS)
+        return attempt

@@ -14,6 +14,7 @@ from repro.workloads import VirtualClient
 
 # Tests that set no ``max_examples`` of their own (tests/test_report.py,
 # the ring codec's and the compiled DSL guards' equivalence properties,
+# the stream record codec's round trip,
 # the shipped rules against their references, the parser on mangled
 # rule text, the tracer's log and fold against its eager reference, the
 # fluid model's fast-forward against plain stepping)

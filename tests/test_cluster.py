@@ -4,10 +4,12 @@ import pytest
 
 from repro.cluster import (
     ClusterNode,
-    LoadBalancer,
+    FleetBalancer,
     MvedsuaRollingUpgrade,
     NodeStatus,
     RollingUpgrade,
+    Shard,
+    ShardMap,
 )
 from repro.errors import KernelError
 from repro.net import VirtualKernel
@@ -20,6 +22,24 @@ from repro.servers.kvstore import (
 )
 from repro.sim.engine import SECOND
 from repro.syscalls.costs import PROFILES
+from repro.workloads import VirtualClient
+
+
+class FlatCluster:
+    """A flat cluster as the one-shard fleet it is: ``Shard(0, nodes)``
+    routed by :class:`FleetBalancer`."""
+
+    def __init__(self, nodes):
+        self.shard = Shard(0, nodes)
+        self.nodes = self.shard.nodes
+        self.balancer = FleetBalancer(ShardMap([self.shard]))
+
+    def pick(self):
+        return self.balancer.pick_replica(self.shard)
+
+    def connect(self, name="client"):
+        node = self.pick()
+        return VirtualClient(node.kernel, node.address, name), node
 
 
 def make_cluster(n=3, mvedsua=False):
@@ -32,7 +52,7 @@ def make_cluster(n=3, mvedsua=False):
         nodes.append(ClusterNode(
             f"node-{index}", kernel, server, PROFILES["kvstore"],
             transforms=kv_transforms() if mvedsua else None))
-    return kernel, LoadBalancer(nodes)
+    return kernel, FlatCluster(nodes)
 
 
 def seed_cluster(balancer, entries_per_node=50):
@@ -42,6 +62,9 @@ def seed_cluster(balancer, entries_per_node=50):
 
 
 class TestLoadBalancer:
+    """Routing a flat cluster: ``FleetBalancer.pick_replica`` over its
+    one shard."""
+
     def test_round_robin_across_serving_nodes(self):
         _, balancer = make_cluster(3)
         picks = [balancer.pick().name for _ in range(6)]
@@ -149,19 +172,19 @@ class TestRollingRestartUpgrade:
             client, node = balancer.connect()
             client.command(node.runtime, b"PUT session-key v")
             clients.append(client)
-        summary = RollingUpgrade(balancer).upgrade(KVStoreV2, SECOND)
+        summary = RollingUpgrade(balancer.nodes).upgrade(KVStoreV2, SECOND)
         assert summary.total_sessions_dropped == 2
 
     def test_state_is_lost(self):
         _, balancer = make_cluster(2)
         seed_cluster(balancer, entries_per_node=50)
-        summary = RollingUpgrade(balancer).upgrade(KVStoreV2, SECOND)
+        summary = RollingUpgrade(balancer.nodes).upgrade(KVStoreV2, SECOND)
         assert summary.total_state_lost == 100
-        assert summary.all_upgraded_to("2.0", balancer)
+        assert summary.all_upgraded_to("2.0", balancer.nodes)
 
     def test_nodes_upgraded_one_at_a_time(self):
         _, balancer = make_cluster(3)
-        summary = RollingUpgrade(balancer).upgrade(KVStoreV2, SECOND)
+        summary = RollingUpgrade(balancer.nodes).upgrade(KVStoreV2, SECOND)
         finishes = [record.finished_at for record in summary.records]
         assert finishes == sorted(finishes)
         assert summary.duration_ns > 0
@@ -180,7 +203,7 @@ class TestRollingRestartUpgrade:
         client.command(node.runtime, b"PUT k v")
         client.close()
         node.pump(100)  # server observes the EOF before the drain
-        summary = RollingUpgrade(balancer).upgrade(KVStoreV2, SECOND)
+        summary = RollingUpgrade(balancer.nodes).upgrade(KVStoreV2, SECOND)
         assert summary.total_sessions_dropped == 0
 
 
@@ -193,11 +216,11 @@ class TestMvedsuaRollingUpgrade:
             client, node = balancer.connect()
             client.command(node.runtime, b"PUT live-key 1")
             clients.append((client, node))
-        upgrade = MvedsuaRollingUpgrade(balancer, rules=kv_rules())
+        upgrade = MvedsuaRollingUpgrade(balancer.nodes, rules=kv_rules())
         summary = upgrade.upgrade(KVStoreV2, SECOND)
         assert summary.total_sessions_dropped == 0
         assert summary.total_state_lost == 0
-        assert summary.all_upgraded_to("2.0", balancer)
+        assert summary.all_upgraded_to("2.0", balancer.nodes)
         # The live sessions still work, with their state intact.
         for client, node in clients:
             assert client.command(node.runtime, b"GET live-key",
@@ -206,7 +229,7 @@ class TestMvedsuaRollingUpgrade:
     def test_leader_pause_is_tiny(self):
         _, balancer = make_cluster(1, mvedsua=True)
         seed_cluster(balancer, entries_per_node=100_000)
-        upgrade = MvedsuaRollingUpgrade(balancer, rules=kv_rules())
+        upgrade = MvedsuaRollingUpgrade(balancer.nodes, rules=kv_rules())
         summary = upgrade.upgrade(KVStoreV2, SECOND)
         record = summary.records[0]
         xform_ns = 100_000 * PROFILES["kvstore"].xform_entry_ns
@@ -216,7 +239,7 @@ class TestMvedsuaRollingUpgrade:
         """The §1.2 mitigation: during a Mvedsua rolling upgrade, at
         most one node pays leader-follower overhead."""
         _, balancer = make_cluster(3, mvedsua=True)
-        upgrade = MvedsuaRollingUpgrade(balancer, rules=kv_rules())
+        upgrade = MvedsuaRollingUpgrade(balancer.nodes, rules=kv_rules())
         summary = upgrade.upgrade(KVStoreV2, SECOND)
         # Sequential windows: each node's MVE interval ended before the
         # next node's began.

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core import Mvedsua, RetryPolicy, Stage
+from repro.dsu import Kitsune
 from repro.dsu.program import ThreadState
 from repro.dsu.transform import TransformRegistry
 from repro.errors import SimulationError
@@ -16,6 +17,7 @@ from repro.servers.kvstore import (
     xform_drop_table,
     xform_uninitialised_type,
 )
+from repro.servers.native import NativeRuntime
 from repro.sim.engine import MILLISECOND, SECOND
 from repro.syscalls.costs import PROFILES
 from repro.workloads import VirtualClient
@@ -289,3 +291,66 @@ class TestPromotionDrainDivergence:
         assert mvedsua.last_outcome().rolled_back()
         assert client.command(mvedsua, b"PUT ok 1",
                               now=4 * SECOND) == b"+OK\r\n"
+
+
+class TestOneUpdateRecord:
+    """Standalone Kitsune (``NativeRuntime.apply_update``) and Mvedsua
+    (``request_update``) run the same two phases and return the same
+    ``UpdateAttempt``: for one version pair and one preload, the record
+    of each phase agrees."""
+
+    @staticmethod
+    def _both(transforms, threads=None):
+        """The attempt each runtime makes at kvstore 1.0 → 2.0 with a
+        200-entry preload (and ``threads`` parked in each program)."""
+        attempts = []
+        for runtime in (NativeRuntime, Mvedsua):
+            kernel = VirtualKernel()
+            server = KVStoreServer(KVStoreV1())
+            server.attach(kernel)
+            server.heap["table"].update({f"k{i}": "v" for i in range(200)})
+            if threads is not None:
+                server.program.threads = list(threads)
+            if runtime is NativeRuntime:
+                native = NativeRuntime(kernel, server, PROFILES["kvstore"],
+                                       with_kitsune=True)
+                attempts.append(native.apply_update(
+                    Kitsune(transforms), KVStoreV2(), SECOND))
+            else:
+                mvedsua = Mvedsua(kernel, server, PROFILES["kvstore"],
+                                  transforms=transforms)
+                attempts.append(mvedsua.request_update(
+                    KVStoreV2(), SECOND, rules=kv_rules()))
+        return attempts
+
+    @staticmethod
+    def _phases(attempt):
+        return (attempt.ok, attempt.reason, attempt.quiesce_ns,
+                attempt.xform_ns, attempt.entries, attempt.error)
+
+    def test_an_applied_update_records_the_same_phases(self):
+        kitsune, mvedsua = self._both(kv_transforms())
+        assert self._phases(kitsune) == self._phases(mvedsua)
+        assert kitsune.reason == "applied"
+        assert kitsune.entries == 200
+        assert kitsune.xform_ns == 200 * PROFILES["kvstore"].xform_entry_ns
+
+    def test_a_blocked_thread_fails_quiescence_in_both(self):
+        kitsune, mvedsua = self._both(
+            kv_transforms(), threads=[ThreadState("stuck",
+                                                  blocked_on_lock=True)])
+        assert self._phases(kitsune) == self._phases(mvedsua)
+        assert (kitsune.reason, kitsune.quiesce_ns) \
+            == ("quiescence-failed", 0)
+        assert "stuck" in kitsune.error
+
+    def test_a_raising_transformer_fails_the_transform_in_both(self):
+        def boom(heap):
+            raise KeyError("table")
+
+        kitsune, mvedsua = self._both(buggy_transforms(boom))
+        assert self._phases(kitsune) == self._phases(mvedsua)
+        assert (kitsune.reason, kitsune.xform_ns, kitsune.entries) \
+            == ("transform-failed", 0, 0)
+        assert kitsune.quiesce_ns > 0
+        assert "raised" in kitsune.error

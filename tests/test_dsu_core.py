@@ -8,7 +8,6 @@ from repro.dsu import (
     ThreadState,
     TransformRegistry,
     UpdatableProgram,
-    UpdateOutcome,
     VersionRegistry,
 )
 from repro.errors import NoUpdatePath, QuiescenceTimeout, StateTransformError
@@ -171,14 +170,15 @@ class TestKitsuneUpdate:
                                      xform_entry_ns=1_000)
         large = kitsune.apply_update(self.make_program(10_000), VersionB(),
                                      xform_entry_ns=1_000)
-        assert large.pause_ns - small.pause_ns == (10_000 - 10) * 1_000
-        assert large.entries_transformed == 10_000
+        assert (large.quiesce_ns + large.xform_ns) \
+            - (small.quiesce_ns + small.xform_ns) == (10_000 - 10) * 1_000
+        assert large.entries == 10_000
 
     def test_quiescence_failure_aborts_without_changes(self, transforms):
         program = UpdatableProgram(VersionA(), {"table": {}}, threads=[
             ThreadState("stuck", blocked_on_lock=True)])
         result = Kitsune(transforms).apply_update(program, VersionB())
-        assert result.outcome is UpdateOutcome.QUIESCENCE_FAILED
+        assert (result.ok, result.reason) == (False, "quiescence-failed")
         assert program.version.name == "1.0"
 
     def test_slow_thread_times_out(self, transforms):
@@ -194,7 +194,7 @@ class TestKitsuneUpdate:
                             lambda heap: (_ for _ in ()).throw(KeyError("t")))
         program = self.make_program()
         result = Kitsune(transforms).apply_update(program, VersionB())
-        assert result.outcome is UpdateOutcome.TRANSFORM_FAILED
+        assert (result.ok, result.reason) == (False, "transform-failed")
         assert program.version.name == "1.0"
         assert "raised" in result.error
 

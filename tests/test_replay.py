@@ -21,20 +21,21 @@ from repro.chaos.scenarios import BuggyKVStoreV2, run_kv_update_scenario
 from repro.errors import SimulationError
 from repro.mve import VaranRuntime
 from repro.net import VirtualKernel
-from repro.obs.trace import Tracer, stream_len, validate_file
+from repro.obs.trace import (Tracer, serialize_record, stream_len,
+                             validate_file)
 from repro.perf.diff import diff_bench, gate_failures
 from repro.perf.harness import SCHEMA, run_scenarios, validate_bench
 from repro.perf.harness import GAUGES
 from repro.replay.engine import replay_file
 from repro.parallel import map_items, resolve_workers, shard_round_robin
 from repro.replay.recorder import StreamRecorder
-from repro.replay.stream import StreamError, read_stream
+from repro.replay.stream import StreamError, deserialize_record, read_stream
 from repro.scenarios import SCENARIOS
 from repro.servers.kvstore import (KVStoreServer, KVStoreV1, kv_rules,
                                    xform_1_to_2)
 from repro.sites import OBS, observing
 from repro.syscalls.costs import PROFILES
-from repro.syscalls.model import Sys
+from repro.syscalls.model import EMPTY_AUX, Sys, SyscallRecord
 from repro.workloads import VirtualClient
 
 
@@ -258,6 +259,32 @@ def test_any_in_shape_edit_replays_or_is_refused(kv_stream, data):
         except StreamError:
             return
     assert report.outcome in ("match", "divergence", "crash")
+
+
+# -- a stream record reads back as the record that was written ---------------
+
+_RECORD_RESULTS = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.binary(max_size=8),
+    lambda inner: st.lists(inner, max_size=3).map(tuple), max_leaves=8)
+
+
+@given(name=st.sampled_from(list(Sys)), fd=st.integers(-3, 1 << 20),
+       payload=st.binary(max_size=16), result=_RECORD_RESULTS,
+       aux=st.just(EMPTY_AUX) | st.dictionaries(
+           st.sampled_from(["error", "flags"]),
+           st.sampled_from(["EPIPE", "ECONNRESET"]) | st.integers(0, 3),
+           min_size=1))
+def test_serialized_record_reads_back_as_itself(name, fd, payload, result,
+                                                aux):
+    """``serialize_record`` → JSON → ``deserialize_record`` gives the
+    record back, field for field and type for type: nested tuples stay
+    tuples, bytes stay bytes, and ``True`` does not come back as ``1``
+    (``repr`` tells those apart where ``==`` does not)."""
+    record = SyscallRecord(name, fd, payload, result, aux)
+    back = deserialize_record(json.loads(json.dumps(
+        serialize_record(record))))
+    assert back == record
+    assert repr(back) == repr(record)
 
 
 # ---------------------------------------------------------------------------
