@@ -41,6 +41,14 @@ class FdExhausted(KernelError):
     """The process ran out of file descriptors (EMFILE)."""
 
 
+class ConnectionRefused(KernelError):
+    """Connect to an address nothing listens on (ECONNREFUSED)."""
+
+
+class AddressInUse(KernelError):
+    """Listen on an address already bound (EADDRINUSE)."""
+
+
 class FileNotFound(KernelError):
     """Virtual filesystem lookup failed."""
 

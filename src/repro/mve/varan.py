@@ -46,7 +46,6 @@ from repro.mve.ring_buffer import Payload, RingBuffer, RingEntry
 from repro.obs.forensics import (FORENSICS_LAST_K, ForensicsBundle,
                                  build_divergence_bundle)
 from repro.net.kernel import VirtualKernel
-from repro.net.sockets import Endpoint
 from repro.sim.process import CpuAccount
 from repro.sites import OBS
 from repro.syscalls.costs import AppProfile, ExecutionMode, FORK_PAUSE_NS
@@ -212,6 +211,11 @@ class VaranRuntime:
         server.bind_gateway(gateway)
         self.leader = ManagedProcess(server, gateway, CpuAccount("leader"),
                                      "leader")
+        #: The group's epoll ready set, live: what ``pump`` tests when
+        #: no tracer is installed.  Every leader shares the domain and
+        #: epoll fd (a fork copies the fd numbers); :meth:`_take_lead`
+        #: checks it.
+        self.ready = kernel.ready_set(self.domain, server.epoll_fd)
         #: Live follower lanes, in fork order.
         self.lanes: List[FollowerLane] = []
         #: Cost-model mode for leader execution right now; reassigned
@@ -291,16 +295,23 @@ class VaranRuntime:
         Returns the virtual time at which the leader finished.  Crashes
         and divergences are handled by the failure policy; after a crash
         the surviving process carries on within the same call.
+
+        Readiness is read off the group's ready set; under a tracer it
+        is asked of ``kernel.epoll_wait``, so the run log shows the probe.
         """
         if now > OBS.vnow:
             OBS.vnow = now
-        kernel, domain = self.kernel, self.domain
+        ready = self.ready
         t = max(now, self.leader.cpu.busy_until)
         while True:
             leader = self.leader  # a crash may have promoted a survivor
             if leader.crashed:
                 raise ServerCrash("leader crashed with no survivor")
-            if not kernel.epoll_wait(domain, leader.server.epoll_fd):
+            if OBS.tracer is not None:
+                if not self.kernel.epoll_wait(self.domain,
+                                              leader.server.epoll_fd):
+                    return t
+            elif not ready:
                 return t
             t = self._run_leader_iteration(t)
 
@@ -601,14 +612,25 @@ class VaranRuntime:
                                 self.leader.version_name)
         return done
 
+    def _take_lead(self, process: ManagedProcess, at: int) -> None:
+        """Make ``process`` the leader from ``at``.  It must poll the
+        ready set ``pump`` reads, which a fork of the group's process
+        always does."""
+        if self.kernel.ready_set(self.domain,
+                                 process.server.epoll_fd) is not self.ready:
+            raise SimulationError(
+                f"{process.version_name} polls another epoll instance")
+        process.gateway.role = GatewayRole.DIRECT
+        process.label = "leader"
+        process.cpu.block_until(at)
+        self.leader = process
+
     def _swap_roles(self, lane: FollowerLane, at: int) -> None:
         old_leader, new_leader = self.leader, lane.process
         old_leader.gateway.role = GatewayRole.REPLAY
         old_leader.label = "follower"
-        new_leader.gateway.role = GatewayRole.DIRECT
-        new_leader.label = "leader"
-        new_leader.cpu.block_until(at)
-        self.leader, lane.process = new_leader, old_leader
+        self._take_lead(new_leader, at)
+        lane.process = old_leader
         self.stage_direction = Direction.UPDATED_LEADER
         self.leader_is_updated = True
         self.log(at, "promoted", new_leader.version_name)
@@ -663,10 +685,7 @@ class VaranRuntime:
         # Re-deliver the input the crashed leader had consumed so the
         # promoted process can serve it.
         self._redeliver_reads(trace)
-        survivor.gateway.role = GatewayRole.DIRECT
-        survivor.label = "leader"
-        survivor.cpu.block_until(at)
-        self.leader = survivor
+        self._take_lead(survivor, at)
         self._detach_lane(lane)
         self.leader_is_updated = True
         spans = OBS.spans
@@ -684,7 +703,5 @@ class VaranRuntime:
         for record in reversed(trace.records):
             if record.name is Sys.READ and record.fd >= 0 and record.data:
                 if self.kernel.is_open(self.domain, record.fd):
-                    domain_obj = self.kernel._domain(self.domain)
-                    endpoint = domain_obj.lookup(record.fd)
-                    if isinstance(endpoint, Endpoint):
-                        endpoint.unread(record.data)
+                    self.kernel.endpoint(self.domain,
+                                         record.fd).unread(record.data)

@@ -8,10 +8,11 @@ kernel-state tracking, and makes follower promotion a pure role swap).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple, Union
+from typing import AbstractSet, Dict, List, Optional, Tuple, Union
 
-from repro.errors import (BadFileDescriptor, BrokenPipe, ConnectionReset,
-                          FdExhausted, KernelError)
+from repro.errors import (AddressInUse, BadFileDescriptor, BrokenPipe,
+                          ConnectionRefused, ConnectionReset, FdExhausted,
+                          KernelError)
 from repro.net.epoll import EpollSet
 from repro.net.filesystem import VirtualFilesystem
 from repro.net.sockets import Connection, Endpoint, ListeningSocket
@@ -81,7 +82,7 @@ class VirtualKernel:
         if tracer is not None:
             tracer.on_kernel("enter", "listen", domain_id)
         if address in self._listeners:
-            raise KernelError(f"address in use: {address}")
+            raise AddressInUse(f"address in use: {address}")
         domain = self._domain(domain_id)
         sock = ListeningSocket(address)
         fd = domain.alloc(sock)
@@ -106,12 +107,12 @@ class VirtualKernel:
                 raise FdExhausted(
                     f"connect in domain {domain_id}: out of file descriptors")
         if address not in self._listeners:
-            raise KernelError(f"connection refused: {address}")
+            raise ConnectionRefused(f"connection refused: {address}")
         listener_domain_id, listener_fd = self._listeners[address]
         listener = self._domains[listener_domain_id].fds[listener_fd]
         assert isinstance(listener, ListeningSocket)
         if not listener.open:
-            raise KernelError(f"connection refused: {address}")
+            raise ConnectionRefused(f"connection refused: {address}")
         connection = Connection(self._next_connection)
         self._connections[connection.conn_id] = connection
         self._next_connection += 1
@@ -267,15 +268,33 @@ class VirtualKernel:
             tracer.on_kernel("exit", "epoll_wait", domain_id, epfd)
         return ready
 
-    # -- inspection (used by tests and the MVE runtime) ----------------------
+    # -- inspection (used by tests, the runtimes and the clients) ------------
 
     def open_fds(self, domain_id: int) -> List[int]:
         """All fds open in a domain."""
         return sorted(self._domain(domain_id).fds)
 
-    def peer_endpoint(self, domain_id: int, fd: int) -> Endpoint:
-        """The remote endpoint of a connected stream fd."""
+    def ready_set(self, domain_id: int, epfd: int) -> AbstractSet[int]:
+        """The live set of ready fds :meth:`epoll_wait` would return, in
+        no order: the epoll instance's own ``ready_fds``, kept by the
+        watched objects.  For reading only — its truth is "is anything
+        ready" with no call into the kernel.  Validates ``epfd`` as
+        :meth:`epoll_wait` does."""
+        epoll = self._domain(domain_id).lookup(epfd)
+        if not isinstance(epoll, EpollSet):
+            raise KernelError(f"fd {epfd} is not an epoll instance")
+        return epoll.ready_fds
+
+    def endpoint(self, domain_id: int, fd: int) -> Endpoint:
+        """The endpoint a connected stream fd names: what :meth:`read`
+        and :meth:`write` on the fd act on, once they have looked it up
+        and consulted the observers."""
         endpoint = self._domain(domain_id).lookup(fd)
         if not isinstance(endpoint, Endpoint):
             raise KernelError(f"fd {fd} is not a stream")
+        return endpoint
+
+    def peer_endpoint(self, domain_id: int, fd: int) -> Endpoint:
+        """The remote endpoint of a connected stream fd."""
+        endpoint = self.endpoint(domain_id, fd)
         return self._connections[endpoint.conn_id].peer_of(endpoint)

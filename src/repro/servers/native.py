@@ -33,6 +33,9 @@ class NativeRuntime:
         self.gateway = SyscallGateway(kernel, server.domain,
                                       GatewayRole.DIRECT)
         server.bind_gateway(self.gateway)
+        #: The server's epoll ready set, live: what ``pump`` tests when
+        #: no tracer is installed.
+        self.ready = kernel.ready_set(server.domain, server.epoll_fd)
         self.crashed: Optional[ServerCrash] = None
         #: Requests served, over every iteration.
         self.requests_served = 0
@@ -46,17 +49,21 @@ class NativeRuntime:
         """Run iterations until no input is ready; returns finish time.
 
         A server crash marks the runtime as crashed and re-raises: with
-        no MVE monitor there is nothing to fail over to.
+        no MVE monitor there is nothing to fail over to.  Readiness is
+        read as in :meth:`repro.mve.varan.VaranRuntime.pump`.
         """
         if self.crashed is not None:
             raise ServerCrash(f"server is down: {self.crashed}")
         if now > OBS.vnow:
             OBS.vnow = now
+        ready = self.ready
         t = max(now, self.cpu.busy_until)
         while True:
-            ready = self.kernel.epoll_wait(self.server.domain,
-                                           self.server.epoll_fd)
-            if not ready:
+            if OBS.tracer is not None:
+                if not self.kernel.epoll_wait(self.server.domain,
+                                              self.server.epoll_fd):
+                    return t
+            elif not ready:
                 return t
             self.gateway.begin_iteration()
             try:

@@ -3,7 +3,10 @@
 A client owns its own fd domain, connects to a server address, and talks
 to whichever runtime (native or MVE) is serving it.  ``request`` is the
 closed-loop primitive: send, let the server run, read the reply, and
-report the completion time so workloads can compute latency.
+report the completion time so workloads can compute latency.  With no
+tracer or chaos injector watching the kernel, it writes to and reads
+from its own endpoint in place: those are the calls ``kernel.write`` and
+``kernel.read`` would make.
 """
 
 from __future__ import annotations
@@ -24,6 +27,8 @@ class VirtualClient:
         self.name = name
         self.domain = kernel.create_domain()
         self.fd = kernel.connect(self.domain, address)
+        #: This side of the connection, until :meth:`close`.
+        self._endpoint = kernel.endpoint(self.domain, self.fd)
         self.latencies_ns: List[int] = []
 
     def send(self, data: bytes) -> None:
@@ -42,19 +47,25 @@ class VirtualClient:
         a :class:`~repro.servers.native.NativeRuntime` or a
         :class:`~repro.mve.varan.VaranRuntime`.
         """
+        endpoint = self._endpoint
+        if endpoint is None or OBS.tracer is not None \
+                or OBS.chaos is not None:
+            write, read = self.send, self.recv
+        else:
+            write, read = endpoint.write, endpoint.read
         spans = OBS.spans
         if spans is None:
-            self.send(data)
+            write(data)
             done = runtime.pump(now)
-            response = self.recv()
+            response = read()
             self.latencies_ns.append(done - now)
             return response, done
         span = spans.open("request", "gateway", now, client=self.name,
                           nbytes=len(data))
         try:
-            self.send(data)
+            write(data)
             done = runtime.pump(now)
-            response = self.recv()
+            response = read()
         except BaseException:
             spans.close(span, now, error=True)
             raise
@@ -71,6 +82,7 @@ class VirtualClient:
 
     def close(self) -> None:
         """Close the connection (the server sees EOF)."""
+        self._endpoint = None
         self.kernel.close(self.domain, self.fd)
 
     def max_latency_ns(self) -> Optional[int]:

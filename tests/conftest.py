@@ -17,7 +17,8 @@ from repro.workloads import VirtualClient
 # the stream record codec's round trip,
 # the shipped rules against their references, the parser on mangled
 # rule text, the tracer's log and fold against its eager reference, the
-# fluid model's fast-forward against plain stepping)
+# fluid model's fast-forward against plain stepping, observed against
+# unobserved runs)
 # run hypothesis's default in tier-1 and this depth in CI:
 # ``python -m pytest tests/test_report.py … --hypothesis-profile ci``
 # (the full line is in .github/workflows/ci.yml).

@@ -3,7 +3,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.errors import BadFileDescriptor, ConnectionClosed, KernelError
+from repro.errors import (AddressInUse, BadFileDescriptor, BrokenPipe,
+                          ConnectionClosed, ConnectionRefused, KernelError)
 from repro.net import Endpoint, ListeningSocket, VirtualKernel
 
 ADDR = ("127.0.0.1", 6379)
@@ -44,6 +45,21 @@ def test_double_bind_rejected(kernel):
     kernel.listen(d, ADDR)
     with pytest.raises(KernelError, match="in use"):
         kernel.listen(kernel.create_domain(), ADDR)
+
+
+def test_connect_with_no_listener_is_connection_refused(kernel):
+    with pytest.raises(ConnectionRefused) as raised:
+        kernel.connect(kernel.create_domain(), ("10.0.0.1", 80))
+    assert str(raised.value) == "connection refused: ('10.0.0.1', 80)"
+    assert isinstance(raised.value, KernelError)
+
+
+def test_listen_on_a_bound_address_is_address_in_use(kernel):
+    kernel.listen(kernel.create_domain(), ADDR)
+    with pytest.raises(AddressInUse) as raised:
+        kernel.listen(kernel.create_domain(), ADDR)
+    assert str(raised.value) == f"address in use: {ADDR}"
+    assert isinstance(raised.value, KernelError)
 
 
 def test_accept_without_pending_raises(kernel):
@@ -205,6 +221,19 @@ _TYPED_ERRORS = [
     ("write", "closed-endpoint", ConnectionClosed,
      "write on closed endpoint server#1"),
     ("write", "closed-peer", ConnectionClosed, "peer of server#1 is closed"),
+    # The accessors the runtimes and clients resolve once check the fd
+    # as the call they stand in for does.
+    ("ready_set", "stream", KernelError, "fd {fd} is not an epoll instance"),
+    ("ready_set", "listener", KernelError,
+     "fd {fd} is not an epoll instance"),
+    ("ready_set", "unknown-fd", BadFileDescriptor,
+     "fd {fd} not open in domain {domain}"),
+    ("ready_set", "unknown-domain", KernelError, "unknown domain {domain}"),
+    ("endpoint", "listener", KernelError, "fd {fd} is not a stream"),
+    ("endpoint", "epoll", KernelError, "fd {fd} is not a stream"),
+    ("endpoint", "unknown-fd", BadFileDescriptor,
+     "fd {fd} not open in domain {domain}"),
+    ("endpoint", "unknown-domain", KernelError, "unknown domain {domain}"),
 ]
 
 
@@ -239,6 +268,68 @@ def test_peer_endpoint_inspection(kernel, pair):
     kernel.write(server_domain, server_fd, b"hello")
     peer = kernel.peer_endpoint(server_domain, server_fd)
     assert peer.pending_bytes() == 5
+
+
+def test_ready_set_is_epoll_waits_answer_live(kernel, pair):
+    server_domain, server_fd, client_domain, client_fd = pair
+    epfd = kernel.epoll_create(server_domain)
+    kernel.epoll_ctl(server_domain, epfd, server_fd, add=True)
+    ready = kernel.ready_set(server_domain, epfd)
+    assert not ready and kernel.epoll_wait(server_domain, epfd) == []
+    kernel.write(client_domain, client_fd, b"x")
+    assert set(ready) == set(kernel.epoll_wait(server_domain, epfd)) \
+        == {server_fd}
+    kernel.read(server_domain, server_fd)
+    assert not ready
+
+
+def test_endpoint_is_what_read_and_write_act_on(kernel, pair):
+    server_domain, server_fd, client_domain, client_fd = pair
+    endpoint = kernel.endpoint(client_domain, client_fd)
+    endpoint.write(b"ping")
+    assert kernel.read(server_domain, server_fd) == b"ping"
+    kernel.write(server_domain, server_fd, b"pong")
+    assert endpoint.read() == b"pong"
+    assert kernel.peer_endpoint(server_domain, server_fd) is endpoint
+
+
+class TestKnownDeviations:
+    """Where the virtual kernel knowingly differs from a POSIX kernel
+    (listed in docs/architecture.md §1).  Each test pins the current
+    behaviour, so a change to it is a decision, not an accident."""
+
+    def test_read_with_nothing_buffered_and_the_peer_open_is_empty(
+            self, kernel, pair):
+        # POSIX: EAGAIN on a non-blocking socket.  Here: b"", the same
+        # value as EOF; only readiness tells the two apart.
+        server_domain, server_fd, _, _ = pair
+        epfd = kernel.epoll_create(server_domain)
+        kernel.epoll_ctl(server_domain, epfd, server_fd, add=True)
+        assert kernel.read(server_domain, server_fd) == b""
+        assert kernel.epoll_wait(server_domain, epfd) == []
+
+    def test_write_after_the_peer_closed_is_connection_closed(self, kernel,
+                                                              pair):
+        # POSIX: EPIPE.  Here: ConnectionClosed, which is not BrokenPipe
+        # (BrokenPipe is raised only by an injected chaos fault).
+        server_domain, server_fd, client_domain, client_fd = pair
+        kernel.close(client_domain, client_fd)
+        with pytest.raises(KernelError) as raised:
+            kernel.write(server_domain, server_fd, b"data")
+        assert type(raised.value) is ConnectionClosed
+        assert not isinstance(raised.value, BrokenPipe)
+
+    def test_fds_are_never_reused_after_a_close(self, kernel, pair):
+        # POSIX: the lowest free fd is reused.  Here: fd numbers only
+        # count up, so a closed fd never names anything again.
+        server_domain, server_fd, client_domain, client_fd = pair
+        kernel.close(server_domain, server_fd)
+        kernel.close(client_domain, client_fd)
+        fresh = kernel.epoll_create(server_domain)
+        again = kernel.connect(client_domain, ADDR)
+        assert fresh == server_fd + 1
+        assert again == client_fd + 1
+        assert not kernel.is_open(server_domain, server_fd)
 
 
 class TestEndpointUnread:

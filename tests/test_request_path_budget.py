@@ -11,13 +11,16 @@ docs/performance.md points to the change that measured them.
 """
 
 import gc
+import inspect
 import json
 import os
 import subprocess
 import sys
+from collections import Counter
 
 from repro.apps import deploy
 from repro.mve import VaranRuntime
+from repro.net import VirtualKernel
 from repro.obs.trace import Tracer
 from repro.sites import OBS, observing
 from repro.workloads.memtier import MemtierSpec
@@ -26,21 +29,25 @@ REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WARMUP, REQUESTS = 500, 2_000
 
 #: Steady single-leader stack (Redis 2.0.0 alone behind Varan), no
-#: observer installed: 66.4 frames per request before PR 22, 36.4 after.
-LEADER_CEILING = 46
+#: observer installed: 66.4 frames per request before PR 22, 36.4 after,
+#: 28.4 after PR 39 (``pump`` reads the ready set and the client its own
+#: endpoint: 8 frames of kernel entry gone).  Ceiling = measured + 2.
+LEADER_CEILING = 30
 #: The same stack with one identical follower attached (leader publish,
 #: follower replay, the final drain): 155.0 before PR 22, 117.0 after it
 #: (the leader half and the shared kernel-free pieces), 87.7 after PR 24
 #: (the follower step: C-level ring entries, no generator per burst, the
-#: REPLAY gateway's take and emit in place).  Ceiling = measured + 2.
-PAIR_CEILING = 90
+#: REPLAY gateway's take and emit in place), 79.7 after PR 39 (the
+#: leader's 8).  Ceiling = measured + 2.
+PAIR_CEILING = 82
 #: A kvstore 1.0 -> 2.0 pair in the outdated-leader stage under the
 #: shipped DSL rules (``kv_rules_from_dsl()``), through ``Mvedsua``:
 #: every READ is tested against two compiled ``where`` guards, which
-#: are C calls, not frames — 79.3 measured; 115.3 at PR 23, when each
-#: guard was four frames (``combined``, its genexpr twice, ``evaluate``)
-#: and each dispatch lookup an ``Enum.__hash__``.  Ceiling = measured + 2.
-DSL_PAIR_CEILING = 82
+#: are C calls, not frames — 79.3 measured at PR 24, 71.3 after PR 39
+#: (the leader's 8); 115.3 at PR 23, when each guard was four frames
+#: (``combined``, its genexpr twice, ``evaluate``) and each dispatch
+#: lookup an ``Enum.__hash__``.  Ceiling = measured + 2.
+DSL_PAIR_CEILING = 73
 
 
 def warmed_stack():
@@ -128,6 +135,30 @@ def test_a_request_is_still_seven_kernel_crossings():
     with observing(tracer=tracer):
         drive()
     assert tracer.kind_tally()["kernel.enter"] == 7 * REQUESTS
+
+
+def test_an_unobserved_request_is_three_kernel_crossings():
+    # With no observer installed only the server's own syscalls enter
+    # the kernel: the iteration's epoll_wait, read and write.  ``pump``
+    # tests the leader's ready set and the client uses its own endpoint.
+    assert OBS.tracer is None and OBS.chaos is None and OBS.spans is None
+    _, drive = warmed_stack()
+    methods = {function.__code__: name
+               for name, function in vars(VirtualKernel).items()
+               if inspect.isfunction(function)}
+    entries = Counter()
+
+    def count(frame, event, arg):
+        if event == "call" and frame.f_code in methods:
+            entries[methods[frame.f_code]] += 1
+
+    sys.setprofile(count)
+    try:
+        drive()
+    finally:
+        sys.setprofile(None)
+    assert entries == {"epoll_wait": REQUESTS, "read": REQUESTS,
+                       "write": REQUESTS}
 
 
 def test_the_one_lane_pair_has_a_recorded_baseline():
