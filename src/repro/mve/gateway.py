@@ -22,7 +22,6 @@ from typing import Any, Callable, Deque, List, Optional, Sequence
 from repro.errors import BrokenPipe, ConnectionReset, FdExhausted
 from repro.mve.divergence import check_drained, check_match
 from repro.net.kernel import VirtualKernel
-from repro.sites import OBS
 from repro.syscalls.model import EMPTY_AUX, Sys, SyscallRecord
 
 #: Kernel errors that record as error-bearing syscall records
@@ -57,6 +56,17 @@ class IterationTrace:
             [] if records is None else records
         self.requests_handled = requests_handled
         self.bytes_transferred = bytes_transferred
+
+    def log_to(self, tracer: Any, role: str, version: str) -> None:
+        """Log the iteration to ``tracer`` as one ``iteration`` event,
+        stamped with the run clock: who ran it (``role``, ``version``)
+        and its syscalls as ``(name, fd, nbytes)`` triples, in order.
+        The run log's tracer slot sees a server's calls only this way,
+        one event-loop iteration at a time."""
+        tracer.emit("iteration", "mve", role=role, version=version,
+                    count=len(self.records),
+                    calls=[(record.name._value_, record.fd, len(record.data))
+                           for record in self.records])
 
 
 class SyscallGateway:
@@ -110,20 +120,17 @@ class SyscallGateway:
         return expected
 
     def _emit(self, record: SyscallRecord) -> SyscallRecord:
-        """Add ``record`` to the iteration's trace, account its bytes,
-        show it to the tracer.  The three calls a request makes
-        (``epoll_wait``/``read``/``write``, in either role) do the
-        first two in place while no tracer is installed: they know the
+        """Add ``record`` to the iteration's trace and account its
+        bytes.  The three calls a request makes (``epoll_wait``/``read``/
+        ``write``, in either role) do this in place: they know the
         syscall kind, and build the record with ``tuple.__new__`` —
         field for field what ``SyscallRecord(...)`` returns, minus its
-        Python frame."""
+        Python frame.  No observer sees a single call: the runtime logs
+        the whole iteration (:meth:`IterationTrace.log_to`)."""
         trace = self.trace
         trace.records.append(record)
         if record.name in (Sys.READ, Sys.WRITE):
             trace.bytes_transferred += len(record.data)
-        tracer = OBS.tracer
-        if tracer is not None:
-            tracer.on_syscall(self.role._value_, record)
         return record
 
     # -- sockets ------------------------------------------------------------------
@@ -132,18 +139,11 @@ class SyscallGateway:
         """Ready fds; followers receive the leader's recorded ready set."""
         if self.role is GatewayRole.REPLAY:
             expected = self._replay(Sys.EPOLL_WAIT, epfd)
-            if OBS.tracer is None:
-                self.trace.records.append(expected)
-            else:
-                self._emit(expected)
+            self.trace.records.append(expected)
             return list(expected.result)
         ready = self.kernel.epoll_wait(self.domain, epfd)
-        record = tuple.__new__(SyscallRecord, (
-            Sys.EPOLL_WAIT, epfd, b"", tuple(ready), EMPTY_AUX))
-        if OBS.tracer is None:
-            self.trace.records.append(record)
-        else:
-            self._emit(record)
+        self.trace.records.append(tuple.__new__(SyscallRecord, (
+            Sys.EPOLL_WAIT, epfd, b"", tuple(ready), EMPTY_AUX)))
         return ready
 
     def epoll_ctl(self, epfd: int, fd: int, *, add: bool) -> None:
@@ -209,12 +209,9 @@ class SyscallGateway:
             if expected is None or expected.name is not Sys.READ \
                     or expected.fd != fd:
                 check_match(expected, SyscallRecord(Sys.READ, fd))
-            if OBS.tracer is None:
-                trace = self.trace
-                trace.records.append(expected)
-                trace.bytes_transferred += len(expected.data)
-            else:
-                self._emit(expected)
+            trace = self.trace
+            trace.records.append(expected)
+            trace.bytes_transferred += len(expected.data)
             error = expected.aux.get("error")
             if error:
                 raise ERRNO_CLASSES[error](
@@ -226,14 +223,10 @@ class SyscallGateway:
             self._emit(SyscallRecord(Sys.READ, fd=fd,
                                      aux={"error": "ECONNRESET"}))
             raise
-        record = tuple.__new__(SyscallRecord, (
-            Sys.READ, fd, data, len(data), EMPTY_AUX))
-        if OBS.tracer is None:
-            trace = self.trace
-            trace.records.append(record)
-            trace.bytes_transferred += len(data)
-        else:
-            self._emit(record)
+        trace = self.trace
+        trace.records.append(tuple.__new__(SyscallRecord, (
+            Sys.READ, fd, data, len(data), EMPTY_AUX)))
+        trace.bytes_transferred += len(data)
         return data
 
     def write(self, fd: int, data: bytes) -> int:
@@ -257,14 +250,10 @@ class SyscallGateway:
                     aux={"error": _ERRNO_NAMES[type(exc)]}))
                 raise
             sent = remaining[:written]
-            record = tuple.__new__(SyscallRecord, (
-                Sys.WRITE, fd, sent, written, EMPTY_AUX))
-            if OBS.tracer is None:
-                trace = self.trace
-                trace.records.append(record)
-                trace.bytes_transferred += len(sent)
-            else:
-                self._emit(record)
+            trace = self.trace
+            trace.records.append(tuple.__new__(SyscallRecord, (
+                Sys.WRITE, fd, sent, written, EMPTY_AUX)))
+            trace.bytes_transferred += len(sent)
             remaining = remaining[written:]
             if not remaining:
                 return total
@@ -296,14 +285,10 @@ class SyscallGateway:
                         remaining = remaining[len(expected.data):]
                         continue
                 if remaining == expected.data:
-                    record = tuple.__new__(SyscallRecord, (
-                        Sys.WRITE, fd, remaining, len(remaining), EMPTY_AUX))
-                    if OBS.tracer is None:
-                        trace = self.trace
-                        trace.records.append(record)
-                        trace.bytes_transferred += len(remaining)
-                    else:
-                        self._emit(record)
+                    trace = self.trace
+                    trace.records.append(tuple.__new__(SyscallRecord, (
+                        Sys.WRITE, fd, remaining, len(remaining), EMPTY_AUX)))
+                    trace.bytes_transferred += len(remaining)
                     return total
             actual = SyscallRecord(Sys.WRITE, fd, remaining, len(remaining))
             check_match(expected, actual)

@@ -211,10 +211,9 @@ class VaranRuntime:
         server.bind_gateway(gateway)
         self.leader = ManagedProcess(server, gateway, CpuAccount("leader"),
                                      "leader")
-        #: The group's epoll ready set, live: what ``pump`` tests when
-        #: no tracer is installed.  Every leader shares the domain and
-        #: epoll fd (a fork copies the fd numbers); :meth:`_take_lead`
-        #: checks it.
+        #: The group's epoll ready set, live: what ``pump`` tests for
+        #: input.  Every leader shares the domain and epoll fd (a fork
+        #: copies the fd numbers); :meth:`_take_lead` checks it.
         self.ready = kernel.ready_set(self.domain, server.epoll_fd)
         #: Live follower lanes, in fork order.
         self.lanes: List[FollowerLane] = []
@@ -296,22 +295,17 @@ class VaranRuntime:
         and divergences are handled by the failure policy; after a crash
         the surviving process carries on within the same call.
 
-        Readiness is read off the group's ready set; under a tracer it
-        is asked of ``kernel.epoll_wait``, so the run log shows the probe.
+        Readiness is read off the group's ready set, with no call into
+        the kernel.
         """
         if now > OBS.vnow:
             OBS.vnow = now
         ready = self.ready
         t = max(now, self.leader.cpu.busy_until)
         while True:
-            leader = self.leader  # a crash may have promoted a survivor
-            if leader.crashed:
+            if self.leader.crashed:  # a crash may have promoted a survivor
                 raise ServerCrash("leader crashed with no survivor")
-            if OBS.tracer is not None:
-                if not self.kernel.epoll_wait(self.domain,
-                                              leader.server.epoll_fd):
-                    return t
-            elif not ready:
+            if not ready:
                 return t
             t = self._run_leader_iteration(t)
 
@@ -338,6 +332,9 @@ class VaranRuntime:
         completion = leader.cpu.charge(start, self.profile.iteration_cost_ns(
             self.leader_mode, n_requests=trace.requests_handled,
             n_syscalls=len(records), n_bytes=trace.bytes_transferred))
+        tracer = OBS.tracer
+        if tracer is not None:
+            trace.log_to(tracer, "direct", leader.version_name)
         if crash is not None:
             self.log(completion, "leader-crash", str(crash))
             return self._handle_leader_crash(completion, trace)
@@ -530,11 +527,18 @@ class VaranRuntime:
         try:
             if fault is not None and fault.kind == "crash":
                 raise ServerCrash("chaos: injected follower crash")
-            replay_iteration(
-                follower.server, follower.gateway, expected, engine,
-                at=start, version=follower.version_name,
-                leader_version=self.leader.version_name,
-                ring_history=lane.history, ring_pending=ring)
+            try:
+                replay_iteration(
+                    follower.server, follower.gateway, expected, engine,
+                    at=start, version=follower.version_name,
+                    leader_version=self.leader.version_name,
+                    ring_history=lane.history, ring_pending=ring)
+            finally:
+                if tracer is not None:
+                    # However the replay ended: a diverging or crashing
+                    # one logs the calls it issued.
+                    follower.gateway.trace.log_to(
+                        tracer, "replay", follower.version_name)
         except DivergenceError as divergence:
             # Kept without its traceback: the frames' locals hold this
             # runtime, a cycle that would outlive the deployment.

@@ -78,17 +78,12 @@ class VirtualKernel:
 
     def listen(self, domain_id: int, address: Tuple[str, int]) -> int:
         """socket+bind+listen in one step; returns the listening fd."""
-        tracer = OBS.tracer
-        if tracer is not None:
-            tracer.on_kernel("enter", "listen", domain_id)
         if address in self._listeners:
             raise AddressInUse(f"address in use: {address}")
         domain = self._domain(domain_id)
         sock = ListeningSocket(address)
         fd = domain.alloc(sock)
         self._listeners[address] = (domain_id, fd)
-        if tracer is not None:
-            tracer.on_kernel("exit", "listen", domain_id, fd)
         return fd
 
     def connect(self, domain_id: int, address: Tuple[str, int]) -> int:
@@ -97,9 +92,6 @@ class VirtualKernel:
         The connection is queued on the listener's backlog until the server
         accepts it.
         """
-        tracer = OBS.tracer
-        if tracer is not None:
-            tracer.on_kernel("enter", "connect", domain_id)
         chaos = OBS.chaos
         if chaos is not None:
             fault = chaos.kernel_call("kernel.connect", domain_id, -1)
@@ -117,17 +109,10 @@ class VirtualKernel:
         self._connections[connection.conn_id] = connection
         self._next_connection += 1
         listener.enqueue(connection)
-        domain = self._domain(domain_id)
-        fd = domain.alloc(connection.client)
-        if tracer is not None:
-            tracer.on_kernel("exit", "connect", domain_id, fd)
-        return fd
+        return self._domain(domain_id).alloc(connection.client)
 
     def accept(self, domain_id: int, listen_fd: int) -> int:
         """Accept a pending connection; returns the server-side fd."""
-        tracer = OBS.tracer
-        if tracer is not None:
-            tracer.on_kernel("enter", "accept", domain_id, listen_fd)
         domain = self._domain(domain_id)
         listener = domain.lookup(listen_fd)
         if not isinstance(listener, ListeningSocket):
@@ -144,16 +129,10 @@ class VirtualKernel:
                 listener.accept().server.close()
                 raise FdExhausted(
                     f"accept in domain {domain_id}: out of file descriptors")
-        fd = domain.alloc(listener.accept().server)
-        if tracer is not None:
-            tracer.on_kernel("exit", "accept", domain_id, fd)
-        return fd
+        return domain.alloc(listener.accept().server)
 
     def read(self, domain_id: int, fd: int, max_bytes: Optional[int] = None) -> bytes:
         """Read buffered bytes; ``b""`` means EOF."""
-        tracer = OBS.tracer
-        if tracer is not None:
-            tracer.on_kernel("enter", "read", domain_id, fd)
         try:
             endpoint = self._domains[domain_id].fds[fd]
         except KeyError:  # picks the error: unknown domain, or bad fd
@@ -174,16 +153,10 @@ class VirtualKernel:
                 short = max(1, int(fault.param.get("bytes", 1)))
                 if max_bytes is None or short < max_bytes:
                     max_bytes = short
-        data = endpoint.read(max_bytes)
-        if tracer is not None:
-            tracer.on_kernel("exit", "read", domain_id, fd)
-        return data
+        return endpoint.read(max_bytes)
 
     def write(self, domain_id: int, fd: int, data: bytes) -> int:
         """Write bytes to the peer; returns the byte count."""
-        tracer = OBS.tracer
-        if tracer is not None:
-            tracer.on_kernel("enter", "write", domain_id, fd)
         try:
             endpoint = self._domains[domain_id].fds[fd]
         except KeyError:
@@ -201,16 +174,10 @@ class VirtualKernel:
                 short = max(1, int(fault.param.get("bytes", 1)))
                 if short < len(data):
                     data = data[:short]
-        written = endpoint.write(data)
-        if tracer is not None:
-            tracer.on_kernel("exit", "write", domain_id, fd)
-        return written
+        return endpoint.write(data)
 
     def close(self, domain_id: int, fd: int) -> None:
         """Close any fd; streams signal EOF to their peer."""
-        tracer = OBS.tracer
-        if tracer is not None:
-            tracer.on_kernel("enter", "close", domain_id, fd)
         domain = self._domain(domain_id)
         obj = domain.lookup(fd)
         if isinstance(obj, Endpoint):
@@ -225,8 +192,6 @@ class VirtualKernel:
         del domain.fds[fd]
         for epoll, _ in list(obj.watchers):
             epoll.remove(fd, obj)
-        if tracer is not None:
-            tracer.on_kernel("exit", "close", domain_id, fd)
 
     def is_open(self, domain_id: int, fd: int) -> bool:
         """True when ``fd`` is open in the domain."""
@@ -254,19 +219,13 @@ class VirtualKernel:
 
     def epoll_wait(self, domain_id: int, epfd: int) -> List[int]:
         """Ready fds (level-triggered), in registration order."""
-        tracer = OBS.tracer
-        if tracer is not None:
-            tracer.on_kernel("enter", "epoll_wait", domain_id, epfd)
         try:
             epoll = self._domains[domain_id].fds[epfd]
         except KeyError:
             epoll = self._domain(domain_id).lookup(epfd)
         if not isinstance(epoll, EpollSet):
             raise KernelError(f"fd {epfd} is not an epoll instance")
-        ready = epoll.ready()
-        if tracer is not None:
-            tracer.on_kernel("exit", "epoll_wait", domain_id, epfd)
-        return ready
+        return epoll.ready()
 
     # -- inspection (used by tests, the runtimes and the clients) ------------
 

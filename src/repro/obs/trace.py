@@ -10,16 +10,19 @@ the tracer and spans slots (``trace --record`` adds the recorder slot);
 the SLO and open-loop cells install it as spans only, ``chaos --record``
 as the recorder only.  The design constraint is the paper's: the common
 case is *no* observer, and then every hook is one attribute load plus
-an ``is None`` test.
+an ``is None`` test.  Nor does a writer change the path it watches:
+the tracer slot reads one event-loop iteration at a time, as the
+monitor does, so no kernel or gateway call consults it.
 
 The log holds three kinds of record:
 
 * a **trace event** — "what happened, in order" — is a zero-length
-  record.  A site that knows the virtual time passes it as ``at=``; the
-  kernel and the gateway, which do not, take the run clock
-  (``repro.sites.OBS.vnow``, moved by the sites where work starts, never
-  by an observer).  It carries its dynamic-extent parent, the innermost
-  open span.
+  record.  A site that knows the virtual time passes it as ``at=``;
+  one that does not — an ``iteration`` event, one per event-loop
+  iteration with its syscalls as ``(name, fd, nbytes)`` triples — takes
+  the run clock (``repro.sites.OBS.vnow``, moved by the sites where work
+  starts, never by an observer).  It carries its dynamic-extent parent,
+  the innermost open span.
 * a **span** (:class:`Span`) — "what caused this request's latency" —
   is an interval of virtual time with a causal parent link, stamped
   with the run's upgrade phase (``OBS.phase``) at creation.  A request
@@ -201,15 +204,6 @@ class Span:
                 f"[{self.start_ns}, {self.end_ns}]>")
 
 
-#: Every site logs through :meth:`Tracer.emit` except the kernel's and
-#: the gateway's: they fire ~18 times per request (all others together
-#: once), so they append their log entry themselves, with these constant
-#: kinds and field names.
-_KERNEL_KINDS = {"enter": "kernel.enter", "exit": "kernel.exit"}
-_KERNEL_FIELDS = ("op", "domain", "fd")
-_SYSCALL_FIELDS = ("role", "name", "fd", "nbytes")
-
-
 class Move(NamedTuple):
     """One metric an event moves, a row of :data:`METRICS`.  ``metric``
     is its name, ``{field}`` filled from the event and ``{kind}`` with
@@ -232,9 +226,8 @@ class Move(NamedTuple):
 #: covers every kind with that prefix.  A row that reads a field the
 #: event lacks moves nothing.
 METRICS: Dict[str, Tuple[Move, ...]] = {
-    "syscall": (Move("syscalls.total", "counter"),
-                Move("syscalls.{role}", "counter")),
-    "kernel.enter": (Move("kernel.syscalls", "counter"),),
+    "iteration": (Move("syscalls.total", "counter", "count"),
+                  Move("syscalls.{role}", "counter", "count")),
     "sim.event": (Move("sim.events", "counter"),),
     "ring.publish": (Move("ring.published", "counter", "count"),
                      Move("ring.occupancy", "gauge", "occupancy"),
@@ -285,6 +278,11 @@ class Tracer(metaclass=_Tallies):
     from the spans slot, stream records from the recorder slot, one
     ordered log whatever the mix.
 
+    The tracer slot's unit is the event-loop iteration: a runtime logs
+    one ``iteration`` event per leader iteration, follower replay or
+    native iteration, carrying its syscalls as ``(name, fd, nbytes)``
+    triples; no single kernel or gateway call is logged.
+
     Class-level tallies (``created_total``, ``emitted_total``,
     ``opened_total``, ``materialised_total``) exist so the overhead
     tests can assert the disabled path creates *nothing* — counts, not
@@ -330,33 +328,12 @@ class Tracer(metaclass=_Tallies):
         """Log one event; ``at=None`` stamps the run clock.
 
         Call sites guard with ``if tracer is not None:`` and then call
-        this (or one of the three hooks below) once per event."""
+        this once per event; only :meth:`on_forensics` does more."""
         global _emitted_total
         stack = self._stack
         self._log.append((OBS.vnow if at is None else at, kind, layer,
                           stack[-1].span_id if stack else None,
                           tuple(fields), *fields.values()))
-        _emitted_total += 1
-
-    def on_syscall(self, role: str, record: Any) -> None:
-        """A gateway emitted one syscall record (any role)."""
-        global _emitted_total
-        stack = self._stack
-        self._log.append((OBS.vnow, "syscall", "mve",
-                          stack[-1].span_id if stack else None,
-                          _SYSCALL_FIELDS, role, record.name._value_,
-                          record.fd, len(record.data)))
-        _emitted_total += 1
-
-    def on_kernel(self, phase: str, op: str, domain: int,
-                  fd: int = -1) -> None:
-        """The virtual kernel entered/exited (``phase`` is ``"enter"`` or
-        ``"exit"``) one syscall implementation."""
-        global _emitted_total
-        stack = self._stack
-        self._log.append((OBS.vnow, _KERNEL_KINDS[phase], "kernel",
-                          stack[-1].span_id if stack else None,
-                          _KERNEL_FIELDS, op, domain, fd))
         _emitted_total += 1
 
     def on_forensics(self, bundle: Any) -> None:

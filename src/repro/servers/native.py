@@ -33,8 +33,8 @@ class NativeRuntime:
         self.gateway = SyscallGateway(kernel, server.domain,
                                       GatewayRole.DIRECT)
         server.bind_gateway(self.gateway)
-        #: The server's epoll ready set, live: what ``pump`` tests when
-        #: no tracer is installed.
+        #: The server's epoll ready set, live: what ``pump`` tests for
+        #: input.
         self.ready = kernel.ready_set(server.domain, server.epoll_fd)
         self.crashed: Optional[ServerCrash] = None
         #: Requests served, over every iteration.
@@ -57,14 +57,9 @@ class NativeRuntime:
         if now > OBS.vnow:
             OBS.vnow = now
         ready = self.ready
+        tracer = OBS.tracer
         t = max(now, self.cpu.busy_until)
-        while True:
-            if OBS.tracer is not None:
-                if not self.kernel.epoll_wait(self.server.domain,
-                                              self.server.epoll_fd):
-                    return t
-            elif not ready:
-                return t
+        while ready:
             self.gateway.begin_iteration()
             try:
                 self.server.run_iteration(self.gateway)
@@ -78,6 +73,9 @@ class NativeRuntime:
                 n_bytes=trace.bytes_transferred)
             t = self.cpu.charge(t, cost)
             self.requests_served += trace.requests_handled
+            if tracer is not None:
+                trace.log_to(tracer, "direct", self.server.version.name)
+        return t
 
     def apply_update(self, kitsune: Kitsune, new_version: ServerVersion,
                      now: int) -> UpdateAttempt:

@@ -12,7 +12,7 @@ by default.  Every instrumented site reads it *when it runs*::
 
     tracer = OBS.tracer
     if tracer is not None:
-        tracer.on_kernel("enter", "read", domain_id, fd)
+        tracer.emit("ring.stall", "mve", at=t, capacity=ring.capacity)
 
 so a deployment built before the observer was installed is watched all
 the same, and the disabled path stays one attribute test.  The only way
@@ -130,8 +130,6 @@ TABLE: Tuple[Site, ...] = (
     Site("sim.event", "sim", "sim/engine.py:Engine.run",
          faults=("delay", "drop"), events=("sim.event",)),
     # Syscall implementations; only the leader's reach the fault sites.
-    Site("kernel.syscall", "kernel", "net/kernel.py:VirtualKernel",
-         events=("kernel.enter", "kernel.exit")),
     Site("kernel.read", "kernel", "net/kernel.py:VirtualKernel.read",
          faults=("short-read", "econnreset")),
     Site("kernel.write", "kernel", "net/kernel.py:VirtualKernel.write",
@@ -141,8 +139,10 @@ TABLE: Tuple[Site, ...] = (
     Site("kernel.connect", "kernel", "net/kernel.py:VirtualKernel.connect",
          faults=("fd-exhaustion",)),
     # The MVE runtime: leader iterations, follower replay, the ring.
-    Site("mve.syscall", "mve", "mve/gateway.py:SyscallGateway._emit",
-         events=("syscall",)),
+    # One ``iteration`` event per leader iteration, follower replay and
+    # native iteration, logged by the runtime that ran it.
+    Site("mve.iteration", "mve", "mve/gateway.py:IterationTrace.log_to",
+         events=("iteration",)),
     Site("mve.runtime", "mve", "mve/varan.py:VaranRuntime.log",
          events=("mve.fork", "mve.leader-crash", "mve.divergence",
                  "mve.follower-crash", "mve.follower-terminated",

@@ -3,10 +3,10 @@
 A client owns its own fd domain, connects to a server address, and talks
 to whichever runtime (native or MVE) is serving it.  ``request`` is the
 closed-loop primitive: send, let the server run, read the reply, and
-report the completion time so workloads can compute latency.  With no
-tracer or chaos injector watching the kernel, it writes to and reads
-from its own endpoint in place: those are the calls ``kernel.write`` and
-``kernel.read`` would make.
+report the completion time so workloads can compute latency.  It
+writes to and reads from its own endpoint in place — the calls
+``kernel.write`` and ``kernel.read`` would make — unless a chaos
+injector is installed, whose kernel sites must see them.
 """
 
 from __future__ import annotations
@@ -48,8 +48,7 @@ class VirtualClient:
         :class:`~repro.mve.varan.VaranRuntime`.
         """
         endpoint = self._endpoint
-        if endpoint is None or OBS.tracer is not None \
-                or OBS.chaos is not None:
+        if endpoint is None or OBS.chaos is not None:
             write, read = self.send, self.recv
         else:
             write, read = endpoint.write, endpoint.read

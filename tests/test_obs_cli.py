@@ -36,7 +36,7 @@ def test_trace_main_writes_valid_jsonl(tmp_path, capsys):
     with open(out) as handle:
         for line in list(handle)[1:-1]:
             kinds.add(json.loads(line)["kind"])
-    assert {"syscall", "ring.publish", "ring.replay", "ring.stall",
+    assert {"iteration", "ring.publish", "ring.replay", "ring.stall",
             "divergence.check"} <= kinds
 
 
@@ -77,7 +77,7 @@ def test_run_trace_scenario_fig6_quick_has_dsu_lifecycle():
     with observing(tracer=tracer):
         run_cell("trace", "fig6", quick=True)
     kinds = set(tracer.kind_tally())
-    assert {"syscall", "ring.publish", "ring.replay", "divergence.check",
+    assert {"iteration", "ring.publish", "ring.replay", "divergence.check",
             "dsu.request", "dsu.quiesce", "dsu.xform", "dsu.applied",
             "control.promote"} <= kinds
     snapshot = tracer.metrics()
@@ -124,9 +124,9 @@ def test_an_experiments_stdout_does_not_see_its_trace(tmp_path, capsys):
 
 
 def test_no_leader_syscall_is_stamped_before_its_pump(monkeypatch):
-    """The run clock is where the work is: every kernel/syscall record
-    of the leader's domain logged inside ``pump(now)`` carries an ``at``
-    no earlier than ``now``."""
+    """The run clock is where the work is: every leader ``iteration``
+    record logged inside ``pump(now)`` carries an ``at`` no earlier than
+    ``now``, and every one is logged inside a pump."""
     from repro.mve.varan import VaranRuntime
     log = Tracer()
     pumps = []
@@ -143,14 +143,12 @@ def test_no_leader_syscall_is_stamped_before_its_pump(monkeypatch):
     with observing(tracer=log, spans=log):
         run_cell("trace", "fig6", quick=True)
     checked = 0
-    for start, end, now, domain in pumps:
+    for start, end, now, _ in pumps:
         for event in log.events[start:end]:
-            if event.kind.startswith("kernel."):
-                leader = event.fields["domain"] == domain
-            else:
-                leader = event.kind == "syscall" and \
-                    event.fields["role"] in ("direct", "recording")
-            if leader:
+            if event.kind == "iteration" and \
+                    event.fields["role"] == "direct":
                 checked += 1
                 assert event.at >= now, (event, now)
-    assert checked > 100
+    leader = [event for event in log.events if event.kind == "iteration"
+              and event.fields["role"] == "direct"]
+    assert checked == len(leader) > 30

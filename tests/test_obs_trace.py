@@ -17,8 +17,10 @@ from repro.obs import (
 )
 from repro.obs.trace import METRICS, TraceEvent, jsonable, moves
 from repro.servers.kvstore import KVStoreV2, kv_rules
+from repro.servers.native import NativeRuntime
 from repro.sim.engine import SECOND
 from repro.sites import OBS, kinds, observing
+from repro.syscalls.costs import PROFILES
 from repro.syscalls.model import Sys, SyscallRecord
 
 
@@ -139,16 +141,14 @@ class EagerTracer(Tracer):
             at = OBS.vnow
         self.eager_events.append(TraceEvent(at, kind, layer, fields))
 
-    def on_syscall(self, role, record):
-        self.emit("syscall", "mve", role=role, name=record.name.value,
-                  fd=record.fd, nbytes=len(record.data))
-        self.registry.counter("syscalls.total").inc()
-        self.registry.counter(f"syscalls.{role}").inc()
-
-    def on_kernel(self, phase, op, domain, fd=-1):
-        self.emit(f"kernel.{phase}", "kernel", op=op, domain=domain, fd=fd)
-        if phase == "enter":
-            self.registry.counter("kernel.syscalls").inc()
+    def on_run_iteration(self, role, version, records):
+        """A runtime ran one event-loop iteration issuing ``records``."""
+        calls = [(record.name.value, record.fd, len(record.data))
+                 for record in records]
+        self.emit("iteration", "mve", role=role, version=version,
+                  count=len(calls), calls=calls)
+        self.registry.counter("syscalls.total").inc(len(calls))
+        self.registry.counter(f"syscalls.{role}").inc(len(calls))
 
     def on_sim_event(self, at, pending):
         self.emit("sim.event", "sim", at=at, pending=pending)
@@ -276,10 +276,7 @@ _calls = st.one_of(
     st.tuples(st.just("tick"), st.tuples(_ats), st.just({})),
     st.tuples(st.just("emit"), st.tuples(_names, _names, st.none() | _ats),
               _fields),
-    _call("on_syscall", _roles, _records),
-    _call("on_kernel", st.sampled_from(["enter", "exit"]), _names, _counts),
-    _call("on_kernel", st.sampled_from(["enter", "exit"]), _names, _counts,
-          st.integers(min_value=-1, max_value=64)),
+    _call("on_run_iteration", _roles, _names, st.lists(_records, max_size=4)),
     _call("on_sim_event", _ats, _counts),
     _call("on_ring_publish", _ats, _counts, _counts),
     _call("on_replay", _ats, _counts, _counts, st.lists(_names, max_size=3)),
@@ -396,12 +393,11 @@ def test_every_fold_row_is_keyed_by_a_declared_event_kind():
 
 
 def test_only_three_hooks_are_more_than_an_emit():
-    """Three tracer-slot hooks do more than an ``emit``; the other two
-    ``on_`` hooks are the recorder slot's, called only on the writer a
-    runtime claimed."""
+    """Three hooks do more than an ``emit``: the tracer slot's
+    ``on_forensics``, and the recorder slot's two, called only on the
+    writer a runtime claimed.  No kernel or gateway call has one."""
     hooks = [name for name in vars(Tracer) if name.startswith("on_")]
-    assert hooks == ["on_syscall", "on_kernel", "on_forensics",
-                     "on_iteration", "on_promote"]
+    assert hooks == ["on_forensics", "on_iteration", "on_promote"]
 
 
 # -- the active tracer ------------------------------------------------------
@@ -428,23 +424,37 @@ def test_tracing_context_manager_restores_previous():
     assert OBS.tracer is None
 
 
-def test_attach_binds_tracer_to_kernel(kernel):
-    # The kernel predates the tracer and holds no hook of its own; its
-    # syscalls are seen all the same, and only inside the block.
+def test_attach_binds_tracer_to_kernel(kernel, kv_server, client):
+    # Kernel calls under a tracer log nothing; a server's event-loop
+    # iteration logs one record, read off its gateway's trace by the
+    # runtime that ran it.  Everything predates the tracer, and only
+    # what runs inside the block is seen.
+    runtime = NativeRuntime(kernel, kv_server, PROFILES["kvstore"])
+    client.command(runtime, b"PUT a 1")
     tracer = Tracer()
     domain = kernel.create_domain()
     with observing(tracer=tracer):
         kernel.listen(domain, ("late", 1))
-    kernel.epoll_create(domain)
-    kernel.listen(domain, ("later", 1))
-    assert tracer.kind_tally() == {"kernel.enter": 1, "kernel.exit": 1}
+        kernel.epoll_create(domain)
+        assert tracer.kind_tally() == {}
+        assert client.command(runtime, b"GET a") == b"1\r\n"
+        records = runtime.gateway.trace.records
+    client.command(runtime, b"GET a")
+    assert [record.name.value for record in records] == \
+        ["epoll_wait", "read", "write"]
+    assert tracer.kind_tally() == {"iteration": 1}
+    assert tracer.events[0].fields == {
+        "role": "direct", "version": kv_server.version.name, "count": 3,
+        "calls": [(record.name.value, record.fd, len(record.data))
+                  for record in records]}
 
 
 # -- JSONL schema -----------------------------------------------------------
 
 def test_jsonl_round_trip_is_schema_valid():
     tracer = Tracer(experiment="unit")
-    tracer.emit("syscall", "mve", at=1, role="direct", name="read")
+    tracer.emit("iteration", "mve", at=1, role="direct", version="1.0",
+                count=2, calls=[("read", 4, 7), ("write", 4, 3)])
     lines = tracer.to_jsonl_lines()
 
     assert validate_lines(lines) == []
@@ -454,7 +464,9 @@ def test_jsonl_round_trip_is_schema_valid():
     assert header["records"] == 1
     last = json.loads(lines[-1])
     assert last["kind"] == "metrics.snapshot"
-    assert last["metrics"]["syscalls.total"]["value"] == 1
+    assert last["metrics"]["syscalls.total"]["value"] == 2
+    assert last["metrics"]["syscalls.direct"]["value"] == 2
+    assert json.loads(lines[1])["calls"] == [["read", 4, 7], ["write", 4, 3]]
 
 
 def test_validate_trace_lines_flags_problems():
@@ -522,7 +534,7 @@ def test_attached_tracer_sees_the_whole_lifecycle(kernel, mvedsua, client):
         mvedsua.finalize(5 * SECOND)
 
     kinds = set(tracer.kind_tally())
-    assert {"syscall", "ring.publish", "ring.replay",
+    assert {"iteration", "ring.publish", "ring.replay",
             "divergence.check", "dsu.request", "dsu.applied",
             "control.promote"} <= kinds
     snapshot = tracer.metrics()

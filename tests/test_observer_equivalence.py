@@ -1,18 +1,22 @@
 """An observer watches a run; it never changes it.
 
-With no tracer or chaos injector installed, ``pump`` tests the leader's
-ready set in place and a client writes to and reads from its own
-endpoint; with either installed they go through ``kernel.epoll_wait``,
-``kernel.write`` and ``kernel.read`` so the run log and the chaos site
-counters see every call.  The property below runs one generated
-request stream three ways — no observer, a ``Tracer()``, a
-``ChaosInjector()`` with an empty plan — on each stack, and holds
-everything the run decides to be equal: the replies, each client's
-latencies, the runtime's counters, every CPU's horizon after every
-step, and every burst published to the ring — and holds the injector's
-kernel site counters to the calls the run log shows.
+``pump`` tests the leader's ready set in place, and a client writes to
+and reads from its own endpoint unless a chaos injector is installed,
+when they go through ``kernel.write`` and ``kernel.read`` so its kernel
+sites see every call.  A tracer changes nothing on the path: the run
+log reads each iteration off the gateway's trace.  The property below
+runs one generated request stream three ways — no observer, a
+``Tracer()``, a ``ChaosInjector()`` with an empty plan — on each stack,
+and holds everything the run decides to be equal: the replies, each
+client's latencies, the runtime's counters, every CPU's horizon after
+every step, every burst published to the ring and, but for the
+injector's, the virtual kernel's method entries — and holds the
+injector's kernel site counters to the entries under it.  A second
+property holds the tracer's leader ``iteration`` events to the stream
+records the recorder slot logs of the same iterations.
 """
 
+import inspect
 from collections import Counter
 
 import pytest
@@ -23,6 +27,7 @@ from repro.chaos.injector import ChaosInjector
 from repro.core import Mvedsua
 from repro.errors import BadFileDescriptor
 from repro.mve import VaranRuntime
+from repro.net import VirtualKernel
 from repro.obs.trace import Tracer
 from repro.servers.native import NativeRuntime
 from repro.sites import observing
@@ -83,9 +88,35 @@ def _cpus(core):
         lane.process.cpu.busy_until for lane in core.lanes)
 
 
+#: ``VirtualKernel``'s methods by name: what :func:`run` counts.
+KERNEL_METHODS = {name: function
+                  for name, function in vars(VirtualKernel).items()
+                  if inspect.isfunction(function)}
+
+
 def run(name, stream):
     """Serve ``stream`` on a fresh ``name`` stack under whatever
-    observers are installed; returns everything the run decided."""
+    observers are installed; returns everything the run decided, and
+    the ``VirtualKernel`` methods it entered (``kernel``)."""
+    entries = Counter()
+
+    def counted(method, function):
+        def entry(*args, **kwargs):
+            entries[method] += 1
+            return function(*args, **kwargs)
+        return entry
+
+    for method, function in KERNEL_METHODS.items():
+        setattr(VirtualKernel, method, counted(method, function))
+    try:
+        decided = _serve(name, stream)
+    finally:
+        for method, function in KERNEL_METHODS.items():
+            setattr(VirtualKernel, method, function)
+    return dict(decided, kernel=entries)
+
+
+def _serve(name, stream):
     count, requests, close_at, closer = stream
     stack, serving, core = STACKS[name]()
     published = []
@@ -152,13 +183,41 @@ def test_observed_and_unobserved_runs_agree(name, stream):
         injected = run(name, stream)
     assert plain["divergence"] is None
     assert traced == plain
-    assert injected == plain
-    # Both observers see every kernel call the clients and the server
-    # make: the injector's kernel sites count the calls the run log
-    # shows completing (a call into a closed fd fails before its site).
-    completed = Counter(f"kernel.{event.fields['op']}"
-                        for event in tracer.events
-                        if event.kind == "kernel.exit")
-    for site in ("kernel.connect", "kernel.accept", "kernel.read",
-                 "kernel.write"):
-        assert injector.site_calls.get(site, 0) == completed[site]
+    # The run log counts the leader's syscall records exactly.
+    if plain["total_syscalls"] is not None:
+        assert tracer.metrics()["syscalls.direct"]["value"] == \
+            plain["total_syscalls"]
+    # The client's calls go through the kernel under the injector and
+    # nowhere else; all the rest is the same.
+    entries = injected.pop("kernel")
+    assert injected == {key: value for key, value in plain.items()
+                        if key != "kernel"}
+    # The injector's kernel sites see every call the clients and the
+    # server make but one: the request into the closed fd enters
+    # ``write`` and fails at its lookup, before the site.
+    for op in ("connect", "accept", "read", "write"):
+        assert injector.site_calls.get(f"kernel.{op}", 0) == \
+            entries[op] - (op == "write")
+
+
+@pytest.mark.parametrize("name", ["leader", "mvedsua", "pair"])
+@given(stream=streams())
+@settings(deadline=None)
+def test_a_leader_iteration_event_is_its_stream_record(name, stream):
+    # One writer in the tracer and recorder slots: each leader
+    # ``iteration`` event carries the ``(name, fd, nbytes)`` of the
+    # records its ``stream.record`` serializes, in the same order.
+    log = Tracer()
+    with observing(tracer=log, recorder=log):
+        run(name, stream)
+    events = log.events
+    iterations = [(event.fields["version"], event.fields["calls"])
+                  for event in events if event.kind == "iteration"
+                  and event.fields["role"] == "direct"]
+    recorded = [(event.fields["version"],
+                 [(record["sys"], record["fd"], len(record.get("data", "")))
+                  for record in event.fields["records"]])
+                for event in events if event.kind == "stream.record"]
+    assert iterations and iterations == recorded
+    assert all(event.fields["count"] == len(event.fields["calls"])
+               for event in events if event.kind == "iteration")
