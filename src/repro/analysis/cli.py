@@ -29,12 +29,11 @@ from repro import cli
 from repro.apps import AppConfig
 from repro.analysis.coverage import check_coverage
 from repro.analysis.findings import LintReport, Severity
-from repro.analysis.paths import audit_paths
+from repro.analysis.paths import audit_paths, usable_pairs
 from repro.analysis.rules_lint import lint_rules
 from repro.analysis.specs import lint_specs
 from repro.analysis.trace_lint import lint_trace_tags
 from repro.analysis.transform_audit import audit_transforms
-from repro.errors import NoUpdatePath
 
 EXIT_CLEAN = 0
 EXIT_FINDINGS = 1
@@ -47,18 +46,8 @@ def run_app(config: AppConfig, *, prove: bool = False) -> LintReport:
     app = config.name
     report.extend(audit_paths(app, config.versions, config.transforms,
                               config.rules_for))
-    for old, new in config.versions.update_pairs(app):
-        try:
-            old_version = config.versions.get(app, old)
-            new_version = config.versions.get(app, new)
-        except NoUpdatePath:  # pragma: no cover - registry is consistent
-            continue
-        try:
-            ruleset = config.rules_for(old, new)
-        except Exception:
-            continue  # already reported as MVE402 by the path audit
-        if ruleset is None:
-            continue  # likewise
+    for old, new, old_version, new_version, ruleset in usable_pairs(
+            app, config.versions, config.rules_for):
         report.extend(lint_rules(ruleset, app=app, pair=f"{old}->{new}",
                                  old_version=old_version,
                                  new_version=new_version))

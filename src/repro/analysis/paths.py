@@ -10,7 +10,8 @@ This audit walks the app's release order and the transformer registry:
   :class:`~repro.errors.NoUpdatePath` in production.
 * **MVE402 broken-ruleset** — the app's rule-set factory raises or
   returns nothing for a consecutive pair (an *empty* rule set is fine;
-  a crashing factory is not).
+  a crashing factory is not).  :func:`usable_pairs`, the walk every
+  per-pair analyzer iterates, skips exactly those pairs.
 * **MVE403 unreachable-version** — a registered release that cannot be
   reached from the initial release via any chain of registered
   transformer edges: it can be deployed fresh but never updated to.
@@ -20,14 +21,37 @@ This audit walks the app's release order and the transformer registry:
 
 from __future__ import annotations
 
-from typing import Callable, List
+from typing import Callable, Iterator, List, Tuple
 
 from repro.analysis.findings import Finding, Severity
 from repro.dsu.transform import TransformRegistry
-from repro.dsu.version import VersionRegistry
+from repro.dsu.version import ServerVersion, VersionRegistry
+from repro.errors import NoUpdatePath
 from repro.mve.dsl.rules import RuleSet
 
 ANALYZER = "paths"
+
+
+def usable_pairs(app: str, versions: VersionRegistry,
+                 rules_for: Callable[[str, str], RuleSet]
+                 ) -> Iterator[Tuple[str, str, ServerVersion,
+                                     ServerVersion, RuleSet]]:
+    """``(old, new, old_version, new_version, ruleset)`` for each
+    consecutive release pair whose versions resolve and whose rule-set
+    factory returns a rule set; the pairs it skips are the ones
+    :func:`audit_paths` reports as MVE402."""
+    for old, new in versions.update_pairs(app):
+        try:
+            old_version = versions.get(app, old)
+            new_version = versions.get(app, new)
+        except NoUpdatePath:  # pragma: no cover - registry is consistent
+            continue
+        try:
+            ruleset = rules_for(old, new)
+        except Exception:
+            continue
+        if ruleset is not None:
+            yield old, new, old_version, new_version, ruleset
 
 
 def audit_paths(app: str, versions: VersionRegistry,

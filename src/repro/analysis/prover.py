@@ -44,13 +44,13 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro import cli
 from repro.apps import AppConfig
 from repro.analysis.findings import Finding, LintReport, Severity
+from repro.analysis.paths import usable_pairs
 from repro.analysis.state_space import (Divergence, Exploration,
                                         explore, fully_modeled,
                                         unfired_rules)
 from repro.analysis.effects import ProtocolModel
 from repro.analysis.witness import ReplayResult, Witness, replay_witness
 from repro.mve.dsl.rules import Direction
-from repro.errors import NoUpdatePath
 
 ANALYZER = "prove"
 
@@ -170,19 +170,9 @@ def prove_app(config: AppConfig, *, replay: bool = True) -> ProveResult:
     witnesses: List[Tuple[Witness, Optional[ReplayResult]]] = []
     pairs_out: List[Dict[str, Any]] = []
 
-    for old, new in config.versions.update_pairs(app):
+    for old, new, old_version, new_version, ruleset in usable_pairs(
+            app, config.versions, config.rules_for):
         pair = f"{old}->{new}"
-        try:
-            old_version = config.versions.get(app, old)
-            new_version = config.versions.get(app, new)
-        except NoUpdatePath:  # pragma: no cover - registry is consistent
-            continue
-        try:
-            ruleset = config.rules_for(old, new)
-        except Exception:
-            continue  # reported as MVE402 by the path audit
-        if ruleset is None:
-            continue
         model = ProtocolModel(old_version, new_version, ruleset.rules)
         explorations: List[Exploration] = []
         stage_out: List[Dict[str, Any]] = []

@@ -3,10 +3,10 @@
 An injector is installed like every observer, with
 :func:`repro.sites.observing`, and found by each instrumented site when
 it runs (``OBS.chaos``).  When none is installed every hook is a single
-``is None`` check — the class-level ``created_total`` /
-``injected_total`` counters let the regression suite pin that the
-disabled path allocates nothing, the same way the Tracer
-zero-allocation test does.
+``is None`` check; the regression suite pins that the disabled path
+builds no injector and fires nothing by counting constructions and
+``fire`` results for the run (``tests/counting.py``), the same way the
+Tracer zero-allocation test counts the writer.
 
 Hook protocol
 -------------
@@ -70,13 +70,7 @@ class ChaosInjector:
     *clients'* syscalls.
     """
 
-    #: Class-level counters for the zero-allocation regression test —
-    #: the disabled path must construct no injectors and fire nothing.
-    created_total = 0
-    injected_total = 0
-
     def __init__(self, plan: Optional[FaultPlan] = None) -> None:
-        ChaosInjector.created_total += 1
         self.plan = plan if plan is not None else FaultPlan("empty")
         problems = self.plan.validate()
         if problems:
@@ -126,7 +120,6 @@ class ChaosInjector:
                 continue
             if self._matches(entry.fault, index, at, stage, context):
                 entry.fired += 1
-                ChaosInjector.injected_total += 1
                 injection = Injection(at=at, site=site,
                                       kind=entry.fault.kind,
                                       call_index=index, stage=stage)

@@ -345,8 +345,8 @@ def run_fleet_scenario(scenario: str = "canary-kvstore", seed: int = 1, *,
 
     final_table, agreement_problems = _merged_final_table(shard_map)
     problems = check_run(observations, final_table) + agreement_problems
-    syscalls = sum(getattr(node.runtime, "runtime", node.runtime)
-                   .total_syscalls for node in shard_map.nodes())
+    syscalls = sum(node.runtime.runtime.total_syscalls
+                   for node in shard_map.nodes())
     chaos = OBS.chaos
     report: Dict[str, Any] = {
         "schema": FLEET_SCHEMA,

@@ -18,7 +18,6 @@ class LibEventLoop:
 
     def __init__(self) -> None:
         self._cursor = 0
-        self.dispatched_total = 0
 
     @property
     def cursor(self) -> int:
@@ -37,7 +36,6 @@ class LibEventLoop:
         offset = self._cursor % len(ready)
         ordered = list(ready[offset:]) + list(ready[:offset])
         self._cursor += len(ready)
-        self.dispatched_total += len(ready)
         return ordered
 
     def reset(self) -> None:

@@ -148,11 +148,13 @@ def unframe_line(line: str) -> Dict[str, Any]:
 #
 # A frame body is the canonical JSON (``repro.report.canonical``) of
 # ``{"schema", "seq", "records": [...]}``, each record as
-# ``repro.obs.trace.serialize_record`` lays it out.  The encoder writes
-# those bytes directly — key order is fixed, so a record is a template —
-# and hands ``canonical`` only what is rare (``aux``, control events,
-# results that are not ints, tuples or bytes).  ``tests/test_distring.py``
-# holds it to the dict-and-dumps formulation byte for byte.
+# ``repro.obs.trace.serialize_record`` lays it out (a recording's
+# ``stream.record`` too: :func:`decode_records` reads both).  The encoder
+# writes those bytes directly — key order is fixed, so a record is a
+# template — and hands ``canonical`` only what is rare (``aux``, control
+# events, results that are not ints, tuples or bytes).
+# ``tests/test_distring.py`` holds it to the dict-and-dumps formulation
+# byte for byte.
 
 #: ``"…"`` with everything outside printable ASCII escaped — the
 #: function ``canonical`` itself renders strings with.  A frame is
@@ -278,28 +280,39 @@ def decode_frame(line: str) -> Tuple[int, List[Payload]]:
     """Parse one frame; returns ``(sequence, payloads)``.
 
     Raises :class:`WireError` on truncation, garbage, a wrong schema,
-    or a malformed body — an entry that is no object, a field of the
-    wrong JSON type, payload text outside latin-1 — so the receiver
-    treats any of those as a partition event, never as data.  Fields
-    the encoder omits come back as the record's defaults (``aux`` as
-    ``EMPTY_AUX``), tagged results as tuples and bytes.
+    or a malformed body (see :func:`decode_records`), so the receiver
+    treats any of those as a partition event, never as data.
     """
     body = _frame_body(line, "frame")
     sequence = _sequence(body, "seq", "frame")
     records = body.get("records")
     if type(records) is not list or not records:
         raise WireError("frame carries no records")
+    return sequence, decode_records(records)
+
+
+def decode_records(entries: List[Any]) -> List[Payload]:
+    """The payloads of a frame's or a ``stream.record``'s ``records``.
+
+    An entry naming a syscall is a :class:`SyscallRecord`; fields the
+    encoder omits come back as the record's defaults (``aux`` as
+    ``EMPTY_AUX``), tagged results as tuples and bytes.  Any other
+    entry with ``ctl`` is a :class:`ControlEvent`.  Raises
+    :class:`WireError` on an entry that is no object, a field of the
+    wrong JSON type or payload text outside latin-1 — never on a
+    record :data:`repro.replay.stream.RECORD_SHAPE` accepts.
+    """
     payloads: List[Payload] = []
     append, new, names = payloads.append, tuple.__new__, _SYS_BY_VALUE.get
     try:
-        for entry in records:
+        for entry in entries:
             if type(entry) is not dict:
                 raise WireError(f"frame payload entry is not an object: "
                                 f"{entry!r}")
-            if "ctl" in entry:
+            name = names(entry.get("sys"))
+            if name is None and "ctl" in entry:
                 append(_control_event(entry))
                 continue
-            name = names(entry.get("sys"))
             fd = entry.get("fd", -1)
             data = entry.get("data", "")
             result = entry.get("result")
@@ -316,7 +329,7 @@ def decode_frame(line: str) -> Tuple[int, List[Payload]]:
         # An unhashable "sys", text outside latin-1, a result nested
         # deeper than the interpreter follows.
         raise WireError(f"bad syscall record on the wire: {exc}") from None
-    return sequence, payloads
+    return payloads
 
 
 def encode_ack(sequence: int) -> str:

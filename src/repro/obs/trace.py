@@ -105,7 +105,7 @@ def jsonable(value: Any) -> Any:
 
 def serialize_record(record: Any) -> Dict[str, Any]:
     """One syscall record as a stream record holds it (reversible:
-    :func:`repro.replay.stream.deserialize_record`).  Payload bytes are
+    :func:`repro.net.ring_wire.decode_records`).  Payload bytes are
     latin-1 text; a tuple result is tagged ``{"t": [...]}`` and a bytes
     result ``{"b": latin-1}`` so both come back as they went in."""
     entry: Dict[str, Any] = {"sys": record.name.value, "fd": record.fd}
@@ -261,19 +261,7 @@ def moves(kind: str) -> Tuple[Move, ...]:
         + METRICS.get(kind, ())
 
 
-_emitted_total = _opened_total = 0
-
-
-class _Tallies(type):
-    #: Trace events / spans ever logged, across all writers (process
-    #: lifetime).  Module globals behind properties: assigning a *class*
-    #: attribute per record would invalidate the interpreter's method
-    #: caches for the class under every hook call.
-    emitted_total = property(lambda cls: _emitted_total)
-    opened_total = property(lambda cls: _opened_total)
-
-
-class Tracer(metaclass=_Tallies):
+class Tracer:
     """The run log's writer: trace events from the tracer slot, spans
     from the spans slot, stream records from the recorder slot, one
     ordered log whatever the mix.
@@ -283,20 +271,12 @@ class Tracer(metaclass=_Tallies):
     native iteration, carrying its syscalls as ``(name, fd, nbytes)``
     triples; no single kernel or gateway call is logged.
 
-    Class-level tallies (``created_total``, ``emitted_total``,
-    ``opened_total``, ``materialised_total``) exist so the overhead
-    tests can assert the disabled path creates *nothing* — counts, not
-    wall-clock.
+    Tests that pin the disabled path count this class's construction,
+    its log appends and :class:`TraceEvent` builds by wrapping those
+    methods for the block (``tests/counting.py``).
     """
 
-    #: Writers ever constructed (process lifetime).
-    created_total = 0
-    #: :class:`TraceEvent` objects ever built (process lifetime): none
-    #: while nobody reads :attr:`events`.
-    materialised_total = 0
-
     def __init__(self, experiment: str = "") -> None:
-        Tracer.created_total += 1
         self.experiment = experiment
         #: Every record in order: a span is its :class:`Span`, an event
         #: one flat tuple ``(at, kind, layer, parent, field_names,
@@ -329,12 +309,10 @@ class Tracer(metaclass=_Tallies):
 
         Call sites guard with ``if tracer is not None:`` and then call
         this once per event; only :meth:`on_forensics` does more."""
-        global _emitted_total
         stack = self._stack
         self._log.append((OBS.vnow if at is None else at, kind, layer,
                           stack[-1].span_id if stack else None,
                           tuple(fields), *fields.values()))
-        _emitted_total += 1
 
     def on_forensics(self, bundle: Any) -> None:
         """A divergence produced a forensics bundle; keep and announce it."""
@@ -399,13 +377,11 @@ class Tracer(metaclass=_Tallies):
         """Log one stream record.  Its ``len`` is left for
         :meth:`_sized` to fill in when the log is read, so recording
         encodes no JSON."""
-        global _emitted_total
         stack = self._stack
         self._unsized.append(len(self._log))
         self._log.append((at, kind, "replay",
                           stack[-1].span_id if stack else None,
                           (*fields, "len"), *fields.values(), None))
-        _emitted_total += 1
 
     def _sized(self) -> List[Any]:
         """The log, with every stream record's ``len`` filled in."""
@@ -422,7 +398,6 @@ class Tracer(metaclass=_Tallies):
     def _new_span(self, kind: str, layer: str, start_ns: int,
                   end_ns: Optional[int], parent: Optional[int],
                   attrs: Dict[str, Any]) -> Span:
-        global _opened_total
         if parent is None and self._stack:
             parent = self._stack[-1].span_id
         span = Span(len(self.spans) + 1, parent, kind, layer, start_ns,
@@ -430,7 +405,6 @@ class Tracer(metaclass=_Tallies):
         self.spans.append(span)
         self._by_kind[kind].append(span)
         self._log.append(span)
-        _opened_total += 1
         return span
 
     def open(self, kind: str, layer: str, at: int,
@@ -482,7 +456,6 @@ class Tracer(metaclass=_Tallies):
                      if type(entry) is tuple)]
         self._read = len(self._log)
         self._events.extend(fresh)
-        Tracer.materialised_total += len(fresh)
         return self._events
 
     def kind_tally(self) -> Dict[str, int]:

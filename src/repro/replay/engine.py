@@ -39,9 +39,9 @@ from repro.mve.gateway import GatewayRole, SyscallGateway
 from repro.mve.ring_buffer import RingEntry
 from repro.mve.varan import replay_iteration, rewrite_iteration
 from repro.net.kernel import VirtualKernel
+from repro.net.ring_wire import decode_records
 from repro.obs.forensics import FORENSICS_LAST_K, ForensicsBundle
-from repro.replay.stream import (RecordedStream, deserialize_record,
-                                 read_stream)
+from repro.replay.stream import RecordedStream, read_stream
 
 #: Replay report schema identifier (bump on shape changes).
 REPLAY_SCHEMA = "repro-replay/1"
@@ -141,7 +141,7 @@ def replay_stream(stream: RecordedStream, *,
             report.controls_seen += 1
             continue
         iteration += 1
-        records = [deserialize_record(raw) for raw in entry["records"]]
+        records = decode_records(entry["records"])
         engine = ruleset.engine_for_stage(direction) \
             if ruleset is not None else None
         expected = rewrite_iteration(engine, records)

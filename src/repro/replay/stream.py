@@ -24,33 +24,14 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import SimulationError
 from repro.mve.gateway import ERRNO_CLASSES, RECORDED_ERRORS
-from repro.net.ring_wire import untagged
 from repro.obs.trace import stream_len, validate_lines
 from repro.report import (ANY, BOOL, BYTES, INT, NAT, STR, TEXT, Leaf, ListOf,
                           Obj, Opt, Via, decode, one_of, problems, read_lines)
-from repro.syscalls.model import Sys, SyscallRecord
+from repro.syscalls.model import Sys
 
 
 class StreamError(SimulationError):
     """A file that holds no readable recording."""
-
-
-# ---------------------------------------------------------------------------
-# Record deserialization (serialization is the writer's:
-# repro.obs.trace.serialize_record; results are untagged by the ring
-# wire's decoder, which inverts the same tagging)
-# ---------------------------------------------------------------------------
-
-def deserialize_record(entry: Dict[str, Any]) -> SyscallRecord:
-    """Rebuild a :class:`SyscallRecord` from a record that has the
-    shape :data:`RECORD_SHAPE` declares."""
-    kwargs: Dict[str, Any] = {}
-    if "aux" in entry:
-        kwargs["aux"] = dict(entry["aux"])
-    return SyscallRecord(Sys(entry["sys"]), fd=entry["fd"],
-                         data=entry.get("data", "").encode("latin-1"),
-                         result=untagged(entry.get("result")),
-                         **kwargs)
 
 
 # ---------------------------------------------------------------------------

@@ -49,11 +49,17 @@ UNIT = Leaf("a number in [0, 1]",
 
 
 def one_of(values: Iterable[Any]) -> Leaf:
-    """Exactly one of ``values`` (same JSON type, so ``True`` is not 1)."""
+    """Exactly one of ``values`` (same JSON type, so ``True`` is not 1):
+    one lookup of ``(type, value)`` in a set built here."""
     allowed = tuple(values)
-    return Leaf(" or ".join(map(repr, allowed)),
-                lambda value: any(type(value) is type(item) and value == item
-                                  for item in allowed))
+    members = frozenset((type(item), item) for item in allowed)
+
+    def accepts(value: Any) -> bool:
+        try:
+            return (type(value), value) in members
+        except TypeError:  # unhashable: a list or an object
+            return False
+    return Leaf(" or ".join(map(repr, allowed)), accepts)
 
 
 def const(value: Any) -> Leaf:

@@ -19,6 +19,9 @@ from repro.analysis import (
     run_catalog,
     seeded_heap,
 )
+from repro.analysis.paths import usable_pairs
+from repro.analysis.prover import prove_app
+from repro.apps import AppConfig
 from repro.chaos import Fault, FaultPlan, Trigger, at_stage, on_call
 from repro.cli import main
 from repro.dsu.transform import TransformRegistry
@@ -430,6 +433,35 @@ class TestPathAudit:
         findings = audit_paths(APP, _three_versions(), transforms,
                                lambda old, new: RuleSet())
         assert findings == []
+
+    def test_lint_and_prover_skip_the_pairs_mve402_reports(self):
+        # Each release adds a command, so a pair the walk did not skip
+        # would show an uncovered command (MVE201) or a divergence.
+        versions, transforms = VersionRegistry(), TransformRegistry()
+        for name, extra in (("1", ""), ("2", "BOOM"), ("3", "BOOM ZAP"),
+                            ("4", "BOOM ZAP ZIP")):
+            versions.register(BadKVVersion(name, frozenset(extra.split())))
+        for old, new in versions.update_pairs(APP):
+            transforms.register(APP, old, new, lambda heap: dict(heap))
+
+        def rules_for(old, new):
+            if old == "1":
+                raise KeyError(f"{old}->{new}")
+            return None if old == "2" else RuleSet()
+
+        config = AppConfig(name=APP, versions=versions,
+                           transforms=transforms, rules_for=rules_for)
+        assert [pair[:2] for pair in usable_pairs(
+            APP, versions, rules_for)] == [("3", "4")]
+        findings = run_app(config).findings
+        assert {f.location for f in by_code(findings, "MVE402")} == \
+            {"1->2", "2->3"}
+        assert not [f for f in findings if f.code[:4] in ("MVE1", "MVE2")
+                    and not f.location.startswith("3->4")]
+        assert by_code(findings, "MVE201")      # 3->4 was linted
+        certificate = prove_app(config, replay=False).certificate
+        assert [(pair["old"], pair["new"])
+                for pair in certificate["pairs"]] == [("3", "4")]
 
 
 # ---------------------------------------------------------------------------

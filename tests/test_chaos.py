@@ -23,6 +23,7 @@ from repro.net.kernel import VirtualKernel
 from repro.obs import Tracer, validate_lines
 from repro.sim.engine import Engine
 from repro.sites import OBS, observing
+from tests.counting import counted
 
 
 # ---------------------------------------------------------------------------
@@ -183,11 +184,12 @@ class TestInjector:
 
 class TestDisabledPath:
     def test_fault_free_run_allocates_no_injectors(self):
-        created = ChaosInjector.created_total
-        injected = ChaosInjector.injected_total
-        result = run_kv_update_scenario()
-        assert ChaosInjector.created_total == created
-        assert ChaosInjector.injected_total == injected
+        with counted(ChaosInjector, "__init__") as created, \
+                counted(ChaosInjector, "fire",
+                        when=lambda fault: fault is not None) as injected:
+            result = run_kv_update_scenario()
+        assert created["__init__"] == 0
+        assert injected["fire"] == 0
         assert result.finalized
         assert not result.injections
 

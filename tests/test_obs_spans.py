@@ -3,9 +3,10 @@ parenting when enabled, the ``repro-run/1`` validators on span records,
 and the MVE9xx span hygiene.
 
 The zero-allocation tests mirror ``test_obs_overhead.py``: "free" is
-asserted in counts, not wall-clock — :class:`~repro.obs.trace.Tracer`
-keeps process-lifetime class tallies exactly so this test can pin the
-disabled path to *zero span objects*.
+asserted in counts, not wall-clock — :func:`tests.counting.counted`
+wraps the writer's constructor and its one span entry (``_new_span``)
+for the block, so this test can pin the disabled path to *zero span
+objects*.
 """
 
 import pytest
@@ -21,6 +22,7 @@ from repro.obs.trace import (
 )
 from repro.perf import run_scenarios
 from repro.sites import OBS, observing
+from tests.counting import counted
 
 FIXTURE = "tests/fixtures/bad_spans.jsonl"
 
@@ -39,30 +41,28 @@ def run_rule_heavy_mve_redis(ops):
 class TestDisabledPath:
     def test_no_tracer_allocates_no_spans(self):
         assert OBS.tracer is None and OBS.spans is None
-        collectors_before = Tracer.created_total
-        spans_before = Tracer.opened_total
-
-        gauges = run_rule_heavy_mve_redis(32)
+        with counted(Tracer, "__init__", "_new_span") as calls:
+            gauges = run_rule_heavy_mve_redis(32)
 
         # The workload really ran, through every instrumented hook...
         assert gauges["vrequests"] == 32
         assert gauges["syscalls"] > 0
         assert gauges["ring_high_watermark"] > 0
         # ...and not one span object was born.
-        assert Tracer.created_total == collectors_before
-        assert Tracer.opened_total == spans_before
+        assert calls["__init__"] == 0
+        assert calls["_new_span"] == 0
 
     def test_tracer_without_spans_allocates_no_spans(self):
         # The writer in the tracer slot alone must not wake the span
         # layer: the slot, not the writer, decides what is recorded.
-        spans_before = Tracer.opened_total
         tracer = Tracer(experiment="span-overhead")
-        with observing(tracer=tracer):
+        with counted(Tracer, "_new_span") as calls, \
+                observing(tracer=tracer):
             assert OBS.spans is None
             run_rule_heavy_mve_redis(8)
         assert tracer.spans == []
         assert tracer.events  # tracing itself did record
-        assert Tracer.opened_total == spans_before
+        assert calls["_new_span"] == 0
 
     def test_enabled_path_actually_records(self):
         # Control experiment: the same workload with spans installed
@@ -86,10 +86,10 @@ class TestDisabledPath:
         # so no event record anywhere means no tracer-slot writer.
         from repro.obs.slo_scenarios import run_slo_cell
         from repro.workloads.openloop_scenarios import run_openloop_cell
-        emitted = Tracer.emitted_total
-        openloop = run_openloop_cell("kvstore", 4, seed=1, quick=True)
-        slo = run_slo_cell("fig7", 0, seed=1, quick=True)
-        assert Tracer.emitted_total == emitted
+        with counted(Tracer, "emit", "_stream") as calls:
+            openloop = run_openloop_cell("kvstore", 4, seed=1, quick=True)
+            slo = run_slo_cell("fig7", 0, seed=1, quick=True)
+        assert calls["emit"] + calls["_stream"] == 0
         assert openloop["slo_cell"]["spans"] > 0 and slo["spans"] > 0
 
 

@@ -16,9 +16,6 @@ property holds the tracer's leader ``iteration`` events to the stream
 records the recorder slot logs of the same iterations.
 """
 
-import inspect
-from collections import Counter
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -31,6 +28,7 @@ from repro.net import VirtualKernel
 from repro.obs.trace import Tracer
 from repro.servers.native import NativeRuntime
 from repro.sites import observing
+from tests.counting import counted
 
 KEYS = st.sampled_from(["k1", "k2", "k3"])
 WORDS = st.text(alphabet="abcdef", min_size=1, max_size=6)
@@ -88,31 +86,12 @@ def _cpus(core):
         lane.process.cpu.busy_until for lane in core.lanes)
 
 
-#: ``VirtualKernel``'s methods by name: what :func:`run` counts.
-KERNEL_METHODS = {name: function
-                  for name, function in vars(VirtualKernel).items()
-                  if inspect.isfunction(function)}
-
-
 def run(name, stream):
     """Serve ``stream`` on a fresh ``name`` stack under whatever
     observers are installed; returns everything the run decided, and
     the ``VirtualKernel`` methods it entered (``kernel``)."""
-    entries = Counter()
-
-    def counted(method, function):
-        def entry(*args, **kwargs):
-            entries[method] += 1
-            return function(*args, **kwargs)
-        return entry
-
-    for method, function in KERNEL_METHODS.items():
-        setattr(VirtualKernel, method, counted(method, function))
-    try:
+    with counted(VirtualKernel) as entries:
         decided = _serve(name, stream)
-    finally:
-        for method, function in KERNEL_METHODS.items():
-            setattr(VirtualKernel, method, function)
     return dict(decided, kernel=entries)
 
 

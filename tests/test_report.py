@@ -319,9 +319,18 @@ def test_const_and_one_of_compare_by_type_and_value():
     assert problems(1, one_of((0, 1))) == []
     assert problems(True, one_of((0, 1))) != []
     assert problems(1.0, one_of((0, 1))) != []
+    assert problems(True, one_of((0, 1))) == ["is True, expected 0 or 1"]
+    assert problems(1.0, one_of((0, 1))) == ["is 1.0, expected 0 or 1"]
+    assert problems(False, one_of((False, 0))) == []
+    assert problems(0, one_of((False, 0))) == []
     # Unhashable candidates are a problem, not a TypeError.
     assert problems([], one_of(("a", "b"))) == [
         "is [], expected 'a' or 'b'"]
+    assert problems([1], one_of((0, 1))) == ["is [1], expected 0 or 1"]
+    assert problems({"a": 1}, one_of(("a", "b"))) == [
+        "is {'a': 1}, expected 'a' or 'b'"]
+    assert problems({}, one_of((0, 1)), "'n'") == [
+        "'n' is {}, expected 0 or 1"]
 
 
 def test_obj_wants_required_keys_and_ignores_unnamed_ones():

@@ -14,19 +14,23 @@ round).  The recorder is built as
 ``repro.replay.recorder.StreamRecorder()``, the name the benchmark's
 probe table resolves, so this script measures a tree from before the
 recorder joined the run log the same way.  Per cell, printed: ops per
-reference-speed host second, how many times slower than "absent", peak
-RSS, trace events per op and spans per op.
+reference-speed host second (the median of the cell's rounds, with
+their min-max spread), how many times slower than "absent" (median
+against median), peak RSS (the highest of the rounds), trace events per
+op and spans per op.
 
 A cell *is* a hostbench round — ``hostbench/child.py``'s ``run_round``
 builds the workload from ``hostbench/workloads.py`` and times its slices
 against the calibration kernel — run inside
 ``repro.sites.observing(tracer=..., spans=..., recorder=...)``, in one
 fresh subprocess (this script with ``--cell``) under ``run.py``'s child
-environment, so no cell inherits another's heap.
+environment, so no cell inherits another's heap.  Each cell runs
+:data:`ROUNDS` times, a workload's cells taking turns round by round so
+drift on the host spreads over all five modes alike.
 
-This is a record, not a gate: one round per cell, no verdict, exit 1
-only when a cell crashed or failed its functional check.  A host-time
-*claim* still goes through ``tools/ab_hostbench.py``.  ``--smoke``
+This is a record, not a gate: no verdict, exit 1 only when a cell
+crashed or failed its functional check.  A host-time *claim* still
+goes through ``tools/ab_hostbench.py``.  ``--smoke`` runs one round and
 divides ops by hostbench's smoke divisor (CI: the machinery works).
 """
 
@@ -35,6 +39,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import statistics
 import subprocess
 import sys
 import time
@@ -51,6 +56,9 @@ import workloads  # noqa: E402  (imports nothing from repro until built)
 #: round: an eager tracer on the full one needs the better part of a GiB.
 OPS = {"steady-single-leader": 60_000, "update-rule-heavy": 32_000}
 MODES = ("absent", "tracer", "spans", "tracer+spans", "recorder")
+#: Rounds per cell, each in a fresh subprocess (one under ``--smoke``):
+#: back to back, a single round's row moves by up to a third.
+ROUNDS = 3
 
 
 def run_cell(name: str, mode: str, seed: int, ops: int) -> Dict[str, Any]:
@@ -104,31 +112,40 @@ def main(argv=None) -> int:
         return 0
 
     failures: List[str] = []
+    rounds = 1 if args.smoke else ROUNDS
     print(f"{'workload':<22} {'observer':<13} {'ops':>7} {'ops/ref s':>10} "
-          f"{'slowdown':>9} {'peak MiB':>9} {'events/op':>10} "
-          f"{'spans/op':>9}")
+          f"{'min-max':>13} {'slowdown':>9} {'peak MiB':>9} "
+          f"{'events/op':>10} {'spans/op':>9}")
     for name, ops in OPS.items():
         if args.smoke:
             ops //= workloads.SMOKE_DIVISOR
+        cells: Dict[str, List[Dict[str, Any]]] = {mode: [] for mode in MODES}
+        for _ in range(rounds):
+            for mode in MODES:
+                try:
+                    cell = spawn_cell(name, mode, args.seed, ops)
+                except (RuntimeError, subprocess.TimeoutExpired) as exc:
+                    failures.append(str(exc))
+                    continue
+                if cell["failed"]:
+                    failures.append(f"{name} [{mode}]: {cell['failed']} "
+                                    f"of {ops} requests failed")
+                cells[mode].append(cell)
         absent = None
-        for mode in MODES:
-            try:
-                cell = spawn_cell(name, mode, args.seed, ops)
-            except (RuntimeError, subprocess.TimeoutExpired) as exc:
-                failures.append(str(exc))
+        for mode, samples in cells.items():
+            if not samples:
                 continue
-            if cell["failed"]:
-                failures.append(f"{name} [{mode}]: {cell['failed']} of "
-                                f"{ops} requests failed")
+            speeds = [sample["ops_per_ref_s"] for sample in samples]
+            median = statistics.median(speeds)
             if mode == "absent":
-                absent = cell["ops_per_ref_s"]
-            slowdown = f"{absent / cell['ops_per_ref_s']:.2f}x" \
-                if absent else "-"
-            print(f"{name:<22} {mode:<13} {ops:>7} "
-                  f"{cell['ops_per_ref_s']:>10.0f} {slowdown:>9} "
-                  f"{cell['peak_rss_mb']:>9.1f} "
-                  f"{cell['events_per_op']:>10.2f} "
-                  f"{cell['spans_per_op']:>9.2f}", flush=True)
+                absent = median
+            slowdown = f"{absent / median:.2f}x" if absent else "-"
+            spread = f"{min(speeds):.0f}-{max(speeds):.0f}"
+            print(f"{name:<22} {mode:<13} {ops:>7} {median:>10.0f} "
+                  f"{spread:>13} {slowdown:>9} "
+                  f"{max(sample['peak_rss_mb'] for sample in samples):>9.1f} "
+                  f"{samples[0]['events_per_op']:>10.2f} "
+                  f"{samples[0]['spans_per_op']:>9.2f}", flush=True)
     for failure in failures:
         print(f"FAILED: {failure}", file=sys.stderr)
     return 1 if failures else 0
