@@ -17,6 +17,7 @@ Run with:  python examples/redis_live_update.py
 from repro.bench.fluid import FluidConfig, FluidSim, UpdatePlan
 from repro.core import Mvedsua
 from repro.net import VirtualKernel
+from repro.obs.trace import Tracer
 from repro.servers.redis import (
     RedisServer,
     redis_rules,
@@ -24,6 +25,7 @@ from repro.servers.redis import (
     redis_version,
 )
 from repro.sim.engine import SECOND
+from repro.sites import observing
 from repro.syscalls.costs import PROFILES
 from repro.workloads import VirtualClient
 from repro.workloads.memtier import MemtierSpec
@@ -42,10 +44,14 @@ def part1_clean_update() -> None:
     client.command(mvedsua, b"LPUSH queue job-1")
     mvedsua.request_update(redis_version("2.0.1"), SECOND,
                            rules=redis_rules("2.0.0", "2.0.1"))
-    # Writes during catch-up exercise the reversed AOF/reply ordering.
-    print("SET user:2 bob ->",
-          client.command(mvedsua, b"SET user:2 bob", now=2 * SECOND))
-    print("rules fired:", mvedsua.runtime.rules_fired)
+    # Writes during catch-up exercise the reversed AOF/reply ordering;
+    # the run log says which rules reconciled them.
+    tracer = Tracer()
+    with observing(tracer=tracer):
+        print("SET user:2 bob ->",
+              client.command(mvedsua, b"SET user:2 bob", now=2 * SECOND))
+    print("rules fired:", [event.fields["rule"] for event in tracer.events
+                           if event.kind == "rule.fired"])
     mvedsua.promote(3 * SECOND)
     mvedsua.finalize(4 * SECOND)
     print("now running:", mvedsua.current_version)

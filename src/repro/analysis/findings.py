@@ -185,11 +185,10 @@ class LintReport:
                       key=lambda f: (f.severity.rank, f.code, f.app,
                                      f.location, f.message))
 
-    def count(self, severity: Severity, *,
-              include_allowlisted: bool = False) -> int:
+    def count(self, severity: Severity) -> int:
+        """Findings of ``severity`` that are not allowlisted."""
         return sum(1 for f in self.deduped_findings()
-                   if f.severity is severity
-                   and (include_allowlisted or not f.allowlisted))
+                   if f.severity is severity and not f.allowlisted)
 
     @property
     def has_errors(self) -> bool:

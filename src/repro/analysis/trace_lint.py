@@ -137,6 +137,6 @@ def lint_spans(lines: Iterable[str], *, app: str = "spans",
     return findings
 
 
-def lint_span_file(path: str, *, app: str = "spans") -> List[Finding]:
+def lint_span_file(path: str) -> List[Finding]:
     """Run :func:`lint_spans` over a JSONL run log on disk."""
-    return lint_spans(read_lines(path), app=app, source=path)
+    return lint_spans(read_lines(path), source=path)

@@ -34,10 +34,9 @@ class LockstepSystem:
     preserves_state_on_failure: bool
     supports_representation_changes: bool
 
-    def overhead_range(self, profile: AppProfile,
-                       n_bytes: int = 0) -> Tuple[float, float]:
+    def overhead_range(self, profile: AppProfile) -> Tuple[float, float]:
         """Throughput-drop range vs native for ``profile``."""
-        native = profile.op_cost_ns(ExecutionMode.NATIVE, n_bytes=n_bytes)
+        native = profile.op_cost_ns(ExecutionMode.NATIVE)
         drops = []
         for factor in self.sync_factor_range:
             extra = profile.syscalls_per_op * profile.syscall_ns * factor

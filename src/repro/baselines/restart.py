@@ -17,17 +17,20 @@ from __future__ import annotations
 
 import pickle
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any
 
 from repro.dsu.version import ServerVersion
 from repro.errors import UpdateError
 from repro.sim.engine import MILLISECOND
-from repro.syscalls.costs import AppProfile
 
 #: Serialise/deserialise cost per state byte, each way.  Calibrated to
 #: the paper's data point: checkpointing and restarting a 10 GB Redis
 #: heap took 28 s, i.e. ~2.75 ns/byte round trip plus process restart.
 CHECKPOINT_BYTE_NS = 1.375
+
+#: Approximate serialised size per heap entry, for the pause model (the
+#: real payload is pickled regardless).
+CHECKPOINT_ENTRY_BYTES = 64
 
 #: Process teardown + exec + listen, independent of state size.
 RESTART_BASE_NS = 500 * MILLISECOND
@@ -80,13 +83,6 @@ class CheckpointRestart:
     ``state_format`` raises — the §2.2 failure mode.
     """
 
-    def __init__(self, profile: Optional[AppProfile] = None,
-                 entry_bytes: int = 64) -> None:
-        self.profile = profile
-        #: Approximate serialised size per heap entry, for the pause
-        #: model (the real payload is pickled below regardless).
-        self.entry_bytes = entry_bytes
-
     def perform(self, runtime: Any, new_version: ServerVersion,
                 now: int) -> UpgradeReport:
         server = runtime.server
@@ -95,7 +91,7 @@ class CheckpointRestart:
         runtime.kernel.fs.write_file(CHECKPOINT_PATH, payload)
 
         state_bytes = (old_version.heap_entries(server.heap)
-                       * self.entry_bytes)
+                       * CHECKPOINT_ENTRY_BYTES)
         pause = checkpoint_pause_ns(state_bytes)
 
         if new_version.state_format != old_version.state_format:

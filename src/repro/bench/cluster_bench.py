@@ -76,8 +76,7 @@ def run_cluster_comparison() -> ClusterComparison:
     kvstore = app("kvstore")
     new_version = partial(kvstore.version, "2.0")
     nodes, clients = build_cluster(mvedsua=False)
-    rolling = RollingUpgrade(nodes, drain_timeout_ns=30 * SECOND
-                             ).upgrade(new_version, SECOND)
+    rolling = RollingUpgrade(nodes).upgrade(new_version, SECOND)
     assert rolling.all_upgraded_to("2.0", nodes)
 
     nodes, clients = build_cluster(mvedsua=True)

@@ -107,21 +107,25 @@ def run_e1() -> List[FaultOutcome]:
 # ---------------------------------------------------------------------------
 
 
-def _memcached_with_clients(runtime, client_count: int, **runtime_kwargs):
+#: Clients E2 connects: enough for the freed-LibEvent-buffer bug to
+#: crash the updated process.
+E2_CLIENTS = MANY_CLIENTS_THRESHOLD + 2
+
+
+def _memcached_with_clients(runtime, **runtime_kwargs):
     stack = deploy("memcached", "1.2.2", runtime, **runtime_kwargs)
-    clients = [stack.client(f"c{index}") for index in range(client_count)]
+    clients = [stack.client(f"c{index}") for index in range(E2_CLIENTS)]
     for index, client in enumerate(clients):
         client.command(stack.runtime, b"set k%d 0 0 1\r\nv" % index)
     return stack, clients
 
 
-def run_e2(client_count: int = MANY_CLIENTS_THRESHOLD + 2
-           ) -> List[FaultOutcome]:
+def run_e2() -> List[FaultOutcome]:
     outcomes = []
 
     # Kitsune alone: the fault plan swaps in the transformer that frees
     # LibEvent state — a time bomb armed by enough connected clients.
-    stack, clients = _memcached_with_clients(NativeRuntime, client_count,
+    stack, clients = _memcached_with_clients(NativeRuntime,
                                              with_kitsune=True)
     runtime = stack.runtime
     with observing(chaos=ChaosInjector(e2_transform_plan())):
@@ -134,10 +138,10 @@ def run_e2(client_count: int = MANY_CLIENTS_THRESHOLD + 2
         crashed = True
     outcomes.append(FaultOutcome("E2 state-transform error", "kitsune",
                                  crashed, not crashed, False,
-                                 f"{client_count} clients connected"))
+                                 f"{E2_CLIENTS} clients connected"))
 
     # Mvedsua: the crash happens on the follower during catch-up.
-    stack, clients = _memcached_with_clients(Mvedsua, client_count)
+    stack, clients = _memcached_with_clients(Mvedsua)
     mvedsua = stack.runtime
     with observing(chaos=ChaosInjector(e2_transform_plan())):
         stack.update("1.2.3", SECOND)

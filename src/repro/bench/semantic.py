@@ -11,12 +11,10 @@ workloads stay divergence-free through a full update lifecycle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
-from repro.apps import app, deploy
+from repro.apps import deploy
 from repro.core import Stage
-from repro.dsu.transform import TransformRegistry
-from repro.mve.dsl import RuleSet
 from repro.sim.engine import SECOND
 from repro.workloads.memtier import MemtierSpec
 
@@ -50,17 +48,13 @@ class SemanticRunResult:
 
 
 def run_semantic_redis_lifecycle(
-        ops_per_phase: int = 400, *, seed: int = 0,
-        rules: Optional[RuleSet] = None,
-        transforms: Optional[TransformRegistry] = None
-) -> SemanticRunResult:
+        ops_per_phase: int = 400) -> SemanticRunResult:
     """Drive Redis through single-leader -> MVE -> single-leader.
 
     Measures each phase's virtual CPU time on the serving leader, which
     is the semantic-stack equivalent of the fluid model's throughput.
     """
-    stack = deploy("redis", "2.0.0", ring_capacity=1 << 14,
-                   transforms=transforms or app("redis").transforms)
+    stack = deploy("redis", "2.0.0", ring_capacity=1 << 14)
     mvedsua = stack.runtime
     client = stack.client()
     spec = MemtierSpec()
@@ -70,13 +64,13 @@ def run_semantic_redis_lifecycle(
         busy_before = leader_cpu.total_busy
         now = max(start_ns, leader_cpu.busy_until)
         for command in spec.commands(ops_per_phase, protocol="redis",
-                                     seed=seed):
+                                     seed=0):
             _, now = client.request(mvedsua, command, now)
         return PhaseMeasurement(name, ops_per_phase,
                                 leader_cpu.total_busy - busy_before)
 
     phases = [run_phase("single-before", SECOND)]
-    attempt = stack.update("2.0.1", 100 * SECOND, rules=rules)
+    attempt = stack.update("2.0.1", 100 * SECOND)
     phases.append(run_phase("outdated-leader", 101 * SECOND))
     if mvedsua.stage is Stage.OUTDATED_LEADER:
         mvedsua.promote(200 * SECOND)

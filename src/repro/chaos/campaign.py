@@ -330,7 +330,6 @@ def run_campaign(scenario: str = "kvstore", *, seed: int = 1,
                  plan: Optional[FaultPlan] = None,
                  workers: int = 1,
                  oncall_cap: int = ONCALL_CAP,
-                 mp_method: Optional[str] = None,
                  record: Optional[str] = None) -> Dict[str, Any]:
     """Run the full campaign and return the ``repro-chaos/1`` report.
 
@@ -376,7 +375,7 @@ def run_campaign(scenario: str = "kvstore", *, seed: int = 1,
             grid = map_shards(
                 functools.partial(run_grid_shard, scenario, seed,
                                   oncall_cap, dict(site_calls), max_cells),
-                len(grid_faults), workers, method=mp_method)
+                len(grid_faults), workers)
         else:
             grid = _grid_cells(grid_faults, scenario, golden)
 

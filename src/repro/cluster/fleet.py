@@ -49,6 +49,9 @@ FLEET_SCHEMA = "repro-fleet/1"
 #: they are excluded from cross-replica agreement and the final table.
 PROBE_PREFIX = "__probe"
 
+#: Client sessions the scenario's traffic phases spread commands over.
+SESSIONS = 4
+
 #: Offered rate of the ``--openloop`` traffic mode.  The closed-loop
 #: default paces one command per 100 ms (10/s); the open-loop generator
 #: offers 4x that so upgrade-round pauses actually queue arrivals.
@@ -262,7 +265,7 @@ def fleet_spec(shards: int, replicas: int, *,
 
 def run_fleet_scenario(scenario: str = "canary-kvstore", seed: int = 1, *,
                        shards: int = 3, replicas: int = 3,
-                       sessions: int = 4, commands: int = 36,
+                       commands: int = 36,
                        openloop: bool = False,
                        distributed: bool = False) -> Dict[str, Any]:
     """Run the canary-upgrade fleet scenario; returns the report dict.
@@ -288,12 +291,11 @@ def run_fleet_scenario(scenario: str = "canary-kvstore", seed: int = 1, *,
     _, shard_map, balancer = build_kv_fleet(spec)
     kvstore = app("kvstore")
     orchestrator = FleetOrchestrator(balancer, spec,
-                                     rules=kvstore.rules_for("1.0", "2.0"),
-                                     validation_window_ns=SECOND)
+                                     rules=kvstore.rules_for("1.0", "2.0"))
     rng = random.Random(seed)
     observations: List[ClientObservation] = []
     pool = [FleetSession(f"s{i}", balancer, observations)
-            for i in range(sessions)]
+            for i in range(SESSIONS)]
     known_keys: List[str] = []
     next_key = [0]
     if openloop:

@@ -35,7 +35,7 @@ from typing import Any, Callable, Dict, List, Optional
 
 from repro.cluster.balancer import FleetBalancer
 from repro.cluster.node import ClusterNode, NodeStatus
-from repro.cluster.shard import FleetSpec, Shard
+from repro.cluster.shard import FleetSpec
 from repro.core.stages import Stage
 from repro.dsu.version import ServerVersion
 from repro.mve.dsl import RuleSet
@@ -48,6 +48,11 @@ NODE_OUTCOMES = ("updated", "demoted", "rolled-back", "crashed", "skipped")
 
 #: Outcomes a round can end with.
 ROUND_OUTCOMES = ("completed", "rolled-back", "aborted")
+
+#: How long each surviving canary validates against live traffic: the
+#: outdated-leader stage before promotion, the updated-leader stage
+#: before finalization.
+VALIDATION_WINDOW_NS = SECOND
 
 
 class FleetBudgetError(RuntimeError):
@@ -106,8 +111,7 @@ class FleetOrchestrator:
     """Runs canary-staged Mvedsua rounds across a sharded fleet."""
 
     def __init__(self, balancer: FleetBalancer, spec: FleetSpec, *,
-                 rules: Optional[RuleSet] = None,
-                 validation_window_ns: int = 5 * SECOND) -> None:
+                 rules: Optional[RuleSet] = None) -> None:
         problems = spec.problems()
         if problems:
             raise ValueError("unusable fleet topology: "
@@ -115,7 +119,6 @@ class FleetOrchestrator:
         self.balancer = balancer
         self.spec = spec
         self.rules = rules
-        self.validation_window_ns = validation_window_ns
         #: Worst per-shard pair count ever sampled (must stay <= 1).
         self.max_mve_pairs_per_shard = 0
         #: Fleet-wide rollbacks triggered by canary demotions.
@@ -283,10 +286,9 @@ class FleetOrchestrator:
             return t, True
 
         for shard, node, mvedsua, started, pause in survivors:
-            promote_at = t + self.validation_window_ns
+            promote_at = t + VALIDATION_WINDOW_NS
             mvedsua.promote(promote_at)
-            finished = mvedsua.finalize(
-                promote_at + self.validation_window_ns)
+            finished = mvedsua.finalize(promote_at + VALIDATION_WINDOW_NS)
             self._emit("promote", finished, shard=shard.index,
                        node=node.name, wave=wave_index)
             spans = OBS.spans

@@ -27,6 +27,14 @@ from repro.dsu.version import ServerVersion
 from repro.mve.dsl import RuleSet
 from repro.sim.engine import SECOND
 
+#: How long a draining node waits for its sessions before cutting them.
+DRAIN_TIMEOUT_NS = 30 * SECOND
+
+#: How long each Mvedsua stage validates against live traffic: the
+#: outdated-leader stage before promotion, the updated-leader stage
+#: before finalization.
+VALIDATION_WINDOW_NS = 5 * SECOND
+
 
 @dataclass
 class NodeUpgradeRecord:
@@ -72,10 +80,8 @@ class RollingUpgrade:
 
     strategy = "rolling-restart"
 
-    def __init__(self, nodes: List[ClusterNode], *,
-                 drain_timeout_ns: int = 30 * SECOND) -> None:
+    def __init__(self, nodes: List[ClusterNode]) -> None:
         self.nodes = list(nodes)
-        self.drain_timeout_ns = drain_timeout_ns
 
     def upgrade(self, version_factory: Callable[[], ServerVersion],
                 now: int) -> UpgradeSummary:
@@ -95,7 +101,7 @@ class RollingUpgrade:
         # Let in-flight work finish; sessions that survive the whole
         # drain window are long-lived and must be cut.
         node.pump(now)
-        drained_at = now + self.drain_timeout_ns
+        drained_at = now + DRAIN_TIMEOUT_NS
         dropped = self._force_close_sessions(node)
 
         node.status = NodeStatus.RESTARTING
@@ -128,10 +134,8 @@ class MvedsuaRollingUpgrade(RollingUpgrade):
     strategy = "mvedsua-rolling"
 
     def __init__(self, nodes: List[ClusterNode], *,
-                 validation_window_ns: int = 5 * SECOND,
                  rules: Optional[RuleSet] = None) -> None:
         super().__init__(nodes)
-        self.validation_window_ns = validation_window_ns
         self.rules = rules
 
     def _upgrade_node(self, node: ClusterNode,
@@ -150,9 +154,9 @@ class MvedsuaRollingUpgrade(RollingUpgrade):
         leader_pause = leader_cpu.busy_until - busy_before
         # The node keeps serving (still SERVING) while the new version
         # is validated against live traffic, then flips over.
-        promote_at = now + self.validation_window_ns
+        promote_at = now + VALIDATION_WINDOW_NS
         mvedsua.promote(promote_at)
-        finished = mvedsua.finalize(promote_at + self.validation_window_ns)
+        finished = mvedsua.finalize(promote_at + VALIDATION_WINDOW_NS)
         leader = mvedsua.runtime.leader.server
         entries_after = leader.version.heap_entries(leader.heap)
         return NodeUpgradeRecord(

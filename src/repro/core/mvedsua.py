@@ -100,7 +100,6 @@ class Mvedsua:
                  profile: AppProfile, *,
                  transforms: TransformRegistry,
                  ring_capacity: int = 256,
-                 quiesce_timeout_ns: int = 50_000_000,
                  ring_link: Optional[Any] = None) -> None:
         # ``ring_link`` (a repro.net RingLink) makes this a cross-node
         # pair: the ring becomes a DistributedRing and every published
@@ -117,7 +116,7 @@ class Mvedsua:
         self.lifecycle = Lifecycle()
         self.runtime.observer = self.lifecycle.on_runtime_event
         self.profile = profile
-        self.kitsune = Kitsune(transforms, quiesce_timeout_ns)
+        self.kitsune = Kitsune(transforms)
         # A new deployment resets the run's stage (what ``at-stage``
         # triggers match), not its span phase: that is where the run's
         # last update left it.

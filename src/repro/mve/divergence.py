@@ -9,34 +9,28 @@ exactly what disagreed — mirroring Varan's divergence reports.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
 from repro.errors import DivergenceError
 from repro.syscalls.model import SyscallRecord
 
 
-@dataclass
-class DivergenceReport:
-    """What the MVE monitor saw when leader and follower disagreed."""
-
-    reason: str
-    expected: Optional[SyscallRecord]
-    actual: Optional[SyscallRecord]
-
-    def describe(self) -> str:
-        expected = self.expected.describe() if self.expected else "<nothing>"
-        actual = self.actual.describe() if self.actual else "<nothing>"
-        return (f"divergence ({self.reason}): leader expected {expected}, "
-                f"follower issued {actual}")
+def divergence_message(reason: str, expected: Optional[SyscallRecord],
+                       actual: Optional[SyscallRecord]) -> str:
+    """What the MVE monitor says when leader and follower disagree."""
+    expected_text = expected.describe() if expected else "<nothing>"
+    actual_text = actual.describe() if actual else "<nothing>"
+    return (f"divergence ({reason}): leader expected {expected_text}, "
+            f"follower issued {actual_text}")
 
 
 def check_match(expected: Optional[SyscallRecord],
                 actual: SyscallRecord) -> None:
     """Raise :class:`DivergenceError` unless ``actual`` matches ``expected``."""
     if expected is None:
-        report = DivergenceReport("follower issued extra syscall", None, actual)
-        raise DivergenceError(report.describe(), expected=None, actual=actual)
+        raise DivergenceError(
+            divergence_message("follower issued extra syscall", None, actual),
+            expected=None, actual=actual)
     if expected.aux.get("wildcard"):
         # A rewrite rule declared this position "any syscall of this
         # kind is fine" (e.g. the reply an older version writes where a
@@ -44,13 +38,16 @@ def check_match(expected: Optional[SyscallRecord],
         if expected.name is actual.name:
             return
     if not expected.matches(actual):
-        report = DivergenceReport("syscall mismatch", expected, actual)
-        raise DivergenceError(report.describe(), expected=expected, actual=actual)
+        raise DivergenceError(
+            divergence_message("syscall mismatch", expected, actual),
+            expected=expected, actual=actual)
 
 
-def check_drained(leftover: List[SyscallRecord]) -> None:
-    """Raise when the follower finished while expected records remain."""
-    if leftover:
-        report = DivergenceReport("follower issued fewer syscalls",
-                                  leftover[0], None)
-        raise DivergenceError(report.describe(), expected=leftover[0], actual=None)
+def check_drained(leftover: Optional[SyscallRecord]) -> None:
+    """Raise when the follower finished while ``leftover``, the first
+    expected record it never issued, remains (None: nothing remains)."""
+    if leftover is not None:
+        raise DivergenceError(
+            divergence_message("follower issued fewer syscalls",
+                               leftover, None),
+            expected=leftover, actual=None)

@@ -97,7 +97,7 @@ class SyscallGateway:
     def finish_iteration(self) -> IterationTrace:
         """Close out the iteration; REPLAY role verifies full drain."""
         if self.role is GatewayRole.REPLAY and self._pending:
-            check_drained([self._pending[0]])
+            check_drained(self._pending[0])
         return self.trace
 
     # -- replay plumbing --------------------------------------------------------

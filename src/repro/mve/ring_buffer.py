@@ -58,7 +58,6 @@ class RingBuffer:
         self.capacity = capacity
         self._entries: Deque[RingEntry] = deque()
         self._produced = 0
-        self._consumed = 0
         self.high_watermark = 0
 
     def __len__(self) -> int:
@@ -68,11 +67,6 @@ class RingBuffer:
     def produced_total(self) -> int:
         """Entries pushed over the buffer's lifetime."""
         return self._produced
-
-    @property
-    def consumed_total(self) -> int:
-        """Entries popped over the buffer's lifetime."""
-        return self._consumed
 
     def is_full(self) -> bool:
         """True when a push would block the leader."""
@@ -129,7 +123,6 @@ class RingBuffer:
         """Consume the oldest entry."""
         if not self._entries:
             raise SimulationError("pop from empty ring buffer")
-        self._consumed += 1
         return self._entries.popleft()
 
     def pop_many(self, count: int) -> List[RingEntry]:
@@ -138,12 +131,10 @@ class RingBuffer:
             raise SimulationError(
                 f"pop_many({count}) from ring buffer holding "
                 f"{len(self._entries)} entries")
-        self._consumed += count
         return list(map(deque.popleft, repeat(self._entries, count)))
 
     def clear(self) -> None:
         """Drop all entries (used when a follower is terminated)."""
-        self._consumed += len(self._entries)
         self._entries.clear()
 
     def __iter__(self) -> Iterator[RingEntry]:

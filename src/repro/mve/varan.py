@@ -222,16 +222,11 @@ class VaranRuntime:
         self.leader_mode = self._leader_mode()
         #: Which stage's rules apply to follower replay.
         self.stage_direction = Direction.OUTDATED_LEADER
-        #: True once the *new* version is the leader (post-promotion).
-        self.leader_is_updated = False
         self.events: List[RuntimeEvent] = []
-        self.rules_fired: List[str] = []
         self.last_divergence: Optional[DivergenceError] = None
         #: Optional callback invoked with every RuntimeEvent as it is
         #: logged; the Mvedsua orchestrator subscribes to track stages.
         self.observer = None
-        #: Requests the leader has served, over every iteration.
-        self.requests_served = 0
         #: Cumulative syscall records the leader emitted (a ``repro perf``
         #: gauge).
         self.total_syscalls = 0
@@ -345,7 +340,6 @@ class VaranRuntime:
         if recorder is not None:
             recorder.on_iteration(completion, leader.version_name,
                                   self.in_mve_mode, records)
-        self.requests_served += trace.requests_handled
         return completion
 
     def _publish(self, payloads: Sequence[Payload], at: int,
@@ -507,7 +501,6 @@ class VaranRuntime:
             OBS.vnow = ready_at
         engine = lane.rules.engine_for_stage(self.stage_direction)
         expected = rewrite_iteration(engine, payloads)
-        self.rules_fired.extend(engine.fired)
         tracer = OBS.tracer
         if tracer is not None:
             for name in engine.fired:
@@ -636,7 +629,6 @@ class VaranRuntime:
         self._take_lead(new_leader, at)
         lane.process = old_leader
         self.stage_direction = Direction.UPDATED_LEADER
-        self.leader_is_updated = True
         self.log(at, "promoted", new_leader.version_name)
 
     def finalize(self, now: int) -> int:
@@ -691,7 +683,6 @@ class VaranRuntime:
         self._redeliver_reads(trace)
         self._take_lead(survivor, at)
         self._detach_lane(lane)
-        self.leader_is_updated = True
         spans = OBS.spans
         if spans is not None:
             spans.add("mve.crash-promote", "mve", at, at,

@@ -141,12 +141,11 @@ class Connection:
     not depend on what else ran in the process.
     """
 
-    def __init__(self, conn_id: int, client_label: str = "client",
-                 server_label: str = "server") -> None:
+    def __init__(self, conn_id: int) -> None:
         self.conn_id = conn_id
         client, server = _Half(), _Half()
-        self.client = Endpoint(client_label, conn_id, client, server)
-        self.server = Endpoint(server_label, conn_id, server, client)
+        self.client = Endpoint("client", conn_id, client, server)
+        self.server = Endpoint("server", conn_id, server, client)
 
     def peer_of(self, endpoint: Endpoint) -> Endpoint:
         """The other side of ``endpoint``."""

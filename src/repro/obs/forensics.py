@@ -1,4 +1,4 @@
-"""Divergence forensics: replayable bundles of what the monitor saw.
+"""Divergence forensics: bundles of what the monitor saw.
 
 When a follower diverges, the interesting state is gone by the time an
 operator looks: the ring entries were consumed, the rule-engine window
@@ -15,9 +15,12 @@ was flushed, and the follower was terminated.  A
 * the diverging record pair itself, virtual-timestamped and
   version-attributed.
 
-The ``expected`` + ``issued`` record lists make the bundle *replayable*:
-feeding ``expected`` back through a REPLAY gateway reproduces the same
-divergence without re-running the workload.
+The bundle is a report, not a recording: each record in it is
+``{describe, name, fd, nbytes}``, its payload only inside a
+``describe`` string cut at 48 bytes and its result and aux left out,
+so it cannot be fed back through a REPLAY gateway.  To re-drive a
+divergence, record the run (``chaos --record``, ``trace --record``) and
+``repro replay`` the recording (:mod:`repro.replay`).
 
 Like the rest of ``repro.obs``, this module imports nothing from the
 simulation layers; records and ring entries are serialized by duck
@@ -85,7 +88,7 @@ class ForensicsBundle:
     rule_window: int = 0
     rules_fired: List[str] = field(default_factory=list)
     #: The full expected stream of the diverging iteration (leader
-    #: records after rewrite rules) — the replayable input.
+    #: records after rewrite rules), described.
     expected_records: List[Dict[str, Any]] = field(default_factory=list)
     #: Everything the follower issued in the diverging iteration.
     issued_records: List[Dict[str, Any]] = field(default_factory=list)

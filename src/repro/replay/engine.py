@@ -30,8 +30,8 @@ for a run that may have happened on another machine.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from dataclasses import dataclass
+from typing import Any, Dict, Optional
 
 from repro.apps import app
 from repro.errors import DivergenceError, ServerCrash
@@ -65,7 +65,6 @@ class ReplayReport:
     divergence: Optional[Dict[str, Any]] = None
     forensics: Optional[ForensicsBundle] = None
     final_version_recorded: str = ""
-    rules_fired_names: List[str] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -146,8 +145,7 @@ def replay_stream(stream: RecordedStream, *,
             if ruleset is not None else None
         expected = rewrite_iteration(engine, records)
         if engine is not None:
-            report.rules_fired_names.extend(engine.fired)
-            report.rules_fired = len(report.rules_fired_names)
+            report.rules_fired += len(engine.fired)
         at = entry["at"]
         history.extend(RingEntry(record, at, sequence + offset)
                        for offset, record in enumerate(expected))

@@ -294,7 +294,8 @@ def _perf(params: Dict[str, Any], seed: int, quick: bool) -> Tuple[Any, Any]:
         stack.runtime.fork_follower(0)
     client = stack.client()
     _back_to_back(client, stack.runtime, commands)
-    varan = getattr(stack.runtime, "runtime", stack.runtime)
+    # Only the rules row deploys an Mvedsua; the rest are Varan itself.
+    varan = stack.runtime.runtime if params.get("rules") else stack.runtime
     varan.drain_follower()
     return varan, client
 

@@ -78,8 +78,7 @@ class Server:
 
     # -- lifecycle -----------------------------------------------------------
 
-    def attach(self, kernel: VirtualKernel,
-               domain: Optional[int] = None) -> None:
+    def attach(self, kernel: VirtualKernel) -> None:
         """Bind to a kernel: create the fd domain, listen, set up epoll.
 
         Start-up syscalls are not part of any MVE stream (the monitor
@@ -87,7 +86,7 @@ class Server:
         to the kernel.
         """
         self.kernel = kernel
-        self.domain = kernel.create_domain() if domain is None else domain
+        self.domain = kernel.create_domain()
         self.listen_fd = kernel.listen(self.domain, self.address)
         self.epoll_fd = kernel.epoll_create(self.domain)
         kernel.epoll_ctl(self.domain, self.epoll_fd, self.listen_fd, add=True)

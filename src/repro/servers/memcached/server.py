@@ -50,7 +50,6 @@ class MemcachedServer(Server):
                  address: Tuple[str, int] = ("127.0.0.1", 11211), *,
                  mvedsua_adapted: bool = True,
                  libevent_reset_on_abort: Optional[bool] = None) -> None:
-        self.mvedsua_adapted = mvedsua_adapted
         if libevent_reset_on_abort is None:
             libevent_reset_on_abort = mvedsua_adapted
         self.libevent = LibEventLoop()

@@ -37,8 +37,6 @@ class NativeRuntime:
         #: input.
         self.ready = kernel.ready_set(server.domain, server.epoll_fd)
         self.crashed: Optional[ServerCrash] = None
-        #: Requests served, over every iteration.
-        self.requests_served = 0
 
     def mode(self) -> ExecutionMode:
         """Cost-model mode: Native, or Kitsune when DSU-enabled."""
@@ -72,7 +70,6 @@ class NativeRuntime:
                 n_syscalls=len(trace.records),
                 n_bytes=trace.bytes_transferred)
             t = self.cpu.charge(t, cost)
-            self.requests_served += trace.requests_handled
             if tracer is not None:
                 trace.log_to(tracer, "direct", self.server.version.name)
         return t

@@ -57,12 +57,12 @@ class RedisServer(Server):
         self.program.heap = heap
         return True
 
-    def seed(self, entries: int, *, value: str = "x" * 16) -> None:
+    def seed(self, entries: int) -> None:
         """Pre-populate the store (Figure 7 uses 1M entries).
 
         Writes directly into the heap — this models a store warmed before
         the experiment starts, not client traffic.
         """
-        db = self.heap["db"]
+        db, value = self.heap["db"], "x" * 16
         for index in range(entries):
             db[f"key:{index:09d}"] = ("string", value)

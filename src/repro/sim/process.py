@@ -46,7 +46,8 @@ class CpuAccount:
             self.busy_until = when
 
     def reset(self) -> None:
-        """Forget all accounting (used when forking a follower)."""
+        """Forget all accounting.  (A forked follower does not reset a
+        copy: :meth:`fork` builds it a fresh account.)"""
         self.busy_until = 0
         self.total_busy = 0
 

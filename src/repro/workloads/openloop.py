@@ -175,7 +175,6 @@ class OpenLoopGenerator:
             reconnect_ns=spec.reconnect_ns)
         self.offered = 0
         self.dropped = 0
-        self.bursts = 0
 
     def events(self, start_ns: int = 0) -> Iterator[OpenRequest]:
         """Yield requests in non-decreasing send-time order.
@@ -204,7 +203,6 @@ class OpenLoopGenerator:
                     # "burst": one arrival becomes a same-instant volley.
                     extra = int(fault.param.get("extra", 3))
                     self.offered += extra
-                    self.bursts += 1
                     copies = 1 + extra
             for _ in range(copies):
                 send_ns, slot, client = self.pool.assign(at_ns)

@@ -1,14 +1,18 @@
-"""Count what code did by wrapping it for the length of a block.
+"""Count what code did, for the length of a block.
 
-The observers keep no counters that only tests read: a test that pins
-"the disabled path builds no tracer and logs nothing" counts the calls
-itself, by replacing a class's methods with counting wrappers for the
-block and putting the originals back after it.
+The observers and the runtime keep no counters that only tests read: a
+test that pins "the disabled path builds no tracer and logs nothing"
+counts the calls itself, by replacing a class's methods with counting
+wrappers for the block and putting the originals back after it; a test
+that asks which rewrite rules fired reads the run log.
 """
 
 import contextlib
 import inspect
 from collections import Counter
+
+from repro.obs.trace import Tracer
+from repro.sites import observing
 
 
 @contextlib.contextmanager
@@ -47,3 +51,15 @@ def counted(owner, *names, when=None):
     finally:
         for name, function in originals.items():
             setattr(owner, name, function)
+
+
+@contextlib.contextmanager
+def fired_rules():
+    """The names of the rewrite rules fired inside the block, in
+    firing order: the run log's ``rule.fired`` events, read once the
+    block ends (the yielded list is empty until then)."""
+    tracer, fired = Tracer(), []
+    with observing(tracer=tracer):
+        yield fired
+    fired.extend(event.fields["rule"] for event in tracer.events
+                 if event.kind == "rule.fired")

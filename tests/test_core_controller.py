@@ -1,12 +1,12 @@
 """What an operator reads off a deployment, and what moves it forward.
 
 Status is the runtime's own fields: ``mvedsua.stage``, the leader's and
-follower's ``version_name``, ``rules_fired``, ``last_divergence`` and
-the ``history`` timelines.  Promotion and finalization are the
-operator's calls: a deployment never leaves ``OUTDATED_LEADER`` by
-itself, ``promote`` and ``finalize`` are the only ways forward, and a
-rollback returns it to ``SINGLE_LEADER`` with ``history[-1]`` rolled
-back.
+follower's ``version_name``, ``last_divergence`` and the ``history``
+timelines; which rules fired is the run log's ``rule.fired`` events.
+Promotion and finalization are the operator's calls: a deployment never
+leaves ``OUTDATED_LEADER`` by itself, ``promote`` and ``finalize`` are
+the only ways forward, and a rollback returns it to ``SINGLE_LEADER``
+with ``history[-1]`` rolled back.
 """
 
 import pytest
@@ -17,6 +17,7 @@ from repro.dsu.transform import TransformRegistry
 from repro.errors import SimulationError
 from repro.servers.kvstore import xform_drop_table
 from repro.sim.engine import SECOND
+from tests.counting import fired_rules
 
 
 def deployment(transforms=None):
@@ -45,14 +46,15 @@ class TestOperatorConsole:
         assert mvedsua.history == []
 
     def test_outdated_leader_status(self):
-        stack, client = deployment()
-        mvedsua = stack.runtime
-        stack.update("2.0", SECOND)
-        client.command(mvedsua, b"PUT-number x 1", now=2 * SECOND)
+        with fired_rules() as fired:
+            stack, client = deployment()
+            mvedsua = stack.runtime
+            stack.update("2.0", SECOND)
+            client.command(mvedsua, b"PUT-number x 1", now=2 * SECOND)
         assert mvedsua.stage is Stage.OUTDATED_LEADER
         assert mvedsua.runtime.leader.version_name == "1.0"
         assert mvedsua.runtime.follower.version_name == "2.0"
-        assert len(mvedsua.runtime.rules_fired) >= 1
+        assert len(fired) >= 1
 
     def test_rollback_counted(self):
         stack, client = buggy_deployment()

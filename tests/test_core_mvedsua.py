@@ -1,7 +1,10 @@
 """Integration tests for the Mvedsua orchestrator (the paper's §3.2)."""
 
+from collections import deque
+
 import pytest
 
+from repro.apps import deploy
 from repro.core import Mvedsua, RetryPolicy, Stage
 from repro.dsu import Kitsune
 from repro.dsu.program import ThreadState
@@ -354,3 +357,49 @@ class TestOneUpdateRecord:
             == ("transform-failed", 0, 0)
         assert kitsune.quiesce_ns > 0
         assert "raised" in kitsune.error
+
+
+def held_lengths(mvedsua):
+    """The length of every list, deque, dict and set the monitor holds:
+    the Mvedsua, its runtime, each lane and that lane's ring (the server
+    heap and the kernel are the served state, not the monitor's)."""
+    runtime = mvedsua.runtime
+    owners = {"mvedsua": vars(mvedsua), "runtime": vars(runtime),
+              "ring": vars(runtime.ring)}
+    for index, lane in enumerate(runtime.lanes):
+        owners[f"lane{index}"] = {name: getattr(lane, name)
+                                  for name in lane.__slots__}
+        owners[f"lane{index}.ring"] = vars(lane.ring)
+    return {f"{owner}.{name}": len(value)
+            for owner, fields in owners.items()
+            for name, value in fields.items()
+            if isinstance(value, (list, deque, dict, set))}
+
+
+class TestNoPerRequestLedger:
+    """Unobserved, a deployment records nothing per request: Varan's
+    single-leader mode records nothing, and the pair keeps only what
+    replication needs."""
+
+    REQUESTS = 100
+
+    def test_unobserved_pair_holds_the_same_after_twice_the_requests(self):
+        # Redis 2.0.0 -> 2.0.1: the aof_order rule fires on every SET.
+        stack = deploy("redis", "2.0.0")
+        mvedsua, client = stack.runtime, stack.client()
+        assert stack.update("2.0.1", SECOND).ok
+        now = 2 * SECOND
+
+        def serve(first):
+            nonlocal now
+            for index in range(first, first + self.REQUESTS):
+                reply, now = client.request(
+                    mvedsua, b"SET k%d v\r\n" % index, now + 1)
+                assert reply == b"+OK\r\n"
+            mvedsua.runtime.drain_follower()
+
+        serve(0)
+        after_n = held_lengths(mvedsua)
+        serve(self.REQUESTS)
+        assert mvedsua.stage is Stage.OUTDATED_LEADER
+        assert held_lengths(mvedsua) == after_n

@@ -29,6 +29,7 @@ from repro.servers.redis import RedisServer, redis_rules, redis_version
 from repro.syscalls.costs import PROFILES
 from repro.syscalls.model import Sys, SyscallRecord
 from repro.workloads import VirtualClient
+from tests.counting import fired_rules
 from tests.reference_rules import REFERENCES, kv_reference, redis_reference
 
 
@@ -43,21 +44,22 @@ def run_kv_scenario(rules):
     child = server.fork()
     child.apply_version(KVStoreV2(), xform_1_to_2(dict(child.heap)))
     runtime.fork_follower(0, server=child)
-    replies = [
-        client.command(runtime, b"PUT b 2", now=10**9),
-        client.command(runtime, b"PUT-number pi 3", now=2 * 10**9),
-        client.command(runtime, b"TYPE a", now=3 * 10**9),
-        client.command(runtime, b"GET b", now=4 * 10**9),
-    ]
-    runtime.drain_follower()
-    post_promote = []
-    if runtime.follower is not None:
-        runtime.promote(5 * 10**9)
-        post_promote.append(
-            client.command(runtime, b"PUT-string s v", now=6 * 10**9))
+    with fired_rules() as fired:
+        replies = [
+            client.command(runtime, b"PUT b 2", now=10**9),
+            client.command(runtime, b"PUT-number pi 3", now=2 * 10**9),
+            client.command(runtime, b"TYPE a", now=3 * 10**9),
+            client.command(runtime, b"GET b", now=4 * 10**9),
+        ]
         runtime.drain_follower()
+        post_promote = []
+        if runtime.follower is not None:
+            runtime.promote(5 * 10**9)
+            post_promote.append(
+                client.command(runtime, b"PUT-string s v", now=6 * 10**9))
+            runtime.drain_follower()
     return (replies, post_promote, runtime.last_divergence is None,
-            sorted(set(runtime.rules_fired)),
+            sorted(set(fired)),
             runtime.leader.server.heap)
 
 
@@ -122,9 +124,10 @@ class TestRedisEquivalence:
         child = server.fork()
         child.apply_version(redis_version("2.0.1"), dict(child.heap))
         runtime.fork_follower(0, server=child)
-        client.command(runtime, b"SET k v", now=10**9)
-        runtime.drain_follower()
-        assert "aof_order" in runtime.rules_fired
+        with fired_rules() as fired:
+            client.command(runtime, b"SET k v", now=10**9)
+            runtime.drain_follower()
+        assert "aof_order" in fired
         assert runtime.last_divergence is None
 
 

@@ -31,8 +31,7 @@ def make_fleet(shards=2, replicas=2):
     spec = FleetSpec(shards, replicas, wave_size=1)
     kernel, shard_map, balancer = build_kv_fleet(spec)
     orchestrator = FleetOrchestrator(balancer, spec,
-                                     rules=kv_rules_from_dsl(),
-                                     validation_window_ns=SECOND)
+                                     rules=kv_rules_from_dsl())
     return kernel, shard_map, balancer, orchestrator
 
 

@@ -17,6 +17,7 @@ from repro.servers.native import NativeRuntime
 from repro.sim.engine import SECOND
 from repro.syscalls.costs import PROFILES
 from repro.workloads import VirtualClient
+from tests.counting import fired_rules
 
 
 def native(version):
@@ -76,17 +77,18 @@ class TestUnderMvedsua:
         return mvedsua, client
 
     def test_outdated_leader_with_rule_stays_in_sync(self):
-        mvedsua, client = self.deployment()
-        mvedsua.request_update(memcached_version("1.2.5"), SECOND,
-                               rules=memcached_rules("1.2.4", "1.2.5"))
-        reply, _ = client.request(mvedsua,
-                                  b"set k 0 0 1 noreply\r\nv\r\n",
-                                  2 * SECOND)
+        with fired_rules() as fired:
+            mvedsua, client = self.deployment()
+            mvedsua.request_update(memcached_version("1.2.5"), SECOND,
+                                   rules=memcached_rules("1.2.4", "1.2.5"))
+            reply, _ = client.request(mvedsua,
+                                      b"set k 0 0 1 noreply\r\nv\r\n",
+                                      2 * SECOND)
+            client.command(mvedsua, b"get k", now=3 * SECOND)
         assert reply == b"STORED\r\n"  # the old leader still replies
-        client.command(mvedsua, b"get k", now=3 * SECOND)
         assert mvedsua.stage is Stage.OUTDATED_LEADER
         assert mvedsua.runtime.last_divergence is None
-        assert "noreply_suppress" in mvedsua.runtime.rules_fired
+        assert "noreply_suppress" in fired
         # Both versions stored the item: the state relation held.
         assert mvedsua.runtime.follower.server.heap["items"].keys() == \
             mvedsua.runtime.leader.server.heap["items"].keys()
@@ -101,17 +103,18 @@ class TestUnderMvedsua:
         assert mvedsua.last_outcome().rolled_back()
 
     def test_updated_leader_tolerates_old_reply(self):
-        mvedsua, client = self.deployment()
-        mvedsua.request_update(memcached_version("1.2.5"), SECOND,
-                               rules=memcached_rules("1.2.4", "1.2.5"))
-        mvedsua.promote(2 * SECOND)
-        reply, _ = client.request(mvedsua,
-                                  b"set k 0 0 1 noreply\r\nv\r\n",
-                                  3 * SECOND)
+        with fired_rules() as fired:
+            mvedsua, client = self.deployment()
+            mvedsua.request_update(memcached_version("1.2.5"), SECOND,
+                                   rules=memcached_rules("1.2.4", "1.2.5"))
+            mvedsua.promote(2 * SECOND)
+            reply, _ = client.request(mvedsua,
+                                      b"set k 0 0 1 noreply\r\nv\r\n",
+                                      3 * SECOND)
+            client.command(mvedsua, b"get k", now=4 * SECOND)
         assert reply == b""  # new semantics: silent
-        client.command(mvedsua, b"get k", now=4 * SECOND)
         assert mvedsua.runtime.last_divergence is None
-        assert "noreply_tolerate" in mvedsua.runtime.rules_fired
+        assert "noreply_tolerate" in fired
         mvedsua.finalize(5 * SECOND)
         assert mvedsua.current_version == "1.2.5"
 

@@ -19,7 +19,7 @@ from repro.errors import (
     UpdateError,
 )
 from repro.mve import ControlEvent, ControlKind
-from repro.mve.divergence import DivergenceReport, check_drained, check_match
+from repro.mve.divergence import check_drained, check_match, divergence_message
 from repro.syscalls.model import Sys, SyscallRecord, read_record, write_record
 
 
@@ -87,11 +87,11 @@ class TestDivergenceChecks:
             check_match(None, read_record(1, b"x"))
 
     def test_drained_ok_when_empty(self):
-        check_drained([])
+        check_drained(None)
 
     def test_leftover_is_fewer_syscalls(self):
         with pytest.raises(DivergenceError, match="fewer"):
-            check_drained([write_record(1, b"missing")])
+            check_drained(write_record(1, b"missing"))
 
     def test_wildcard_matches_same_kind_only(self):
         wildcard = SyscallRecord(Sys.WRITE, fd=9, aux={"wildcard": True})
@@ -100,13 +100,11 @@ class TestDivergenceChecks:
             check_match(wildcard, read_record(1, b"not a write"))
 
     def test_report_describe(self):
-        report = DivergenceReport("syscall mismatch",
-                                  write_record(1, b"a"),
+        text = divergence_message("syscall mismatch", write_record(1, b"a"),
                                   write_record(1, b"b"))
-        text = report.describe()
         assert "syscall mismatch" in text
         assert "leader expected" in text
 
     def test_report_with_missing_sides(self):
-        report = DivergenceReport("extra", None, write_record(1, b"x"))
-        assert "<nothing>" in report.describe()
+        assert "<nothing>" in divergence_message(
+            "extra", None, write_record(1, b"x"))

@@ -79,7 +79,7 @@ def test_counters_and_watermark():
         ring.push(rec(i), 0)
     ring.pop()
     assert ring.produced_total == 3
-    assert ring.consumed_total == 1
+    assert ring.produced_total - len(ring) == 1
     assert ring.high_watermark == 3
 
 
@@ -89,7 +89,7 @@ def test_clear_counts_as_consumption():
         ring.push(rec(i), 0)
     ring.clear()
     assert ring.is_empty()
-    assert ring.consumed_total == 3
+    assert ring.produced_total - len(ring) == 3
 
 
 def test_control_events_flow_through():
@@ -126,7 +126,7 @@ def test_fifo_invariant_under_random_ops(ops, capacity):
         assert len(ring) <= capacity
     assert popped == pushed[:len(popped)]
     assert ring.produced_total == len(pushed)
-    assert ring.consumed_total == len(popped)
+    assert ring.produced_total - len(ring) == len(popped)
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +182,7 @@ def test_pop_many_returns_oldest_in_order():
         ring.push(rec(i), i)
     out = ring.pop_many(3)
     assert [e.produced_at for e in out] == [0, 1, 2]
-    assert ring.consumed_total == 3
+    assert ring.produced_total - len(ring) == 3
     assert len(ring) == 2
 
 
@@ -218,7 +218,8 @@ def test_batched_ops_match_singleton_ops(batch_sizes, capacity):
                     [naive.pop().payload.data for _ in range(drain)]
         assert len(batched) == len(naive)
         assert batched.produced_total == naive.produced_total
-        assert batched.consumed_total == naive.consumed_total
+        assert batched.produced_total - len(batched) == \
+            naive.produced_total - len(naive)
         assert batched.high_watermark == naive.high_watermark
 
 
@@ -338,7 +339,7 @@ class TestRingContract:
         ring.clear()
         assert ring.is_empty() and ring.next_free_at() is None
         assert ring.free_slots() > 0
-        assert ring.consumed_total == ring.produced_total == LIMIT
+        assert ring.produced_total == LIMIT and len(ring) == 0
 
     def test_runtime_promotes_through_a_full_ring(self, make_ring):
         """End to end: the control event goes through the same

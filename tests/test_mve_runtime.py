@@ -5,6 +5,7 @@ import pytest
 
 from repro.errors import ServerCrash, SimulationError
 from repro.mve import VaranRuntime
+from repro.mve.dsl.rules import Direction
 from repro.mve.gateway import GatewayRole
 from repro.net import VirtualKernel
 from repro.servers.kvstore import (
@@ -18,6 +19,7 @@ from repro.servers.kvstore import (
 )
 from repro.syscalls.costs import PROFILES, ExecutionMode
 from repro.workloads import VirtualClient
+from tests.counting import fired_rules
 
 
 def make_runtime(ring_capacity=256, rules=None, with_kitsune=False):
@@ -137,11 +139,12 @@ class TestUpdatedFollower:
     def test_new_command_redirected_by_rule(self):
         _, runtime, client = make_runtime(rules=kv_rules())
         fork_updated_v2(runtime)
-        reply = client.command(runtime, b"PUT-number pi 3", now=10**9)
+        with fired_rules() as fired:
+            reply = client.command(runtime, b"PUT-number pi 3", now=10**9)
+            runtime.drain_follower()
         assert reply == b"-ERR unknown command\r\n"
-        runtime.drain_follower()
         assert runtime.last_divergence is None
-        assert "put_typed" in runtime.rules_fired
+        assert "put_typed" in fired
         # Neither version stored the rejected key.
         assert "pi" not in runtime.leader.server.heap["table"]
         assert "pi" not in runtime.follower.server.heap["table"]
@@ -186,7 +189,7 @@ class TestPromotion:
         assert t5 >= 2 * 10**9
         assert runtime.leader.version_name == "2.0"
         assert runtime.follower.version_name == "1.0"
-        assert runtime.leader_is_updated
+        assert runtime.stage_direction is Direction.UPDATED_LEADER
         assert runtime.leader.gateway.role is GatewayRole.DIRECT
         assert runtime.follower.gateway.role is GatewayRole.REPLAY
 

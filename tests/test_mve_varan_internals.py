@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import ServerCrash, SimulationError
 from repro.mve import VaranRuntime
+from repro.mve.dsl.rules import Direction
 from repro.mve.gateway import IterationTrace
 from repro.net import VirtualKernel
 from repro.servers.kvstore import (
@@ -70,9 +71,9 @@ class TestIterationCost:
 class TestCompletions:
     def test_completions_track_requests(self):
         _, runtime, client = make_runtime()
-        _, first = client.request(runtime, b"PUT a 1\r\n", 0)
-        _, second = client.request(runtime, b"GET a\r\n", 0)
-        assert runtime.requests_served == 2
+        put, first = client.request(runtime, b"PUT a 1\r\n", 0)
+        get, second = client.request(runtime, b"GET a\r\n", 0)
+        assert [put, get] == [b"+OK\r\n", b"1\r\n"]
         assert first < second
 
 
@@ -149,7 +150,7 @@ class TestPromoteUnderBacklog:
         assert runtime.leader.version_name == "1.0"
         assert runtime.follower is None
         assert "divergence" in runtime.event_kinds()
-        assert not runtime.leader_is_updated
+        assert runtime.stage_direction is Direction.OUTDATED_LEADER
         # Service continues on the old version.
         assert client.command(runtime, b"PUT ok 1",
                               now=3 * 10**9) == b"+OK\r\n"

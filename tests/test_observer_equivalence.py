@@ -141,7 +141,6 @@ def _serve(name, stream):
     return {
         "replies": replies,
         "latencies": [client.latencies_ns for client in retired + clients],
-        "requests_served": core.requests_served,
         "total_syscalls": getattr(core, "total_syscalls", None),
         "cpus": cpus,
         "published": published,

@@ -291,10 +291,12 @@ class TestOpenLoopGenerator:
         plan = FaultPlan("p", (
             Fault("openloop.arrival", "burst", on_call(10),
                   param={"extra": 4}),))
-        with observing(chaos=ChaosInjector(plan)):
+        injector = ChaosInjector(plan)
+        with observing(chaos=injector):
             generator = OpenLoopGenerator(spec, seed=1)
             events = list(generator.events())
-        assert generator.bursts == 1
+        assert [(i.site, i.kind) for i in injector.injections] == \
+            [("openloop.arrival", "burst")]
         assert generator.offered == 104
         assert len(events) == 104
 

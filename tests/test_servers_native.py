@@ -123,6 +123,7 @@ def test_crash_takes_the_server_down_for_good():
 
 def test_completions_recorded_per_iteration():
     _, _, runtime, client = deployment()
-    client.command(runtime, b"PUT a 1")
-    client.command(runtime, b"GET a")
-    assert runtime.requests_served == 2
+    replies = [client.command(runtime, b"PUT a 1"),
+               client.command(runtime, b"GET a")]
+    assert replies == [b"+OK\r\n", b"1\r\n"]
+    assert len(client.latencies_ns) == 2

@@ -19,6 +19,7 @@ from repro.sim.engine import SECOND
 from repro.syscalls.costs import PROFILES
 from repro.syscalls.model import Sys
 from repro.workloads import VirtualClient
+from tests.counting import fired_rules
 
 
 @pytest.fixture
@@ -360,15 +361,16 @@ class TestUpdatesUnderMvedsua:
         return kernel, mvedsua, client
 
     def test_200_to_201_with_rule_stays_in_sync(self):
-        _, mvedsua, client = self.make()
-        client.command(mvedsua, b"SET a 1")
-        mvedsua.request_update(redis_version("2.0.1"), SECOND,
-                               rules=redis_rules("2.0.0", "2.0.1"))
-        client.command(mvedsua, b"SET b 2", now=2 * SECOND)
-        client.command(mvedsua, b"GET b", now=3 * SECOND)
+        with fired_rules() as fired:
+            _, mvedsua, client = self.make()
+            client.command(mvedsua, b"SET a 1")
+            mvedsua.request_update(redis_version("2.0.1"), SECOND,
+                                   rules=redis_rules("2.0.0", "2.0.1"))
+            client.command(mvedsua, b"SET b 2", now=2 * SECOND)
+            client.command(mvedsua, b"GET b", now=3 * SECOND)
         assert mvedsua.stage is Stage.OUTDATED_LEADER
         assert mvedsua.runtime.last_divergence is None
-        assert "aof_order" in mvedsua.runtime.rules_fired
+        assert "aof_order" in fired
         leader_db = mvedsua.runtime.leader.server.heap["db"]
         follower_db = mvedsua.runtime.follower.server.heap["db"]
         assert leader_db == follower_db
@@ -391,13 +393,14 @@ class TestUpdatesUnderMvedsua:
         assert mvedsua.stage is Stage.OUTDATED_LEADER
 
     def test_promotion_reverses_aof_rule(self):
-        _, mvedsua, client = self.make()
-        mvedsua.request_update(redis_version("2.0.1"), SECOND,
-                               rules=redis_rules("2.0.0", "2.0.1"))
-        mvedsua.promote(2 * SECOND)
-        client.command(mvedsua, b"SET c 3", now=3 * SECOND)
+        with fired_rules() as fired:
+            _, mvedsua, client = self.make()
+            mvedsua.request_update(redis_version("2.0.1"), SECOND,
+                                   rules=redis_rules("2.0.0", "2.0.1"))
+            mvedsua.promote(2 * SECOND)
+            client.command(mvedsua, b"SET c 3", now=3 * SECOND)
         assert mvedsua.runtime.last_divergence is None
-        assert "aof_order_rev" in mvedsua.runtime.rules_fired
+        assert "aof_order_rev" in fired
         mvedsua.finalize(4 * SECOND)
         assert mvedsua.current_version == "2.0.1"
 
