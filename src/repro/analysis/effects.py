@@ -10,8 +10,11 @@ rules without running servers.  This module supplies its two ingredients:
   class (:func:`probe_lines`; :mod:`repro.analysis.coverage` asks
   :func:`read_covers` over the same probes, so the two analyzers agree
   on what "covered" means);
-* an **abstract rewrite engine** — a re-implementation of
-  :meth:`repro.mve.dsl.rules.RuleEngine._reduce` over *abstract* records
+* an **abstract rewrite engine** — a re-implementation of the one
+  reduction loop :meth:`repro.mve.dsl.rules.RuleEngine._one_pass` (which
+  :meth:`~repro.mve.dsl.rules.RuleEngine.rewrite` runs over a whole
+  iteration, offering each record where the window waits for more
+  input, and ``offer``/``flush`` a record at a time) over *abstract* records
   whose payloads are either finite representative sets or opaque dynamic
   responses.  Predicates are evaluated concretely on representatives
   (exceptions count as no-match, exactly like the coverage analyzer), so
@@ -226,7 +229,8 @@ def match_prefix(rule: RewriteRule, window: Sequence[ARecord]):
 
 
 def match_viable(rule: RewriteRule, window: Sequence[ARecord]) -> int:
-    """Tri-state :meth:`RewriteRule.viable` (window shorter than pattern)."""
+    """Tri-state viability of a window shorter than the pattern: every
+    record so far matches its position, so the engine loop waits."""
     state = MUST
     for pattern, record in zip(rule.pattern, window):
         s, _, _, _ = match_one(pattern, record)
@@ -351,7 +355,9 @@ def _scan_overlaps(rules: Sequence[RewriteRule],
 def reduce_abstract(rules: Sequence[RewriteRule],
                     window: Sequence[ARecord], *, flush: bool,
                     overlap_sink: Optional[set] = None) -> List[Outcome]:
-    """All reachable outcomes of :meth:`RuleEngine._reduce`.
+    """All reachable outcomes of the engine's reduction loop,
+    :meth:`RuleEngine._one_pass`, over ``window`` as the records offered
+    so far.
 
     Mirrors the concrete loop head-record by head-record: a MUST match
     fires deterministically, a MAY match branches into fired /

@@ -11,13 +11,11 @@ identical across versions.
 from __future__ import annotations
 
 import enum
-from collections import deque
 from dataclasses import dataclass, field
 from itertools import islice
 from typing import (
     Any,
     Callable,
-    Deque,
     Dict,
     Iterable,
     List,
@@ -100,20 +98,6 @@ class RewriteRule:
         if not self.pattern:
             raise RuleError(f"rule {self.name!r} has an empty pattern")
 
-    def matches_prefix(self, records: Sequence[SyscallRecord]) -> bool:
-        """Full match against the first ``len(pattern)`` records."""
-        if len(records) < len(self.pattern):
-            return False
-        return all(p.matches(r) for p, r in zip(self.pattern, records))
-
-    def viable(self, records: Sequence[SyscallRecord]) -> bool:
-        """Could this rule still match once more records arrive?
-
-        True when every record seen so far matches the corresponding
-        pattern position (the window may be shorter than the pattern).
-        """
-        return all(p.matches(r) for p, r in zip(self.pattern, records))
-
     def apply(self, records: Sequence[SyscallRecord]) -> List[SyscallRecord]:
         """Run the action over exactly the matched records."""
         matched = list(islice(records, len(self.pattern)))
@@ -133,11 +117,9 @@ def dispatch_key(pattern: SyscallPattern) -> Tuple[Sys, int]:
     return (pattern.name, pattern.fd)
 
 
-#: Guard marking a candidate whose pattern spans several records.
-_SEQUENCE = object()
-
-#: One dispatch candidate: the rule and its single-record guard.
-Candidate = Tuple[RewriteRule, Any]
+#: One dispatch candidate: the rule, its single-record guard, and its
+#: pattern when that spans several records (None when it does not).
+Candidate = Tuple[RewriteRule, Any, Optional[Sequence[SyscallPattern]]]
 
 
 class DispatchIndex:
@@ -152,8 +134,8 @@ class DispatchIndex:
 
     Each candidate carries its guard: for a single-record rule the
     bucket has already matched name and fd, so the pattern's predicate
-    (or None) is all that is left to test; multi-record rules carry
-    :data:`_SEQUENCE` and go through ``matches_prefix``/``viable``.
+    (or None) is all that is left to test; a multi-record rule carries
+    its pattern instead, tested position by position against the window.
 
     Immutable once built; shareable across engines (see
     :meth:`RuleSet.engine_for_stage`).  The tables are keyed by the
@@ -181,8 +163,8 @@ class DispatchIndex:
                     .append((priority, rule))
 
     def candidates(self, record: SyscallRecord) -> Tuple[Candidate, ...]:
-        """``(rule, guard)`` for the rules whose first pattern could
-        match ``record``, in priority order.  Everything else provably
+        """``(rule, guard, pattern)`` for the rules whose first pattern
+        could match ``record``, in priority order.  Everything else provably
         neither fires nor stays viable."""
         sys = record.name._value_
         key = (sys, record.fd)
@@ -193,8 +175,8 @@ class DispatchIndex:
                      else self._exact.get(key, []))
             merged = sorted(exact + wild) if exact else wild
             cached = tuple(
-                (rule, rule.pattern[0].predicate if len(rule.pattern) == 1
-                 else _SEQUENCE)
+                (rule, rule.pattern[0].predicate, None)
+                if len(rule.pattern) == 1 else (rule, None, rule.pattern)
                 for _, rule in merged)
             self._cache[key] = cached
         return cached
@@ -256,12 +238,15 @@ class RuleSet:
 
 
 class RuleEngine:
-    """Lazily rewrites a leader record stream into follower expectations.
+    """Rewrites a leader record stream into follower expectations.
 
-    Fed raw leader records via :meth:`offer`; emits transformed records
-    via :meth:`next_expected` (or in bulk via :meth:`take_ready`).
-    Maintains a window of records that might still complete a
-    multi-record pattern.  Dispatch is indexed: only rules whose first
+    :meth:`rewrite` takes one whole iteration; :meth:`offer` and
+    :meth:`flush` feed it a record at a time.  Either way the records go
+    through one reduction loop, so both emit the same records and fire
+    the same rules in the same order; rewritten records are drained
+    with :meth:`take_ready` (or one by one with :meth:`next_expected`).
+    The engine holds back a window of records that might still complete
+    a multi-record pattern.  Dispatch is indexed: only rules whose first
     pattern is compatible with the window's head record are consulted,
     so records no rule targets pass straight through.
     """
@@ -273,23 +258,35 @@ class RuleEngine:
         else:
             self._index = DispatchIndex(rules)
         self.rules = self._index.rules
-        self._window: Deque[SyscallRecord] = deque()
-        self._ready: Deque[SyscallRecord] = deque()
+        self._window: List[SyscallRecord] = []
+        self._ready: List[SyscallRecord] = []
         self.fired: List[str] = []
 
     def offer(self, record: SyscallRecord) -> None:
         """Feed one raw leader record into the engine."""
-        self._window.append(record)
-        self._reduce(flush=False)
+        window = self._window
+        window.append(record)
+        del window[:self._one_pass(window, len(window), False)]
 
     def flush(self) -> None:
         """No more records are coming soon; give up on partial matches."""
-        self._reduce(flush=True)
+        window = self._window
+        self._one_pass(window, len(window), True)
+        window.clear()
+
+    def rewrite(self, records: Sequence[SyscallRecord]) -> None:
+        """:meth:`offer` each of ``records`` in turn, then :meth:`flush`
+        — in one pass over the iteration."""
+        window = self._window
+        if window:
+            records = window + list(records)
+        self._one_pass(records, len(window), True)
+        window.clear()
 
     def next_expected(self) -> Optional[SyscallRecord]:
         """Pop the next follower-expected record, if one is ready."""
         if self._ready:
-            return self._ready.popleft()
+            return self._ready.pop(0)
         return None
 
     def has_ready(self) -> bool:
@@ -298,55 +295,81 @@ class RuleEngine:
 
     def take_ready(self) -> List[SyscallRecord]:
         """Drain every ready record at once (the bulk-replay fast path)."""
-        out = list(self._ready)
-        self._ready.clear()
+        out = self._ready
+        self._ready = []
         return out
 
     def pending_window(self) -> int:
         """Records held back awaiting a possible multi-record match."""
         return len(self._window)
 
-    def _reduce(self, flush: bool) -> None:
-        window = self._window
+    def _one_pass(self, records: Sequence[SyscallRecord], visible: int,
+                  final: bool) -> int:
+        """The engine's one reduction loop.
+
+        ``records[:visible]`` have been offered already; each later one
+        is offered at the point where the window waits for more input,
+        and once all are in, ``final`` flushes.  Returns how many
+        records were consumed — all of them, unless a non-final call
+        ends with a window a longer pattern might still complete.
+
+        Pattern positions are tested in place, and a rule's action runs
+        on its matched slice, so no frame is entered per record or per
+        position but a guard's or an action's own.
+        """
         ready = self._ready
-        candidates_for = self._index.candidates
-        while window:
-            head = window[0]
-            candidates = candidates_for(head)
-            if not candidates:
-                # No rule targets this record: pass it through.
-                ready.append(window.popleft())
-                continue
-            fired = False
+        fired = self.fired
+        index = self._index
+        cache = index._cache
+        end = len(records)
+        start = 0
+        while start < end:
+            if start == visible:
+                visible += 1  # the window is empty: offer the next record
+            head = records[start]
+            candidates = cache.get((head.name._value_, head.fd))
+            if candidates is None:
+                candidates = index.candidates(head)
             any_viable = False
-            window_len = len(window)
-            for rule, guard in candidates:
-                if guard is not _SEQUENCE:
-                    # Single-record rule: only its predicate is untested.
+            for rule, guard, pattern in candidates:
+                if pattern is None:
+                    # Single-record rule: only its guard is untested.
                     if guard is not None and not guard(head.data):
                         continue
                     consumed = 1
-                elif rule.matches_prefix(window):
-                    consumed = len(rule.pattern)
                 else:
-                    # With window >= pattern, viable() would just repeat
-                    # the failed matches_prefix(); only shorter windows
-                    # can grow into a match.
-                    if window_len < len(rule.pattern) \
-                            and rule.viable(window):
+                    consumed = len(pattern)
+                    stop = start + consumed
+                    matched = True
+                    for want, got in zip(pattern, records[
+                            start:stop if stop <= visible else visible]):
+                        if got.name is not want.name \
+                                or (want.fd != ANY_FD and got.fd != want.fd) \
+                                or (want.predicate is not None
+                                    and not want.predicate(got.data)):
+                            matched = False
+                            break
+                    if not matched:
+                        continue
+                    if stop > visible:
+                        # Every record offered so far matches: a longer
+                        # window might complete the pattern.
                         any_viable = True
-                    continue
-                ready.extend(rule.apply(window))
-                for _ in range(consumed):
-                    window.popleft()
-                self.fired.append(rule.name)
-                fired = True
+                        continue
+                rewritten = rule.action(records[start:start + consumed])
+                if rewritten is None:
+                    raise RuleError(f"rule {rule.name!r} action returned None")
+                ready.extend(rewritten)
+                fired.append(rule.name)
+                start += consumed
                 break
-            if fired:
-                continue
-            if any_viable and not flush:
-                # A longer pattern might still match; wait for more input.
-                return
-            # Nothing can use the head record: pass it through.
-            ready.append(window.popleft())
-
+            else:  # no rule fired on the head record
+                if any_viable and (visible < end or not final):
+                    if visible == end:
+                        return start  # wait for the next offer
+                    visible += 1  # a longer pattern might still match
+                    continue
+                # Nothing can use the head record: pass it through.
+                ready.append(head)
+                start += 1
+        return start

@@ -122,11 +122,12 @@ class SyscallGateway:
     def _emit(self, record: SyscallRecord) -> SyscallRecord:
         """Add ``record`` to the iteration's trace and account its
         bytes.  The three calls a request makes (``epoll_wait``/``read``/
-        ``write``, in either role) do this in place: they know the
-        syscall kind, and build the record with ``tuple.__new__`` —
-        field for field what ``SyscallRecord(...)`` returns, minus its
-        Python frame.  No observer sees a single call: the runtime logs
-        the whole iteration (:meth:`IterationTrace.log_to`)."""
+        ``write``, in either role) and Redis's AOF ``fs_append`` do this
+        in place: they know the syscall kind, and build the record with
+        ``tuple.__new__`` — field for field what ``SyscallRecord(...)``
+        returns, minus its Python frame.  No observer sees a single
+        call: the runtime logs the whole iteration
+        (:meth:`IterationTrace.log_to`)."""
         trace = self.trace
         trace.records.append(record)
         if record.name in (Sys.READ, Sys.WRITE):
@@ -340,10 +341,18 @@ class SyscallGateway:
         the client-reply write.
         """
         if self.role is GatewayRole.REPLAY:
-            self._replay(Sys.WRITE, -3, data, len(data))
+            pending = self._pending
+            expected = pending.popleft() if pending else None
+            if expected is None or expected.name is not Sys.WRITE \
+                    or expected.fd != -3 or expected.data != data:
+                check_match(expected,
+                            SyscallRecord(Sys.WRITE, -3, data, len(data)))
         else:
             self.kernel.fs.append_file(path, data)
-        self._emit(SyscallRecord(Sys.WRITE, -3, data, len(data)))
+        trace = self.trace
+        trace.records.append(tuple.__new__(SyscallRecord, (
+            Sys.WRITE, -3, data, len(data), EMPTY_AUX)))
+        trace.bytes_transferred += len(data)
 
     def _namespace_change(self, name: Sys, payload: bytes,
                           change: Callable[[], None]) -> None:

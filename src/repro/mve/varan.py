@@ -83,15 +83,14 @@ def _corrupt_expected(expected: List[SyscallRecord],
 
 
 def rewrite_iteration(engine: Optional[RuleEngine],
-                      payloads: Iterable[SyscallRecord]
+                      payloads: Sequence[SyscallRecord]
                       ) -> List[SyscallRecord]:
     """One leader iteration's records as the follower must issue them:
-    run through ``engine``'s stage rules (``None`` = identity)."""
+    run through ``engine``'s stage rules (``None`` = identity), the
+    whole iteration in one :meth:`RuleEngine.rewrite` pass."""
     if engine is None:
         return list(payloads)
-    for payload in payloads:
-        engine.offer(payload)
-    engine.flush()
+    engine.rewrite(payloads)
     return engine.take_ready()
 
 
@@ -125,7 +124,6 @@ def replay_iteration(server: Any, gateway: SyscallGateway,
             ring_pending=ring_pending,
             expected_records=expected,
             issued_records=gateway.trace.records,
-            rule_window=engine.pending_window() if engine is not None else 0,
             rules_fired=list(engine.fired) if engine is not None else [],
         )
         raise
@@ -409,7 +407,8 @@ class VaranRuntime:
                             occupancy=len(ring))
         if ring.partition_timed_out:
             return self._demote_partitioned(lane, t)
-        lane.pending.append(IterationDescriptor(total, control))
+        lane.pending.append(tuple.__new__(IterationDescriptor,
+                                          (total, control)))
         return t
 
     def _demote_partitioned(self, lane: FollowerLane, t: int) -> int:
@@ -517,21 +516,21 @@ class VaranRuntime:
             tracer.emit("ring.replay", "mve", at=ready_at,
                         count=len(entries), occupancy=len(ring))
         start = max(follower.cpu.busy_until, ready_at)
+        version = follower.server.version.name
         try:
             if fault is not None and fault.kind == "crash":
                 raise ServerCrash("chaos: injected follower crash")
             try:
                 replay_iteration(
                     follower.server, follower.gateway, expected, engine,
-                    at=start, version=follower.version_name,
-                    leader_version=self.leader.version_name,
+                    at=start, version=version,
+                    leader_version=self.leader.server.version.name,
                     ring_history=lane.history, ring_pending=ring)
             finally:
                 if tracer is not None:
                     # However the replay ended: a diverging or crashing
                     # one logs the calls it issued.
-                    follower.gateway.trace.log_to(
-                        tracer, "replay", follower.version_name)
+                    follower.gateway.trace.log_to(tracer, "replay", version)
         except DivergenceError as divergence:
             # Kept without its traceback: the frames' locals hold this
             # runtime, a cycle that would outlive the deployment.
@@ -544,7 +543,7 @@ class VaranRuntime:
             spans = OBS.spans
             if spans is not None:
                 spans.add("mve.divergence", "mve", start, start,
-                          version=follower.version_name)
+                          version=version)
             self.log(start, "divergence", str(divergence))
             self._terminate_lane(lane, start, reason="divergence")
             return start

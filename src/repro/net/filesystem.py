@@ -11,11 +11,15 @@ per process — which is exactly why Vsftpd's STOU divergence is tolerable
 from __future__ import annotations
 
 import posixpath
+from functools import lru_cache
 from typing import Dict, List, Union
 
 from repro.errors import FileNotFound, KernelError
 
 
+# Memoised: a server names the same few paths over and over (Redis's
+# AOF on every append), and a hit is a C call with no ``normpath``.
+@lru_cache(maxsize=1024)
 def _normalise(path: str) -> str:
     if not path.startswith("/"):
         path = "/" + path

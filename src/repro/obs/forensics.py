@@ -1,15 +1,16 @@
 """Divergence forensics: bundles of what the monitor saw.
 
 When a follower diverges, the interesting state is gone by the time an
-operator looks: the ring entries were consumed, the rule-engine window
-was flushed, and the follower was terminated.  A
-:class:`ForensicsBundle` captures all of it at the moment of the
-:class:`~repro.errors.DivergenceError`:
+operator looks: the ring entries were consumed and the follower was
+terminated.  A :class:`ForensicsBundle` captures all of it at the
+moment of the :class:`~repro.errors.DivergenceError`:
 
 * the last :data:`FORENSICS_LAST_K` ring records the follower consumed
   (its lane keeps them itself, so an installed observer changes
   nothing),
-* the rewrite-rule engine's state (window depth, rules fired),
+* the rules fired rewriting the diverging iteration (the bundle's
+  ``rule_engine.window`` is always 0: the iteration is rewritten whole
+  before the follower replays it),
 * both versions' pending syscalls — the expected stream derived from
   the leader and everything the follower actually issued,
 * the diverging record pair itself, virtual-timestamped and
@@ -84,8 +85,7 @@ class ForensicsBundle:
     ring_last_k: List[Dict[str, Any]] = field(default_factory=list)
     #: Ring entries still unconsumed when the follower was terminated.
     ring_pending: List[Dict[str, Any]] = field(default_factory=list)
-    #: Rule-engine state for the diverging iteration.
-    rule_window: int = 0
+    #: The rules fired rewriting the diverging iteration.
     rules_fired: List[str] = field(default_factory=list)
     #: The full expected stream of the diverging iteration (leader
     #: records after rewrite rules), described.
@@ -102,7 +102,9 @@ class ForensicsBundle:
             "diverging": {"expected": self.expected, "actual": self.actual},
             "ring_last_k": self.ring_last_k,
             "ring_pending": self.ring_pending,
-            "rule_engine": {"window": self.rule_window,
+            # The engine rewrites a whole iteration before the follower
+            # replays it, so no record ever waits in its window.
+            "rule_engine": {"window": 0,
                             "fired": list(self.rules_fired)},
             "expected_records": self.expected_records,
             "issued_records": self.issued_records,
@@ -136,7 +138,6 @@ def build_divergence_bundle(*, at: int, version: str, leader_version: str,
                             ring_pending: Iterable[Any] = (),
                             expected_records: Iterable[Any] = (),
                             issued_records: Iterable[Any] = (),
-                            rule_window: int = 0,
                             rules_fired: Iterable[str] = ()
                             ) -> ForensicsBundle:
     """Assemble a bundle from the MVE runtime's state at the divergence.
@@ -156,7 +157,6 @@ def build_divergence_bundle(*, at: int, version: str, leader_version: str,
         actual=serialize_record(actual) if actual is not None else None,
         ring_last_k=[serialize_ring_entry(entry) for entry in history],
         ring_pending=[serialize_ring_entry(entry) for entry in ring_pending],
-        rule_window=rule_window,
         rules_fired=list(rules_fired),
         expected_records=[serialize_record(r) for r in expected_records],
         issued_records=[serialize_record(r) for r in issued_records],

@@ -409,8 +409,8 @@ class TestReplay:
             (live.expected, live.actual)
         assert offline.expected_records == live.expected_records
         assert offline.issued_records == live.issued_records
-        assert (offline.rule_window, offline.rules_fired) == \
-            (live.rule_window, live.rules_fired)
+        assert offline.as_dict()["rule_engine"] == \
+            live.as_dict()["rule_engine"]
 
     def test_cli_exit_codes(self, kv_stream, tmp_path, capsys):
         assert main(["replay", kv_stream]) == 0

@@ -14,7 +14,19 @@ from hypothesis import given, settings, strategies as st
 
 from repro.mve.dsl.rules import (ANY_FD, DispatchIndex, RewriteRule,
                                  RuleEngine, SyscallPattern)
+from repro.mve.varan import rewrite_iteration
 from repro.syscalls.model import EMPTY_AUX, Sys, SyscallRecord
+
+
+def matches_prefix(rule, window):
+    """Every position of ``rule``'s pattern matches ``window``."""
+    return len(window) >= len(rule.pattern) and viable(rule, window)
+
+
+def viable(rule, window):
+    """Every record of ``window`` matches its position of ``rule``'s
+    pattern: more records might complete a match."""
+    return all(p.matches(r) for p, r in zip(rule.pattern, window))
 
 
 class NaiveRuleEngine:
@@ -46,14 +58,14 @@ class NaiveRuleEngine:
             fired = False
             any_viable = False
             for rule in self.rules:
-                if rule.matches_prefix(self._window):
+                if matches_prefix(rule, self._window):
                     consumed = len(rule.pattern)
                     self._ready.extend(rule.apply(self._window))
                     del self._window[:consumed]
                     self.fired.append(rule.name)
                     fired = True
                     break
-                if rule.viable(self._window):
+                if viable(rule, self._window):
                     any_viable = True
             if fired:
                 continue
@@ -207,10 +219,41 @@ def test_mixed_single_and_sequence_rules_in_one_bucket(rules, records,
     assert indexed.pending_window() == len(naive._window)
 
 
+class TestOnePassRewrite:
+    """``rewrite_iteration`` takes a whole iteration in one call, yet
+    must emit the records and fire the rules the naive engine does when
+    it is offered them one by one and then flushed: a window that waits
+    for the next record only ever sees the records offered so far."""
+
+    @staticmethod
+    def check(rules, records):
+        engine = RuleEngine(DispatchIndex(rules))
+        out = rewrite_iteration(engine, records)
+        naive = NaiveRuleEngine(rules)
+        for record in records:
+            naive.offer(record)
+        naive.flush()
+        assert [(r.name, r.fd, r.data) for r in out] == \
+            [(r.name, r.fd, r.data) for r in naive.take_ready()]
+        assert engine.fired == naive.fired
+
+    @settings(deadline=None)
+    @given(_rules, _records)
+    def test_mixed_catalog(self, rules, records):
+        self.check(rules, records)
+
+    @settings(deadline=None)
+    @given(st.lists(_bucket_rule, min_size=2, max_size=10)
+           .map(_bucket_rules), _bucket_records)
+    def test_crowded_bucket(self, rules, records):
+        self.check(rules, records)
+
+
 def test_single_record_match_fires_past_a_viable_sequence_rule():
     """The engine fires the first rule that *matches*; a higher-priority
     two-record rule that is merely viable does not hold the window back
-    (naive engine and fast path alike), and wins only once it matches."""
+    (naive engine, fast path and one-pass rewrite alike), and wins only
+    once it matches."""
     pair = RewriteRule(
         "pair", (SyscallPattern(Sys.READ, 3), SyscallPattern(Sys.WRITE)),
         lambda records: [records[0]])
@@ -229,11 +272,18 @@ def test_single_record_match_fires_past_a_viable_sequence_rule():
                 else [single, pair]
             engine = RuleEngine(DispatchIndex(rules))
             naive = NaiveRuleEngine(rules)
-            for record in (SyscallRecord(Sys.READ, 3, payload),
-                           SyscallRecord(Sys.WRITE, 3, b"+OK")):
+            records = [SyscallRecord(Sys.READ, 3, payload),
+                       SyscallRecord(Sys.WRITE, 3, b"+OK")]
+            for record in records:
                 engine.offer(record)
                 naive.offer(record)
             engine.flush()
             naive.flush()
             assert engine.fired == naive.fired == fired
-            assert engine.take_ready() == naive.take_ready()
+            expected = naive.take_ready()
+            assert engine.take_ready() == expected
+            # Given the iteration at once, the READ is still offered
+            # alone first: "pair" may not see the WRITE behind it.
+            one_pass = RuleEngine(DispatchIndex(rules))
+            assert rewrite_iteration(one_pass, records) == expected
+            assert one_pass.fired == fired
