@@ -210,11 +210,12 @@ class Mvedsua:
             tracer.emit("dsu.quiesce", "dsu", at=now + quiesce_ns,
                         ns=quiesce_ns)
 
-        # Phase 2: fork; the child performs the update.
-        child = leader_server.fork()
+        # Phase 2: the child performs the update.  The transformer gets
+        # the one copy of the leader's heap the update makes, and the
+        # child is forked around its output (the fork's copy-on-write).
         try:
             new_heap, xform_ns, entries = self.kitsune.transform(
-                child.program, new_version,
+                leader_server.program, new_version,
                 xform_entry_ns=self.profile.xform_entry_ns or 0)
         except StateTransformError as exc:
             # Detectable transformer failure: the follower never comes
@@ -225,6 +226,7 @@ class Mvedsua:
                             reason="transform-failed", error=str(exc))
             return UpdateAttempt(False, "transform-failed", now,
                                  quiesce_ns=quiesce_ns, error=str(exc))
+        child = leader_server.fork(new_heap)
         child.apply_version(new_version, new_heap)
         if hasattr(child, "on_update_applied"):
             # Kitsune relaunches threads in the new version; servers use

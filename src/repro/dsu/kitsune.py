@@ -19,7 +19,7 @@ from typing import Any, Dict, Optional
 
 from repro.errors import QuiescenceTimeout, StateTransformError
 from repro.dsu.program import ThreadState, UpdatableProgram
-from repro.dsu.transform import TransformRegistry, clone_heap
+from repro.dsu.transform import TransformRegistry
 from repro.dsu.version import ServerVersion
 from repro.sites import OBS
 
@@ -42,18 +42,11 @@ def _racy_threads(program: UpdatableProgram, param) -> None:
     program.threads = threads
 
 
-def _corrupt_heap(heap: Dict[str, Any], param) -> Dict[str, Any]:
-    """Silently corrupt string/bytes values in a transformed heap (the
-    "corrupt-heap" fault): the update installs, but the follower's
-    replies later disagree with the leader's — a latent transformer bug
-    the divergence check must catch."""
-    marker = str(param.get("marker", "\x00chaos"))
-    corrupted = clone_heap(heap)
-    _scramble(corrupted, marker)
-    return corrupted
-
-
 def _scramble(value: Any, marker: str) -> None:
+    """Silently corrupt string/bytes values in a transformed heap, in
+    place (the "corrupt-heap" fault): the update installs, but the
+    follower's replies later disagree with the leader's — a latent
+    transformer bug the divergence check must catch."""
     items = value.items() if isinstance(value, dict) else (
         enumerate(value) if isinstance(value, list) else ())
     for key, child in items:
@@ -137,6 +130,9 @@ class Kitsune:
         :class:`StateTransformError` on buggy transformers.
         """
         old = program.version
+        # The old version counts its own heap, before any transformer
+        # runs.
+        entries = old.heap_entries(program.heap)
         fault = None
         chaos = OBS.chaos
         if chaos is not None:
@@ -156,8 +152,8 @@ class Kitsune:
             new_heap = self.transforms.apply(old.app, old.name,
                                              new_version.name, program.heap)
         if fault is not None and fault.kind == "corrupt-heap":
-            new_heap = _corrupt_heap(new_heap, fault.param)
-        entries = old.heap_entries(program.heap)
+            # The transformed heap is private to the update.
+            _scramble(new_heap, str(fault.param.get("marker", "\x00chaos")))
         duration = entries * xform_entry_ns
         return new_heap, duration, entries
 

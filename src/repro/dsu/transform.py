@@ -78,8 +78,9 @@ def clone_heap(value: Any, memo: Optional[Dict[int, Any]] = None) -> Any:
 
 
 def identity_transform(heap: Dict[str, Any]) -> Dict[str, Any]:
-    """Transformer for updates that do not change state layout."""
-    return clone_heap(heap)
+    """Transformer for updates that do not change state layout: the heap
+    it is handed is already a private copy, so it is the new heap."""
+    return heap
 
 
 class TransformRegistry:
@@ -136,7 +137,9 @@ class TransformRegistry:
 
         The old heap is never mutated: transformers receive a deep copy,
         matching Kitsune's behaviour of building the new state while the
-        old process image still exists (and making rollback safe).
+        old process image still exists (and making rollback safe).  That
+        copy is the transformer's to keep: it may retype it in place and
+        return it, and under Mvedsua it becomes the follower's heap.
         """
         transformer = self.get(app, old, new)
         try:

@@ -95,20 +95,26 @@ class Server:
         """Attach the syscall gateway this process must use."""
         self.gateway = gateway
 
-    def fork(self) -> "Server":
+    def fork(self, heap: Optional[Dict[str, Any]] = None) -> "Server":
         """Deep-copy the process image (heap, sessions, program).
 
-        Kernel handles (domain, fds) are shared with the parent — under
-        MVE the group shares one kernel view and only the leader executes
-        syscalls.
+        ``heap``, when given, becomes the child's heap instead of a copy
+        of this one: Mvedsua forks around the transformed heap, which is
+        already a private copy.  Kernel handles (domain, fds) are shared
+        with the parent — under MVE the group shares one kernel view and
+        only the leader executes syscalls.
         """
         kernel, gateway = self.kernel, self.gateway
         self.kernel, self.gateway = None, None
         try:
-            # The heap (most of the image) is copied as plain data; the
-            # memo maps its aliases (``program.heap``) onto that copy.
+            # The heap (most of the image) is copied as plain data, or
+            # not at all; the memo maps its aliases (``program.heap``)
+            # onto the child's heap.
             memo: Dict[int, Any] = {}
-            clone_heap(self.heap, memo)
+            if heap is None:
+                clone_heap(self.heap, memo)
+            else:
+                memo[id(self.heap)] = heap
             child = copy.deepcopy(self, memo)
         finally:
             self.kernel, self.gateway = kernel, gateway

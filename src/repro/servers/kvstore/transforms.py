@@ -21,11 +21,15 @@ from repro.dsu.transform import TransformRegistry
 
 
 def xform_1_to_2(heap: Dict[str, Any]) -> Dict[str, Any]:
-    """Correct transformer: type every existing entry as ``string``."""
-    heap["table"] = {
-        key: {"val": value, "typ": "string"}
-        for key, value in heap["table"].items()
-    }
+    """Correct transformer: type every existing entry as ``string``.
+
+    Retypes the table in place (reassigning a key's value while iterating
+    leaves the dict's size alone): the heap is the caller's private copy,
+    and a second table beside it would double the update's footprint.
+    """
+    table = heap["table"]
+    for key, value in table.items():
+        table[key] = {"val": value, "typ": "string"}
     return heap
 
 

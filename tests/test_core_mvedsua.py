@@ -3,14 +3,17 @@
 from collections import deque
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.apps import deploy
 from repro.core import Mvedsua, RetryPolicy, Stage
 from repro.dsu import Kitsune
 from repro.dsu.program import ThreadState
-from repro.dsu.transform import TransformRegistry
+from repro.dsu.transform import TransformRegistry, clone_heap
 from repro.errors import SimulationError
 from repro.net import VirtualKernel
+from repro.servers.base import Server
 from repro.servers.kvstore import (
     KVStoreServer,
     KVStoreV1,
@@ -24,6 +27,7 @@ from repro.servers.native import NativeRuntime
 from repro.sim.engine import MILLISECOND, SECOND
 from repro.syscalls.costs import PROFILES
 from repro.workloads import VirtualClient
+from tests.counting import counted
 
 
 def deployment(transforms=None):
@@ -357,6 +361,114 @@ class TestOneUpdateRecord:
             == ("transform-failed", 0, 0)
         assert kitsune.quiesce_ns > 0
         assert "raised" in kitsune.error
+
+
+# -- one copy of the process image per update ---------------------------------
+
+_KEYS = st.sampled_from("abc")
+_WORDS = st.text("xyz", min_size=1, max_size=3)
+#: app -> (the label updated from, the label updated to, one request
+#: line of its history).  Redis's verbs build lists, sets and hashes.
+UPDATES = {
+    "kvstore": ("1.0", "2.0", st.one_of(
+        st.builds("PUT {} {}".format, _KEYS, _WORDS),
+        st.builds("GET {}".format, _KEYS)).map(str.encode)),
+    "redis": ("2.0.0", "2.0.1", st.builds(
+        "{} {} {} {}".format,
+        st.sampled_from(["SET", "APPEND", "DEL", "RPUSH", "LPUSH",
+                         "LPOP", "SADD", "SREM", "HSET", "HDEL"]),
+        _KEYS, _WORDS, _WORDS).map(str.encode)),
+}
+
+
+def updated(app_name, history, **runtime_kwargs):
+    """Serve ``history`` on the app's older label under Mvedsua, then
+    update it: the stack, the attempt and how many times a server forked
+    during the update."""
+    old, new, _ = UPDATES[app_name]
+    stack = deploy(app_name, old, **runtime_kwargs)
+    client = stack.client()
+    for line in history:
+        client.command(stack.runtime, line)
+    with counted(Server, "fork") as calls:
+        attempt = stack.update(new, SECOND)
+    return stack, attempt, calls["fork"]
+
+
+def containers(value, found=None):
+    """The ``id`` of every dict, list and set reachable from ``value``,
+    through tuples too."""
+    found = set() if found is None else found
+    if isinstance(value, (dict, list, set, tuple)):
+        if not isinstance(value, tuple):
+            found.add(id(value))
+        for item in value.values() if isinstance(value, dict) else value:
+            containers(item, found)
+    return found
+
+
+def pair(stack):
+    """The leader's and the follower's servers."""
+    runtime = stack.runtime.runtime
+    return runtime.leader.server, runtime.follower.server
+
+
+class TestOneImageCopyPerUpdate:
+    """The transformer's private copy of the leader heap is the
+    follower's heap: an update forks once, around it, and the two
+    processes share no mutable state."""
+
+    def test_a_successful_update_forks_once(self):
+        _, attempt, forks = updated("kvstore", [b"PUT balance 1000"])
+        assert attempt.ok
+        assert forks == 1
+
+    def test_a_raising_transformer_forks_nothing_and_spares_the_leader(self):
+        def half_done(heap):
+            heap["table"].clear()
+            raise ValueError("boom")
+
+        stack = deploy("kvstore", "1.0",
+                       transforms=buggy_transforms(half_done))
+        stack.client().command(stack.runtime, b"PUT balance 1000")
+        before = clone_heap(stack.server.heap)
+        with counted(Server, "fork") as calls:
+            attempt = stack.update("2.0", SECOND)
+        assert attempt.reason == "transform-failed"
+        assert calls["fork"] == 0
+        assert stack.server.heap == before
+
+    def test_an_identity_update_shares_no_container_with_the_leader(self):
+        stack, attempt, _ = updated("redis", [
+            b"SET a 1", b"RPUSH l x", b"SADD s m", b"HSET h f v",
+            b"EXPIRE a 10"])
+        assert attempt.ok
+        leader, follower = pair(stack)
+        assert follower.heap == leader.heap
+        assert not containers(follower.heap) & containers(leader.heap)
+
+    def test_a_kvstore_update_gives_the_follower_its_own_table(self):
+        stack, attempt, _ = updated("kvstore", [b"PUT a 1", b"PUT b 2"])
+        assert attempt.ok
+        leader, follower = pair(stack)
+        assert follower.heap["table"] is not leader.heap["table"]
+        assert leader.heap["table"] == {"a": "1", "b": "2"}
+
+
+@given(st.sampled_from(sorted(UPDATES)).flatmap(
+    lambda name: st.tuples(st.just(name),
+                           st.lists(UPDATES[name][2], max_size=12))))
+def test_an_update_copies_the_leader_image_once(case):
+    app_name, history = case
+    stack, attempt, forks = updated(app_name, history)
+    assert attempt.ok
+    assert forks == 1
+    leader, follower = pair(stack)
+    old, new, _ = UPDATES[app_name]
+    assert follower.heap == stack.runtime.kitsune.transforms.apply(
+        app_name, old, new, leader.heap)
+    assert follower.program.heap is follower.heap
+    assert not containers(follower.heap) & containers(leader.heap)
 
 
 def held_lengths(mvedsua):
