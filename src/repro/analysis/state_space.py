@@ -5,11 +5,11 @@ reachable *configuration* — the abstract engine's pending rule window
 plus the follower's outstanding response queue — under all command
 classes a client could send, with both iteration-boundary choices
 (continue batching records into the current iteration, or flush — the
-runtime builds a fresh engine per iteration, so the flush edge models
-the ``repro.mve.varan.rewrite_iteration`` boundary).  BFS with parent
-pointers yields shortest divergence witnesses; configuration hashing
-plus bounded-window/queue widening makes the fixpoint deterministic
-and terminating.
+runtime rewrites and flushes each iteration on its own, so the flush
+edge models the ``repro.mve.varan.rewrite_iteration`` boundary).  BFS
+with parent pointers yields shortest divergence witnesses;
+configuration hashing plus bounded-window/queue widening makes the
+fixpoint deterministic and terminating.
 
 A transition diverges when the follower-side comparison fails:
 

@@ -45,17 +45,14 @@ class Injection:
 
 
 class _Armed:
-    """A fault plus its remaining-firings budget."""
+    """A fault plus how many times it has fired (its trigger's ``count``
+    is the budget, -1 for none)."""
 
     __slots__ = ("fault", "fired")
 
     def __init__(self, fault: Fault) -> None:
         self.fault = fault
         self.fired = 0
-
-    def exhausted(self) -> bool:
-        count = self.fault.trigger.count
-        return count != -1 and self.fired >= count
 
 
 class ChaosInjector:
@@ -116,8 +113,9 @@ class ChaosInjector:
         if isinstance(when, int) and when > at:
             at = when
         for entry in armed:
-            if entry.exhausted():
-                continue
+            budget = entry.fault.trigger.count
+            if budget != -1 and entry.fired >= budget:
+                continue  # spent
             if self._matches(entry.fault, index, at, stage, context):
                 entry.fired += 1
                 injection = Injection(at=at, site=site,
@@ -138,10 +136,16 @@ class ChaosInjector:
 
         Calls from filtered-out domains are not counted: ``on-call``
         indices then number only the *server's* syscalls, which keeps
-        campaign grids meaningful when clients share the kernel.
+        campaign grids meaningful when clients share the kernel.  At a
+        site no fault is armed at, a call is counted here and goes no
+        further: only armed sites enter :meth:`fire`.
         """
         domains = self.domain_filter
         if domains is not None and domain not in domains:
+            return None
+        if site not in self._armed:
+            calls = self.site_calls
+            calls[site] = calls.get(site, 0) + 1
             return None
         return self.fire(site, domain=domain, fd=fd)
 

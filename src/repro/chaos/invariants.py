@@ -68,17 +68,18 @@ class KvInvariant:
         problems: List[str] = []
         went_dark: Set[str] = set()
         for index, obs in enumerate(observations):
-            where = f"obs[{index}] {obs.client} {obs.command!r}: "
             if obs.reply is None:
                 went_dark.add(obs.client)
                 self._apply_unacked(obs.command)
                 continue
+            found = self._check_reply(obs)
             if obs.client in went_dark:
-                problems.append(
-                    where + "reply after a missed reply — the response "
-                    "stream has a gap")
                 went_dark.discard(obs.client)
-            problems.extend(where + p for p in self._check_reply(obs))
+                found.insert(0, "reply after a missed reply — the "
+                                "response stream has a gap")
+            if found:
+                where = f"obs[{index}] {obs.client} {obs.command!r}: "
+                problems.extend(where + problem for problem in found)
         return problems
 
     def _apply_unacked(self, command: str) -> None:

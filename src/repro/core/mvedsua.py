@@ -148,15 +148,17 @@ class Mvedsua:
         return done
 
     def _advance_follower(self) -> None:
-        if self.runtime.in_mve_mode:
-            self.runtime.drain_follower()
+        runtime = self.runtime
+        if not runtime.lanes:
+            return
+        runtime.drain_follower()
         timeline = self.lifecycle.timeline
         if (timeline is not None
                 and timeline.t3_caught_up is None
                 and timeline.t2_updated is not None
-                and self.runtime.in_mve_mode
-                and self.runtime.ring.is_empty()):
-            timeline.t3_caught_up = self.runtime.follower.cpu.busy_until
+                and runtime.lanes
+                and runtime.ring.is_empty()):
+            timeline.t3_caught_up = runtime.follower.cpu.busy_until
 
     # ------------------------------------------------------------------
     # The update lifecycle

@@ -217,9 +217,9 @@ class RuleSet:
     def engine_for_stage(self, stage: Direction) -> "RuleEngine":
         """A fresh engine for ``stage`` backed by a cached dispatch index.
 
-        The index build is O(rules); replaying one iteration is not —
-        so the runtime asks for a new engine per iteration and this
-        method amortises the index across all of them.
+        The index build is O(rules); an engine is not.  A follower lane
+        keeps the engine it gets until its stage or rule count changes,
+        and every engine of a stage shares the one index.
         """
         cached = self._index_cache.get(stage._value_)
         if cached is not None and cached[0] == len(self.rules):

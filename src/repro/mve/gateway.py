@@ -89,9 +89,15 @@ class SyscallGateway:
         """Reset the trace for a new event-loop iteration.
 
         ``expected`` is the REPLAY role's record stream for it (leader
-        records after rewrite rules).
+        records after rewrite rules).  The trace is the gateway's one
+        :class:`IterationTrace`, reset in place with a new ``records``
+        list: a caller keeps an iteration's records past the next
+        iteration by holding the list, never the trace.
         """
-        self.trace = IterationTrace()
+        trace = self.trace
+        trace.records = []
+        trace.requests_handled = 0
+        trace.bytes_transferred = 0
         self._pending = deque(expected) if expected else None
 
     def finish_iteration(self) -> IterationTrace:
@@ -139,7 +145,11 @@ class SyscallGateway:
     def epoll_wait(self, epfd: int) -> List[int]:
         """Ready fds; followers receive the leader's recorded ready set."""
         if self.role is GatewayRole.REPLAY:
-            expected = self._replay(Sys.EPOLL_WAIT, epfd)
+            pending = self._pending
+            expected = pending.popleft() if pending else None
+            if expected is None or expected.name is not Sys.EPOLL_WAIT \
+                    or expected.fd != epfd or expected.data != b"":
+                check_match(expected, SyscallRecord(Sys.EPOLL_WAIT, epfd))
             self.trace.records.append(expected)
             return list(expected.result)
         ready = self.kernel.epoll_wait(self.domain, epfd)

@@ -36,7 +36,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from typing import (Any, Deque, Iterable, List, NamedTuple, Optional,
-                    Sequence)
+                    Sequence, Tuple)
 
 from repro.errors import DivergenceError, ServerCrash, SimulationError
 from repro.mve.dsl.rules import Direction, RuleEngine, RuleSet
@@ -169,9 +169,14 @@ class FollowerLane:
     """One follower and what feeds it: the process, the ring the leader
     publishes into, the published bursts it has yet to replay, the
     rewrite rules that bridge its version to the leader's, and the ring
-    entries it consumed last (a divergence's forensics)."""
+    entries it consumed last (a divergence's forensics).
 
-    __slots__ = ("process", "ring", "rules", "pending", "history")
+    ``engine`` is the rule engine of the stage it was built for,
+    ``engine_key`` that stage and the rule count then: a replayed
+    iteration reuses it until either changes."""
+
+    __slots__ = ("process", "ring", "rules", "pending", "history",
+                 "engine", "engine_key")
 
     def __init__(self, process: ManagedProcess, ring: RingBuffer,
                  rules: RuleSet) -> None:
@@ -180,6 +185,8 @@ class FollowerLane:
         self.rules = rules
         self.pending: Deque[IterationDescriptor] = deque()
         self.history: Deque[RingEntry] = deque(maxlen=FORENSICS_LAST_K)
+        self.engine: Optional[RuleEngine] = None
+        self.engine_key: Optional[Tuple[Direction, int]] = None
 
 
 class VaranRuntime:
@@ -498,7 +505,13 @@ class VaranRuntime:
             payloads, ready_at = (), 0
         if ready_at > OBS.vnow:
             OBS.vnow = ready_at
-        engine = lane.rules.engine_for_stage(self.stage_direction)
+        key = (self.stage_direction, len(lane.rules.rules))
+        engine = lane.engine
+        if lane.engine_key != key:
+            engine = lane.engine = lane.rules.engine_for_stage(key[0])
+            lane.engine_key = key
+        else:
+            engine.fired.clear()  # the last iteration's firings
         expected = rewrite_iteration(engine, payloads)
         tracer = OBS.tracer
         if tracer is not None:

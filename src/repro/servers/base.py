@@ -96,30 +96,40 @@ class Server:
         self.gateway = gateway
 
     def fork(self, heap: Optional[Dict[str, Any]] = None) -> "Server":
-        """Deep-copy the process image (heap, sessions, program).
+        """Copy the process image: heap, sessions and program.
 
         ``heap``, when given, becomes the child's heap instead of a copy
         of this one: Mvedsua forks around the transformed heap, which is
-        already a private copy.  Kernel handles (domain, fds) are shared
-        with the parent — under MVE the group shares one kernel view and
-        only the leader executes syscalls.
+        already a private copy.  Each session and the program (its
+        thread states) are copied; :meth:`_fork_own_state` copies what
+        a subclass keeps of its own.  The version is code and is shared.
+        Kernel handles (domain, fds) are shared with the parent — under
+        MVE the group shares one kernel view and only the leader
+        executes syscalls — and the child has no gateway until one is
+        bound.
         """
-        kernel, gateway = self.kernel, self.gateway
-        self.kernel, self.gateway = None, None
-        try:
-            # The heap (most of the image) is copied as plain data, or
-            # not at all; the memo maps its aliases (``program.heap``)
-            # onto the child's heap.
-            memo: Dict[int, Any] = {}
-            if heap is None:
-                clone_heap(self.heap, memo)
-            else:
-                memo[id(self.heap)] = heap
-            child = copy.deepcopy(self, memo)
-        finally:
-            self.kernel, self.gateway = kernel, gateway
-        child.kernel = kernel
+        # One memo for the heap and the session states, so a container
+        # reachable from both stays one object in the child.
+        memo: Dict[int, Any] = {}
+        if heap is None:
+            heap = clone_heap(self.heap, memo)
+        else:
+            memo[id(self.heap)] = heap
+        child = copy.copy(self)
+        child.gateway = None
+        child.heap = heap
+        child.sessions = {
+            fd: Session(fd, session.buffer, clone_heap(session.state, memo))
+            for fd, session in self.sessions.items()}
+        program = child.program = copy.copy(self.program)
+        program.heap = heap
+        program.threads = [copy.copy(thread) for thread in program.threads]
+        self._fork_own_state(child)
         return child
+
+    def _fork_own_state(self, child: "Server") -> None:
+        """Give ``child`` its own copy of the state this subclass keeps
+        beside the heap, sessions and program (none by default)."""
 
     def apply_version(self, version: ServerVersion,
                       heap: Dict[str, Any]) -> None:

@@ -21,6 +21,7 @@ adaptation: epoll update points + LibEvent reset on abort and on update.
 
 from __future__ import annotations
 
+import copy
 from typing import List, Optional, Tuple
 
 from repro.dsu.program import ThreadState
@@ -58,9 +59,15 @@ class MemcachedServer(Server):
         if libevent_reset_on_abort:
             # Bound to the LibEvent loop, not to this server: the program
             # the hook sits on must not point back up at its owner.
-            # ``fork``'s deep copy rebinds a bound method to the child's
-            # loop (a closure it would share with the parent).
+            # ``fork`` rebinds it to the child's loop.
             self.program.abort_callback = self.libevent.reset_on_abort
+
+    def _fork_own_state(self, child: Server) -> None:
+        """The child gets its own LibEvent loop, and the abort hook its
+        program carries is rebound to that loop."""
+        child.libevent = copy.copy(self.libevent)
+        if child.program.abort_callback is not None:
+            child.program.abort_callback = child.libevent.reset_on_abort
 
     def _threads(self) -> List[ThreadState]:
         threads = [ThreadState("main")]

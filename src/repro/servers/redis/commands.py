@@ -109,15 +109,26 @@ def cmd_type(heap, args, ctx):
     return resp.simple(entry[0])
 
 
+#: The reply to an argument or a stored value that is not an integer.
+NOT_AN_INTEGER = resp.error("value is not an integer or out of range")
+
+
+def _integer(text: str) -> Optional[int]:
+    """``text`` as an integer, or None when it is not one."""
+    try:
+        return int(text)
+    except ValueError:
+        return None
+
+
 def _incr_by(heap, key, delta):
     value = _lookup(heap, key, STRING)
     if value is None:
         current = 0
     else:
-        try:
-            current = int(value)
-        except ValueError:
-            return resp.error("value is not an integer or out of range")
+        current = _integer(value)
+        if current is None:
+            return NOT_AN_INTEGER
     current += delta
     heap["db"][key] = (STRING, str(current))
     return resp.integer(current)
@@ -132,11 +143,17 @@ def cmd_decr(heap, args, ctx):
 
 
 def cmd_incrby(heap, args, ctx):
-    return _incr_by(heap, args[0], int(args[1]))
+    delta = _integer(args[1])
+    if delta is None:
+        return NOT_AN_INTEGER
+    return _incr_by(heap, args[0], delta)
 
 
 def cmd_decrby(heap, args, ctx):
-    return _incr_by(heap, args[0], -int(args[1]))
+    delta = _integer(args[1])
+    if delta is None:
+        return NOT_AN_INTEGER
+    return _incr_by(heap, args[0], -delta)
 
 
 def cmd_keys(heap, args, ctx):
@@ -160,9 +177,12 @@ def cmd_flushdb(heap, args, ctx):
 
 
 def cmd_expire(heap, args, ctx):
+    seconds = _integer(args[1])
+    if seconds is None:
+        return NOT_AN_INTEGER
     if args[0] not in heap["db"]:
         return resp.integer(0)
-    heap["ttls"][args[0]] = int(args[1])
+    heap["ttls"][args[0]] = seconds
     return resp.integer(1)
 
 
@@ -231,8 +251,10 @@ def cmd_llen(heap, args, ctx):
 
 
 def cmd_lrange(heap, args, ctx):
+    start, stop = _integer(args[1]), _integer(args[2])
+    if start is None or stop is None:
+        return NOT_AN_INTEGER
     values = _get_list(heap, args[0]) or []
-    start, stop = int(args[1]), int(args[2])
     if stop == -1:
         stop = len(values) - 1
     window = values[start:stop + 1]
@@ -240,8 +262,10 @@ def cmd_lrange(heap, args, ctx):
 
 
 def cmd_lindex(heap, args, ctx):
+    index = _integer(args[1])
+    if index is None:
+        return NOT_AN_INTEGER
     values = _get_list(heap, args[0]) or []
-    index = int(args[1])
     if -len(values) <= index < len(values):
         return resp.bulk(values[index].encode("latin-1"))
     return resp.bulk(None)
@@ -379,10 +403,9 @@ def cmd_mget(heap, args, ctx):
 
 
 def cmd_setex(heap, args, ctx):
-    try:
-        seconds = int(args[1])
-    except ValueError:
-        return resp.error("value is not an integer or out of range")
+    seconds = _integer(args[1])
+    if seconds is None:
+        return NOT_AN_INTEGER
     if seconds <= 0:
         return resp.error("invalid expire time in setex")
     heap["db"][args[0]] = (STRING, " ".join(args[2:]))

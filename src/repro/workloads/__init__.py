@@ -17,9 +17,24 @@
 * :mod:`repro.workloads.openloop` — the ``LoadSpec`` DSL + open-loop
   generator; scenarios and CLI in ``openloop_scenarios`` /
   ``openloop_cli`` (see ``docs/workloads.md``).
+
+The names below are loaded on first use, so importing one workload
+module (``bench.fluid`` imports ``memtier``) does not load the client,
+and with it the kernel and the MVE stack.
 """
 
-from repro.workloads.client import VirtualClient
-from repro.workloads.openloop import LoadSpec, OpenLoopGenerator
+import importlib
 
-__all__ = ["VirtualClient", "LoadSpec", "OpenLoopGenerator"]
+#: Re-exported name -> the module that defines it.
+_EXPORTS = {"VirtualClient": "repro.workloads.client",
+            "LoadSpec": "repro.workloads.openloop",
+            "OpenLoopGenerator": "repro.workloads.openloop"}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(module), name)

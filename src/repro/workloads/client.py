@@ -6,7 +6,8 @@ closed-loop primitive: send, let the server run, read the reply, and
 report the completion time so workloads can compute latency.  It
 writes to and reads from its own endpoint in place — the calls
 ``kernel.write`` and ``kernel.read`` would make — unless a chaos
-injector is installed, whose kernel sites must see them.
+injector is installed whose kernel sites see this client: one whose
+``domain_filter`` is None or holds the client's domain.
 """
 
 from __future__ import annotations
@@ -48,7 +49,10 @@ class VirtualClient:
         :class:`~repro.mve.varan.VaranRuntime`.
         """
         endpoint = self._endpoint
-        if endpoint is None or OBS.chaos is not None:
+        chaos = OBS.chaos
+        if endpoint is None or chaos is not None and (
+                chaos.domain_filter is None
+                or self.domain in chaos.domain_filter):
             write, read = self.send, self.recv
         else:
             write, read = endpoint.write, endpoint.read

@@ -15,11 +15,14 @@ from repro.chaos import (
     on_call,
     when,
 )
+from repro.apps import deploy
+from repro.chaos.campaign import probe_site_calls
 from repro.chaos.invariants import ClientObservation, check_run
 from repro.chaos.scenarios import run_kv_update_scenario
 from repro.errors import BrokenPipe, ConnectionReset, FdExhausted
 from repro.mve.varan import CORRUPTION_MARKER
 from repro.net.kernel import VirtualKernel
+from repro.servers.native import NativeRuntime
 from repro.obs import Tracer, validate_lines
 from repro.sim.engine import Engine
 from repro.sites import OBS, observing
@@ -317,6 +320,68 @@ class TestKernelFaults:
         kernel.write(cdom, cfd, b"GET alpha\r\n")
         with pytest.raises(ConnectionReset):
             kernel.read(sdom, sfd)
+
+
+# ---------------------------------------------------------------------------
+# What the harness costs a cell
+# ---------------------------------------------------------------------------
+
+
+def _fire_calls_expected(site_calls, armed):
+    """``fire`` calls a run with these ``site_calls`` makes when only
+    ``armed`` of the kernel sites has a fault: every call at a
+    non-kernel site, and the armed site's."""
+    return sum(calls for site, calls in site_calls.items()
+               if not site.startswith("kernel.") or site == armed)
+
+
+class TestHarnessCost:
+    def test_unarmed_kernel_sites_are_counted_without_entering_fire(self):
+        # A fault that never fires leaves the run the probe run: the
+        # counts match it, and only the armed kernel site entered fire.
+        probe = probe_site_calls("kvstore")
+        injector = ChaosInjector(FaultPlan("p", (
+            Fault("kernel.write", "epipe", on_call(10**6)),)))
+        with counted(ChaosInjector, "fire") as calls, \
+                observing(chaos=injector):
+            run_kv_update_scenario()
+        assert injector.site_calls == probe
+        assert calls["fire"] == _fire_calls_expected(probe, "kernel.write")
+        assert calls["fire"] < sum(probe.values())
+
+    def test_a_firing_kernel_fault_enters_fire_at_its_site_only(self):
+        injector = ChaosInjector(FaultPlan("p", (
+            Fault("kernel.read", "short-read", on_call(5),
+                  param={"bytes": 3}),)))
+        with counted(ChaosInjector, "fire") as calls, \
+                observing(chaos=injector):
+            run_kv_update_scenario()
+        assert len(injector.injections) == 1
+        assert calls["fire"] == _fire_calls_expected(injector.site_calls,
+                                                     "kernel.read")
+
+    @pytest.mark.parametrize("sees_client", [False, True])
+    def test_a_client_reaches_the_kernel_only_where_a_site_sees_it(
+            self, sees_client):
+        stack = deploy("kvstore", "1.0", NativeRuntime)
+        client = stack.client()
+        client.command(stack.runtime, b"PUT a 1")   # accepted, served
+        injector = ChaosInjector()
+        if not sees_client:
+            injector.domain_filter = {stack.server.domain}
+        requests = 10
+        with counted(VirtualKernel, "read", "write") as calls, \
+                observing(chaos=injector):
+            for _ in range(requests):
+                assert client.command(stack.runtime, b"GET a") == b"1\r\n"
+        # The server reads and writes once per request; a client the
+        # injector can see does too, through the kernel.
+        per_request = 2 if sees_client else 1
+        assert calls == {"read": per_request * requests,
+                         "write": per_request * requests}
+        assert injector.site_calls == {
+            "kernel.read": per_request * requests,
+            "kernel.write": per_request * requests}
 
 
 # ---------------------------------------------------------------------------

@@ -376,7 +376,8 @@ UPDATES = {
     "redis": ("2.0.0", "2.0.1", st.builds(
         "{} {} {} {}".format,
         st.sampled_from(["SET", "APPEND", "DEL", "RPUSH", "LPUSH",
-                         "LPOP", "SADD", "SREM", "HSET", "HDEL"]),
+                         "LPOP", "SADD", "SREM", "HSET", "HDEL", "EXPIRE",
+                         "INCRBY", "DECRBY", "LRANGE", "LINDEX"]),
         _KEYS, _WORDS, _WORDS).map(str.encode)),
 }
 

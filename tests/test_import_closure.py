@@ -12,6 +12,8 @@ modules loaded some other way are listed with how.
 
 import ast
 import os
+import subprocess
+import sys
 
 from repro.cli import COMMANDS
 
@@ -98,3 +100,30 @@ def test_every_module_is_reached_from_a_command():
     unreached = {module for module, (_, package) in modules.items()
                  if not package and module not in reached}
     assert unreached == ALLOWED
+
+
+#: Runs ``python -m repro table2`` in-process and prints the ``repro``
+#: modules that were loaded, one a line.
+_TABLE2_LOADS = """
+import contextlib, io, sys
+from repro.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["table2"]) == 0
+print("\\n".join(sorted(name for name in sys.modules
+                         if name.startswith("repro"))))
+"""
+
+
+def test_table2_loads_no_mve_net_or_obs_module():
+    # The fluid model's only workload import is ``repro.workloads.memtier``;
+    # a package ``__init__`` that imported the client eagerly would load
+    # the kernel, and with it the MVE stack, which the static walk above
+    # cannot see (a package's re-exports count only where named).
+    env = dict(os.environ, PYTHONPATH=SRC)
+    done = subprocess.run([sys.executable, "-c", _TABLE2_LOADS], env=env,
+                          capture_output=True, text=True, check=True)
+    loaded = done.stdout.split()
+    heavy = ("repro.mve", "repro.net", "repro.obs")
+    assert "repro.bench.table2" in loaded
+    assert [name for name in loaded if name in heavy
+            or name.startswith(tuple(h + "." for h in heavy))] == []

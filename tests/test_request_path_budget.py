@@ -19,6 +19,8 @@ import sys
 from collections import Counter
 
 from repro.apps import deploy
+from repro.chaos.campaign import run_cell
+from repro.chaos.plan import Fault, FaultPlan, on_call
 from repro.mve import VaranRuntime
 from repro.net import VirtualKernel
 from repro.obs.trace import Tracer
@@ -31,8 +33,9 @@ WARMUP, REQUESTS = 500, 2_000
 #: Steady single-leader stack (Redis 2.0.0 alone behind Varan), no
 #: observer installed: 66.4 frames per request before PR 22, 36.4 after,
 #: 28.4 after PR 39 (``pump`` reads the ready set and the client its own
-#: endpoint: 8 frames of kernel entry gone).  Ceiling = measured + 2.
-LEADER_CEILING = 30
+#: endpoint: 8 frames of kernel entry gone), 27.0 since the gateway
+#: resets its iteration trace in place.  Ceiling = measured + 2.
+LEADER_CEILING = 29
 #: The same stack with one identical follower attached (leader publish,
 #: follower replay, the final drain): 155.0 before PR 22, 117.0 after it
 #: (the leader half and the shared kernel-free pieces), 87.7 after PR 24
@@ -40,8 +43,10 @@ LEADER_CEILING = 30
 #: REPLAY gateway's take and emit in place), 79.7 after PR 39 (the
 #: leader's 8), 66.7 since the follower rewrites an iteration in one
 #: rule-engine pass (no ``offer``/``flush`` per record) and reads its
-#: version name once.  Ceiling = measured + 2.
-PAIR_CEILING = 69
+#: version name once, 61.7 since each lane keeps its rule engine across
+#: iterations, the gateway resets its trace in place and the REPLAY
+#: ``epoll_wait`` checks its record in place.  Ceiling = measured + 2.
+PAIR_CEILING = 64
 #: A kvstore 1.0 -> 2.0 pair in the outdated-leader stage under the
 #: shipped DSL rules (``kv_rules_from_dsl()``), through ``Mvedsua``:
 #: every READ is tested against two compiled ``where`` guards, which
@@ -49,16 +54,19 @@ PAIR_CEILING = 69
 #: (the leader's 8); 115.3 at PR 23, when each guard was four frames
 #: (``combined``, its genexpr twice, ``evaluate``) and each dispatch
 #: lookup an ``Enum.__hash__``.  59.3 since the follower rewrites an
-#: iteration in one rule-engine pass.  Ceiling = measured + 2.
-DSL_PAIR_CEILING = 62
+#: iteration in one rule-engine pass, 53.3 since a lane keeps its engine
+#: and ``Mvedsua._advance_follower`` reads the lanes, not
+#: ``in_mve_mode``.  Ceiling = measured + 2.
+DSL_PAIR_CEILING = 56
 #: A Redis 2.0.0 -> 2.0.1 pair in the outdated-leader stage under the
 #: shipped rules, on a 50/50 Memtier mix: ``aof_order`` matches a
 #: two-record pattern on every SET.  95.4 frames per request while the
 #: engine took an ``offer``, a dispatch lookup and a ``matches`` frame
 #: per pattern position for each record, and the AOF append went
-#: through ``_replay`` and ``_emit``; 67.0 with the one-pass rewrite.
-#: Ceiling = measured + 2.
-REDIS_PAIR_CEILING = 70
+#: through ``_replay`` and ``_emit``; 67.0 with the one-pass rewrite,
+#: 61.0 without a rule engine built per iteration.  Ceiling = measured
+#: + 2.
+REDIS_PAIR_CEILING = 63
 #: The steady stack of ``LEADER_CEILING`` with a ``Tracer()`` in the
 #: tracer slot: 56.5 frames per request while the kernel and the
 #: gateway logged each call (14 ``on_kernel``, 3.1 ``on_syscall``, 3
@@ -66,8 +74,19 @@ REDIS_PAIR_CEILING = 70
 #: the unobserved path skips), 32.4 since the run log takes one
 #: ``iteration`` event per leader iteration (``emit``,
 #: ``IterationTrace.log_to`` and its list comprehension,
-#: ``version_name``).  Ceiling = measured + 2.
-TRACED_LEADER_CEILING = 34
+#: ``version_name``), 31.0 with the trace reset in place.  Ceiling =
+#: measured + 2.
+TRACED_LEADER_CEILING = 33
+#: One kvstore chaos cell — the whole update lifecycle of
+#: ``run_kv_update_scenario`` under one on-call ``kernel.read`` fault,
+#: invariants included — in frames per cell: 1 869 while a fork
+#: deep-copied the non-heap image, every kernel call of the server and
+#: the clients entered ``fire`` and the invariant checker formatted an
+#: error prefix per observation; 1 454 since a fork copies by hand, an
+#: unarmed kernel site is one counter bump, a client no site sees uses
+#: its endpoint and a clean observation formats nothing.  Ceiling =
+#: measured + 26 (under 2 %).
+CHAOS_CELL_CEILING = 1_480
 
 
 def warmed_stack():
@@ -238,6 +257,40 @@ def test_a_rule_heavy_redis_pair_rewrites_each_iteration_in_one_pass():
     assert measured <= REDIS_PAIR_CEILING
     assert frames_per_request(follower=True,
                               stack=redis_update_stack) == measured
+
+
+def frames_per_chaos_cell():
+    """Python frames one kvstore chaos cell enters, after a warm-up
+    cell (rule parsing and dispatch caches stay out of the count)."""
+    def plan():
+        return FaultPlan("budget", (
+            Fault("kernel.read", "short-read", on_call(5),
+                  param={"bytes": 3}),))
+
+    run_cell(plan())
+    frames = 0
+
+    def count(frame, event, arg):
+        nonlocal frames
+        if event == "call":
+            frames += 1
+
+    gc.collect()
+    gc.disable()
+    sys.setprofile(count)
+    try:
+        result = run_cell(plan())
+    finally:
+        sys.setprofile(None)
+        gc.enable()
+    assert len(result.injections) == 1 and result.finalized
+    return frames
+
+
+def test_a_chaos_cell_pays_for_its_fault_not_its_harness():
+    measured = frames_per_chaos_cell()
+    assert measured <= CHAOS_CELL_CEILING
+    assert frames_per_chaos_cell() == measured
 
 
 def test_the_frames_tool_counts_the_same_leader_path(tmp_path):

@@ -1,7 +1,15 @@
 """Unit tests for the shared server skeleton (fork, sessions, framing)."""
 
+import types
+
+import pytest
 from hypothesis import example, given, strategies as st
 
+from repro.apps import default_catalog, deploy
+from repro.dsu.program import ThreadState, UpdatableProgram
+from repro.dsu.version import ServerVersion
+from repro.libevent import LibEventLoop
+from repro.mve.gateway import SyscallGateway
 from repro.net import VirtualKernel
 from repro.servers.base import Server, Session
 from repro.servers.kvstore import KVStoreServer, KVStoreV1
@@ -57,9 +65,9 @@ class TestFork:
         assert server.program.heap is server.heap
 
     def test_fork_copies_the_heap_once_for_all_its_aliases(self):
-        # The heap goes through clone_heap, the rest of the image through
-        # deepcopy; one memo must span both, or a session holding a heap
-        # sub-container would get a second, diverging copy of it.
+        # The heap and each session's state go through clone_heap; one
+        # memo must span them, or a session holding a heap sub-container
+        # would get a second, diverging copy of it.
         kernel, server, runtime, client = deployment()
         client.command(runtime, b"PUT a 1")
         session = next(iter(server.sessions.values()))
@@ -70,6 +78,60 @@ class TestFork:
         assert child.heap["table"] is not server.heap["table"]
         assert child.heap == server.heap
         assert server.kernel is kernel and server.gateway is runtime.gateway
+
+
+#: What a fork must give the child its own copy of.
+PRIVATE = (dict, list, set, Session, ThreadState, UpdatableProgram,
+           LibEventLoop)
+#: What a fork shares or leaves out: the kernel view, the version's
+#: code, and the gateway (the child gets its own when one is bound).
+SHARED = (VirtualKernel, ServerVersion, SyscallGateway)
+
+
+def private_objects(server):
+    """``id`` -> object, for every :data:`PRIVATE` object reachable from
+    ``server`` through containers, instance attributes and bound
+    methods, but not through a :data:`SHARED` one."""
+    found, seen, stack = {}, set(), [server]
+    while stack:
+        value = stack.pop()
+        if id(value) in seen or isinstance(value, SHARED):
+            continue
+        seen.add(id(value))
+        if isinstance(value, PRIVATE):
+            found[id(value)] = value
+        if isinstance(value, dict):
+            stack.extend(value)
+            stack.extend(value.values())
+        elif isinstance(value, (list, set, tuple, frozenset)):
+            stack.extend(value)
+        elif isinstance(value, types.MethodType):
+            stack.append(value.__self__)
+        elif hasattr(value, "__dict__") and not isinstance(value, type):
+            stack.extend(vars(value).values())
+    return found
+
+
+@pytest.mark.parametrize("name", sorted(default_catalog()))
+def test_a_fork_shares_no_mutable_state_with_its_parent(name):
+    config = default_catalog()[name]
+    stack = deploy(config, config.labels()[0], NativeRuntime)
+    client = stack.client()
+    for request in config.seed_requests or (b"USER anonymous",):
+        client.command(stack.runtime, request)
+    parent = stack.server
+    assert parent.sessions
+    child = parent.fork()
+    assert child.program.heap is child.heap
+    assert child.version is parent.version   # code, shared
+    mine, theirs = private_objects(child), private_objects(parent)
+    kinds = {type(value) for value in mine.values()}
+    assert {Session, ThreadState, UpdatableProgram, dict} <= kinds
+    assert not set(mine) & set(theirs)
+    if isinstance(parent, MemcachedServer):
+        assert LibEventLoop in kinds
+        assert child.program.abort_callback.__self__ is child.libevent
+        assert parent.program.abort_callback.__self__ is parent.libevent
 
 
 class TestSessions:

@@ -186,6 +186,52 @@ class TestCommands:
         assert not redis_commands.is_write_command(b"NOPE")
 
 
+#: The reply to an argument that is not an integer.
+NOT_AN_INTEGER = b"-ERR value is not an integer or out of range\r\n"
+
+
+class TestIntegerArguments:
+    """A verb that takes an integer answers a non-integer argument with
+    an error reply, leaves the store as it was, and keeps serving."""
+
+    @pytest.fixture(autouse=True)
+    def _served(self, deployment):
+        _, self.server, self.runtime, self.client = deployment
+        for line in (b"SET a 5", b"RPUSH l x", b"RPUSH l y"):
+            self.command(line)
+        self.before = {key: (kind, list(value) if kind == "list" else value)
+                       for key, (kind, value)
+                       in self.server.heap["db"].items()}
+
+    def command(self, line):
+        return self.client.command(self.runtime, line)
+
+    def _answers_not_an_integer(self, line):
+        assert self.command(line) == NOT_AN_INTEGER
+        assert self.server.heap["db"] == self.before
+        assert self.server.heap["ttls"] == {}
+        assert self.command(b"GET a") == b"$1\r\n5\r\n"
+
+    def test_expire(self):
+        self._answers_not_an_integer(b"EXPIRE a x")
+
+    def test_incrby(self):
+        self._answers_not_an_integer(b"INCRBY a x")
+
+    def test_decrby(self):
+        self._answers_not_an_integer(b"DECRBY a 1.5")
+
+    def test_lrange(self):
+        self._answers_not_an_integer(b"LRANGE l x 1")
+        self._answers_not_an_integer(b"LRANGE l 0 y")
+        assert self.command(b"LRANGE l 0 -1") == \
+            b"*2\r\n$1\r\nx\r\n$1\r\ny\r\n"
+
+    def test_lindex(self):
+        self._answers_not_an_integer(b"LINDEX l x")
+        assert self.command(b"LINDEX l 1") == b"$1\r\ny\r\n"
+
+
 class TestVersions:
     def test_release_set(self):
         assert REDIS_VERSIONS == ("2.0.0", "2.0.1", "2.0.2", "2.0.3")

@@ -6,6 +6,8 @@
     python tools/frames.py --smoke            # a quarter of the op count
     python tools/frames.py --json FRAMES.json # + the numbers as JSON
     python tools/frames.py --lines            # + a lines-per-op table
+    python tools/frames.py --functions 25     # + each workload's top 25
+                                              #   functions by frames per op
 
 Each workload is built by ``hostbench/workloads.py``'s own builder at a
 fixed small op count (the count ``hostbench/run.py --smoke`` uses, one
@@ -29,6 +31,12 @@ every ``line`` event — one per line executed, a loop's body lines
 once per iteration — to the same layers, and prints a "lines per op"
 table below the frames table; it is slower, and exact run for run in
 the same way.
+
+``--functions N`` names what a layer's count is made of: the same
+frames pass also counts frames by function (``path:qualname``, the
+path relative to ``src/`` for this repository's code, the file name
+otherwise), and a table per workload lists the N functions with the
+most frames per op.
 
 A second, separate pass builds the workload again with ``tracemalloc``
 tracing and records the peak of traced memory over the timed region
@@ -119,11 +127,24 @@ def _counted(name: str, ops: int, seed: int, hook, function
     return {"ops": outcome.attempted, "failed": outcome.failed}
 
 
-def count_frames(name: str, ops: int, seed: int = SEED) -> Dict[str, Any]:
+def function_name(code: Any) -> str:
+    """``path:qualname`` of a code object: the path relative to
+    ``src/`` for this repository's modules, the file name otherwise."""
+    path = code.co_filename
+    src = os.path.join(REPO, "src") + os.sep
+    path = path[len(src):] if path.startswith(src) \
+        else os.path.basename(path)
+    return f"{path}:{getattr(code, 'co_qualname', code.co_name)}"
+
+
+def count_frames(name: str, ops: int, seed: int = SEED,
+                 functions: bool = False) -> Dict[str, Any]:
     """``{"ops", "failed", "layers": {layer: frames}}`` for one run of
-    ``name``'s timed region."""
+    ``name``'s timed region; with ``functions``, also ``"functions":
+    {path:qualname: frames}``."""
     codes = boundaries()
     counts: Counter = Counter()
+    by_code: Counter = Counter()
     #: ``(frame, layer)`` of every open boundary frame, innermost last.
     open_: List[Any] = []
 
@@ -133,11 +154,19 @@ def count_frames(name: str, ops: int, seed: int = SEED) -> Dict[str, Any]:
             if probe is not None:
                 open_.append((frame, _layer(probe, frame)))
             counts[open_[-1][1] if open_ else ROOT] += 1
+            if functions:
+                by_code[frame.f_code] += 1
         elif event == "return" and open_ and open_[-1][0] is frame:
             open_.pop()
 
     counted = _counted(name, ops, seed, sys.setprofile, profile)
-    return {**counted, "layers": dict(counts)}
+    counted["layers"] = dict(counts)
+    if functions:
+        named: Counter = Counter()
+        for code, frames in by_code.items():
+            named[function_name(code)] += frames
+        counted["functions"] = dict(named)
+    return counted
 
 
 def count_lines(name: str, ops: int, seed: int = SEED) -> Dict[str, Any]:
@@ -194,15 +223,16 @@ def _per_op(counted: Dict[str, Any]) -> Dict[str, float]:
             for layer in [*probes.LAYERS, ROOT] if layer in layers}
 
 
-def measure(names: List[str], smoke: bool,
-            lines: bool = False) -> Dict[str, Any]:
+def measure(names: List[str], smoke: bool, lines: bool = False,
+            functions: int = 0) -> Dict[str, Any]:
     """The whole table: per workload, frames per op by layer, total and
-    the tracemalloc peak; with ``lines``, line events per op too."""
+    the tracemalloc peak; with ``lines``, line events per op too; with
+    ``functions``, that many functions with the most frames per op."""
     report: Dict[str, Any] = {"schema": "repro-frames/1", "seed": SEED,
                               "workloads": {}}
     for name in names:
         ops = default_ops(name, smoke)
-        counted = count_frames(name, ops)
+        counted = count_frames(name, ops, functions=functions > 0)
         cell = report["workloads"][name] = {
             "ops": counted["ops"],
             "failed": counted["failed"],
@@ -210,6 +240,11 @@ def measure(names: List[str], smoke: bool,
             "total_per_op": sum(counted["layers"].values()) / counted["ops"],
             "tracemalloc_peak_mib": traced_peak_mib(name, ops),
         }
+        if functions:
+            top = sorted(counted["functions"].items(),
+                         key=lambda item: (-item[1], item[0]))[:functions]
+            cell["functions_per_op"] = {
+                function: frames / counted["ops"] for function, frames in top}
         if lines:
             traced = count_lines(name, ops)
             cell["lines_per_op"] = _per_op(traced)
@@ -252,6 +287,12 @@ def render(report: Dict[str, Any]) -> str:
         rows.append("")
         rows.extend(_table(cells, "lines per op", "lines_per_op",
                            "lines_total_per_op"))
+    for name, cell in cells.items():
+        top = cell.get("functions_per_op")
+        if top:
+            rows += ["", f"{name}: top {len(top)} functions, frames per op"]
+            rows += [f"{frames:>12.2f}  {function}"
+                     for function, frames in top.items()]
     return "\n".join(rows)
 
 
@@ -266,9 +307,14 @@ def main(argv: List[str]) -> int:
     parser.add_argument("--lines", action="store_true",
                         help="also count line events per op by layer "
                              "(sys.settrace; sees loops inside a frame)")
+    parser.add_argument("--functions", type=int, default=0, metavar="N",
+                        help="also list, per workload, the N functions "
+                             "with the most frames per op")
     args = parser.parse_args(argv)
+    if args.functions < 0:
+        parser.error("--functions must be 0 or more")
     names = [args.workload] if args.workload else list(workloads.WORKLOADS)
-    report = measure(names, args.smoke, args.lines)
+    report = measure(names, args.smoke, args.lines, args.functions)
     print(render(report))
     if args.json:
         with open(args.json, "w", encoding="utf-8") as handle:
