@@ -8,8 +8,8 @@
   RETR one file).
 * :mod:`repro.workloads.ftpclient` — a virtual FTP client (control and
   data connections) over the same kernel.
-* :mod:`repro.workloads.keyspace` — shared key-popularity
-  distributions (uniform + Zipf) every generator samples from.
+* :mod:`repro.workloads.keyspace` — the key distributions (uniform +
+  Zipf) and the request templates every generator shares.
 * :mod:`repro.workloads.arrivals` — open-loop arrival processes
   (Poisson + bursty MMPP) over deterministic rng streams.
 * :mod:`repro.workloads.pool` — the flyweight client pool: millions of

@@ -1,25 +1,23 @@
-"""Key-popularity distributions shared by every workload generator.
+"""Keys and requests shared by every workload generator.
 
 Both the closed-loop Memtier generator and the open-loop engine need to
 pick keys from a bounded keyspace; this module gives them one shared,
 seed-deterministic vocabulary:
 
 * :class:`UniformKeys` — every key equally likely.  Its :meth:`sample`
-  makes exactly one ``rng.randrange(keyspace)`` call, which is the call
-  :meth:`~repro.workloads.memtier.MemtierSpec.commands` has always made,
-  so refactoring Memtier onto it keeps its command streams byte-identical
-  (pinned by ``tests/test_workloads.py``).
+  takes the words ``rng.randrange(keyspace)`` would take, drawn inline
+  as :meth:`~repro.workloads.memtier.MemtierSpec.commands` draws them
+  (pinned by ``tests/test_workloads.py::TestInlineDraw``).
 * :class:`ZipfKeys` — rank ``r`` (0-based) drawn with probability
   proportional to ``1 / (r + 1) ** exponent``.  Real cache traffic is
   heavy-headed; an open-loop engine that sprayed keys uniformly would
   overstate the store's working set and understate contention on the hot
-  keys.  Sampling is one ``rng.random()`` plus a bisect over a
-  precomputed CDF, so a million-key space costs one array, not one
-  object per key.
+  keys.
 
 ``build_keys`` constructs either from the ``LoadSpec`` DSL's ``keys``
 mapping, and ``key_problems`` validates that mapping without building
 anything — the MVE10xx workload lint and the runtime share it.
+``request_templates`` is the one request formatter (``template % key``).
 """
 
 from __future__ import annotations
@@ -28,6 +26,13 @@ import bisect
 import functools
 import itertools
 from typing import Any, List, Mapping, Tuple
+
+#: Each wire protocol's read and write request on key ``{key}``.
+_REQUESTS = {
+    "kvstore": ("GET {key}\r\n", "PUT {key} {value}\r\n"),
+    "redis": ("GET {key}\r\n", "SET {key} {value}\r\n"),
+    "memcached": ("get {key}\r\n", "set {key} 0 0 {size}\r\n{value}\r\n"),
+}
 
 #: The closed distribution vocabulary (MVE1001 checks against this).
 KEY_DISTRIBUTIONS = ("uniform", "zipf")
@@ -41,14 +46,19 @@ ZIPF_EXPONENT_MAX = 4.0
 class UniformKeys:
     """Uniform key popularity over ``keyspace`` distinct keys."""
 
-    __slots__ = ("keyspace",)
+    __slots__ = ("keyspace", "bits")
 
     def __init__(self, keyspace: int) -> None:
-        self.keyspace = keyspace
+        if keyspace < 1:
+            raise ValueError(f"keyspace is {keyspace}, expected at least 1")
+        self.keyspace, self.bits = keyspace, keyspace.bit_length()
 
     def sample(self, rng) -> int:
-        """One key index; consumes exactly one ``randrange`` draw."""
-        return rng.randrange(self.keyspace)
+        """One key index, in the words ``randrange(keyspace)`` takes."""
+        key = rng.getrandbits(self.bits)
+        while key >= self.keyspace:
+            key = rng.getrandbits(self.bits)
+        return key
 
     def as_dict(self) -> Mapping[str, Any]:
         return {"distribution": "uniform", "keyspace": self.keyspace}
@@ -120,3 +130,16 @@ def build_keys(payload: Mapping[str, Any]):
     if payload["distribution"] == "uniform":
         return UniformKeys(payload["keyspace"])
     return ZipfKeys(payload["keyspace"], payload.get("exponent", 1.1))
+
+
+def request_templates(protocol: str, prefix: str,
+                      value: str) -> Tuple[bytes, ...]:
+    """``(read, write)`` bytes templates of ``protocol``'s GET and SET
+    of key ``prefix<n>``: ``template % n`` is one request's bytes."""
+    forms = _REQUESTS.get(protocol)
+    if forms is None:
+        raise ValueError(f"unknown protocol {protocol!r} "
+                         f"(known: {', '.join(_REQUESTS)})")
+    fields = {"key": prefix.replace("%", "%%") + "%d",
+              "value": value.replace("%", "%%"), "size": len(value)}
+    return tuple(form.format(**fields).encode() for form in forms)

@@ -20,7 +20,7 @@ from typing import Iterator, List
 
 from repro.sim.engine import SECOND
 from repro.sim.rng import RngStreams
-from repro.workloads.keyspace import UniformKeys
+from repro.workloads.keyspace import UniformKeys, request_templates
 
 
 @dataclass(frozen=True)
@@ -46,31 +46,22 @@ class MemtierSpec:
                  seed: int = 0) -> Iterator[bytes]:
         """Yield ``count`` concrete requests in the 90/10 mix.
 
-        ``protocol`` selects the wire format: ``"redis"`` inline commands
-        or ``"memcached"`` text commands (with data blocks).
+        ``protocol`` is ``"redis"``, ``"memcached"`` or ``"kvstore"``.
+        A command is one generator resume: an inline key draw in the
+        words ``randrange`` takes (``TestInlineDraw`` pins it), and a
+        ``request_templates`` template ``% key``.
         """
+        read, write = request_templates(protocol, "memtier-",
+                                        "v" * self.value_size)
+        bits = UniformKeys(self.keyspace).bits  # raises if it is empty
+        keyspace, read_fraction = self.keyspace, self.read_fraction
         rng = RngStreams(seed).stream("memtier")
-        # UniformKeys.sample is one randrange(keyspace) draw — the same
-        # rng consumption as always, so command streams stay
-        # byte-identical per seed (pinned in tests/test_workloads.py).
-        keys = UniformKeys(self.keyspace)
-        value = "v" * self.value_size
+        getrandbits, random = rng.getrandbits, rng.random
         for _ in range(count):
-            key = f"memtier-{keys.sample(rng)}"
-            is_read = rng.random() < self.read_fraction
-            if protocol == "redis":
-                if is_read:
-                    yield f"GET {key}\r\n".encode()
-                else:
-                    yield f"SET {key} {value}\r\n".encode()
-            elif protocol == "memcached":
-                if is_read:
-                    yield f"get {key}\r\n".encode()
-                else:
-                    yield (f"set {key} 0 0 {len(value)}\r\n{value}\r\n"
-                           .encode())
-            else:
-                raise ValueError(f"unknown protocol {protocol!r}")
+            key = getrandbits(bits)
+            while key >= keyspace:
+                key = getrandbits(bits)
+            yield (read if random() < read_fraction else write) % key
 
     def expected_store_growth(self, ops: int) -> int:
         """Approximate distinct keys created after ``ops`` operations.

@@ -34,11 +34,9 @@ from typing import Any, Dict, Iterator, List, Tuple
 from repro.sim.rng import RngStreams
 from repro.sites import OBS
 from repro.workloads.arrivals import arrival_problems, build_arrivals
-from repro.workloads.keyspace import build_keys, key_problems
+from repro.workloads.keyspace import (build_keys, key_problems,
+                                      request_templates)
 from repro.workloads.pool import FlyweightPool
-
-#: Wire protocols :func:`format_request` can emit.
-PROTOCOLS = ("kvstore", "redis", "memcached")
 
 
 @dataclass(frozen=True)
@@ -221,18 +219,5 @@ class OpenLoopGenerator:
 def format_request(request: OpenRequest, protocol: str,
                    value: str) -> bytes:
     """The wire bytes for one generated request."""
-    key = f"ol-{request.key}"
-    if protocol == "kvstore":
-        if request.is_read:
-            return f"GET {key}\r\n".encode()
-        return f"PUT {key} {value}\r\n".encode()
-    if protocol == "redis":
-        if request.is_read:
-            return f"GET {key}\r\n".encode()
-        return f"SET {key} {value}\r\n".encode()
-    if protocol == "memcached":
-        if request.is_read:
-            return f"get {key}\r\n".encode()
-        return f"set {key} 0 0 {len(value)}\r\n{value}\r\n".encode()
-    raise ValueError(f"unknown protocol {protocol!r} "
-                     f"(known: {', '.join(PROTOCOLS)})")
+    read, write = request_templates(protocol, "ol-", value)
+    return (read if request.is_read else write) % request.key

@@ -64,8 +64,9 @@ from repro.obs.trace import Tracer
 from repro.report import ANY, NAT, ListOf, Obj, Via, const, problems
 from repro.scenarios import SCENARIOS, run_cell, run_cells
 from repro.sites import OBS, observing
+from repro.workloads.keyspace import request_templates
 from repro.workloads.openloop import (LoadSpec, OpenLoopGenerator,
-                                      OpenRequest, format_request)
+                                      OpenRequest)
 
 if TYPE_CHECKING:  # loaded with the first stack, see _stack
     from repro.apps import Stack
@@ -170,13 +171,13 @@ def shared_stream(scenario: str, seed: int, quick: bool) -> SharedStream:
     # arrival skeleton, so cells differ only in how they serve it.
     generator = OpenLoopGenerator(spec, seed, stream=f"openloop.{scenario}")
     events = tuple(generator.events())
-    value = "v" * spec.value_size
+    read, write = request_templates(scenario, "ol-", "v" * spec.value_size)
     entry = _WAVES[scenario][3]
     pool = generator.pool
     return SharedStream(
         events=events,
-        payloads=tuple(format_request(event, scenario, value)
-                       for event in events),
+        payloads=tuple([(read if event.is_read else write) % event.key
+                        for event in events]),
         offered=generator.offered, dropped=generator.dropped,
         sessions=pool.sessions_started, reconnects=pool.reconnects,
         deferred_sends=pool.deferred_sends,

@@ -19,7 +19,8 @@ from repro.workloads import VirtualClient
 # rule text, the tracer's log and fold against its eager reference, the
 # fluid model's fast-forward against plain stepping, observed against
 # unobserved runs, the rule engine's one-pass rewrite against
-# offer-by-offer feeding, one heap copy per update)
+# offer-by-offer feeding, one heap copy per update, the inline key
+# draw against ``randrange``)
 # run hypothesis's default in tier-1 and this depth in CI:
 # ``python -m pytest tests/test_report.py … --hypothesis-profile ci``
 # (the full line is in .github/workflows/ci.yml).

@@ -417,6 +417,28 @@ class TestSharedStream:
             generator.offered, generator.dropped, pool.sessions_started,
             pool.reconnects, pool.deferred_sends, pool.tracked_objects())
 
+    #: sha256 of each scenario's joined wire payloads at seed 101 (the
+    #: seed hostbench's openloop-upgrade-waves runs): pinned before the
+    #: payloads moved onto the shared request templates.
+    PAYLOADS_GOLDEN = {
+        ("kvstore", False): "51931427c5de598aa0ad882c5b7add9f"
+                            "b9201ca632f00dad3e4e2748b547cd2e",
+        ("kvstore", True): "6fa51d2261b1e2ccf9590cc163ff4481"
+                           "b2f76d3ffa531b6e241ed4ed10a1415c",
+        ("redis", False): "73451b720f7223a9a671c414073ec15e"
+                          "a460928a6a60123427f223c77b026388",
+        ("redis", True): "42d2757c3fed067bbf8e5a18cf3ac59a"
+                         "67c70d8b48c7b75d4d01e309dd270b6c",
+    }
+
+    @pytest.mark.parametrize("scenario, quick", SCENARIO_SIZES)
+    def test_payloads_match_golden_hash(self, scenario, quick):
+        import hashlib
+        from repro.workloads.openloop_scenarios import shared_stream
+        payloads = shared_stream.__wrapped__(scenario, 101, quick).payloads
+        assert hashlib.sha256(b"".join(payloads)).hexdigest() == \
+            self.PAYLOADS_GOLDEN[(scenario, quick)]
+
     @pytest.mark.parametrize("scenario", ["kvstore", "redis"])
     def test_record_cannot_be_changed_in_place(self, scenario):
         from repro.workloads.openloop_scenarios import (

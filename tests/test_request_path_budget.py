@@ -334,3 +334,32 @@ def test_the_frames_tool_counts_lines_exactly_under_the_same_layers(
     for layer, frames in cell["frames_per_op"].items():
         assert cell["lines_per_op"][layer] >= frames
     assert cell["lines_total_per_op"] > cell["total_per_op"]
+
+
+def test_a_generated_command_is_one_set_up_frame(tmp_path):
+    # ``--setup`` counts each builder after a warm-up build.  The Memtier
+    # generator is one resume per command (its key drawn inline, its
+    # bytes one template) where it entered four frames (``UniformKeys.
+    # sample``, ``randrange``, ``_randbelow_with_getrandbits``): 1.04
+    # set-up frames per op on steady-single-leader, 4.03 before.  A
+    # build whose thunk never runs leaves no recording directory.
+    scratch = os.path.join(REPO, "hostbench", ".scratch")
+    before = set(os.listdir(scratch)) if os.path.isdir(scratch) else set()
+    out = tmp_path / "setup.json"
+    done = subprocess.run(
+        [sys.executable, os.path.join(REPO, "tools", "frames.py"),
+         "--setup", "--functions", "3", "--json", str(out)],
+        capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert "set-up frames per op" in done.stdout
+    report = json.loads(out.read_text())
+    assert report["pass"] == "setup"
+    for name in ("steady-single-leader", "update-rule-heavy"):
+        cell = report["workloads"][name]
+        assert cell["functions_per_op"][
+            "repro/workloads/memtier.py:MemtierSpec.commands"] <= 1.01
+        assert not any("randrange" in function or "sample" in function
+                       for function in cell["functions_per_op"])
+    assert report["workloads"]["steady-single-leader"]["total_per_op"] < 1.1
+    after = set(os.listdir(scratch)) if os.path.isdir(scratch) else set()
+    assert after == before

@@ -136,8 +136,8 @@ def run_pairs(trees: Dict[str, str], workload: str, pairs: int,
             for name, value in values.items():
                 sides[side][name].append(value)
         print(f"{pair + 1:>4} {seed:>5} {order[0]:>6} "
-              f"{sides['parent'][shown][-1]:>12.1f} "
-              f"{sides['change'][shown][-1]:>12.1f}", flush=True)
+              f"{sides['parent'][shown][-1]:>12.6g} "
+              f"{sides['change'][shown][-1]:>12.6g}", flush=True)
     return sides
 
 
@@ -185,9 +185,9 @@ def report_gain(sides: Samples, pairs: int, smoke: bool,
     q1, parent_median, q3 = quartiles(parent)
     change_median = quartiles(change)[1]
     print(f"\n{claimed}: change ahead in {wins}/{pairs} pairs; median "
-          f"{parent_median:.1f} -> {change_median:.1f} "
+          f"{parent_median:.6g} -> {change_median:.6g} "
           f"({change_median / parent_median:.3f}x), parent quartile "
-          f"distance {q3 - q1:.1f}")
+          f"distance {q3 - q1:.6g}")
     print("verdict: " + ("gain shown" if met else "gain NOT shown")
           + (" (smoke: not gated)" if smoke else ""))
     return 0 if met or smoke else 1

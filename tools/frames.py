@@ -8,6 +8,8 @@
     python tools/frames.py --lines            # + a lines-per-op table
     python tools/frames.py --functions 25     # + each workload's top 25
                                               #   functions by frames per op
+    python tools/frames.py --setup            # the builders instead: set-up
+                                              #   frames per op
 
 Each workload is built by ``hostbench/workloads.py``'s own builder at a
 fixed small op count (the count ``hostbench/run.py --smoke`` uses, one
@@ -38,6 +40,16 @@ path relative to ``src/`` for this repository's code, the file name
 otherwise), and a table per workload lists the N functions with the
 most frames per op.
 
+``--setup`` counts the set-up instead of the timed region: each
+workload's ``build(seed, ops)`` runs once unprofiled, so that its
+imports are loaded and what they cache is warm, then once more under
+the same profiler, and the table is that second build's frames per op
+(by layer; the builders run under no probe, so nearly all is
+``(root)``).  With ``--functions N`` it names the builders' N busiest
+functions: a generated command that costs one frame shows as its
+generator at 1.00 per op.  ``hostbench/child.py``'s ``setup_s`` times
+the same builders, with interpreter start and the imports on top.
+
 A second, separate pass builds the workload again with ``tracemalloc``
 tracing and records the peak of traced memory over the timed region
 (set-up included in what is held), in MiB — the allocation side of
@@ -53,6 +65,7 @@ import argparse
 import gc
 import json
 import os
+import shutil
 import sys
 import tracemalloc
 from collections import Counter
@@ -137,11 +150,10 @@ def function_name(code: Any) -> str:
     return f"{path}:{getattr(code, 'co_qualname', code.co_name)}"
 
 
-def count_frames(name: str, ops: int, seed: int = SEED,
-                 functions: bool = False) -> Dict[str, Any]:
-    """``{"ops", "failed", "layers": {layer: frames}}`` for one run of
-    ``name``'s timed region; with ``functions``, also ``"functions":
-    {path:qualname: frames}``."""
+def _profiler(functions: bool):
+    """``(profile, counts, by_code)``: a ``sys.setprofile`` hook that
+    charges every frame entered to its layer in ``counts`` and, with
+    ``functions``, to its code object in ``by_code``."""
     codes = boundaries()
     counts: Counter = Counter()
     by_code: Counter = Counter()
@@ -159,7 +171,13 @@ def count_frames(name: str, ops: int, seed: int = SEED,
         elif event == "return" and open_ and open_[-1][0] is frame:
             open_.pop()
 
-    counted = _counted(name, ops, seed, sys.setprofile, profile)
+    return profile, counts, by_code
+
+
+def _with_functions(counted: Dict[str, Any], counts: Counter,
+                    by_code: Counter, functions: bool) -> Dict[str, Any]:
+    """``counted`` with its ``"layers"`` and, with ``functions``, its
+    ``"functions": {path:qualname: frames}``."""
     counted["layers"] = dict(counts)
     if functions:
         named: Counter = Counter()
@@ -167,6 +185,46 @@ def count_frames(name: str, ops: int, seed: int = SEED,
             named[function_name(code)] += frames
         counted["functions"] = dict(named)
     return counted
+
+
+def count_frames(name: str, ops: int, seed: int = SEED,
+                 functions: bool = False) -> Dict[str, Any]:
+    """``{"ops", "failed", "layers": {layer: frames}}`` for one run of
+    ``name``'s timed region; with ``functions``, also ``"functions":
+    {path:qualname: frames}``."""
+    profile, counts, by_code = _profiler(functions)
+    counted = _counted(name, ops, seed, sys.setprofile, profile)
+    return _with_functions(counted, counts, by_code, functions)
+
+
+def count_setup_frames(name: str, ops: int, seed: int = SEED,
+                       functions: bool = False) -> Dict[str, Any]:
+    """``{"ops", "failed", "layers": {layer: frames}}`` for one
+    ``build(seed, ops)`` of ``name`` after a warm-up build (``failed``
+    is 0: nothing runs); with ``functions``, also ``"functions"``."""
+    build = workloads.WORKLOADS[name].build
+    # chaos-grid's builder makes a recording directory its thunk
+    # removes; no thunk runs here, so this pass removes what it made.
+    scratch = os.path.join(HOSTBENCH, ".scratch")
+    before = set(os.listdir(scratch)) if os.path.isdir(scratch) else set()
+    profile, counts, by_code = _profiler(functions)
+    try:
+        build(seed, ops)
+        gc.collect()
+        gc.disable()
+        sys.setprofile(profile)
+        try:
+            build(seed, ops)
+        finally:
+            sys.setprofile(None)
+            gc.enable()
+    finally:
+        if os.path.isdir(scratch):
+            for entry in set(os.listdir(scratch)) - before:
+                shutil.rmtree(os.path.join(scratch, entry),
+                              ignore_errors=True)
+    return _with_functions({"ops": ops, "failed": 0}, counts, by_code,
+                           functions)
 
 
 def count_lines(name: str, ops: int, seed: int = SEED) -> Dict[str, Any]:
@@ -224,22 +282,26 @@ def _per_op(counted: Dict[str, Any]) -> Dict[str, float]:
 
 
 def measure(names: List[str], smoke: bool, lines: bool = False,
-            functions: int = 0) -> Dict[str, Any]:
+            functions: int = 0, setup: bool = False) -> Dict[str, Any]:
     """The whole table: per workload, frames per op by layer, total and
     the tracemalloc peak; with ``lines``, line events per op too; with
-    ``functions``, that many functions with the most frames per op."""
+    ``functions``, that many functions with the most frames per op.
+    With ``setup``, the builders' frames instead, and no peak."""
     report: Dict[str, Any] = {"schema": "repro-frames/1", "seed": SEED,
+                              "pass": "setup" if setup else "timed",
                               "workloads": {}}
+    count = count_setup_frames if setup else count_frames
     for name in names:
         ops = default_ops(name, smoke)
-        counted = count_frames(name, ops, functions=functions > 0)
+        counted = count(name, ops, functions=functions > 0)
         cell = report["workloads"][name] = {
             "ops": counted["ops"],
             "failed": counted["failed"],
             "frames_per_op": _per_op(counted),
             "total_per_op": sum(counted["layers"].values()) / counted["ops"],
-            "tracemalloc_peak_mib": traced_peak_mib(name, ops),
         }
+        if not setup:
+            cell["tracemalloc_peak_mib"] = traced_peak_mib(name, ops)
         if functions:
             top = sorted(counted["functions"].items(),
                          key=lambda item: (-item[1], item[0]))[:functions]
@@ -277,12 +339,15 @@ def render(report: Dict[str, Any]) -> str:
     cells = report["workloads"]
     names = list(cells)
     width = max(12, *(len(name) for name in names))
-    rows = _table(cells, "frames per op", "frames_per_op", "total_per_op")
+    setup = report["pass"] == "setup"
+    what = "set-up frames per op" if setup else "frames per op"
+    rows = _table(cells, what, "frames_per_op", "total_per_op")
     rows.append(f"{'ops':<20}" + "".join(
         f" {cells[name]['ops']:>{width}d}" for name in names))
-    rows.append(f"{'tracemalloc MiB':<20}" + "".join(
-        f" {cells[name]['tracemalloc_peak_mib']:>{width}.1f}"
-        for name in names))
+    if not setup:
+        rows.append(f"{'tracemalloc MiB':<20}" + "".join(
+            f" {cells[name]['tracemalloc_peak_mib']:>{width}.1f}"
+            for name in names))
     if all("lines_per_op" in cell for cell in cells.values()):
         rows.append("")
         rows.extend(_table(cells, "lines per op", "lines_per_op",
@@ -290,7 +355,7 @@ def render(report: Dict[str, Any]) -> str:
     for name, cell in cells.items():
         top = cell.get("functions_per_op")
         if top:
-            rows += ["", f"{name}: top {len(top)} functions, frames per op"]
+            rows += ["", f"{name}: top {len(top)} functions, {what}"]
             rows += [f"{frames:>12.2f}  {function}"
                      for function, frames in top.items()]
     return "\n".join(rows)
@@ -310,11 +375,17 @@ def main(argv: List[str]) -> int:
     parser.add_argument("--functions", type=int, default=0, metavar="N",
                         help="also list, per workload, the N functions "
                              "with the most frames per op")
+    parser.add_argument("--setup", action="store_true",
+                        help="count each workload's build (after a "
+                             "warm-up build) instead of its timed region")
     args = parser.parse_args(argv)
     if args.functions < 0:
         parser.error("--functions must be 0 or more")
+    if args.setup and args.lines:
+        parser.error("--lines counts the timed region; not with --setup")
     names = [args.workload] if args.workload else list(workloads.WORKLOADS)
-    report = measure(names, args.smoke, args.lines, args.functions)
+    report = measure(names, args.smoke, args.lines, args.functions,
+                     args.setup)
     print(render(report))
     if args.json:
         with open(args.json, "w", encoding="utf-8") as handle:
