@@ -14,8 +14,9 @@
 Run with:  python examples/memcached_fault_tolerance.py
 """
 
+from repro.chaos import ChaosInjector
+from repro.chaos.plans import e3_timing_plan
 from repro.core import Mvedsua, RetryPolicy
-from repro.dsu.program import ThreadState
 from repro.dsu.transform import TransformRegistry
 from repro.net import VirtualKernel
 from repro.servers.memcached import (
@@ -27,6 +28,7 @@ from repro.servers.memcached import (
 )
 from repro.sim.engine import MILLISECOND, SECOND
 from repro.sim.rng import RngStreams
+from repro.sites import observing
 from repro.syscalls.costs import PROFILES
 from repro.workloads import VirtualClient
 
@@ -82,20 +84,14 @@ def part3_freed_buffer() -> None:
 
 def part4_retry() -> None:
     print("\n== part 4: retrying a nondeterministic timing failure ==")
-    kernel, server, mvedsua = deployment()
-    rng = RngStreams(1).stream("example-retry")
-
-    def racy(target):
-        blocked = rng.random() < 0.75
-        target.program.threads = [
-            ThreadState("main"),
-            ThreadState("worker-0", blocked_on_lock=blocked),
-            ThreadState("worker-1", inside_event_loop=True),
-        ]
-
-    attempts = mvedsua.request_update_with_retry(
-        memcached_version("1.2.3"), SECOND, prepare=racy,
-        policy=RetryPolicy(retry_wait_ns=500 * MILLISECOND))
+    _, _, mvedsua = deployment()
+    # Every quiesce attempt races the update signal against live locks:
+    # with probability 0.75 a worker is caught holding one (§6.2's E3).
+    plan = e3_timing_plan(RngStreams(1).stream("example-retry"))
+    with observing(chaos=ChaosInjector(plan)):
+        attempts = mvedsua.request_update_with_retry(
+            memcached_version("1.2.3"), SECOND,
+            policy=RetryPolicy(retry_wait_ns=500 * MILLISECOND))
     print(f"  installed after {len(attempts) - 1} retries "
           f"({', '.join(a.reason for a in attempts)})")
     print("  stage:", mvedsua.stage.value)

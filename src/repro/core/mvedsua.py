@@ -20,14 +20,14 @@ Nondeterministic failures (timing errors) are retried via
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Optional
+from typing import Any, List, Optional
 
 from repro.core.policy import RetryPolicy
 from repro.core.stages import Stage, UpdateTimeline
 from repro.dsu.kitsune import Kitsune, UpdateAttempt
 from repro.dsu.transform import TransformRegistry
 from repro.dsu.version import ServerVersion
-from repro.errors import QuiescenceTimeout, SimulationError, StateTransformError
+from repro.errors import SimulationError
 from repro.mve.dsl.rules import Direction, RuleSet
 from repro.mve.varan import RuntimeEvent, VaranRuntime
 from repro.net.kernel import VirtualKernel
@@ -165,14 +165,12 @@ class Mvedsua:
     # ------------------------------------------------------------------
 
     def request_update(self, new_version: ServerVersion, now: int, *,
-                       rules: Optional[RuleSet] = None,
-                       prepare: Optional[Callable[[Any], None]] = None
-                       ) -> UpdateAttempt:
+                       rules: Optional[RuleSet] = None) -> UpdateAttempt:
         """Start a dynamic update (the paper's t1).
 
-        ``rules`` are the rewrite rules for this version pair.
-        ``prepare`` runs against the leader server just before quiescence
-        — used by experiments to (re)sample thread states.
+        ``rules`` are the rewrite rules for this version pair.  Kitsune's
+        update step runs on the leader's program; the child is forked
+        around its output.
 
         On success the deployment enters the outdated-leader stage.  On
         failure the leader is untouched and the attempt says why.
@@ -183,73 +181,40 @@ class Mvedsua:
                 f"cannot update while in stage {lifecycle.stage.value}")
         if now > OBS.vnow:
             OBS.vnow = now
-        chaos = OBS.chaos
-        if chaos is not None:
-            fault = chaos.fire("dsu.update")
-            if fault is not None:
-                # "buggy-version": the operator ships a broken build —
-                # the E1 fault class.
-                new_version = fault.param["factory"](new_version)
         leader_server = self.runtime.leader.server
-        tracer = OBS.tracer
-        if tracer is not None:
-            tracer.emit("dsu.request", "dsu", at=now,
-                        old=leader_server.version.name,
-                        new=new_version.name)
-        if prepare is not None:
-            prepare(leader_server)
+        attempt, new_version, new_heap = self.kitsune.begin_update(
+            leader_server.program, new_version, at=now,
+            xform_entry_ns=self.profile.xform_entry_ns or 0)
+        if not attempt.ok:
+            if attempt.reason == "transform-failed":
+                # The follower never comes up; the leader resumes as if
+                # nothing happened.
+                leader_server.program.run_abort_callback()
+            return attempt
+        quiesce_ns, xform_ns = attempt.quiesce_ns, attempt.xform_ns
 
-        # Phase 1: quiesce all leader threads at update points.
-        try:
-            quiesce_ns = self.kitsune.quiesce(leader_server.program)
-        except QuiescenceTimeout as exc:
-            if tracer is not None:
-                tracer.emit("dsu.failed", "dsu", at=now,
-                            reason="quiescence-failed", error=str(exc))
-            return UpdateAttempt(False, "quiescence-failed", now,
-                                 error=str(exc))
-        if tracer is not None:
-            tracer.emit("dsu.quiesce", "dsu", at=now + quiesce_ns,
-                        ns=quiesce_ns)
-
-        # Phase 2: the child performs the update.  The transformer gets
-        # the one copy of the leader's heap the update makes, and the
-        # child is forked around its output (the fork's copy-on-write).
-        try:
-            new_heap, xform_ns, entries = self.kitsune.transform(
-                leader_server.program, new_version,
-                xform_entry_ns=self.profile.xform_entry_ns or 0)
-        except StateTransformError as exc:
-            # Detectable transformer failure: the follower never comes
-            # up; the leader resumes as if nothing happened.
-            leader_server.program.run_abort_callback()
-            if tracer is not None:
-                tracer.emit("dsu.failed", "dsu", at=now,
-                            reason="transform-failed", error=str(exc))
-            return UpdateAttempt(False, "transform-failed", now,
-                                 quiesce_ns=quiesce_ns, error=str(exc))
+        # The transformer got the one copy of the leader's heap the
+        # update makes, and the child is forked around its output (the
+        # fork's copy-on-write).
         child = leader_server.fork(new_heap)
         child.apply_version(new_version, new_heap)
-        if hasattr(child, "on_update_applied"):
-            # Kitsune relaunches threads in the new version; servers use
-            # this hook to reinitialise library state (e.g. LibEvent).
-            child.on_update_applied()
 
         if rules is not None:
             self.runtime.rules = rules
         self.runtime.stage_direction = Direction.OUTDATED_LEADER
         follower = self.runtime.fork_follower(now + quiesce_ns, server=child)
         t1 = self.runtime.events[-1].at  # the fork event
-        # Phase 3: the dynamic update runs on the follower, off the
-        # leader's critical path.
+        # The dynamic update runs on the follower, off the leader's
+        # critical path.
         t2 = follower.cpu.charge(t1, xform_ns)
-        # Phase 4: the leader aborts its own update and resumes.
+        # The leader aborts its own update and resumes.
         leader_server.program.run_abort_callback()
 
         lifecycle.timeline = UpdateTimeline(t1_forked=t1, t2_updated=t2)
+        tracer = OBS.tracer
         if tracer is not None:
             tracer.emit("dsu.xform", "dsu", at=t2, ns=xform_ns,
-                        entries=entries, version=new_version.name)
+                        entries=attempt.entries, version=new_version.name)
             tracer.emit("dsu.applied", "dsu", at=t1, t1=t1, t2=t2,
                         old=leader_server.version.name,
                         new=new_version.name)
@@ -266,13 +231,12 @@ class Mvedsua:
             spans.add("dsu.xform", "dsu", t1, t2,
                       parent=update.span_id, version=new_version.name)
         lifecycle.enter(Stage.OUTDATED_LEADER, "mve-active")
-        return UpdateAttempt(True, "applied", t1, quiesce_ns=quiesce_ns,
-                             xform_ns=xform_ns, entries=entries)
+        attempt.at = t1
+        return attempt
 
     def request_update_with_retry(self, new_version: ServerVersion,
                                   now: int, *,
                                   rules: Optional[RuleSet] = None,
-                                  prepare: Optional[Callable[[Any], None]] = None,
                                   policy: Optional[RetryPolicy] = None
                                   ) -> List[UpdateAttempt]:
         """Retry nondeterministic failures until the update installs.
@@ -286,8 +250,7 @@ class Mvedsua:
         attempts: List[UpdateAttempt] = []
         at = now
         for _ in range(policy.max_attempts):
-            attempt = self.request_update(new_version, at, rules=rules,
-                                          prepare=prepare)
+            attempt = self.request_update(new_version, at, rules=rules)
             attempts.append(attempt)
             if attempt.ok or attempt.reason == "transform-failed":
                 return attempts

@@ -6,16 +6,16 @@ process pauses service for ``quiesce + transform`` — the pause Figure 7
 measures at ~5 s for a 1M-entry Redis heap.
 
 Mvedsua changes *where* this work happens, not what it is: the update is
-applied to a forked follower while the leader keeps serving.  The hooks
-the paper added to Kitsune (§4) appear here as :meth:`Kitsune.quiesce` /
-:meth:`Kitsune.transform` being callable separately, plus the program's
-abort callback for the leader side.
+applied to a forked follower while the leader keeps serving.  Both run
+one step, :meth:`Kitsune.begin_update` (quiesce, then transform), and
+differ only in where its output is installed; the hook the paper added
+for the leader side (§4) is the program's abort callback.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Tuple
 
 from repro.errors import QuiescenceTimeout, StateTransformError
 from repro.dsu.program import ThreadState, UpdatableProgram
@@ -79,14 +79,14 @@ class UpdateAttempt:
 
 
 class Kitsune:
-    """Quiesce / transform / swap, with separable phases for Mvedsua."""
+    """Quiesce / transform / swap; the swap is the caller's under Mvedsua."""
 
     def __init__(self, transforms: TransformRegistry,
                  quiesce_timeout_ns: int = 50_000_000) -> None:
         self.transforms = transforms
         self.quiesce_timeout_ns = quiesce_timeout_ns
 
-    # -- phases (used piecewise by Mvedsua) ---------------------------------
+    # -- the two phases ------------------------------------------------------
 
     def quiesce(self, program: UpdatableProgram) -> int:
         """Park all threads at update points; returns the time it took.
@@ -123,7 +123,7 @@ class Kitsune:
 
     def transform(self, program: UpdatableProgram,
                   new_version: ServerVersion,
-                  xform_entry_ns: int = 0) -> tuple[Dict[str, Any], int, int]:
+                  xform_entry_ns: int) -> Tuple[Dict[str, Any], int, int]:
         """Run the state transformer for ``program -> new_version``.
 
         Returns ``(new_heap, duration_ns, entries)``.  Raises
@@ -157,7 +157,60 @@ class Kitsune:
         duration = entries * xform_entry_ns
         return new_heap, duration, entries
 
-    # -- the standalone (non-MVE) update -------------------------------------
+    # -- the update step, standalone or under Mvedsua ------------------------
+
+    def begin_update(self, program: UpdatableProgram,
+                     new_version: ServerVersion, *, at: int,
+                     xform_entry_ns: int, **event_fields: Any
+                     ) -> Tuple[UpdateAttempt, ServerVersion,
+                                Optional[Dict[str, Any]]]:
+        """Quiesce ``program`` and transform its heap for ``new_version``
+        from virtual time ``at``: the step standalone Kitsune installs in
+        place and Mvedsua forks a follower around.
+
+        Returns ``(attempt, version, heap)``: the version to install (a
+        ``dsu.update`` fault may have swapped it) and the transformed
+        heap, ``None`` when the attempt failed; a failure is logged when
+        it happened and leaves ``program`` untouched.  ``event_fields``
+        go onto the ``dsu.request`` event.
+        """
+        chaos = OBS.chaos
+        if chaos is not None:
+            fault = chaos.fire("dsu.update")
+            if fault is not None:
+                # "buggy-version": the operator ships a broken build —
+                # the E1 fault class.
+                new_version = fault.param["factory"](new_version)
+        tracer = OBS.tracer
+        if tracer is not None:
+            tracer.emit("dsu.request", "dsu", at=at, old=program.version.name,
+                        new=new_version.name, **event_fields)
+        try:
+            quiesce_ns = self.quiesce(program)
+        except QuiescenceTimeout as exc:
+            if tracer is not None:
+                tracer.emit("dsu.failed", "dsu", at=at,
+                            reason="quiescence-failed", error=str(exc))
+            return (UpdateAttempt(False, "quiescence-failed", at,
+                                  error=str(exc)), new_version, None)
+        if tracer is not None:
+            tracer.emit("dsu.quiesce", "dsu", at=at + quiesce_ns,
+                        ns=quiesce_ns)
+        try:
+            new_heap, xform_ns, entries = self.transform(
+                program, new_version, xform_entry_ns)
+        except StateTransformError as exc:
+            # A detectably-failing transformer aborts the update after
+            # quiescence was paid for.
+            if tracer is not None:
+                tracer.emit("dsu.failed", "dsu", at=at + quiesce_ns,
+                            reason="transform-failed", error=str(exc))
+            return (UpdateAttempt(False, "transform-failed", at,
+                                  quiesce_ns=quiesce_ns, error=str(exc)),
+                    new_version, None)
+        return (UpdateAttempt(True, "applied", at, quiesce_ns=quiesce_ns,
+                              xform_ns=xform_ns, entries=entries),
+                new_version, new_heap)
 
     def apply_update(self, program: UpdatableProgram,
                      new_version: ServerVersion, *,
@@ -170,48 +223,20 @@ class Kitsune:
         On failure the program is untouched (Kitsune aborts back to the
         old code) and the attempt says why.
         """
-        chaos = OBS.chaos
-        if chaos is not None:
-            fault = chaos.fire("dsu.update")
-            if fault is not None:
-                # "buggy-version": the operator ships a broken build —
-                # the E1 fault class.
-                new_version = fault.param["factory"](new_version)
         old_name = program.version.name
-        tracer = OBS.tracer
-        if tracer is not None:
-            tracer.emit("dsu.request", "dsu", at=at, old=old_name,
-                        new=new_version.name, system="kitsune")
-        try:
-            quiesce_ns = self.quiesce(program)
-        except QuiescenceTimeout as exc:
-            if tracer is not None:
-                tracer.emit("dsu.failed", "dsu", at=at,
-                            reason="quiescence-failed", error=str(exc))
-            return UpdateAttempt(False, "quiescence-failed", at,
-                                 error=str(exc))
-        if tracer is not None:
-            tracer.emit("dsu.quiesce", "dsu", at=at + quiesce_ns,
-                        ns=quiesce_ns)
-        try:
-            new_heap, xform_ns, entries = self.transform(
-                program, new_version, xform_entry_ns)
-        except StateTransformError as exc:
-            # A detectably-failing transformer aborts the update after the
-            # pause already paid for quiescence.
-            if tracer is not None:
-                tracer.emit("dsu.failed", "dsu", at=at + quiesce_ns,
-                            reason="transform-failed", error=str(exc))
-            return UpdateAttempt(False, "transform-failed", at,
-                                 quiesce_ns=quiesce_ns, error=str(exc))
+        attempt, new_version, new_heap = self.begin_update(
+            program, new_version, at=at, xform_entry_ns=xform_entry_ns,
+            system="kitsune")
+        if not attempt.ok:
+            return attempt
         program.version = new_version
         program.heap = new_heap
+        tracer = OBS.tracer
         if tracer is not None:
-            done = at + quiesce_ns + xform_ns
-            tracer.emit("dsu.xform", "dsu", at=done, ns=xform_ns,
-                        entries=entries, version=new_version.name)
+            done = at + attempt.quiesce_ns + attempt.xform_ns
+            tracer.emit("dsu.xform", "dsu", at=done, ns=attempt.xform_ns,
+                        entries=attempt.entries, version=new_version.name)
             tracer.emit("dsu.applied", "dsu", at=done, old=old_name,
                         new=new_version.name, system="kitsune")
             tracer.emit("dsu.resume", "dsu", at=done)
-        return UpdateAttempt(True, "applied", at, quiesce_ns=quiesce_ns,
-                             xform_ns=xform_ns, entries=entries)
+        return attempt

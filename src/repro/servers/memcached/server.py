@@ -22,9 +22,10 @@ adaptation: epoll update points + LibEvent reset on abort and on update.
 from __future__ import annotations
 
 import copy
-from typing import List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.dsu.program import ThreadState
+from repro.dsu.version import ServerVersion
 from repro.errors import ServerCrash
 from repro.libevent import LibEventLoop
 from repro.mve.gateway import SyscallGateway
@@ -76,11 +77,11 @@ class MemcachedServer(Server):
             for index in range(WORKER_THREADS))
         return threads
 
-    # -- Mvedsua adaptation hooks -------------------------------------------
-
-    def on_update_applied(self) -> None:
-        """Kitsune relaunches threads after an update; LibEvent state is
-        rebuilt from scratch in the updated process."""
+    def apply_version(self, version: ServerVersion,
+                      heap: Dict[str, Any]) -> None:
+        """Kitsune relaunches threads after an update, so every install
+        rebuilds LibEvent state from scratch."""
+        super().apply_version(version, heap)
         self.libevent.reset()
 
     # -- event loop ---------------------------------------------------------

@@ -45,12 +45,6 @@ class CpuAccount:
         if when > self.busy_until:
             self.busy_until = when
 
-    def reset(self) -> None:
-        """Forget all accounting.  (A forked follower does not reset a
-        copy: :meth:`fork` builds it a fresh account.)"""
-        self.busy_until = 0
-        self.total_busy = 0
-
     def fork(self, name: str, at: int) -> "CpuAccount":
         """Create a new core whose availability starts at ``at``."""
         child = CpuAccount(name)

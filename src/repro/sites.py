@@ -166,8 +166,9 @@ TABLE: Tuple[Site, ...] = (
     Site("stream.record", "replay", "mve/varan.py:VaranRuntime",
          events=("stream.claim", "stream.record", "stream.promote",
                  "stream.crash-promote")),
-    # The update lifecycle.
-    Site("dsu.update", "dsu", "core/mvedsua.py:Mvedsua.request_update",
+    # The update lifecycle: Kitsune's one update step, then the install
+    # each runtime logs (``Mvedsua.request_update`` records the spans).
+    Site("dsu.update", "dsu", "dsu/kitsune.py:Kitsune.begin_update",
          faults=("buggy-version",),
          events=("dsu.request", "dsu.failed", "dsu.quiesce", "dsu.xform",
                  "dsu.applied", "dsu.resume"),

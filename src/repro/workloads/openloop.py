@@ -34,8 +34,7 @@ from typing import Any, Dict, Iterator, List, Tuple
 from repro.sim.rng import RngStreams
 from repro.sites import OBS
 from repro.workloads.arrivals import arrival_problems, build_arrivals
-from repro.workloads.keyspace import (build_keys, key_problems,
-                                      request_templates)
+from repro.workloads.keyspace import build_keys, key_problems
 from repro.workloads.pool import FlyweightPool
 
 
@@ -214,10 +213,3 @@ class OpenLoopGenerator:
                 yield heapq.heappop(pending)[2]
         while pending:
             yield heapq.heappop(pending)[2]
-
-
-def format_request(request: OpenRequest, protocol: str,
-                   value: str) -> bytes:
-    """The wire bytes for one generated request."""
-    read, write = request_templates(protocol, "ol-", value)
-    return (read if request.is_read else write) % request.key

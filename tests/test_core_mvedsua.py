@@ -1,5 +1,6 @@
 """Integration tests for the Mvedsua orchestrator (the paper's §3.2)."""
 
+import random
 from collections import deque
 
 import pytest
@@ -7,12 +8,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.apps import deploy
+from repro.chaos import ChaosInjector, Fault, FaultPlan, at_time, on_call
+from repro.chaos.scenarios import buggy_v2_factory
 from repro.core import Mvedsua, RetryPolicy, Stage
 from repro.dsu import Kitsune
 from repro.dsu.program import ThreadState
 from repro.dsu.transform import TransformRegistry, clone_heap
 from repro.errors import SimulationError
 from repro.net import VirtualKernel
+from repro.obs.trace import Tracer
 from repro.servers.base import Server
 from repro.servers.kvstore import (
     KVStoreServer,
@@ -25,6 +29,7 @@ from repro.servers.kvstore import (
 )
 from repro.servers.native import NativeRuntime
 from repro.sim.engine import MILLISECOND, SECOND
+from repro.sites import observing
 from repro.syscalls.costs import PROFILES
 from repro.workloads import VirtualClient
 from tests.counting import counted
@@ -44,6 +49,13 @@ def buggy_transforms(xform):
     registry = TransformRegistry()
     registry.register("kvstore", "1.0", "2.0", xform)
     return registry
+
+
+def quiesce_timeouts(trigger):
+    """An injector whose ``dsu.quiesce`` timeout fires on ``trigger``: a
+    thread never reaches an update point (the timing error class)."""
+    return ChaosInjector(FaultPlan("timing", (
+        Fault("dsu.quiesce", "timeout", trigger),)))
 
 
 class TestHappyPath:
@@ -183,14 +195,8 @@ class TestFaultTolerance:
 
     def test_timing_error_reported_as_quiescence_failure(self):
         _, mvedsua, _ = deployment()
-
-        def deadlock(server):
-            server.program.threads = [
-                ThreadState("holder"),
-                ThreadState("waiter", blocked_on_lock=True),
-            ]
-        attempt = mvedsua.request_update(KVStoreV2(), SECOND,
-                                         prepare=deadlock)
+        with observing(chaos=quiesce_timeouts(on_call(1))):
+            attempt = mvedsua.request_update(KVStoreV2(), SECOND)
         assert not attempt.ok
         assert attempt.reason == "quiescence-failed"
         assert mvedsua.stage is Stage.SINGLE_LEADER
@@ -199,19 +205,12 @@ class TestFaultTolerance:
 class TestRetryPolicy:
     def test_retry_until_quiescence_succeeds(self):
         _, mvedsua, _ = deployment()
-        countdown = {"failures_left": 3}
-
-        def flaky(server):
-            blocked = countdown["failures_left"] > 0
-            countdown["failures_left"] -= 1
-            server.program.threads = [
-                ThreadState("worker", blocked_on_lock=blocked)]
-
         policy = RetryPolicy(retry_wait_ns=500 * MILLISECOND,
                              max_attempts=10)
-        attempts = mvedsua.request_update_with_retry(
-            KVStoreV2(), SECOND, rules=kv_rules(), prepare=flaky,
-            policy=policy)
+        # The first three quiesce attempts time out.
+        with observing(chaos=quiesce_timeouts(at_time(0, count=3))):
+            attempts = mvedsua.request_update_with_retry(
+                KVStoreV2(), SECOND, rules=kv_rules(), policy=policy)
         assert len(attempts) == 4
         assert attempts[-1].ok
         assert all(not a.ok for a in attempts[:-1])
@@ -219,16 +218,10 @@ class TestRetryPolicy:
 
     def test_retry_waits_500ms_between_attempts(self):
         _, mvedsua, _ = deployment()
-        seen = []
-
-        def always_blocked(server):
-            seen.append(True)
-            server.program.threads = [
-                ThreadState("w", blocked_on_lock=True)]
-
         policy = RetryPolicy(retry_wait_ns=500 * MILLISECOND, max_attempts=3)
-        attempts = mvedsua.request_update_with_retry(
-            KVStoreV2(), SECOND, prepare=always_blocked, policy=policy)
+        with observing(chaos=quiesce_timeouts(at_time(0, count=-1))):
+            attempts = mvedsua.request_update_with_retry(
+                KVStoreV2(), SECOND, policy=policy)
         assert len(attempts) == 3
         assert attempts[1].at - attempts[0].at == 500 * MILLISECOND
 
@@ -300,6 +293,64 @@ class TestPromotionDrainDivergence:
                               now=4 * SECOND) == b"+OK\r\n"
 
 
+def update_each_way(transforms, threads=None, plan=None, tries=1):
+    """Standalone Kitsune (``NativeRuntime.apply_update``) and Mvedsua
+    (``request_update``) each update kvstore 1.0 → 2.0 with a 200-entry
+    preload (and ``threads`` parked in each program): up to ``tries``
+    attempts a second apart, stopping at the first that applies, under
+    a tracer and a fresh injector from ``plan()``.  Per runtime, its
+    attempts and the ``dsu.*`` events they logged."""
+    runs = []
+    for runtime in (NativeRuntime, Mvedsua):
+        kernel = VirtualKernel()
+        server = KVStoreServer(KVStoreV1())
+        server.attach(kernel)
+        server.heap["table"].update({f"k{i}": "v" for i in range(200)})
+        if threads is not None:
+            server.program.threads = list(threads)
+        if runtime is NativeRuntime:
+            native = NativeRuntime(kernel, server, PROFILES["kvstore"],
+                                   with_kitsune=True)
+
+            def update(at, kitsune=Kitsune(transforms)):
+                return native.apply_update(kitsune, KVStoreV2(), at)
+        else:
+            mvedsua = Mvedsua(kernel, server, PROFILES["kvstore"],
+                              transforms=transforms)
+
+            def update(at):
+                return mvedsua.request_update(KVStoreV2(), at,
+                                              rules=kv_rules())
+        tracer, attempts = Tracer(), []
+        chaos = None if plan is None else ChaosInjector(plan())
+        with observing(tracer=tracer, chaos=chaos):
+            for attempt_index in range(1, tries + 1):
+                attempts.append(update(attempt_index * SECOND))
+                if attempts[-1].ok:
+                    break
+        runs.append((attempts, [event for event in tracer.events
+                                if event.kind.startswith("dsu.")]))
+    return runs
+
+
+def phases(attempt):
+    """What an attempt records of its phases (``at`` is the fork under
+    Mvedsua once the update applies)."""
+    return (attempt.ok, attempt.reason, attempt.quiesce_ns,
+            attempt.xform_ns, attempt.entries, attempt.error,
+            None if attempt.ok else attempt.at)
+
+
+def step_events(events):
+    """The events Kitsune's update step logs, ``system`` aside: each
+    attempt's ``dsu.request``, ``dsu.quiesce`` and ``dsu.failed``."""
+    return [(event.at, event.kind,
+             {key: value for key, value in event.fields.items()
+              if key != "system"})
+            for event in events
+            if event.kind in ("dsu.request", "dsu.quiesce", "dsu.failed")]
+
+
 class TestOneUpdateRecord:
     """Standalone Kitsune (``NativeRuntime.apply_update``) and Mvedsua
     (``request_update``) run the same two phases and return the same
@@ -310,34 +361,12 @@ class TestOneUpdateRecord:
     def _both(transforms, threads=None):
         """The attempt each runtime makes at kvstore 1.0 → 2.0 with a
         200-entry preload (and ``threads`` parked in each program)."""
-        attempts = []
-        for runtime in (NativeRuntime, Mvedsua):
-            kernel = VirtualKernel()
-            server = KVStoreServer(KVStoreV1())
-            server.attach(kernel)
-            server.heap["table"].update({f"k{i}": "v" for i in range(200)})
-            if threads is not None:
-                server.program.threads = list(threads)
-            if runtime is NativeRuntime:
-                native = NativeRuntime(kernel, server, PROFILES["kvstore"],
-                                       with_kitsune=True)
-                attempts.append(native.apply_update(
-                    Kitsune(transforms), KVStoreV2(), SECOND))
-            else:
-                mvedsua = Mvedsua(kernel, server, PROFILES["kvstore"],
-                                  transforms=transforms)
-                attempts.append(mvedsua.request_update(
-                    KVStoreV2(), SECOND, rules=kv_rules()))
-        return attempts
-
-    @staticmethod
-    def _phases(attempt):
-        return (attempt.ok, attempt.reason, attempt.quiesce_ns,
-                attempt.xform_ns, attempt.entries, attempt.error)
+        return [attempts[0] for attempts, _
+                in update_each_way(transforms, threads)]
 
     def test_an_applied_update_records_the_same_phases(self):
         kitsune, mvedsua = self._both(kv_transforms())
-        assert self._phases(kitsune) == self._phases(mvedsua)
+        assert phases(kitsune) == phases(mvedsua)
         assert kitsune.reason == "applied"
         assert kitsune.entries == 200
         assert kitsune.xform_ns == 200 * PROFILES["kvstore"].xform_entry_ns
@@ -346,7 +375,7 @@ class TestOneUpdateRecord:
         kitsune, mvedsua = self._both(
             kv_transforms(), threads=[ThreadState("stuck",
                                                   blocked_on_lock=True)])
-        assert self._phases(kitsune) == self._phases(mvedsua)
+        assert phases(kitsune) == phases(mvedsua)
         assert (kitsune.reason, kitsune.quiesce_ns) \
             == ("quiescence-failed", 0)
         assert "stuck" in kitsune.error
@@ -356,11 +385,63 @@ class TestOneUpdateRecord:
             raise KeyError("table")
 
         kitsune, mvedsua = self._both(buggy_transforms(boom))
-        assert self._phases(kitsune) == self._phases(mvedsua)
+        assert phases(kitsune) == phases(mvedsua)
         assert (kitsune.reason, kitsune.xform_ns, kitsune.entries) \
             == ("transform-failed", 0, 0)
         assert kitsune.quiesce_ns > 0
         assert "raised" in kitsune.error
+
+    def test_a_failed_transform_is_logged_when_quiescence_ended(self):
+        def plan():
+            return FaultPlan("xform", (
+                Fault("dsu.transform", "exception", on_call(1)),))
+
+        for attempts, events in update_each_way(kv_transforms(),
+                                                plan=plan):
+            (attempt,) = attempts
+            stamps = {event.kind: event.at for event in events}
+            assert attempt.reason == "transform-failed"
+            assert stamps["dsu.failed"] == stamps["dsu.quiesce"] \
+                == SECOND + attempt.quiesce_ns
+
+
+#: Each ``dsu.*`` fault kind's parameters, from one generated knob in
+#: 0..60 (the kinds are unique across the three sites).
+DSU_FAULT_PARAMS = {
+    ("dsu.update", "buggy-version"): lambda knob: {
+        "factory": buggy_v2_factory},
+    ("dsu.quiesce", "timeout"): lambda knob: {},
+    ("dsu.quiesce", "race"): lambda knob: {
+        "rng": random.Random(knob), "probability": knob / 60},
+    ("dsu.quiesce", "delay"): lambda knob: {
+        "delay_ns": knob * MILLISECOND},
+    ("dsu.transform", "exception"): lambda knob: {},
+    ("dsu.transform", "replace"): lambda knob: {
+        "transformer": (xform_drop_table,
+                        xform_uninitialised_type)[knob % 2]},
+    ("dsu.transform", "corrupt-heap"): lambda knob: {
+        "marker": "!" * (1 + knob % 3)},
+}
+
+
+@given(st.lists(st.tuples(st.sampled_from(sorted(DSU_FAULT_PARAMS)),
+                          st.integers(1, 3), st.integers(0, 60)),
+                max_size=4))
+def test_one_update_step_under_any_dsu_fault_plan(faults):
+    """Whatever ``dsu.*`` faults fire on which call, standalone Kitsune
+    and Mvedsua fail the same attempts the same way and log the same
+    update step (three tries, so call indices 2 and 3 are reached)."""
+    def plan():
+        return FaultPlan("generated", tuple(
+            Fault(site, kind, on_call(index),
+                  DSU_FAULT_PARAMS[site, kind](knob))
+            for (site, kind), index, knob in faults))
+
+    (kitsune, kitsune_events), (mvedsua, mvedsua_events) = \
+        update_each_way(kv_transforms(), plan=plan, tries=3)
+    assert [phases(attempt) for attempt in kitsune] \
+        == [phases(attempt) for attempt in mvedsua]
+    assert step_events(kitsune_events) == step_events(mvedsua_events)
 
 
 # -- one copy of the process image per update ---------------------------------

@@ -31,11 +31,11 @@ from repro.workloads.keyspace import (
     ZipfKeys,
     build_keys,
     key_problems,
+    request_templates,
 )
 from repro.workloads.openloop import (
     LoadSpec,
     OpenLoopGenerator,
-    format_request,
     spec_problems,
 )
 from repro.workloads.pool import FlyweightPool
@@ -305,12 +305,15 @@ class TestOpenLoopGenerator:
         events = list(OpenLoopGenerator(spec, seed=6).events())
         read = next(e for e in events if e.is_read)
         write = next(e for e in events if not e.is_read)
-        assert format_request(read, "kvstore", "v").startswith(b"GET ol-")
-        assert format_request(write, "kvstore", "v").startswith(b"PUT ol-")
-        assert format_request(write, "redis", "v").startswith(b"SET ol-")
-        assert b"\r\nvv\r\n" in format_request(write, "memcached", "vv")
+        kv_read, kv_write = request_templates("kvstore", "ol-", "v")
+        assert kv_read % read.key == b"GET ol-%d\r\n" % read.key
+        assert kv_write % write.key == b"PUT ol-%d v\r\n" % write.key
+        _, redis_write = request_templates("redis", "ol-", "v")
+        assert (redis_write % write.key).startswith(b"SET ol-")
+        _, mc_write = request_templates("memcached", "ol-", "vv")
+        assert b"\r\nvv\r\n" in mc_write % write.key
         with pytest.raises(ValueError):
-            format_request(read, "ftp", "v")
+            request_templates("ftp", "ol-", "v")
 
 
 # -- the scenario driver + report --------------------------------------------
@@ -406,9 +409,10 @@ class TestSharedStream:
         generator = OpenLoopGenerator(spec, 1,
                                       stream=f"openloop.{scenario}")
         assert memo.events == tuple(generator.events())
-        value = "v" * spec.value_size
+        read, write = request_templates(scenario, "ol-",
+                                        "v" * spec.value_size)
         assert memo.payloads == tuple(
-            format_request(event, scenario, value)
+            (read if event.is_read else write) % event.key
             for event in memo.events)
         pool = generator.pool
         assert (memo.offered, memo.dropped, memo.sessions,

@@ -1,6 +1,8 @@
 """Tests for the Memcached analogue: protocol, threading, LibEvent."""
 
+from repro.apps import deploy
 from repro.core import Mvedsua, Stage
+from repro.dsu import Kitsune
 from repro.dsu.transform import TransformRegistry
 from repro.libevent import LibEventLoop
 from repro.net import VirtualKernel
@@ -191,6 +193,23 @@ class TestLibEventDivergence:
         mvedsua, _, _ = self.run_scenario(reset=True)
         assert mvedsua.stage is Stage.OUTDATED_LEADER
         assert mvedsua.runtime.last_divergence is None
+
+
+class TestEveryInstallRebuildsLibEvent:
+    """Kitsune relaunches threads, so an installed update starts LibEvent
+    afresh whichever runtime ran it (under Mvedsua,
+    ``TestLibEventDivergence`` shows the follower's fresh cursor)."""
+
+    def test_standalone_update_resets_the_dispatch_cursor(self):
+        stack = deploy("memcached", "1.2.2", NativeRuntime,
+                       with_kitsune=True)
+        stack.client().command(stack.runtime, b"get warm")
+        assert stack.server.libevent.cursor == 1
+        attempt = stack.runtime.apply_update(
+            Kitsune(stack.app.transforms), stack.app.version("1.2.3"),
+            SECOND)
+        assert attempt.ok
+        assert stack.server.libevent.cursor == 0
 
 
 class TestStateTransformBug:

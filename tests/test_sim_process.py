@@ -60,11 +60,14 @@ def test_fork_starts_child_at_fork_time():
 
 
 def test_reset_clears_accounting():
+    # A fresh account is a fork: none of the parent's busy time, and
+    # available from the fork time even when the parent is busy later.
     cpu = CpuAccount()
     cpu.charge(arrival=0, cost=10)
-    cpu.reset()
-    assert cpu.busy_until == 0
-    assert cpu.total_busy == 0
+    child = cpu.fork("follower", at=4)
+    assert child.busy_until == 4
+    assert child.total_busy == 0
+    assert (cpu.busy_until, cpu.total_busy) == (10, 10)
 
 
 def test_back_to_back_fifo_order():
