@@ -48,7 +48,6 @@ def main() -> None:
     # Follower 1: diversified replica with a latent bug.
     diversified = server.fork()
     diversified.version = DiversifiedReplica()
-    diversified.program.version = diversified.version
     runtime.fork_follower(10**9, server=diversified)
     # Follower 2: dynamically updated v2.0 with its rewrite rules.
     updated = server.fork()

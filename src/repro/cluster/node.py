@@ -38,16 +38,12 @@ class ClusterNode:
         self.name = name
         self.kernel = kernel
         self.server = server
-        self.profile = profile
         self.status = NodeStatus.SERVING
         #: Fleet identity, assigned by :class:`repro.cluster.shard.Shard`
         #: when the node joins a replica group (None until it does).
         self.shard_index: Optional[int] = None
         self.replica_index: Optional[int] = None
-        #: When set (a repro.net RingLink), this node's MVE follower is
-        #: housed on a *different* fleet node and the pair's ring
-        #: crosses the declared link.
-        self.ring_link = ring_link
+        # A ``ring_link`` houses the Mvedsua follower on another node.
         if transforms is not None:
             self.runtime: Any = Mvedsua(kernel, server, profile,
                                         transforms=transforms,

@@ -108,7 +108,6 @@ class Mvedsua:
         if ring_link is not None:
             from repro.mve.distring import DistributedRing
             ring = DistributedRing(ring_capacity, ring_link)
-        self.ring_link = ring_link
         self.runtime = VaranRuntime(kernel, server, profile,
                                     ring_capacity=ring_capacity,
                                     with_kitsune=True,
@@ -169,8 +168,8 @@ class Mvedsua:
         """Start a dynamic update (the paper's t1).
 
         ``rules`` are the rewrite rules for this version pair.  Kitsune's
-        update step runs on the leader's program; the child is forked
-        around its output.
+        update step runs on the leader; the child is forked around its
+        output.
 
         On success the deployment enters the outdated-leader stage.  On
         failure the leader is untouched and the attempt says why.
@@ -183,13 +182,13 @@ class Mvedsua:
             OBS.vnow = now
         leader_server = self.runtime.leader.server
         attempt, new_version, new_heap = self.kitsune.begin_update(
-            leader_server.program, new_version, at=now,
+            leader_server, new_version, at=now,
             xform_entry_ns=self.profile.xform_entry_ns or 0)
         if not attempt.ok:
             if attempt.reason == "transform-failed":
                 # The follower never comes up; the leader resumes as if
                 # nothing happened.
-                leader_server.program.run_abort_callback()
+                leader_server.run_abort_callback()
             return attempt
         quiesce_ns, xform_ns = attempt.quiesce_ns, attempt.xform_ns
 
@@ -208,7 +207,7 @@ class Mvedsua:
         # critical path.
         t2 = follower.cpu.charge(t1, xform_ns)
         # The leader aborts its own update and resumes.
-        leader_server.program.run_abort_callback()
+        leader_server.run_abort_callback()
 
         lifecycle.timeline = UpdateTimeline(t1_forked=t1, t2_updated=t2)
         tracer = OBS.tracer

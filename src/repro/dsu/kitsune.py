@@ -218,10 +218,10 @@ class Kitsune:
         """Update ``program`` in place, Kitsune-style, from virtual time
         ``at`` (where its ``dsu.*`` trace events are stamped from).
 
-        On success the program runs the new version with the transformed
-        heap, and the attempt carries both phases of the service pause.
-        On failure the program is untouched (Kitsune aborts back to the
-        old code) and the attempt says why.
+        On success ``program.apply_version`` installs the new version and
+        the transformed heap, and the attempt carries both phases of the
+        service pause.  On failure the program is untouched (Kitsune
+        aborts back to the old code) and the attempt says why.
         """
         old_name = program.version.name
         attempt, new_version, new_heap = self.begin_update(
@@ -229,8 +229,7 @@ class Kitsune:
             system="kitsune")
         if not attempt.ok:
             return attempt
-        program.version = new_version
-        program.heap = new_heap
+        program.apply_version(new_version, new_heap)
         tracer = OBS.tracer
         if tracer is not None:
             done = at + attempt.quiesce_ns + attempt.xform_ns

@@ -35,23 +35,22 @@ class ThreadState:
     inside_event_loop: bool = False
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class UpdatableProgram:
-    """The DSU-relevant state of one running server process."""
+    """The DSU-relevant state of one running server process — every
+    :class:`repro.servers.base.Server` is one.  No generated ``__eq__``
+    (servers hash by identity) or ``repr`` (it would print the heap)."""
 
     version: ServerVersion
     heap: Dict[str, Any]
-    threads: List[ThreadState] = field(default_factory=list)
+    threads: List[ThreadState] = field(
+        default_factory=lambda: [ThreadState("main")])
     #: Kitsune extension (paper §5.3): treat epoll_wait as an update point
     #: so threads parked in LibEvent can quiesce without exiting the loop.
     epoll_update_points: bool = False
     #: Callback run on the process that *aborts* an update (the Mvedsua
     #: leader); Memcached uses it to reset LibEvent's dispatch memory.
     abort_callback: Optional[Any] = None
-
-    def __post_init__(self) -> None:
-        if not self.threads:
-            self.threads = [ThreadState("main")]
 
     def quiescence_time(self) -> Optional[int]:
         """Nanoseconds for all threads to park at update points.
@@ -68,6 +67,12 @@ class UpdatableProgram:
                 return None
             worst = max(worst, thread.reach_update_point_ns)
         return worst
+
+    def apply_version(self, version: ServerVersion,
+                      heap: Dict[str, Any]) -> None:
+        """Install dynamically-updated code and transformed state."""
+        self.version = version
+        self.heap = heap
 
     def run_abort_callback(self) -> None:
         """Invoke the abort hook, if the program registered one."""

@@ -213,7 +213,6 @@ class VaranRuntime:
         self.with_kitsune = with_kitsune
         self.domain = server.domain
         gateway = SyscallGateway(kernel, self.domain, GatewayRole.DIRECT)
-        server.bind_gateway(gateway)
         self.leader = ManagedProcess(server, gateway, CpuAccount("leader"),
                                      "leader")
         #: The group's epoll ready set, live: what ``pump`` tests for
@@ -451,7 +450,6 @@ class VaranRuntime:
         fork_done = self.leader.cpu.charge(now, FORK_PAUSE_NS)
         forked = server if server is not None else self.leader.server.fork()
         gateway = SyscallGateway(self.kernel, self.domain, GatewayRole.REPLAY)
-        forked.bind_gateway(gateway)
         if self.lanes:
             label = f"follower-{len(self.lanes)}"
             ring = RingBuffer(self.ring.capacity)

@@ -105,7 +105,6 @@ def replay_stream(stream: RecordedStream, *,
     # epoll/accept calls name the fds the leader's records name.
     kernel = VirtualKernel()
     gateway = SyscallGateway(kernel, domain=0, role=GatewayRole.REPLAY)
-    server.bind_gateway(gateway)
     server.listen_fd = stream.claim["listen_fd"]
     server.epoll_fd = stream.claim["epoll_fd"]
 

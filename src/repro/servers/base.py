@@ -41,8 +41,8 @@ class Session:
     state: Dict[str, Any] = field(default_factory=dict)
 
 
-class Server:
-    """One simulated server process."""
+class Server(UpdatableProgram):
+    """One simulated server process, the program Kitsune updates."""
 
     #: Profile name in :data:`repro.syscalls.costs.PROFILES`.
     profile_name = "kvstore"
@@ -53,18 +53,15 @@ class Server:
 
     def __init__(self, version: ServerVersion,
                  address: Tuple[str, int] = ("127.0.0.1", 7000)) -> None:
-        self.version = version
-        self.heap: Dict[str, Any] = version.initial_heap()
+        super().__init__(version, version.initial_heap(),
+                         threads=self._threads())
         self.address = address
         self.sessions: Dict[int, Session] = {}
-        self.program = UpdatableProgram(self.version, self.heap,
-                                        threads=self._threads())
-        # Populated by attach()/bind_gateway().
+        # Populated by attach().
         self.kernel: Optional[VirtualKernel] = None
         self.domain: int = -1
         self.listen_fd: int = -1
         self.epoll_fd: int = -1
-        self.gateway: Optional[SyscallGateway] = None
 
     # -- configuration hooks -------------------------------------------------
 
@@ -91,22 +88,17 @@ class Server:
         self.epoll_fd = kernel.epoll_create(self.domain)
         kernel.epoll_ctl(self.domain, self.epoll_fd, self.listen_fd, add=True)
 
-    def bind_gateway(self, gateway: SyscallGateway) -> None:
-        """Attach the syscall gateway this process must use."""
-        self.gateway = gateway
-
     def fork(self, heap: Optional[Dict[str, Any]] = None) -> "Server":
-        """Copy the process image: heap, sessions and program.
+        """Copy the process image: heap, sessions and thread states.
 
         ``heap``, when given, becomes the child's heap instead of a copy
         of this one: Mvedsua forks around the transformed heap, which is
-        already a private copy.  Each session and the program (its
-        thread states) are copied; :meth:`_fork_own_state` copies what
-        a subclass keeps of its own.  The version is code and is shared.
-        Kernel handles (domain, fds) are shared with the parent — under
-        MVE the group shares one kernel view and only the leader
-        executes syscalls — and the child has no gateway until one is
-        bound.
+        already a private copy.  Each session and thread state is
+        copied; :meth:`_fork_own_state` copies what a subclass keeps of
+        its own.  The version is code and is shared.  Kernel handles
+        (domain, fds) are shared with the parent — under MVE the group
+        shares one kernel view and only the leader executes syscalls;
+        the gateway a process runs through is its runtime's.
         """
         # One memo for the heap and the session states, so a container
         # reachable from both stays one object in the child.
@@ -116,28 +108,17 @@ class Server:
         else:
             memo[id(self.heap)] = heap
         child = copy.copy(self)
-        child.gateway = None
         child.heap = heap
         child.sessions = {
             fd: Session(fd, session.buffer, clone_heap(session.state, memo))
             for fd, session in self.sessions.items()}
-        program = child.program = copy.copy(self.program)
-        program.heap = heap
-        program.threads = [copy.copy(thread) for thread in program.threads]
+        child.threads = [copy.copy(thread) for thread in self.threads]
         self._fork_own_state(child)
         return child
 
     def _fork_own_state(self, child: "Server") -> None:
         """Give ``child`` its own copy of the state this subclass keeps
-        beside the heap, sessions and program (none by default)."""
-
-    def apply_version(self, version: ServerVersion,
-                      heap: Dict[str, Any]) -> None:
-        """Install dynamically-updated code and transformed state."""
-        self.version = version
-        self.heap = heap
-        self.program.version = version
-        self.program.heap = heap
+        beside the heap, sessions and threads (none by default)."""
 
     # -- the event loop --------------------------------------------------------
 

@@ -4,7 +4,7 @@ Three paper-critical behaviours live here:
 
 1. **Threading/quiescence** — worker threads are parked inside LibEvent's
    loop.  Without the Kitsune extension that treats ``epoll_wait`` as an
-   update point (``program.epoll_update_points``), they can never quiesce
+   update point (``epoll_update_points``), they can never quiesce
    and every update attempt fails with a timing error.
 2. **LibEvent dispatch memory** — ready fds are serviced in round-robin
    order with a persistent cursor.  A freshly-updated follower starts
@@ -56,19 +56,19 @@ class MemcachedServer(Server):
             libevent_reset_on_abort = mvedsua_adapted
         self.libevent = LibEventLoop()
         super().__init__(version or memcached_version("1.2.2"), address)
-        self.program.epoll_update_points = mvedsua_adapted
+        self.epoll_update_points = mvedsua_adapted
         if libevent_reset_on_abort:
-            # Bound to the LibEvent loop, not to this server: the program
-            # the hook sits on must not point back up at its owner.
-            # ``fork`` rebinds it to the child's loop.
-            self.program.abort_callback = self.libevent.reset_on_abort
+            # Bound to the LibEvent loop, not to this server, so the
+            # server holds no bound method of itself; ``fork`` rebinds
+            # it to the child's loop.
+            self.abort_callback = self.libevent.reset_on_abort
 
     def _fork_own_state(self, child: Server) -> None:
-        """The child gets its own LibEvent loop, and the abort hook its
-        program carries is rebound to that loop."""
+        """The child gets its own LibEvent loop, and its abort hook is
+        rebound to that loop."""
         child.libevent = copy.copy(self.libevent)
-        if child.program.abort_callback is not None:
-            child.program.abort_callback = child.libevent.reset_on_abort
+        if child.abort_callback is not None:
+            child.abort_callback = child.libevent.reset_on_abort
 
     def _threads(self) -> List[ThreadState]:
         threads = [ThreadState("main")]

@@ -32,7 +32,6 @@ class NativeRuntime:
         self.cpu = CpuAccount("native")
         self.gateway = SyscallGateway(kernel, server.domain,
                                       GatewayRole.DIRECT)
-        server.bind_gateway(self.gateway)
         #: The server's epoll ready set, live: what ``pump`` tests for
         #: input.
         self.ready = kernel.ready_set(server.domain, server.epoll_fd)
@@ -86,11 +85,8 @@ class NativeRuntime:
             raise ServerCrash("cannot dynamically update a non-DSU binary")
         start = max(now, self.cpu.busy_until)
         attempt = kitsune.apply_update(
-            self.server.program, new_version,
+            self.server, new_version,
             xform_entry_ns=self.profile.xform_entry_ns or 0, at=start)
-        if attempt.ok:
-            self.server.apply_version(self.server.program.version,
-                                      self.server.program.heap)
         self.cpu.block_until(start + attempt.quiesce_ns + attempt.xform_ns
                              + QUIESCE_NS)
         return attempt

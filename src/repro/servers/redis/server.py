@@ -1,4 +1,4 @@
-"""The Redis server process: event loop + AOF ordering + seeding."""
+"""The Redis server process: event loop + AOF ordering."""
 
 from __future__ import annotations
 
@@ -52,17 +52,5 @@ class RedisServer(Server):
         snapshot_path = path or rdb.RDB_PATH
         if self.kernel is None or not self.kernel.fs.exists(snapshot_path):
             return False
-        heap = rdb.load(self.kernel.fs.read_file(snapshot_path))
-        self.heap = heap
-        self.program.heap = heap
+        self.heap = rdb.load(self.kernel.fs.read_file(snapshot_path))
         return True
-
-    def seed(self, entries: int) -> None:
-        """Pre-populate the store (Figure 7 uses 1M entries).
-
-        Writes directly into the heap — this models a store warmed before
-        the experiment starts, not client traffic.
-        """
-        db, value = self.heap["db"], "x" * 16
-        for index in range(entries):
-            db[f"key:{index:09d}"] = ("string", value)

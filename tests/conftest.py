@@ -20,8 +20,8 @@ from repro.workloads import VirtualClient
 # fluid model's fast-forward against plain stepping, observed against
 # unobserved runs, the rule engine's one-pass rewrite against
 # offer-by-offer feeding, one heap copy per update, the inline key
-# draw against ``randrange``, one update step for standalone Kitsune
-# and Mvedsua under generated ``dsu.*`` fault plans)
+# draw against ``randrange``, one update step and one install for
+# standalone Kitsune and Mvedsua under generated ``dsu.*`` fault plans)
 # run hypothesis's default in tier-1 and this depth in CI:
 # ``python -m pytest tests/test_report.py … --hypothesis-profile ci``
 # (the full line is in .github/workflows/ci.yml).

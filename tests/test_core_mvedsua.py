@@ -296,10 +296,12 @@ class TestPromotionDrainDivergence:
 def update_each_way(transforms, threads=None, plan=None, tries=1):
     """Standalone Kitsune (``NativeRuntime.apply_update``) and Mvedsua
     (``request_update``) each update kvstore 1.0 → 2.0 with a 200-entry
-    preload (and ``threads`` parked in each program): up to ``tries``
+    preload (and ``threads`` parked in each server): up to ``tries``
     attempts a second apart, stopping at the first that applies, under
     a tracer and a fresh injector from ``plan()``.  Per runtime, its
-    attempts and the ``dsu.*`` events they logged."""
+    attempts, the ``dsu.*`` events they logged and the process the
+    update installed into: the native server, or Mvedsua's follower
+    child (None while no attempt applied)."""
     runs = []
     for runtime in (NativeRuntime, Mvedsua):
         kernel = VirtualKernel()
@@ -307,13 +309,16 @@ def update_each_way(transforms, threads=None, plan=None, tries=1):
         server.attach(kernel)
         server.heap["table"].update({f"k{i}": "v" for i in range(200)})
         if threads is not None:
-            server.program.threads = list(threads)
+            server.threads = list(threads)
         if runtime is NativeRuntime:
             native = NativeRuntime(kernel, server, PROFILES["kvstore"],
                                    with_kitsune=True)
 
             def update(at, kitsune=Kitsune(transforms)):
                 return native.apply_update(kitsune, KVStoreV2(), at)
+
+            def installed():
+                return native.server
         else:
             mvedsua = Mvedsua(kernel, server, PROFILES["kvstore"],
                               transforms=transforms)
@@ -321,6 +326,10 @@ def update_each_way(transforms, threads=None, plan=None, tries=1):
             def update(at):
                 return mvedsua.request_update(KVStoreV2(), at,
                                               rules=kv_rules())
+
+            def installed():
+                follower = mvedsua.runtime.follower
+                return None if follower is None else follower.server
         tracer, attempts = Tracer(), []
         chaos = None if plan is None else ChaosInjector(plan())
         with observing(tracer=tracer, chaos=chaos):
@@ -329,7 +338,8 @@ def update_each_way(transforms, threads=None, plan=None, tries=1):
                 if attempts[-1].ok:
                     break
         runs.append((attempts, [event for event in tracer.events
-                                if event.kind.startswith("dsu.")]))
+                                if event.kind.startswith("dsu.")],
+                     installed()))
     return runs
 
 
@@ -360,8 +370,8 @@ class TestOneUpdateRecord:
     @staticmethod
     def _both(transforms, threads=None):
         """The attempt each runtime makes at kvstore 1.0 → 2.0 with a
-        200-entry preload (and ``threads`` parked in each program)."""
-        return [attempts[0] for attempts, _
+        200-entry preload (and ``threads`` parked in each server)."""
+        return [attempts[0] for attempts, _, _
                 in update_each_way(transforms, threads)]
 
     def test_an_applied_update_records_the_same_phases(self):
@@ -396,8 +406,8 @@ class TestOneUpdateRecord:
             return FaultPlan("xform", (
                 Fault("dsu.transform", "exception", on_call(1)),))
 
-        for attempts, events in update_each_way(kv_transforms(),
-                                                plan=plan):
+        for attempts, events, _ in update_each_way(kv_transforms(),
+                                                   plan=plan):
             (attempt,) = attempts
             stamps = {event.kind: event.at for event in events}
             assert attempt.reason == "transform-failed"
@@ -429,19 +439,24 @@ DSU_FAULT_PARAMS = {
                 max_size=4))
 def test_one_update_step_under_any_dsu_fault_plan(faults):
     """Whatever ``dsu.*`` faults fire on which call, standalone Kitsune
-    and Mvedsua fail the same attempts the same way and log the same
-    update step (three tries, so call indices 2 and 3 are reached)."""
+    and Mvedsua fail the same attempts the same way, log the same
+    update step (three tries, so call indices 2 and 3 are reached) and,
+    when one applied, install the same version and heap."""
     def plan():
         return FaultPlan("generated", tuple(
             Fault(site, kind, on_call(index),
                   DSU_FAULT_PARAMS[site, kind](knob))
             for (site, kind), index, knob in faults))
 
-    (kitsune, kitsune_events), (mvedsua, mvedsua_events) = \
-        update_each_way(kv_transforms(), plan=plan, tries=3)
+    ((kitsune, kitsune_events, native), (mvedsua, mvedsua_events, child)) \
+        = update_each_way(kv_transforms(), plan=plan, tries=3)
     assert [phases(attempt) for attempt in kitsune] \
         == [phases(attempt) for attempt in mvedsua]
     assert step_events(kitsune_events) == step_events(mvedsua_events)
+    if kitsune[-1].ok:
+        assert type(native.version) is type(child.version)
+        assert native.version.name == child.version.name
+        assert native.heap == child.heap
 
 
 # -- one copy of the process image per update ---------------------------------
@@ -549,7 +564,7 @@ def test_an_update_copies_the_leader_image_once(case):
     old, new, _ = UPDATES[app_name]
     assert follower.heap == stack.runtime.kitsune.transforms.apply(
         app_name, old, new, leader.heap)
-    assert follower.program.heap is follower.heap
+    assert not hasattr(follower, "program")   # one heap, on the process
     assert not containers(follower.heap) & containers(leader.heap)
 
 

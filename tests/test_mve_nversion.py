@@ -79,7 +79,6 @@ class TestPartialFailure:
         runtime.fork_follower(0)  # healthy copy
         buggy = runtime.leader.server.fork()
         buggy.version = CrashOnK5()
-        buggy.program.version = buggy.version
         runtime.fork_follower(0, server=buggy)
         assert group_size(runtime) == 3
         for index in range(8):

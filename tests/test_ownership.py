@@ -253,10 +253,10 @@ def test_a_forked_followers_abort_hook_resets_its_own_libevent():
     follower = leader.fork()
     assert follower.libevent is not leader.libevent
     assert follower.libevent.cursor == leader.libevent.cursor == 3
-    follower.program.run_abort_callback()
+    follower.run_abort_callback()
     assert follower.libevent.cursor == 0
     assert leader.libevent.cursor == 3
-    leader.program.run_abort_callback()
+    leader.run_abort_callback()
     assert leader.libevent.cursor == 0
 
 

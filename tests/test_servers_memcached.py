@@ -146,7 +146,7 @@ class TestProtocol:
 class TestThreadingAndQuiescence:
     def test_worker_threads_live_in_event_loop(self):
         _, server, _ = deployment()
-        workers = [t for t in server.program.threads
+        workers = [t for t in server.threads
                    if t.inside_event_loop]
         assert len(workers) == 4
 

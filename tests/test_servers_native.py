@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.apps import default_catalog, deploy
 from repro.dsu import Kitsune
+from repro.dsu.transform import clone_heap
 from repro.errors import ServerCrash
 from repro.net import VirtualKernel
 from repro.obs import Tracer
@@ -12,6 +14,7 @@ from repro.servers.kvstore import (
     KVStoreV2,
     kv_transforms,
 )
+from repro.servers.memcached import MemcachedServer
 from repro.servers.native import NativeRuntime
 from repro.sim.engine import SECOND
 from repro.sites import observing
@@ -127,3 +130,35 @@ def test_completions_recorded_per_iteration():
                client.command(runtime, b"GET a")]
     assert replies == [b"+OK\r\n", b"1\r\n"]
     assert len(client.latencies_ns) == 2
+
+
+#: app -> its first adjacent release pair.
+FIRST_PAIRS = {name: config.versions.update_pairs(name)[0]
+               for name, config in default_catalog().items()
+               if config.versions.update_pairs(name)}
+
+
+@pytest.mark.parametrize("name", sorted(FIRST_PAIRS))
+def test_kitsune_installs_into_the_server_itself(name):
+    """The server is the program Kitsune updates: one install puts the
+    new version, the transformer's heap and (Memcached) a fresh LibEvent
+    on the process the runtime serves."""
+    old, new = FIRST_PAIRS[name]
+    config = default_catalog()[name]
+    stack = deploy(config, old, NativeRuntime, with_kitsune=True)
+    server, client = stack.server, stack.client()
+    for request in config.seed_requests:
+        client.command(stack.runtime, request)
+    if isinstance(server, MemcachedServer):
+        client.command(stack.runtime, b"get warm")
+        assert server.libevent.cursor > 0
+    expected = config.transforms.apply(name, old, new,
+                                       clone_heap(server.heap))
+    next_version = config.version(new)
+    attempt = Kitsune(config.transforms).apply_update(server, next_version,
+                                                      at=0)
+    assert attempt.ok
+    assert server.version is next_version
+    assert server.heap == expected
+    if isinstance(server, MemcachedServer):
+        assert server.libevent.cursor == 0
