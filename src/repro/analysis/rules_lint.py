@@ -179,7 +179,7 @@ def lint_rules(ruleset: RuleSet, *, app: str = "", pair: str = "",
         findings.append(Finding(code, severity, ANALYZER, app,
                                 f"{prefix}rule {rule.name}", message))
 
-    rules = list(ruleset.rules)
+    rules = ruleset.rules
     positions = [_positions(r) for r in rules]
     stages = [_stages_of(r) for r in rules]
 

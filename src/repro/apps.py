@@ -38,7 +38,7 @@ from repro.dsu.kitsune import UpdateAttempt
 from repro.dsu.transform import TransformRegistry
 from repro.dsu.version import ServerVersion, VersionRegistry
 from repro.errors import NoUpdatePath
-from repro.mve.dsl.rules import Direction, RuleSet
+from repro.mve.dsl import Direction, RuleSet, rule_set
 from repro.net.kernel import VirtualKernel
 from repro.syscalls.costs import PROFILES
 from repro.workloads.client import VirtualClient
@@ -187,7 +187,7 @@ def _kvstore_config() -> AppConfig:
     def rules_for(old: str, new: str) -> RuleSet:
         if (old, new) == ("1.0", "2.0"):
             return kv_rules()
-        return RuleSet()
+        return rule_set("")
 
     def buggy_v2():
         # The chaos campaign's read-path-bug build (answers GET wrongly).
@@ -345,7 +345,7 @@ def _snort_config() -> AppConfig:
         transforms=snort_transforms(),
         # 1.0 and 1.1 agree byte-for-byte on rule-free traffic; the
         # interesting divergence is semantic, not syscall-shaped.
-        rules_for=lambda old, new: RuleSet(),
+        rules_for=lambda old, new: rule_set(""),
         seed_requests=(b"PKT 10.0.0.1 probe", b"PKT 10.0.0.2 probe"),
         server_factory=SnortServer,
     )

@@ -16,7 +16,7 @@ from repro.apps import app, deploy
 from repro.bench import claims
 from repro.bench.reporting import format_table
 from repro.core import Stage
-from repro.mve.dsl import RuleSet
+from repro.mve.dsl import RuleSet, rule_set
 from repro.servers.vsftpd import TABLE1_RULE_COUNTS
 from repro.sim.engine import SECOND
 from repro.workloads.ftpclient import FtpClient
@@ -76,7 +76,7 @@ def run_table1() -> List[Table1Row]:
             rules=rules.count(),
             paper_rules=paper_count,
             in_sync_with_rules=_run_pair(old, new, rules),
-            diverges_without_rules=not _run_pair(old, new, RuleSet()),
+            diverges_without_rules=not _run_pair(old, new, rule_set("")),
         ))
     return rows
 

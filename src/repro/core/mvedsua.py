@@ -178,8 +178,6 @@ class Mvedsua:
         if lifecycle.stage is not Stage.SINGLE_LEADER:
             raise SimulationError(
                 f"cannot update while in stage {lifecycle.stage.value}")
-        if now > OBS.vnow:
-            OBS.vnow = now
         leader_server = self.runtime.leader.server
         attempt, new_version, new_heap = self.kitsune.begin_update(
             leader_server, new_version, at=now,

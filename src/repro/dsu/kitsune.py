@@ -24,9 +24,9 @@ from repro.dsu.version import ServerVersion
 from repro.sites import OBS
 
 
-def _racy_threads(program: UpdatableProgram, param) -> None:
-    """Re-sample thread states as if the update signal raced in-flight
-    locks (the "race" quiesce fault; reproduces §6.2's E3 setup).
+def _racy_threads(program: UpdatableProgram, param) -> UpdatableProgram:
+    """A stand-in for ``program`` whose threads raced the update signal
+    (the "race" quiesce fault; §6.2's E3 setup), for one quiescence.
 
     Exactly one ``rng`` draw per call, so retry statistics are
     deterministic for a given seed.
@@ -39,7 +39,8 @@ def _racy_threads(program: UpdatableProgram, param) -> None:
     for index in range(1, 4):
         threads.append(ThreadState(f"worker-{index}",
                                    inside_event_loop=True))
-    program.threads = threads
+    return UpdatableProgram(program.version, program.heap, threads,
+                            program.epoll_update_points)
 
 
 def _scramble(value: Any, marker: str) -> None:
@@ -103,7 +104,7 @@ class Kitsune:
                     raise QuiescenceTimeout(
                         "chaos: threads never reached update points")
                 if fault.kind == "race":
-                    _racy_threads(program, fault.param)
+                    program = _racy_threads(program, fault.param)
                 elif fault.kind == "delay":
                     extra_ns = max(0, int(fault.param.get("delay_ns", 0)))
         needed = program.quiescence_time()
@@ -172,8 +173,11 @@ class Kitsune:
         ``dsu.update`` fault may have swapped it) and the transformed
         heap, ``None`` when the attempt failed; a failure is logged when
         it happened and leaves ``program`` untouched.  ``event_fields``
-        go onto the ``dsu.request`` event.
+        go onto the ``dsu.request`` event; the run clock moves to ``at``
+        first, so a ``dsu.*`` fault is stamped at its attempt.
         """
+        if at > OBS.vnow:
+            OBS.vnow = at
         chaos = OBS.chaos
         if chaos is not None:
             fault = chaos.fire("dsu.update")

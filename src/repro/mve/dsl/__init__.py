@@ -12,8 +12,8 @@ rule directions:
   mapping.
 
 Every shipped rule is written in the paper-style textual syntax and
-parsed by :func:`parse_rules` (:mod:`repro.mve.dsl.parser`).  The
-compiled form (a :class:`RewriteRule` of :class:`SyscallPattern`
+parsed once per process (:func:`rule_set`, :mod:`repro.mve.dsl.parser`).
+The compiled form (a :class:`RewriteRule` of :class:`SyscallPattern`
 positions) and the engine that runs it live in
 :mod:`repro.mve.dsl.rules`.
 """
@@ -37,6 +37,7 @@ from repro.mve.dsl.parser import (
     compile_rule,
     parse_rules,
     parse_rules_ast,
+    rule_set,
 )
 
 __all__ = [
@@ -56,4 +57,5 @@ __all__ = [
     "SyscallPattern",
     "dispatch_key",
     "parse_rules",
+    "rule_set",
 ]

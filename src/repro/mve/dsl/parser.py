@@ -86,7 +86,8 @@ from functools import lru_cache, partial
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.errors import DslSyntaxError
-from repro.mve.dsl.rules import ANY_FD, Direction, RewriteRule, SyscallPattern
+from repro.mve.dsl.rules import (ANY_FD, Direction, RewriteRule, RuleSet,
+                                 SyscallPattern)
 from repro.syscalls.model import Sys, SyscallRecord
 
 _DIRECTIONS = {
@@ -559,16 +560,14 @@ def parse_rules_ast(text: str) -> List[RuleAst]:
 
 
 @lru_cache(maxsize=32)
-def _compiled(text: str) -> Tuple[RewriteRule, ...]:
-    return tuple(compile_rule(ast) for ast in parse_rules_ast(text))
+def rule_set(text: str) -> RuleSet:
+    """The one :class:`RuleSet` of DSL ``text`` in this process, parsed
+    on its first ask (a chaos campaign asks per cell) and
+    :meth:`~RuleSet.shared` by every holder of the update pair."""
+    return RuleSet(parse_rules(text)).shared()
 
 
 def parse_rules(text: str) -> List[RewriteRule]:
-    """Parse DSL ``text`` into :class:`RewriteRule` objects.
-
-    A text is parsed and compiled once (the catalogues are constants,
-    and a chaos campaign asks for them per cell); every call gets its
-    own list of the shared rules, which nothing mutates — engine state
-    and stage caches live in the :class:`RuleSet` the caller builds.
-    """
-    return list(_compiled(text))
+    """Parse DSL ``text`` into new :class:`RewriteRule` objects (no
+    memo: that is :func:`rule_set`)."""
+    return [compile_rule(ast) for ast in parse_rules_ast(text)]

@@ -11,7 +11,7 @@ identical across versions.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import islice
 from typing import (
     Any,
@@ -137,8 +137,9 @@ class DispatchIndex:
     (or None) is all that is left to test; a multi-record rule carries
     its pattern instead, tested position by position against the window.
 
-    Immutable once built; shareable across engines (see
-    :meth:`RuleSet.engine_for_stage`).  The tables are keyed by the
+    A rule set builds one per stage, which every engine of the stage
+    shares across deployments (see :meth:`RuleSet.engine_for_stage`);
+    only its candidate cache grows.  The tables are keyed by the
     syscall's ``_value_``: a ``Sys`` hashes through a Python-level
     ``Enum.__hash__``, a frame per lookup on the per-record path.
     """
@@ -182,59 +183,59 @@ class DispatchIndex:
         return cached
 
 
-@dataclass
 class RuleSet:
-    """The rules registered for one update pair, both directions."""
+    """The rules registered for one update pair, both directions, shared
+    by every holder of the pair (:func:`repro.mve.dsl.parser.rule_set`).
+    Each stage's :class:`DispatchIndex` is built once, on first use."""
 
-    rules: List[RewriteRule] = field(default_factory=list)
-    #: stage -> (rule count at compute time, filtered rules).  Keyed on
-    #: the count so direct ``rules`` appends also invalidate.
-    _stage_cache: Dict[Direction, Tuple[int, List[RewriteRule]]] = field(
-        default_factory=dict, init=False, repr=False, compare=False)
-    #: stage value -> (rule count at compute time, shared dispatch
-    #: index); by ``_value_`` for the reason :class:`DispatchIndex` is.
-    _index_cache: Dict[str, Tuple[int, DispatchIndex]] = field(
-        default_factory=dict, init=False, repr=False, compare=False)
+    def __init__(self, rules: Iterable[RewriteRule] = ()) -> None:
+        self._rules: Tuple[RewriteRule, ...] = tuple(rules)
+        self._indexes: Dict[str, DispatchIndex] = {}
+
+    @property
+    def rules(self) -> List[RewriteRule]:  # the caller's own list
+        return list(self._rules)
 
     def add(self, rule: RewriteRule) -> "RuleSet":
-        self.rules.append(rule)
-        self._stage_cache.clear()
-        self._index_cache.clear()
+        """Append ``rule`` to a set no index has been built for yet: a
+        :meth:`shared` set, or one in use, refuses."""
+        if self._indexes:
+            raise RuleError(f"cannot add {rule.name!r}: the set is in use")
+        self._rules += (rule,)
         return self
+
+    def shared(self) -> "RuleSet":
+        """Build every stage's index now and return the set, which from
+        here on refuses :meth:`add`: other callers hold it."""
+        for stage in (Direction.OUTDATED_LEADER, Direction.UPDATED_LEADER):
+            self._index(stage)
+        return self
+
+    def _index(self, stage: Direction) -> DispatchIndex:
+        index = self._indexes.get(stage._value_)
+        if index is None:
+            index = self._indexes[stage._value_] = DispatchIndex(
+                [r for r in self._rules if r.direction.active_in(stage)])
+        return index
 
     def for_stage(self, stage: Direction) -> List[RewriteRule]:
         """Rules active in ``stage``, preserving priority order.
 
-        Memoized; do not mutate the returned list.
+        The stage index's own list; do not mutate it.
         """
-        cached = self._stage_cache.get(stage)
-        if cached is not None and cached[0] == len(self.rules):
-            return cached[1]
-        result = [r for r in self.rules if r.direction.active_in(stage)]
-        self._stage_cache[stage] = (len(self.rules), result)
-        return result
+        return self._index(stage).rules
 
     def engine_for_stage(self, stage: Direction) -> "RuleEngine":
-        """A fresh engine for ``stage`` backed by a cached dispatch index.
-
-        The index build is O(rules); an engine is not.  A follower lane
-        keeps the engine it gets until its stage or rule count changes,
-        and every engine of a stage shares the one index.
-        """
-        cached = self._index_cache.get(stage._value_)
-        if cached is not None and cached[0] == len(self.rules):
-            index = cached[1]
-        else:
-            index = DispatchIndex(self.for_stage(stage))
-            self._index_cache[stage._value_] = (len(self.rules), index)
-        return RuleEngine(index)
+        """A fresh engine for ``stage`` over the stage's one dispatch
+        index (a follower lane keeps it until the stage changes)."""
+        return RuleEngine(self._index(stage))
 
     def count(self, stage: Direction = Direction.OUTDATED_LEADER) -> int:
         """Rule count for reporting (Table 1 counts outdated-leader rules)."""
         return len(self.for_stage(stage))
 
     def __len__(self) -> int:
-        return len(self.rules)
+        return len(self._rules)
 
 
 class RuleEngine:

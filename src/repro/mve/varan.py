@@ -36,7 +36,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from typing import (Any, Deque, Iterable, List, NamedTuple, Optional,
-                    Sequence, Tuple)
+                    Sequence)
 
 from repro.errors import DivergenceError, ServerCrash, SimulationError
 from repro.mve.dsl.rules import Direction, RuleEngine, RuleSet
@@ -171,9 +171,9 @@ class FollowerLane:
     rewrite rules that bridge its version to the leader's, and the ring
     entries it consumed last (a divergence's forensics).
 
-    ``engine`` is the rule engine of the stage it was built for,
-    ``engine_key`` that stage and the rule count then: a replayed
-    iteration reuses it until either changes."""
+    ``engine`` is the rule engine of the stage ``engine_key``; a
+    replayed iteration reuses it until the stage changes (a lane's
+    rules are never rebound, only the runtime's default)."""
 
     __slots__ = ("process", "ring", "rules", "pending", "history",
                  "engine", "engine_key")
@@ -186,7 +186,7 @@ class FollowerLane:
         self.pending: Deque[IterationDescriptor] = deque()
         self.history: Deque[RingEntry] = deque(maxlen=FORENSICS_LAST_K)
         self.engine: Optional[RuleEngine] = None
-        self.engine_key: Optional[Tuple[Direction, int]] = None
+        self.engine_key: Optional[Direction] = None
 
 
 class VaranRuntime:
@@ -503,11 +503,11 @@ class VaranRuntime:
             payloads, ready_at = (), 0
         if ready_at > OBS.vnow:
             OBS.vnow = ready_at
-        key = (self.stage_direction, len(lane.rules.rules))
+        stage = self.stage_direction
         engine = lane.engine
-        if lane.engine_key != key:
-            engine = lane.engine = lane.rules.engine_for_stage(key[0])
-            lane.engine_key = key
+        if lane.engine_key is not stage:
+            engine = lane.engine = lane.rules.engine_for_stage(stage)
+            lane.engine_key = stage
         else:
             engine.fired.clear()  # the last iteration's firings
         expected = rewrite_iteration(engine, payloads)

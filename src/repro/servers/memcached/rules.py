@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Tuple
 
-from repro.mve.dsl import RuleSet, parse_rules
+from repro.mve.dsl import RuleSet, rule_set
 
 #: The guard reads "the request's first line (up to the first CRLF, or
 #: the whole payload) ends in `` noreply``".
@@ -37,8 +37,8 @@ rule noreply_tolerate updated-leader tag memcached-noreply:
 def memcached_rules(old: str, new: str) -> RuleSet:
     """The rule set for updating ``old`` -> ``new``."""
     if (old, new) == ("1.2.4", "1.2.5"):
-        return RuleSet(parse_rules(MEMCACHED_124_125_RULES_TEXT))
-    return RuleSet()
+        return rule_set(MEMCACHED_124_125_RULES_TEXT)
+    return rule_set("")
 
 
 #: Rule counts per update pair, for reporting.  The paper's pairs need

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Tuple
 
-from repro.mve.dsl import RuleSet, parse_rules
+from repro.mve.dsl import RuleSet, rule_set
 
 #: fd -3 is the AOF (``SyscallGateway.fs_append``); a client reply is any
 #: write that does not carry the AOF sentinel ``AOF_PREFIX``.
@@ -30,8 +30,8 @@ rule aof_order_rev updated-leader:
 def redis_rules(old: str, new: str) -> RuleSet:
     """The rule set for updating ``old`` -> ``new``."""
     if (old, new) == ("2.0.0", "2.0.1"):
-        return RuleSet(parse_rules(REDIS_200_201_RULES_TEXT))
-    return RuleSet()
+        return rule_set(REDIS_200_201_RULES_TEXT)
+    return rule_set("")
 
 
 #: Rule counts per update pair, for reporting alongside Vsftpd's Table 1.

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Tuple
 
-from repro.mve.dsl import RuleSet, parse_rules
+from repro.mve.dsl import RuleSet, rule_set
 from repro.servers.vsftpd.features import VSFTPD_FEATURES, VsftpdFeatures
 
 #: The rules for each command a release adds.  Outdated leader: redirect
@@ -108,8 +108,8 @@ def rules_from_features(old: VsftpdFeatures, new: VsftpdFeatures) -> str:
 
 def vsftpd_rules(old: str, new: str) -> RuleSet:
     """The rule set for updating release ``old`` -> ``new``."""
-    return RuleSet(parse_rules(rules_from_features(VSFTPD_FEATURES[old],
-                                                   VSFTPD_FEATURES[new])))
+    return rule_set(rules_from_features(VSFTPD_FEATURES[old],
+                                        VSFTPD_FEATURES[new]))
 
 
 #: The paper's Table 1: rules needed per update pair.

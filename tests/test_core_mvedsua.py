@@ -299,9 +299,9 @@ def update_each_way(transforms, threads=None, plan=None, tries=1):
     preload (and ``threads`` parked in each server): up to ``tries``
     attempts a second apart, stopping at the first that applies, under
     a tracer and a fresh injector from ``plan()``.  Per runtime, its
-    attempts, the ``dsu.*`` events they logged and the process the
-    update installed into: the native server, or Mvedsua's follower
-    child (None while no attempt applied)."""
+    attempts, the ``dsu.*`` and ``chaos.inject`` events they logged and
+    the process the update installed into: the native server, or
+    Mvedsua's follower child (None while no attempt applied)."""
     runs = []
     for runtime in (NativeRuntime, Mvedsua):
         kernel = VirtualKernel()
@@ -338,7 +338,8 @@ def update_each_way(transforms, threads=None, plan=None, tries=1):
                 if attempts[-1].ok:
                     break
         runs.append((attempts, [event for event in tracer.events
-                                if event.kind.startswith("dsu.")],
+                                if event.kind.startswith("dsu.")
+                                or event.kind == "chaos.inject"],
                      installed()))
     return runs
 
@@ -359,6 +360,24 @@ def step_events(events):
               if key != "system"})
             for event in events
             if event.kind in ("dsu.request", "dsu.quiesce", "dsu.failed")]
+
+
+def injections_per_attempt(events):
+    """Per attempt, the time its ``dsu.request`` is stamped at and the
+    ``chaos.inject`` events its step logged (a ``dsu.update`` fault
+    fires just before the request it rewrites)."""
+    steps, opened = [], False
+    for event in events:
+        if event.kind == "chaos.inject":
+            if event.fields["site"] == "dsu.update":
+                steps.append([None, []])
+                opened = True
+            steps[-1][1].append(event)
+        elif event.kind == "dsu.request":
+            if not opened:
+                steps.append([None, []])
+            steps[-1][0], opened = event.at, False
+    return steps
 
 
 class TestOneUpdateRecord:
@@ -441,7 +460,9 @@ def test_one_update_step_under_any_dsu_fault_plan(faults):
     """Whatever ``dsu.*`` faults fire on which call, standalone Kitsune
     and Mvedsua fail the same attempts the same way, log the same
     update step (three tries, so call indices 2 and 3 are reached) and,
-    when one applied, install the same version and heap."""
+    when one applied, install the same version and heap.  A fault lasts
+    its attempt: an attempt no fault fired on applies, and each fault
+    is stamped when its attempt was requested."""
     def plan():
         return FaultPlan("generated", tuple(
             Fault(site, kind, on_call(index),
@@ -453,6 +474,14 @@ def test_one_update_step_under_any_dsu_fault_plan(faults):
     assert [phases(attempt) for attempt in kitsune] \
         == [phases(attempt) for attempt in mvedsua]
     assert step_events(kitsune_events) == step_events(mvedsua_events)
+    for attempts, events in ((kitsune, kitsune_events),
+                             (mvedsua, mvedsua_events)):
+        steps = injections_per_attempt(events)
+        assert len(steps) == len(attempts)
+        for attempt, (requested, injections) in zip(attempts, steps):
+            assert attempt.ok or injections, attempt.error
+            assert [event.at for event in injections] \
+                == [requested] * len(injections)
     if kitsune[-1].ok:
         assert type(native.version) is type(child.version)
         assert native.version.name == child.version.name

@@ -11,11 +11,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.apps import default_catalog
-from repro.errors import DslSyntaxError
+from repro.chaos.campaign import run_campaign
+from repro.errors import DslSyntaxError, RuleError
 from repro.mve import VaranRuntime
 from repro.mve.dsl.parser import (CondAst, EmitAst, ExprAst, MatchAst,
-                                  RuleAst, compile_rule, parse_rules)
-from repro.mve.dsl.rules import ANY_FD, Direction
+                                  RuleAst, compile_rule, parse_rules,
+                                  rule_set)
+from repro.mve.dsl.rules import ANY_FD, DispatchIndex, Direction, RuleSet
 from repro.mve.varan import rewrite_iteration
 from repro.net import VirtualKernel
 from repro.servers.kvstore import (
@@ -29,7 +31,7 @@ from repro.servers.redis import RedisServer, redis_rules, redis_version
 from repro.syscalls.costs import PROFILES
 from repro.syscalls.model import Sys, SyscallRecord
 from repro.workloads import VirtualClient
-from tests.counting import fired_rules
+from tests.counting import counted, fired_rules
 from tests.reference_rules import REFERENCES, kv_reference, redis_reference
 
 
@@ -205,12 +207,24 @@ class TestCompiledGuards:
 
 class TestParseMemo:
     def test_every_call_builds_its_own_rule_set(self):
+        # The name predates the memo: every call now returns the one
+        # set of the text, and only its engines are per call.
         first, second = kv_rules(), kv_rules()
-        assert first is not second and first.rules is not second.rules
+        assert first is second
         assert first.engine_for_stage(Direction.OUTDATED_LEADER) \
             is not second.engine_for_stage(Direction.OUTDATED_LEADER)
         assert [r.name for r in first.rules] \
-            == [r.name for r in second.rules]
+            == [r.name for r in kv_reference("1.0", "2.0").rules]
+
+    def test_a_shared_set_refuses_add(self):
+        rule = parse_rules('rule extra: read(fd, s) => read(fd, s)')[0]
+        for shared in (kv_rules(), redis_rules("2.0.0", "2.0.1"),
+                       redis_rules("2.0.1", "2.0.2")):
+            size = len(shared)
+            with pytest.raises(RuleError):
+                shared.add(rule)
+            assert len(shared) == size
+        assert len(RuleSet().add(rule)) == 1
 
     def test_a_mutated_result_does_not_reach_the_memo(self):
         text = 'rule only: read(fd, s) => read(fd, s)'
@@ -235,6 +249,21 @@ CATALOG = default_catalog()
 PAIRS = [(name, old, new) for name, config in sorted(CATALOG.items())
          for old, new in config.versions.update_pairs(name)]
 STAGES = (Direction.OUTDATED_LEADER, Direction.UPDATED_LEADER)
+
+
+def test_every_holder_of_a_pair_gets_its_one_rule_set():
+    for name, old, new in PAIRS:
+        config = CATALOG[name]
+        assert config.rules_for(old, new) is config.rules_for(old, new), \
+            (name, old, new)
+
+
+def test_a_campaign_builds_the_pair_index_once_per_stage():
+    rule_set.cache_clear()      # the memo's first ask is the campaign's
+    with counted(DispatchIndex, "__init__") as builds:
+        report = run_campaign("kvstore", seed=1, max_cells=12)
+    assert report["cells"] == 12
+    assert builds["__init__"] == len(STAGES)
 
 #: Payload pieces the rules' literals do not spell out: what the
 #: ``matches`` guards of Memcached and Redis look for, and replies.
