@@ -22,6 +22,7 @@ from repro.apps import deploy
 from repro.core import Mvedsua
 from repro.dsu.transform import TransformRegistry
 from repro.obs import Tracer
+from repro.obs.forensics import summary
 from repro.servers.kvstore import kv_transforms, xform_drop_table
 from repro.sim.engine import SECOND, ns_to_seconds
 from repro.sites import observing
@@ -101,9 +102,9 @@ def operate(stack, client: VirtualClient, tracer: Tracer) -> None:
     client.command(mvedsua, b"GET balance", now=2 * SECOND)
     print("\n== status after the rollback ==")
     print(status(mvedsua))
-    if mvedsua.runtime.last_forensics is not None:
+    if mvedsua.runtime.last_divergence is not None:
         print("\n== divergence forensics ==")
-        print(mvedsua.runtime.last_forensics.summary())
+        print(summary(mvedsua.runtime.last_divergence.forensics))
 
     # Attempt 2: transformer fixed.  Traffic flows through a warm-up
     # while the new version validates; then the operator promotes it

@@ -24,7 +24,7 @@ MVE804 non-confluent-rule-overlap — two rules fully match the same
 Every MVE801/802 finding carries a shortest witness (BFS parent
 pointers), which is compiled to an executable scenario and replayed
 under the real runtime (:mod:`.witness`): findings the replay reproduces
-are CONFIRMED (ForensicsBundle attached), findings it cannot are
+are CONFIRMED (forensics bundle attached), findings it cannot are
 SPURIOUS and auto-downgraded to WARNING with a refinement hint.
 
 The run is summarized as a ``repro-proof/1`` certificate — deterministic

@@ -12,8 +12,8 @@ cells.  The scenario drives the witness commands through a
 :class:`~repro.workloads.client.VirtualClient` and then asks the
 runtime whether the follower actually diverged:
 
-* **CONFIRMED** — ``runtime.last_divergence`` is set; the
-  :class:`~repro.obs.forensics.ForensicsBundle` is attached to the
+* **CONFIRMED** — ``runtime.last_divergence`` is set; its forensics
+  bundle (:mod:`repro.obs.forensics`) is attached to the
   finding and the static severity stands;
 * **SPURIOUS** — the replay stayed clean; the abstraction was too
   coarse (typically: the vocabulary model says a version "accepts" a
@@ -142,10 +142,9 @@ class WitnessScenario:
                                 replies=replies)
         runtime = mvedsua.runtime
         if runtime.last_divergence is not None:
-            forensics = (runtime.last_forensics.as_dict()
-                         if runtime.last_forensics is not None else None)
             return ReplayResult("confirmed", str(runtime.last_divergence),
-                                replies=replies, forensics=forensics)
+                                replies=replies,
+                                forensics=runtime.last_divergence.forensics)
         return ReplayResult(
             "spurious",
             "replay stayed clean: both versions answered the witness "

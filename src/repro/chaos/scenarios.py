@@ -233,8 +233,8 @@ def run_kv_update_scenario(distributed: bool = False) -> ChaosRunResult:
                            and detail != "finalize"))
         if is_recovery and result.recovery_at is None:
             result.recovery_at = at
-    if runtime.last_forensics is not None:
-        result.forensics = runtime.last_forensics.as_dict()
+    if runtime.last_divergence is not None:
+        result.forensics = runtime.last_divergence.forensics
     if chaos is not None:
         result.injections = [injection.as_dict()
                              for injection in chaos.injections]

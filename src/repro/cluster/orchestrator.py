@@ -258,8 +258,8 @@ class FleetOrchestrator:
             node.status = NodeStatus.DEMOTED
             runtime = mvedsua.runtime
             detail = "divergence"
-            if runtime.last_forensics is not None:
-                detail = runtime.last_forensics.reason
+            if runtime.last_divergence is not None:
+                detail = runtime.last_divergence.forensics["reason"]
             self._emit("demotion", t, shard=shard.index, node=node.name,
                        wave=wave_index, detail=detail)
             report.records.append(FleetNodeRecord(

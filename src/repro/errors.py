@@ -100,9 +100,9 @@ class DivergenceError(ReproError):
         self.base_message = message
         self.at = at
         self.version = version
-        #: The monitor's state at the mismatch (a
-        #: :class:`~repro.obs.forensics.ForensicsBundle`), attached by
-        #: the follower step that caught it.
+        #: The monitor's state at the mismatch (the JSON-ready dict
+        #: :func:`~repro.obs.forensics.build_divergence_bundle` builds),
+        #: attached by the follower step that caught it.
         self.forensics = None
 
     def annotate(self, *, at: int | None = None,

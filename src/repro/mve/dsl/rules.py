@@ -122,6 +122,15 @@ def dispatch_key(pattern: SyscallPattern) -> Tuple[Sys, int]:
 Candidate = Tuple[RewriteRule, Any, Optional[Sequence[SyscallPattern]]]
 
 
+def _candidate_tuple(merged: List[Tuple[int, RewriteRule]]
+                     ) -> Tuple[Candidate, ...]:
+    """A bucket's ``(priority, rule)`` pairs as :meth:`DispatchIndex.
+    candidates` hands them out."""
+    return tuple((rule, rule.pattern[0].predicate, None)
+                 if len(rule.pattern) == 1 else (rule, None, rule.pattern)
+                 for _, rule in merged)
+
+
 class DispatchIndex:
     """Rules bucketed by their first pattern's ``(Sys, fd)``.
 
@@ -166,19 +175,25 @@ class DispatchIndex:
     def candidates(self, record: SyscallRecord) -> Tuple[Candidate, ...]:
         """``(rule, guard, pattern)`` for the rules whose first pattern
         could match ``record``, in priority order.  Everything else provably
-        neither fires nor stays viable."""
+        neither fires nor stays viable.
+
+        Only a pinned-fd bucket makes the answer depend on the fd, so a
+        ``(sys, fd)`` without one shares the tuple cached under ``(sys,
+        ANY_FD)``: a new client fd builds nothing its syscall already has.
+        """
         sys = record.name._value_
         key = (sys, record.fd)
         cached = self._cache.get(key)
         if cached is None:
+            exact = self._exact.get(key)
             wild = self._wild.get(sys, [])
-            exact = ([] if record.fd == ANY_FD
-                     else self._exact.get(key, []))
-            merged = sorted(exact + wild) if exact else wild
-            cached = tuple(
-                (rule, rule.pattern[0].predicate, None)
-                if len(rule.pattern) == 1 else (rule, None, rule.pattern)
-                for _, rule in merged)
+            if exact:
+                cached = _candidate_tuple(sorted(exact + wild))
+            else:
+                wild_key = (sys, ANY_FD)
+                cached = self._cache.get(wild_key)
+                if cached is None:
+                    cached = self._cache[wild_key] = _candidate_tuple(wild)
             self._cache[key] = cached
         return cached
 

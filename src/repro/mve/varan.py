@@ -43,8 +43,7 @@ from repro.mve.dsl.rules import Direction, RuleEngine, RuleSet
 from repro.mve.events import ControlEvent, ControlKind
 from repro.mve.gateway import GatewayRole, IterationTrace, SyscallGateway
 from repro.mve.ring_buffer import Payload, RingBuffer, RingEntry
-from repro.obs.forensics import (FORENSICS_LAST_K, ForensicsBundle,
-                                 build_divergence_bundle)
+from repro.obs.forensics import FORENSICS_LAST_K, build_divergence_bundle
 from repro.net.kernel import VirtualKernel
 from repro.sim.process import CpuAccount
 from repro.sites import OBS
@@ -237,8 +236,6 @@ class VaranRuntime:
         #: Times a full ring blocked the leader (always counted —
         #: ``repro perf`` gauges it next to ``ring.high_watermark``).
         self.ring_stalls = 0
-        #: Forensics bundle for the most recent divergence, if any.
-        self.last_forensics: Optional[ForensicsBundle] = None
         #: The run-log writer in the recorder slot, if this runtime won
         #: its claim (:meth:`repro.obs.trace.Tracer.claim`), else None —
         #: scenarios that build several MVE groups record only the
@@ -546,11 +543,12 @@ class VaranRuntime:
             # Kept without its traceback: the frames' locals hold this
             # runtime, a cycle that would outlive the deployment.
             self.last_divergence = divergence.with_traceback(None)
-            self.last_forensics = divergence.forensics
             if tracer is not None:
                 tracer.emit("divergence.check", "mve", at=start, ok=False,
                             records=len(entries), detail=str(divergence))
-                tracer.on_forensics(self.last_forensics)
+                tracer.emit("divergence.forensics", "mve", at=start,
+                            reason=str(divergence),
+                            bundle=divergence.forensics)
             spans = OBS.spans
             if spans is not None:
                 spans.add("mve.divergence", "mve", start, start,

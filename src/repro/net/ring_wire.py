@@ -32,6 +32,7 @@ from typing import Any, Dict, List, Sequence, Tuple, Union
 
 from repro.errors import SimulationError
 from repro.mve.events import ControlEvent, ControlKind
+from repro.obs.trace import serialize_record
 from repro.report import canonical, decode
 from repro.syscalls.model import EMPTY_AUX, Sys, SyscallRecord
 
@@ -149,10 +150,12 @@ def unframe_line(line: str) -> Dict[str, Any]:
 # A frame body is the canonical JSON (``repro.report.canonical``) of
 # ``{"schema", "seq", "records": [...]}``, each record as
 # ``repro.obs.trace.serialize_record`` lays it out (a recording's
-# ``stream.record`` too: :func:`decode_records` reads both).  The encoder
-# writes those bytes directly — key order is fixed, so a record is a
-# template — and hands ``canonical`` only what is rare (``aux``, control
-# events, results that are not ints, tuples or bytes).
+# ``stream.record`` and a forensics bundle too: :func:`decode_records`
+# reads all three).  The encoder writes a syscall record's bytes
+# directly — key order is fixed, so a record is a template — and hands
+# ``canonical`` only what is rare (``aux``, results that are not ints,
+# tuples or bytes, and control events, which ``serialize_record`` lays
+# out).
 # ``tests/test_distring.py`` holds it to the dict-and-dumps formulation
 # byte for byte.
 
@@ -168,6 +171,14 @@ _INT_ONLY = {int}
 _CONTROL_BY_VALUE = {kind.value: kind for kind in ControlKind}
 
 
+# The template, not ``canonical(serialize_record(record))``, because a
+# frame is a distributed ring's per-burst cost: timed with ``timeit``
+# (CPython 3.11.7, 2 CPUs, best of 5), a 3-record kvstore frame
+# (``epoll_wait``, ``read``, ``write``) takes 3.8 µs through
+# ``encode_frame`` against 11.4 µs as dicts through ``canonical``, and
+# one result (an int, bytes, an int pair, a nested tuple) 0.1–2.4 µs
+# through ``_result_json`` against 1.4–4.8 µs as
+# ``canonical(_serialize_result(result))``.
 def _result_json(result: Any) -> str:
     """A record's result: a tuple tagged ``{"t": [...]}``, bytes tagged
     ``{"b": latin-1}``, anything else as itself."""
@@ -181,15 +192,6 @@ def _result_json(result: Any) -> str:
     if isinstance(result, bytes):
         return '{"b":' + _quote(result.decode("latin-1")) + "}"
     return canonical(result)
-
-
-def _control_json(event: ControlEvent) -> str:
-    entry: Dict[str, Any] = {"ctl": event.kind.value}
-    if event.at is not None:
-        entry["at"] = event.at
-    if event.version is not None:
-        entry["version"] = event.version
-    return canonical(entry)
 
 
 def encode_frame(sequence: int, payloads: Sequence[Payload]) -> str:
@@ -207,7 +209,7 @@ def encode_frame(sequence: int, payloads: Sequence[Payload]) -> str:
     entries = []
     for payload in payloads:
         if type(payload) is ControlEvent:
-            entries.append(_control_json(payload))
+            entries.append(canonical(serialize_record(payload)))
             continue
         name, fd, data, result, aux = payload
         text = f'{{"data":{_quote(data.decode("latin-1"))},"fd":' if data \

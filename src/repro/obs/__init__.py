@@ -7,7 +7,7 @@ the tracer slot, the spans slot or both with
 :func:`repro.sites.observing`.  See ``docs/observability.md``.
 """
 
-from repro.obs.forensics import ForensicsBundle, build_divergence_bundle
+from repro.obs.forensics import build_divergence_bundle
 from repro.obs.metrics import Histogram
 from repro.obs.slo import SLO_SCHEMA, SloSpec, build_slo_report, validate_slo_report
 from repro.obs.trace import (
@@ -31,7 +31,6 @@ __all__ = [
     "TraceEvent",
     "Tracer",
     "Histogram",
-    "ForensicsBundle",
     "build_divergence_bundle",
     "validate_file",
     "validate_lines",

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from repro import cli
 from repro.bench.reporting import format_table
+from repro.obs.forensics import summary
 from repro.obs.trace import RUN_SCHEMA, Tracer, validate_file
 from repro.scenarios import SCENARIOS, run_cell
 from repro.sites import observing
@@ -61,10 +62,12 @@ def run(args) -> int:
             [[name, " ".join(f"{key}={value}"
                              for key, value in sorted(metric.items()))]
              for name, metric in snapshot.items()]))
-    for index, bundle in enumerate(tracer.forensics):
+    bundles = (event.fields["bundle"] for event in tracer.events
+               if event.kind == "divergence.forensics")
+    for index, bundle in enumerate(bundles):
         print()
         print(f"forensics bundle {index}:")
-        print(bundle.summary())
+        print(summary(bundle))
 
     if args.check:
         return cli.check_verdict(validate_file(out), out, RUN_SCHEMA)

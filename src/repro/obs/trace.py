@@ -104,10 +104,21 @@ def jsonable(value: Any) -> Any:
 
 
 def serialize_record(record: Any) -> Dict[str, Any]:
-    """One syscall record as a stream record holds it (reversible:
-    :func:`repro.net.ring_wire.decode_records`).  Payload bytes are
-    latin-1 text; a tuple result is tagged ``{"t": [...]}`` and a bytes
-    result ``{"b": latin-1}`` so both come back as they went in."""
+    """One ring payload as a stream record, a ring frame and a
+    forensics bundle hold it (reversible:
+    :func:`repro.net.ring_wire.decode_records`).  A syscall record's
+    payload bytes are latin-1 text; a tuple result is tagged ``{"t":
+    [...]}`` and a bytes result ``{"b": latin-1}`` so both come back as
+    they went in.  A control event (the one payload that is no
+    ``SyscallRecord`` tuple) is ``{"ctl", "at", "version"}``, an unknown
+    time or version left out."""
+    if not isinstance(record, tuple):
+        control: Dict[str, Any] = {"ctl": record.kind.value}
+        if record.at is not None:
+            control["at"] = record.at
+        if record.version is not None:
+            control["version"] = record.version
+        return control
     entry: Dict[str, Any] = {"sys": record.name.value, "fd": record.fd}
     if record.data:
         entry["data"] = record.data.decode("latin-1")
@@ -291,9 +302,6 @@ class Tracer:
         self._events: List[TraceEvent] = []
         #: How much of the log :attr:`events` has read.
         self._read = 0
-        #: Forensics bundles captured on divergences (see
-        #: :mod:`repro.obs.forensics`).
-        self.forensics: List[Any] = []
         #: The runtime whose stream the recorder slot logs (see
         #: :meth:`claim`), by weakref.
         self._claimed_by: Optional[weakref.ref] = None
@@ -308,18 +316,11 @@ class Tracer:
         """Log one event; ``at=None`` stamps the run clock.
 
         Call sites guard with ``if tracer is not None:`` and then call
-        this once per event; only :meth:`on_forensics` does more."""
+        this once per event."""
         stack = self._stack
         self._log.append((OBS.vnow if at is None else at, kind, layer,
                           stack[-1].span_id if stack else None,
                           tuple(fields), *fields.values()))
-
-    def on_forensics(self, bundle: Any) -> None:
-        """A divergence produced a forensics bundle; keep and announce it."""
-        self.forensics.append(bundle)
-        self.emit("divergence.forensics", "mve", at=bundle.at,
-                  reason=bundle.reason, bundle=len(self.forensics) - 1,
-                  ring_records=len(bundle.ring_last_k))
 
     # -- stream records (the recorder slot) ---------------------------------
 

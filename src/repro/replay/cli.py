@@ -79,10 +79,10 @@ def run(args) -> int:
             print(f"           {detail.get('detail')}")
             if report.forensics is not None:
                 bundle = report.forensics
-                print(f"forensics: {len(bundle.ring_last_k)} ring records, "
-                      f"{len(bundle.expected_records)} expected / "
-                      f"{len(bundle.issued_records)} issued, "
-                      f"rules fired {list(bundle.rules_fired)}")
+                print(f"forensics: {len(bundle['ring_last_k'])} ring "
+                      f"records, {len(bundle['expected_records'])} "
+                      f"expected / {len(bundle['issued_records'])} issued, "
+                      f"rules fired {bundle['rules_fired']}")
         if args.out:
             print(f"wrote report: {args.out}")
     return 0 if report.ok else 1

@@ -22,9 +22,9 @@ recorded leader is older than the candidate, ``UPDATED_LEADER`` once it
 is newer, identity when equal).
 
 A mismatch therefore raises the same
-:class:`~repro.errors.DivergenceError` carrying the same
-:class:`~repro.obs.forensics.ForensicsBundle` — time-travel forensics
-for a run that may have happened on another machine.
+:class:`~repro.errors.DivergenceError` carrying the same forensics
+bundle (:mod:`repro.obs.forensics`) — time-travel forensics for a run
+that may have happened on another machine.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from repro.mve.ring_buffer import RingEntry
 from repro.mve.varan import replay_iteration, rewrite_iteration
 from repro.net.kernel import VirtualKernel
 from repro.net.ring_wire import decode_records
-from repro.obs.forensics import FORENSICS_LAST_K, ForensicsBundle
+from repro.obs.forensics import FORENSICS_LAST_K
 from repro.replay.stream import RecordedStream, read_stream
 
 #: Replay report schema identifier (bump on shape changes).
@@ -63,7 +63,7 @@ class ReplayReport:
     #: ``match`` | ``divergence`` | ``crash``
     outcome: str = "match"
     divergence: Optional[Dict[str, Any]] = None
-    forensics: Optional[ForensicsBundle] = None
+    forensics: Optional[Dict[str, Any]] = None
     final_version_recorded: str = ""
 
     @property
@@ -87,7 +87,7 @@ class ReplayReport:
             "divergence": self.divergence,
         }
         if self.forensics is not None:
-            payload["forensics"] = self.forensics.as_dict()
+            payload["forensics"] = self.forensics
         return payload
 
 

@@ -10,7 +10,7 @@ prover code:
 * ``DEL`` — added in release 2, fully implemented, **no rule**: the
   prover reaches the uncovered configuration (MVE801 ERROR in the
   outdated-leader stage) and the witness replay reproduces the
-  divergence → CONFIRMED with a ForensicsBundle;
+  divergence → CONFIRMED with a forensics bundle;
 * ``COUNT`` — *declared* in release 2's vocabulary but the handler
   rejects it: the abstraction says the versions diverge, the replay
   stays clean → SPURIOUS, auto-downgraded to WARNING;

@@ -20,6 +20,7 @@ from repro.chaos.campaign import (
 from repro.cli import main
 from repro.chaos.plans import NAMED_PLANS
 from repro.chaos.scenarios import run_kv_update_scenario
+from repro.net.ring_wire import decode_records
 
 
 @pytest.fixture(scope="module")
@@ -166,6 +167,19 @@ class TestCampaignReport:
                    and entry["outcome"] == "recovered-rollback"]
         assert corrupt
         assert any("forensics" in entry for entry in corrupt)
+        # Every record of every bundle reads back through the ring
+        # wire's decoder.
+        for entry in full_report["grid"]:
+            bundle = entry.get("forensics")
+            if bundle is None:
+                continue
+            pair = [record for record in bundle["diverging"].values()
+                    if record is not None]
+            for records in (pair, bundle["ring_last_k"],
+                            bundle["ring_pending"],
+                            bundle["expected_records"],
+                            bundle["issued_records"]):
+                assert len(decode_records(records)) == len(records)
 
     def test_recovery_latency_is_reported_for_dsu_faults(self, full_report):
         e1 = [entry for entry in full_report["grid"]

@@ -123,22 +123,13 @@ class TestRingWire:
 # ---------------------------------------------------------------------------
 
 def reference_frame(sequence, payloads):
-    """``repro-ring/1`` as first written: each payload as a dict, the
-    body through ``json.dumps(sort_keys=True, separators=(",", ":"))``.
+    """``repro-ring/1`` as first written: each payload as the dict
+    ``serialize_record`` lays it out (a control event too), the body
+    through ``json.dumps(sort_keys=True, separators=(",", ":"))``.
     ``encode_frame`` writes the same bytes without building either."""
-    records = []
-    for payload in payloads:
-        if isinstance(payload, ControlEvent):
-            entry = {"ctl": payload.kind.value}
-            if payload.at is not None:
-                entry["at"] = payload.at
-            if payload.version is not None:
-                entry["version"] = payload.version
-        else:
-            entry = serialize_record(payload)
-        records.append(entry)
     return frame_line({"schema": "repro-ring/1", "seq": sequence,
-                       "records": records})
+                       "records": [serialize_record(payload)
+                                   for payload in payloads]})
 
 
 #: Every byte value, the JSON-special ones (quote, backslash, controls,

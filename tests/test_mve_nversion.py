@@ -106,12 +106,14 @@ class TestPartialFailure:
         assert [lane.process for lane in runtime.lanes] == [healthy]
         # Extra lanes get the pair's forensics: the bundle and its
         # trace event name the follower that diverged, not its sibling.
-        bundle = runtime.last_forensics
-        assert (bundle.version, bundle.leader_version) == ("2.0", "1.0")
-        assert bundle.expected != bundle.actual
+        bundle = runtime.last_divergence.forensics
+        assert (bundle["version"], bundle["leader_version"]) == \
+            ("2.0", "1.0")
+        diverging = bundle["diverging"]
+        assert diverging["expected"] != diverging["actual"]
         [event] = [e for e in tracer.events
                    if e.kind == "divergence.forensics"]
-        assert tracer.forensics[event.fields["bundle"]] is bundle
+        assert event.fields["bundle"] is bundle
         assert "version=2.0" in event.fields["reason"]
 
     def test_rules_are_per_follower(self):

@@ -34,7 +34,7 @@ class WitnessReplay(unittest.TestCase):
         witness, replay = self._witness("DEL", "outdated-leader")
         self.assertEqual(replay.status, "confirmed")
         self.assertIsNotNone(replay.forensics)
-        # The bundle is the runtime's real ForensicsBundle dict.
+        # The bundle is the runtime's own.
         self.assertIn("diverging", replay.forensics)
         self.assertIn("ring_last_k", replay.forensics)
 

@@ -20,8 +20,10 @@ from repro.cli import main
 from repro.chaos.scenarios import BuggyKVStoreV2, run_kv_update_scenario
 from repro.errors import SimulationError
 from repro.mve import VaranRuntime
+from repro.mve.events import ControlEvent, ControlKind
 from repro.net import VirtualKernel
 from repro.net.ring_wire import decode_records
+from repro.obs.forensics import summary
 from repro.obs.trace import (Tracer, serialize_record, stream_len,
                              validate_file)
 from repro.perf.diff import diff_bench, gate_failures
@@ -270,20 +272,26 @@ _RECORD_RESULTS = st.recursive(
     lambda inner: st.lists(inner, max_size=3).map(tuple), max_leaves=8)
 
 
-@given(name=st.sampled_from(list(Sys)), fd=st.integers(-3, 1 << 20),
-       payload=st.binary(max_size=16), result=_RECORD_RESULTS,
-       aux=st.just(EMPTY_AUX) | st.dictionaries(
-           st.sampled_from(["error", "flags"]),
-           st.sampled_from(["EPIPE", "ECONNRESET"]) | st.integers(0, 3),
-           min_size=1))
-def test_serialized_record_reads_back_as_itself(name, fd, payload, result,
-                                                aux):
+_SYSCALL_RECORDS = st.builds(
+    SyscallRecord, st.sampled_from(list(Sys)), st.integers(-3, 1 << 20),
+    st.binary(max_size=16), _RECORD_RESULTS,
+    st.just(EMPTY_AUX) | st.dictionaries(
+        st.sampled_from(["error", "flags"]),
+        st.sampled_from(["EPIPE", "ECONNRESET"]) | st.integers(0, 3),
+        min_size=1))
+_CONTROL_EVENTS = st.builds(
+    ControlEvent, st.sampled_from(list(ControlKind)),
+    st.none() | st.integers(0, 1 << 62), st.none() | st.text(max_size=8))
+
+
+@given(record=_SYSCALL_RECORDS | _CONTROL_EVENTS)
+def test_serialized_record_reads_back_as_itself(record):
     """``serialize_record`` → JSON → ``decode_records`` (the ring
     wire's decoder, which replay reads recordings with) gives the
-    record back, field for field and type for type: nested tuples stay
-    tuples, bytes stay bytes, and ``True`` does not come back as ``1``
-    (``repr`` tells those apart where ``==`` does not)."""
-    record = SyscallRecord(name, fd, payload, result, aux)
+    payload back, field for field and type for type: nested tuples stay
+    tuples, bytes stay bytes, ``True`` does not come back as ``1``
+    (``repr`` tells those apart where ``==`` does not), and a control
+    event's unknown time or version stays unknown."""
     [back] = decode_records([json.loads(json.dumps(
         serialize_record(record)))])
     assert back == record
@@ -365,12 +373,13 @@ class TestReplay:
         assert not report.ok
         assert report.divergence["detail"]
         assert report.forensics is not None
-        bundle = report.forensics.as_dict()
+        bundle = report.forensics
         assert bundle["reason"]
         assert bundle["version"] == "2.0-buggy"
         # The bundle carries the records around the mismatch.
         assert bundle["expected_records"]
-        assert report.forensics.summary()
+        assert summary(bundle)
+        assert report.as_dict()["forensics"] is bundle
         # entry_index is the diverging record's place in the run log.
         lines = _log_lines(kv_stream)
         diverged = lines[report.divergence["entry_index"] + 1]
@@ -397,20 +406,17 @@ class TestReplay:
         client.command(runtime, b"PUT other v2", now=2 * 10**9)
         client.command(runtime, b"GET k", now=3 * 10**9)
         runtime.drain_follower()
-        live = runtime.last_forensics
-        assert live is not None and not runtime.in_mve_mode
+        live = runtime.last_divergence.forensics
+        assert not runtime.in_mve_mode
 
         path = tmp_path / "buggy.jsonl"
         recorder.write(str(path))
         report = replay_file(str(path), against="2.0-buggy")
         assert report.outcome == "divergence"
         offline = report.forensics
-        assert (offline.expected, offline.actual) == \
-            (live.expected, live.actual)
-        assert offline.expected_records == live.expected_records
-        assert offline.issued_records == live.issued_records
-        assert offline.as_dict()["rule_engine"] == \
-            live.as_dict()["rule_engine"]
+        for key in ("diverging", "expected_records", "issued_records",
+                    "rules_fired"):
+            assert offline[key] == live[key], key
 
     def test_cli_exit_codes(self, kv_stream, tmp_path, capsys):
         assert main(["replay", kv_stream]) == 0

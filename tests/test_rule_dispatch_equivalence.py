@@ -287,3 +287,19 @@ def test_single_record_match_fires_past_a_viable_sequence_rule():
             one_pass = RuleEngine(DispatchIndex(rules))
             assert rewrite_iteration(one_pass, records) == expected
             assert one_pass.fired == fired
+
+
+def test_an_unpinned_fd_shares_its_syscalls_candidates():
+    """Only a pinned-fd bucket makes candidates depend on the fd: ``read``
+    at two fds no rule pins gets the one tuple, built once, and a pinned
+    fd its own, merged in priority order."""
+    wild = RewriteRule("wild", (SyscallPattern(Sys.READ),),
+                       lambda records: records)
+    pinned = RewriteRule("pinned", (SyscallPattern(Sys.READ, 3),),
+                         lambda records: records)
+    index = DispatchIndex([pinned, wild])
+    five = index.candidates(SyscallRecord(Sys.READ, 5, b"x"))
+    assert index.candidates(SyscallRecord(Sys.READ, 6, b"y")) is five
+    assert [rule for rule, _, _ in five] == [wild]
+    at_three = index.candidates(SyscallRecord(Sys.READ, 3, b"z"))
+    assert [rule for rule, _, _ in at_three] == [pinned, wild]

@@ -95,7 +95,7 @@ def test_equality_is_over_all_five_fields(field, other):
 
 
 def test_repr_names_every_field():
-    # The text forensics falls back to for objects without describe().
+    # Every field, for failure messages and logs.
     assert repr(SyscallRecord(Sys.READ, fd=3, data=b"x", result=1)) == (
         "SyscallRecord(name=<Sys.READ: 'read'>, fd=3, data=b'x', result=1, "
         "aux=mappingproxy({}))")
