@@ -63,7 +63,8 @@ def history(mvedsua: Mvedsua) -> str:
     lines = []
     for index, timeline in enumerate(mvedsua.history):
         outcome = "rolled back" if timeline.rolled_back() else "finalized"
-        lines.append(f"update #{index}: {outcome}")
+        lines.append(f"update #{index}: {outcome} "
+                     f"(ended by {timeline.ended_by})")
         for label, value in (
                 ("t1 forked", timeline.t1_forked),
                 ("t2 updated", timeline.t2_updated),

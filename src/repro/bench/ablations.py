@@ -184,10 +184,10 @@ def _mvedsua_catches(forward, new_version=None) -> Optional[str]:
         return f"update aborted: {attempt.reason}"
     client.command(mvedsua, b"GET balance", now=2 * SECOND)
     if mvedsua.stage is Stage.SINGLE_LEADER:
-        events = mvedsua.runtime.event_kinds()
-        if "divergence" in events:
+        ended_by = mvedsua.last_outcome().ended_by
+        if ended_by == "divergence":
             return "divergence during catch-up"
-        if "follower-crash" in events:
+        if ended_by == "crash":
             return "follower crash during catch-up"
         return "rolled back"
     return None

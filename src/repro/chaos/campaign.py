@@ -196,18 +196,14 @@ def classify(result: ChaosRunResult,
     if disturbed:
         return ("availability-loss",
                 "clients lost service: " + ", ".join(disturbed))
-    if result.promoted_after_crash:
+    timeline = result.timeline
+    if timeline is not None and timeline.ended_by == "leader-crash":
         return ("recovered-demotion",
                 f"leader crashed; surviving {result.final_version} "
                 f"follower was promoted")
-    if result.rolled_back:
-        reason = ""
-        for _, kind, detail in result.events:
-            if kind == "follower-terminated" and detail != "finalize":
-                reason = detail
-                break
+    if timeline is not None and timeline.rolled_back():
         return ("recovered-rollback",
-                f"update rolled back ({reason or 'aborted'}); the old "
+                f"update rolled back ({timeline.ended_by}); the old "
                 f"version served throughout")
     if not result.update_ok:
         return ("recovered-rollback",
@@ -222,6 +218,17 @@ def classify(result: ChaosRunResult,
     return ("invariant-violation",
             "run diverged from the fault-free baseline without a "
             "recovery event")
+
+
+def recovery_at(result: ChaosRunResult) -> Optional[int]:
+    """When the run recovered: the instant its update ended other than
+    by finalization (None: it did not)."""
+    timeline = result.timeline
+    if timeline is None or timeline.ended_by == "finalize":
+        return None
+    if timeline.rolled_back():
+        return timeline.rolled_back_at
+    return timeline.t6_finalized
 
 
 def probe_site_calls(scenario: str = "kvstore") -> Dict[str, int]:
@@ -252,11 +259,12 @@ def cell_entry(name: str, cell_plan: FaultPlan, result: ChaosRunResult,
     # recovery event predates the injection that caused it, which is a
     # causality bug worth shouting about — not a value to clamp to 0.
     latency = None
-    if first_at is not None and result.recovery_at is not None:
-        latency = result.recovery_at - first_at
+    recovered = recovery_at(result)
+    if first_at is not None and recovered is not None:
+        latency = recovered - first_at
         if latency < 0:
             outcome = "ordering-anomaly"
-            detail = (f"recovery at {result.recovery_at} predates first "
+            detail = (f"recovery at {recovered} predates first "
                       f"injection at {first_at} "
                       f"(delta {latency} ns); was: {detail}")
     lead = cell_plan.faults[0] if cell_plan.faults else None
@@ -394,7 +402,8 @@ def run_campaign(scenario: str = "kvstore", *, seed: int = 1,
                              for obs in golden.observations],
             "final_table": golden.final_table,
             "final_version": golden.final_version,
-            "finalized": golden.finalized,
+            "finalized": bool(golden.timeline
+                              and golden.timeline.succeeded()),
         },
         "grid": grid,
     }

@@ -20,7 +20,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.apps import deploy
 from repro.chaos.invariants import ClientObservation
-from repro.core import Stage
+from repro.core import Stage, UpdateTimeline
 from repro.errors import KernelError, ServerCrash
 from repro.net.ring_wire import RingLink
 from repro.servers.kvstore import KVStoreV2
@@ -111,17 +111,15 @@ class ChaosRunResult:
     observations: List[ClientObservation] = field(default_factory=list)
     final_table: Dict[str, str] = field(default_factory=dict)
     final_version: str = ""
-    stage: str = ""
     update_ok: bool = False
     update_reason: str = "not-attempted"
-    rolled_back: bool = False
-    promoted_after_crash: bool = False
-    finalized: bool = False
+    #: The update's closed timeline, which says how it ended (None: no
+    #: update ended).
+    timeline: Optional[UpdateTimeline] = None
     service_crashed: bool = False
     events: List[Tuple[int, str, str]] = field(default_factory=list)
     injections: List[Dict[str, Any]] = field(default_factory=list)
     forensics: Optional[Dict[str, Any]] = None
-    recovery_at: Optional[int] = None
 
     def replies(self) -> List[Optional[bytes]]:
         return [obs.reply for obs in self.observations]
@@ -219,20 +217,9 @@ def run_kv_update_scenario(distributed: bool = False) -> ChaosRunResult:
     runtime = mvedsua.runtime
     result.final_table = _semantic_table(runtime.leader.server)
     result.final_version = mvedsua.current_version
-    result.stage = mvedsua.stage.value
-    last = mvedsua.last_outcome()
-    result.rolled_back = bool(last and last.rolled_back())
-    result.finalized = bool(last and last.succeeded())
+    result.timeline = mvedsua.last_outcome()
     result.events = [(event.at, event.kind, event.detail)
                      for event in runtime.events]
-    for at, kind, detail in result.events:
-        if kind == "follower-promoted-after-crash":
-            result.promoted_after_crash = True
-        is_recovery = (kind == "follower-promoted-after-crash"
-                       or (kind == "follower-terminated"
-                           and detail != "finalize"))
-        if is_recovery and result.recovery_at is None:
-            result.recovery_at = at
     if runtime.last_divergence is not None:
         result.forensics = runtime.last_divergence.forensics
     if chaos is not None:

@@ -59,38 +59,40 @@ class Lifecycle:
         OBS.stage, OBS.phase = stage.value, phase
 
     def on_runtime_event(self, event: RuntimeEvent) -> None:
-        """Reconcile the stage with what the runtime just did."""
-        if event.kind == "promoted":
-            self.enter(Stage.UPDATED_LEADER, "promoted")
-            if self.timeline is not None \
-                    and self.timeline.t5_promoted is None:
-                self.timeline.t5_promoted = event.at
-        elif event.kind == "follower-terminated":
-            final = (event.detail == "finalize"
-                     or self.stage is Stage.UPDATED_LEADER)
-            self._close_timeline(event)
-            self.enter(Stage.SINGLE_LEADER,
-                       "promoted" if final else "rolled-back")
-        elif event.kind == "follower-promoted-after-crash":
-            # The new version became the sole leader because the old
-            # version crashed: the update is now permanent.
-            if self.timeline is not None:
-                self.timeline.t5_promoted = event.at
-                self.timeline.t6_finalized = event.at
-                self.history.append(self.timeline)
-                self.timeline = None
-            self.enter(Stage.SINGLE_LEADER, "promoted")
+        """Reconcile the stage with what the runtime just did.
 
-    def _close_timeline(self, event: RuntimeEvent) -> None:
-        if self.timeline is None:
+        MVE mode ends on one of two transitions, and the update
+        succeeded iff the new version leads afterwards: a terminated
+        follower is the old version only in the updated-leader stage,
+        and a crashed leader is the old version only in the
+        outdated-leader stage."""
+        kind, at = event.kind, event.at
+        timeline = self.timeline
+        if kind == "promoted":
+            self.enter(Stage.UPDATED_LEADER, "promoted")
+            if timeline is not None and timeline.t5_promoted is None:
+                timeline.t5_promoted = at
             return
-        if event.detail == "finalize" or self.stage is Stage.UPDATED_LEADER:
-            # Terminating the *outdated* follower makes the update final.
-            self.timeline.t6_finalized = event.at
+        if kind == "follower-terminated":
+            succeeded = self.stage is Stage.UPDATED_LEADER
+            ended_by = event.detail
+        elif kind == "follower-promoted-after-crash":
+            succeeded = self.stage is Stage.OUTDATED_LEADER
+            ended_by = "leader-crash"
+            if timeline is not None and timeline.t5_promoted is None:
+                timeline.t5_promoted = at
         else:
-            self.timeline.rolled_back_at = event.at
-        self.history.append(self.timeline)
-        self.timeline = None
+            return
+        if timeline is not None:
+            if succeeded:
+                timeline.t6_finalized = at
+            else:
+                timeline.rolled_back_at = at
+            timeline.ended_by = ended_by
+            self.history.append(timeline)
+            self.timeline = None
+        self.enter(Stage.SINGLE_LEADER,
+                   "promoted" if succeeded else "rolled-back")
 
 
 class Mvedsua:
@@ -175,9 +177,7 @@ class Mvedsua:
         failure the leader is untouched and the attempt says why.
         """
         lifecycle = self.lifecycle
-        if lifecycle.stage is not Stage.SINGLE_LEADER:
-            raise SimulationError(
-                f"cannot update while in stage {lifecycle.stage.value}")
+        self._require(Stage.SINGLE_LEADER, "update")
         leader_server = self.runtime.leader.server
         attempt, new_version, new_heap = self.kitsune.begin_update(
             leader_server, new_version, at=now,
@@ -200,7 +200,7 @@ class Mvedsua:
             self.runtime.rules = rules
         self.runtime.stage_direction = Direction.OUTDATED_LEADER
         follower = self.runtime.fork_follower(now + quiesce_ns, server=child)
-        t1 = self.runtime.events[-1].at  # the fork event
+        t1 = follower.cpu.busy_until  # the follower's CPU starts at the fork
         # The dynamic update runs on the follower, off the leader's
         # critical path.
         t2 = follower.cpu.charge(t1, xform_ns)
@@ -254,33 +254,29 @@ class Mvedsua:
             at = policy.next_attempt_at(at)
         return attempts
 
-    def promote(self, now: int) -> int:
-        """Expose the new version to clients (t4 -> t5)."""
-        lifecycle = self.lifecycle
-        if lifecycle.stage is not Stage.OUTDATED_LEADER:
+    def _require(self, stage: Stage, action: str) -> None:
+        """Refuse ``action`` outside ``stage``."""
+        if self.lifecycle.stage is not stage:
             raise SimulationError(
-                f"cannot promote from stage {lifecycle.stage.value}")
-        assert lifecycle.timeline is not None
-        lifecycle.timeline.t4_demote = now
-        t5 = self.runtime.promote(now)
-        # The promotion drain may instead have discovered a divergence
-        # and rolled the update back — in which case the observer already
-        # closed the timeline and there is nothing to stamp.
-        timeline = lifecycle.timeline
-        if timeline is not None and timeline.t5_promoted is None:
-            timeline.t5_promoted = t5
-        return t5
+                f"cannot {action} in stage {self.lifecycle.stage.value}")
+
+    def promote(self, now: int) -> int:
+        """Expose the new version to clients (t4 -> t5).
+
+        The swap stamps t5; a divergence found by the promotion drain
+        rolls the update back instead."""
+        self._require(Stage.OUTDATED_LEADER, "promote")
+        self.lifecycle.timeline.t4_demote = now
+        return self.runtime.promote(now)
 
     def finalize(self, now: int) -> int:
         """Make the update permanent; drop the old version (t6)."""
+        self._require(Stage.UPDATED_LEADER, "finalize")
         return self.runtime.finalize(now)
 
     def rollback(self, now: int, reason: str = "operator") -> int:
         """Abandon the update; the old version continues as sole leader."""
-        stage = self.lifecycle.stage
-        if stage is not Stage.OUTDATED_LEADER:
-            raise SimulationError(
-                f"cannot roll back from stage {stage.value}")
+        self._require(Stage.OUTDATED_LEADER, "roll back")
         return self.runtime.terminate_follower(now, reason=reason)
 
     # ------------------------------------------------------------------

@@ -36,6 +36,10 @@ class UpdateTimeline:
     t6_finalized: Optional[int] = None
     #: The update was rolled back (terminal, mutually exclusive with t6).
     rolled_back_at: Optional[int] = None
+    #: What ended MVE mode: the runtime's termination reason
+    #: (``finalize``, ``divergence``, ``crash``, ``operator``, ...), or
+    #: ``leader-crash`` when a crashed leader's follower took over.
+    ended_by: Optional[str] = None
 
     def update_duration_ns(self) -> Optional[int]:
         """How long the dynamic update ran on the follower (t2 - t1)."""

@@ -20,8 +20,6 @@ class ControlKind(enum.Enum):
     #: The leader demotes itself; the consuming follower becomes leader
     #: once it has drained everything before this event.
     PROMOTE = "promote"
-    #: The MVE session is ending; the follower should terminate cleanly.
-    TERMINATE = "terminate"
 
 
 @dataclass(frozen=True)

@@ -487,8 +487,7 @@ class VaranRuntime:
         if descriptor.control is not None:
             entry = ring.pop()
             swap_at = max(follower.cpu.busy_until, entry.produced_at)
-            if descriptor.control.kind is ControlKind.PROMOTE:
-                self._swap_roles(lane, swap_at)
+            self._swap_roles(lane, swap_at)
             return swap_at
 
         entries = ring.pop_many(descriptor.n_records)
@@ -547,7 +546,6 @@ class VaranRuntime:
                 tracer.emit("divergence.check", "mve", at=start, ok=False,
                             records=len(entries), detail=str(divergence))
                 tracer.emit("divergence.forensics", "mve", at=start,
-                            reason=str(divergence),
                             bundle=divergence.forensics)
             spans = OBS.spans
             if spans is not None:

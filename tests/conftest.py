@@ -21,7 +21,9 @@ from repro.workloads import VirtualClient
 # unobserved runs, the rule engine's one-pass rewrite against
 # offer-by-offer feeding, one heap copy per update, the inline key
 # draw against ``randrange``, one update step and one install for
-# standalone Kitsune and Mvedsua under generated ``dsu.*`` fault plans)
+# standalone Kitsune and Mvedsua under generated ``dsu.*`` fault plans,
+# an update succeeding iff the new version leads over generated
+# lifecycles)
 # run hypothesis's default in tier-1 and this depth in CI:
 # ``python -m pytest tests/test_report.py … --hypothesis-profile ci``
 # (the full line is in .github/workflows/ci.yml).

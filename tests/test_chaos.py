@@ -193,7 +193,7 @@ class TestDisabledPath:
             result = run_kv_update_scenario()
         assert created["__init__"] == 0
         assert injected["fire"] == 0
-        assert result.finalized
+        assert result.timeline.succeeded()
         assert not result.injections
 
     def test_kernel_and_engine_hooks_stay_none(self):

@@ -13,6 +13,7 @@ from repro.chaos.campaign import (
     classify,
     default_grid,
     probe_site_calls,
+    recovery_at,
     run_campaign,
     run_cell,
     validate_report,
@@ -40,9 +41,9 @@ def golden():
 
 class TestGoldenAndGrid:
     def test_golden_run_finalizes_on_the_new_version(self, golden):
-        assert golden.finalized
+        assert golden.timeline.succeeded()
+        assert golden.timeline.ended_by == "finalize"
         assert golden.final_version == "2.0"
-        assert golden.stage == "single-leader"
         assert all(reply is not None for reply in golden.replies())
 
     def test_probe_reaches_every_site_family(self):
@@ -88,7 +89,11 @@ class TestClassification:
             Fault("mve.leader", "crash", at_time(6_500_000_000)),)))
         outcome, detail = classify(result, golden)
         assert outcome == "recovered-demotion"
-        assert result.promoted_after_crash
+        # The old leader crashed while outdated: the new version leads,
+        # so the update succeeded.
+        assert result.timeline.ended_by == "leader-crash"
+        assert result.timeline.succeeded()
+        assert result.final_version == "2.0"
 
     def test_slow_quiescence_aborts_cleanly(self, golden):
         result = run_cell(FaultPlan("slow", (
@@ -108,15 +113,16 @@ class TestClassification:
         plan = FaultPlan("corrupt", (
             Fault("mve.follower", "corrupt-record", on_call(2)),))
         result = run_cell(plan)
-        assert result.injections and result.recovery_at is not None
+        assert result.injections and recovery_at(result) is not None
+        assert recovery_at(result) == result.timeline.rolled_back_at
         first_at = result.injections[0]["at"]
         entry = cell_entry("corrupt", plan, result, golden)
         # The raw signed delta is recorded, not clamped to zero.
-        assert entry["recovery_latency_ns"] == result.recovery_at - first_at
+        assert entry["recovery_latency_ns"] == recovery_at(result) - first_at
         assert entry["outcome"] != "ordering-anomaly"
         # Rewind the recovery before the injection: the classifier must
         # not normalise it away.
-        result.recovery_at = first_at - 7
+        result.timeline.rolled_back_at = first_at - 7
         anomaly = cell_entry("corrupt", plan, result, golden)
         assert anomaly["outcome"] == "ordering-anomaly"
         assert anomaly["recovery_latency_ns"] == -7

@@ -4,7 +4,7 @@ import random
 from collections import deque
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.apps import deploy
@@ -14,7 +14,7 @@ from repro.core import Mvedsua, RetryPolicy, Stage
 from repro.dsu import Kitsune
 from repro.dsu.program import ThreadState
 from repro.dsu.transform import TransformRegistry, clone_heap
-from repro.errors import SimulationError
+from repro.errors import ServerCrash, SimulationError
 from repro.net import VirtualKernel
 from repro.obs.trace import Tracer
 from repro.servers.base import Server
@@ -29,7 +29,7 @@ from repro.servers.kvstore import (
 )
 from repro.servers.native import NativeRuntime
 from repro.sim.engine import MILLISECOND, SECOND
-from repro.sites import observing
+from repro.sites import OBS, observing
 from repro.syscalls.costs import PROFILES
 from repro.workloads import VirtualClient
 from tests.counting import counted
@@ -85,6 +85,7 @@ class TestHappyPath:
         assert mvedsua.stage is Stage.SINGLE_LEADER
         outcome = mvedsua.last_outcome()
         assert outcome.succeeded() and not outcome.rolled_back()
+        assert outcome.ended_by == "finalize"
 
         # New semantics now exposed; old state preserved.
         assert client.command(mvedsua, b"GET balance",
@@ -101,6 +102,8 @@ class TestHappyPath:
         mvedsua.promote(3 * SECOND)
         mvedsua.finalize(4 * SECOND)
         t = mvedsua.last_outcome()
+        [fork] = [e for e in mvedsua.runtime.events if e.kind == "fork"]
+        assert t.t1_forked == fork.at
         assert t.t1_forked <= t.t2_updated <= t.t3_caught_up
         assert t.t4_demote <= t.t5_promoted <= t.t6_finalized
         assert t.update_duration_ns() >= 0
@@ -129,6 +132,7 @@ class TestHappyPath:
         assert mvedsua.stage is Stage.SINGLE_LEADER
         assert mvedsua.current_version == "1.0"
         assert mvedsua.last_outcome().rolled_back()
+        assert mvedsua.last_outcome().ended_by == "operator"
         assert client.command(mvedsua, b"GET a", now=3 * SECOND) == b"1\r\n"
 
 
@@ -148,6 +152,16 @@ class TestGuards:
         _, mvedsua, _ = deployment()
         with pytest.raises(SimulationError):
             mvedsua.finalize(SECOND)
+
+    def test_finalize_from_outdated_leader_rejected(self):
+        # Finalizing drops the follower, here the *new* version.
+        _, mvedsua, _ = deployment()
+        mvedsua.request_update(KVStoreV2(), SECOND, rules=kv_rules())
+        with pytest.raises(SimulationError, match="outdated-leader"):
+            mvedsua.finalize(2 * SECOND)
+        assert mvedsua.stage is Stage.OUTDATED_LEADER
+        assert mvedsua.runtime.follower.version_name == "2.0"
+        assert mvedsua.history == []
 
     def test_rollback_from_updated_leader_rejected(self):
         _, mvedsua, _ = deployment()
@@ -263,8 +277,34 @@ class TestCrashPromotion:
         assert reply == b"-ERR unknown command\r\n"
         assert mvedsua.stage is Stage.SINGLE_LEADER
         assert mvedsua.current_version == "2.0"
-        assert mvedsua.last_outcome().succeeded()
+        outcome = mvedsua.last_outcome()
+        assert outcome.succeeded() and outcome.ended_by == "leader-crash"
+        assert outcome.t5_promoted == outcome.t6_finalized
         assert client.command(mvedsua, b"GET a", now=3 * SECOND) == b"1\r\n"
+
+
+    def test_new_version_crash_after_promotion_rolls_back(self):
+        stack = deploy("kvstore", "1.0")
+        mvedsua, client = stack.runtime, stack.client()
+        client.command(mvedsua, b"PUT a 1")
+        stack.update("2.0", SECOND)
+        client.command(mvedsua, b"GET a", now=2 * SECOND)
+        mvedsua.promote(3 * SECOND)
+        assert mvedsua.timeline.t5_promoted == 3 * SECOND
+        crash = ChaosInjector(FaultPlan("crash", (
+            Fault("mve.leader", "crash", on_call(3)),)))
+        with observing(chaos=crash):
+            for tick in range(4, 9):
+                assert client.command(mvedsua, b"GET a",
+                                      now=tick * SECOND) == b"1\r\n"
+        # 1.0, the follower, took over: the update is undone.
+        assert mvedsua.current_version == "1.0"
+        assert mvedsua.stage is Stage.SINGLE_LEADER
+        outcome = mvedsua.last_outcome()
+        assert outcome.rolled_back() and not outcome.succeeded()
+        assert outcome.rolled_back_at == crash.injections[0].at
+        assert outcome.t5_promoted == 3 * SECOND
+        assert outcome.ended_by == "leader-crash"
 
 
 class ServerCrashHolder:
@@ -291,6 +331,76 @@ class TestPromotionDrainDivergence:
         assert mvedsua.last_outcome().rolled_back()
         assert client.command(mvedsua, b"PUT ok 1",
                               now=4 * SECOND) == b"+OK\r\n"
+
+
+#: The faults a drawn lifecycle arms: each crashes or corrupts one side
+#: of the pair on that side's n-th iteration from the arming step.
+LIFECYCLE_FAULTS = (("mve.leader", "crash"), ("mve.follower", "crash"),
+                    ("mve.follower", "corrupt-record"))
+
+
+def run_lifecycle(steps):
+    """Drive a kvstore 1.0 deployment through ``steps``; after each,
+    check every timeline closed since the last.  An operator call the
+    stage does not allow is refused; a leader crash with no follower
+    ends the run."""
+    stack = deploy("kvstore", "1.0")
+    mvedsua, client = stack.runtime, stack.client()
+    checked, promoted_at = 0, None
+    with observing(chaos=None):
+        for now, step in enumerate(steps, start=1):
+            now *= SECOND
+            crashed = False
+            try:
+                if isinstance(step, tuple):
+                    # Arm one fault, counting its site's calls from here
+                    # (it replaces a fault armed earlier that never fired).
+                    (site, kind), call = step
+                    OBS.chaos = ChaosInjector(FaultPlan("armed", (
+                        Fault(site, kind, on_call(call)),)))
+                elif step == "put":
+                    client.command(mvedsua, b"PUT k %d" % now, now=now)
+                elif step == "get":
+                    client.command(mvedsua, b"GET k", now=now)
+                elif step.startswith("update"):
+                    if mvedsua.current_version == "1.0":
+                        stack.update("2.0-buggy" if step == "update-buggy"
+                                     else "2.0", now)
+                else:
+                    getattr(mvedsua, step)(now)
+            except SimulationError:
+                pass
+            except ServerCrash:
+                crashed = True
+            timeline = mvedsua.timeline
+            if timeline is not None and promoted_at is None:
+                promoted_at = timeline.t5_promoted
+            for closed in mvedsua.history[checked:]:
+                assert mvedsua.stage is Stage.SINGLE_LEADER
+                assert closed.succeeded() \
+                    == (mvedsua.current_version != "1.0")
+                assert (closed.t6_finalized is None) \
+                    != (closed.rolled_back_at is None)
+                assert closed.ended_by is not None
+                if promoted_at is not None:
+                    assert closed.t5_promoted == promoted_at
+                promoted_at = None
+            checked = len(mvedsua.history)
+            if crashed:
+                return
+
+
+@settings(deadline=None)
+@given(st.lists(st.one_of(
+    st.sampled_from(("put", "get", "update", "update-buggy", "promote",
+                     "finalize", "rollback")),
+    st.tuples(st.sampled_from(LIFECYCLE_FAULTS), st.integers(1, 4))),
+    max_size=16))
+def test_an_update_succeeded_iff_the_new_version_leads(steps):
+    """Over drawn lifecycles, each closed timeline succeeded iff the
+    new version leads once it closed; exactly one of t6 and the
+    rollback is set, and a set t5 never moves."""
+    run_lifecycle(steps)
 
 
 def update_each_way(transforms, threads=None, plan=None, tries=1):

@@ -51,6 +51,13 @@ class TestRingWire:
         assert decoded[0].at == 123
         assert decoded[0].version == "2.0"
 
+    def test_a_terminate_control_event_is_refused(self):
+        # Promotion is the one control event; no other ``ctl`` decodes.
+        line = frame_line({"schema": "repro-ring/1", "seq": 0,
+                           "records": [{"ctl": "terminate", "at": 1}]})
+        with pytest.raises(WireError, match="unknown control kind"):
+            decode_frame(line)
+
     def test_decoded_records_are_copies_not_references(self):
         original = rec(0)
         _, decoded = decode_frame(encode_frame(0, [original]))
@@ -456,7 +463,7 @@ class TestEndToEnd:
         from repro.chaos.invariants import check_run
         from repro.chaos.scenarios import run_kv_update_scenario
         result = run_kv_update_scenario(distributed=True)
-        assert result.finalized
+        assert result.timeline.succeeded()
         assert check_run(result.observations, result.final_table) == []
 
     def test_distributed_scenario_is_bit_stable(self):

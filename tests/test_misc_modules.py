@@ -57,8 +57,8 @@ class TestErrorHierarchy:
 
 class TestControlEvents:
     def test_kinds(self):
-        assert ControlKind.PROMOTE.value == "promote"
-        assert ControlKind.TERMINATE.value == "terminate"
+        # Promotion is the one control event the ring carries.
+        assert [kind.value for kind in ControlKind] == ["promote"]
 
     def test_describe(self):
         assert ControlEvent(ControlKind.PROMOTE).describe() == \
@@ -67,7 +67,7 @@ class TestControlEvents:
     def test_frozen(self):
         event = ControlEvent(ControlKind.PROMOTE)
         with pytest.raises(Exception):
-            event.kind = ControlKind.TERMINATE
+            event.at = 1
 
 
 class TestDivergenceChecks:

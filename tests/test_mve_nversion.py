@@ -114,7 +114,7 @@ class TestPartialFailure:
         [event] = [e for e in tracer.events
                    if e.kind == "divergence.forensics"]
         assert event.fields["bundle"] is bundle
-        assert "version=2.0" in event.fields["reason"]
+        assert "version=2.0" in event.fields["bundle"]["reason"]
 
     def test_rules_are_per_follower(self):
         _, runtime, client = make_runtime()

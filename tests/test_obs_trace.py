@@ -190,7 +190,7 @@ class EagerTracer(Tracer):
 
     def on_forensics(self, bundle):
         self.emit("divergence.forensics", "mve", at=bundle["at"],
-                  reason=bundle["reason"], bundle=bundle)
+                  bundle=bundle)
 
     def on_divergence_check(self, at, ok, records, detail=""):
         self.emit("divergence.check", "mve", at=at, ok=ok, records=records,
@@ -555,8 +555,8 @@ def test_attached_tracer_sees_the_whole_lifecycle(kernel, mvedsua, client):
 
 def test_control_event_describe_legacy_form():
     assert ControlEvent(ControlKind.PROMOTE).describe() == "<control:promote>"
-    assert ControlEvent(ControlKind.TERMINATE).describe() == \
-        "<control:terminate>"
+    assert ControlEvent(ControlKind.PROMOTE, at=None,
+                        version=None).describe() == "<control:promote>"
 
 
 def test_control_event_describe_carries_time_and_version():

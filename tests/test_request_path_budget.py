@@ -283,7 +283,7 @@ def frames_per_chaos_cell():
     finally:
         sys.setprofile(None)
         gc.enable()
-    assert len(result.injections) == 1 and result.finalized
+    assert len(result.injections) == 1 and result.timeline.succeeded()
     return frames
 
 
